@@ -12,7 +12,7 @@
 //!
 //! 1. **Identity gate** — drives several rounds through the pre-change
 //!    replica (fresh per-round client networks, buffered
-//!    collect→sort→`FedAvg` via the preserved `RoundDriver` path) and
+//!    collect→sort→`FedAvg` via the `collect_round` adapter) and
 //!    through the new coordinator hot path, asserting the resulting
 //!    globals are bitwise identical.
 //! 2. Times the legacy round, the new hot round
@@ -45,7 +45,8 @@ use goldfish_fed::aggregate::{ClientUpdate, FedAvg};
 use goldfish_fed::sampling::{cohort_seed, sample_cohort_into};
 use goldfish_fed::trainer::{train_local_ce, TrainConfig};
 use goldfish_fed::transport::{
-    client_seed, collect_round, round_nonce, round_seed, LoopbackClients, RoundDriver, TrainAssign,
+    client_seed, collect_round, round_nonce, round_seed, LoopbackClients, RoundTransport,
+    TrainAssign,
 };
 use goldfish_fed::ModelFactory;
 use goldfish_nn::zoo;
@@ -166,14 +167,17 @@ fn legacy_round_hot(
         global,
         cfg,
     };
-    let updates = collect_round(|| {
-        goldfish_fed::transport::RoundTransport::train_round(&mut transport, &assign)
+    let mut cohort = Vec::new();
+    let updates = collect_round(assign.nonce, |sink, results| {
+        transport.cohort_into(&mut cohort);
+        transport.train_round(&assign, &cohort, sink, results);
+        transport.num_clients()
     })
     .expect("loopback clients never fail");
     goldfish_fed::aggregate::AggregationStrategy::aggregate(&FedAvg, &updates)
 }
 
-/// The faithful full pre-change round (buffered driver including the
+/// The faithful full pre-change round (the buffered round plus the
 /// per-round global-accuracy evaluation the old API always performed).
 fn legacy_round_full(
     factory: &ModelFactory,
@@ -184,25 +188,11 @@ fn legacy_round_full(
     seed: u64,
     cfg: &TrainConfig,
 ) -> Vec<f32> {
-    let driver = RoundDriver {
-        factory,
-        test,
-        threads: None,
-        eval_mse: false,
-        eval_clients: false,
-    };
-    let mut transport = LoopbackClients::new(factory, clients, None);
-    let assign = TrainAssign {
-        round,
-        seed,
-        nonce: round_nonce(seed, round),
-        global,
-        cfg,
-    };
-    driver
-        .run_round(&mut transport, &assign, &FedAvg)
-        .expect("loopback clients never fail")
-        .global
+    let global = legacy_round_hot(factory, clients, global, round, seed, cfg);
+    let mut net = (factory)(0);
+    net.set_state_vector(&global);
+    std::hint::black_box(goldfish_fed::eval::accuracy(&mut net, test));
+    global
 }
 
 /// The sampled-round oracle: re-derives `rounds` cohort rounds from
@@ -265,7 +255,7 @@ fn oracle_sampled_global(
 /// this VM's page provisioning). Rotating cohorts over a large registry
 /// would smear that transient over every timed round and fake an O(n)
 /// per-round cost, so the sweep pays it here, once, for everyone.
-fn warm_full_fleet<T: goldfish_fed::transport::RoundTransport>(
+fn warm_full_fleet<T: RoundTransport>(
     transport: &mut T,
     global: &[f32],
     cfg: &TrainConfig,
@@ -278,9 +268,9 @@ fn warm_full_fleet<T: goldfish_fed::transport::RoundTransport>(
         global,
         cfg,
     };
-    let mut results = Vec::new();
-    let mut sink = |_u: goldfish_fed::transport::StreamedUpdate<'_>| Ok(());
-    transport.train_round_streamed(&assign, &mut sink, &mut results);
+    let (mut cohort, mut results) = (Vec::new(), Vec::new());
+    transport.cohort_into(&mut cohort);
+    transport.train_round(&assign, &cohort, &mut |_| Ok(()), &mut results);
     assert!(
         !results.is_empty() && results.iter().all(|r| r.is_ok()),
         "warm-up round failed"

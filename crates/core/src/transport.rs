@@ -19,7 +19,9 @@
 use std::sync::Arc;
 
 use goldfish_fed::aggregate::ClientUpdate;
-use goldfish_fed::transport::{client_seed, TransportError};
+use goldfish_fed::transport::{
+    client_seed, round_nonce, StreamedUpdate, TransportError, UpdateSink,
+};
 use goldfish_fed::ModelFactory;
 use goldfish_nn::loss::{HardLoss, HardLossSpec};
 use goldfish_nn::Network;
@@ -45,9 +47,9 @@ pub struct UnlearnJob {
 }
 
 /// Server-side transport contract for the unlearning flow: deliver the
-/// job + teacher to every live client, then collect distillation-round
+/// job + teacher to every live client, then stream distillation-round
 /// updates exactly like [`goldfish_fed::transport::RoundTransport`]
-/// collects training-round updates.
+/// streams training-round updates.
 pub trait DistillTransport {
     /// Number of currently live clients.
     fn num_clients(&self) -> usize;
@@ -63,14 +65,20 @@ pub trait DistillTransport {
     fn begin_unlearn(&mut self, job: &UnlearnJob, teacher: &[f32]) -> Result<(), TransportError>;
 
     /// Runs one distillation round over every live client. Same contract
-    /// as [`goldfish_fed::transport::RoundTransport::train_round`]: one
-    /// entry per assigned client, arbitrary order, stragglers as errors.
+    /// as [`goldfish_fed::transport::RoundTransport::train_round`] with
+    /// the live set as the cohort: each delivered update is fed to `sink`
+    /// as it arrives, echoing the round's
+    /// [`goldfish_fed::transport::round_nonce`]`(seed, round)`; `results`
+    /// (cleared first) gets one entry per contacted client, stragglers
+    /// and sink rejections as errors.
     fn distill_round(
         &mut self,
         round: usize,
         seed: u64,
         global: &[f32],
-    ) -> Vec<Result<ClientUpdate, TransportError>>;
+        sink: &mut UpdateSink<'_>,
+        results: &mut Vec<Result<(), TransportError>>,
+    );
 }
 
 /// One client's worker state across the rounds of an unlearning request:
@@ -263,7 +271,9 @@ impl DistillTransport for LoopbackDistill {
         round: usize,
         seed: u64,
         global: &[f32],
-    ) -> Vec<Result<ClientUpdate, TransportError>> {
+        sink: &mut UpdateSink<'_>,
+        results: &mut Vec<Result<(), TransportError>>,
+    ) {
         assert!(
             !self.distillers.is_empty(),
             "distill_round before begin_unlearn"
@@ -278,10 +288,17 @@ impl DistillTransport for LoopbackDistill {
                 **slot = Some(distiller.round(global, round, seed));
             });
         });
-        updates
-            .into_iter()
-            .map(|u| Ok(u.expect("missing loopback distill update")))
-            .collect()
+        let nonce = round_nonce(seed, round);
+        results.clear();
+        results.extend(updates.into_iter().map(|u| {
+            let u = u.expect("missing loopback distill update");
+            sink(StreamedUpdate {
+                client_id: u.client_id,
+                num_samples: u.num_samples,
+                nonce,
+                state: &u.state,
+            })
+        }));
     }
 }
 
@@ -289,6 +306,7 @@ impl DistillTransport for LoopbackDistill {
 mod tests {
     use super::*;
     use goldfish_data::synthetic::{self, SyntheticSpec};
+    use goldfish_fed::transport::collect_round;
     use goldfish_nn::loss::CrossEntropy;
     use goldfish_nn::zoo;
     use rand::{rngs::StdRng, SeedableRng};
@@ -331,10 +349,13 @@ mod tests {
             Some(2),
         );
         lb.begin_unlearn(&job(), &teacher).unwrap();
-        let got = lb.distill_round(0, 5, &global);
+        let got = collect_round(round_nonce(5, 0), |sink, results| {
+            lb.distill_round(0, 5, &global, sink, results);
+            lb.num_clients()
+        })
+        .unwrap();
         assert_eq!(got.len(), 2);
-        for (id, r) in got.into_iter().enumerate() {
-            let u = r.unwrap();
+        for (id, u) in got.into_iter().enumerate() {
             assert_eq!(u.client_id, id);
             let mut lone = ClientDistiller::new(
                 id,

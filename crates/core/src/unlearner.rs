@@ -14,7 +14,7 @@ use std::sync::Arc;
 use goldfish_data::Dataset;
 use goldfish_fed::aggregate::{AggregationStrategy, FedAvg};
 use goldfish_fed::eval;
-use goldfish_fed::transport::{collect_round, RoundDriver, TransportError};
+use goldfish_fed::transport::{collect_round, round_nonce, TransportError};
 use goldfish_fed::ModelFactory;
 use goldfish_nn::loss::{CrossEntropy, HardLoss};
 
@@ -164,19 +164,15 @@ impl GoldfishUnlearning {
         transport.begin_unlearn(&job, server.original_global)?;
         let mut round_accuracies = Vec::with_capacity(server.rounds);
         for round in 0..server.rounds {
-            let mut updates = collect_round(|| transport.distill_round(round, seed, &global))?;
+            let mut updates = collect_round(round_nonce(seed, round), |sink, results| {
+                transport.distill_round(round, seed, &global, sink, results);
+                transport.num_clients()
+            })?;
             if self.adaptive_aggregation {
                 // Eq 12's me_c^t, evaluated server-side from the uploaded
                 // state (identical to a client-side evaluation of the
                 // same state).
-                RoundDriver {
-                    factory: server.factory,
-                    test: server.test,
-                    threads: None,
-                    eval_mse: true,
-                    eval_clients: false,
-                }
-                .fill_server_mse(&mut updates);
+                eval::fill_server_mse(server.factory, server.test, None, &mut updates);
             }
             global = strategy.aggregate(&updates);
             let mut net = network_from_state(server.factory, &global, 0);
@@ -377,5 +373,71 @@ mod tests {
         let a = goldfish_method().unlearn(&setup, 9);
         let b = goldfish_method().unlearn(&setup, 9);
         assert_eq!(a.global_state, b.global_state);
+    }
+
+    #[test]
+    fn forged_distill_nonce_is_a_typed_rejection() {
+        use goldfish_fed::transport::{StreamedUpdate, UpdateSink, UpdateViolation};
+
+        /// Two clients that never drop; client 1 echoes a forged nonce.
+        struct Forger {
+            attempts: usize,
+        }
+        impl DistillTransport for Forger {
+            fn num_clients(&self) -> usize {
+                2
+            }
+            fn begin_unlearn(&mut self, _: &UnlearnJob, _: &[f32]) -> Result<(), TransportError> {
+                Ok(())
+            }
+            fn distill_round(
+                &mut self,
+                round: usize,
+                seed: u64,
+                global: &[f32],
+                sink: &mut UpdateSink<'_>,
+                results: &mut Vec<Result<(), TransportError>>,
+            ) {
+                self.attempts += 1;
+                assert!(self.attempts < 10, "the re-round loop is spinning");
+                results.clear();
+                for (client_id, nonce) in [(0, round_nonce(seed, round)), (1, 0xF0_26ED)] {
+                    results.push(sink(StreamedUpdate {
+                        client_id,
+                        num_samples: 1,
+                        nonce,
+                        state: global,
+                    }));
+                }
+            }
+        }
+
+        let spec = SyntheticSpec::mnist().with_size(8, 8).with_shift(1);
+        let (_, test) = synthetic::generate(&spec, 10, 10, 1);
+        let factory: ModelFactory = Arc::new(|seed| {
+            let mut rng = StdRng::seed_from_u64(seed);
+            zoo::mlp(64, &[4], 10, &mut rng)
+        });
+        let teacher = (factory)(0).state_vector();
+        let server = UnlearnServer {
+            factory: &factory,
+            test: &test,
+            original_global: &teacher,
+            rounds: 1,
+        };
+        let mut transport = Forger { attempts: 0 };
+        let err = GoldfishUnlearning::default()
+            .unlearn_over(&server, &mut transport, 7)
+            .unwrap_err();
+        assert_eq!(
+            err,
+            TransportError::Rejected {
+                client_id: 1,
+                violation: UpdateViolation::StaleNonce {
+                    got: 0xF0_26ED,
+                    want: round_nonce(7, 0),
+                },
+            }
+        );
     }
 }

@@ -4,10 +4,13 @@ use goldfish_data::Dataset;
 use goldfish_nn::Network;
 use serde::{Deserialize, Serialize};
 
-use crate::aggregate::{AggregationStrategy, ClientUpdate};
+use crate::aggregate::AggregationStrategy;
 use crate::trainer::TrainConfig;
-use crate::transport::{LoopbackClients, RoundDriver, RoundTransport, StateLenError, TrainAssign};
-use crate::{eval, ModelFactory};
+use crate::transport::{
+    collect_round, round_nonce, round_seed, LoopbackClients, RoundTransport, StateLenError,
+    TrainAssign,
+};
+use crate::{eval, pool, ModelFactory};
 
 /// A federated-learning simulation: one server, `n` clients holding local
 /// datasets, and a shared model architecture.
@@ -125,13 +128,14 @@ impl Federation {
     }
 
     /// Runs one federated round: every client trains locally from the
-    /// current global state (in parallel), the server evaluates and
-    /// aggregates with `strategy`, and the new global model is installed.
+    /// current global state (in parallel), the server evaluates each
+    /// upload (Eq 12's MSE, and test accuracy when
+    /// [`FederationBuilder::eval_clients`] is on), aggregates with
+    /// `strategy`, and installs the new global model.
     ///
-    /// The loop itself is the transport-independent
-    /// [`RoundDriver`]; this method drives it over the in-process
-    /// [`LoopbackClients`] transport. `goldfish-serve` drives the same
-    /// loop over TCP.
+    /// The round is [`collect_round`] over the in-process
+    /// [`LoopbackClients`] transport; `goldfish-serve` drives the same
+    /// transport contract over TCP.
     ///
     /// # Panics
     ///
@@ -143,30 +147,33 @@ impl Federation {
         seed: u64,
     ) -> RoundReport {
         assert!(!self.clients.is_empty(), "federation has no clients");
-        let driver = RoundDriver {
-            factory: &self.factory,
-            test: &self.test,
-            threads: self.threads,
-            eval_mse: true,
-            eval_clients: self.eval_clients,
-        };
         let mut transport = LoopbackClients::new(&self.factory, &self.clients, self.threads);
         let assign = TrainAssign {
             round,
             seed,
-            nonce: crate::transport::round_nonce(seed, round),
+            nonce: round_nonce(seed, round),
             global: &self.global,
             cfg: &self.cfg,
         };
-        let driven = driver
-            .run_round(&mut transport, &assign, strategy)
-            .expect("loopback clients never fail");
-        self.global = driven.global;
+        let mut cohort = Vec::new();
+        let mut updates = collect_round(assign.nonce, |sink, results| {
+            transport.cohort_into(&mut cohort);
+            transport.train_round(&assign, &cohort, sink, results);
+            transport.num_clients()
+        })
+        .expect("loopback clients never fail");
+        eval::fill_server_mse(&self.factory, &self.test, self.threads, &mut updates);
+        let client_accuracies = if self.eval_clients {
+            eval::client_accuracies(&self.factory, &self.test, self.threads, &updates)
+        } else {
+            Vec::new()
+        };
+        self.global = pool::install(self.threads, || strategy.aggregate(&updates));
         RoundReport {
             round,
-            global_accuracy: driven.global_accuracy,
-            client_accuracies: driven.client_accuracies,
-            client_sizes: driven.client_sizes,
+            global_accuracy: self.global_accuracy(),
+            client_accuracies,
+            client_sizes: updates.iter().map(|u| u.num_samples).collect(),
         }
     }
 
@@ -185,42 +192,9 @@ impl Federation {
             // schedule bitwise aligned with this loop.
             report
                 .rounds
-                .push(self.run_round(r, strategy, crate::transport::round_seed(seed, r)));
+                .push(self.run_round(r, strategy, round_seed(seed, r)));
         }
         report
-    }
-
-    /// Trains every client from the current global state and collects their
-    /// uploads (including the server-side MSE score of Eq 12). Exposed so
-    /// the unlearning procedures in `goldfish-core` can reuse the exact
-    /// same parallel client execution.
-    pub fn local_updates(&self, round: usize, seed: u64) -> Vec<ClientUpdate> {
-        let mut transport = LoopbackClients::new(&self.factory, &self.clients, self.threads);
-        let assign = TrainAssign {
-            round,
-            seed,
-            nonce: crate::transport::round_nonce(seed, round),
-            global: &self.global,
-            cfg: &self.cfg,
-        };
-        let mut updates: Vec<ClientUpdate> = transport
-            .train_round(&assign)
-            .into_iter()
-            .map(|r| r.expect("loopback clients never fail"))
-            .collect();
-        updates.sort_by_key(|u| u.client_id);
-        // Server-side evaluation of each upload (Eq 12): a pure function
-        // of (state, test), so the value is the same the client itself
-        // would have reported.
-        RoundDriver {
-            factory: &self.factory,
-            test: &self.test,
-            threads: self.threads,
-            eval_mse: true,
-            eval_clients: false,
-        }
-        .fill_server_mse(&mut updates);
-        updates
     }
 }
 
@@ -384,17 +358,6 @@ mod tests {
             .client_accuracies
             .iter()
             .all(|&a| (0.0..=1.0).contains(&a)));
-    }
-
-    #[test]
-    fn updates_include_server_mse() {
-        let fed = small_federation(2, false);
-        let updates = fed.local_updates(0, 0);
-        assert_eq!(updates.len(), 2);
-        for u in &updates {
-            let mse = u.server_mse.expect("server mse missing");
-            assert!(mse > 0.0 && mse < 1.0);
-        }
     }
 
     #[test]

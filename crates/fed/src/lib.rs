@@ -13,9 +13,10 @@
 //!   shared pool, the server aggregates and re-broadcasts,
 //! * [`transport`] — the server↔client transport abstraction: the
 //!   [`transport::RoundTransport`] contract, the in-process
-//!   [`transport::LoopbackClients`] implementation, and the
-//!   transport-independent [`transport::RoundDriver`] round loop
-//!   (`goldfish-serve` adds the TCP implementation),
+//!   [`transport::LoopbackClients`] implementation, the streaming
+//!   [`transport::RoundRuntime`] round loop and its buffering
+//!   [`transport::collect_round`] adapter (`goldfish-serve` adds the TCP
+//!   implementation),
 //! * [`pool`] — the shared rayon compute pool with a configurable thread
 //!   count; every parallel federated step (client training, evaluation,
 //!   chunked aggregation) runs on it.

@@ -1,32 +1,33 @@
 //! The transport abstraction between the federated round loop and its
 //! clients.
 //!
-//! PRs 1–3 ran the whole federation in one process: the round loop in
-//! [`crate::federation`] trained every client inside a `pool::for_each_slot`
-//! and aggregated the results in place. This module splits that loop from
-//! the *mechanism that moves assignments to clients and updates back*:
+//! Algorithm 1 has one round shape — broadcast ω, clients train in
+//! parallel, aggregate — and this module gives it one entry point:
 //!
 //! * [`RoundTransport`] — the server-side contract: ship one round's
-//!   [`TrainAssign`] to every live client, return their [`ClientUpdate`]s
-//!   (arrival order unspecified, stragglers as typed errors),
-//! * [`LoopbackClients`] — the in-process implementation: exactly the
-//!   parallel client execution the pre-refactor `Federation::local_updates`
-//!   performed, pinned bitwise by `tests/runtime_identity.rs`,
-//! * [`RoundDriver`] — the transport-independent round loop: assignment,
-//!   straggler drop + re-round, arrival-order-independent aggregation
-//!   (updates are sorted by client id before `weighted_mean`), server-side
-//!   evaluation,
+//!   [`TrainAssign`] to a **cohort** of live clients and stream each
+//!   delivered update into an [`UpdateSink`] as it arrives (stragglers as
+//!   typed errors). A full-participation round is simply the round whose
+//!   cohort is the whole live registry,
+//! * [`LoopbackClients`] — the in-process implementation: the parallel
+//!   client execution the library's `Federation` runs, pinned bitwise by
+//!   `tests/runtime_identity.rs`,
+//! * [`RoundRuntime`] — the streaming round loop: admission checks,
+//!   straggler drop + re-round, fold-on-arrival aggregation,
+//! * [`collect_round`] — the buffering adapter over the same sink shape
+//!   for callers that need the whole cohort at once (Eq 12's adaptive
+//!   weights): copies each delivered update, sorts by client id, and
+//!   applies the same nonce / duplicate / progress rules,
 //! * [`client_seed`] — the one place the per-client per-round RNG seed is
 //!   derived, shared by every transport so remote workers reproduce the
 //!   in-process run bit for bit.
 //!
 //! The networked implementation (`TcpTransport` in `goldfish-serve`) speaks
 //! a length-prefixed binary protocol over `std::net` and plugs into the
-//! same driver; DESIGN.md §10 specifies the wire format and the determinism
+//! same loops; DESIGN.md §10 specifies the wire format and the determinism
 //! argument.
 
 use goldfish_data::Dataset;
-use goldfish_nn::Network;
 use goldfish_telemetry::clock::Clock;
 use goldfish_telemetry::events::{EventKind, Trace};
 use goldfish_telemetry::registry::{Counter, Gauge, Histogram, Registry};
@@ -34,11 +35,11 @@ use goldfish_telemetry::registry::{Counter, Gauge, Histogram, Registry};
 use std::collections::BTreeSet;
 
 use crate::aggregate::{
-    clip_update_into, delta_norm, l2_norm, AggregateError, AggregationMode, AggregationStrategy,
-    ClientUpdate, RoundAccumulator,
+    clip_update_into, delta_norm, l2_norm, AggregateError, AggregationMode, ClientUpdate,
+    RoundAccumulator,
 };
 use crate::trainer::{train_local_ce, TrainConfig};
-use crate::{eval, pool, ModelFactory};
+use crate::{pool, ModelFactory};
 
 /// Derives the seed of client `id` in round `round` from the round-loop
 /// base seed. Every transport (in-process or remote) must use this exact
@@ -308,108 +309,41 @@ pub struct StreamedUpdate<'a> {
     pub state: &'a [f32],
 }
 
-/// The per-arrival callback of [`RoundTransport::train_round_streamed`].
+/// The per-arrival callback of [`RoundTransport::train_round`].
 pub type UpdateSink<'s> = dyn FnMut(StreamedUpdate<'_>) -> Result<(), TransportError> + 's;
 
-/// Server-side transport contract: deliver an assignment to every live
-/// client and collect their updates.
+/// Server-side transport contract: deliver an assignment to a cohort of
+/// live clients and stream their updates back.
 ///
-/// Implementations return one entry per *assigned* client: `Ok(update)`
-/// for clients that delivered, `Err` for stragglers and lost connections.
-/// Entry order is **unspecified** (a remote transport yields arrival
-/// order); callers that aggregate must sort by
-/// [`ClientUpdate::client_id`] first — [`RoundDriver`] does. A failed
-/// client is expected to be dropped from the live set, so later rounds
-/// simply no longer include it.
+/// A failed client is expected to be dropped from the live set, so later
+/// rounds (and re-round attempts) simply no longer include it. Arrival
+/// order is **unspecified**: [`RoundRuntime`] folds order-invariantly and
+/// [`collect_round`] sorts by client id.
 pub trait RoundTransport {
     /// Number of currently live clients.
     fn num_clients(&self) -> usize;
 
-    /// Runs one training round over every live client.
+    /// The live registry: `(client_id, num_samples)` of every live
+    /// client, **strictly ascending by id**, written into `out` (cleared
+    /// first, so a warm vector never reallocates).
+    fn cohort_into(&self, out: &mut Vec<(usize, usize)>);
+
+    /// Runs one training round over `cohort` (`(client_id, num_samples)`
+    /// ascending by id — a subset of what
+    /// [`RoundTransport::cohort_into`] reported; the whole of it for a
+    /// full-participation round), feeding each delivered update to `sink`
+    /// **as it arrives**. Clients outside the cohort are not contacted
+    /// and produce no `results` entries. Pushes one entry per contacted
+    /// client into `results` (cleared first, caller-owned so warm rounds
+    /// don't allocate): `Ok(())` for a delivered-and-accepted update, the
+    /// transport or sink error otherwise.
     fn train_round(
-        &mut self,
-        assign: &TrainAssign<'_>,
-    ) -> Vec<Result<ClientUpdate, TransportError>>;
-
-    /// The aggregation cohort the next round will deliver: `(client_id,
-    /// num_samples)` of every live client, **strictly ascending by id**,
-    /// written into `out` (cleared first, so a warm vector never
-    /// reallocates). An empty result means the transport cannot predict
-    /// its cohort and streaming callers must fall back to the buffered
-    /// path. The default knows nothing.
-    fn cohort_into(&self, out: &mut Vec<(usize, usize)>) {
-        out.clear();
-    }
-
-    /// Runs one training round, feeding each delivered update to `sink`
-    /// **as it arrives** (arrival order — the streaming aggregation in
-    /// [`RoundRuntime`] makes the result order-invariant). Pushes one
-    /// entry per assigned client into `results` (cleared first, caller-
-    /// owned so warm rounds don't allocate): `Ok(())` for a delivered-
-    /// and-accepted update, the transport or sink error otherwise. The
-    /// default buffers via `train_round` and replays — correct for any
-    /// transport, overlapping for none.
-    fn train_round_streamed(
-        &mut self,
-        assign: &TrainAssign<'_>,
-        sink: &mut UpdateSink<'_>,
-        results: &mut Vec<Result<(), TransportError>>,
-    ) {
-        results.clear();
-        results.extend(self.train_round(assign).into_iter().map(|r| {
-            r.and_then(|u| {
-                sink(StreamedUpdate {
-                    client_id: u.client_id,
-                    num_samples: u.num_samples,
-                    nonce: assign.nonce,
-                    state: &u.state,
-                })
-            })
-        }));
-    }
-
-    /// Runs one training round over the given **sampled cohort** only
-    /// (`(client_id, num_samples)` ascending by id — a subset of what
-    /// [`RoundTransport::cohort_into`] reported), feeding delivered
-    /// updates to `sink` as they arrive. Clients outside the cohort are
-    /// not contacted and must produce no `results` entries.
-    ///
-    /// The default delegates to [`RoundTransport::train_round_streamed`]
-    /// (contacting everyone) and silently discards deliveries from
-    /// outside the cohort — correct for transports without a targeted
-    /// send path (loopback-style transports override this to skip the
-    /// wasted compute; the TCP reactor overrides it to skip the wasted
-    /// wire traffic).
-    fn train_round_sampled(
         &mut self,
         assign: &TrainAssign<'_>,
         cohort: &[(usize, usize)],
         sink: &mut UpdateSink<'_>,
         results: &mut Vec<Result<(), TransportError>>,
-    ) {
-        let mut filtered = |u: StreamedUpdate<'_>| -> Result<(), TransportError> {
-            if cohort
-                .binary_search_by_key(&u.client_id, |&(id, _)| id)
-                .is_err()
-            {
-                return Ok(());
-            }
-            sink(u)
-        };
-        let mut raw = Vec::new();
-        self.train_round_streamed(assign, &mut filtered, &mut raw);
-        results.clear();
-        // Only cohort members' outcomes count: an uncontacted client
-        // can neither fail nor satisfy a sampled round.
-        results.extend(raw.into_iter().filter(|r| {
-            match r {
-                Ok(()) => true,
-                Err(e) => e
-                    .client_id()
-                    .is_none_or(|id| cohort.binary_search_by_key(&id, |&(cid, _)| cid).is_ok()),
-            }
-        }));
-    }
+    );
 
     /// Permanently evicts a client the round loop has quarantined:
     /// the transport should drop its connection/resources and refuse
@@ -457,182 +391,114 @@ impl RoundTransport for LoopbackClients<'_> {
     fn train_round(
         &mut self,
         assign: &TrainAssign<'_>,
-    ) -> Vec<Result<ClientUpdate, TransportError>> {
+        cohort: &[(usize, usize)],
+        sink: &mut UpdateSink<'_>,
+        results: &mut Vec<Result<(), TransportError>>,
+    ) {
         let factory = self.factory;
         let clients = self.clients;
-        let mut updates: Vec<Option<ClientUpdate>> = (0..clients.len()).map(|_| None).collect();
+        let mut states: Vec<Vec<f32>> = vec![Vec::new(); cohort.len()];
         pool::install(self.threads, || {
-            pool::for_each_slot(&mut updates, |id, slot| {
+            pool::for_each_slot(&mut states, |i, slot| {
+                let id = cohort[i].0;
                 let seed = client_seed(assign.seed, id, assign.round);
                 let mut net = (factory)(seed);
                 net.set_state_vector(assign.global);
                 train_local_ce(&mut net, &clients[id], assign.cfg, seed);
-                *slot = Some(ClientUpdate {
-                    client_id: id,
-                    state: net.state_vector(),
-                    num_samples: clients[id].len(),
-                    server_mse: None,
-                });
+                *slot = net.state_vector();
             });
         });
-        updates
-            .into_iter()
-            .map(|u| Ok(u.expect("missing loopback update")))
-            .collect()
+        results.clear();
+        results.extend(cohort.iter().zip(states).map(|(&(id, _), state)| {
+            sink(StreamedUpdate {
+                client_id: id,
+                num_samples: clients[id].len(),
+                nonce: assign.nonce,
+                state: &state,
+            })
+        }));
     }
 }
 
-/// Collects one round's updates from `attempt`, applying the straggler
-/// policy: when some clients fail but others deliver, the round is
-/// **re-run** (the transport has dropped the stragglers, so the retry
-/// covers the surviving cohort only — every update in the aggregated set
-/// then comes from the same, consistent cohort). Client training is
-/// deterministic given the assignment, so a re-round costs time, never
-/// changes results.
+/// The echoed-nonce check every aggregation sink runs first: a frame from
+/// another round is a typed, strike-earning violation.
+fn check_nonce(u: &StreamedUpdate<'_>, want: u64) -> Result<(), TransportError> {
+    if u.nonce == want {
+        return Ok(());
+    }
+    Err(TransportError::Rejected {
+        client_id: u.client_id,
+        violation: UpdateViolation::StaleNonce { got: u.nonce, want },
+    })
+}
+
+/// The buffering adapter over the streamed round shape, for callers that
+/// need the whole cohort's updates at once (Eq 12's adaptive weights).
+/// `attempt` runs one round attempt — [`RoundTransport::train_round`] or
+/// a distillation round — against the given sink and results vector and
+/// returns the transport's live-client count afterwards. Each delivered
+/// update is copied into a [`ClientUpdate`] after the echoed-nonce check
+/// (`nonce` is the round's [`round_nonce`]).
+///
+/// Straggler policy is [`RoundRuntime::run_hot`]'s: when some clients
+/// fail and the transport dropped them, the round is **re-run** over the
+/// survivors (client training is deterministic given the assignment, so a
+/// re-round costs time, never changes results); a failure that did not
+/// shrink the live set is returned instead of retried forever.
 ///
 /// Returns the updates sorted by client id (arrival order erased).
 ///
 /// # Errors
 ///
-/// [`TransportError::NoLiveClients`] when every client is gone.
-pub fn collect_round<F>(mut attempt: F) -> Result<Vec<ClientUpdate>, TransportError>
+/// [`TransportError::NoLiveClients`] when nobody delivered,
+/// [`TransportError::DuplicateUpdate`] on a second update from one
+/// client, otherwise the first client error of a non-shrinking attempt.
+pub fn collect_round<F>(nonce: u64, mut attempt: F) -> Result<Vec<ClientUpdate>, TransportError>
 where
-    F: FnMut() -> Vec<Result<ClientUpdate, TransportError>>,
+    F: FnMut(&mut UpdateSink<'_>, &mut Vec<Result<(), TransportError>>) -> usize,
 {
+    let mut updates: Vec<ClientUpdate> = Vec::new();
+    let mut results = Vec::new();
     loop {
-        let results = attempt();
-        if results.is_empty() {
-            return Err(TransportError::NoLiveClients);
-        }
-        let had_errors = results.iter().any(|r| r.is_err());
-        let mut updates: Vec<ClientUpdate> = results.into_iter().filter_map(|r| r.ok()).collect();
-        if !had_errors {
-            updates.sort_by_key(|u| u.client_id);
-            // A second update from one client is a protocol violation,
-            // not something to silently drop: folding either copy would
-            // let a duplicating client double its aggregation weight
-            // unnoticed.
-            if let Some(w) = updates
-                .windows(2)
-                .find(|w| w[0].client_id == w[1].client_id)
-            {
-                return Err(TransportError::DuplicateUpdate {
-                    client_id: w[0].client_id,
+        updates.clear();
+        let live = attempt(
+            &mut |u: StreamedUpdate<'_>| {
+                check_nonce(&u, nonce)?;
+                updates.push(ClientUpdate {
+                    client_id: u.client_id,
+                    state: u.state.to_vec(),
+                    num_samples: u.num_samples,
+                    server_mse: None,
                 });
-            }
-            return Ok(updates);
-        }
+                Ok(())
+            },
+            &mut results,
+        );
         if updates.is_empty() {
             return Err(TransportError::NoLiveClients);
         }
-        // Some clients delivered, some didn't: the transport has dropped
-        // the failures from its live set; redo the round over the
-        // survivors.
-    }
-}
-
-/// Result of one transport-driven round.
-#[derive(Debug, Clone, PartialEq)]
-pub struct DrivenRound {
-    /// The new global state after aggregation.
-    pub global: Vec<f32>,
-    /// Test accuracy of the new global model.
-    pub global_accuracy: f64,
-    /// Test accuracy of every delivered client model (empty unless
-    /// requested), in client-id order.
-    pub client_accuracies: Vec<f64>,
-    /// Delivered clients' dataset sizes, in client-id order.
-    pub client_sizes: Vec<usize>,
-}
-
-/// The transport-independent federated round loop: everything the server
-/// does with a round's updates once a [`RoundTransport`] has collected
-/// them. [`crate::federation::Federation`] drives it over
-/// [`LoopbackClients`]; `goldfish-serve`'s coordinator drives it over TCP.
-pub struct RoundDriver<'a> {
-    /// Architecture factory for server-side evaluation of uploads.
-    pub factory: &'a ModelFactory,
-    /// The server's held-out test set.
-    pub test: &'a Dataset,
-    /// Compute-pool override for evaluation and aggregation.
-    pub threads: Option<usize>,
-    /// Evaluate each upload's MSE on the test set (Eq 12 input). The
-    /// evaluation happens **server-side** from the uploaded state vector,
-    /// so remote and in-process runs produce identical numbers.
-    pub eval_mse: bool,
-    /// Also record each upload's test accuracy (Fig 8 error bars).
-    pub eval_clients: bool,
-}
-
-impl RoundDriver<'_> {
-    /// Runs one federated round over `transport`: broadcast `assign`,
-    /// collect updates (straggler drop + re-round, sorted by client id),
-    /// evaluate server-side, aggregate with `strategy`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`TransportError::NoLiveClients`] when nobody delivers.
-    pub fn run_round(
-        &self,
-        transport: &mut dyn RoundTransport,
-        assign: &TrainAssign<'_>,
-        strategy: &dyn AggregationStrategy,
-    ) -> Result<DrivenRound, TransportError> {
-        let mut updates = collect_round(|| transport.train_round(assign))?;
-        if self.eval_mse {
-            self.fill_server_mse(&mut updates);
+        if let Some(e) = results.iter().find_map(|r| r.as_ref().err()) {
+            if live > 0 && live < results.len() {
+                // The transport dropped the failures from its live set;
+                // redo the round over the survivors.
+                continue;
+            }
+            return Err(e.clone());
         }
-        let client_accuracies = if self.eval_clients {
-            self.client_accuracies(&updates)
-        } else {
-            Vec::new()
-        };
-        let global = pool::install(self.threads, || strategy.aggregate(&updates));
-        let mut net = (self.factory)(0);
-        net.set_state_vector(&global);
-        let global_accuracy = eval::accuracy(&mut net, self.test);
-        Ok(DrivenRound {
-            global,
-            global_accuracy,
-            client_accuracies,
-            client_sizes: updates.iter().map(|u| u.num_samples).collect(),
-        })
-    }
-
-    /// Evaluates each upload's MSE on the test set (in parallel), writing
-    /// `server_mse`. A pure function of `(state, test)`, so it matches
-    /// what a client-side evaluation of the same state would report.
-    pub fn fill_server_mse(&self, updates: &mut [ClientUpdate]) {
-        let factory = self.factory;
-        let test = self.test;
-        pool::install(self.threads, || {
-            pool::for_each_slot(updates, |_, u| {
-                let mut net = materialize(factory, &u.state);
-                u.server_mse = Some(eval::mse(&mut net, test));
+        updates.sort_by_key(|u| u.client_id);
+        // A second update from one client is a protocol violation, not
+        // something to silently drop: folding either copy would let a
+        // duplicating client double its aggregation weight unnoticed.
+        if let Some(w) = updates
+            .windows(2)
+            .find(|w| w[0].client_id == w[1].client_id)
+        {
+            return Err(TransportError::DuplicateUpdate {
+                client_id: w[0].client_id,
             });
-        });
+        }
+        return Ok(updates);
     }
-
-    /// Test accuracy of each upload, in update order.
-    pub fn client_accuracies(&self, updates: &[ClientUpdate]) -> Vec<f64> {
-        let factory = self.factory;
-        let test = self.test;
-        let mut accs = vec![0.0f64; updates.len()];
-        pool::install(self.threads, || {
-            pool::for_each_slot(&mut accs, |i, slot| {
-                let mut net = materialize(factory, &updates[i].state);
-                *slot = eval::accuracy(&mut net, test);
-            });
-        });
-        accs
-    }
-}
-
-/// Builds a network carrying `state`.
-fn materialize(factory: &ModelFactory, state: &[f32]) -> Network {
-    let mut net = (factory)(0);
-    net.set_state_vector(state);
-    net
 }
 
 /// The round loop's robustness policy (DESIGN.md §13): which fold to
@@ -825,10 +691,11 @@ impl RoundMetrics {
 }
 
 /// The persistent streaming round loop — the serve coordinator's hot
-/// path. Where [`RoundDriver`] buffers all N updates, sorts them and
-/// hands the batch to an [`AggregationStrategy`], a `RoundRuntime` folds
-/// each update into a [`RoundAccumulator`] **as it arrives** (FedAvg
-/// weights from the transport's registry), so aggregation overlaps with
+/// path. Where [`collect_round`] buffers all N updates, sorts them and
+/// hands the batch to a [`crate::aggregate::AggregationStrategy`], a
+/// `RoundRuntime` folds each update into a [`RoundAccumulator`] **as it
+/// arrives** (FedAvg weights from the transport's registry), so
+/// aggregation overlaps with
 /// stragglers' I/O, memory holds at most the configured window of
 /// resident updates, and a warm runtime performs **zero heap
 /// allocations per round** on a single-thread pool (pinned by
@@ -836,7 +703,7 @@ impl RoundMetrics {
 /// machinery's task-queue allocations, never per-update state buffers).
 ///
 /// Under the default [`RobustConfig`] (mean, no quorum, no bounds) the
-/// aggregate is bitwise identical to the buffered path's `FedAvg` over
+/// aggregate is bitwise identical to [`collect_round`] + `FedAvg` over
 /// the same cohort — see [`crate::aggregate::StreamingMean`] for the
 /// argument and DESIGN.md §11/§13 for the invariants. The runtime also
 /// owns the **admission layer** (nonce, delta-norm, duplicate, finite
@@ -855,10 +722,11 @@ pub struct RoundRuntime {
     /// Per-round cohort fraction (DESIGN.md §14); `None` keeps the
     /// everyone-every-round behaviour.
     sampling: Option<f64>,
-    /// Registry snapshot scratch for sampled rounds.
+    /// Live-registry snapshot scratch.
     registry: Vec<(usize, usize)>,
-    /// The round's pinned sampled cohort (eligibility is fixed at the
-    /// draw; re-round attempts only ever shrink it).
+    /// The round's pinned cohort — the sampled draw, or the whole
+    /// registry (eligibility is fixed before the first attempt; re-round
+    /// attempts only ever shrink it).
     pinned: Vec<(usize, usize)>,
     /// Rank scratch of [`crate::sampling::sample_cohort_into`].
     rank_scratch: Vec<(u64, usize, usize)>,
@@ -938,10 +806,7 @@ impl RoundRuntime {
     /// each [`RoundRuntime::run_hot`] round draws a deterministic
     /// `ceil(fraction · registry)` cohort via
     /// [`crate::sampling::sample_cohort_into`], seeded from the round
-    /// seed, instead of assigning every registered client. Requires a
-    /// transport with a registry ([`RoundTransport::cohort_into`]
-    /// non-empty); registry-less transports fall back to the unsampled
-    /// path.
+    /// seed, instead of assigning every registered client.
     pub fn set_sampling(&mut self, fraction: Option<f64>) {
         self.sampling = fraction;
     }
@@ -1032,13 +897,28 @@ impl RoundRuntime {
         });
     }
 
+    /// Rebuilds `self.cohort`: the pinned members that are still live,
+    /// not quarantined and not excluded this round — a mid-round
+    /// disconnect shrinks the attempt, it never re-draws (DESIGN.md §14).
+    fn refresh_cohort(&mut self, transport: &dyn RoundTransport, excluded: &BTreeSet<usize>) {
+        transport.cohort_into(&mut self.registry);
+        let registry = &self.registry;
+        let quarantined = &self.quarantined;
+        self.cohort.clear();
+        self.cohort
+            .extend(self.pinned.iter().copied().filter(|&(id, _)| {
+                registry.binary_search_by_key(&id, |&(rid, _)| rid).is_ok()
+                    && !quarantined.contains(&id)
+                    && !excluded.contains(&id)
+            }));
+    }
+
     /// Runs one streamed federated round over `transport` and writes the
     /// aggregate into `global_out` (reused, so a warm call never
-    /// allocates). Straggler policy matches [`collect_round`]: when some
-    /// clients fail and the transport dropped them, the round re-runs
-    /// over the shrunken cohort; an error that shrinks nothing (e.g. a
-    /// window overflow on a transport that cannot drop clients) is
-    /// propagated instead of retried forever.
+    /// allocates). When some clients fail and the transport dropped them,
+    /// the round re-runs over the shrunken cohort; an error that shrinks
+    /// nothing (e.g. a window overflow on a transport that cannot drop
+    /// clients) is propagated instead of retried forever.
     ///
     /// Robustness extensions (DESIGN.md §13):
     ///
@@ -1049,9 +929,8 @@ impl RoundRuntime {
     ///   in the accumulator;
     /// * a typed violation earns the sender a strike (at most one per
     ///   round): the violator is **excluded from this round's re-round
-    ///   attempts** (its late frames are discarded, not re-judged) and
-    ///   quarantined for good once it crosses
-    ///   [`RobustConfig::max_strikes`];
+    ///   attempts** (not contacted again) and quarantined for good once
+    ///   it crosses [`RobustConfig::max_strikes`];
     /// * when an attempt ends with failures but the fold holds at least
     ///   `ceil(quorum · cohort)` updates, the round finishes **degraded**
     ///   over the reported set ([`RoundOutcome::degraded`]) instead of
@@ -1068,22 +947,20 @@ impl RoundRuntime {
         global_out: &mut Vec<f32>,
     ) -> Result<(), TransportError> {
         // Violators excluded from this round's later attempts (strike
-        // already taken; their late arrivals are silently discarded so a
-        // still-connected attacker cannot wedge the re-round loop).
+        // already taken; a still-connected attacker cannot wedge the
+        // re-round loop).
         let mut excluded: BTreeSet<usize> = BTreeSet::new();
         let global_norm = l2_norm(assign.global);
-        // A sampled round pins its cohort **once**, before any attempt:
-        // the draw is a pure function of (round seed, registry,
+        // The round pins its cohort **once**, before any attempt: the
+        // sampled draw is a pure function of (round seed, registry,
         // fraction), so eligibility cannot drift when re-round attempts
-        // shrink the live set (DESIGN.md §14). `pinned_round` stays
-        // false for registry-less transports, which keep the unsampled
-        // path.
-        let mut pinned_round = false;
-        if let Some(fraction) = self.sampling {
-            transport.cohort_into(&mut self.registry);
-            self.registry
-                .retain(|&(id, _)| !self.quarantined.contains(&id));
-            if !self.registry.is_empty() {
+        // shrink the live set (DESIGN.md §14). Full participation is the
+        // round whose pinned cohort is the whole registry.
+        transport.cohort_into(&mut self.registry);
+        self.registry
+            .retain(|&(id, _)| !self.quarantined.contains(&id));
+        match self.sampling {
+            Some(fraction) => {
                 let draw_start = self.metrics.clock.now_nanos();
                 crate::sampling::sample_cohort_into(
                     crate::sampling::cohort_seed(assign.seed),
@@ -1095,9 +972,10 @@ impl RoundRuntime {
                 self.metrics
                     .cohort_draw_seconds
                     .observe_nanos(self.metrics.clock.now_nanos().saturating_sub(draw_start));
-                pinned_round = true;
             }
+            None => std::mem::swap(&mut self.pinned, &mut self.registry),
         }
+        self.refresh_cohort(transport, &excluded);
         let mut attempt: u64 = 0;
         loop {
             attempt += 1;
@@ -1108,55 +986,7 @@ impl RoundRuntime {
                     attempt,
                 });
             }
-            if pinned_round {
-                // Each attempt covers the still-live pinned members —
-                // a mid-round disconnect shrinks the attempt, it never
-                // re-draws from the shrunken registry.
-                transport.cohort_into(&mut self.registry);
-                let registry = &self.registry;
-                let quarantined = &self.quarantined;
-                self.cohort.clear();
-                self.cohort
-                    .extend(self.pinned.iter().copied().filter(|&(id, _)| {
-                        registry.binary_search_by_key(&id, |&(rid, _)| rid).is_ok()
-                            && !quarantined.contains(&id)
-                            && !excluded.contains(&id)
-                    }));
-            } else {
-                transport.cohort_into(&mut self.cohort);
-                self.cohort
-                    .retain(|&(id, _)| !self.quarantined.contains(&id) && !excluded.contains(&id));
-            }
             if self.cohort.is_empty() {
-                if !pinned_round
-                    && transport.num_clients() > self.quarantined.len()
-                    && excluded.is_empty()
-                {
-                    // Transport without a registry: buffered fallback.
-                    let updates = collect_round(|| transport.train_round(assign))?;
-                    let agg = pool::install(self.threads, || {
-                        crate::aggregate::FedAvg.aggregate(&updates)
-                    });
-                    global_out.clear();
-                    global_out.extend_from_slice(&agg);
-                    self.outcome = RoundOutcome {
-                        degraded: false,
-                        reported: updates.len(),
-                        cohort: updates.len(),
-                    };
-                    self.metrics.rounds_total.inc();
-                    self.metrics
-                        .updates_admitted_total
-                        .add(updates.len() as u64);
-                    self.metrics.cohort_size.set(updates.len() as i64);
-                    self.metrics.trace.record(EventKind::RoundCommitted {
-                        round: assign.round as u64,
-                        reported: updates.len() as u64,
-                        cohort: updates.len() as u64,
-                        degraded: 0,
-                    });
-                    return Ok(());
-                }
                 return Err(TransportError::NoLiveClients);
             }
             let n_before = self.cohort.len();
@@ -1199,15 +1029,7 @@ impl RoundRuntime {
                     // Replay/stale-round detection before anything else:
                     // a frame from another round proves nothing about
                     // this one.
-                    if u.nonce != assign.nonce {
-                        return Err(TransportError::Rejected {
-                            client_id: u.client_id,
-                            violation: UpdateViolation::StaleNonce {
-                                got: u.nonce,
-                                want: assign.nonce,
-                            },
-                        });
-                    }
+                    check_nonce(&u, assign.nonce)?;
                     // The registered weight is what the fractions were
                     // computed from; an upload disagreeing with it would
                     // silently change the mean.
@@ -1269,11 +1091,7 @@ impl RoundRuntime {
                     }
                     folded
                 };
-                if pinned_round {
-                    transport.train_round_sampled(assign, cohort, sink, results);
-                } else {
-                    transport.train_round_streamed(assign, sink, results);
-                }
+                transport.train_round(assign, cohort, sink, results);
             });
             if self.results.is_empty() {
                 return Err(TransportError::NoLiveClients);
@@ -1370,26 +1188,13 @@ impl RoundRuntime {
                     if self.results.iter().all(|r| r.is_err()) {
                         return Err(TransportError::NoLiveClients);
                     }
-                    // Progress under sampling is measured against the
-                    // **pinned cohort**, not the whole registry: losing
-                    // one sampled straggler leaves thousands of live
-                    // clients, so `num_clients()` would never shrink and
-                    // the error would wrongly propagate.
-                    let remaining = if pinned_round {
-                        transport.cohort_into(&mut self.registry);
-                        let registry = &self.registry;
-                        let quarantined = &self.quarantined;
-                        self.pinned
-                            .iter()
-                            .filter(|&&(id, _)| {
-                                registry.binary_search_by_key(&id, |&(rid, _)| rid).is_ok()
-                                    && !quarantined.contains(&id)
-                                    && !excluded.contains(&id)
-                            })
-                            .count()
-                    } else {
-                        transport.num_clients()
-                    };
+                    // Progress is measured against the **pinned cohort**,
+                    // not the whole registry: losing one sampled
+                    // straggler leaves thousands of live clients, so
+                    // `num_clients()` would never shrink and the error
+                    // would wrongly propagate.
+                    self.refresh_cohort(transport, &excluded);
+                    let remaining = self.cohort.len();
                     if remaining > 0 && (remaining < n_before || newly_excluded) {
                         // Progress was made — stragglers dropped from the
                         // live set or violators excluded from the cohort;
@@ -1425,7 +1230,7 @@ fn map_aggregate_error(client_id: usize, e: AggregateError) -> TransportError {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::aggregate::FedAvg;
+    use crate::aggregate::{AggregationStrategy, FedAvg};
     use goldfish_data::synthetic::{self, SyntheticSpec};
     use goldfish_nn::zoo;
     use rand::{rngs::StdRng, SeedableRng};
@@ -1460,7 +1265,7 @@ mod tests {
             global: &global,
             cfg: &cfg,
         };
-        let updates = collect_round(|| lb.train_round(&assign)).unwrap();
+        let updates = collect_full(&mut lb, &assign).unwrap();
         assert_eq!(updates.len(), 2);
         for (id, u) in updates.iter().enumerate() {
             assert_eq!(u.client_id, id);
@@ -1472,81 +1277,121 @@ mod tests {
         }
     }
 
-    #[test]
-    fn driver_round_aggregates_sorted() {
-        let (factory, clients, test, cfg) = fixture();
-        let global = (factory)(1).state_vector();
-        let driver = RoundDriver {
-            factory: &factory,
-            test: &test,
-            threads: Some(2),
-            eval_mse: true,
-            eval_clients: true,
-        };
-        let mut lb = LoopbackClients::new(&factory, &clients, Some(2));
-        let assign = TrainAssign {
-            round: 0,
-            seed: 4,
-            nonce: round_nonce(4, 0),
-            global: &global,
-            cfg: &cfg,
-        };
-        let out = driver.run_round(&mut lb, &assign, &FedAvg).unwrap();
-        assert_eq!(out.client_sizes, vec![60, 60]);
-        assert_eq!(out.client_accuracies.len(), 2);
-        assert!(out.global_accuracy >= 0.0 && out.global_accuracy <= 1.0);
-        assert_eq!(out.global.len(), global.len());
+    /// One buffered full-registry round: `collect_round` over
+    /// `train_round` with the live registry as the cohort.
+    fn collect_full(
+        transport: &mut dyn RoundTransport,
+        assign: &TrainAssign<'_>,
+    ) -> Result<Vec<ClientUpdate>, TransportError> {
+        let mut cohort = Vec::new();
+        collect_round(assign.nonce, |sink, results| {
+            transport.cohort_into(&mut cohort);
+            transport.train_round(assign, &cohort, sink, results);
+            transport.num_clients()
+        })
+    }
+
+    const NONCE: u64 = 0xA11CE;
+
+    /// One scripted `collect_round` attempt: `Ok((id, nonce))` frames go
+    /// through the sink, `Err`s are reported verbatim.
+    fn replay(
+        frames: &[Result<(usize, u64), TransportError>],
+        sink: &mut UpdateSink<'_>,
+        results: &mut Vec<Result<(), TransportError>>,
+    ) {
+        results.clear();
+        results.extend(frames.iter().map(|f| match f {
+            Ok((id, nonce)) => sink(StreamedUpdate {
+                client_id: *id,
+                num_samples: 1,
+                nonce: *nonce,
+                state: &[*id as f32],
+            }),
+            Err(e) => Err(e.clone()),
+        }));
     }
 
     #[test]
     fn collect_round_reorders_and_retries() {
-        // First attempt: client 1 delivered, client 0 failed → re-round.
-        // Second attempt: only client 1 (survivor), delivered.
-        let upd = |id: usize| ClientUpdate {
-            client_id: id,
-            state: vec![id as f32],
-            num_samples: 1,
-            server_mse: None,
-        };
+        // First attempt: client 1 delivered, client 0 failed and was
+        // dropped → re-round. Second attempt: only client 1 (survivor).
         let mut calls = 0;
-        let got = collect_round(|| {
+        let got = collect_round(NONCE, |sink, results| {
             calls += 1;
             if calls == 1 {
-                vec![Err(TransportError::Timeout { client_id: 0 }), Ok(upd(1))]
+                let timeout = TransportError::Timeout { client_id: 0 };
+                replay(&[Err(timeout), Ok((1, NONCE))], sink, results);
             } else {
-                vec![Ok(upd(1))]
+                replay(&[Ok((1, NONCE))], sink, results);
             }
+            1
         })
         .unwrap();
         assert_eq!(calls, 2);
         assert_eq!(got.len(), 1);
         assert_eq!(got[0].client_id, 1);
+        assert_eq!(got[0].state, vec![1.0]);
     }
 
     #[test]
     fn collect_round_sorts_arrival_order() {
-        let upd = |id: usize| ClientUpdate {
-            client_id: id,
-            state: vec![],
-            num_samples: 1,
-            server_mse: None,
-        };
-        let got = collect_round(|| vec![Ok(upd(2)), Ok(upd(0)), Ok(upd(1))]).unwrap();
+        let frames = [Ok((2, NONCE)), Ok((0, NONCE)), Ok((1, NONCE))];
+        let got = collect_round(NONCE, |sink, results| {
+            replay(&frames, sink, results);
+            3
+        })
+        .unwrap();
         let ids: Vec<usize> = got.iter().map(|u| u.client_id).collect();
         assert_eq!(ids, vec![0, 1, 2]);
     }
 
     #[test]
     fn collect_round_reports_dead_federation() {
-        let got = collect_round(|| vec![Err(TransportError::Timeout { client_id: 0 })]);
+        let got = collect_round(NONCE, |sink, results| {
+            replay(
+                &[Err(TransportError::Timeout { client_id: 0 })],
+                sink,
+                results,
+            );
+            0
+        });
         assert_eq!(got, Err(TransportError::NoLiveClients));
-        let got = collect_round(Vec::new);
+        let got = collect_round(NONCE, |sink, results| {
+            replay(&[], sink, results);
+            0
+        });
         assert_eq!(got, Err(TransportError::NoLiveClients));
     }
 
     #[test]
-    fn round_runtime_matches_buffered_driver_bitwise() {
-        let (factory, clients, test, cfg) = fixture();
+    fn collect_round_returns_a_failure_that_shrinks_nothing() {
+        // Client 1 keeps echoing a stale nonce and the transport keeps
+        // its connection (TCP does, for `Rejected`): the live set never
+        // shrinks, so re-rounding can never succeed — the typed error
+        // must come back after a bounded number of attempts.
+        let mut calls = 0;
+        let got = collect_round(NONCE, |sink, results| {
+            calls += 1;
+            assert!(calls < 10, "collect_round is spinning");
+            replay(&[Ok((0, NONCE)), Ok((1, 0xDEAD))], sink, results);
+            2
+        });
+        assert_eq!(
+            got,
+            Err(TransportError::Rejected {
+                client_id: 1,
+                violation: UpdateViolation::StaleNonce {
+                    got: 0xDEAD,
+                    want: NONCE
+                },
+            })
+        );
+    }
+
+    #[test]
+    fn round_runtime_matches_buffered_round_bitwise() {
+        let (factory, clients, _test, cfg) = fixture();
         let global = (factory)(1).state_vector();
         let assign = TrainAssign {
             round: 2,
@@ -1555,16 +1400,9 @@ mod tests {
             global: &global,
             cfg: &cfg,
         };
-        // Buffered reference: the pre-change collect→sort→FedAvg loop.
-        let driver = RoundDriver {
-            factory: &factory,
-            test: &test,
-            threads: Some(2),
-            eval_mse: false,
-            eval_clients: false,
-        };
+        // Buffered reference: collect → sort → FedAvg.
         let mut lb = LoopbackClients::new(&factory, &clients, Some(2));
-        let buffered = driver.run_round(&mut lb, &assign, &FedAvg).unwrap().global;
+        let buffered = FedAvg.aggregate(&collect_full(&mut lb, &assign).unwrap());
 
         // Streaming path, several windows and thread counts.
         for (threads, window) in [(1, 0), (2, 0), (4, 1), (2, 64)] {
@@ -1601,22 +1439,18 @@ mod tests {
             }
             fn train_round(
                 &mut self,
-                _assign: &TrainAssign<'_>,
-            ) -> Vec<Result<ClientUpdate, TransportError>> {
-                self.updates.iter().cloned().map(Ok).collect()
-            }
-            fn train_round_streamed(
-                &mut self,
-                _assign: &TrainAssign<'_>,
+                assign: &TrainAssign<'_>,
+                cohort: &[(usize, usize)],
                 sink: &mut UpdateSink<'_>,
                 results: &mut Vec<Result<(), TransportError>>,
             ) {
                 results.clear();
-                results.extend(self.updates.iter().rev().map(|u| {
+                results.extend(cohort.iter().rev().map(|&(id, _)| {
+                    let u = &self.updates[id];
                     sink(StreamedUpdate {
                         client_id: u.client_id,
                         num_samples: u.num_samples,
-                        nonce: _assign.nonce,
+                        nonce: assign.nonce,
                         state: &u.state,
                     })
                 }));
@@ -1710,19 +1544,15 @@ mod tests {
         }
         fn train_round(
             &mut self,
-            _assign: &TrainAssign<'_>,
-        ) -> Vec<Result<ClientUpdate, TransportError>> {
-            Vec::new()
-        }
-        fn train_round_streamed(
-            &mut self,
             assign: &TrainAssign<'_>,
+            cohort: &[(usize, usize)],
             sink: &mut UpdateSink<'_>,
             results: &mut Vec<Result<(), TransportError>>,
         ) {
+            let contacted = |id: usize| cohort.iter().any(|&(cid, _)| cid == id);
             results.clear();
             for &(id, n, forged, ref state) in &self.frames {
-                if self.quarantined.contains(&id) {
+                if !contacted(id) {
                     continue;
                 }
                 results.push(sink(StreamedUpdate {
@@ -1732,7 +1562,7 @@ mod tests {
                     state,
                 }));
             }
-            for &id in &self.timeouts {
+            for &id in self.timeouts.iter().filter(|&&id| contacted(id)) {
                 results.push(Err(TransportError::Timeout { client_id: id }));
             }
         }
@@ -1754,13 +1584,11 @@ mod tests {
 
     #[test]
     fn collect_round_rejects_duplicates_typed() {
-        let upd = |id: usize| ClientUpdate {
-            client_id: id,
-            state: vec![id as f32],
-            num_samples: 1,
-            server_mse: None,
-        };
-        let got = collect_round(|| vec![Ok(upd(0)), Ok(upd(1)), Ok(upd(0))]);
+        let frames = [Ok((0, NONCE)), Ok((1, NONCE)), Ok((0, NONCE))];
+        let got = collect_round(NONCE, |sink, results| {
+            replay(&frames, sink, results);
+            2
+        });
         assert_eq!(got, Err(TransportError::DuplicateUpdate { client_id: 0 }));
     }
 

@@ -7,11 +7,12 @@
 //! cohort, never re-draw it or disturb which registered clients are
 //! eligible for the next round.
 
+use goldfish_fed::aggregate::{AggregationStrategy, FedAvg};
 use goldfish_fed::sampling::{cohort_seed, cohort_size, sample_cohort_into, splitmix64};
 use goldfish_fed::trainer::TrainConfig;
 use goldfish_fed::transport::{
-    round_nonce, RoundRuntime, RoundTransport, StreamedUpdate, TrainAssign, TransportError,
-    UpdateSink,
+    collect_round, round_nonce, RoundRuntime, RoundTransport, StreamedUpdate, TrainAssign,
+    TransportError, UpdateSink,
 };
 use proptest::prelude::*;
 use rand::{rngs::StdRng, Rng, SeedableRng};
@@ -101,7 +102,7 @@ proptest! {
 }
 
 /// A scripted registry transport with a real targeted send path: each
-/// `train_round_sampled` contacts exactly the requested cohort (in a
+/// `train_round` contacts exactly the requested cohort (in a
 /// seeded arrival permutation), records who it contacted, reports the
 /// scripted dead clients as timeouts, and drops them from the registry —
 /// the shape of a mid-round disconnect on the TCP reactor.
@@ -132,16 +133,26 @@ impl RegistryFeed {
             .map(|j| (splitmix64((id as u64) << 20 | j as u64) % 1000) as f32 * 1e-3)
             .collect()
     }
+}
 
-    fn feed(
+impl RoundTransport for RegistryFeed {
+    fn num_clients(&self) -> usize {
+        self.registry.len()
+    }
+    fn cohort_into(&self, out: &mut Vec<(usize, usize)>) {
+        out.clear();
+        out.extend(self.registry.iter().copied());
+        out.sort_unstable_by_key(|&(id, _)| id);
+    }
+    fn train_round(
         &mut self,
-        targets: &[(usize, usize)],
         assign: &TrainAssign<'_>,
+        cohort: &[(usize, usize)],
         sink: &mut UpdateSink<'_>,
         results: &mut Vec<Result<(), TransportError>>,
     ) {
         results.clear();
-        let order = shuffled(targets, self.order_seed);
+        let order = shuffled(cohort, self.order_seed);
         let mut died = Vec::new();
         for (id, n) in order {
             self.contacted.push(id);
@@ -159,46 +170,6 @@ impl RegistryFeed {
             }));
         }
         self.registry.retain(|&(id, _)| !died.contains(&id));
-    }
-}
-
-impl RoundTransport for RegistryFeed {
-    fn num_clients(&self) -> usize {
-        self.registry.len()
-    }
-    fn cohort_into(&self, out: &mut Vec<(usize, usize)>) {
-        out.clear();
-        out.extend(self.registry.iter().copied());
-        out.sort_unstable_by_key(|&(id, _)| id);
-    }
-    fn train_round(
-        &mut self,
-        _assign: &TrainAssign<'_>,
-    ) -> Vec<Result<goldfish_fed::aggregate::ClientUpdate, TransportError>> {
-        Vec::new()
-    }
-    fn train_round_streamed(
-        &mut self,
-        assign: &TrainAssign<'_>,
-        sink: &mut UpdateSink<'_>,
-        results: &mut Vec<Result<(), TransportError>>,
-    ) {
-        let targets: Vec<(usize, usize)> = {
-            let mut t = Vec::new();
-            self.cohort_into(&mut t);
-            t
-        };
-        self.feed(&targets, assign, sink, results);
-    }
-    fn train_round_sampled(
-        &mut self,
-        assign: &TrainAssign<'_>,
-        cohort: &[(usize, usize)],
-        sink: &mut UpdateSink<'_>,
-        results: &mut Vec<Result<(), TransportError>>,
-    ) {
-        let targets = cohort.to_vec();
-        self.feed(&targets, assign, sink, results);
     }
 }
 
@@ -287,27 +258,42 @@ proptest! {
     }
 }
 
-/// `fraction = 1.0` is full participation: bitwise the unsampled path.
+/// `fraction = 1.0` is full participation: bitwise the unsampled path —
+/// and both are the round whose explicit cohort is the whole registry,
+/// down to which clients a fan-out contacts.
 #[test]
 fn full_fraction_matches_unsampled_round() {
     let cfg = TrainConfig::default();
     let global = vec![0.0f32; 11];
     let assign = assign_at(2, 77, &global, &cfg);
+    let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
     let run = |sampling: Option<f64>| {
         let mut transport = RegistryFeed::new(registry_of(12), 11);
         let mut rt = RoundRuntime::new(Some(1), 0);
         rt.set_sampling(sampling);
         let mut out = Vec::new();
         rt.run_hot(&mut transport, &assign, &mut out).unwrap();
-        (rt.last_cohort().to_vec(), out)
+        transport.contacted.sort_unstable();
+        (rt.last_cohort().to_vec(), out, transport.contacted)
     };
-    let (sampled_cohort, sampled) = run(Some(1.0));
-    let (full_cohort, full) = run(None);
+    let (sampled_cohort, sampled, sampled_contacts) = run(Some(1.0));
+    let (full_cohort, full, full_contacts) = run(None);
     assert_eq!(sampled_cohort, full_cohort);
-    assert_eq!(
-        sampled.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-        full.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
-    );
+    assert_eq!(bits(&sampled), bits(&full));
+    assert_eq!(sampled_contacts, full_contacts);
+
+    // The explicit full-registry cohort, through the buffering adapter
+    // and the `weighted_mean` oracle.
+    let mut transport = RegistryFeed::new(registry_of(12), 11);
+    let updates = collect_round(assign.nonce, |sink, results| {
+        transport.train_round(&assign, &registry_of(12), sink, results);
+        transport.num_clients()
+    })
+    .unwrap();
+    transport.contacted.sort_unstable();
+    assert_eq!(bits(&FedAvg.aggregate(&updates)), bits(&full));
+    assert_eq!(transport.contacted, full_contacts);
+    assert_eq!(full_contacts, (0..12).collect::<Vec<_>>());
 }
 
 /// The ISSUE-8 satellite-3 pin. A sampled member that disconnects

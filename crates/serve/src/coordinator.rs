@@ -5,9 +5,9 @@
 //! [`ServeTransport`]:
 //!
 //! * training rounds run through `goldfish_fed`'s transport-independent
-//!   [`RoundDriver`] (straggler drop + re-round, updates sorted by
-//!   client id before aggregation — deterministic under any arrival
-//!   order),
+//!   [`RoundRuntime`] (admission checks, straggler drop + re-round,
+//!   fold-on-arrival aggregation in ascending client-id order —
+//!   deterministic under any arrival order),
 //! * between rounds the queue is drained (the paper's
 //!   request-then-retrain flow): drained requests are staged on the
 //!   transport, the current global becomes the frozen teacher, and

@@ -29,7 +29,6 @@
 use crate::queue::UnlearnRequest;
 use crate::transport::{LocalEval, ServeTransport, WireStats};
 use goldfish_core::transport::{DistillTransport, UnlearnJob};
-use goldfish_fed::aggregate::ClientUpdate;
 use goldfish_fed::transport::{
     RoundTransport, StreamedUpdate, TrainAssign, TransportError, UpdateSink,
 };
@@ -51,10 +50,9 @@ pub enum FaultAction {
 }
 
 /// A per-worker Byzantine behaviour, applied to every training update
-/// the scripted worker streams through the wrapper. Scripts act on the
-/// streamed (hot) aggregation path — the one the serving coordinator
-/// runs — and are fully deterministic, so adversarial runs reproduce
-/// bitwise like everything else here.
+/// the scripted worker streams through the wrapper (distillation rounds
+/// are never scripted). Scripts are fully deterministic, so adversarial
+/// runs reproduce bitwise like everything else here.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ByzantineScript {
     /// Multiply every uploaded coordinate by `factor` (a model-scaling
@@ -307,6 +305,63 @@ impl<T: ServeTransport> FaultyTransport<T> {
             reason: "fault injection: coordinator killed".into(),
         }
     }
+
+    /// The one interceptor of round-shaped ops (one op per call): `run`
+    /// drives the inner transport's round with the sink it is handed.
+    /// A kill reports a dead error for every `cohort` member (after a
+    /// `KillAfter` the workers did the compute, into a discarding sink);
+    /// otherwise dropped clients' updates are suppressed and — for
+    /// `byzantine` (training) rounds — scripts run before frames reach
+    /// the aggregation `sink`, exactly where a malicious worker's bytes
+    /// would enter the coordinator. A suppressed or rejected update
+    /// surfaces through the inner transport's own `results` entry for
+    /// that client.
+    fn round_op(
+        &mut self,
+        cohort: &[(usize, usize)],
+        byzantine: bool,
+        sink: &mut UpdateSink<'_>,
+        results: &mut Vec<Result<(), TransportError>>,
+        run: impl FnOnce(&mut T, &mut UpdateSink<'_>, &mut Vec<Result<(), TransportError>>),
+    ) {
+        let fate = self.begin_op();
+        let dead = self.killed || fate.kill_before;
+        if dead || fate.kill_after {
+            if !dead {
+                run(&mut self.inner, &mut |_| Ok(()), results);
+            }
+            self.killed = true;
+            results.clear();
+            results.extend(cohort.iter().map(|&(id, _)| Err(self.dead_error(id))));
+            return;
+        }
+        let scripted = byzantine && !self.plan.byz.is_empty();
+        if fate.drops.is_empty() && !scripted {
+            return run(&mut self.inner, sink, results);
+        }
+        let FaultyTransport {
+            inner,
+            plan,
+            replay,
+            ..
+        } = self;
+        let mut scratch: Vec<f32> = Vec::new();
+        let mut filtered = |u: StreamedUpdate<'_>| {
+            if fate.drops.contains(&u.client_id) {
+                return Err(TransportError::Disconnected {
+                    client_id: u.client_id,
+                    reason: "fault injection: reply dropped".into(),
+                });
+            }
+            match plan.byzantine_script(u.client_id) {
+                Some(script) if byzantine => {
+                    apply_script(script, &mut *replay, &mut scratch, &mut *sink, u)
+                }
+                _ => sink(u),
+            }
+        };
+        run(inner, &mut filtered, results);
+    }
 }
 
 impl<T: ServeTransport> RoundTransport for FaultyTransport<T> {
@@ -321,131 +376,13 @@ impl<T: ServeTransport> RoundTransport for FaultyTransport<T> {
     fn train_round(
         &mut self,
         assign: &TrainAssign<'_>,
-    ) -> Vec<Result<ClientUpdate, TransportError>> {
-        let n = RoundTransport::num_clients(&self.inner);
-        let fate = self.begin_op();
-        if self.killed || fate.kill_before {
-            self.killed = true;
-            return (0..n).map(|id| Err(self.dead_error(id))).collect();
-        }
-        let mut results = self.inner.train_round(assign);
-        if fate.kill_after {
-            self.killed = true;
-            return (0..n).map(|id| Err(self.dead_error(id))).collect();
-        }
-        for r in results.iter_mut() {
-            if let Ok(u) = r {
-                if fate.drops.contains(&u.client_id) {
-                    let id = u.client_id;
-                    *r = Err(TransportError::Disconnected {
-                        client_id: id,
-                        reason: "fault injection: reply dropped".into(),
-                    });
-                }
-            }
-        }
-        results
-    }
-
-    fn train_round_streamed(
-        &mut self,
-        assign: &TrainAssign<'_>,
-        sink: &mut UpdateSink<'_>,
-        results: &mut Vec<Result<(), TransportError>>,
-    ) {
-        let n = RoundTransport::num_clients(&self.inner);
-        let fate = self.begin_op();
-        if self.killed || fate.kill_before {
-            self.killed = true;
-            results.clear();
-            results.extend((0..n).map(|id| Err(self.dead_error(id))));
-            return;
-        }
-        if fate.kill_after {
-            // Run the inner round into a discarding sink (workers did
-            // the compute), then report the crash.
-            let mut discard = |_u: StreamedUpdate<'_>| Ok(());
-            let mut inner_results = Vec::new();
-            self.inner
-                .train_round_streamed(assign, &mut discard, &mut inner_results);
-            self.killed = true;
-            results.clear();
-            results.extend((0..n).map(|id| Err(self.dead_error(id))));
-            return;
-        }
-        if fate.drops.is_empty() && self.plan.byz.is_empty() {
-            self.inner.train_round_streamed(assign, sink, results);
-            return;
-        }
-        // Suppress dropped clients' updates and run Byzantine scripts
-        // before frames reach the aggregation sink — exactly where a
-        // malicious worker's bytes would enter the coordinator.
-        let drops = fate.drops;
-        let FaultyTransport {
-            inner,
-            plan,
-            replay,
-            ..
-        } = self;
-        let mut scratch: Vec<f32> = Vec::new();
-        let mut filtered = |u: StreamedUpdate<'_>| {
-            filter_update(&drops, plan, &mut *replay, &mut scratch, &mut *sink, u)
-        };
-        inner.train_round_streamed(assign, &mut filtered, results);
-        for (id, r) in results.iter_mut().enumerate() {
-            if r.is_ok() && drops.contains(&id) {
-                *r = Err(TransportError::Disconnected {
-                    client_id: id,
-                    reason: "fault injection: reply dropped".into(),
-                });
-            }
-        }
-    }
-
-    fn train_round_sampled(
-        &mut self,
-        assign: &TrainAssign<'_>,
         cohort: &[(usize, usize)],
         sink: &mut UpdateSink<'_>,
         results: &mut Vec<Result<(), TransportError>>,
     ) {
-        let fate = self.begin_op();
-        if self.killed || fate.kill_before {
-            self.killed = true;
-            results.clear();
-            results.extend(cohort.iter().map(|&(id, _)| Err(self.dead_error(id))));
-            return;
-        }
-        if fate.kill_after {
-            let mut discard = |_u: StreamedUpdate<'_>| Ok(());
-            let mut inner_results = Vec::new();
-            self.inner
-                .train_round_sampled(assign, cohort, &mut discard, &mut inner_results);
-            self.killed = true;
-            results.clear();
-            results.extend(cohort.iter().map(|&(id, _)| Err(self.dead_error(id))));
-            return;
-        }
-        if fate.drops.is_empty() && self.plan.byz.is_empty() {
-            self.inner
-                .train_round_sampled(assign, cohort, sink, results);
-            return;
-        }
-        // Same interception point as the full-fan-out path; a sink
-        // error (including a drop suppression) surfaces through the
-        // inner transport's own `results` entry for that client.
-        let drops = fate.drops;
-        let FaultyTransport {
-            inner,
-            plan,
-            replay,
-            ..
-        } = self;
-        let mut scratch: Vec<f32> = Vec::new();
-        let mut filtered = |u: StreamedUpdate<'_>| {
-            filter_update(&drops, plan, &mut *replay, &mut scratch, &mut *sink, u)
-        };
-        inner.train_round_sampled(assign, cohort, &mut filtered, results);
+        self.round_op(cohort, true, sink, results, |inner, sink, results| {
+            inner.train_round(assign, cohort, sink, results)
+        });
     }
 
     fn quarantine(&mut self, client_id: usize) -> bool {
@@ -453,26 +390,15 @@ impl<T: ServeTransport> RoundTransport for FaultyTransport<T> {
     }
 }
 
-/// Applies drop suppression and the client's Byzantine script (if any)
-/// to one streamed update before it reaches the real aggregation
-/// `sink` — shared by the full-fan-out and sampled-cohort paths.
-fn filter_update(
-    drops: &[usize],
-    plan: &FaultPlan,
+/// Applies a client's Byzantine script to one streamed update before it
+/// reaches the real aggregation `sink`.
+fn apply_script(
+    script: &ByzantineScript,
     replay: &mut BTreeMap<usize, (u64, Vec<f32>)>,
     scratch: &mut Vec<f32>,
     sink: &mut UpdateSink<'_>,
     u: StreamedUpdate<'_>,
 ) -> Result<(), TransportError> {
-    if drops.contains(&u.client_id) {
-        return Err(TransportError::Disconnected {
-            client_id: u.client_id,
-            reason: "fault injection: reply dropped".into(),
-        });
-    }
-    let Some(script) = plan.byzantine_script(u.client_id) else {
-        return sink(u);
-    };
     match script {
         ByzantineScript::Scale { factor } => {
             scratch.clear();
@@ -568,30 +494,14 @@ impl<T: ServeTransport> DistillTransport for FaultyTransport<T> {
         round: usize,
         seed: u64,
         global: &[f32],
-    ) -> Vec<Result<ClientUpdate, TransportError>> {
-        let n = DistillTransport::num_clients(&self.inner);
-        let fate = self.begin_op();
-        if self.killed || fate.kill_before {
-            self.killed = true;
-            return (0..n).map(|id| Err(self.dead_error(id))).collect();
-        }
-        let mut results = self.inner.distill_round(round, seed, global);
-        if fate.kill_after {
-            self.killed = true;
-            return (0..n).map(|id| Err(self.dead_error(id))).collect();
-        }
-        for r in results.iter_mut() {
-            if let Ok(u) = r {
-                if fate.drops.contains(&u.client_id) {
-                    let id = u.client_id;
-                    *r = Err(TransportError::Disconnected {
-                        client_id: id,
-                        reason: "fault injection: reply dropped".into(),
-                    });
-                }
-            }
-        }
-        results
+        sink: &mut UpdateSink<'_>,
+        results: &mut Vec<Result<(), TransportError>>,
+    ) {
+        let mut live = Vec::new();
+        self.inner.cohort_into(&mut live);
+        self.round_op(&live, false, sink, results, |inner, sink, results| {
+            inner.distill_round(round, seed, global, sink, results)
+        });
     }
 }
 
@@ -746,5 +656,48 @@ mod tests {
             plan.actions_at(1),
             &[FaultAction::DropClient(2), FaultAction::DelayMs(5)]
         );
+    }
+
+    #[test]
+    fn round_faults_are_reported_per_cohort_id() {
+        use crate::demo::DemoSpec;
+        use crate::transport::LoopbackTransport;
+
+        let spec = DemoSpec {
+            clients: 4,
+            samples_per_client: 20,
+            test_samples: 10,
+            seed: 3,
+        };
+        let mut inner = LoopbackTransport::new(spec.factory(), spec.client_shards(), Some(1));
+        // Client 1 is gone: the live set has a gap, so a `results`
+        // position is not a client id.
+        inner.quarantine(1);
+        let plan = FaultPlan::new().drop_client_at(0, 2).kill_before_at(1);
+        let mut t = FaultyTransport::new(inner, plan);
+        let global = (spec.factory())(1).state_vector();
+        let cfg = spec.train_config();
+        let assign = TrainAssign {
+            round: 0,
+            seed: 3,
+            nonce: goldfish_fed::transport::round_nonce(3, 0),
+            global: &global,
+            cfg: &cfg,
+        };
+        let mut cohort = Vec::new();
+        t.cohort_into(&mut cohort);
+        assert_eq!(cohort.iter().map(|c| c.0).collect::<Vec<_>>(), [0, 2, 3]);
+        let failed = |results: &[Result<(), TransportError>]| -> Vec<Option<usize>> {
+            let id = |r: &Result<(), TransportError>| r.as_ref().err().and_then(|e| e.client_id());
+            results.iter().map(id).collect()
+        };
+        let mut results = Vec::new();
+        // Op 0: exactly one drop, for client 2; client 3 stays Ok.
+        t.train_round(&assign, &cohort, &mut |_| Ok(()), &mut results);
+        assert_eq!(failed(&results), [None, Some(2), None]);
+        // Op 1: the kill reports a dead error for each cohort id.
+        t.train_round(&assign, &cohort, &mut |_| Ok(()), &mut results);
+        assert_eq!(failed(&results), [Some(0), Some(2), Some(3)]);
+        assert!(t.killed());
     }
 }

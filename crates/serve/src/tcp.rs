@@ -30,9 +30,9 @@
 //!   which is what lets the coordinator's
 //!   [`goldfish_fed::transport::RoundRuntime`] fold updates while
 //!   stragglers are still on the wire.
-//! * **Cohort fan-outs** — sampled rounds
-//!   ([`goldfish_fed::transport::RoundTransport::train_round_sampled`])
-//!   write frames only to the sampled subset; every other registered
+//! * **Cohort fan-outs** — training rounds
+//!   ([`goldfish_fed::transport::RoundTransport::train_round`]) write
+//!   frames only to the round's cohort; every other registered
 //!   connection stays parked in the poller untouched, so a
 //!   4096-registered / 64-sampled round costs 64 frame exchanges.
 //!
@@ -51,7 +51,6 @@ use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use goldfish_core::transport::{DistillTransport, UnlearnJob};
-use goldfish_fed::aggregate::ClientUpdate;
 use goldfish_fed::transport::{
     RoundTransport, StreamedUpdate, TrainAssign, TransportError, UpdateSink, UpdateViolation,
 };
@@ -893,14 +892,14 @@ impl TcpTransport {
 
     /// Runs a round-shaped fan-out (train or distill) feeding `sink` as
     /// updates arrive, recording per-client outcomes into `results`
-    /// (sorted by client id). With a `cohort`, only the sampled subset
-    /// is contacted and reported.
+    /// (sorted by client id). With a `cohort`, only that subset of the
+    /// live connections is contacted and reported.
     fn round_streamed(
         &mut self,
         spec: &RoundSpec<'_>,
         cohort: Option<&[(usize, usize)]>,
         sink: &mut UpdateSink<'_>,
-        results: &mut Vec<(usize, Result<(), TransportError>)>,
+        results: &mut Vec<Result<(), TransportError>>,
     ) {
         results.clear();
         let round = spec.round;
@@ -927,7 +926,7 @@ impl TcpTransport {
                         None => true,
                         Some(cohort) => cohort.binary_search_by_key(&id, |&(cid, _)| cid).is_ok(),
                     })
-                    .map(|id| (id, Err(map_wire_error(id, e.clone())))),
+                    .map(|id| Err(map_wire_error(id, e.clone()))),
             );
             return;
         }
@@ -956,13 +955,12 @@ impl TcpTransport {
                 let outcome = reply.and_then(|r| match r {
                     Reply::Update { header, state } => {
                         // The nonce is *forwarded*, not checked: the
-                        // streamed path feeds the coordinator's
-                        // admission layer
-                        // ([`goldfish_fed::transport::RoundRuntime`]),
+                        // sink is the caller's admission layer
+                        // (`RoundRuntime::run_hot` or `collect_round`),
                         // which judges stale nonces as typed violations
                         // so they earn strikes instead of a bare
                         // protocol drop.
-                        let result = check_update_header(id, &header, round, want_distill, None)
+                        let result = check_update_header(id, &header, round, want_distill)
                             .and_then(|()| {
                                 sink(StreamedUpdate {
                                     client_id: id,
@@ -986,7 +984,7 @@ impl TcpTransport {
             },
         );
         self.drop_failed_and_sort(&mut outcomes);
-        results.append(&mut outcomes);
+        results.extend(outcomes.into_iter().map(|(_, r)| r));
     }
 
     /// Drops the connections of clients whose round outcome was **their
@@ -1028,123 +1026,20 @@ impl TcpTransport {
         }
         outcomes.sort_by_key(|(id, _)| *id);
     }
-
-    /// Buffered round collection (the [`RoundTransport::train_round`] /
-    /// [`DistillTransport::distill_round`] contract).
-    fn round_buffered(
-        &mut self,
-        spec: &RoundSpec<'_>,
-    ) -> Vec<Result<ClientUpdate, TransportError>> {
-        let mut updates: Vec<(usize, Result<ClientUpdate, TransportError>)> = Vec::new();
-        let round = spec.round;
-        let nonce = spec.nonce;
-        let want_distill = matches!(spec.mode, RoundMode::Distill);
-        let enc_start = self.stats.clock.now_nanos();
-        let encoded = encode_round_assign_into(
-            &mut self.bcast,
-            spec.mode,
-            spec.round,
-            spec.seed,
-            spec.nonce,
-            spec.cfg,
-            spec.global,
-            &self.cfg.limits,
-        );
-        self.stats
-            .broadcast_encode_seconds
-            .observe_nanos(self.stats.clock.now_nanos().saturating_sub(enc_start));
-        if let Err(e) = encoded {
-            return self
-                .live_clients()
-                .into_iter()
-                .map(|id| Err(map_wire_error(id, e.clone())))
-                .collect();
-        }
-        let TcpTransport {
-            conns,
-            cfg: tcp_cfg,
-            stats,
-            bcast,
-            state_pool,
-            poller,
-            events,
-            ..
-        } = self;
-        let state_pool: &Mutex<Vec<Vec<f32>>> = state_pool;
-        Self::broadcast(
-            conns,
-            stats,
-            tcp_cfg,
-            state_pool,
-            poller,
-            events,
-            bcast,
-            None,
-            |id, reply| {
-                let outcome = reply.and_then(|r| match r {
-                    Reply::Update { header, state } => {
-                        // The buffered contract has no downstream
-                        // admission layer, so the echoed nonce is
-                        // enforced right here.
-                        match check_update_header(id, &header, round, want_distill, Some(nonce)) {
-                            // The delivered state leaves the pool with
-                            // the update (the buffered contract hands
-                            // ownership to the caller)…
-                            Ok(()) => Ok(ClientUpdate {
-                                client_id: id,
-                                state,
-                                num_samples: header.weight as usize,
-                                server_mse: None,
-                            }),
-                            // …but a rejected one returns its buffer.
-                            Err(e) => {
-                                state_pool
-                                    .lock()
-                                    .unwrap_or_else(|e| e.into_inner())
-                                    .push(state);
-                                Err(e)
-                            }
-                        }
-                    }
-                    _ => Err(TransportError::Protocol {
-                        client_id: id,
-                        reason: "expected a round result".into(),
-                    }),
-                });
-                updates.push((id, outcome));
-            },
-        );
-        self.drop_failed_and_sort(&mut updates);
-        updates.into_iter().map(|(_, u)| u).collect()
-    }
 }
 
 /// Validates an `Update`/`UnlearnResult` header against the round it
-/// answers (shared by the streamed and buffered collection paths, so
-/// they can never diverge in what they accept). `expect_nonce` is
-/// `Some` only on the buffered path — the streamed path forwards the
-/// echoed nonce to the admission layer, which turns a mismatch into a
-/// strike-earning [`TransportError::Rejected`] instead.
+/// answers. The echoed nonce is not judged here: it is forwarded to the
+/// sink, whose admission layer turns a mismatch into a strike-earning
+/// [`TransportError::Rejected`].
 fn check_update_header(
     id: usize,
     header: &UpdateHeader,
     round: u64,
     want_distill: bool,
-    expect_nonce: Option<u64>,
 ) -> Result<(), TransportError> {
     if header.distill == want_distill && header.round == round && header.client_id as usize == id {
-        match expect_nonce {
-            Some(want) if header.nonce != want => {
-                return Err(TransportError::Rejected {
-                    client_id: id,
-                    violation: goldfish_fed::transport::UpdateViolation::StaleNonce {
-                        got: header.nonce,
-                        want,
-                    },
-                });
-            }
-            _ => return Ok(()),
-        }
+        return Ok(());
     }
     Err(TransportError::Protocol {
         client_id: id,
@@ -1195,55 +1090,16 @@ impl RoundTransport for TcpTransport {
         );
     }
 
+    /// Frames go only to the cohort's connections; every other
+    /// registered worker stays parked in the poller, untouched and
+    /// unbilled this round.
     fn train_round(
-        &mut self,
-        assign: &TrainAssign<'_>,
-    ) -> Vec<Result<ClientUpdate, TransportError>> {
-        self.round_buffered(&RoundSpec {
-            mode: RoundMode::Train,
-            round: assign.round as u64,
-            seed: assign.seed,
-            nonce: assign.nonce,
-            cfg: assign.cfg,
-            global: assign.global,
-        })
-    }
-
-    fn train_round_streamed(
-        &mut self,
-        assign: &TrainAssign<'_>,
-        sink: &mut UpdateSink<'_>,
-        results: &mut Vec<Result<(), TransportError>>,
-    ) {
-        let mut outcomes = Vec::new();
-        self.round_streamed(
-            &RoundSpec {
-                mode: RoundMode::Train,
-                round: assign.round as u64,
-                seed: assign.seed,
-                nonce: assign.nonce,
-                cfg: assign.cfg,
-                global: assign.global,
-            },
-            None,
-            sink,
-            &mut outcomes,
-        );
-        results.clear();
-        results.extend(outcomes.into_iter().map(|(_, r)| r));
-    }
-
-    /// Sampled round: frames go only to the cohort's connections; every
-    /// other registered worker stays parked in the poller, untouched
-    /// and unbilled this round.
-    fn train_round_sampled(
         &mut self,
         assign: &TrainAssign<'_>,
         cohort: &[(usize, usize)],
         sink: &mut UpdateSink<'_>,
         results: &mut Vec<Result<(), TransportError>>,
     ) {
-        let mut outcomes = Vec::new();
         self.round_streamed(
             &RoundSpec {
                 mode: RoundMode::Train,
@@ -1255,10 +1111,8 @@ impl RoundTransport for TcpTransport {
             },
             Some(cohort),
             sink,
-            &mut outcomes,
+            results,
         );
-        results.clear();
-        results.extend(outcomes.into_iter().map(|(_, r)| r));
     }
 
     /// Evicts `client_id`: its connection is closed (after a
@@ -1451,21 +1305,28 @@ impl DistillTransport for TcpTransport {
         round: usize,
         seed: u64,
         global: &[f32],
-    ) -> Vec<Result<ClientUpdate, TransportError>> {
-        // cfg travels for frame uniformity but is ignored by distill
-        // workers (the job shipped it already).
-        self.round_buffered(&RoundSpec {
-            mode: RoundMode::Distill,
-            round: round as u64,
-            seed,
-            // Distill assignments derive their nonce the same way
-            // training rounds do; workers echo whatever the
-            // `RoundAssign` carried, so both sides agree by
-            // construction.
-            nonce: goldfish_fed::transport::round_nonce(seed, round),
-            cfg: &goldfish_fed::trainer::TrainConfig::default(),
-            global,
-        })
+        sink: &mut UpdateSink<'_>,
+        results: &mut Vec<Result<(), TransportError>>,
+    ) {
+        self.round_streamed(
+            &RoundSpec {
+                mode: RoundMode::Distill,
+                round: round as u64,
+                seed,
+                // Distill assignments derive their nonce the same way
+                // training rounds do; workers echo whatever the
+                // `RoundAssign` carried, so both sides agree by
+                // construction.
+                nonce: goldfish_fed::transport::round_nonce(seed, round),
+                // cfg travels for frame uniformity but is ignored by
+                // distill workers (the job shipped it already).
+                cfg: &goldfish_fed::trainer::TrainConfig::default(),
+                global,
+            },
+            None,
+            sink,
+            results,
+        );
     }
 }
 

@@ -19,11 +19,9 @@
 use goldfish_core::transport::{DistillTransport, LoopbackDistill, UnlearnJob};
 use goldfish_core::ClientSplit;
 use goldfish_data::Dataset;
-use goldfish_fed::aggregate::ClientUpdate;
 use goldfish_fed::trainer::{train_local_hot, TrainWorkspace};
 use goldfish_fed::transport::{
-    client_seed, LoopbackClients, RoundTransport, StreamedUpdate, TrainAssign, TransportError,
-    UpdateSink,
+    client_seed, RoundTransport, StreamedUpdate, TrainAssign, TransportError, UpdateSink,
 };
 use goldfish_fed::{eval, pool, ModelFactory};
 use goldfish_nn::loss::CrossEntropy;
@@ -197,7 +195,8 @@ impl LoopbackWorker {
 
 /// The in-process [`ServeTransport`]: owns every client's dataset and a
 /// pool of persistent [`LoopbackWorker`]s. Training rounds run the same
-/// per-client compute as the library's [`LoopbackClients`] executor
+/// per-client compute as the library's
+/// [`goldfish_fed::transport::LoopbackClients`] executor
 /// (bitwise identical — pinned by `serve_identity`), but through
 /// long-lived workers feeding the streaming aggregation sink, so a warm
 /// round never touches the allocator. Distillation rounds delegate to
@@ -253,71 +252,13 @@ impl RoundTransport for LoopbackTransport {
         );
     }
 
+    /// Only cohort members compute and upload. Workers stay 1:1 with
+    /// client ids (slot `id` always serves client `id`), so a client
+    /// sampled in rounds 3 and 7 reuses *its own* arenas — bitwise
+    /// identical to having trained every round. Updates are fed in
+    /// client-id order: the aggregation frontier folds every update on
+    /// arrival, so nothing is ever parked on loopback.
     fn train_round(
-        &mut self,
-        assign: &TrainAssign<'_>,
-    ) -> Vec<Result<ClientUpdate, TransportError>> {
-        LoopbackClients::new(&self.factory, &self.clients, self.threads).train_round(assign)
-    }
-
-    fn train_round_streamed(
-        &mut self,
-        assign: &TrainAssign<'_>,
-        sink: &mut UpdateSink<'_>,
-        results: &mut Vec<Result<(), TransportError>>,
-    ) {
-        while self.workers.len() < self.clients.len() {
-            self.workers.push(LoopbackWorker::new(&self.factory));
-        }
-        self.workers.truncate(self.clients.len());
-        let clients = &self.clients;
-        let workers = &mut self.workers;
-        let quarantined = &self.quarantined;
-        pool::install(self.threads, || {
-            pool::for_each_slot(workers, |id, w| {
-                // Quarantined clients are out of the federation: no
-                // compute, no upload.
-                if quarantined.contains(&id) {
-                    return;
-                }
-                let seed = client_seed(assign.seed, id, assign.round);
-                w.net.set_state_vector(assign.global);
-                train_local_hot(
-                    &mut w.net,
-                    &clients[id],
-                    assign.cfg,
-                    &CrossEntropy,
-                    seed,
-                    &mut w.ws,
-                    &mut w.sgd,
-                );
-                w.net.state_vector_into(&mut w.state);
-            });
-        });
-        // Feed in client-id order: the aggregation frontier folds every
-        // update on arrival, so nothing is ever parked on loopback.
-        results.clear();
-        results.extend(
-            self.workers
-                .iter()
-                .enumerate()
-                .filter(|(id, _)| !quarantined.contains(id))
-                .map(|(id, w)| {
-                    sink(StreamedUpdate {
-                        client_id: id,
-                        num_samples: clients[id].len(),
-                        nonce: assign.nonce,
-                        state: &w.state,
-                    })
-                }),
-        );
-    }
-
-    /// Sampled round: only cohort members compute and upload. Workers
-    /// stay 1:1 with client ids (slot `id` always serves client `id`),
-    /// so a client sampled in rounds 3 and 7 reuses *its own* arenas —
-    /// bitwise identical to having trained every round.
-    fn train_round_sampled(
         &mut self,
         assign: &TrainAssign<'_>,
         cohort: &[(usize, usize)],
@@ -334,6 +275,8 @@ impl RoundTransport for LoopbackTransport {
         let in_cohort = |id: usize| cohort.binary_search_by_key(&id, |&(cid, _)| cid).is_ok();
         pool::install(self.threads, || {
             pool::for_each_slot(workers, |id, w| {
+                // Quarantined clients are out of the federation: no
+                // compute, no upload.
                 if quarantined.contains(&id) || !in_cohort(id) {
                     return;
                 }
@@ -424,11 +367,13 @@ impl DistillTransport for LoopbackTransport {
         round: usize,
         seed: u64,
         global: &[f32],
-    ) -> Vec<Result<ClientUpdate, TransportError>> {
+        sink: &mut UpdateSink<'_>,
+        results: &mut Vec<Result<(), TransportError>>,
+    ) {
         self.distill
             .as_mut()
             .expect("distill_round before begin_unlearn")
-            .distill_round(round, seed, global)
+            .distill_round(round, seed, global, sink, results)
     }
 }
 
@@ -557,9 +502,11 @@ mod tests {
             global: &global,
             cfg: &cfg,
         };
-        let updates = t.train_round(&assign);
-        assert_eq!(updates.len(), 2);
-        assert!(updates.iter().all(|u| u.is_ok()));
+        let mut cohort = Vec::new();
+        t.cohort_into(&mut cohort);
+        let mut results = Vec::new();
+        t.train_round(&assign, &cohort, &mut |_| Ok(()), &mut results);
+        assert_eq!(results, vec![Ok(()), Ok(())]);
 
         t.stage_removals(&[UnlearnRequest::new(0, vec![0, 1, 2])], 0);
         let job = UnlearnJob {
@@ -571,10 +518,19 @@ mod tests {
             hard: Some(HardLossSpec::CrossEntropy),
         };
         t.begin_unlearn(&job, &global).unwrap();
-        let results = t.distill_round(0, 3, &global);
+        let mut weights = Vec::new();
+        t.distill_round(
+            0,
+            3,
+            &global,
+            &mut |u| {
+                weights.push(u.num_samples);
+                Ok(())
+            },
+            &mut results,
+        );
         assert_eq!(results.len(), 2);
-        let first = results[0].as_ref().unwrap();
-        assert_eq!(first.num_samples, 37); // 40 - 3 removed
+        assert_eq!(weights, vec![37, 40]); // client 0: 40 - 3 removed
 
         let evals = t.local_eval(0, &global);
         assert_eq!(evals.len(), 2);

@@ -416,13 +416,19 @@ fn mid_frame_eof_is_a_typed_disconnect() {
     let mut tcp = TcpTransport::accept(&listener, 1, state_len, tcp_cfg).unwrap();
     let cfg = spec.train_config();
     let global = vec![0.0f32; state_len];
-    let results = tcp.train_round(&TrainAssign {
-        round: 0,
-        seed: 1,
-        nonce: goldfish_fed::transport::round_nonce(1, 0),
-        global: &global,
-        cfg: &cfg,
-    });
+    let mut results = Vec::new();
+    tcp.train_round(
+        &TrainAssign {
+            round: 0,
+            seed: 1,
+            nonce: goldfish_fed::transport::round_nonce(1, 0),
+            global: &global,
+            cfg: &cfg,
+        },
+        &[(0, 40)],
+        &mut |_| Ok(()),
+        &mut results,
+    );
     assert_eq!(results.len(), 1);
     match &results[0] {
         Err(TransportError::Disconnected {

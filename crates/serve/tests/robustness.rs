@@ -403,3 +403,102 @@ fn quarantine_verdicts_land_in_the_verified_audit_chain() {
 
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// The echoed-nonce check survived the move out of the TCP transport:
+/// a worker answering a distillation round under a forged nonce is a
+/// typed `Rejected{StaleNonce}` out of `drain_unlearning` — returned
+/// after one attempt (TCP keeps `Rejected` connections alive, so the
+/// live set never shrinks and re-rounding could never succeed), with
+/// the connection kept and the global model untouched.
+#[test]
+fn forged_distill_nonce_is_rejected_promptly_on_tcp() {
+    use goldfish_fed::transport::TransportError;
+    use goldfish_serve::wire::{read_frame, write_frame, Msg};
+
+    const FORGE: u64 = 0x0BAD_F00D;
+    let spec = demo(2);
+    let state_len = (spec.factory())(0).state_len();
+    let (listener, addr) = bind("127.0.0.1:0").unwrap();
+
+    let honest = {
+        let addr = addr.clone();
+        std::thread::spawn(move || {
+            let spec = demo(2);
+            let mut rt = WorkerRuntime::new(0, spec.factory(), spec.client_shard(0));
+            let _ = run_worker(&addr, &mut rt, &FrameLimits::default());
+        })
+    };
+    // A raw-socket fake worker: acks the job, then echoes every
+    // distillation assignment's global back under a forged nonce.
+    // Returns how many distillation assignments it was sent.
+    let forger = std::thread::spawn(move || {
+        let mut stream = std::net::TcpStream::connect(&addr).unwrap();
+        let limits = FrameLimits::default();
+        let hello = Msg::Hello {
+            client_id: 1,
+            state_len: state_len as u64,
+            num_samples: 24,
+            resume: None,
+        };
+        write_frame(&mut stream, &hello, &limits).unwrap();
+        let mut distill_assigns = 0usize;
+        while let Ok((msg, _)) = read_frame(&mut stream, &limits) {
+            let reply = match msg {
+                Msg::UnlearnAssign { .. } => Msg::UnlearnAck { num_samples: 24 },
+                Msg::RoundAssign {
+                    round,
+                    nonce,
+                    global,
+                    ..
+                } => {
+                    distill_assigns += 1;
+                    Msg::UnlearnResult {
+                        round,
+                        client_id: 1,
+                        weight: 24,
+                        nonce: nonce ^ FORGE,
+                        state: global,
+                    }
+                }
+                Msg::Shutdown => break,
+                _ => continue, // Capabilities
+            };
+            write_frame(&mut stream, &reply, &limits).unwrap();
+        }
+        distill_assigns
+    });
+
+    let tcp =
+        TcpTransport::accept(&listener, spec.clients, state_len, TcpConfig::default()).unwrap();
+    let mut c = Coordinator::new(spec.factory(), spec.test_set(), tcp, config(&spec));
+    let before = bits(c.global_state());
+    c.submit_unlearn(UnlearnRequest::new(0, vec![0, 1]))
+        .unwrap();
+    let err = c.drain_unlearning(SEED).unwrap_err();
+    match err {
+        TransportError::Rejected {
+            client_id: 1,
+            violation: UpdateViolation::StaleNonce { got, want },
+        } => assert_eq!(got, want ^ FORGE),
+        other => panic!("expected a stale-nonce rejection, got {other:?}"),
+    }
+    assert_eq!(
+        bits(c.global_state()),
+        before,
+        "a failed drain must not move the model"
+    );
+    assert_eq!(
+        c.transport().live_clients(),
+        vec![0, 1],
+        "rejection keeps the connection"
+    );
+
+    c.transport_mut().shutdown();
+    drop(c);
+    honest.join().unwrap();
+    assert_eq!(
+        forger.join().unwrap(),
+        1,
+        "the drain re-rounded a non-shrinking failure"
+    );
+}

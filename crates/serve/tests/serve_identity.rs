@@ -232,9 +232,12 @@ fn window_overflow_keeps_healthy_tcp_workers_connected() {
         global: &global,
         cfg: &cfg,
     };
+    let mut cohort = Vec::new();
+    transport.cohort_into(&mut cohort);
     let mut results = Vec::new();
-    transport.train_round_streamed(
+    transport.train_round(
         &assign,
+        &cohort,
         &mut |u| {
             Err(TransportError::UpdateWindowExceeded {
                 limit: 0,
@@ -249,8 +252,8 @@ fn window_overflow_keeps_healthy_tcp_workers_connected() {
         .all(|r| matches!(r, Err(TransportError::UpdateWindowExceeded { .. }))));
     // Both workers survive and the next (unconstrained) round succeeds.
     assert_eq!(transport.live_clients(), vec![0, 1]);
-    let ok = transport.train_round(&assign);
-    assert!(ok.iter().all(|r| r.is_ok()));
+    transport.train_round(&assign, &cohort, &mut |_| Ok(()), &mut results);
+    assert_eq!(results, vec![Ok(()), Ok(())]);
 
     transport.shutdown(); // graceful goodbye: workers exit Ok
     drop(transport);

@@ -3,7 +3,9 @@
 //! This crate provides the federated substrate the paper's algorithms run
 //! on:
 //!
-//! * [`trainer`] — local SGD training of a client model,
+//! * [`trainer`] — local SGD training of a client model, and
+//!   [`trainer::TrainLane`], the reusable network + workspace + optimizer
+//!   every long-lived trainer keeps one of per executing thread,
 //! * [`aggregate`] — the [`aggregate::AggregationStrategy`] trait and the
 //!   FedAvg baseline (McMahan et al.), operating on flattened state
 //!   vectors,

@@ -12,6 +12,8 @@
 //! `Network::backward` → `Sgd::step`), pinned by the step-identity tests
 //! in `tests/runtime_identity.rs`.
 
+use std::sync::Arc;
+
 use goldfish_data::{BatchGather, Dataset};
 use goldfish_nn::loss::{CrossEntropy, HardLoss};
 use goldfish_nn::optim::FusedSgd;
@@ -20,6 +22,8 @@ use goldfish_tensor::Tensor;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
+
+use crate::{eval, ModelFactory};
 
 /// Hyperparameters of one client's local training, defaulting to the
 /// paper's settings (B = 100, η = 0.001, β = 0.9).
@@ -194,6 +198,110 @@ pub fn train_local_hot(
     }
 }
 
+/// One executing thread's worth of training state: a network (arenas
+/// included), a [`TrainWorkspace`] and a [`FusedSgd`] velocity buffer.
+/// Whoever runs local training keeps one lane per thread that can be
+/// training at once — the loopback transport one per pool thread, a
+/// worker connection one, a fleet host one for all its workers — and
+/// lends it to whichever client is up next, so resident training memory
+/// follows what is running rather than who is registered.
+///
+/// A lane carries **capacity, never state**: every call installs the
+/// whole state vector first (trainable parameters and frozen tracked
+/// state alike) and re-arms the optimizer, so its result is bitwise that
+/// of a fresh `factory(seed)` network run through [`train_local_ce`],
+/// whatever the lane ran before and for whom.
+pub struct TrainLane {
+    /// The network and the factory that built it; rebuilt only when a
+    /// call names a different factory.
+    model: Option<(ModelFactory, Network)>,
+    ws: TrainWorkspace,
+    sgd: FusedSgd,
+}
+
+impl TrainLane {
+    /// An empty lane; the network is built on first use.
+    pub fn new() -> Self {
+        TrainLane {
+            model: None,
+            ws: TrainWorkspace::new(),
+            // Placeholder hyperparameters; re-armed from the TrainConfig
+            // before every local run.
+            sgd: FusedSgd::new(1.0, 0.0),
+        }
+    }
+
+    /// The lane's parts, with the network built by `factory` (rebuilt
+    /// only when the last call named a different one).
+    fn fit(
+        &mut self,
+        factory: &ModelFactory,
+    ) -> (&mut Network, &mut TrainWorkspace, &mut FusedSgd) {
+        if !matches!(&self.model, Some((built_by, _)) if Arc::ptr_eq(built_by, factory)) {
+            // Another factory may mean another architecture: the
+            // velocity buffer is sized again on the next step.
+            self.model = None;
+            self.sgd.reset();
+        }
+        let (_, net) = self
+            .model
+            .get_or_insert_with(|| (Arc::clone(factory), (factory)(0)));
+        (net, &mut self.ws, &mut self.sgd)
+    }
+
+    /// One local run from `global` on `data`, the trained state written
+    /// into `out` (cleared first, capacity reused).
+    pub fn train(
+        &mut self,
+        factory: &ModelFactory,
+        global: &[f32],
+        data: &Dataset,
+        cfg: &TrainConfig,
+        seed: u64,
+        out: &mut Vec<f32>,
+    ) {
+        let (net, ws, sgd) = self.fit(factory);
+        net.set_state_vector(global);
+        train_local_hot(net, data, cfg, &CrossEntropy, seed, ws, sgd);
+        net.state_vector_into(out);
+    }
+
+    /// [`TrainLane::train`] with the result written over the input — the
+    /// worker-side form, whose reply reuses the assignment's own buffer.
+    pub fn train_in_place(
+        &mut self,
+        factory: &ModelFactory,
+        state: &mut Vec<f32>,
+        data: &Dataset,
+        cfg: &TrainConfig,
+        seed: u64,
+    ) {
+        let (net, ws, sgd) = self.fit(factory);
+        net.set_state_vector(state);
+        train_local_hot(net, data, cfg, &CrossEntropy, seed, ws, sgd);
+        net.state_vector_into(state);
+    }
+
+    /// `(accuracy, mse)` of `global` on `data` — the `Eval` exchange.
+    pub fn eval(&mut self, factory: &ModelFactory, global: &[f32], data: &Dataset) -> (f64, f64) {
+        let (net, ..) = self.fit(factory);
+        net.set_state_vector(global);
+        (eval::accuracy(net, data), eval::mse(net, data))
+    }
+}
+
+impl Default for TrainLane {
+    fn default() -> Self {
+        TrainLane::new()
+    }
+}
+
+impl std::fmt::Debug for TrainLane {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "TrainLane(fitted: {})", self.model.is_some())
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -287,6 +395,42 @@ mod tests {
                 &mut sgd,
             );
             assert_eq!(hot.state_vector(), oracle.state_vector(), "seed {seed}");
+        }
+    }
+
+    #[test]
+    fn lane_carries_capacity_never_state() {
+        let (train, test) = tiny_data();
+        let cfg = TrainConfig {
+            local_epochs: 1,
+            batch_size: 24,
+            lr: 0.05,
+            momentum: 0.9,
+        };
+        // Two architectures: switching factories rebuilds the network.
+        let factories: [ModelFactory; 2] = [
+            Arc::new(|seed| zoo::mlp(64, &[16], 10, &mut StdRng::seed_from_u64(seed))),
+            Arc::new(|seed| zoo::mlp(64, &[8, 8], 10, &mut StdRng::seed_from_u64(seed))),
+        ];
+        let mut lane = TrainLane::new();
+        let mut out = Vec::new();
+        for (step, data) in [&train, &test, &train, &train].into_iter().enumerate() {
+            let factory = &factories[step % 2];
+            let seed = 40 + step as u64;
+            let global = (factory)(step as u64).state_vector();
+            let mut oracle = (factory)(seed);
+            oracle.set_state_vector(&global);
+            train_local_ce(&mut oracle, data, &cfg, seed);
+
+            lane.train(factory, &global, data, &cfg, seed, &mut out);
+            assert_eq!(out, oracle.state_vector(), "step {step}");
+            let mut in_place = global.clone();
+            lane.train_in_place(factory, &mut in_place, data, &cfg, seed);
+            assert_eq!(in_place, out, "step {step}");
+
+            let (accuracy, mse) = lane.eval(factory, &out, data);
+            assert_eq!(accuracy, eval::accuracy(&mut oracle, data));
+            assert_eq!(mse, eval::mse(&mut oracle, data));
         }
     }
 

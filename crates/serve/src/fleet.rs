@@ -16,17 +16,26 @@
 //!   └── Shutdown / EOF → retire            fatal Err → flush, retire
 //! ```
 //!
-//! The compute inside `handle` is the library's own `train_local_ce` /
+//! The compute inside `handle` is the library's own `TrainLane` run /
 //! `ClientDistiller::round` — the same functions a real worker daemon
 //! runs — so a fleet-hosted federation stays bitwise identical to a
 //! daemon-per-worker one; only the socket plumbing is shared.
+//!
+//! What the host keeps resident follows what its one thread is doing,
+//! not how many workers it hosts: **one** [`TrainLane`] lent to
+//! whichever runtime is answering (a lane carries capacity, never
+//! state), and frame buffers leased from one [`FramePool`] — a read
+//! buffer from a frame's first byte until `decode_msg` has produced the
+//! owned `Msg`, a write buffer from encode until the reply is flushed.
+//! A connection between frames holds a socket and two cursors.
 
 use std::net::TcpStream;
 use std::os::fd::AsRawFd;
 
+use goldfish_fed::trainer::TrainLane;
 use polling::{Event, Events, Poller};
 
-use crate::nio::{FrameReadState, FrameWriteState};
+use crate::nio::{FramePool, FrameReadState, FrameWriteState};
 use crate::wire::{
     decode_msg, encode_frame_into, read_frame, write_frame, FrameLimits, Msg, WireError,
 };
@@ -46,21 +55,24 @@ pub struct FleetReport {
     pub bytes_sent: u64,
     /// Total frame bytes the fleet read (verdicts + assignments).
     pub bytes_received: u64,
+    /// The most frame buffers the host held at once (assignments being
+    /// read plus replies being flushed) — bounded by frames in flight,
+    /// not by workers hosted.
+    pub peak_frame_buffers: usize,
 }
 
 /// What one fleet connection is doing between readiness events.
 enum Phase {
-    /// Awaiting the next coordinator frame.
-    Read,
-    /// Flushing a reply; `fatal` retires the connection once flushed
-    /// (the reply was a protocol `Err`).
-    Write { fatal: bool },
+    /// Awaiting the next coordinator frame; `Some` once its first
+    /// readable event leased a buffer.
+    Read(Option<Vec<u8>>),
+    /// Flushing the reply encoded in `frame`; `fatal` retires the
+    /// connection once flushed (the reply was a protocol `Err`).
+    Write { frame: Vec<u8>, fatal: bool },
 }
 
 struct FleetConn {
     stream: TcpStream,
-    rbuf: Vec<u8>,
-    wbuf: Vec<u8>,
     rd: FrameReadState,
     wr: FrameWriteState,
     phase: Phase,
@@ -129,13 +141,13 @@ pub fn run_fleet(
         poller.add(stream.as_raw_fd(), Event::readable(key))?;
         conns.push(Some(FleetConn {
             stream,
-            rbuf: Vec::new(),
-            wbuf: Vec::new(),
             rd: FrameReadState::new(),
             wr: FrameWriteState::new(),
-            phase: Phase::Read,
+            phase: Phase::Read(None),
         }));
     }
+    let mut frames = FramePool::new();
+    let mut lane = TrainLane::new();
     let mut live = conns.len();
     while live > 0 {
         poller.wait(&mut events, None)?;
@@ -152,9 +164,10 @@ pub fn run_fleet(
                 // or retires; a reply usually flushes in the same
                 // readiness event that delivered its assignment.
                 loop {
-                    match conn.phase {
-                        Phase::Read => {
-                            match conn.rd.poll(&mut conn.stream, &mut conn.rbuf, limits) {
+                    match &mut conn.phase {
+                        Phase::Read(rbuf) => {
+                            let buf = rbuf.get_or_insert_with(|| frames.lease());
+                            match conn.rd.poll(&mut conn.stream, buf, limits) {
                                 Ok(None) => {
                                     if poller
                                         .modify(conn.stream.as_raw_fd(), Event::readable(idx))
@@ -167,7 +180,13 @@ pub fn run_fleet(
                                 Err(_) => break 'conn Outcome::Retire { clean: false },
                                 Ok(Some((kind, nbytes))) => {
                                     report.bytes_received += nbytes as u64;
-                                    let Ok(msg) = decode_msg(kind, &conn.rbuf) else {
+                                    // The owned `Msg` is all `handle`
+                                    // needs: the read lease ends here.
+                                    let decoded = decode_msg(kind, buf);
+                                    if let Some(buf) = rbuf.take() {
+                                        frames.release(buf);
+                                    }
+                                    let Ok(msg) = decoded else {
                                         break 'conn Outcome::Retire { clean: false };
                                     };
                                     if matches!(msg, Msg::Shutdown) {
@@ -181,18 +200,20 @@ pub fn run_fleet(
                                     let Some(runtime) = runtimes.get_mut(idx) else {
                                         break 'conn Outcome::Retire { clean: false };
                                     };
-                                    let reply = runtime.handle(msg);
+                                    let reply = runtime.handle(msg, &mut lane);
                                     let fatal = matches!(reply, Msg::Err { .. });
-                                    if encode_frame_into(&reply, &mut conn.wbuf, limits).is_err() {
+                                    let mut frame = frames.lease();
+                                    if encode_frame_into(&reply, &mut frame, limits).is_err() {
+                                        frames.release(frame);
                                         break 'conn Outcome::Retire { clean: false };
                                     }
                                     conn.wr.reset();
-                                    conn.phase = Phase::Write { fatal };
+                                    conn.phase = Phase::Write { frame, fatal };
                                 }
                             }
                         }
-                        Phase::Write { fatal } => {
-                            match conn.wr.poll(&mut conn.stream, &conn.wbuf) {
+                        Phase::Write { frame, fatal } => {
+                            match conn.wr.poll(&mut conn.stream, frame) {
                                 Ok(false) => {
                                     if poller
                                         .modify(conn.stream.as_raw_fd(), Event::writable(idx))
@@ -204,12 +225,17 @@ pub fn run_fleet(
                                 }
                                 Err(_) => break 'conn Outcome::Retire { clean: false },
                                 Ok(true) => {
-                                    report.bytes_sent += conn.wbuf.len() as u64;
+                                    report.bytes_sent += frame.len() as u64;
+                                    let fatal = *fatal;
+                                    let flushed =
+                                        std::mem::replace(&mut conn.phase, Phase::Read(None));
+                                    if let Phase::Write { frame, .. } = flushed {
+                                        frames.release(frame);
+                                    }
                                     if fatal {
                                         break 'conn Outcome::Retire { clean: false };
                                     }
                                     conn.rd.reset();
-                                    conn.phase = Phase::Read;
                                     // Level-triggered re-arm: a frame
                                     // already buffered fires instantly.
                                     if poller
@@ -228,6 +254,13 @@ pub fn run_fleet(
             if let Outcome::Retire { clean } = outcome {
                 if let Some(conn) = slot.take() {
                     let _ = poller.delete(conn.stream.as_raw_fd());
+                    // A connection retired mid-frame gives its lease back.
+                    match conn.phase {
+                        Phase::Read(Some(buf)) | Phase::Write { frame: buf, .. } => {
+                            frames.release(buf)
+                        }
+                        Phase::Read(None) => {}
+                    }
                     live -= 1;
                     if clean {
                         report.clean_shutdowns += 1;
@@ -238,5 +271,6 @@ pub fn run_fleet(
             }
         }
     }
+    report.peak_frame_buffers = frames.high_water();
     Ok(report)
 }

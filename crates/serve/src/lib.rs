@@ -15,7 +15,8 @@
 //!   the poll timeout, and reply-handler panics contained to typed
 //!   per-client failures,
 //! * [`nio`] — the resumable non-blocking frame
-//!   reader/writer state machines the reactor and fleet host drive,
+//!   reader/writer state machines the reactor and fleet host drive, and
+//!   the [`nio::FramePool`] both lease their frame buffers from,
 //! * [`fleet`] — [`fleet::run_fleet`]: any number of worker runtimes
 //!   served from one thread behind one poller (the 4096-connection
 //!   bench harness),

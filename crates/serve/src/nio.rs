@@ -6,12 +6,17 @@
 //! across any number of partial reads/writes:
 //!
 //! * [`FrameReadState`] — accumulates the 10-byte GFWP header, then the
-//!   payload into a caller-owned (pooled) buffer; `poll` returns
+//!   payload into a caller-owned (leased) buffer; `poll` returns
 //!   `Ok(None)` on `WouldBlock` and `Ok(Some((kind, frame_len)))` when
 //!   a frame completes.
 //! * [`FrameWriteState`] — a cursor over an already-encoded frame;
 //!   `poll` returns `Ok(false)` on `WouldBlock` and `Ok(true)` when the
 //!   frame is fully flushed to the socket.
+//!
+//! Neither host keeps a buffer per connection: a frame's bytes live in a
+//! lease from the host's [`FramePool`], taken when the frame starts
+//! moving and returned when it has been decoded (reads) or flushed
+//! (writes) — buffers held follow frames in flight, not sockets open.
 //!
 //! EOF semantics mirror [`crate::wire::read_raw_frame`] exactly: a
 //! clean close **between** frames is `WireError::Io(UnexpectedEof)`,
@@ -20,7 +25,64 @@
 
 use std::io::{Read, Write};
 
+use goldfish_telemetry::registry::Gauge;
+
 use crate::wire::{decode_header, FrameLimits, WireError, HEADER_LEN};
+
+/// Idle buffers a [`FramePool`] keeps for the next lease; a burst's
+/// surplus goes back to the allocator.
+const MAX_IDLE_FRAMES: usize = 4;
+
+/// The frame buffers of one reactor or fleet host, leased per in-flight
+/// frame. A lease is a plain `Vec<u8>` (whatever length and bytes its
+/// last frame left — [`FrameReadState::poll`] and the `encode_*_into`
+/// functions size and overwrite it), so the steady state re-uses a
+/// handful of allocations however many connections are registered.
+#[derive(Debug, Default)]
+pub struct FramePool {
+    idle: Vec<Vec<u8>>,
+    /// Buffers currently leased.
+    leased: Gauge,
+    /// The most buffers ever leased at once.
+    high_water: Gauge,
+}
+
+impl FramePool {
+    /// An empty pool with detached gauges.
+    pub fn new() -> FramePool {
+        FramePool::default()
+    }
+
+    /// Joins a shared metric catalog: the current readings move into
+    /// the registered gauges, which this pool updates from here on.
+    pub fn attach(&mut self, leased: &Gauge, high_water: &Gauge) {
+        leased.set(self.leased.get());
+        high_water.set_max(self.high_water.get());
+        self.leased = leased.clone();
+        self.high_water = high_water.clone();
+    }
+
+    /// The most buffers ever leased at once.
+    pub fn high_water(&self) -> usize {
+        self.high_water.get().max(0) as usize
+    }
+
+    /// Takes a buffer for one frame.
+    pub fn lease(&mut self) -> Vec<u8> {
+        self.leased.add(1);
+        self.high_water.set_max(self.leased.get());
+        self.idle.pop().unwrap_or_default()
+    }
+
+    /// Returns a leased buffer once its frame is decoded or flushed (or
+    /// its connection failed).
+    pub fn release(&mut self, buf: Vec<u8>) {
+        self.leased.add(-1);
+        if self.idle.len() < MAX_IDLE_FRAMES {
+            self.idle.push(buf);
+        }
+    }
+}
 
 /// Incremental reader of one length-prefixed frame.
 #[derive(Debug)]
@@ -59,8 +121,9 @@ impl FrameReadState {
     }
 
     /// Advances the frame as far as `r` allows without blocking. The
-    /// payload lands in `buf` (cleared and resized on header
-    /// completion, reusing capacity). Returns `Ok(Some((kind,
+    /// payload lands in `buf` (resized on header completion, reusing
+    /// capacity; never more than `limits` allows, which callers tighten
+    /// to what the protocol state expects). Returns `Ok(Some((kind,
     /// frame_len)))` when the frame is complete — the state resets
     /// itself for the next frame — or `Ok(None)` when `r` would block.
     ///
@@ -100,7 +163,9 @@ impl FrameReadState {
                         let (kind, len) = decode_header(&self.header, limits)?;
                         self.decoded = Some((kind, len));
                         self.payload_filled = 0;
-                        buf.clear();
+                        // No clear first: the frame only surfaces once
+                        // all `len` bytes are overwritten, so a reused
+                        // buffer is not zero-filled again.
                         buf.resize(len, 0);
                     }
                     Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return Ok(None),
@@ -253,6 +318,55 @@ mod tests {
             let decoded = crate::wire::decode_msg(done.0, &buf).unwrap();
             assert!(matches!(decoded, Msg::Err { code: 7, .. }), "chunk {chunk}");
         }
+    }
+
+    #[test]
+    fn pool_counts_leases_and_keeps_few_idle_buffers() {
+        let mut pool = FramePool::new();
+        let mut held: Vec<Vec<u8>> = (0..6).map(|_| pool.lease()).collect();
+        assert_eq!((pool.leased.get(), pool.high_water()), (6, 6));
+        for buf in &mut held {
+            buf.resize(32, 7);
+        }
+        // Joining a catalog mid-flight carries the readings over.
+        let (leased, high_water) = (Gauge::detached(), Gauge::detached());
+        pool.attach(&leased, &high_water);
+        assert_eq!((leased.get(), high_water.get()), (6, 6));
+        for buf in held {
+            pool.release(buf);
+        }
+        assert_eq!((leased.get(), high_water.get()), (0, 6));
+        assert_eq!(
+            pool.idle.len(),
+            MAX_IDLE_FRAMES,
+            "a burst's surplus is freed"
+        );
+        // A reused lease keeps its capacity (and stale bytes: readers
+        // overwrite before surfacing a frame).
+        assert_eq!(pool.lease().len(), 32);
+        assert_eq!(leased.get(), 1);
+    }
+
+    #[test]
+    fn read_never_sizes_a_buffer_past_the_phase_limit() {
+        let frame = encode_frame(
+            &Msg::Err {
+                code: 1,
+                detail: "x".repeat(100),
+            },
+            &FrameLimits::default(),
+        )
+        .unwrap();
+        let mut st = FrameReadState::new();
+        let mut buf = Vec::new();
+        let tight = FrameLimits::default().at_most(64);
+        let err = st
+            .poll(&mut frame.as_slice(), &mut buf, &tight)
+            .unwrap_err();
+        assert!(matches!(err, WireError::FrameTooLarge { max: 64, .. }));
+        assert!(buf.is_empty(), "nothing was sized for the refused frame");
+        // `at_most` only ever tightens.
+        assert_eq!(tight.at_most(1 << 30), tight);
     }
 
     #[test]

@@ -22,9 +22,21 @@
 //!   encoded a single time into a transport-owned reusable buffer
 //!   straight from the borrowed global state (no `Msg`, no state clone)
 //!   and the same bytes are written to every connection.
-//! * **Pooled frame buffers** — every connection owns a reusable payload
-//!   read buffer, and decoded update states go through a shared buffer
-//!   pool, so a steady-state round re-uses the same allocations.
+//! * **Pooled frame buffers** — no connection owns a buffer. A reply's
+//!   payload lands in a lease from the reactor's
+//!   [`crate::nio::FramePool`], taken on the reply's first readable
+//!   event and returned as soon as the frame is decoded (or its
+//!   connection fails or times out), and decoded update states go
+//!   through a shared state pool — so a steady-state round re-uses a
+//!   handful of allocations and buffers held follow frames concurrently
+//!   in flight, never the registry. The two
+//!   `goldfish_frame_buffers_*` gauges report it.
+//! * **Per-phase frame bounds** — a length prefix is honoured only up to
+//!   what the protocol state can legally carry: a constant during the
+//!   handshake (the peer is not validated yet), `4·state_len` plus a
+//!   fixed header for replies, each `min`-ed with the configured
+//!   [`FrameLimits`]. A 10-byte header cannot make the coordinator size
+//!   a 256 MiB buffer.
 //! * **Streaming replies** — each completed reply frame is decoded and
 //!   handed to the caller the moment the reactor reads its last byte,
 //!   which is what lets the coordinator's
@@ -33,8 +45,10 @@
 //! * **Cohort fan-outs** — training rounds
 //!   ([`goldfish_fed::transport::RoundTransport::train_round`]) write
 //!   frames only to the round's cohort; every other registered
-//!   connection stays parked in the poller untouched, so a
-//!   4096-registered / 64-sampled round costs 64 frame exchanges.
+//!   connection stays out of the poller untouched, and the fan-out's
+//!   bookkeeping is one reused slot per cohort member — so a
+//!   4096-registered / 64-sampled round costs 64 frame exchanges and
+//!   64 slots, not a registry-sized scan.
 //!
 //! Two panic paths of the old layer are structurally gone: there is no
 //! cross-thread channel to `expect` on (a panicking reply handler is
@@ -56,7 +70,7 @@ use goldfish_fed::transport::{
 };
 use polling::{Event, Events, Poller};
 
-use crate::nio::{FrameReadState, FrameWriteState};
+use crate::nio::{FramePool, FrameReadState, FrameWriteState};
 use crate::queue::UnlearnRequest;
 use crate::telemetry::{ServeTelemetry, WireTelemetry};
 use crate::transport::{LocalEval, ServeTransport, WireStats};
@@ -111,12 +125,24 @@ impl Default for TcpConfig {
 /// space, which is `0..conns.len()`.
 const LISTENER_KEY: usize = usize::MAX;
 
+/// The most a not-yet-validated peer may announce during a handshake: a
+/// `Hello` payload is at most 33 bytes, a reconnect `Ack` empty.
+const HANDSHAKE_MAX_PAYLOAD: usize = 64;
+
+/// What a reply may carry beside its state vector: the fixed fields and
+/// length prefix of an `Update` / `UnlearnResult` / `ShardResult`, or the
+/// detail string of an `Err`.
+const REPLY_OVERHEAD: usize = 1024;
+
+/// The frame bound of a worker reply for a model of `state_len`
+/// parameters — derived, and only ever tighter than `limits`.
+fn reply_limits(limits: FrameLimits, state_len: usize) -> FrameLimits {
+    limits.at_most(state_len.saturating_mul(4).saturating_add(REPLY_OVERHEAD))
+}
+
 struct Conn {
     stream: TcpStream,
     num_samples: usize,
-    /// Reusable payload read buffer — frames land here, so a
-    /// steady-state connection never allocates to receive.
-    rbuf: Vec<u8>,
     /// Incremental reader of the in-flight reply frame.
     rd: FrameReadState,
     /// Incremental writer of the in-flight assignment frame.
@@ -172,10 +198,47 @@ pub struct TcpTransport {
     /// Client ids evicted via [`RoundTransport::quarantine`]. Banned
     /// ids are refused readmission even with a valid resume token.
     banned: std::collections::BTreeSet<usize>,
-    /// The reactor: one oneshot poller owning every in-flight socket.
+    /// The reactor and its per-fan-out scratch.
+    reactor: Reactor,
+    /// Per-client round outcomes in arrival order, reused across rounds.
+    outcomes: Vec<(usize, Result<(), TransportError>)>,
+}
+
+/// Where a contacted connection stands in its frame exchange.
+#[derive(Clone, Copy)]
+enum Phase {
+    Write,
+    /// Awaiting the reply; `started` stamps when the request finished
+    /// flushing, so a completed read observes the flush-to-reply wall
+    /// time.
+    Read {
+        started: u64,
+    },
+}
+
+/// One contacted connection of the fan-out in progress. The poller key
+/// of its socket is this slot's index.
+struct Slot {
+    id: usize,
+    /// `None` once the exchange completed or failed.
+    phase: Option<Phase>,
+    /// The reply's frame-buffer lease, from its first readable event
+    /// until it is decoded.
+    rbuf: Option<Vec<u8>>,
+    /// Drop the connection when the fan-out ends.
+    failed: bool,
+}
+
+/// The reactor: one oneshot poller owning every in-flight socket, plus
+/// the scratch a fan-out needs — sized by the cohort it contacts and
+/// reused round after round.
+struct Reactor {
     poller: Poller,
     /// Reusable readiness buffer for [`Poller::wait`].
     events: Events,
+    slots: Vec<Slot>,
+    /// The frame buffers replies are read into.
+    frames: FramePool,
 }
 
 /// One round-shaped fan-out's borrowed parameters (train or distill).
@@ -239,6 +302,7 @@ impl TcpTransport {
         }
         let poller = Poller::new()?;
         let mut events = Events::new();
+        let hello_limits = cfg.limits.at_most(HANDSHAKE_MAX_PAYLOAD);
         // Detached counters until a coordinator attaches its catalog;
         // handshake traffic must not go missing just because it happens
         // before wiring.
@@ -290,7 +354,7 @@ impl TcpTransport {
                         };
                         if hs.reply.is_empty() {
                             // Awaiting the opener.
-                            match hs.rd.poll(&mut hs.stream, &mut hs.rbuf, &cfg.limits) {
+                            match hs.rd.poll(&mut hs.stream, &mut hs.rbuf, &hello_limits) {
                                 Ok(None) => {
                                     if poller
                                         .modify(hs.stream.as_raw_fd(), Event::readable(ev.key))
@@ -422,7 +486,6 @@ impl TcpTransport {
                                     conns[id] = Some(Conn {
                                         stream: hs.stream,
                                         num_samples,
-                                        rbuf: hs.rbuf,
                                         rd: FrameReadState::new(),
                                         wr: FrameWriteState::new(),
                                     });
@@ -453,8 +516,13 @@ impl TcpTransport {
             assign_bufs: Vec::new(),
             state_pool: Mutex::new(Vec::new()),
             banned: std::collections::BTreeSet::new(),
-            poller,
-            events,
+            reactor: Reactor {
+                poller,
+                events,
+                slots: Vec::new(),
+                frames: FramePool::new(),
+            },
+            outcomes: Vec::new(),
         })
     }
 
@@ -485,9 +553,11 @@ impl TcpTransport {
         stream.set_nonblocking(false).ok();
         stream.set_nodelay(true).ok();
         stream.set_read_timeout(Some(self.cfg.read_timeout)).ok();
+        // The peer is unvalidated until its `Ack`: both frames it sends
+        // are bounded by the handshake constant.
+        let hello_limits = self.cfg.limits.at_most(HANDSHAKE_MAX_PAYLOAD);
         let mut rbuf = Vec::new();
-        let (hello_kind, hello_len) =
-            read_raw_frame(&mut stream, &mut rbuf, &self.cfg.limits).ok()?;
+        let (hello_kind, hello_len) = read_raw_frame(&mut stream, &mut rbuf, &hello_limits).ok()?;
         self.stats.received_bytes.add(hello_len as u64);
         let hello = decode_msg(hello_kind, &rbuf).ok()?;
         let Msg::Hello {
@@ -564,7 +634,7 @@ impl TcpTransport {
         )
         .ok()?;
         self.stats.sent_bytes.add(sent as u64);
-        let (ack_kind, ack_len) = read_raw_frame(&mut stream, &mut rbuf, &self.cfg.limits).ok()?;
+        let (ack_kind, ack_len) = read_raw_frame(&mut stream, &mut rbuf, &hello_limits).ok()?;
         self.stats.received_bytes.add(ack_len as u64);
         match decode_msg(ack_kind, &rbuf) {
             Ok(Msg::Ack) => {}
@@ -576,7 +646,6 @@ impl TcpTransport {
         self.conns[id] = Some(Conn {
             stream,
             num_samples: num_samples as usize,
-            rbuf: Vec::new(),
             rd: FrameReadState::new(),
             wr: FrameWriteState::new(),
         });
@@ -592,9 +661,10 @@ impl TcpTransport {
             .collect()
     }
 
-    /// Decodes the completed reply frame sitting in `conn.rbuf`.
+    /// Decodes a completed reply frame's `payload`.
     fn decode_reply(
         kind: u8,
+        payload: &[u8],
         conn: &mut Conn,
         state_pool: &Mutex<Vec<Vec<f32>>>,
         id: usize,
@@ -608,7 +678,7 @@ impl TcpTransport {
                     .unwrap_or_else(|e| e.into_inner())
                     .pop()
                     .unwrap_or_default();
-                match decode_update_into(kind, &conn.rbuf, &mut state) {
+                match decode_update_into(kind, payload, &mut state) {
                     Ok(header) => {
                         // A train update's weight is the worker's own
                         // dataset size — authoritative, so a registry
@@ -630,7 +700,7 @@ impl TcpTransport {
                     }
                 }
             }
-            _ => match decode_msg(kind, &conn.rbuf).map_err(|e| map_wire_error(id, e))? {
+            _ => match decode_msg(kind, payload).map_err(|e| map_wire_error(id, e))? {
                 Msg::Err { code, detail } => Err(TransportError::Protocol {
                     client_id: id,
                     reason: format!("worker error code {code}: {detail}"),
@@ -648,55 +718,64 @@ impl TcpTransport {
         }
     }
 
-    /// The fan-out engine: writes `frames[id]` to every live connection
-    /// with a frame, reads one reply each — all multiplexed on the
-    /// reactor — and hands each decoded reply to `on_reply` **as it
-    /// arrives**. Failed connections are dropped from the live set
-    /// afterwards. Wire bytes are tallied into `stats`.
+    /// The fan-out engine: writes `frame_of(id)` to every live connection
+    /// of `cohort` (`None` = the whole live registry), reads one reply
+    /// each — all multiplexed on the reactor — and hands each decoded
+    /// reply to `on_reply` **as it arrives**. Connections outside the
+    /// cohort are never touched; the bookkeeping is one reused [`Slot`]
+    /// per contacted connection. Failed connections are dropped from the
+    /// live set afterwards. Wire bytes are tallied into `stats`.
     ///
     /// A panic escaping `on_reply` (a reply handler or sink blowing up
     /// on one client's bytes) is caught and converted into a
     /// [`UpdateViolation::HandlerPanic`] rejection for that client
     /// alone; the round continues for everyone else.
     #[allow(clippy::too_many_arguments)] // the reactor's shared plumbing; private to this impl
-    fn fan_out(
+    fn fan_out<'f>(
         conns: &mut [Option<Conn>],
         stats: &WireTelemetry,
-        cfg: &TcpConfig,
+        read_timeout: Duration,
+        reply_limits: &FrameLimits,
         state_pool: &Mutex<Vec<Vec<f32>>>,
-        poller: &Poller,
-        events: &mut Events,
-        frames: &[Option<&[u8]>],
+        reactor: &mut Reactor,
+        cohort: Option<&[(usize, usize)]>,
+        frame_of: impl Fn(usize) -> &'f [u8],
         mut on_reply: impl FnMut(usize, Result<Reply, TransportError>),
     ) {
-        /// Where a connection stands in its frame exchange.
-        #[derive(Clone, Copy)]
-        enum Phase {
-            Write,
-            /// Awaiting the reply; `started` stamps when the request
-            /// finished flushing, so a completed read observes the
-            /// flush-to-reply wall time.
-            Read {
-                started: u64,
-            },
+        let Reactor {
+            poller,
+            events,
+            slots,
+            frames,
+        } = reactor;
+        let live = |id: &usize| conns.get(*id).is_some_and(|c| c.is_some());
+        let slot = |id| Slot {
+            id,
+            phase: None,
+            rbuf: None,
+            failed: false,
+        };
+        slots.clear();
+        match cohort {
+            Some(cohort) => slots.extend(cohort.iter().map(|&(id, _)| id).filter(live).map(slot)),
+            None => slots.extend((0..conns.len()).filter(live).map(slot)),
         }
-        let mut phase: Vec<Option<Phase>> = (0..conns.len()).map(|_| None).collect();
-        let mut failed: Vec<usize> = Vec::new();
         let (mut sent_total, mut recv_total) = (0u64, 0u64);
         let mut pending = 0usize;
-        for (id, slot) in conns.iter_mut().enumerate() {
-            let (Some(conn), Some(_)) = (slot.as_mut(), frames.get(id).copied().flatten()) else {
+        for (key, slot) in slots.iter_mut().enumerate() {
+            let id = slot.id;
+            let Some(conn) = conns[id].as_mut() else {
                 continue;
             };
             conn.rd.reset();
             conn.wr.reset();
-            match poller.add(conn.stream.as_raw_fd(), Event::writable(id)) {
+            match poller.add(conn.stream.as_raw_fd(), Event::writable(key)) {
                 Ok(()) => {
-                    phase[id] = Some(Phase::Write);
+                    slot.phase = Some(Phase::Write);
                     pending += 1;
                 }
                 Err(e) => {
-                    failed.push(id);
+                    slot.failed = true;
                     on_reply(
                         id,
                         Err(TransportError::Disconnected {
@@ -707,7 +786,7 @@ impl TcpTransport {
                 }
             }
         }
-        let deadline = Instant::now() + cfg.read_timeout;
+        let deadline = Instant::now() + read_timeout;
         while pending > 0 {
             let now = Instant::now();
             if now >= deadline {
@@ -726,42 +805,44 @@ impl TcpTransport {
                 continue; // timeout or EINTR; the deadline check decides
             }
             for ev in events.iter() {
-                let id = ev.key;
-                let Some(ph) = phase.get(id).copied().flatten() else {
+                let key = ev.key;
+                let Some(slot) = slots.get_mut(key) else {
                     continue;
                 };
+                let Some(ph) = slot.phase else {
+                    continue;
+                };
+                let id = slot.id;
                 let Some(conn) = conns.get_mut(id).and_then(|c| c.as_mut()) else {
                     continue;
                 };
                 // Retire this connection from the fan-out with a typed
-                // failure.
+                // failure; a reply half-read gives its lease back.
                 macro_rules! fail {
                     ($err:expr) => {{
-                        phase[id] = None;
+                        slot.phase = None;
+                        slot.failed = true;
                         pending -= 1;
                         let _ = poller.delete(conn.stream.as_raw_fd());
-                        failed.push(id);
+                        if let Some(buf) = slot.rbuf.take() {
+                            frames.release(buf);
+                        }
                         on_reply(id, Err($err));
                         continue;
                     }};
                 }
                 match ph {
                     Phase::Write => {
-                        let Some(frame) = frames.get(id).copied().flatten() else {
-                            fail!(TransportError::Protocol {
-                                client_id: id,
-                                reason: "frame vanished mid-fan-out".into(),
-                            });
-                        };
+                        let frame = frame_of(id);
                         match conn.wr.poll(&mut conn.stream, frame) {
                             Ok(true) => {
                                 sent_total += frame.len() as u64;
                                 conn.rd.reset();
-                                phase[id] = Some(Phase::Read {
+                                slot.phase = Some(Phase::Read {
                                     started: stats.clock.now_nanos(),
                                 });
                                 if poller
-                                    .modify(conn.stream.as_raw_fd(), Event::readable(id))
+                                    .modify(conn.stream.as_raw_fd(), Event::readable(key))
                                     .is_err()
                                 {
                                     fail!(TransportError::Disconnected {
@@ -772,7 +853,7 @@ impl TcpTransport {
                             }
                             Ok(false) => {
                                 if poller
-                                    .modify(conn.stream.as_raw_fd(), Event::writable(id))
+                                    .modify(conn.stream.as_raw_fd(), Event::writable(key))
                                     .is_err()
                                 {
                                     fail!(TransportError::Disconnected {
@@ -785,23 +866,30 @@ impl TcpTransport {
                         }
                     }
                     Phase::Read { started } => {
-                        match conn.rd.poll(&mut conn.stream, &mut conn.rbuf, &cfg.limits) {
+                        // The reply's first readable event takes the lease.
+                        let buf = slot.rbuf.get_or_insert_with(|| frames.lease());
+                        match conn.rd.poll(&mut conn.stream, buf, reply_limits) {
                             Ok(Some((kind, nbytes))) => {
                                 recv_total += nbytes as u64;
                                 stats
                                     .frame_read_seconds
                                     .observe_nanos(stats.clock.now_nanos().saturating_sub(started));
-                                phase[id] = None;
+                                slot.phase = None;
                                 pending -= 1;
                                 let _ = poller.delete(conn.stream.as_raw_fd());
+                                let payload = slot.rbuf.take().unwrap_or_default();
                                 let mut decode_failed = false;
                                 let delivered = catch_unwind(AssertUnwindSafe(|| {
-                                    let reply = Self::decode_reply(kind, conn, state_pool, id);
+                                    let reply =
+                                        Self::decode_reply(kind, &payload, conn, state_pool, id);
                                     decode_failed = reply.is_err();
                                     on_reply(id, reply);
                                 }));
+                                // Decoded, rejected or blown up: the
+                                // frame is done with its buffer.
+                                frames.release(payload);
                                 if decode_failed {
-                                    failed.push(id);
+                                    slot.failed = true;
                                 }
                                 if delivered.is_err() {
                                     // The handler blew up on this
@@ -810,7 +898,7 @@ impl TcpTransport {
                                     // `Rejected` conns alive, so the
                                     // drop happens here), the round
                                     // continues for everyone else.
-                                    failed.push(id);
+                                    slot.failed = true;
                                     on_reply(
                                         id,
                                         Err(TransportError::Rejected {
@@ -822,7 +910,7 @@ impl TcpTransport {
                             }
                             Ok(None) => {
                                 if poller
-                                    .modify(conn.stream.as_raw_fd(), Event::readable(id))
+                                    .modify(conn.stream.as_raw_fd(), Event::readable(key))
                                     .is_err()
                                 {
                                     fail!(TransportError::Disconnected {
@@ -837,57 +925,25 @@ impl TcpTransport {
                 }
             }
         }
-        // Whoever is still mid-exchange missed the deadline.
-        for (id, ph) in phase.iter_mut().enumerate() {
-            if ph.is_none() {
-                continue;
-            }
-            *ph = None;
-            if let Some(conn) = conns.get_mut(id).and_then(|c| c.as_mut()) {
-                let _ = poller.delete(conn.stream.as_raw_fd());
-            }
-            failed.push(id);
-            on_reply(id, Err(TransportError::Timeout { client_id: id }));
-        }
         stats.sent_bytes.add(sent_total);
         stats.received_bytes.add(recv_total);
-        for id in failed {
-            // Straggler / lost / misbehaving worker: drop it.
-            conns[id] = None;
+        for slot in slots.iter_mut() {
+            // Whoever is still mid-exchange missed the deadline.
+            if slot.phase.take().is_some() {
+                if let Some(conn) = conns[slot.id].as_ref() {
+                    let _ = poller.delete(conn.stream.as_raw_fd());
+                }
+                if let Some(buf) = slot.rbuf.take() {
+                    frames.release(buf);
+                }
+                slot.failed = true;
+                on_reply(slot.id, Err(TransportError::Timeout { client_id: slot.id }));
+            }
+            if slot.failed {
+                // Straggler / lost / misbehaving worker: drop it.
+                conns[slot.id] = None;
+            }
         }
-    }
-
-    /// Broadcast form of [`TcpTransport::fan_out`]: one shared,
-    /// encoded-once frame to every live connection — or, with a
-    /// `cohort`, only to the sampled subset (everyone else stays parked
-    /// in the poller, costing nothing this round).
-    #[allow(clippy::too_many_arguments)] // the reactor's shared plumbing; private to this impl
-    fn broadcast(
-        conns: &mut [Option<Conn>],
-        stats: &WireTelemetry,
-        cfg: &TcpConfig,
-        state_pool: &Mutex<Vec<Vec<f32>>>,
-        poller: &Poller,
-        events: &mut Events,
-        frame: &[u8],
-        cohort: Option<&[(usize, usize)]>,
-        on_reply: impl FnMut(usize, Result<Reply, TransportError>),
-    ) {
-        let frames: Vec<Option<&[u8]>> = conns
-            .iter()
-            .enumerate()
-            .map(|(id, c)| match (c, cohort) {
-                (None, _) => None,
-                (Some(_), None) => Some(frame),
-                (Some(_), Some(cohort)) => cohort
-                    .binary_search_by_key(&id, |&(cid, _)| cid)
-                    .ok()
-                    .map(|_| frame),
-            })
-            .collect();
-        Self::fan_out(
-            conns, stats, cfg, state_pool, poller, events, &frames, on_reply,
-        );
     }
 
     /// Runs a round-shaped fan-out (train or distill) feeding `sink` as
@@ -930,27 +986,19 @@ impl TcpTransport {
             );
             return;
         }
-        let TcpTransport {
-            conns,
-            cfg,
-            stats,
-            bcast,
+        let reply_limits = reply_limits(self.cfg.limits, self.state_len);
+        let mut outcomes = std::mem::take(&mut self.outcomes);
+        let bcast = self.bcast.as_slice();
+        let state_pool = &self.state_pool;
+        Self::fan_out(
+            &mut self.conns,
+            &self.stats,
+            self.cfg.read_timeout,
+            &reply_limits,
             state_pool,
-            poller,
-            events,
-            ..
-        } = self;
-        let state_pool: &Mutex<Vec<Vec<f32>>> = state_pool;
-        let mut outcomes: Vec<(usize, Result<(), TransportError>)> = Vec::new();
-        Self::broadcast(
-            conns,
-            stats,
-            cfg,
-            state_pool,
-            poller,
-            events,
-            bcast,
+            &mut self.reactor,
             cohort,
+            |_| bcast,
             |id, reply| {
                 let outcome = reply.and_then(|r| match r {
                     Reply::Update { header, state } => {
@@ -984,7 +1032,8 @@ impl TcpTransport {
             },
         );
         self.drop_failed_and_sort(&mut outcomes);
-        results.extend(outcomes.into_iter().map(|(_, r)| r));
+        results.extend(outcomes.drain(..).map(|(_, r)| r));
+        self.outcomes = outcomes;
     }
 
     /// Drops the connections of clients whose round outcome was **their
@@ -1207,32 +1256,20 @@ impl DistillTransport for TcpTransport {
         self.stats
             .broadcast_encode_seconds
             .observe_nanos(self.stats.clock.now_nanos().saturating_sub(enc_start));
-        let TcpTransport {
-            conns,
-            cfg,
-            stats,
-            assign_bufs,
-            state_pool,
-            poller,
-            events,
-            ..
-        } = self;
-        let state_pool: &Mutex<Vec<Vec<f32>>> = state_pool;
-        let frames: Vec<Option<&[u8]>> = conns
-            .iter()
-            .enumerate()
-            .map(|(id, c)| c.as_ref().map(|_| assign_bufs[id].as_slice()))
-            .collect();
+        let reply_limits = reply_limits(self.cfg.limits, self.state_len);
+        let assign_bufs = &self.assign_bufs;
+        let state_pool = &self.state_pool;
         let mut results: Vec<(usize, Result<(), TransportError>)> = Vec::new();
         let mut acked_sizes: Vec<(usize, usize)> = Vec::new();
         Self::fan_out(
-            conns,
-            stats,
-            cfg,
+            &mut self.conns,
+            &self.stats,
+            self.cfg.read_timeout,
+            &reply_limits,
             state_pool,
-            poller,
-            events,
-            &frames,
+            &mut self.reactor,
+            None,
+            |id| assign_bufs[id].as_slice(),
             |id, reply| {
                 let outcome = reply.and_then(|r| match r {
                     Reply::UnlearnAck { num_samples } => {
@@ -1410,27 +1447,19 @@ impl ServeTransport for TcpTransport {
                 .map(|id| Err(map_wire_error(id, e.clone())))
                 .collect();
         }
-        let TcpTransport {
-            conns,
-            cfg,
-            stats,
-            bcast,
-            state_pool,
-            poller,
-            events,
-            ..
-        } = self;
-        let state_pool: &Mutex<Vec<Vec<f32>>> = state_pool;
+        let reply_limits = reply_limits(self.cfg.limits, self.state_len);
+        let bcast = self.bcast.as_slice();
+        let state_pool = &self.state_pool;
         let mut evals: Vec<(usize, Result<LocalEval, TransportError>)> = Vec::new();
-        Self::broadcast(
-            conns,
-            stats,
-            cfg,
+        Self::fan_out(
+            &mut self.conns,
+            &self.stats,
+            self.cfg.read_timeout,
+            &reply_limits,
             state_pool,
-            poller,
-            events,
-            bcast,
+            &mut self.reactor,
             None,
+            |_| bcast,
             |id, reply| {
                 let outcome = reply.and_then(|r| match r {
                     Reply::Eval { accuracy, mse } => Ok(LocalEval {
@@ -1467,6 +1496,10 @@ impl ServeTransport for TcpTransport {
     fn set_telemetry(&mut self, telemetry: &ServeTelemetry) {
         // Carries handshake-era counts into the shared catalog's cells.
         self.stats.attach(telemetry);
+        self.reactor.frames.attach(
+            &telemetry.frame_buffers_leased,
+            &telemetry.frame_buffers_high_water,
+        );
     }
 }
 

@@ -54,6 +54,12 @@ pub struct ServeTelemetry {
     pub wire_sent_bytes: Counter,
     /// Frame bytes read from workers (handshake and update frames).
     pub wire_received_bytes: Counter,
+    /// Frame buffers the reactor currently has leased — replies being
+    /// read. `0` between fan-outs.
+    pub frame_buffers_leased: Gauge,
+    /// The most frame buffers ever leased at once: how bursty the fleet
+    /// actually is (bounded by the cohort, never by the registry).
+    pub frame_buffers_high_water: Gauge,
     /// Encode-once broadcast serialization time per round.
     pub broadcast_encode_seconds: Histogram,
     /// Time spent blocked in the readiness poller per wakeup.
@@ -108,6 +114,14 @@ impl ServeTelemetry {
             wire_received_bytes: registry.counter(
                 "goldfish_wire_received_bytes_total",
                 "Frame bytes read from workers (all frame kinds)",
+            ),
+            frame_buffers_leased: registry.gauge(
+                "goldfish_frame_buffers_leased",
+                "Frame buffers currently leased to in-flight reply frames",
+            ),
+            frame_buffers_high_water: registry.gauge(
+                "goldfish_frame_buffers_high_water",
+                "Most frame buffers ever leased at once",
             ),
             broadcast_encode_seconds: registry.histogram(
                 "goldfish_broadcast_encode_seconds",
@@ -325,6 +339,8 @@ mod tests {
             "goldfish_rounds_total",
             "goldfish_wire_sent_bytes_total",
             "goldfish_wire_received_bytes_total",
+            "goldfish_frame_buffers_leased",
+            "goldfish_frame_buffers_high_water",
             "goldfish_round_seconds",
             "goldfish_unlearn_queue_depth",
             "goldfish_checkpoint_fsync_seconds",

@@ -16,17 +16,16 @@
 //!   run the same per-client code against losslessly round-tripped
 //!   states.
 
+use std::sync::Mutex;
+
 use goldfish_core::transport::{DistillTransport, LoopbackDistill, UnlearnJob};
 use goldfish_core::ClientSplit;
 use goldfish_data::Dataset;
-use goldfish_fed::trainer::{train_local_hot, TrainWorkspace};
+use goldfish_fed::trainer::TrainLane;
 use goldfish_fed::transport::{
     client_seed, RoundTransport, StreamedUpdate, TrainAssign, TransportError, UpdateSink,
 };
-use goldfish_fed::{eval, pool, ModelFactory};
-use goldfish_nn::loss::CrossEntropy;
-use goldfish_nn::optim::FusedSgd;
-use goldfish_nn::Network;
+use goldfish_fed::{pool, ModelFactory};
 
 use crate::queue::UnlearnRequest;
 
@@ -163,44 +162,35 @@ pub trait ServeTransport: RoundTransport + DistillTransport {
     }
 }
 
-/// One client's long-lived in-process worker: a network whose arenas,
-/// batch-gather buffers and optimizer velocity persist across rounds, so
-/// a steady-state training round performs **zero heap allocations** (the
-/// ISSUE-5 loopback hot path, pinned by `tests/alloc_free_round.rs`).
-///
-/// Reuse is bitwise safe: every round starts by installing the broadcast
-/// global via `set_state_vector`, which overwrites the *entire* state —
-/// trainable parameters and frozen tracked state (BatchNorm running
-/// statistics) alike — so a reused network is indistinguishable from the
-/// fresh `factory(seed)` the per-round path used to build.
-struct LoopbackWorker {
-    net: Network,
-    ws: TrainWorkspace,
-    sgd: FusedSgd,
-    state: Vec<f32>,
-}
+/// The transport's [`TrainLane`]s. A pool task checks one out for one
+/// client's run and hands it back, so there are never more lanes than
+/// tasks running at once — `threads`, however many clients are
+/// registered — and the pool schedules clients exactly as it always did.
+#[derive(Default)]
+struct Lanes(Mutex<Vec<TrainLane>>);
 
-impl LoopbackWorker {
-    fn new(factory: &ModelFactory) -> Self {
-        LoopbackWorker {
-            net: (factory)(0),
-            ws: TrainWorkspace::new(),
-            // Placeholder hyperparameters; re-armed from the round's
-            // TrainConfig before every local run.
-            sgd: FusedSgd::new(1.0, 0.0),
-            state: Vec::new(),
-        }
+impl Lanes {
+    fn with<R>(&self, run: impl FnOnce(&mut TrainLane) -> R) -> R {
+        // Neither critical section can panic, so a poisoned lock still
+        // guards a valid stack.
+        let idle = || self.0.lock().unwrap_or_else(|e| e.into_inner());
+        let mut lane = idle().pop().unwrap_or_default();
+        let out = run(&mut lane);
+        idle().push(lane);
+        out
     }
 }
 
-/// The in-process [`ServeTransport`]: owns every client's dataset and a
-/// pool of persistent [`LoopbackWorker`]s. Training rounds run the same
-/// per-client compute as the library's
-/// [`goldfish_fed::transport::LoopbackClients`] executor
-/// (bitwise identical — pinned by `serve_identity`), but through
-/// long-lived workers feeding the streaming aggregation sink, so a warm
-/// round never touches the allocator. Distillation rounds delegate to
-/// [`LoopbackDistill`]. The reference implementation every TCP run is
+/// The in-process [`ServeTransport`]: owns every client's dataset, one
+/// [`TrainLane`] per executing pool thread and one reused output state per
+/// cohort member. Training rounds run the same per-client compute as the
+/// library's [`goldfish_fed::transport::LoopbackClients`] executor
+/// (bitwise identical — pinned by `serve_identity`), but on long-lived
+/// lanes feeding the streaming aggregation sink, so a warm round never
+/// touches the allocator (the ISSUE-5 loopback hot path, pinned by
+/// `tests/alloc_free_round.rs`) and resident training memory is `threads`
+/// networks — not one per registered client. Distillation rounds delegate
+/// to [`LoopbackDistill`]. The reference implementation every TCP run is
 /// checked against.
 pub struct LoopbackTransport {
     factory: ModelFactory,
@@ -208,7 +198,12 @@ pub struct LoopbackTransport {
     threads: Option<usize>,
     staged: Vec<UnlearnRequest>,
     distill: Option<LoopbackDistill>,
-    workers: Vec<LoopbackWorker>,
+    lanes: Lanes,
+    /// The round's contacted clients, in cohort (id) order.
+    members: Vec<usize>,
+    /// The trained state of each member, by cohort position; grown to
+    /// the largest cohort seen and reused across rounds.
+    states: Vec<Vec<f32>>,
     /// Clients evicted via [`RoundTransport::quarantine`]: excluded
     /// from cohorts and the streamed feed (their datasets stay owned —
     /// in-process data cannot "leave" — but their updates never reach
@@ -225,7 +220,9 @@ impl LoopbackTransport {
             threads,
             staged: Vec::new(),
             distill: None,
-            workers: Vec::new(),
+            lanes: Lanes::default(),
+            members: Vec::new(),
+            states: Vec::new(),
             quarantined: std::collections::BTreeSet::new(),
         }
     }
@@ -252,10 +249,10 @@ impl RoundTransport for LoopbackTransport {
         );
     }
 
-    /// Only cohort members compute and upload. Workers stay 1:1 with
-    /// client ids (slot `id` always serves client `id`), so a client
-    /// sampled in rounds 3 and 7 reuses *its own* arenas — bitwise
-    /// identical to having trained every round. Updates are fed in
+    /// Only cohort members compute and upload, each on whichever lane
+    /// its pool task checked out: a lane carries capacity, never state
+    /// (every run installs the whole broadcast state first), so which
+    /// lane served a client cannot change a bit. Updates are then fed in
     /// client-id order: the aggregation frontier folds every update on
     /// arrival, so nothing is ever parked on loopback.
     fn train_round(
@@ -265,50 +262,54 @@ impl RoundTransport for LoopbackTransport {
         sink: &mut UpdateSink<'_>,
         results: &mut Vec<Result<(), TransportError>>,
     ) {
-        while self.workers.len() < self.clients.len() {
-            self.workers.push(LoopbackWorker::new(&self.factory));
+        let LoopbackTransport {
+            factory,
+            clients,
+            lanes,
+            members,
+            states,
+            quarantined,
+            ..
+        } = self;
+        // Quarantined clients are out of the federation: no compute, no
+        // upload.
+        members.clear();
+        members.extend(
+            cohort
+                .iter()
+                .map(|&(id, _)| id)
+                .filter(|id| *id < clients.len() && !quarantined.contains(id)),
+        );
+        if states.len() < members.len() {
+            states.resize_with(members.len(), Vec::new);
         }
-        self.workers.truncate(self.clients.len());
-        let clients = &self.clients;
-        let workers = &mut self.workers;
-        let quarantined = &self.quarantined;
-        let in_cohort = |id: usize| cohort.binary_search_by_key(&id, |&(cid, _)| cid).is_ok();
+        let states = &mut states[..members.len()];
+        let (factory, clients, lanes, members) = (&*factory, &*clients, &*lanes, &*members);
         pool::install(self.threads, || {
-            pool::for_each_slot(workers, |id, w| {
-                // Quarantined clients are out of the federation: no
-                // compute, no upload.
-                if quarantined.contains(&id) || !in_cohort(id) {
-                    return;
-                }
+            pool::for_each_slot(states, |pos, state| {
+                let id = members[pos];
                 let seed = client_seed(assign.seed, id, assign.round);
-                w.net.set_state_vector(assign.global);
-                train_local_hot(
-                    &mut w.net,
-                    &clients[id],
-                    assign.cfg,
-                    &CrossEntropy,
-                    seed,
-                    &mut w.ws,
-                    &mut w.sgd,
-                );
-                w.net.state_vector_into(&mut w.state);
+                lanes.with(|lane| {
+                    lane.train(
+                        factory,
+                        assign.global,
+                        &clients[id],
+                        assign.cfg,
+                        seed,
+                        state,
+                    )
+                });
             });
         });
         results.clear();
-        results.extend(
-            self.workers
-                .iter()
-                .enumerate()
-                .filter(|(id, _)| !quarantined.contains(id) && in_cohort(*id))
-                .map(|(id, w)| {
-                    sink(StreamedUpdate {
-                        client_id: id,
-                        num_samples: clients[id].len(),
-                        nonce: assign.nonce,
-                        state: &w.state,
-                    })
-                }),
-        );
+        results.extend(members.iter().zip(states.iter()).map(|(&id, state)| {
+            sink(StreamedUpdate {
+                client_id: id,
+                num_samples: clients[id].len(),
+                nonce: assign.nonce,
+                state,
+            })
+        }));
     }
 
     /// Evicts `client_id` from every future cohort and streamed feed.
@@ -407,17 +408,15 @@ impl ServeTransport for LoopbackTransport {
         _round: usize,
         global: &[f32],
     ) -> Vec<Result<LocalEval, TransportError>> {
-        let factory = &self.factory;
-        let clients = &self.clients;
+        let (factory, clients, lanes) = (&self.factory, &self.clients, &self.lanes);
         let mut evals: Vec<Option<LocalEval>> = (0..clients.len()).map(|_| None).collect();
         pool::install(self.threads, || {
             pool::for_each_slot(&mut evals, |id, slot| {
-                let mut net = (factory)(0);
-                net.set_state_vector(global);
+                let (accuracy, mse) = lanes.with(|lane| lane.eval(factory, global, &clients[id]));
                 *slot = Some(LocalEval {
                     client_id: id,
-                    accuracy: eval::accuracy(&mut net, &clients[id]),
-                    mse: eval::mse(&mut net, &clients[id]),
+                    accuracy,
+                    mse,
                 });
             });
         });

@@ -60,6 +60,18 @@ pub struct FrameLimits {
     pub max_payload: usize,
 }
 
+impl FrameLimits {
+    /// These limits, tightened to `max_payload` where that is smaller —
+    /// how a reader bounds one protocol phase (a handshake, a round
+    /// reply) by what that phase can legally carry, so an unvalidated
+    /// length prefix cannot size a buffer beyond it.
+    pub fn at_most(self, max_payload: usize) -> FrameLimits {
+        FrameLimits {
+            max_payload: self.max_payload.min(max_payload),
+        }
+    }
+}
+
 impl Default for FrameLimits {
     /// 256 MiB — comfortably above any model this repository trains
     /// (a 500k-parameter state is 2 MB) while bounding a hostile length
@@ -1266,7 +1278,7 @@ pub fn read_raw_frame(
         }
     }
     let (kind, len) = decode_header(&header, limits)?;
-    buf.clear();
+    // No clear first: `read_exact` overwrites all `len` bytes or fails.
     buf.resize(len, 0);
     if let Err(e) = r.read_exact(buf) {
         return Err(if e.kind() == std::io::ErrorKind::UnexpectedEof {

@@ -12,11 +12,15 @@
 //!                RoundAssign(Distill) → UnlearnResult
 //! ```
 //!
-//! The per-round compute is the library's own: `train_local_ce` for
-//! training rounds and [`ClientDistiller::round`] for distillation
-//! rounds — the exact functions the in-process loopback transport runs,
-//! which is what makes a TCP federation bitwise identical to a loopback
-//! one.
+//! The per-round compute is the library's own: a
+//! [`goldfish_fed::trainer::TrainLane`] run for training rounds and
+//! [`ClientDistiller::round`] for distillation rounds — the exact
+//! functions the in-process loopback transport runs, which is what makes
+//! a TCP federation bitwise identical to a loopback one. The lane belongs
+//! to whoever hosts the runtime (one per connection in [`serve_stream`],
+//! one per thread in [`crate::fleet::run_fleet`]) and is lent to
+//! [`WorkerRuntime::handle`] per message: it carries capacity, never
+//! state, so a lane that just served another worker changes no bit.
 
 use std::net::TcpStream;
 use std::sync::Arc;
@@ -25,9 +29,9 @@ use std::time::Duration;
 use goldfish_core::transport::ClientDistiller;
 use goldfish_core::ClientSplit;
 use goldfish_data::Dataset;
-use goldfish_fed::trainer::train_local_ce;
+use goldfish_fed::trainer::TrainLane;
 use goldfish_fed::transport::client_seed;
-use goldfish_fed::{eval, ModelFactory};
+use goldfish_fed::ModelFactory;
 
 use crate::digest::DIGEST_LEN;
 use crate::wire::{
@@ -116,10 +120,11 @@ impl WorkerRuntime {
         }
     }
 
-    /// Handles one coordinator message and returns the reply to send.
-    /// Protocol violations produce a [`Msg::Err`] reply (the caller
-    /// should close the connection after sending one).
-    pub fn handle(&mut self, msg: Msg) -> Msg {
+    /// Handles one coordinator message and returns the reply to send,
+    /// training and evaluating on the host's `lane`. Protocol violations
+    /// produce a [`Msg::Err`] reply (the caller should close the
+    /// connection after sending one).
+    pub fn handle(&mut self, msg: Msg, lane: &mut TrainLane) -> Msg {
         self.frames_handled += 1;
         match msg {
             Msg::RoundAssign {
@@ -136,9 +141,9 @@ impl WorkerRuntime {
                     return bad_state_len(global.len(), self.state_len);
                 }
                 let s = client_seed(seed, self.client_id, round as usize);
-                let mut net = (self.factory)(s);
-                net.set_state_vector(&global);
-                train_local_ce(&mut net, &self.data, &cfg, s);
+                // The assignment's buffer becomes the reply's.
+                let mut state = global;
+                lane.train_in_place(&self.factory, &mut state, &self.data, &cfg, s);
                 self.last_round = Some(round);
                 Msg::Update {
                     round,
@@ -148,7 +153,7 @@ impl WorkerRuntime {
                     // layer matches it against the assignment to reject
                     // stale/replayed frames.
                     nonce,
-                    state: net.state_vector(),
+                    state,
                 }
             }
             Msg::UnlearnAssign {
@@ -258,12 +263,11 @@ impl WorkerRuntime {
                 if global.len() != self.state_len {
                     return bad_state_len(global.len(), self.state_len);
                 }
-                let mut net = (self.factory)(0);
-                net.set_state_vector(&global);
+                let (accuracy, mse) = lane.eval(&self.factory, &global, &self.data);
                 Msg::Eval {
                     round,
-                    accuracy: eval::accuracy(&mut net, &self.data),
-                    mse: eval::mse(&mut net, &self.data),
+                    accuracy,
+                    mse,
                     global: Vec::new(),
                 }
             }
@@ -401,10 +405,12 @@ pub fn serve_stream(
             )))
         }
     }
-    // Connection-lifetime frame buffers: incoming payloads and outgoing
-    // replies reuse the same allocations round after round.
+    // Connection-lifetime frame buffers and training lane: incoming
+    // payloads, outgoing replies and the network's arenas reuse the same
+    // allocations round after round.
     let mut rbuf: Vec<u8> = Vec::new();
     let mut wbuf: Vec<u8> = Vec::new();
+    let mut lane = TrainLane::new();
     loop {
         // Bare EOF is NOT a clean end: a graceful coordinator sends
         // `Shutdown` first. EOF without it means the coordinator (or
@@ -420,7 +426,7 @@ pub fn serve_stream(
                 "coordinator error (code {code}): {detail}"
             )));
         }
-        let reply = runtime.handle(msg);
+        let reply = runtime.handle(msg, &mut lane);
         let fatal = matches!(reply, Msg::Err { .. });
         encode_frame_into(&reply, &mut wbuf, limits)?;
         {
@@ -577,6 +583,8 @@ mod tests {
     use crate::demo::DemoSpec;
     use goldfish_core::basic_model::GoldfishLocalConfig;
     use goldfish_core::transport::UnlearnJob;
+    use goldfish_fed::eval;
+    use goldfish_fed::trainer::train_local_ce;
     use goldfish_nn::loss::HardLossSpec;
 
     fn runtime() -> (WorkerRuntime, DemoSpec) {
@@ -595,17 +603,21 @@ mod tests {
     #[test]
     fn train_round_matches_local_execution() {
         let (mut w, spec) = runtime();
+        let mut lane = TrainLane::new();
         let factory = spec.factory();
         let global = (factory)(3).state_vector();
         let cfg = spec.train_config();
-        let reply = w.handle(Msg::RoundAssign {
-            mode: RoundMode::Train,
-            round: 2,
-            seed: 11,
-            nonce: 0xFACE,
-            cfg,
-            global: global.clone(),
-        });
+        let reply = w.handle(
+            Msg::RoundAssign {
+                mode: RoundMode::Train,
+                round: 2,
+                seed: 11,
+                nonce: 0xFACE,
+                cfg,
+                global: global.clone(),
+            },
+            &mut lane,
+        );
         let Msg::Update {
             round,
             client_id,
@@ -628,19 +640,23 @@ mod tests {
     #[test]
     fn shard_assign_matches_local_retrain_and_validates() {
         let (mut w, spec) = runtime();
+        let mut lane = TrainLane::new();
         let factory = spec.factory();
         let checkpoint = (factory)(9).state_vector();
         let cfg = spec.train_config();
         let keep_rows: Vec<u64> = vec![0, 3, 7, 11];
-        let reply = w.handle(Msg::ShardAssign {
-            owner: 1,
-            shard: 2,
-            tau: 4,
-            seed: 77,
-            cfg,
-            keep_rows: keep_rows.clone(),
-            checkpoint: checkpoint.clone(),
-        });
+        let reply = w.handle(
+            Msg::ShardAssign {
+                owner: 1,
+                shard: 2,
+                tau: 4,
+                seed: 77,
+                cfg,
+                keep_rows: keep_rows.clone(),
+                checkpoint: checkpoint.clone(),
+            },
+            &mut lane,
+        );
         let Msg::ShardResult {
             owner,
             shard,
@@ -658,28 +674,34 @@ mod tests {
 
         // Mismatched checkpoint length and out-of-range rows are typed
         // rejections, not panics.
-        let reply = w.handle(Msg::ShardAssign {
-            owner: 1,
-            shard: 0,
-            tau: 4,
-            seed: 1,
-            cfg,
-            keep_rows: vec![0],
-            checkpoint: vec![0.0; 3],
-        });
+        let reply = w.handle(
+            Msg::ShardAssign {
+                owner: 1,
+                shard: 0,
+                tau: 4,
+                seed: 1,
+                cfg,
+                keep_rows: vec![0],
+                checkpoint: vec![0.0; 3],
+            },
+            &mut lane,
+        );
         assert!(
             matches!(reply, Msg::Err { code, .. } if code == err_code::BAD_STATE_LEN),
             "got {reply:?}"
         );
-        let reply = w.handle(Msg::ShardAssign {
-            owner: 1,
-            shard: 0,
-            tau: 4,
-            seed: 1,
-            cfg,
-            keep_rows: vec![40],
-            checkpoint,
-        });
+        let reply = w.handle(
+            Msg::ShardAssign {
+                owner: 1,
+                shard: 0,
+                tau: 4,
+                seed: 1,
+                cfg,
+                keep_rows: vec![40],
+                checkpoint,
+            },
+            &mut lane,
+        );
         assert!(
             matches!(reply, Msg::Err { code, .. } if code == err_code::BAD_REQUEST),
             "got {reply:?}"
@@ -689,15 +711,19 @@ mod tests {
     #[test]
     fn distill_requires_assignment() {
         let (mut w, spec) = runtime();
+        let mut lane = TrainLane::new();
         let global = (spec.factory())(3).state_vector();
-        let reply = w.handle(Msg::RoundAssign {
-            mode: RoundMode::Distill,
-            round: 0,
-            seed: 0,
-            nonce: 0,
-            cfg: spec.train_config(),
-            global,
-        });
+        let reply = w.handle(
+            Msg::RoundAssign {
+                mode: RoundMode::Distill,
+                round: 0,
+                seed: 0,
+                nonce: 0,
+                cfg: spec.train_config(),
+                global,
+            },
+            &mut lane,
+        );
         assert!(matches!(
             reply,
             Msg::Err {
@@ -710,6 +736,7 @@ mod tests {
     #[test]
     fn unlearn_flow_runs_and_train_exits_it() {
         let (mut w, spec) = runtime();
+        let mut lane = TrainLane::new();
         let teacher = (spec.factory())(3).state_vector();
         let job = UnlearnJob {
             local: GoldfishLocalConfig {
@@ -719,22 +746,28 @@ mod tests {
             },
             hard: Some(HardLossSpec::CrossEntropy),
         };
-        let ack = w.handle(Msg::UnlearnAssign {
-            serial: 0,
-            job,
-            removed: vec![0, 3],
-            teacher: teacher.clone(),
-        });
+        let ack = w.handle(
+            Msg::UnlearnAssign {
+                serial: 0,
+                job,
+                removed: vec![0, 3],
+                teacher: teacher.clone(),
+            },
+            &mut lane,
+        );
         // The ack reports the post-deletion dataset size (worker truth).
         assert!(matches!(ack, Msg::UnlearnAck { num_samples: 38 }));
-        let reply = w.handle(Msg::RoundAssign {
-            mode: RoundMode::Distill,
-            round: 0,
-            seed: 5,
-            nonce: 21,
-            cfg: spec.train_config(),
-            global: teacher.clone(),
-        });
+        let reply = w.handle(
+            Msg::RoundAssign {
+                mode: RoundMode::Distill,
+                round: 0,
+                seed: 5,
+                nonce: 21,
+                cfg: spec.train_config(),
+                global: teacher.clone(),
+            },
+            &mut lane,
+        );
         let Msg::UnlearnResult { weight, nonce, .. } = reply else {
             panic!("expected UnlearnResult, got {reply:?}");
         };
@@ -742,41 +775,51 @@ mod tests {
 
         // A training assignment exits unlearning mode — and trains on
         // the post-deletion dataset (the removal is permanent).
-        let reply = w.handle(Msg::RoundAssign {
-            mode: RoundMode::Train,
-            round: 1,
-            seed: 5,
-            nonce: 0,
-            cfg: spec.train_config(),
-            global: teacher.clone(),
-        });
+        let reply = w.handle(
+            Msg::RoundAssign {
+                mode: RoundMode::Train,
+                round: 1,
+                seed: 5,
+                nonce: 0,
+                cfg: spec.train_config(),
+                global: teacher.clone(),
+            },
+            &mut lane,
+        );
         let Msg::Update { weight, .. } = reply else {
             panic!("expected Update, got {reply:?}");
         };
         assert_eq!(weight, 38);
         // …so a further distill round is a protocol error again.
-        let reply = w.handle(Msg::RoundAssign {
-            mode: RoundMode::Distill,
-            round: 1,
-            seed: 5,
-            nonce: 0,
-            cfg: spec.train_config(),
-            global: teacher,
-        });
+        let reply = w.handle(
+            Msg::RoundAssign {
+                mode: RoundMode::Distill,
+                round: 1,
+                seed: 5,
+                nonce: 0,
+                cfg: spec.train_config(),
+                global: teacher,
+            },
+            &mut lane,
+        );
         assert!(matches!(reply, Msg::Err { .. }));
     }
 
     #[test]
     fn bad_requests_are_typed() {
         let (mut w, spec) = runtime();
-        let reply = w.handle(Msg::RoundAssign {
-            mode: RoundMode::Train,
-            round: 0,
-            seed: 0,
-            nonce: 0,
-            cfg: spec.train_config(),
-            global: vec![0.0; 3],
-        });
+        let mut lane = TrainLane::new();
+        let reply = w.handle(
+            Msg::RoundAssign {
+                mode: RoundMode::Train,
+                round: 0,
+                seed: 0,
+                nonce: 0,
+                cfg: spec.train_config(),
+                global: vec![0.0; 3],
+            },
+            &mut lane,
+        );
         assert!(matches!(
             reply,
             Msg::Err {
@@ -785,15 +828,18 @@ mod tests {
             }
         ));
         let teacher = (spec.factory())(0).state_vector();
-        let reply = w.handle(Msg::UnlearnAssign {
-            serial: 0,
-            job: UnlearnJob {
-                local: GoldfishLocalConfig::default(),
-                hard: Some(HardLossSpec::CrossEntropy),
+        let reply = w.handle(
+            Msg::UnlearnAssign {
+                serial: 0,
+                job: UnlearnJob {
+                    local: GoldfishLocalConfig::default(),
+                    hard: Some(HardLossSpec::CrossEntropy),
+                },
+                removed: vec![10_000],
+                teacher,
             },
-            removed: vec![10_000],
-            teacher,
-        });
+            &mut lane,
+        );
         assert!(matches!(
             reply,
             Msg::Err {
@@ -801,25 +847,32 @@ mod tests {
                 ..
             }
         ));
-        let reply = w.handle(Msg::Hello {
-            client_id: 0,
-            state_len: 0,
-            num_samples: 0,
-            resume: None,
-        });
+        let reply = w.handle(
+            Msg::Hello {
+                client_id: 0,
+                state_len: 0,
+                num_samples: 0,
+                resume: None,
+            },
+            &mut lane,
+        );
         assert!(matches!(reply, Msg::Err { .. }));
     }
 
     #[test]
     fn eval_reports_local_metrics() {
         let (mut w, spec) = runtime();
+        let mut lane = TrainLane::new();
         let global = (spec.factory())(3).state_vector();
-        let reply = w.handle(Msg::Eval {
-            round: 4,
-            accuracy: 0.0,
-            mse: 0.0,
-            global,
-        });
+        let reply = w.handle(
+            Msg::Eval {
+                round: 4,
+                accuracy: 0.0,
+                mse: 0.0,
+                global,
+            },
+            &mut lane,
+        );
         let Msg::Eval {
             round,
             accuracy,
@@ -833,6 +886,69 @@ mod tests {
         assert!((0.0..=1.0).contains(&accuracy));
         assert!(mse > 0.0);
         assert!(global.is_empty());
+    }
+
+    /// One lent lane, two runtimes, consecutive messages: every reply is
+    /// what a fresh `factory(seed)` network would have produced — the
+    /// lane carries capacity, never state, whoever used it last.
+    #[test]
+    fn a_lent_lane_equals_a_fresh_network_per_message() {
+        let (_, spec) = runtime();
+        // Clones of one factory (a fleet host's usual shape: the lane's
+        // network is reused) and a separately built one (it is rebuilt).
+        let shared = spec.factory();
+        for other in [Arc::clone(&shared), spec.factory()] {
+            let mut workers = [
+                WorkerRuntime::new(0, Arc::clone(&shared), spec.client_shard(0)),
+                WorkerRuntime::new(1, other, spec.client_shard(1)),
+            ];
+            let mut lane = TrainLane::new();
+            let cfg = spec.train_config();
+            let mut global = (shared)(3).state_vector();
+            for round in 0..2u64 {
+                for (id, w) in workers.iter_mut().enumerate() {
+                    let reply = w.handle(
+                        Msg::RoundAssign {
+                            mode: RoundMode::Train,
+                            round,
+                            seed: 11,
+                            nonce: 5,
+                            cfg,
+                            global: global.clone(),
+                        },
+                        &mut lane,
+                    );
+                    let Msg::Update { state, .. } = reply else {
+                        panic!("expected Update, got {reply:?}");
+                    };
+                    let s = client_seed(11, id, round as usize);
+                    let mut net = (shared)(s);
+                    net.set_state_vector(&global);
+                    train_local_ce(&mut net, &spec.client_shard(id), &cfg, s);
+                    assert_eq!(state, net.state_vector(), "round {round} client {id}");
+                    // The next message starts from this reply.
+                    global = state;
+
+                    let reply = w.handle(
+                        Msg::Eval {
+                            round,
+                            accuracy: 0.0,
+                            mse: 0.0,
+                            global: global.clone(),
+                        },
+                        &mut lane,
+                    );
+                    let Msg::Eval { accuracy, mse, .. } = reply else {
+                        panic!("expected Eval, got {reply:?}");
+                    };
+                    let mut net = (shared)(0);
+                    net.set_state_vector(&global);
+                    let data = spec.client_shard(id);
+                    assert_eq!(accuracy, eval::accuracy(&mut net, &data));
+                    assert_eq!(mse, eval::mse(&mut net, &data));
+                }
+            }
+        }
     }
 
     #[test]

@@ -11,17 +11,32 @@
 //!   sampled loopback run.
 //! * The single-threaded worker fleet host serves a federation and
 //!   winds down clean on `Shutdown`.
+//! * A length prefix is honoured only up to what the protocol phase can
+//!   carry: a 10-byte header announcing 200 MiB is a typed failure in
+//!   the handshake and as a round reply, with no payload ever sent.
+//! * Frame buffers are leased per in-flight frame: the leased gauge is 0
+//!   between rounds, its high-water follows frames concurrently in
+//!   flight (not the fleet size), and every failure path returns its
+//!   lease.
+
+use std::io::{Read, Write};
+use std::net::TcpStream;
+use std::time::{Duration, Instant};
 
 use goldfish_core::basic_model::GoldfishLocalConfig;
 use goldfish_core::GoldfishUnlearning;
-use goldfish_fed::transport::{RobustnessEvent, UpdateViolation};
+use goldfish_fed::transport::{
+    round_nonce, RobustnessEvent, RoundTransport, TrainAssign, TransportError, UpdateViolation,
+};
 use goldfish_serve::coordinator::{round_seed, Coordinator, CoordinatorConfig};
 use goldfish_serve::demo::DemoSpec;
 use goldfish_serve::fault::{ByzantineScript, FaultPlan, FaultyTransport};
 use goldfish_serve::fleet::run_fleet;
 use goldfish_serve::tcp::{bind, TcpConfig, TcpTransport};
 use goldfish_serve::transport::{LoopbackTransport, ServeTransport};
-use goldfish_serve::wire::FrameLimits;
+use goldfish_serve::wire::{
+    kind, read_frame, write_frame, FrameLimits, Msg, MAGIC, PROTOCOL_VERSION,
+};
 use goldfish_serve::worker::{run_worker, WorkerRuntime};
 
 const SEED: u64 = 42;
@@ -248,4 +263,271 @@ fn fleet_host_serves_rounds_and_shuts_down_clean() {
     let report = fleet.join().unwrap();
     assert_eq!(report.clean_shutdowns, spec.clients);
     assert_eq!(report.dropped, 0);
+}
+
+/// A valid GFWP header of `kind` announcing `len` payload bytes — and
+/// nothing after it.
+fn bare_header(kind: u8, len: u32) -> Vec<u8> {
+    let mut h = MAGIC.to_vec();
+    h.push(PROTOCOL_VERSION);
+    h.push(kind);
+    h.extend_from_slice(&len.to_le_bytes());
+    h
+}
+
+/// A hand-driven worker: registers as `id`, waits for the first round
+/// assignment, then hands the socket to `script`.
+fn scripted_worker(
+    addr: String,
+    spec: DemoSpec,
+    id: usize,
+    script: impl FnOnce(&mut TcpStream) + Send + 'static,
+) -> std::thread::JoinHandle<()> {
+    std::thread::spawn(move || {
+        let limits = FrameLimits::default();
+        let mut stream = TcpStream::connect(&addr).unwrap();
+        let hello = Msg::Hello {
+            client_id: id as u64,
+            state_len: (spec.factory())(0).state_len() as u64,
+            num_samples: spec.samples_per_client as u64,
+            resume: None,
+        };
+        write_frame(&mut stream, &hello, &limits).unwrap();
+        let (caps, _) = read_frame(&mut stream, &limits).unwrap();
+        assert!(matches!(caps, Msg::Capabilities { .. }), "got {caps:?}");
+        let (assign, _) = read_frame(&mut stream, &limits).unwrap();
+        assert!(matches!(assign, Msg::RoundAssign { .. }), "got {assign:?}");
+        script(&mut stream);
+    })
+}
+
+/// Blocks until the peer closes `stream` (EOF or reset).
+fn wait_for_close(stream: &mut TcpStream) {
+    stream
+        .set_read_timeout(Some(Duration::from_secs(20)))
+        .unwrap();
+    let mut sink = [0u8; 64];
+    loop {
+        match stream.read(&mut sink) {
+            Ok(0) => return,
+            Ok(_) => {}
+            Err(e) if e.kind() == std::io::ErrorKind::ConnectionReset => return,
+            Err(e) => panic!("peer never closed the connection: {e}"),
+        }
+    }
+}
+
+/// Regression: a 10-byte header used to make the coordinator zero-fill
+/// whatever its length prefix said, up to the 256 MiB default limit,
+/// before a single payload byte arrived. Each phase now bounds the prefix
+/// by what it can legally carry — a constant for the not-yet-validated
+/// handshake peer, `4·state_len` plus a fixed header for a reply.
+#[test]
+fn hostile_length_prefix_is_a_typed_failure_in_both_phases() {
+    const HOSTILE_LEN: u32 = 200 << 20;
+    let spec = demo(3);
+    let (listener, addr) = bind("127.0.0.1:0").unwrap();
+
+    // Handshake phase: a peer announcing a 200 MiB `Hello`. The
+    // coordinator hangs up on the header alone; no slot is consumed.
+    let intruder = {
+        let addr = addr.clone();
+        std::thread::spawn(move || {
+            let mut stream = TcpStream::connect(&addr).unwrap();
+            stream
+                .write_all(&bare_header(kind::HELLO, HOSTILE_LEN))
+                .unwrap();
+            wait_for_close(&mut stream);
+        })
+    };
+    // Reply phase: client 2 registers properly, then answers its first
+    // assignment with the same header and never sends a payload byte.
+    let hostile = scripted_worker(addr.clone(), spec, 2, |stream| {
+        stream
+            .write_all(&bare_header(kind::UPDATE, HOSTILE_LEN))
+            .unwrap();
+        wait_for_close(stream);
+    });
+    let mut workers = Vec::new();
+    for id in 0..2 {
+        let addr = addr.clone();
+        workers.push(std::thread::spawn(move || {
+            let mut runtime = WorkerRuntime::new(id, spec.factory(), spec.client_shard(id));
+            let _ = run_worker(&addr, &mut runtime, &FrameLimits::default());
+        }));
+    }
+
+    let state_len = (spec.factory())(0).state_len();
+    // The default 30 s reply deadline stays: the failure must be the
+    // header's, not a timeout's.
+    let mut transport =
+        TcpTransport::accept(&listener, spec.clients, state_len, TcpConfig::default()).unwrap();
+    intruder.join().unwrap();
+    assert_eq!(transport.live_clients(), vec![0, 1, 2], "a slot was lost");
+
+    let global = (spec.factory())(1).state_vector();
+    let cfg = spec.train_config();
+    let assign = TrainAssign {
+        round: 0,
+        seed: 3,
+        nonce: round_nonce(3, 0),
+        global: &global,
+        cfg: &cfg,
+    };
+    let mut cohort = Vec::new();
+    transport.cohort_into(&mut cohort);
+    let mut results = Vec::new();
+    let mut delivered = Vec::new();
+    let started = Instant::now();
+    transport.train_round(
+        &assign,
+        &cohort,
+        &mut |u| {
+            delivered.push(u.client_id);
+            Ok(())
+        },
+        &mut results,
+    );
+    assert!(started.elapsed() < Duration::from_secs(10), "waited it out");
+    assert_eq!(results[..2], [Ok(()), Ok(())]);
+    match &results[2] {
+        Err(TransportError::Protocol {
+            client_id: 2,
+            reason,
+        }) => assert!(reason.contains("exceeds"), "not the frame bound: {reason}"),
+        other => panic!("expected a typed frame-bound failure, got {other:?}"),
+    }
+    delivered.sort_unstable();
+    assert_eq!(delivered, vec![0, 1], "the round went on for the others");
+    assert_eq!(transport.live_clients(), vec![0, 1]);
+
+    transport.shutdown();
+    drop(transport);
+    hostile.join().unwrap();
+    for w in workers {
+        w.join().unwrap();
+    }
+}
+
+/// Frame buffers follow frames in flight: over a 32-worker fleet the
+/// coordinator's leased gauge reads 0 between rounds and its high-water
+/// stays far below the fleet size, on both ends of the sockets.
+#[test]
+fn frame_buffer_leases_follow_frames_in_flight_not_the_fleet() {
+    let spec = demo(32);
+    let (listener, addr) = bind("127.0.0.1:0").unwrap();
+    let fleet = std::thread::spawn(move || {
+        let factory = spec.factory();
+        let mut runtimes: Vec<WorkerRuntime> = (0..spec.clients)
+            .map(|id| WorkerRuntime::new(id, factory.clone(), spec.client_shard(id)))
+            .collect();
+        run_fleet(&addr, &mut runtimes, &FrameLimits::default()).unwrap()
+    });
+
+    let state_len = (spec.factory())(0).state_len();
+    let transport =
+        TcpTransport::accept(&listener, spec.clients, state_len, TcpConfig::default()).unwrap();
+    let mut c = Coordinator::new(
+        spec.factory(),
+        spec.test_set(),
+        transport,
+        coordinator_config(&spec),
+    );
+    for r in 0..3 {
+        let summary = c.train_round(r, round_seed(SEED, r)).unwrap();
+        assert_eq!(summary.client_sizes.len(), spec.clients);
+        assert_eq!(c.telemetry().frame_buffers_leased.get(), 0, "round {r}");
+    }
+    let high_water = c.telemetry().frame_buffers_high_water.get();
+    assert!(
+        (1..=8).contains(&high_water),
+        "{high_water} buffers at once for 32 workers"
+    );
+    // The gauges are on the exported catalog.
+    let text = c.telemetry().prometheus_text();
+    assert!(text.contains("goldfish_frame_buffers_leased 0"), "{text}");
+    assert!(text.contains("goldfish_frame_buffers_high_water"), "{text}");
+
+    c.transport_mut().shutdown();
+    drop(c);
+    let report = fleet.join().unwrap();
+    assert_eq!(report.clean_shutdowns, spec.clients);
+    assert!(
+        (1..=8).contains(&report.peak_frame_buffers),
+        "fleet host held {} buffers at once",
+        report.peak_frame_buffers
+    );
+}
+
+/// Every way a reply can fail returns its lease: a frame that does not
+/// decode, a connection that stalls mid-frame past the deadline, and a
+/// reply whose handler panics.
+#[test]
+fn failed_replies_return_their_frame_buffer_lease() {
+    let spec = demo(4);
+    let (listener, addr) = bind("127.0.0.1:0").unwrap();
+    let mut workers = Vec::new();
+    // Clients 0 and 3: honest workers (3's reply blows up its handler).
+    for id in [0, 3] {
+        let addr = addr.clone();
+        workers.push(std::thread::spawn(move || {
+            let mut runtime = WorkerRuntime::new(id, spec.factory(), spec.client_shard(id));
+            let _ = run_worker(&addr, &mut runtime, &FrameLimits::default());
+        }));
+    }
+    // Client 1: a complete `Update` frame whose payload is too short to
+    // decode.
+    workers.push(scripted_worker(addr.clone(), spec, 1, |stream| {
+        let mut frame = bare_header(kind::UPDATE, 16);
+        frame.extend_from_slice(&[0xAB; 16]);
+        stream.write_all(&frame).unwrap();
+        wait_for_close(stream);
+    }));
+    // Client 2: starts a reply, then stalls mid-frame (lease held) until
+    // the deadline passes.
+    workers.push(scripted_worker(addr.clone(), spec, 2, |stream| {
+        let mut frame = bare_header(kind::UPDATE, 1000);
+        frame.extend_from_slice(&[0u8; 10]);
+        stream.write_all(&frame).unwrap();
+        wait_for_close(stream);
+    }));
+
+    let state_len = (spec.factory())(0).state_len();
+    let cfg = TcpConfig {
+        read_timeout: Duration::from_millis(1500),
+        ..TcpConfig::default()
+    };
+    let transport = TcpTransport::accept(&listener, spec.clients, state_len, cfg).unwrap();
+    let transport = FaultyTransport::new(
+        transport,
+        FaultPlan::new().byzantine(3, ByzantineScript::Panic),
+    );
+    let mut c = Coordinator::new(
+        spec.factory(),
+        spec.test_set(),
+        transport,
+        coordinator_config(&spec),
+    );
+
+    // The round completes over the one survivor.
+    let summary = c.train_round(0, round_seed(SEED, 0)).unwrap();
+    assert_eq!(summary.client_sizes, vec![spec.samples_per_client]);
+    assert_eq!(c.transport().inner().live_clients(), vec![0]);
+    assert!(c.robustness_log().iter().any(|e| matches!(
+        e,
+        RobustnessEvent::Violation {
+            client_id: 3,
+            violation: UpdateViolation::HandlerPanic,
+            ..
+        }
+    )));
+    // Four replies were read (one only partly); none kept its buffer.
+    assert_eq!(c.telemetry().frame_buffers_leased.get(), 0);
+    assert!(c.telemetry().frame_buffers_high_water.get() >= 1);
+
+    c.transport_mut().shutdown();
+    drop(c);
+    for w in workers {
+        w.join().unwrap();
+    }
 }

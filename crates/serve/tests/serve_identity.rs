@@ -148,6 +148,91 @@ fn loopback_unlearning_matches_library_method() {
     );
 }
 
+/// Lanes, not per-client workers: whichever of the (at most `threads`)
+/// lanes a client's task checks out — across thread counts, a sampled
+/// cohort that changes between rounds and a quarantined client — every
+/// upload equals the library's fresh-network-per-client `LoopbackClients`
+/// executor bitwise, and exactly the cohort is contacted, in id order.
+#[test]
+fn loopback_lanes_match_the_per_client_oracle_bitwise() {
+    use goldfish_fed::transport::{
+        round_nonce, LoopbackClients, RoundTransport, StreamedUpdate, TrainAssign,
+    };
+
+    type Upload = (usize, usize, Vec<f32>);
+    fn collect<T: RoundTransport>(
+        t: &mut T,
+        assign: &TrainAssign<'_>,
+        cohort: &[(usize, usize)],
+    ) -> Vec<Upload> {
+        let mut uploads = Vec::new();
+        let mut results = Vec::new();
+        t.train_round(
+            assign,
+            cohort,
+            &mut |u: StreamedUpdate<'_>| {
+                uploads.push((u.client_id, u.num_samples, u.state.to_vec()));
+                Ok(())
+            },
+            &mut results,
+        );
+        assert_eq!(results, vec![Ok(()); cohort.len()]);
+        uploads
+    }
+
+    const QUARANTINED: usize = 3;
+    for clients in [64usize, 5] {
+        let spec = DemoSpec {
+            clients,
+            samples_per_client: 12,
+            test_samples: 10,
+            seed: 19,
+        };
+        let factory = spec.factory();
+        let shards = spec.client_shards();
+        let cfg = spec.train_config();
+        for threads in [1usize, 2, 5] {
+            let mut lanes = LoopbackTransport::new(factory.clone(), shards.clone(), Some(threads));
+            assert!(lanes.quarantine(QUARANTINED));
+            let mut oracle = LoopbackClients::new(&factory, &shards, Some(threads));
+            let mut live = Vec::new();
+            lanes.cohort_into(&mut live);
+            assert_eq!(live.len(), clients - 1);
+            assert!(live.iter().all(|&(id, _)| id != QUARANTINED));
+
+            let mut global = (factory)(1).state_vector();
+            for round in 0..3 {
+                // Round 0: everyone live. Then two different samples, so
+                // a client changes position (and likely lane) between
+                // rounds.
+                let cohort: Vec<(usize, usize)> = match round {
+                    0 => live.clone(),
+                    r => live.iter().copied().skip(r - 1).step_by(2).collect(),
+                };
+                let seed = round_seed(SEED, round);
+                let assign = TrainAssign {
+                    round,
+                    seed,
+                    nonce: round_nonce(seed, round),
+                    global: &global,
+                    cfg: &cfg,
+                };
+                let got = collect(&mut lanes, &assign, &cohort);
+                let want = collect(&mut oracle, &assign, &cohort);
+                let contacted: Vec<(usize, usize)> =
+                    got.iter().map(|(id, n, _)| (*id, *n)).collect();
+                assert_eq!(contacted, cohort, "{clients} clients, {threads} threads");
+                assert_eq!(
+                    got, want,
+                    "{clients} clients, {threads} threads, round {round}"
+                );
+                // Next round starts somewhere else: the first upload.
+                global = got[0].2.clone();
+            }
+        }
+    }
+}
+
 /// Spawns `spec.clients` worker threads against an ephemeral listener
 /// and returns the accepted transport.
 fn tcp_pair(spec: &DemoSpec) -> (TcpTransport, Vec<std::thread::JoinHandle<()>>) {

@@ -1,19 +1,25 @@
 //! Pins ISSUE 5's "zero heap allocations per steady-state loopback
 //! round" guarantee on the serve hot path, with a counting global
 //! allocator: encode-once assignment (borrowed straight from the
-//! coordinator's global), persistent per-client loopback workers
+//! coordinator's global), persistent loopback training lanes
 //! (network arenas + gather buffers + optimizer velocity reused),
 //! streaming fixed-slot aggregation, and the global-buffer swap. Kept in
 //! its own integration-test binary so no concurrent test can allocate
-//! while the counter is armed.
+//! while the counter is armed (the two tests here take turns on a lock).
+//!
+//! The same allocator also tracks live bytes, which pins ISSUE 15's
+//! memory shape: what a loopback federation keeps resident after warm-up
+//! is one training lane per pool thread plus one output state per cohort
+//! member — not one full worker per registered client.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use goldfish::core::GoldfishUnlearning;
 use goldfish::fed::pool;
+use goldfish::fed::trainer::TrainLane;
 use goldfish::fed::transport::round_seed;
 use goldfish::serve::coordinator::{Coordinator, CoordinatorConfig};
 use goldfish::serve::demo::DemoSpec;
@@ -22,21 +28,28 @@ use goldfish::serve::transport::LoopbackTransport;
 use goldfish::telemetry::clock::Clock;
 use goldfish::telemetry::events::Trace;
 
-/// Counts allocations (and growth reallocations) while armed.
+/// Counts allocations (and growth reallocations) while armed, and live
+/// heap bytes always.
 struct CountingAlloc;
 
 static ALLOCS: AtomicUsize = AtomicUsize::new(0);
 static ARMED: AtomicBool = AtomicBool::new(false);
+static LIVE_BYTES: AtomicUsize = AtomicUsize::new(0);
+/// The tests of this binary run one at a time: both read process-wide
+/// allocator state.
+static TURN: Mutex<()> = Mutex::new(());
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         if ARMED.load(Ordering::Relaxed) {
             ALLOCS.fetch_add(1, Ordering::Relaxed);
         }
+        LIVE_BYTES.fetch_add(layout.size(), Ordering::Relaxed);
         System.alloc(layout)
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        LIVE_BYTES.fetch_sub(layout.size(), Ordering::Relaxed);
         System.dealloc(ptr, layout)
     }
 
@@ -44,6 +57,8 @@ unsafe impl GlobalAlloc for CountingAlloc {
         if ARMED.load(Ordering::Relaxed) {
             ALLOCS.fetch_add(1, Ordering::Relaxed);
         }
+        LIVE_BYTES.fetch_add(new_size, Ordering::Relaxed);
+        LIVE_BYTES.fetch_sub(layout.size(), Ordering::Relaxed);
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -51,8 +66,83 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
+/// Live heap bytes `f` left behind.
+fn resident_after<R>(f: impl FnOnce() -> R) -> (usize, R) {
+    let before = LIVE_BYTES.load(Ordering::SeqCst);
+    let out = f();
+    let after = LIVE_BYTES.load(Ordering::SeqCst);
+    (after.saturating_sub(before), out)
+}
+
+/// Resident round memory follows executing threads and the cohort, not
+/// the registry: after warm-up a 64-client loopback federation on a
+/// 2-thread pool holds 2 lanes + 64 output states (plus the round
+/// runtime's few state-sized buffers) — the per-client-worker layout it
+/// replaced held 64 lanes + 64 states and fails this bound.
+#[test]
+fn loopback_resident_memory_follows_lanes_not_clients() {
+    let _turn = TURN.lock().unwrap_or_else(|e| e.into_inner());
+    const CLIENTS: usize = 64;
+    const THREADS: usize = 2;
+    let spec = DemoSpec {
+        clients: CLIENTS,
+        samples_per_client: 40,
+        test_samples: 20,
+        seed: 23,
+    };
+    let factory = spec.factory();
+    let shards = spec.client_shards();
+    let cfg = spec.train_config();
+    let global = (factory)(1).state_vector();
+    let state_bytes = global.len() * std::mem::size_of::<f32>();
+
+    // What one warmed lane weighs, measured rather than assumed.
+    let (lane_bytes, _lane) = resident_after(|| {
+        let mut lane = TrainLane::new();
+        let mut out = Vec::new();
+        lane.train(&factory, &global, &shards[0], &cfg, 7, &mut out);
+        lane
+    });
+    assert!(
+        lane_bytes > state_bytes,
+        "a lane holds at least its network"
+    );
+
+    let transport = LoopbackTransport::new(factory.clone(), shards, Some(THREADS));
+    let mut c = Coordinator::new(
+        factory,
+        spec.test_set(),
+        transport,
+        CoordinatorConfig {
+            train: cfg,
+            method: GoldfishUnlearning::default(),
+            unlearn_rounds: 1,
+            init_seed: 1,
+            threads: Some(THREADS),
+            ..CoordinatorConfig::default()
+        },
+    );
+    let (resident, ()) = resident_after(|| {
+        for r in 0..3 {
+            c.train_round_hot(r, round_seed(7, r)).unwrap();
+        }
+    });
+    let shape = THREADS * lane_bytes + CLIENTS * state_bytes;
+    assert!(
+        resident <= shape + shape / 2,
+        "warm 64-client federation keeps {resident} B resident; \
+         2 lanes + 64 output states is {shape} B (lane {lane_bytes} B, state {state_bytes} B)"
+    );
+    // The bound means something: one worker per client would not fit.
+    assert!(
+        CLIENTS * (lane_bytes + state_bytes) > 2 * shape,
+        "bound too loose"
+    );
+}
+
 #[test]
 fn steady_state_loopback_round_is_allocation_free() {
+    let _turn = TURN.lock().unwrap_or_else(|e| e.into_inner());
     // The serving hot path at single-thread pool size (the parallel
     // scope of the vendored rayon allocates its task queue; with one
     // thread every stage runs inline, same bits — thread count is pinned

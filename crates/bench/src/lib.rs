@@ -11,19 +11,13 @@
 //! * `--seed N` — change the experiment seed (default 42).
 //!
 //! Outputs are printed as aligned text tables mirroring the paper's
-//! layout (see `DESIGN.md` §4); the perf baselines live in
-//! `BENCH_kernels.json` (kernel shapes, written by `bench_kernels`) and
-//! `BENCH_round.json` (end-to-end round throughput, written by
-//! `bench_round` against the preserved seed pipeline in [`legacy`]).
+//! layout (see `DESIGN.md` §4). Performance is measured elsewhere: the
+//! standalone `goldfish-benchmark` package under `benchmark/` is the
+//! repository's one timing surface.
 
-// `deny` instead of `forbid`: the one sanctioned exception is the
-// byte-tracking global allocator in `report::heap` (a `GlobalAlloc`
-// impl is inherently unsafe), which carries its own scoped `allow`.
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod args;
-pub mod fixtures;
-pub mod legacy;
 pub mod report;
 pub mod workloads;

@@ -1,10 +1,4 @@
-//! Aligned text-table printing and perf-baseline reporting for the
-//! experiment binaries.
-//!
-//! Every `bench_*` binary follows the same protocol: time scenarios
-//! ([`time_fn`]), derive speedups, and emit a stable-keyed JSON baseline
-//! (`BENCH_*.json`) honouring the shared `--out` flag. [`PerfReport`]
-//! owns that protocol once — the binaries only contribute scenarios.
+//! Aligned text-table printing for the experiment binaries.
 
 /// A simple fixed-width table printer producing paper-style rows.
 #[derive(Debug, Default)]
@@ -72,255 +66,6 @@ impl Table {
     }
 }
 
-/// One timed kernel measurement destined for a perf-baseline JSON file.
-#[derive(Debug, Clone, PartialEq)]
-pub struct BenchRecord {
-    /// Benchmark name, e.g. `matmul_256_naive`.
-    pub name: String,
-    /// Median wall time per call in nanoseconds.
-    pub median_ns: f64,
-    /// Fastest observed call in nanoseconds.
-    pub min_ns: f64,
-    /// Number of timed samples.
-    pub samples: usize,
-}
-
-/// Escapes a string for embedding in a JSON document.
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// Renders a perf-baseline document: timed records plus derived speedup
-/// ratios, with free-form string metadata. Hand-rolled (serde is a marker
-/// stub in this offline workspace) but stable-keyed so baselines diff
-/// cleanly across commits.
-pub fn perf_baseline_json(
-    meta: &[(&str, String)],
-    records: &[BenchRecord],
-    speedups: &[(&str, f64)],
-) -> String {
-    let mut out = String::from("{\n  \"meta\": {\n");
-    for (i, (k, v)) in meta.iter().enumerate() {
-        let comma = if i + 1 < meta.len() { "," } else { "" };
-        out.push_str(&format!(
-            "    \"{}\": \"{}\"{comma}\n",
-            json_escape(k),
-            json_escape(v)
-        ));
-    }
-    out.push_str("  },\n  \"benchmarks\": [\n");
-    for (i, r) in records.iter().enumerate() {
-        let comma = if i + 1 < records.len() { "," } else { "" };
-        out.push_str(&format!(
-            "    {{\"name\": \"{}\", \"median_ns\": {:.0}, \"min_ns\": {:.0}, \"samples\": {}}}{comma}\n",
-            json_escape(&r.name),
-            r.median_ns,
-            r.min_ns,
-            r.samples
-        ));
-    }
-    out.push_str("  ],\n  \"speedups\": {\n");
-    for (i, (k, v)) in speedups.iter().enumerate() {
-        let comma = if i + 1 < speedups.len() { "," } else { "" };
-        out.push_str(&format!("    \"{}\": {v:.3}{comma}\n", json_escape(k)));
-    }
-    out.push_str("  }\n}\n");
-    out
-}
-
-/// Times `f` (after one warm-up call) and records median/min over
-/// `samples` runs — the shared stopwatch of every perf binary.
-pub fn time_fn(name: &str, samples: usize, mut f: impl FnMut()) -> BenchRecord {
-    f();
-    let mut times: Vec<f64> = (0..samples)
-        .map(|_| {
-            let t = std::time::Instant::now();
-            f();
-            t.elapsed().as_secs_f64() * 1e9
-        })
-        .collect();
-    times.sort_by(|a, b| a.total_cmp(b));
-    BenchRecord {
-        name: name.to_string(),
-        median_ns: times[times.len() / 2],
-        min_ns: times[0],
-        samples,
-    }
-}
-
-/// Collects one perf binary's records, speedups and metadata, and emits
-/// the JSON baseline. Construction stamps the shared metadata every
-/// baseline carries (schema, seed, pool threads, `--quick`).
-#[derive(Debug)]
-pub struct PerfReport {
-    meta: Vec<(String, String)>,
-    records: Vec<BenchRecord>,
-    speedups: Vec<(String, f64)>,
-}
-
-impl PerfReport {
-    /// Starts a report for the given schema tag and experiment seed.
-    pub fn new(schema: &str, seed: u64) -> Self {
-        let quick = if crate::args::quick() {
-            "true"
-        } else {
-            "false"
-        };
-        PerfReport {
-            meta: vec![
-                ("schema".into(), schema.to_string()),
-                ("seed".into(), seed.to_string()),
-                (
-                    "threads".into(),
-                    goldfish_fed::pool::effective_threads(None).to_string(),
-                ),
-                ("quick".into(), quick.to_string()),
-            ],
-            records: Vec::new(),
-            speedups: Vec::new(),
-        }
-    }
-
-    /// Adds a free-form metadata entry.
-    pub fn meta(&mut self, key: &str, value: impl Into<String>) {
-        self.meta.push((key.to_string(), value.into()));
-    }
-
-    /// Times a scenario via [`time_fn`], records it, and returns the
-    /// measurement for derived figures.
-    pub fn time(&mut self, name: &str, samples: usize, f: impl FnMut()) -> BenchRecord {
-        let r = time_fn(name, samples, f);
-        self.records.push(r.clone());
-        r
-    }
-
-    /// Records an externally produced measurement.
-    pub fn record(&mut self, r: BenchRecord) {
-        self.records.push(r);
-    }
-
-    /// Adds a derived speedup/ratio entry.
-    pub fn speedup(&mut self, name: &str, value: f64) {
-        self.speedups.push((name.to_string(), value));
-    }
-
-    /// Renders the JSON document.
-    pub fn to_json(&self) -> String {
-        let meta: Vec<(&str, String)> = self
-            .meta
-            .iter()
-            .map(|(k, v)| (k.as_str(), v.clone()))
-            .collect();
-        let speedups: Vec<(&str, f64)> = self
-            .speedups
-            .iter()
-            .map(|(k, v)| (k.as_str(), *v))
-            .collect();
-        perf_baseline_json(&meta, &self.records, &speedups)
-    }
-
-    /// Writes the baseline to `--out` (falling back to `default_path`)
-    /// and prints the destination.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the file cannot be written.
-    pub fn write(&self, default_path: &str) {
-        let out_path = crate::args::value_of("--out").unwrap_or_else(|| default_path.to_string());
-        std::fs::write(&out_path, self.to_json()).expect("write perf baseline");
-        println!("\nwrote {out_path}");
-    }
-}
-
-/// Heap accounting for perf binaries: a byte-tracking global allocator
-/// plus peak-measurement helpers. A binary opts in with
-///
-/// ```ignore
-/// #[global_allocator]
-/// static ALLOC: goldfish_bench::report::heap::TrackingAlloc =
-///     goldfish_bench::report::heap::TrackingAlloc;
-/// ```
-///
-/// and then brackets a scenario with [`heap::reset_peak`] /
-/// [`heap::peak_delta_bytes`] to report "peak per-round heap bytes".
-#[allow(unsafe_code)]
-pub mod heap {
-    use std::alloc::{GlobalAlloc, Layout, System};
-    use std::sync::atomic::{AtomicUsize, Ordering};
-
-    static CURRENT: AtomicUsize = AtomicUsize::new(0);
-    static PEAK: AtomicUsize = AtomicUsize::new(0);
-
-    /// Tracks live heap bytes and their high-water mark (cheap relaxed
-    /// atomics; the accounting is approximate under heavy concurrency
-    /// but exact enough for per-round peaks).
-    pub struct TrackingAlloc;
-
-    fn on_alloc(size: usize) {
-        let now = CURRENT.fetch_add(size, Ordering::Relaxed) + size;
-        PEAK.fetch_max(now, Ordering::Relaxed);
-    }
-
-    fn on_dealloc(size: usize) {
-        CURRENT.fetch_sub(size, Ordering::Relaxed);
-    }
-
-    unsafe impl GlobalAlloc for TrackingAlloc {
-        unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-            let p = System.alloc(layout);
-            if !p.is_null() {
-                on_alloc(layout.size());
-            }
-            p
-        }
-
-        unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-            System.dealloc(ptr, layout);
-            on_dealloc(layout.size());
-        }
-
-        unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-            let p = System.realloc(ptr, layout, new_size);
-            if !p.is_null() {
-                on_dealloc(layout.size());
-                on_alloc(new_size);
-            }
-            p
-        }
-    }
-
-    /// Live heap bytes right now.
-    pub fn current_bytes() -> usize {
-        CURRENT.load(Ordering::Relaxed)
-    }
-
-    /// Resets the high-water mark to the current live size and returns
-    /// that baseline.
-    pub fn reset_peak() -> usize {
-        let now = CURRENT.load(Ordering::Relaxed);
-        PEAK.store(now, Ordering::Relaxed);
-        now
-    }
-
-    /// Peak bytes above `baseline` since the last [`reset_peak`] —
-    /// "how much extra heap did this scenario need".
-    pub fn peak_delta_bytes(baseline: usize) -> usize {
-        PEAK.load(Ordering::Relaxed).saturating_sub(baseline)
-    }
-}
-
 /// Formats a fraction as a percentage with two decimals (paper style).
 pub fn pct(x: f64) -> String {
     format!("{:.2}", 100.0 * x)
@@ -361,52 +106,5 @@ mod tests {
     fn formatting_helpers() {
         assert_eq!(pct(0.9267), "92.67");
         assert_eq!(num(0.637_42, 2), "0.64");
-    }
-
-    #[test]
-    fn json_escaping() {
-        assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-    }
-
-    #[test]
-    fn perf_report_collects_and_renders() {
-        let mut rep = PerfReport::new("test-schema-v1", 7);
-        rep.meta("workload", "tiny");
-        let r = rep.time("noop", 3, || {
-            std::hint::black_box(1 + 1);
-        });
-        assert_eq!(r.samples, 3);
-        rep.record(BenchRecord {
-            name: "external".into(),
-            median_ns: 10.0,
-            min_ns: 9.0,
-            samples: 1,
-        });
-        rep.speedup("noop_vs_external", 2.0);
-        let doc = rep.to_json();
-        assert!(doc.contains("\"schema\": \"test-schema-v1\""));
-        assert!(doc.contains("\"seed\": \"7\""));
-        assert!(doc.contains("\"workload\": \"tiny\""));
-        assert!(doc.contains("\"noop\""));
-        assert!(doc.contains("\"external\""));
-        assert!(doc.contains("\"noop_vs_external\": 2.000"));
-    }
-
-    #[test]
-    fn perf_baseline_document_shape() {
-        let doc = perf_baseline_json(
-            &[("host", "ci".to_string())],
-            &[BenchRecord {
-                name: "matmul_256_naive".into(),
-                median_ns: 1.5e6,
-                min_ns: 1.4e6,
-                samples: 9,
-            }],
-            &[("matmul_256", 3.4)],
-        );
-        assert!(doc.contains("\"matmul_256_naive\""));
-        assert!(doc.contains("\"median_ns\": 1500000"));
-        assert!(doc.contains("\"matmul_256\": 3.400"));
-        assert!(doc.ends_with("}\n"));
     }
 }

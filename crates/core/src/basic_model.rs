@@ -103,8 +103,7 @@ pub struct GoldfishLocalStats {
 /// the cache; a short tail batch falls back to a direct forward pass
 /// through the cache's own teacher (its dedicated inference
 /// workspace), exactly as the per-batch pipeline would have computed
-/// it. Pinned by `tests/unlearn_identity.rs` and the `bench_unlearn`
-/// identity gate.
+/// it. Pinned by `tests/unlearn_identity.rs`.
 #[derive(Debug)]
 pub struct TeacherCache {
     /// The frozen teacher, kept for short-batch fallback forwards.

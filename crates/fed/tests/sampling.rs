@@ -7,7 +7,7 @@
 //! cohort, never re-draw it or disturb which registered clients are
 //! eligible for the next round.
 
-use goldfish_fed::aggregate::{AggregationStrategy, FedAvg};
+use goldfish_fed::aggregate::{AggregationStrategy, ClientUpdate, FedAvg};
 use goldfish_fed::sampling::{cohort_seed, cohort_size, sample_cohort_into, splitmix64};
 use goldfish_fed::trainer::TrainConfig;
 use goldfish_fed::transport::{
@@ -239,6 +239,21 @@ proptest! {
             &cohort,
             &sample(cohort_seed(round_seed), fraction, &registry)
         );
+        // First principles: the aggregate is the sample-count-weighted
+        // mean (`FedAvg` = `weighted_mean`) of exactly the drawn cohort's
+        // states.
+        let feed = RegistryFeed::new(Vec::new(), 17);
+        let updates: Vec<ClientUpdate> = cohort
+            .iter()
+            .map(|&(client_id, num_samples)| ClientUpdate {
+                client_id,
+                state: feed.state_of(client_id),
+                num_samples,
+                server_mse: None,
+            })
+            .collect();
+        let oracle = FedAvg.aggregate(&updates);
+        prop_assert_eq!(&bits, &oracle.iter().map(|v| v.to_bits()).collect::<Vec<_>>());
         // Registration order + arrival order + thread count shuffled:
         // identical draw, identical aggregate.
         let (c2, b2) = run_sampled(

@@ -184,7 +184,7 @@ impl CoordinatorConfig {
 }
 
 /// Running totals of the coordinator's drain phase (the unlearning
-/// queue's visibility counters, reported by `bench_serve`).
+/// queue's visibility counters).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DrainStats {
     /// Unlearning requests served across all drains.

@@ -4,8 +4,7 @@
 //! datasets around. The demo workload is a pure function of
 //! `(seed, clients, samples_per_client)`: every process generates the
 //! same synthetic-MNIST pool (`goldfish_data::synthetic`) and slices its
-//! own contiguous shard, exactly like `goldfish-bench`'s round workload
-//! does in one process.
+//! own contiguous shard.
 
 use std::sync::Arc;
 

@@ -538,18 +538,21 @@ impl<T: ServeTransport> ServeTransport for FaultyTransport<T> {
         round: usize,
         global: &[f32],
     ) -> Vec<Result<LocalEval, TransportError>> {
-        let n = RoundTransport::num_clients(&self.inner);
+        let mut live = Vec::new();
+        self.inner.cohort_into(&mut live);
         let fate = self.begin_op();
-        if self.killed || fate.kill_before {
+        let dead = self.killed || fate.kill_before;
+        if dead || fate.kill_after {
+            if !dead {
+                self.inner.local_eval(round, global);
+            }
             self.killed = true;
-            return (0..n).map(|id| Err(self.dead_error(id))).collect();
+            return live
+                .iter()
+                .map(|&(id, _)| Err(self.dead_error(id)))
+                .collect();
         }
-        let results = self.inner.local_eval(round, global);
-        if fate.kill_after {
-            self.killed = true;
-            return (0..n).map(|id| Err(self.dead_error(id))).collect();
-        }
-        results
+        self.inner.local_eval(round, global)
     }
 
     fn set_read_timeout(&mut self, timeout: std::time::Duration) {
@@ -699,5 +702,12 @@ mod tests {
         t.train_round(&assign, &cohort, &mut |_| Ok(()), &mut results);
         assert_eq!(failed(&results), [Some(0), Some(2), Some(3)]);
         assert!(t.killed());
+        // So does an eval fan-out: live ids, not positions 0..3.
+        let blamed: Vec<_> = t
+            .local_eval(0, &global)
+            .iter()
+            .map(|r| r.as_ref().err().and_then(|e| e.client_id()))
+            .collect();
+        assert_eq!(blamed, [Some(0), Some(2), Some(3)]);
     }
 }

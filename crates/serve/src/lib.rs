@@ -60,8 +60,9 @@
 //!   registry as Prometheus text, JSON and a status table.
 //!
 //! Daemons: `goldfish-coordinator` and `goldfish-worker` (see the root
-//! README for a quickstart); `bench_serve` in `goldfish-bench` measures
-//! rounds/sec and wire bytes/round for both transports.
+//! README for a quickstart); `goldfish-benchmark`'s `fanout_tcp`
+//! workload measures rounds/sec and wire bytes/round over real sockets
+//! beside a loopback twin.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -408,10 +408,16 @@ impl ServeTransport for LoopbackTransport {
         _round: usize,
         global: &[f32],
     ) -> Vec<Result<LocalEval, TransportError>> {
+        // Live clients only, like every round: a quarantined client is
+        // out of the federation here exactly as its closed connection is
+        // on TCP.
+        let mut live = Vec::new();
+        self.cohort_into(&mut live);
         let (factory, clients, lanes) = (&self.factory, &self.clients, &self.lanes);
-        let mut evals: Vec<Option<LocalEval>> = (0..clients.len()).map(|_| None).collect();
+        let mut evals: Vec<Option<LocalEval>> = live.iter().map(|_| None).collect();
         pool::install(self.threads, || {
-            pool::for_each_slot(&mut evals, |id, slot| {
+            pool::for_each_slot(&mut evals, |pos, slot| {
+                let id = live[pos].0;
                 let (accuracy, mse) = lanes.with(|lane| lane.eval(factory, global, &clients[id]));
                 *slot = Some(LocalEval {
                     client_id: id,

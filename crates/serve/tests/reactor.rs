@@ -25,6 +25,7 @@ use std::time::{Duration, Instant};
 
 use goldfish_core::basic_model::GoldfishLocalConfig;
 use goldfish_core::GoldfishUnlearning;
+use goldfish_fed::sampling::{cohort_seed, sample_cohort_into};
 use goldfish_fed::transport::{
     round_nonce, RobustnessEvent, RoundTransport, TrainAssign, TransportError, UpdateViolation,
 };
@@ -414,49 +415,83 @@ fn hostile_length_prefix_is_a_typed_failure_in_both_phases() {
 /// stays far below the fleet size, on both ends of the sockets.
 #[test]
 fn frame_buffer_leases_follow_frames_in_flight_not_the_fleet() {
-    let spec = demo(32);
+    let seeds = [0, 1, 2].map(|r| round_seed(SEED, r));
+    fleet_rounds(demo(32), 32, 32, &seeds);
+
+    // A round costs what its cohort costs, not what the registry holds:
+    // the same four members (round seeds whose 4-of-128 draw falls among
+    // ids 0..32) out of a registry four times larger move the same bytes
+    // and commit the same global.
+    let registry: Vec<(usize, usize)> = (0..128).map(|id| (id, 0)).collect();
+    let mut draws_low_ids = |seed: &u64| {
+        let (mut drawn, mut scratch, s) = (Vec::new(), Vec::new(), cohort_seed(*seed));
+        sample_cohort_into(s, 4.0 / 128.0, &registry, &mut drawn, &mut scratch);
+        drawn.iter().all(|&(id, _)| id < 32)
+    };
+    let seeds = seeds.map(|s| (s..).find(&mut draws_low_ids).unwrap());
+    let small = fleet_rounds(demo(128), 32, 4, &seeds);
+    assert_eq!(fleet_rounds(demo(128), 128, 4, &seeds), small);
+}
+
+/// One round per seed over `cohort` members of a registry made of the
+/// first `clients` of `spec`'s workers, hosted by one `run_fleet`: the
+/// lease gauges stay within the cohort. Returns each round's wire bytes
+/// and the final global.
+fn fleet_rounds(
+    spec: DemoSpec,
+    clients: usize,
+    cohort: usize,
+    seeds: &[u64],
+) -> (Vec<u64>, Vec<f32>) {
+    let most = cohort.min(8);
     let (listener, addr) = bind("127.0.0.1:0").unwrap();
     let fleet = std::thread::spawn(move || {
         let factory = spec.factory();
-        let mut runtimes: Vec<WorkerRuntime> = (0..spec.clients)
-            .map(|id| WorkerRuntime::new(id, factory.clone(), spec.client_shard(id)))
+        let mut runtimes: Vec<WorkerRuntime> = (spec.client_shards().into_iter().take(clients))
+            .enumerate()
+            .map(|(id, shard)| WorkerRuntime::new(id, factory.clone(), shard))
             .collect();
         run_fleet(&addr, &mut runtimes, &FrameLimits::default()).unwrap()
     });
 
     let state_len = (spec.factory())(0).state_len();
     let transport =
-        TcpTransport::accept(&listener, spec.clients, state_len, TcpConfig::default()).unwrap();
+        TcpTransport::accept(&listener, clients, state_len, TcpConfig::default()).unwrap();
     let mut c = Coordinator::new(
         spec.factory(),
         spec.test_set(),
         transport,
-        coordinator_config(&spec),
+        coordinator_config(&spec).with_cohort_fraction(cohort as f64 / clients as f64),
     );
-    for r in 0..3 {
-        let summary = c.train_round(r, round_seed(SEED, r)).unwrap();
-        assert_eq!(summary.client_sizes.len(), spec.clients);
+    let mut wire = Vec::new();
+    for (r, &seed) in seeds.iter().enumerate() {
+        let before = c.transport().wire_stats().total();
+        let summary = c.train_round(r, seed).unwrap();
+        assert_eq!(summary.client_sizes.len(), cohort);
         assert_eq!(c.telemetry().frame_buffers_leased.get(), 0, "round {r}");
+        wire.push(c.transport().wire_stats().total() - before);
     }
     let high_water = c.telemetry().frame_buffers_high_water.get();
     assert!(
-        (1..=8).contains(&high_water),
-        "{high_water} buffers at once for 32 workers"
+        (1..=most as i64).contains(&high_water),
+        "{high_water} buffers at once for {clients} workers"
     );
     // The gauges are on the exported catalog.
     let text = c.telemetry().prometheus_text();
     assert!(text.contains("goldfish_frame_buffers_leased 0"), "{text}");
     assert!(text.contains("goldfish_frame_buffers_high_water"), "{text}");
 
+    let global = c.global_state().to_vec();
     c.transport_mut().shutdown();
     drop(c);
     let report = fleet.join().unwrap();
-    assert_eq!(report.clean_shutdowns, spec.clients);
+    assert_eq!(report.clean_shutdowns, clients);
     assert!(
-        (1..=8).contains(&report.peak_frame_buffers),
+        (1..=most).contains(&report.peak_frame_buffers),
         "fleet host held {} buffers at once",
         report.peak_frame_buffers
     );
+    (wire, global)
 }
 
 /// Every way a reply can fail returns its lease: a frame that does not

@@ -290,10 +290,20 @@ fn tcp_run_is_bitwise_identical_to_loopback() {
         .collect();
     assert_eq!(tcp_evals, lb_evals);
 
+    // A quarantined client is evaluated on neither side: TCP closed its
+    // connection, loopback skips it.
+    use goldfish_fed::transport::RoundTransport;
+    assert!(c.transport_mut().quarantine(1) && lb.transport_mut().quarantine(1));
+    let tcp_evals = c.transport_mut().local_eval(ROUNDS, &global);
+    assert_eq!(tcp_evals, lb.transport_mut().local_eval(ROUNDS, &global));
+    let ids: Vec<_> = tcp_evals.iter().flatten().map(|e| e.client_id).collect();
+    assert_eq!(ids, [0]);
+
     c.transport_mut().shutdown(); // graceful goodbye: workers exit Ok
     drop(c);
-    for w in workers {
-        w.join().unwrap();
+    for (id, w) in workers.into_iter().enumerate() {
+        // ...all but the evicted one, whose typed `Err` frame ends its loop.
+        assert_eq!(w.join().is_ok(), id != 1);
     }
 }
 

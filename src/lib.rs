@@ -35,8 +35,9 @@
 //!
 //! The experiment harness regenerating every table and figure of the paper
 //! lives in `crates/bench` (one binary per table/figure). `DESIGN.md`
-//! documents the crate layout, the blocked/parallel compute engine and
-//! the `BENCH_kernels.json` perf baseline.
+//! documents the crate layout and the blocked/parallel compute engine;
+//! performance is measured by the `goldfish-benchmark` package under
+//! `benchmark/`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

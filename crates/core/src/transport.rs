@@ -4,7 +4,8 @@
 //! Algorithm 1: [`DistillTransport`] is the server-side contract ("ship
 //! the unlearning job, then run distillation rounds"), [`ClientDistiller`]
 //! is the per-client worker state machine factored out of the pre-refactor
-//! [`crate::unlearner::GoldfishUnlearning::unlearn`] round loop (student
+//! [`crate::method::UnlearningMethod::unlearn`] round loop of
+//! [`crate::unlearner::GoldfishUnlearning`] (student
 //! network with warm arenas + cross-round teacher-logit cache, DESIGN.md
 //! §9), and [`LoopbackDistill`] runs the distillers in-process on the
 //! shared pool — exactly the execution the old loop performed, pinned
@@ -206,6 +207,8 @@ impl std::fmt::Debug for ClientDistiller {
 /// Never produces stragglers.
 pub struct LoopbackDistill {
     factory: ModelFactory,
+    /// The client id each split belongs to (its position by default).
+    ids: Vec<usize>,
     splits: Vec<ClientSplit>,
     hard: Arc<dyn HardLoss>,
     threads: Option<usize>,
@@ -225,11 +228,26 @@ impl LoopbackDistill {
     ) -> Self {
         LoopbackDistill {
             factory,
+            ids: (0..splits.len()).collect(),
             splits,
             hard,
             threads,
             distillers: Vec::new(),
         }
+    }
+
+    /// Names the client each split belongs to, for a host whose live
+    /// set has gaps (`ids[i]` owns `splits[i]`; ascending). Seeds and
+    /// uploads are keyed by these ids, so a client distils the same bits
+    /// whoever else takes part.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `ids` does not name every split.
+    pub fn with_client_ids(mut self, ids: Vec<usize>) -> Self {
+        assert_eq!(ids.len(), self.splits.len(), "one id per client split");
+        self.ids = ids;
+        self
     }
 }
 
@@ -249,10 +267,10 @@ impl DistillTransport for LoopbackDistill {
             None => Arc::clone(&self.hard),
         };
         self.distillers = self
-            .splits
+            .ids
             .iter()
-            .enumerate()
-            .map(|(id, split)| {
+            .zip(&self.splits)
+            .map(|(&id, split)| {
                 ClientDistiller::new(
                     id,
                     Arc::clone(&self.factory),

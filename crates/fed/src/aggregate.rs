@@ -124,7 +124,7 @@ fn reduce_chunk(
     }
 }
 
-/// Why a [`StreamingMean`] refused an update or could not finish.
+/// Why a [`RoundAccumulator`] refused an update or could not finish.
 #[derive(Debug, Clone, PartialEq)]
 pub enum AggregateError {
     /// The client id is not part of the round's cohort.
@@ -202,9 +202,30 @@ impl std::fmt::Display for AggregateError {
 
 impl std::error::Error for AggregateError {}
 
-/// The streaming weighted mean: a fixed-slot accumulator keyed by client
-/// id that folds updates **as they arrive** instead of buffering the
-/// whole round.
+/// Runs `f(offset, chunk)` over the `REDUCE_CHUNK`-wide chunks of `out`
+/// — as tasks on the current pool once it has threads to spare and `out`
+/// more than one chunk. Chunks are disjoint, so neither the split nor the
+/// thread count can change a bit of what `f` writes.
+fn for_each_chunk<T: Send>(out: &mut [T], f: impl Fn(usize, &mut [T]) + Sync) {
+    let parallel = rayon::current_num_threads() > 1 && out.len() > REDUCE_CHUNK;
+    let chunks = out.chunks_mut(REDUCE_CHUNK).enumerate();
+    if parallel {
+        let f = &f;
+        rayon::scope(|s| chunks.for_each(|(i, c)| s.spawn(move |_| f(i * REDUCE_CHUNK, c))));
+    } else {
+        chunks.for_each(|(i, c)| f(i * REDUCE_CHUNK, c));
+    }
+}
+
+/// The per-round accumulator behind the streaming round loop
+/// ([`crate::transport::RoundRuntime`]): **one** fixed-slot engine keyed
+/// by client id that serves every [`AggregationMode`]. The streaming
+/// modes ([`AggregationMode::Mean`], and [`AggregationMode::NormClipped`],
+/// whose clipping happens upstream in the admission layer) fold updates
+/// **as they arrive** instead of buffering the whole round; the holding
+/// modes ([`AggregationMode::TrimmedMean`], [`AggregationMode::Median`])
+/// park every reported update until `finish` — coordinate-wise selection
+/// needs all values of a coordinate at once, so they cannot stream.
 ///
 /// The per-element arithmetic of [`weighted_mean`] is a client-id-ordered
 /// `f64` sum of `fracᵢ · vᵢⱼ` followed by one `f32` cast. That order is
@@ -213,18 +234,28 @@ impl std::error::Error for AggregateError {}
 /// every smaller cohort id has folded; out-of-order arrivals are parked
 /// (copied into pooled buffers, bounded by the resident window) and
 /// drained the moment the frontier reaches them. The weights are
-/// registered up front ([`StreamingMean::begin`]) from the transport's
+/// registered up front ([`RoundAccumulator::begin`]) from the transport's
 /// client registry, so `fracᵢ = wᵢ / Σw` is known before the first
 /// arrival and the result is **bitwise identical** to
 /// [`weighted_mean`] over the same cohort at every arrival order, thread
 /// count and window size — pinned by the arrival-order proptests in
 /// `crates/fed/tests/determinism.rs`.
 ///
-/// Memory: one `f64` accumulator lane (`state_len` wide) plus at most
-/// `window` parked updates, instead of all N updates at once. Folding
-/// runs chunk-parallel on the current pool ([`REDUCE_CHUNK`] chunks;
-/// chunks touch disjoint output ranges, so the thread count never
-/// changes bits).
+/// Determinism of the holding modes: slots are keyed by client id, so
+/// arrival order is erased on entry; each coordinate's selection sorts
+/// values by `f32::total_cmp` with the slot index as tie-break, and the
+/// surviving values are accumulated **in ascending slot order** into an
+/// `f64` accumulator. Coordinates are independent, so the chunk-parallel
+/// finish is bitwise identical at every thread count (pinned by the
+/// same proptests).
+///
+/// Memory: a streaming round holds one `f64` accumulator lane
+/// (`state_len` wide) plus at most `window` parked updates, instead of
+/// all N updates at once; a holding round is bounded by the cohort (`n`
+/// pooled state buffers). The parked buffers are pooled across rounds
+/// and modes. Folding runs chunk-parallel on the current pool
+/// (`REDUCE_CHUNK`-element chunks; chunks touch disjoint output ranges,
+/// so the thread count never changes bits).
 ///
 /// Divergence semantics differ deliberately from [`weighted_mean`]: a
 /// non-finite upload is reported as [`AggregateError::Diverged`] so the
@@ -233,14 +264,18 @@ impl std::error::Error for AggregateError {}
 /// streaming form cannot — earlier folds already used the full-cohort
 /// weights). See DESIGN.md §11.
 #[derive(Debug, Default)]
-pub struct StreamingMean {
+pub struct RoundAccumulator {
+    /// The rule this round folds with.
+    mode: AggregationMode,
     /// Cohort client ids, strictly ascending.
     ids: Vec<usize>,
-    /// `wᵢ / Σw` per slot, computed in slot order like [`weighted_mean`].
+    /// `wᵢ / Σw` per slot, computed in slot order like [`weighted_mean`]
+    /// (the median ignores it).
     fracs: Vec<f64>,
-    /// The running per-parameter `f64` accumulator.
+    /// The running per-parameter `f64` accumulator (streaming modes).
     acc: Vec<f64>,
-    /// Parked out-of-order updates by slot (buffers pooled via `spare`).
+    /// Parked updates by slot (buffers pooled via `spare`): out-of-order
+    /// arrivals under a streaming mode, every arrival under a holding one.
     parked: Vec<Option<Vec<f32>>>,
     /// Whether each slot has folded.
     folded: Vec<bool>,
@@ -257,23 +292,40 @@ pub struct StreamingMean {
     state_len: usize,
 }
 
-impl StreamingMean {
-    /// An empty accumulator; call [`StreamingMean::begin`] per round.
+impl RoundAccumulator {
+    /// An empty accumulator; call [`RoundAccumulator::begin`] per round.
     pub fn new() -> Self {
-        StreamingMean::default()
+        RoundAccumulator::default()
     }
 
-    /// Arms the accumulator for one round: `cohort` is `(client_id,
-    /// weight)` in strictly ascending id order (the transport's live
-    /// registry), `state_len` the expected parameter count, `window` the
-    /// maximum parked updates (`usize::MAX` for unbounded). Buffers are
-    /// reused across rounds, so a steady-state `begin` never allocates.
+    /// Whether this round's mode folds on arrival (as opposed to
+    /// holding every update for a coordinate-wise selection).
+    fn streams(&self) -> bool {
+        matches!(
+            self.mode,
+            AggregationMode::Mean | AggregationMode::NormClipped { .. }
+        )
+    }
+
+    /// Arms the accumulator for one round in `mode`: `cohort` is
+    /// `(client_id, weight)` in strictly ascending id order (the
+    /// transport's live registry), `state_len` the expected parameter
+    /// count, `window` the maximum parked updates (`usize::MAX` for
+    /// unbounded) — ignored by the trimmed mean and the median, which
+    /// must hold the whole reported set anyway. Buffers are reused across
+    /// rounds, so a steady-state `begin` never allocates.
     ///
     /// # Panics
     ///
     /// Panics if the cohort is empty, ids are not strictly ascending, or
     /// the weights sum to zero (mirroring [`weighted_mean`]).
-    pub fn begin(&mut self, cohort: &[(usize, f64)], state_len: usize, window: usize) {
+    pub fn begin(
+        &mut self,
+        mode: AggregationMode,
+        cohort: &[(usize, f64)],
+        state_len: usize,
+        window: usize,
+    ) {
         assert!(!cohort.is_empty(), "no clients to aggregate");
         assert!(
             cohort.windows(2).all(|w| w[0].0 < w[1].0),
@@ -283,6 +335,7 @@ impl StreamingMean {
         // order, then one division per client.
         let total: f64 = cohort.iter().map(|&(_, w)| w).sum();
         assert!(total > 0.0, "aggregation weights sum to zero");
+        self.mode = mode;
         self.ids.clear();
         self.ids.extend(cohort.iter().map(|&(id, _)| id));
         self.fracs.clear();
@@ -298,15 +351,16 @@ impl StreamingMean {
         self.folded.clear();
         self.folded.resize(cohort.len(), false);
         self.next = 0;
-        self.window = window;
+        self.window = if self.streams() { window } else { usize::MAX };
         self.resident = 0;
         self.peak_resident = 0;
         self.state_len = state_len;
     }
 
-    /// Offers one arriving update. Folds immediately when `client_id` is
-    /// the fold frontier (then drains any parked successors), otherwise
-    /// parks a copy. The caller keeps ownership of `state` either way.
+    /// Offers one arriving update. A streaming mode folds it immediately
+    /// when `client_id` is the fold frontier (then drains any parked
+    /// successors); otherwise a copy is parked. The caller keeps
+    /// ownership of `state` either way.
     ///
     /// # Errors
     ///
@@ -331,7 +385,7 @@ impl StreamingMean {
         if !state.iter().all(|v| v.is_finite()) {
             return Err(AggregateError::Diverged { client_id });
         }
-        if slot == self.next {
+        if slot == self.next && self.streams() {
             self.peak_resident = self.peak_resident.max(self.resident + 1);
             self.fold(slot, state);
             self.drain_frontier();
@@ -356,26 +410,11 @@ impl StreamingMean {
     /// chunk-parallel, per-element order fixed by the frontier.
     fn fold(&mut self, slot: usize, state: &[f32]) {
         let frac = self.fracs[slot];
-        let threads = rayon::current_num_threads();
-        if threads <= 1 || self.acc.len() <= REDUCE_CHUNK {
-            for (a, &v) in self.acc.iter_mut().zip(state.iter()) {
+        for_each_chunk(&mut self.acc, |offset, chunk| {
+            for (a, &v) in chunk.iter_mut().zip(&state[offset..]) {
                 *a += frac * v as f64;
             }
-        } else {
-            rayon::scope(|s| {
-                for (chunk, vs) in self
-                    .acc
-                    .chunks_mut(REDUCE_CHUNK)
-                    .zip(state.chunks(REDUCE_CHUNK))
-                {
-                    s.spawn(move |_| {
-                        for (a, &v) in chunk.iter_mut().zip(vs.iter()) {
-                            *a += frac * v as f64;
-                        }
-                    });
-                }
-            });
-        }
+        });
         self.folded[slot] = true;
         self.next = slot + 1;
     }
@@ -399,9 +438,10 @@ impl StreamingMean {
         self.next
     }
 
-    /// Whether every cohort member has folded.
+    /// Whether every cohort member has reported (under a streaming mode
+    /// that means folded: the frontier drains whatever it can reach).
     pub fn is_complete(&self) -> bool {
-        self.next == self.ids.len()
+        self.offered_count() == self.ids.len()
     }
 
     /// High-water mark of simultaneously resident updates this round
@@ -410,13 +450,16 @@ impl StreamingMean {
         self.peak_resident
     }
 
-    /// Updates currently parked, waiting for the fold frontier — the
+    /// Updates currently resident (parked ahead of the streaming fold
+    /// frontier, or everything received under a holding rule) — the
     /// live value behind the telemetry resident gauge.
     pub fn resident(&self) -> usize {
         self.resident
     }
 
-    /// Casts the accumulator into `out` (resized to the state length).
+    /// Finishes over the full cohort: the cast of the accumulator lane
+    /// under a streaming mode, the coordinate-wise selection over the held
+    /// updates otherwise. `out` is resized to the state length.
     ///
     /// # Errors
     ///
@@ -424,17 +467,21 @@ impl StreamingMean {
     /// (the accumulator keeps its state so the round can keep feeding).
     pub fn finish_into(&mut self, out: &mut Vec<f32>) -> Result<(), AggregateError> {
         if !self.is_complete() {
+            // A streaming round counts what folded; parked updates are
+            // still waiting for a smaller id.
+            let have = if self.streams() {
+                self.next
+            } else {
+                self.resident
+            };
             return Err(AggregateError::Incomplete {
-                missing: self.ids.len() - self.next,
+                missing: self.ids.len() - have,
             });
         }
-        out.clear();
-        out.reserve(self.state_len);
-        out.extend(self.acc.iter().map(|&a| a as f32));
-        Ok(())
+        self.finish_partial_into(out)
     }
 
-    /// [`StreamingMean::finish_into`] returning a fresh vector.
+    /// [`RoundAccumulator::finish_into`] returning a fresh vector.
     ///
     /// # Errors
     ///
@@ -452,19 +499,37 @@ impl StreamingMean {
         self.next + self.resident
     }
 
-    /// Finishes a **quorum-degraded** round: folds every parked update
-    /// (in ascending slot order, skipping the missing cohort members)
-    /// and emits the mean **renormalized over the reported weight
-    /// mass** — `accⱼ / Σ_{reported} fracᵢ`, with the fraction sum
-    /// accumulated in ascending slot order. When every cohort member
-    /// reported this is the plain cast of [`StreamingMean::finish_into`]
-    /// (no division), so a 100%-participation quorum round is bitwise
-    /// identical to a normal one.
+    /// Finishes a **quorum-degraded** round over whatever subset
+    /// reported. A streaming mode folds every parked update (in
+    /// ascending slot order, skipping the missing cohort members) and
+    /// emits the mean **renormalized over the reported weight mass** —
+    /// `accⱼ / Σ_{reported} fracᵢ`, with the fraction sum accumulated in
+    /// ascending slot order. When every cohort member reported this is
+    /// the plain cast of [`RoundAccumulator::finish_into`] (no division),
+    /// so a 100%-participation quorum round is bitwise identical to a
+    /// normal one. A holding mode runs its selection over the reported
+    /// slots (ascending client-id order, weights renormalized) — except a
+    /// trimmed mean whose trim discards nothing, which *is* that weighted
+    /// mean and finishes through the same lane, bit for bit.
     ///
     /// # Errors
     ///
     /// [`AggregateError::Incomplete`] when *nothing* was offered.
     pub fn finish_partial_into(&mut self, out: &mut Vec<f32>) -> Result<(), AggregateError> {
+        if self.offered_count() == 0 {
+            return Err(AggregateError::Incomplete {
+                missing: self.ids.len(),
+            });
+        }
+        let selects = match self.mode {
+            AggregationMode::Mean | AggregationMode::NormClipped { .. } => false,
+            AggregationMode::TrimmedMean { trim } => effective_trim(trim, self.resident) > 0,
+            AggregationMode::Median => true,
+        };
+        if selects {
+            self.select_into(out);
+            return Ok(());
+        }
         // Fold parked updates past the frontier in ascending slot
         // order; gaps (missing clients) are skipped.
         for slot in self.next..self.ids.len() {
@@ -474,15 +539,9 @@ impl StreamingMean {
                 self.spare.push(buf);
             }
         }
-        let reported = self.folded.iter().filter(|&&f| f).count();
-        if reported == 0 {
-            return Err(AggregateError::Incomplete {
-                missing: self.ids.len(),
-            });
-        }
         out.clear();
         out.reserve(self.state_len);
-        if reported == self.ids.len() {
+        if self.folded.iter().all(|&f| f) {
             out.extend(self.acc.iter().map(|&a| a as f32));
             return Ok(());
         }
@@ -632,253 +691,44 @@ pub fn clip_update_into(global: &[f32], state: &[f32], scale: f64, out: &mut Vec
     );
 }
 
-/// The buffered robust fold behind [`AggregationMode::TrimmedMean`] and
-/// [`AggregationMode::Median`]: a fixed-slot accumulator keyed by client
-/// id, like [`StreamingMean`], but holding every reported update until
-/// `finish` — coordinate-wise selection needs all values of a
-/// coordinate at once, so these modes cannot stream. Memory is bounded
-/// by the cohort (`n` pooled state buffers, reused across rounds).
-///
-/// Determinism: slots are keyed by client id, so arrival order is
-/// erased on entry; each coordinate's selection sorts values by
-/// `f32::total_cmp` with the slot index as tie-break, and the surviving
-/// values are accumulated **in ascending slot order** into an `f64`
-/// accumulator. Coordinates are independent, so the chunk-parallel
-/// finish is bitwise identical at every thread count (pinned by the
-/// proptests in `crates/fed/tests/determinism.rs`).
-#[derive(Debug, Default)]
-pub struct RobustBuffer {
-    /// Cohort client ids, strictly ascending.
-    ids: Vec<usize>,
-    /// `wᵢ / Σw` per slot (trimmed-mean weighting; median ignores it).
-    fracs: Vec<f64>,
-    /// One pooled buffer per slot, filled on offer.
-    slots: Vec<Option<Vec<f32>>>,
-    /// Spare buffers, reused across rounds.
-    spare: Vec<Vec<f32>>,
-    /// How many slots are filled.
-    received: usize,
-    /// High-water mark of `received` (robust modes hold all updates).
-    peak_resident: usize,
-    state_len: usize,
+/// How many values a trimmed mean over `n` reported ones discards from
+/// each end: a trim that would empty the order is clamped so at least
+/// one value survives (documented in DESIGN.md §13).
+fn effective_trim(trim: usize, n: usize) -> usize {
+    trim.min(n.saturating_sub(1) / 2)
 }
 
-/// The selection rule a [`RobustBuffer`] finishes with.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RobustRule {
-    /// Coordinate-wise trimmed weighted mean.
-    TrimmedMean {
-        /// Values trimmed from each end.
-        trim: usize,
-    },
-    /// Coordinate-wise unweighted median.
-    Median,
-}
-
-impl RobustBuffer {
-    /// An empty buffer; call [`RobustBuffer::begin`] per round.
-    pub fn new() -> Self {
-        RobustBuffer::default()
-    }
-
-    /// Arms the buffer for one round (same contract as
-    /// [`StreamingMean::begin`]; there is no window — robust modes hold
-    /// the whole reported set by construction).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the cohort is empty, ids are not strictly ascending,
-    /// or the weights sum to zero.
-    pub fn begin(&mut self, cohort: &[(usize, f64)], state_len: usize) {
-        assert!(!cohort.is_empty(), "no clients to aggregate");
-        assert!(
-            cohort.windows(2).all(|w| w[0].0 < w[1].0),
-            "cohort ids must be strictly ascending"
-        );
-        let total: f64 = cohort.iter().map(|&(_, w)| w).sum();
-        assert!(total > 0.0, "aggregation weights sum to zero");
-        self.ids.clear();
-        self.ids.extend(cohort.iter().map(|&(id, _)| id));
-        self.fracs.clear();
-        self.fracs.extend(cohort.iter().map(|&(_, w)| w / total));
-        for slot in self.slots.iter_mut() {
-            if let Some(buf) = slot.take() {
-                self.spare.push(buf);
-            }
-        }
-        self.slots.resize_with(cohort.len(), || None);
-        self.received = 0;
-        self.peak_resident = 0;
-        self.state_len = state_len;
-    }
-
-    /// Offers one arriving update (copied into a pooled slot buffer).
-    ///
-    /// # Errors
-    ///
-    /// The same typed rejections as [`StreamingMean::offer`]: unknown or
-    /// duplicate clients, wrong state lengths, non-finite uploads. The
-    /// buffer is unchanged by a rejected offer.
-    pub fn offer(&mut self, client_id: usize, state: &[f32]) -> Result<(), AggregateError> {
-        let slot = self
-            .ids
-            .binary_search(&client_id)
-            .map_err(|_| AggregateError::UnknownClient { client_id })?;
-        if self.slots[slot].is_some() {
-            return Err(AggregateError::DuplicateUpdate { client_id });
-        }
-        if state.len() != self.state_len {
-            return Err(AggregateError::StateLenMismatch {
-                client_id,
-                got: state.len(),
-                want: self.state_len,
-            });
-        }
-        if !state.iter().all(|v| v.is_finite()) {
-            return Err(AggregateError::Diverged { client_id });
-        }
-        let mut buf = self.spare.pop().unwrap_or_default();
-        buf.clear();
-        buf.extend_from_slice(state);
-        self.slots[slot] = Some(buf);
-        self.received += 1;
-        self.peak_resident = self.peak_resident.max(self.received);
-        Ok(())
-    }
-
-    /// Cohort members whose updates are held.
-    pub fn offered_count(&self) -> usize {
-        self.received
-    }
-
-    /// Whether every cohort member has reported.
-    pub fn is_complete(&self) -> bool {
-        self.received == self.ids.len()
-    }
-
-    /// High-water mark of resident updates (= reported count; the
-    /// buffered modes hold everything).
-    pub fn peak_resident(&self) -> usize {
-        self.peak_resident
-    }
-
-    /// Finishes over the **full** cohort.
-    ///
-    /// # Errors
-    ///
-    /// [`AggregateError::Incomplete`] when cohort members are missing.
-    pub fn finish_into(
-        &mut self,
-        rule: RobustRule,
-        out: &mut Vec<f32>,
-    ) -> Result<(), AggregateError> {
-        if !self.is_complete() {
-            return Err(AggregateError::Incomplete {
-                missing: self.ids.len() - self.received,
-            });
-        }
-        self.compute_into(rule, out);
-        Ok(())
-    }
-
-    /// Finishes a quorum-degraded round over whatever subset reported
-    /// (ascending client-id order, weights renormalized).
-    ///
-    /// # Errors
-    ///
-    /// [`AggregateError::Incomplete`] when nothing reported.
-    pub fn finish_partial_into(
-        &mut self,
-        rule: RobustRule,
-        out: &mut Vec<f32>,
-    ) -> Result<(), AggregateError> {
-        if self.received == 0 {
-            return Err(AggregateError::Incomplete {
-                missing: self.ids.len(),
-            });
-        }
-        self.compute_into(rule, out);
-        Ok(())
-    }
-
-    fn compute_into(&self, rule: RobustRule, out: &mut Vec<f32>) {
-        let reported: Vec<usize> = (0..self.slots.len())
-            .filter(|&s| self.slots[s].is_some())
+/// The holding modes' finish ([`AggregationMode::TrimmedMean`] with a
+/// non-zero effective trim, and [`AggregationMode::Median`]):
+/// coordinate-wise selection over the parked slots.
+impl RoundAccumulator {
+    fn select_into(&self, out: &mut Vec<f32>) {
+        let reported: Vec<usize> = (0..self.parked.len())
+            .filter(|&s| self.parked[s].is_some())
             .collect();
         out.clear();
         out.resize(self.state_len, 0.0);
-        let full = reported.len() == self.ids.len();
-        let threads = rayon::current_num_threads();
-        if threads <= 1 || self.state_len <= REDUCE_CHUNK {
-            for (chunk_idx, chunk) in out.chunks_mut(REDUCE_CHUNK).enumerate() {
-                self.compute_chunk(rule, &reported, full, chunk, chunk_idx * REDUCE_CHUNK);
-            }
-        } else {
-            let reported = &reported;
-            rayon::scope(|s| {
-                for (chunk_idx, chunk) in out.chunks_mut(REDUCE_CHUNK).enumerate() {
-                    s.spawn(move |_| {
-                        self.compute_chunk(rule, reported, full, chunk, chunk_idx * REDUCE_CHUNK);
-                    });
-                }
-            });
-        }
+        for_each_chunk(out, |offset, chunk| {
+            self.select_chunk(&reported, chunk, offset)
+        });
     }
 
     /// Computes one coordinate chunk. Every coordinate is independent,
     /// so chunking never changes bits.
-    fn compute_chunk(
-        &self,
-        rule: RobustRule,
-        reported: &[usize],
-        full: bool,
-        chunk: &mut [f32],
-        offset: usize,
-    ) {
+    fn select_chunk(&self, reported: &[usize], chunk: &mut [f32], offset: usize) {
         let n = reported.len();
-        match rule {
-            RobustRule::TrimmedMean { trim } => {
-                // Keep at least one value: a trim that would empty the
-                // order is clamped (documented in DESIGN.md §13).
-                let t = trim.min(n.saturating_sub(1) / 2);
-                if t == 0 {
-                    // Pure weighted mean over the reported set — the
-                    // exact per-element op sequence of `StreamingMean`
-                    // (id-ordered f64 accumulation) when everyone
-                    // reported, so trim=0 is bitwise identical to it.
-                    let mut acc = vec![0.0f64; chunk.len()];
-                    for &slot in reported {
-                        let frac = self.fracs[slot];
-                        let state = self.slots[slot].as_ref().expect("reported slot");
-                        let vs = &state[offset..offset + chunk.len()];
-                        for (a, &v) in acc.iter_mut().zip(vs.iter()) {
-                            *a += frac * v as f64;
-                        }
-                    }
-                    if full {
-                        for (o, &a) in chunk.iter_mut().zip(acc.iter()) {
-                            *o = a as f32;
-                        }
-                    } else {
-                        let mut den = 0.0f64;
-                        for &slot in reported {
-                            den += self.fracs[slot];
-                        }
-                        for (o, &a) in chunk.iter_mut().zip(acc.iter()) {
-                            *o = (a / den) as f32;
-                        }
-                    }
-                    return;
-                }
+        match self.mode {
+            AggregationMode::TrimmedMean { trim } => {
+                let t = effective_trim(trim, n);
                 let mut order: Vec<(f32, usize)> = Vec::with_capacity(n);
                 let mut kept: Vec<usize> = Vec::with_capacity(n);
                 for (j, o) in chunk.iter_mut().enumerate() {
                     let idx = offset + j;
                     order.clear();
                     order.extend(
-                        reported
-                            .iter()
-                            .map(|&slot| (self.slots[slot].as_ref().expect("reported")[idx], slot)),
+                        reported.iter().map(|&slot| {
+                            (self.parked[slot].as_ref().expect("reported")[idx], slot)
+                        }),
                     );
                     // Total order: value, then slot — deterministic
                     // under ties.
@@ -889,14 +739,14 @@ impl RobustBuffer {
                     let mut num = 0.0f64;
                     let mut den = 0.0f64;
                     for &slot in &kept {
-                        let v = self.slots[slot].as_ref().expect("kept")[idx];
+                        let v = self.parked[slot].as_ref().expect("kept")[idx];
                         num += self.fracs[slot] * v as f64;
                         den += self.fracs[slot];
                     }
                     *o = (num / den) as f32;
                 }
             }
-            RobustRule::Median => {
+            AggregationMode::Median => {
                 let mut vals: Vec<f32> = Vec::with_capacity(n);
                 for (j, o) in chunk.iter_mut().enumerate() {
                     let idx = offset + j;
@@ -904,7 +754,7 @@ impl RobustBuffer {
                     vals.extend(
                         reported
                             .iter()
-                            .map(|&slot| self.slots[slot].as_ref().expect("reported")[idx]),
+                            .map(|&slot| self.parked[slot].as_ref().expect("reported")[idx]),
                     );
                     vals.sort_unstable_by(f32::total_cmp);
                     *o = if n % 2 == 1 {
@@ -914,119 +764,44 @@ impl RobustBuffer {
                     };
                 }
             }
+            AggregationMode::Mean | AggregationMode::NormClipped { .. } => {
+                unreachable!("streaming modes fold on arrival and finish by cast")
+            }
         }
     }
 }
 
-/// The per-round accumulator behind the streaming round loop
-/// ([`crate::transport::RoundRuntime`]): the streaming mean or a
-/// buffered robust fold, dispatched by [`AggregationMode`]. Both
-/// engines persist so switching modes between rounds never drops the
-/// buffer pools.
+/// The streaming weighted mean by name: a [`RoundAccumulator`] whose
+/// [`StreamingMean::begin`] always arms [`AggregationMode::Mean`]. Every
+/// other method (`offer`, `finish_into`, `peak_resident`, …) is the
+/// engine's own, reached through `Deref`.
 #[derive(Debug, Default)]
-pub struct RoundAccumulator {
-    mean: StreamingMean,
-    robust: RobustBuffer,
-    rule: Option<RobustRule>,
+pub struct StreamingMean(RoundAccumulator);
+
+impl StreamingMean {
+    /// An empty accumulator; call [`StreamingMean::begin`] per round.
+    pub fn new() -> Self {
+        StreamingMean::default()
+    }
+
+    /// [`RoundAccumulator::begin`] in [`AggregationMode::Mean`].
+    pub fn begin(&mut self, cohort: &[(usize, f64)], state_len: usize, window: usize) {
+        self.0
+            .begin(AggregationMode::Mean, cohort, state_len, window);
+    }
 }
 
-impl RoundAccumulator {
-    /// An empty accumulator; call [`RoundAccumulator::begin`] per round.
-    pub fn new() -> Self {
-        RoundAccumulator::default()
-    }
+impl std::ops::Deref for StreamingMean {
+    type Target = RoundAccumulator;
 
-    /// Arms the accumulator for one round. [`AggregationMode::Mean`] and
-    /// [`AggregationMode::NormClipped`] fold through the streaming mean
-    /// (clipping happens upstream, in the admission layer); the trimmed
-    /// mean and median arm the buffered [`RobustBuffer`], which ignores
-    /// `window` (it must hold the whole reported set anyway).
-    pub fn begin(
-        &mut self,
-        mode: AggregationMode,
-        cohort: &[(usize, f64)],
-        state_len: usize,
-        window: usize,
-    ) {
-        self.rule = match mode {
-            AggregationMode::Mean | AggregationMode::NormClipped { .. } => None,
-            AggregationMode::TrimmedMean { trim } => Some(RobustRule::TrimmedMean { trim }),
-            AggregationMode::Median => Some(RobustRule::Median),
-        };
-        match self.rule {
-            None => self.mean.begin(cohort, state_len, window),
-            Some(_) => self.robust.begin(cohort, state_len),
-        }
+    fn deref(&self) -> &RoundAccumulator {
+        &self.0
     }
+}
 
-    /// Offers one arriving update (see [`StreamingMean::offer`]).
-    ///
-    /// # Errors
-    ///
-    /// The active engine's typed [`AggregateError`] rejections.
-    pub fn offer(&mut self, client_id: usize, state: &[f32]) -> Result<(), AggregateError> {
-        match self.rule {
-            None => self.mean.offer(client_id, state),
-            Some(_) => self.robust.offer(client_id, state),
-        }
-    }
-
-    /// Cohort members whose updates are held (folded + parked).
-    pub fn offered_count(&self) -> usize {
-        match self.rule {
-            None => self.mean.offered_count(),
-            Some(_) => self.robust.offered_count(),
-        }
-    }
-
-    /// Whether every cohort member has reported.
-    pub fn is_complete(&self) -> bool {
-        match self.rule {
-            None => self.mean.is_complete(),
-            Some(_) => self.robust.is_complete(),
-        }
-    }
-
-    /// High-water mark of simultaneously resident updates this round.
-    pub fn peak_resident(&self) -> usize {
-        match self.rule {
-            None => self.mean.peak_resident(),
-            Some(_) => self.robust.peak_resident(),
-        }
-    }
-
-    /// Updates currently resident (parked ahead of the streaming fold
-    /// frontier, or everything received under a buffered robust rule) —
-    /// the live value behind the telemetry resident gauge.
-    pub fn resident(&self) -> usize {
-        match self.rule {
-            None => self.mean.resident(),
-            Some(_) => self.robust.offered_count(),
-        }
-    }
-
-    /// Finishes over the full cohort.
-    ///
-    /// # Errors
-    ///
-    /// [`AggregateError::Incomplete`] when cohort members are missing.
-    pub fn finish_into(&mut self, out: &mut Vec<f32>) -> Result<(), AggregateError> {
-        match self.rule {
-            None => self.mean.finish_into(out),
-            Some(rule) => self.robust.finish_into(rule, out),
-        }
-    }
-
-    /// Finishes a quorum-degraded round over the reported subset.
-    ///
-    /// # Errors
-    ///
-    /// [`AggregateError::Incomplete`] when nothing reported.
-    pub fn finish_partial_into(&mut self, out: &mut Vec<f32>) -> Result<(), AggregateError> {
-        match self.rule {
-            None => self.mean.finish_partial_into(out),
-            Some(rule) => self.robust.finish_partial_into(rule, out),
-        }
+impl std::ops::DerefMut for StreamingMean {
+    fn deref_mut(&mut self) -> &mut RoundAccumulator {
+        &mut self.0
     }
 }
 

@@ -8,7 +8,8 @@
 //!   every long-lived trainer keeps one of per executing thread,
 //! * [`aggregate`] — the [`aggregate::AggregationStrategy`] trait and the
 //!   FedAvg baseline (McMahan et al.), operating on flattened state
-//!   vectors,
+//!   vectors, and [`aggregate::RoundAccumulator`], the one fixed-slot
+//!   accumulator behind every serve-side [`aggregate::AggregationMode`],
 //! * [`eval`] — model evaluation over datasets (accuracy, server-side MSE
 //!   for Eq 12, prediction distributions, backdoor success),
 //! * [`federation`] — the round loop: clients train in parallel on the

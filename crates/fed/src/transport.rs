@@ -155,7 +155,7 @@ pub enum TransportError {
     },
     /// An arriving update could not be parked: the round's resident
     /// in-flight update window is full (see
-    /// [`crate::aggregate::StreamingMean`] and the coordinator's
+    /// [`crate::aggregate::RoundAccumulator`] and the coordinator's
     /// `update_window` knob).
     UpdateWindowExceeded {
         /// The configured window.
@@ -704,7 +704,7 @@ impl RoundMetrics {
 ///
 /// Under the default [`RobustConfig`] (mean, no quorum, no bounds) the
 /// aggregate is bitwise identical to [`collect_round`] + `FedAvg` over
-/// the same cohort — see [`crate::aggregate::StreamingMean`] for the
+/// the same cohort — see [`RoundAccumulator`] for the
 /// argument and DESIGN.md §11/§13 for the invariants. The runtime also
 /// owns the **admission layer** (nonce, delta-norm, duplicate, finite
 /// checks) and the per-client strike/quarantine reputation state, so

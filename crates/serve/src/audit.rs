@@ -45,7 +45,8 @@
 //! entries and committing its checkpoint is deterministically re-run
 //! and re-appends byte-identical entries).
 
-use crate::digest::{self, Sha256, DIGEST_LEN, GENESIS};
+use crate::codec::{put_rows, Reader};
+use crate::digest::{self, DIGEST_LEN, GENESIS};
 use crate::queue::UnlearnRequest;
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
@@ -197,38 +198,31 @@ pub struct AuditEntry {
 impl AuditEntry {
     /// Computes what `entry_hash` must be for this entry's contents.
     pub fn compute_hash(&self) -> [u8; DIGEST_LEN] {
-        let mut h = Sha256::new();
-        h.update(&[self.kind]);
-        h.update(&self.index.to_le_bytes());
-        h.update(&self.round.to_le_bytes());
-        h.update(&self.serial.to_le_bytes());
-        h.update(&self.client_id.to_le_bytes());
-        h.update(&(self.detail.len() as u32).to_le_bytes());
-        for &r in &self.detail {
-            h.update(&r.to_le_bytes());
-        }
-        h.update(&self.state_digest);
-        h.update(&self.prev_hash);
-        h.finalize()
+        let mut hashed = Vec::with_capacity(self.body_len());
+        self.write_hashed(&mut hashed);
+        digest::sha256(&hashed)
     }
 
     fn body_len(&self) -> usize {
         1 + 8 + 8 + 8 + 8 + 4 + 8 * self.detail.len() + 3 * DIGEST_LEN
     }
 
-    fn write_to(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&(self.body_len() as u32).to_le_bytes());
+    /// The part of the body `entry_hash` covers: every field before it,
+    /// in file order.
+    fn write_hashed(&self, out: &mut Vec<u8>) {
         out.push(self.kind);
         out.extend_from_slice(&self.index.to_le_bytes());
         out.extend_from_slice(&self.round.to_le_bytes());
         out.extend_from_slice(&self.serial.to_le_bytes());
         out.extend_from_slice(&self.client_id.to_le_bytes());
-        out.extend_from_slice(&(self.detail.len() as u32).to_le_bytes());
-        for &r in &self.detail {
-            out.extend_from_slice(&r.to_le_bytes());
-        }
+        put_rows(out, self.detail.iter().copied());
         out.extend_from_slice(&self.state_digest);
         out.extend_from_slice(&self.prev_hash);
+    }
+
+    fn write_to(&self, out: &mut Vec<u8>) {
+        out.extend_from_slice(&(self.body_len() as u32).to_le_bytes());
+        self.write_hashed(out);
         out.extend_from_slice(&self.entry_hash);
     }
 
@@ -494,62 +488,49 @@ pub fn verify_file(path: &Path) -> Result<AuditSummary, AuditError> {
     verify_reader(&mut file)
 }
 
+/// Reads one length-prefixed entry. `None` when the file, or the entry's
+/// own announced length, ends before a field does — or leaves bytes over:
+/// either way the entry is not what was written.
+fn read_entry(file: &mut Reader<'_>) -> Option<AuditEntry> {
+    let body_len = file.u32()? as usize;
+    let mut c = Reader {
+        b: file.take(body_len)?,
+    };
+    let entry = AuditEntry {
+        kind: c.u8()?,
+        index: c.u64()?,
+        round: c.u64()?,
+        serial: c.u64()?,
+        client_id: c.u64()?,
+        detail: c.rows()?,
+        state_digest: c.array()?,
+        prev_hash: c.array()?,
+        entry_hash: c.array()?,
+    };
+    c.b.is_empty().then_some(entry)
+}
+
 fn verify_reader(r: &mut impl Read) -> Result<AuditSummary, AuditError> {
     let mut data = Vec::new();
     r.read_to_end(&mut data)?;
-    if data.len() < AUDIT_HEADER_LEN as usize {
+    let mut file = Reader { b: &data };
+    let (Some(magic), Some(version)) = (file.array(), file.u32()) else {
         return Err(AuditError::Truncated { at: 0 });
+    };
+    if magic != AUDIT_MAGIC {
+        return Err(AuditError::BadMagic { got: magic });
     }
-    if data[0..4] != AUDIT_MAGIC {
-        let mut got = [0u8; 4];
-        got.copy_from_slice(&data[0..4]);
-        return Err(AuditError::BadMagic { got });
-    }
-    let version = u32::from_le_bytes(data[4..8].try_into().expect("4"));
     if version != AUDIT_VERSION {
         return Err(AuditError::VersionSkew { got: version });
     }
     let mut entries = Vec::new();
     let mut tip = GENESIS;
-    let mut off = AUDIT_HEADER_LEN as usize;
-    while off < data.len() {
-        let start = off as u64;
-        let take = |off: &mut usize, n: usize| -> Result<&[u8], AuditError> {
-            if data.len() - *off < n {
-                return Err(AuditError::Truncated { at: start });
-            }
-            let s = &data[*off..*off + n];
-            *off += n;
-            Ok(s)
+    while !file.b.is_empty() {
+        let start = (data.len() - file.b.len()) as u64;
+        let Some(entry) = read_entry(&mut file) else {
+            return Err(AuditError::Truncated { at: start });
         };
-        let body_len = u32::from_le_bytes(take(&mut off, 4)?.try_into().expect("4")) as usize;
-        if data.len() - off < body_len {
-            return Err(AuditError::Truncated { at: start });
-        }
-        let body_end = off + body_len;
-        let kind = take(&mut off, 1)?[0];
-        let index = u64::from_le_bytes(take(&mut off, 8)?.try_into().expect("8"));
-        let round = u64::from_le_bytes(take(&mut off, 8)?.try_into().expect("8"));
-        let serial = u64::from_le_bytes(take(&mut off, 8)?.try_into().expect("8"));
-        let client_id = u64::from_le_bytes(take(&mut off, 8)?.try_into().expect("8"));
-        let n = u32::from_le_bytes(take(&mut off, 4)?.try_into().expect("4")) as usize;
-        if body_len != 1 + 8 + 8 + 8 + 8 + 4 + 8 * n + 3 * DIGEST_LEN {
-            return Err(AuditError::Truncated { at: start });
-        }
-        let mut detail = Vec::with_capacity(n);
-        for _ in 0..n {
-            detail.push(u64::from_le_bytes(
-                take(&mut off, 8)?.try_into().expect("8"),
-            ));
-        }
-        let mut state_digest = [0u8; DIGEST_LEN];
-        state_digest.copy_from_slice(take(&mut off, DIGEST_LEN)?);
-        let mut prev_hash = [0u8; DIGEST_LEN];
-        prev_hash.copy_from_slice(take(&mut off, DIGEST_LEN)?);
-        let mut entry_hash = [0u8; DIGEST_LEN];
-        entry_hash.copy_from_slice(take(&mut off, DIGEST_LEN)?);
-        debug_assert_eq!(off, body_end);
-
+        let index = entry.index;
         let want_index = entries.len() as u64;
         if index != want_index {
             return Err(AuditError::IndexSkew {
@@ -557,17 +538,6 @@ fn verify_reader(r: &mut impl Read) -> Result<AuditSummary, AuditError> {
                 got: index,
             });
         }
-        let entry = AuditEntry {
-            kind,
-            index,
-            round,
-            serial,
-            client_id,
-            detail,
-            state_digest,
-            prev_hash,
-            entry_hash,
-        };
         if entry.prev_hash != tip {
             return Err(AuditError::ChainBroken { index });
         }
@@ -580,7 +550,7 @@ fn verify_reader(r: &mut impl Read) -> Result<AuditSummary, AuditError> {
     Ok(AuditSummary {
         entries,
         tip,
-        bytes: off as u64,
+        bytes: data.len() as u64,
     })
 }
 

@@ -404,6 +404,8 @@ impl<T: ServeTransport> Coordinator<T> {
         transport.set_telemetry(&telemetry);
         let mut queue = UnlearnQueue::new();
         queue.set_telemetry(QueueTelemetry::from_serve(&telemetry));
+        let mut shard_tasks = crate::shard::ShardTaskQueue::new();
+        shard_tasks.set_telemetry(QueueTelemetry::for_shard_tasks(&telemetry));
         let mut runtime = RoundRuntime::new(cfg.threads, cfg.update_window);
         runtime.set_robustness(cfg.robust);
         runtime.set_sampling(cfg.cohort_fraction);
@@ -423,7 +425,7 @@ impl<T: ServeTransport> Coordinator<T> {
             resume_drain_pending: false,
             robustness_log: Vec::new(),
             shard_map: None,
-            shard_tasks: crate::shard::ShardTaskQueue::new(),
+            shard_tasks,
         }
     }
 
@@ -507,9 +509,6 @@ impl<T: ServeTransport> Coordinator<T> {
                 self.shard_tasks.submit(task);
             }
         }
-        self.telemetry
-            .shard_tasks_pending
-            .set(self.shard_tasks.len() as i64);
         // A non-empty queue whose drain slot already passed (the crash
         // hit after the round's checkpoint but before the drain
         // committed) is served first by `run`, at its original seed.
@@ -715,18 +714,10 @@ impl<T: ServeTransport> Coordinator<T> {
                 })?;
         }
         for task in tasks {
-            let (client, shard) = (task.client_id as u64, task.shard as u64);
-            let depth = self.shard_tasks.submit(task);
-            self.telemetry.trace.record(EventKind::ShardTaskQueued {
-                client,
-                shard,
-                depth: depth as u64,
-            });
+            self.shard_tasks.submit(task);
         }
+        // One per *request*, however many tasks it routed to.
         self.telemetry.unlearn_submitted_total.inc();
-        self.telemetry
-            .shard_tasks_pending
-            .set(self.shard_tasks.len() as i64);
         Ok(())
     }
 
@@ -1045,7 +1036,7 @@ impl<T: ServeTransport> Coordinator<T> {
             pending: self.shard_tasks.len() as u64,
         });
         let serial = self.telemetry.drain_batches_total.get();
-        let tasks = self.shard_tasks.drain_all();
+        let tasks = self.shard_tasks.drain();
 
         let mut summary = ShardDrainSummary::default();
         let mut audit_records: Vec<AuditEventRecord> = Vec::new();
@@ -1178,9 +1169,6 @@ impl<T: ServeTransport> Coordinator<T> {
                 });
             }
         }
-        self.telemetry
-            .shard_tasks_pending
-            .set(self.shard_tasks.len() as i64);
         if let Some(e) = fail {
             return Err(fatal_or(&self.transport, e));
         }

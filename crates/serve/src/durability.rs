@@ -29,6 +29,7 @@
 //! round stream bitwise (pinned by `tests/crash_recovery.rs`).
 
 use crate::audit::{AuditEntry, AuditError, AuditLog};
+use crate::codec::{put_rows, Reader};
 use crate::coordinator::DrainStats;
 use crate::digest::{sha256, Sha256, DIGEST_LEN};
 use crate::queue::UnlearnRequest;
@@ -53,8 +54,6 @@ pub const WAL_MAGIC: [u8; 4] = *b"GFWL";
 
 /// WAL format version.
 pub const WAL_VERSION: u32 = 1;
-
-const WAL_HEADER_LEN: u64 = 8;
 
 /// How many checkpoint generations stay on disk.
 pub const CHECKPOINTS_KEPT: usize = 2;
@@ -198,45 +197,14 @@ pub struct Checkpoint {
 
 fn put_request(out: &mut Vec<u8>, req: &UnlearnRequest) {
     out.extend_from_slice(&(req.client_id as u64).to_le_bytes());
-    out.extend_from_slice(&(req.removed.len() as u32).to_le_bytes());
-    for &i in &req.removed {
-        out.extend_from_slice(&(i as u64).to_le_bytes());
-    }
+    put_rows(out, req.removed.iter().map(|&i| i as u64));
 }
 
-struct Cursor<'a> {
-    b: &'a [u8],
-}
-
-impl<'a> Cursor<'a> {
-    fn take(&mut self, n: usize) -> Option<&'a [u8]> {
-        if self.b.len() < n {
-            return None;
-        }
-        let (head, rest) = self.b.split_at(n);
-        self.b = rest;
-        Some(head)
-    }
-
-    fn u32(&mut self) -> Option<u32> {
-        self.take(4)
-            .map(|s| u32::from_le_bytes(s.try_into().unwrap()))
-    }
-
-    fn u64(&mut self) -> Option<u64> {
-        self.take(8)
-            .map(|s| u64::from_le_bytes(s.try_into().unwrap()))
-    }
-
-    fn request(&mut self) -> Option<UnlearnRequest> {
-        let client_id = self.u64()? as usize;
-        let n = self.u32()? as usize;
-        let mut removed = Vec::with_capacity(n.min(1 << 20));
-        for _ in 0..n {
-            removed.push(self.u64()? as usize);
-        }
-        Some(UnlearnRequest { client_id, removed })
-    }
+fn read_request(c: &mut Reader<'_>) -> Option<UnlearnRequest> {
+    Some(UnlearnRequest {
+        client_id: c.u64()? as usize,
+        removed: c.rows()?,
+    })
 }
 
 impl Checkpoint {
@@ -284,12 +252,14 @@ impl Checkpoint {
         if data.len() < 8 + DIGEST_LEN {
             return Err(truncated());
         }
-        if data[0..4] != CHECKPOINT_MAGIC {
+        let (body, stored) = data.split_at(data.len() - DIGEST_LEN);
+        let mut c = Reader { b: body };
+        if c.take(4) != Some(&CHECKPOINT_MAGIC[..]) {
             return Err(DurabilityError::CheckpointBadMagic {
                 path: path.to_string(),
             });
         }
-        let version = u32::from_le_bytes(data[4..8].try_into().unwrap());
+        let version = c.u32().ok_or_else(truncated)?;
         if version != CHECKPOINT_VERSION {
             return Err(DurabilityError::CheckpointVersionSkew {
                 path: path.to_string(),
@@ -297,20 +267,17 @@ impl Checkpoint {
             });
         }
         // Checksum first: everything after it can assume intact bytes.
-        let (body, stored) = data.split_at(data.len() - DIGEST_LEN);
         if sha256(body) != *stored {
             return Err(DurabilityError::CheckpointChecksum {
                 path: path.to_string(),
             });
         }
-        let mut c = Cursor { b: &body[8..] };
         let serial = c.u64().ok_or_else(truncated)?;
         let round_next = c.u64().ok_or_else(truncated)?;
         let wal_seq = c.u64().ok_or_else(truncated)?;
         let audit_entries = c.u64().ok_or_else(truncated)?;
         let audit_bytes = c.u64().ok_or_else(truncated)?;
-        let mut audit_tip = [0u8; DIGEST_LEN];
-        audit_tip.copy_from_slice(c.take(DIGEST_LEN).ok_or_else(truncated)?);
+        let audit_tip = c.array().ok_or_else(truncated)?;
         let drain_stats = DrainStats {
             requests_served: c.u64().ok_or_else(truncated)? as usize,
             batches_served: c.u64().ok_or_else(truncated)? as usize,
@@ -319,20 +286,19 @@ impl Checkpoint {
         let n_pending = c.u32().ok_or_else(truncated)? as usize;
         let mut pending = Vec::with_capacity(n_pending.min(1 << 16));
         for _ in 0..n_pending {
-            pending.push(c.request().ok_or_else(truncated)?);
+            pending.push(read_request(&mut c).ok_or_else(truncated)?);
         }
-        let shard = match c.take(1).ok_or_else(truncated)?[0] {
+        let shard = match c.u8().ok_or_else(truncated)? {
             0 => None,
             1 => {
                 let (snap, consumed) =
                     crate::shard::ShardSnapshot::decode(c.b).ok_or_else(truncated)?;
-                c.b = &c.b[consumed..];
+                c.take(consumed).ok_or_else(truncated)?;
                 Some(snap)
             }
             _ => return Err(truncated()),
         };
-        let mut global = Vec::new();
-        serialize::params_read_into_vec(c.b, &mut global).map_err(|_| truncated())?;
+        let global = c.f32s().ok_or_else(truncated)?;
         Ok(Checkpoint {
             serial,
             round_next,
@@ -452,10 +418,7 @@ fn wal_shard_record_bytes(seq: u64, task: &crate::shard::ShardTask) -> Vec<u8> {
     body.extend_from_slice(&seq.to_le_bytes());
     body.extend_from_slice(&(task.client_id as u64).to_le_bytes());
     body.extend_from_slice(&(task.shard as u32).to_le_bytes());
-    body.extend_from_slice(&(task.rows.len() as u32).to_le_bytes());
-    for &r in &task.rows {
-        body.extend_from_slice(&(r as u64).to_le_bytes());
-    }
+    put_rows(&mut body, task.rows.iter().map(|&r| r as u64));
     seal_wal_record(body)
 }
 
@@ -477,56 +440,45 @@ type WalContents = (Vec<(u64, WalRecord)>, Option<u64>);
 /// a torn tail from a crash mid-append. Torn tails are safe to discard:
 /// the submit was never acknowledged (fsync happens before the ack).
 fn read_wal(data: &[u8]) -> Result<WalContents, DurabilityError> {
-    if data.len() < WAL_HEADER_LEN as usize {
+    let mut file = Reader { b: data };
+    let (Some(magic), Some(version)) = (file.take(4), file.u32()) else {
         return Err(DurabilityError::WalHeader {
             detail: "file shorter than header".into(),
         });
-    }
-    if data[0..4] != WAL_MAGIC {
+    };
+    if magic != WAL_MAGIC {
         return Err(DurabilityError::WalHeader {
-            detail: format!("bad magic {:?}", &data[0..4]),
+            detail: format!("bad magic {magic:?}"),
         });
     }
-    let version = u32::from_le_bytes(data[4..8].try_into().unwrap());
     if version != WAL_VERSION {
         return Err(DurabilityError::WalHeader {
             detail: format!("version {version} (want {WAL_VERSION})"),
         });
     }
     let mut records = Vec::new();
-    let mut off = WAL_HEADER_LEN as usize;
-    while off < data.len() {
-        let start = off as u64;
-        if data.len() - off < 4 {
+    while !file.b.is_empty() {
+        let start = (data.len() - file.b.len()) as u64;
+        let framed = file.u32().and_then(|len| file.take(len as usize));
+        let Some(record) = framed else {
             return Ok((records, Some(start)));
-        }
-        let len = u32::from_le_bytes(data[off..off + 4].try_into().unwrap()) as usize;
-        off += 4;
-        if data.len() - off < len {
-            return Ok((records, Some(start)));
-        }
-        let record = &data[off..off + len];
-        off += len;
-        if len < 1 + 8 + 8 + 4 + DIGEST_LEN {
-            return Err(DurabilityError::WalCorrupt { offset: start });
-        }
-        let (body, stored_hash) = record.split_at(len - DIGEST_LEN);
-        if sha256(body) != *stored_hash {
-            return Err(DurabilityError::WalCorrupt { offset: start });
-        }
+        };
         let corrupt = || DurabilityError::WalCorrupt { offset: start };
-        let mut c = Cursor { b: &body[1..] };
+        if record.len() < 1 + 8 + 8 + 4 + DIGEST_LEN {
+            return Err(corrupt());
+        }
+        let (body, stored_hash) = record.split_at(record.len() - DIGEST_LEN);
+        if sha256(body) != *stored_hash {
+            return Err(corrupt());
+        }
+        let mut c = Reader { b: &body[1..] };
         let seq = c.u64().ok_or_else(corrupt)?;
         let record = match body[0] {
-            1 => WalRecord::Submit(c.request().ok_or_else(corrupt)?),
+            1 => WalRecord::Submit(read_request(&mut c).ok_or_else(corrupt)?),
             2 => {
                 let client_id = c.u64().ok_or_else(corrupt)? as usize;
                 let shard = c.u32().ok_or_else(corrupt)? as usize;
-                let n = c.u32().ok_or_else(corrupt)? as usize;
-                let mut rows = Vec::with_capacity(n.min(1 << 20));
-                for _ in 0..n {
-                    rows.push(c.u64().ok_or_else(corrupt)? as usize);
-                }
+                let rows = c.rows().ok_or_else(corrupt)?;
                 WalRecord::ShardTask(crate::shard::ShardTask::new(client_id, shard, rows))
             }
             _ => return Err(corrupt()),

@@ -299,7 +299,28 @@ impl<T: ServeTransport> FaultyTransport<T> {
         fate
     }
 
-    fn dead_error(&self, client_id: usize) -> TransportError {
+    /// The gate every op passes, one op per call: resolves the op's
+    /// fate, then `run`s it on the live transport — unless the
+    /// coordinator is already dead or dies here first (`KillBefore`: no
+    /// worker sees the op). `None` means the coordinator is dead now and
+    /// the caller reports dead errors; after a `KillAfter` that is so
+    /// even though `run` happened — the workers did the work, the
+    /// coordinator never sees the result.
+    fn gated<R>(&mut self, run: impl FnOnce(&mut Self, &OpFate) -> R) -> Option<R> {
+        let fate = self.begin_op();
+        if self.killed || fate.kill_before {
+            self.killed = true;
+            return None;
+        }
+        let out = run(self, &fate);
+        if fate.kill_after {
+            self.killed = true;
+            return None;
+        }
+        Some(out)
+    }
+
+    fn dead_error(client_id: usize) -> TransportError {
         TransportError::Disconnected {
             client_id,
             reason: "fault injection: coordinator killed".into(),
@@ -324,43 +345,41 @@ impl<T: ServeTransport> FaultyTransport<T> {
         results: &mut Vec<Result<(), TransportError>>,
         run: impl FnOnce(&mut T, &mut UpdateSink<'_>, &mut Vec<Result<(), TransportError>>),
     ) {
-        let fate = self.begin_op();
-        let dead = self.killed || fate.kill_before;
-        if dead || fate.kill_after {
-            if !dead {
-                run(&mut self.inner, &mut |_| Ok(()), results);
+        let ran = self.gated(|t, fate| {
+            if fate.kill_after {
+                return run(&mut t.inner, &mut |_| Ok(()), results);
             }
-            self.killed = true;
-            results.clear();
-            results.extend(cohort.iter().map(|&(id, _)| Err(self.dead_error(id))));
-            return;
-        }
-        let scripted = byzantine && !self.plan.byz.is_empty();
-        if fate.drops.is_empty() && !scripted {
-            return run(&mut self.inner, sink, results);
-        }
-        let FaultyTransport {
-            inner,
-            plan,
-            replay,
-            ..
-        } = self;
-        let mut scratch: Vec<f32> = Vec::new();
-        let mut filtered = |u: StreamedUpdate<'_>| {
-            if fate.drops.contains(&u.client_id) {
-                return Err(TransportError::Disconnected {
-                    client_id: u.client_id,
-                    reason: "fault injection: reply dropped".into(),
-                });
+            let scripted = byzantine && !t.plan.byz.is_empty();
+            if fate.drops.is_empty() && !scripted {
+                return run(&mut t.inner, sink, results);
             }
-            match plan.byzantine_script(u.client_id) {
-                Some(script) if byzantine => {
-                    apply_script(script, &mut *replay, &mut scratch, &mut *sink, u)
+            let FaultyTransport {
+                inner,
+                plan,
+                replay,
+                ..
+            } = t;
+            let mut scratch: Vec<f32> = Vec::new();
+            let mut filtered = |u: StreamedUpdate<'_>| {
+                if fate.drops.contains(&u.client_id) {
+                    return Err(TransportError::Disconnected {
+                        client_id: u.client_id,
+                        reason: "fault injection: reply dropped".into(),
+                    });
                 }
-                _ => sink(u),
-            }
-        };
-        run(inner, &mut filtered, results);
+                match plan.byzantine_script(u.client_id) {
+                    Some(script) if byzantine => {
+                        apply_script(script, &mut *replay, &mut scratch, &mut *sink, u)
+                    }
+                    _ => sink(u),
+                }
+            };
+            run(inner, &mut filtered, results);
+        });
+        if ran.is_none() {
+            results.clear();
+            results.extend(cohort.iter().map(|&(id, _)| Err(Self::dead_error(id))));
+        }
     }
 }
 
@@ -476,17 +495,8 @@ impl<T: ServeTransport> DistillTransport for FaultyTransport<T> {
     }
 
     fn begin_unlearn(&mut self, job: &UnlearnJob, teacher: &[f32]) -> Result<(), TransportError> {
-        let fate = self.begin_op();
-        if self.killed || fate.kill_before {
-            self.killed = true;
-            return Err(self.dead_error(0));
-        }
-        let out = self.inner.begin_unlearn(job, teacher);
-        if fate.kill_after {
-            self.killed = true;
-            return Err(self.dead_error(0));
-        }
-        out
+        self.gated(|t, _| t.inner.begin_unlearn(job, teacher))
+            .unwrap_or_else(|| Err(Self::dead_error(0)))
     }
 
     fn distill_round(
@@ -540,19 +550,9 @@ impl<T: ServeTransport> ServeTransport for FaultyTransport<T> {
     ) -> Vec<Result<LocalEval, TransportError>> {
         let mut live = Vec::new();
         self.inner.cohort_into(&mut live);
-        let fate = self.begin_op();
-        let dead = self.killed || fate.kill_before;
-        if dead || fate.kill_after {
-            if !dead {
-                self.inner.local_eval(round, global);
-            }
-            self.killed = true;
-            return live
-                .iter()
-                .map(|&(id, _)| Err(self.dead_error(id)))
-                .collect();
-        }
-        self.inner.local_eval(round, global)
+        let dead = |&(id, _): &(usize, usize)| Err(Self::dead_error(id));
+        self.gated(|t, _| t.inner.local_eval(round, global))
+            .unwrap_or_else(|| live.iter().map(dead).collect())
     }
 
     fn set_read_timeout(&mut self, timeout: std::time::Duration) {
@@ -579,17 +579,8 @@ impl<T: ServeTransport> ServeTransport for FaultyTransport<T> {
         &mut self,
         assign: &crate::shard::ShardRetrainAssign,
     ) -> Result<Vec<f32>, TransportError> {
-        let fate = self.begin_op();
-        if self.killed || fate.kill_before {
-            self.killed = true;
-            return Err(self.dead_error(assign.owner));
-        }
-        let out = self.inner.shard_retrain(assign);
-        if fate.kill_after {
-            self.killed = true;
-            return Err(self.dead_error(assign.owner));
-        }
-        out
+        self.gated(|t, _| t.inner.shard_retrain(assign))
+            .unwrap_or_else(|| Err(Self::dead_error(assign.owner)))
     }
 
     fn straggle_ms(&self, client_id: usize) -> u64 {

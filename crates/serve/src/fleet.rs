@@ -39,7 +39,7 @@ use crate::nio::{FramePool, FrameReadState, FrameWriteState};
 use crate::wire::{
     decode_msg, encode_frame_into, read_frame, write_frame, FrameLimits, Msg, WireError,
 };
-use crate::worker::WorkerRuntime;
+use crate::worker::{check_capabilities, WorkerRuntime};
 
 /// How a fleet run ended, per connection.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -112,30 +112,7 @@ pub fn run_fleet(
         report.bytes_sent += write_frame(&mut stream, &runtime.hello(), limits)? as u64;
         let (reply, nbytes) = read_frame(&mut stream, limits)?;
         report.bytes_received += nbytes as u64;
-        match reply {
-            Msg::Capabilities { state_len, .. } => {
-                if state_len as usize != runtime.state_len() {
-                    return Err(WireError::Malformed(format!(
-                        "coordinator model has {state_len} params, worker {} has {}",
-                        runtime.client_id(),
-                        runtime.state_len()
-                    )));
-                }
-            }
-            Msg::Err { code, detail } => {
-                return Err(WireError::Malformed(format!(
-                    "coordinator rejected worker {} (code {code}): {detail}",
-                    runtime.client_id()
-                )));
-            }
-            other => {
-                return Err(WireError::Malformed(format!(
-                    "expected Capabilities for worker {}, got {}",
-                    runtime.client_id(),
-                    other.name()
-                )));
-            }
-        }
+        check_capabilities(&reply, runtime)?;
         stream.set_nonblocking(true)?;
         let key = conns.len();
         poller.add(stream.as_raw_fd(), Event::readable(key))?;

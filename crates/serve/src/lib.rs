@@ -26,13 +26,14 @@
 //! * [`worker`] — the worker-side state machine
 //!   ([`worker::WorkerRuntime`]) and connection loop shared by the
 //!   `goldfish-worker` daemon and the tests,
-//! * [`queue`] — the FIFO [`queue::UnlearnQueue`] with per-client
-//!   dedupe, drained between training rounds (the paper's
-//!   request-then-retrain flow),
+//! * [`queue`] — the one FIFO pending-deletion queue
+//!   ([`queue::MergeQueue`]; [`queue::UnlearnQueue`] dedupes per client),
+//!   drained between training rounds (the paper's request-then-retrain
+//!   flow),
 //! * [`shard`] — shard-isolated unlearning (DESIGN.md §16): the
 //!   coordinator-owned [`shard::ShardMap`] (Eqs 8–10 mirrors +
-//!   tombstones), the shard-granular task queue, and the XOR parity
-//!   groups backing deadline-degraded drains,
+//!   tombstones), the same queue keyed by `(client, shard)`, and the XOR
+//!   parity groups backing deadline-degraded drains,
 //! * [`coordinator`] — the [`coordinator::Coordinator`]: owns the global
 //!   state and the queue, drives training rounds and unlearning requests
 //!   over any transport, with straggler drop + re-round,
@@ -69,6 +70,7 @@
 
 pub mod admin;
 pub mod audit;
+mod codec;
 pub mod coordinator;
 pub mod demo;
 pub mod digest;

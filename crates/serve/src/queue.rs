@@ -7,6 +7,12 @@
 //! a second request from a client that already has one pending merges
 //! its indices into the pending entry (keeping the original FIFO
 //! position), so one distillation pass serves both.
+//!
+//! The queue itself is [`MergeQueue`], generic over what is [`Pending`]:
+//! whole-client requests here ([`UnlearnQueue`]), shard retrain tasks in
+//! shard mode ([`crate::shard::ShardTaskQueue`]) — same submit / merge /
+//! drain / restore semantics and the same telemetry, keyed by client or
+//! by `(client, shard)`.
 
 use goldfish_telemetry::events::EventKind;
 
@@ -26,16 +32,53 @@ pub struct UnlearnRequest {
 impl UnlearnRequest {
     /// A request to forget `removed` samples of `client_id`.
     pub fn new(client_id: usize, mut removed: Vec<usize>) -> Self {
-        removed.sort_unstable();
-        removed.dedup();
+        normalize(&mut removed);
         UnlearnRequest { client_id, removed }
     }
 }
 
+/// What a [`MergeQueue`] holds: a deletion waiting for its drain,
+/// addressed to one merge target.
+pub trait Pending {
+    /// Whether `other` addresses the same target, so that it merges into
+    /// this entry instead of queueing behind it.
+    fn same_target(&self, other: &Self) -> bool;
+
+    /// The entry's row list, which the queue keeps sorted and
+    /// deduplicated.
+    fn rows_mut(&mut self) -> &mut Vec<usize>;
+
+    /// The trace event recording this submission, `depth` being the
+    /// queue depth once it is in.
+    fn queued_event(&self, depth: u64) -> EventKind;
+}
+
+impl Pending for UnlearnRequest {
+    fn same_target(&self, other: &Self) -> bool {
+        self.client_id == other.client_id
+    }
+
+    fn rows_mut(&mut self) -> &mut Vec<usize> {
+        &mut self.removed
+    }
+
+    fn queued_event(&self, depth: u64) -> EventKind {
+        EventKind::UnlearnQueued {
+            client: self.client_id as u64,
+            removed: self.removed.len() as u64,
+            depth,
+        }
+    }
+}
+
 /// FIFO queue of pending [`UnlearnRequest`]s with per-client dedupe.
-#[derive(Debug, Default)]
-pub struct UnlearnQueue {
-    pending: Vec<UnlearnRequest>,
+pub type UnlearnQueue = MergeQueue<UnlearnRequest>;
+
+/// FIFO queue of [`Pending`] entries with per-target dedupe: the one
+/// pending-deletion queue behind both drain modes.
+#[derive(Debug)]
+pub struct MergeQueue<T> {
+    pending: Vec<T>,
     submitted: usize,
     merged: usize,
     /// Registry handles (detached by default: counting is unconditional,
@@ -43,10 +86,28 @@ pub struct UnlearnQueue {
     telemetry: QueueTelemetry,
 }
 
-impl UnlearnQueue {
+impl<T> Default for MergeQueue<T> {
+    fn default() -> Self {
+        MergeQueue {
+            pending: Vec::new(),
+            submitted: 0,
+            merged: 0,
+            telemetry: QueueTelemetry::default(),
+        }
+    }
+}
+
+/// Sorts and deduplicates a row list — the one normal form every
+/// pending entry's rows are kept in.
+pub(crate) fn normalize(rows: &mut Vec<usize>) {
+    rows.sort_unstable();
+    rows.dedup();
+}
+
+impl<T: Pending> MergeQueue<T> {
     /// An empty queue.
     pub fn new() -> Self {
-        UnlearnQueue::default()
+        MergeQueue::default()
     }
 
     /// Rebinds the queue's depth gauge and submit/merge counters to a
@@ -58,56 +119,58 @@ impl UnlearnQueue {
         self.telemetry = telemetry;
     }
 
-    /// Enqueues a request. If the client already has a pending request
-    /// the indices are merged into it (union, sorted) and the existing
-    /// FIFO position is kept; otherwise the request joins the tail.
-    pub fn submit(&mut self, req: UnlearnRequest) {
+    /// Enqueues an entry. If one with the same target is already pending
+    /// the rows are merged into it (union, sorted) and the existing
+    /// FIFO position is kept; otherwise the entry joins the tail.
+    pub fn submit(&mut self, mut entry: T) {
         self.submitted += 1;
         self.telemetry.submitted_total.inc();
-        let req = UnlearnRequest::new(req.client_id, req.removed);
-        let (ev_client, ev_removed) = (req.client_id as u64, req.removed.len() as u64);
-        if let Some(existing) = self
-            .pending
-            .iter_mut()
-            .find(|r| r.client_id == req.client_id)
-        {
-            existing.removed.extend(req.removed);
-            existing.removed.sort_unstable();
-            existing.removed.dedup();
-            self.merged += 1;
-            self.telemetry.merged_total.inc();
-        } else {
-            self.pending.push(req);
+        normalize(entry.rows_mut());
+        let target = self.pending.iter().position(|p| p.same_target(&entry));
+        let depth = self.pending.len() + usize::from(target.is_none());
+        let event = entry.queued_event(depth as u64);
+        match target {
+            Some(at) => {
+                let rows = self.pending[at].rows_mut();
+                rows.append(entry.rows_mut());
+                normalize(rows);
+                self.merged += 1;
+                self.telemetry.merged_total.inc();
+            }
+            None => self.pending.push(entry),
         }
-        self.telemetry.depth.set(self.pending.len() as i64);
-        self.telemetry.trace.record(EventKind::UnlearnQueued {
-            client: ev_client,
-            removed: ev_removed,
-            depth: self.pending.len() as u64,
-        });
+        self.telemetry.depth.set(depth as i64);
+        self.telemetry.trace.record(event);
     }
 
-    /// Removes and returns every pending request, in FIFO order.
-    pub fn drain(&mut self) -> Vec<UnlearnRequest> {
+    /// Removes and returns every pending entry, in FIFO order.
+    pub fn drain(&mut self) -> Vec<T> {
         self.telemetry.depth.set(0);
         std::mem::take(&mut self.pending)
     }
 
-    /// Removes and returns at most `limit` requests from the head of
-    /// the queue, in FIFO order. Requests left behind keep their
-    /// positions; a client whose request was just drained and who
-    /// submits again starts a **new** tail entry (drained requests are
+    /// Removes and returns at most `limit` entries from the head of
+    /// the queue, in FIFO order. Entries left behind keep their
+    /// positions; a target whose entry was just drained and which is
+    /// submitted again starts a **new** tail entry (drained entries are
     /// served — they are no longer merge targets).
-    pub fn drain_batch(&mut self, limit: usize) -> Vec<UnlearnRequest> {
+    pub fn drain_batch(&mut self, limit: usize) -> Vec<T> {
         let n = limit.min(self.pending.len());
-        let batch: Vec<UnlearnRequest> = self.pending.drain(..n).collect();
+        let batch: Vec<T> = self.pending.drain(..n).collect();
         self.telemetry.depth.set(self.pending.len() as i64);
         batch
     }
 
-    /// A read-only view of the pending requests, in FIFO order — what a
+    /// Re-enqueues a drain's unfinished remainder **at the front**, in
+    /// order — those entries were first in line and stay first.
+    pub fn requeue_front(&mut self, mut remainder: Vec<T>) {
+        remainder.append(&mut self.pending);
+        self.restore(remainder);
+    }
+
+    /// A read-only view of the pending entries, in FIFO order — what a
     /// durability checkpoint persists.
-    pub fn pending(&self) -> &[UnlearnRequest] {
+    pub fn pending(&self) -> &[T] {
         &self.pending
     }
 
@@ -115,12 +178,12 @@ impl UnlearnQueue {
     /// rebuilding the exact pre-crash queue from checkpoint + WAL
     /// replay. Counters are not touched: they describe this process's
     /// observations, not the durable state.
-    pub fn restore(&mut self, pending: Vec<UnlearnRequest>) {
+    pub fn restore(&mut self, pending: Vec<T>) {
         self.pending = pending;
         self.telemetry.depth.set(self.pending.len() as i64);
     }
 
-    /// Pending request count (after dedupe).
+    /// Pending entry count (after dedupe).
     pub fn len(&self) -> usize {
         self.pending.len()
     }
@@ -135,7 +198,7 @@ impl UnlearnQueue {
         self.submitted
     }
 
-    /// Submissions that merged into an already-pending request.
+    /// Submissions that merged into an already-pending entry.
     pub fn merged(&self) -> usize {
         self.merged
     }

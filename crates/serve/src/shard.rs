@@ -35,7 +35,10 @@
 use goldfish_core::ShardedLocalModel;
 use goldfish_data::partition;
 use goldfish_fed::trainer::TrainConfig;
+use goldfish_telemetry::events::EventKind;
 use goldfish_tensor::serialize;
+
+use crate::codec::{put_rows, Reader};
 
 /// Shard-mode policy knobs (`--shards`, `--shard-group`,
 /// `--drain-deadline-ms`).
@@ -85,8 +88,7 @@ pub struct ShardTask {
 impl ShardTask {
     /// Builds a task, sorting and deduplicating `rows`.
     pub fn new(client_id: usize, shard: usize, mut rows: Vec<usize>) -> Self {
-        rows.sort_unstable();
-        rows.dedup();
+        crate::queue::normalize(&mut rows);
         ShardTask {
             client_id,
             shard,
@@ -95,95 +97,30 @@ impl ShardTask {
     }
 }
 
+impl crate::queue::Pending for ShardTask {
+    fn same_target(&self, other: &Self) -> bool {
+        self.client_id == other.client_id && self.shard == other.shard
+    }
+
+    fn rows_mut(&mut self) -> &mut Vec<usize> {
+        &mut self.rows
+    }
+
+    fn queued_event(&self, depth: u64) -> EventKind {
+        EventKind::ShardTaskQueued {
+            client: self.client_id as u64,
+            shard: self.shard as u64,
+            depth,
+        }
+    }
+}
+
 /// FIFO queue of shard retrain tasks with per-`(client, shard)` merge:
 /// a second deletion hitting a shard whose task is still pending merges
 /// into it (keeping the earlier FIFO position) instead of queueing a
-/// second retrain of the same shard.
-#[derive(Debug, Default)]
-pub struct ShardTaskQueue {
-    pending: Vec<ShardTask>,
-    submitted: usize,
-    merged: usize,
-}
-
-impl ShardTaskQueue {
-    /// An empty queue.
-    pub fn new() -> Self {
-        ShardTaskQueue::default()
-    }
-
-    /// Queues (or merges) one task; returns the queue depth after.
-    pub fn submit(&mut self, task: ShardTask) -> usize {
-        self.submitted += 1;
-        if let Some(existing) = self
-            .pending
-            .iter_mut()
-            .find(|t| t.client_id == task.client_id && t.shard == task.shard)
-        {
-            existing.rows.extend_from_slice(&task.rows);
-            existing.rows.sort_unstable();
-            existing.rows.dedup();
-            self.merged += 1;
-        } else {
-            self.pending.push(task);
-        }
-        self.pending.len()
-    }
-
-    /// Takes every pending task (FIFO order), leaving the queue empty.
-    pub fn drain_all(&mut self) -> Vec<ShardTask> {
-        std::mem::take(&mut self.pending)
-    }
-
-    /// Takes up to `limit` tasks off the front (FIFO order). Drained
-    /// tasks are no longer merge targets — exactly the whole-client
-    /// queue's `drain_batch` contract.
-    pub fn drain_batch(&mut self, limit: usize) -> Vec<ShardTask> {
-        let n = limit.min(self.pending.len());
-        self.pending.drain(..n).collect()
-    }
-
-    /// Re-enqueues a drain's unfinished remainder **at the front**, in
-    /// order — those tasks were first in line and stay first.
-    pub fn requeue_front(&mut self, remainder: Vec<ShardTask>) {
-        if remainder.is_empty() {
-            return;
-        }
-        let tail = std::mem::take(&mut self.pending);
-        self.pending = remainder;
-        self.pending.extend(tail);
-    }
-
-    /// Restores a recovered checkpoint's pending tasks verbatim.
-    pub fn restore(&mut self, pending: Vec<ShardTask>) {
-        self.pending = pending;
-    }
-
-    /// The pending tasks, FIFO order.
-    pub fn pending(&self) -> &[ShardTask] {
-        &self.pending
-    }
-
-    /// Pending task count.
-    pub fn len(&self) -> usize {
-        self.pending.len()
-    }
-
-    /// Whether nothing is pending.
-    pub fn is_empty(&self) -> bool {
-        self.pending.is_empty()
-    }
-
-    /// Tasks submitted (including merged) since construction.
-    pub fn submitted(&self) -> usize {
-        self.submitted
-    }
-
-    /// Submissions that merged into a pending task.
-    pub fn merged(&self) -> usize {
-        self.merged
-    }
-}
+/// second retrain of the same shard. The whole-client queue's
+/// [`crate::queue::MergeQueue`], keyed by shard.
+pub type ShardTaskQueue = crate::queue::MergeQueue<ShardTask>;
 
 /// What a transport executes for one shard retrain — the serve-layer
 /// analogue of `ShardedClient`'s internal retrain job, shipped as a
@@ -395,8 +332,7 @@ impl ShardMap {
         }
         let c = &mut self.clients[client];
         c.removed[shard].extend_from_slice(rows);
-        c.removed[shard].sort_unstable();
-        c.removed[shard].dedup();
+        crate::queue::normalize(&mut c.removed[shard]);
         let tau = self.policy.tau;
         let remaining = (0..c.original_len)
             .filter(|&g| g % tau == shard && !c.removed[shard].contains(&g))
@@ -502,54 +438,6 @@ pub struct ShardSnapshot {
     pub tasks: Vec<ShardTask>,
 }
 
-fn put_rows(out: &mut Vec<u8>, rows: &[usize]) {
-    out.extend_from_slice(&(rows.len() as u32).to_le_bytes());
-    for &r in rows {
-        out.extend_from_slice(&(r as u64).to_le_bytes());
-    }
-}
-
-struct Cur<'a> {
-    b: &'a [u8],
-}
-
-impl<'a> Cur<'a> {
-    fn take(&mut self, n: usize) -> Option<&'a [u8]> {
-        if self.b.len() < n {
-            return None;
-        }
-        let (head, rest) = self.b.split_at(n);
-        self.b = rest;
-        Some(head)
-    }
-
-    fn u32(&mut self) -> Option<u32> {
-        self.take(4)
-            .map(|s| u32::from_le_bytes(s.try_into().unwrap()))
-    }
-
-    fn u64(&mut self) -> Option<u64> {
-        self.take(8)
-            .map(|s| u64::from_le_bytes(s.try_into().unwrap()))
-    }
-
-    fn rows(&mut self) -> Option<Vec<usize>> {
-        let n = self.u32()? as usize;
-        let mut out = Vec::with_capacity(n.min(1 << 20));
-        for _ in 0..n {
-            out.push(self.u64()? as usize);
-        }
-        Some(out)
-    }
-
-    fn f32s(&mut self) -> Option<Vec<f32>> {
-        let mut out = Vec::new();
-        let used = serialize::params_read_into_vec(self.b, &mut out).ok()?;
-        self.b = &self.b[used..];
-        Some(out)
-    }
-}
-
 impl ShardSnapshot {
     /// Appends the snapshot's encoding to `out` (length-delimited, so
     /// the checkpoint codec can keep parsing after it).
@@ -562,7 +450,7 @@ impl ShardSnapshot {
             out.extend_from_slice(&(c.original_len as u64).to_le_bytes());
             for shard in 0..self.tau {
                 out.extend_from_slice(&(c.model.sizes()[shard] as u64).to_le_bytes());
-                put_rows(out, &c.removed[shard]);
+                put_rows(out, c.removed[shard].iter().map(|&r| r as u64));
                 serialize::params_write_into(out, c.model.shard_state(shard));
             }
         }
@@ -570,7 +458,7 @@ impl ShardSnapshot {
         for t in &self.tasks {
             out.extend_from_slice(&(t.client_id as u64).to_le_bytes());
             out.extend_from_slice(&(t.shard as u32).to_le_bytes());
-            put_rows(out, &t.rows);
+            put_rows(out, t.rows.iter().map(|&r| r as u64));
         }
     }
 
@@ -578,7 +466,7 @@ impl ShardSnapshot {
     /// bytes consumed. `None` = truncated/malformed.
     pub fn decode(b: &[u8]) -> Option<(ShardSnapshot, usize)> {
         let total = b.len();
-        let mut c = Cur { b };
+        let mut c = Reader { b };
         let tau = c.u32()? as usize;
         if tau == 0 {
             return None;

@@ -121,6 +121,71 @@ impl Default for TcpConfig {
     }
 }
 
+impl TcpConfig {
+    /// The `Capabilities` frame every admitted worker is answered with,
+    /// at start-up and on re-admission alike.
+    fn capabilities(&self, state_len: usize) -> Msg {
+        Msg::Capabilities {
+            max_payload: self.limits.max_payload as u64,
+            state_len: state_len as u64,
+            agg_mode: self.agg_mode,
+            agg_param: self.agg_param,
+            shard_tau: self.shard_tau,
+            shard_group: self.shard_group,
+        }
+    }
+}
+
+/// The coordinator's verdict on a peer's opening frame, the same at
+/// start-up ([`TcpTransport::accept`]) and at a round-boundary
+/// re-admission: `Ok((client_id, num_samples))` grants the peer that
+/// slot, `Err((code, detail))` is the typed `Err` frame it is refused
+/// with. `slots` is the registry size and `taken` whether a slot below
+/// it is occupied (or reserved); `readmission` carries the banned ids of
+/// a running fleet, which additionally demands a resume token.
+fn hello_verdict(
+    opener: &Msg,
+    slots: usize,
+    state_len: usize,
+    taken: impl Fn(usize) -> bool,
+    readmission: Option<&std::collections::BTreeSet<usize>>,
+) -> Result<(usize, usize), (u16, String)> {
+    let Msg::Hello {
+        client_id,
+        state_len: worker_len,
+        num_samples,
+        resume,
+    } = opener
+    else {
+        return Err((err_code::BAD_REQUEST, "expected Hello".into()));
+    };
+    let id = *client_id as usize;
+    let refusal = if readmission.is_some() && resume.is_none() {
+        (
+            err_code::BAD_REQUEST,
+            "mid-run joins require a resume token".into(),
+        )
+    } else if id >= slots || taken(id) {
+        (
+            err_code::BAD_REQUEST,
+            format!("client id {id} invalid or already registered"),
+        )
+    } else if readmission.is_some_and(|banned| banned.contains(&id)) {
+        (
+            err_code::QUARANTINED,
+            format!("client id {id} is quarantined"),
+        )
+    } else if *worker_len as usize != state_len {
+        (
+            err_code::BAD_STATE_LEN,
+            format!("model has {state_len} params, worker says {worker_len}"),
+        )
+    } else {
+        return Ok((id, *num_samples as usize));
+    };
+    Err(refusal)
+}
+
 /// Poller key of the reconnect/accept listener — outside the client-id
 /// space, which is `0..conns.len()`.
 const LISTENER_KEY: usize = usize::MAX;
@@ -190,9 +255,10 @@ pub struct TcpTransport {
     listener: Option<TcpListener>,
     /// The encode-once broadcast frame, reused round after round.
     bcast: Vec<u8>,
-    /// Per-client frame buffers for fan-outs whose frames differ per
-    /// client (`UnlearnAssign`), reused across requests.
-    assign_bufs: Vec<Vec<u8>>,
+    /// The frames of a fan-out that differ from the broadcast one — an
+    /// `UnlearnAssign` to a client with removals of its own. One per
+    /// *requesting* client, reused across requests.
+    own_frames: Vec<Vec<u8>>,
     /// Pool of decoded-update state buffers, refilled after each fold.
     state_pool: Mutex<Vec<Vec<f32>>>,
     /// Client ids evicted via [`RoundTransport::quarantine`]. Banned
@@ -251,13 +317,37 @@ struct RoundSpec<'a> {
     global: &'a [f32],
 }
 
+/// A decoded update's state, in a buffer on loan from the transport's
+/// state pool. Dropping it hands the buffer back — once, whichever way
+/// the reply ends: folded, refused as the wrong kind, failed to decode,
+/// or unwound out of a panicking handler.
+struct PooledState<'p> {
+    pool: &'p Mutex<Vec<Vec<f32>>>,
+    buf: Vec<f32>,
+}
+
+impl<'p> PooledState<'p> {
+    fn lease(pool: &'p Mutex<Vec<Vec<f32>>>) -> Self {
+        let mut idle = pool.lock().unwrap_or_else(|e| e.into_inner());
+        let buf = idle.pop().unwrap_or_default();
+        PooledState { pool, buf }
+    }
+}
+
+impl Drop for PooledState<'_> {
+    fn drop(&mut self) {
+        let mut idle = self.pool.lock().unwrap_or_else(|e| e.into_inner());
+        idle.push(std::mem::take(&mut self.buf));
+    }
+}
+
 /// A decoded worker reply leaving the reactor.
-enum Reply {
+enum Reply<'p> {
     /// `Update` / `UnlearnResult` with the state decoded into a pooled
     /// buffer.
     Update {
         header: UpdateHeader,
-        state: Vec<f32>,
+        state: PooledState<'p>,
     },
     /// An `Eval` reply's metrics.
     Eval { accuracy: f64, mse: f64 },
@@ -266,6 +356,21 @@ enum Reply {
     /// An `UnlearnAssign` ack carrying the worker's authoritative
     /// post-deletion sample count.
     UnlearnAck { num_samples: usize },
+}
+
+impl Reply<'_> {
+    /// The protocol failure of a well-formed reply of the wrong kind.
+    fn unexpected(&self, id: usize, want: &str) -> TransportError {
+        let got = match self {
+            Reply::Update { .. } => "a round result",
+            Reply::Eval { .. } => "Eval",
+            Reply::Ack | Reply::UnlearnAck { .. } => "an acknowledgement",
+        };
+        TransportError::Protocol {
+            client_id: id,
+            reason: format!("expected {want}, got {got}"),
+        }
+    }
 }
 
 impl TcpTransport {
@@ -368,60 +473,23 @@ impl TcpTransport {
                                 Err(_) => HsStep::Abandon,
                                 Ok(Some((kind, nbytes))) => {
                                     stats.received_bytes.add(nbytes as u64);
-                                    let verdict: Result<(usize, usize), (u16, String)> =
-                                        match decode_msg(kind, &hs.rbuf) {
-                                            Err(_) => break 'hs HsStep::Abandon,
-                                            Ok(Msg::Hello {
-                                                client_id,
-                                                state_len: worker_len,
-                                                num_samples,
-                                                // A resume token at
-                                                // startup is fine: a
-                                                // worker that outlived a
-                                                // crashed coordinator
-                                                // re-registers into its
-                                                // old slot here.
-                                                resume: _,
-                                            }) => {
-                                                let id = client_id as usize;
-                                                if id >= expected
-                                                    || conns[id].is_some()
-                                                    || reserved.contains(&id)
-                                                {
-                                                    Err((
-                                                        err_code::BAD_REQUEST,
-                                                        format!(
-                                                            "client id {id} invalid or already registered"
-                                                        ),
-                                                    ))
-                                                } else if worker_len as usize != state_len {
-                                                    Err((
-                                                        err_code::BAD_STATE_LEN,
-                                                        format!(
-                                                            "model has {state_len} params, worker says {worker_len}"
-                                                        ),
-                                                    ))
-                                                } else {
-                                                    Ok((id, num_samples as usize))
-                                                }
-                                            }
-                                            Ok(_) => Err((
-                                                err_code::BAD_REQUEST,
-                                                "expected Hello".into(),
-                                            )),
-                                        };
+                                    let taken =
+                                        |id: usize| conns[id].is_some() || reserved.contains(&id);
+                                    // A resume token at startup is fine: a
+                                    // worker that outlived a crashed
+                                    // coordinator re-registers into its old
+                                    // slot here.
+                                    let verdict = match decode_msg(kind, &hs.rbuf) {
+                                        Err(_) => break 'hs HsStep::Abandon,
+                                        Ok(m) => {
+                                            hello_verdict(&m, expected, state_len, taken, None)
+                                        }
+                                    };
                                     let msg = match verdict {
                                         Ok((id, n)) => {
                                             reserved.insert(id);
                                             hs.accepted = Some((id, n));
-                                            Msg::Capabilities {
-                                                max_payload: cfg.limits.max_payload as u64,
-                                                state_len: state_len as u64,
-                                                agg_mode: cfg.agg_mode,
-                                                agg_param: cfg.agg_param,
-                                                shard_tau: cfg.shard_tau,
-                                                shard_group: cfg.shard_group,
-                                            }
+                                            cfg.capabilities(state_len)
                                         }
                                         Err((code, detail)) => Msg::Err { code, detail },
                                     };
@@ -513,7 +581,7 @@ impl TcpTransport {
             state_len,
             listener: None,
             bcast: Vec::new(),
-            assign_bufs: Vec::new(),
+            own_frames: Vec::new(),
             state_pool: Mutex::new(Vec::new()),
             banned: std::collections::BTreeSet::new(),
             reactor: Reactor {
@@ -560,69 +628,26 @@ impl TcpTransport {
         let (hello_kind, hello_len) = read_raw_frame(&mut stream, &mut rbuf, &hello_limits).ok()?;
         self.stats.received_bytes.add(hello_len as u64);
         let hello = decode_msg(hello_kind, &rbuf).ok()?;
-        let Msg::Hello {
-            client_id,
-            state_len: worker_len,
-            num_samples,
-            resume,
-        } = hello
-        else {
-            return None;
-        };
-        let id = client_id as usize;
-        let reject = |stream: &mut TcpStream, code: u16, detail: String| {
-            if let Ok(n) = write_frame(stream, &Msg::Err { code, detail }, &self.cfg.limits) {
-                self.stats.sent_bytes.add(n as u64);
+        let taken = |id: usize| self.conns[id].is_some();
+        let verdict = hello_verdict(
+            &hello,
+            self.conns.len(),
+            self.state_len,
+            taken,
+            Some(&self.banned),
+        );
+        let (id, num_samples) = match verdict {
+            Ok(slot) => slot,
+            Err((code, detail)) => {
+                let refusal = Msg::Err { code, detail };
+                if let Ok(n) = write_frame(&mut stream, &refusal, &self.cfg.limits) {
+                    self.stats.sent_bytes.add(n as u64);
+                }
+                return None;
             }
         };
-        if resume.is_none() {
-            reject(
-                &mut stream,
-                err_code::BAD_REQUEST,
-                "mid-run joins require a resume token".into(),
-            );
-            return None;
-        }
-        if id >= self.conns.len() || self.conns[id].is_some() {
-            reject(
-                &mut stream,
-                err_code::BAD_REQUEST,
-                format!("client id {id} invalid or already registered"),
-            );
-            return None;
-        }
-        if self.banned.contains(&id) {
-            reject(
-                &mut stream,
-                err_code::QUARANTINED,
-                format!("client id {id} is quarantined"),
-            );
-            return None;
-        }
-        if worker_len as usize != self.state_len {
-            reject(
-                &mut stream,
-                err_code::BAD_STATE_LEN,
-                format!(
-                    "model has {} params, worker says {worker_len}",
-                    self.state_len
-                ),
-            );
-            return None;
-        }
-        let sent = write_frame(
-            &mut stream,
-            &Msg::Capabilities {
-                max_payload: self.cfg.limits.max_payload as u64,
-                state_len: self.state_len as u64,
-                agg_mode: self.cfg.agg_mode,
-                agg_param: self.cfg.agg_param,
-                shard_tau: self.cfg.shard_tau,
-                shard_group: self.cfg.shard_group,
-            },
-            &self.cfg.limits,
-        )
-        .ok()?;
+        let capabilities = self.cfg.capabilities(self.state_len);
+        let sent = write_frame(&mut stream, &capabilities, &self.cfg.limits).ok()?;
         self.stats.sent_bytes.add(sent as u64);
         let sent = write_frame(
             &mut stream,
@@ -645,7 +670,7 @@ impl TcpTransport {
         stream.set_nonblocking(true).ok();
         self.conns[id] = Some(Conn {
             stream,
-            num_samples: num_samples as usize,
+            num_samples,
             rd: FrameReadState::new(),
             wr: FrameWriteState::new(),
         });
@@ -662,43 +687,28 @@ impl TcpTransport {
     }
 
     /// Decodes a completed reply frame's `payload`.
-    fn decode_reply(
+    fn decode_reply<'p>(
         kind: u8,
         payload: &[u8],
         conn: &mut Conn,
-        state_pool: &Mutex<Vec<Vec<f32>>>,
+        state_pool: &'p Mutex<Vec<Vec<f32>>>,
         id: usize,
-    ) -> Result<Reply, TransportError> {
+    ) -> Result<Reply<'p>, TransportError> {
         match kind {
             // Update / UnlearnResult: decode the state straight into a
             // pooled buffer.
             wire_kind::UPDATE | wire_kind::UNLEARN_RESULT => {
-                let mut state = state_pool
-                    .lock()
-                    .unwrap_or_else(|e| e.into_inner())
-                    .pop()
-                    .unwrap_or_default();
-                match decode_update_into(kind, payload, &mut state) {
-                    Ok(header) => {
-                        // A train update's weight is the worker's own
-                        // dataset size — authoritative, so a registry
-                        // count that drifted (e.g. a deletion
-                        // re-shipped to a rejoined worker) self-heals.
-                        if !header.distill {
-                            conn.num_samples = header.weight as usize;
-                        }
-                        Ok(Reply::Update { header, state })
-                    }
-                    Err(e) => {
-                        // Failed decodes return their buffer too, or
-                        // the pool leaks.
-                        state_pool
-                            .lock()
-                            .unwrap_or_else(|e| e.into_inner())
-                            .push(state);
-                        Err(map_wire_error(id, e))
-                    }
+                let mut state = PooledState::lease(state_pool);
+                let header = decode_update_into(kind, payload, &mut state.buf)
+                    .map_err(|e| map_wire_error(id, e))?;
+                // A train update's weight is the worker's own dataset
+                // size — authoritative, so a registry count that drifted
+                // (e.g. a deletion re-shipped to a rejoined worker)
+                // self-heals.
+                if !header.distill {
+                    conn.num_samples = header.weight as usize;
                 }
+                Ok(Reply::Update { header, state })
             }
             _ => match decode_msg(kind, payload).map_err(|e| map_wire_error(id, e))? {
                 Msg::Err { code, detail } => Err(TransportError::Protocol {
@@ -731,16 +741,16 @@ impl TcpTransport {
     /// [`UpdateViolation::HandlerPanic`] rejection for that client
     /// alone; the round continues for everyone else.
     #[allow(clippy::too_many_arguments)] // the reactor's shared plumbing; private to this impl
-    fn fan_out<'f>(
+    fn fan_out<'f, 'p>(
         conns: &mut [Option<Conn>],
         stats: &WireTelemetry,
         read_timeout: Duration,
         reply_limits: &FrameLimits,
-        state_pool: &Mutex<Vec<Vec<f32>>>,
+        state_pool: &'p Mutex<Vec<Vec<f32>>>,
         reactor: &mut Reactor,
         cohort: Option<&[(usize, usize)]>,
         frame_of: impl Fn(usize) -> &'f [u8],
-        mut on_reply: impl FnMut(usize, Result<Reply, TransportError>),
+        mut on_reply: impl FnMut(usize, Result<Reply<'p>, TransportError>),
     ) {
         let Reactor {
             poller,
@@ -946,6 +956,70 @@ impl TcpTransport {
         }
     }
 
+    /// One request/reply exchange with `cohort` (`None` = the whole live
+    /// registry), start to finish. `encode(None, ..)` fills the broadcast
+    /// frame and `encode(Some(id), ..)` the frame of each client in `own`
+    /// whose bytes differ from it — timed together as the encode span;
+    /// the frames then [fan out](Self::fan_out) under the reply bound of
+    /// this model, every reply that decodes goes through `expect` (the
+    /// caller's one legal reply kind; anything else it refuses with
+    /// [`Reply::unexpected`]), and the per-client `outcomes` come back
+    /// sorted by id with the at-fault connections dropped
+    /// ([`Self::drop_failed_and_sort`]).
+    ///
+    /// # Errors
+    ///
+    /// The [`WireError`] of a frame that would not encode: nothing was
+    /// sent, and `outcomes` holds that error for every client the
+    /// exchange would have contacted.
+    fn exchange<T>(
+        &mut self,
+        cohort: Option<&[(usize, usize)]>,
+        own: &[usize],
+        encode: impl Fn(Option<usize>, &mut Vec<u8>, &FrameLimits) -> Result<usize, WireError>,
+        outcomes: &mut Vec<(usize, Result<T, TransportError>)>,
+        mut expect: impl FnMut(usize, Reply<'_>) -> Result<T, TransportError>,
+    ) -> Result<(), WireError> {
+        let limits = self.cfg.limits;
+        let enc_start = self.stats.clock.now_nanos();
+        if self.own_frames.len() < own.len() {
+            self.own_frames.resize_with(own.len(), Vec::new);
+        }
+        let encoded = encode(None, &mut self.bcast, &limits).and_then(|_| {
+            let mut frames = self.own_frames.iter_mut().zip(own);
+            frames.try_for_each(|(frame, &id)| encode(Some(id), frame, &limits).map(drop))
+        });
+        self.stats
+            .broadcast_encode_seconds
+            .observe_nanos(self.stats.clock.now_nanos().saturating_sub(enc_start));
+        if let Err(e) = &encoded {
+            let contacted = |id: &usize| match cohort {
+                None => true,
+                Some(cohort) => cohort.binary_search_by_key(id, |&(cid, _)| cid).is_ok(),
+            };
+            let live = self.live_clients().into_iter().filter(contacted);
+            outcomes.extend(live.map(|id| (id, Err(map_wire_error(id, e.clone())))));
+            return encoded;
+        }
+        let (bcast, own_frames) = (self.bcast.as_slice(), self.own_frames.as_slice());
+        Self::fan_out(
+            &mut self.conns,
+            &self.stats,
+            self.cfg.read_timeout,
+            &reply_limits(limits, self.state_len),
+            &self.state_pool,
+            &mut self.reactor,
+            cohort,
+            |id| match own.iter().position(|&o| o == id) {
+                Some(at) => own_frames[at].as_slice(),
+                None => bcast,
+            },
+            |id, reply| outcomes.push((id, reply.and_then(|r| expect(id, r)))),
+        );
+        self.drop_failed_and_sort(outcomes);
+        Ok(())
+    }
+
     /// Runs a round-shaped fan-out (train or distill) feeding `sink` as
     /// updates arrive, recording per-client outcomes into `results`
     /// (sorted by client id). With a `cohort`, only that subset of the
@@ -957,81 +1031,45 @@ impl TcpTransport {
         sink: &mut UpdateSink<'_>,
         results: &mut Vec<Result<(), TransportError>>,
     ) {
-        results.clear();
         let round = spec.round;
         let want_distill = matches!(spec.mode, RoundMode::Distill);
-        let enc_start = self.stats.clock.now_nanos();
-        let encoded = encode_round_assign_into(
-            &mut self.bcast,
-            spec.mode,
-            spec.round,
-            spec.seed,
-            spec.nonce,
-            spec.cfg,
-            spec.global,
-            &self.cfg.limits,
-        );
-        self.stats
-            .broadcast_encode_seconds
-            .observe_nanos(self.stats.clock.now_nanos().saturating_sub(enc_start));
-        if let Err(e) = encoded {
-            results.extend(
-                self.live_clients()
-                    .into_iter()
-                    .filter(|&id| match cohort {
-                        None => true,
-                        Some(cohort) => cohort.binary_search_by_key(&id, |&(cid, _)| cid).is_ok(),
-                    })
-                    .map(|id| Err(map_wire_error(id, e.clone()))),
-            );
-            return;
-        }
-        let reply_limits = reply_limits(self.cfg.limits, self.state_len);
         let mut outcomes = std::mem::take(&mut self.outcomes);
-        let bcast = self.bcast.as_slice();
-        let state_pool = &self.state_pool;
-        Self::fan_out(
-            &mut self.conns,
-            &self.stats,
-            self.cfg.read_timeout,
-            &reply_limits,
-            state_pool,
-            &mut self.reactor,
+        // An encode failure is already in `outcomes`, client by client.
+        let _ = self.exchange(
             cohort,
-            |_| bcast,
-            |id, reply| {
-                let outcome = reply.and_then(|r| match r {
-                    Reply::Update { header, state } => {
-                        // The nonce is *forwarded*, not checked: the
-                        // sink is the caller's admission layer
-                        // (`RoundRuntime::run_hot` or `collect_round`),
-                        // which judges stale nonces as typed violations
-                        // so they earn strikes instead of a bare
-                        // protocol drop.
-                        let result = check_update_header(id, &header, round, want_distill)
-                            .and_then(|()| {
-                                sink(StreamedUpdate {
-                                    client_id: id,
-                                    num_samples: header.weight as usize,
-                                    nonce: header.nonce,
-                                    state: &state,
-                                })
-                            });
-                        state_pool
-                            .lock()
-                            .unwrap_or_else(|e| e.into_inner())
-                            .push(state);
-                        result
-                    }
-                    _ => Err(TransportError::Protocol {
+            &[],
+            |_, frame, limits| {
+                encode_round_assign_into(
+                    frame,
+                    spec.mode,
+                    spec.round,
+                    spec.seed,
+                    spec.nonce,
+                    spec.cfg,
+                    spec.global,
+                    limits,
+                )
+            },
+            &mut outcomes,
+            |id, reply| match reply {
+                // The nonce is *forwarded*, not checked: the sink is the
+                // caller's admission layer (`RoundRuntime::run_hot` or
+                // `collect_round`), which judges stale nonces as typed
+                // violations so they earn strikes instead of a bare
+                // protocol drop.
+                Reply::Update { header, state } => {
+                    check_update_header(id, &header, round, want_distill)?;
+                    sink(StreamedUpdate {
                         client_id: id,
-                        reason: "expected a round result".into(),
-                    }),
-                });
-                outcomes.push((id, outcome));
+                        num_samples: header.weight as usize,
+                        nonce: header.nonce,
+                        state: &state.buf,
+                    })
+                }
+                other => Err(other.unexpected(id, "a round result")),
             },
         );
-        self.drop_failed_and_sort(&mut outcomes);
+        results.clear();
         results.extend(outcomes.drain(..).map(|(_, r)| r));
         self.outcomes = outcomes;
     }
@@ -1226,76 +1264,40 @@ impl DistillTransport for TcpTransport {
             }
         }
         // Frames differ per client only in the (tiny) removed-index
-        // list; encode each against the live set into the reusable
-        // per-client buffers — the (large) teacher state is borrowed
-        // straight into every frame, never cloned.
-        while self.assign_bufs.len() < self.conns.len() {
-            self.assign_bufs.push(Vec::new());
-        }
-        static NO_REMOVALS: &[usize] = &[];
-        let enc_start = self.stats.clock.now_nanos();
-        for (id, slot) in self.conns.iter().enumerate() {
-            if slot.is_none() {
-                continue;
-            }
-            let removed: &[usize] = staged
-                .iter()
-                .find(|r| r.client_id == id)
-                .map(|r| r.removed.as_slice())
-                .unwrap_or(NO_REMOVALS);
-            encode_unlearn_assign_into(
-                &mut self.assign_bufs[id],
-                self.staged_serial,
-                job,
-                removed,
-                teacher,
-                &self.cfg.limits,
-            )
-            .map_err(|e| map_wire_error(id, e))?;
-        }
-        self.stats
-            .broadcast_encode_seconds
-            .observe_nanos(self.stats.clock.now_nanos().saturating_sub(enc_start));
-        let reply_limits = reply_limits(self.cfg.limits, self.state_len);
-        let assign_bufs = &self.assign_bufs;
-        let state_pool = &self.state_pool;
+        // list, so every client without removals of its own gets the
+        // same bytes: that frame is encoded once, plus one frame per
+        // requester — the (large) teacher state is borrowed straight
+        // into each, never cloned.
+        let removed_of = |id: usize| {
+            let staged = staged.iter().find(|r| r.client_id == id);
+            staged.map_or(&[][..], |r| r.removed.as_slice())
+        };
+        let requesters = staged.iter().filter(|r| !r.removed.is_empty());
+        let own: Vec<usize> = requesters.map(|r| r.client_id).collect();
+        let serial = self.staged_serial;
         let mut results: Vec<(usize, Result<(), TransportError>)> = Vec::new();
         let mut acked_sizes: Vec<(usize, usize)> = Vec::new();
-        Self::fan_out(
-            &mut self.conns,
-            &self.stats,
-            self.cfg.read_timeout,
-            &reply_limits,
-            state_pool,
-            &mut self.reactor,
+        self.exchange(
             None,
-            |id| assign_bufs[id].as_slice(),
-            |id, reply| {
-                let outcome = reply.and_then(|r| match r {
-                    Reply::UnlearnAck { num_samples } => {
-                        acked_sizes.push((id, num_samples));
-                        Ok(())
-                    }
-                    Reply::Ack => Ok(()),
-                    Reply::Update { state, .. } => {
-                        state_pool
-                            .lock()
-                            .unwrap_or_else(|e| e.into_inner())
-                            .push(state);
-                        Err(TransportError::Protocol {
-                            client_id: id,
-                            reason: "expected an UnlearnAssign ack, got a round result".into(),
-                        })
-                    }
-                    Reply::Eval { .. } => Err(TransportError::Protocol {
-                        client_id: id,
-                        reason: "expected an UnlearnAssign ack, got Eval".into(),
-                    }),
-                });
-                results.push((id, outcome));
+            &own,
+            |id, frame, limits| {
+                let removed = id.map_or(&[][..], removed_of);
+                encode_unlearn_assign_into(frame, serial, job, removed, teacher, limits)
             },
-        );
-        self.drop_failed_and_sort(&mut results);
+            &mut results,
+            |id, reply| match reply {
+                Reply::UnlearnAck { num_samples } => {
+                    acked_sizes.push((id, num_samples));
+                    Ok(())
+                }
+                Reply::Ack => Ok(()),
+                other => Err(other.unexpected(id, "an UnlearnAssign ack")),
+            },
+        )
+        // A job that does not fit a frame is no client's fault.
+        .map_err(|e| TransportError::Unsupported {
+            reason: format!("UnlearnAssign cannot be framed: {e}"),
+        })?;
         if results.iter().all(|(_, r)| r.is_err()) {
             return Err(TransportError::NoLiveClients);
         }
@@ -1434,58 +1436,22 @@ impl ServeTransport for TcpTransport {
         round: usize,
         global: &[f32],
     ) -> Vec<Result<LocalEval, TransportError>> {
-        let enc_start = self.stats.clock.now_nanos();
-        let encoded =
-            encode_eval_request_into(&mut self.bcast, round as u64, global, &self.cfg.limits);
-        self.stats
-            .broadcast_encode_seconds
-            .observe_nanos(self.stats.clock.now_nanos().saturating_sub(enc_start));
-        if let Err(e) = encoded {
-            return self
-                .live_clients()
-                .into_iter()
-                .map(|id| Err(map_wire_error(id, e.clone())))
-                .collect();
-        }
-        let reply_limits = reply_limits(self.cfg.limits, self.state_len);
-        let bcast = self.bcast.as_slice();
-        let state_pool = &self.state_pool;
         let mut evals: Vec<(usize, Result<LocalEval, TransportError>)> = Vec::new();
-        Self::fan_out(
-            &mut self.conns,
-            &self.stats,
-            self.cfg.read_timeout,
-            &reply_limits,
-            state_pool,
-            &mut self.reactor,
+        // An encode failure is already in `evals`, client by client.
+        let _ = self.exchange(
             None,
-            |_| bcast,
-            |id, reply| {
-                let outcome = reply.and_then(|r| match r {
-                    Reply::Eval { accuracy, mse } => Ok(LocalEval {
-                        client_id: id,
-                        accuracy,
-                        mse,
-                    }),
-                    Reply::Update { state, .. } => {
-                        state_pool
-                            .lock()
-                            .unwrap_or_else(|e| e.into_inner())
-                            .push(state);
-                        Err(TransportError::Protocol {
-                            client_id: id,
-                            reason: "expected an Eval reply, got a round result".into(),
-                        })
-                    }
-                    Reply::Ack | Reply::UnlearnAck { .. } => Err(TransportError::Protocol {
-                        client_id: id,
-                        reason: "expected an Eval reply, got an acknowledgement".into(),
-                    }),
-                });
-                evals.push((id, outcome));
+            &[],
+            |_, frame, limits| encode_eval_request_into(frame, round as u64, global, limits),
+            &mut evals,
+            |id, reply| match reply {
+                Reply::Eval { accuracy, mse } => Ok(LocalEval {
+                    client_id: id,
+                    accuracy,
+                    mse,
+                }),
+                other => Err(other.unexpected(id, "an Eval reply")),
             },
         );
-        self.drop_failed_and_sort(&mut evals);
         evals.into_iter().map(|(_, e)| e).collect()
     }
 

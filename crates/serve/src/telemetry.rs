@@ -273,17 +273,18 @@ impl WireTelemetry {
     }
 }
 
-/// The unlearning queue's handle bundle. `Default` is detached (the
-/// queue still counts; nothing exports).
+/// A [`crate::queue::MergeQueue`]'s handle bundle. `Default` is detached
+/// (the queue still counts; nothing exports).
 #[derive(Debug, Clone, Default)]
 pub struct QueueTelemetry {
-    /// Current queue depth (distinct clients pending).
+    /// Current queue depth (distinct merge targets pending).
     pub depth: Gauge,
     /// Requests accepted, lifetime.
     pub submitted_total: Counter,
     /// Submits merged into an existing pending request.
     pub merged_total: Counter,
-    /// The structured event ring (`unlearn_queued` events).
+    /// The structured event ring (`unlearn_queued` /
+    /// `shard_task_queued` events).
     pub trace: Trace,
 }
 
@@ -293,6 +294,20 @@ impl QueueTelemetry {
         QueueTelemetry {
             depth: t.unlearn_queue_depth.clone(),
             submitted_total: t.unlearn_submitted_total.clone(),
+            merged_total: t.unlearn_merged_total.clone(),
+            trace: t.trace.clone(),
+        }
+    }
+
+    /// The shared catalog's handles for the shard-task queue: depth is
+    /// `goldfish_shard_tasks_pending` and merges count into the same
+    /// `goldfish_unlearn_merged_total`; `submitted_total` stays detached
+    /// because the exported submit counter is per *request* (the
+    /// coordinator bumps it once per routed deletion), not per task.
+    pub fn for_shard_tasks(t: &ServeTelemetry) -> QueueTelemetry {
+        QueueTelemetry {
+            depth: t.shard_tasks_pending.clone(),
+            submitted_total: Counter::default(),
             merged_total: t.unlearn_merged_total.clone(),
             trace: t.trace.clone(),
         }

@@ -323,7 +323,7 @@ impl RoundTransport for LoopbackTransport {
 
 impl DistillTransport for LoopbackTransport {
     fn num_clients(&self) -> usize {
-        self.clients.len()
+        RoundTransport::num_clients(self)
     }
 
     fn begin_unlearn(&mut self, job: &UnlearnJob, teacher: &[f32]) -> Result<(), TransportError> {
@@ -336,28 +336,41 @@ impl DistillTransport for LoopbackTransport {
             }
         };
         let staged = std::mem::take(&mut self.staged);
-        let splits: Vec<ClientSplit> = self
-            .clients
+        // Live clients only, like every round: a quarantined client gets
+        // no job and shapes no distillation round, exactly as its closed
+        // connection guarantees on TCP — where a deletion requested by
+        // one is the same typed failure, before anything is applied.
+        if let Some(req) = staged
             .iter()
-            .enumerate()
-            .map(
-                |(id, data)| match staged.iter().find(|r| r.client_id == id) {
-                    Some(req) if !req.removed.is_empty() => {
-                        ClientSplit::with_removed(data, &req.removed)
-                    }
-                    _ => ClientSplit::intact(data.clone()),
-                },
-            )
+            .find(|r| !r.removed.is_empty() && self.quarantined.contains(&r.client_id))
+        {
+            return Err(TransportError::Disconnected {
+                client_id: req.client_id,
+                reason: "deletion-requesting client is not connected".into(),
+            });
+        }
+        let mut live = Vec::new();
+        self.cohort_into(&mut live);
+        let ids: Vec<usize> = live.iter().map(|&(id, _)| id).collect();
+        let splits: Vec<ClientSplit> = ids
+            .iter()
+            .map(|&id| match staged.iter().find(|r| r.client_id == id) {
+                Some(req) if !req.removed.is_empty() => {
+                    ClientSplit::with_removed(&self.clients[id], &req.removed)
+                }
+                _ => ClientSplit::intact(self.clients[id].clone()),
+            })
             .collect();
         // The deletion is permanent (mirroring the worker daemon's state
         // machine): a client with removals keeps only its remaining data
         // for every later training round.
-        for (id, split) in splits.iter().enumerate() {
+        for (&id, split) in ids.iter().zip(&splits) {
             if !split.forget.is_empty() {
                 self.clients[id] = split.remaining.clone();
             }
         }
-        let mut distill = LoopbackDistill::new(self.factory.clone(), splits, hard, self.threads);
+        let mut distill = LoopbackDistill::new(self.factory.clone(), splits, hard, self.threads)
+            .with_client_ids(ids);
         distill.begin_unlearn(job, teacher)?;
         self.distill = Some(distill);
         Ok(())
@@ -380,7 +393,12 @@ impl DistillTransport for LoopbackTransport {
 
 impl ServeTransport for LoopbackTransport {
     fn client_sizes(&self) -> Vec<usize> {
-        self.clients.iter().map(|c| c.len()).collect()
+        let mut sizes: Vec<usize> = self.clients.iter().map(|c| c.len()).collect();
+        // A quarantined client reads 0, like a closed TCP connection.
+        for &id in &self.quarantined {
+            sizes[id] = 0;
+        }
+        sizes
     }
 
     fn stage_removals(&mut self, requests: &[UnlearnRequest], _serial: u64) {

@@ -29,6 +29,7 @@ use std::time::Duration;
 use goldfish_core::transport::ClientDistiller;
 use goldfish_core::ClientSplit;
 use goldfish_data::Dataset;
+use goldfish_fed::aggregate::AggregationMode;
 use goldfish_fed::trainer::TrainLane;
 use goldfish_fed::transport::client_seed;
 use goldfish_fed::ModelFactory;
@@ -357,6 +358,51 @@ pub fn run_worker(
     serve_stream(stream, runtime, limits)
 }
 
+/// Judges the coordinator's answer to `runtime`'s `Hello` — the one
+/// handshake check every worker host runs ([`serve_stream`] per daemon,
+/// [`crate::fleet::run_fleet`] per hosted runtime).
+///
+/// # Errors
+///
+/// [`WireError::Malformed`] unless the answer is a `Capabilities` this
+/// worker can serve under: a typed rejection, any other frame, a model
+/// of a different size, or an aggregation mode it cannot decode.
+pub fn check_capabilities(reply: &Msg, runtime: &WorkerRuntime) -> Result<(), WireError> {
+    let id = runtime.client_id();
+    let refuse = |why: String| Err(WireError::Malformed(why));
+    match reply {
+        Msg::Capabilities {
+            state_len,
+            agg_mode,
+            agg_param,
+            ..
+        } => {
+            let ours = runtime.state_len();
+            if *state_len as usize != ours {
+                return refuse(format!(
+                    "coordinator model has {state_len} params, worker {id} has {ours}"
+                ));
+            }
+            // The negotiated aggregation mode: a worker that cannot
+            // decode it would disagree with the coordinator about what
+            // its updates feed, so it refuses the session.
+            if AggregationMode::from_wire(*agg_mode, *agg_param).is_none() {
+                return refuse(format!(
+                    "coordinator announced unknown aggregation mode {agg_mode} (param {agg_param})"
+                ));
+            }
+            Ok(())
+        }
+        Msg::Err { code, detail } => refuse(format!(
+            "coordinator rejected worker {id} (code {code}): {detail}"
+        )),
+        other => refuse(format!(
+            "expected Capabilities for worker {id}, got {}",
+            other.name()
+        )),
+    }
+}
+
 /// The connection loop over an established stream (what [`run_worker`]
 /// runs after connecting; tests call it on in-process socket pairs).
 ///
@@ -371,40 +417,7 @@ pub fn serve_stream(
     stream.set_nodelay(true).ok();
     write_frame(&mut stream, &runtime.hello(), limits)?;
     let (reply, _) = read_frame(&mut stream, limits)?;
-    match reply {
-        Msg::Capabilities {
-            state_len,
-            agg_mode,
-            agg_param,
-            ..
-        } => {
-            if state_len as usize != runtime.state_len() {
-                return Err(WireError::Malformed(format!(
-                    "coordinator model has {state_len} params, ours has {}",
-                    runtime.state_len()
-                )));
-            }
-            // The negotiated aggregation mode: a worker that cannot
-            // decode it would disagree with the coordinator about what
-            // its updates feed, so it refuses the session.
-            if goldfish_fed::aggregate::AggregationMode::from_wire(agg_mode, agg_param).is_none() {
-                return Err(WireError::Malformed(format!(
-                    "coordinator announced unknown aggregation mode {agg_mode} (param {agg_param})"
-                )));
-            }
-        }
-        Msg::Err { code, detail } => {
-            return Err(WireError::Malformed(format!(
-                "coordinator rejected hello (code {code}): {detail}"
-            )))
-        }
-        other => {
-            return Err(WireError::Malformed(format!(
-                "expected Capabilities, got {}",
-                other.name()
-            )))
-        }
-    }
+    check_capabilities(&reply, runtime)?;
     // Connection-lifetime frame buffers and training lane: incoming
     // payloads, outgoing replies and the network's arenas reuse the same
     // allocations round after round.

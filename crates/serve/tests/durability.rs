@@ -405,3 +405,89 @@ fn submit_is_durable_before_acknowledgement() {
     assert_eq!(recovered.replayed, vec![req]);
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// Format freeze: a fixed schedule driven straight through
+/// [`DurableStore`] — a whole-client submit, a shard-routed submit, a
+/// round commit, a drain commit and a shard-drain commit over a tiny
+/// snapshot — must leave byte-identical files. The hashes were recorded
+/// at the commit before the state-dir codecs were merged into one
+/// reader/writer pair; nothing in these files depends on time, so any
+/// difference is a format change (and needs a version bump, not a new
+/// constant).
+#[test]
+fn wal_checkpoint_and_audit_bytes_are_frozen() {
+    use goldfish_serve::audit::{audit_kind, AuditEventRecord};
+    use goldfish_serve::coordinator::DrainStats;
+    use goldfish_serve::digest::{hex, sha256, state_digest};
+    use goldfish_serve::shard::ShardMap;
+
+    let dir = tmp_dir("freeze");
+    let (mut store, _) = DurableStore::open(&dir).unwrap();
+    let global = [0.5f32, -1.25, 3.0];
+    let policy = ShardPolicy {
+        tau: 2,
+        group: 2,
+        deadline_ms: 7,
+    };
+    let mut map = ShardMap::new(policy, &[5, 4], &[0.25, -0.5, 1.0]);
+    let stats = DrainStats {
+        requests_served: 3,
+        batches_served: 2,
+        last_batch_requests: 1,
+    };
+    store
+        .log_submit(&UnlearnRequest::new(1, vec![3, 0]))
+        .unwrap();
+    let tasks = [
+        ShardTask::new(0, 1, vec![3, 1]),
+        ShardTask::new(1, 0, vec![2]),
+    ];
+    store.log_submit_shard(&tasks).unwrap();
+    let pending = [UnlearnRequest::new(1, vec![0, 3])];
+    let snapshot = map.snapshot(&tasks);
+    store
+        .commit_round(1, &global, &pending, Some(&snapshot), DrainStats::default())
+        .unwrap();
+    let digest = state_digest(1, &global);
+    store
+        .commit_drain(1, 0, &pending, &digest, 1, &global, &[], stats)
+        .unwrap();
+    map.apply_retrain(0, 1, vec![1.5, 2.5, -3.5], &[1, 3]);
+    let records = [
+        AuditEventRecord {
+            kind: audit_kind::DEGRADED_DRAIN,
+            client_id: 0,
+            detail: vec![1, 1],
+        },
+        AuditEventRecord {
+            kind: audit_kind::UNLEARN_SERVED,
+            client_id: 0,
+            detail: vec![1, 1, 3],
+        },
+    ];
+    let snapshot = map.snapshot(&tasks[1..]);
+    store
+        .commit_shard_drain(
+            1, 1, &records, &digest, 1, &global, &pending, &snapshot, stats,
+        )
+        .unwrap();
+    drop(store);
+
+    let sha = |p: &Path| hex(&sha256(&std::fs::read(p).unwrap()));
+    assert_eq!(
+        sha(&dir.join("queue.wal")),
+        "b0159ae017461eebcde86e54da25be7a09a1f080f8463d3c9e9c8fb3b64d6d82",
+        "WAL bytes moved"
+    );
+    assert_eq!(
+        sha(checkpoints(&dir).last().unwrap()),
+        "6d6cce402a4781374ecd245f183fe482d2d3213309bbad0b69a33e39fff99b0b",
+        "checkpoint bytes moved"
+    );
+    assert_eq!(
+        sha(&goldfish_serve::durability::audit_path(&dir)),
+        "cffb62f45717dee84e077e9d41c8a2414dd77d380cdeb1321a4b9cb0fcc64c69",
+        "audit-log bytes moved"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}

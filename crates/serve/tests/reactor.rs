@@ -36,7 +36,7 @@ use goldfish_serve::fleet::run_fleet;
 use goldfish_serve::tcp::{bind, TcpConfig, TcpTransport};
 use goldfish_serve::transport::{LoopbackTransport, ServeTransport};
 use goldfish_serve::wire::{
-    kind, read_frame, write_frame, FrameLimits, Msg, MAGIC, PROTOCOL_VERSION,
+    kind, read_frame, write_frame, FrameLimits, Msg, WireError, MAGIC, PROTOCOL_VERSION,
 };
 use goldfish_serve::worker::{run_worker, WorkerRuntime};
 
@@ -264,6 +264,36 @@ fn fleet_host_serves_rounds_and_shuts_down_clean() {
     let report = fleet.join().unwrap();
     assert_eq!(report.clean_shutdowns, spec.clients);
     assert_eq!(report.dropped, 0);
+}
+
+/// Both worker hosts run one handshake check: a coordinator announcing
+/// an aggregation mode they cannot decode is refused by the fleet host
+/// exactly as by the daemon loop (the fleet host used to accept it).
+#[test]
+fn both_worker_hosts_refuse_an_undecodable_aggregation_mode() {
+    let spec = demo(2);
+    let (listener, addr) = bind("127.0.0.1:0").unwrap();
+    let hosts = std::thread::spawn(move || {
+        let limits = FrameLimits::default();
+        let mut daemon = WorkerRuntime::new(0, spec.factory(), spec.client_shard(0));
+        let mut hosted = [WorkerRuntime::new(1, spec.factory(), spec.client_shard(1))];
+        (
+            run_worker(&addr, &mut daemon, &limits),
+            run_fleet(&addr, &mut hosted, &limits),
+        )
+    });
+    let cfg = TcpConfig {
+        agg_mode: 9,
+        ..TcpConfig::default()
+    };
+    let state_len = (spec.factory())(0).state_len();
+    let transport = TcpTransport::accept(&listener, spec.clients, state_len, cfg).unwrap();
+    // Nothing more is sent: a host that *accepted* the session would
+    // serve until this close retires it, and report `Ok`.
+    drop(transport);
+    let (daemon, fleet) = hosts.join().unwrap();
+    assert!(matches!(daemon, Err(WireError::Malformed(_))), "{daemon:?}");
+    assert!(matches!(fleet, Err(WireError::Malformed(_))), "{fleet:?}");
 }
 
 /// A valid GFWP header of `kind` announcing `len` payload bytes — and

@@ -270,6 +270,10 @@ fn tcp_run_is_bitwise_identical_to_loopback() {
     // The run moved real frames.
     let stats = c.transport().wire_stats();
     assert!(stats.bytes_sent > 0 && stats.bytes_received > 0);
+    // ...and exactly as many of them as before the per-client
+    // `UnlearnAssign` buffers became one shared frame plus one frame per
+    // requester (counts recorded at that commit's parent).
+    assert_eq!((stats.bytes_sent, stats.bytes_received), (77820, 58246));
 
     // Local evaluation flows over the Eval exchange and matches the
     // loopback coordinator that served the same schedule exactly (both
@@ -298,6 +302,29 @@ fn tcp_run_is_bitwise_identical_to_loopback() {
     assert_eq!(tcp_evals, lb.transport_mut().local_eval(ROUNDS, &global));
     let ids: Vec<_> = tcp_evals.iter().flatten().map(|e| e.client_id).collect();
     assert_eq!(ids, [0]);
+
+    // Nor does it take part in a distillation drain: the survivors alone
+    // rebuild the global, to the same bits on both transports, and a
+    // deletion *from* the evicted client is refused the same way.
+    use goldfish_core::transport::DistillTransport;
+    use goldfish_serve::coordinator::SubmitError;
+    assert_eq!(DistillTransport::num_clients(lb.transport()), 1);
+    assert_eq!(DistillTransport::num_clients(c.transport()), 1);
+    let gone = Err(SubmitError::UnknownClient { client_id: 1 });
+    assert_eq!(c.submit_unlearn(UnlearnRequest::new(1, vec![0])), gone);
+    assert_eq!(lb.submit_unlearn(UnlearnRequest::new(1, vec![0])), gone);
+    let seed = drain_seed(SEED, ROUNDS);
+    c.submit_unlearn(UnlearnRequest::new(0, vec![0, 1, 2]))
+        .unwrap();
+    lb.submit_unlearn(UnlearnRequest::new(0, vec![0, 1, 2]))
+        .unwrap();
+    c.drain_unlearning(seed).unwrap().unwrap();
+    lb.drain_unlearning(seed).unwrap().unwrap();
+    assert_eq!(
+        c.global_state(),
+        lb.global_state(),
+        "post-quarantine drain diverged"
+    );
 
     c.transport_mut().shutdown(); // graceful goodbye: workers exit Ok
     drop(c);

@@ -175,6 +175,16 @@ fn split_submits_merge_and_drain_to_the_same_bits() {
     // Rows {0,1,2,5,9} touch shards {0,1,2}; rows 1, 5 and 9 all merged
     // into the shard-1 task.
     assert_eq!(split.shard_tasks().len(), 3);
+    // Those two merges reach the exported counter (it read 0 in shard
+    // mode); submits stay one per request, not per routed task.
+    let t = split.telemetry();
+    assert_eq!(
+        (
+            t.unlearn_merged_total.get(),
+            t.unlearn_submitted_total.get()
+        ),
+        (2, 3)
+    );
     let summary = split
         .drain_shard_tasks(drain_seed(SEED, 0))
         .unwrap()

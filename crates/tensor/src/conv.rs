@@ -72,7 +72,7 @@ const COL_BLOCK_ELEMS: usize = 96 * 1024;
 
 /// Reusable scratch buffers for the im2col convolution lowering.
 ///
-/// The lowering is batched over image blocks (see [`COL_BLOCK_ELEMS`]) —
+/// The lowering is batched over image blocks (see `COL_BLOCK_ELEMS`) —
 /// one GEMM per block instead of one per image — and the buffers are
 /// reused across blocks, steps and epochs: the conv hot path performs no
 /// per-image allocations. A `Conv2d` layer owns one workspace; the free

@@ -1,7 +1,7 @@
 //! Minimal ND tensor library (f32) powering the Goldfish federated-unlearning
 //! reproduction.
 //!
-//! This crate is the numeric substrate for [`goldfish-nn`] and everything
+//! This crate is the numeric substrate for `goldfish-nn` and everything
 //! above it. It deliberately implements only what the paper's models need,
 //! but implements those pieces completely:
 //!

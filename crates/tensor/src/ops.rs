@@ -6,9 +6,9 @@
 //!
 //! The matmuls are thin wrappers over [`crate::engine`], which dispatches
 //! by problem size between a reference-order loop (small operands; bitwise
-//! identical to [`reference`]) and a register-tiled, rayon-parallel kernel
+//! identical to [`mod@reference`]) and a register-tiled, rayon-parallel kernel
 //! (large operands). The original naive implementations live on in
-//! [`reference`] as the testing oracle, and [`matmul_sparse`] keeps the
+//! [`mod@reference`] as the testing oracle, and [`matmul_sparse`] keeps the
 //! old skip-zero-rows behaviour for explicitly sparse operands.
 
 use crate::{engine, Tensor};

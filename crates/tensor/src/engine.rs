@@ -100,7 +100,8 @@ thread_local! {
     static PANEL_SCRATCH: Cell<Vec<f32>> = const { Cell::new(Vec::new()) };
     /// Per-thread scratch for the transposed `A` block of `Aᵀ·B`.
     static AT_SCRATCH: Cell<Vec<f32>> = const { Cell::new(Vec::new()) };
-    /// Per-thread scratch for the materialised `Bᵀ` of `A·Bᵀ`.
+    /// Per-thread scratch for the `Bᵀ` that `A·Bᵀ` gathers on every
+    /// large call (see [`transpose_into`]).
     static BT_SCRATCH: Cell<Vec<f32>> = const { Cell::new(Vec::new()) };
     /// Per-thread scratch for the zero-padded `B` panel of the
     /// narrow-output kernel.
@@ -280,14 +281,32 @@ fn gemm_rows_tiled_with(
             }
             i += MR;
         }
-        for orow in orows.into_remainder().chunks_exact_mut(n) {
-            let arow = &a[i * k..(i + 1) * k];
-            if pack {
-                tile_group::<1>(orow, arow, bpack, k, n, j0);
+        // The `< MR` leftover rows take the largest of the 4-, 2- and
+        // 1-row tiles that fits: every tile re-streams the whole panel, so
+        // five leftover rows cost two sweeps, not five. A row's result does
+        // not depend on which tile height computed it.
+        let mut rest = orows.into_remainder();
+        while !rest.is_empty() {
+            let left = rest.len() / n;
+            let r = if MR > 4 && left >= 4 {
+                4
+            } else if MR > 2 && left >= 2 {
+                2
             } else {
-                tile_group_direct::<1>(orow, arow, b, k, n, j0);
+                1
+            };
+            let (ogroup, tail) = rest.split_at_mut(r * n);
+            let arows = &a[i * k..(i + r) * k];
+            match (r, pack) {
+                (4, true) => tile_group::<4>(ogroup, arows, bpack, k, n, j0),
+                (4, false) => tile_group_direct::<4>(ogroup, arows, b, k, n, j0),
+                (2, true) => tile_group::<2>(ogroup, arows, bpack, k, n, j0),
+                (2, false) => tile_group_direct::<2>(ogroup, arows, b, k, n, j0),
+                (_, true) => tile_group::<1>(ogroup, arows, bpack, k, n, j0),
+                (_, false) => tile_group_direct::<1>(ogroup, arows, b, k, n, j0),
             }
-            i += 1;
+            i += r;
+            rest = tail;
         }
         j0 += NR;
     }
@@ -491,11 +510,16 @@ fn at_b_rows_tiled(
 /// `out = A · Bᵀ` with `A: [m, k]`, `B: [n, k]`, `out: [m, n]`
 /// (overwritten), without materialising the transpose on the small path.
 ///
-/// The large path materialises `Bᵀ` once into scratch (`n·k` moves, noise
-/// next to the `m·k·n` reduction) and reuses the packed-panel tiled
-/// kernel, which beats any dot-product formulation by a wide margin: row
-/// dot products carry a serial FMA dependency chain, while the tiled
-/// kernel keeps [`MR`]`·`[`NR`] independent accumulators in flight.
+/// The large path gathers `Bᵀ` into scratch on every call
+/// (`transpose_into`) and reuses the packed-panel tiled kernel, which
+/// beats any dot-product formulation by a wide margin: row dot products
+/// carry a serial FMA dependency chain, while the tiled kernel keeps
+/// [`MR`]`·`[`NR`] independent accumulators in flight. The gather is `n·k`
+/// moves against an `m·k·n` reduction, so its share is `1/m` of the
+/// elements touched and far more of the time when `m` is small: this is
+/// the `Dense` forward pass (`x·Wᵀ`, `m` = the batch), where at `m = 2`
+/// the gather is most of the call. A caller that can produce `Bᵀ` directly
+/// should call [`gemm`] instead, as the convolution backward pass does.
 ///
 /// # Panics
 ///
@@ -517,14 +541,10 @@ pub fn gemm_a_bt(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], out: &mut [
         return;
     }
     with_scratch(&BT_SCRATCH, k * n, |bt| {
-        for (j, brow) in b.chunks_exact(k).enumerate() {
-            for (p, &v) in brow.iter().enumerate() {
-                bt[p * n + j] = v;
-            }
-        }
+        transpose_into(bt, b, n, k);
         if n < NR {
-            // Narrow outputs (e.g. classifier heads, conv ∂W with small
-            // c·kh·kw): padded-panel tiled kernel over the transposed B.
+            // Narrow outputs (e.g. classifier heads): padded-panel tiled
+            // kernel over the transposed B.
             gemm_narrow_tiled(m, k, n, a, bt, out);
         } else if work >= PAR_FLOPS && rayon::current_num_threads() > 1 {
             let bt = &*bt;
@@ -535,6 +555,36 @@ pub fn gemm_a_bt(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], out: &mut [
             gemm_rows_tiled(0..m, k, n, a, bt, out);
         }
     });
+}
+
+/// Source rows of `B` gathered per pass of [`transpose_into`]: one
+/// 64-byte line of every `Bᵀ` row.
+const BT_ROWS: usize = 16;
+
+/// Writes `bt = Bᵀ` for `b: [n, k]`, `bt: [k, n]`, overwriting all of `bt`.
+///
+/// [`BT_ROWS`] source rows are read side by side, so each `bt` row receives
+/// [`BT_ROWS`] adjacent elements at a time: the writes are contiguous runs
+/// and the reads are a handful of sequential streams. Walking one source
+/// row at a time instead writes a single element per `n`-strided line,
+/// which at 128×784 costs ten times as much as this.
+fn transpose_into(bt: &mut [f32], b: &[f32], n: usize, k: usize) {
+    let mut blocks = b.chunks_exact(BT_ROWS * k);
+    let mut j0 = 0;
+    for block in blocks.by_ref() {
+        let rows: [&[f32]; BT_ROWS] = std::array::from_fn(|r| &block[r * k..(r + 1) * k]);
+        for (p, btrow) in bt.chunks_exact_mut(n).enumerate() {
+            for (dst, row) in btrow[j0..j0 + BT_ROWS].iter_mut().zip(rows) {
+                *dst = row[p];
+            }
+        }
+        j0 += BT_ROWS;
+    }
+    for (j, brow) in blocks.remainder().chunks_exact(k).enumerate() {
+        for (btrow, &v) in bt.chunks_exact_mut(n).zip(brow) {
+            btrow[j0 + j] = v;
+        }
+    }
 }
 
 /// Reference-order dot products for output rows `rows`.
@@ -622,6 +672,34 @@ mod tests {
             let mut out = vec![f32::NAN; m * n];
             gemm_a_bt(m, k, n, &a, &b, &mut out);
             assert_close(&out, &naive(m, k, n, &a, &bt));
+        }
+    }
+
+    #[test]
+    fn a_bt_is_bitwise_gemm_over_the_explicit_transpose() {
+        // The blocked gather is pure data movement: at the conv and dense
+        // shapes of both benchmark models (and widths on either side of
+        // `BT_ROWS` / `NR`), `A·Bᵀ` must equal `gemm` over a transpose
+        // written out element by element, bit for bit.
+        for &n in &[10usize, 16, 25, 120, 128, 150] {
+            for &k in &[84usize, 640, 784, 3456] {
+                let b = seq(n * k, 0.03);
+                let mut bt = vec![0.0f32; k * n];
+                for j in 0..n {
+                    for p in 0..k {
+                        bt[p * n + j] = b[j * k + p];
+                    }
+                }
+                for &m in &[2usize, 6, 25] {
+                    let a = seq(m * k, 0.07);
+                    let mut got = vec![f32::NAN; m * n];
+                    gemm_a_bt(m, k, n, &a, &b, &mut got);
+                    let mut want = vec![f32::NAN; m * n];
+                    gemm(m, k, n, &a, &bt, &mut want);
+                    let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(bits(&got), bits(&want), "m={m} k={k} n={n}");
+                }
+            }
         }
     }
 

@@ -118,13 +118,15 @@ proptest! {
         let weight = matrix(f, c * 9).generate_with(seed.wrapping_add(1)).reshape(vec![f, c, 3, 3]);
         let bias = matrix(1, f).generate_with(seed.wrapping_add(2)).reshape(vec![f]);
         let mut ws = ConvWorkspace::new();
-        let batched = conv::conv2d_forward_ws(&input, &weight, &bias, &spec, &mut ws);
+        let mut batched = Tensor::zeros(vec![0]);
+        conv::conv2d_forward_into(&input, &weight, &bias, &spec, &mut ws, &mut batched);
         let per = c * hw * hw;
         let iv = input.as_slice();
         let mut concat = Vec::with_capacity(batched.len());
+        let mut single = Tensor::zeros(vec![0]);
         for s in 0..nimg {
             let img = Tensor::from_vec(vec![1, c, hw, hw], iv[s * per..(s + 1) * per].to_vec());
-            let single = conv::conv2d_forward_ws(&img, &weight, &bias, &spec, &mut ws);
+            conv::conv2d_forward_into(&img, &weight, &bias, &spec, &mut ws, &mut single);
             concat.extend_from_slice(single.as_slice());
         }
         let concat = Tensor::from_vec(batched.shape().to_vec(), concat);

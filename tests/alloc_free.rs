@@ -1,7 +1,8 @@
 //! Pins the "zero per-step heap allocations after warm-up" guarantee of
-//! the training runtime on the dense path, using a counting global
-//! allocator. Kept in its own integration-test binary so no concurrent
-//! test can allocate while the counter is armed.
+//! the training runtime — the dense path and the LeNet-5 convolution
+//! path — using a counting global allocator. Kept in its own
+//! integration-test binary so no concurrent test can allocate while the
+//! counter is armed.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -11,15 +12,15 @@ use std::sync::Mutex;
 use goldfish::core::basic_model::{clip_grad_norm, TeacherCache};
 use goldfish::core::loss::{GoldfishBatch, GoldfishLoss, GoldfishLossBufs, LossWeights};
 use goldfish::data::synthetic::{self, SyntheticSpec};
-use goldfish::data::BatchGather;
+use goldfish::data::{BatchGather, Dataset};
 use goldfish::nn::loss::{CrossEntropy, HardLoss};
 use goldfish::nn::optim::FusedSgd;
-use goldfish::nn::zoo;
+use goldfish::nn::{zoo, Network};
 use goldfish::tensor::Tensor;
 use rand::{rngs::StdRng, SeedableRng};
 use std::sync::Arc;
 
-/// The two tests below share one global allocation counter; this lock
+/// The tests below share one global allocation counter; this lock
 /// keeps them from allocating into each other's armed window.
 static SERIAL: Mutex<()> = Mutex::new(());
 
@@ -178,22 +179,19 @@ fn distillation_step_is_allocation_free_after_warm_up() {
     assert_eq!(n, 0, "distillation steps performed {n} heap allocations");
 }
 
-#[test]
-fn dense_training_step_is_allocation_free_after_warm_up() {
-    // The paper-shaped MLP round workload at its reduced scale: 64
-    // synthetic-MNIST features, one hidden layer, B = 20.
-    let _guard = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
-    let spec = SyntheticSpec::mnist().with_size(8, 8).with_shift(1);
-    let (train, _) = synthetic::generate(&spec, 60, 10, 9);
-    let mut rng = StdRng::seed_from_u64(1);
-    let mut net = zoo::mlp(64, &[32], 10, &mut rng);
+/// Warm-up over every full batch and one short one, then the same steps
+/// armed: forward, fused loss, `backward_train` and the fused optimizer
+/// must not touch the allocator.
+fn assert_training_steps_allocate_nothing(mut net: Network, train: &Dataset, batch: usize) {
     let mut opt = FusedSgd::new(0.05, 0.9);
     let mut gather = BatchGather::new();
     let mut grad = Tensor::zeros(vec![1]);
-    let batches: Vec<Vec<usize>> = (0..3).map(|b| (b * 20..(b + 1) * 20).collect()).collect();
+    let batches: Vec<Vec<usize>> = (0..3)
+        .map(|b| (b * batch..(b + 1) * batch).collect())
+        .collect();
 
     let mut step = |gather: &mut BatchGather, grad: &mut Tensor, chunk: &[usize]| {
-        gather.gather(&train, chunk);
+        gather.gather(train, chunk);
         {
             let logits = net.forward_ws(gather.features(), true);
             CrossEntropy.loss_and_grad_into(logits, gather.labels(), grad);
@@ -222,4 +220,30 @@ fn dense_training_step_is_allocation_free_after_warm_up() {
     ARMED.store(false, Ordering::SeqCst);
     let n = ALLOCS.load(Ordering::SeqCst);
     assert_eq!(n, 0, "training steps performed {n} heap allocations");
+}
+
+#[test]
+fn dense_training_step_is_allocation_free_after_warm_up() {
+    // The paper-shaped MLP round workload at its reduced scale: 64
+    // synthetic-MNIST features, one hidden layer, B = 20.
+    let _guard = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let spec = SyntheticSpec::mnist().with_size(8, 8).with_shift(1);
+    let (train, _) = synthetic::generate(&spec, 60, 10, 9);
+    let mut rng = StdRng::seed_from_u64(1);
+    let net = zoo::mlp(64, &[32], 10, &mut rng);
+    assert_training_steps_allocate_nothing(net, &train, 20);
+}
+
+#[test]
+fn lenet_training_step_is_allocation_free_after_warm_up() {
+    // The convolution path the benchmark's LeNet workloads run: LeNet-5 on
+    // 1×28×28 at B = 25, so conv1 lowers in blocks of 6 + a short one and
+    // conv2 in 10 + 10 + 5, and each layer's one column buffer alternates
+    // between the forward (filter-major) and backward (position-major)
+    // lowering. The short batch of 7 re-partitions both.
+    let _guard = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let (train, _) = synthetic::generate(&SyntheticSpec::mnist(), 75, 10, 9);
+    let mut rng = StdRng::seed_from_u64(1);
+    let net = zoo::lenet5(1, 28, 28, 10, &mut rng);
+    assert_training_steps_allocate_nothing(net, &train, 25);
 }

@@ -202,21 +202,6 @@ impl std::fmt::Display for AggregateError {
 
 impl std::error::Error for AggregateError {}
 
-/// Runs `f(offset, chunk)` over the `REDUCE_CHUNK`-wide chunks of `out`
-/// — as tasks on the current pool once it has threads to spare and `out`
-/// more than one chunk. Chunks are disjoint, so neither the split nor the
-/// thread count can change a bit of what `f` writes.
-fn for_each_chunk<T: Send>(out: &mut [T], f: impl Fn(usize, &mut [T]) + Sync) {
-    let parallel = rayon::current_num_threads() > 1 && out.len() > REDUCE_CHUNK;
-    let chunks = out.chunks_mut(REDUCE_CHUNK).enumerate();
-    if parallel {
-        let f = &f;
-        rayon::scope(|s| chunks.for_each(|(i, c)| s.spawn(move |_| f(i * REDUCE_CHUNK, c))));
-    } else {
-        chunks.for_each(|(i, c)| f(i * REDUCE_CHUNK, c));
-    }
-}
-
 /// The per-round accumulator behind the streaming round loop
 /// ([`crate::transport::RoundRuntime`]): **one** fixed-slot engine keyed
 /// by client id that serves every [`AggregationMode`]. The streaming
@@ -245,17 +230,16 @@ fn for_each_chunk<T: Send>(out: &mut [T], f: impl Fn(usize, &mut [T]) + Sync) {
 /// arrival order is erased on entry; each coordinate's selection sorts
 /// values by `f32::total_cmp` with the slot index as tie-break, and the
 /// surviving values are accumulated **in ascending slot order** into an
-/// `f64` accumulator. Coordinates are independent, so the chunk-parallel
-/// finish is bitwise identical at every thread count (pinned by the
-/// same proptests).
+/// `f64` accumulator. Coordinates are independent, and the finish runs
+/// on the calling thread, so it is bitwise identical at every thread
+/// count (pinned by the same proptests).
 ///
 /// Memory: a streaming round holds one `f64` accumulator lane
 /// (`state_len` wide) plus at most `window` parked updates, instead of
 /// all N updates at once; a holding round is bounded by the cohort (`n`
 /// pooled state buffers). The parked buffers are pooled across rounds
-/// and modes. Folding runs chunk-parallel on the current pool
-/// (`REDUCE_CHUNK`-element chunks; chunks touch disjoint output ranges,
-/// so the thread count never changes bits).
+/// and modes. Folding and finishing run on the calling thread and open
+/// no pool scope, so a warm round allocates nothing at any pool size.
 ///
 /// Divergence semantics differ deliberately from [`weighted_mean`]: a
 /// non-finite upload is reported as [`AggregateError::Diverged`] so the
@@ -407,14 +391,14 @@ impl RoundAccumulator {
     }
 
     /// Folds `state` into the accumulator with slot `slot`'s fraction —
-    /// chunk-parallel, per-element order fixed by the frontier.
+    /// one pass on the calling thread, per-element order fixed by the
+    /// frontier. (A pool scope costs more to spawn and join than the
+    /// fold of a 100k-parameter state takes.)
     fn fold(&mut self, slot: usize, state: &[f32]) {
         let frac = self.fracs[slot];
-        for_each_chunk(&mut self.acc, |offset, chunk| {
-            for (a, &v) in chunk.iter_mut().zip(&state[offset..]) {
-                *a += frac * v as f64;
-            }
-        });
+        for (a, &v) in self.acc.iter_mut().zip(state) {
+            *a += frac * v as f64;
+        }
         self.folded[slot] = true;
         self.next = slot + 1;
     }
@@ -708,9 +692,9 @@ impl RoundAccumulator {
             .collect();
         out.clear();
         out.resize(self.state_len, 0.0);
-        for_each_chunk(out, |offset, chunk| {
-            self.select_chunk(&reported, chunk, offset)
-        });
+        for (i, chunk) in out.chunks_mut(REDUCE_CHUNK).enumerate() {
+            self.select_chunk(&reported, chunk, i * REDUCE_CHUNK);
+        }
     }
 
     /// Computes one coordinate chunk. Every coordinate is independent,

@@ -282,11 +282,12 @@ impl TrainLane {
         net.state_vector_into(state);
     }
 
-    /// `(accuracy, mse)` of `global` on `data` — the `Eval` exchange.
+    /// `(accuracy, mse)` of `global` on `data` — the `Eval` exchange,
+    /// one chunked pass over `data`.
     pub fn eval(&mut self, factory: &ModelFactory, global: &[f32], data: &Dataset) -> (f64, f64) {
         let (net, ..) = self.fit(factory);
         net.set_state_vector(global);
-        (eval::accuracy(net, data), eval::mse(net, data))
+        eval::accuracy_and_mse(net, data)
     }
 }
 

@@ -93,7 +93,7 @@ impl Layer for Conv2d {
         out
     }
 
-    fn forward_into(&mut self, x: &Tensor, _train: bool, out: &mut Tensor) {
+    fn forward_into(&mut self, x: &Tensor, train: bool, out: &mut Tensor) {
         conv::conv2d_forward_into(
             x,
             &self.weight.value,
@@ -103,9 +103,12 @@ impl Layer for Conv2d {
             out,
         );
         // Backward re-lowers the input block-wise (cheaper than caching a
-        // whole-batch column matrix), so keep the input itself.
-        self.input.assign(x);
-        self.have_input = true;
+        // whole-batch column matrix), so a training pass keeps the input
+        // itself; an eval pass keeps nothing.
+        if train {
+            self.input.assign(x);
+        }
+        self.have_input = train;
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
@@ -181,10 +184,15 @@ impl Layer for MaxPool2d {
         out
     }
 
-    fn forward_into(&mut self, x: &Tensor, _train: bool, out: &mut Tensor) {
+    fn forward_into(&mut self, x: &Tensor, train: bool, out: &mut Tensor) {
         self.input_shape = x.dims4();
-        conv::maxpool2d_forward_into(x, &self.spec, out, &mut self.idx);
-        self.ready = true;
+        if train {
+            conv::maxpool2d_forward_into(x, &self.spec, out, &mut self.idx);
+        } else {
+            // Same pooled values without the argmax routing.
+            conv::maxpool2d_forward_eval_into(x, &self.spec, out);
+        }
+        self.ready = train;
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {

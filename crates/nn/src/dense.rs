@@ -104,7 +104,7 @@ impl Layer for Dense {
         out
     }
 
-    fn forward_into(&mut self, x: &Tensor, _train: bool, out: &mut Tensor) {
+    fn forward_into(&mut self, x: &Tensor, train: bool, out: &mut Tensor) {
         let (n, d) = x.dims2();
         assert_eq!(
             d,
@@ -112,10 +112,14 @@ impl Layer for Dense {
             "dense expected {} features, got {d}",
             self.in_features()
         );
-        // Cache the input as its [n, d] matrix view for the backward pass.
-        self.input.resize(&[n, d]);
-        self.input.as_mut_slice().copy_from_slice(x.as_slice());
-        self.have_input = true;
+        // A training pass caches the input as its [n, d] matrix view for
+        // the backward pass; an eval pass keeps nothing, so a backward
+        // after it has no input to use.
+        if train {
+            self.input.resize(&[n, d]);
+            self.input.as_mut_slice().copy_from_slice(x.as_slice());
+        }
+        self.have_input = train;
         // y = x · Wᵀ, then add the bias row-wise.
         let o = self.out_features();
         out.resize(&[n, o]);

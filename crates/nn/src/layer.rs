@@ -45,8 +45,11 @@ impl Param {
 
 /// A neural-network layer with explicit forward and backward passes.
 ///
-/// Layers cache whatever the backward pass needs during `forward`; calling
-/// [`Layer::backward`] before `forward` is a programmer error and panics.
+/// Layers cache whatever the backward pass needs during a training-mode
+/// `forward`; an eval-mode (`train == false`) forward caches nothing and
+/// leaves the layer as if it had never run forward. Calling
+/// [`Layer::backward`] without a preceding training forward is a
+/// programmer error and panics.
 /// The trait is dyn-compatible so models are plain `Vec<Box<dyn Layer>>`.
 ///
 /// # The allocation-free runtime
@@ -166,11 +169,14 @@ impl Layer for Relu {
         out
     }
 
-    fn forward_into(&mut self, x: &Tensor, _train: bool, out: &mut Tensor) {
+    fn forward_into(&mut self, x: &Tensor, train: bool, out: &mut Tensor) {
         let xv = x.as_slice();
+        // Only a training pass records the mask its backward needs.
         self.mask.clear();
-        self.mask.extend(xv.iter().map(|&v| v > 0.0));
-        self.ready = true;
+        if train {
+            self.mask.extend(xv.iter().map(|&v| v > 0.0));
+        }
+        self.ready = train;
         out.resize(x.shape());
         for (o, &v) in out.as_mut_slice().iter_mut().zip(xv) {
             *o = v.max(0.0);

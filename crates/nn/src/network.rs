@@ -233,6 +233,44 @@ mod tests {
         assert!(preds.iter().all(|&c| c < 2));
     }
 
+    /// An eval-mode forward caches nothing for backward: a backward after
+    /// it panics exactly like one before any forward, even when an
+    /// earlier training forward had filled the caches.
+    #[test]
+    fn backward_after_eval_forward_panics() {
+        use crate::conv_layers::{Conv2d, MaxPool2d};
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        let mut rng = StdRng::seed_from_u64(3);
+        let layers: Vec<(Box<dyn Layer>, Vec<usize>)> = vec![
+            (Box::new(Dense::new(4, 3, &mut rng)), vec![2, 4]),
+            (Box::new(Relu::new()), vec![2, 4]),
+            (
+                Box::new(Conv2d::new(1, 2, 3, 1, 0, &mut rng)),
+                vec![2, 1, 5, 5],
+            ),
+            (Box::new(MaxPool2d::new(2, 2)), vec![2, 1, 4, 4]),
+        ];
+        for (mut layer, shape) in layers {
+            let x = Tensor::filled(shape, 0.5);
+            let y = layer.forward(&x, true);
+            let g = Tensor::filled(y.shape().to_vec(), 1.0);
+            let _ = layer.backward(&g);
+            assert_eq!(layer.forward(&x, false), y, "{}", layer.name());
+            let err = catch_unwind(AssertUnwindSafe(|| layer.backward(&g)))
+                .expect_err("backward after an eval forward must panic");
+            let msg = err
+                .downcast_ref::<String>()
+                .map(String::as_str)
+                .or_else(|| err.downcast_ref::<&str>().copied())
+                .unwrap_or_default();
+            assert!(
+                msg.contains("backward before forward"),
+                "{}: {msg}",
+                layer.name()
+            );
+        }
+    }
+
     #[test]
     fn trainable_len_excludes_frozen() {
         use crate::batchnorm::BatchNorm2d;

@@ -182,15 +182,16 @@ impl Lanes {
 }
 
 /// The in-process [`ServeTransport`]: owns every client's dataset, one
-/// [`TrainLane`] per executing pool thread and one reused output state per
-/// cohort member. Training rounds run the same per-client compute as the
-/// library's [`goldfish_fed::transport::LoopbackClients`] executor
-/// (bitwise identical — pinned by `serve_identity`), but on long-lived
-/// lanes feeding the streaming aggregation sink, so a warm round never
-/// touches the allocator (the ISSUE-5 loopback hot path, pinned by
-/// `tests/alloc_free_round.rs`) and resident training memory is `threads`
-/// networks — not one per registered client. Distillation rounds delegate
-/// to [`LoopbackDistill`]. The reference implementation every TCP run is
+/// [`TrainLane`] and one reused output state per executing pool thread.
+/// Training rounds run the same per-client compute as the library's
+/// [`goldfish_fed::transport::LoopbackClients`] executor (bitwise
+/// identical — pinned by `serve_identity`), but on long-lived lanes
+/// feeding the streaming aggregation sink, so a warm single-thread round
+/// never touches the allocator (pinned by `tests/alloc_free_round.rs`)
+/// and resident training memory is `threads` networks and `threads`
+/// states — not one of either per registered client or cohort member
+/// (pinned by `tests/alloc_free.rs`). Distillation rounds delegate to
+/// [`LoopbackDistill`]. The reference implementation every TCP run is
 /// checked against.
 pub struct LoopbackTransport {
     factory: ModelFactory,
@@ -201,8 +202,9 @@ pub struct LoopbackTransport {
     lanes: Lanes,
     /// The round's contacted clients, in cohort (id) order.
     members: Vec<usize>,
-    /// The trained state of each member, by cohort position; grown to
-    /// the largest cohort seen and reused across rounds.
+    /// The trained state of each member of the current wave, by position
+    /// in the wave; grown to the largest wave seen and reused across
+    /// waves and rounds.
     states: Vec<Vec<f32>>,
     /// Clients evicted via [`RoundTransport::quarantine`]: excluded
     /// from cohorts and the streamed feed (their datasets stay owned —
@@ -252,9 +254,12 @@ impl RoundTransport for LoopbackTransport {
     /// Only cohort members compute and upload, each on whichever lane
     /// its pool task checked out: a lane carries capacity, never state
     /// (every run installs the whole broadcast state first), so which
-    /// lane served a client cannot change a bit. Updates are then fed in
-    /// client-id order: the aggregation frontier folds every update on
-    /// arrival, so nothing is ever parked on loopback.
+    /// lane served a client cannot change a bit. Members train in
+    /// id-ordered waves of one member per pool thread, and each wave's
+    /// updates are fed in client-id order before the next wave reuses
+    /// their buffers: the aggregation frontier folds every update on
+    /// arrival, so nothing is ever parked on loopback, and resident
+    /// states follow the pool size, not the cohort.
     fn train_round(
         &mut self,
         assign: &TrainAssign<'_>,
@@ -265,6 +270,7 @@ impl RoundTransport for LoopbackTransport {
         let LoopbackTransport {
             factory,
             clients,
+            threads,
             lanes,
             members,
             states,
@@ -280,36 +286,40 @@ impl RoundTransport for LoopbackTransport {
                 .map(|&(id, _)| id)
                 .filter(|id| *id < clients.len() && !quarantined.contains(id)),
         );
-        if states.len() < members.len() {
-            states.resize_with(members.len(), Vec::new);
+        let wave = pool::effective_threads(*threads);
+        let wave_len = wave.min(members.len());
+        if states.len() < wave_len {
+            states.resize_with(wave_len, Vec::new);
         }
-        let states = &mut states[..members.len()];
-        let (factory, clients, lanes, members) = (&*factory, &*clients, &*lanes, &*members);
-        pool::install(self.threads, || {
-            pool::for_each_slot(states, |pos, state| {
-                let id = members[pos];
-                let seed = client_seed(assign.seed, id, assign.round);
-                lanes.with(|lane| {
-                    lane.train(
-                        factory,
-                        assign.global,
-                        &clients[id],
-                        assign.cfg,
-                        seed,
-                        state,
-                    )
+        let (factory, clients, lanes) = (&*factory, &*clients, &*lanes);
+        results.clear();
+        for ids in members.chunks(wave) {
+            let states = &mut states[..ids.len()];
+            pool::install(*threads, || {
+                pool::for_each_slot(states, |pos, state| {
+                    let id = ids[pos];
+                    let seed = client_seed(assign.seed, id, assign.round);
+                    lanes.with(|lane| {
+                        lane.train(
+                            factory,
+                            assign.global,
+                            &clients[id],
+                            assign.cfg,
+                            seed,
+                            state,
+                        )
+                    });
                 });
             });
-        });
-        results.clear();
-        results.extend(members.iter().zip(states.iter()).map(|(&id, state)| {
-            sink(StreamedUpdate {
-                client_id: id,
-                num_samples: clients[id].len(),
-                nonce: assign.nonce,
-                state,
-            })
-        }));
+            results.extend(ids.iter().zip(states.iter()).map(|(&id, state)| {
+                sink(StreamedUpdate {
+                    client_id: id,
+                    num_samples: clients[id].len(),
+                    nonce: assign.nonce,
+                    state,
+                })
+            }));
+        }
     }
 
     /// Evicts `client_id` from every future cohort and streamed feed.

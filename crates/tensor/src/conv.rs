@@ -542,14 +542,44 @@ pub fn maxpool2d_forward_into(
     out: &mut Tensor,
     idx: &mut Vec<usize>,
 ) {
+    // No zeroing: the pooling loop writes every index slot.
+    idx.resize(maxpool_shape(input, spec).iter().product(), 0);
+    maxpool_core(input, spec, out, |o, i| idx[o] = i);
+}
+
+/// [`maxpool2d_forward_into`] without the argmax routing — the
+/// inference form: the same pooled values, and no index buffer (8 bytes
+/// per output) to write or keep.
+///
+/// # Panics
+///
+/// Panics if the window does not fit.
+pub fn maxpool2d_forward_eval_into(input: &Tensor, spec: &Conv2dSpec, out: &mut Tensor) {
+    maxpool_core(input, spec, out, |_, _| {});
+}
+
+/// The pooled `[n, c, oh, ow]` shape of `input`.
+fn maxpool_shape(input: &Tensor, spec: &Conv2dSpec) -> [usize; 4] {
     let (n, c, h, w) = input.dims4();
     assert_eq!(spec.padding, 0, "maxpool does not support padding");
     let (oh, ow) = spec.output_hw(h, w);
+    [n, c, oh, ow]
+}
+
+/// The pooling loop shared by both forward forms: writes every output
+/// and hands `record(output, argmax)` each winner's flat input index.
+fn maxpool_core(
+    input: &Tensor,
+    spec: &Conv2dSpec,
+    out: &mut Tensor,
+    mut record: impl FnMut(usize, usize),
+) {
+    let [n, c, oh, ow] = maxpool_shape(input, spec);
+    let (_, _, h, w) = input.dims4();
     let iv = input.as_slice();
     out.resize(&[n, c, oh, ow]);
     let out = out.as_mut_slice();
-    // No zeroing: the pooling loop writes every output and index slot.
-    idx.resize(n * c * oh * ow, 0);
+    // No zeroing: the pooling loop writes every output.
     for s in 0..n {
         for ch in 0..c {
             let base = (s * c + ch) * h * w;
@@ -570,7 +600,7 @@ pub fn maxpool2d_forward_into(
                     }
                     let o = ((s * c + ch) * oh + oy) * ow + ox;
                     out[o] = best;
-                    idx[o] = best_i;
+                    record(o, best_i);
                 }
             }
         }
@@ -1074,6 +1104,10 @@ mod tests {
         assert_eq!(gin.at(13), 3.0);
         assert_eq!(gin.at(15), 4.0);
         assert_eq!(gin.sum(), 10.0);
+
+        let mut eval_out = Tensor::zeros(vec![0]);
+        maxpool2d_forward_eval_into(&input, &spec, &mut eval_out);
+        assert_eq!(eval_out, out);
     }
 
     #[test]

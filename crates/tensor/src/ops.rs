@@ -290,15 +290,18 @@ pub fn argmax_rows(t: &Tensor) -> Vec<usize> {
     let (rows, cols) = t.dims2();
     let tv = t.as_slice();
     (0..rows)
-        .map(|r| {
-            let row = &tv[r * cols..(r + 1) * cols];
-            row.iter()
-                .enumerate()
-                .max_by(|a, b| a.1.partial_cmp(b.1).unwrap_or(std::cmp::Ordering::Equal))
-                .map(|(i, _)| i)
-                .unwrap_or(0)
-        })
+        .map(|r| argmax_row(&tv[r * cols..(r + 1) * cols]))
         .collect()
+}
+
+/// Index of the maximum entry of `row` (the last one on ties, 0 for an
+/// empty row) — the per-row rule of [`argmax_rows`].
+pub fn argmax_row(row: &[f32]) -> usize {
+    row.iter()
+        .enumerate()
+        .max_by(|a, b| a.1.partial_cmp(b.1).unwrap_or(std::cmp::Ordering::Equal))
+        .map(|(i, _)| i)
+        .unwrap_or(0)
 }
 
 /// Sum over rows: reduces an `[N, D]` tensor to `[D]`. Used for bias

@@ -2,10 +2,17 @@
 //! the training runtime — the dense path and the LeNet-5 convolution
 //! path — using a counting global allocator. Kept in its own
 //! integration-test binary so no concurrent test can allocate while the
-//! counter is armed.
+//! counter is armed; the counter is armed per thread, so the test
+//! harness's own bookkeeping (reporting a finished test, spawning the
+//! next one) is not counted either.
+//!
+//! The same allocator keeps a live-heap high-water mark, which pins what
+//! evaluation and a loopback round hold at their peak: one evaluation
+//! chunk and one training wave, not the dataset or the cohort.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::cell::Cell;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 use std::sync::Mutex;
 
@@ -13,41 +20,79 @@ use goldfish::core::basic_model::{clip_grad_norm, TeacherCache};
 use goldfish::core::loss::{GoldfishBatch, GoldfishLoss, GoldfishLossBufs, LossWeights};
 use goldfish::data::synthetic::{self, SyntheticSpec};
 use goldfish::data::{BatchGather, Dataset};
+use goldfish::fed::trainer::{TrainConfig, TrainLane};
+use goldfish::fed::transport::{round_nonce, RoundTransport, TrainAssign};
+use goldfish::fed::ModelFactory;
 use goldfish::nn::loss::{CrossEntropy, HardLoss};
 use goldfish::nn::optim::FusedSgd;
 use goldfish::nn::{zoo, Network};
+use goldfish::serve::coordinator::{Coordinator, CoordinatorConfig};
+use goldfish::serve::transport::LoopbackTransport;
 use goldfish::tensor::Tensor;
 use rand::{rngs::StdRng, SeedableRng};
 use std::sync::Arc;
 
-/// The tests below share one global allocation counter; this lock
-/// keeps them from allocating into each other's armed window.
+/// The tests below share one allocation counter and one live-heap
+/// high-water mark; this lock keeps them out of each other's
+/// measurements.
 static SERIAL: Mutex<()> = Mutex::new(());
 
-/// Counts allocations (and growth reallocations) while armed.
+/// Counts allocations (and growth reallocations) made by an armed
+/// thread, and tracks live heap bytes and their high-water mark always.
 struct CountingAlloc;
 
 static ALLOCS: AtomicUsize = AtomicUsize::new(0);
-static ARMED: AtomicBool = AtomicBool::new(false);
+static LIVE_BYTES: AtomicUsize = AtomicUsize::new(0);
+static PEAK_BYTES: AtomicUsize = AtomicUsize::new(0);
+
+thread_local! {
+    /// Whether this thread's allocations are counted. A step that spawned
+    /// a worker would still be caught: the spawn allocates on the armed
+    /// thread.
+    static ARMED: Cell<bool> = const { Cell::new(false) };
+}
+
+fn count_if_armed() {
+    if ARMED.try_with(Cell::get).unwrap_or(false) {
+        ALLOCS.fetch_add(1, Ordering::Relaxed);
+    }
+}
+
+fn grow_live(by: usize) {
+    let live = LIVE_BYTES.fetch_add(by, Ordering::Relaxed) + by;
+    PEAK_BYTES.fetch_max(live, Ordering::Relaxed);
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        if ARMED.load(Ordering::Relaxed) {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-        }
+        count_if_armed();
+        grow_live(layout.size());
         System.alloc(layout)
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        LIVE_BYTES.fetch_sub(layout.size(), Ordering::Relaxed);
         System.dealloc(ptr, layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        if ARMED.load(Ordering::Relaxed) {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_if_armed();
+        if new_size >= layout.size() {
+            grow_live(new_size - layout.size());
+        } else {
+            LIVE_BYTES.fetch_sub(layout.size() - new_size, Ordering::Relaxed);
         }
         System.realloc(ptr, layout, new_size)
     }
+}
+
+/// Runs `f` and returns how far live heap rose above its level at entry
+/// at the highest point during `f`.
+fn peak_during<R>(f: impl FnOnce() -> R) -> (usize, R) {
+    let base = LIVE_BYTES.load(Ordering::SeqCst);
+    PEAK_BYTES.store(base, Ordering::SeqCst);
+    let out = f();
+    (PEAK_BYTES.load(Ordering::SeqCst).saturating_sub(base), out)
 }
 
 #[global_allocator]
@@ -151,7 +196,7 @@ fn distillation_step_is_allocation_free_after_warm_up() {
     // Armed: full batches, the short tail and short forget slices must
     // not touch the allocator.
     ALLOCS.store(0, Ordering::SeqCst);
-    ARMED.store(true, Ordering::SeqCst);
+    ARMED.set(true);
     for _ in 0..3 {
         for (chunk, fchunk) in rem_batches.iter().zip(fg_batches.iter()) {
             step(
@@ -174,7 +219,7 @@ fn distillation_step_is_allocation_free_after_warm_up() {
             &fg_batches[2][..2],
         );
     }
-    ARMED.store(false, Ordering::SeqCst);
+    ARMED.set(false);
     let n = ALLOCS.load(Ordering::SeqCst);
     assert_eq!(n, 0, "distillation steps performed {n} heap allocations");
 }
@@ -210,14 +255,14 @@ fn assert_training_steps_allocate_nothing(mut net: Network, train: &Dataset, bat
 
     // Armed: full and short batches must not touch the allocator.
     ALLOCS.store(0, Ordering::SeqCst);
-    ARMED.store(true, Ordering::SeqCst);
+    ARMED.set(true);
     for _ in 0..3 {
         for chunk in &batches {
             step(&mut gather, &mut grad, chunk);
         }
         step(&mut gather, &mut grad, &batches[1][..7]);
     }
-    ARMED.store(false, Ordering::SeqCst);
+    ARMED.set(false);
     let n = ALLOCS.load(Ordering::SeqCst);
     assert_eq!(n, 0, "training steps performed {n} heap allocations");
 }
@@ -246,4 +291,102 @@ fn lenet_training_step_is_allocation_free_after_warm_up() {
     let mut rng = StdRng::seed_from_u64(1);
     let net = zoo::lenet5(1, 28, 28, 10, &mut rng);
     assert_training_steps_allocate_nothing(net, &train, 25);
+}
+
+/// `Coordinator::global_accuracy` streams the test set through the model
+/// one evaluation chunk at a time: its peak is a fresh LeNet-5 plus one
+/// chunk's input and activations, not 400 rows of every layer's
+/// activations and backward caches (~17 MiB in 256-row batches).
+#[test]
+fn global_accuracy_peak_heap_is_one_chunk() {
+    let _guard = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let factory: ModelFactory =
+        Arc::new(|seed| zoo::lenet5(1, 28, 28, 10, &mut StdRng::seed_from_u64(seed)));
+    let (train, test) = synthetic::generate(&SyntheticSpec::mnist(), 8, 400, 9);
+    let transport = LoopbackTransport::new(factory.clone(), vec![train], Some(1));
+    let coord = Coordinator::new(
+        factory,
+        test,
+        transport,
+        CoordinatorConfig {
+            threads: Some(1),
+            ..CoordinatorConfig::default()
+        },
+    );
+    let (peak, acc) = peak_during(|| coord.global_accuracy());
+    assert!((0.0..=1.0).contains(&acc));
+    assert!(
+        peak < 4 << 20,
+        "global_accuracy over 400 rows peaked at {peak} B of live heap"
+    );
+}
+
+/// A loopback round trains in waves of one member per pool thread and
+/// feeds each wave before the next: its peak is the lanes plus one wave of
+/// trained states — not one 407 KB state per cohort member (64 of them
+/// are 26 MB).
+#[test]
+fn loopback_round_peak_heap_is_one_wave() {
+    let _guard = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    const CLIENTS: usize = 64;
+    const THREADS: usize = 2;
+    let factory: ModelFactory =
+        Arc::new(|seed| zoo::mlp(784, &[128], 10, &mut StdRng::seed_from_u64(seed)));
+    let (train, _) = synthetic::generate(&SyntheticSpec::mnist(), 2 * CLIENTS, 1, 9);
+    let shards: Vec<Dataset> = (0..CLIENTS)
+        .map(|c| train.subset(&[2 * c, 2 * c + 1]))
+        .collect();
+    let cfg = TrainConfig {
+        local_epochs: 1,
+        batch_size: 2,
+        lr: 0.05,
+        momentum: 0.9,
+    };
+    let global = (factory)(1).state_vector();
+    let state_bytes = global.len() * std::mem::size_of::<f32>();
+
+    // What one warm lane weighs, measured on a fresh thread so its kernel
+    // scratch counts as it does on every pool worker.
+    let lane_bytes = std::thread::scope(|s| {
+        s.spawn(|| {
+            let before = LIVE_BYTES.load(Ordering::SeqCst);
+            let mut lane = TrainLane::new();
+            let mut out = Vec::new();
+            lane.train(&factory, &global, &shards[0], &cfg, 7, &mut out);
+            drop(out);
+            let bytes = LIVE_BYTES.load(Ordering::SeqCst) - before;
+            drop(lane);
+            bytes
+        })
+        .join()
+        .unwrap()
+    });
+
+    let (peak, ()) = peak_during(|| {
+        let mut transport = LoopbackTransport::new(factory.clone(), shards, Some(THREADS));
+        let mut cohort = Vec::new();
+        transport.cohort_into(&mut cohort);
+        let mut results = Vec::new();
+        for round in 0..2 {
+            let assign = TrainAssign {
+                round,
+                seed: 5,
+                nonce: round_nonce(5, round),
+                global: &global,
+                cfg: &cfg,
+            };
+            transport.train_round(&assign, &cohort, &mut |_| Ok(()), &mut results);
+            assert_eq!(results.len(), CLIENTS);
+        }
+    });
+    let wave = THREADS;
+    // Slack: the scope's task boxes and thread handles, the cohort and
+    // result vectors — bookkeeping, well under a state.
+    let bound = THREADS * lane_bytes + wave * state_bytes + state_bytes / 4;
+    assert!(
+        peak <= bound,
+        "64-client round peaked at {peak} B; {THREADS} lanes ({lane_bytes} B each) \
+         + {wave} states ({state_bytes} B each) is {bound} B"
+    );
+    assert!(CLIENTS * state_bytes > 2 * bound, "bound too loose");
 }

@@ -9,8 +9,9 @@
 //!
 //! The same allocator also tracks live bytes, which pins ISSUE 15's
 //! memory shape: what a loopback federation keeps resident after warm-up
-//! is one training lane per pool thread plus one output state per cohort
-//! member — not one full worker per registered client.
+//! is one training lane per pool thread plus output states (one wave of
+//! them; `tests/alloc_free.rs` pins that tighter bound) — not one full
+//! worker per registered client.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -18,6 +19,7 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
 use goldfish::core::GoldfishUnlearning;
+use goldfish::fed::aggregate::{AggregationMode, RoundAccumulator};
 use goldfish::fed::pool;
 use goldfish::fed::trainer::TrainLane;
 use goldfish::fed::transport::round_seed;
@@ -74,11 +76,11 @@ fn resident_after<R>(f: impl FnOnce() -> R) -> (usize, R) {
     (after.saturating_sub(before), out)
 }
 
-/// Resident round memory follows executing threads and the cohort, not
-/// the registry: after warm-up a 64-client loopback federation on a
-/// 2-thread pool holds 2 lanes + 64 output states (plus the round
-/// runtime's few state-sized buffers) — the per-client-worker layout it
-/// replaced held 64 lanes + 64 states and fails this bound.
+/// Resident round memory follows executing threads, not the registry:
+/// after warm-up a 64-client loopback federation on a 2-thread pool holds
+/// 2 lanes + at most 64 output states (plus the round runtime's few
+/// state-sized buffers) — the per-client-worker layout it replaced held
+/// 64 lanes + 64 states and fails this bound.
 #[test]
 fn loopback_resident_memory_follows_lanes_not_clients() {
     let _turn = TURN.lock().unwrap_or_else(|e| e.into_inner());
@@ -266,4 +268,56 @@ fn steady_state_loopback_round_is_allocation_free() {
     assert!(telemetry.round_seconds.count() >= 4);
     assert!(telemetry.trace.is_enabled());
     assert_eq!(telemetry.trace.dropped(), 0);
+}
+
+/// The streaming fold and its finish run on the calling thread at every
+/// pool size, so the accumulator side of a round stays allocation-free
+/// on a two-thread pool too — in-order and parked arrivals alike, on a
+/// state the size of the benchmark MLP's (seven 16 Ki-element chunks).
+/// (A whole loopback round at two threads still forks its training wave
+/// through the vendored rayon scope, which allocates.)
+#[test]
+fn streaming_fold_allocates_nothing_on_a_two_thread_pool() {
+    let _turn = TURN.lock().unwrap_or_else(|e| e.into_inner());
+    const LEN: usize = 101_770;
+    let cohort: Vec<(usize, f64)> = (0..8).map(|id| (id, (id + 1) as f64)).collect();
+    let states: Vec<Vec<f32>> = (0..8)
+        .map(|id| {
+            (0..LEN)
+                .map(|j| ((id * 31 + j) % 97) as f32 * 0.01)
+                .collect()
+        })
+        .collect();
+    // Arrivals park up to two updates ahead of the fold frontier (three
+    // resident with the one folding).
+    let order = [2, 1, 0, 3, 5, 4, 7, 6];
+    let round = |acc: &mut RoundAccumulator, out: &mut Vec<f32>| {
+        acc.begin(AggregationMode::Mean, &cohort, LEN, cohort.len());
+        for id in order {
+            acc.offer(id, &states[id]).unwrap();
+        }
+        acc.finish_into(out).unwrap();
+    };
+
+    let mut serial = Vec::new();
+    pool::install(Some(1), || round(&mut RoundAccumulator::new(), &mut serial));
+
+    let (mut acc, mut out) = (RoundAccumulator::new(), Vec::new());
+    pool::install(Some(2), || {
+        round(&mut acc, &mut out);
+        round(&mut acc, &mut out);
+        ALLOCS.store(0, Ordering::SeqCst);
+        ARMED.store(true, Ordering::SeqCst);
+        for _ in 0..4 {
+            round(&mut acc, &mut out);
+        }
+        ARMED.store(false, Ordering::SeqCst);
+    });
+    let n = ALLOCS.load(Ordering::SeqCst);
+    assert_eq!(
+        n, 0,
+        "warm folds on a two-thread pool performed {n} allocations"
+    );
+    assert_eq!(acc.peak_resident(), 3);
+    assert_eq!(out, serial, "pool size changed the aggregate");
 }

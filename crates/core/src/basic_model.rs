@@ -101,12 +101,18 @@ pub struct GoldfishLocalStats {
 /// `B` rows, with one final *overlapping* window `[n−B, n)` covering
 /// the remainder. Full-size training batches gather their rows from
 /// the cache; a short tail batch falls back to a direct forward pass
-/// through the cache's own teacher (its dedicated inference
+/// through the teacher the cache holds (its dedicated inference
 /// workspace), exactly as the per-batch pipeline would have computed
 /// it. Pinned by `tests/unlearn_identity.rs`.
+///
+/// The teacher network is the cache's own when [`TeacherCache::build`]
+/// made it; a cache from [`TeacherCache::build_with`] keeps only the
+/// logits and is lent a teacher for each run, so many clients' caches
+/// can share one network per executing thread.
 #[derive(Debug)]
 pub struct TeacherCache {
-    /// The frozen teacher, kept for short-batch fallback forwards.
+    /// The frozen teacher for short-batch fallback forwards: owned, or
+    /// lent for one run.
     teacher: Option<Network>,
     /// `[n, classes]` logits in the dataset's natural row order, every
     /// row computed in a `rows_per_chunk`-sized forward.
@@ -133,6 +139,15 @@ impl TeacherCache {
     /// stores the logits; the teacher is kept inside the cache for
     /// short-batch fallback forwards.
     pub fn build(mut teacher: Network, data: &Dataset, batch_size: usize) -> Self {
+        let mut cache = TeacherCache::build_with(&mut teacher, data, batch_size);
+        cache.teacher = Some(teacher);
+        cache
+    }
+
+    /// [`TeacherCache::build`] through a borrowed teacher: the cache
+    /// keeps only the logits, and a short-batch fallback needs a teacher
+    /// [lent](TeacherCache::lend_teacher) to it first.
+    pub fn build_with(teacher: &mut Network, data: &Dataset, batch_size: usize) -> Self {
         let n = data.len();
         let rows = batch_size.max(1).min(n.max(1));
         let mut cache = TeacherCache::empty();
@@ -168,8 +183,19 @@ impl TeacherCache {
                 write(&mut cache.logits, n - rem, &indices[n - rows..], rows - rem);
             }
         }
-        cache.teacher = Some(teacher);
         cache
+    }
+
+    /// Lends `teacher` (a network holding the teacher's state) for the
+    /// short-batch fallback forwards, until
+    /// [`TeacherCache::take_teacher`] hands it back.
+    pub fn lend_teacher(&mut self, teacher: Network) {
+        self.teacher = Some(teacher);
+    }
+
+    /// Takes back the teacher the cache holds, if any.
+    pub fn take_teacher(&mut self) -> Option<Network> {
+        self.teacher.take()
     }
 
     /// Number of cached rows.
@@ -195,7 +221,7 @@ impl TeacherCache {
     /// # Panics
     ///
     /// Panics if an index is out of range, or on a short batch when the
-    /// cache was built without a teacher.
+    /// cache holds no teacher.
     pub fn logits_for(&mut self, features: &Tensor, indices: &[usize]) -> &Tensor {
         if indices.len() != self.rows_per_chunk {
             let teacher = self
@@ -213,12 +239,6 @@ impl TeacherCache {
             dst[j * c..(j + 1) * c].copy_from_slice(&src[i * c..(i + 1) * c]);
         }
         &self.gathered
-    }
-
-    /// Releases the cached teacher network (used by [`train_distill`]
-    /// to return the borrowed teacher to its caller).
-    pub fn into_teacher(self) -> Option<Network> {
-        self.teacher
     }
 }
 
@@ -276,14 +296,15 @@ pub fn train_distill(
     // across every epoch instead of re-forwarding per batch. The teacher
     // is lent to the cache for the duration of the call (it performs
     // the short-batch fallback forwards) and handed back afterwards.
-    let owned = std::mem::replace(teacher, Network::new(goldfish_nn::Sequential::new()));
     let mut cache = if loss.weights().mu_d > 0.0 {
-        TeacherCache::build(owned, remaining, cfg.batch_size)
+        TeacherCache::build_with(teacher, remaining, cfg.batch_size)
     } else {
-        let mut cache = TeacherCache::empty();
-        cache.teacher = Some(owned);
-        cache
+        TeacherCache::empty()
     };
+    cache.lend_teacher(std::mem::replace(
+        teacher,
+        Network::new(goldfish_nn::Sequential::new()),
+    ));
     let stats = train_distill_cached(
         student,
         &mut cache,
@@ -294,7 +315,7 @@ pub fn train_distill(
         reference_loss,
         seed,
     );
-    *teacher = cache.into_teacher().expect("teacher returned from cache");
+    *teacher = cache.take_teacher().expect("teacher returned from cache");
     stats
 }
 

@@ -73,5 +73,5 @@ pub use extension::{AdaptiveTemperature, AdaptiveWeightAggregation};
 pub use loss::{GoldfishLoss, LossBreakdown, LossWeights};
 pub use method::{ClientSplit, UnlearnOutcome, UnlearnSetup, UnlearningMethod};
 pub use optimization::{EarlyTermination, ShardedClient, ShardedLocalModel};
-pub use transport::{ClientDistiller, DistillTransport, LoopbackDistill, UnlearnJob};
+pub use transport::{ClientDistiller, DistillJob, DistillTransport, LoopbackDistill, UnlearnJob};
 pub use unlearner::{GoldfishUnlearning, UnlearnServer};

@@ -2,14 +2,21 @@
 //!
 //! Mirrors `goldfish_fed::transport` for the *distillation* rounds of
 //! Algorithm 1: [`DistillTransport`] is the server-side contract ("ship
-//! the unlearning job, then run distillation rounds"), [`ClientDistiller`]
-//! is the per-client worker state machine factored out of the pre-refactor
-//! [`crate::method::UnlearningMethod::unlearn`] round loop of
-//! [`crate::unlearner::GoldfishUnlearning`] (student
-//! network with warm arenas + cross-round teacher-logit cache, DESIGN.md
+//! the unlearning job, then run distillation rounds"), [`DistillJob`] is
+//! what every client of one request shares (teacher state, local
+//! configuration, composite loss), [`ClientDistiller`] is the one
+//! client's own state (its cross-round teacher-logit cache, DESIGN.md
 //! §9), and [`LoopbackDistill`] runs the distillers in-process on the
-//! shared pool — exactly the execution the old loop performed, pinned
-//! bitwise by `tests/unlearn_identity.rs`.
+//! shared pool — exactly the execution the pre-refactor round loop of
+//! [`crate::unlearner::GoldfishUnlearning`] performed, pinned bitwise by
+//! `tests/unlearn_identity.rs`.
+//!
+//! A distiller owns no network: each round runs on a
+//! [`goldfish_fed::trainer::TrainLane`] lent by whoever executes it —
+//! one per pool thread in-process, one per worker connection or fleet
+//! host remotely — whose network is the student and whose spare network
+//! is the teacher. Resident distillation memory therefore follows the
+//! threads running, not the clients taking part.
 //!
 //! The networked implementation (`goldfish-serve`) runs one
 //! [`ClientDistiller`] inside each remote worker daemon, which is what
@@ -19,17 +26,15 @@
 
 use std::sync::Arc;
 
-use goldfish_fed::aggregate::ClientUpdate;
+use goldfish_data::Dataset;
+use goldfish_fed::trainer::{Lanes, TrainLane};
 use goldfish_fed::transport::{
     client_seed, round_nonce, StreamedUpdate, TransportError, UpdateSink,
 };
 use goldfish_fed::ModelFactory;
 use goldfish_nn::loss::{HardLoss, HardLossSpec};
-use goldfish_nn::Network;
 
-use crate::basic_model::{
-    network_from_state, reference_loss, train_distill_cached, GoldfishLocalConfig, TeacherCache,
-};
+use crate::basic_model::{reference_loss, train_distill_cached, GoldfishLocalConfig, TeacherCache};
 use crate::loss::GoldfishLoss;
 use crate::method::ClientSplit;
 
@@ -82,43 +87,101 @@ pub trait DistillTransport {
     );
 }
 
-/// One client's worker state across the rounds of an unlearning request:
-/// the student network (arenas stay warm; parameters are overwritten from
-/// the incoming global every round) and the teacher-logit cache (the
-/// teacher is the frozen pre-deletion global, so its logits over the
-/// client's remaining data are materialised once per request).
-pub struct ClientDistiller {
-    id: usize,
+/// An [`UnlearnJob`] made runnable: what every client's run of one
+/// unlearning request shares — the architecture, the frozen teacher
+/// state (the pre-deletion global), the local configuration and the
+/// composite loss. An executor builds one per request, not one per
+/// client.
+pub struct DistillJob {
     factory: ModelFactory,
-    split: ClientSplit,
-    teacher_state: Vec<f32>,
+    teacher: Vec<f32>,
     local: GoldfishLocalConfig,
     loss: GoldfishLoss,
-    student: Option<Network>,
-    cache: Option<TeacherCache>,
 }
 
-impl ClientDistiller {
-    /// Sets up the worker state for one request.
+impl DistillJob {
+    /// The job of one request.
     pub fn new(
-        id: usize,
         factory: ModelFactory,
-        split: ClientSplit,
-        teacher_state: Vec<f32>,
+        teacher: Vec<f32>,
         local: GoldfishLocalConfig,
         hard: Arc<dyn HardLoss>,
     ) -> Self {
         let loss = GoldfishLoss::new(hard, local.weights);
-        ClientDistiller {
-            id,
+        DistillJob {
             factory,
-            split,
-            teacher_state,
+            teacher,
             local,
             loss,
-            student: None,
-            cache: None,
         }
+    }
+
+    /// One distillation round of every client in `distillers`, on
+    /// `lanes` in waves of one client per pool thread
+    /// ([`Lanes::waves`]); `data(i)` is distiller `i`'s
+    /// `(remaining, forget)` split. Each wave's uploads are exported into
+    /// the one reused `export` buffer, in client order, just before
+    /// `sink` reads them; `results` (cleared first) gets one entry per
+    /// client.
+    #[allow(clippy::too_many_arguments)] // an executor's borrowed parts; one call site each
+    pub fn round_on<'d>(
+        &self,
+        lanes: &mut Lanes,
+        distillers: &mut [ClientDistiller],
+        data: impl Fn(usize) -> (&'d Dataset, &'d Dataset) + Sync,
+        round: usize,
+        seed: u64,
+        global: &[f32],
+        export: &mut Vec<f32>,
+        sink: &mut UpdateSink<'_>,
+        results: &mut Vec<Result<(), TransportError>>,
+    ) {
+        let nonce = round_nonce(seed, round);
+        results.clear();
+        lanes.waves(
+            distillers,
+            |i, lane, distiller| {
+                let (remaining, forget) = data(i);
+                distiller.round(self, remaining, forget, lane, global, round, seed);
+            },
+            |first, lanes, distillers| {
+                for (i, (lane, distiller)) in lanes.iter().zip(distillers.iter()).enumerate() {
+                    lane.state_into(export);
+                    results.push(sink(StreamedUpdate {
+                        client_id: distiller.client_id(),
+                        num_samples: data(first + i).0.len(),
+                        nonce,
+                        state: export,
+                    }));
+                }
+            },
+        );
+    }
+}
+
+impl std::fmt::Debug for DistillJob {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "DistillJob({} teacher params)", self.teacher.len())
+    }
+}
+
+/// One client's own state across the rounds of an unlearning request:
+/// its id and its teacher-logit cache (the teacher is the frozen
+/// pre-deletion global, so its logits over the client's remaining data
+/// are materialised once per request). Everything else a round needs is
+/// borrowed: the shared [`DistillJob`], the client's split from whoever
+/// holds its data, and the networks and workspaces of the
+/// [`TrainLane`] the round runs on.
+#[derive(Debug)]
+pub struct ClientDistiller {
+    id: usize,
+    cache: Option<TeacherCache>,
+}
+
+impl ClientDistiller {
+    /// A client's state before its first round.
+    pub fn new(id: usize) -> Self {
+        ClientDistiller { id, cache: None }
     }
 
     /// This distiller's client id.
@@ -126,103 +189,96 @@ impl ClientDistiller {
         self.id
     }
 
-    /// Samples remaining after the deletion — the update's FedAvg weight.
-    pub fn num_samples(&self) -> usize {
-        self.split.remaining.len()
-    }
-
     /// Runs one local distillation round from the incoming global state
-    /// and returns the client's upload. Bitwise identical to the body of
-    /// the pre-refactor round loop (`server_mse` is left `None`; the
-    /// server evaluates uploads itself).
-    pub fn round(&mut self, incoming: &[f32], round: usize, base_seed: u64) -> ClientUpdate {
+    /// on `lane`: the lane's network is the student, and its spare
+    /// network, holding the teacher's state, builds the logit cache on
+    /// the first round and is lent to the cache for the short-batch
+    /// fallback. The trained student stays on the lane —
+    /// [`TrainLane::state_into`] exports the client's upload, whose
+    /// FedAvg weight is `remaining.len()`. Bitwise the round of a
+    /// student and a teacher built for this client alone: a lane carries
+    /// capacity, never state.
+    #[allow(clippy::too_many_arguments)] // Algorithm 1's per-client inputs
+    pub fn round(
+        &mut self,
+        job: &DistillJob,
+        remaining: &Dataset,
+        forget: &Dataset,
+        lane: &mut TrainLane,
+        incoming: &[f32],
+        round: usize,
+        base_seed: u64,
+    ) {
         let seed = client_seed(base_seed, self.id, round);
-        let split = &self.split;
-        let student = self.student.get_or_insert_with(|| (self.factory)(seed));
+        let distilling = job.local.weights.mu_d > 0.0;
+        let (student, spare) = lane.networks(&job.factory);
         student.set_state_vector(incoming);
-        let cache = self.cache.get_or_insert_with(|| {
-            if self.local.weights.mu_d > 0.0 {
-                let teacher = network_from_state(&self.factory, &self.teacher_state, seed);
-                TeacherCache::build(teacher, &split.remaining, self.local.batch_size)
-            } else {
-                TeacherCache::empty()
+        if distilling || job.local.early_termination.is_some() {
+            spare
+                .get_or_insert_with(|| (job.factory)(0))
+                .set_state_vector(&job.teacher);
+        }
+        let cache = self.cache.get_or_insert_with(|| match spare.as_mut() {
+            Some(teacher) if distilling => {
+                TeacherCache::build_with(teacher, remaining, job.local.batch_size)
             }
+            _ => TeacherCache::empty(),
         });
 
         // Eq 7 reference: the empirical risk of the previous global
         // model. On the first unlearning round the incoming global is
         // freshly reinitialised (uninformative), so the teacher (the
-        // pre-deletion global) provides the floor.
-        let reference = if self.local.early_termination.is_some() {
-            let mut teacher = network_from_state(&self.factory, &self.teacher_state, seed);
-            let teacher_ref =
-                reference_loss(&mut teacher, &split.remaining, &split.forget, &self.loss);
-            let mut incoming_net = network_from_state(&self.factory, incoming, seed);
-            let incoming_ref = reference_loss(
-                &mut incoming_net,
-                &split.remaining,
-                &split.forget,
-                &self.loss,
-            );
-            Some(teacher_ref.min(incoming_ref))
-        } else {
-            None
+        // pre-deletion global) provides the floor. Both are evaluated in
+        // eval mode, which changes neither network.
+        let reference = match spare.as_mut() {
+            Some(teacher) if job.local.early_termination.is_some() => {
+                let teacher_ref = reference_loss(teacher, remaining, forget, &job.loss);
+                let incoming_ref = reference_loss(student, remaining, forget, &job.loss);
+                Some(teacher_ref.min(incoming_ref))
+            }
+            _ => None,
         };
 
+        if distilling {
+            cache.lend_teacher(spare.take().expect("teacher built above"));
+        }
         train_distill_cached(
-            student,
-            cache,
-            &split.remaining,
-            &split.forget,
-            &self.loss,
-            &self.local,
-            reference,
-            seed,
+            student, cache, remaining, forget, &job.loss, &job.local, reference, seed,
         );
-        ClientUpdate {
-            client_id: self.id,
-            state: student.state_vector(),
-            num_samples: split.remaining.len(),
-            server_mse: None,
+        if distilling {
+            *spare = cache.take_teacher();
         }
     }
 }
 
-impl std::fmt::Debug for ClientDistiller {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "ClientDistiller(client {}, {} remaining, {} forget)",
-            self.id,
-            self.split.remaining.len(),
-            self.split.forget.len()
-        )
-    }
-}
-
-/// The in-process [`DistillTransport`]: one [`ClientDistiller`] per client
-/// split, run in parallel on the shared compute pool — exactly the
-/// pre-refactor execution of `GoldfishUnlearning::unlearn`.
+/// The in-process [`DistillTransport`]: one [`ClientDistiller`] per
+/// borrowed client split, run in parallel on the executor's own
+/// [`Lanes`] — one student and one teacher network per pool thread, not
+/// per client.
 ///
 /// Never produces stragglers.
-pub struct LoopbackDistill {
+pub struct LoopbackDistill<'s> {
     factory: ModelFactory,
     /// The client id each split belongs to (its position by default).
     ids: Vec<usize>,
-    splits: Vec<ClientSplit>,
+    splits: &'s [ClientSplit],
     hard: Arc<dyn HardLoss>,
-    threads: Option<usize>,
+    lanes: Lanes,
+    job: Option<DistillJob>,
     distillers: Vec<ClientDistiller>,
+    /// The one buffer every upload is exported into before the sink
+    /// reads it.
+    export: Vec<f32>,
 }
 
-impl LoopbackDistill {
+impl<'s> LoopbackDistill<'s> {
     /// Wraps the given client splits as an in-process transport. `hard`
     /// is the method's hard loss: for built-in losses it matches the
     /// [`UnlearnJob`]'s spec; custom losses only exist in-process, and
     /// this trait object is what keeps them runnable here.
     pub fn new(
         factory: ModelFactory,
-        splits: Vec<ClientSplit>,
+        splits: &'s [ClientSplit],
         hard: Arc<dyn HardLoss>,
         threads: Option<usize>,
     ) -> Self {
@@ -231,8 +287,10 @@ impl LoopbackDistill {
             ids: (0..splits.len()).collect(),
             splits,
             hard,
-            threads,
+            lanes: Lanes::new(threads),
+            job: None,
             distillers: Vec::new(),
+            export: Vec::new(),
         }
     }
 
@@ -251,7 +309,7 @@ impl LoopbackDistill {
     }
 }
 
-impl DistillTransport for LoopbackDistill {
+impl DistillTransport for LoopbackDistill<'_> {
     fn num_clients(&self) -> usize {
         self.splits.len()
     }
@@ -266,20 +324,16 @@ impl DistillTransport for LoopbackDistill {
             Some(spec) => spec.build(),
             None => Arc::clone(&self.hard),
         };
+        self.job = Some(DistillJob::new(
+            Arc::clone(&self.factory),
+            teacher.to_vec(),
+            job.local,
+            hard,
+        ));
         self.distillers = self
             .ids
             .iter()
-            .zip(&self.splits)
-            .map(|(&id, split)| {
-                ClientDistiller::new(
-                    id,
-                    Arc::clone(&self.factory),
-                    split.clone(),
-                    teacher.to_vec(),
-                    job.local,
-                    Arc::clone(&hard),
-                )
-            })
+            .map(|&id| ClientDistiller::new(id))
             .collect();
         Ok(())
     }
@@ -292,31 +346,22 @@ impl DistillTransport for LoopbackDistill {
         sink: &mut UpdateSink<'_>,
         results: &mut Vec<Result<(), TransportError>>,
     ) {
-        assert!(
-            !self.distillers.is_empty(),
-            "distill_round before begin_unlearn"
+        let job = self
+            .job
+            .as_ref()
+            .expect("distill_round before begin_unlearn");
+        let splits = self.splits;
+        job.round_on(
+            &mut self.lanes,
+            &mut self.distillers,
+            |i| (&splits[i].remaining, &splits[i].forget),
+            round,
+            seed,
+            global,
+            &mut self.export,
+            sink,
+            results,
         );
-        let mut updates: Vec<Option<ClientUpdate>> =
-            (0..self.distillers.len()).map(|_| None).collect();
-        let distillers = &mut self.distillers;
-        goldfish_fed::pool::install(self.threads, || {
-            let mut slots: Vec<(&mut ClientDistiller, &mut Option<ClientUpdate>)> =
-                distillers.iter_mut().zip(updates.iter_mut()).collect();
-            goldfish_fed::pool::for_each_slot(&mut slots, |_, (distiller, slot)| {
-                **slot = Some(distiller.round(global, round, seed));
-            });
-        });
-        let nonce = round_nonce(seed, round);
-        results.clear();
-        results.extend(updates.into_iter().map(|u| {
-            let u = u.expect("missing loopback distill update");
-            sink(StreamedUpdate {
-                client_id: u.client_id,
-                num_samples: u.num_samples,
-                nonce,
-                state: &u.state,
-            })
-        }));
     }
 }
 
@@ -356,34 +401,63 @@ mod tests {
         }
     }
 
+    /// A client's round alone: a fresh lane, a fresh distiller.
+    fn lone_round(
+        factory: &ModelFactory,
+        split: &ClientSplit,
+        teacher: &[f32],
+        id: usize,
+        global: &[f32],
+    ) -> Vec<f32> {
+        let job = DistillJob::new(
+            Arc::clone(factory),
+            teacher.to_vec(),
+            job().local,
+            Arc::new(CrossEntropy),
+        );
+        let mut lane = TrainLane::new();
+        let mut lone = ClientDistiller::new(id);
+        lone.round(
+            &job,
+            &split.remaining,
+            &split.forget,
+            &mut lane,
+            global,
+            0,
+            5,
+        );
+        let mut out = Vec::new();
+        lane.state_into(&mut out);
+        out
+    }
+
     #[test]
     fn loopback_matches_standalone_distillers() {
         let (factory, splits, teacher) = fixture();
         let global = (factory)(17).state_vector();
-        let mut lb = LoopbackDistill::new(
-            Arc::clone(&factory),
-            splits.clone(),
-            Arc::new(CrossEntropy),
-            Some(2),
-        );
-        lb.begin_unlearn(&job(), &teacher).unwrap();
-        let got = collect_round(round_nonce(5, 0), |sink, results| {
-            lb.distill_round(0, 5, &global, sink, results);
-            lb.num_clients()
-        })
-        .unwrap();
-        assert_eq!(got.len(), 2);
-        for (id, u) in got.into_iter().enumerate() {
-            assert_eq!(u.client_id, id);
-            let mut lone = ClientDistiller::new(
-                id,
+        // One thread: both clients share one lane, in turn.
+        for threads in [1, 2] {
+            let mut lb = LoopbackDistill::new(
                 Arc::clone(&factory),
-                splits[id].clone(),
-                teacher.clone(),
-                job().local,
+                &splits,
                 Arc::new(CrossEntropy),
+                Some(threads),
             );
-            assert_eq!(lone.round(&global, 0, 5).state, u.state);
+            lb.begin_unlearn(&job(), &teacher).unwrap();
+            let got = collect_round(round_nonce(5, 0), |sink, results| {
+                lb.distill_round(0, 5, &global, sink, results);
+                lb.num_clients()
+            })
+            .unwrap();
+            assert_eq!(got.len(), 2);
+            for (id, u) in got.into_iter().enumerate() {
+                assert_eq!(u.client_id, id);
+                assert_eq!(u.num_samples, splits[id].remaining.len());
+                assert_eq!(
+                    lone_round(&factory, &splits[id], &teacher, id, &global),
+                    u.state
+                );
+            }
         }
     }
 
@@ -391,25 +465,37 @@ mod tests {
     fn distiller_state_persists_across_rounds() {
         let (factory, splits, teacher) = fixture();
         let global = (factory)(17).state_vector();
-        let mut d = ClientDistiller::new(
-            0,
+        let job = DistillJob::new(
             Arc::clone(&factory),
-            splits[0].clone(),
             teacher,
             job().local,
             Arc::new(CrossEntropy),
         );
-        assert_eq!(d.num_samples(), 37);
+        let mut lane = TrainLane::new();
+        let mut d = ClientDistiller::new(0);
         assert_eq!(d.client_id(), 0);
-        let u0 = d.round(&global, 0, 5);
-        let u1 = d.round(&u0.state, 1, 5);
-        assert_ne!(u0.state, u1.state);
+        let split = &splits[0];
+        assert_eq!(split.remaining.len(), 37);
+        let (mut u0, mut u1) = (Vec::new(), Vec::new());
+        d.round(
+            &job,
+            &split.remaining,
+            &split.forget,
+            &mut lane,
+            &global,
+            0,
+            5,
+        );
+        lane.state_into(&mut u0);
+        d.round(&job, &split.remaining, &split.forget, &mut lane, &u0, 1, 5);
+        lane.state_into(&mut u1);
+        assert_ne!(u0, u1);
     }
 
     #[test]
     fn begin_unlearn_requires_clients() {
         let (factory, _, teacher) = fixture();
-        let mut lb = LoopbackDistill::new(factory, Vec::new(), Arc::new(CrossEntropy), None);
+        let mut lb = LoopbackDistill::new(factory, &[], Arc::new(CrossEntropy), None);
         assert_eq!(
             lb.begin_unlearn(&job(), &teacher),
             Err(TransportError::NoLiveClients)

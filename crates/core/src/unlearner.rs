@@ -116,7 +116,7 @@ impl UnlearningMethod for GoldfishUnlearning {
         // by the same `unlearn_over` loop the networked coordinator uses.
         let mut transport = LoopbackDistill::new(
             Arc::clone(&setup.factory),
-            setup.clients.clone(),
+            &setup.clients,
             Arc::clone(&self.hard),
             None,
         );

@@ -97,9 +97,45 @@ where
     });
 }
 
+/// [`for_each_slot`] over two slices in lockstep: one closure per index
+/// `i < a.len().min(b.len())`, given `&mut a[i]` and `&mut b[i]` — how an
+/// executor pairs its reusable lanes with the clients of one wave.
+pub fn for_each_pair<A: Send, B: Send, F>(a: &mut [A], b: &mut [B], f: F)
+where
+    F: Fn(usize, &mut A, &mut B) + Send + Sync,
+{
+    let pairs = a.iter_mut().zip(b.iter_mut()).enumerate();
+    if pairs.len() <= 1 || rayon::current_num_threads() <= 1 {
+        for (i, (x, y)) in pairs {
+            f(i, x, y);
+        }
+        return;
+    }
+    let f = &f;
+    rayon::scope(|s| {
+        for (i, (x, y)) in pairs {
+            s.spawn(move |_| f(i, x, y));
+        }
+    });
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn for_each_pair_stops_at_the_shorter_slice() {
+        let mut a = vec![0usize; 3];
+        let mut b = vec![1usize; 5];
+        install(Some(2), || {
+            for_each_pair(&mut a, &mut b, |i, x, y| {
+                *x = i + *y;
+                *y = 0;
+            });
+        });
+        assert_eq!(a, vec![1, 2, 3]);
+        assert_eq!(b, vec![0, 0, 0, 1, 1]);
+    }
 
     #[test]
     fn override_beats_default() {

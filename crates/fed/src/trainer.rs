@@ -23,7 +23,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 
-use crate::{eval, ModelFactory};
+use crate::{eval, pool, ModelFactory};
 
 /// Hyperparameters of one client's local training, defaulting to the
 /// paper's settings (B = 100, η = 0.001, β = 0.9).
@@ -198,13 +198,15 @@ pub fn train_local_hot(
     }
 }
 
-/// One executing thread's worth of training state: a network (arenas
-/// included), a [`TrainWorkspace`] and a [`FusedSgd`] velocity buffer.
-/// Whoever runs local training keeps one lane per thread that can be
-/// training at once — the loopback transport one per pool thread, a
-/// worker connection one, a fleet host one for all its workers — and
-/// lends it to whichever client is up next, so resident training memory
-/// follows what is running rather than who is registered.
+/// One executing thread's worth of model state: a network (arenas
+/// included), a [`TrainWorkspace`], a [`FusedSgd`] velocity buffer, and a
+/// second network slot that distillation lends to a client's teacher
+/// cache. Whoever runs clients keeps one lane per thread that can be
+/// running at once — an in-process executor one per pool thread
+/// ([`Lanes`]), a worker connection one, a fleet host one for all its
+/// workers — and lends it to whichever client is up next, for training,
+/// evaluation and distillation alike, so resident model memory follows
+/// what is running rather than who is registered.
 ///
 /// A lane carries **capacity, never state**: every call installs the
 /// whole state vector first (trainable parameters and frozen tracked
@@ -215,6 +217,10 @@ pub struct TrainLane {
     /// The network and the factory that built it; rebuilt only when a
     /// call names a different factory.
     model: Option<(ModelFactory, Network)>,
+    /// A second network of the same architecture, built on first use by
+    /// whoever needs one (a distillation teacher) and dropped with
+    /// `model`.
+    spare: Option<Network>,
     ws: TrainWorkspace,
     sgd: FusedSgd,
 }
@@ -224,6 +230,7 @@ impl TrainLane {
     pub fn new() -> Self {
         TrainLane {
             model: None,
+            spare: None,
             ws: TrainWorkspace::new(),
             // Placeholder hyperparameters; re-armed from the TrainConfig
             // before every local run.
@@ -241,12 +248,39 @@ impl TrainLane {
             // Another factory may mean another architecture: the
             // velocity buffer is sized again on the next step.
             self.model = None;
+            self.spare = None;
             self.sgd.reset();
         }
         let (_, net) = self
             .model
             .get_or_insert_with(|| (Arc::clone(factory), (factory)(0)));
         (net, &mut self.ws, &mut self.sgd)
+    }
+
+    /// One local run from `global` on `data`. The trained state stays in
+    /// the lane's network until [`TrainLane::state_into`] exports it.
+    pub fn run(
+        &mut self,
+        factory: &ModelFactory,
+        global: &[f32],
+        data: &Dataset,
+        cfg: &TrainConfig,
+        seed: u64,
+    ) {
+        let (net, ws, sgd) = self.fit(factory);
+        net.set_state_vector(global);
+        train_local_hot(net, data, cfg, &CrossEntropy, seed, ws, sgd);
+    }
+
+    /// Writes the state of the lane's network — what the last run left
+    /// there — into `out` (cleared first, capacity reused).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the lane has not run yet.
+    pub fn state_into(&self, out: &mut Vec<f32>) {
+        let (_, net) = self.model.as_ref().expect("state_into on an unused lane");
+        net.state_vector_into(out);
     }
 
     /// One local run from `global` on `data`, the trained state written
@@ -260,10 +294,8 @@ impl TrainLane {
         seed: u64,
         out: &mut Vec<f32>,
     ) {
-        let (net, ws, sgd) = self.fit(factory);
-        net.set_state_vector(global);
-        train_local_hot(net, data, cfg, &CrossEntropy, seed, ws, sgd);
-        net.state_vector_into(out);
+        self.run(factory, global, data, cfg, seed);
+        self.state_into(out);
     }
 
     /// [`TrainLane::train`] with the result written over the input — the
@@ -276,10 +308,8 @@ impl TrainLane {
         cfg: &TrainConfig,
         seed: u64,
     ) {
-        let (net, ws, sgd) = self.fit(factory);
-        net.set_state_vector(state);
-        train_local_hot(net, data, cfg, &CrossEntropy, seed, ws, sgd);
-        net.state_vector_into(state);
+        self.run(factory, state, data, cfg, seed);
+        self.state_into(state);
     }
 
     /// `(accuracy, mse)` of `global` on `data` — the `Eval` exchange,
@@ -288,6 +318,64 @@ impl TrainLane {
         let (net, ..) = self.fit(factory);
         net.set_state_vector(global);
         eval::accuracy_and_mse(net, data)
+    }
+
+    /// The lane's network and its spare-network slot, for a caller that
+    /// trains with its own loop (distillation): the network as
+    /// [`TrainLane::run`] would use it — [`TrainLane::state_into`]
+    /// exports what the caller leaves there — and the slot, empty until
+    /// the caller first fills it with a network built by `factory`.
+    pub fn networks(&mut self, factory: &ModelFactory) -> (&mut Network, &mut Option<Network>) {
+        self.fit(factory);
+        let (_, net) = self.model.as_mut().expect("fitted above");
+        (net, &mut self.spare)
+    }
+}
+
+/// An in-process executor's lanes: one per client running at once on a
+/// pool of [`pool::effective_threads`]`(threads)` threads, so at most one
+/// per pool thread, whatever the number of clients.
+#[derive(Debug)]
+pub struct Lanes {
+    threads: Option<usize>,
+    lanes: Vec<TrainLane>,
+}
+
+impl Lanes {
+    /// No lanes yet; each wave grows the set to its own width.
+    pub fn new(threads: Option<usize>) -> Self {
+        Lanes {
+            threads,
+            lanes: Vec::new(),
+        }
+    }
+
+    /// Runs `run(i, lane, item)` once per item `i`, in order, in waves of
+    /// one item per pool thread. Each item of a wave gets its own lane
+    /// (the lane at its position in the wave). After each wave,
+    /// `feed(first, lanes, items)` runs on the calling thread with that
+    /// wave's lanes and items, still paired by position (`first` is the
+    /// wave's first item index), before the next wave reuses the lanes —
+    /// so what a run leaves on its lane is read before it is overwritten.
+    pub fn waves<T: Send>(
+        &mut self,
+        items: &mut [T],
+        run: impl Fn(usize, &mut TrainLane, &mut T) + Send + Sync,
+        mut feed: impl FnMut(usize, &mut [TrainLane], &mut [T]),
+    ) {
+        let wave = pool::effective_threads(self.threads);
+        let width = wave.min(items.len());
+        if self.lanes.len() < width {
+            self.lanes.resize_with(width, TrainLane::new);
+        }
+        for (w, items) in items.chunks_mut(wave).enumerate() {
+            let first = w * wave;
+            let lanes = &mut self.lanes[..items.len()];
+            pool::install(self.threads, || {
+                pool::for_each_pair(lanes, items, |i, lane, item| run(first + i, lane, item));
+            });
+            feed(first, lanes, items);
+        }
     }
 }
 

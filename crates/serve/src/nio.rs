@@ -37,10 +37,13 @@ const MAX_IDLE_FRAMES: usize = 4;
 /// frame. A lease is a plain `Vec<u8>` (whatever length and bytes its
 /// last frame left — [`FrameReadState::poll`] and the `encode_*_into`
 /// functions size and overwrite it), so the steady state re-uses a
-/// handful of allocations however many connections are registered.
+/// handful of allocations however many connections are registered. A
+/// reply whose state decodes as it arrives holds a `Vec<f32>` state
+/// lease instead of a frame; both count as one buffer in flight.
 #[derive(Debug, Default)]
 pub struct FramePool {
     idle: Vec<Vec<u8>>,
+    idle_states: Vec<Vec<f32>>,
     /// Buffers currently leased.
     leased: Gauge,
     /// The most buffers ever leased at once.
@@ -82,6 +85,22 @@ impl FramePool {
             self.idle.push(buf);
         }
     }
+
+    /// Takes a state buffer for one reply decoding as it arrives.
+    pub fn lease_state(&mut self) -> Vec<f32> {
+        self.leased.add(1);
+        self.high_water.set_max(self.leased.get());
+        self.idle_states.pop().unwrap_or_default()
+    }
+
+    /// Returns a leased state buffer once its reply is handled (or its
+    /// connection failed).
+    pub fn release_state(&mut self, buf: Vec<f32>) {
+        self.leased.add(-1);
+        if self.idle_states.len() < MAX_IDLE_FRAMES {
+            self.idle_states.push(buf);
+        }
+    }
 }
 
 /// Incremental reader of one length-prefixed frame.
@@ -121,20 +140,21 @@ impl FrameReadState {
     }
 
     /// Advances the frame as far as `r` allows without blocking. The
-    /// payload lands in `buf` (resized on header completion, reusing
-    /// capacity; never more than `limits` allows, which callers tighten
-    /// to what the protocol state expects). Returns `Ok(Some((kind,
-    /// frame_len)))` when the frame is complete — the state resets
-    /// itself for the next frame — or `Ok(None)` when `r` would block.
+    /// payload goes to `buf` as it arrives ([`PayloadSink`]; a `Vec<u8>`
+    /// is resized on header completion, reusing capacity). A payload is
+    /// never longer than `limits` allows, which callers tighten to what
+    /// the protocol state expects. Returns `Ok(Some((kind, frame_len)))`
+    /// when the frame is complete — the state resets itself for the next
+    /// frame — or `Ok(None)` when `r` would block.
     ///
     /// # Errors
     ///
-    /// Header/limit violations from [`decode_header`], I/O errors, and
-    /// the EOF split described at module level.
+    /// Header/limit violations from [`decode_header`], a payload the sink
+    /// refuses, I/O errors, and the EOF split described at module level.
     pub fn poll(
         &mut self,
         r: &mut impl Read,
-        buf: &mut Vec<u8>,
+        buf: &mut impl PayloadSink,
         limits: &FrameLimits,
     ) -> Result<Option<(u8, usize)>, WireError> {
         loop {
@@ -163,10 +183,7 @@ impl FrameReadState {
                         let (kind, len) = decode_header(&self.header, limits)?;
                         self.decoded = Some((kind, len));
                         self.payload_filled = 0;
-                        // No clear first: the frame only surfaces once
-                        // all `len` bytes are overwritten, so a reused
-                        // buffer is not zero-filled again.
-                        buf.resize(len, 0);
+                        buf.begin(kind, len)?;
                     }
                     Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return Ok(None),
                     Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
@@ -181,14 +198,19 @@ impl FrameReadState {
                 self.reset();
                 return Ok(Some((kind, HEADER_LEN + len)));
             }
-            match r.read(&mut buf[self.payload_filled..len]) {
+            let room = buf.room(self.payload_filled);
+            let take = room.len().min(len - self.payload_filled);
+            match r.read(&mut room[..take]) {
                 Ok(0) => {
                     return Err(WireError::DisconnectedMidFrame {
                         got: HEADER_LEN + self.payload_filled,
                         want: HEADER_LEN + len,
                     });
                 }
-                Ok(n) => self.payload_filled += n,
+                Ok(n) => {
+                    buf.took(n)?;
+                    self.payload_filled += n;
+                }
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return Ok(None),
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
                 Err(e) => return Err(e.into()),
@@ -200,6 +222,47 @@ impl FrameReadState {
 impl Default for FrameReadState {
     fn default() -> FrameReadState {
         FrameReadState::new()
+    }
+}
+
+/// Where [`FrameReadState::poll`] puts a frame's payload as its bytes
+/// arrive. A `Vec<u8>` takes the payload whole; a streaming decoder
+/// takes it piecewise and keeps only what it decodes.
+pub trait PayloadSink {
+    /// The header is complete: `len` payload bytes of `kind` follow.
+    ///
+    /// # Errors
+    ///
+    /// A payload this sink cannot take.
+    fn begin(&mut self, kind: u8, len: usize) -> Result<(), WireError>;
+
+    /// Where the payload bytes from offset `filled` on go (`filled <
+    /// len`); must not be empty. A read fills a prefix of it.
+    fn room(&mut self, filled: usize) -> &mut [u8];
+
+    /// The last read put `n` bytes at the start of
+    /// [`PayloadSink::room`].
+    ///
+    /// # Errors
+    ///
+    /// Payload bytes the sink cannot decode.
+    fn took(&mut self, n: usize) -> Result<(), WireError>;
+}
+
+impl PayloadSink for Vec<u8> {
+    fn begin(&mut self, _kind: u8, len: usize) -> Result<(), WireError> {
+        // No clear first: the frame only surfaces once all `len` bytes
+        // are overwritten, so a reused buffer is not zero-filled again.
+        self.resize(len, 0);
+        Ok(())
+    }
+
+    fn room(&mut self, filled: usize) -> &mut [u8] {
+        &mut self[filled..]
+    }
+
+    fn took(&mut self, _n: usize) -> Result<(), WireError> {
+        Ok(())
     }
 }
 

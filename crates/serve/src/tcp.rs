@@ -8,11 +8,14 @@
 //! carry each frame across partial reads and writes. A fan-out
 //! therefore costs zero thread spawns regardless of fleet size —
 //! thousands of registered workers multiplex onto the coordinator
-//! thread — while replies still reach the caller **in arrival order**,
-//! so aggregation keeps overlapping straggler I/O exactly as the old
-//! thread-per-connection layer did. Liveness is a per-fan-out deadline
-//! (`read_timeout` from the fan-out's start); a client that misses it,
-//! disconnects, or answers out of protocol is dropped from the live set
+//! thread. Replies reach the caller **in fold order** (ascending client
+//! id, the order the aggregation fold consumes them): a reply is read
+//! only once every lower cohort slot is done, so an early one waits in
+//! its socket rather than as a decoded copy parked beside the fold.
+//! Liveness is a per-fan-out deadline (`read_timeout` from the
+//! fan-out's start); at the deadline every reply that has started to
+//! arrive is still read, and a client whose reply has not, or that
+//! disconnects or answers out of protocol, is dropped from the live set
 //! and reported as a typed [`TransportError`], and the round driver
 //! re-rounds over the survivors.
 //!
@@ -22,14 +25,16 @@
 //!   encoded a single time into a transport-owned reusable buffer
 //!   straight from the borrowed global state (no `Msg`, no state clone)
 //!   and the same bytes are written to every connection.
-//! * **Pooled frame buffers** — no connection owns a buffer. A reply's
-//!   payload lands in a lease from the reactor's
-//!   [`crate::nio::FramePool`], taken on the reply's first readable
-//!   event and returned as soon as the frame is decoded (or its
-//!   connection fails or times out), and decoded update states go
-//!   through a shared state pool — so a steady-state round re-uses a
-//!   handful of allocations and buffers held follow frames concurrently
-//!   in flight, never the registry. The two
+//! * **Pooled reply buffers** — no connection owns a buffer. A reply
+//!   holds a lease from the reactor's [`crate::nio::FramePool`] from its
+//!   header until it is handled (or its connection fails or times out):
+//!   an update decodes its state as the bytes arrive, through a small
+//!   staging chunk, straight into a state buffer
+//!   ([`crate::wire::UpdateDecoder`]), and any other reply lands in a
+//!   frame buffer — so a steady-state round re-uses a handful of
+//!   allocations, buffers held follow replies concurrently in flight,
+//!   never the registry, and an update never sits in a frame-sized byte
+//!   buffer beside its decoded state. The two
 //!   `goldfish_frame_buffers_*` gauges report it.
 //! * **Per-phase frame bounds** — a length prefix is honoured only up to
 //!   what the protocol state can legally carry: a constant during the
@@ -41,7 +46,7 @@
 //!   handed to the caller the moment the reactor reads its last byte,
 //!   which is what lets the coordinator's
 //!   [`goldfish_fed::transport::RoundRuntime`] fold updates while
-//!   stragglers are still on the wire.
+//!   higher ids are still on the wire.
 //! * **Cohort fan-outs** — training rounds
 //!   ([`goldfish_fed::transport::RoundTransport::train_round`]) write
 //!   frames only to the round's cohort; every other registered
@@ -61,7 +66,6 @@
 use std::net::{TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use goldfish_core::transport::{DistillTransport, UnlearnJob};
@@ -70,14 +74,14 @@ use goldfish_fed::transport::{
 };
 use polling::{Event, Events, Poller};
 
-use crate::nio::{FramePool, FrameReadState, FrameWriteState};
+use crate::nio::{FramePool, FrameReadState, FrameWriteState, PayloadSink};
 use crate::queue::UnlearnRequest;
 use crate::telemetry::{ServeTelemetry, WireTelemetry};
 use crate::transport::{LocalEval, ServeTransport, WireStats};
 use crate::wire::{
-    decode_msg, decode_update_into, encode_eval_request_into, encode_frame,
-    encode_round_assign_into, encode_unlearn_assign_into, err_code, kind as wire_kind,
-    read_raw_frame, write_frame, FrameLimits, Msg, RoundMode, UpdateHeader, WireError,
+    decode_msg, encode_eval_request_into, encode_frame, encode_round_assign_into,
+    encode_unlearn_assign_into, err_code, kind as wire_kind, read_raw_frame, write_frame,
+    FrameLimits, Msg, RoundMode, UpdateDecoder, UpdateHeader, WireError,
 };
 
 /// Socket policy of a [`TcpTransport`].
@@ -259,27 +263,28 @@ pub struct TcpTransport {
     /// `UnlearnAssign` to a client with removals of its own. One per
     /// *requesting* client, reused across requests.
     own_frames: Vec<Vec<u8>>,
-    /// Pool of decoded-update state buffers, refilled after each fold.
-    state_pool: Mutex<Vec<Vec<f32>>>,
     /// Client ids evicted via [`RoundTransport::quarantine`]. Banned
     /// ids are refused readmission even with a valid resume token.
     banned: std::collections::BTreeSet<usize>,
     /// The reactor and its per-fan-out scratch.
     reactor: Reactor,
-    /// Per-client round outcomes in arrival order, reused across rounds.
+    /// Per-client round outcomes in the order they completed, reused
+    /// across rounds.
     outcomes: Vec<(usize, Result<(), TransportError>)>,
 }
 
 /// Where a contacted connection stands in its frame exchange.
 #[derive(Clone, Copy)]
 enum Phase {
+    /// Flushing the request.
     Write,
-    /// Awaiting the reply; `started` stamps when the request finished
-    /// flushing, so a completed read observes the flush-to-reply wall
-    /// time.
-    Read {
-        started: u64,
-    },
+    /// Request flushed; the reply waits unread in the socket, its
+    /// readiness disarmed, until every lower slot has finished.
+    Queued,
+    /// Reading the reply; `started` stamps when it was armed for
+    /// reading, so a completed read observes read time, not time spent
+    /// queued behind lower slots.
+    Read { started: u64 },
 }
 
 /// One contacted connection of the fan-out in progress. The poller key
@@ -288,11 +293,74 @@ struct Slot {
     id: usize,
     /// `None` once the exchange completed or failed.
     phase: Option<Phase>,
-    /// The reply's frame-buffer lease, from its first readable event
-    /// until it is decoded.
-    rbuf: Option<Vec<u8>>,
+    /// The reply's buffer lease, from its header until it is handled.
+    inbox: Option<Inbox>,
     /// Drop the connection when the fan-out ends.
     failed: bool,
+}
+
+/// Staging size of a reply state read: an update's bytes pass through
+/// this much at a time on their way to its floats.
+const STATE_CHUNK: usize = 64 << 10;
+
+/// A reply's payload as it arrives, leased from the reactor's
+/// [`FramePool`] once its header is in.
+enum Inbox {
+    /// Any reply but an update: its payload bytes, decoded once complete.
+    Frame(Vec<u8>),
+    /// An `Update` / `UnlearnResult`: its state decodes piece by piece
+    /// straight into a state buffer, so the reply never occupies a
+    /// frame-sized byte buffer beside it.
+    State(UpdateDecoder, Vec<f32>),
+}
+
+impl Inbox {
+    /// Hands the lease back.
+    fn release(self, frames: &mut FramePool) {
+        match self {
+            Inbox::Frame(buf) => frames.release(buf),
+            Inbox::State(_, state) => frames.release_state(state),
+        }
+    }
+}
+
+/// One slot's [`PayloadSink`] for one read: the inbox to lease on the
+/// header, and the reactor's staging chunk for state bytes.
+struct ReplyPayload<'a> {
+    inbox: &'a mut Option<Inbox>,
+    frames: &'a mut FramePool,
+    chunk: &'a mut Vec<u8>,
+}
+
+impl PayloadSink for ReplyPayload<'_> {
+    fn begin(&mut self, kind: u8, len: usize) -> Result<(), WireError> {
+        let inbox = if kind == wire_kind::UPDATE || kind == wire_kind::UNLEARN_RESULT {
+            Inbox::State(UpdateDecoder::new(kind, len)?, self.frames.lease_state())
+        } else {
+            let mut buf = self.frames.lease();
+            buf.begin(kind, len)?;
+            Inbox::Frame(buf)
+        };
+        *self.inbox = Some(inbox);
+        Ok(())
+    }
+
+    fn room(&mut self, filled: usize) -> &mut [u8] {
+        match self.inbox {
+            Some(Inbox::Frame(buf)) => buf.room(filled),
+            _ => {
+                self.chunk.resize(STATE_CHUNK, 0);
+                self.chunk
+            }
+        }
+    }
+
+    fn took(&mut self, n: usize) -> Result<(), WireError> {
+        match self.inbox {
+            Some(Inbox::State(decoder, state)) => decoder.take(&self.chunk[..n], state),
+            _ => Ok(()),
+        }
+    }
 }
 
 /// The reactor: one oneshot poller owning every in-flight socket, plus
@@ -303,8 +371,10 @@ struct Reactor {
     /// Reusable readiness buffer for [`Poller::wait`].
     events: Events,
     slots: Vec<Slot>,
-    /// The frame buffers replies are read into.
+    /// The buffers replies are read into.
     frames: FramePool,
+    /// Where update replies' bytes stage on their way to their floats.
+    chunk: Vec<u8>,
 }
 
 /// One round-shaped fan-out's borrowed parameters (train or distill).
@@ -317,37 +387,13 @@ struct RoundSpec<'a> {
     global: &'a [f32],
 }
 
-/// A decoded update's state, in a buffer on loan from the transport's
-/// state pool. Dropping it hands the buffer back — once, whichever way
-/// the reply ends: folded, refused as the wrong kind, failed to decode,
-/// or unwound out of a panicking handler.
-struct PooledState<'p> {
-    pool: &'p Mutex<Vec<Vec<f32>>>,
-    buf: Vec<f32>,
-}
-
-impl<'p> PooledState<'p> {
-    fn lease(pool: &'p Mutex<Vec<Vec<f32>>>) -> Self {
-        let mut idle = pool.lock().unwrap_or_else(|e| e.into_inner());
-        let buf = idle.pop().unwrap_or_default();
-        PooledState { pool, buf }
-    }
-}
-
-impl Drop for PooledState<'_> {
-    fn drop(&mut self) {
-        let mut idle = self.pool.lock().unwrap_or_else(|e| e.into_inner());
-        idle.push(std::mem::take(&mut self.buf));
-    }
-}
-
 /// A decoded worker reply leaving the reactor.
-enum Reply<'p> {
-    /// `Update` / `UnlearnResult` with the state decoded into a pooled
-    /// buffer.
+enum Reply<'r> {
+    /// `Update` / `UnlearnResult` with the state decoded into the
+    /// reply's leased buffer.
     Update {
         header: UpdateHeader,
-        state: PooledState<'p>,
+        state: &'r [f32],
     },
     /// An `Eval` reply's metrics.
     Eval { accuracy: f64, mse: f64 },
@@ -369,6 +415,120 @@ impl Reply<'_> {
         TransportError::Protocol {
             client_id: id,
             reason: format!("expected {want}, got {got}"),
+        }
+    }
+}
+
+/// One fan-out in progress: the reactor parts and the caller's reply
+/// handler that every slot transition needs.
+struct FanOut<'a, H> {
+    poller: &'a Poller,
+    frames: &'a mut FramePool,
+    chunk: &'a mut Vec<u8>,
+    stats: &'a WireTelemetry,
+    reply_limits: &'a FrameLimits,
+    on_reply: H,
+    /// Slots still exchanging.
+    pending: usize,
+    recv_total: u64,
+}
+
+impl<H: FnMut(usize, Result<Reply<'_>, TransportError>)> FanOut<'_, H> {
+    /// Retires `slot` from the fan-out with a typed failure; a reply
+    /// half-read gives its lease back.
+    fn fail(&mut self, slot: &mut Slot, conn: &Conn, err: TransportError) {
+        slot.phase = None;
+        slot.failed = true;
+        self.pending -= 1;
+        let _ = self.poller.delete(conn.stream.as_raw_fd());
+        if let Some(inbox) = slot.inbox.take() {
+            inbox.release(self.frames);
+        }
+        (self.on_reply)(slot.id, Err(err));
+    }
+
+    /// Re-arms `slot`'s socket for `interest`, failing the slot if the
+    /// poller refuses.
+    fn rearm(&mut self, slot: &mut Slot, conn: &Conn, interest: Event) {
+        if self
+            .poller
+            .modify(conn.stream.as_raw_fd(), interest)
+            .is_err()
+        {
+            self.fail(
+                slot,
+                conn,
+                TransportError::Disconnected {
+                    client_id: slot.id,
+                    reason: "reactor re-arm failed".into(),
+                },
+            );
+        }
+    }
+
+    /// Arms `slot`'s flushed request for its reply: from here its read
+    /// time runs.
+    fn arm_read(&mut self, key: usize, slot: &mut Slot, conn: &Conn) {
+        slot.phase = Some(Phase::Read {
+            started: self.stats.clock.now_nanos(),
+        });
+        self.rearm(slot, conn, Event::readable(key));
+    }
+
+    /// Reads `slot`'s reply as far as its socket allows: a complete
+    /// frame is decoded and handed over, a partial one re-armed.
+    fn read(&mut self, key: usize, slot: &mut Slot, conn: &mut Conn) {
+        let Some(Phase::Read { started }) = slot.phase else {
+            return;
+        };
+        let mut payload = ReplyPayload {
+            inbox: &mut slot.inbox,
+            frames: self.frames,
+            chunk: self.chunk,
+        };
+        let (kind, nbytes) = match conn
+            .rd
+            .poll(&mut conn.stream, &mut payload, self.reply_limits)
+        {
+            Ok(Some(done)) => done,
+            Ok(None) => return self.rearm(slot, conn, Event::readable(key)),
+            Err(e) => return self.fail(slot, conn, map_wire_error(slot.id, e)),
+        };
+        let id = slot.id;
+        self.recv_total += nbytes as u64;
+        self.stats
+            .frame_read_seconds
+            .observe_nanos(self.stats.clock.now_nanos().saturating_sub(started));
+        slot.phase = None;
+        self.pending -= 1;
+        let _ = self.poller.delete(conn.stream.as_raw_fd());
+        let inbox = slot.inbox.take().expect("a complete frame began");
+        let mut decode_failed = false;
+        let on_reply = &mut self.on_reply;
+        let delivered = catch_unwind(AssertUnwindSafe(|| {
+            let reply = TcpTransport::decode_reply(kind, &inbox, conn, id);
+            decode_failed = reply.is_err();
+            on_reply(id, reply);
+        }));
+        // Decoded, rejected or blown up: the reply is done with its
+        // buffer.
+        inbox.release(self.frames);
+        if decode_failed {
+            slot.failed = true;
+        }
+        if delivered.is_err() {
+            // The handler blew up on this client's bytes: its connection
+            // is forfeit (the strike ledger keeps `Rejected` conns alive,
+            // so the drop happens here), the round continues for
+            // everyone else.
+            slot.failed = true;
+            (self.on_reply)(
+                id,
+                Err(TransportError::Rejected {
+                    client_id: id,
+                    violation: UpdateViolation::HandlerPanic,
+                }),
+            );
         }
     }
 }
@@ -582,13 +742,13 @@ impl TcpTransport {
             listener: None,
             bcast: Vec::new(),
             own_frames: Vec::new(),
-            state_pool: Mutex::new(Vec::new()),
             banned: std::collections::BTreeSet::new(),
             reactor: Reactor {
                 poller,
                 events,
                 slots: Vec::new(),
                 frames: FramePool::new(),
+                chunk: Vec::new(),
             },
             outcomes: Vec::new(),
         })
@@ -686,21 +846,16 @@ impl TcpTransport {
             .collect()
     }
 
-    /// Decodes a completed reply frame's `payload`.
-    fn decode_reply<'p>(
+    /// Decodes a completed reply.
+    fn decode_reply<'r>(
         kind: u8,
-        payload: &[u8],
+        inbox: &'r Inbox,
         conn: &mut Conn,
-        state_pool: &'p Mutex<Vec<Vec<f32>>>,
         id: usize,
-    ) -> Result<Reply<'p>, TransportError> {
-        match kind {
-            // Update / UnlearnResult: decode the state straight into a
-            // pooled buffer.
-            wire_kind::UPDATE | wire_kind::UNLEARN_RESULT => {
-                let mut state = PooledState::lease(state_pool);
-                let header = decode_update_into(kind, payload, &mut state.buf)
-                    .map_err(|e| map_wire_error(id, e))?;
+    ) -> Result<Reply<'r>, TransportError> {
+        let payload = match inbox {
+            Inbox::State(decoder, state) => {
+                let header = decoder.header();
                 // A train update's weight is the worker's own dataset
                 // size — authoritative, so a registry count that drifted
                 // (e.g. a deletion re-shipped to a rejoined worker)
@@ -708,61 +863,73 @@ impl TcpTransport {
                 if !header.distill {
                     conn.num_samples = header.weight as usize;
                 }
-                Ok(Reply::Update { header, state })
+                return Ok(Reply::Update { header, state });
             }
-            _ => match decode_msg(kind, payload).map_err(|e| map_wire_error(id, e))? {
-                Msg::Err { code, detail } => Err(TransportError::Protocol {
-                    client_id: id,
-                    reason: format!("worker error code {code}: {detail}"),
-                }),
-                Msg::Eval { accuracy, mse, .. } => Ok(Reply::Eval { accuracy, mse }),
-                Msg::Ack => Ok(Reply::Ack),
-                Msg::UnlearnAck { num_samples } => Ok(Reply::UnlearnAck {
-                    num_samples: num_samples as usize,
-                }),
-                other => Err(TransportError::Protocol {
-                    client_id: id,
-                    reason: format!("unexpected {} from worker", other.name()),
-                }),
-            },
+            Inbox::Frame(payload) => payload,
+        };
+        match decode_msg(kind, payload).map_err(|e| map_wire_error(id, e))? {
+            Msg::Err { code, detail } => Err(TransportError::Protocol {
+                client_id: id,
+                reason: format!("worker error code {code}: {detail}"),
+            }),
+            Msg::Eval { accuracy, mse, .. } => Ok(Reply::Eval { accuracy, mse }),
+            Msg::Ack => Ok(Reply::Ack),
+            Msg::UnlearnAck { num_samples } => Ok(Reply::UnlearnAck {
+                num_samples: num_samples as usize,
+            }),
+            other => Err(TransportError::Protocol {
+                client_id: id,
+                reason: format!("unexpected {} from worker", other.name()),
+            }),
         }
     }
 
     /// The fan-out engine: writes `frame_of(id)` to every live connection
     /// of `cohort` (`None` = the whole live registry), reads one reply
     /// each — all multiplexed on the reactor — and hands each decoded
-    /// reply to `on_reply` **as it arrives**. Connections outside the
-    /// cohort are never touched; the bookkeeping is one reused [`Slot`]
-    /// per contacted connection. Failed connections are dropped from the
-    /// live set afterwards. Wire bytes are tallied into `stats`.
+    /// reply to `on_reply`. Connections outside the cohort are never
+    /// touched; the bookkeeping is one reused [`Slot`] per contacted
+    /// connection. Failed connections are dropped from the live set
+    /// afterwards. Wire bytes are tallied into `stats`.
+    ///
+    /// Requests are all written at once, but replies are read in slot
+    /// order — ascending client id, the order the aggregation fold
+    /// consumes them — because a reply is armed for reading only once
+    /// every lower slot has finished or failed. An early reply above
+    /// that frontier waits in its socket (the kernel's buffers, then the
+    /// worker's blocked write), not as a decoded copy parked beside the
+    /// fold. At the deadline the order is dropped: a slot whose reply
+    /// has not started to arrive times out, every other reply is read to
+    /// its end under one more `read_timeout`, so a straggling frontier
+    /// costs only itself.
     ///
     /// A panic escaping `on_reply` (a reply handler or sink blowing up
     /// on one client's bytes) is caught and converted into a
     /// [`UpdateViolation::HandlerPanic`] rejection for that client
     /// alone; the round continues for everyone else.
     #[allow(clippy::too_many_arguments)] // the reactor's shared plumbing; private to this impl
-    fn fan_out<'f, 'p>(
+    fn fan_out<'f>(
         conns: &mut [Option<Conn>],
         stats: &WireTelemetry,
         read_timeout: Duration,
         reply_limits: &FrameLimits,
-        state_pool: &'p Mutex<Vec<Vec<f32>>>,
         reactor: &mut Reactor,
         cohort: Option<&[(usize, usize)]>,
         frame_of: impl Fn(usize) -> &'f [u8],
-        mut on_reply: impl FnMut(usize, Result<Reply<'p>, TransportError>),
+        on_reply: impl FnMut(usize, Result<Reply<'_>, TransportError>),
     ) {
         let Reactor {
             poller,
             events,
             slots,
             frames,
+            chunk,
         } = reactor;
         let live = |id: &usize| conns.get(*id).is_some_and(|c| c.is_some());
         let slot = |id| Slot {
             id,
             phase: None,
-            rbuf: None,
+            inbox: None,
             failed: false,
         };
         slots.clear();
@@ -770,43 +937,95 @@ impl TcpTransport {
             Some(cohort) => slots.extend(cohort.iter().map(|&(id, _)| id).filter(live).map(slot)),
             None => slots.extend((0..conns.len()).filter(live).map(slot)),
         }
-        let (mut sent_total, mut recv_total) = (0u64, 0u64);
-        let mut pending = 0usize;
+        let mut fan = FanOut {
+            poller,
+            frames,
+            chunk,
+            stats,
+            reply_limits,
+            on_reply,
+            pending: 0,
+            recv_total: 0,
+        };
+        let mut sent_total = 0u64;
         for (key, slot) in slots.iter_mut().enumerate() {
-            let id = slot.id;
-            let Some(conn) = conns[id].as_mut() else {
+            let Some(conn) = conns[slot.id].as_mut() else {
                 continue;
             };
             conn.rd.reset();
             conn.wr.reset();
-            match poller.add(conn.stream.as_raw_fd(), Event::writable(key)) {
-                Ok(()) => {
-                    slot.phase = Some(Phase::Write);
-                    pending += 1;
-                }
-                Err(e) => {
-                    slot.failed = true;
-                    on_reply(
-                        id,
-                        Err(TransportError::Disconnected {
-                            client_id: id,
-                            reason: format!("reactor registration failed: {e}"),
-                        }),
-                    );
-                }
+            slot.phase = Some(Phase::Write);
+            fan.pending += 1;
+            if let Err(e) = fan
+                .poller
+                .add(conn.stream.as_raw_fd(), Event::writable(key))
+            {
+                fan.fail(
+                    slot,
+                    conn,
+                    TransportError::Disconnected {
+                        client_id: slot.id,
+                        reason: format!("reactor registration failed: {e}"),
+                    },
+                );
             }
         }
-        let deadline = Instant::now() + read_timeout;
-        while pending > 0 {
-            let now = Instant::now();
-            if now >= deadline {
+        let mut deadline = Instant::now() + read_timeout;
+        // The lowest slot still exchanging: the one reply being read.
+        let mut frontier = 0usize;
+        let mut ordered = true;
+        loop {
+            if ordered {
+                while let Some(slot) = slots.get_mut(frontier) {
+                    match slot.phase {
+                        None => frontier += 1,
+                        Some(Phase::Queued) => {
+                            let conn = conns[slot.id].as_mut().expect("slots name live conns");
+                            fan.arm_read(frontier, slot, conn);
+                        }
+                        Some(_) => break,
+                    }
+                }
+            }
+            if fan.pending == 0 {
                 break;
             }
-            let wait_start = stats.clock.now_nanos();
-            let waited = poller.wait(events, Some(deadline - now));
-            stats
+            let now = Instant::now();
+            if now >= deadline {
+                if !ordered {
+                    break;
+                }
+                // The deadline sweep: whoever has not started replying
+                // is a straggler; whatever is buffered is read, in any
+                // order, under one more deadline.
+                ordered = false;
+                deadline = now + read_timeout;
+                for (key, slot) in slots.iter_mut().enumerate() {
+                    let Some(phase) = slot.phase else {
+                        continue;
+                    };
+                    let conn = conns[slot.id].as_mut().expect("slots name live conns");
+                    if matches!(phase, Phase::Write) {
+                        fan.fail(slot, conn, TransportError::Timeout { client_id: slot.id });
+                        continue;
+                    }
+                    if matches!(phase, Phase::Queued) {
+                        slot.phase = Some(Phase::Read {
+                            started: fan.stats.clock.now_nanos(),
+                        });
+                    }
+                    fan.read(key, slot, conn);
+                    if slot.phase.is_some() && !conn.rd.mid_frame() {
+                        fan.fail(slot, conn, TransportError::Timeout { client_id: slot.id });
+                    }
+                }
+                continue;
+            }
+            let wait_start = fan.stats.clock.now_nanos();
+            let waited = fan.poller.wait(events, Some(deadline - now));
+            fan.stats
                 .poll_wait_seconds
-                .observe_nanos(stats.clock.now_nanos().saturating_sub(wait_start));
+                .observe_nanos(fan.stats.clock.now_nanos().saturating_sub(wait_start));
             let n = match waited {
                 Ok(n) => n,
                 Err(_) => break, // poller failure: every pending conn times out below
@@ -819,135 +1038,39 @@ impl TcpTransport {
                 let Some(slot) = slots.get_mut(key) else {
                     continue;
                 };
-                let Some(ph) = slot.phase else {
+                let Some(conn) = conns.get_mut(slot.id).and_then(|c| c.as_mut()) else {
                     continue;
                 };
-                let id = slot.id;
-                let Some(conn) = conns.get_mut(id).and_then(|c| c.as_mut()) else {
-                    continue;
-                };
-                // Retire this connection from the fan-out with a typed
-                // failure; a reply half-read gives its lease back.
-                macro_rules! fail {
-                    ($err:expr) => {{
-                        slot.phase = None;
-                        slot.failed = true;
-                        pending -= 1;
-                        let _ = poller.delete(conn.stream.as_raw_fd());
-                        if let Some(buf) = slot.rbuf.take() {
-                            frames.release(buf);
-                        }
-                        on_reply(id, Err($err));
-                        continue;
-                    }};
-                }
-                match ph {
-                    Phase::Write => {
-                        let frame = frame_of(id);
+                match slot.phase {
+                    Some(Phase::Write) => {
+                        let frame = frame_of(slot.id);
                         match conn.wr.poll(&mut conn.stream, frame) {
                             Ok(true) => {
                                 sent_total += frame.len() as u64;
-                                conn.rd.reset();
-                                slot.phase = Some(Phase::Read {
-                                    started: stats.clock.now_nanos(),
-                                });
-                                if poller
-                                    .modify(conn.stream.as_raw_fd(), Event::readable(key))
-                                    .is_err()
-                                {
-                                    fail!(TransportError::Disconnected {
-                                        client_id: id,
-                                        reason: "reactor re-arm failed".into(),
-                                    });
+                                slot.phase = Some(Phase::Queued);
+                                // Oneshot: the socket stays disarmed
+                                // until its turn to be read.
+                                if key == frontier || !ordered {
+                                    fan.arm_read(key, slot, conn);
                                 }
                             }
-                            Ok(false) => {
-                                if poller
-                                    .modify(conn.stream.as_raw_fd(), Event::writable(key))
-                                    .is_err()
-                                {
-                                    fail!(TransportError::Disconnected {
-                                        client_id: id,
-                                        reason: "reactor re-arm failed".into(),
-                                    });
-                                }
-                            }
-                            Err(e) => fail!(map_wire_error(id, e)),
+                            Ok(false) => fan.rearm(slot, conn, Event::writable(key)),
+                            Err(e) => fan.fail(slot, conn, map_wire_error(slot.id, e)),
                         }
                     }
-                    Phase::Read { started } => {
-                        // The reply's first readable event takes the lease.
-                        let buf = slot.rbuf.get_or_insert_with(|| frames.lease());
-                        match conn.rd.poll(&mut conn.stream, buf, reply_limits) {
-                            Ok(Some((kind, nbytes))) => {
-                                recv_total += nbytes as u64;
-                                stats
-                                    .frame_read_seconds
-                                    .observe_nanos(stats.clock.now_nanos().saturating_sub(started));
-                                slot.phase = None;
-                                pending -= 1;
-                                let _ = poller.delete(conn.stream.as_raw_fd());
-                                let payload = slot.rbuf.take().unwrap_or_default();
-                                let mut decode_failed = false;
-                                let delivered = catch_unwind(AssertUnwindSafe(|| {
-                                    let reply =
-                                        Self::decode_reply(kind, &payload, conn, state_pool, id);
-                                    decode_failed = reply.is_err();
-                                    on_reply(id, reply);
-                                }));
-                                // Decoded, rejected or blown up: the
-                                // frame is done with its buffer.
-                                frames.release(payload);
-                                if decode_failed {
-                                    slot.failed = true;
-                                }
-                                if delivered.is_err() {
-                                    // The handler blew up on this
-                                    // client's bytes: its connection is
-                                    // forfeit (the strike ledger keeps
-                                    // `Rejected` conns alive, so the
-                                    // drop happens here), the round
-                                    // continues for everyone else.
-                                    slot.failed = true;
-                                    on_reply(
-                                        id,
-                                        Err(TransportError::Rejected {
-                                            client_id: id,
-                                            violation: UpdateViolation::HandlerPanic,
-                                        }),
-                                    );
-                                }
-                            }
-                            Ok(None) => {
-                                if poller
-                                    .modify(conn.stream.as_raw_fd(), Event::readable(key))
-                                    .is_err()
-                                {
-                                    fail!(TransportError::Disconnected {
-                                        client_id: id,
-                                        reason: "reactor re-arm failed".into(),
-                                    });
-                                }
-                            }
-                            Err(e) => fail!(map_wire_error(id, e)),
-                        }
-                    }
+                    Some(Phase::Read { .. }) => fan.read(key, slot, conn),
+                    Some(Phase::Queued) | None => {}
                 }
             }
         }
         stats.sent_bytes.add(sent_total);
-        stats.received_bytes.add(recv_total);
+        stats.received_bytes.add(fan.recv_total);
         for slot in slots.iter_mut() {
             // Whoever is still mid-exchange missed the deadline.
-            if slot.phase.take().is_some() {
+            if slot.phase.is_some() {
                 if let Some(conn) = conns[slot.id].as_ref() {
-                    let _ = poller.delete(conn.stream.as_raw_fd());
+                    fan.fail(slot, conn, TransportError::Timeout { client_id: slot.id });
                 }
-                if let Some(buf) = slot.rbuf.take() {
-                    frames.release(buf);
-                }
-                slot.failed = true;
-                on_reply(slot.id, Err(TransportError::Timeout { client_id: slot.id }));
             }
             if slot.failed {
                 // Straggler / lost / misbehaving worker: drop it.
@@ -1007,7 +1130,6 @@ impl TcpTransport {
             &self.stats,
             self.cfg.read_timeout,
             &reply_limits(limits, self.state_len),
-            &self.state_pool,
             &mut self.reactor,
             cohort,
             |id| match own.iter().position(|&o| o == id) {
@@ -1063,7 +1185,7 @@ impl TcpTransport {
                         client_id: id,
                         num_samples: header.weight as usize,
                         nonce: header.nonce,
-                        state: &state.buf,
+                        state,
                     })
                 }
                 other => Err(other.unexpected(id, "a round result")),

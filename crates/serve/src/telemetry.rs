@@ -64,8 +64,9 @@ pub struct ServeTelemetry {
     pub broadcast_encode_seconds: Histogram,
     /// Time spent blocked in the readiness poller per wakeup.
     pub poll_wait_seconds: Histogram,
-    /// Wall time from an assignment frame's flush to its reply's last
-    /// byte (per completed frame read).
+    /// Wall time from a reply being armed for reading — its request
+    /// flushed and every lower cohort slot done — to its last byte (per
+    /// completed frame read).
     pub frame_read_seconds: Histogram,
     /// End-to-end wall time of one training round (hot path).
     pub round_seconds: Histogram,
@@ -133,7 +134,7 @@ impl ServeTelemetry {
             ),
             frame_read_seconds: registry.histogram(
                 "goldfish_frame_read_seconds",
-                "Request-flush-to-reply wall time per completed frame read",
+                "Armed-to-last-byte wall time per completed reply read",
             ),
             round_seconds: registry.histogram(
                 "goldfish_round_seconds",
@@ -247,7 +248,7 @@ pub struct WireTelemetry {
     pub broadcast_encode_seconds: Histogram,
     /// Time blocked in the readiness poller.
     pub poll_wait_seconds: Histogram,
-    /// Request-flush-to-reply time per completed frame read.
+    /// Armed-to-last-byte time per completed reply read.
     pub frame_read_seconds: Histogram,
 }
 

@@ -16,16 +16,14 @@
 //!   run the same per-client code against losslessly round-tripped
 //!   states.
 
-use std::sync::Mutex;
-
-use goldfish_core::transport::{DistillTransport, LoopbackDistill, UnlearnJob};
+use goldfish_core::transport::{ClientDistiller, DistillJob, DistillTransport, UnlearnJob};
 use goldfish_core::ClientSplit;
 use goldfish_data::Dataset;
-use goldfish_fed::trainer::TrainLane;
+use goldfish_fed::trainer::Lanes;
 use goldfish_fed::transport::{
     client_seed, RoundTransport, StreamedUpdate, TrainAssign, TransportError, UpdateSink,
 };
-use goldfish_fed::{pool, ModelFactory};
+use goldfish_fed::ModelFactory;
 
 use crate::queue::UnlearnRequest;
 
@@ -162,50 +160,41 @@ pub trait ServeTransport: RoundTransport + DistillTransport {
     }
 }
 
-/// The transport's [`TrainLane`]s. A pool task checks one out for one
-/// client's run and hands it back, so there are never more lanes than
-/// tasks running at once — `threads`, however many clients are
-/// registered — and the pool schedules clients exactly as it always did.
-#[derive(Default)]
-struct Lanes(Mutex<Vec<TrainLane>>);
-
-impl Lanes {
-    fn with<R>(&self, run: impl FnOnce(&mut TrainLane) -> R) -> R {
-        // Neither critical section can panic, so a poisoned lock still
-        // guards a valid stack.
-        let idle = || self.0.lock().unwrap_or_else(|e| e.into_inner());
-        let mut lane = idle().pop().unwrap_or_default();
-        let out = run(&mut lane);
-        idle().push(lane);
-        out
-    }
+/// The request a [`LoopbackTransport`] is distilling: its job, and one
+/// distiller and forget set per client live at `begin_unlearn` (a
+/// client's remaining data is its dataset, already shrunk).
+struct Distill {
+    job: DistillJob,
+    ids: Vec<usize>,
+    distillers: Vec<ClientDistiller>,
+    forgets: Vec<Dataset>,
 }
 
-/// The in-process [`ServeTransport`]: owns every client's dataset, one
-/// [`TrainLane`] and one reused output state per executing pool thread.
-/// Training rounds run the same per-client compute as the library's
-/// [`goldfish_fed::transport::LoopbackClients`] executor (bitwise
-/// identical — pinned by `serve_identity`), but on long-lived lanes
-/// feeding the streaming aggregation sink, so a warm single-thread round
-/// never touches the allocator (pinned by `tests/alloc_free_round.rs`)
-/// and resident training memory is `threads` networks and `threads`
-/// states — not one of either per registered client or cohort member
-/// (pinned by `tests/alloc_free.rs`). Distillation rounds delegate to
-/// [`LoopbackDistill`]. The reference implementation every TCP run is
-/// checked against.
+/// The in-process [`ServeTransport`]: owns every client's dataset and one
+/// set of [`Lanes`] — one [`goldfish_fed::trainer::TrainLane`] per
+/// executing pool thread — that serves training, evaluation and
+/// distillation alike. Training rounds run the same per-client compute
+/// as the library's [`goldfish_fed::transport::LoopbackClients`]
+/// executor (bitwise identical — pinned by `serve_identity`), and
+/// distillation rounds the same as [`goldfish_core::LoopbackDistill`],
+/// but on long-lived lanes feeding the streaming aggregation sink from
+/// one reused export buffer, so a warm single-thread round never touches
+/// the allocator (pinned by `tests/alloc_free_round.rs`) and resident
+/// model memory is `threads` lanes and one state — not a network or a
+/// state per registered client or cohort member (pinned by
+/// `tests/alloc_free.rs`). The reference implementation every TCP run
+/// is checked against.
 pub struct LoopbackTransport {
     factory: ModelFactory,
     clients: Vec<Dataset>,
-    threads: Option<usize>,
     staged: Vec<UnlearnRequest>,
-    distill: Option<LoopbackDistill>,
+    distill: Option<Distill>,
     lanes: Lanes,
     /// The round's contacted clients, in cohort (id) order.
     members: Vec<usize>,
-    /// The trained state of each member of the current wave, by position
-    /// in the wave; grown to the largest wave seen and reused across
-    /// waves and rounds.
-    states: Vec<Vec<f32>>,
+    /// The one buffer each trained lane is exported into just before
+    /// the sink reads it; reused across lanes, waves and rounds.
+    export: Vec<f32>,
     /// Clients evicted via [`RoundTransport::quarantine`]: excluded
     /// from cohorts and the streamed feed (their datasets stay owned —
     /// in-process data cannot "leave" — but their updates never reach
@@ -219,12 +208,11 @@ impl LoopbackTransport {
         LoopbackTransport {
             factory,
             clients,
-            threads,
             staged: Vec::new(),
             distill: None,
-            lanes: Lanes::default(),
+            lanes: Lanes::new(threads),
             members: Vec::new(),
-            states: Vec::new(),
+            export: Vec::new(),
             quarantined: std::collections::BTreeSet::new(),
         }
     }
@@ -251,15 +239,16 @@ impl RoundTransport for LoopbackTransport {
         );
     }
 
-    /// Only cohort members compute and upload, each on whichever lane
-    /// its pool task checked out: a lane carries capacity, never state
+    /// Only cohort members compute and upload. Members train in
+    /// id-ordered waves of one member per pool thread, each on the lane
+    /// at its position in the wave: a lane carries capacity, never state
     /// (every run installs the whole broadcast state first), so which
-    /// lane served a client cannot change a bit. Members train in
-    /// id-ordered waves of one member per pool thread, and each wave's
-    /// updates are fed in client-id order before the next wave reuses
-    /// their buffers: the aggregation frontier folds every update on
-    /// arrival, so nothing is ever parked on loopback, and resident
-    /// states follow the pool size, not the cohort.
+    /// lane served a client cannot change a bit. After each wave, every
+    /// lane's trained state is exported into the one export buffer and
+    /// fed in client-id order before the next wave reuses the lanes: the
+    /// aggregation frontier folds every update on arrival, so nothing is
+    /// ever parked on loopback, and resident states follow neither the
+    /// pool size nor the cohort.
     fn train_round(
         &mut self,
         assign: &TrainAssign<'_>,
@@ -270,10 +259,9 @@ impl RoundTransport for LoopbackTransport {
         let LoopbackTransport {
             factory,
             clients,
-            threads,
             lanes,
             members,
-            states,
+            export,
             quarantined,
             ..
         } = self;
@@ -286,40 +274,26 @@ impl RoundTransport for LoopbackTransport {
                 .map(|&(id, _)| id)
                 .filter(|id| *id < clients.len() && !quarantined.contains(id)),
         );
-        let wave = pool::effective_threads(*threads);
-        let wave_len = wave.min(members.len());
-        if states.len() < wave_len {
-            states.resize_with(wave_len, Vec::new);
-        }
-        let (factory, clients, lanes) = (&*factory, &*clients, &*lanes);
+        let (factory, clients) = (&*factory, &*clients);
         results.clear();
-        for ids in members.chunks(wave) {
-            let states = &mut states[..ids.len()];
-            pool::install(*threads, || {
-                pool::for_each_slot(states, |pos, state| {
-                    let id = ids[pos];
-                    let seed = client_seed(assign.seed, id, assign.round);
-                    lanes.with(|lane| {
-                        lane.train(
-                            factory,
-                            assign.global,
-                            &clients[id],
-                            assign.cfg,
-                            seed,
-                            state,
-                        )
-                    });
-                });
-            });
-            results.extend(ids.iter().zip(states.iter()).map(|(&id, state)| {
-                sink(StreamedUpdate {
-                    client_id: id,
-                    num_samples: clients[id].len(),
-                    nonce: assign.nonce,
-                    state,
-                })
-            }));
-        }
+        lanes.waves(
+            members,
+            |_, lane, &mut id| {
+                let seed = client_seed(assign.seed, id, assign.round);
+                lane.run(factory, assign.global, &clients[id], assign.cfg, seed);
+            },
+            |_, lanes, ids| {
+                for (lane, &mut id) in lanes.iter().zip(ids.iter_mut()) {
+                    lane.state_into(export);
+                    results.push(sink(StreamedUpdate {
+                        client_id: id,
+                        num_samples: clients[id].len(),
+                        nonce: assign.nonce,
+                        state: export,
+                    }));
+                }
+            },
+        );
     }
 
     /// Evicts `client_id` from every future cohort and streamed feed.
@@ -361,28 +335,33 @@ impl DistillTransport for LoopbackTransport {
         }
         let mut live = Vec::new();
         self.cohort_into(&mut live);
+        if live.is_empty() {
+            return Err(TransportError::NoLiveClients);
+        }
         let ids: Vec<usize> = live.iter().map(|&(id, _)| id).collect();
-        let splits: Vec<ClientSplit> = ids
-            .iter()
-            .map(|&id| match staged.iter().find(|r| r.client_id == id) {
-                Some(req) if !req.removed.is_empty() => {
-                    ClientSplit::with_removed(&self.clients[id], &req.removed)
-                }
-                _ => ClientSplit::intact(self.clients[id].clone()),
-            })
-            .collect();
         // The deletion is permanent (mirroring the worker daemon's state
         // machine): a client with removals keeps only its remaining data
-        // for every later training round.
-        for (&id, split) in ids.iter().zip(&splits) {
-            if !split.forget.is_empty() {
-                self.clients[id] = split.remaining.clone();
-            }
-        }
-        let mut distill = LoopbackDistill::new(self.factory.clone(), splits, hard, self.threads)
-            .with_client_ids(ids);
-        distill.begin_unlearn(job, teacher)?;
-        self.distill = Some(distill);
+        // for every later round, and that dataset is what it distils on.
+        let forgets = ids
+            .iter()
+            .map(|&id| {
+                let data = &mut self.clients[id];
+                match staged.iter().find(|r| r.client_id == id) {
+                    Some(req) if !req.removed.is_empty() => {
+                        let split = ClientSplit::with_removed(data, &req.removed);
+                        *data = split.remaining;
+                        split.forget
+                    }
+                    _ => Dataset::empty(data.sample_shape(), data.classes()),
+                }
+            })
+            .collect();
+        self.distill = Some(Distill {
+            job: DistillJob::new(self.factory.clone(), teacher.to_vec(), job.local, hard),
+            distillers: ids.iter().map(|&id| ClientDistiller::new(id)).collect(),
+            ids,
+            forgets,
+        });
         Ok(())
     }
 
@@ -394,10 +373,33 @@ impl DistillTransport for LoopbackTransport {
         sink: &mut UpdateSink<'_>,
         results: &mut Vec<Result<(), TransportError>>,
     ) {
-        self.distill
+        let LoopbackTransport {
+            clients,
+            distill,
+            lanes,
+            export,
+            ..
+        } = self;
+        let Distill {
+            job,
+            ids,
+            distillers,
+            forgets,
+        } = distill
             .as_mut()
-            .expect("distill_round before begin_unlearn")
-            .distill_round(round, seed, global, sink, results)
+            .expect("distill_round before begin_unlearn");
+        let (clients, ids, forgets) = (&*clients, &*ids, &*forgets);
+        job.round_on(
+            lanes,
+            distillers,
+            |i| (&clients[ids[i]], &forgets[i]),
+            round,
+            seed,
+            global,
+            export,
+            sink,
+            results,
+        );
     }
 }
 
@@ -441,23 +443,21 @@ impl ServeTransport for LoopbackTransport {
         // on TCP.
         let mut live = Vec::new();
         self.cohort_into(&mut live);
-        let (factory, clients, lanes) = (&self.factory, &self.clients, &self.lanes);
-        let mut evals: Vec<Option<LocalEval>> = live.iter().map(|_| None).collect();
-        pool::install(self.threads, || {
-            pool::for_each_slot(&mut evals, |pos, slot| {
-                let id = live[pos].0;
-                let (accuracy, mse) = lanes.with(|lane| lane.eval(factory, global, &clients[id]));
-                *slot = Some(LocalEval {
-                    client_id: id,
-                    accuracy,
-                    mse,
-                });
-            });
-        });
-        evals
-            .into_iter()
-            .map(|e| Ok(e.expect("missing loopback eval")))
-            .collect()
+        let mut evals: Vec<LocalEval> = live
+            .iter()
+            .map(|&(client_id, _)| LocalEval {
+                client_id,
+                accuracy: 0.0,
+                mse: 0.0,
+            })
+            .collect();
+        let (factory, clients) = (&self.factory, &self.clients);
+        self.lanes.waves(
+            &mut evals,
+            |_, lane, e| (e.accuracy, e.mse) = lane.eval(factory, global, &clients[e.client_id]),
+            |_, _, _| {},
+        );
+        evals.into_iter().map(Ok).collect()
     }
 
     fn wire_stats(&self) -> WireStats {

@@ -978,7 +978,8 @@ pub struct UpdateHeader {
 
 /// Decodes an `Update`/`UnlearnResult` payload with the state vector
 /// written straight into a caller-owned (pooled) buffer — the transport
-/// hot path, which never materialises a [`Msg`].
+/// hot path, which never materialises a [`Msg`]. This is
+/// [`UpdateDecoder`] fed the whole payload at once.
 ///
 /// # Errors
 ///
@@ -989,19 +990,133 @@ pub fn decode_update_into(
     payload: &[u8],
     state: &mut Vec<f32>,
 ) -> Result<UpdateHeader, WireError> {
-    if kind != self::kind::UPDATE && kind != self::kind::UNLEARN_RESULT {
-        return Err(WireError::UnknownKind(kind));
+    let mut decoder = UpdateDecoder::new(kind, payload.len())?;
+    decoder.take(payload, state)?;
+    Ok(decoder.header())
+}
+
+/// Bytes of an update payload in front of its floats: round, client id,
+/// weight, nonce and the float count, each a little-endian `u64`.
+const UPDATE_HEAD: usize = 40;
+
+/// An `Update`/`UnlearnResult` payload decoded as its bytes arrive, in
+/// any split: the fixed fields into a 40-byte header, then every float
+/// straight into the caller's state buffer — so a reader needs no
+/// payload-sized byte buffer. As with the whole-frame decode, bytes past
+/// the announced floats are ignored.
+#[derive(Debug, Clone)]
+pub struct UpdateDecoder {
+    distill: bool,
+    head: [u8; UPDATE_HEAD],
+    /// The payload's length and the bytes of it taken so far.
+    len: usize,
+    got: usize,
+    /// The floats the header announces.
+    floats: usize,
+    /// A float split across two pieces.
+    carry: [u8; 4],
+    carry_len: usize,
+}
+
+impl UpdateDecoder {
+    /// Starts decoding a `len`-byte payload of `kind`.
+    ///
+    /// # Errors
+    ///
+    /// [`WireError::UnknownKind`] for non-update kinds,
+    /// [`WireError::Truncated`] when `len` cannot hold the fixed fields.
+    pub fn new(kind: u8, len: usize) -> Result<UpdateDecoder, WireError> {
+        if kind != self::kind::UPDATE && kind != self::kind::UNLEARN_RESULT {
+            return Err(WireError::UnknownKind(kind));
+        }
+        if len < UPDATE_HEAD {
+            return Err(WireError::Truncated);
+        }
+        Ok(UpdateDecoder {
+            distill: kind == self::kind::UNLEARN_RESULT,
+            head: [0; UPDATE_HEAD],
+            len,
+            got: 0,
+            floats: 0,
+            carry: [0; 4],
+            carry_len: 0,
+        })
     }
-    let mut r = Reader { b: payload };
-    let header = UpdateHeader {
-        round: r.u64()?,
-        client_id: r.u64()?,
-        weight: r.u64()?,
-        nonce: r.u64()?,
-        distill: kind == self::kind::UNLEARN_RESULT,
-    };
-    r.f32s_into(state)?;
-    Ok(header)
+
+    /// Takes the next piece of the payload; the floats land in `state`
+    /// (cleared once the header is in, capacity reused).
+    ///
+    /// # Errors
+    ///
+    /// [`WireError::Malformed`] when the float count does not fit the
+    /// payload, or for bytes past its length.
+    pub fn take(&mut self, mut bytes: &[u8], state: &mut Vec<f32>) -> Result<(), WireError> {
+        if bytes.len() > self.len - self.got {
+            return Err(WireError::Malformed(format!(
+                "update payload longer than its {} bytes",
+                self.len
+            )));
+        }
+        if self.got < UPDATE_HEAD {
+            let k = (UPDATE_HEAD - self.got).min(bytes.len());
+            self.head[self.got..self.got + k].copy_from_slice(&bytes[..k]);
+            self.got += k;
+            bytes = &bytes[k..];
+            if self.got < UPDATE_HEAD {
+                return Ok(());
+            }
+            let floats = self.field(4);
+            let room = (self.len - UPDATE_HEAD) / 4;
+            if floats > room as u64 {
+                return Err(WireError::Malformed(format!(
+                    "f32 vector: param payload truncated: need {floats} floats, have {} bytes",
+                    self.len - UPDATE_HEAD
+                )));
+            }
+            self.floats = floats as usize;
+            state.clear();
+            state.reserve(self.floats);
+        }
+        self.got += bytes.len();
+        while state.len() < self.floats && !bytes.is_empty() {
+            if self.carry_len > 0 || bytes.len() < 4 {
+                let k = (4 - self.carry_len).min(bytes.len());
+                self.carry[self.carry_len..self.carry_len + k].copy_from_slice(&bytes[..k]);
+                self.carry_len += k;
+                bytes = &bytes[k..];
+                if self.carry_len == 4 {
+                    state.push(f32::from_le_bytes(self.carry));
+                    self.carry_len = 0;
+                }
+                continue;
+            }
+            let whole = (bytes.len() / 4).min(self.floats - state.len());
+            let (floats, rest) = bytes.split_at(4 * whole);
+            state.extend(
+                floats
+                    .chunks_exact(4)
+                    .map(|c| f32::from_le_bytes(c.try_into().expect("4-byte chunk"))),
+            );
+            bytes = rest;
+        }
+        Ok(())
+    }
+
+    /// The fixed fields. Meaningful once the first 40 bytes were taken.
+    pub fn header(&self) -> UpdateHeader {
+        UpdateHeader {
+            round: self.field(0),
+            client_id: self.field(1),
+            weight: self.field(2),
+            nonce: self.field(3),
+            distill: self.distill,
+        }
+    }
+
+    /// The `i`-th little-endian `u64` of the header.
+    fn field(&self, i: usize) -> u64 {
+        u64::from_le_bytes(self.head[8 * i..8 * i + 8].try_into().expect("8 bytes"))
+    }
 }
 
 /// Decodes a payload of the given kind into a [`Msg`] (the body of
@@ -1291,21 +1406,6 @@ pub fn read_raw_frame(
         });
     }
     Ok((kind, HEADER_LEN + len))
-}
-
-/// Reads one frame via a caller-owned payload buffer and decodes it —
-/// [`read_frame`] with buffer reuse for paths that need a full [`Msg`].
-///
-/// # Errors
-///
-/// Same as [`read_frame`].
-pub fn read_frame_buffered(
-    r: &mut impl std::io::Read,
-    buf: &mut Vec<u8>,
-    limits: &FrameLimits,
-) -> Result<(Msg, usize), WireError> {
-    let (kind, frame_len) = read_raw_frame(r, buf, limits)?;
-    Ok((decode_payload(kind, buf)?, frame_len))
 }
 
 #[cfg(test)]
@@ -1623,6 +1723,38 @@ mod tests {
     }
 
     #[test]
+    fn update_decoder_rejects_what_the_payload_cannot_hold() {
+        let limits = FrameLimits::default();
+        let msg = Msg::Update {
+            round: 1,
+            client_id: 2,
+            weight: 30,
+            nonce: 4,
+            state: vec![1.5; 8],
+        };
+        let frame = encode_frame(&msg, &limits).unwrap();
+        let payload = &frame[HEADER_LEN..];
+        assert_eq!(
+            UpdateDecoder::new(kind::UPDATE, 39).unwrap_err(),
+            WireError::Truncated
+        );
+        // A float count the payload has no room for.
+        let mut hostile = payload.to_vec();
+        hostile[32..40].copy_from_slice(&9u64.to_le_bytes());
+        let mut d = UpdateDecoder::new(kind::UPDATE, hostile.len()).unwrap();
+        assert!(matches!(
+            d.take(&hostile, &mut Vec::new()),
+            Err(WireError::Malformed(_))
+        ));
+        // Bytes past the announced length.
+        let mut d = UpdateDecoder::new(kind::UPDATE, payload.len() - 1).unwrap();
+        assert!(matches!(
+            d.take(payload, &mut Vec::new()),
+            Err(WireError::Malformed(_))
+        ));
+    }
+
+    #[test]
     fn raw_frame_reads_reuse_the_buffer() {
         let limits = FrameLimits::default();
         let msg = Msg::Update {
@@ -1638,8 +1770,8 @@ mod tests {
         assert_eq!((kind, n), (4, frame.len()));
         assert_eq!(&buf[..], &frame[HEADER_LEN..]);
         let cap = buf.capacity();
-        let (back, n2) = read_frame_buffered(&mut frame.as_slice(), &mut buf, &limits).unwrap();
-        assert_eq!(back, msg);
+        let (kind, n2) = read_raw_frame(&mut frame.as_slice(), &mut buf, &limits).unwrap();
+        assert_eq!(decode_msg(kind, &buf).unwrap(), msg);
         assert_eq!(n2, frame.len());
         assert_eq!(buf.capacity(), cap, "payload buffer was reallocated");
     }

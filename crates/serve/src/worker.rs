@@ -26,7 +26,7 @@ use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::Duration;
 
-use goldfish_core::transport::ClientDistiller;
+use goldfish_core::transport::{ClientDistiller, DistillJob};
 use goldfish_core::ClientSplit;
 use goldfish_data::Dataset;
 use goldfish_fed::aggregate::AggregationMode;
@@ -40,6 +40,14 @@ use crate::wire::{
     FrameLimits, Msg, RoundMode, WireError,
 };
 
+/// A worker's unlearning request: the shared job, the client's
+/// distillation state and its removed rows.
+struct Unlearning {
+    job: DistillJob,
+    distiller: ClientDistiller,
+    forget: Dataset,
+}
+
 /// The worker-side state machine: one logical client, independent of how
 /// its messages arrive (a socket in production, a byte buffer in tests).
 pub struct WorkerRuntime {
@@ -47,15 +55,18 @@ pub struct WorkerRuntime {
     factory: ModelFactory,
     data: Dataset,
     state_len: usize,
-    distiller: Option<ClientDistiller>,
+    /// The unlearning request being distilled, between its
+    /// `UnlearnAssign` and the next training round.
+    unlearning: Option<Unlearning>,
     /// Last round this worker answered — the `Hello` resume token after
     /// a reconnect (`None` until the first answered round).
     last_round: Option<u64>,
     /// The most recent applied deletion batch: its drain serial plus the
-    /// resulting split. A re-shipped `UnlearnAssign` carrying the same
-    /// serial (coordinator crash-restart re-draining the batch it never
-    /// committed) reuses this instead of shrinking the dataset twice.
-    last_unlearn: Option<(u64, ClientSplit)>,
+    /// removed rows (the remaining rows are `data`). A re-shipped
+    /// `UnlearnAssign` carrying the same serial (coordinator
+    /// crash-restart re-draining the batch it never committed) reuses
+    /// this instead of shrinking the dataset twice.
+    last_unlearn: Option<(u64, Dataset)>,
     /// Round cursor + global-state digest the coordinator announced at
     /// re-admission (the `Digest` frame), for post-run verification.
     resume_digest: Option<(u64, [u8; DIGEST_LEN])>,
@@ -73,7 +84,7 @@ impl WorkerRuntime {
             factory,
             data,
             state_len,
-            distiller: None,
+            unlearning: None,
             last_round: None,
             last_unlearn: None,
             resume_digest: None,
@@ -137,7 +148,7 @@ impl WorkerRuntime {
                 global,
             } => {
                 // A plain training round ends any unlearning request.
-                self.distiller = None;
+                self.unlearning = None;
                 if global.len() != self.state_len {
                     return bad_state_len(global.len(), self.state_len);
                 }
@@ -175,8 +186,8 @@ impl WorkerRuntime {
                         }
                     }
                 };
-                let split = if removed.is_empty() {
-                    ClientSplit::intact(self.data.clone())
+                let forget = if removed.is_empty() {
+                    Dataset::empty(self.data.sample_shape(), self.data.classes())
                 } else if let Some((_, cached)) = self
                     .last_unlearn
                     .as_ref()
@@ -185,7 +196,7 @@ impl WorkerRuntime {
                     // The same drain serial again: a coordinator that
                     // crashed before committing the batch re-drained it
                     // on recovery. The deletion already happened — reuse
-                    // the cached split instead of shrinking twice (the
+                    // the removed rows instead of shrinking twice (the
                     // shipped indices address the pre-deletion dataset,
                     // which no longer exists here).
                     cached.clone()
@@ -205,18 +216,15 @@ impl WorkerRuntime {
                     // assigned, the removed samples leave this worker's
                     // dataset — later training rounds must never touch
                     // them again.
-                    self.data = split.remaining.clone();
-                    self.last_unlearn = Some((serial, split.clone()));
-                    split
+                    self.data = split.remaining;
+                    self.last_unlearn = Some((serial, split.forget.clone()));
+                    split.forget
                 };
-                self.distiller = Some(ClientDistiller::new(
-                    self.client_id,
-                    Arc::clone(&self.factory),
-                    split,
-                    teacher,
-                    job.local,
-                    hard,
-                ));
+                self.unlearning = Some(Unlearning {
+                    job: DistillJob::new(Arc::clone(&self.factory), teacher, job.local, hard),
+                    distiller: ClientDistiller::new(self.client_id),
+                    forget,
+                });
                 // The job is accepted; the distiller answers the coming
                 // Distill assignments. The ack carries this worker's
                 // authoritative remaining sample count — correct whether
@@ -236,16 +244,28 @@ impl WorkerRuntime {
                 if global.len() != self.state_len {
                     return bad_state_len(global.len(), self.state_len);
                 }
-                match self.distiller.as_mut() {
-                    Some(d) => {
-                        let update = d.round(&global, round as usize, seed);
+                match self.unlearning.as_mut() {
+                    Some(u) => {
+                        // The student trains on the host's lane; the
+                        // assignment's buffer becomes the reply's.
+                        let mut state = global;
+                        u.distiller.round(
+                            &u.job,
+                            &self.data,
+                            &u.forget,
+                            lane,
+                            &state,
+                            round as usize,
+                            seed,
+                        );
+                        lane.state_into(&mut state);
                         self.last_round = Some(round);
                         Msg::UnlearnResult {
                             round,
-                            client_id: update.client_id as u64,
-                            weight: update.num_samples as u64,
+                            client_id: self.client_id as u64,
+                            weight: self.data.len() as u64,
                             nonce,
-                            state: update.state,
+                            state,
                         }
                     }
                     None => Msg::Err {
@@ -329,7 +349,7 @@ impl std::fmt::Debug for WorkerRuntime {
             self.client_id,
             self.data.len(),
             self.state_len,
-            self.distiller.is_some()
+            self.unlearning.is_some()
         )
     }
 }

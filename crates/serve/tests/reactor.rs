@@ -21,14 +21,20 @@
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use goldfish_core::basic_model::GoldfishLocalConfig;
 use goldfish_core::GoldfishUnlearning;
+use goldfish_data::synthetic::{self, SyntheticSpec};
+use goldfish_data::Dataset;
 use goldfish_fed::sampling::{cohort_seed, sample_cohort_into};
+use goldfish_fed::trainer::{TrainConfig, TrainLane};
 use goldfish_fed::transport::{
     round_nonce, RobustnessEvent, RoundTransport, TrainAssign, TransportError, UpdateViolation,
 };
+use goldfish_fed::ModelFactory;
+use goldfish_nn::zoo;
 use goldfish_serve::coordinator::{round_seed, Coordinator, CoordinatorConfig};
 use goldfish_serve::demo::DemoSpec;
 use goldfish_serve::fault::{ByzantineScript, FaultPlan, FaultyTransport};
@@ -39,6 +45,7 @@ use goldfish_serve::wire::{
     kind, read_frame, write_frame, FrameLimits, Msg, WireError, MAGIC, PROTOCOL_VERSION,
 };
 use goldfish_serve::worker::{run_worker, WorkerRuntime};
+use rand::{rngs::StdRng, SeedableRng};
 
 const SEED: u64 = 42;
 
@@ -592,6 +599,171 @@ fn failed_replies_return_their_frame_buffer_lease() {
 
     c.transport_mut().shutdown();
     drop(c);
+    for w in workers {
+        w.join().unwrap();
+    }
+}
+
+/// The fan-out benchmark's model: a 784-128-10 MLP, whose updates ride
+/// 407 KB frames — far more than a socket buffers, so a reply the
+/// coordinator does not read blocks its worker mid-write.
+fn wide_mlp() -> ModelFactory {
+    Arc::new(|seed| zoo::mlp(784, &[128], 10, &mut StdRng::seed_from_u64(seed)))
+}
+
+/// Two samples per client, `clients` clients, and a small test set.
+fn wide_shards(clients: usize) -> (Vec<Dataset>, Dataset) {
+    let (train, test) = synthetic::generate(&SyntheticSpec::mnist(), 2 * clients, 8, 9);
+    let shards = (0..clients)
+        .map(|c| train.subset(&[2 * c, 2 * c + 1]))
+        .collect();
+    (shards, test)
+}
+
+fn wide_config() -> CoordinatorConfig {
+    CoordinatorConfig {
+        train: TrainConfig {
+            local_epochs: 1,
+            batch_size: 2,
+            lr: 0.05,
+            momentum: 0.9,
+        },
+        init_seed: 1,
+        threads: Some(2),
+        ..CoordinatorConfig::default()
+    }
+}
+
+/// A worker that answers every assignment like `run_worker` does, but
+/// only after `delay` — a scripted arrival order.
+fn delayed_worker(
+    addr: String,
+    id: usize,
+    shard: Dataset,
+    delay: Duration,
+) -> std::thread::JoinHandle<()> {
+    std::thread::spawn(move || {
+        let limits = FrameLimits::default();
+        let mut runtime = WorkerRuntime::new(id, wide_mlp(), shard);
+        let mut stream = TcpStream::connect(&addr).unwrap();
+        write_frame(&mut stream, &runtime.hello(), &limits).unwrap();
+        let (caps, _) = read_frame(&mut stream, &limits).unwrap();
+        assert!(matches!(caps, Msg::Capabilities { .. }), "got {caps:?}");
+        let mut lane = TrainLane::new();
+        while let Ok((msg, _)) = read_frame(&mut stream, &limits) {
+            if matches!(msg, Msg::Shutdown) {
+                return;
+            }
+            let reply = runtime.handle(msg, &mut lane);
+            std::thread::sleep(delay);
+            if write_frame(&mut stream, &reply, &limits).is_err() {
+                return;
+            }
+        }
+    })
+}
+
+/// Replies are read in fold order: workers answering in *descending* id
+/// order leave every reply but the frontier's waiting in its socket, so
+/// no upload is ever parked beside the fold — where reading in arrival
+/// order parked all but the last — and the round commits the bits of the
+/// loopback round.
+#[test]
+fn arrival_order_does_not_set_resident_updates() {
+    const CLIENTS: usize = 6;
+    let (shards, test) = wide_shards(CLIENTS);
+    let (listener, addr) = bind("127.0.0.1:0").unwrap();
+    let workers: Vec<_> = (0..CLIENTS)
+        .map(|id| {
+            let delay = Duration::from_millis(60 * (CLIENTS - 1 - id) as u64);
+            delayed_worker(addr.clone(), id, shards[id].clone(), delay)
+        })
+        .collect();
+    let state_len = (wide_mlp())(0).state_len();
+    let transport =
+        TcpTransport::accept(&listener, CLIENTS, state_len, TcpConfig::default()).unwrap();
+    let mut tcp = Coordinator::new(wide_mlp(), test.clone(), transport, wide_config());
+    tcp.train_round_hot(0, round_seed(SEED, 0)).unwrap();
+    assert_eq!(tcp.peak_resident_updates(), 1);
+
+    let loopback = LoopbackTransport::new(wide_mlp(), shards, Some(2));
+    let mut lb = Coordinator::new(wide_mlp(), test, loopback, wide_config());
+    lb.train_round_hot(0, round_seed(SEED, 0)).unwrap();
+    assert_eq!(tcp.global_state(), lb.global_state());
+
+    tcp.transport_mut().shutdown();
+    drop(tcp);
+    for w in workers {
+        w.join().unwrap();
+    }
+}
+
+/// Ordered reads must not cost a straggler's successors: with worker 0
+/// silent past the deadline, every other reply — queued behind it in its
+/// socket — is still read at the deadline, so only client 0 times out
+/// and the quorum round commits the bits of the loopback quorum round
+/// that drops client 0.
+#[test]
+fn a_silent_frontier_costs_only_itself() {
+    const CLIENTS: usize = 6;
+    let (shards, test) = wide_shards(CLIENTS);
+    let (listener, addr) = bind("127.0.0.1:0").unwrap();
+    let silent = {
+        let addr = addr.clone();
+        let samples = shards[0].len();
+        std::thread::spawn(move || {
+            let limits = FrameLimits::default();
+            let mut stream = TcpStream::connect(&addr).unwrap();
+            let hello = Msg::Hello {
+                client_id: 0,
+                state_len: (wide_mlp())(0).state_len() as u64,
+                num_samples: samples as u64,
+                resume: None,
+            };
+            write_frame(&mut stream, &hello, &limits).unwrap();
+            let (caps, _) = read_frame(&mut stream, &limits).unwrap();
+            assert!(matches!(caps, Msg::Capabilities { .. }), "got {caps:?}");
+            let (assign, _) = read_frame(&mut stream, &limits).unwrap();
+            assert!(matches!(assign, Msg::RoundAssign { .. }), "got {assign:?}");
+            wait_for_close(&mut stream);
+        })
+    };
+    let mut workers: Vec<_> = (1..CLIENTS)
+        .map(|id| delayed_worker(addr.clone(), id, shards[id].clone(), Duration::ZERO))
+        .collect();
+    workers.push(silent);
+    let state_len = (wide_mlp())(0).state_len();
+    let cfg = TcpConfig {
+        read_timeout: Duration::from_millis(400),
+        ..TcpConfig::default()
+    };
+    let transport = TcpTransport::accept(&listener, CLIENTS, state_len, cfg).unwrap();
+    let mut tcp = Coordinator::new(
+        wide_mlp(),
+        test.clone(),
+        transport,
+        wide_config().with_quorum(0.5),
+    );
+    tcp.train_round_hot(0, round_seed(SEED, 0)).unwrap();
+    let outcome = tcp.last_round_outcome();
+    assert!(outcome.degraded);
+    assert_eq!((outcome.reported, outcome.cohort), (CLIENTS - 1, CLIENTS));
+    assert_eq!(
+        tcp.transport().live_clients(),
+        (1..CLIENTS).collect::<Vec<_>>()
+    );
+
+    let loopback = FaultyTransport::new(
+        LoopbackTransport::new(wide_mlp(), shards, Some(2)),
+        FaultPlan::new().drop_client_at(0, 0),
+    );
+    let mut lb = Coordinator::new(wide_mlp(), test, loopback, wide_config().with_quorum(0.5));
+    lb.train_round_hot(0, round_seed(SEED, 0)).unwrap();
+    assert!(lb.last_round_outcome().degraded);
+    assert_eq!(tcp.global_state(), lb.global_state());
+
+    tcp.transport_mut().shutdown();
+    drop(tcp);
     for w in workers {
         w.join().unwrap();
     }

@@ -14,7 +14,8 @@ use goldfish_core::transport::UnlearnJob;
 use goldfish_fed::trainer::TrainConfig;
 use goldfish_nn::loss::HardLossSpec;
 use goldfish_serve::wire::{
-    decode_frame, encode_frame, FrameLimits, Msg, RoundMode, WireError, PROTOCOL_VERSION,
+    decode_frame, decode_update_into, encode_frame, FrameLimits, Msg, RoundMode, UpdateDecoder,
+    WireError, HEADER_LEN, PROTOCOL_VERSION,
 };
 use proptest::prelude::*;
 
@@ -242,6 +243,48 @@ proptest! {
             decode_frame(&frame, &limits),
             Err(WireError::BadMagic { .. })
         ));
+    }
+
+    /// An update's state decodes as its bytes arrive: any split of the
+    /// payload into pieces gives the header and state bits of the
+    /// whole-frame `Msg` decode, and any prefix of it takes without error
+    /// (the reactor reads updates this way, through a staging chunk).
+    #[test]
+    fn update_decodes_the_same_in_any_split(
+        fields in (0u64..u64::MAX, 0u64..u64::MAX, 0u64..u64::MAX, 0u64..u64::MAX),
+        state in arb_f32s(),
+        distill in 0u8..2,
+        cuts in proptest::collection::vec(0.0f64..1.0, 0..8),
+    ) {
+        let (round, client_id, weight, nonce) = fields;
+        let msg = if distill == 1 {
+            Msg::UnlearnResult { round, client_id, weight, nonce, state: state.clone() }
+        } else {
+            Msg::Update { round, client_id, weight, nonce, state: state.clone() }
+        };
+        let limits = FrameLimits::default();
+        let frame = encode_frame(&msg, &limits).unwrap();
+        let (kind, payload) = (frame[5], &frame[HEADER_LEN..]);
+        let mut at: Vec<usize> = cuts.iter().map(|f| (f * payload.len() as f64) as usize).collect();
+        at.push(0);
+        at.push(payload.len());
+        at.sort_unstable();
+        let mut decoder = UpdateDecoder::new(kind, payload.len()).unwrap();
+        let mut pieces = vec![0.5f32; 3]; // stale contents on purpose
+        for w in at.windows(2) {
+            decoder.take(&payload[w[0]..w[1]], &mut pieces).unwrap();
+        }
+        let header = decoder.header();
+        prop_assert_eq!(
+            (header.round, header.client_id, header.weight, header.nonce, header.distill),
+            (round, client_id, weight, nonce, distill == 1)
+        );
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        prop_assert_eq!(bits(&pieces), bits(&state));
+        let mut whole = Vec::new();
+        prop_assert_eq!(decode_update_into(kind, payload, &mut whole).unwrap(), header);
+        prop_assert_eq!(bits(&whole), bits(&state));
+        prop_assert_eq!(decode_frame(&frame, &limits).unwrap().0, msg);
     }
 
     #[test]

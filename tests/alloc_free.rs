@@ -7,8 +7,9 @@
 //! next one) is not counted either.
 //!
 //! The same allocator keeps a live-heap high-water mark, which pins what
-//! evaluation and a loopback round hold at their peak: one evaluation
-//! chunk and one training wave, not the dataset or the cohort.
+//! evaluation, a loopback round and a deletion drain hold at their peak:
+//! one evaluation chunk, one wave of lanes, one lane per thread — not the
+//! dataset, the cohort or the clients.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -16,8 +17,9 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 use std::sync::Mutex;
 
-use goldfish::core::basic_model::{clip_grad_norm, TeacherCache};
+use goldfish::core::basic_model::{clip_grad_norm, GoldfishLocalConfig, TeacherCache};
 use goldfish::core::loss::{GoldfishBatch, GoldfishLoss, GoldfishLossBufs, LossWeights};
+use goldfish::core::GoldfishUnlearning;
 use goldfish::data::synthetic::{self, SyntheticSpec};
 use goldfish::data::{BatchGather, Dataset};
 use goldfish::fed::trainer::{TrainConfig, TrainLane};
@@ -27,6 +29,7 @@ use goldfish::nn::loss::{CrossEntropy, HardLoss};
 use goldfish::nn::optim::FusedSgd;
 use goldfish::nn::{zoo, Network};
 use goldfish::serve::coordinator::{Coordinator, CoordinatorConfig};
+use goldfish::serve::queue::UnlearnRequest;
 use goldfish::serve::transport::LoopbackTransport;
 use goldfish::tensor::Tensor;
 use rand::{rngs::StdRng, SeedableRng};
@@ -389,4 +392,58 @@ fn loopback_round_peak_heap_is_one_wave() {
          + {wave} states ({state_bytes} B each) is {bound} B"
     );
     assert!(CLIENTS * state_bytes > 2 * bound, "bound too loose");
+}
+
+/// A deletion drains on the loopback executor's lanes: one student and
+/// one teacher network per pool thread, lent to each client in turn,
+/// while a client keeps only its teacher logits and borrows its data.
+/// What the drain holds at its peak therefore follows the thread count:
+/// eight clients peak where four do, not twice as high (the per-client
+/// students, teachers and copied splits of a per-client design).
+#[test]
+fn distillation_drain_peak_heap_follows_threads_not_clients() {
+    let _guard = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    const THREADS: usize = 2;
+    const PER_CLIENT: usize = 40;
+    let factory: ModelFactory =
+        Arc::new(|seed| zoo::lenet5(1, 28, 28, 10, &mut StdRng::seed_from_u64(seed)));
+    let local = GoldfishLocalConfig {
+        epochs: 1,
+        batch_size: 25,
+        lr: 0.05,
+        momentum: 0.9,
+        ..GoldfishLocalConfig::default()
+    };
+    let drain_peak = |clients: usize| {
+        let (train, test) =
+            synthetic::generate(&SyntheticSpec::mnist(), clients * PER_CLIENT, 32, 9);
+        let shards: Vec<Dataset> = (0..clients)
+            .map(|c| train.subset(&(c * PER_CLIENT..(c + 1) * PER_CLIENT).collect::<Vec<_>>()))
+            .collect();
+        let transport = LoopbackTransport::new(factory.clone(), shards, Some(THREADS));
+        let mut coord = Coordinator::new(
+            factory.clone(),
+            test,
+            transport,
+            CoordinatorConfig {
+                threads: Some(THREADS),
+                method: GoldfishUnlearning::default().with_local(local),
+                unlearn_rounds: 2,
+                ..CoordinatorConfig::default()
+            },
+        );
+        let (peak, ()) = peak_during(|| {
+            coord
+                .submit_unlearn(UnlearnRequest::new(0, vec![0, 1, 2]))
+                .unwrap();
+            coord.drain_unlearning(7).unwrap().unwrap();
+        });
+        peak
+    };
+    let four = drain_peak(4);
+    let eight = drain_peak(8);
+    assert!(
+        eight * 10 <= four * 11,
+        "an 8-client drain peaked at {eight} B of live heap, a 4-client one at {four} B"
+    );
 }

@@ -9,9 +9,7 @@
 //! ```
 
 use goldfish_bench::{args, report, workloads};
-use goldfish_core::extension::AdaptiveWeightAggregation;
 use goldfish_data::partition;
-use goldfish_fed::aggregate::{AggregationStrategy, FedAvg};
 use goldfish_fed::federation::Federation;
 use rand::{rngs::StdRng, SeedableRng};
 
@@ -39,17 +37,18 @@ fn main() {
         let parts = partition::uneven(train.len(), n_clients, 0.02, &mut rng);
         let variance = partition::size_variance(&parts);
 
-        let run = |strategy: &dyn AggregationStrategy| {
+        let run = |adaptive: bool| {
             let mut fed = Federation::builder(factory.clone(), test.clone())
                 .train_config(workload.train_config())
                 .clients(parts.iter().map(|p| train.subset(p)))
                 .eval_clients(true)
+                .adaptive_aggregation(adaptive)
                 .init_seed(seed)
                 .build();
-            fed.train_rounds(rounds, strategy, seed)
+            fed.train_rounds(rounds, seed)
         };
-        let fedavg = run(&FedAvg);
-        let ours = run(&AdaptiveWeightAggregation);
+        let fedavg = run(false);
+        let ours = run(true);
 
         let mut table = report::Table::new(&[
             "round",

@@ -7,9 +7,7 @@
 //! ```
 
 use goldfish_bench::{args, report, workloads};
-use goldfish_core::extension::AdaptiveWeightAggregation;
 use goldfish_data::partition;
-use goldfish_fed::aggregate::{AggregationStrategy, FedAvg};
 use goldfish_fed::federation::Federation;
 use rand::{rngs::StdRng, SeedableRng};
 
@@ -34,16 +32,17 @@ fn main() {
         let mut rng = StdRng::seed_from_u64(seed ^ (n_clients as u64));
         let parts = partition::iid(train.len(), n_clients, &mut rng);
 
-        let run = |strategy: &dyn AggregationStrategy| {
+        let run = |adaptive: bool| {
             let mut fed = Federation::builder(factory.clone(), test.clone())
                 .train_config(workload.train_config())
                 .clients(parts.iter().map(|p| train.subset(p)))
+                .adaptive_aggregation(adaptive)
                 .init_seed(seed)
                 .build();
-            fed.train_rounds(rounds, strategy, seed)
+            fed.train_rounds(rounds, seed)
         };
-        let fedavg = run(&FedAvg);
-        let ours = run(&AdaptiveWeightAggregation);
+        let fedavg = run(false);
+        let ours = run(true);
 
         let mut table = report::Table::new(&["round", "fedavg acc", "ours acc"]);
         for r in 0..rounds {

@@ -11,7 +11,6 @@ use goldfish_core::method::{ClientSplit, UnlearnSetup};
 use goldfish_data::backdoor::BackdoorSpec;
 use goldfish_data::synthetic::{self, SyntheticSpec};
 use goldfish_data::{partition, Dataset};
-use goldfish_fed::aggregate::FedAvg;
 use goldfish_fed::federation::Federation;
 use goldfish_fed::trainer::TrainConfig;
 use goldfish_fed::{eval, ModelFactory};
@@ -287,7 +286,7 @@ pub fn build_unlearning_experiment(
         .clients(client_data.iter().cloned())
         .init_seed(seed)
         .build();
-    federation.train_rounds(workload.pretrain_rounds, &FedAvg, seed ^ 0x9E37);
+    federation.train_rounds(workload.pretrain_rounds, seed ^ 0x9E37);
     let original_global = federation.global_state().to_vec();
 
     let mut original = federation.global_network();

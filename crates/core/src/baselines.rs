@@ -13,7 +13,7 @@
 //!   trained model without any unlearning.
 
 use goldfish_data::BatchGather;
-use goldfish_fed::aggregate::{AggregationStrategy, ClientUpdate, FedAvg};
+use goldfish_fed::aggregate::{weighted_mean, ClientUpdate};
 use goldfish_fed::trainer::train_local_ce;
 use goldfish_fed::{eval, ModelFactory};
 use goldfish_nn::loss::{distillation_loss_into, CrossEntropy, HardLoss};
@@ -30,6 +30,16 @@ use crate::method::{parallel_clients, UnlearnOutcome, UnlearnSetup, UnlearningMe
 fn global_accuracy(factory: &ModelFactory, state: &[f32], test: &goldfish_data::Dataset) -> f64 {
     let mut net = network_from_state(factory, state, 0);
     eval::accuracy(&mut net, test)
+}
+
+/// FedAvg over one round's updates: [`weighted_mean`] with sample-count
+/// weights (an empty client still weighs 1).
+fn fedavg(updates: &[ClientUpdate]) -> Vec<f32> {
+    let weights: Vec<f64> = updates
+        .iter()
+        .map(|u| u.num_samples.max(1) as f64)
+        .collect();
+    weighted_mean(updates, &weights)
 }
 
 /// **B1** — retraining from scratch on the remaining data only.
@@ -60,10 +70,9 @@ impl UnlearningMethod for RetrainFromScratch {
                     client_id: id,
                     state: net.state_vector(),
                     num_samples: setup.clients[id].remaining.len(),
-                    server_mse: None,
                 }
             });
-            global = FedAvg.aggregate(&updates);
+            global = fedavg(&updates);
             round_accuracies.push(global_accuracy(&setup.factory, &global, &setup.test));
         }
         UnlearnOutcome {
@@ -208,10 +217,9 @@ impl UnlearningMethod for RapidRetrain {
                     client_id: id,
                     state: net.state_vector(),
                     num_samples: setup.clients[id].remaining.len(),
-                    server_mse: None,
                 }
             });
-            global = FedAvg.aggregate(&updates);
+            global = fedavg(&updates);
             round_accuracies.push(global_accuracy(&setup.factory, &global, &setup.test));
         }
         UnlearnOutcome {
@@ -272,10 +280,9 @@ impl UnlearningMethod for IncompetentTeacher {
                     client_id: id,
                     state: student.state_vector(),
                     num_samples: split.remaining.len(),
-                    server_mse: None,
                 }
             });
-            global = FedAvg.aggregate(&updates);
+            global = fedavg(&updates);
             round_accuracies.push(global_accuracy(&setup.factory, &global, &setup.test));
         }
         UnlearnOutcome {

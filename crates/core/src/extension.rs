@@ -1,7 +1,14 @@
 //! The extension module: adaptive distillation temperature (Eq 11) and
 //! adaptive aggregation weights (Eqs 12–13).
+//!
+//! The Eq 12 weights are [`adaptive_weights`], re-exported from
+//! `goldfish_fed::aggregate`: they are one holding rule of the round
+//! loop's accumulator, applied server-side once a round's uploads are
+//! all in (`goldfish_fed::transport::Weighting::ServerMse`), so a
+//! `Federation`, an unlearning drain and a serve coordinator weigh
+//! uploads with the same code.
 
-use goldfish_fed::aggregate::{AggregationStrategy, ClientUpdate};
+pub use goldfish_fed::aggregate::adaptive_weights;
 use serde::{Deserialize, Serialize};
 
 /// Parameters of the adaptive distillation temperature (Eq 11):
@@ -54,72 +61,16 @@ impl AdaptiveTemperature {
     }
 }
 
-/// The adaptive-weight aggregation of Eqs 12–13: client `c` receives weight
-///
-/// `W_c = exp(−(me_c − m̄) / m̄)` with `m̄ = (1/|C|) Σ_i me_i`,
-///
-/// where `me_c` is the MSE of client `c`'s uploaded model on the server's
-/// test set; the global model is the `W`-weighted mean normalised by
-/// `θ = Σ_c W_c` (Eq 13). Better models (lower MSE) therefore dominate the
-/// aggregate — the mechanism behind the Fig 8 heterogeneity results.
-///
-/// Falls back to FedAvg-style sample-size weighting when the server MSE is
-/// missing from any update (documented degradation, exercised in tests).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct AdaptiveWeightAggregation;
-
-impl AdaptiveWeightAggregation {
-    /// Computes the (unnormalised) Eq 12 weights for a set of MSE scores.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `mses` is empty.
-    pub fn weights(mses: &[f64]) -> Vec<f64> {
-        assert!(!mses.is_empty(), "no MSE scores");
-        // A client whose model diverged uploads NaN/∞ MSE; treat it as the
-        // worst possible score instead of poisoning the whole aggregate.
-        let sane: Vec<f64> = mses
-            .iter()
-            .map(|&m| if m.is_finite() { m } else { 1e9 })
-            .collect();
-        let mean = sane.iter().sum::<f64>() / sane.len() as f64;
-        if mean <= f64::EPSILON {
-            // All clients are perfect — uniform weights.
-            return vec![1.0; sane.len()];
-        }
-        sane.iter().map(|&me| (-(me - mean) / mean).exp()).collect()
-    }
-}
-
-impl AggregationStrategy for AdaptiveWeightAggregation {
-    fn aggregate(&self, updates: &[ClientUpdate]) -> Vec<f32> {
-        assert!(!updates.is_empty(), "no client updates to aggregate");
-        let mses: Option<Vec<f64>> = updates.iter().map(|u| u.server_mse).collect();
-        let weights = match mses {
-            Some(mses) => Self::weights(&mses),
-            None => updates
-                .iter()
-                .map(|u| u.num_samples.max(1) as f64)
-                .collect(),
-        };
-        goldfish_fed::aggregate::weighted_mean(updates, &weights)
-    }
-
-    fn name(&self) -> &'static str {
-        "adaptive_weight"
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use goldfish_fed::aggregate::{weighted_mean, ClientUpdate};
 
-    fn upd(id: usize, state: Vec<f32>, mse: Option<f64>) -> ClientUpdate {
+    fn upd(id: usize, state: Vec<f32>) -> ClientUpdate {
         ClientUpdate {
             client_id: id,
             state,
             num_samples: 10,
-            server_mse: mse,
         }
     }
 
@@ -156,7 +107,7 @@ mod tests {
 
     #[test]
     fn eq12_lower_mse_gets_higher_weight() {
-        let w = AdaptiveWeightAggregation::weights(&[0.1, 0.2, 0.3]);
+        let w = adaptive_weights(&[0.1, 0.2, 0.3]);
         assert!(w[0] > w[1] && w[1] > w[2], "{w:?}");
         // Mean MSE gets weight exactly 1.
         assert!((w[1] - 1.0).abs() < 1e-9);
@@ -164,32 +115,24 @@ mod tests {
 
     #[test]
     fn eq12_equal_mses_are_uniform() {
-        let w = AdaptiveWeightAggregation::weights(&[0.5, 0.5, 0.5]);
+        let w = adaptive_weights(&[0.5, 0.5, 0.5]);
         assert!(w.iter().all(|&x| (x - 1.0).abs() < 1e-9));
     }
 
     #[test]
     fn eq12_zero_mean_degenerates_to_uniform() {
-        let w = AdaptiveWeightAggregation::weights(&[0.0, 0.0]);
+        let w = adaptive_weights(&[0.0, 0.0]);
         assert_eq!(w, vec![1.0, 1.0]);
     }
 
     #[test]
     fn aggregation_prefers_better_model() {
         let updates = vec![
-            upd(0, vec![0.0, 0.0], Some(0.05)), // good model
-            upd(1, vec![1.0, 1.0], Some(0.50)), // bad model
+            upd(0, vec![0.0, 0.0]), // good model
+            upd(1, vec![1.0, 1.0]), // bad model
         ];
-        let agg = AdaptiveWeightAggregation.aggregate(&updates);
+        let agg = weighted_mean(&updates, &adaptive_weights(&[0.05, 0.50]));
         // Result should sit much closer to the good model.
         assert!(agg[0] < 0.25, "agg = {agg:?}");
-    }
-
-    #[test]
-    fn aggregation_falls_back_without_mse() {
-        let updates = vec![upd(0, vec![0.0], None), upd(1, vec![2.0], Some(0.1))];
-        // One missing MSE → sample-size weighting (equal here) → mean.
-        let agg = AdaptiveWeightAggregation.aggregate(&updates);
-        assert_eq!(agg, vec![1.0]);
     }
 }

@@ -55,10 +55,18 @@ pub struct UnlearnJob {
 /// Server-side transport contract for the unlearning flow: deliver the
 /// job + teacher to every live client, then stream distillation-round
 /// updates exactly like [`goldfish_fed::transport::RoundTransport`]
-/// streams training-round updates.
+/// streams training-round updates — a drain runs on the same
+/// [`goldfish_fed::transport::RoundRuntime`] as a training round.
 pub trait DistillTransport {
     /// Number of currently live clients.
     fn num_clients(&self) -> usize;
+
+    /// The live registry: `(client_id, num_samples)` of every live
+    /// client, **strictly ascending by id**, written into `out` (cleared
+    /// first). After [`DistillTransport::begin_unlearn`], `num_samples`
+    /// is the client's remaining-data count — its distillation upload's
+    /// FedAvg weight.
+    fn cohort_into(&self, out: &mut Vec<(usize, usize)>);
 
     /// Ships the unlearning job and the frozen teacher state; workers
     /// (re)build their per-request distillation state.
@@ -70,10 +78,12 @@ pub trait DistillTransport {
     /// custom loss over a wire transport).
     fn begin_unlearn(&mut self, job: &UnlearnJob, teacher: &[f32]) -> Result<(), TransportError>;
 
-    /// Runs one distillation round over every live client. Same contract
-    /// as [`goldfish_fed::transport::RoundTransport::train_round`] with
-    /// the live set as the cohort: each delivered update is fed to `sink`
-    /// as it arrives, echoing the round's
+    /// Runs one distillation round over `cohort` (a subset of what
+    /// [`DistillTransport::cohort_into`] reported, ascending by id).
+    /// Same contract as
+    /// [`goldfish_fed::transport::RoundTransport::train_round`]: clients
+    /// outside the cohort are not contacted, each delivered update is fed
+    /// to `sink` as it arrives, echoing the round's
     /// [`goldfish_fed::transport::round_nonce`]`(seed, round)`; `results`
     /// (cleared first) gets one entry per contacted client, stragglers
     /// and sink rejections as errors.
@@ -82,6 +92,7 @@ pub trait DistillTransport {
         round: usize,
         seed: u64,
         global: &[f32],
+        cohort: &[(usize, usize)],
         sink: &mut UpdateSink<'_>,
         results: &mut Vec<Result<(), TransportError>>,
     );
@@ -116,13 +127,13 @@ impl DistillJob {
         }
     }
 
-    /// One distillation round of every client in `distillers`, on
-    /// `lanes` in waves of one client per pool thread
-    /// ([`Lanes::waves`]); `data(i)` is distiller `i`'s
+    /// One distillation round of every client in `distillers` that is in
+    /// `cohort` (ascending ids), on `lanes` in waves of one client per
+    /// pool thread ([`Lanes::waves`]); `data(i)` is distiller `i`'s
     /// `(remaining, forget)` split. Each wave's uploads are exported into
     /// the one reused `export` buffer, in client order, just before
     /// `sink` reads them; `results` (cleared first) gets one entry per
-    /// client.
+    /// contacted client.
     #[allow(clippy::too_many_arguments)] // an executor's borrowed parts; one call site each
     pub fn round_on<'d>(
         &self,
@@ -132,24 +143,30 @@ impl DistillJob {
         round: usize,
         seed: u64,
         global: &[f32],
+        cohort: &[(usize, usize)],
         export: &mut Vec<f32>,
         sink: &mut UpdateSink<'_>,
         results: &mut Vec<Result<(), TransportError>>,
     ) {
         let nonce = round_nonce(seed, round);
+        let mut members: Vec<(usize, &mut ClientDistiller)> = distillers
+            .iter_mut()
+            .enumerate()
+            .filter(|(_, d)| cohort.binary_search_by_key(&d.id, |&(id, _)| id).is_ok())
+            .collect();
         results.clear();
         lanes.waves(
-            distillers,
-            |i, lane, distiller| {
-                let (remaining, forget) = data(i);
+            &mut members,
+            |_, lane, (i, distiller)| {
+                let (remaining, forget) = data(*i);
                 distiller.round(self, remaining, forget, lane, global, round, seed);
             },
-            |first, lanes, distillers| {
-                for (i, (lane, distiller)) in lanes.iter().zip(distillers.iter()).enumerate() {
+            |_, lanes, members| {
+                for (lane, (i, distiller)) in lanes.iter().zip(members.iter()) {
                     lane.state_into(export);
                     results.push(sink(StreamedUpdate {
                         client_id: distiller.client_id(),
-                        num_samples: data(first + i).0.len(),
+                        num_samples: data(*i).0.len(),
                         nonce,
                         state: export,
                     }));
@@ -314,6 +331,16 @@ impl DistillTransport for LoopbackDistill<'_> {
         self.splits.len()
     }
 
+    fn cohort_into(&self, out: &mut Vec<(usize, usize)>) {
+        out.clear();
+        out.extend(
+            self.ids
+                .iter()
+                .zip(self.splits)
+                .map(|(&id, split)| (id, split.remaining.len())),
+        );
+    }
+
     fn begin_unlearn(&mut self, job: &UnlearnJob, teacher: &[f32]) -> Result<(), TransportError> {
         if self.splits.is_empty() {
             return Err(TransportError::NoLiveClients);
@@ -343,6 +370,7 @@ impl DistillTransport for LoopbackDistill<'_> {
         round: usize,
         seed: u64,
         global: &[f32],
+        cohort: &[(usize, usize)],
         sink: &mut UpdateSink<'_>,
         results: &mut Vec<Result<(), TransportError>>,
     ) {
@@ -358,6 +386,7 @@ impl DistillTransport for LoopbackDistill<'_> {
             round,
             seed,
             global,
+            cohort,
             &mut self.export,
             sink,
             results,
@@ -369,7 +398,6 @@ impl DistillTransport for LoopbackDistill<'_> {
 mod tests {
     use super::*;
     use goldfish_data::synthetic::{self, SyntheticSpec};
-    use goldfish_fed::transport::collect_round;
     use goldfish_nn::loss::CrossEntropy;
     use goldfish_nn::zoo;
     use rand::{rngs::StdRng, SeedableRng};
@@ -444,19 +472,34 @@ mod tests {
                 Some(threads),
             );
             lb.begin_unlearn(&job(), &teacher).unwrap();
-            let got = collect_round(round_nonce(5, 0), |sink, results| {
-                lb.distill_round(0, 5, &global, sink, results);
-                lb.num_clients()
-            })
-            .unwrap();
-            assert_eq!(got.len(), 2);
-            for (id, u) in got.into_iter().enumerate() {
-                assert_eq!(u.client_id, id);
-                assert_eq!(u.num_samples, splits[id].remaining.len());
-                assert_eq!(
-                    lone_round(&factory, &splits[id], &teacher, id, &global),
-                    u.state
+            let mut cohort = Vec::new();
+            lb.cohort_into(&mut cohort);
+            let lens: Vec<usize> = splits.iter().map(|s| s.remaining.len()).collect();
+            assert_eq!(cohort, vec![(0, lens[0]), (1, lens[1])]);
+            // The whole cohort, then client 1 alone: a client distils
+            // the same bits whoever else takes part.
+            for members in [&cohort[..], &cohort[1..]] {
+                let (mut got, mut results) = (Vec::new(), Vec::new());
+                lb.distill_round(
+                    0,
+                    5,
+                    &global,
+                    members,
+                    &mut |u| {
+                        assert_eq!(u.nonce, round_nonce(5, 0));
+                        got.push((u.client_id, u.num_samples, u.state.to_vec()));
+                        Ok(())
+                    },
+                    &mut results,
                 );
+                assert_eq!(results.len(), members.len());
+                for ((id, n, state), &(want_id, want_n)) in got.into_iter().zip(members) {
+                    assert_eq!((id, n), (want_id, want_n));
+                    assert_eq!(
+                        lone_round(&factory, &splits[id], &teacher, id, &global),
+                        state
+                    );
+                }
             }
         }
     }

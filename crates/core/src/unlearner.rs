@@ -6,20 +6,27 @@
 //! global model as teacher (it holds the knowledge of both `D_r` and
 //! `D_f`; see the basic-model description in §III-B). Clients with removed
 //! data additionally apply the negative hard term and the confusion term
-//! on `D_f^c`. The server aggregates with the adaptive-weight rule of the
-//! extension module (Eqs 12–13) unless configured for plain FedAvg.
+//! on `D_f^c`. The server aggregates with the adaptive weights of the
+//! extension module (Eqs 12–13) unless configured for plain FedAvg
+//! weights.
+//!
+//! The rounds run on [`RoundRuntime::run_hot`], the round loop of every
+//! training round: a private adapter presents the [`DistillTransport`] as
+//! a [`RoundTransport`], so a drain gets the same admission checks and the
+//! same straggler/violator re-round as a training round.
 
 use std::sync::Arc;
 
 use goldfish_data::Dataset;
-use goldfish_fed::aggregate::{AggregationStrategy, FedAvg};
 use goldfish_fed::eval;
-use goldfish_fed::transport::{collect_round, round_nonce, TransportError};
+use goldfish_fed::trainer::TrainConfig;
+use goldfish_fed::transport::{
+    round_nonce, RoundRuntime, RoundTransport, TrainAssign, TransportError, UpdateSink, Weighting,
+};
 use goldfish_fed::ModelFactory;
 use goldfish_nn::loss::{CrossEntropy, HardLoss};
 
 use crate::basic_model::{network_from_state, reinit_seed, GoldfishLocalConfig};
-use crate::extension::AdaptiveWeightAggregation;
 use crate::loss::LossWeights;
 use crate::method::{UnlearnOutcome, UnlearnSetup, UnlearningMethod};
 use crate::transport::{DistillTransport, LoopbackDistill, UnlearnJob};
@@ -126,55 +133,95 @@ impl UnlearningMethod for GoldfishUnlearning {
             original_global: &setup.original_global,
             rounds: setup.rounds,
         };
-        self.unlearn_over(&server, &mut transport, seed)
+        let mut runtime = RoundRuntime::new(None, 0);
+        self.unlearn_over(&server, &mut transport, &mut runtime, seed)
             .expect("loopback distillation never fails")
+    }
+}
+
+/// A [`DistillTransport`] presented as a [`RoundTransport`]: each round
+/// attempt [`RoundRuntime::run_hot`] makes is a distillation round over
+/// the attempt's cohort.
+struct DistillRounds<'t>(&'t mut dyn DistillTransport);
+
+impl RoundTransport for DistillRounds<'_> {
+    fn cohort_into(&self, out: &mut Vec<(usize, usize)>) {
+        self.0.cohort_into(out)
+    }
+
+    fn train_round(
+        &mut self,
+        assign: &TrainAssign<'_>,
+        cohort: &[(usize, usize)],
+        sink: &mut UpdateSink<'_>,
+        results: &mut Vec<Result<(), TransportError>>,
+    ) {
+        self.0.distill_round(
+            assign.round,
+            assign.seed,
+            assign.global,
+            cohort,
+            sink,
+            results,
+        )
     }
 }
 
 impl GoldfishUnlearning {
     /// Runs the Goldfish unlearning round loop (Algorithm 1, server side)
     /// over any [`DistillTransport`]: reinitialise the global model, ship
-    /// the job + frozen teacher, then per round collect distillation
-    /// updates (straggler drop + re-round, sorted by client id so
-    /// aggregation is arrival-order independent), evaluate uploads
-    /// server-side when the adaptive-weight rule needs Eq 12's MSE, and
-    /// aggregate.
+    /// the job + frozen teacher, then run each distillation round on
+    /// `runtime` ([`RoundRuntime::run_hot`]) — admission, straggler and
+    /// violator drop + re-round, and FedAvg or (by default) the Eq 12–13
+    /// weights of each upload's server-side MSE — and evaluate the new
+    /// global. The runtime's policy and reputation state apply as they
+    /// are; a fresh runtime's default is full participation with no
+    /// quorum, bound or quarantine. Its
+    /// [`RoundRuntime::drain_events`] afterwards name every rejected
+    /// upload.
     ///
     /// # Errors
     ///
     /// Propagates transport failures
-    /// ([`TransportError::NoLiveClients`] when every client is gone).
+    /// ([`TransportError::NoLiveClients`] when every client is gone or
+    /// every upload was rejected).
     pub fn unlearn_over(
         &self,
         server: &UnlearnServer<'_>,
         transport: &mut dyn DistillTransport,
+        runtime: &mut RoundRuntime,
         seed: u64,
     ) -> Result<UnlearnOutcome, TransportError> {
         // Algorithm 1, line 12: reinitialise the global model ω0.
         let mut global = (server.factory)(reinit_seed(seed)).state_vector();
-        let strategy: Box<dyn AggregationStrategy> = if self.adaptive_aggregation {
-            Box::new(AdaptiveWeightAggregation)
-        } else {
-            Box::new(FedAvg)
-        };
         let job = UnlearnJob {
             local: self.local,
             hard: self.hard.spec(),
         };
         transport.begin_unlearn(&job, server.original_global)?;
+        let weighting = if self.adaptive_aggregation {
+            Weighting::ServerMse {
+                factory: server.factory,
+                test: server.test,
+            }
+        } else {
+            Weighting::Samples
+        };
+        // Distill workers take their configuration from the job; the
+        // assignment's is unused.
+        let cfg = TrainConfig::default();
+        let mut next = Vec::new();
         let mut round_accuracies = Vec::with_capacity(server.rounds);
         for round in 0..server.rounds {
-            let mut updates = collect_round(round_nonce(seed, round), |sink, results| {
-                transport.distill_round(round, seed, &global, sink, results);
-                transport.num_clients()
-            })?;
-            if self.adaptive_aggregation {
-                // Eq 12's me_c^t, evaluated server-side from the uploaded
-                // state (identical to a client-side evaluation of the
-                // same state).
-                eval::fill_server_mse(server.factory, server.test, None, &mut updates);
-            }
-            global = strategy.aggregate(&updates);
+            let assign = TrainAssign {
+                round,
+                seed,
+                nonce: round_nonce(seed, round),
+                global: &global,
+                cfg: &cfg,
+            };
+            runtime.run_hot(&mut DistillRounds(transport), &assign, weighting, &mut next)?;
+            std::mem::swap(&mut global, &mut next);
             let mut net = network_from_state(server.factory, &global, 0);
             round_accuracies.push(eval::accuracy(&mut net, server.test));
         }
@@ -192,7 +239,8 @@ mod tests {
     use crate::method::ClientSplit;
     use goldfish_data::backdoor::BackdoorSpec;
     use goldfish_data::synthetic::{self, SyntheticSpec};
-    use goldfish_fed::trainer::{train_local_ce, TrainConfig};
+    use goldfish_fed::trainer::train_local_ce;
+    use goldfish_fed::transport::{RobustnessEvent, StreamedUpdate, UpdateViolation};
     use goldfish_fed::ModelFactory;
     use goldfish_nn::zoo;
     use rand::{rngs::StdRng, SeedableRng};
@@ -375,69 +423,157 @@ mod tests {
         assert_eq!(a.global_state, b.global_state);
     }
 
-    #[test]
-    fn forged_distill_nonce_is_a_typed_rejection() {
-        use goldfish_fed::transport::{StreamedUpdate, UpdateSink, UpdateViolation};
+    /// A scripted drain: each client of `samples` uploads a fixed
+    /// function of the incoming global — NaN on its first upload when
+    /// listed in `nan_once`, under a forged nonce when it is the
+    /// `forger`.
+    struct Scripted {
+        samples: Vec<(usize, usize)>,
+        nan_once: Vec<usize>,
+        forger: Option<usize>,
+        /// Uploads attempted per client id.
+        contacts: Vec<usize>,
+    }
 
-        /// Two clients that never drop; client 1 echoes a forged nonce.
-        struct Forger {
-            attempts: usize,
-        }
-        impl DistillTransport for Forger {
-            fn num_clients(&self) -> usize {
-                2
-            }
-            fn begin_unlearn(&mut self, _: &UnlearnJob, _: &[f32]) -> Result<(), TransportError> {
-                Ok(())
-            }
-            fn distill_round(
-                &mut self,
-                round: usize,
-                seed: u64,
-                global: &[f32],
-                sink: &mut UpdateSink<'_>,
-                results: &mut Vec<Result<(), TransportError>>,
-            ) {
-                self.attempts += 1;
-                assert!(self.attempts < 10, "the re-round loop is spinning");
-                results.clear();
-                for (client_id, nonce) in [(0, round_nonce(seed, round)), (1, 0xF0_26ED)] {
-                    results.push(sink(StreamedUpdate {
-                        client_id,
-                        num_samples: 1,
-                        nonce,
-                        state: global,
-                    }));
-                }
+    impl Scripted {
+        fn new(samples: Vec<(usize, usize)>) -> Self {
+            Scripted {
+                samples,
+                nan_once: Vec::new(),
+                forger: None,
+                contacts: vec![0; 2],
             }
         }
+    }
 
+    impl DistillTransport for Scripted {
+        fn num_clients(&self) -> usize {
+            self.samples.len()
+        }
+        fn cohort_into(&self, out: &mut Vec<(usize, usize)>) {
+            out.clear();
+            out.extend(&self.samples);
+        }
+        fn begin_unlearn(&mut self, _: &UnlearnJob, _: &[f32]) -> Result<(), TransportError> {
+            Ok(())
+        }
+        fn distill_round(
+            &mut self,
+            round: usize,
+            seed: u64,
+            global: &[f32],
+            cohort: &[(usize, usize)],
+            sink: &mut UpdateSink<'_>,
+            results: &mut Vec<Result<(), TransportError>>,
+        ) {
+            results.clear();
+            for &(id, n) in cohort {
+                self.contacts[id] += 1;
+                assert!(self.contacts[id] < 10, "the re-round loop is spinning");
+                let state: Vec<f32> = if self.nan_once.contains(&id) && self.contacts[id] == 1 {
+                    vec![f32::NAN; global.len()]
+                } else {
+                    global
+                        .iter()
+                        .map(|&v| 0.5 * v + 0.01 * (id + round + 1) as f32)
+                        .collect()
+                };
+                let nonce = match self.forger {
+                    Some(f) if f == id => 0xF0_26ED,
+                    _ => round_nonce(seed, round),
+                };
+                results.push(sink(StreamedUpdate {
+                    client_id: id,
+                    num_samples: n,
+                    nonce,
+                    state: &state,
+                }));
+            }
+        }
+    }
+
+    /// Runs a scripted drain on a fresh runtime: the committed bits (or
+    /// the error) and the runtime's robustness events.
+    fn scripted_drain(
+        adaptive: bool,
+        rounds: usize,
+        transport: &mut Scripted,
+    ) -> (Result<Vec<u32>, TransportError>, Vec<RobustnessEvent>) {
         let spec = SyntheticSpec::mnist().with_size(8, 8).with_shift(1);
         let (_, test) = synthetic::generate(&spec, 10, 10, 1);
-        let factory: ModelFactory = Arc::new(|seed| {
-            let mut rng = StdRng::seed_from_u64(seed);
-            zoo::mlp(64, &[4], 10, &mut rng)
-        });
+        let factory: ModelFactory =
+            Arc::new(|seed| zoo::mlp(64, &[4], 10, &mut StdRng::seed_from_u64(seed)));
         let teacher = (factory)(0).state_vector();
         let server = UnlearnServer {
             factory: &factory,
             test: &test,
             original_global: &teacher,
-            rounds: 1,
+            rounds,
         };
-        let mut transport = Forger { attempts: 0 };
-        let err = GoldfishUnlearning::default()
-            .unlearn_over(&server, &mut transport, 7)
-            .unwrap_err();
-        assert_eq!(
-            err,
-            TransportError::Rejected {
+        let mut runtime = RoundRuntime::new(Some(1), 0);
+        let out = GoldfishUnlearning::default()
+            .with_adaptive_aggregation(adaptive)
+            .unlearn_over(&server, transport, &mut runtime, 7)
+            .map(|o| o.global_state.iter().map(|v| v.to_bits()).collect());
+        (out, runtime.drain_events())
+    }
+
+    #[test]
+    fn non_finite_drain_uploads_are_rejected_like_stragglers() {
+        for adaptive in [false, true] {
+            // Every upload NaN: nothing to commit, a typed error.
+            let mut all_nan = Scripted::new(vec![(0, 3), (1, 5)]);
+            all_nan.nan_once = vec![0, 1];
+            let (out, events) = scripted_drain(adaptive, 1, &mut all_nan);
+            assert_eq!(
+                out,
+                Err(TransportError::NoLiveClients),
+                "adaptive {adaptive}"
+            );
+            assert_eq!(events.len(), 2);
+
+            // Client 1's one NaN upload: rejected, left out of the
+            // re-round, logged; the commit is client 0's alone.
+            let mut once = Scripted::new(vec![(0, 3), (1, 5)]);
+            once.nan_once = vec![1];
+            let (out, events) = scripted_drain(adaptive, 1, &mut once);
+            let (alone, none) = scripted_drain(adaptive, 1, &mut Scripted::new(vec![(0, 3)]));
+            assert_eq!(out.unwrap(), alone.unwrap(), "adaptive {adaptive}");
+            assert!(none.is_empty());
+            assert_eq!(
+                events,
+                vec![RobustnessEvent::Violation {
+                    client_id: 1,
+                    violation: UpdateViolation::NonFinite,
+                    strikes: 1,
+                }]
+            );
+            assert_eq!(once.contacts, vec![2, 1]);
+        }
+    }
+
+    #[test]
+    fn forged_distill_nonce_is_a_typed_rejection() {
+        // Client 1 echoes a forged nonce every round and is never
+        // dropped: each round rejects it once, re-rounds without it and
+        // commits; the drain equals the one without client 1.
+        const ROUNDS: usize = 2;
+        let mut forged = Scripted::new(vec![(0, 3), (1, 5)]);
+        forged.forger = Some(1);
+        let (out, events) = scripted_drain(true, ROUNDS, &mut forged);
+        let (alone, _) = scripted_drain(true, ROUNDS, &mut Scripted::new(vec![(0, 3)]));
+        assert_eq!(out.unwrap(), alone.unwrap());
+        assert_eq!(forged.contacts, vec![2 * ROUNDS, ROUNDS]);
+        let want: Vec<RobustnessEvent> = (0..ROUNDS)
+            .map(|round| RobustnessEvent::Violation {
                 client_id: 1,
                 violation: UpdateViolation::StaleNonce {
                     got: 0xF0_26ED,
-                    want: round_nonce(7, 0),
+                    want: round_nonce(7, round),
                 },
-            }
-        );
+                strikes: round as u32 + 1,
+            })
+            .collect();
+        assert_eq!(events, want);
     }
 }

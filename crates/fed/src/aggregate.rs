@@ -11,25 +11,6 @@ pub struct ClientUpdate {
     pub state: Vec<f32>,
     /// Local dataset size (FedAvg weighting).
     pub num_samples: usize,
-    /// Mean squared error of this client's model on the server's test set
-    /// (`me_c^t` of Eq 12). `None` when the server does not evaluate
-    /// uploads (plain FedAvg).
-    pub server_mse: Option<f64>,
-}
-
-/// A server aggregation rule combining client updates into the next global
-/// state vector.
-pub trait AggregationStrategy: Send + Sync {
-    /// Combines updates into a new global state.
-    ///
-    /// # Panics
-    ///
-    /// Implementations panic if `updates` is empty or state lengths
-    /// disagree.
-    fn aggregate(&self, updates: &[ClientUpdate]) -> Vec<f32>;
-
-    /// Identifier used in experiment reports.
-    fn name(&self) -> &'static str;
 }
 
 fn check_updates(updates: &[ClientUpdate]) -> usize {
@@ -52,9 +33,11 @@ fn check_updates(updates: &[ClientUpdate]) -> usize {
 /// small enough that typical model sizes split across a pool.
 const REDUCE_CHUNK: usize = 16 * 1024;
 
-/// Weighted mean of uploaded state vectors — the shared kernel of FedAvg
-/// (Eq 13 with sample-count weights) and the adaptive-weight aggregation of
-/// the extension module (Eq 12 weights, implemented in `goldfish-core`).
+/// Weighted mean of uploaded state vectors: FedAvg (Eq 13) with
+/// sample-count weights, the adaptive aggregation with
+/// [`adaptive_weights`]. The round loop folds with
+/// [`RoundAccumulator`]; this buffered form is its independent oracle and
+/// the kernel of the baselines' own round loops.
 ///
 /// The reduction is chunked over the parameter index space and the chunks
 /// run in parallel on the current pool. Each output element always
@@ -122,6 +105,32 @@ fn reduce_chunk(
     for (o, &a) in chunk.iter_mut().zip(acc.iter()) {
         *o = a as f32;
     }
+}
+
+/// The unnormalised adaptive weights of Eq 12 for a cohort's server-side
+/// MSE scores `me_c` (in client order):
+///
+/// `W_c = exp(−(me_c − m̄) / m̄)` with `m̄ = (1/|C|) Σ_i me_i`,
+///
+/// so a better model (lower MSE) dominates the Eq 13 mean — the mechanism
+/// behind the Fig 8 heterogeneity results. A non-finite score counts as
+/// the worst possible (`1e9`) instead of poisoning every weight; an
+/// all-perfect cohort (`m̄ ≈ 0`) gets uniform weights.
+///
+/// # Panics
+///
+/// Panics if `mses` is empty.
+pub fn adaptive_weights(mses: &[f64]) -> Vec<f64> {
+    assert!(!mses.is_empty(), "no MSE scores");
+    let sane: Vec<f64> = mses
+        .iter()
+        .map(|&m| if m.is_finite() { m } else { 1e9 })
+        .collect();
+    let mean = sane.iter().sum::<f64>() / sane.len() as f64;
+    if mean <= f64::EPSILON {
+        return vec![1.0; sane.len()];
+    }
+    sane.iter().map(|&me| (-(me - mean) / mean).exp()).collect()
 }
 
 /// Why a [`RoundAccumulator`] refused an update or could not finish.
@@ -234,6 +243,13 @@ impl std::error::Error for AggregateError {}
 /// on the calling thread, so it is bitwise identical at every thread
 /// count (pinned by the same proptests).
 ///
+/// Eqs 12–13 are one more holding rule, armed by the round loop under
+/// [`crate::transport::Weighting::ServerMse`]: the round parks every
+/// admitted update, scores the complete set, replaces the registered
+/// fractions with the [`adaptive_weights`] of those scores and folds the
+/// slots in ascending order — [`weighted_mean`]'s per-element arithmetic
+/// over the same weights, bit for bit.
+///
 /// Memory: a streaming round holds one `f64` accumulator lane
 /// (`state_len` wide) plus at most `window` parked updates, instead of
 /// all N updates at once; a holding round is bounded by the cohort (`n`
@@ -274,6 +290,8 @@ pub struct RoundAccumulator {
     /// High-water mark of `resident` plus the update being folded.
     peak_resident: usize,
     state_len: usize,
+    /// This round holds every update until finish (`hold`).
+    held: bool,
 }
 
 impl RoundAccumulator {
@@ -285,10 +303,11 @@ impl RoundAccumulator {
     /// Whether this round's mode folds on arrival (as opposed to
     /// holding every update for a coordinate-wise selection).
     fn streams(&self) -> bool {
-        matches!(
-            self.mode,
-            AggregationMode::Mean | AggregationMode::NormClipped { .. }
-        )
+        !self.held
+            && matches!(
+                self.mode,
+                AggregationMode::Mean | AggregationMode::NormClipped { .. }
+            )
     }
 
     /// Arms the accumulator for one round in `mode`: `cohort` is
@@ -320,6 +339,7 @@ impl RoundAccumulator {
         let total: f64 = cohort.iter().map(|&(_, w)| w).sum();
         assert!(total > 0.0, "aggregation weights sum to zero");
         self.mode = mode;
+        self.held = false;
         self.ids.clear();
         self.ids.extend(cohort.iter().map(|&(id, _)| id));
         self.fracs.clear();
@@ -339,6 +359,35 @@ impl RoundAccumulator {
         self.resident = 0;
         self.peak_resident = 0;
         self.state_len = state_len;
+    }
+
+    /// Makes the round armed by [`RoundAccumulator::begin`] hold every
+    /// update until finish, whatever its mode: the adaptive weights of
+    /// Eq 12 are only known once the whole reported set is in.
+    pub(crate) fn hold(&mut self) {
+        self.held = true;
+        self.window = usize::MAX;
+    }
+
+    /// Eqs 12–13 over a held round: scores every held update with
+    /// `score` (its server-side MSE) in parallel on the current pool,
+    /// then replaces the held slots' fractions with the
+    /// [`adaptive_weights`] of those scores, summed in slot order with
+    /// one division each as [`weighted_mean`] does. The finish that
+    /// follows folds the slots in ascending order.
+    pub(crate) fn reweight_adaptive(&mut self, score: impl Fn(&[f32]) -> f64 + Send + Sync) {
+        let parked = &self.parked;
+        let slots: Vec<usize> = (0..parked.len()).filter(|&s| parked[s].is_some()).collect();
+        let mut mses = vec![0.0f64; slots.len()];
+        crate::pool::for_each_slot(&mut mses, |i, mse| {
+            *mse = score(parked[slots[i]].as_deref().expect("held"));
+        });
+        let weights = adaptive_weights(&mses);
+        let total: f64 = weights.iter().sum();
+        self.fracs.fill(0.0);
+        for (&slot, &w) in slots.iter().zip(&weights) {
+            self.fracs[slot] = w / total;
+        }
     }
 
     /// Offers one arriving update. A streaming mode folds it immediately
@@ -789,41 +838,6 @@ impl std::ops::DerefMut for StreamingMean {
     }
 }
 
-/// FedAvg (McMahan et al., 2017): clients weighted by local dataset size.
-/// The aggregation baseline of Figs 8–9.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct FedAvg;
-
-impl AggregationStrategy for FedAvg {
-    fn aggregate(&self, updates: &[ClientUpdate]) -> Vec<f32> {
-        let weights: Vec<f64> = updates
-            .iter()
-            .map(|u| u.num_samples.max(1) as f64)
-            .collect();
-        weighted_mean(updates, &weights)
-    }
-
-    fn name(&self) -> &'static str {
-        "fedavg"
-    }
-}
-
-/// Uniform (unweighted) averaging — useful as a degenerate reference in
-/// tests and ablations.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct UniformAvg;
-
-impl AggregationStrategy for UniformAvg {
-    fn aggregate(&self, updates: &[ClientUpdate]) -> Vec<f32> {
-        let weights = vec![1.0f64; updates.len()];
-        weighted_mean(updates, &weights)
-    }
-
-    fn name(&self) -> &'static str {
-        "uniform"
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -833,47 +847,45 @@ mod tests {
             client_id: id,
             state,
             num_samples: n,
-            server_mse: None,
         }
+    }
+
+    /// FedAvg's sample-count weights.
+    fn fedavg(updates: &[ClientUpdate]) -> Vec<f32> {
+        let weights: Vec<f64> = updates.iter().map(|u| u.num_samples as f64).collect();
+        weighted_mean(updates, &weights)
     }
 
     #[test]
     fn fedavg_weights_by_samples() {
         let updates = vec![upd(0, vec![0.0, 0.0], 30), upd(1, vec![4.0, 8.0], 10)];
-        let agg = FedAvg.aggregate(&updates);
+        let agg = fedavg(&updates);
         assert_eq!(agg, vec![1.0, 2.0]); // (30*0 + 10*4)/40, (30*0 + 10*8)/40
     }
 
     #[test]
     fn uniform_ignores_sizes() {
         let updates = vec![upd(0, vec![0.0], 1000), upd(1, vec![2.0], 1)];
-        assert_eq!(UniformAvg.aggregate(&updates), vec![1.0]);
+        assert_eq!(weighted_mean(&updates, &[1.0, 1.0]), vec![1.0]);
     }
 
     #[test]
     fn single_client_is_identity() {
         let updates = vec![upd(0, vec![1.5, -2.5], 7)];
-        assert_eq!(FedAvg.aggregate(&updates), vec![1.5, -2.5]);
+        assert_eq!(fedavg(&updates), vec![1.5, -2.5]);
     }
 
     #[test]
     #[should_panic(expected = "no client updates")]
     fn empty_updates_panic() {
-        let _ = FedAvg.aggregate(&[]);
+        let _ = weighted_mean(&[], &[]);
     }
 
     #[test]
     #[should_panic(expected = "expected")]
     fn mismatched_lengths_panic() {
         let updates = vec![upd(0, vec![1.0], 1), upd(1, vec![1.0, 2.0], 1)];
-        let _ = FedAvg.aggregate(&updates);
-    }
-
-    #[test]
-    fn zero_sample_clients_get_floor_weight() {
-        // num_samples = 0 is clamped to 1 so a fresh client still counts.
-        let updates = vec![upd(0, vec![2.0], 0), upd(1, vec![4.0], 0)];
-        assert_eq!(FedAvg.aggregate(&updates), vec![3.0]);
+        let _ = fedavg(&updates);
     }
 
     #[test]
@@ -883,14 +895,47 @@ mod tests {
             upd(1, vec![f32::NAN, 1.0], 10),
             upd(2, vec![4.0, 4.0], 10),
         ];
-        assert_eq!(FedAvg.aggregate(&updates), vec![3.0, 3.0]);
+        assert_eq!(fedavg(&updates), vec![3.0, 3.0]);
     }
 
     #[test]
     fn all_diverged_still_returns_something() {
         let updates = vec![upd(0, vec![f32::NAN], 10)];
-        let agg = FedAvg.aggregate(&updates);
+        let agg = fedavg(&updates);
         assert!(agg[0].is_nan());
+    }
+
+    #[test]
+    fn adaptive_round_matches_weighted_mean_over_eq12_weights() {
+        let updates: Vec<ClientUpdate> = (0..4)
+            .map(|i| {
+                let state = (0..50)
+                    .map(|j| ((i * 13 + j) as f32 * 0.31).cos())
+                    .collect();
+                upd(i * 3, state, 5 + i)
+            })
+            .collect();
+        // The "score" is a pure function of the state, like a server MSE.
+        let score = |state: &[f32]| state.iter().map(|&v| (v as f64).powi(2)).sum::<f64>();
+        let mses: Vec<f64> = updates.iter().map(|u| score(&u.state)).collect();
+        let want = weighted_mean(&updates, &adaptive_weights(&mses));
+        for threads in [1, 3] {
+            let mut agg = RoundAccumulator::new();
+            agg.begin(AggregationMode::Mean, &stream_cohort(&updates), 50, 1);
+            agg.hold();
+            for u in updates.iter().rev() {
+                agg.offer(u.client_id, &u.state).unwrap();
+            }
+            assert_eq!(agg.folded_count(), 0);
+            crate::pool::install(Some(threads), || agg.reweight_adaptive(score));
+            let got = agg.finish().unwrap();
+            assert_eq!(
+                got.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                want.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                "threads {threads}"
+            );
+            assert_eq!(agg.peak_resident(), 4);
+        }
     }
 
     fn stream_cohort(updates: &[ClientUpdate]) -> Vec<(usize, f64)> {

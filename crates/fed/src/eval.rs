@@ -18,9 +18,6 @@ use goldfish_metrics as metrics;
 use goldfish_nn::Network;
 use goldfish_tensor::{ops, Tensor};
 
-use crate::aggregate::ClientUpdate;
-use crate::{pool, ModelFactory};
-
 /// Rows per evaluation chunk; the first chunk also takes the remainder,
 /// so a dataset of at least `EVAL_CHUNK` rows is never forwarded in a
 /// shorter chunk.
@@ -162,49 +159,6 @@ pub fn accuracy_and_mse(net: &mut Network, data: &Dataset) -> (f64, f64) {
         s.correct as f64 / n as f64,
         s.squared_error / (n * s.classes) as f64,
     )
-}
-
-/// Builds a network carrying `state`.
-fn materialize(factory: &ModelFactory, state: &[f32]) -> Network {
-    let mut net = (factory)(0);
-    net.set_state_vector(state);
-    net
-}
-
-/// Evaluates each upload's MSE on the test set (in parallel), writing
-/// `server_mse` — Eq 12's `me_c^t`. The evaluation happens
-/// **server-side** from the uploaded state vector: a pure function of
-/// `(state, test)`, so it matches what a client-side evaluation of the
-/// same state would report and remote and in-process runs agree.
-pub fn fill_server_mse(
-    factory: &ModelFactory,
-    test: &Dataset,
-    threads: Option<usize>,
-    updates: &mut [ClientUpdate],
-) {
-    pool::install(threads, || {
-        pool::for_each_slot(updates, |_, u| {
-            let mut net = materialize(factory, &u.state);
-            u.server_mse = Some(mse(&mut net, test));
-        });
-    });
-}
-
-/// Test accuracy of each upload (Fig 8 error bars), in update order.
-pub fn client_accuracies(
-    factory: &ModelFactory,
-    test: &Dataset,
-    threads: Option<usize>,
-    updates: &[ClientUpdate],
-) -> Vec<f64> {
-    let mut accs = vec![0.0f64; updates.len()];
-    pool::install(threads, || {
-        pool::for_each_slot(&mut accs, |i, slot| {
-            let mut net = materialize(factory, &updates[i].state);
-            *slot = accuracy(&mut net, test);
-        });
-    });
-    accs
 }
 
 /// Backdoor attack success rate of `net` against the given backdoor, probed

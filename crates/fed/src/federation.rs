@@ -4,13 +4,11 @@ use goldfish_data::Dataset;
 use goldfish_nn::Network;
 use serde::{Deserialize, Serialize};
 
-use crate::aggregate::AggregationStrategy;
 use crate::trainer::TrainConfig;
 use crate::transport::{
-    collect_round, round_nonce, round_seed, LoopbackClients, RoundTransport, StateLenError,
-    TrainAssign,
+    round_nonce, round_seed, LoopbackClients, RoundRuntime, StateLenError, TrainAssign, Weighting,
 };
-use crate::{eval, pool, ModelFactory};
+use crate::{eval, ModelFactory};
 
 /// A federated-learning simulation: one server, `n` clients holding local
 /// datasets, and a shared model architecture.
@@ -27,6 +25,7 @@ pub struct Federation {
     test: Dataset,
     cfg: TrainConfig,
     eval_clients: bool,
+    adaptive: bool,
     threads: Option<usize>,
     global: Vec<f32>,
 }
@@ -38,6 +37,7 @@ pub struct FederationBuilder {
     test: Dataset,
     cfg: TrainConfig,
     eval_clients: bool,
+    adaptive: bool,
     threads: Option<usize>,
     init_seed: u64,
 }
@@ -52,6 +52,7 @@ impl Federation {
             test,
             cfg: TrainConfig::default(),
             eval_clients: false,
+            adaptive: false,
             threads: None,
             init_seed: 0,
         }
@@ -128,26 +129,22 @@ impl Federation {
     }
 
     /// Runs one federated round: every client trains locally from the
-    /// current global state (in parallel), the server evaluates each
-    /// upload (Eq 12's MSE, and test accuracy when
-    /// [`FederationBuilder::eval_clients`] is on), aggregates with
-    /// `strategy`, and installs the new global model.
+    /// current global state (in parallel), the server aggregates — FedAvg,
+    /// or Eqs 12–13 when [`FederationBuilder::adaptive_aggregation`] is on
+    /// — and installs the new global model. With
+    /// [`FederationBuilder::eval_clients`] on, each upload's test accuracy
+    /// is scored alongside its training.
     ///
-    /// The round is [`collect_round`] over the in-process
+    /// The round is [`RoundRuntime::run_hot`] over the in-process
     /// [`LoopbackClients`] transport; `goldfish-serve` drives the same
-    /// transport contract over TCP.
+    /// loop over TCP.
     ///
     /// # Panics
     ///
-    /// Panics if the federation has no clients.
-    pub fn run_round(
-        &mut self,
-        round: usize,
-        strategy: &dyn AggregationStrategy,
-        seed: u64,
-    ) -> RoundReport {
+    /// Panics if the federation has no clients or every client diverged.
+    pub fn run_round(&mut self, round: usize, seed: u64) -> RoundReport {
         assert!(!self.clients.is_empty(), "federation has no clients");
-        let mut transport = LoopbackClients::new(&self.factory, &self.clients, self.threads);
+        let mut clients = LoopbackClients::new(&self.factory, &self.clients, self.threads);
         let assign = TrainAssign {
             round,
             seed,
@@ -155,44 +152,40 @@ impl Federation {
             global: &self.global,
             cfg: &self.cfg,
         };
-        let mut cohort = Vec::new();
-        let mut updates = collect_round(assign.nonce, |sink, results| {
-            transport.cohort_into(&mut cohort);
-            transport.train_round(&assign, &cohort, sink, results);
-            transport.num_clients()
-        })
-        .expect("loopback clients never fail");
-        eval::fill_server_mse(&self.factory, &self.test, self.threads, &mut updates);
-        let client_accuracies = if self.eval_clients {
-            eval::client_accuracies(&self.factory, &self.test, self.threads, &updates)
+        let weighting = if self.adaptive {
+            Weighting::ServerMse {
+                factory: &self.factory,
+                test: &self.test,
+            }
         } else {
-            Vec::new()
+            Weighting::Samples
         };
-        self.global = pool::install(self.threads, || strategy.aggregate(&updates));
+        if self.eval_clients {
+            clients = clients.scoring_on(&self.test);
+        }
+        let mut runtime = RoundRuntime::new(self.threads, 0);
+        let mut global = Vec::new();
+        runtime
+            .run_hot(&mut clients, &assign, weighting, &mut global)
+            .expect("no loopback client delivered a finite update");
+        self.global = global;
         RoundReport {
             round,
             global_accuracy: self.global_accuracy(),
-            client_accuracies,
-            client_sizes: updates.iter().map(|u| u.num_samples).collect(),
+            client_accuracies: clients.accuracies().to_vec(),
+            client_sizes: runtime.last_cohort().iter().map(|&(_, n)| n).collect(),
         }
     }
 
     /// Runs `rounds` federated rounds.
-    pub fn train_rounds(
-        &mut self,
-        rounds: usize,
-        strategy: &dyn AggregationStrategy,
-        seed: u64,
-    ) -> TrainReport {
+    pub fn train_rounds(&mut self, rounds: usize, seed: u64) -> TrainReport {
         let mut report = TrainReport {
             rounds: Vec::with_capacity(rounds),
         };
         for r in 0..rounds {
             // The shared derivation keeps daemons/benchmarks replaying a
             // schedule bitwise aligned with this loop.
-            report
-                .rounds
-                .push(self.run_round(r, strategy, round_seed(seed, r)));
+            report.rounds.push(self.run_round(r, round_seed(seed, r)));
         }
         report
     }
@@ -237,6 +230,14 @@ impl FederationBuilder {
         self
     }
 
+    /// Aggregates with the adaptive weights of Eqs 12–13 (each upload
+    /// weighted by its server-side test MSE) instead of FedAvg's sample
+    /// counts (the default).
+    pub fn adaptive_aggregation(mut self, yes: bool) -> Self {
+        self.adaptive = yes;
+        self
+    }
+
     /// Pins this federation's compute-pool size. Defaults to the process
     /// default (see [`crate::pool::set_default_threads`]); results are
     /// identical at every thread count.
@@ -261,6 +262,7 @@ impl FederationBuilder {
             test: self.test,
             cfg: self.cfg,
             eval_clients: self.eval_clients,
+            adaptive: self.adaptive,
             threads: self.threads,
             global,
         }
@@ -298,7 +300,6 @@ impl TrainReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::aggregate::FedAvg;
     use goldfish_data::partition;
     use goldfish_data::synthetic::{self, SyntheticSpec};
     use goldfish_nn::zoo;
@@ -332,7 +333,7 @@ mod tests {
     fn federated_training_improves_accuracy() {
         let mut fed = small_federation(3, false);
         let before = fed.global_accuracy();
-        let report = fed.train_rounds(4, &FedAvg, 0);
+        let report = fed.train_rounds(4, 0);
         let after = report.final_accuracy();
         assert!(
             after > before + 0.2,
@@ -343,7 +344,7 @@ mod tests {
     #[test]
     fn round_reports_carry_sizes() {
         let mut fed = small_federation(4, false);
-        let report = fed.run_round(0, &FedAvg, 0);
+        let report = fed.run_round(0, 0);
         assert_eq!(report.client_sizes.len(), 4);
         assert_eq!(report.client_sizes.iter().sum::<usize>(), 240);
         assert!(report.client_accuracies.is_empty());
@@ -352,7 +353,7 @@ mod tests {
     #[test]
     fn eval_clients_populates_accuracies() {
         let mut fed = small_federation(3, true);
-        let report = fed.run_round(0, &FedAvg, 0);
+        let report = fed.run_round(0, 0);
         assert_eq!(report.client_accuracies.len(), 3);
         assert!(report
             .client_accuracies
@@ -364,7 +365,7 @@ mod tests {
     fn deterministic_given_seed() {
         let run = || {
             let mut fed = small_federation(2, false);
-            fed.train_rounds(2, &FedAvg, 123);
+            fed.train_rounds(2, 123);
             fed.global_state().to_vec()
         };
         assert_eq!(run(), run());

@@ -6,20 +6,22 @@
 //! * [`trainer`] — local SGD training of a client model, and
 //!   [`trainer::TrainLane`], the reusable network + workspace + optimizer
 //!   every long-lived trainer keeps one of per executing thread,
-//! * [`aggregate`] — the [`aggregate::AggregationStrategy`] trait and the
-//!   FedAvg baseline (McMahan et al.), operating on flattened state
-//!   vectors, and [`aggregate::RoundAccumulator`], the one fixed-slot
-//!   accumulator behind every serve-side [`aggregate::AggregationMode`],
+//! * [`aggregate`] — aggregation of flattened state vectors:
+//!   [`aggregate::RoundAccumulator`], the one fixed-slot accumulator
+//!   behind every round (FedAvg after McMahan et al., the Eq 12–13
+//!   [`aggregate::adaptive_weights`], and every serve-side
+//!   [`aggregate::AggregationMode`]), and [`aggregate::weighted_mean`],
+//!   its buffered oracle,
 //! * [`eval`] — model evaluation over datasets (accuracy, server-side MSE
 //!   for Eq 12, prediction distributions, backdoor success),
-//! * [`federation`] — the round loop: clients train in parallel on the
-//!   shared pool, the server aggregates and re-broadcasts,
+//! * [`federation`] — the simulated federation: clients train in
+//!   parallel on the shared pool, the server aggregates and re-broadcasts,
 //! * [`transport`] — the server↔client transport abstraction: the
 //!   [`transport::RoundTransport`] contract, the in-process
-//!   [`transport::LoopbackClients`] implementation, the streaming
-//!   [`transport::RoundRuntime`] round loop and its buffering
-//!   [`transport::collect_round`] adapter (`goldfish-serve` adds the TCP
-//!   implementation),
+//!   [`transport::LoopbackClients`] implementation and
+//!   [`transport::RoundRuntime`], the one round loop every federation,
+//!   coordinator and unlearning drain runs on (`goldfish-serve` adds the
+//!   TCP implementation),
 //! * [`pool`] — the shared rayon compute pool with a configurable thread
 //!   count; every parallel federated step (client training, evaluation,
 //!   chunked aggregation) runs on it.
@@ -32,7 +34,7 @@
 //! ```
 //! use std::sync::Arc;
 //! use goldfish_data::synthetic::{self, SyntheticSpec};
-//! use goldfish_fed::{aggregate::FedAvg, federation::Federation, trainer::TrainConfig};
+//! use goldfish_fed::{federation::Federation, trainer::TrainConfig};
 //! use goldfish_nn::zoo;
 //! use rand::{rngs::StdRng, SeedableRng};
 //!
@@ -44,9 +46,10 @@
 //! });
 //! let mut fed = Federation::builder(factory, test)
 //!     .train_config(TrainConfig { local_epochs: 1, ..TrainConfig::default() })
+//!     .adaptive_aggregation(true)
 //!     .add_client(train)
 //!     .build();
-//! let report = fed.train_rounds(1, &FedAvg, 7);
+//! let report = fed.train_rounds(1, 7);
 //! assert_eq!(report.rounds.len(), 1);
 //! ```
 

@@ -1,8 +1,8 @@
 //! The transport abstraction between the federated round loop and its
 //! clients.
 //!
-//! Algorithm 1 has one round shape — broadcast ω, clients train in
-//! parallel, aggregate — and this module gives it one entry point:
+//! Algorithm 1 has one round shape — broadcast ω, clients work in
+//! parallel, aggregate — and this module gives it one driver:
 //!
 //! * [`RoundTransport`] — the server-side contract: ship one round's
 //!   [`TrainAssign`] to a **cohort** of live clients and stream each
@@ -12,19 +12,19 @@
 //! * [`LoopbackClients`] — the in-process implementation: the parallel
 //!   client execution the library's `Federation` runs, pinned bitwise by
 //!   `tests/runtime_identity.rs`,
-//! * [`RoundRuntime`] — the streaming round loop: admission checks,
-//!   straggler drop + re-round, fold-on-arrival aggregation,
-//! * [`collect_round`] — the buffering adapter over the same sink shape
-//!   for callers that need the whole cohort at once (Eq 12's adaptive
-//!   weights): copies each delivered update, sorts by client id, and
-//!   applies the same nonce / duplicate / progress rules,
+//! * [`RoundRuntime`] — the one round loop: admission checks, straggler
+//!   and violator drop + re-round, and aggregation under the round's
+//!   [`Weighting`] — FedAvg sample counts folded on arrival, or Eq 12's
+//!   server-MSE weights over the held cohort. Training rounds, `Federation`
+//!   rounds and distillation drains (through `goldfish-core`'s adapter)
+//!   all run on it,
 //! * [`client_seed`] — the one place the per-client per-round RNG seed is
 //!   derived, shared by every transport so remote workers reproduce the
 //!   in-process run bit for bit.
 //!
 //! The networked implementation (`TcpTransport` in `goldfish-serve`) speaks
 //! a length-prefixed binary protocol over `std::net` and plugs into the
-//! same loops; DESIGN.md §10 specifies the wire format and the determinism
+//! same loop; DESIGN.md §10 specifies the wire format and the determinism
 //! argument.
 
 use goldfish_data::Dataset;
@@ -35,11 +35,10 @@ use goldfish_telemetry::registry::{Counter, Gauge, Histogram, Registry};
 use std::collections::BTreeSet;
 
 use crate::aggregate::{
-    clip_update_into, delta_norm, l2_norm, AggregateError, AggregationMode, ClientUpdate,
-    RoundAccumulator,
+    clip_update_into, delta_norm, l2_norm, AggregateError, AggregationMode, RoundAccumulator,
 };
 use crate::trainer::{train_local_ce, TrainConfig};
-use crate::{pool, ModelFactory};
+use crate::{eval, pool, ModelFactory};
 
 /// Derives the seed of client `id` in round `round` from the round-loop
 /// base seed. Every transport (in-process or remote) must use this exact
@@ -317,12 +316,8 @@ pub type UpdateSink<'s> = dyn FnMut(StreamedUpdate<'_>) -> Result<(), TransportE
 ///
 /// A failed client is expected to be dropped from the live set, so later
 /// rounds (and re-round attempts) simply no longer include it. Arrival
-/// order is **unspecified**: [`RoundRuntime`] folds order-invariantly and
-/// [`collect_round`] sorts by client id.
+/// order is **unspecified**: [`RoundRuntime`] folds order-invariantly.
 pub trait RoundTransport {
-    /// Number of currently live clients.
-    fn num_clients(&self) -> usize;
-
     /// The live registry: `(client_id, num_samples)` of every live
     /// client, **strictly ascending by id**, written into `out` (cleared
     /// first, so a warm vector never reallocates).
@@ -365,6 +360,9 @@ pub struct LoopbackClients<'a> {
     factory: &'a ModelFactory,
     clients: &'a [Dataset],
     threads: Option<usize>,
+    /// The test set each trained client is scored on, when asked.
+    scored: Option<&'a Dataset>,
+    accuracies: Vec<f64>,
 }
 
 impl<'a> LoopbackClients<'a> {
@@ -374,15 +372,26 @@ impl<'a> LoopbackClients<'a> {
             factory,
             clients,
             threads,
+            scored: None,
+            accuracies: Vec::new(),
         }
+    }
+
+    /// Also scores every upload's accuracy on `test`, in parallel with
+    /// the training that produced it (Fig 8's per-client error bars).
+    pub fn scoring_on(mut self, test: &'a Dataset) -> Self {
+        self.scored = Some(test);
+        self
+    }
+
+    /// The last round attempt's upload accuracies, in cohort order
+    /// (empty unless [`LoopbackClients::scoring_on`]).
+    pub fn accuracies(&self) -> &[f64] {
+        &self.accuracies
     }
 }
 
 impl RoundTransport for LoopbackClients<'_> {
-    fn num_clients(&self) -> usize {
-        self.clients.len()
-    }
-
     fn cohort_into(&self, out: &mut Vec<(usize, usize)>) {
         out.clear();
         out.extend(self.clients.iter().enumerate().map(|(id, d)| (id, d.len())));
@@ -395,21 +404,27 @@ impl RoundTransport for LoopbackClients<'_> {
         sink: &mut UpdateSink<'_>,
         results: &mut Vec<Result<(), TransportError>>,
     ) {
-        let factory = self.factory;
-        let clients = self.clients;
-        let mut states: Vec<Vec<f32>> = vec![Vec::new(); cohort.len()];
+        let (factory, clients, scored) = (self.factory, self.clients, self.scored);
+        let mut uploads: Vec<(Vec<f32>, f64)> = vec![(Vec::new(), 0.0); cohort.len()];
         pool::install(self.threads, || {
-            pool::for_each_slot(&mut states, |i, slot| {
+            pool::for_each_slot(&mut uploads, |i, (state, accuracy)| {
                 let id = cohort[i].0;
                 let seed = client_seed(assign.seed, id, assign.round);
                 let mut net = (factory)(seed);
                 net.set_state_vector(assign.global);
                 train_local_ce(&mut net, &clients[id], assign.cfg, seed);
-                *slot = net.state_vector();
+                *state = net.state_vector();
+                if let Some(test) = scored {
+                    *accuracy = eval::accuracy(&mut net, test);
+                }
             });
         });
+        self.accuracies.clear();
+        if scored.is_some() {
+            self.accuracies.extend(uploads.iter().map(|u| u.1));
+        }
         results.clear();
-        results.extend(cohort.iter().zip(states).map(|(&(id, _), state)| {
+        results.extend(cohort.iter().zip(uploads).map(|(&(id, _), (state, _))| {
             sink(StreamedUpdate {
                 client_id: id,
                 num_samples: clients[id].len(),
@@ -432,73 +447,23 @@ fn check_nonce(u: &StreamedUpdate<'_>, want: u64) -> Result<(), TransportError> 
     })
 }
 
-/// The buffering adapter over the streamed round shape, for callers that
-/// need the whole cohort's updates at once (Eq 12's adaptive weights).
-/// `attempt` runs one round attempt — [`RoundTransport::train_round`] or
-/// a distillation round — against the given sink and results vector and
-/// returns the transport's live-client count afterwards. Each delivered
-/// update is copied into a [`ClientUpdate`] after the echoed-nonce check
-/// (`nonce` is the round's [`round_nonce`]).
-///
-/// Straggler policy is [`RoundRuntime::run_hot`]'s: when some clients
-/// fail and the transport dropped them, the round is **re-run** over the
-/// survivors (client training is deterministic given the assignment, so a
-/// re-round costs time, never changes results); a failure that did not
-/// shrink the live set is returned instead of retried forever.
-///
-/// Returns the updates sorted by client id (arrival order erased).
-///
-/// # Errors
-///
-/// [`TransportError::NoLiveClients`] when nobody delivered,
-/// [`TransportError::DuplicateUpdate`] on a second update from one
-/// client, otherwise the first client error of a non-shrinking attempt.
-pub fn collect_round<F>(nonce: u64, mut attempt: F) -> Result<Vec<ClientUpdate>, TransportError>
-where
-    F: FnMut(&mut UpdateSink<'_>, &mut Vec<Result<(), TransportError>>) -> usize,
-{
-    let mut updates: Vec<ClientUpdate> = Vec::new();
-    let mut results = Vec::new();
-    loop {
-        updates.clear();
-        let live = attempt(
-            &mut |u: StreamedUpdate<'_>| {
-                check_nonce(&u, nonce)?;
-                updates.push(ClientUpdate {
-                    client_id: u.client_id,
-                    state: u.state.to_vec(),
-                    num_samples: u.num_samples,
-                    server_mse: None,
-                });
-                Ok(())
-            },
-            &mut results,
-        );
-        if updates.is_empty() {
-            return Err(TransportError::NoLiveClients);
-        }
-        if let Some(e) = results.iter().find_map(|r| r.as_ref().err()) {
-            if live > 0 && live < results.len() {
-                // The transport dropped the failures from its live set;
-                // redo the round over the survivors.
-                continue;
-            }
-            return Err(e.clone());
-        }
-        updates.sort_by_key(|u| u.client_id);
-        // A second update from one client is a protocol violation, not
-        // something to silently drop: folding either copy would let a
-        // duplicating client double its aggregation weight unnoticed.
-        if let Some(w) = updates
-            .windows(2)
-            .find(|w| w[0].client_id == w[1].client_id)
-        {
-            return Err(TransportError::DuplicateUpdate {
-                client_id: w[0].client_id,
-            });
-        }
-        return Ok(updates);
-    }
+/// How a [`RoundRuntime::run_hot`] round weights its cohort (Eq 13's
+/// mean is the same; only the weights differ).
+#[derive(Clone, Copy)]
+pub enum Weighting<'a> {
+    /// FedAvg: each client's registered sample count, folded as updates
+    /// arrive.
+    Samples,
+    /// Eqs 12–13: the round holds every admitted update, scores each by
+    /// its server-side MSE on `test` ([`eval::mse`] of the uploaded
+    /// state), and folds with the [`crate::aggregate::adaptive_weights`]
+    /// of those scores.
+    ServerMse {
+        /// Builds the network each upload is scored on.
+        factory: &'a ModelFactory,
+        /// The server's held-out test set.
+        test: &'a Dataset,
+    },
 }
 
 /// The round loop's robustness policy (DESIGN.md §13): which fold to
@@ -690,21 +655,21 @@ impl RoundMetrics {
     }
 }
 
-/// The persistent streaming round loop — the serve coordinator's hot
-/// path. Where [`collect_round`] buffers all N updates, sorts them and
-/// hands the batch to a [`crate::aggregate::AggregationStrategy`], a
-/// `RoundRuntime` folds each update into a [`RoundAccumulator`] **as it
-/// arrives** (FedAvg weights from the transport's registry), so
-/// aggregation overlaps with
-/// stragglers' I/O, memory holds at most the configured window of
-/// resident updates, and a warm runtime performs **zero heap
-/// allocations per round** on a single-thread pool (pinned by
-/// `tests/alloc_free_round.rs`; larger pools pay only the scope
-/// machinery's task-queue allocations, never per-update state buffers).
+/// The one federated round loop, behind coordinator training rounds,
+/// `Federation` rounds and distillation drains alike. A `RoundRuntime`
+/// feeds each update into a [`RoundAccumulator`] **as it arrives**: under
+/// [`Weighting::Samples`] it folds on arrival (FedAvg weights from the
+/// transport's registry), so aggregation overlaps with stragglers' I/O,
+/// memory holds at most the configured window of resident updates, and a
+/// warm runtime performs **zero heap allocations per round** on a
+/// single-thread pool (pinned by `tests/alloc_free_round.rs`; larger
+/// pools pay only the scope machinery's task-queue allocations, never
+/// per-update state buffers). Under [`Weighting::ServerMse`] it holds the
+/// cohort and applies Eqs 12–13 once it is complete.
 ///
 /// Under the default [`RobustConfig`] (mean, no quorum, no bounds) the
-/// aggregate is bitwise identical to [`collect_round`] + `FedAvg` over
-/// the same cohort — see [`RoundAccumulator`] for the
+/// aggregate is bitwise identical to [`crate::aggregate::weighted_mean`]
+/// over the same cohort and weights — see [`RoundAccumulator`] for the
 /// argument and DESIGN.md §11/§13 for the invariants. The runtime also
 /// owns the **admission layer** (nonce, delta-norm, duplicate, finite
 /// checks) and the per-client strike/quarantine reputation state, so
@@ -897,6 +862,22 @@ impl RoundRuntime {
         });
     }
 
+    /// Applies Eqs 12–13 to a held round about to finish: every held
+    /// upload is scored by its server-side MSE, in parallel on the
+    /// runtime's threads. A no-op under [`Weighting::Samples`].
+    fn reweight(&mut self, weighting: Weighting<'_>) {
+        if let Weighting::ServerMse { factory, test } = weighting {
+            let agg = &mut self.agg;
+            pool::install(self.threads, || {
+                agg.reweight_adaptive(|state| {
+                    let mut net = (factory)(0);
+                    net.set_state_vector(state);
+                    eval::mse(&mut net, test)
+                })
+            });
+        }
+    }
+
     /// Rebuilds `self.cohort`: the pinned members that are still live,
     /// not quarantined and not excluded this round — a mid-round
     /// disconnect shrinks the attempt, it never re-draws (DESIGN.md §14).
@@ -944,6 +925,7 @@ impl RoundRuntime {
         &mut self,
         transport: &mut dyn RoundTransport,
         assign: &TrainAssign<'_>,
+        weighting: Weighting<'_>,
         global_out: &mut Vec<f32>,
     ) -> Result<(), TransportError> {
         // Violators excluded from this round's later attempts (strike
@@ -1007,6 +989,9 @@ impl RoundRuntime {
             };
             self.agg
                 .begin(self.robust.mode, &self.weights, assign.global.len(), window);
+            if let Weighting::ServerMse { .. } = weighting {
+                self.agg.hold();
+            }
             let clip_limit = match self.robust.mode {
                 AggregationMode::NormClipped { limit } => Some(limit),
                 _ => None,
@@ -1054,21 +1039,12 @@ impl RoundRuntime {
                     // Norm policy: clip under NormClipped (an update
                     // under the limit passes through bitwise-untouched),
                     // reject over an explicit admission bound otherwise.
+                    let mut state = u.state;
                     if let Some(limit) = clip_limit {
                         let rel = delta_norm(assign.global, u.state) / (1.0 + global_norm);
                         if rel.is_finite() && rel > limit {
                             clip_update_into(assign.global, u.state, limit / rel, clip_buf);
-                            let fold_start = metrics.clock.now_nanos();
-                            let folded = agg
-                                .offer(u.client_id, clip_buf)
-                                .map_err(|e| map_aggregate_error(u.client_id, e));
-                            metrics.agg_fold_seconds.observe_nanos(
-                                metrics.clock.now_nanos().saturating_sub(fold_start),
-                            );
-                            if folded.is_ok() {
-                                metrics.updates_admitted_total.inc();
-                            }
-                            return folded;
+                            state = clip_buf;
                         }
                     } else if let Some(limit) = max_delta {
                         let rel = delta_norm(assign.global, u.state) / (1.0 + global_norm);
@@ -1081,7 +1057,7 @@ impl RoundRuntime {
                     }
                     let fold_start = metrics.clock.now_nanos();
                     let folded = agg
-                        .offer(u.client_id, u.state)
+                        .offer(u.client_id, state)
                         .map_err(|e| map_aggregate_error(u.client_id, e));
                     metrics
                         .agg_fold_seconds
@@ -1148,6 +1124,7 @@ impl RoundRuntime {
             if self.agg.is_complete() {
                 // Every cohort member folded; late violations (e.g. a
                 // duplicate second frame) were already charged above.
+                self.reweight(weighting);
                 self.agg
                     .finish_into(global_out)
                     .expect("complete accumulator");
@@ -1166,6 +1143,7 @@ impl RoundRuntime {
                 let reported = self.agg.offered_count();
                 let needed = ((q * n_before as f64).ceil() as usize).clamp(1, n_before);
                 if reported >= needed {
+                    self.reweight(weighting);
                     self.agg
                         .finish_partial_into(global_out)
                         .expect("quorum implies a non-empty fold");
@@ -1191,7 +1169,7 @@ impl RoundRuntime {
                     // Progress is measured against the **pinned cohort**,
                     // not the whole registry: losing one sampled
                     // straggler leaves thousands of live clients, so
-                    // `num_clients()` would never shrink and the error
+                    // the registry would never shrink and the error
                     // would wrongly propagate.
                     self.refresh_cohort(transport, &excluded);
                     let remaining = self.cohort.len();
@@ -1230,7 +1208,7 @@ fn map_aggregate_error(client_id: usize, e: AggregateError) -> TransportError {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::aggregate::{AggregationStrategy, FedAvg};
+    use crate::aggregate::{adaptive_weights, weighted_mean, ClientUpdate};
     use goldfish_data::synthetic::{self, SyntheticSpec};
     use goldfish_nn::zoo;
     use rand::{rngs::StdRng, SeedableRng};
@@ -1253,6 +1231,28 @@ mod tests {
         (factory, vec![c0, c1], test, cfg)
     }
 
+    /// The oracle round: every client trained directly from the
+    /// assignment, in id order.
+    fn direct_updates(
+        factory: &ModelFactory,
+        clients: &[Dataset],
+        assign: &TrainAssign<'_>,
+    ) -> Vec<ClientUpdate> {
+        (0..clients.len())
+            .map(|id| {
+                let seed = client_seed(assign.seed, id, assign.round);
+                let mut net = (factory)(seed);
+                net.set_state_vector(assign.global);
+                train_local_ce(&mut net, &clients[id], assign.cfg, seed);
+                ClientUpdate {
+                    client_id: id,
+                    state: net.state_vector(),
+                    num_samples: clients[id].len(),
+                }
+            })
+            .collect()
+    }
+
     #[test]
     fn loopback_matches_direct_execution() {
         let (factory, clients, _test, cfg) = fixture();
@@ -1265,133 +1265,29 @@ mod tests {
             global: &global,
             cfg: &cfg,
         };
-        let updates = collect_full(&mut lb, &assign).unwrap();
-        assert_eq!(updates.len(), 2);
-        for (id, u) in updates.iter().enumerate() {
-            assert_eq!(u.client_id, id);
-            let seed = client_seed(9, id, 3);
-            let mut net = (factory)(seed);
-            net.set_state_vector(&global);
-            train_local_ce(&mut net, &clients[id], &cfg, seed);
-            assert_eq!(u.state, net.state_vector());
-        }
-    }
-
-    /// One buffered full-registry round: `collect_round` over
-    /// `train_round` with the live registry as the cohort.
-    fn collect_full(
-        transport: &mut dyn RoundTransport,
-        assign: &TrainAssign<'_>,
-    ) -> Result<Vec<ClientUpdate>, TransportError> {
         let mut cohort = Vec::new();
-        collect_round(assign.nonce, |sink, results| {
-            transport.cohort_into(&mut cohort);
-            transport.train_round(assign, &cohort, sink, results);
-            transport.num_clients()
-        })
-    }
-
-    const NONCE: u64 = 0xA11CE;
-
-    /// One scripted `collect_round` attempt: `Ok((id, nonce))` frames go
-    /// through the sink, `Err`s are reported verbatim.
-    fn replay(
-        frames: &[Result<(usize, u64), TransportError>],
-        sink: &mut UpdateSink<'_>,
-        results: &mut Vec<Result<(), TransportError>>,
-    ) {
-        results.clear();
-        results.extend(frames.iter().map(|f| match f {
-            Ok((id, nonce)) => sink(StreamedUpdate {
-                client_id: *id,
-                num_samples: 1,
-                nonce: *nonce,
-                state: &[*id as f32],
-            }),
-            Err(e) => Err(e.clone()),
-        }));
-    }
-
-    #[test]
-    fn collect_round_reorders_and_retries() {
-        // First attempt: client 1 delivered, client 0 failed and was
-        // dropped → re-round. Second attempt: only client 1 (survivor).
-        let mut calls = 0;
-        let got = collect_round(NONCE, |sink, results| {
-            calls += 1;
-            if calls == 1 {
-                let timeout = TransportError::Timeout { client_id: 0 };
-                replay(&[Err(timeout), Ok((1, NONCE))], sink, results);
-            } else {
-                replay(&[Ok((1, NONCE))], sink, results);
-            }
-            1
-        })
-        .unwrap();
-        assert_eq!(calls, 2);
-        assert_eq!(got.len(), 1);
-        assert_eq!(got[0].client_id, 1);
-        assert_eq!(got[0].state, vec![1.0]);
-    }
-
-    #[test]
-    fn collect_round_sorts_arrival_order() {
-        let frames = [Ok((2, NONCE)), Ok((0, NONCE)), Ok((1, NONCE))];
-        let got = collect_round(NONCE, |sink, results| {
-            replay(&frames, sink, results);
-            3
-        })
-        .unwrap();
-        let ids: Vec<usize> = got.iter().map(|u| u.client_id).collect();
-        assert_eq!(ids, vec![0, 1, 2]);
-    }
-
-    #[test]
-    fn collect_round_reports_dead_federation() {
-        let got = collect_round(NONCE, |sink, results| {
-            replay(
-                &[Err(TransportError::Timeout { client_id: 0 })],
-                sink,
-                results,
-            );
-            0
-        });
-        assert_eq!(got, Err(TransportError::NoLiveClients));
-        let got = collect_round(NONCE, |sink, results| {
-            replay(&[], sink, results);
-            0
-        });
-        assert_eq!(got, Err(TransportError::NoLiveClients));
-    }
-
-    #[test]
-    fn collect_round_returns_a_failure_that_shrinks_nothing() {
-        // Client 1 keeps echoing a stale nonce and the transport keeps
-        // its connection (TCP does, for `Rejected`): the live set never
-        // shrinks, so re-rounding can never succeed — the typed error
-        // must come back after a bounded number of attempts.
-        let mut calls = 0;
-        let got = collect_round(NONCE, |sink, results| {
-            calls += 1;
-            assert!(calls < 10, "collect_round is spinning");
-            replay(&[Ok((0, NONCE)), Ok((1, 0xDEAD))], sink, results);
-            2
-        });
-        assert_eq!(
-            got,
-            Err(TransportError::Rejected {
-                client_id: 1,
-                violation: UpdateViolation::StaleNonce {
-                    got: 0xDEAD,
-                    want: NONCE
-                },
-            })
+        lb.cohort_into(&mut cohort);
+        let (mut got, mut results) = (Vec::new(), Vec::new());
+        lb.train_round(
+            &assign,
+            &cohort,
+            &mut |u| {
+                got.push((u.client_id, u.num_samples, u.nonce, u.state.to_vec()));
+                Ok(())
+            },
+            &mut results,
         );
+        assert_eq!(results, vec![Ok(()), Ok(())]);
+        let want = direct_updates(&factory, &clients, &assign);
+        for ((id, n, nonce, state), u) in got.into_iter().zip(want) {
+            assert_eq!((id, n, nonce), (u.client_id, u.num_samples, assign.nonce));
+            assert_eq!(state, u.state);
+        }
     }
 
     #[test]
     fn round_runtime_matches_buffered_round_bitwise() {
-        let (factory, clients, _test, cfg) = fixture();
+        let (factory, clients, test, cfg) = fixture();
         let global = (factory)(1).state_vector();
         let assign = TrainAssign {
             round: 2,
@@ -1400,22 +1296,45 @@ mod tests {
             global: &global,
             cfg: &cfg,
         };
-        // Buffered reference: collect → sort → FedAvg.
-        let mut lb = LoopbackClients::new(&factory, &clients, Some(2));
-        let buffered = FedAvg.aggregate(&collect_full(&mut lb, &assign).unwrap());
+        // The oracle: direct training, then `weighted_mean` over sample
+        // counts or over Eq 12's weights of each state's test MSE.
+        let updates = direct_updates(&factory, &clients, &assign);
+        let samples: Vec<f64> = updates.iter().map(|u| u.num_samples as f64).collect();
+        let mses: Vec<f64> = updates
+            .iter()
+            .map(|u| {
+                let mut net = (factory)(0);
+                net.set_state_vector(&u.state);
+                eval::mse(&mut net, &test)
+            })
+            .collect();
+        let fedavg = weighted_mean(&updates, &samples);
+        let adaptive = weighted_mean(&updates, &adaptive_weights(&mses));
+        assert_ne!(fedavg, adaptive);
 
-        // Streaming path, several windows and thread counts.
+        // The runtime, several windows and thread counts.
         for (threads, window) in [(1, 0), (2, 0), (4, 1), (2, 64)] {
             let mut rt = RoundRuntime::new(Some(threads), window);
-            let mut lb = LoopbackClients::new(&factory, &clients, Some(threads));
-            let mut got = Vec::new();
-            rt.run_hot(&mut lb, &assign, &mut got).unwrap();
-            assert_eq!(
-                got.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                buffered.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                "threads {threads} window {window}"
-            );
-            assert!(rt.peak_resident() <= clients.len());
+            for (weighting, want) in [
+                (Weighting::Samples, &fedavg),
+                (
+                    Weighting::ServerMse {
+                        factory: &factory,
+                        test: &test,
+                    },
+                    &adaptive,
+                ),
+            ] {
+                let mut lb = LoopbackClients::new(&factory, &clients, Some(threads));
+                let mut got = Vec::new();
+                rt.run_hot(&mut lb, &assign, weighting, &mut got).unwrap();
+                assert_eq!(
+                    got.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                    want.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                    "threads {threads} window {window}"
+                );
+                assert!(rt.peak_resident() <= clients.len());
+            }
         }
     }
 
@@ -1426,73 +1345,46 @@ mod tests {
         // out-of-order arrivals overflow, and because the live set did
         // not shrink, `run_hot` must propagate the typed error instead
         // of re-rounding forever.
-        struct ReverseFeed {
-            updates: Vec<ClientUpdate>,
-        }
-        impl RoundTransport for ReverseFeed {
-            fn num_clients(&self) -> usize {
-                self.updates.len()
-            }
-            fn cohort_into(&self, out: &mut Vec<(usize, usize)>) {
-                out.clear();
-                out.extend(self.updates.iter().map(|u| (u.client_id, u.num_samples)));
-            }
-            fn train_round(
-                &mut self,
-                assign: &TrainAssign<'_>,
-                cohort: &[(usize, usize)],
-                sink: &mut UpdateSink<'_>,
-                results: &mut Vec<Result<(), TransportError>>,
-            ) {
-                results.clear();
-                results.extend(cohort.iter().rev().map(|&(id, _)| {
-                    let u = &self.updates[id];
-                    sink(StreamedUpdate {
-                        client_id: u.client_id,
-                        num_samples: u.num_samples,
-                        nonce: assign.nonce,
-                        state: &u.state,
-                    })
-                }));
-            }
-        }
-
         let updates: Vec<ClientUpdate> = (0..4)
             .map(|id| ClientUpdate {
                 client_id: id,
                 state: vec![id as f32; 3],
                 num_samples: 5,
-                server_mse: None,
             })
             .collect();
         let cfg = TrainConfig::default();
         let global = vec![0.0f32; 3];
-        let assign = TrainAssign {
-            round: 0,
-            seed: 0,
-            nonce: 0,
-            global: &global,
-            cfg: &cfg,
-        };
-
-        let mut transport = ReverseFeed {
-            updates: updates.clone(),
+        let assign = scripted_assign(&global, &cfg);
+        let mut transport = ScriptedFeed {
+            cohort: (0..4).map(|id| (id, 5)).collect(),
+            frames: updates
+                .iter()
+                .rev()
+                .map(|u| (u.client_id, 5, None, u.state.clone()))
+                .collect(),
+            timeouts: vec![],
+            quarantined: vec![],
         };
         let mut rt = RoundRuntime::new(Some(1), 1);
         let mut out = Vec::new();
-        let err = rt.run_hot(&mut transport, &assign, &mut out).unwrap_err();
+        let err = rt
+            .run_hot(&mut transport, &assign, Weighting::Samples, &mut out)
+            .unwrap_err();
         assert!(
             matches!(err, TransportError::UpdateWindowExceeded { limit: 1, .. }),
             "got {err:?}"
         );
         // No client was lost to the coordinator's own capacity policy.
-        assert_eq!(transport.num_clients(), 4);
+        let mut live = Vec::new();
+        transport.cohort_into(&mut live);
+        assert_eq!(live.len(), 4);
 
-        // A window that fits the reversal succeeds, bitwise equal to the
-        // buffered FedAvg.
+        // A window that fits the reversal succeeds, bitwise equal to
+        // `weighted_mean` over the sample counts.
         rt.set_window(4);
-        rt.run_hot(&mut transport, &assign, &mut out).unwrap();
-        assert_eq!(out, FedAvg.aggregate(&updates));
+        rt.run_hot(&mut transport, &assign, Weighting::Samples, &mut out)
+            .unwrap();
+        assert_eq!(out, weighted_mean(&updates, &[5.0; 4]));
         assert_eq!(rt.peak_resident(), 4);
     }
 
@@ -1531,9 +1423,6 @@ mod tests {
     }
 
     impl RoundTransport for ScriptedFeed {
-        fn num_clients(&self) -> usize {
-            self.cohort.len() - self.quarantined.len()
-        }
         fn cohort_into(&self, out: &mut Vec<(usize, usize)>) {
             out.clear();
             out.extend(
@@ -1583,13 +1472,23 @@ mod tests {
     }
 
     #[test]
-    fn collect_round_rejects_duplicates_typed() {
-        let frames = [Ok((0, NONCE)), Ok((1, NONCE)), Ok((0, NONCE))];
-        let got = collect_round(NONCE, |sink, results| {
-            replay(&frames, sink, results);
-            2
-        });
-        assert_eq!(got, Err(TransportError::DuplicateUpdate { client_id: 0 }));
+    fn zero_sample_clients_get_floor_weight() {
+        // A registered sample count of 0 weighs 1, so a fresh client
+        // still counts.
+        let cfg = TrainConfig::default();
+        let global = vec![0.0f32; 1];
+        let assign = scripted_assign(&global, &cfg);
+        let mut transport = ScriptedFeed {
+            cohort: vec![(0, 0), (1, 0)],
+            frames: vec![(0, 0, None, vec![2.0]), (1, 0, None, vec![4.0])],
+            timeouts: vec![],
+            quarantined: vec![],
+        };
+        let mut rt = RoundRuntime::new(Some(1), 0);
+        let mut out = Vec::new();
+        rt.run_hot(&mut transport, &assign, Weighting::Samples, &mut out)
+            .unwrap();
+        assert_eq!(out, vec![3.0]);
     }
 
     #[test]
@@ -1613,7 +1512,8 @@ mod tests {
             ..RobustConfig::default()
         });
         let mut out = Vec::new();
-        rt.run_hot(&mut transport, &assign, &mut out).unwrap();
+        rt.run_hot(&mut transport, &assign, Weighting::Samples, &mut out)
+            .unwrap();
         // The attacker is excluded; the round folds clients 0 and 2.
         assert_eq!(out, vec![2.0]);
         assert!(rt.is_quarantined(1));
@@ -1637,7 +1537,8 @@ mod tests {
             }
         ));
         // Later rounds never include the quarantined client again.
-        rt.run_hot(&mut transport, &assign, &mut out).unwrap();
+        rt.run_hot(&mut transport, &assign, Weighting::Samples, &mut out)
+            .unwrap();
         assert_eq!(out, vec![2.0]);
         assert!(rt.drain_events().is_empty());
     }
@@ -1663,7 +1564,8 @@ mod tests {
             ..RobustConfig::default()
         });
         let mut out = Vec::new();
-        rt.run_hot(&mut transport, &assign, &mut out).unwrap();
+        rt.run_hot(&mut transport, &assign, Weighting::Samples, &mut out)
+            .unwrap();
         assert_eq!(out, vec![3.0]);
         assert!(!rt.last_outcome().degraded);
         assert_eq!(rt.strikes(0), 1);
@@ -1700,7 +1602,8 @@ mod tests {
             ..RobustConfig::default()
         });
         let mut out = Vec::new();
-        rt.run_hot(&mut transport, &assign, &mut out).unwrap();
+        rt.run_hot(&mut transport, &assign, Weighting::Samples, &mut out)
+            .unwrap();
         assert_eq!(out, vec![0.1, 0.1]);
         assert!(rt.is_quarantined(1));
     }
@@ -1726,7 +1629,8 @@ mod tests {
             ..RobustConfig::default()
         });
         let mut out = Vec::new();
-        rt.run_hot(&mut transport, &assign, &mut out).unwrap();
+        rt.run_hot(&mut transport, &assign, Weighting::Samples, &mut out)
+            .unwrap();
         assert_eq!(out, vec![1.0]); // mean of the three reported
         let outcome = rt.last_outcome();
         assert!(outcome.degraded);
@@ -1738,7 +1642,9 @@ mod tests {
             quorum: Some(0.9),
             ..RobustConfig::default()
         });
-        let err = rt.run_hot(&mut transport, &assign, &mut out).unwrap_err();
+        let err = rt
+            .run_hot(&mut transport, &assign, Weighting::Samples, &mut out)
+            .unwrap_err();
         assert_eq!(err, TransportError::Timeout { client_id: 3 });
     }
 
@@ -1766,7 +1672,8 @@ mod tests {
             let mut rt = RoundRuntime::new(Some(1), 0);
             rt.set_robustness(robust);
             let mut out = Vec::new();
-            rt.run_hot(&mut transport, &assign, &mut out).unwrap();
+            rt.run_hot(&mut transport, &assign, Weighting::Samples, &mut out)
+                .unwrap();
             out.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
         };
         let mean = run(RobustConfig::default());

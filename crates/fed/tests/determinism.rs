@@ -7,7 +7,7 @@ use std::sync::Arc;
 
 use goldfish_data::partition;
 use goldfish_data::synthetic::{self, SyntheticSpec};
-use goldfish_fed::aggregate::{weighted_mean, AggregationStrategy, ClientUpdate, FedAvg};
+use goldfish_fed::aggregate::{weighted_mean, ClientUpdate};
 use goldfish_fed::federation::Federation;
 use goldfish_fed::trainer::TrainConfig;
 use goldfish_fed::{pool, ModelFactory};
@@ -21,7 +21,6 @@ fn updates(clients: usize, params: usize, seed: u64) -> Vec<ClientUpdate> {
             client_id: id,
             state: (0..params).map(|_| rng.gen_range(-1.0f32..1.0)).collect(),
             num_samples: rng.gen_range(1..100),
-            server_mse: None,
         })
         .collect()
 }
@@ -38,11 +37,17 @@ fn weighted_mean_identical_across_thread_counts() {
     }
 }
 
+/// FedAvg: `weighted_mean` over sample counts.
+fn fedavg(ups: &[ClientUpdate]) -> Vec<f32> {
+    let weights: Vec<f64> = ups.iter().map(|u| u.num_samples as f64).collect();
+    weighted_mean(ups, &weights)
+}
+
 #[test]
 fn fedavg_identical_across_thread_counts() {
     let ups = updates(12, 40_000, 2);
-    let one = pool::install(Some(1), || FedAvg.aggregate(&ups));
-    let many = pool::install(Some(5), || FedAvg.aggregate(&ups));
+    let one = pool::install(Some(1), || fedavg(&ups));
+    let many = pool::install(Some(5), || fedavg(&ups));
     assert_eq!(one, many);
 }
 
@@ -347,7 +352,7 @@ fn federated_round_identical_across_thread_counts() {
             b = b.add_client(train.subset(p));
         }
         let mut fed = b.build();
-        fed.train_rounds(2, &FedAvg, 17);
+        fed.train_rounds(2, 17);
         fed.global_state().to_vec()
     };
     let one = run(1);

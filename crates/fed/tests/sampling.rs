@@ -7,12 +7,12 @@
 //! cohort, never re-draw it or disturb which registered clients are
 //! eligible for the next round.
 
-use goldfish_fed::aggregate::{AggregationStrategy, ClientUpdate, FedAvg};
+use goldfish_fed::aggregate::{weighted_mean, ClientUpdate};
 use goldfish_fed::sampling::{cohort_seed, cohort_size, sample_cohort_into, splitmix64};
 use goldfish_fed::trainer::TrainConfig;
 use goldfish_fed::transport::{
-    collect_round, round_nonce, RoundRuntime, RoundTransport, StreamedUpdate, TrainAssign,
-    TransportError, UpdateSink,
+    round_nonce, RoundRuntime, RoundTransport, StreamedUpdate, TrainAssign, TransportError,
+    UpdateSink, Weighting,
 };
 use proptest::prelude::*;
 use rand::{rngs::StdRng, Rng, SeedableRng};
@@ -136,9 +136,6 @@ impl RegistryFeed {
 }
 
 impl RoundTransport for RegistryFeed {
-    fn num_clients(&self) -> usize {
-        self.registry.len()
-    }
     fn cohort_into(&self, out: &mut Vec<(usize, usize)>) {
         out.clear();
         out.extend(self.registry.iter().copied());
@@ -171,6 +168,12 @@ impl RoundTransport for RegistryFeed {
         }
         self.registry.retain(|&(id, _)| !died.contains(&id));
     }
+}
+
+/// FedAvg: `weighted_mean` over sample counts.
+fn fedavg(updates: &[ClientUpdate]) -> Vec<f32> {
+    let weights: Vec<f64> = updates.iter().map(|u| u.num_samples as f64).collect();
+    weighted_mean(updates, &weights)
 }
 
 fn registry_of(n: usize) -> Vec<(usize, usize)> {
@@ -209,7 +212,8 @@ fn run_sampled(
     let mut rt = RoundRuntime::new(Some(threads), 0);
     rt.set_sampling(Some(fraction));
     let mut out = Vec::new();
-    rt.run_hot(&mut transport, &assign, &mut out).unwrap();
+    rt.run_hot(&mut transport, &assign, Weighting::Samples, &mut out)
+        .unwrap();
     (
         rt.last_cohort().to_vec(),
         out.iter().map(|v| v.to_bits()).collect(),
@@ -249,10 +253,9 @@ proptest! {
                 client_id,
                 state: feed.state_of(client_id),
                 num_samples,
-                server_mse: None,
             })
             .collect();
-        let oracle = FedAvg.aggregate(&updates);
+        let oracle = fedavg(&updates);
         prop_assert_eq!(&bits, &oracle.iter().map(|v| v.to_bits()).collect::<Vec<_>>());
         // Registration order + arrival order + thread count shuffled:
         // identical draw, identical aggregate.
@@ -287,7 +290,8 @@ fn full_fraction_matches_unsampled_round() {
         let mut rt = RoundRuntime::new(Some(1), 0);
         rt.set_sampling(sampling);
         let mut out = Vec::new();
-        rt.run_hot(&mut transport, &assign, &mut out).unwrap();
+        rt.run_hot(&mut transport, &assign, Weighting::Samples, &mut out)
+            .unwrap();
         transport.contacted.sort_unstable();
         (rt.last_cohort().to_vec(), out, transport.contacted)
     };
@@ -297,16 +301,22 @@ fn full_fraction_matches_unsampled_round() {
     assert_eq!(bits(&sampled), bits(&full));
     assert_eq!(sampled_contacts, full_contacts);
 
-    // The explicit full-registry cohort, through the buffering adapter
-    // and the `weighted_mean` oracle.
+    // The explicit full-registry cohort, fanned out directly, against
+    // the `weighted_mean` oracle over each client's state.
     let mut transport = RegistryFeed::new(registry_of(12), 11);
-    let updates = collect_round(assign.nonce, |sink, results| {
-        transport.train_round(&assign, &registry_of(12), sink, results);
-        transport.num_clients()
-    })
-    .unwrap();
+    let mut results = Vec::new();
+    transport.train_round(&assign, &registry_of(12), &mut |_| Ok(()), &mut results);
+    assert!(results.iter().all(|r| r.is_ok()));
     transport.contacted.sort_unstable();
-    assert_eq!(bits(&FedAvg.aggregate(&updates)), bits(&full));
+    let updates: Vec<ClientUpdate> = registry_of(12)
+        .into_iter()
+        .map(|(client_id, num_samples)| ClientUpdate {
+            client_id,
+            state: transport.state_of(client_id),
+            num_samples,
+        })
+        .collect();
+    assert_eq!(bits(&fedavg(&updates)), bits(&full));
     assert_eq!(transport.contacted, full_contacts);
     assert_eq!(full_contacts, (0..12).collect::<Vec<_>>());
 }
@@ -352,7 +362,8 @@ fn mid_round_disconnect_shrinks_pinned_cohort_and_spares_next_round() {
     rt.set_sampling(Some(fraction));
     let mut out = Vec::new();
     let assign = assign_at(1, seed_r, &global, &cfg);
-    rt.run_hot(&mut transport, &assign, &mut out).unwrap();
+    rt.run_hot(&mut transport, &assign, Weighting::Samples, &mut out)
+        .unwrap();
 
     // Round R aggregated over the pinned survivors only.
     let survivors: Vec<(usize, usize)> = pinned
@@ -374,6 +385,7 @@ fn mid_round_disconnect_shrinks_pinned_cohort_and_spares_next_round() {
     let seed_r1 = 4243u64;
     let expect_next = sample(cohort_seed(seed_r1), fraction, &without_dead);
     let assign = assign_at(2, seed_r1, &global, &cfg);
-    rt.run_hot(&mut transport, &assign, &mut out).unwrap();
+    rt.run_hot(&mut transport, &assign, Weighting::Samples, &mut out)
+        .unwrap();
     assert_eq!(rt.last_cohort(), expect_next.as_slice());
 }

@@ -12,7 +12,9 @@
 //!   request-then-retrain flow): drained requests are staged on the
 //!   transport, the current global becomes the frozen teacher, and
 //!   [`GoldfishUnlearning::unlearn_over`] runs its distillation rounds
-//!   over the same transport.
+//!   over the same transport, on a fresh [`RoundRuntime`] per drain —
+//!   the same admission and re-round rule, whose verdicts join the
+//!   robustness log and the audit chain like a training round's.
 //!
 //! A loopback-backed coordinator reproduces `Federation::train_rounds`
 //! and `GoldfishUnlearning::unlearn` bitwise; a TCP-backed one
@@ -29,7 +31,7 @@ use goldfish_fed::aggregate::AggregationMode;
 use goldfish_fed::trainer::TrainConfig;
 use goldfish_fed::transport::{
     round_nonce, RobustConfig, RobustnessEvent, RoundOutcome, RoundRuntime, StateLenError,
-    TrainAssign, TransportError,
+    TrainAssign, TransportError, Weighting,
 };
 use goldfish_fed::ModelFactory;
 use goldfish_telemetry::events::EventKind;
@@ -771,12 +773,14 @@ impl<T: ServeTransport> Coordinator<T> {
             global,
             cfg: &cfg.train,
         };
-        let outcome = runtime.run_hot(transport, &assign, &mut next);
+        let outcome = runtime.run_hot(transport, &assign, Weighting::Samples, &mut next);
         match outcome {
             Ok(()) => {
                 self.next_global = std::mem::replace(&mut self.global, next);
                 self.next_round = round + 1;
-                self.commit_robustness_events().map_err(durability_fault)?;
+                let events = self.runtime.drain_events();
+                self.commit_robustness_events(events)
+                    .map_err(durability_fault)?;
                 let drain_stats = self.drain_stats();
                 {
                     let Coordinator {
@@ -815,13 +819,16 @@ impl<T: ServeTransport> Coordinator<T> {
         }
     }
 
-    /// Drains the round loop's violation/quarantine verdicts into the
+    /// Moves a round loop's violation/quarantine verdicts into the
     /// coordinator's log and — when durability is attached — onto the
-    /// hash-chained audit log, **before** the round's checkpoint
-    /// snapshots the chain tip (a crash in between truncates the events
-    /// and the deterministic re-run re-appends identical bytes).
-    fn commit_robustness_events(&mut self) -> Result<(), DurabilityError> {
-        let events = self.runtime.drain_events();
+    /// hash-chained audit log, **before** the round's or drain's
+    /// checkpoint snapshots the chain tip (a crash in between truncates
+    /// the events and the deterministic re-run re-appends identical
+    /// bytes).
+    fn commit_robustness_events(
+        &mut self,
+        events: Vec<RobustnessEvent>,
+    ) -> Result<(), DurabilityError> {
         if events.is_empty() {
             return Ok(());
         }
@@ -928,13 +935,16 @@ impl<T: ServeTransport> Coordinator<T> {
             original_global: &teacher,
             rounds: self.cfg.unlearn_rounds,
         };
-        let outcome = self
-            .cfg
-            .method
-            .unlearn_over(&server, &mut self.transport, seed);
+        let mut runtime = RoundRuntime::new(self.cfg.threads, 0);
+        let outcome =
+            self.cfg
+                .method
+                .unlearn_over(&server, &mut self.transport, &mut runtime, seed);
         match outcome {
             Ok(out) => {
                 self.global = out.global_state;
+                self.commit_robustness_events(runtime.drain_events())
+                    .map_err(durability_fault)?;
                 self.telemetry
                     .unlearn_requests_served_total
                     .add(requests.len() as u64);
@@ -978,6 +988,8 @@ impl<T: ServeTransport> Coordinator<T> {
             Err(e) => {
                 // Keep serving with the pre-request model.
                 self.global = teacher;
+                self.commit_robustness_events(runtime.drain_events())
+                    .map_err(durability_fault)?;
                 Err(fatal_or(&self.transport, e))
             }
         }

@@ -384,12 +384,8 @@ impl<T: ServeTransport> FaultyTransport<T> {
 }
 
 impl<T: ServeTransport> RoundTransport for FaultyTransport<T> {
-    fn num_clients(&self) -> usize {
-        RoundTransport::num_clients(&self.inner)
-    }
-
     fn cohort_into(&self, out: &mut Vec<(usize, usize)>) {
-        self.inner.cohort_into(out)
+        RoundTransport::cohort_into(&self.inner, out)
     }
 
     fn train_round(
@@ -494,6 +490,10 @@ impl<T: ServeTransport> DistillTransport for FaultyTransport<T> {
         DistillTransport::num_clients(&self.inner)
     }
 
+    fn cohort_into(&self, out: &mut Vec<(usize, usize)>) {
+        DistillTransport::cohort_into(&self.inner, out)
+    }
+
     fn begin_unlearn(&mut self, job: &UnlearnJob, teacher: &[f32]) -> Result<(), TransportError> {
         self.gated(|t, _| t.inner.begin_unlearn(job, teacher))
             .unwrap_or_else(|| Err(Self::dead_error(0)))
@@ -504,13 +504,12 @@ impl<T: ServeTransport> DistillTransport for FaultyTransport<T> {
         round: usize,
         seed: u64,
         global: &[f32],
+        cohort: &[(usize, usize)],
         sink: &mut UpdateSink<'_>,
         results: &mut Vec<Result<(), TransportError>>,
     ) {
-        let mut live = Vec::new();
-        self.inner.cohort_into(&mut live);
-        self.round_op(&live, false, sink, results, |inner, sink, results| {
-            inner.distill_round(round, seed, global, sink, results)
+        self.round_op(cohort, false, sink, results, |inner, sink, results| {
+            inner.distill_round(round, seed, global, cohort, sink, results)
         });
     }
 }
@@ -549,7 +548,7 @@ impl<T: ServeTransport> ServeTransport for FaultyTransport<T> {
         global: &[f32],
     ) -> Vec<Result<LocalEval, TransportError>> {
         let mut live = Vec::new();
-        self.inner.cohort_into(&mut live);
+        RoundTransport::cohort_into(&self.inner, &mut live);
         let dead = |&(id, _): &(usize, usize)| Err(Self::dead_error(id));
         self.gated(|t, _| t.inner.local_eval(round, global))
             .unwrap_or_else(|| live.iter().map(dead).collect())
@@ -679,7 +678,7 @@ mod tests {
             cfg: &cfg,
         };
         let mut cohort = Vec::new();
-        t.cohort_into(&mut cohort);
+        RoundTransport::cohort_into(&t, &mut cohort);
         assert_eq!(cohort.iter().map(|c| c.0).collect::<Vec<_>>(), [0, 2, 3]);
         let failed = |results: &[Result<(), TransportError>]| -> Vec<Option<usize>> {
             let id = |r: &Result<(), TransportError>| r.as_ref().err().and_then(|e| e.client_id());

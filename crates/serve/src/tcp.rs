@@ -1175,10 +1175,9 @@ impl TcpTransport {
             &mut outcomes,
             |id, reply| match reply {
                 // The nonce is *forwarded*, not checked: the sink is the
-                // caller's admission layer (`RoundRuntime::run_hot` or
-                // `collect_round`), which judges stale nonces as typed
-                // violations so they earn strikes instead of a bare
-                // protocol drop.
+                // caller's admission layer (`RoundRuntime::run_hot`),
+                // which judges stale nonces as typed violations so they
+                // earn strikes instead of a bare protocol drop.
                 Reply::Update { header, state } => {
                     check_update_header(id, &header, round, want_distill)?;
                     sink(StreamedUpdate {
@@ -1285,10 +1284,6 @@ fn map_wire_error(client_id: usize, e: WireError) -> TransportError {
 }
 
 impl RoundTransport for TcpTransport {
-    fn num_clients(&self) -> usize {
-        self.conns.iter().filter(|c| c.is_some()).count()
-    }
-
     fn cohort_into(&self, out: &mut Vec<(usize, usize)>) {
         out.clear();
         out.extend(
@@ -1360,7 +1355,11 @@ impl RoundTransport for TcpTransport {
 
 impl DistillTransport for TcpTransport {
     fn num_clients(&self) -> usize {
-        RoundTransport::num_clients(self)
+        self.conns.iter().flatten().count()
+    }
+
+    fn cohort_into(&self, out: &mut Vec<(usize, usize)>) {
+        RoundTransport::cohort_into(self, out)
     }
 
     fn begin_unlearn(&mut self, job: &UnlearnJob, teacher: &[f32]) -> Result<(), TransportError> {
@@ -1466,6 +1465,7 @@ impl DistillTransport for TcpTransport {
         round: usize,
         seed: u64,
         global: &[f32],
+        cohort: &[(usize, usize)],
         sink: &mut UpdateSink<'_>,
         results: &mut Vec<Result<(), TransportError>>,
     ) {
@@ -1484,7 +1484,7 @@ impl DistillTransport for TcpTransport {
                 cfg: &goldfish_fed::trainer::TrainConfig::default(),
                 global,
             },
-            None,
+            Some(cohort),
             sink,
             results,
         );
@@ -1596,7 +1596,7 @@ impl std::fmt::Debug for TcpTransport {
         write!(
             f,
             "TcpTransport({} live of {} slots, {} B out, {} B in)",
-            RoundTransport::num_clients(self),
+            DistillTransport::num_clients(self),
             self.conns.len(),
             self.stats.sent_bytes.get(),
             self.stats.received_bytes.get()

@@ -224,10 +224,6 @@ impl LoopbackTransport {
 }
 
 impl RoundTransport for LoopbackTransport {
-    fn num_clients(&self) -> usize {
-        self.clients.len() - self.quarantined.len()
-    }
-
     fn cohort_into(&self, out: &mut Vec<(usize, usize)>) {
         out.clear();
         out.extend(
@@ -307,7 +303,11 @@ impl RoundTransport for LoopbackTransport {
 
 impl DistillTransport for LoopbackTransport {
     fn num_clients(&self) -> usize {
-        RoundTransport::num_clients(self)
+        self.clients.len() - self.quarantined.len()
+    }
+
+    fn cohort_into(&self, out: &mut Vec<(usize, usize)>) {
+        RoundTransport::cohort_into(self, out)
     }
 
     fn begin_unlearn(&mut self, job: &UnlearnJob, teacher: &[f32]) -> Result<(), TransportError> {
@@ -334,7 +334,7 @@ impl DistillTransport for LoopbackTransport {
             });
         }
         let mut live = Vec::new();
-        self.cohort_into(&mut live);
+        RoundTransport::cohort_into(self, &mut live);
         if live.is_empty() {
             return Err(TransportError::NoLiveClients);
         }
@@ -370,6 +370,7 @@ impl DistillTransport for LoopbackTransport {
         round: usize,
         seed: u64,
         global: &[f32],
+        cohort: &[(usize, usize)],
         sink: &mut UpdateSink<'_>,
         results: &mut Vec<Result<(), TransportError>>,
     ) {
@@ -396,6 +397,7 @@ impl DistillTransport for LoopbackTransport {
             round,
             seed,
             global,
+            cohort,
             export,
             sink,
             results,
@@ -442,7 +444,7 @@ impl ServeTransport for LoopbackTransport {
         // out of the federation here exactly as its closed connection is
         // on TCP.
         let mut live = Vec::new();
-        self.cohort_into(&mut live);
+        RoundTransport::cohort_into(self, &mut live);
         let mut evals: Vec<LocalEval> = live
             .iter()
             .map(|&(client_id, _)| LocalEval {
@@ -523,7 +525,7 @@ mod tests {
         };
         let factory = spec.factory();
         let mut t = LoopbackTransport::new(factory.clone(), spec.client_shards(), Some(2));
-        assert_eq!(RoundTransport::num_clients(&t), 2);
+        assert_eq!(DistillTransport::num_clients(&t), 2);
         assert_eq!(t.client_sizes(), vec![40, 40]);
 
         let global = (factory)(1).state_vector();
@@ -536,7 +538,7 @@ mod tests {
             cfg: &cfg,
         };
         let mut cohort = Vec::new();
-        t.cohort_into(&mut cohort);
+        RoundTransport::cohort_into(&t, &mut cohort);
         let mut results = Vec::new();
         t.train_round(&assign, &cohort, &mut |_| Ok(()), &mut results);
         assert_eq!(results, vec![Ok(()), Ok(())]);
@@ -552,10 +554,13 @@ mod tests {
         };
         t.begin_unlearn(&job, &global).unwrap();
         let mut weights = Vec::new();
+        DistillTransport::cohort_into(&t, &mut cohort);
+        assert_eq!(cohort, vec![(0, 37), (1, 40)]);
         t.distill_round(
             0,
             3,
             &global,
+            &cohort,
             &mut |u| {
                 weights.push(u.num_samples);
                 Ok(())

@@ -11,6 +11,9 @@
 //!    nonces, replays) are struck and quarantined within the strike
 //!    budget, the robust folds keep global drift bounded, and every
 //!    verdict lands in the verified hash-chained audit log.
+//! 4. **Drains**: distillation uploads pass the same admission layer —
+//!    a violator sits out the round's re-round, and a drain nothing
+//!    survives fails typed and keeps the teacher.
 
 use goldfish_core::basic_model::GoldfishLocalConfig;
 use goldfish_core::GoldfishUnlearning;
@@ -406,13 +409,15 @@ fn quarantine_verdicts_land_in_the_verified_audit_chain() {
 
 /// The echoed-nonce check survived the move out of the TCP transport:
 /// a worker answering a distillation round under a forged nonce is a
-/// typed `Rejected{StaleNonce}` out of `drain_unlearning` — returned
-/// after one attempt (TCP keeps `Rejected` connections alive, so the
-/// live set never shrinks and re-rounding could never succeed), with
-/// the connection kept and the global model untouched.
+/// typed `StaleNonce` violation, logged once per distillation round. A
+/// drain treats the violator like a straggler: its upload is rejected,
+/// it sits out that round's re-round (so it is contacted exactly once
+/// per round — no spin, although TCP keeps `Rejected` connections alive
+/// and the live set never shrinks), and the drain commits over the
+/// honest client.
 #[test]
 fn forged_distill_nonce_is_rejected_promptly_on_tcp() {
-    use goldfish_fed::transport::TransportError;
+    use goldfish_fed::transport::round_nonce;
     use goldfish_serve::wire::{read_frame, write_frame, Msg};
 
     const FORGE: u64 = 0x0BAD_F00D;
@@ -468,24 +473,39 @@ fn forged_distill_nonce_is_rejected_promptly_on_tcp() {
         distill_assigns
     });
 
+    const ROUNDS: usize = 2;
     let tcp =
         TcpTransport::accept(&listener, spec.clients, state_len, TcpConfig::default()).unwrap();
-    let mut c = Coordinator::new(spec.factory(), spec.test_set(), tcp, config(&spec));
-    let before = bits(c.global_state());
+    let cfg = CoordinatorConfig {
+        unlearn_rounds: ROUNDS,
+        ..config(&spec)
+    };
+    let mut c = Coordinator::new(spec.factory(), spec.test_set(), tcp, cfg);
     c.submit_unlearn(UnlearnRequest::new(0, vec![0, 1]))
         .unwrap();
-    let err = c.drain_unlearning(SEED).unwrap_err();
-    match err {
-        TransportError::Rejected {
-            client_id: 1,
-            violation: UpdateViolation::StaleNonce { got, want },
-        } => assert_eq!(got, want ^ FORGE),
-        other => panic!("expected a stale-nonce rejection, got {other:?}"),
-    }
+    let served = c.drain_unlearning(SEED).unwrap().unwrap();
+    assert_eq!(served.round_accuracies.len(), ROUNDS);
+    let stale: Vec<(usize, u64, u64)> = c
+        .robustness_log()
+        .iter()
+        .map(|e| match e {
+            RobustnessEvent::Violation {
+                client_id,
+                violation: UpdateViolation::StaleNonce { got, want },
+                ..
+            } => (*client_id, *got, *want),
+            other => panic!("expected a stale-nonce violation, got {other:?}"),
+        })
+        .collect();
+    let want: Vec<(usize, u64, u64)> = (0..ROUNDS)
+        .map(|round| {
+            let nonce = round_nonce(SEED, round);
+            (1, nonce ^ FORGE, nonce)
+        })
+        .collect();
     assert_eq!(
-        bits(c.global_state()),
-        before,
-        "a failed drain must not move the model"
+        stale, want,
+        "one stale-nonce verdict per distillation round"
     );
     assert_eq!(
         c.transport().live_clients(),
@@ -498,7 +518,47 @@ fn forged_distill_nonce_is_rejected_promptly_on_tcp() {
     honest.join().unwrap();
     assert_eq!(
         forger.join().unwrap(),
-        1,
-        "the drain re-rounded a non-shrinking failure"
+        ROUNDS,
+        "the forger is contacted once per distillation round"
+    );
+}
+
+/// A drain whose every upload diverges commits nothing: each upload is
+/// rejected as `NonFinite`, nobody is left to re-round over, the drain
+/// fails typed, and the coordinator keeps serving the teacher.
+#[test]
+fn all_non_finite_drain_fails_typed_and_keeps_the_teacher() {
+    use goldfish_fed::transport::TransportError;
+
+    let spec = demo(2);
+    let mut cfg = config(&spec);
+    // A step size no model survives: every distillation upload is
+    // non-finite.
+    cfg.method.local.lr = f32::INFINITY;
+    let transport = LoopbackTransport::new(spec.factory(), spec.client_shards(), Some(2));
+    let mut c = Coordinator::new(spec.factory(), spec.test_set(), transport, cfg);
+    let teacher = bits(c.global_state());
+    c.submit_unlearn(UnlearnRequest::new(0, vec![0, 1]))
+        .unwrap();
+    assert_eq!(c.drain_unlearning(SEED), Err(TransportError::NoLiveClients));
+    assert_eq!(bits(c.global_state()), teacher);
+    let rejected: Vec<(usize, &UpdateViolation)> = c
+        .robustness_log()
+        .iter()
+        .map(|e| match e {
+            RobustnessEvent::Violation {
+                client_id,
+                violation,
+                ..
+            } => (*client_id, violation),
+            other => panic!("unexpected {other:?}"),
+        })
+        .collect();
+    assert_eq!(
+        rejected,
+        vec![
+            (0, &UpdateViolation::NonFinite),
+            (1, &UpdateViolation::NonFinite)
+        ]
     );
 }

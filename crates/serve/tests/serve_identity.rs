@@ -14,7 +14,6 @@ use std::time::Duration;
 use goldfish_core::basic_model::GoldfishLocalConfig;
 use goldfish_core::method::{ClientSplit, UnlearnSetup};
 use goldfish_core::{GoldfishUnlearning, UnlearningMethod};
-use goldfish_fed::aggregate::FedAvg;
 use goldfish_fed::federation::Federation;
 use goldfish_serve::coordinator::{drain_seed, round_seed, Coordinator, CoordinatorConfig};
 use goldfish_serve::demo::DemoSpec;
@@ -103,7 +102,7 @@ fn loopback_train_round_matches_federation() {
         .threads(2)
         .init_seed(1)
         .build();
-    fed.train_rounds(ROUNDS, &FedAvg, SEED);
+    fed.train_rounds(ROUNDS, SEED);
 
     // Serve path over loopback, no unlearning.
     let mut c = loopback_coordinator(&spec);

@@ -19,7 +19,6 @@ use goldfish::core::unlearner::GoldfishUnlearning;
 use goldfish::data::backdoor::BackdoorSpec;
 use goldfish::data::partition;
 use goldfish::data::synthetic::{self, SyntheticSpec};
-use goldfish::fed::aggregate::FedAvg;
 use goldfish::fed::federation::Federation;
 use goldfish::fed::trainer::TrainConfig;
 use goldfish::fed::ModelFactory;
@@ -51,7 +50,7 @@ fn main() {
         .train_config(train_cfg)
         .clients(clients.iter().cloned())
         .build();
-    federation.train_rounds(12, &FedAvg, 7);
+    federation.train_rounds(12, 7);
     let original_global = federation.global_state().to_vec();
 
     let mut splits: Vec<ClientSplit> = Vec::new();

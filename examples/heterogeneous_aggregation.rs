@@ -7,10 +7,8 @@
 
 use std::sync::Arc;
 
-use goldfish::core::extension::AdaptiveWeightAggregation;
 use goldfish::data::partition;
 use goldfish::data::synthetic::{self, SyntheticSpec};
-use goldfish::fed::aggregate::{AggregationStrategy, FedAvg};
 use goldfish::fed::federation::Federation;
 use goldfish::fed::trainer::TrainConfig;
 use goldfish::fed::ModelFactory;
@@ -33,7 +31,7 @@ fn main() {
         let mut rng = StdRng::seed_from_u64(seed);
         zoo::mlp(196, &[48], 10, &mut rng)
     });
-    let run = |strategy: &dyn AggregationStrategy| -> Vec<f64> {
+    let run = |adaptive: bool| -> Vec<f64> {
         let mut fed = Federation::builder(factory.clone(), test.clone())
             .train_config(TrainConfig {
                 local_epochs: 2,
@@ -42,17 +40,18 @@ fn main() {
                 momentum: 0.9,
             })
             .clients(parts.iter().map(|p| train.subset(p)))
+            .adaptive_aggregation(adaptive)
             .init_seed(1)
             .build();
-        fed.train_rounds(6, strategy, 2)
+        fed.train_rounds(6, 2)
             .rounds
             .iter()
             .map(|r| r.global_accuracy)
             .collect()
     };
 
-    let fedavg = run(&FedAvg);
-    let adaptive = run(&AdaptiveWeightAggregation);
+    let fedavg = run(false);
+    let adaptive = run(true);
     println!("{:<7} {:>10} {:>10}", "round", "fedavg", "adaptive");
     for (i, (f, a)) in fedavg.iter().zip(adaptive.iter()).enumerate() {
         println!("{:<7} {f:>10.3} {a:>10.3}", i + 1);

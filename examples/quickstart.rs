@@ -13,7 +13,6 @@ use goldfish::core::unlearner::GoldfishUnlearning;
 use goldfish::data::backdoor::BackdoorSpec;
 use goldfish::data::partition;
 use goldfish::data::synthetic::{self, SyntheticSpec};
-use goldfish::fed::aggregate::FedAvg;
 use goldfish::fed::federation::Federation;
 use goldfish::fed::trainer::TrainConfig;
 use goldfish::fed::ModelFactory;
@@ -48,7 +47,7 @@ fn main() {
         .train_config(train_cfg)
         .clients(clients.iter().cloned())
         .build();
-    federation.train_rounds(10, &FedAvg, 7);
+    federation.train_rounds(10, 7);
 
     let mut original = federation.global_network();
     let acc = goldfish::fed::eval::accuracy(&mut original, &test);

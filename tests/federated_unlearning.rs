@@ -13,7 +13,6 @@ use goldfish::data::backdoor::BackdoorSpec;
 use goldfish::data::partition;
 use goldfish::data::synthetic::{self, SyntheticSpec};
 use goldfish::data::Dataset;
-use goldfish::fed::aggregate::FedAvg;
 use goldfish::fed::federation::Federation;
 use goldfish::fed::trainer::TrainConfig;
 use goldfish::fed::ModelFactory;
@@ -53,7 +52,7 @@ fn fixture(seed: u64) -> Fixture {
         .train_config(train_cfg)
         .clients(clients.iter().cloned())
         .build();
-    federation.train_rounds(10, &FedAvg, seed ^ 0xF00D);
+    federation.train_rounds(10, seed ^ 0xF00D);
 
     let mut original = federation.global_network();
     let original_acc = goldfish::fed::eval::accuracy(&mut original, &test);

@@ -1,12 +1,10 @@
 //! Cross-crate property-based tests on the load-bearing invariants.
 
-use std::sync::Arc;
-
-use goldfish::core::extension::{AdaptiveTemperature, AdaptiveWeightAggregation};
+use goldfish::core::extension::{adaptive_weights, AdaptiveTemperature};
 use goldfish::core::loss::{confusion_loss, distillation_loss};
 use goldfish::core::optimization::ShardedLocalModel;
 use goldfish::data::partition;
-use goldfish::fed::aggregate::{AggregationStrategy, ClientUpdate, FedAvg};
+use goldfish::fed::aggregate::{weighted_mean, ClientUpdate};
 use goldfish::nn::zoo;
 use goldfish::tensor::Tensor;
 use proptest::prelude::*;
@@ -57,10 +55,10 @@ proptest! {
         nb in 1usize..100,
     ) {
         let updates = vec![
-            ClientUpdate { client_id: 0, state: a.clone(), num_samples: na, server_mse: None },
-            ClientUpdate { client_id: 1, state: b.clone(), num_samples: nb, server_mse: None },
+            ClientUpdate { client_id: 0, state: a.clone(), num_samples: na },
+            ClientUpdate { client_id: 1, state: b.clone(), num_samples: nb },
         ];
-        let agg = FedAvg.aggregate(&updates);
+        let agg = weighted_mean(&updates, &[na as f64, nb as f64]);
         for ((x, y), z) in a.iter().zip(b.iter()).zip(agg.iter()) {
             let lo = x.min(*y) - 1e-4;
             let hi = x.max(*y) + 1e-4;
@@ -72,7 +70,7 @@ proptest! {
     fn adaptive_weights_are_positive_and_order_inverted(
         mses in proptest::collection::vec(0.001f64..2.0, 2..10),
     ) {
-        let w = AdaptiveWeightAggregation::weights(&mses);
+        let w = adaptive_weights(&mses);
         prop_assert!(w.iter().all(|&x| x > 0.0));
         for i in 0..mses.len() {
             for j in 0..mses.len() {
@@ -144,5 +142,4 @@ fn goldfish_loss_is_send_sync() {
     fn assert_send_sync<T: Send + Sync>() {}
     assert_send_sync::<goldfish::core::loss::GoldfishLoss>();
     assert_send_sync::<goldfish::core::unlearner::GoldfishUnlearning>();
-    let _ = Arc::new(goldfish::core::extension::AdaptiveWeightAggregation);
 }

@@ -3,11 +3,9 @@
 
 use std::sync::Arc;
 
-use goldfish::core::extension::AdaptiveWeightAggregation;
 use goldfish::core::optimization::ShardedClient;
 use goldfish::data::partition;
 use goldfish::data::synthetic::{self, SyntheticSpec};
-use goldfish::fed::aggregate::{AggregationStrategy, FedAvg};
 use goldfish::fed::federation::Federation;
 use goldfish::fed::trainer::TrainConfig;
 use goldfish::fed::ModelFactory;
@@ -95,16 +93,17 @@ fn adaptive_aggregation_matches_fedavg_on_iid() {
     let (train, test) = synthetic::generate(&spec, 1000, 250, 5);
     let mut rng = StdRng::seed_from_u64(1);
     let parts = partition::iid(train.len(), 5, &mut rng);
-    let run = |strategy: &dyn AggregationStrategy| {
+    let run = |adaptive: bool| {
         let mut fed = Federation::builder(factory(), test.clone())
             .train_config(cfg())
             .clients(parts.iter().map(|p| train.subset(p)))
+            .adaptive_aggregation(adaptive)
             .init_seed(2)
             .build();
-        fed.train_rounds(4, strategy, 3).final_accuracy()
+        fed.train_rounds(4, 3).final_accuracy()
     };
-    let fa = run(&FedAvg);
-    let ad = run(&AdaptiveWeightAggregation);
+    let fa = run(false);
+    let ad = run(true);
     assert!(
         (fa - ad).abs() < 0.1,
         "IID: fedavg {fa} vs adaptive {ad} should be comparable"
@@ -123,17 +122,18 @@ fn adaptive_aggregation_not_worse_under_heterogeneity() {
     for seed in SEEDS {
         let mut rng = StdRng::seed_from_u64(seed);
         let parts = partition::uneven(train.len(), 8, 0.02, &mut rng);
-        let run = |strategy: &dyn AggregationStrategy| {
+        let run = |adaptive: bool| {
             let mut fed = Federation::builder(factory(), test.clone())
                 .train_config(cfg())
                 .clients(parts.iter().map(|p| train.subset(p)))
+                .adaptive_aggregation(adaptive)
                 .init_seed(2)
                 .build();
-            let report = fed.train_rounds(1, strategy, 3);
+            let report = fed.train_rounds(1, 3);
             report.rounds[0].global_accuracy
         };
-        fa_sum += run(&FedAvg);
-        ad_sum += run(&AdaptiveWeightAggregation);
+        fa_sum += run(false);
+        ad_sum += run(true);
     }
     let fa = fa_sum / SEEDS.len() as f64;
     let ad = ad_sum / SEEDS.len() as f64;

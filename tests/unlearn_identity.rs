@@ -28,14 +28,14 @@ use std::sync::Arc;
 
 use goldfish::core::baselines::{IncompetentTeacher, RapidRetrain, RetrainFromScratch};
 use goldfish::core::basic_model::{network_from_state, reinit_seed, GoldfishLocalConfig};
-use goldfish::core::extension::{AdaptiveTemperature, AdaptiveWeightAggregation};
+use goldfish::core::extension::{adaptive_weights, AdaptiveTemperature};
 use goldfish::core::loss::LossWeights;
 use goldfish::core::method::{ClientSplit, UnlearnSetup, UnlearningMethod};
 use goldfish::core::optimization::ShardedClient;
 use goldfish::core::unlearner::GoldfishUnlearning;
 use goldfish::data::synthetic::{self, SyntheticSpec};
 use goldfish::data::{partition, Dataset};
-use goldfish::fed::aggregate::{AggregationStrategy, ClientUpdate, FedAvg};
+use goldfish::fed::aggregate::{weighted_mean, ClientUpdate};
 use goldfish::fed::trainer::TrainConfig;
 use goldfish::fed::{eval, pool, ModelFactory};
 use goldfish::nn::zoo;
@@ -427,6 +427,15 @@ fn assert_bitwise(got: &[f32], want: &[f32], label: &str) {
 /// The pre-port Goldfish round loop over [`oracle_train_distill`].
 /// Aggregation and server-side evaluation reuse the (untouched) library
 /// paths, so a mismatch isolates the ported local training.
+/// FedAvg: `weighted_mean` over sample counts (an empty client weighs 1).
+fn fedavg(updates: &[ClientUpdate]) -> Vec<f32> {
+    let weights: Vec<f64> = updates
+        .iter()
+        .map(|u| u.num_samples.max(1) as f64)
+        .collect();
+    weighted_mean(updates, &weights)
+}
+
 fn oracle_goldfish_unlearn(
     method: &GoldfishUnlearning,
     setup: &UnlearnSetup,
@@ -436,6 +445,7 @@ fn oracle_goldfish_unlearn(
     let mut round_accuracies = Vec::new();
     for round in 0..setup.rounds {
         let mut updates = Vec::new();
+        let mut mses = Vec::new();
         for (id, split) in setup.clients.iter().enumerate() {
             let client_seed = seed
                 .wrapping_add((id as u64) << 32)
@@ -451,23 +461,18 @@ fn oracle_goldfish_unlearn(
                 client_seed,
             );
             let state = student.state_vector();
-            let server_mse = if method.adaptive_aggregation {
-                let mut net = network_from_state(&setup.factory, &state, 0);
-                Some(eval::mse(&mut net, &setup.test))
-            } else {
-                None
-            };
+            let mut net = network_from_state(&setup.factory, &state, 0);
+            mses.push(eval::mse(&mut net, &setup.test));
             updates.push(ClientUpdate {
                 client_id: id,
                 state,
                 num_samples: split.remaining.len(),
-                server_mse,
             });
         }
         global = if method.adaptive_aggregation {
-            AdaptiveWeightAggregation.aggregate(&updates)
+            weighted_mean(&updates, &adaptive_weights(&mses))
         } else {
-            FedAvg.aggregate(&updates)
+            fedavg(&updates)
         };
         let mut net = network_from_state(&setup.factory, &global, 0);
         round_accuracies.push(eval::accuracy(&mut net, &setup.test));
@@ -542,10 +547,9 @@ fn b1_retrain_is_bitwise_identical_to_seed_pipeline() {
                 client_id: id,
                 state: net.state_vector(),
                 num_samples: split.remaining.len(),
-                server_mse: None,
             });
         }
-        global = FedAvg.aggregate(&updates);
+        global = fedavg(&updates);
     }
     assert_bitwise(&got.global_state, &global, "b1");
 }
@@ -592,10 +596,9 @@ fn b2_rapid_is_bitwise_identical_to_seed_pipeline() {
                 client_id: id,
                 state: net.state_vector(),
                 num_samples: split.remaining.len(),
-                server_mse: None,
             });
         }
-        global = FedAvg.aggregate(&updates);
+        global = fedavg(&updates);
     }
     assert_bitwise(&got.global_state, &global, "b2");
 }
@@ -642,10 +645,9 @@ fn b3_incompetent_is_bitwise_identical_to_seed_pipeline() {
                 client_id: id,
                 state: student.state_vector(),
                 num_samples: split.remaining.len(),
-                server_mse: None,
             });
         }
-        global = FedAvg.aggregate(&updates);
+        global = fedavg(&updates);
     }
     assert_bitwise(&got.global_state, &global, "b3");
 }

@@ -14,7 +14,7 @@
 
 use goldfish_data::BatchGather;
 use goldfish_fed::aggregate::{weighted_mean, ClientUpdate};
-use goldfish_fed::trainer::train_local_ce;
+use goldfish_fed::transport::{round_nonce, LoopbackClients, RoundRuntime, TrainAssign, Weighting};
 use goldfish_fed::{eval, ModelFactory};
 use goldfish_nn::loss::{distillation_loss_into, CrossEntropy, HardLoss};
 use goldfish_nn::optim::FusedSgd;
@@ -51,28 +51,33 @@ impl UnlearningMethod for RetrainFromScratch {
         "b1_retrain"
     }
 
+    /// Federated rounds of plain local training over every client's
+    /// remaining split, from a fresh initialisation: one
+    /// [`LoopbackClients`] executor driven by [`RoundRuntime::run_hot`]
+    /// with FedAvg sample weights — the round `Federation` runs.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a round has no client delivering a finite update.
     fn unlearn(&self, setup: &UnlearnSetup, seed: u64) -> UnlearnOutcome {
         let mut global = (setup.factory)(reinit_seed(seed ^ 0xB1)).state_vector();
+        let remaining = setup.clients.iter().map(|c| &c.remaining);
+        let mut clients = LoopbackClients::new(&setup.factory, remaining, None);
+        let mut runtime = RoundRuntime::new(None, 0);
+        let mut next = Vec::new();
         let mut round_accuracies = Vec::with_capacity(setup.rounds);
         for round in 0..setup.rounds {
-            let updates = parallel_clients(setup.clients.len(), |id| {
-                let client_seed = seed
-                    .wrapping_add((id as u64) << 32)
-                    .wrapping_add(round as u64);
-                let mut net = network_from_state(&setup.factory, &global, client_seed);
-                train_local_ce(
-                    &mut net,
-                    &setup.clients[id].remaining,
-                    &setup.train,
-                    client_seed,
-                );
-                ClientUpdate {
-                    client_id: id,
-                    state: net.state_vector(),
-                    num_samples: setup.clients[id].remaining.len(),
-                }
-            });
-            global = fedavg(&updates);
+            let assign = TrainAssign {
+                round,
+                seed,
+                nonce: round_nonce(seed, round),
+                global: &global,
+                cfg: &setup.train,
+            };
+            runtime
+                .run_hot(&mut clients, &assign, Weighting::Samples, &mut next)
+                .expect("no client delivered a finite update");
+            std::mem::swap(&mut global, &mut next);
             round_accuracies.push(global_accuracy(&setup.factory, &global, &setup.test));
         }
         UnlearnOutcome {
@@ -382,28 +387,6 @@ impl UnlearningMethod for OriginalModel {
     }
 }
 
-/// Hard-loss value of a state vector on a dataset — exposed for harness
-/// diagnostics (e.g. the δ-sweep ablation).
-pub fn state_loss(
-    factory: &ModelFactory,
-    state: &[f32],
-    data: &goldfish_data::Dataset,
-    hard: &dyn HardLoss,
-) -> f32 {
-    let mut net = network_from_state(factory, state, 0);
-    if data.is_empty() {
-        return 0.0;
-    }
-    let mut total = 0.0;
-    let mut batches = 0;
-    for (x, labels) in data.batches(256) {
-        let logits = net.forward(&x, false);
-        total += hard.loss(&logits, &labels);
-        batches += 1;
-    }
-    total / batches.max(1) as f32
-}
-
 /// Prediction-probability tensor of a state vector over a dataset —
 /// exposed for the divergence tables (VII–IX).
 pub fn state_probs(factory: &ModelFactory, state: &[f32], data: &goldfish_data::Dataset) -> Tensor {
@@ -417,7 +400,7 @@ mod tests {
     use crate::method::ClientSplit;
     use goldfish_data::backdoor::BackdoorSpec;
     use goldfish_data::synthetic::{self, SyntheticSpec};
-    use goldfish_fed::trainer::TrainConfig;
+    use goldfish_fed::trainer::{train_local_ce, TrainConfig};
     use goldfish_nn::zoo;
     use std::sync::Arc;
 
@@ -580,19 +563,5 @@ mod tests {
             }
         }
         assert!(moved > 0, "trainable parameters did not move");
-    }
-
-    #[test]
-    fn state_loss_distinguishes_models() {
-        let (setup, _) = setup_fixture();
-        let trained = state_loss(
-            &setup.factory,
-            &setup.original_global,
-            &setup.test,
-            &CrossEntropy,
-        );
-        let fresh_state = (setup.factory)(777).state_vector();
-        let fresh = state_loss(&setup.factory, &fresh_state, &setup.test, &CrossEntropy);
-        assert!(trained < fresh);
     }
 }

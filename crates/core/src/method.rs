@@ -123,8 +123,8 @@ pub trait UnlearningMethod: Send + Sync {
 
 /// Runs `f(client_index)` for every client in parallel on the shared
 /// compute pool (see `goldfish_fed::pool`) and collects the results in
-/// order. The helper behind every `foreach client in parallel` loop of
-/// Algorithm 1.
+/// order — the client loop of the B2 and B3 baselines, which keep their
+/// own local steps.
 pub fn parallel_clients<T, F>(n: usize, f: F) -> Vec<T>
 where
     T: Send,

@@ -3,7 +3,7 @@
 //! Figs 2–3).
 
 use goldfish_data::{partition, Dataset};
-use goldfish_fed::trainer::{train_local_ce, TrainConfig};
+use goldfish_fed::trainer::{train_local_ce, Lanes, TrainConfig};
 use goldfish_fed::ModelFactory;
 use serde::{Deserialize, Serialize};
 
@@ -325,25 +325,20 @@ impl ShardedClient {
 
     /// Trains every shard model for one round of local epochs on its own
     /// shard data, starting from the client's current Eq 8 aggregate
-    /// (FedAvg-within-the-client, per Fig 2). Shards run in parallel.
+    /// (FedAvg-within-the-client, per Fig 2). Shards run in parallel, in
+    /// waves of one shard per pool thread on [`Lanes`], each lane's
+    /// result written straight over its shard's state.
     pub fn train_round(&mut self, seed: u64) {
-        let factory = &self.factory;
-        let cfg = &self.cfg;
-        let shards = &self.shards;
+        let (factory, cfg, shards) = (&self.factory, &self.cfg, &self.shards);
         let base = self.model.aggregate();
-        let mut new_states: Vec<Option<Vec<f32>>> = vec![None; shards.len()];
-        goldfish_fed::pool::for_each_slot(&mut new_states, |i, slot| {
-            let shard_seed = seed.wrapping_add((i as u64) << 24);
-            let mut net = (factory)(shard_seed);
-            net.set_state_vector(&base);
-            train_local_ce(&mut net, &shards[i], cfg, shard_seed);
-            *slot = Some(net.state_vector());
-        });
-        for (i, state) in new_states.into_iter().enumerate() {
-            let s = state.expect("missing shard state");
-            let size = self.shards[i].len();
-            self.model.set_shard(i, s, size);
-        }
+        Lanes::new(None).waves(
+            &mut self.model.states,
+            |i, lane, state| {
+                let shard_seed = seed.wrapping_add((i as u64) << 24);
+                lane.train(factory, &base, &shards[i], cfg, shard_seed, state);
+            },
+            |_, _, _| {},
+        );
     }
 
     /// Deletes the samples at `global_indices` (indices into the client's

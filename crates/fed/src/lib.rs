@@ -3,9 +3,9 @@
 //! This crate provides the federated substrate the paper's algorithms run
 //! on:
 //!
-//! * [`trainer`] — local SGD training of a client model, and
-//!   [`trainer::TrainLane`], the reusable network + workspace + optimizer
-//!   every long-lived trainer keeps one of per executing thread,
+//! * [`trainer`] — the one local SGD loop, [`trainer::train_local_hot`],
+//!   and [`trainer::TrainLane`], the reusable network + workspace +
+//!   optimizer every executor runs it on, one per executing thread,
 //! * [`aggregate`] — aggregation of flattened state vectors:
 //!   [`aggregate::RoundAccumulator`], the one fixed-slot accumulator
 //!   behind every round (FedAvg after McMahan et al., the Eq 12–13

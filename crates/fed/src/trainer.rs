@@ -1,10 +1,17 @@
 //! Local client training (plain SGD — the `LocalTraining` procedure of
 //! Algorithm 1).
 //!
-//! The mini-batch loop runs on the allocation-free training runtime
-//! (DESIGN.md §8): batches are gathered into a persistent
-//! [`BatchGather`] buffer, the forward/backward passes reuse the
-//! network's activation and gradient arenas ([`Network::forward_ws`] /
+//! There is one mini-batch loop, [`train_local_hot`], and one executor
+//! shape for it: a [`TrainLane`] per running thread, grouped into
+//! [`Lanes`] by an in-process executor. Federation rounds, B1
+//! retraining, shard training, the serve loopback and remote workers
+//! all train through it; [`train_local_ce`] is the same loop on fresh
+//! buffers for a one-off run.
+//!
+//! The loop runs on the allocation-free training runtime (DESIGN.md
+//! §8): batches are gathered into a persistent [`BatchGather`] buffer,
+//! the forward/backward passes reuse the network's activation and
+//! gradient arenas ([`Network::forward_ws`] /
 //! [`Network::backward_train`]), the loss writes its gradient into a
 //! reused buffer, and the fused optimizer walks flat parameter slices.
 //! Every piece is bitwise identical to the classic allocating pipeline
@@ -50,25 +57,11 @@ impl Default for TrainConfig {
     }
 }
 
-/// Per-epoch record of a local training run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct LocalStats {
-    /// Mean training loss of each epoch.
-    pub epoch_losses: Vec<f32>,
-}
-
-impl LocalStats {
-    /// Mean loss of the final epoch (`NaN`-free; 0 when no epochs ran).
-    pub fn final_loss(&self) -> f32 {
-        self.epoch_losses.last().copied().unwrap_or(0.0)
-    }
-}
-
-/// Reusable per-step buffers of [`train_local_with`]: the batch gather
+/// Reusable per-step buffers of [`train_local_hot`]: the batch gather
 /// buffer, the loss-gradient buffer and the shuffle-order vector. Keep
-/// one per long-lived training loop (a shard worker retraining round
-/// after round, a benchmark harness) so repeated local runs skip even
-/// the per-call warm-up allocations.
+/// one per long-lived training loop (a [`TrainLane`], a benchmark
+/// harness) so repeated local runs skip even the per-call warm-up
+/// allocations. It carries capacity between calls, never state.
 #[derive(Debug, Default)]
 pub struct TrainWorkspace {
     gather: BatchGather,
@@ -84,86 +77,12 @@ impl TrainWorkspace {
 }
 
 /// Trains `net` on `data` for `cfg.local_epochs` epochs of mini-batch SGD
-/// with the given hard loss, shuffling with a seeded RNG.
-///
-/// Returns per-epoch mean losses, computed as exact **per-sample** means:
-/// a final partial batch contributes proportionally to its size instead
-/// of being weighted like a full batch. Does nothing (and returns empty
-/// stats) for an empty dataset.
-pub fn train_local(
-    net: &mut Network,
-    data: &Dataset,
-    cfg: &TrainConfig,
-    loss: &dyn HardLoss,
-    seed: u64,
-) -> LocalStats {
-    train_local_with(net, data, cfg, loss, seed, &mut TrainWorkspace::new())
-}
-
-/// [`train_local`] with a caller-owned [`TrainWorkspace`] — the form for
-/// loops that train repeatedly (identical results; the workspace only
-/// carries buffer capacity between calls, never state).
-pub fn train_local_with(
-    net: &mut Network,
-    data: &Dataset,
-    cfg: &TrainConfig,
-    loss: &dyn HardLoss,
-    seed: u64,
-    ws: &mut TrainWorkspace,
-) -> LocalStats {
-    let mut stats = LocalStats {
-        epoch_losses: Vec::with_capacity(cfg.local_epochs),
-    };
-    if data.is_empty() {
-        return stats;
-    }
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut sgd = FusedSgd::new(cfg.lr, cfg.momentum);
-    let TrainWorkspace {
-        gather,
-        grad,
-        order,
-    } = ws;
-    for _ in 0..cfg.local_epochs {
-        data.shuffled_indices_into(&mut rng, order);
-        let mut epoch_loss = 0.0f32;
-        let mut samples = 0usize;
-        for chunk in order.chunks(cfg.batch_size) {
-            gather.gather(data, chunk);
-            let l = {
-                let logits = net.forward_ws(gather.features(), true);
-                loss.loss_and_grad_into(logits, gather.labels(), grad)
-            };
-            net.zero_grad();
-            net.backward_train(grad);
-            sgd.step(net);
-            // `l` is the batch mean; weight it by the batch size so the
-            // epoch figure is the exact per-sample mean even when the
-            // last batch is short.
-            epoch_loss += l * chunk.len() as f32;
-            samples += chunk.len();
-        }
-        stats.epoch_losses.push(epoch_loss / samples.max(1) as f32);
-    }
-    stats
-}
-
-/// Trains with the default cross-entropy hard loss.
-pub fn train_local_ce(
-    net: &mut Network,
-    data: &Dataset,
-    cfg: &TrainConfig,
-    seed: u64,
-) -> LocalStats {
-    train_local(net, data, cfg, &CrossEntropy, seed)
-}
-
-/// The zero-allocation form of [`train_local_with`] for long-lived
-/// round workers: the caller also owns the optimizer (re-armed in place,
-/// so its velocity buffer survives between rounds) and no per-epoch
-/// stats vector is built. The parameter evolution is bitwise identical
-/// to [`train_local`] — a re-armed optimizer's zeroed velocity equals a
-/// fresh one's, and the stats were pure observation.
+/// with the given hard loss, shuffling with a seeded RNG — the one local
+/// SGD loop every client, shard and worker runs. Allocation-free once
+/// warm: the caller owns the [`TrainWorkspace`] and the optimizer
+/// (re-armed in place, so its velocity buffer survives between runs and
+/// a re-armed optimizer's zeroed velocity equals a fresh one's). Does
+/// nothing for an empty dataset.
 pub fn train_local_hot(
     net: &mut Network,
     data: &Dataset,
@@ -198,15 +117,27 @@ pub fn train_local_hot(
     }
 }
 
+/// [`train_local_hot`] with cross-entropy and fresh buffers — for a
+/// one-off run on a network of its own.
+pub fn train_local_ce(net: &mut Network, data: &Dataset, cfg: &TrainConfig, seed: u64) {
+    let (ws, sgd) = (
+        &mut TrainWorkspace::new(),
+        &mut FusedSgd::new(cfg.lr, cfg.momentum),
+    );
+    train_local_hot(net, data, cfg, &CrossEntropy, seed, ws, sgd);
+}
+
 /// One executing thread's worth of model state: a network (arenas
 /// included), a [`TrainWorkspace`], a [`FusedSgd`] velocity buffer, and a
 /// second network slot that distillation lends to a client's teacher
 /// cache. Whoever runs clients keeps one lane per thread that can be
-/// running at once — an in-process executor one per pool thread
-/// ([`Lanes`]), a worker connection one, a fleet host one for all its
-/// workers — and lends it to whichever client is up next, for training,
-/// evaluation and distillation alike, so resident model memory follows
-/// what is running rather than who is registered.
+/// running at once — an in-process executor (the library's
+/// [`LoopbackClients`](crate::transport::LoopbackClients), B1, a sharded client's shards, the serve
+/// loopback) one per pool thread ([`Lanes`]), a worker connection one,
+/// a fleet host one for all its workers — and lends it to whichever
+/// client is up next, for training, evaluation and distillation alike,
+/// so resident model memory follows what is running rather than who is
+/// registered.
 ///
 /// A lane carries **capacity, never state**: every call installs the
 /// whole state vector first (trainable parameters and frozen tracked
@@ -414,13 +345,13 @@ mod tests {
             lr: 0.05,
             momentum: 0.9,
         };
-        let stats = train_local_ce(&mut net, &train, &cfg, 1);
-        assert_eq!(stats.epoch_losses.len(), 8);
-        assert!(
-            stats.final_loss() < stats.epoch_losses[0],
-            "{:?}",
-            stats.epoch_losses
-        );
+        let train_loss = |net: &mut Network| {
+            CrossEntropy.loss(&net.forward(train.features(), false), train.labels())
+        };
+        let before = train_loss(&mut net);
+        train_local_ce(&mut net, &train, &cfg, 1);
+        let after = train_loss(&mut net);
+        assert!(after < before, "{before} -> {after}");
     }
 
     #[test]
@@ -429,8 +360,7 @@ mod tests {
         let mut net = zoo::mlp(4, &[], 2, &mut rng);
         let before = net.state_vector();
         let empty = Dataset::empty(&[4], 2);
-        let stats = train_local_ce(&mut net, &empty, &TrainConfig::default(), 0);
-        assert!(stats.epoch_losses.is_empty());
+        train_local_ce(&mut net, &empty, &TrainConfig::default(), 0);
         assert_eq!(net.state_vector(), before);
     }
 

@@ -10,8 +10,8 @@
 //!   typed errors). A full-participation round is simply the round whose
 //!   cohort is the whole live registry,
 //! * [`LoopbackClients`] — the in-process implementation: the parallel
-//!   client execution the library's `Federation` runs, pinned bitwise by
-//!   `tests/runtime_identity.rs`,
+//!   client execution `Federation` rounds and B1 retraining run, on one
+//!   [`crate::trainer::TrainLane`] per pool thread,
 //! * [`RoundRuntime`] — the one round loop: admission checks, straggler
 //!   and violator drop + re-round, and aggregation under the round's
 //!   [`Weighting`] — FedAvg sample counts folded on arrival, or Eq 12's
@@ -37,7 +37,7 @@ use std::collections::BTreeSet;
 use crate::aggregate::{
     clip_update_into, delta_norm, l2_norm, AggregateError, AggregationMode, RoundAccumulator,
 };
-use crate::trainer::{train_local_ce, TrainConfig};
+use crate::trainer::{Lanes, TrainConfig};
 use crate::{eval, pool, ModelFactory};
 
 /// Derives the seed of client `id` in round `round` from the round-loop
@@ -350,35 +350,45 @@ pub trait RoundTransport {
     }
 }
 
-/// The in-process transport: clients are datasets in this address space
-/// and "delivery" is a `pool::for_each_slot` over them — exactly the
-/// parallel client execution the pre-refactor round loop ran, so results
-/// are pinned bitwise by the existing identity suites.
+/// The in-process transport: clients are datasets in this address space,
+/// trained on [`Lanes`] in id-ordered waves of one cohort member per pool
+/// thread, each wave's lanes exported into one reused buffer and fed to
+/// the sink before the next wave. Resident model memory is `threads`
+/// lanes and one state, not one per cohort member.
 ///
 /// Never produces stragglers: every entry is `Ok`.
 pub struct LoopbackClients<'a> {
     factory: &'a ModelFactory,
-    clients: &'a [Dataset],
-    threads: Option<usize>,
+    clients: Vec<&'a Dataset>,
+    lanes: Lanes,
+    /// The one buffer each trained lane is exported into just before the
+    /// sink reads it; reused across lanes, waves and rounds.
+    export: Vec<f32>,
     /// The test set each trained client is scored on, when asked.
     scored: Option<&'a Dataset>,
     accuracies: Vec<f64>,
 }
 
 impl<'a> LoopbackClients<'a> {
-    /// Wraps the given client datasets as an in-process transport.
-    pub fn new(factory: &'a ModelFactory, clients: &'a [Dataset], threads: Option<usize>) -> Self {
+    /// Wraps the given client datasets (client `id` is the `id`-th) as an
+    /// in-process transport running on `threads` pool threads.
+    pub fn new(
+        factory: &'a ModelFactory,
+        clients: impl IntoIterator<Item = &'a Dataset>,
+        threads: Option<usize>,
+    ) -> Self {
         LoopbackClients {
             factory,
-            clients,
-            threads,
+            clients: clients.into_iter().collect(),
+            lanes: Lanes::new(threads),
+            export: Vec::new(),
             scored: None,
             accuracies: Vec::new(),
         }
     }
 
-    /// Also scores every upload's accuracy on `test`, in parallel with
-    /// the training that produced it (Fig 8's per-client error bars).
+    /// Also scores every upload's accuracy on `test`, on the lane that
+    /// trained it (Fig 8's per-client error bars).
     pub fn scoring_on(mut self, test: &'a Dataset) -> Self {
         self.scored = Some(test);
         self
@@ -404,34 +414,36 @@ impl RoundTransport for LoopbackClients<'_> {
         sink: &mut UpdateSink<'_>,
         results: &mut Vec<Result<(), TransportError>>,
     ) {
-        let (factory, clients, scored) = (self.factory, self.clients, self.scored);
-        let mut uploads: Vec<(Vec<f32>, f64)> = vec![(Vec::new(), 0.0); cohort.len()];
-        pool::install(self.threads, || {
-            pool::for_each_slot(&mut uploads, |i, (state, accuracy)| {
+        let (factory, clients, scored) = (self.factory, &self.clients, self.scored);
+        let export = &mut self.export;
+        self.accuracies.clear();
+        self.accuracies.resize(cohort.len(), 0.0);
+        results.clear();
+        self.lanes.waves(
+            &mut self.accuracies,
+            |i, lane, accuracy| {
                 let id = cohort[i].0;
                 let seed = client_seed(assign.seed, id, assign.round);
-                let mut net = (factory)(seed);
-                net.set_state_vector(assign.global);
-                train_local_ce(&mut net, &clients[id], assign.cfg, seed);
-                *state = net.state_vector();
+                lane.run(factory, assign.global, clients[id], assign.cfg, seed);
                 if let Some(test) = scored {
-                    *accuracy = eval::accuracy(&mut net, test);
+                    *accuracy = eval::accuracy(lane.networks(factory).0, test);
                 }
-            });
-        });
-        self.accuracies.clear();
-        if scored.is_some() {
-            self.accuracies.extend(uploads.iter().map(|u| u.1));
+            },
+            |first, lanes, _| {
+                for (&(id, _), lane) in cohort[first..].iter().zip(lanes.iter()) {
+                    lane.state_into(export);
+                    results.push(sink(StreamedUpdate {
+                        client_id: id,
+                        num_samples: clients[id].len(),
+                        nonce: assign.nonce,
+                        state: export,
+                    }));
+                }
+            },
+        );
+        if scored.is_none() {
+            self.accuracies.clear();
         }
-        results.clear();
-        results.extend(cohort.iter().zip(uploads).map(|(&(id, _), (state, _))| {
-            sink(StreamedUpdate {
-                client_id: id,
-                num_samples: clients[id].len(),
-                nonce: assign.nonce,
-                state: &state,
-            })
-        }));
     }
 }
 
@@ -1209,6 +1221,7 @@ fn map_aggregate_error(client_id: usize, e: AggregateError) -> TransportError {
 mod tests {
     use super::*;
     use crate::aggregate::{adaptive_weights, weighted_mean, ClientUpdate};
+    use crate::trainer::train_local_ce;
     use goldfish_data::synthetic::{self, SyntheticSpec};
     use goldfish_nn::zoo;
     use rand::{rngs::StdRng, SeedableRng};

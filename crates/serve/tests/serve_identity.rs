@@ -150,8 +150,10 @@ fn loopback_unlearning_matches_library_method() {
 /// Lanes, not per-client workers: whichever of the (at most `threads`)
 /// lanes a client's task checks out — across thread counts, a sampled
 /// cohort that changes between rounds and a quarantined client — every
-/// upload equals the library's fresh-network-per-client `LoopbackClients`
-/// executor bitwise, and exactly the cohort is contacted, in id order.
+/// upload equals the library's `LoopbackClients` executor bitwise, and
+/// exactly the cohort is contacted, in id order. (`LoopbackClients` is
+/// itself pinned against fresh-network-per-client training by
+/// `goldfish-fed`'s `federation_oracle.rs`.)
 #[test]
 fn loopback_lanes_match_the_per_client_oracle_bitwise() {
     use goldfish_fed::transport::{

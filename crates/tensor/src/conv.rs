@@ -471,67 +471,10 @@ pub fn conv2d_backward_into(
     }
 }
 
-/// Forward 2-D convolution (standalone variant of
-/// [`conv2d_forward_into`] allocating the output and a fresh workspace).
-/// Returns `[n, f, oh, ow]`.
-///
-/// # Panics
-///
-/// Panics on rank or channel mismatches.
-pub fn conv2d_forward(input: &Tensor, weight: &Tensor, bias: &Tensor, spec: &Conv2dSpec) -> Tensor {
-    let mut out = Tensor::zeros(vec![0]);
-    let ws = &mut ConvWorkspace::new();
-    conv2d_forward_into(input, weight, bias, spec, ws, &mut out);
-    out
-}
-
-/// Backward 2-D convolution (standalone variant of
-/// [`conv2d_backward_into`] allocating the gradients and a fresh
-/// workspace). Returns `(grad_input, grad_weight, grad_bias)`.
-///
-/// # Panics
-///
-/// Panics if shapes are inconsistent.
-pub fn conv2d_backward(
-    grad_out: &Tensor,
-    input: &Tensor,
-    weight: &Tensor,
-    spec: &Conv2dSpec,
-) -> (Tensor, Tensor, Tensor) {
-    let mut grad_in = Tensor::zeros(vec![0]);
-    let mut grad_w = Tensor::zeros(vec![0]);
-    let mut grad_b = Tensor::zeros(vec![0]);
-    conv2d_backward_into(
-        grad_out,
-        input,
-        weight,
-        spec,
-        &mut ConvWorkspace::new(),
-        Some(&mut grad_in),
-        &mut grad_w,
-        &mut grad_b,
-    );
-    (grad_in, grad_w, grad_b)
-}
-
-/// Forward max-pooling over `[n, c, h, w]`.
-///
-/// Returns the pooled tensor and the flat argmax index (into the input
-/// buffer) of every output element, which [`maxpool2d_backward`] uses to
-/// route gradients.
-///
-/// # Panics
-///
-/// Panics if the window does not fit.
-pub fn maxpool2d_forward(input: &Tensor, spec: &Conv2dSpec) -> (Tensor, Vec<usize>) {
-    let mut out = Tensor::zeros(vec![0]);
-    let mut idx = Vec::new();
-    maxpool2d_forward_into(input, spec, &mut out, &mut idx);
-    (out, idx)
-}
-
-/// [`maxpool2d_forward`] writing into caller-owned buffers (resized in
-/// place) — the allocation-free training-runtime entry point.
+/// Forward max-pooling over `[n, c, h, w]` into caller-owned buffers
+/// (resized in place): the pooled tensor and the flat argmax index (into
+/// the input buffer) of every output element, which
+/// [`maxpool2d_backward_into`] uses to route gradients.
 ///
 /// # Panics
 ///
@@ -608,19 +551,8 @@ fn maxpool_core(
 }
 
 /// Backward max-pooling: routes each output gradient to the input element
-/// that won the forward max.
-pub fn maxpool2d_backward(
-    grad_out: &Tensor,
-    argmax: &[usize],
-    input_shape: (usize, usize, usize, usize),
-) -> Tensor {
-    let mut grad_in = Tensor::zeros(vec![0]);
-    maxpool2d_backward_into(grad_out, argmax, input_shape, &mut grad_in);
-    grad_in
-}
-
-/// [`maxpool2d_backward`] writing into a caller-owned tensor (resized in
-/// place and overwritten).
+/// that won the forward max, into a caller-owned tensor (resized in place
+/// and overwritten).
 pub fn maxpool2d_backward_into(
     grad_out: &Tensor,
     argmax: &[usize],
@@ -636,15 +568,8 @@ pub fn maxpool2d_backward_into(
     }
 }
 
-/// Global average pooling: `[n, c, h, w] → [n, c]`.
-pub fn global_avg_pool(input: &Tensor) -> Tensor {
-    let mut out = Tensor::zeros(vec![0]);
-    global_avg_pool_into(input, &mut out);
-    out
-}
-
-/// [`global_avg_pool`] writing into a caller-owned tensor (resized in
-/// place and overwritten).
+/// Global average pooling, `[n, c, h, w] → [n, c]`, into a caller-owned
+/// tensor (resized in place and overwritten).
 pub fn global_avg_pool_into(input: &Tensor, out: &mut Tensor) {
     let (n, c, h, w) = input.dims4();
     let iv = input.as_slice();
@@ -659,18 +584,8 @@ pub fn global_avg_pool_into(input: &Tensor, out: &mut Tensor) {
     }
 }
 
-/// Backward of [`global_avg_pool`]: spreads each channel gradient uniformly
-/// over the spatial positions.
-pub fn global_avg_pool_backward(
-    grad_out: &Tensor,
-    input_shape: (usize, usize, usize, usize),
-) -> Tensor {
-    let mut grad_in = Tensor::zeros(vec![0]);
-    global_avg_pool_backward_into(grad_out, input_shape, &mut grad_in);
-    grad_in
-}
-
-/// [`global_avg_pool_backward`] writing into a caller-owned tensor
+/// Backward of [`global_avg_pool_into`]: spreads each channel gradient
+/// uniformly over the spatial positions, into a caller-owned tensor
 /// (resized in place and overwritten).
 pub fn global_avg_pool_backward_into(
     grad_out: &Tensor,
@@ -697,6 +612,19 @@ pub fn global_avg_pool_backward_into(
 mod tests {
     use super::*;
 
+    fn forward(input: &Tensor, weight: &Tensor, bias: &Tensor, spec: &Conv2dSpec) -> Tensor {
+        let mut out = Tensor::zeros(vec![0]);
+        conv2d_forward_into(
+            input,
+            weight,
+            bias,
+            spec,
+            &mut ConvWorkspace::new(),
+            &mut out,
+        );
+        out
+    }
+
     #[test]
     fn output_geometry() {
         let spec = Conv2dSpec::new(3, 3, 1, 0);
@@ -714,7 +642,7 @@ mod tests {
         let weight = Tensor::from_vec(vec![1, 1, 1, 1], vec![1.0]);
         let bias = Tensor::zeros(vec![1]);
         let spec = Conv2dSpec::new(1, 1, 1, 0);
-        let out = conv2d_forward(&input, &weight, &bias, &spec);
+        let out = forward(&input, &weight, &bias, &spec);
         assert_eq!(out.as_slice(), input.as_slice());
     }
 
@@ -725,7 +653,7 @@ mod tests {
         let weight = Tensor::from_vec(vec![1, 1, 2, 2], vec![1.; 4]);
         let bias = Tensor::from_vec(vec![1], vec![0.5]);
         let spec = Conv2dSpec::new(2, 2, 1, 0);
-        let out = conv2d_forward(&input, &weight, &bias, &spec);
+        let out = forward(&input, &weight, &bias, &spec);
         assert_eq!(out.shape(), &[1, 1, 2, 2]);
         assert_eq!(out.as_slice(), &[12.5, 16.5, 24.5, 28.5]);
     }
@@ -736,7 +664,7 @@ mod tests {
         let weight = Tensor::from_vec(vec![1, 1, 3, 3], vec![1.; 9]);
         let bias = Tensor::zeros(vec![1]);
         let spec = Conv2dSpec::new(3, 3, 1, 1);
-        let out = conv2d_forward(&input, &weight, &bias, &spec);
+        let out = forward(&input, &weight, &bias, &spec);
         // Every output position sees the single input pixel exactly once.
         assert_eq!(out.shape(), &[1, 1, 1, 1]);
         assert_eq!(out.as_slice(), &[2.0]);
@@ -761,19 +689,34 @@ mod tests {
         let bias = Tensor::from_vec(vec![f], (0..f).map(|_| rng.gen_range(-0.1..0.1)).collect());
 
         // Scalar loss = sum of outputs, so dL/dout = ones.
-        let out = conv2d_forward(&input, &weight, &bias, &spec);
+        let out = forward(&input, &weight, &bias, &spec);
         let gout = Tensor::filled(out.shape().to_vec(), 1.0);
-        let (gin, gw, gb) = conv2d_backward(&gout, &input, &weight, &spec);
+        let (mut gin, mut gw, mut gb) = (
+            Tensor::zeros(vec![0]),
+            Tensor::zeros(vec![0]),
+            Tensor::zeros(vec![0]),
+        );
+        let ws = &mut ConvWorkspace::new();
+        conv2d_backward_into(
+            &gout,
+            &input,
+            &weight,
+            &spec,
+            ws,
+            Some(&mut gin),
+            &mut gw,
+            &mut gb,
+        );
 
         let eps = 1e-2;
         // Check a few weight coordinates by central differences.
         for &wi in &[0usize, 5, 17, f * c * 9 - 1] {
             let mut wp = weight.clone();
             wp.as_mut_slice()[wi] += eps;
-            let op = conv2d_forward(&input, &wp, &bias, &spec);
+            let op = forward(&input, &wp, &bias, &spec);
             let mut wm = weight.clone();
             wm.as_mut_slice()[wi] -= eps;
-            let om = conv2d_forward(&input, &wm, &bias, &spec);
+            let om = forward(&input, &wm, &bias, &spec);
             let fd = (op.sum() - om.sum()) / (2.0 * eps);
             let an = gw.as_slice()[wi];
             assert!((fd - an).abs() < 2e-2, "weight[{wi}]: fd {fd} vs an {an}");
@@ -782,10 +725,10 @@ mod tests {
         for &ii in &[0usize, 13, n * c * h * w - 1] {
             let mut ip = input.clone();
             ip.as_mut_slice()[ii] += eps;
-            let op = conv2d_forward(&ip, &weight, &bias, &spec);
+            let op = forward(&ip, &weight, &bias, &spec);
             let mut im = input.clone();
             im.as_mut_slice()[ii] -= eps;
-            let om = conv2d_forward(&im, &weight, &bias, &spec);
+            let om = forward(&im, &weight, &bias, &spec);
             let fd = (op.sum() - om.sum()) / (2.0 * eps);
             let an = gin.as_slice()[ii];
             assert!((fd - an).abs() < 2e-2, "input[{ii}]: fd {fd} vs an {an}");
@@ -1095,10 +1038,12 @@ mod tests {
             ],
         );
         let spec = Conv2dSpec::new(2, 2, 2, 0);
-        let (out, idx) = maxpool2d_forward(&input, &spec);
+        let (mut out, mut idx) = (Tensor::zeros(vec![0]), Vec::new());
+        maxpool2d_forward_into(&input, &spec, &mut out, &mut idx);
         assert_eq!(out.as_slice(), &[6., 8., 14., 16.]);
         let gout = Tensor::from_vec(vec![1, 1, 2, 2], vec![1., 2., 3., 4.]);
-        let gin = maxpool2d_backward(&gout, &idx, (1, 1, 4, 4));
+        let mut gin = Tensor::zeros(vec![0]);
+        maxpool2d_backward_into(&gout, &idx, (1, 1, 4, 4), &mut gin);
         assert_eq!(gin.at(5), 1.0);
         assert_eq!(gin.at(7), 2.0);
         assert_eq!(gin.at(13), 3.0);
@@ -1113,10 +1058,12 @@ mod tests {
     #[test]
     fn global_avg_pool_roundtrip() {
         let input = Tensor::from_vec(vec![1, 2, 2, 2], vec![1., 2., 3., 4., 10., 20., 30., 40.]);
-        let out = global_avg_pool(&input);
+        let mut out = Tensor::zeros(vec![0]);
+        global_avg_pool_into(&input, &mut out);
         assert_eq!(out.as_slice(), &[2.5, 25.0]);
         let gout = Tensor::from_vec(vec![1, 2], vec![4.0, 8.0]);
-        let gin = global_avg_pool_backward(&gout, (1, 2, 2, 2));
+        let mut gin = Tensor::zeros(vec![0]);
+        global_avg_pool_backward_into(&gout, (1, 2, 2, 2), &mut gin);
         assert_eq!(gin.as_slice(), &[1., 1., 1., 1., 2., 2., 2., 2.]);
     }
 }

@@ -99,7 +99,8 @@ proptest! {
             .generate_with(seed.wrapping_add(1))
             .reshape(vec![f, c, kern, kern]);
         let bias = matrix(1, f).generate_with(seed.wrapping_add(2)).reshape(vec![f]);
-        let got = conv::conv2d_forward(&input, &weight, &bias, &spec);
+        let mut got = Tensor::zeros(vec![0]);
+        conv::conv2d_forward_into(&input, &weight, &bias, &spec, &mut ConvWorkspace::new(), &mut got);
         let want = direct_conv(&input, &weight, &bias, &spec);
         assert_close(&got, &want, "conv2d_forward");
     }

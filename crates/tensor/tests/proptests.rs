@@ -217,7 +217,8 @@ proptest! {
     ) {
         let input = Tensor::from_vec(vec![1, 1, 4, 4], data.clone());
         let spec = conv::Conv2dSpec::new(2, 2, 2, 0);
-        let (out, _) = conv::maxpool2d_forward(&input, &spec);
+        let (mut out, mut idx) = (Tensor::zeros(vec![0]), Vec::new());
+        conv::maxpool2d_forward_into(&input, &spec, &mut out, &mut idx);
         for &v in out.as_slice() {
             prop_assert!(data.contains(&v));
         }
@@ -228,7 +229,8 @@ proptest! {
         data in proptest::collection::vec(-5.0f32..5.0, 2 * 2 * 3 * 3),
     ) {
         let input = Tensor::from_vec(vec![2, 2, 3, 3], data);
-        let pooled = conv::global_avg_pool(&input);
+        let mut pooled = Tensor::zeros(vec![0]);
+        conv::global_avg_pool_into(&input, &mut pooled);
         prop_assert!((pooled.mean() - input.mean()).abs() < 1e-4);
     }
 }

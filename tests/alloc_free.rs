@@ -23,7 +23,7 @@ use goldfish::core::GoldfishUnlearning;
 use goldfish::data::synthetic::{self, SyntheticSpec};
 use goldfish::data::{BatchGather, Dataset};
 use goldfish::fed::trainer::{TrainConfig, TrainLane};
-use goldfish::fed::transport::{round_nonce, RoundTransport, TrainAssign};
+use goldfish::fed::transport::{round_nonce, LoopbackClients, RoundTransport, TrainAssign};
 use goldfish::fed::ModelFactory;
 use goldfish::nn::loss::{CrossEntropy, HardLoss};
 use goldfish::nn::optim::FusedSgd;
@@ -324,10 +324,11 @@ fn global_accuracy_peak_heap_is_one_chunk() {
     );
 }
 
-/// A loopback round trains in waves of one member per pool thread and
-/// feeds each wave before the next: its peak is the lanes plus one wave of
-/// trained states — not one 407 KB state per cohort member (64 of them
-/// are 26 MB).
+/// A loopback round — the serve executor's and the library's alike —
+/// trains in waves of one member per pool thread and feeds each wave
+/// before the next: its peak is the lanes plus one wave of trained
+/// states — not one 407 KB state per cohort member (64 of them are
+/// 26 MB).
 #[test]
 fn loopback_round_peak_heap_is_one_wave() {
     let _guard = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
@@ -365,8 +366,7 @@ fn loopback_round_peak_heap_is_one_wave() {
         .unwrap()
     });
 
-    let (peak, ()) = peak_during(|| {
-        let mut transport = LoopbackTransport::new(factory.clone(), shards, Some(THREADS));
+    let two_rounds = |transport: &mut dyn RoundTransport| {
         let mut cohort = Vec::new();
         transport.cohort_into(&mut cohort);
         let mut results = Vec::new();
@@ -381,16 +381,31 @@ fn loopback_round_peak_heap_is_one_wave() {
             transport.train_round(&assign, &cohort, &mut |_| Ok(()), &mut results);
             assert_eq!(results.len(), CLIENTS);
         }
+    };
+    let owned = shards.clone();
+    let (serve_peak, ()) = peak_during(|| {
+        two_rounds(&mut LoopbackTransport::new(
+            factory.clone(),
+            owned,
+            Some(THREADS),
+        ))
     });
+    let (library_peak, ()) =
+        peak_during(|| two_rounds(&mut LoopbackClients::new(&factory, &shards, Some(THREADS))));
     let wave = THREADS;
     // Slack: the scope's task boxes and thread handles, the cohort and
     // result vectors — bookkeeping, well under a state.
     let bound = THREADS * lane_bytes + wave * state_bytes + state_bytes / 4;
-    assert!(
-        peak <= bound,
-        "64-client round peaked at {peak} B; {THREADS} lanes ({lane_bytes} B each) \
-         + {wave} states ({state_bytes} B each) is {bound} B"
-    );
+    for (executor, peak) in [
+        ("LoopbackTransport", serve_peak),
+        ("LoopbackClients", library_peak),
+    ] {
+        assert!(
+            peak <= bound,
+            "64-client {executor} round peaked at {peak} B; {THREADS} lanes \
+             ({lane_bytes} B each) + {wave} states ({state_bytes} B each) is {bound} B"
+        );
+    }
     assert!(CLIENTS * state_bytes > 2 * bound, "bound too loose");
 }
 

@@ -1,17 +1,20 @@
-//! End-to-end pins for the allocation-free training runtime.
+//! End-to-end pin for the allocation-free training runtime.
 //!
-//! `train_local` must produce **bitwise identical** parameters to the
-//! pre-refactor training pipeline. The oracle here is deliberately not
+//! The one local SGD loop, `train_local_hot` (reached here through its
+//! `train_local_ce` wrapper), must produce **bitwise identical**
+//! parameters to the pre-refactor training pipeline. Every executor runs
+//! that loop on a `TrainLane` — `Federation` and B1 through
+//! `LoopbackClients`, sharded clients, the serve loopback and remote
+//! workers — so this pin covers them all. The oracle is deliberately not
 //! the library's own layers: `SeedMlpTrainer` re-implements the seed's
 //! per-step arithmetic (subset copies, per-layer tensors, the
 //! log-softmax/exp cross-entropy, three-pass momentum SGD) from the
-//! public `ops` primitives, so any semantic drift in the runtime — not
-//! just a disagreement between its two code paths — fails these tests.
+//! public `ops` primitives, so any semantic drift in the runtime fails
+//! this test.
 
 use goldfish::data::synthetic::{self, SyntheticSpec};
 use goldfish::data::Dataset;
-use goldfish::fed::trainer::{train_local, train_local_ce, TrainConfig};
-use goldfish::nn::loss::HardLoss;
+use goldfish::fed::trainer::{train_local_ce, TrainConfig};
 use goldfish::nn::{zoo, Network};
 use goldfish::tensor::{ops, Tensor};
 use rand::{rngs::StdRng, SeedableRng};
@@ -128,7 +131,7 @@ impl SeedMlpTrainer {
         loss
     }
 
-    /// The seed `train_local` loop: shuffled indices per epoch, subset
+    /// The seed's local-training loop: shuffled indices per epoch, subset
     /// copies per chunk.
     fn train(&mut self, data: &Dataset, cfg: &TrainConfig, seed: u64) {
         self.lr = cfg.lr;
@@ -164,43 +167,5 @@ fn train_local_is_bitwise_identical_to_seed_pipeline() {
     assert_eq!(got.len(), want.len());
     for (i, (a, b)) in got.iter().zip(want.iter()).enumerate() {
         assert_eq!(a.to_bits(), b.to_bits(), "param {i}: {a} != {b}");
-    }
-}
-
-/// A loss whose batch mean depends only on the batch size: mean loss of
-/// a batch of n samples is n, with zero gradient. Makes the epoch-loss
-/// weighting directly observable.
-struct BatchSizeLoss;
-
-impl HardLoss for BatchSizeLoss {
-    fn loss_and_grad(&self, logits: &Tensor, labels: &[usize]) -> (f32, Tensor) {
-        let (n, c) = logits.dims2();
-        assert_eq!(labels.len(), n);
-        (n as f32, Tensor::zeros(vec![n, c]))
-    }
-
-    fn name(&self) -> &'static str {
-        "batch-size"
-    }
-}
-
-#[test]
-fn epoch_loss_weights_partial_batches_per_sample() {
-    // 10 samples, batch 4 → batches of 4, 4, 2 with losses 4, 4, 2.
-    // Per-sample weighting: (4·4 + 4·4 + 2·2) / 10 = 3.6. The old
-    // per-batch average (buggy) would report (4 + 4 + 2) / 3 = 3.333….
-    let ds = Dataset::new(Tensor::zeros(vec![10, 4]), vec![0; 10], 2);
-    let mut rng = StdRng::seed_from_u64(0);
-    let mut net = zoo::mlp(4, &[], 2, &mut rng);
-    let cfg = TrainConfig {
-        local_epochs: 2,
-        batch_size: 4,
-        lr: 0.1,
-        momentum: 0.0,
-    };
-    let stats = train_local(&mut net, &ds, &cfg, &BatchSizeLoss, 3);
-    assert_eq!(stats.epoch_losses.len(), 2);
-    for l in &stats.epoch_losses {
-        assert!((l - 3.6).abs() < 1e-6, "epoch loss {l}, want 3.6");
     }
 }

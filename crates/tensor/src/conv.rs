@@ -83,7 +83,8 @@ const COL_BLOCK_ELEMS: usize = 96 * 1024;
 pub struct ConvWorkspace {
     /// Lowered input of the current block: `[c·kh·kw, blk·oh·ow]` in the
     /// forward pass, its transpose `[blk·oh·ow, c·kh·kw]` in the backward
-    /// pass (same element count, one buffer).
+    /// pass — rows padded to the GEMM's register-tile width when
+    /// `c·kh·kw` is narrower than one tile (one buffer for both).
     col: Vec<f32>,
     /// Filter-major staging matrix `[f, blk·oh·ow]` (forward GEMM output;
     /// backward gather of `grad_out`).
@@ -184,18 +185,22 @@ fn im2col_block(
 }
 
 /// Lowers the image block **position-major**: the transpose of
-/// [`im2col_block`]'s matrix, `[blk·oh·ow, c·kh·kw]`, overwriting all of
-/// `col`. Row `s·oh·ow + oy·ow + ox` is that output position's receptive
-/// field, and each of its `(c, ky)` segments is a run of `kw` adjacent
-/// input elements at any stride (clipped to zeros at the padding), so the
-/// buffer is filled in short contiguous copies, one output row's worth of
-/// rows at a time. This is the `B` operand of `∂W = G · colᵀ`: lowering it
-/// directly replaces a transpose of the whole column block.
+/// [`im2col_block`]'s matrix, `[blk·oh·ow, c·kh·kw]`, at row stride
+/// `ld ≥ c·kh·kw`, overwriting all of `col` (lanes `c·kh·kw..ld` of every
+/// row are zeroed). Row `s·oh·ow + oy·ow + ox` is that output position's
+/// receptive field, and each of its `(c, ky)` segments is a run of `kw`
+/// adjacent input elements at any stride (clipped to zeros at the
+/// padding), so the buffer is filled in short contiguous copies, one
+/// output row's worth of rows at a time. This is the `B` operand of
+/// `∂W = G · colᵀ`: lowering it directly replaces a transpose of the whole
+/// column block, and lowering it at the engine's stride
+/// ([`engine::b_stride`]) replaces the narrow path's pad copy.
 fn im2row_block(
     input: &[f32],
     (blk, c, h, w): (usize, usize, usize, usize),
     spec: &Conv2dSpec,
     (oh, ow): (usize, usize),
+    ld: usize,
     col: &mut [f32],
 ) {
     let (kh, kw, stride, pad) = (spec.kh, spec.kw, spec.stride, spec.padding);
@@ -209,26 +214,32 @@ fn im2row_block(
         for oy in 0..oh {
             // The `ow` rows of this output row, filled one `(c, ky)`
             // segment column at a time so each source row is sliced once.
-            let band = &mut col[(s * oh + oy) * ow * ckk..(s * oh + oy + 1) * ow * ckk];
+            let band = &mut col[(s * oh + oy) * ow * ld..(s * oh + oy + 1) * ow * ld];
+            // Pad lanes are zeroed with the whole band in one fill, not
+            // row by row: a fill call per 28-byte pad measured 10–25 % of
+            // conv1's lowering.
+            if ld > ckk {
+                band.fill(0.0);
+            }
             for ch in 0..c {
                 for ky in 0..kh {
                     let off = (ch * kh + ky) * kw;
                     let iy = oy * stride + ky;
                     if iy < pad || iy - pad >= h {
-                        for row in band.chunks_exact_mut(ckk) {
+                        for row in band.chunks_exact_mut(ld) {
                             row[off..off + kw].fill(0.0);
                         }
                         continue;
                     }
                     let src = &img[(ch * h + iy - pad) * w..(ch * h + iy - pad + 1) * w];
-                    for (ox, row) in band.chunks_exact_mut(ckk).enumerate().take(in1).skip(in0) {
+                    for (ox, row) in band.chunks_exact_mut(ld).enumerate().take(in1).skip(in0) {
                         copy_run(&mut row[off..off + kw], &src[ox * stride - pad..]);
                     }
                     for ox in (0..in0).chain(in1..ow) {
                         // Kernel columns [kx0, kx1) land inside the image row.
                         let kx0 = pad.saturating_sub(ox * stride).min(kw);
                         let kx1 = (w + pad).saturating_sub(ox * stride).clamp(kx0, kw);
-                        let seg = &mut band[ox * ckk + off..ox * ckk + off + kw];
+                        let seg = &mut band[ox * ld + off..ox * ld + off + kw];
                         seg[..kx0].fill(0.0);
                         seg[kx1..].fill(0.0);
                         if kx0 < kx1 {
@@ -390,9 +401,12 @@ pub fn conv2d_forward_into(
 ///
 /// * `∂L/∂W += G · colᵀ` — the block is re-lowered **position-major**
 ///   (`colᵀ: [blk·oh·ow, c·kh·kw]`, into the forward pass's column
-///   buffer), so this is a plain [`engine::gemm`] and the column block is
-///   never transposed. The per-block partial products are summed in block
-///   order, which makes the block partition part of the reduction order.
+///   buffer), so this is [`engine::gemm`]'s product and the column block
+///   is never transposed. A `c·kh·kw` narrower than the register tile
+///   ([`engine::NR`]) is lowered straight into the zero-padded panel the
+///   GEMM sweeps, so it is not copied again. The per-block partial
+///   products are summed in block order, which makes the block partition
+///   part of the reduction order.
 /// * `∂L/∂col = Wᵀ · G`, scattered back onto the images by `col2im`.
 ///
 /// Pass `grad_in: None` to skip the `∂L/∂input` half entirely (the
@@ -447,16 +461,16 @@ pub fn conv2d_backward_into(
                 fmat[fi * x + s * ohow..fi * x + (s + 1) * ohow].copy_from_slice(srcr);
             }
         }
-        // ∂L/∂b += row sums of G.
-        for (gb, grow) in gbv.iter_mut().zip(fmat.chunks_exact(x)) {
-            *gb += grow.iter().sum::<f32>();
-        }
-        // Re-lower this block position-major and accumulate
+        add_row_sums(gbv, fmat, x);
+        // Re-lower this block position-major, at the row stride the
+        // engine sweeps it at, and accumulate
         // ∂L/∂W += G · colᵀ ([f, x] · [x, ckk] → [f, ckk]).
-        let col_t = grown(&mut ws.col, x * ckk);
+        let ld = engine::b_stride(f, x, ckk);
+        let col_t = grown(&mut ws.col, x * ld);
         let images = s0 * c * h * w..(s0 + blk) * c * h * w;
-        im2row_block(&iv[images.clone()], (blk, c, h, w), spec, (oh, ow), col_t);
-        engine::gemm(f, x, ckk, fmat, col_t, gw_block);
+        let block = &iv[images.clone()];
+        im2row_block(block, (blk, c, h, w), spec, (oh, ow), ld, col_t);
+        engine::gemm_strided(f, x, ckk, fmat, col_t, ld, gw_block);
         for (acc, &v) in gwv.iter_mut().zip(gw_block.iter()) {
             *acc += v;
         }
@@ -468,6 +482,32 @@ pub fn conv2d_backward_into(
             col2im_block(gcol, (blk, c, h, w), spec, (oh, ow), grad_images);
         }
         s0 += blk;
+    }
+}
+
+/// `∂L/∂b += ` the row sums of `G: [f, x]`: `sums[r]` gains row `r`'s sum
+/// exactly as `Iterator::sum` forms it — one serial chain in ascending
+/// order from −0.0 — but up to eight rows run side by side, so each
+/// chain's add latency overlaps the others' instead of adding up. Summed
+/// one row after another, conv1's six rows were a fifth of its `∂W`-only
+/// block; side by side they cost a third as much.
+fn add_row_sums(sums: &mut [f32], g: &[f32], x: usize) {
+    const ROWS: usize = 8;
+    for (sums, g) in sums.chunks_mut(ROWS).zip(g.chunks(ROWS * x)) {
+        // Slots past the group's last row re-read its first, and their
+        // sums are dropped. Every row is resliced to exactly `x` so the
+        // column loop needs no bounds checks.
+        let rows: [&[f32]; ROWS] =
+            std::array::from_fn(|r| &g.get(r * x..(r + 1) * x).unwrap_or(g)[..x]);
+        let mut acc = [-0.0f32; ROWS];
+        for j in 0..x {
+            for (a, row) in acc.iter_mut().zip(rows) {
+                *a += row[j];
+            }
+        }
+        for (s, a) in sums.iter_mut().zip(acc) {
+            *s += a;
+        }
     }
 }
 
@@ -487,7 +527,7 @@ pub fn maxpool2d_forward_into(
 ) {
     // No zeroing: the pooling loop writes every index slot.
     idx.resize(maxpool_shape(input, spec).iter().product(), 0);
-    maxpool_core(input, spec, out, |o, i| idx[o] = i);
+    maxpool_core::<true>(input, spec, out, idx);
 }
 
 /// [`maxpool2d_forward_into`] without the argmax routing — the
@@ -498,7 +538,7 @@ pub fn maxpool2d_forward_into(
 ///
 /// Panics if the window does not fit.
 pub fn maxpool2d_forward_eval_into(input: &Tensor, spec: &Conv2dSpec, out: &mut Tensor) {
-    maxpool_core(input, spec, out, |_, _| {});
+    maxpool_core::<false>(input, spec, out, &mut []);
 }
 
 /// The pooled `[n, c, oh, ow]` shape of `input`.
@@ -510,42 +550,104 @@ fn maxpool_shape(input: &Tensor, spec: &Conv2dSpec) -> [usize; 4] {
 }
 
 /// The pooling loop shared by both forward forms: writes every output
-/// and hands `record(output, argmax)` each winner's flat input index.
-fn maxpool_core(
+/// and, with `ARGMAX`, each output's winning flat input index into `idx`.
+///
+/// Each output row is pooled from the band of `kh` input rows under it,
+/// sliced once, by [`pool_row_2x2`] for the 2×2 / stride-2 window every
+/// model in the zoo uses and by [`pool_row`] for any other.
+fn maxpool_core<const ARGMAX: bool>(
     input: &Tensor,
     spec: &Conv2dSpec,
     out: &mut Tensor,
-    mut record: impl FnMut(usize, usize),
+    idx: &mut [usize],
 ) {
     let [n, c, oh, ow] = maxpool_shape(input, spec);
     let (_, _, h, w) = input.dims4();
-    let iv = input.as_slice();
     out.resize(&[n, c, oh, ow]);
     let out = out.as_mut_slice();
-    // No zeroing: the pooling loop writes every output.
-    for s in 0..n {
-        for ch in 0..c {
-            let base = (s * c + ch) * h * w;
-            for oy in 0..oh {
-                for ox in 0..ow {
-                    let mut best = f32::NEG_INFINITY;
-                    let mut best_i = base;
-                    for ky in 0..spec.kh {
-                        for kx in 0..spec.kw {
-                            let iy = oy * spec.stride + ky;
-                            let ix = ox * spec.stride + kx;
-                            let i = base + iy * w + ix;
-                            if iv[i] > best {
-                                best = iv[i];
-                                best_i = i;
-                            }
-                        }
-                    }
-                    let o = ((s * c + ch) * oh + oy) * ow + ox;
-                    out[o] = best;
-                    record(o, best_i);
+    let two_by_two = (spec.kh, spec.kw, spec.stride) == (2, 2, 2);
+    for (plane, src) in input.as_slice().chunks_exact(h * w).enumerate() {
+        for oy in 0..oh {
+            let top = oy * spec.stride * w;
+            let band = &src[top..top + spec.kh * w];
+            let at0 = plane * h * w + top;
+            let row = (plane * oh + oy) * ow..(plane * oh + oy + 1) * ow;
+            let idx = if ARGMAX {
+                &mut idx[row.clone()]
+            } else {
+                &mut []
+            };
+            if two_by_two {
+                pool_row_2x2::<ARGMAX>(band, w, at0, &mut out[row], idx);
+            } else {
+                pool_row::<ARGMAX>(band, w, spec, at0, &mut out[row], idx);
+            }
+        }
+    }
+}
+
+/// Pools one output row from its `band` of input rows (`band[0]` is flat
+/// input index `at0`). Each window reads one `kw`-long run per band row,
+/// its elements compared in `(ky, kx)` order: the first strictly greater
+/// one wins. The running maximum starts at −∞ and the argmax at the
+/// window's first element, so a window with nothing above −∞ (all −∞ or
+/// NaN) pools to −∞ and routes its gradient to its own first element.
+fn pool_row<const ARGMAX: bool>(
+    band: &[f32],
+    w: usize,
+    spec: &Conv2dSpec,
+    at0: usize,
+    out: &mut [f32],
+    idx: &mut [usize],
+) {
+    for (ox, o) in out.iter_mut().enumerate() {
+        let x0 = ox * spec.stride;
+        let (mut best, mut arg) = (f32::NEG_INFINITY, x0);
+        for r in (x0..).step_by(w).take(spec.kh) {
+            for (i, &v) in (r..).zip(&band[r..r + spec.kw]) {
+                if v > best {
+                    best = v;
+                    arg = i;
                 }
             }
+        }
+        *o = best;
+        if ARGMAX {
+            idx[ox] = at0 + arg;
+        }
+    }
+}
+
+/// [`pool_row`] for 2×2 windows at stride 2: the two band rows are walked
+/// in pairs side by side and each window is four straight-line compares
+/// in the same order, with the same seeds — five to six times faster than
+/// the general loop's nested runs at this size.
+fn pool_row_2x2<const ARGMAX: bool>(
+    band: &[f32],
+    w: usize,
+    at0: usize,
+    out: &mut [f32],
+    idx: &mut [usize],
+) {
+    let (top, bottom) = band.split_at(w);
+    let windows = top.chunks_exact(2).zip(bottom.chunks_exact(2));
+    for (ox, (o, (t, b))) in out.iter_mut().zip(windows).enumerate() {
+        let at = at0 + 2 * ox;
+        let (mut best, mut arg) = (f32::NEG_INFINITY, at);
+        for (v, i) in [
+            (t[0], at),
+            (t[1], at + 1),
+            (b[0], at + w),
+            (b[1], at + w + 1),
+        ] {
+            if v > best {
+                best = v;
+                arg = i;
+            }
+        }
+        *o = best;
+        if ARGMAX {
+            idx[ox] = arg;
         }
     }
 }
@@ -1027,6 +1129,15 @@ mod tests {
     }
 
     #[test]
+    fn conv_is_bitwise_equal_to_elementwise_lowering_across_bias_row_groups() {
+        // ∂b sums eight filter rows side by side: one full group plus a
+        // partial one, and a partial one alone, over multi-block batches.
+        let spec = Conv2dSpec::new(3, 3, 1, 1);
+        assert_bitwise_equal_to_oracle((20, 2, 24, 24, 11), &spec, 3);
+        assert_bitwise_equal_to_oracle((12, 1, 40, 30, 20), &spec, 4);
+    }
+
+    #[test]
     fn maxpool_forward_and_routing() {
         let input = Tensor::from_vec(
             vec![1, 1, 4, 4],
@@ -1053,6 +1164,130 @@ mod tests {
         let mut eval_out = Tensor::zeros(vec![0]);
         maxpool2d_forward_eval_into(&input, &spec, &mut eval_out);
         assert_eq!(eval_out, out);
+    }
+
+    /// The element-indexed pooling loop this module shipped before the
+    /// band rewrite, kept as the oracle, with one change: the argmax is
+    /// seeded at the window's first element (it was the plane origin, so a
+    /// window with nothing above −∞ routed outside itself). Returns
+    /// `(pooled, argmax)`.
+    fn maxpool_oracle(input: &Tensor, spec: &Conv2dSpec) -> (Vec<f32>, Vec<usize>) {
+        let (n, c, h, w) = input.dims4();
+        let (oh, ow) = spec.output_hw(h, w);
+        let iv = input.as_slice();
+        let mut out = vec![0.0f32; n * c * oh * ow];
+        let mut idx = vec![0usize; n * c * oh * ow];
+        for s in 0..n {
+            for ch in 0..c {
+                let base = (s * c + ch) * h * w;
+                for oy in 0..oh {
+                    for ox in 0..ow {
+                        let mut best = f32::NEG_INFINITY;
+                        let mut best_i = base + oy * spec.stride * w + ox * spec.stride;
+                        for ky in 0..spec.kh {
+                            for kx in 0..spec.kw {
+                                let iy = oy * spec.stride + ky;
+                                let ix = ox * spec.stride + kx;
+                                let i = base + iy * w + ix;
+                                if iv[i] > best {
+                                    best = iv[i];
+                                    best_i = i;
+                                }
+                            }
+                        }
+                        let o = ((s * c + ch) * oh + oy) * ow + ox;
+                        out[o] = best;
+                        idx[o] = best_i;
+                    }
+                }
+            }
+        }
+        (out, idx)
+    }
+
+    /// Both forward forms against [`maxpool_oracle`], bit for bit and
+    /// index for index.
+    fn assert_pool_matches_oracle(input: &Tensor, spec: &Conv2dSpec) {
+        let what = format!("{:?} {spec:?}", input.shape());
+        let (want, want_idx) = maxpool_oracle(input, spec);
+        let (mut out, mut idx) = (Tensor::zeros(vec![0]), vec![usize::MAX; 3]);
+        maxpool2d_forward_into(input, spec, &mut out, &mut idx);
+        assert_eq!(bits(out.as_slice()), bits(&want), "values: {what}");
+        assert_eq!(idx, want_idx, "argmax: {what}");
+        maxpool2d_forward_eval_into(input, spec, &mut out);
+        assert_eq!(bits(out.as_slice()), bits(&want), "eval values: {what}");
+    }
+
+    #[test]
+    fn maxpool_is_bitwise_equal_to_the_element_indexed_loop() {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(31);
+        // Five levels make ties common; NaN and −∞ make whole windows
+        // with nothing above −∞ at the sparser end.
+        let mut value = |special: f64| {
+            if rng.gen_bool(special) {
+                if rng.gen_bool(0.5) {
+                    f32::NAN
+                } else {
+                    f32::NEG_INFINITY
+                }
+            } else {
+                rng.gen_range(-2i32..=2) as f32 * 0.5
+            }
+        };
+        let geometries = [
+            (2, 2, 2),
+            (3, 3, 1),
+            (3, 2, 2),
+            (2, 3, 3),
+            (1, 1, 1),
+            (3, 3, 3),
+        ];
+        for (case, &(kh, kw, stride)) in geometries.iter().enumerate() {
+            let spec = Conv2dSpec::new(kh, kw, stride, 0);
+            for &(n, c, h, w) in &[(1, 1, 4, 4), (1, 3, 7, 5), (25, 6, 24, 24), (25, 2, 9, 11)] {
+                for special in [0.0, 0.3, 0.9] {
+                    let len = n * c * h * w;
+                    let data = (0..len).map(|_| value(special)).collect();
+                    assert_pool_matches_oracle(&Tensor::from_vec(vec![n, c, h, w], data), &spec);
+                }
+            }
+            // A ramp: every window's maximum sits at its last element.
+            let ramp = (0..2 * 13 * 13).map(|i| (i + case) as f32).collect();
+            assert_pool_matches_oracle(&Tensor::from_vec(vec![1, 2, 13, 13], ramp), &spec);
+        }
+    }
+
+    #[test]
+    fn maxpool_routes_a_window_without_a_maximum_to_its_own_first_element() {
+        let spec = Conv2dSpec::new(2, 2, 2, 0);
+        let mut data = vec![1.0f32; 2 * 4 * 6];
+        // Window (oy 1, ox 2) of plane 1 is all NaN; window (0, 1) of
+        // plane 0 is all −∞.
+        for (plane, oy, ox, v) in [(1, 1, 2, f32::NAN), (0, 0, 1, f32::NEG_INFINITY)] {
+            for (dy, dx) in [(0, 0), (0, 1), (1, 0), (1, 1)] {
+                data[plane * 24 + (2 * oy + dy) * 6 + 2 * ox + dx] = v;
+            }
+        }
+        let input = Tensor::from_vec(vec![1, 2, 4, 6], data);
+        let (mut out, mut idx) = (Tensor::zeros(vec![0]), Vec::new());
+        maxpool2d_forward_into(&input, &spec, &mut out, &mut idx);
+        let window = |plane: usize, oy: usize, ox: usize| (plane * 2 + oy) * 3 + ox;
+        let (nan_window, inf_window) = (window(1, 1, 2), window(0, 0, 1));
+        assert_eq!(out.as_slice()[nan_window], f32::NEG_INFINITY);
+        assert_eq!(out.as_slice()[inf_window], f32::NEG_INFINITY);
+        // The window's own top-left element, not the plane's.
+        assert_eq!(idx[nan_window], 24 + 2 * 6 + 4);
+        assert_eq!(idx[inf_window], 2);
+
+        let mut grad_out = Tensor::zeros(vec![1, 2, 2, 3]);
+        grad_out.as_mut_slice()[nan_window] = 3.0;
+        grad_out.as_mut_slice()[inf_window] = 5.0;
+        let mut grad_in = Tensor::zeros(vec![0]);
+        maxpool2d_backward_into(&grad_out, &idx, (1, 2, 4, 6), &mut grad_in);
+        assert_eq!(grad_in.at(24 + 2 * 6 + 4), 3.0);
+        assert_eq!(grad_in.at(2), 5.0);
+        assert_eq!(grad_in.sum(), 8.0);
     }
 
     #[test]

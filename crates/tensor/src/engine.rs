@@ -20,18 +20,30 @@
 //!   reduction — one store per output element instead of a load+store per
 //!   reduction step, each `B` load reused across [`MR`] rows, and (with
 //!   the per-element `== 0.0` branch of the old implementation removed)
-//!   fixed-width inner loops that LLVM fully vectorizes. At or above
-//!   [`PAR_FLOPS`], output rows are split into contiguous ranges processed
-//!   in parallel on the current rayon pool.
+//!   fixed-width inner loops that LLVM fully vectorizes. `B` is swept one
+//!   `NR`-column strip at a time; an output narrower than `NR` is one
+//!   zero-padded strip, and the `n % NR` columns past the last full strip
+//!   of a wider one are the **edge strip**, packed zero-padded and swept by
+//!   the same tiles. At or above [`PAR_FLOPS`], output rows are split into
+//!   contiguous ranges processed in parallel on the current rayon pool.
 //!
-//! Floating-point note: the tiled path accumulates each output element in
-//! ascending-`p` order — the reference association — but uses hardware
-//! fused multiply-add where available (one rounding per step instead of
-//! two), so large-path results can differ from the reference by normal
-//! `k · ε` accumulation rounding (the equivalence proptests pin it under
-//! `1e-4` for workspace-scale values). Results never depend on the thread
-//! count: row ranges are disjoint and each output element is accumulated
-//! in a fixed order.
+//! # Rounding contract
+//!
+//! Every output element accumulates its `k` products in ascending-`p`
+//! order from +0.0 — the reference association. Only the rounding of a
+//! step depends on the path, and only through the column:
+//!
+//! * small path and edge strip: multiply, then add (two roundings);
+//! * full strips and narrow outputs: hardware fused multiply-add where
+//!   the target has FMA (one rounding), multiply-then-add where it does
+//!   not.
+//!
+//! So large-path results can differ from the reference by normal `k · ε`
+//! accumulation rounding (the equivalence proptests pin it under `1e-4`
+//! for workspace-scale values), and `tests/engine_rounding.rs` pins the
+//! contract itself bit for bit. Results never depend on the thread count
+//! or on which tile height computed a row: row ranges are disjoint and
+//! each output element is accumulated in a fixed order.
 
 use std::cell::Cell;
 use std::ops::Range;
@@ -96,38 +108,36 @@ fn flops(m: usize, k: usize, n: usize) -> usize {
 }
 
 thread_local! {
-    /// Per-thread scratch for the packed `B` panel of the tiled kernel.
+    /// Per-thread scratch for the `[k, NR]` panel a strip is swept from:
+    /// a packed full strip, the zero-padded edge strip, or a narrow
+    /// output's zero-padded `B`.
     static PANEL_SCRATCH: Cell<Vec<f32>> = const { Cell::new(Vec::new()) };
     /// Per-thread scratch for the transposed `A` block of `Aᵀ·B`.
     static AT_SCRATCH: Cell<Vec<f32>> = const { Cell::new(Vec::new()) };
     /// Per-thread scratch for the `Bᵀ` that `A·Bᵀ` gathers on every
     /// large call (see [`transpose_into`]).
     static BT_SCRATCH: Cell<Vec<f32>> = const { Cell::new(Vec::new()) };
-    /// Per-thread scratch for the zero-padded `B` panel of the
-    /// narrow-output kernel.
-    static NARROW_B: Cell<Vec<f32>> = const { Cell::new(Vec::new()) };
-    /// Per-thread scratch for the padded output of the narrow-output
-    /// kernel.
-    static NARROW_OUT: Cell<Vec<f32>> = const { Cell::new(Vec::new()) };
 }
 
-/// Runs `f` on a per-thread scratch vector resized to `len`.
+/// Runs `f` on the first `len` elements of a per-thread scratch vector.
 ///
 /// The vector is *taken* out of the thread-local cell for the duration of
 /// `f` (so an unexpected reentrant use would fall back to a fresh
 /// allocation instead of panicking) and put back afterwards, buffer
-/// capacity intact. This is what makes the training hot path
-/// allocation-free after warm-up: GEMM pack scratch is reused across
-/// every step on each thread instead of being reallocated per call.
-/// Newly exposed elements are zeroed; all three pack sites overwrite
-/// their scratch completely before reading it.
+/// intact. This is what makes the training hot path allocation-free after
+/// warm-up: GEMM pack scratch is reused across every step on each thread
+/// instead of being reallocated per call. The vector keeps its high-water
+/// length, so a smaller call does not make the next larger one re-zero
+/// it; every pack site overwrites its slice completely before reading it.
 fn with_scratch<R>(
     cell: &'static std::thread::LocalKey<Cell<Vec<f32>>>,
     len: usize,
     f: impl FnOnce(&mut [f32]) -> R,
 ) -> R {
     let mut v = cell.with(Cell::take);
-    v.resize(len, 0.0);
+    if v.len() < len {
+        v.resize(len, 0.0);
+    }
     let out = f(&mut v[..len]);
     cell.with(|c| c.set(v));
     out
@@ -177,9 +187,12 @@ pub fn gemm(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], out: &mut [f32])
         out.fill(0.0);
         gemm_rows_small(0..m, k, n, a, b, out);
     } else if n < NR {
-        // Narrow outputs have no full register strip; run the tiled
-        // kernel over a zero-padded panel instead.
-        gemm_narrow_tiled(m, k, n, a, b, out);
+        // Narrow outputs have no full register strip: sweep one
+        // zero-padded strip instead.
+        with_scratch(&PANEL_SCRATCH, k * NR, |panel| {
+            pack_panel(panel, b, n, 0, n);
+            gemm_narrow_panel(k, n, a, panel, out);
+        });
     } else if work >= PAR_FLOPS && rayon::current_num_threads() > 1 {
         parallel_rows(m, n, out, |rows, chunk| {
             gemm_rows_tiled(rows, k, n, a, b, chunk);
@@ -189,32 +202,69 @@ pub fn gemm(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], out: &mut [f32])
     }
 }
 
-/// Register-tiled kernel for **narrow outputs** (`n <` [`NR`]): zero-pads
-/// `B` to one full `NR`-column panel, runs the tiled kernel over it and
-/// copies the `n` real columns back out.
+/// The row stride at which [`gemm_strided`] wants the `B: [k, n]` of an
+/// `m×k×n` product: [`NR`] when the product is large and narrower than one
+/// strip — the narrow tiled path, which sweeps `B` as one zero-padded
+/// `[k, NR]` panel — and `n` otherwise.
+pub(crate) fn b_stride(m: usize, k: usize, n: usize) -> usize {
+    if n < NR && flops(m, k, n) >= SMALL_FLOPS {
+        NR
+    } else {
+        n
+    }
+}
+
+/// [`gemm`] over a `B` its producer wrote at row stride
+/// `ldb = b_stride(m, k, n)`, lanes `n..ldb` of every row zero.
 ///
-/// Narrow outputs — classifier heads, thin dense layers — previously fell
-/// back to the reference-order loop, whose `n`-wide inner loop neither
-/// tiles nor vectorizes well; on the training hot path the head GEMM
-/// cost more than the 6×-larger hidden-layer GEMM. The padding columns
-/// are dead lanes (zeros in, discarded out); each real element still
-/// accumulates in the tiled kernel's ascending-`p` FMA order, so this is
-/// a large-path kernel like any other: deterministic at every thread
-/// count, equivalent to the oracle within accumulation rounding.
-fn gemm_narrow_tiled(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], out: &mut [f32]) {
+/// At `ldb == n` this *is* `gemm`. At `ldb == NR` the panel is swept as
+/// is: the convolution backward pass lowers `colᵀ` straight into it
+/// instead of handing `gemm` a `[k, n]` operand to pad into scratch. The
+/// bits are `gemm`'s either way — the same fused chain over the same
+/// operand values.
+///
+/// # Panics
+///
+/// Panics if `ldb` is not `b_stride(m, k, n)` or a slice length disagrees
+/// with its dimensions.
+pub(crate) fn gemm_strided(
+    m: usize,
+    k: usize,
+    n: usize,
+    a: &[f32],
+    b: &[f32],
+    ldb: usize,
+    out: &mut [f32],
+) {
+    assert_eq!(ldb, b_stride(m, k, n), "gemm_strided: B row stride");
+    if ldb == n {
+        return gemm(m, k, n, a, b, out);
+    }
+    assert_eq!(a.len(), m * k, "gemm_strided: A length");
+    assert_eq!(b.len(), k * NR, "gemm_strided: B length");
+    assert_eq!(out.len(), m * n, "gemm_strided: out length");
+    gemm_narrow_panel(k, n, a, b, out);
+}
+
+/// `out = A · B` for a narrow output (`n <` [`NR`]) from `B` laid out as
+/// one `[k, NR]` panel whose lanes `n..NR` are zero: a single fused strip
+/// stored `n` columns wide.
+///
+/// Narrow outputs — classifier heads, thin dense layers, conv1's `∂W` —
+/// would neither tile nor vectorize in an `n`-wide loop. The padding lanes
+/// are dead (zeros in, never stored); each real element accumulates in the
+/// tiled kernel's ascending-`p` FMA order, so this is a large-path kernel
+/// like any other.
+fn gemm_narrow_panel(k: usize, n: usize, a: &[f32], panel: &[f32], out: &mut [f32]) {
     debug_assert!(n < NR && n > 0);
-    with_scratch(&NARROW_B, k * NR, |bp| {
-        for (dst, src) in bp.chunks_exact_mut(NR).zip(b.chunks_exact(n)) {
-            dst[..n].copy_from_slice(src);
-            dst[n..].fill(0.0);
-        }
-        with_scratch(&NARROW_OUT, m * NR, |op| {
-            gemm_rows_tiled(0..m, k, NR, a, bp, op);
-            for (orow, prow) in out.chunks_exact_mut(n).zip(op.chunks_exact(NR)) {
-                orow.copy_from_slice(&prow[..n]);
-            }
-        });
-    });
+    let strip = Strip {
+        b: panel,
+        ld: NR,
+        c0: 0,
+        j0: 0,
+        width: n,
+    };
+    sweep::<true>(0, k, n, a, out, strip);
 }
 
 /// Reference-order accumulation (`i`/`p`/`j`) for output rows `rows`.
@@ -230,176 +280,202 @@ fn gemm_rows_small(rows: Range<usize>, k: usize, n: usize, a: &[f32], b: &[f32],
     }
 }
 
-/// Register-tiled kernel for output rows `rows`.
+/// Register-tiled kernel for output rows `rows` of an output at least
+/// [`NR`] wide.
 ///
-/// The output is processed in [`MR`]-row × [`NR`]-column register tiles:
-/// each tile's accumulators live in registers across the *entire* `k`
-/// reduction (one store per output element instead of a load+store per
-/// reduction step) and every packed `B` load is reused across [`MR`]
-/// rows. The loop nest is strip-major: each `NR`-column panel of `B` is
-/// packed contiguously once ([`pack_panel`]) and then swept by every row
-/// group, so the hot loop reads two dense streams with no strided access
-/// and no per-step bounds checks. Per output element the accumulation
-/// visits `p` in ascending order one term at a time — the same
-/// association as the reference oracle.
+/// The loop nest is strip-major: each `NR`-column strip of `B` is swept by
+/// every row group ([`sweep`]). For deep reductions (`k ≥` [`KPACK`]) a
+/// full strip is packed contiguously once ([`pack_panel`]) so the hot
+/// loop reads two dense streams; for short ones (e.g. conv lowerings with
+/// tiny `c·kh·kw`) the pack would cost as much as the tile compute, so `B`
+/// is read in place. The `n % NR` trailing columns are always packed, into
+/// a zero-padded panel, and swept as the edge strip.
 fn gemm_rows_tiled(rows: Range<usize>, k: usize, n: usize, a: &[f32], b: &[f32], out: &mut [f32]) {
-    // Packing a B panel pays off only when it is swept many times (deep
-    // reductions). For short reductions (e.g. conv lowerings with tiny
-    // c·kh·kw) the pack would cost as much as the tile compute, so read B
-    // in place instead.
     let pack = k >= KPACK;
-    with_scratch(&PANEL_SCRATCH, if pack { k * NR } else { 0 }, |bpack| {
-        gemm_rows_tiled_with(rows, k, n, a, b, out, pack, bpack);
+    let tail = n % NR;
+    let scratch = if pack || tail > 0 { k * NR } else { 0 };
+    with_scratch(&PANEL_SCRATCH, scratch, |panel| {
+        for j0 in (0..n - tail).step_by(NR) {
+            let strip = if pack {
+                pack_panel(panel, b, n, j0, NR);
+                Strip {
+                    b: panel,
+                    ld: NR,
+                    c0: 0,
+                    j0,
+                    width: NR,
+                }
+            } else {
+                Strip {
+                    b,
+                    ld: n,
+                    c0: j0,
+                    j0,
+                    width: NR,
+                }
+            };
+            sweep::<true>(rows.start, k, n, a, out, strip);
+        }
+        if tail > 0 {
+            let j0 = n - tail;
+            pack_panel(panel, b, n, j0, tail);
+            let strip = Strip {
+                b: panel,
+                ld: NR,
+                c0: 0,
+                j0,
+                width: tail,
+            };
+            sweep::<false>(rows.start, k, n, a, out, strip);
+        }
     });
 }
 
-/// Body of [`gemm_rows_tiled`] over caller-provided panel scratch.
-#[allow(clippy::too_many_arguments)] // GEMM geometry + scratch; crate-internal
-fn gemm_rows_tiled_with(
-    rows: Range<usize>,
+/// Packs columns `j0..j0 + width` of `B: [k, n]` into the `[k, NR]`
+/// panel, zeroing lanes `width..NR` of every row (in one fill of the
+/// whole panel: a fill call per short pad measured slower).
+fn pack_panel(panel: &mut [f32], b: &[f32], n: usize, j0: usize, width: usize) {
+    if width < NR {
+        panel.fill(0.0);
+    }
+    for (prow, brow) in panel.chunks_exact_mut(NR).zip(b.chunks_exact(n)) {
+        prow[..width].copy_from_slice(&brow[j0..j0 + width]);
+    }
+}
+
+/// One `NR`-wide column strip of `B` as the register tiles read it: row
+/// `p` is `b[p·ld + c0..][..NR]`, and its first `width` lanes are the
+/// output columns `j0..j0 + width` (the rest are padding, never stored).
+#[derive(Clone, Copy)]
+struct Strip<'a> {
+    b: &'a [f32],
+    ld: usize,
+    c0: usize,
+    j0: usize,
+    width: usize,
+}
+
+/// Sweeps one strip over every row of `out` (the output rows from `i0`
+/// on, `n` wide): [`MR`]-row tiles, then the `< MR` leftover rows in the
+/// largest of the 4-, 2- and 1-row tiles that fits — every tile
+/// re-streams the whole strip, so five leftover rows cost two sweeps, not
+/// five. A row's result does not depend on which tile height computed it.
+/// `FUSED` picks the step: `fma_acc` for full and narrow strips,
+/// multiply-then-add for the edge strip. Inlined into each caller: a call
+/// per strip measured ~10 % slower on conv1's forward GEMM (`k = 25`).
+#[inline(always)]
+fn sweep<const FUSED: bool>(
+    i0: usize,
     k: usize,
     n: usize,
     a: &[f32],
-    b: &[f32],
     out: &mut [f32],
-    pack: bool,
-    bpack: &mut [f32],
+    strip: Strip<'_>,
 ) {
-    let mut j0 = 0;
-    while j0 + NR <= n {
-        if pack {
-            pack_panel(bpack, b, n, j0);
-        }
-        let mut orows = out.chunks_exact_mut(MR * n);
-        let mut i = rows.start;
-        for ogroup in orows.by_ref() {
-            let arows = &a[i * k..(i + MR) * k];
-            if pack {
-                tile_group::<MR>(ogroup, arows, bpack, k, n, j0);
-            } else {
-                tile_group_direct::<MR>(ogroup, arows, b, k, n, j0);
-            }
-            i += MR;
-        }
-        // The `< MR` leftover rows take the largest of the 4-, 2- and
-        // 1-row tiles that fits: every tile re-streams the whole panel, so
-        // five leftover rows cost two sweeps, not five. A row's result does
-        // not depend on which tile height computed it.
-        let mut rest = orows.into_remainder();
-        while !rest.is_empty() {
-            let left = rest.len() / n;
-            let r = if MR > 4 && left >= 4 {
-                4
-            } else if MR > 2 && left >= 2 {
-                2
-            } else {
-                1
-            };
-            let (ogroup, tail) = rest.split_at_mut(r * n);
-            let arows = &a[i * k..(i + r) * k];
-            match (r, pack) {
-                (4, true) => tile_group::<4>(ogroup, arows, bpack, k, n, j0),
-                (4, false) => tile_group_direct::<4>(ogroup, arows, b, k, n, j0),
-                (2, true) => tile_group::<2>(ogroup, arows, bpack, k, n, j0),
-                (2, false) => tile_group_direct::<2>(ogroup, arows, b, k, n, j0),
-                (_, true) => tile_group::<1>(ogroup, arows, bpack, k, n, j0),
-                (_, false) => tile_group_direct::<1>(ogroup, arows, b, k, n, j0),
-            }
-            i += r;
-            rest = tail;
-        }
-        j0 += NR;
+    let mut orows = out.chunks_exact_mut(MR * n);
+    let mut i = i0;
+    for ogroup in orows.by_ref() {
+        tile::<MR, FUSED>(ogroup, &a[i * k..(i + MR) * k], k, n, strip);
+        i += MR;
     }
-    if j0 < n {
-        for (r, orow) in out.chunks_exact_mut(n).enumerate() {
-            let tail = &mut orow[j0..];
-            tail.fill(0.0);
-            edge_cols(
-                tail,
-                &a[(rows.start + r) * k..(rows.start + r + 1) * k],
-                b,
-                n,
-                j0,
-            );
+    let mut rest = orows.into_remainder();
+    while !rest.is_empty() {
+        let left = rest.len() / n;
+        let r = if MR > 4 && left >= 4 {
+            4
+        } else if MR > 2 && left >= 2 {
+            2
+        } else {
+            1
+        };
+        let (ogroup, tail) = rest.split_at_mut(r * n);
+        let arows = &a[i * k..(i + r) * k];
+        match r {
+            4 => tile::<4, FUSED>(ogroup, arows, k, n, strip),
+            2 => tile::<2, FUSED>(ogroup, arows, k, n, strip),
+            _ => tile::<1, FUSED>(ogroup, arows, k, n, strip),
         }
+        i += r;
+        rest = tail;
     }
 }
 
-/// Variant of [`tile_group`] reading the `B` panel in place (unpacked):
-/// used for short reductions where packing cannot amortize.
-fn tile_group_direct<const R: usize>(
+/// Computes the `R×NR` tile of one strip at the `R` concatenated output
+/// rows `ogroup` from the `R` concatenated `A` rows, and stores the
+/// strip's `width` real columns.
+///
+/// A full fused strip accumulates and stores in place. A partial one — a
+/// narrow output or the edge strip — accumulates behind a call boundary
+/// ([`accumulate_outlined`]): LLVM keeps a tile's accumulators in vector
+/// registers only while every access to them has a constant width, and
+/// the `width`-long store would otherwise pin them to the stack (measured
+/// 5–20× slower). Behind the call the store reads a returned copy. At
+/// `k = 25` the call and the copy cost up to half a tile, so full strips
+/// — every short reduction's bulk — do not pay them. The tile itself is
+/// never inlined: inside the sweep, LLVM scalarizes even the full strips'
+/// accumulators (measured ~16× slower at conv1's forward shape).
+#[inline(never)]
+fn tile<const R: usize, const FUSED: bool>(
     ogroup: &mut [f32],
     a_rows: &[f32],
-    b: &[f32],
     k: usize,
     n: usize,
-    j0: usize,
+    strip: Strip<'_>,
 ) {
-    let a: [&[f32]; R] = std::array::from_fn(|r| &a_rows[r * k..(r + 1) * k]);
-    let mut acc = [[0.0f32; NR]; R];
-    for (p, brow) in b.chunks_exact(n).take(k).enumerate() {
-        let bseg: &[f32; NR] = brow[j0..].first_chunk().expect("strip width");
-        for (accr, arow) in acc.iter_mut().zip(a) {
-            let x = arow[p];
-            for (av, &bv) in accr.iter_mut().zip(bseg) {
-                fma_acc(av, x, bv);
-            }
+    let j0 = strip.j0;
+    if FUSED && strip.width == NR {
+        let acc = accumulate::<R, FUSED>(a_rows, k, strip);
+        for (orow, accr) in ogroup.chunks_exact_mut(n).zip(acc) {
+            orow[j0..j0 + NR].copy_from_slice(&accr);
+        }
+    } else {
+        let acc = accumulate_outlined::<R, FUSED>(a_rows, k, strip);
+        for (orow, accr) in ogroup.chunks_exact_mut(n).zip(acc) {
+            orow[j0..j0 + strip.width].copy_from_slice(&accr[..strip.width]);
         }
     }
-    for (orow, accr) in ogroup.chunks_exact_mut(n).zip(acc) {
-        orow[j0..j0 + NR].copy_from_slice(&accr);
-    }
 }
 
-/// Packs the `NR`-wide column panel of `B` starting at column `j0` into
-/// `k` contiguous rows.
-fn pack_panel(bpack: &mut [f32], b: &[f32], n: usize, j0: usize) {
-    for (prow, brow) in bpack.chunks_exact_mut(NR).zip(b.chunks_exact(n)) {
-        prow.copy_from_slice(&brow[j0..j0 + NR]);
-    }
+/// [`accumulate`] behind a call boundary (see [`tile`]).
+#[inline(never)]
+fn accumulate_outlined<const R: usize, const FUSED: bool>(
+    a_rows: &[f32],
+    k: usize,
+    strip: Strip<'_>,
+) -> [[f32; NR]; R] {
+    accumulate::<R, FUSED>(a_rows, k, strip)
 }
 
-/// Computes the `R×NR` tile at rows `ogroup` (R concatenated output
-/// rows), columns `j0..j0+NR`, from the `R` concatenated A rows and the
-/// packed B panel.
+/// The `R×NR` accumulators of one tile over the whole reduction, each
+/// lane from +0.0 in ascending `p`: `fma_acc` steps when `FUSED`,
+/// multiply-then-add otherwise.
 ///
 /// Note the A scalars are deliberately loaded one `arow[p]` at a time
 /// from `R` separate row slices: funnelling them through a contiguous
 /// `[f32; R]` (packed-A layouts) makes LLVM lower the tile to
 /// insert/extract shuffles instead of broadcasts and runs ~15× slower.
-fn tile_group<const R: usize>(
-    ogroup: &mut [f32],
+#[inline(always)]
+fn accumulate<const R: usize, const FUSED: bool>(
     a_rows: &[f32],
-    bpack: &[f32],
     k: usize,
-    n: usize,
-    j0: usize,
-) {
+    strip: Strip<'_>,
+) -> [[f32; NR]; R] {
     let a: [&[f32]; R] = std::array::from_fn(|r| &a_rows[r * k..(r + 1) * k]);
     let mut acc = [[0.0f32; NR]; R];
-    for (p, bseg) in bpack.chunks_exact(NR).take(k).enumerate() {
-        let bseg: &[f32; NR] = bseg.try_into().expect("panel width");
+    for (p, brow) in strip.b.chunks_exact(strip.ld).take(k).enumerate() {
+        let bseg: &[f32; NR] = brow[strip.c0..].first_chunk().expect("strip width");
         for (accr, arow) in acc.iter_mut().zip(a) {
             let x = arow[p];
             for (av, &bv) in accr.iter_mut().zip(bseg) {
-                fma_acc(av, x, bv);
+                if FUSED {
+                    fma_acc(av, x, bv);
+                } else {
+                    *av += x * bv;
+                }
             }
         }
     }
-    for (orow, accr) in ogroup.chunks_exact_mut(n).zip(acc) {
-        orow[j0..j0 + NR].copy_from_slice(&accr);
-    }
-}
-
-/// Reference-order fallback for the `n % NR` trailing columns of one row:
-/// `o_tail += arow · B[:, j0..]` where `o_tail` starts at column `j0`.
-fn edge_cols(o_tail: &mut [f32], arow: &[f32], b: &[f32], n: usize, j0: usize) {
-    for (p, &x) in arow.iter().enumerate() {
-        let btail = &b[p * n + j0..(p + 1) * n];
-        for (o, &v) in o_tail.iter_mut().zip(btail) {
-            *o += x * v;
-        }
-    }
+    acc
 }
 
 // ---------------------------------------------------------------------------
@@ -429,14 +505,14 @@ pub fn gemm_at_b(k: usize, m: usize, n: usize, a: &[f32], b: &[f32], out: &mut [
         at_b_rows_small(0..m, k, m, n, a, b, out);
     } else if n < NR {
         // Narrow outputs: transpose A into row-major scratch once, then
-        // run the padded-panel narrow kernel.
+        // run the narrow path over it.
         with_scratch(&AT_SCRATCH, m * k, |packed| {
             for (c, prow) in packed.chunks_exact_mut(k).enumerate() {
                 for (p, dst) in prow.iter_mut().enumerate() {
                     *dst = a[p * m + c];
                 }
             }
-            gemm_narrow_tiled(m, k, n, packed, b, out);
+            gemm(m, k, n, packed, b, out);
         });
     } else if work >= PAR_FLOPS && rayon::current_num_threads() > 1 {
         parallel_rows(m, n, out, |rows, chunk| {
@@ -475,7 +551,7 @@ fn at_b_rows_small(
 ///
 /// Each group of [`MR`] output rows corresponds to [`MR`] *columns* of
 /// `A`; those are packed (transposed) into a contiguous row-major scratch
-/// block first, after which the shared [`tile_rows`] kernel runs
+/// block first, after which the shared [`gemm_rows_tiled`] kernel runs
 /// unchanged. The pack touches `A` once per group (`m·k` elements total —
 /// noise next to the `m·k·n` reduction) and keeps the hot loop free of
 /// strided loads, which LLVM otherwise lowers catastrophically at wider
@@ -511,15 +587,17 @@ fn at_b_rows_tiled(
 /// (overwritten), without materialising the transpose on the small path.
 ///
 /// The large path gathers `Bᵀ` into scratch on every call
-/// (`transpose_into`) and reuses the packed-panel tiled kernel, which
-/// beats any dot-product formulation by a wide margin: row dot products
-/// carry a serial FMA dependency chain, while the tiled kernel keeps
-/// [`MR`]`·`[`NR`] independent accumulators in flight. The gather is `n·k`
-/// moves against an `m·k·n` reduction, so its share is `1/m` of the
-/// elements touched and far more of the time when `m` is small: this is
-/// the `Dense` forward pass (`x·Wᵀ`, `m` = the batch), where at `m = 2`
-/// the gather is most of the call. A caller that can produce `Bᵀ` directly
-/// should call [`gemm`] instead, as the convolution backward pass does.
+/// (`transpose_into`) and hands it to [`gemm`]'s large path, which beats
+/// any dot-product formulation by a wide margin: row dot products carry a
+/// serial FMA dependency chain, while the tiled kernel keeps
+/// [`MR`]`·`[`NR`] independent accumulators in flight. A narrow `Bᵀ` is
+/// gathered straight into the zero-padded panel the narrow path sweeps.
+/// The gather is `n·k` moves against an `m·k·n` reduction, so its share is
+/// `1/m` of the elements touched and far more of the time when `m` is
+/// small: this is the `Dense` forward pass (`x·Wᵀ`, `m` = the batch),
+/// where at `m = 2` the gather is most of the call. A caller that can
+/// produce `Bᵀ` directly should call [`gemm`] instead, as the convolution
+/// backward pass does.
 ///
 /// # Panics
 ///
@@ -535,25 +613,14 @@ pub fn gemm_a_bt(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], out: &mut [
         out.fill(0.0);
         return;
     }
-    let work = flops(m, k, n);
-    if work < SMALL_FLOPS {
+    if flops(m, k, n) < SMALL_FLOPS {
         a_bt_rows_small(0..m, k, n, a, b, out);
         return;
     }
-    with_scratch(&BT_SCRATCH, k * n, |bt| {
-        transpose_into(bt, b, n, k);
-        if n < NR {
-            // Narrow outputs (e.g. classifier heads): padded-panel tiled
-            // kernel over the transposed B.
-            gemm_narrow_tiled(m, k, n, a, bt, out);
-        } else if work >= PAR_FLOPS && rayon::current_num_threads() > 1 {
-            let bt = &*bt;
-            parallel_rows(m, n, out, |rows, chunk| {
-                gemm_rows_tiled(rows, k, n, a, bt, chunk);
-            });
-        } else {
-            gemm_rows_tiled(0..m, k, n, a, bt, out);
-        }
+    let ldb = b_stride(m, k, n);
+    with_scratch(&BT_SCRATCH, k * ldb, |bt| {
+        transpose_into(bt, b, n, k, ldb);
+        gemm_strided(m, k, n, a, bt, ldb, out);
     });
 }
 
@@ -561,19 +628,23 @@ pub fn gemm_a_bt(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], out: &mut [
 /// 64-byte line of every `Bᵀ` row.
 const BT_ROWS: usize = 16;
 
-/// Writes `bt = Bᵀ` for `b: [n, k]`, `bt: [k, n]`, overwriting all of `bt`.
+/// Writes `Bᵀ` for `b: [n, k]` into `bt: [k, ldb]` at row stride
+/// `ldb ≥ n`, zeroing lanes `n..ldb`, so all of `bt` is overwritten.
 ///
 /// [`BT_ROWS`] source rows are read side by side, so each `bt` row receives
 /// [`BT_ROWS`] adjacent elements at a time: the writes are contiguous runs
 /// and the reads are a handful of sequential streams. Walking one source
 /// row at a time instead writes a single element per `n`-strided line,
 /// which at 128×784 costs ten times as much as this.
-fn transpose_into(bt: &mut [f32], b: &[f32], n: usize, k: usize) {
+fn transpose_into(bt: &mut [f32], b: &[f32], n: usize, k: usize, ldb: usize) {
+    if ldb > n {
+        bt.fill(0.0);
+    }
     let mut blocks = b.chunks_exact(BT_ROWS * k);
     let mut j0 = 0;
     for block in blocks.by_ref() {
         let rows: [&[f32]; BT_ROWS] = std::array::from_fn(|r| &block[r * k..(r + 1) * k]);
-        for (p, btrow) in bt.chunks_exact_mut(n).enumerate() {
+        for (p, btrow) in bt.chunks_exact_mut(ldb).enumerate() {
             for (dst, row) in btrow[j0..j0 + BT_ROWS].iter_mut().zip(rows) {
                 *dst = row[p];
             }
@@ -581,7 +652,7 @@ fn transpose_into(bt: &mut [f32], b: &[f32], n: usize, k: usize) {
         j0 += BT_ROWS;
     }
     for (j, brow) in blocks.remainder().chunks_exact(k).enumerate() {
-        for (btrow, &v) in bt.chunks_exact_mut(n).zip(brow) {
+        for (btrow, &v) in bt.chunks_exact_mut(ldb).zip(brow) {
             btrow[j0 + j] = v;
         }
     }

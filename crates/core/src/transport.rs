@@ -6,10 +6,14 @@
 //! what every client of one request shares (teacher state, local
 //! configuration, composite loss), [`ClientDistiller`] is the one
 //! client's own state (its cross-round teacher-logit cache, DESIGN.md
-//! §9), and [`LoopbackDistill`] runs the distillers in-process on the
-//! shared pool — exactly the execution the pre-refactor round loop of
-//! [`crate::unlearner::GoldfishUnlearning`] performed, pinned bitwise by
-//! `tests/unlearn_identity.rs`.
+//! §9), and [`LoopbackDistill`] runs the distillers in-process: it is
+//! `goldfish_fed`'s one in-process executor,
+//! [`goldfish_fed::transport::LoopbackClients`], plus one request's
+//! distillation state. The library's
+//! [`crate::unlearner::GoldfishUnlearning`] borrows its client splits
+//! into one; the serve loopback owns one over its clients' rows — so
+//! library and serving distil through the same code by construction
+//! (`tests/unlearn_identity.rs` pins the bits).
 //!
 //! A distiller owns no network: each round runs on a
 //! [`goldfish_fed::trainer::TrainLane`] lent by whoever executes it —
@@ -24,12 +28,14 @@
 //! both transports execute this exact code against byte-identical inputs
 //! (the wire format round-trips `f32`s losslessly).
 
+use std::borrow::Cow;
 use std::sync::Arc;
 
 use goldfish_data::Dataset;
-use goldfish_fed::trainer::{Lanes, TrainLane};
+use goldfish_fed::trainer::TrainLane;
 use goldfish_fed::transport::{
-    client_seed, round_nonce, StreamedUpdate, TransportError, UpdateSink,
+    client_seed, round_nonce, LoopbackClients, RoundTransport, RowOutOfRange, TransportError,
+    UpdateSink,
 };
 use goldfish_fed::ModelFactory;
 use goldfish_nn::loss::{HardLoss, HardLossSpec};
@@ -58,8 +64,13 @@ pub struct UnlearnJob {
 /// streams training-round updates — a drain runs on the same
 /// [`goldfish_fed::transport::RoundRuntime`] as a training round.
 pub trait DistillTransport {
-    /// Number of currently live clients.
-    fn num_clients(&self) -> usize;
+    /// Number of currently live clients: the length of
+    /// [`DistillTransport::cohort_into`]'s registry.
+    fn num_clients(&self) -> usize {
+        let mut live = Vec::new();
+        self.cohort_into(&mut live);
+        live.len()
+    }
 
     /// The live registry: `(client_id, num_samples)` of every live
     /// client, **strictly ascending by id**, written into `out` (cleared
@@ -125,54 +136,6 @@ impl DistillJob {
             local,
             loss,
         }
-    }
-
-    /// One distillation round of every client in `distillers` that is in
-    /// `cohort` (ascending ids), on `lanes` in waves of one client per
-    /// pool thread ([`Lanes::waves`]); `data(i)` is distiller `i`'s
-    /// `(remaining, forget)` split. Each wave's uploads are exported into
-    /// the one reused `export` buffer, in client order, just before
-    /// `sink` reads them; `results` (cleared first) gets one entry per
-    /// contacted client.
-    #[allow(clippy::too_many_arguments)] // an executor's borrowed parts; one call site each
-    pub fn round_on<'d>(
-        &self,
-        lanes: &mut Lanes,
-        distillers: &mut [ClientDistiller],
-        data: impl Fn(usize) -> (&'d Dataset, &'d Dataset) + Sync,
-        round: usize,
-        seed: u64,
-        global: &[f32],
-        cohort: &[(usize, usize)],
-        export: &mut Vec<f32>,
-        sink: &mut UpdateSink<'_>,
-        results: &mut Vec<Result<(), TransportError>>,
-    ) {
-        let nonce = round_nonce(seed, round);
-        let mut members: Vec<(usize, &mut ClientDistiller)> = distillers
-            .iter_mut()
-            .enumerate()
-            .filter(|(_, d)| cohort.binary_search_by_key(&d.id, |&(id, _)| id).is_ok())
-            .collect();
-        results.clear();
-        lanes.waves(
-            &mut members,
-            |_, lane, (i, distiller)| {
-                let (remaining, forget) = data(*i);
-                distiller.round(self, remaining, forget, lane, global, round, seed);
-            },
-            |_, lanes, members| {
-                for (lane, (i, distiller)) in lanes.iter().zip(members.iter()) {
-                    lane.state_into(export);
-                    results.push(sink(StreamedUpdate {
-                        client_id: distiller.client_id(),
-                        num_samples: data(*i).0.len(),
-                        nonce,
-                        state: export,
-                    }));
-                }
-            },
-        );
     }
 }
 
@@ -268,99 +231,125 @@ impl ClientDistiller {
     }
 }
 
-/// The in-process [`DistillTransport`]: one [`ClientDistiller`] per
-/// borrowed client split, run in parallel on the executor's own
-/// [`Lanes`] — one student and one teacher network per pool thread, not
-/// per client.
+/// The in-process [`DistillTransport`]: the in-process executor,
+/// [`LoopbackClients`], plus one request's distillation state — its
+/// [`DistillJob`], one [`ClientDistiller`] per client live at
+/// `begin_unlearn`, and every client's forget rows. Each distillation
+/// round is one [`LoopbackClients::feed_waves`] over the cohort's
+/// distillers, on the executor's own lanes: one student and one teacher
+/// network per pool thread, not per client.
 ///
 /// Never produces stragglers.
-pub struct LoopbackDistill<'s> {
-    factory: ModelFactory,
-    /// The client id each split belongs to (its position by default).
-    ids: Vec<usize>,
-    splits: &'s [ClientSplit],
-    hard: Arc<dyn HardLoss>,
-    lanes: Lanes,
+pub struct LoopbackDistill<'a> {
+    clients: LoopbackClients<'a>,
+    /// Client `id`'s forget rows (empty when it deletes nothing).
+    forgets: Vec<Cow<'a, Dataset>>,
+    /// The custom-loss fallback (see [`LoopbackDistill::new`]).
+    hard: Option<Arc<dyn HardLoss>>,
     job: Option<DistillJob>,
     distillers: Vec<ClientDistiller>,
-    /// The one buffer every upload is exported into before the sink
-    /// reads it.
-    export: Vec<f32>,
 }
 
-impl<'s> LoopbackDistill<'s> {
-    /// Wraps the given client splits as an in-process transport. `hard`
-    /// is the method's hard loss: for built-in losses it matches the
-    /// [`UnlearnJob`]'s spec; custom losses only exist in-process, and
-    /// this trait object is what keeps them runnable here.
+impl<'a> LoopbackDistill<'a> {
+    /// Borrows the given client splits (client `id` is the `id`-th):
+    /// each distils on its remaining rows and forgets its forget rows.
+    /// `hard` is the method's hard loss: for built-in losses it matches
+    /// the [`UnlearnJob`]'s spec; custom losses only exist in-process,
+    /// and this trait object is what keeps them runnable here.
     pub fn new(
         factory: ModelFactory,
-        splits: &'s [ClientSplit],
+        splits: &'a [ClientSplit],
         hard: Arc<dyn HardLoss>,
         threads: Option<usize>,
     ) -> Self {
+        let remaining = splits.iter().map(|s| &s.remaining);
         LoopbackDistill {
-            factory,
-            ids: (0..splits.len()).collect(),
-            splits,
-            hard,
-            lanes: Lanes::new(threads),
+            clients: LoopbackClients::new(&factory, remaining, threads),
+            forgets: splits.iter().map(|s| Cow::Borrowed(&s.forget)).collect(),
+            hard: Some(hard),
             job: None,
             distillers: Vec::new(),
-            export: Vec::new(),
         }
     }
 
-    /// Names the client each split belongs to, for a host whose live
-    /// set has gaps (`ids[i]` owns `splits[i]`; ascending). Seeds and
-    /// uploads are keyed by these ids, so a client distils the same bits
-    /// whoever else takes part.
+    /// Owns the given client datasets, which forget nothing until
+    /// [`LoopbackDistill::remove_rows`]. There is no custom-loss
+    /// fallback: a job without a built-in loss is
+    /// [`TransportError::Unsupported`], as on a wire transport.
+    pub fn owning(
+        factory: ModelFactory,
+        clients: Vec<Dataset>,
+        threads: Option<usize>,
+    ) -> LoopbackDistill<'static> {
+        let empty = |d: &Dataset| Cow::Owned(Dataset::empty(d.sample_shape(), d.classes()));
+        LoopbackDistill {
+            forgets: clients.iter().map(empty).collect(),
+            clients: LoopbackClients::owning(&factory, clients, threads),
+            hard: None,
+            job: None,
+            distillers: Vec::new(),
+        }
+    }
+
+    /// The executor the rounds run on.
+    pub fn clients(&self) -> &LoopbackClients<'a> {
+        &self.clients
+    }
+
+    /// The executor, for training rounds, evaluation and row removal.
+    pub fn clients_mut(&mut self) -> &mut LoopbackClients<'a> {
+        &mut self.clients
+    }
+
+    /// Deletes rows for good ([`LoopbackClients::remove_rows`]) and
+    /// makes them the forget rows of the request being served; every
+    /// other client forgets nothing.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if `ids` does not name every split.
-    pub fn with_client_ids(mut self, ids: Vec<usize>) -> Self {
-        assert_eq!(ids.len(), self.splits.len(), "one id per client split");
-        self.ids = ids;
-        self
+    /// A row past its client's data; nothing is removed then.
+    pub fn remove_rows<'r>(
+        &mut self,
+        removals: impl IntoIterator<Item = (usize, &'r [usize])> + Clone,
+    ) -> Result<(), RowOutOfRange> {
+        let removed = self.clients.remove_rows(removals)?;
+        for forget in &mut self.forgets {
+            *forget = Cow::Owned(Dataset::empty(forget.sample_shape(), forget.classes()));
+        }
+        for (id, forget) in removed {
+            self.forgets[id] = Cow::Owned(forget);
+        }
+        Ok(())
     }
 }
 
 impl DistillTransport for LoopbackDistill<'_> {
-    fn num_clients(&self) -> usize {
-        self.splits.len()
-    }
-
     fn cohort_into(&self, out: &mut Vec<(usize, usize)>) {
-        out.clear();
-        out.extend(
-            self.ids
-                .iter()
-                .zip(self.splits)
-                .map(|(&id, split)| (id, split.remaining.len())),
-        );
+        self.clients.cohort_into(out)
     }
 
     fn begin_unlearn(&mut self, job: &UnlearnJob, teacher: &[f32]) -> Result<(), TransportError> {
-        if self.splits.is_empty() {
+        let mut live = Vec::new();
+        self.clients.cohort_into(&mut live);
+        if live.is_empty() {
             return Err(TransportError::NoLiveClients);
         }
         // Built-in losses rebuild from the spec (what a remote worker
-        // does); custom losses use the trait object handed to `new`.
-        let hard = match job.hard {
-            Some(spec) => spec.build(),
-            None => Arc::clone(&self.hard),
+        // does); custom losses use the fallback handed to `new`.
+        let hard = match (job.hard, &self.hard) {
+            (Some(spec), _) => spec.build(),
+            (None, Some(hard)) => Arc::clone(hard),
+            (None, None) => {
+                return Err(TransportError::Unsupported {
+                    reason: "custom hard losses cannot be shipped to workers".into(),
+                })
+            }
         };
-        self.job = Some(DistillJob::new(
-            Arc::clone(&self.factory),
-            teacher.to_vec(),
-            job.local,
-            hard,
-        ));
-        self.distillers = self
-            .ids
+        let factory = Arc::clone(self.clients.factory());
+        self.job = Some(DistillJob::new(factory, teacher.to_vec(), job.local, hard));
+        self.distillers = live
             .iter()
-            .map(|&id| ClientDistiller::new(id))
+            .map(|&(id, _)| ClientDistiller::new(id))
             .collect();
         Ok(())
     }
@@ -378,16 +367,23 @@ impl DistillTransport for LoopbackDistill<'_> {
             .job
             .as_ref()
             .expect("distill_round before begin_unlearn");
-        let splits = self.splits;
-        job.round_on(
-            &mut self.lanes,
-            &mut self.distillers,
-            |i| (&splits[i].remaining, &splits[i].forget),
-            round,
-            seed,
-            global,
-            cohort,
-            &mut self.export,
+        let forgets = &self.forgets;
+        let mut members: Vec<(&mut ClientDistiller, &Dataset)> = self
+            .distillers
+            .iter_mut()
+            .filter(|d| cohort.binary_search_by_key(&d.id, |&(id, _)| id).is_ok())
+            .map(|d| {
+                let forget = &*forgets[d.id];
+                (d, forget)
+            })
+            .collect();
+        self.clients.feed_waves(
+            &mut members,
+            |_, (distiller, _)| distiller.id,
+            round_nonce(seed, round),
+            |_, remaining, lane, (distiller, forget)| {
+                distiller.round(job, remaining, forget, lane, global, round, seed);
+            },
             sink,
             results,
         );

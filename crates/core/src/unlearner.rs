@@ -447,9 +447,6 @@ mod tests {
     }
 
     impl DistillTransport for Scripted {
-        fn num_clients(&self) -> usize {
-            self.samples.len()
-        }
         fn cohort_into(&self, out: &mut Vec<(usize, usize)>) {
             out.clear();
             out.extend(&self.samples);

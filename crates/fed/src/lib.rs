@@ -17,11 +17,12 @@
 //! * [`federation`] — the simulated federation: clients train in
 //!   parallel on the shared pool, the server aggregates and re-broadcasts,
 //! * [`transport`] — the server↔client transport abstraction: the
-//!   [`transport::RoundTransport`] contract, the in-process
-//!   [`transport::LoopbackClients`] implementation and
-//!   [`transport::RoundRuntime`], the one round loop every federation,
-//!   coordinator and unlearning drain runs on (`goldfish-serve` adds the
-//!   TCP implementation),
+//!   [`transport::RoundTransport`] contract,
+//!   [`transport::LoopbackClients`] — the one in-process executor, which
+//!   `goldfish-core`'s distillation and `goldfish-serve`'s loopback build
+//!   on — and [`transport::RoundRuntime`], the one round loop every
+//!   federation, coordinator and unlearning drain runs on
+//!   (`goldfish-serve` adds the TCP implementation),
 //! * [`pool`] — the shared rayon compute pool with a configurable thread
 //!   count; every parallel federated step (client training, evaluation,
 //!   chunked aggregation) runs on it.

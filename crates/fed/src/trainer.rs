@@ -131,13 +131,14 @@ pub fn train_local_ce(net: &mut Network, data: &Dataset, cfg: &TrainConfig, seed
 /// included), a [`TrainWorkspace`], a [`FusedSgd`] velocity buffer, and a
 /// second network slot that distillation lends to a client's teacher
 /// cache. Whoever runs clients keeps one lane per thread that can be
-/// running at once — an in-process executor (the library's
-/// [`LoopbackClients`](crate::transport::LoopbackClients), B1, a sharded client's shards, the serve
-/// loopback) one per pool thread ([`Lanes`]), a worker connection one,
-/// a fleet host one for all its workers — and lends it to whichever
-/// client is up next, for training, evaluation and distillation alike,
-/// so resident model memory follows what is running rather than who is
-/// registered.
+/// running at once — the in-process executor
+/// ([`LoopbackClients`](crate::transport::LoopbackClients), behind
+/// `Federation`, B1, every in-process drain and the serve loopback) and
+/// a sharded client's shards one per pool thread ([`Lanes`]), a worker
+/// connection one, a fleet host one for all its workers — and lends it
+/// to whichever client is up next, for training, evaluation and
+/// distillation alike, so resident model memory follows what is running
+/// rather than who is registered.
 ///
 /// A lane carries **capacity, never state**: every call installs the
 /// whole state vector first (trainable parameters and frozen tracked

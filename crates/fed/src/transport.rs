@@ -9,8 +9,9 @@
 //!   delivered update into an [`UpdateSink`] as it arrives (stragglers as
 //!   typed errors). A full-participation round is simply the round whose
 //!   cohort is the whole live registry,
-//! * [`LoopbackClients`] — the in-process implementation: the parallel
-//!   client execution `Federation` rounds and B1 retraining run, on one
+//! * [`LoopbackClients`] — the one in-process executor: `Federation`
+//!   rounds, B1 retraining, in-process distillation drains and the serve
+//!   loopback all run its one wave loop, on one
 //!   [`crate::trainer::TrainLane`] per pool thread,
 //! * [`RoundRuntime`] — the one round loop: admission checks, straggler
 //!   and violator drop + re-round, and aggregation under the round's
@@ -27,17 +28,19 @@
 //! same loop; DESIGN.md §10 specifies the wire format and the determinism
 //! argument.
 
+use std::borrow::Cow;
+use std::collections::BTreeSet;
+use std::sync::Arc;
+
 use goldfish_data::Dataset;
 use goldfish_telemetry::clock::Clock;
 use goldfish_telemetry::events::{EventKind, Trace};
 use goldfish_telemetry::registry::{Counter, Gauge, Histogram, Registry};
 
-use std::collections::BTreeSet;
-
 use crate::aggregate::{
     clip_update_into, delta_norm, l2_norm, AggregateError, AggregationMode, RoundAccumulator,
 };
-use crate::trainer::{Lanes, TrainConfig};
+use crate::trainer::{Lanes, TrainConfig, TrainLane};
 use crate::{eval, pool, ModelFactory};
 
 /// Derives the seed of client `id` in round `round` from the round-loop
@@ -276,6 +279,40 @@ impl std::fmt::Display for StateLenError {
 
 impl std::error::Error for StateLenError {}
 
+/// A deletion names a row its client's data does not hold.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct RowOutOfRange {
+    /// The client whose data was to shrink.
+    pub client_id: usize,
+    /// The offending row.
+    pub row: usize,
+    /// The client's row count at that point.
+    pub len: usize,
+}
+
+impl std::fmt::Display for RowOutOfRange {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "removed index {} out of {} local samples",
+            self.row, self.len
+        )
+    }
+}
+
+impl std::error::Error for RowOutOfRange {}
+
+/// A worker refuses such a deletion as a protocol error.
+impl From<RowOutOfRange> for TransportError {
+    fn from(e: RowOutOfRange) -> Self {
+        let reason = e.to_string();
+        TransportError::Protocol {
+            client_id: e.client_id,
+            reason,
+        }
+    }
+}
+
 /// One round's marching orders, broadcast to every client.
 #[derive(Debug, Clone, Copy)]
 pub struct TrainAssign<'a> {
@@ -306,6 +343,17 @@ pub struct StreamedUpdate<'a> {
     pub nonce: u64,
     /// The uploaded state vector.
     pub state: &'a [f32],
+}
+
+/// One client's local evaluation of a state vector (the `Eval` exchange).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct LocalEval {
+    /// The evaluating client.
+    pub client_id: usize,
+    /// Classification accuracy on the client's local data.
+    pub accuracy: f64,
+    /// Mean squared error on the client's local data.
+    pub mse: f64,
 }
 
 /// The per-arrival callback of [`RoundTransport::train_round`].
@@ -350,41 +398,59 @@ pub trait RoundTransport {
     }
 }
 
-/// The in-process transport: clients are datasets in this address space,
-/// trained on [`Lanes`] in id-ordered waves of one cohort member per pool
-/// thread, each wave's lanes exported into one reused buffer and fed to
-/// the sink before the next wave. Resident model memory is `threads`
-/// lanes and one state, not one per cohort member.
+/// The in-process round executor — the only one: `Federation` rounds,
+/// B1, the library's distillation and the serve loopback all run on it.
+/// Clients are datasets in this address space, borrowed (the library's
+/// splits are never copied) or owned (a server's, which
+/// [`LoopbackClients::remove_rows`] shrinks). Each round trains on
+/// [`Lanes`] in id-ordered waves ([`LoopbackClients::feed_waves`]), so
+/// resident model memory is `threads` lanes and one state, not one per
+/// cohort member.
 ///
 /// Never produces stragglers: every entry is `Ok`.
 pub struct LoopbackClients<'a> {
-    factory: &'a ModelFactory,
-    clients: Vec<&'a Dataset>,
+    factory: ModelFactory,
+    clients: Vec<Cow<'a, Dataset>>,
     lanes: Lanes,
     /// The one buffer each trained lane is exported into just before the
     /// sink reads it; reused across lanes, waves and rounds.
     export: Vec<f32>,
+    /// Clients evicted via [`RoundTransport::quarantine`]: out of every
+    /// later cohort, though their rows stay.
+    quarantined: BTreeSet<usize>,
     /// The test set each trained client is scored on, when asked.
     scored: Option<&'a Dataset>,
     accuracies: Vec<f64>,
 }
 
 impl<'a> LoopbackClients<'a> {
-    /// Wraps the given client datasets (client `id` is the `id`-th) as an
-    /// in-process transport running on `threads` pool threads.
+    /// Borrows the given client datasets (client `id` is the `id`-th) as
+    /// an in-process transport running on `threads` pool threads.
     pub fn new(
-        factory: &'a ModelFactory,
+        factory: &ModelFactory,
         clients: impl IntoIterator<Item = &'a Dataset>,
         threads: Option<usize>,
     ) -> Self {
         LoopbackClients {
-            factory,
-            clients: clients.into_iter().collect(),
+            factory: Arc::clone(factory),
+            clients: clients.into_iter().map(Cow::Borrowed).collect(),
             lanes: Lanes::new(threads),
             export: Vec::new(),
+            quarantined: BTreeSet::new(),
             scored: None,
             accuracies: Vec::new(),
         }
+    }
+
+    /// [`LoopbackClients::new`] over datasets it owns.
+    pub fn owning(
+        factory: &ModelFactory,
+        clients: Vec<Dataset>,
+        threads: Option<usize>,
+    ) -> LoopbackClients<'static> {
+        let mut owner = LoopbackClients::new(factory, [], threads);
+        owner.clients = clients.into_iter().map(Cow::Owned).collect();
+        owner
     }
 
     /// Also scores every upload's accuracy on `test`, on the lane that
@@ -399,12 +465,137 @@ impl<'a> LoopbackClients<'a> {
     pub fn accuracies(&self) -> &[f64] {
         &self.accuracies
     }
+
+    /// The architecture every client runs.
+    pub fn factory(&self) -> &ModelFactory {
+        &self.factory
+    }
+
+    /// Client `id`'s rows (`None` for an unregistered id).
+    pub fn rows(&self, id: usize) -> Option<&Dataset> {
+        self.clients.get(id).map(|d| &**d)
+    }
+
+    /// The quarantined client ids, ascending.
+    pub fn quarantined(&self) -> impl Iterator<Item = usize> + '_ {
+        self.quarantined.iter().copied()
+    }
+
+    /// The one in-process round: `run(id, rows, lane, item)` once per
+    /// item (`client(i, item)` names item `i`'s client; ascending), in
+    /// waves of one item per pool thread, each on the lane at its
+    /// position in the wave — a lane carries capacity, never state, so
+    /// which lane served a client cannot change a bit. After each wave,
+    /// every lane's state is exported into the one export buffer and fed
+    /// to `sink` in client order, before the next wave reuses the lanes:
+    /// nothing is ever parked. `results` (cleared first) gets one entry
+    /// per item.
+    pub fn feed_waves<T: Send>(
+        &mut self,
+        items: &mut [T],
+        client: impl Fn(usize, &T) -> usize + Sync,
+        nonce: u64,
+        run: impl Fn(usize, &Dataset, &mut TrainLane, &mut T) + Sync,
+        sink: &mut UpdateSink<'_>,
+        results: &mut Vec<Result<(), TransportError>>,
+    ) {
+        let (clients, export) = (&self.clients, &mut self.export);
+        results.clear();
+        self.lanes.waves(
+            items,
+            |i, lane, item| {
+                let id = client(i, item);
+                run(id, &clients[id], lane, item);
+            },
+            |first, lanes, items| {
+                for (i, (lane, item)) in lanes.iter().zip(items.iter()).enumerate() {
+                    let id = client(first + i, item);
+                    lane.state_into(export);
+                    results.push(sink(StreamedUpdate {
+                        client_id: id,
+                        num_samples: clients[id].len(),
+                        nonce,
+                        state: export,
+                    }));
+                }
+            },
+        );
+    }
+
+    /// The `Eval` exchange: every live client evaluates `global` on its
+    /// rows, in id order, on the lanes.
+    pub fn eval(&mut self, global: &[f32]) -> Vec<LocalEval> {
+        let mut live = Vec::new();
+        self.cohort_into(&mut live);
+        let mut evals: Vec<LocalEval> = live
+            .iter()
+            .map(|&(client_id, _)| LocalEval {
+                client_id,
+                accuracy: 0.0,
+                mse: 0.0,
+            })
+            .collect();
+        let (factory, clients) = (&self.factory, &self.clients);
+        self.lanes.waves(
+            &mut evals,
+            |_, lane, e| (e.accuracy, e.mse) = lane.eval(factory, global, &clients[e.client_id]),
+            |_, _, _| {},
+        );
+        evals
+    }
+
+    /// Deletes rows from clients' data for good — the one row shrink.
+    /// Each `(client_id, rows)` applies in turn, indexing the client's
+    /// data as the removals before it left it; unregistered ids and empty
+    /// removals are skipped. Returns each applied removal's removed rows.
+    ///
+    /// # Errors
+    ///
+    /// The first row past its client's data, found before any client
+    /// shrinks.
+    pub fn remove_rows<'r>(
+        &mut self,
+        removals: impl IntoIterator<Item = (usize, &'r [usize])> + Clone,
+    ) -> Result<Vec<(usize, Dataset)>, RowOutOfRange> {
+        let mut lens: Vec<usize> = self.clients.iter().map(|d| d.len()).collect();
+        for (client_id, rows) in removals.clone() {
+            let Some(len) = lens.get_mut(client_id) else {
+                continue;
+            };
+            if let Some(&row) = rows.iter().find(|&&row| row >= *len) {
+                let len = *len;
+                return Err(RowOutOfRange {
+                    client_id,
+                    row,
+                    len,
+                });
+            }
+            *len -= rows.iter().collect::<BTreeSet<_>>().len();
+        }
+        let mut removed = Vec::new();
+        for (id, rows) in removals.into_iter().filter(|(_, rows)| !rows.is_empty()) {
+            let Some(data) = self.clients.get_mut(id) else {
+                continue;
+            };
+            let gone: BTreeSet<usize> = rows.iter().copied().collect();
+            let keep: Vec<usize> = (0..data.len()).filter(|i| !gone.contains(i)).collect();
+            removed.push((id, data.subset(rows)));
+            *data = Cow::Owned(data.subset(&keep));
+        }
+        Ok(removed)
+    }
 }
 
 impl RoundTransport for LoopbackClients<'_> {
     fn cohort_into(&self, out: &mut Vec<(usize, usize)>) {
         out.clear();
-        out.extend(self.clients.iter().enumerate().map(|(id, d)| (id, d.len())));
+        out.extend(
+            self.clients
+                .iter()
+                .enumerate()
+                .filter(|(id, _)| !self.quarantined.contains(id))
+                .map(|(id, d)| (id, d.len())),
+        );
     }
 
     fn train_round(
@@ -414,36 +605,33 @@ impl RoundTransport for LoopbackClients<'_> {
         sink: &mut UpdateSink<'_>,
         results: &mut Vec<Result<(), TransportError>>,
     ) {
-        let (factory, clients, scored) = (self.factory, &self.clients, self.scored);
-        let export = &mut self.export;
-        self.accuracies.clear();
-        self.accuracies.resize(cohort.len(), 0.0);
-        results.clear();
-        self.lanes.waves(
-            &mut self.accuracies,
-            |i, lane, accuracy| {
-                let id = cohort[i].0;
+        let (factory, scored) = (Arc::clone(&self.factory), self.scored);
+        let mut accuracies = std::mem::take(&mut self.accuracies);
+        accuracies.clear();
+        accuracies.resize(cohort.len(), 0.0);
+        self.feed_waves(
+            &mut accuracies,
+            |i, _| cohort[i].0,
+            assign.nonce,
+            |id, data, lane, accuracy| {
                 let seed = client_seed(assign.seed, id, assign.round);
-                lane.run(factory, assign.global, clients[id], assign.cfg, seed);
+                lane.run(&factory, assign.global, data, assign.cfg, seed);
                 if let Some(test) = scored {
-                    *accuracy = eval::accuracy(lane.networks(factory).0, test);
+                    *accuracy = eval::accuracy(lane.networks(&factory).0, test);
                 }
             },
-            |first, lanes, _| {
-                for (&(id, _), lane) in cohort[first..].iter().zip(lanes.iter()) {
-                    lane.state_into(export);
-                    results.push(sink(StreamedUpdate {
-                        client_id: id,
-                        num_samples: clients[id].len(),
-                        nonce: assign.nonce,
-                        state: export,
-                    }));
-                }
-            },
+            sink,
+            results,
         );
         if scored.is_none() {
-            self.accuracies.clear();
+            accuracies.clear();
         }
+        self.accuracies = accuracies;
+    }
+
+    /// Evicts `client_id` from every later cohort.
+    fn quarantine(&mut self, client_id: usize) -> bool {
+        client_id < self.clients.len() && self.quarantined.insert(client_id)
     }
 }
 

@@ -337,9 +337,10 @@ fn attach_state_dir<T: ServeTransport>(coordinator: &mut Coordinator<T>) {
     let resumed = recovered.resumed;
     let served = recovered.served.len();
     let replayed = recovered.replayed.len();
-    coordinator
-        .attach_durability(store, recovered)
-        .unwrap_or_else(|e| panic!("recovered state does not fit this model: {e}"));
+    if let Err(e) = coordinator.attach_durability(store, recovered) {
+        error!("state dir {dir}: recovered state does not fit: {e}");
+        std::process::exit(2);
+    }
     if resumed {
         println!(
             "recovered from {dir}: round cursor {}, {} served request(s) in the audit chain, {} WAL request(s) replayed",

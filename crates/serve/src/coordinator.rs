@@ -30,8 +30,8 @@ use goldfish_data::Dataset;
 use goldfish_fed::aggregate::AggregationMode;
 use goldfish_fed::trainer::TrainConfig;
 use goldfish_fed::transport::{
-    round_nonce, RobustConfig, RobustnessEvent, RoundOutcome, RoundRuntime, StateLenError,
-    TrainAssign, TransportError, Weighting,
+    round_nonce, RobustConfig, RobustnessEvent, RoundOutcome, RoundRuntime, RowOutOfRange,
+    StateLenError, TrainAssign, TransportError, Weighting,
 };
 use goldfish_fed::ModelFactory;
 use goldfish_telemetry::events::EventKind;
@@ -305,6 +305,33 @@ impl std::fmt::Display for SubmitError {
 
 impl std::error::Error for SubmitError {}
 
+/// A recovered state that does not fit the coordinator it is attached to
+/// ([`Coordinator::attach_durability`]).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum RecoveryError {
+    /// The recovered global does not match the model architecture
+    /// (version/config skew).
+    StateLen(StateLenError),
+    /// A committed deletion names a row its client's data does not hold:
+    /// the state dir was written over other data.
+    Removal(RowOutOfRange),
+}
+
+impl std::fmt::Display for RecoveryError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            RecoveryError::StateLen(e) => e.fmt(f),
+            RecoveryError::Removal(e) => write!(
+                f,
+                "committed deletion on client {}: {e} (the state dir is not over this data)",
+                e.client_id
+            ),
+        }
+    }
+}
+
+impl std::error::Error for RecoveryError {}
+
 /// Per-round training seed of [`Coordinator::run`] — the shared
 /// derivation `Federation::train_rounds` uses (one definition, in
 /// `goldfish_fed::transport`, so daemons, tests and benchmarks replaying
@@ -455,17 +482,34 @@ impl<T: ServeTransport> Coordinator<T> {
     ///
     /// # Errors
     ///
-    /// [`StateLenError`] when the recovered global does not match the
-    /// model architecture (version/config skew) — nothing is applied.
+    /// A [`RecoveryError`] when the recovered state does not fit this
+    /// coordinator — nothing is applied.
     pub fn attach_durability(
         &mut self,
         mut store: DurableStore,
         recovered: Recovered,
-    ) -> Result<(), StateLenError> {
+    ) -> Result<(), RecoveryError> {
         store.set_telemetry(DurabilityTelemetry::from_serve(&self.telemetry));
         let replayed = recovered.replayed.len() + recovered.replayed_shard.len();
         if recovered.resumed {
-            StateLenError::check(recovered.global.len(), self.global.len())?;
+            StateLenError::check(recovered.global.len(), self.global.len())
+                .map_err(RecoveryError::StateLen)?;
+            // The v2 chain mixes served deletions with robustness
+            // verdicts; only the former are removals to replay. In
+            // shard mode client datasets never shrink (removals are
+            // realised via per-retrain `keep_rows`, tombstoned in the
+            // shard map) — served entries are audit history only.
+            if self.cfg.shard.is_none() {
+                let served: Vec<UnlearnRequest> = recovered
+                    .served
+                    .iter()
+                    .filter(|e| e.kind == audit_kind::UNLEARN_SERVED)
+                    .map(|e| e.request())
+                    .collect();
+                self.transport
+                    .apply_removals(&served)
+                    .map_err(RecoveryError::Removal)?;
+            }
             self.global = recovered.global;
             self.next_round = recovered.round_next;
             // Recovered drain counters fold into the (fresh) registry
@@ -479,20 +523,6 @@ impl<T: ServeTransport> Coordinator<T> {
             self.telemetry
                 .drain_last_batch_requests
                 .set(recovered.drain_stats.last_batch_requests as i64);
-            // The v2 chain mixes served deletions with robustness
-            // verdicts; only the former are removals to replay. In
-            // shard mode client datasets never shrink (removals are
-            // realised via per-retrain `keep_rows`, tombstoned in the
-            // shard map) — served entries are audit history only.
-            if self.cfg.shard.is_none() {
-                let served: Vec<UnlearnRequest> = recovered
-                    .served
-                    .iter()
-                    .filter(|e| e.kind == audit_kind::UNLEARN_SERVED)
-                    .map(|e| e.request())
-                    .collect();
-                self.transport.apply_removals(&served);
-            }
         }
         self.queue.restore(recovered.pending);
         for req in recovered.replayed {

@@ -30,7 +30,7 @@ use crate::queue::UnlearnRequest;
 use crate::transport::{LocalEval, ServeTransport, WireStats};
 use goldfish_core::transport::{DistillTransport, UnlearnJob};
 use goldfish_fed::transport::{
-    RoundTransport, StreamedUpdate, TrainAssign, TransportError, UpdateSink,
+    RoundTransport, RowOutOfRange, StreamedUpdate, TrainAssign, TransportError, UpdateSink,
 };
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use std::collections::BTreeMap;
@@ -486,10 +486,6 @@ fn apply_script(
 }
 
 impl<T: ServeTransport> DistillTransport for FaultyTransport<T> {
-    fn num_clients(&self) -> usize {
-        DistillTransport::num_clients(&self.inner)
-    }
-
     fn cohort_into(&self, out: &mut Vec<(usize, usize)>) {
         DistillTransport::cohort_into(&self.inner, out)
     }
@@ -523,7 +519,7 @@ impl<T: ServeTransport> ServeTransport for FaultyTransport<T> {
         self.inner.stage_removals(requests, serial)
     }
 
-    fn apply_removals(&mut self, requests: &[UnlearnRequest]) {
+    fn apply_removals(&mut self, requests: &[UnlearnRequest]) -> Result<(), RowOutOfRange> {
         self.inner.apply_removals(requests)
     }
 

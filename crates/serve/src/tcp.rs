@@ -1354,10 +1354,6 @@ impl RoundTransport for TcpTransport {
 }
 
 impl DistillTransport for TcpTransport {
-    fn num_clients(&self) -> usize {
-        self.conns.iter().flatten().count()
-    }
-
     fn cohort_into(&self, out: &mut Vec<(usize, usize)>) {
         RoundTransport::cohort_into(self, out)
     }

@@ -7,21 +7,24 @@
 //! serve-specific operations (staging deletion requests, local
 //! evaluation, wire accounting). Two implementations exist:
 //!
-//! * [`LoopbackTransport`] (here) — clients are datasets in this process;
-//!   execution delegates to the same loopback executors the library's
-//!   `Federation`/`GoldfishUnlearning` use, so a loopback run **is** the
-//!   existing in-process path,
+//! * [`LoopbackTransport`] (here) — clients are datasets in this process.
+//!   It holds the library's own in-process executor, a
+//!   [`LoopbackDistill`] over rows it owns (itself a
+//!   [`goldfish_fed::transport::LoopbackClients`] plus one request's
+//!   distillation state), and adds only what serving needs: deletion
+//!   staging, recovery replay and shard retrains. So a loopback round or
+//!   drain **is** the in-process path `Federation` and
+//!   `GoldfishUnlearning` run, by construction,
 //! * [`crate::tcp::TcpTransport`] — clients are remote worker daemons
 //!   behind sockets; bitwise-identical to loopback because both sides
 //!   run the same per-client code against losslessly round-tripped
 //!   states.
 
-use goldfish_core::transport::{ClientDistiller, DistillJob, DistillTransport, UnlearnJob};
-use goldfish_core::ClientSplit;
+use goldfish_core::transport::{DistillTransport, LoopbackDistill, UnlearnJob};
 use goldfish_data::Dataset;
-use goldfish_fed::trainer::Lanes;
+pub use goldfish_fed::transport::LocalEval;
 use goldfish_fed::transport::{
-    client_seed, RoundTransport, StreamedUpdate, TrainAssign, TransportError, UpdateSink,
+    RoundTransport, RowOutOfRange, TrainAssign, TransportError, UpdateSink,
 };
 use goldfish_fed::ModelFactory;
 
@@ -41,17 +44,6 @@ impl WireStats {
     pub fn total(&self) -> u64 {
         self.bytes_sent + self.bytes_received
     }
-}
-
-/// One client's local evaluation of a state vector (the `Eval` exchange).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct LocalEval {
-    /// The evaluating client.
-    pub client_id: usize,
-    /// Classification accuracy on the client's local data.
-    pub accuracy: f64,
-    /// Mean squared error on the client's local data.
-    pub mse: f64,
 }
 
 /// Everything a coordinator needs from a transport.
@@ -74,8 +66,14 @@ pub trait ServeTransport: RoundTransport + DistillTransport {
     /// client datasets. Loopback shrinks its owned datasets; remote
     /// transports do nothing (the workers are authoritative for their
     /// own data and apply deletions idempotently by serial).
-    fn apply_removals(&mut self, requests: &[UnlearnRequest]) {
+    ///
+    /// # Errors
+    ///
+    /// A deletion naming a row its client does not hold (the state dir
+    /// belongs to other data); nothing is applied then.
+    fn apply_removals(&mut self, requests: &[UnlearnRequest]) -> Result<(), RowOutOfRange> {
         let _ = requests;
+        Ok(())
     }
 
     /// Gives the transport a chance to re-admit reconnecting workers
@@ -160,91 +158,39 @@ pub trait ServeTransport: RoundTransport + DistillTransport {
     }
 }
 
-/// The request a [`LoopbackTransport`] is distilling: its job, and one
-/// distiller and forget set per client live at `begin_unlearn` (a
-/// client's remaining data is its dataset, already shrunk).
-struct Distill {
-    job: DistillJob,
-    ids: Vec<usize>,
-    distillers: Vec<ClientDistiller>,
-    forgets: Vec<Dataset>,
-}
-
-/// The in-process [`ServeTransport`]: owns every client's dataset and one
-/// set of [`Lanes`] — one [`goldfish_fed::trainer::TrainLane`] per
-/// executing pool thread — that serves training, evaluation and
-/// distillation alike. Training rounds run the same per-client compute
-/// as the library's [`goldfish_fed::transport::LoopbackClients`]
-/// executor (bitwise identical — pinned by `serve_identity`), and
-/// distillation rounds the same as [`goldfish_core::LoopbackDistill`],
-/// but on long-lived lanes feeding the streaming aggregation sink from
-/// one reused export buffer, so a warm single-thread round never touches
-/// the allocator (pinned by `tests/alloc_free_round.rs`) and resident
-/// model memory is `threads` lanes and one state — not a network or a
-/// state per registered client or cohort member (pinned by
+/// The in-process [`ServeTransport`]: a [`LoopbackDistill`] owning every
+/// client's dataset (training, evaluation and drains all run on its one
+/// set of lanes) plus deletion staging. A warm single-thread round never
+/// touches the allocator (pinned by `tests/alloc_free_round.rs`), and
+/// resident model memory is `threads` lanes and one state — not a
+/// network or a state per registered client or cohort member (pinned by
 /// `tests/alloc_free.rs`). The reference implementation every TCP run
 /// is checked against.
 pub struct LoopbackTransport {
-    factory: ModelFactory,
-    clients: Vec<Dataset>,
+    exec: LoopbackDistill<'static>,
     staged: Vec<UnlearnRequest>,
-    distill: Option<Distill>,
-    lanes: Lanes,
-    /// The round's contacted clients, in cohort (id) order.
-    members: Vec<usize>,
-    /// The one buffer each trained lane is exported into just before
-    /// the sink reads it; reused across lanes, waves and rounds.
-    export: Vec<f32>,
-    /// Clients evicted via [`RoundTransport::quarantine`]: excluded
-    /// from cohorts and the streamed feed (their datasets stay owned —
-    /// in-process data cannot "leave" — but their updates never reach
-    /// an aggregation sink again).
-    quarantined: std::collections::BTreeSet<usize>,
 }
 
 impl LoopbackTransport {
     /// Wraps the client datasets as an in-process transport.
     pub fn new(factory: ModelFactory, clients: Vec<Dataset>, threads: Option<usize>) -> Self {
         LoopbackTransport {
-            factory,
-            clients,
+            exec: LoopbackDistill::owning(factory, clients, threads),
             staged: Vec::new(),
-            distill: None,
-            lanes: Lanes::new(threads),
-            members: Vec::new(),
-            export: Vec::new(),
-            quarantined: std::collections::BTreeSet::new(),
         }
     }
 
     /// Clients evicted so far, ascending.
     pub fn quarantined_clients(&self) -> Vec<usize> {
-        self.quarantined.iter().copied().collect()
+        self.exec.clients().quarantined().collect()
     }
 }
 
 impl RoundTransport for LoopbackTransport {
     fn cohort_into(&self, out: &mut Vec<(usize, usize)>) {
-        out.clear();
-        out.extend(
-            self.clients
-                .iter()
-                .enumerate()
-                .filter(|(id, _)| !self.quarantined.contains(id))
-                .map(|(id, d)| (id, d.len())),
-        );
+        self.exec.clients().cohort_into(out)
     }
 
-    /// Only cohort members compute and upload. Members train in
-    /// id-ordered waves of one member per pool thread, each on the lane
-    /// at its position in the wave: a lane carries capacity, never state
-    /// (every run installs the whole broadcast state first), so which
-    /// lane served a client cannot change a bit. After each wave, every
-    /// lane's trained state is exported into the one export buffer and
-    /// fed in client-id order before the next wave reuses the lanes: the
-    /// aggregation frontier folds every update on arrival, so nothing is
-    /// ever parked on loopback, and resident states follow neither the
-    /// pool size nor the cohort.
     fn train_round(
         &mut self,
         assign: &TrainAssign<'_>,
@@ -252,117 +198,54 @@ impl RoundTransport for LoopbackTransport {
         sink: &mut UpdateSink<'_>,
         results: &mut Vec<Result<(), TransportError>>,
     ) {
-        let LoopbackTransport {
-            factory,
-            clients,
-            lanes,
-            members,
-            export,
-            quarantined,
-            ..
-        } = self;
-        // Quarantined clients are out of the federation: no compute, no
-        // upload.
-        members.clear();
-        members.extend(
-            cohort
-                .iter()
-                .map(|&(id, _)| id)
-                .filter(|id| *id < clients.len() && !quarantined.contains(id)),
-        );
-        let (factory, clients) = (&*factory, &*clients);
-        results.clear();
-        lanes.waves(
-            members,
-            |_, lane, &mut id| {
-                let seed = client_seed(assign.seed, id, assign.round);
-                lane.run(factory, assign.global, &clients[id], assign.cfg, seed);
-            },
-            |_, lanes, ids| {
-                for (lane, &mut id) in lanes.iter().zip(ids.iter_mut()) {
-                    lane.state_into(export);
-                    results.push(sink(StreamedUpdate {
-                        client_id: id,
-                        num_samples: clients[id].len(),
-                        nonce: assign.nonce,
-                        state: export,
-                    }));
-                }
-            },
-        );
+        self.exec
+            .clients_mut()
+            .train_round(assign, cohort, sink, results)
     }
 
-    /// Evicts `client_id` from every future cohort and streamed feed.
+    /// Evicts `client_id` from every later cohort (its dataset stays
+    /// owned — in-process data cannot "leave" — but it is never
+    /// contacted again).
     fn quarantine(&mut self, client_id: usize) -> bool {
-        if client_id >= self.clients.len() {
-            return false;
-        }
-        self.quarantined.insert(client_id)
+        self.exec.clients_mut().quarantine(client_id)
     }
 }
 
 impl DistillTransport for LoopbackTransport {
-    fn num_clients(&self) -> usize {
-        self.clients.len() - self.quarantined.len()
-    }
-
     fn cohort_into(&self, out: &mut Vec<(usize, usize)>) {
-        RoundTransport::cohort_into(self, out)
+        self.exec.cohort_into(out)
     }
 
     fn begin_unlearn(&mut self, job: &UnlearnJob, teacher: &[f32]) -> Result<(), TransportError> {
-        let hard = match job.hard {
-            Some(spec) => spec.build(),
-            None => {
-                return Err(TransportError::Unsupported {
-                    reason: "custom hard losses cannot be shipped to workers".into(),
-                })
-            }
-        };
         let staged = std::mem::take(&mut self.staged);
         // Live clients only, like every round: a quarantined client gets
         // no job and shapes no distillation round, exactly as its closed
         // connection guarantees on TCP — where a deletion requested by
         // one is the same typed failure, before anything is applied.
+        let mut live = Vec::new();
+        self.exec.cohort_into(&mut live);
+        let is_live = |id| live.binary_search_by_key(&id, |&(l, _)| l).is_ok();
         if let Some(req) = staged
             .iter()
-            .find(|r| !r.removed.is_empty() && self.quarantined.contains(&r.client_id))
+            .find(|r| !r.removed.is_empty() && !is_live(r.client_id))
         {
             return Err(TransportError::Disconnected {
                 client_id: req.client_id,
                 reason: "deletion-requesting client is not connected".into(),
             });
         }
-        let mut live = Vec::new();
-        RoundTransport::cohort_into(self, &mut live);
-        if live.is_empty() {
-            return Err(TransportError::NoLiveClients);
-        }
-        let ids: Vec<usize> = live.iter().map(|&(id, _)| id).collect();
+        self.exec.begin_unlearn(job, teacher)?;
         // The deletion is permanent (mirroring the worker daemon's state
         // machine): a client with removals keeps only its remaining data
-        // for every later round, and that dataset is what it distils on.
-        let forgets = ids
-            .iter()
-            .map(|&id| {
-                let data = &mut self.clients[id];
-                match staged.iter().find(|r| r.client_id == id) {
-                    Some(req) if !req.removed.is_empty() => {
-                        let split = ClientSplit::with_removed(data, &req.removed);
-                        *data = split.remaining;
-                        split.forget
-                    }
-                    _ => Dataset::empty(data.sample_shape(), data.classes()),
-                }
-            })
-            .collect();
-        self.distill = Some(Distill {
-            job: DistillJob::new(self.factory.clone(), teacher.to_vec(), job.local, hard),
-            distillers: ids.iter().map(|&id| ClientDistiller::new(id)).collect(),
-            ids,
-            forgets,
+        // for every later round, and that is what it distils on. Each
+        // live client applies its first staged request, as a worker
+        // does; a bad row is the worker's typed refusal, and nothing
+        // shrinks.
+        let removals = live.iter().filter_map(|&(id, _)| {
+            let req = staged.iter().find(|r| r.client_id == id)?;
+            Some((id, req.removed.as_slice()))
         });
-        Ok(())
+        Ok(self.exec.remove_rows(removals)?)
     }
 
     fn distill_round(
@@ -374,42 +257,19 @@ impl DistillTransport for LoopbackTransport {
         sink: &mut UpdateSink<'_>,
         results: &mut Vec<Result<(), TransportError>>,
     ) {
-        let LoopbackTransport {
-            clients,
-            distill,
-            lanes,
-            export,
-            ..
-        } = self;
-        let Distill {
-            job,
-            ids,
-            distillers,
-            forgets,
-        } = distill
-            .as_mut()
-            .expect("distill_round before begin_unlearn");
-        let (clients, ids, forgets) = (&*clients, &*ids, &*forgets);
-        job.round_on(
-            lanes,
-            distillers,
-            |i| (&clients[ids[i]], &forgets[i]),
-            round,
-            seed,
-            global,
-            cohort,
-            export,
-            sink,
-            results,
-        );
+        self.exec
+            .distill_round(round, seed, global, cohort, sink, results)
     }
 }
 
 impl ServeTransport for LoopbackTransport {
     fn client_sizes(&self) -> Vec<usize> {
-        let mut sizes: Vec<usize> = self.clients.iter().map(|c| c.len()).collect();
+        let clients = self.exec.clients();
+        let mut sizes: Vec<usize> = (0..)
+            .map_while(|id| clients.rows(id).map(Dataset::len))
+            .collect();
         // A quarantined client reads 0, like a closed TCP connection.
-        for &id in &self.quarantined {
+        for id in clients.quarantined() {
             sizes[id] = 0;
         }
         sizes
@@ -419,20 +279,12 @@ impl ServeTransport for LoopbackTransport {
         self.staged = requests.to_vec();
     }
 
-    fn apply_removals(&mut self, requests: &[UnlearnRequest]) {
+    fn apply_removals(&mut self, requests: &[UnlearnRequest]) -> Result<(), RowOutOfRange> {
         // Committed deletions replay in audit order; each removal's
-        // indices refer to the dataset as it stood at that point, so
-        // the shrink must be sequential, exactly as `begin_unlearn`
-        // originally performed it.
-        for req in requests {
-            if req.removed.is_empty() {
-                continue;
-            }
-            if let Some(data) = self.clients.get(req.client_id) {
-                let split = ClientSplit::with_removed(data, &req.removed);
-                self.clients[req.client_id] = split.remaining;
-            }
-        }
+        // indices refer to the dataset as it stood at that point, which
+        // is how the shared shrink applies them.
+        let removals = requests.iter().map(|r| (r.client_id, r.removed.as_slice()));
+        self.exec.clients_mut().remove_rows(removals).map(drop)
     }
 
     fn local_eval(
@@ -443,22 +295,7 @@ impl ServeTransport for LoopbackTransport {
         // Live clients only, like every round: a quarantined client is
         // out of the federation here exactly as its closed connection is
         // on TCP.
-        let mut live = Vec::new();
-        RoundTransport::cohort_into(self, &mut live);
-        let mut evals: Vec<LocalEval> = live
-            .iter()
-            .map(|&(client_id, _)| LocalEval {
-                client_id,
-                accuracy: 0.0,
-                mse: 0.0,
-            })
-            .collect();
-        let (factory, clients) = (&self.factory, &self.clients);
-        self.lanes.waves(
-            &mut evals,
-            |_, lane, e| (e.accuracy, e.mse) = lane.eval(factory, global, &clients[e.client_id]),
-            |_, _, _| {},
-        );
+        let evals = self.exec.clients_mut().eval(global);
         evals.into_iter().map(Ok).collect()
     }
 
@@ -476,14 +313,12 @@ impl ServeTransport for LoopbackTransport {
         // hold replicas of each other's shard data, so any executor can
         // run the owner's retrain; in-process, that is simply reading
         // the owner's dataset.
-        let data = match self.clients.get(assign.owner) {
-            Some(d) => d,
-            None => {
-                return Err(TransportError::Disconnected {
-                    client_id: assign.owner,
-                    reason: "shard retrain for unregistered client".into(),
-                })
-            }
+        let clients = self.exec.clients();
+        let Some(data) = clients.rows(assign.owner) else {
+            return Err(TransportError::Disconnected {
+                client_id: assign.owner,
+                reason: "shard retrain for unregistered client".into(),
+            });
         };
         if let Some(&bad) = assign.keep_rows.iter().find(|&&r| r >= data.len()) {
             return Err(TransportError::Protocol {
@@ -493,7 +328,7 @@ impl ServeTransport for LoopbackTransport {
         }
         let survived = data.subset(&assign.keep_rows);
         Ok(goldfish_core::optimization::retrain_shard(
-            &self.factory,
+            clients.factory(),
             &assign.cfg,
             &assign.checkpoint,
             &survived,
@@ -504,7 +339,11 @@ impl ServeTransport for LoopbackTransport {
 
 impl std::fmt::Debug for LoopbackTransport {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "LoopbackTransport({} clients)", self.clients.len())
+        write!(
+            f,
+            "LoopbackTransport({} clients)",
+            self.client_sizes().len()
+        )
     }
 }
 
@@ -574,5 +413,71 @@ mod tests {
         assert_eq!(evals.len(), 2);
         assert!(evals[0].as_ref().unwrap().accuracy <= 1.0);
         assert_eq!(t.wire_stats().total(), 0);
+    }
+
+    /// A deletion naming a row its client does not hold is the worker's
+    /// typed refusal, found before any client shrinks, and the next valid
+    /// drain goes through. A recovery replay is refused the same way.
+    #[test]
+    fn out_of_range_rows_are_typed_and_shrink_nothing() {
+        let spec = DemoSpec {
+            clients: 2,
+            samples_per_client: 40,
+            test_samples: 20,
+            seed: 5,
+        };
+        let factory = spec.factory();
+        let mut t = LoopbackTransport::new(factory.clone(), spec.client_shards(), Some(2));
+        let teacher = (factory)(1).state_vector();
+        let job = UnlearnJob {
+            local: GoldfishLocalConfig {
+                epochs: 1,
+                batch_size: 20,
+                ..GoldfishLocalConfig::default()
+            },
+            hard: Some(HardLossSpec::CrossEntropy),
+        };
+        // Client 0's request is fine, client 1's is not: neither applies.
+        let requests = |last| {
+            [
+                UnlearnRequest::new(0, vec![0, 1]),
+                UnlearnRequest::new(1, vec![3, last]),
+            ]
+        };
+        t.stage_removals(&requests(40), 0);
+        assert_eq!(
+            t.begin_unlearn(&job, &teacher),
+            Err(TransportError::Protocol {
+                client_id: 1,
+                reason: "removed index 40 out of 40 local samples".into(),
+            })
+        );
+        assert_eq!(t.client_sizes(), vec![40, 40]);
+
+        t.stage_removals(&requests(39), 1);
+        t.begin_unlearn(&job, &teacher).unwrap();
+        assert_eq!(t.client_sizes(), vec![38, 38]);
+        let (mut cohort, mut results) = (Vec::new(), Vec::new());
+        DistillTransport::cohort_into(&t, &mut cohort);
+        t.distill_round(0, 3, &teacher, &cohort, &mut |_| Ok(()), &mut results);
+        assert_eq!(results, vec![Ok(()), Ok(())]);
+
+        // Each replayed removal indexes the data as the ones before it
+        // left it: 38 rows, then 37.
+        let replay = [
+            UnlearnRequest::new(0, vec![37]),
+            UnlearnRequest::new(0, vec![36, 37]),
+        ];
+        assert_eq!(
+            t.apply_removals(&replay),
+            Err(RowOutOfRange {
+                client_id: 0,
+                row: 37,
+                len: 37
+            })
+        );
+        assert_eq!(t.client_sizes(), vec![38, 38]);
+        t.apply_removals(&replay[..1]).unwrap();
+        assert_eq!(t.client_sizes(), vec![37, 38]);
     }
 }

@@ -6,12 +6,13 @@ use std::path::{Path, PathBuf};
 
 use goldfish_core::basic_model::GoldfishLocalConfig;
 use goldfish_core::GoldfishUnlearning;
-use goldfish_serve::coordinator::{Coordinator, CoordinatorConfig};
+use goldfish_fed::transport::RowOutOfRange;
+use goldfish_serve::coordinator::{Coordinator, CoordinatorConfig, RecoveryError};
 use goldfish_serve::demo::DemoSpec;
 use goldfish_serve::durability::{DurabilityError, DurableStore, CHECKPOINT_MAGIC};
 use goldfish_serve::queue::UnlearnRequest;
 use goldfish_serve::shard::{ShardPolicy, ShardTask};
-use goldfish_serve::transport::LoopbackTransport;
+use goldfish_serve::transport::{LoopbackTransport, ServeTransport};
 
 fn spec() -> DemoSpec {
     DemoSpec {
@@ -489,5 +490,31 @@ fn wal_checkpoint_and_audit_bytes_are_frozen() {
         "cffb62f45717dee84e077e9d41c8a2414dd77d380cdeb1321a4b9cb0fcc64c69",
         "audit-log bytes moved"
     );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A state dir whose committed deletions name rows the data does not hold
+/// (a restart over smaller data) is a typed refusal naming the client,
+/// the row and the size — never a panic — and nothing is applied.
+#[test]
+fn committed_deletion_past_the_data_is_typed() {
+    let dir = tmp_dir("rows-past-data");
+    populate(&dir); // client 0 deleted its rows 0..4 of 40
+    let small = DemoSpec {
+        samples_per_client: 3,
+        ..spec()
+    };
+    let mut c = coordinator(&small);
+    let (store, recovered) = DurableStore::open(&dir).unwrap();
+    assert_eq!(
+        c.attach_durability(store, recovered),
+        Err(RecoveryError::Removal(RowOutOfRange {
+            client_id: 0,
+            row: 3,
+            len: 3
+        }))
+    );
+    assert_eq!(c.next_round(), 0);
+    assert_eq!(c.transport().client_sizes(), vec![3, 3]);
     let _ = std::fs::remove_dir_all(&dir);
 }

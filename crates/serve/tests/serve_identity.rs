@@ -150,14 +150,14 @@ fn loopback_unlearning_matches_library_method() {
 /// Lanes, not per-client workers: whichever of the (at most `threads`)
 /// lanes a client's task checks out — across thread counts, a sampled
 /// cohort that changes between rounds and a quarantined client — every
-/// upload equals the library's `LoopbackClients` executor bitwise, and
-/// exactly the cohort is contacted, in id order. (`LoopbackClients` is
-/// itself pinned against fresh-network-per-client training by
-/// `goldfish-fed`'s `federation_oracle.rs`.)
+/// upload equals an independent per-client loop bitwise (a fresh network
+/// per client, set to the broadcast state and trained by
+/// `train_local_ce`), and exactly the cohort is contacted, in id order.
 #[test]
 fn loopback_lanes_match_the_per_client_oracle_bitwise() {
+    use goldfish_fed::trainer::train_local_ce;
     use goldfish_fed::transport::{
-        round_nonce, LoopbackClients, RoundTransport, StreamedUpdate, TrainAssign,
+        client_seed, round_nonce, RoundTransport, StreamedUpdate, TrainAssign,
     };
 
     type Upload = (usize, usize, Vec<f32>);
@@ -195,7 +195,6 @@ fn loopback_lanes_match_the_per_client_oracle_bitwise() {
         for threads in [1usize, 2, 5] {
             let mut lanes = LoopbackTransport::new(factory.clone(), shards.clone(), Some(threads));
             assert!(lanes.quarantine(QUARANTINED));
-            let mut oracle = LoopbackClients::new(&factory, &shards, Some(threads));
             let mut live = Vec::new();
             lanes.cohort_into(&mut live);
             assert_eq!(live.len(), clients - 1);
@@ -219,7 +218,15 @@ fn loopback_lanes_match_the_per_client_oracle_bitwise() {
                     cfg: &cfg,
                 };
                 let got = collect(&mut lanes, &assign, &cohort);
-                let want = collect(&mut oracle, &assign, &cohort);
+                let want: Vec<Upload> = cohort
+                    .iter()
+                    .map(|&(id, n)| {
+                        let mut net = (factory)(0);
+                        net.set_state_vector(&global);
+                        train_local_ce(&mut net, &shards[id], &cfg, client_seed(seed, id, round));
+                        (id, n, net.state_vector())
+                    })
+                    .collect();
                 let contacted: Vec<(usize, usize)> =
                     got.iter().map(|(id, n, _)| (*id, *n)).collect();
                 assert_eq!(contacted, cohort, "{clients} clients, {threads} threads");

@@ -10,9 +10,10 @@ use crate::layer::{Layer, Param};
 
 /// 2-D convolution layer.
 ///
-/// Holds a [`ConvWorkspace`] so the batched im2col lowering reuses its
-/// scratch buffers across steps: the layer performs one GEMM per
-/// minibatch and zero per-image allocations. The cached input and the
+/// Holds a [`ConvWorkspace`] so the convolution kernels reuse their
+/// scratch buffers across steps: zero per-image allocations, and at
+/// shapes whose forward runs in place (LeNet-5's) an eval-only layer
+/// never grows the column buffers at all. The cached input and the
 /// gradient staging buffers are persistent too, so a training step via
 /// the `_into` plumbing allocates nothing after warm-up.
 #[derive(Debug)]

@@ -1,12 +1,18 @@
 //! Convolution and pooling kernels.
 //!
-//! Convolution is implemented as *batched* `im2col` + GEMM: the minibatch
-//! is lowered in cache-sized image blocks into a `[c·kh·kw, blk·oh·ow]`
-//! column matrix held in a reusable [`ConvWorkspace`], so forward is one
-//! call into [`crate::engine`] per block (instead of one allocation +
-//! matmul per image) and backward is two batched GEMMs plus a `col2im`
-//! scatter. The lowering moves whole row runs, never single elements, and
-//! no GEMM operand is transposed after it has been lowered.
+//! The forward pass runs **in place** wherever that reproduces the
+//! lowering's bits (see `in_place`): each image is one GEMM over the image
+//! itself, viewed as an `oh × (w + 2·pad)` grid whose `(c, ky, kx)` rows
+//! start at fixed offsets, storing only the valid output positions plus
+//! the bias straight into the output — no `im2col`, no staging matrix, no
+//! scatter. Everywhere else (stride > 1, outputs that are not whole
+//! register strips, blocks on the small path) it is *batched* `im2col` +
+//! GEMM: the minibatch is lowered in cache-sized image blocks into a
+//! `[c·kh·kw, blk·oh·ow]` column matrix held in a reusable
+//! [`ConvWorkspace`], one call into [`crate::engine`] per block. Backward
+//! is always lowered: two batched GEMMs plus a `col2im` scatter per block.
+//! The lowering moves whole row runs, never single elements, and no GEMM
+//! operand is transposed after it has been lowered.
 
 use crate::engine;
 use crate::Tensor;
@@ -72,27 +78,41 @@ impl Conv2dSpec {
 /// across images *and* the working set in cache.
 const COL_BLOCK_ELEMS: usize = 96 * 1024;
 
-/// Reusable scratch buffers for the im2col convolution lowering.
+/// Reusable scratch buffers for the convolution kernels.
 ///
 /// The lowering is batched over image blocks (see `COL_BLOCK_ELEMS`) —
 /// one GEMM per block instead of one per image — and the buffers are
 /// reused across blocks, steps and epochs: the conv hot path performs no
-/// per-image allocations. A `Conv2d` layer owns one workspace; the free
+/// per-image allocations. A forward that runs in place uses only the
+/// small grid tables and staged image, so a network that only ever runs
+/// forward (evaluation, a scorer, a teacher) never grows the column
+/// buffers at such shapes. A `Conv2d` layer owns one workspace; the free
 /// functions below also accept an external one.
 #[derive(Debug, Default, Clone)]
 pub struct ConvWorkspace {
-    /// Lowered input of the current block: `[c·kh·kw, blk·oh·ow]` in the
-    /// forward pass, its transpose `[blk·oh·ow, c·kh·kw]` in the backward
-    /// pass — rows padded to the GEMM's register-tile width when
-    /// `c·kh·kw` is narrower than one tile (one buffer for both).
+    /// Lowered input of the current block: `[c·kh·kw, blk·oh·ow]` in a
+    /// lowered forward pass, its transpose `[blk·oh·ow, c·kh·kw]` in the
+    /// backward pass — rows padded to the GEMM's register-tile width when
+    /// `c·kh·kw` is narrower than one tile (one buffer for both). Only the
+    /// backward grows it where the forward runs in place.
     col: Vec<f32>,
-    /// Filter-major staging matrix `[f, blk·oh·ow]` (forward GEMM output;
-    /// backward gather of `grad_out`).
+    /// Filter-major staging matrix `[f, blk·oh·ow]` (lowered forward GEMM
+    /// output; backward gather of `grad_out`). Only the backward grows it
+    /// where the forward runs in place.
     fmat: Vec<f32>,
     /// Backward scratch: `∂L/∂col` for the current block.
     gcol: Vec<f32>,
     /// Backward scratch: per-block `∂L/∂W` before accumulation.
     gw_block: Vec<f32>,
+    /// In-place forward: where each `(c, ky, kx)` row of the image grid
+    /// starts, and which lanes of each strip are output positions.
+    grid: engine::OffsetLayout,
+    /// The `(c, h, w, spec)` that `grid` and `img` are sized for.
+    grid_key: Option<(usize, usize, usize, Conv2dSpec)>,
+    /// In-place forward: one staged image, `[c, h + 2·pad, w + 2·pad]`
+    /// plus the `kw − 1` elements the sweep over-reads, zero outside the
+    /// image.
+    img: Vec<f32>,
 }
 
 impl ConvWorkspace {
@@ -334,8 +354,11 @@ fn col2im_block(
 /// * `weight`: `[f, c, kh, kw]`
 /// * `bias`: `[f]`
 ///
-/// The minibatch is lowered block-wise (one GEMM per cache-sized image
-/// block, zero per-image allocations) into `out`: `[n, f, oh, ow]`.
+/// Writes `out`: `[n, f, oh, ow]`, sweeping each image in place where
+/// that reproduces the lowering's bits (`in_place`) and lowering the
+/// minibatch block-wise otherwise (one GEMM per cache-sized image block).
+/// Both make zero per-image allocations, and their bits are the same
+/// wherever both could run.
 ///
 /// # Panics
 ///
@@ -354,12 +377,128 @@ pub fn conv2d_forward_into(
     assert_eq!((kh, kw), (spec.kh, spec.kw), "weight does not match spec");
     assert_eq!(bias.len(), f, "bias length {} != filters {f}", bias.len());
     let (oh, ow) = spec.output_hw(h, w);
-    let ckk = c * kh * kw;
+    out.resize(&[n, f, oh, ow]);
+    if in_place(spec, (n, c, h, w), f) {
+        forward_in_place(input, weight, bias, spec, ws, out.as_mut_slice());
+    } else {
+        forward_lowered(input, weight, bias, spec, ws, out.as_mut_slice());
+    }
+}
+
+/// Whether [`conv2d_forward_into`] sweeps the images in place
+/// ([`forward_in_place`]) instead of lowering them
+/// ([`forward_lowered`]): when the lowering would compute every output as
+/// a whole fused strip's chain and the in-place grid is whole strips too,
+/// so the in-place sweep, which computes nothing else, reproduces its
+/// bits. Each clause rules out one other way either GEMM could round:
+///
+/// * stride 1 — the image is only a GEMM operand as is at stride 1;
+/// * `oh·ow % NR == 0` — every lowering block is a whole number of
+///   strips, so no output lands on the (multiply-then-add) edge strip;
+/// * the smallest block [`block_images`] forms is at least
+///   [`engine::SMALL_FLOPS`] — no block takes the small path;
+/// * `oh·(w + 2·padding) % NR == 0` — the in-place grid is a whole number
+///   of strips too, so the sweep has no edge strip of its own.
+fn in_place(spec: &Conv2dSpec, (n, c, h, w): (usize, usize, usize, usize), f: usize) -> bool {
+    let (oh, ow) = spec.output_hw(h, w);
+    let (ckk, ohow) = (c * spec.kh * spec.kw, oh * ow);
+    let step = block_images(ckk, ohow, n);
+    let smallest = match n % step {
+        0 => step,
+        short => short,
+    };
+    let work = f.saturating_mul(ckk).saturating_mul(smallest * ohow);
+    spec.stride == 1
+        && ohow.is_multiple_of(engine::NR)
+        && work >= engine::SMALL_FLOPS
+        && (oh * (w + 2 * spec.padding)).is_multiple_of(engine::NR)
+}
+
+/// The forward pass as one GEMM per image over the image itself.
+///
+/// At stride 1 the padded image `[c, hp, wp]` (`hp = h + 2·pad`,
+/// `wp = w + 2·pad`) viewed as an `oh × wp` grid is the lowering's `B` in all but
+/// layout: the `(c, ky, kx)` row of `B` is the image from flat offset
+/// `(c·hp + ky)·wp + kx` on, and its column `oy·wp + ox` is the output
+/// position `(oy, ox)` for `ox < ow`. The `wp − ow` columns past each
+/// output row are garbage — they read into the next row, and past the
+/// image by at most `kw − 1` elements — and the GEMM
+/// ([`engine::gemm_offsets`]) never stores them: it writes the valid runs
+/// plus the bias straight into `out`. The row offsets and each strip's
+/// runs are cached in the workspace per geometry. An image is read where
+/// it lies when it is unpadded and that over-read stays inside the batch
+/// — every image but the last, unless `kw = 1`; any other is first staged
+/// into the workspace's zero-padded image buffer.
+fn forward_in_place(
+    input: &Tensor,
+    weight: &Tensor,
+    bias: &Tensor,
+    spec: &Conv2dSpec,
+    ws: &mut ConvWorkspace,
+    out: &mut [f32],
+) {
+    let (_, c, h, w) = input.dims4();
+    let f = weight.dims4().0;
+    let (oh, ow) = spec.output_hw(h, w);
+    let (kh, kw, pad) = (spec.kh, spec.kw, spec.padding);
+    let (hp, wp) = (h + 2 * pad, w + 2 * pad);
+    let key = (c, h, w, *spec);
+    if ws.grid_key != Some(key) {
+        let offs = (0..c * kh * kw).map(|p| {
+            let (ch, ky, kx) = (p / (kh * kw), p / kw % kh, p % kw);
+            (ch * hp + ky) * wp + kx
+        });
+        let dst = |q: usize| (q % wp < ow).then(|| q / wp * ow + q % wp);
+        ws.grid.rebuild(offs, oh * wp / engine::NR, dst);
+        ws.img.clear();
+        ws.img.resize(c * hp * wp + kw - 1, 0.0);
+        ws.grid_key = Some(key);
+    }
+    let (iv, wv, bv) = (input.as_slice(), weight.as_slice(), bias.as_slice());
+    let chw = c * h * w;
+    for (s, out) in out.chunks_exact_mut(f * oh * ow).enumerate() {
+        let image = &iv[s * chw..];
+        let b = if pad == 0 && chw + kw - 1 <= image.len() {
+            image
+        } else {
+            stage(&image[..chw], (h, w), pad, &mut ws.img);
+            &ws.img
+        };
+        engine::gemm_offsets(f, oh * ow, wv, b, &ws.grid, bv, out);
+    }
+}
+
+/// Copies `img: [c, h, w]` into the interior of the zero-padded `grid:
+/// [c, h + 2·pad, w + 2·pad, ..]`, whose border (and anything past it) is
+/// left as it is: zero from when the buffer was sized.
+fn stage(img: &[f32], (h, w): (usize, usize), pad: usize, grid: &mut [f32]) {
+    let (hp, wp) = (h + 2 * pad, w + 2 * pad);
+    for (ch, plane) in img.chunks_exact(h * w).enumerate() {
+        for (y, row) in plane.chunks_exact(w).enumerate() {
+            let at = (ch * hp + y + pad) * wp + pad;
+            grid[at..at + w].copy_from_slice(row);
+        }
+    }
+}
+
+/// The forward pass lowered block-wise: `im2col` of each cache-sized image
+/// block, one GEMM into the filter-major staging matrix `ws.fmat`, then a
+/// scatter into `out` that adds the bias.
+fn forward_lowered(
+    input: &Tensor,
+    weight: &Tensor,
+    bias: &Tensor,
+    spec: &Conv2dSpec,
+    ws: &mut ConvWorkspace,
+    out: &mut [f32],
+) {
+    let (n, c, h, w) = input.dims4();
+    let f = weight.dims4().0;
+    let (oh, ow) = spec.output_hw(h, w);
+    let ckk = c * spec.kh * spec.kw;
     let ohow = oh * ow;
     let iv = input.as_slice();
     let bv = bias.as_slice();
-    out.resize(&[n, f, oh, ow]);
-    let ov = out.as_mut_slice();
     let step = block_images(ckk, ohow, n);
     let mut s0 = 0;
     while s0 < n {
@@ -377,7 +516,7 @@ pub fn conv2d_forward_into(
         for s in 0..blk {
             for fi in 0..f {
                 let srcr = &fmat[fi * x + s * ohow..fi * x + (s + 1) * ohow];
-                let dst = &mut ov[((s0 + s) * f + fi) * ohow..((s0 + s) * f + fi + 1) * ohow];
+                let dst = &mut out[((s0 + s) * f + fi) * ohow..((s0 + s) * f + fi + 1) * ohow];
                 let bias_fi = bv[fi];
                 for (o, &v) in dst.iter_mut().zip(srcr) {
                     *o = v + bias_fi;
@@ -1005,14 +1144,12 @@ mod tests {
         v.iter().map(|x| x.to_bits()).collect()
     }
 
-    /// Runs the production entry points (one workspace across forward and
-    /// both backward forms, as a layer does) against [`conv_oracle`] and
-    /// demands equal bit patterns.
-    fn assert_bitwise_equal_to_oracle(
+    /// Random `(input, weight, bias, grad_out)` for one convolution.
+    fn operands(
         (n, c, h, w, f): (usize, usize, usize, usize, usize),
         spec: &Conv2dSpec,
         seed: u64,
-    ) {
+    ) -> (Tensor, Tensor, Tensor, Tensor) {
         use rand::{rngs::StdRng, Rng, SeedableRng};
         let mut rng = StdRng::seed_from_u64(seed);
         let mut random = |shape: Vec<usize>| {
@@ -1023,10 +1160,23 @@ mod tests {
             )
         };
         let (oh, ow) = spec.output_hw(h, w);
-        let input = random(vec![n, c, h, w]);
-        let weight = random(vec![f, c, spec.kh, spec.kw]);
-        let bias = random(vec![f]);
-        let grad_out = random(vec![n, f, oh, ow]);
+        (
+            random(vec![n, c, h, w]),
+            random(vec![f, c, spec.kh, spec.kw]),
+            random(vec![f]),
+            random(vec![n, f, oh, ow]),
+        )
+    }
+
+    /// Runs the production entry points (one workspace across forward and
+    /// both backward forms, as a layer does) against [`conv_oracle`] and
+    /// demands equal bit patterns.
+    fn assert_bitwise_equal_to_oracle(
+        (n, c, h, w, f): (usize, usize, usize, usize, usize),
+        spec: &Conv2dSpec,
+        seed: u64,
+    ) {
+        let (input, weight, bias, grad_out) = operands((n, c, h, w, f), spec, seed);
         let (out, grad_in, grad_w, grad_b) = conv_oracle(&input, &weight, &bias, &grad_out, spec);
 
         let what = format!("n={n} c={c} h={h} w={w} f={f} {spec:?}");
@@ -1135,6 +1285,187 @@ mod tests {
         let spec = Conv2dSpec::new(3, 3, 1, 1);
         assert_bitwise_equal_to_oracle((20, 2, 24, 24, 11), &spec, 3);
         assert_bitwise_equal_to_oracle((12, 1, 40, 30, 20), &spec, 4);
+    }
+
+    /// A batch and stride-1 spec that [`in_place`] accepts, built from
+    /// proptest draws. `oh` is a multiple of `NR / g` and `ow` of `g`, for
+    /// `g` the largest power of two up to `2^e` dividing both `NR` and
+    /// `kw − 1`, so `oh·ow` and `oh·(ow + kw − 1)` are whole strips. The
+    /// image widens until a lowering block holds at most 24 images, and
+    /// the batch is `blocks` full blocks plus a short one wherever one
+    /// clears `SMALL_FLOPS` (`short` picks its size).
+    fn eligible_geometry(
+        (kh, kw, pad): (usize, usize, usize),
+        (c, f, t, u, e): (usize, usize, usize, usize, usize),
+        (blocks, short): (usize, f64),
+    ) -> ((usize, usize, usize, usize, usize), Conv2dSpec) {
+        use engine::{NR, SMALL_FLOPS};
+        let spec = Conv2dSpec::new(kh, kw, 1, pad);
+        let mut g = 1 << e;
+        while !(kw - 1).is_multiple_of(g) || !NR.is_multiple_of(g) {
+            g /= 2;
+        }
+        let mut oh = NR / g * t;
+        while oh + kh < 2 * pad + 2 {
+            oh += NR / g;
+        }
+        let ckk = c * kh * kw;
+        let mut ow = g * u;
+        while ow + kw < 2 * pad + 2 || block_images(ckk, oh * ow, usize::MAX) > 24 {
+            ow += g;
+        }
+        let (h, w) = (oh + kh - 1 - 2 * pad, ow + kw - 1 - 2 * pad);
+        let step = block_images(ckk, oh * ow, usize::MAX);
+        let least = SMALL_FLOPS.div_ceil(f * ckk * oh * ow);
+        let n = if least < step {
+            step * blocks + least + ((step - least) as f64 * short) as usize
+        } else {
+            step * (blocks + 1)
+        };
+        ((n, c, h, w, f), spec)
+    }
+
+    /// The forward of a geometry [`in_place`] accepts, against the
+    /// lowering and against [`conv_oracle`], bit for bit, with neither
+    /// column buffer touched.
+    fn assert_in_place_equals_lowering(
+        dims: (usize, usize, usize, usize, usize),
+        spec: &Conv2dSpec,
+        seed: u64,
+    ) {
+        let (n, c, h, w, f) = dims;
+        let what = format!("n={n} c={c} h={h} w={w} f={f} {spec:?}");
+        assert!(
+            in_place(spec, (n, c, h, w), f),
+            "takes the lowering: {what}"
+        );
+        let (input, weight, bias, grad_out) = operands(dims, spec, seed);
+        let mut ws = ConvWorkspace::new();
+        let mut got = Tensor::zeros(vec![0]);
+        conv2d_forward_into(&input, &weight, &bias, spec, &mut ws, &mut got);
+        assert!(ws.col.is_empty() && ws.fmat.is_empty(), "lowered: {what}");
+        let mut lowered = vec![f32::NAN; got.len()];
+        let mut lowering_ws = ConvWorkspace::new();
+        forward_lowered(&input, &weight, &bias, spec, &mut lowering_ws, &mut lowered);
+        assert_eq!(bits(got.as_slice()), bits(&lowered), "vs lowering: {what}");
+        let (out, ..) = conv_oracle(&input, &weight, &bias, &grad_out, spec);
+        assert_eq!(bits(got.as_slice()), bits(&out), "vs oracle: {what}");
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(40))]
+
+        #[test]
+        fn in_place_forward_is_bitwise_equal_to_the_lowering_on_generated_geometry(
+            (kh, dk, pad) in (1usize..6, 1usize..5, 0usize..3),
+            draws in (1usize..4, 1usize..8, 1usize..3, 1usize..4, 0usize..4),
+            (blocks, short, seed) in (1usize..3, 0.0f64..1.0, 0u64..1_000_000),
+        ) {
+            // kh ≠ kw: a transposed kernel shows.
+            let kw = (kh + dk - 1) % 5 + 1;
+            let (dims, spec) = eligible_geometry((kh, kw, pad), draws, (blocks, short));
+            assert_in_place_equals_lowering(dims, &spec, seed);
+        }
+
+        #[test]
+        fn in_place_forward_is_batch_invariant(
+            (kh, dk, pad) in (1usize..6, 1usize..5, 0usize..3),
+            draws in (1usize..4, 1usize..8, 1usize..3, 1usize..4, 0usize..4),
+            seed in 0u64..1_000_000,
+        ) {
+            // Each image is its own sweep, so a batch is the concatenation
+            // of its images' outputs. Enough filters that one image alone
+            // clears SMALL_FLOPS and is swept in place too.
+            let kw = (kh + dk - 1) % 5 + 1;
+            let ((n, c, h, w, f), spec) = eligible_geometry((kh, kw, pad), draws, (1, 0.5));
+            let (oh, ow) = spec.output_hw(h, w);
+            let f = f.max(engine::SMALL_FLOPS.div_ceil(c * kh * kw * oh * ow));
+            assert!(in_place(&spec, (n, c, h, w), f) && in_place(&spec, (1, c, h, w), f));
+            let (input, weight, bias, _) = operands((n, c, h, w, f), &spec, seed);
+            let mut ws = ConvWorkspace::new();
+            let mut batched = Tensor::zeros(vec![0]);
+            conv2d_forward_into(&input, &weight, &bias, &spec, &mut ws, &mut batched);
+            let mut single = Tensor::zeros(vec![0]);
+            let mut concat = Vec::with_capacity(batched.len());
+            for image in input.as_slice().chunks_exact(c * h * w) {
+                let image = Tensor::from_vec(vec![1, c, h, w], image.to_vec());
+                conv2d_forward_into(&image, &weight, &bias, &spec, &mut ws, &mut single);
+                concat.extend_from_slice(single.as_slice());
+            }
+            assert_eq!(bits(batched.as_slice()), bits(&concat), "n={n} c={c} h={h} w={w} f={f} {spec:?}");
+        }
+    }
+
+    #[test]
+    fn in_place_forward_is_bitwise_equal_to_the_lowering_at_lenet_shapes() {
+        // conv1 and conv2 of LeNet-5 at 28×28 are in place at every tile
+        // width, at the training batches and `eval`'s 48-row first chunk.
+        let spec = Conv2dSpec::new(5, 5, 1, 0);
+        for n in [1, 23, 25, 32, 48] {
+            assert_in_place_equals_lowering((n, 1, 28, 28, 6), &spec, 10 + n as u64);
+            assert_in_place_equals_lowering((n, 6, 12, 12, 16), &spec, 20 + n as u64);
+        }
+    }
+
+    #[test]
+    fn in_place_forward_is_bitwise_equal_to_the_lowering_across_threads() {
+        // One image's GEMM clears PAR_FLOPS (48 × 45 × 32·36 ≈ 2.5M), so
+        // its filter rows are split across the pool.
+        let spec = Conv2dSpec::new(5, 3, 1, 1);
+        for threads in [1, 3] {
+            let pool = rayon::ThreadPoolBuilder::new()
+                .num_threads(threads)
+                .build()
+                .unwrap();
+            pool.install(|| assert_in_place_equals_lowering((3, 3, 34, 34, 48), &spec, 5));
+        }
+    }
+
+    #[test]
+    fn ineligible_geometries_take_the_lowering() {
+        let lenet = Conv2dSpec::new(5, 5, 1, 0);
+        // Stride 2, as in ResNet-mini's downsampling blocks.
+        assert!(!in_place(&Conv2dSpec::new(3, 3, 2, 1), (25, 8, 32, 32), 16));
+        // One filter over one image is under SMALL_FLOPS (its batch of
+        // 25 is not).
+        assert!(!in_place(&lenet, (1, 6, 12, 12), 1));
+        assert!(in_place(&lenet, (25, 6, 12, 12), 1));
+        // 7·7 outputs are never whole strips.
+        assert!(!in_place(&lenet, (25, 6, 11, 11), 16));
+        // `NR` outputs in one row are a whole strip, but the `NR + 1`-wide
+        // grid row they are swept from is not.
+        let row = Conv2dSpec::new(1, 2, 1, 0);
+        assert!(!in_place(&row, (1, 1, 1, engine::NR + 1), 2048));
+        assert!(in_place(&row, (1, 1, engine::NR, engine::NR + 1), 2048));
+    }
+
+    #[test]
+    fn in_place_forward_holds_no_column_buffers() {
+        // A forward-only layer (eval, `ServerMse` scoring, a teacher) at
+        // LeNet-5's shapes: `Conv2d::forward` is this call, over the
+        // layer's own workspace. The column matrix and the staging matrix
+        // are never grown; the backward still lowers into them.
+        let spec = Conv2dSpec::new(5, 5, 1, 0);
+        for (c, hw, f) in [(1, 28, 6), (6, 12, 16)] {
+            let mut ws = ConvWorkspace::new();
+            let mut out = Tensor::zeros(vec![0]);
+            for (round, n) in [25, 48, 32, 7, 25].into_iter().enumerate() {
+                let (input, weight, bias, _) = operands((n, c, hw, hw, f), &spec, round as u64);
+                conv2d_forward_into(&input, &weight, &bias, &spec, &mut ws, &mut out);
+            }
+            assert_eq!((ws.col.capacity(), ws.fmat.capacity()), (0, 0), "c={c}");
+            let (input, weight, _, grad_out) = operands((25, c, hw, hw, f), &spec, 9);
+            let (mut gi, mut gw, mut gb) = (
+                Tensor::zeros(vec![0]),
+                Tensor::zeros(vec![0]),
+                Tensor::zeros(vec![0]),
+            );
+            let gi = Some(&mut gi);
+            conv2d_backward_into(
+                &grad_out, &input, &weight, &spec, &mut ws, gi, &mut gw, &mut gb,
+            );
+            assert!(!ws.col.is_empty() && !ws.fmat.is_empty(), "c={c}");
+        }
     }
 
     #[test]

@@ -1,10 +1,13 @@
 //! The blocked, parallel matrix-multiply engine.
 //!
 //! This module owns the flops of the whole stack: dense layers, the
-//! im2col-lowered convolutions and every backward pass funnel into the
-//! three GEMM orientations here (`A·B`, `Aᵀ·B`, `A·Bᵀ`), operating on raw
-//! row-major `f32` slices so callers (e.g. batched conv) can avoid
-//! intermediate `Tensor` allocations.
+//! convolutions and every backward pass funnel into the three GEMM
+//! orientations here (`A·B`, `Aᵀ·B`, `A·Bᵀ`), operating on raw row-major
+//! `f32` slices so callers (e.g. batched conv) can avoid intermediate
+//! `Tensor` allocations. A fourth, crate-private form, `gemm_offsets`,
+//! sweeps a `B` that is never laid out — the convolution forward's image,
+//! its rows at fixed offsets — through the same tiles, and stores only
+//! the columns it is told to, plus a bias.
 //!
 //! # Dispatch
 //!
@@ -36,7 +39,7 @@
 //! * small path and edge strip: multiply, then add (two roundings);
 //! * full strips and narrow outputs: hardware fused multiply-add where
 //!   the target has FMA (one rounding), multiply-then-add where it does
-//!   not.
+//!   not. `gemm_offsets` sweeps full strips only.
 //!
 //! So large-path results can differ from the reference by normal `k · ε`
 //! accumulation rounding (the equivalence proptests pin it under `1e-4`
@@ -257,7 +260,7 @@ pub(crate) fn gemm_strided(
 /// like any other.
 fn gemm_narrow_panel(k: usize, n: usize, a: &[f32], panel: &[f32], out: &mut [f32]) {
     debug_assert!(n < NR && n > 0);
-    let strip = Strip {
+    let strip = Dense {
         b: panel,
         ld: NR,
         c0: 0,
@@ -298,7 +301,7 @@ fn gemm_rows_tiled(rows: Range<usize>, k: usize, n: usize, a: &[f32], b: &[f32],
         for j0 in (0..n - tail).step_by(NR) {
             let strip = if pack {
                 pack_panel(panel, b, n, j0, NR);
-                Strip {
+                Dense {
                     b: panel,
                     ld: NR,
                     c0: 0,
@@ -306,7 +309,7 @@ fn gemm_rows_tiled(rows: Range<usize>, k: usize, n: usize, a: &[f32], b: &[f32],
                     width: NR,
                 }
             } else {
-                Strip {
+                Dense {
                     b,
                     ld: n,
                     c0: j0,
@@ -319,7 +322,7 @@ fn gemm_rows_tiled(rows: Range<usize>, k: usize, n: usize, a: &[f32], b: &[f32],
         if tail > 0 {
             let j0 = n - tail;
             pack_panel(panel, b, n, j0, tail);
-            let strip = Strip {
+            let strip = Dense {
                 b: panel,
                 ld: NR,
                 c0: 0,
@@ -343,16 +346,84 @@ fn pack_panel(panel: &mut [f32], b: &[f32], n: usize, j0: usize, width: usize) {
     }
 }
 
-/// One `NR`-wide column strip of `B` as the register tiles read it: row
-/// `p` is `b[p·ld + c0..][..NR]`, and its first `width` lanes are the
-/// output columns `j0..j0 + width` (the rest are padding, never stored).
+/// How the register tiles read one `NR`-wide column strip of `B` and
+/// store what they computed: where each row's `NR` lanes start, and where
+/// an output row's finished lanes go. Every layout is swept by the same
+/// [`sweep`] / [`tile`] / [`accumulate`], so the rounding contract has one
+/// implementation.
+trait Strip<'a>: Copy {
+    /// The strip's `NR` lanes of `B` rows `0..k`, in ascending order.
+    fn rows(self, k: usize) -> impl Iterator<Item = &'a [f32; NR]>;
+    /// `Some(j0)` when all `NR` lanes are stored as is, at output columns
+    /// `j0..j0 + NR`: the one store a tile can make without a copy of its
+    /// accumulators (see [`tile`]).
+    fn whole(self) -> Option<usize>;
+    /// Stores output row `i`'s finished lanes `acc` into its row `orow`.
+    fn store(self, orow: &mut [f32], i: usize, acc: &[f32; NR]);
+}
+
+/// A strip of a laid-out `B`: row `p` is `b[p·ld + c0..][..NR]`, and its
+/// first `width` lanes are the output columns `j0..j0 + width` (the rest
+/// are padding, never stored).
 #[derive(Clone, Copy)]
-struct Strip<'a> {
+struct Dense<'a> {
     b: &'a [f32],
     ld: usize,
     c0: usize,
     j0: usize,
     width: usize,
+}
+
+impl<'a> Strip<'a> for Dense<'a> {
+    fn rows(self, k: usize) -> impl Iterator<Item = &'a [f32; NR]> {
+        let rows = self.b.chunks_exact(self.ld).take(k);
+        rows.map(move |brow| brow[self.c0..].first_chunk().expect("strip width"))
+    }
+
+    fn whole(self) -> Option<usize> {
+        (self.width == NR).then_some(self.j0)
+    }
+
+    fn store(self, orow: &mut [f32], _: usize, acc: &[f32; NR]) {
+        orow[self.j0..self.j0 + self.width].copy_from_slice(&acc[..self.width]);
+    }
+}
+
+/// A strip of a `B` that is never laid out ([`gemm_offsets`]): row `p` is
+/// `b[offs[p] + c0..][..NR]`, and the lanes `runs` name are stored plus
+/// the output row's `bias`.
+#[derive(Clone, Copy)]
+struct Offset<'a> {
+    b: &'a [f32],
+    offs: &'a [usize],
+    c0: usize,
+    runs: &'a [Run],
+    bias: &'a [f32],
+}
+
+impl<'a> Strip<'a> for Offset<'a> {
+    fn rows(self, k: usize) -> impl Iterator<Item = &'a [f32; NR]> {
+        let rows = self.offs[..k].iter();
+        rows.map(move |&o| {
+            self.b[o + self.c0..]
+                .first_chunk()
+                .expect("row holds the strip")
+        })
+    }
+
+    fn whole(self) -> Option<usize> {
+        None
+    }
+
+    fn store(self, orow: &mut [f32], i: usize, acc: &[f32; NR]) {
+        let bias = self.bias[i];
+        for run in self.runs {
+            let lanes = &acc[run.lane..run.lane + run.len];
+            for (o, &v) in orow[run.dst..run.dst + run.len].iter_mut().zip(lanes) {
+                *o = v + bias;
+            }
+        }
+    }
 }
 
 /// Sweeps one strip over every row of `out` (the output rows from `i0`
@@ -364,18 +435,18 @@ struct Strip<'a> {
 /// multiply-then-add for the edge strip. Inlined into each caller: a call
 /// per strip measured ~10 % slower on conv1's forward GEMM (`k = 25`).
 #[inline(always)]
-fn sweep<const FUSED: bool>(
+fn sweep<'a, const FUSED: bool>(
     i0: usize,
     k: usize,
     n: usize,
     a: &[f32],
     out: &mut [f32],
-    strip: Strip<'_>,
+    strip: impl Strip<'a>,
 ) {
     let mut orows = out.chunks_exact_mut(MR * n);
     let mut i = i0;
     for ogroup in orows.by_ref() {
-        tile::<MR, FUSED>(ogroup, &a[i * k..(i + MR) * k], k, n, strip);
+        tile::<MR, FUSED>(ogroup, &a[i * k..(i + MR) * k], k, n, i, strip);
         i += MR;
     }
     let mut rest = orows.into_remainder();
@@ -391,9 +462,9 @@ fn sweep<const FUSED: bool>(
         let (ogroup, tail) = rest.split_at_mut(r * n);
         let arows = &a[i * k..(i + r) * k];
         match r {
-            4 => tile::<4, FUSED>(ogroup, arows, k, n, strip),
-            2 => tile::<2, FUSED>(ogroup, arows, k, n, strip),
-            _ => tile::<1, FUSED>(ogroup, arows, k, n, strip),
+            4 => tile::<4, FUSED>(ogroup, arows, k, n, i, strip),
+            2 => tile::<2, FUSED>(ogroup, arows, k, n, i, strip),
+            _ => tile::<1, FUSED>(ogroup, arows, k, n, i, strip),
         }
         i += r;
         rest = tail;
@@ -401,47 +472,51 @@ fn sweep<const FUSED: bool>(
 }
 
 /// Computes the `R×NR` tile of one strip at the `R` concatenated output
-/// rows `ogroup` from the `R` concatenated `A` rows, and stores the
-/// strip's `width` real columns.
+/// rows `ogroup` (output rows `i..i + R`) from the `R` concatenated `A`
+/// rows, and stores it.
 ///
-/// A full fused strip accumulates and stores in place. A partial one — a
-/// narrow output or the edge strip — accumulates behind a call boundary
-/// ([`accumulate_outlined`]): LLVM keeps a tile's accumulators in vector
-/// registers only while every access to them has a constant width, and
-/// the `width`-long store would otherwise pin them to the stack (measured
-/// 5–20× slower). Behind the call the store reads a returned copy. At
-/// `k = 25` the call and the copy cost up to half a tile, so full strips
-/// — every short reduction's bulk — do not pay them. The tile itself is
-/// never inlined: inside the sweep, LLVM scalarizes even the full strips'
-/// accumulators (measured ~16× slower at conv1's forward shape).
+/// A whole fused strip accumulates and stores in place. Any other — a
+/// narrow output, the edge strip, an offset strip's runs — accumulates
+/// behind a call boundary ([`accumulate_outlined`]): LLVM keeps a tile's
+/// accumulators in vector registers only while every access to them has
+/// a constant width, and a `width`-long store would otherwise pin them to
+/// the stack (measured 5–20× slower). Behind the call the store reads a
+/// returned copy. At `k = 25` the call and the copy cost up to half a
+/// tile, so whole strips — every short reduction's bulk — do not pay
+/// them. The tile itself is never inlined: inside the sweep, LLVM
+/// scalarizes even the whole strips' accumulators (measured ~16× slower
+/// at conv1's forward shape).
 #[inline(never)]
-fn tile<const R: usize, const FUSED: bool>(
+fn tile<'a, const R: usize, const FUSED: bool>(
     ogroup: &mut [f32],
     a_rows: &[f32],
     k: usize,
     n: usize,
-    strip: Strip<'_>,
+    i: usize,
+    strip: impl Strip<'a>,
 ) {
-    let j0 = strip.j0;
-    if FUSED && strip.width == NR {
-        let acc = accumulate::<R, FUSED>(a_rows, k, strip);
-        for (orow, accr) in ogroup.chunks_exact_mut(n).zip(acc) {
-            orow[j0..j0 + NR].copy_from_slice(&accr);
+    match strip.whole() {
+        Some(j0) if FUSED => {
+            let acc = accumulate::<R, FUSED>(a_rows, k, strip);
+            for (orow, accr) in ogroup.chunks_exact_mut(n).zip(acc) {
+                orow[j0..j0 + NR].copy_from_slice(&accr);
+            }
         }
-    } else {
-        let acc = accumulate_outlined::<R, FUSED>(a_rows, k, strip);
-        for (orow, accr) in ogroup.chunks_exact_mut(n).zip(acc) {
-            orow[j0..j0 + strip.width].copy_from_slice(&accr[..strip.width]);
+        _ => {
+            let acc = accumulate_outlined::<R, FUSED>(a_rows, k, strip);
+            for ((orow, accr), i) in ogroup.chunks_exact_mut(n).zip(&acc).zip(i..) {
+                strip.store(orow, i, accr);
+            }
         }
     }
 }
 
 /// [`accumulate`] behind a call boundary (see [`tile`]).
 #[inline(never)]
-fn accumulate_outlined<const R: usize, const FUSED: bool>(
+fn accumulate_outlined<'a, const R: usize, const FUSED: bool>(
     a_rows: &[f32],
     k: usize,
-    strip: Strip<'_>,
+    strip: impl Strip<'a>,
 ) -> [[f32; NR]; R] {
     accumulate::<R, FUSED>(a_rows, k, strip)
 }
@@ -455,15 +530,14 @@ fn accumulate_outlined<const R: usize, const FUSED: bool>(
 /// `[f32; R]` (packed-A layouts) makes LLVM lower the tile to
 /// insert/extract shuffles instead of broadcasts and runs ~15× slower.
 #[inline(always)]
-fn accumulate<const R: usize, const FUSED: bool>(
+fn accumulate<'a, const R: usize, const FUSED: bool>(
     a_rows: &[f32],
     k: usize,
-    strip: Strip<'_>,
+    strip: impl Strip<'a>,
 ) -> [[f32; NR]; R] {
     let a: [&[f32]; R] = std::array::from_fn(|r| &a_rows[r * k..(r + 1) * k]);
     let mut acc = [[0.0f32; NR]; R];
-    for (p, brow) in strip.b.chunks_exact(strip.ld).take(k).enumerate() {
-        let bseg: &[f32; NR] = brow[strip.c0..].first_chunk().expect("strip width");
+    for (p, bseg) in strip.rows(k).enumerate() {
         for (accr, arow) in acc.iter_mut().zip(a) {
             let x = arow[p];
             for (av, &bv) in accr.iter_mut().zip(bseg) {
@@ -476,6 +550,123 @@ fn accumulate<const R: usize, const FUSED: bool>(
         }
     }
     acc
+}
+
+// ---------------------------------------------------------------------------
+// out = A · B + bias over an offset-addressed B
+// ---------------------------------------------------------------------------
+
+/// One run of stored lanes in an offset strip: lanes `lane..lane + len`
+/// are output columns `dst..dst + len`.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Run {
+    lane: usize,
+    len: usize,
+    dst: usize,
+}
+
+/// How [`gemm_offsets`] addresses its `B` and stores its output: row `p`
+/// of `B` starts at `offs[p]` in the slice it is given, and `B` is
+/// `strips` whole [`NR`]-column strips wide, strip `j` storing the runs
+/// `runs[starts[j]..starts[j + 1]]`. Rebuilt in place, so a caller that
+/// keeps one allocates only while the tables grow.
+#[derive(Debug, Default, Clone)]
+pub(crate) struct OffsetLayout {
+    offs: Vec<usize>,
+    runs: Vec<Run>,
+    starts: Vec<usize>,
+}
+
+impl OffsetLayout {
+    /// Rebuilds the tables for row starts `offs` and `strips` strips, in
+    /// which column `q` is stored at output column `dst(q)`, or dropped
+    /// where that is `None`. Adjacent columns stored side by side share
+    /// one run.
+    pub(crate) fn rebuild(
+        &mut self,
+        offs: impl Iterator<Item = usize>,
+        strips: usize,
+        dst: impl Fn(usize) -> Option<usize>,
+    ) {
+        self.offs.clear();
+        self.offs.extend(offs);
+        self.runs.clear();
+        self.starts.clear();
+        self.starts.push(0);
+        for j0 in (0..strips * NR).step_by(NR) {
+            let first = self.runs.len();
+            for lane in 0..NR {
+                let Some(d) = dst(j0 + lane) else { continue };
+                match self.runs[first..].last_mut() {
+                    Some(run) if run.lane + run.len == lane && run.dst + run.len == d => {
+                        run.len += 1
+                    }
+                    _ => self.runs.push(Run {
+                        lane,
+                        len: 1,
+                        dst: d,
+                    }),
+                }
+            }
+            self.starts.push(self.runs.len());
+        }
+    }
+
+    fn strips(&self) -> usize {
+        self.starts.len().saturating_sub(1)
+    }
+}
+
+/// `out[i, ·] = A[i, ·] · B + bias[i]` over a `B` that is never laid out:
+/// `A: [m, k]` with `k` the number of row starts in `layout`, `out: [m, n]`,
+/// row `p` of `B` is `b[offs[p]..]`, and only the lanes the layout's runs
+/// name are stored (see [`OffsetLayout`]). The others are computed and
+/// dropped, so they may read anything — the next image, the pad lanes of
+/// a row — as long as every strip row lies inside `b`.
+///
+/// This is the convolution forward's GEMM over the image itself
+/// (`conv`): every strip is whole and fused, so each stored element is
+/// the ascending-`p` `fma_acc` chain from +0.0 that [`gemm`]'s large path
+/// computes for a column of a full strip, then one add of its bias — the
+/// bits of `gemm` into a staging matrix followed by a bias pass.
+///
+/// # Panics
+///
+/// Panics if a slice length disagrees with its dimensions or a strip row
+/// leaves `b`.
+pub(crate) fn gemm_offsets(
+    m: usize,
+    n: usize,
+    a: &[f32],
+    b: &[f32],
+    layout: &OffsetLayout,
+    bias: &[f32],
+    out: &mut [f32],
+) {
+    let k = layout.offs.len();
+    assert_eq!(a.len(), m * k, "gemm_offsets: A length");
+    assert_eq!(bias.len(), m, "gemm_offsets: bias length");
+    assert_eq!(out.len(), m * n, "gemm_offsets: out length");
+    if m == 0 || n == 0 {
+        return;
+    }
+    let rows = |i0: usize, out: &mut [f32]| {
+        for (j, runs) in layout.starts.windows(2).enumerate() {
+            let strip = Offset {
+                b,
+                offs: &layout.offs,
+                c0: j * NR,
+                runs: &layout.runs[runs[0]..runs[1]],
+                bias,
+            };
+            sweep::<true>(i0, k, n, a, out, strip);
+        }
+    };
+    if flops(m, k, layout.strips() * NR) >= PAR_FLOPS && rayon::current_num_threads() > 1 {
+        parallel_rows(m, n, out, |r, chunk| rows(r.start, chunk));
+    } else {
+        rows(0, out);
+    }
 }
 
 // ---------------------------------------------------------------------------

@@ -9,7 +9,8 @@
 //! * elementwise and scalar arithmetic, AXPY-style updates,
 //! * blocked matrix multiplication (plus transposed variants used by
 //!   backpropagation),
-//! * `im2col`/`col2im` based 2-D convolution and max-pooling kernels,
+//! * 2-D convolution (forward in place over each image where its bits
+//!   allow, `im2col`/`col2im` lowered otherwise) and max-pooling kernels,
 //! * numerically-stable softmax / log-softmax **with distillation
 //!   temperature** (Eqs 3–4 of the paper),
 //! * weight initialisation schemes (Kaiming / Xavier) over a seeded RNG,

@@ -531,9 +531,10 @@ impl<T: ServeTransport> Coordinator<T> {
         // Shard section: the map restores bitwise (parity recomputed),
         // checkpoint tasks verbatim, then the WAL tail replays through
         // the normal merge logic — same shape as the plain queue.
-        if let Some(snap) = recovered.shard {
-            self.shard_tasks.restore(snap.tasks.clone());
-            self.shard_map = Some(crate::shard::ShardMap::restore(&snap));
+        if let Some(mut snap) = recovered.shard {
+            self.shard_tasks
+                .restore(std::mem::take(&mut snap.tasks).into_owned());
+            self.shard_map = Some(crate::shard::ShardMap::restore(snap));
         }
         if !recovered.replayed_shard.is_empty() {
             self.ensure_shard_map();

@@ -10,6 +10,10 @@
 //!   checksummed, written to a temp file, fsync'd and atomically
 //!   renamed. The last **two** checkpoints are kept: if the newest is
 //!   torn or corrupt, recovery falls back to the previous one.
+//!   A commit streams the file: [`Checkpoint::encode_with`] encodes
+//!   from borrowed state into one state-sized buffer and spills it —
+//!   hashed, then written — after every shard state, so a shard-mode
+//!   commit holds one shard state's encoding, not a copy of the map.
 //! * `queue.wal` — the submit write-ahead log. Every accepted deletion
 //!   request is appended and fsync'd **before** the submit call
 //!   returns, so an acknowledged request survives any crash. Records
@@ -33,8 +37,11 @@ use crate::codec::{put_rows, Reader};
 use crate::coordinator::DrainStats;
 use crate::digest::{sha256, Sha256, DIGEST_LEN};
 use crate::queue::UnlearnRequest;
+use crate::shard::ShardSnapshot;
 use crate::telemetry::DurabilityTelemetry;
 use goldfish_tensor::serialize;
+use std::borrow::Cow;
+use std::convert::Infallible;
 use std::fs::{self, File, OpenOptions};
 use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
@@ -166,9 +173,11 @@ impl From<AuditError> for DurabilityError {
     }
 }
 
-/// The durable coordinator state one checkpoint captures.
+/// The durable coordinator state one checkpoint captures. A commit
+/// borrows its lists from the live coordinator; a decoded checkpoint
+/// owns them.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Checkpoint {
+pub struct Checkpoint<'a> {
     /// Monotone checkpoint generation.
     pub serial: u64,
     /// The next training round to run (rounds `0..round_next` are
@@ -186,13 +195,13 @@ pub struct Checkpoint {
     /// Drain counters at commit time.
     pub drain_stats: DrainStats,
     /// The pending unlearning queue, FIFO order.
-    pub pending: Vec<UnlearnRequest>,
+    pub pending: Cow<'a, [UnlearnRequest]>,
     /// The shard-mode section (`None` when the coordinator runs without
     /// `--shards`): the full shard map plus its pending task queue,
     /// restored bitwise on recovery.
-    pub shard: Option<crate::shard::ShardSnapshot>,
+    pub shard: Option<ShardSnapshot<'a>>,
     /// The global model state.
-    pub global: Vec<f32>,
+    pub global: Cow<'a, [f32]>,
 }
 
 fn put_request(out: &mut Vec<u8>, req: &UnlearnRequest) {
@@ -207,11 +216,35 @@ fn read_request(c: &mut Reader<'_>) -> Option<UnlearnRequest> {
     })
 }
 
-impl Checkpoint {
-    /// Serializes the checkpoint: header, fields, pending queue, global
-    /// (bulk f32 codec), trailing SHA-256 over everything before it.
+impl Checkpoint<'_> {
+    /// Serializes the checkpoint: header, fields, pending queue, shard
+    /// section, global (bulk f32 codec), trailing SHA-256 over
+    /// everything before it — the in-memory sink of
+    /// [`Checkpoint::encode_with`], byte for byte what a commit streams
+    /// to disk.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(128 + self.global.len() * 4);
+        let mut out = Vec::new();
+        let Ok(()) = self.encode_with(&mut out, &mut |_| Ok::<(), Infallible>(()));
+        let checksum = sha256(&out);
+        out.extend_from_slice(&checksum);
+        out
+    }
+
+    /// The one checkpoint encoder: appends everything the trailing
+    /// SHA-256 covers to `out`, handing `out` to `spill` after the
+    /// pending queue, after every shard state and after the shard
+    /// section. A sink that hashes, writes and clears `out` there holds
+    /// one shard state's encoding at a time; the caller appends the
+    /// checksum of all bytes seen.
+    ///
+    /// # Errors
+    ///
+    /// The first error `spill` returns; encoding stops there.
+    pub fn encode_with<E>(
+        &self,
+        out: &mut Vec<u8>,
+        spill: &mut impl FnMut(&mut Vec<u8>) -> Result<(), E>,
+    ) -> Result<(), E> {
         out.extend_from_slice(&CHECKPOINT_MAGIC);
         out.extend_from_slice(&CHECKPOINT_VERSION.to_le_bytes());
         out.extend_from_slice(&self.serial.to_le_bytes());
@@ -224,28 +257,30 @@ impl Checkpoint {
         out.extend_from_slice(&(self.drain_stats.batches_served as u64).to_le_bytes());
         out.extend_from_slice(&(self.drain_stats.last_batch_requests as u64).to_le_bytes());
         out.extend_from_slice(&(self.pending.len() as u32).to_le_bytes());
-        for req in &self.pending {
-            put_request(&mut out, req);
+        for req in self.pending.iter() {
+            put_request(out, req);
         }
+        spill(out)?;
         match &self.shard {
             None => out.push(0u8),
             Some(snap) => {
                 out.push(1u8);
-                snap.encode_into(&mut out);
+                snap.encode_with(out, spill)?;
+                spill(out)?;
             }
         }
-        serialize::params_write_into(&mut out, &self.global);
-        let checksum = sha256(&out);
-        out.extend_from_slice(&checksum);
-        out
+        serialize::params_write_into(out, &self.global);
+        Ok(())
     }
+}
 
+impl Checkpoint<'static> {
     /// Decodes and fully validates a checkpoint file's bytes.
     ///
     /// # Errors
     ///
     /// Typed [`DurabilityError`]s; `path` only labels them.
-    pub fn from_bytes(data: &[u8], path: &str) -> Result<Checkpoint, DurabilityError> {
+    pub fn from_bytes(data: &[u8], path: &str) -> Result<Self, DurabilityError> {
         let truncated = || DurabilityError::CheckpointTruncated {
             path: path.to_string(),
         };
@@ -291,8 +326,7 @@ impl Checkpoint {
         let shard = match c.u8().ok_or_else(truncated)? {
             0 => None,
             1 => {
-                let (snap, consumed) =
-                    crate::shard::ShardSnapshot::decode(c.b).ok_or_else(truncated)?;
+                let (snap, consumed) = ShardSnapshot::decode(c.b).ok_or_else(truncated)?;
                 c.take(consumed).ok_or_else(truncated)?;
                 Some(snap)
             }
@@ -307,9 +341,9 @@ impl Checkpoint {
             audit_bytes,
             audit_tip,
             drain_stats,
-            pending,
+            pending: Cow::Owned(pending),
             shard,
-            global,
+            global: Cow::Owned(global),
         })
     }
 }
@@ -340,7 +374,7 @@ pub struct Recovered {
     /// The checkpoint's shard section (`None` when the run was not in
     /// shard mode, or not `resumed`). Restore with
     /// [`crate::shard::ShardMap::restore`]; parity is recomputed.
-    pub shard: Option<crate::shard::ShardSnapshot>,
+    pub shard: Option<ShardSnapshot<'static>>,
     /// The committed audit chain in chain order. Since audit v2 this
     /// mixes served deletions with robustness verdicts — filter to
     /// [`crate::audit::audit_kind::UNLEARN_SERVED`] before replaying
@@ -593,9 +627,9 @@ impl DurableStore {
                     resumed: true,
                     fell_back,
                     round_next: ckpt.round_next as usize,
-                    global: ckpt.global,
+                    global: ckpt.global.into_owned(),
                     drain_stats: ckpt.drain_stats,
-                    pending: ckpt.pending,
+                    pending: ckpt.pending.into_owned(),
                     replayed,
                     replayed_shard,
                     shard: ckpt.shard,
@@ -702,7 +736,7 @@ impl DurableStore {
         round_next: usize,
         global: &[f32],
         pending: &[UnlearnRequest],
-        shard: Option<&crate::shard::ShardSnapshot>,
+        shard: Option<&ShardSnapshot<'_>>,
         drain_stats: DrainStats,
     ) -> Result<(), DurabilityError> {
         self.write_checkpoint(round_next, global, pending, shard, drain_stats)
@@ -772,7 +806,7 @@ impl DurableStore {
         round_next: usize,
         global: &[f32],
         pending: &[UnlearnRequest],
-        shard: &crate::shard::ShardSnapshot,
+        shard: &ShardSnapshot<'_>,
         drain_stats: DrainStats,
     ) -> Result<(), DurabilityError> {
         self.audit
@@ -785,7 +819,7 @@ impl DurableStore {
         round_next: usize,
         global: &[f32],
         pending: &[UnlearnRequest],
-        shard: Option<&crate::shard::ShardSnapshot>,
+        shard: Option<&ShardSnapshot<'_>>,
         drain_stats: DrainStats,
     ) -> Result<(), DurabilityError> {
         let start = self.telemetry.clock.now_nanos();
@@ -798,16 +832,28 @@ impl DurableStore {
             audit_bytes: self.audit.bytes(),
             audit_tip: self.audit.tip(),
             drain_stats,
-            pending: pending.to_vec(),
-            shard: shard.cloned(),
-            global: global.to_vec(),
+            pending: Cow::Borrowed(pending),
+            shard: shard.map(ShardSnapshot::borrowed),
+            global: Cow::Borrowed(global),
         };
-        let bytes = ckpt.to_bytes();
         let final_path = checkpoint_path(&self.dir, serial);
         let tmp_path = final_path.with_extension("gfck.tmp");
         {
+            // Stream: hash and write each spill, then the tail and the
+            // checksum of everything before it. The buffer holds at most
+            // one state-sized spill (a shard state, or the global).
             let mut f = File::create(&tmp_path)?;
-            f.write_all(&bytes)?;
+            let mut hash = Sha256::new();
+            let mut buf = Vec::with_capacity(128 + 4 * global.len());
+            ckpt.encode_with(&mut buf, &mut |b: &mut Vec<u8>| {
+                hash.update(b);
+                f.write_all(b)?;
+                b.clear();
+                Ok::<(), std::io::Error>(())
+            })?;
+            hash.update(&buf);
+            buf.extend_from_slice(&hash.finalize());
+            f.write_all(&buf)?;
             f.sync_all()?;
         }
         fs::rename(&tmp_path, &final_path)?;

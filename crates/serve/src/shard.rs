@@ -30,7 +30,11 @@
 //! transport (`ServeTransport::shard_retrain`, sharing
 //! `goldfish_core::optimization::retrain_shard` with the in-core
 //! deletion path), and persistence rides the checkpoint/WAL layer via
-//! [`ShardSnapshot`].
+//! [`ShardSnapshot`] — a view that borrows the map, so a commit encodes
+//! the states in place, one per spill, and copies none of them.
+
+use std::borrow::Cow;
+use std::convert::Infallible;
 
 use goldfish_core::ShardedLocalModel;
 use goldfish_data::partition;
@@ -385,21 +389,24 @@ impl ShardMap {
         model.checkpoint_without(shard)
     }
 
-    /// Captures the persistent part of the map (states, sizes,
+    /// Borrows the persistent part of the map (states, sizes,
     /// tombstones — parity is derived) plus the pending task queue.
-    pub fn snapshot(&self, tasks: &[ShardTask]) -> ShardSnapshot {
+    /// Copies nothing: a checkpoint encodes straight from the map.
+    pub fn snapshot<'a>(&'a self, tasks: &'a [ShardTask]) -> ShardSnapshot<'a> {
         ShardSnapshot {
             tau: self.policy.tau,
             group: self.policy.group,
             deadline_ms: self.policy.deadline_ms,
-            clients: self.clients.clone(),
-            tasks: tasks.to_vec(),
+            clients: Cow::Borrowed(&self.clients),
+            tasks: Cow::Borrowed(tasks),
         }
     }
 
-    /// Rebuilds the map bitwise from a recovered snapshot (parity is
-    /// recomputed from the restored states — deterministic).
-    pub fn restore(snapshot: &ShardSnapshot) -> Self {
+    /// Rebuilds the map bitwise from a recovered snapshot, taking over
+    /// its client mirrors (parity is recomputed from the restored states
+    /// — deterministic). Take the snapshot's `tasks` out first to keep
+    /// them.
+    pub fn restore(snapshot: ShardSnapshot<'_>) -> Self {
         let policy = ShardPolicy {
             tau: snapshot.tau,
             group: snapshot.group,
@@ -412,7 +419,7 @@ impl ShardMap {
             .unwrap_or(0);
         let mut map = ShardMap {
             policy,
-            clients: snapshot.clients.clone(),
+            clients: snapshot.clients.into_owned(),
             parity: Vec::new(),
             state_len,
         };
@@ -424,8 +431,11 @@ impl ShardMap {
 /// The checkpoint-persisted image of the shard pipeline: every client's
 /// shard mirror plus the pending task queue. Encoded into checkpoint v2
 /// files behind a presence flag.
+///
+/// [`ShardMap::snapshot`] borrows both lists from the live map and
+/// queue; [`ShardSnapshot::decode`] owns what it read.
 #[derive(Debug, Clone, PartialEq)]
-pub struct ShardSnapshot {
+pub struct ShardSnapshot<'a> {
     /// Shards per client.
     pub tau: usize,
     /// Redundancy-group size.
@@ -433,38 +443,70 @@ pub struct ShardSnapshot {
     /// Drain deadline (ms).
     pub deadline_ms: u64,
     /// Per-client mirrors, by client id.
-    pub clients: Vec<ClientShards>,
+    pub clients: Cow<'a, [ClientShards]>,
     /// Pending shard tasks, FIFO order.
-    pub tasks: Vec<ShardTask>,
+    pub tasks: Cow<'a, [ShardTask]>,
 }
 
-impl ShardSnapshot {
+impl ShardSnapshot<'_> {
+    /// A view of this snapshot that borrows its lists (a checkpoint
+    /// encodes through one without copying them).
+    pub(crate) fn borrowed(&self) -> ShardSnapshot<'_> {
+        ShardSnapshot {
+            tau: self.tau,
+            group: self.group,
+            deadline_ms: self.deadline_ms,
+            clients: Cow::Borrowed(&self.clients),
+            tasks: Cow::Borrowed(&self.tasks),
+        }
+    }
+
     /// Appends the snapshot's encoding to `out` (length-delimited, so
     /// the checkpoint codec can keep parsing after it).
     pub fn encode_into(&self, out: &mut Vec<u8>) {
+        let Ok(()) = self.encode_with(out, &mut |_| Ok::<(), Infallible>(()));
+    }
+
+    /// The one snapshot encoder: appends the encoding to `out` and hands
+    /// `out` to `spill` after every shard state, so a sink that writes
+    /// and clears it holds one state's encoding at a time, never the
+    /// map. [`ShardSnapshot::encode_into`] is the sink that keeps it all.
+    ///
+    /// # Errors
+    ///
+    /// The first error `spill` returns; encoding stops there.
+    pub(crate) fn encode_with<E>(
+        &self,
+        out: &mut Vec<u8>,
+        spill: &mut impl FnMut(&mut Vec<u8>) -> Result<(), E>,
+    ) -> Result<(), E> {
         out.extend_from_slice(&(self.tau as u32).to_le_bytes());
         out.extend_from_slice(&(self.group as u32).to_le_bytes());
         out.extend_from_slice(&self.deadline_ms.to_le_bytes());
         out.extend_from_slice(&(self.clients.len() as u32).to_le_bytes());
-        for c in &self.clients {
+        for c in self.clients.iter() {
             out.extend_from_slice(&(c.original_len as u64).to_le_bytes());
             for shard in 0..self.tau {
                 out.extend_from_slice(&(c.model.sizes()[shard] as u64).to_le_bytes());
                 put_rows(out, c.removed[shard].iter().map(|&r| r as u64));
                 serialize::params_write_into(out, c.model.shard_state(shard));
+                spill(out)?;
             }
         }
         out.extend_from_slice(&(self.tasks.len() as u32).to_le_bytes());
-        for t in &self.tasks {
+        for t in self.tasks.iter() {
             out.extend_from_slice(&(t.client_id as u64).to_le_bytes());
             out.extend_from_slice(&(t.shard as u32).to_le_bytes());
             put_rows(out, t.rows.iter().map(|&r| r as u64));
         }
+        Ok(())
     }
+}
 
+impl ShardSnapshot<'static> {
     /// Decodes a snapshot from the front of `b`, returning it plus the
     /// bytes consumed. `None` = truncated/malformed.
-    pub fn decode(b: &[u8]) -> Option<(ShardSnapshot, usize)> {
+    pub fn decode(b: &[u8]) -> Option<(Self, usize)> {
         let total = b.len();
         let mut c = Reader { b };
         let tau = c.u32()? as usize;
@@ -508,8 +550,8 @@ impl ShardSnapshot {
                 tau,
                 group,
                 deadline_ms,
-                clients,
-                tasks,
+                clients: Cow::Owned(clients),
+                tasks: Cow::Owned(tasks),
             },
             used,
         ))
@@ -613,7 +655,7 @@ mod tests {
         let (back, used) = ShardSnapshot::decode(&bytes).unwrap();
         assert_eq!(used, tail_marker);
         assert_eq!(back.tasks, tasks);
-        let restored = ShardMap::restore(&back);
+        let restored = ShardMap::restore(back);
         for id in 0..2 {
             assert_eq!(
                 restored.client(id).model.sizes(),

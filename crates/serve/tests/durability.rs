@@ -493,6 +493,127 @@ fn wal_checkpoint_and_audit_bytes_are_frozen() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A commit streams its checkpoint: the shard section is hashed and
+/// written one shard state at a time. Over a map whose section spans
+/// many spills (5 clients × τ = 4 states, tombstones, shard tasks and a
+/// pending queue) the file must equal what the in-memory encoder writes,
+/// recover bit for bit, and fail a flipped byte inside the section as a
+/// typed checksum error.
+#[test]
+fn streamed_shard_checkpoint_recovers_bitwise_and_fails_a_flip_closed() {
+    use goldfish_serve::coordinator::DrainStats;
+    use goldfish_serve::digest::DIGEST_LEN;
+    use goldfish_serve::durability::Checkpoint;
+    use goldfish_serve::shard::ShardMap;
+
+    let dir = tmp_dir("shard-stream");
+    let state = |seed: usize| -> Vec<f32> {
+        (0..300)
+            .map(|i| ((i * 7 + seed * 13) % 101) as f32 * 0.37 - 11.0)
+            .collect()
+    };
+    let policy = ShardPolicy {
+        tau: 4,
+        group: 2,
+        deadline_ms: 250,
+    };
+    let mut map = ShardMap::new(policy, &[23, 17, 30, 9, 12], &state(0));
+    map.apply_retrain(0, 1, state(1), &[1, 5, 9]);
+    map.apply_retrain(2, 3, state(2), &[3, 27]);
+    map.apply_retrain(4, 0, state(3), &[8, 0, 4]);
+    let tasks = vec![
+        ShardTask::new(1, 2, vec![6, 2]),
+        ShardTask::new(3, 0, vec![4]),
+    ];
+    let pending = vec![
+        UnlearnRequest::new(0, vec![11, 2]),
+        UnlearnRequest::new(3, vec![1]),
+    ];
+    let global = state(9);
+    let (mut store, _) = DurableStore::open(&dir).unwrap();
+    store
+        .commit_round(
+            5,
+            &global,
+            &pending,
+            Some(&map.snapshot(&tasks)),
+            DrainStats::default(),
+        )
+        .unwrap();
+    drop(store);
+
+    let path = checkpoints(&dir).pop().unwrap();
+    let bytes = std::fs::read(&path).unwrap();
+    let decoded = Checkpoint::from_bytes(&bytes, "streamed").unwrap();
+    assert_eq!(
+        decoded.to_bytes(),
+        bytes,
+        "file and in-memory encoder differ"
+    );
+    // Spill by spill, as a commit streams it: the pending queue, every
+    // shard state on its own, the section's tail; the global rides last.
+    let (mut buf, mut streamed, mut spills, mut largest) = (Vec::new(), Vec::new(), 0, 0);
+    decoded
+        .encode_with(&mut buf, &mut |b: &mut Vec<u8>| {
+            spills += 1;
+            largest = largest.max(b.len());
+            streamed.extend_from_slice(b);
+            b.clear();
+            Ok::<(), ()>(())
+        })
+        .unwrap();
+    streamed.extend_from_slice(&buf);
+    assert_eq!(streamed, bytes[..bytes.len() - DIGEST_LEN]);
+    assert_eq!(spills, 1 + 5 * policy.tau + 1);
+    let state_bytes = 8 + 4 * global.len();
+    assert!(largest < 2 * state_bytes, "a spill of {largest} B");
+    // The section sits between the presence flag and the global state,
+    // byte for byte what the snapshot's own encoder writes.
+    let mut section = Vec::new();
+    map.snapshot(&tasks).encode_into(&mut section);
+    let end = bytes.len() - DIGEST_LEN - (8 + 4 * global.len());
+    let start = end - section.len();
+    assert_eq!(bytes[start - 1], 1, "shard presence flag");
+    assert_eq!(&bytes[start..end], &section[..]);
+
+    let (store, recovered) = DurableStore::open(&dir).unwrap();
+    drop(store);
+    assert_eq!(recovered.round_next, 5);
+    assert_eq!(recovered.pending, pending);
+    let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
+    assert_eq!(bits(&recovered.global), bits(&global));
+    let mut snap = recovered.shard.expect("shard section");
+    assert_eq!(std::mem::take(&mut snap.tasks), tasks);
+    let restored = ShardMap::restore(snap);
+    assert_eq!(restored.policy(), map.policy());
+    assert_eq!(restored.num_clients(), map.num_clients());
+    for id in 0..map.num_clients() {
+        let (got, want) = (restored.client(id), map.client(id));
+        assert_eq!(got.original_len, want.original_len, "client {id}");
+        assert_eq!(got.removed, want.removed, "client {id} tombstones");
+        assert_eq!(got.model.sizes(), want.model.sizes(), "client {id} sizes");
+        for shard in 0..policy.tau {
+            assert_eq!(
+                bits(got.model.shard_state(shard)),
+                bits(want.model.shard_state(shard)),
+                "client {id} shard {shard}"
+            );
+        }
+    }
+
+    let mut flipped = bytes.clone();
+    flipped[(start + end) / 2] ^= 0x40;
+    std::fs::write(&path, &flipped).unwrap();
+    let err = DurableStore::open(&dir)
+        .err()
+        .expect("a flipped byte must not recover");
+    assert!(
+        matches!(err, DurabilityError::CheckpointChecksum { .. }),
+        "{err:?}"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// A state dir whose committed deletions name rows the data does not hold
 /// (a restart over smaller data) is a typed refusal naming the client,
 /// the row and the size — never a panic — and nothing is applied.

@@ -7,9 +7,10 @@
 //! next one) is not counted either.
 //!
 //! The same allocator keeps a live-heap high-water mark, which pins what
-//! evaluation, a loopback round and a deletion drain hold at their peak:
-//! one evaluation chunk, one wave of lanes, one lane per thread — not the
-//! dataset, the cohort or the clients.
+//! evaluation, a loopback round, a deletion drain and a shard-mode commit
+//! hold at their peak: one evaluation chunk, one wave of lanes, one lane
+//! per thread, one shard state — not the dataset, the cohort, the clients
+//! or the shard map.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -28,8 +29,12 @@ use goldfish::fed::ModelFactory;
 use goldfish::nn::loss::{CrossEntropy, HardLoss};
 use goldfish::nn::optim::FusedSgd;
 use goldfish::nn::{zoo, Network};
-use goldfish::serve::coordinator::{Coordinator, CoordinatorConfig};
+use goldfish::serve::audit::{audit_kind, AuditEventRecord};
+use goldfish::serve::coordinator::{Coordinator, CoordinatorConfig, DrainStats};
+use goldfish::serve::digest::state_digest;
+use goldfish::serve::durability::DurableStore;
 use goldfish::serve::queue::UnlearnRequest;
+use goldfish::serve::shard::{ShardMap, ShardPolicy, ShardTask};
 use goldfish::serve::transport::LoopbackTransport;
 use goldfish::tensor::Tensor;
 use rand::{rngs::StdRng, SeedableRng};
@@ -461,4 +466,84 @@ fn distillation_drain_peak_heap_follows_threads_not_clients() {
         eight * 10 <= four * 11,
         "an 8-client drain peaked at {eight} B of live heap, a 4-client one at {four} B"
     );
+}
+
+/// A shard-mode commit streams its checkpoint from the live map: the
+/// snapshot borrows the map instead of cloning it, and the file is hashed
+/// and written one shard state at a time through one state-sized buffer
+/// instead of being built whole first. So neither shard-mode commit — a
+/// round's or a shard drain's — raises live heap by more than about one
+/// shard state, where a clone plus a whole-file buffer would be at least
+/// twice the map.
+#[test]
+fn shard_commit_peak_heap_is_one_shard_state_not_the_map() {
+    let _guard = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    const CLIENTS: usize = 8;
+    const TAU: usize = 4;
+    const STATE: usize = 8192;
+    let policy = ShardPolicy {
+        tau: TAU,
+        group: 2,
+        deadline_ms: 0,
+    };
+    let init: Vec<f32> = (0..STATE).map(|i| i as f32 * 1e-3).collect();
+    let mut map = ShardMap::new(policy, &[64; CLIENTS], &init);
+    map.apply_retrain(1, 2, vec![0.5; STATE], &[2, 6]);
+    let map_bytes = CLIENTS * TAU * STATE * std::mem::size_of::<f32>();
+    let tasks = [ShardTask::new(3, 1, vec![1, 5])];
+    let pending = [UnlearnRequest::new(0, vec![4])];
+    let global = vec![0.25f32; STATE];
+    let digest = state_digest(1, &global);
+    let served = [AuditEventRecord {
+        kind: audit_kind::UNLEARN_SERVED,
+        client_id: 3,
+        detail: vec![1, 1, 5],
+    }];
+
+    let mut dir = std::env::temp_dir();
+    dir.push(format!(
+        "goldfish-alloc-shard-commit-{}",
+        std::process::id()
+    ));
+    let _ = std::fs::remove_dir_all(&dir);
+    let (mut store, _) = DurableStore::open(&dir).unwrap();
+    let round = |store: &mut DurableStore| {
+        let snapshot = map.snapshot(&tasks);
+        store
+            .commit_round(1, &global, &pending, Some(&snapshot), DrainStats::default())
+            .unwrap();
+    };
+    let drain = |store: &mut DurableStore, serial: u64| {
+        let snapshot = map.snapshot(&tasks);
+        store
+            .commit_shard_drain(
+                1,
+                serial,
+                &served,
+                &digest,
+                1,
+                &global,
+                &pending,
+                &snapshot,
+                DrainStats::default(),
+            )
+            .unwrap();
+    };
+    // Warm: the kept generations are on disk, so each measured commit
+    // also prunes one.
+    round(&mut store);
+    drain(&mut store, 0);
+    let (round_peak, ()) = peak_during(|| round(&mut store));
+    let (drain_peak, ()) = peak_during(|| drain(&mut store, 1));
+    drop(store);
+    let _ = std::fs::remove_dir_all(&dir);
+    for (commit, peak) in [
+        ("commit_round", round_peak),
+        ("commit_shard_drain", drain_peak),
+    ] {
+        assert!(
+            peak < map_bytes / 2,
+            "{commit} over a {map_bytes} B shard map raised live heap by {peak} B"
+        );
+    }
 }

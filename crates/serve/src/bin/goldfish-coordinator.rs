@@ -528,10 +528,9 @@ fn main() {
     }
 
     if shard_tau > 0 {
-        // The ShardAssign/ShardResult frames and the worker's handler
-        // exist (and are pinned over real sockets), but the reactor
-        // transport does not yet dispatch shard drains — see the
-        // DESIGN.md §16 limitation note.
+        // Shard mode is loopback-only: no wire frame carries a shard
+        // retrain, so this refusal is what keeps it off TCP (DESIGN.md
+        // §16.6).
         error!("--shards currently requires --loopback (TCP shard dispatch is not wired yet)");
         std::process::exit(2);
     }
@@ -545,8 +544,6 @@ fn main() {
     let tcp_cfg = TcpConfig {
         agg_mode,
         agg_param,
-        shard_tau: if shard_tau > 0 { shard_tau as u32 } else { 0 },
-        shard_group: if shard_tau > 0 { shard_group as u32 } else { 0 },
         ..TcpConfig::default()
     };
     let mut transport = TcpTransport::accept(&listener, spec.clients, state_len, tcp_cfg)

@@ -1,18 +1,19 @@
-//! The one reader and the one row-list writer behind every state-dir
-//! format: checkpoints and the WAL ([`crate::durability`]), the shard
-//! snapshot inside a checkpoint ([`crate::shard`]) and the audit chain
-//! ([`crate::audit`]).
+//! The one reader and the one row-list writer behind every byte format
+//! that comes from outside the program: the state dir — checkpoints and
+//! the WAL ([`crate::durability`]), the shard snapshot inside a
+//! checkpoint ([`crate::shard`]) and the audit chain ([`crate::audit`])
+//! — and the payloads of wire frames ([`crate::wire`]).
 //!
-//! State-dir bytes are outside input — a torn write, a flipped bit, a
-//! file from another version. The reader therefore never indexes: every
-//! field is a bounds-checked `take`, a list's announced count is checked
-//! against the bytes actually present before anything is allocated for
-//! it, and running short is `None`, which each format maps to its own
-//! typed truncation error.
+//! Those bytes are outside input — a torn write, a flipped bit, a file
+//! from another version, a hostile peer. The reader therefore never
+//! indexes: every field is a bounds-checked `take`, a list's announced
+//! count is checked against the bytes actually present before anything
+//! is allocated for it, and running short is `None`, which each format
+//! maps to its own typed truncation error.
 
 use goldfish_tensor::serialize;
 
-/// A bounds-checked little-endian cursor over state-dir bytes.
+/// A bounds-checked little-endian cursor over outside bytes.
 pub(crate) struct Reader<'a> {
     /// The bytes not yet consumed.
     pub(crate) b: &'a [u8],
@@ -38,12 +39,24 @@ impl<'a> Reader<'a> {
         self.array().map(|[byte]| byte)
     }
 
+    pub(crate) fn u16(&mut self) -> Option<u16> {
+        self.array().map(u16::from_le_bytes)
+    }
+
     pub(crate) fn u32(&mut self) -> Option<u32> {
         self.array().map(u32::from_le_bytes)
     }
 
     pub(crate) fn u64(&mut self) -> Option<u64> {
         self.array().map(u64::from_le_bytes)
+    }
+
+    pub(crate) fn f32(&mut self) -> Option<f32> {
+        self.array().map(f32::from_le_bytes)
+    }
+
+    pub(crate) fn f64(&mut self) -> Option<f64> {
+        self.array().map(f64::from_le_bytes)
     }
 
     /// A `u32 count + u64 rows` list, as [`put_rows`] writes it.

@@ -127,8 +127,9 @@ impl crate::queue::Pending for ShardTask {
 pub type ShardTaskQueue = crate::queue::MergeQueue<ShardTask>;
 
 /// What a transport executes for one shard retrain — the serve-layer
-/// analogue of `ShardedClient`'s internal retrain job, shipped as a
-/// `ShardAssign` wire frame on TCP.
+/// analogue of `ShardedClient`'s internal retrain job. Only in-process
+/// transports execute one: shard mode is loopback-only (DESIGN.md
+/// §16.6).
 #[derive(Debug, Clone, PartialEq)]
 pub struct ShardRetrainAssign {
     /// The client whose data the shard belongs to.

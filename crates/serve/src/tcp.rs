@@ -102,12 +102,6 @@ pub struct TcpConfig {
     /// Mode parameter paired with `agg_mode` (trim count or clip-limit
     /// bits; 0 when the mode takes none).
     pub agg_param: u64,
-    /// Shards per client announced in `Capabilities` when the
-    /// coordinator runs shard-isolated unlearning (DESIGN.md §16);
-    /// 0 when shard mode is off.
-    pub shard_tau: u32,
-    /// Redundancy-group width paired with `shard_tau` (0 = off).
-    pub shard_group: u32,
 }
 
 impl Default for TcpConfig {
@@ -119,8 +113,6 @@ impl Default for TcpConfig {
             read_timeout: Duration::from_secs(30),
             agg_mode: 0,
             agg_param: 0,
-            shard_tau: 0,
-            shard_group: 0,
         }
     }
 }
@@ -134,8 +126,6 @@ impl TcpConfig {
             state_len: state_len as u64,
             agg_mode: self.agg_mode,
             agg_param: self.agg_param,
-            shard_tau: self.shard_tau,
-            shard_group: self.shard_group,
         }
     }
 }
@@ -199,8 +189,8 @@ const LISTENER_KEY: usize = usize::MAX;
 const HANDSHAKE_MAX_PAYLOAD: usize = 64;
 
 /// What a reply may carry beside its state vector: the fixed fields and
-/// length prefix of an `Update` / `UnlearnResult` / `ShardResult`, or the
-/// detail string of an `Err`.
+/// length prefix of an `Update` / `UnlearnResult`, or the detail string
+/// of an `Err`.
 const REPLY_OVERHEAD: usize = 1024;
 
 /// The frame bound of a worker reply for a model of `state_len`

@@ -34,6 +34,8 @@ use goldfish_fed::trainer::TrainConfig;
 use goldfish_nn::loss::HardLossSpec;
 use goldfish_tensor::serialize;
 
+use crate::codec::Reader;
+
 /// Frame magic: "GoldFish Wire Protocol".
 pub const MAGIC: [u8; 4] = *b"GFWP";
 
@@ -46,8 +48,9 @@ pub const MAGIC: [u8; 4] = *b"GFWP";
 /// `RoundAssign`/`Update`/`UnlearnResult`, aggregation-mode negotiation
 /// in `Capabilities` (DESIGN.md §13); 4 = `ShardAssign`/`ShardResult`
 /// frames and shard-policy announcement in `Capabilities`
-/// (DESIGN.md §16).
-pub const PROTOCOL_VERSION: u8 = 4;
+/// (DESIGN.md §16); 5 = shard frames and `Capabilities` shard fields
+/// removed, kinds 13–14 retired.
+pub const PROTOCOL_VERSION: u8 = 5;
 
 /// Frame header size in bytes.
 pub const HEADER_LEN: usize = 10;
@@ -170,7 +173,8 @@ impl From<std::io::Error> for WireError {
 /// Frame kind bytes — the one place a message's wire kind is assigned.
 /// [`Msg::kind`], the payload decoders and the borrowed encoders all
 /// reference these, so adding or renumbering a message is a one-site
-/// change.
+/// change. Kinds 13 and 14 (protocol v4's shard frames) are retired and
+/// never reused.
 pub mod kind {
     /// [`super::Msg::Hello`].
     pub const HELLO: u8 = 1;
@@ -196,10 +200,6 @@ pub mod kind {
     pub const UNLEARN_ACK: u8 = 11;
     /// [`super::Msg::Shutdown`].
     pub const SHUTDOWN: u8 = 12;
-    /// [`super::Msg::ShardAssign`].
-    pub const SHARD_ASSIGN: u8 = 13;
-    /// [`super::Msg::ShardResult`].
-    pub const SHARD_RESULT: u8 = 14;
 }
 
 /// Error codes carried by [`Msg::Err`].
@@ -263,12 +263,6 @@ pub enum Msg {
         /// The aggregation mode's parameter (trim count or norm-limit
         /// bits; `0` when the mode takes none).
         agg_param: u64,
-        /// Shards per client when the coordinator runs shard-isolated
-        /// unlearning (DESIGN.md §16); `0` when shard mode is off.
-        shard_tau: u32,
-        /// Redundancy-group width of the coordinator's shard parity
-        /// (`0` when shard mode is off).
-        shard_group: u32,
     },
     /// Coordinator → worker: one round's marching orders.
     RoundAssign {
@@ -387,40 +381,6 @@ pub enum Msg {
     /// preceding `Shutdown` treats the session as a disconnect (and,
     /// under `--reconnect`, waits for the coordinator to come back).
     Shutdown,
-    /// Coordinator → worker: retrain one shard of `owner`'s partition
-    /// from its pre-deletion checkpoint (DESIGN.md §16). The recipient
-    /// need not be the owner — under a degraded drain the coordinator
-    /// reconstructs the checkpoint from group parity and delegates to a
-    /// healthy group member, which trains on its replica of the owner's
-    /// shard rows. The reply is [`Msg::ShardResult`].
-    ShardAssign {
-        /// The client whose shard is retrained (rows and checkpoint are
-        /// the owner's, whoever executes).
-        owner: u64,
-        /// Shard index within the owner's `τ`-way partition.
-        shard: u32,
-        /// The owner's shard count (sanity-checked against the
-        /// recipient's announced policy).
-        tau: u32,
-        /// Retrain seed (already task-derived by the coordinator).
-        seed: u64,
-        /// Local training hyperparameters for the retrain.
-        cfg: TrainConfig,
-        /// Row indices (owner's original data ordering) the shard keeps
-        /// after the deletion.
-        keep_rows: Vec<u64>,
-        /// The shard's stored pre-deletion state to warm-start from.
-        checkpoint: Vec<f32>,
-    },
-    /// Worker → coordinator: one shard retrain's result.
-    ShardResult {
-        /// Echoes the assignment's owner.
-        owner: u64,
-        /// Echoes the assignment's shard index.
-        shard: u32,
-        /// The retrained shard state vector.
-        state: Vec<f32>,
-    },
 }
 
 impl Msg {
@@ -439,8 +399,6 @@ impl Msg {
             Msg::Digest { .. } => kind::DIGEST,
             Msg::UnlearnAck { .. } => kind::UNLEARN_ACK,
             Msg::Shutdown => kind::SHUTDOWN,
-            Msg::ShardAssign { .. } => kind::SHARD_ASSIGN,
-            Msg::ShardResult { .. } => kind::SHARD_RESULT,
         }
     }
 
@@ -459,8 +417,6 @@ impl Msg {
             Msg::Digest { .. } => "Digest",
             Msg::UnlearnAck { .. } => "UnlearnAck",
             Msg::Shutdown => "Shutdown",
-            Msg::ShardAssign { .. } => "ShardAssign",
-            Msg::ShardResult { .. } => "ShardResult",
         }
     }
 }
@@ -614,15 +570,11 @@ pub fn encode_frame_into(
             state_len,
             agg_mode,
             agg_param,
-            shard_tau,
-            shard_group,
         } => {
             out.put_u64_le(*max_payload);
             out.put_u64_le(*state_len);
             out.put_slice(&[*agg_mode]);
             out.put_u64_le(*agg_param);
-            out.put_u32_le(*shard_tau);
-            out.put_u32_le(*shard_group);
         }
         Msg::RoundAssign {
             mode,
@@ -694,35 +646,6 @@ pub fn encode_frame_into(
             out.put_u64_le(*num_samples);
         }
         Msg::Shutdown => {}
-        Msg::ShardAssign {
-            owner,
-            shard,
-            tau,
-            seed,
-            cfg,
-            keep_rows,
-            checkpoint,
-        } => {
-            out.put_u64_le(*owner);
-            out.put_u32_le(*shard);
-            out.put_u32_le(*tau);
-            out.put_u64_le(*seed);
-            put_train_config(out, cfg);
-            out.put_u32_le(keep_rows.len() as u32);
-            for &r in keep_rows {
-                out.put_u64_le(r);
-            }
-            put_f32s(out, checkpoint);
-        }
-        Msg::ShardResult {
-            owner,
-            shard,
-            state,
-        } => {
-            out.put_u64_le(*owner);
-            out.put_u32_le(*shard);
-            put_f32s(out, state);
-        }
     }
     finish_frame(out, limits)
 }
@@ -828,112 +751,74 @@ pub fn encode_unlearn_assign_into(
 // Decoding
 // ---------------------------------------------------------------------------
 
-/// A checked little-endian reader over a borrowed payload slice —
-/// decoding never copies the payload, and the trailing `f32` vector can
-/// stream straight into a pooled buffer.
-struct Reader<'a> {
-    b: &'a [u8],
+// Payloads decode through `codec::Reader`, the cursor behind every state-dir
+// format, borrowing the payload slice. Running short of a field is
+// `Truncated`; a bad tag, bad UTF-8 or an `f32` vector the payload cannot
+// hold is `Malformed`.
+
+/// An optional `f32`: a `0`/`1` tag, then the value when present.
+fn opt_f32(r: &mut Reader<'_>) -> Result<Option<f32>, WireError> {
+    match r.u8().ok_or(WireError::Truncated)? {
+        0 => Ok(None),
+        1 => Ok(Some(r.f32().ok_or(WireError::Truncated)?)),
+        t => Err(WireError::Malformed(format!("bad option tag {t}"))),
+    }
 }
 
-impl<'a> Reader<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], WireError> {
-        if self.b.len() < n {
-            return Err(WireError::Truncated);
-        }
-        let (head, rest) = self.b.split_at(n);
-        self.b = rest;
-        Ok(head)
-    }
+/// A `u32`-length-prefixed UTF-8 string.
+fn string(r: &mut Reader<'_>) -> Result<String, WireError> {
+    let n = r.u32().ok_or(WireError::Truncated)? as usize;
+    let raw = r.take(n).ok_or(WireError::Truncated)?;
+    String::from_utf8(raw.to_vec()).map_err(|e| WireError::Malformed(format!("bad utf-8: {e}")))
+}
 
-    fn u8(&mut self) -> Result<u8, WireError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u16(&mut self) -> Result<u16, WireError> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().expect("2")))
-    }
-
-    fn u32(&mut self) -> Result<u32, WireError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("4")))
-    }
-
-    fn u64(&mut self) -> Result<u64, WireError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("8")))
-    }
-
-    fn f32(&mut self) -> Result<f32, WireError> {
-        Ok(f32::from_le_bytes(self.take(4)?.try_into().expect("4")))
-    }
-
-    fn f64(&mut self) -> Result<f64, WireError> {
-        Ok(f64::from_bits(self.u64()?))
-    }
-
-    fn opt_f32(&mut self) -> Result<Option<f32>, WireError> {
-        match self.u8()? {
-            0 => Ok(None),
-            1 => Ok(Some(self.f32()?)),
-            t => Err(WireError::Malformed(format!("bad option tag {t}"))),
-        }
-    }
-
-    fn string(&mut self) -> Result<String, WireError> {
-        let n = self.u32()? as usize;
-        let raw = self.take(n)?;
-        String::from_utf8(raw.to_vec()).map_err(|e| WireError::Malformed(format!("bad utf-8: {e}")))
-    }
-
-    /// Consumes the trailing `f32` vector (the bulk-codec segment).
-    fn f32s(self) -> Result<Vec<f32>, WireError> {
-        let mut out = Vec::new();
-        self.f32s_into(&mut out)?;
-        Ok(out)
-    }
-
-    /// Consumes the trailing `f32` vector into a caller-owned buffer —
-    /// the pooled decode path.
-    fn f32s_into(self, out: &mut Vec<f32>) -> Result<(), WireError> {
-        serialize::params_read_into_vec(self.b, out)
-            .map(|_| ())
-            .map_err(|e| WireError::Malformed(format!("f32 vector: {e:?}")))
-    }
+/// The trailing `f32` vector (the bulk-codec segment).
+fn f32s(r: &mut Reader<'_>) -> Result<Vec<f32>, WireError> {
+    r.f32s()
+        .ok_or_else(|| WireError::Malformed("f32 vector longer than its payload".into()))
 }
 
 fn read_train_config(r: &mut Reader<'_>) -> Result<TrainConfig, WireError> {
-    Ok(TrainConfig {
-        local_epochs: r.u64()? as usize,
-        batch_size: r.u64()? as usize,
-        lr: r.f32()?,
-        momentum: r.f32()?,
-    })
+    let cfg = TrainConfig {
+        local_epochs: r.u64().ok_or(WireError::Truncated)? as usize,
+        batch_size: r.u64().ok_or(WireError::Truncated)? as usize,
+        lr: r.f32().ok_or(WireError::Truncated)?,
+        momentum: r.f32().ok_or(WireError::Truncated)?,
+    };
+    // The trainer chunks each epoch by `batch_size`; a hostile zero must
+    // surface as a typed error here, never as a worker panic there.
+    if cfg.batch_size == 0 {
+        return Err(WireError::Malformed("train config batch size 0".into()));
+    }
+    Ok(cfg)
 }
 
 fn read_job(r: &mut Reader<'_>) -> Result<UnlearnJob, WireError> {
-    let epochs = r.u64()? as usize;
-    let batch_size = r.u64()? as usize;
-    let lr = r.f32()?;
-    let momentum = r.f32()?;
+    let epochs = r.u64().ok_or(WireError::Truncated)? as usize;
+    let batch_size = r.u64().ok_or(WireError::Truncated)? as usize;
+    let lr = r.f32().ok_or(WireError::Truncated)?;
+    let momentum = r.f32().ok_or(WireError::Truncated)?;
     let weights = LossWeights {
-        mu_c: r.f32()?,
-        mu_d: r.f32()?,
-        temperature: r.f32()?,
+        mu_c: r.f32().ok_or(WireError::Truncated)?,
+        mu_d: r.f32().ok_or(WireError::Truncated)?,
+        temperature: r.f32().ok_or(WireError::Truncated)?,
     };
-    let adaptive_temperature = match r.u8()? {
+    let adaptive_temperature = match r.u8().ok_or(WireError::Truncated)? {
         0 => None,
         1 => Some(AdaptiveTemperature {
-            t0: r.f32()?,
-            alpha: r.f32()?,
+            t0: r.f32().ok_or(WireError::Truncated)?,
+            alpha: r.f32().ok_or(WireError::Truncated)?,
         }),
         t => return Err(WireError::Malformed(format!("bad option tag {t}"))),
     };
-    let early_termination = r.opt_f32()?;
-    let grad_clip = r.opt_f32()?;
-    let hard = match r.u8()? {
+    let early_termination = opt_f32(r)?;
+    let grad_clip = opt_f32(r)?;
+    let hard = match r.u8().ok_or(WireError::Truncated)? {
         0 => HardLossSpec::CrossEntropy,
         1 => {
             // `Focal::new` asserts γ ≥ 0; a hostile frame must surface
             // as a typed error here, never as a worker panic there.
-            let gamma = r.f32()?;
+            let gamma = r.f32().ok_or(WireError::Truncated)?;
             if !gamma.is_finite() || gamma < 0.0 {
                 return Err(WireError::Malformed(format!(
                     "focal gamma {gamma} is not a finite non-negative value"
@@ -1121,25 +1006,21 @@ impl UpdateDecoder {
 
 /// Decodes a payload of the given kind into a [`Msg`] (the body of
 /// [`decode_frame`], exposed for transports that read frames through
-/// pooled buffers).
+/// pooled buffers). Bytes past the last field are ignored.
 ///
 /// # Errors
 ///
 /// Any payload-level [`WireError`].
-pub fn decode_msg(kind: u8, payload: &[u8]) -> Result<Msg, WireError> {
-    decode_payload(kind, payload)
-}
-
-fn decode_payload(k: u8, payload: &[u8]) -> Result<Msg, WireError> {
+pub fn decode_msg(k: u8, payload: &[u8]) -> Result<Msg, WireError> {
     let mut r = Reader { b: payload };
     match k {
         kind::HELLO => {
-            let client_id = r.u64()?;
-            let state_len = r.u64()?;
-            let num_samples = r.u64()?;
-            let resume = match r.u8()? {
+            let client_id = r.u64().ok_or(WireError::Truncated)?;
+            let state_len = r.u64().ok_or(WireError::Truncated)?;
+            let num_samples = r.u64().ok_or(WireError::Truncated)?;
+            let resume = match r.u8().ok_or(WireError::Truncated)? {
                 0 => None,
-                1 => Some(r.u64()?),
+                1 => Some(r.u64().ok_or(WireError::Truncated)?),
                 t => return Err(WireError::Malformed(format!("bad resume tag {t}"))),
             };
             Ok(Msg::Hello {
@@ -1150,22 +1031,20 @@ fn decode_payload(k: u8, payload: &[u8]) -> Result<Msg, WireError> {
             })
         }
         kind::CAPABILITIES => Ok(Msg::Capabilities {
-            max_payload: r.u64()?,
-            state_len: r.u64()?,
-            agg_mode: r.u8()?,
-            agg_param: r.u64()?,
-            shard_tau: r.u32()?,
-            shard_group: r.u32()?,
+            max_payload: r.u64().ok_or(WireError::Truncated)?,
+            state_len: r.u64().ok_or(WireError::Truncated)?,
+            agg_mode: r.u8().ok_or(WireError::Truncated)?,
+            agg_param: r.u64().ok_or(WireError::Truncated)?,
         }),
         kind::ROUND_ASSIGN => {
-            let mode = match r.u8()? {
+            let mode = match r.u8().ok_or(WireError::Truncated)? {
                 0 => RoundMode::Train,
                 1 => RoundMode::Distill,
                 t => return Err(WireError::Malformed(format!("bad round mode {t}"))),
             };
-            let round = r.u64()?;
-            let seed = r.u64()?;
-            let nonce = r.u64()?;
+            let round = r.u64().ok_or(WireError::Truncated)?;
+            let seed = r.u64().ok_or(WireError::Truncated)?;
+            let nonce = r.u64().ok_or(WireError::Truncated)?;
             let cfg = read_train_config(&mut r)?;
             Ok(Msg::RoundAssign {
                 mode,
@@ -1173,15 +1052,15 @@ fn decode_payload(k: u8, payload: &[u8]) -> Result<Msg, WireError> {
                 seed,
                 nonce,
                 cfg,
-                global: r.f32s()?,
+                global: f32s(&mut r)?,
             })
         }
         kind::UPDATE | kind::UNLEARN_RESULT => {
-            let round = r.u64()?;
-            let client_id = r.u64()?;
-            let weight = r.u64()?;
-            let nonce = r.u64()?;
-            let state = r.f32s()?;
+            let round = r.u64().ok_or(WireError::Truncated)?;
+            let client_id = r.u64().ok_or(WireError::Truncated)?;
+            let weight = r.u64().ok_or(WireError::Truncated)?;
+            let nonce = r.u64().ok_or(WireError::Truncated)?;
+            let state = f32s(&mut r)?;
             Ok(if k == kind::UPDATE {
                 Msg::Update {
                     round,
@@ -1200,72 +1079,33 @@ fn decode_payload(k: u8, payload: &[u8]) -> Result<Msg, WireError> {
                 }
             })
         }
-        kind::UNLEARN_ASSIGN => {
-            let serial = r.u64()?;
-            let job = read_job(&mut r)?;
-            let n = r.u32()? as usize;
-            let mut removed = Vec::with_capacity(n.min(1 << 20));
-            for _ in 0..n {
-                removed.push(r.u64()?);
-            }
-            Ok(Msg::UnlearnAssign {
-                serial,
-                job,
-                removed,
-                teacher: r.f32s()?,
-            })
-        }
+        kind::UNLEARN_ASSIGN => Ok(Msg::UnlearnAssign {
+            serial: r.u64().ok_or(WireError::Truncated)?,
+            job: read_job(&mut r)?,
+            // `rows` checks the announced count against the bytes
+            // present before it allocates for them.
+            removed: r.rows().ok_or(WireError::Truncated)?,
+            teacher: f32s(&mut r)?,
+        }),
         kind::EVAL => Ok(Msg::Eval {
-            round: r.u64()?,
-            accuracy: r.f64()?,
-            mse: r.f64()?,
-            global: r.f32s()?,
+            round: r.u64().ok_or(WireError::Truncated)?,
+            accuracy: r.f64().ok_or(WireError::Truncated)?,
+            mse: r.f64().ok_or(WireError::Truncated)?,
+            global: f32s(&mut r)?,
         }),
         kind::ERR => Ok(Msg::Err {
-            code: r.u16()?,
-            detail: r.string()?,
+            code: r.u16().ok_or(WireError::Truncated)?,
+            detail: string(&mut r)?,
         }),
         kind::ACK => Ok(Msg::Ack),
-        kind::DIGEST => {
-            let round = r.u64()?;
-            let mut digest = [0u8; 32];
-            digest.copy_from_slice(r.take(32)?);
-            Ok(Msg::Digest { round, digest })
-        }
+        kind::DIGEST => Ok(Msg::Digest {
+            round: r.u64().ok_or(WireError::Truncated)?,
+            digest: r.array().ok_or(WireError::Truncated)?,
+        }),
         kind::UNLEARN_ACK => Ok(Msg::UnlearnAck {
-            num_samples: r.u64()?,
+            num_samples: r.u64().ok_or(WireError::Truncated)?,
         }),
         kind::SHUTDOWN => Ok(Msg::Shutdown),
-        kind::SHARD_ASSIGN => {
-            let owner = r.u64()?;
-            let shard = r.u32()?;
-            let tau = r.u32()?;
-            let seed = r.u64()?;
-            let cfg = read_train_config(&mut r)?;
-            let n = r.u32()? as usize;
-            let mut keep_rows = Vec::with_capacity(n.min(1 << 20));
-            for _ in 0..n {
-                keep_rows.push(r.u64()?);
-            }
-            Ok(Msg::ShardAssign {
-                owner,
-                shard,
-                tau,
-                seed,
-                cfg,
-                keep_rows,
-                checkpoint: r.f32s()?,
-            })
-        }
-        kind::SHARD_RESULT => {
-            let owner = r.u64()?;
-            let shard = r.u32()?;
-            Ok(Msg::ShardResult {
-                owner,
-                shard,
-                state: r.f32s()?,
-            })
-        }
         other => Err(WireError::UnknownKind(other)),
     }
 }
@@ -1314,7 +1154,7 @@ pub fn decode_frame(buf: &[u8], limits: &FrameLimits) -> Result<(Msg, usize), Wi
     }
     // The payload is decoded in place — no copy into an owned buffer.
     let payload = &buf[HEADER_LEN..HEADER_LEN + len];
-    Ok((decode_payload(kind, payload)?, HEADER_LEN + len))
+    Ok((decode_msg(kind, payload)?, HEADER_LEN + len))
 }
 
 /// Writes `msg` as one frame to `w` and returns the frame's size in
@@ -1348,7 +1188,7 @@ pub fn read_frame(
 ) -> Result<(Msg, usize), WireError> {
     let mut payload = Vec::new();
     let (kind, frame_len) = read_raw_frame(r, &mut payload, limits)?;
-    Ok((decode_payload(kind, &payload)?, frame_len))
+    Ok((decode_msg(kind, &payload)?, frame_len))
 }
 
 /// Reads one frame from `r` into a caller-owned (pooled) payload buffer
@@ -1439,8 +1279,6 @@ mod tests {
             state_len: 1234,
             agg_mode: 1,
             agg_param: 2,
-            shard_tau: 3,
-            shard_group: 4,
         });
         roundtrip(Msg::RoundAssign {
             mode: RoundMode::Train,
@@ -1491,20 +1329,6 @@ mod tests {
         roundtrip(Msg::Digest { round: 11, digest });
         roundtrip(Msg::UnlearnAck { num_samples: 54 });
         roundtrip(Msg::Shutdown);
-        roundtrip(Msg::ShardAssign {
-            owner: 2,
-            shard: 1,
-            tau: 3,
-            seed: 0xDEAD_BEEF,
-            cfg: TrainConfig::default(),
-            keep_rows: vec![0, 4, 9],
-            checkpoint: vec![0.5, -0.25, 3.0],
-        });
-        roundtrip(Msg::ShardResult {
-            owner: 2,
-            shard: 1,
-            state: vec![1.0, 2.0],
-        });
     }
 
     #[test]
@@ -1537,12 +1361,15 @@ mod tests {
             Err(WireError::UnsupportedVersion { got: 99 })
         );
 
-        let mut bad = frame.clone();
-        bad[5] = 200;
-        assert_eq!(
-            decode_frame(&bad, &limits),
-            Err(WireError::UnknownKind(200))
-        );
+        // 13 and 14 are protocol v4's retired shard frames.
+        for kind in [13, 14, 200] {
+            let mut bad = frame.clone();
+            bad[5] = kind;
+            assert_eq!(
+                decode_frame(&bad, &limits),
+                Err(WireError::UnknownKind(kind))
+            );
+        }
 
         // Oversized length prefix.
         frame[6..10].copy_from_slice(&u32::MAX.to_le_bytes());

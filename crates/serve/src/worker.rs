@@ -292,47 +292,6 @@ impl WorkerRuntime {
                     global: Vec::new(),
                 }
             }
-            Msg::ShardAssign {
-                owner,
-                shard,
-                tau: _,
-                seed,
-                cfg,
-                keep_rows,
-                checkpoint,
-            } => {
-                // Shard retrain (DESIGN.md §16). `keep_rows` index the
-                // owner's original data ordering; under the replica
-                // data model a delegated executor holds the owner's
-                // rows at the same indices, so the subset below works
-                // identically for owner and delegate.
-                if checkpoint.len() != self.state_len {
-                    return bad_state_len(checkpoint.len(), self.state_len);
-                }
-                if let Some(&bad) = keep_rows.iter().find(|&&i| i as usize >= self.data.len()) {
-                    return Msg::Err {
-                        code: err_code::BAD_REQUEST,
-                        detail: format!(
-                            "shard keep-row {bad} out of range for {} local samples",
-                            self.data.len()
-                        ),
-                    };
-                }
-                let idx: Vec<usize> = keep_rows.iter().map(|&i| i as usize).collect();
-                let survived = self.data.subset(&idx);
-                let state = goldfish_core::optimization::retrain_shard(
-                    &self.factory,
-                    &cfg,
-                    &checkpoint,
-                    &survived,
-                    seed,
-                );
-                Msg::ShardResult {
-                    owner,
-                    shard,
-                    state,
-                }
-            }
             other => Msg::Err {
                 code: err_code::BAD_REQUEST,
                 detail: format!("unexpected {} from coordinator", other.name()),
@@ -670,74 +629,55 @@ mod tests {
         assert_eq!(state, net.state_vector());
     }
 
+    /// The trainer chunks each epoch by `batch_size`, so a zero would
+    /// panic the thread hosting the worker (under `run_fleet`, every
+    /// worker on it). The decoder refuses the frame instead.
     #[test]
-    fn shard_assign_matches_local_retrain_and_validates() {
+    fn a_zero_batch_round_assign_is_malformed_and_panics_no_worker() {
+        use std::io::Write;
         let (mut w, spec) = runtime();
-        let mut lane = TrainLane::new();
-        let factory = spec.factory();
-        let checkpoint = (factory)(9).state_vector();
-        let cfg = spec.train_config();
-        let keep_rows: Vec<u64> = vec![0, 3, 7, 11];
-        let reply = w.handle(
-            Msg::ShardAssign {
-                owner: 1,
-                shard: 2,
-                tau: 4,
-                seed: 77,
-                cfg,
-                keep_rows: keep_rows.clone(),
-                checkpoint: checkpoint.clone(),
+        let limits = FrameLimits::default();
+        let state_len = w.state_len();
+        let frame = wire::encode_frame(
+            &Msg::RoundAssign {
+                mode: RoundMode::Train,
+                round: 0,
+                seed: 0,
+                nonce: 0,
+                cfg: goldfish_fed::trainer::TrainConfig {
+                    batch_size: 0,
+                    ..spec.train_config()
+                },
+                global: vec![0.0; state_len],
             },
-            &mut lane,
-        );
-        let Msg::ShardResult {
-            owner,
-            shard,
-            state,
-        } = reply
-        else {
-            panic!("expected ShardResult, got {reply:?}");
-        };
-        assert_eq!((owner, shard), (1, 2));
-        let idx: Vec<usize> = keep_rows.iter().map(|&i| i as usize).collect();
-        let survived = spec.client_shard(1).subset(&idx);
-        let expect =
-            goldfish_core::optimization::retrain_shard(&factory, &cfg, &checkpoint, &survived, 77);
-        assert_eq!(state, expect);
+            &limits,
+        )
+        .unwrap();
+        assert!(matches!(
+            wire::decode_frame(&frame, &limits),
+            Err(WireError::Malformed(_))
+        ));
 
-        // Mismatched checkpoint length and out-of-range rows are typed
-        // rejections, not panics.
-        let reply = w.handle(
-            Msg::ShardAssign {
-                owner: 1,
-                shard: 0,
-                tau: 4,
-                seed: 1,
-                cfg,
-                keep_rows: vec![0],
-                checkpoint: vec![0.0; 3],
-            },
-            &mut lane,
-        );
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let worker = std::thread::spawn(move || {
+            serve_stream(TcpStream::connect(addr).unwrap(), &mut w, &limits)
+        });
+        let (mut sock, _) = listener.accept().unwrap();
+        let (hello, _) = read_frame(&mut sock, &limits).unwrap();
+        assert!(matches!(hello, Msg::Hello { .. }), "got {hello:?}");
+        let caps = Msg::Capabilities {
+            max_payload: limits.max_payload as u64,
+            state_len: state_len as u64,
+            agg_mode: 0,
+            agg_param: 0,
+        };
+        write_frame(&mut sock, &caps, &limits).unwrap();
+        sock.write_all(&frame).unwrap();
+        let outcome = worker.join().expect("the worker thread panicked");
         assert!(
-            matches!(reply, Msg::Err { code, .. } if code == err_code::BAD_STATE_LEN),
-            "got {reply:?}"
-        );
-        let reply = w.handle(
-            Msg::ShardAssign {
-                owner: 1,
-                shard: 0,
-                tau: 4,
-                seed: 1,
-                cfg,
-                keep_rows: vec![40],
-                checkpoint,
-            },
-            &mut lane,
-        );
-        assert!(
-            matches!(reply, Msg::Err { code, .. } if code == err_code::BAD_REQUEST),
-            "got {reply:?}"
+            matches!(outcome, Err(WireError::Malformed(_))),
+            "{outcome:?}"
         );
     }
 

@@ -475,106 +475,3 @@ fn restart_after_partial_commit_resumes_the_requeued_remainder() {
     assert_bits(rec.global_state(), base.global_state(), "partial-resume");
     let _ = std::fs::remove_dir_all(&dir);
 }
-
-#[test]
-fn shard_assign_round_trips_over_real_tcp() {
-    // The protocol-v4 frames over an actual socket: a real
-    // `WorkerRuntime` in `serve_stream` receives a `ShardAssign`,
-    // retrains the shard checkpoint against the surviving rows, and the
-    // `ShardResult` that comes back over the wire is bit-identical to
-    // calling the core primitive directly. The handshake carries the
-    // new shard-policy fields in `Capabilities`.
-    use goldfish_serve::wire::{read_frame, write_frame, FrameLimits, Msg};
-    use goldfish_serve::worker::{serve_stream, WorkerRuntime};
-    use std::net::TcpListener;
-
-    let spec = spec();
-    let factory = spec.factory();
-    let state_len = (factory)(0).state_len();
-    let limits = FrameLimits::default();
-    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-    let addr = listener.local_addr().unwrap();
-
-    let worker = std::thread::spawn(move || {
-        let spec = DemoSpec {
-            clients: 4,
-            samples_per_client: 40,
-            test_samples: 20,
-            seed: 9,
-        };
-        let mut rt = WorkerRuntime::new(1, spec.factory(), spec.client_shard(1));
-        let stream = std::net::TcpStream::connect(addr).unwrap();
-        // The coordinator side hangs up after the result frame; the
-        // resulting disconnect error is the expected session end here.
-        let _ = serve_stream(stream, &mut rt, &FrameLimits::default());
-        rt
-    });
-
-    let (mut sock, _) = listener.accept().unwrap();
-    let (hello, _) = read_frame(&mut sock, &limits).unwrap();
-    let Msg::Hello {
-        client_id,
-        state_len: announced,
-        ..
-    } = hello
-    else {
-        panic!("expected Hello, got {hello:?}");
-    };
-    assert_eq!((client_id, announced as usize), (1, state_len));
-    write_frame(
-        &mut sock,
-        &Msg::Capabilities {
-            max_payload: limits.max_payload as u64,
-            state_len: state_len as u64,
-            agg_mode: 0,
-            agg_param: 0,
-            shard_tau: TAU as u32,
-            shard_group: 2,
-        },
-        &limits,
-    )
-    .unwrap();
-
-    let checkpoint = (factory)(9).state_vector();
-    let keep_rows: Vec<u64> = vec![0, 3, 7, 11];
-    write_frame(
-        &mut sock,
-        &Msg::ShardAssign {
-            owner: 1,
-            shard: 2,
-            tau: TAU as u32,
-            seed: 77,
-            cfg: spec.train_config(),
-            keep_rows: keep_rows.clone(),
-            checkpoint: checkpoint.clone(),
-        },
-        &limits,
-    )
-    .unwrap();
-    let (reply, _) = read_frame(&mut sock, &limits).unwrap();
-    let Msg::ShardResult {
-        owner,
-        shard,
-        state,
-    } = reply
-    else {
-        panic!("expected ShardResult, got {reply:?}");
-    };
-    assert_eq!((owner, shard), (1, 2));
-
-    let idx: Vec<usize> = keep_rows.iter().map(|&i| i as usize).collect();
-    let survived = spec.client_shard(1).subset(&idx);
-    let expect = goldfish_core::optimization::retrain_shard(
-        &factory,
-        &spec.train_config(),
-        &checkpoint,
-        &survived,
-        77,
-    );
-    assert_bits(&state, &expect, "tcp shard retrain");
-
-    drop(sock);
-    drop(listener);
-    let rt = worker.join().unwrap();
-    assert!(rt.frames_handled() >= 1, "worker handled the assignment");
-}

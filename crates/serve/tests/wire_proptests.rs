@@ -105,8 +105,6 @@ fn arb_msg() -> impl Strategy<Value = Msg> {
                     state_len: b,
                     agg_mode: (c % 4) as u8,
                     agg_param: a ^ b,
-                    shard_tau: (a % 17) as u32,
-                    shard_group: (b % 9) as u32,
                 },
                 2 => Msg::RoundAssign {
                     mode: if a % 2 == 0 {
@@ -151,20 +149,8 @@ fn arb_msg() -> impl Strategy<Value = Msg> {
                     detail: String::from_utf8(vec![b'a' + (ch % 26); str_len]).unwrap(),
                 },
                 8 => Msg::Ack,
-                9 => Msg::ShardAssign {
-                    owner: a,
-                    shard: (b % 64) as u32,
-                    tau: (c % 64) as u32,
-                    seed: a ^ b,
-                    cfg,
-                    keep_rows: removed,
-                    checkpoint: floats,
-                },
-                10 => Msg::ShardResult {
-                    owner: a,
-                    shard: (c % 64) as u32,
-                    state: floats,
-                },
+                9 => Msg::UnlearnAck { num_samples: a },
+                10 => Msg::Shutdown,
                 _ => {
                     let mut digest = [0u8; 32];
                     for (i, byte) in digest.iter_mut().enumerate() {

@@ -10,7 +10,8 @@
 //! evaluation, a loopback round, a deletion drain and a shard-mode commit
 //! hold at their peak: one evaluation chunk, one wave of lanes, one lane
 //! per thread, one shard state — not the dataset, the cohort, the clients
-//! or the shard map.
+//! or the shard map — and that a wire frame's announced list length
+//! sizes nothing before its bytes are present.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -36,6 +37,7 @@ use goldfish::serve::durability::DurableStore;
 use goldfish::serve::queue::UnlearnRequest;
 use goldfish::serve::shard::{ShardMap, ShardPolicy, ShardTask};
 use goldfish::serve::transport::LoopbackTransport;
+use goldfish::serve::wire::{self, FrameLimits, Msg, WireError};
 use goldfish::tensor::Tensor;
 use rand::{rngs::StdRng, SeedableRng};
 use std::sync::Arc;
@@ -546,4 +548,38 @@ fn shard_commit_peak_heap_is_one_shard_state_not_the_map() {
             "{commit} over a {map_bytes} B shard map raised live heap by {peak} B"
         );
     }
+}
+
+/// An `UnlearnAssign` whose `removed` list announces 2^20 indices but
+/// carries none is a ~70-byte frame. Decoding it is a typed error that
+/// allocates for the indices only once their bytes are present — not
+/// 8 MiB up front.
+#[test]
+fn announced_removed_count_sizes_no_allocation() {
+    let _guard = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let limits = FrameLimits::default();
+    let mut frame = wire::encode_frame(
+        &Msg::UnlearnAssign {
+            serial: 0,
+            job: goldfish::core::transport::UnlearnJob {
+                local: GoldfishLocalConfig::default(),
+                hard: Some(goldfish::nn::loss::HardLossSpec::CrossEntropy),
+            },
+            removed: Vec::new(),
+            teacher: Vec::new(),
+        },
+        &limits,
+    )
+    .unwrap();
+    // The payload ends with the removed count (u32) and the teacher's
+    // float count (u64).
+    let at = frame.len() - 12;
+    frame[at..at + 4].copy_from_slice(&(1u32 << 20).to_le_bytes());
+    let (peak, decoded) = peak_during(|| wire::decode_frame(&frame, &limits));
+    assert_eq!(decoded, Err(WireError::Truncated));
+    assert!(
+        peak < 64 << 10,
+        "a {}-byte frame raised live heap by {peak} B",
+        frame.len()
+    );
 }

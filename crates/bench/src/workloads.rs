@@ -359,7 +359,7 @@ mod tests {
                 w.spec.height,
                 w.spec.width,
             ]);
-            let y = net.forward(&x, false);
+            let y = net.forward_ws(&x, false);
             assert_eq!(y.shape(), &[2, w.spec.classes], "workload {}", w.name);
         }
     }

@@ -75,7 +75,7 @@ fn logits_in_256_row_batches(factory: &ModelFactory, data: &Dataset) -> Tensor {
     let mut rows = Vec::new();
     let mut cols = 0;
     for (x, _) in data.batches(256) {
-        let logits = net.forward(&x, false);
+        let logits = net.forward_ws(&x, false);
         cols = logits.dims2().1;
         rows.extend_from_slice(logits.as_slice());
     }
@@ -141,11 +141,14 @@ fn chunked_evaluation_matches_256_row_batches_bitwise() {
 fn chunk_floor_keeps_every_dense_layer_on_the_tiled_path() {
     for (name, factory, _) in invariant_models() {
         let net = (factory)(0);
-        let narrowest = net
-            .params()
-            .iter()
-            .filter(|p| p.value.shape().len() == 2)
-            .map(|p| p.value.len())
+        let mut weights = Vec::new();
+        net.visit_params(&mut |p| {
+            if p.value.shape().len() == 2 {
+                weights.push(p.value.len());
+            }
+        });
+        let narrowest = weights
+            .into_iter()
             .min()
             .expect("every evaluated model ends in a dense layer");
         let floor = SMALL_FLOPS.div_ceil(narrowest);

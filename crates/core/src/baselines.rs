@@ -12,9 +12,12 @@
 //! * [`OriginalModel`] — the "origin" column of the paper's tables: the
 //!   trained model without any unlearning.
 
-use goldfish_data::BatchGather;
-use goldfish_fed::aggregate::{weighted_mean, ClientUpdate};
-use goldfish_fed::transport::{round_nonce, LoopbackClients, RoundRuntime, TrainAssign, Weighting};
+use goldfish_data::{BatchGather, Dataset};
+use goldfish_fed::trainer::TrainLane;
+use goldfish_fed::transport::{
+    round_nonce, LoopbackClients, RoundRuntime, RoundTransport, TrainAssign, TransportError,
+    UpdateSink, Weighting,
+};
 use goldfish_fed::{eval, ModelFactory};
 use goldfish_nn::loss::{distillation_loss_into, CrossEntropy, HardLoss};
 use goldfish_nn::optim::FusedSgd;
@@ -24,22 +27,99 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use crate::basic_model::{network_from_state, reinit_seed};
-use crate::method::{parallel_clients, UnlearnOutcome, UnlearnSetup, UnlearningMethod};
+use crate::method::{ClientSplit, UnlearnOutcome, UnlearnSetup, UnlearningMethod};
 
 /// Evaluates the test accuracy of a global state vector.
-fn global_accuracy(factory: &ModelFactory, state: &[f32], test: &goldfish_data::Dataset) -> f64 {
+fn global_accuracy(factory: &ModelFactory, state: &[f32], test: &Dataset) -> f64 {
     let mut net = network_from_state(factory, state, 0);
     eval::accuracy(&mut net, test)
 }
 
-/// FedAvg over one round's updates: [`weighted_mean`] with sample-count
-/// weights (an empty client still weighs 1).
-fn fedavg(updates: &[ClientUpdate]) -> Vec<f32> {
-    let weights: Vec<f64> = updates
-        .iter()
-        .map(|u| u.num_samples.max(1) as f64)
-        .collect();
-    weighted_mean(updates, &weights)
+/// Every client's remaining split on the one in-process executor.
+fn remaining_clients(setup: &UnlearnSetup) -> LoopbackClients<'_> {
+    let remaining = setup.clients.iter().map(|c| &c.remaining);
+    LoopbackClients::new(&setup.factory, remaining, None)
+}
+
+/// The federated rounds B1, B2 and B3 share: from `global`, each round
+/// is one [`RoundRuntime::run_hot`] over `clients` with FedAvg sample
+/// weights — the round `Federation` runs — followed by the new global's
+/// test accuracy.
+///
+/// # Panics
+///
+/// Panics if a round has no client delivering a finite update.
+fn run_rounds(
+    method: &str,
+    setup: &UnlearnSetup,
+    seed: u64,
+    mut global: Vec<f32>,
+    clients: &mut dyn RoundTransport,
+) -> UnlearnOutcome {
+    let mut runtime = RoundRuntime::new(None, 0);
+    let mut next = Vec::new();
+    let mut round_accuracies = Vec::with_capacity(setup.rounds);
+    for round in 0..setup.rounds {
+        let assign = TrainAssign {
+            round,
+            seed,
+            nonce: round_nonce(seed, round),
+            global: &global,
+            cfg: &setup.train,
+        };
+        runtime
+            .run_hot(clients, &assign, Weighting::Samples, &mut next)
+            .expect("no client delivered a finite update");
+        std::mem::swap(&mut global, &mut next);
+        round_accuracies.push(global_accuracy(&setup.factory, &global, &setup.test));
+    }
+    UnlearnOutcome {
+        method: method.into(),
+        global_state: global,
+        round_accuracies,
+    }
+}
+
+/// A baseline's own local step on the executor B1 trains on: each round
+/// is one [`LoopbackClients::feed_waves`] over the cohort, running
+/// `step(id, remaining, lane, assign)`, which leaves the client's
+/// trained state on the lane's network.
+struct LocalStep<'a, F: Fn(usize, &Dataset, &mut TrainLane, &TrainAssign<'_>) + Sync>(
+    LoopbackClients<'a>,
+    F,
+);
+
+impl<F: Fn(usize, &Dataset, &mut TrainLane, &TrainAssign<'_>) + Sync> RoundTransport
+    for LocalStep<'_, F>
+{
+    fn cohort_into(&self, out: &mut Vec<(usize, usize)>) {
+        self.0.cohort_into(out);
+    }
+
+    fn train_round(
+        &mut self,
+        assign: &TrainAssign<'_>,
+        cohort: &[(usize, usize)],
+        sink: &mut UpdateSink<'_>,
+        results: &mut Vec<Result<(), TransportError>>,
+    ) {
+        let step = &self.1;
+        self.0.feed_waves(
+            &mut vec![(); cohort.len()],
+            |i, _| cohort[i].0,
+            assign.nonce,
+            |id, remaining, lane, _| step(id, remaining, lane, assign),
+            sink,
+            results,
+        );
+    }
+}
+
+/// A B2/B3 client's seed for one round: `tag` is the method's own.
+fn baseline_seed(seed: u64, id: usize, round: usize, tag: u64) -> u64 {
+    seed.wrapping_add((id as u64) << 32)
+        .wrapping_add(round as u64)
+        ^ tag
 }
 
 /// **B1** — retraining from scratch on the remaining data only.
@@ -52,39 +132,17 @@ impl UnlearningMethod for RetrainFromScratch {
     }
 
     /// Federated rounds of plain local training over every client's
-    /// remaining split, from a fresh initialisation: one
-    /// [`LoopbackClients`] executor driven by [`RoundRuntime::run_hot`]
-    /// with FedAvg sample weights — the round `Federation` runs.
+    /// remaining split, from a fresh initialisation: the shared
+    /// [`LoopbackClients`] + [`RoundRuntime::run_hot`] rounds with the
+    /// executor's own local step.
     ///
     /// # Panics
     ///
     /// Panics if a round has no client delivering a finite update.
     fn unlearn(&self, setup: &UnlearnSetup, seed: u64) -> UnlearnOutcome {
-        let mut global = (setup.factory)(reinit_seed(seed ^ 0xB1)).state_vector();
-        let remaining = setup.clients.iter().map(|c| &c.remaining);
-        let mut clients = LoopbackClients::new(&setup.factory, remaining, None);
-        let mut runtime = RoundRuntime::new(None, 0);
-        let mut next = Vec::new();
-        let mut round_accuracies = Vec::with_capacity(setup.rounds);
-        for round in 0..setup.rounds {
-            let assign = TrainAssign {
-                round,
-                seed,
-                nonce: round_nonce(seed, round),
-                global: &global,
-                cfg: &setup.train,
-            };
-            runtime
-                .run_hot(&mut clients, &assign, Weighting::Samples, &mut next)
-                .expect("no client delivered a finite update");
-            std::mem::swap(&mut global, &mut next);
-            round_accuracies.push(global_accuracy(&setup.factory, &global, &setup.test));
-        }
-        UnlearnOutcome {
-            method: self.name().into(),
-            global_state: global,
-            round_accuracies,
-        }
+        let global = (setup.factory)(reinit_seed(seed ^ 0xB1)).state_vector();
+        let clients = &mut remaining_clients(setup);
+        run_rounds(self.name(), setup, seed, global, clients)
     }
 }
 
@@ -119,20 +177,10 @@ impl Default for RapidRetrain {
 }
 
 impl RapidRetrain {
-    /// One client's preconditioned local training, on the
-    /// allocation-free runtime: gathered batches, workspace
-    /// forward/backward, and a fused in-place preconditioner sweep over
-    /// the parameters in state-vector order (the old path materialised
-    /// the full gradient and state vectors per batch). Per-element
-    /// arithmetic is unchanged, so results are bitwise identical to the
-    /// pre-port implementation.
-    fn train_client(
-        &self,
-        net: &mut Network,
-        data: &goldfish_data::Dataset,
-        setup: &UnlearnSetup,
-        seed: u64,
-    ) {
+    /// One client's preconditioned local training: gathered batches,
+    /// workspace forward/backward, and a fused in-place preconditioner
+    /// sweep over the parameters in state-vector order.
+    fn train_client(&self, net: &mut Network, data: &Dataset, setup: &UnlearnSetup, seed: u64) {
         if data.is_empty() {
             return;
         }
@@ -207,31 +255,23 @@ impl UnlearningMethod for RapidRetrain {
         "b2_rapid"
     }
 
+    /// The rounds B1 runs, with [`RapidRetrain`]'s preconditioned local
+    /// step on each lane, from a fresh initialisation.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a round has no client delivering a finite update, as B1
+    /// does (a non-finite upload is excluded and its round re-run).
     fn unlearn(&self, setup: &UnlearnSetup, seed: u64) -> UnlearnOutcome {
-        let mut global = (setup.factory)(reinit_seed(seed ^ 0xB2)).state_vector();
-        let mut round_accuracies = Vec::with_capacity(setup.rounds);
-        for round in 0..setup.rounds {
-            let updates = parallel_clients(setup.clients.len(), |id| {
-                let client_seed = seed
-                    .wrapping_add((id as u64) << 32)
-                    .wrapping_add(round as u64)
-                    ^ 0xB2;
-                let mut net = network_from_state(&setup.factory, &global, client_seed);
-                self.train_client(&mut net, &setup.clients[id].remaining, setup, client_seed);
-                ClientUpdate {
-                    client_id: id,
-                    state: net.state_vector(),
-                    num_samples: setup.clients[id].remaining.len(),
-                }
-            });
-            global = fedavg(&updates);
-            round_accuracies.push(global_accuracy(&setup.factory, &global, &setup.test));
-        }
-        UnlearnOutcome {
-            method: self.name().into(),
-            global_state: global,
-            round_accuracies,
-        }
+        let global = (setup.factory)(reinit_seed(seed ^ 0xB2)).state_vector();
+        let step = |id, remaining: &Dataset, lane: &mut TrainLane, assign: &TrainAssign<'_>| {
+            let (net, _) = lane.networks(&setup.factory);
+            net.set_state_vector(assign.global);
+            let client_seed = baseline_seed(seed, id, assign.round, 0xB2);
+            self.train_client(net, remaining, setup, client_seed);
+        };
+        let mut clients = LocalStep(remaining_clients(setup), step);
+        run_rounds(self.name(), setup, seed, global, &mut clients)
     }
 }
 
@@ -258,61 +298,47 @@ impl UnlearningMethod for IncompetentTeacher {
         "b3_incompetent"
     }
 
+    /// The rounds B1 runs, from the original model, with the two-teacher
+    /// distillation on each lane: the lane's network is the student, its
+    /// spare network the competent teacher (the original model), and a
+    /// fresh random network the incompetent one.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a round has no client delivering a finite update, as B1
+    /// does (a non-finite upload is excluded and its round re-run).
     fn unlearn(&self, setup: &UnlearnSetup, seed: u64) -> UnlearnOutcome {
-        let mut global = setup.original_global.clone();
-        let mut round_accuracies = Vec::with_capacity(setup.rounds);
-        for round in 0..setup.rounds {
-            let updates = parallel_clients(setup.clients.len(), |id| {
-                let client_seed = seed
-                    .wrapping_add((id as u64) << 32)
-                    .wrapping_add(round as u64)
-                    ^ 0xB3;
-                let split = &setup.clients[id];
-                let mut student = network_from_state(&setup.factory, &global, client_seed);
-                let mut competent =
-                    network_from_state(&setup.factory, &setup.original_global, client_seed);
-                // The incompetent teacher is a fresh random network.
-                let mut incompetent = (setup.factory)(client_seed ^ 0x1C0DE);
-                self.train_client(
-                    &mut student,
-                    &mut competent,
-                    &mut incompetent,
-                    split,
-                    setup,
-                    client_seed,
-                );
-                ClientUpdate {
-                    client_id: id,
-                    state: student.state_vector(),
-                    num_samples: split.remaining.len(),
-                }
-            });
-            global = fedavg(&updates);
-            round_accuracies.push(global_accuracy(&setup.factory, &global, &setup.test));
-        }
-        UnlearnOutcome {
-            method: self.name().into(),
-            global_state: global,
-            round_accuracies,
-        }
+        let factory = &setup.factory;
+        let step = |id, _: &Dataset, lane: &mut TrainLane, assign: &TrainAssign<'_>| {
+            let (student, spare) = lane.networks(factory);
+            student.set_state_vector(assign.global);
+            let competent = spare.get_or_insert_with(|| (factory)(0));
+            competent.set_state_vector(&setup.original_global);
+            let client_seed = baseline_seed(seed, id, assign.round, 0xB3);
+            self.train_client(student, competent, &setup.clients[id], setup, client_seed);
+        };
+        let global = setup.original_global.clone();
+        let mut clients = LocalStep(remaining_clients(setup), step);
+        run_rounds(self.name(), setup, seed, global, &mut clients)
     }
 }
 
 impl IncompetentTeacher {
-    /// One client's two-teacher distillation, on the allocation-free
-    /// runtime: each teacher produces its logits through its own
-    /// inference workspace, the fused distillation loss writes into a
-    /// reused gradient buffer, and the fused optimizer steps the
-    /// student. Bitwise identical to the pre-port allocating pipeline.
+    /// One client's two-teacher distillation: every epoch the student
+    /// follows the competent teacher on the retained rows, then the
+    /// incompetent one — a fresh random network — on the removed rows.
+    /// Each teacher runs eval-mode in its own workspace, the fused
+    /// distillation loss writes into a reused gradient buffer, and the
+    /// fused optimizer steps the student.
     fn train_client(
         &self,
         student: &mut Network,
         competent: &mut Network,
-        incompetent: &mut Network,
-        split: &crate::method::ClientSplit,
+        split: &ClientSplit,
         setup: &UnlearnSetup,
         seed: u64,
     ) {
+        let mut incompetent = (setup.factory)(seed ^ 0x1C0DE);
         let mut rng = StdRng::seed_from_u64(seed);
         let mut sgd = FusedSgd::new(setup.train.lr, setup.train.momentum);
         let mut gather = BatchGather::new();
@@ -320,34 +346,18 @@ impl IncompetentTeacher {
         let mut teacher_probs = Tensor::zeros(vec![0]);
         let mut order: Vec<usize> = Vec::new();
         for _ in 0..setup.train.local_epochs {
-            // Retained data: follow the competent teacher.
-            if !split.remaining.is_empty() {
-                split.remaining.shuffled_indices_into(&mut rng, &mut order);
-                for chunk in order.chunks(setup.train.batch_size) {
-                    gather.gather(&split.remaining, chunk);
-                    {
-                        let teacher_logits = competent.forward_ws(gather.features(), false);
-                        let student_logits = student.forward_ws(gather.features(), true);
-                        distillation_loss_into(
-                            student_logits,
-                            teacher_logits,
-                            self.temperature,
-                            &mut grad,
-                            &mut teacher_probs,
-                        );
-                    }
-                    student.zero_grad();
-                    student.backward_train(&grad);
-                    sgd.step(student);
+            for (data, teacher) in [
+                (&split.remaining, &mut *competent),
+                (&split.forget, &mut incompetent),
+            ] {
+                if data.is_empty() {
+                    continue;
                 }
-            }
-            // Removed data: follow the incompetent teacher.
-            if !split.forget.is_empty() {
-                split.forget.shuffled_indices_into(&mut rng, &mut order);
+                data.shuffled_indices_into(&mut rng, &mut order);
                 for chunk in order.chunks(setup.train.batch_size) {
-                    gather.gather(&split.forget, chunk);
+                    gather.gather(data, chunk);
                     {
-                        let teacher_logits = incompetent.forward_ws(gather.features(), false);
+                        let teacher_logits = teacher.forward_ws(gather.features(), false);
                         let student_logits = student.forward_ws(gather.features(), true);
                         distillation_loss_into(
                             student_logits,

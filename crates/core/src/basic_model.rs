@@ -731,21 +731,14 @@ mod tests {
     fn grad_clip_bounds_norm_and_drops_nonfinite() {
         let mut net = mlp_net(3);
         // Fill gradients with large values.
-        for p in net.params_mut() {
-            p.grad.map_mut(|_| 100.0);
-        }
+        net.visit_params_mut(&mut |p| p.grad.map_mut(|_| 100.0));
         clip_grad_norm(&mut net, 1.0);
-        let norm: f32 = net
-            .params()
-            .iter()
-            .map(|p| p.grad.norm_sq())
-            .sum::<f32>()
-            .sqrt();
+        let mut norm_sq = 0.0f32;
+        net.visit_params(&mut |p| norm_sq += p.grad.norm_sq());
+        let norm = norm_sq.sqrt();
         assert!((norm - 1.0).abs() < 1e-3, "clipped norm {norm}");
 
-        for p in net.params_mut() {
-            p.grad.map_mut(|_| f32::NAN);
-        }
+        net.visit_params_mut(&mut |p| p.grad.map_mut(|_| f32::NAN));
         clip_grad_norm(&mut net, 1.0);
         assert!(net.grad_vector().iter().all(|&g| g == 0.0));
     }

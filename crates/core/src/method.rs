@@ -121,22 +121,6 @@ pub trait UnlearningMethod: Send + Sync {
     fn unlearn(&self, setup: &UnlearnSetup, seed: u64) -> UnlearnOutcome;
 }
 
-/// Runs `f(client_index)` for every client in parallel on the shared
-/// compute pool (see `goldfish_fed::pool`) and collects the results in
-/// order — the client loop of the B2 and B3 baselines, which keep their
-/// own local steps.
-pub fn parallel_clients<T, F>(n: usize, f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    let mut out: Vec<Option<T>> = (0..n).map(|_| None).collect();
-    goldfish_fed::pool::for_each_slot(&mut out, |i, slot| *slot = Some(f(i)));
-    out.into_iter()
-        .map(|v| v.expect("missing result"))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -164,12 +148,6 @@ mod tests {
         assert_eq!(c.remaining.len(), 7);
         assert_eq!(c.forget.len(), 3);
         assert_eq!(c.full().len(), 10);
-    }
-
-    #[test]
-    fn parallel_clients_preserves_order() {
-        let results = parallel_clients(8, |i| i * i);
-        assert_eq!(results, vec![0, 1, 4, 9, 16, 25, 36, 49]);
     }
 
     #[test]

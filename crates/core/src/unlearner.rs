@@ -84,12 +84,6 @@ impl GoldfishUnlearning {
         self
     }
 
-    /// Builder-style override of the hard loss (Table XI).
-    pub fn with_hard_loss(mut self, hard: Arc<dyn HardLoss>) -> Self {
-        self.hard = hard;
-        self
-    }
-
     /// Builder-style toggle of the adaptive aggregation.
     pub fn with_adaptive_aggregation(mut self, yes: bool) -> Self {
         self.adaptive_aggregation = yes;

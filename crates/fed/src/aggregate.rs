@@ -35,9 +35,9 @@ const REDUCE_CHUNK: usize = 16 * 1024;
 
 /// Weighted mean of uploaded state vectors: FedAvg (Eq 13) with
 /// sample-count weights, the adaptive aggregation with
-/// [`adaptive_weights`]. The round loop folds with
-/// [`RoundAccumulator`]; this buffered form is its independent oracle and
-/// the kernel of the baselines' own round loops.
+/// [`adaptive_weights`]. Every round loop folds with
+/// [`RoundAccumulator`]; this buffered form is its independent oracle,
+/// which the tests compare the fold against.
 ///
 /// The reduction is chunked over the parameter index space and the chunks
 /// run in parallel on the current pool. Each output element always

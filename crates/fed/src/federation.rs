@@ -72,15 +72,6 @@ impl Federation {
         &self.clients[id]
     }
 
-    /// Replaces a client's local dataset (deletion requests do this).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` is out of range.
-    pub fn set_client_data(&mut self, id: usize, data: Dataset) {
-        self.clients[id] = data;
-    }
-
     /// The server's test set.
     pub fn test_data(&self) -> &Dataset {
         &self.test
@@ -238,8 +229,9 @@ impl FederationBuilder {
         self
     }
 
-    /// Pins this federation's compute-pool size. Defaults to the process
-    /// default (see [`crate::pool::set_default_threads`]); results are
+    /// Pins this federation's compute-pool size. Unset (or `0`), the
+    /// federation runs on the enclosing [`crate::pool::install`]'s pool,
+    /// or on the hardware thread count at top level; results are
     /// identical at every thread count.
     pub fn threads(mut self, n: usize) -> Self {
         self.threads = if n == 0 { None } else { Some(n) };
@@ -376,13 +368,5 @@ mod tests {
         let fed = small_federation(2, false);
         let net = fed.global_network();
         assert_eq!(net.state_vector(), fed.global_state());
-    }
-
-    #[test]
-    fn set_client_data_replaces() {
-        let mut fed = small_federation(2, false);
-        let shrunk = fed.client_data(0).subset(&[0, 1, 2]);
-        fed.set_client_data(0, shrunk);
-        assert_eq!(fed.client_data(0).len(), 3);
     }
 }

@@ -3,45 +3,27 @@
 //! Client-side local training, per-client evaluation and server-side
 //! aggregation all execute inside one rayon pool so the simulation has a
 //! single, configurable parallelism knob instead of ad-hoc scoped threads
-//! per call site. The default is the hardware thread count; override it
-//! process-wide with [`set_default_threads`] or per federation via
-//! `FederationBuilder::threads`.
+//! per call site. An executor's `threads: Some(n)` (e.g.
+//! `FederationBuilder::threads`) pins its pool; `None` inherits the pool
+//! of the enclosing [`install`], or the hardware thread count at top
+//! level.
 //!
 //! Thread count never changes results: every task writes to a
 //! pre-partitioned disjoint output slot and every reduction fixes its
 //! per-element summation order (see `aggregate::weighted_mean`).
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 use rayon::{ThreadPool, ThreadPoolBuilder};
 
-/// Process-wide default thread count; 0 = hardware parallelism.
-static DEFAULT_THREADS: AtomicUsize = AtomicUsize::new(0);
-
-/// Sets the process-wide default thread count for federated compute.
-/// `0` restores the hardware default.
-pub fn set_default_threads(n: usize) {
-    DEFAULT_THREADS.store(n, Ordering::Relaxed);
-}
-
-/// Resolves an optional per-federation override against the process
-/// default: `Some(n)` wins, then [`set_default_threads`], then the
-/// hardware thread count.
+/// Resolves an optional executor override: `Some(n)` wins, otherwise
+/// the current pool's size — the enclosing [`install`]'s, or the
+/// hardware thread count outside any.
 pub fn effective_threads(overriding: Option<usize>) -> usize {
     match overriding {
         Some(n) if n > 0 => n,
-        _ => {
-            let d = DEFAULT_THREADS.load(Ordering::Relaxed);
-            if d > 0 {
-                d
-            } else {
-                std::thread::available_parallelism()
-                    .map(|n| n.get())
-                    .unwrap_or(1)
-            }
-        }
+        _ => rayon::current_num_threads(),
     }
 }
 
@@ -141,6 +123,14 @@ mod tests {
     fn override_beats_default() {
         assert_eq!(effective_threads(Some(3)), 3);
         assert!(effective_threads(None) >= 1);
+        // `None` inherits the enclosing pool.
+        for n in [1, 2, 8] {
+            assert_eq!(install(Some(n), || effective_threads(None)), n);
+            assert_eq!(
+                install(Some(n), || install(None, rayon::current_num_threads)),
+                n
+            );
+        }
     }
 
     #[test]

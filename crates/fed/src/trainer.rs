@@ -5,8 +5,11 @@
 //! shape for it: a [`TrainLane`] per running thread, grouped into
 //! [`Lanes`] by an in-process executor. Federation rounds, B1
 //! retraining, shard training, the serve loopback and remote workers
-//! all train through it; [`train_local_ce`] is the same loop on fresh
-//! buffers for a one-off run.
+//! all train through it (B2 and B3 run their own local steps on the
+//! same lanes); [`train_local_ce`] is the same loop on fresh buffers for
+//! a one-off run. An executor built with `threads: None` sizes its
+//! waves by the enclosing [`pool::install`], so a caller's pool decides
+//! how many lanes run at once.
 //!
 //! The loop runs on the allocation-free training runtime (DESIGN.md
 //! §8): batches are gathered into a persistent [`BatchGather`] buffer,
@@ -14,10 +17,10 @@
 //! gradient arenas ([`Network::forward_ws`] /
 //! [`Network::backward_train`]), the loss writes its gradient into a
 //! reused buffer, and the fused optimizer walks flat parameter slices.
-//! Every piece is bitwise identical to the classic allocating pipeline
-//! (`Dataset::subset` → `Network::forward` → `loss_and_grad` →
-//! `Network::backward` → `Sgd::step`), pinned by the step-identity tests
-//! in `tests/runtime_identity.rs`.
+//! Every piece is bitwise identical to the seed's allocating pipeline
+//! (subset copies, per-layer tensors, `loss_and_grad`, three-pass
+//! momentum SGD), pinned against an independent re-implementation by
+//! the step-identity tests in `tests/runtime_identity.rs`.
 
 use std::sync::Arc;
 
@@ -133,7 +136,8 @@ pub fn train_local_ce(net: &mut Network, data: &Dataset, cfg: &TrainConfig, seed
 /// cache. Whoever runs clients keeps one lane per thread that can be
 /// running at once — the in-process executor
 /// ([`LoopbackClients`](crate::transport::LoopbackClients), behind
-/// `Federation`, B1, every in-process drain and the serve loopback) and
+/// `Federation`, the B1–B3 baselines, every in-process drain and the
+/// serve loopback) and
 /// a sharded client's shards one per pool thread ([`Lanes`]), a worker
 /// connection one, a fleet host one for all its workers — and lends it
 /// to whichever client is up next, for training, evaluation and
@@ -265,8 +269,9 @@ impl TrainLane {
 }
 
 /// An in-process executor's lanes: one per client running at once on a
-/// pool of [`pool::effective_threads`]`(threads)` threads, so at most one
-/// per pool thread, whatever the number of clients.
+/// pool of [`pool::effective_threads`]`(threads)` threads — `None` is the
+/// enclosing pool's size — so at most one per pool thread, whatever the
+/// number of clients.
 #[derive(Debug)]
 pub struct Lanes {
     threads: Option<usize>,
@@ -347,7 +352,7 @@ mod tests {
             momentum: 0.9,
         };
         let train_loss = |net: &mut Network| {
-            CrossEntropy.loss(&net.forward(train.features(), false), train.labels())
+            CrossEntropy.loss(net.forward_ws(train.features(), false), train.labels())
         };
         let before = train_loss(&mut net);
         train_local_ce(&mut net, &train, &cfg, 1);
@@ -480,6 +485,6 @@ mod tests {
         assert!(delta > 0.0);
         let x = Tensor::zeros(vec![1, 64]);
         let mut check = net;
-        assert!(check.forward(&x, false).all_finite());
+        assert!(check.forward_ws(&x, false).all_finite());
     }
 }

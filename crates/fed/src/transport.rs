@@ -10,8 +10,8 @@
 //!   typed errors). A full-participation round is simply the round whose
 //!   cohort is the whole live registry,
 //! * [`LoopbackClients`] — the one in-process executor: `Federation`
-//!   rounds, B1 retraining, in-process distillation drains and the serve
-//!   loopback all run its one wave loop, on one
+//!   rounds, the B1–B3 baselines, in-process distillation drains and the
+//!   serve loopback all run its one wave loop, on one
 //!   [`crate::trainer::TrainLane`] per pool thread,
 //! * [`RoundRuntime`] — the one round loop: admission checks, straggler
 //!   and violator drop + re-round, and aggregation under the round's
@@ -399,7 +399,8 @@ pub trait RoundTransport {
 }
 
 /// The in-process round executor — the only one: `Federation` rounds,
-/// B1, the library's distillation and the serve loopback all run on it.
+/// the B1–B3 baselines, the library's distillation and the serve
+/// loopback all run on it.
 /// Clients are datasets in this address space, borrowed (the library's
 /// splits are never copied) or owned (a server's, which
 /// [`LoopbackClients::remove_rows`] shrinks). Each round trains on

@@ -63,12 +63,6 @@ impl BatchNorm2d {
 }
 
 impl Layer for BatchNorm2d {
-    fn forward(&mut self, x: &Tensor, train: bool) -> Tensor {
-        let mut out = Tensor::zeros(vec![0]);
-        self.forward_into(x, train, &mut out);
-        out
-    }
-
     fn forward_into(&mut self, x: &Tensor, train: bool, out: &mut Tensor) {
         let (n, c, h, w) = x.dims4();
         assert_eq!(c, self.channels(), "batchnorm channel mismatch");
@@ -138,12 +132,6 @@ impl Layer for BatchNorm2d {
         self.shape = (n, c, h, w);
         self.train_mode = train;
         self.ready = true;
-    }
-
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let mut grad_in = Tensor::zeros(vec![0]);
-        self.backward_into(grad_out, &mut grad_in);
-        grad_in
     }
 
     fn backward_into(&mut self, grad_out: &Tensor, grad_in: &mut Tensor) {
@@ -229,24 +217,6 @@ impl Layer for BatchNorm2d {
         f(&self.running_var);
     }
 
-    fn params(&self) -> Vec<&Param> {
-        vec![
-            &self.gamma,
-            &self.beta,
-            &self.running_mean,
-            &self.running_var,
-        ]
-    }
-
-    fn params_mut(&mut self) -> Vec<&mut Param> {
-        vec![
-            &mut self.gamma,
-            &mut self.beta,
-            &mut self.running_mean,
-            &mut self.running_var,
-        ]
-    }
-
     fn name(&self) -> &'static str {
         "batchnorm2d"
     }
@@ -255,6 +225,7 @@ impl Layer for BatchNorm2d {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::layer::testing::{backward, forward, params};
     use goldfish_tensor::init;
     use rand::{rngs::StdRng, SeedableRng};
 
@@ -263,7 +234,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(0);
         let mut bn = BatchNorm2d::new(2);
         let x = init::normal(&mut rng, vec![4, 2, 3, 3], 5.0, 2.0);
-        let y = bn.forward(&x, true);
+        let y = forward(&mut bn, &x, true);
         // Per channel, the output should be ~N(0, 1).
         let (n, c, h, w) = y.dims4();
         let yv = y.as_slice();
@@ -287,9 +258,9 @@ mod tests {
         let mut bn = BatchNorm2d::new(1);
         let x = init::normal(&mut rng, vec![8, 1, 4, 4], 3.0, 1.0);
         for _ in 0..50 {
-            bn.forward(&x, true);
+            forward(&mut bn, &x, true);
         }
-        let rm = bn.params()[2].value.as_slice()[0];
+        let rm = bn.running_mean.value.as_slice()[0];
         assert!((rm - 3.0).abs() < 0.2, "running mean {rm}");
     }
 
@@ -299,10 +270,10 @@ mod tests {
         let mut bn = BatchNorm2d::new(1);
         let x = init::normal(&mut rng, vec![8, 1, 4, 4], 2.0, 1.5);
         for _ in 0..100 {
-            bn.forward(&x, true);
+            forward(&mut bn, &x, true);
         }
         // In eval mode the same input should now be roughly standardised.
-        let y = bn.forward(&x, false);
+        let y = forward(&mut bn, &x, false);
         assert!(y.mean().abs() < 0.15, "eval mean {}", y.mean());
     }
 
@@ -314,7 +285,7 @@ mod tests {
         // Scalar loss: weighted sum so the gradient is non-uniform.
         let weights: Vec<f32> = (0..x.len()).map(|i| (i as f32 * 0.7).sin()).collect();
         let loss_of = |bn: &mut BatchNorm2d, x: &Tensor| {
-            let y = bn.forward(x, true);
+            let y = forward(bn, x, true);
             y.as_slice()
                 .iter()
                 .zip(weights.iter())
@@ -325,7 +296,7 @@ mod tests {
         let mut bn = BatchNorm2d::new(1);
         let _ = loss_of(&mut bn, &x);
         let gout = Tensor::from_vec(x.shape().to_vec(), weights.clone());
-        let gin = bn.backward(&gout);
+        let gin = backward(&mut bn, &gout);
 
         let eps = 1e-2;
         for ii in 0..x.len() {
@@ -346,7 +317,7 @@ mod tests {
     #[test]
     fn four_params_two_frozen() {
         let bn = BatchNorm2d::new(3);
-        let params = bn.params();
+        let params = params(&bn);
         assert_eq!(params.len(), 4);
         assert!(params[0].trainable && params[1].trainable);
         assert!(!params[2].trainable && !params[3].trainable);

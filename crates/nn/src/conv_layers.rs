@@ -88,12 +88,6 @@ impl Conv2d {
 }
 
 impl Layer for Conv2d {
-    fn forward(&mut self, x: &Tensor, train: bool) -> Tensor {
-        let mut out = Tensor::zeros(vec![0]);
-        self.forward_into(x, train, &mut out);
-        out
-    }
-
     fn forward_into(&mut self, x: &Tensor, train: bool, out: &mut Tensor) {
         conv::conv2d_forward_into(
             x,
@@ -110,12 +104,6 @@ impl Layer for Conv2d {
             self.input.assign(x);
         }
         self.have_input = train;
-    }
-
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let mut grad_in = Tensor::zeros(vec![0]);
-        self.backward_into(grad_out, &mut grad_in);
-        grad_in
     }
 
     fn backward_into(&mut self, grad_out: &Tensor, grad_in: &mut Tensor) {
@@ -136,14 +124,6 @@ impl Layer for Conv2d {
     fn visit_params(&self, f: &mut dyn FnMut(&Param)) {
         f(&self.weight);
         f(&self.bias);
-    }
-
-    fn params(&self) -> Vec<&Param> {
-        vec![&self.weight, &self.bias]
-    }
-
-    fn params_mut(&mut self) -> Vec<&mut Param> {
-        vec![&mut self.weight, &mut self.bias]
     }
 
     fn name(&self) -> &'static str {
@@ -179,12 +159,6 @@ impl MaxPool2d {
 }
 
 impl Layer for MaxPool2d {
-    fn forward(&mut self, x: &Tensor, train: bool) -> Tensor {
-        let mut out = Tensor::zeros(vec![0]);
-        self.forward_into(x, train, &mut out);
-        out
-    }
-
     fn forward_into(&mut self, x: &Tensor, train: bool, out: &mut Tensor) {
         self.input_shape = x.dims4();
         if train {
@@ -196,23 +170,9 @@ impl Layer for MaxPool2d {
         self.ready = train;
     }
 
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let mut grad_in = Tensor::zeros(vec![0]);
-        self.backward_into(grad_out, &mut grad_in);
-        grad_in
-    }
-
     fn backward_into(&mut self, grad_out: &Tensor, grad_in: &mut Tensor) {
         assert!(self.ready, "MaxPool2d::backward before forward");
         conv::maxpool2d_backward_into(grad_out, &self.idx, self.input_shape, grad_in);
-    }
-
-    fn params(&self) -> Vec<&Param> {
-        Vec::new()
-    }
-
-    fn params_mut(&mut self) -> Vec<&mut Param> {
-        Vec::new()
     }
 
     fn name(&self) -> &'static str {
@@ -235,21 +195,9 @@ impl GlobalAvgPool {
 }
 
 impl Layer for GlobalAvgPool {
-    fn forward(&mut self, x: &Tensor, train: bool) -> Tensor {
-        let mut out = Tensor::zeros(vec![0]);
-        self.forward_into(x, train, &mut out);
-        out
-    }
-
     fn forward_into(&mut self, x: &Tensor, _train: bool, out: &mut Tensor) {
         self.input_shape = Some(x.dims4());
         conv::global_avg_pool_into(x, out);
-    }
-
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let mut grad_in = Tensor::zeros(vec![0]);
-        self.backward_into(grad_out, &mut grad_in);
-        grad_in
     }
 
     fn backward_into(&mut self, grad_out: &Tensor, grad_in: &mut Tensor) {
@@ -257,14 +205,6 @@ impl Layer for GlobalAvgPool {
             .input_shape
             .expect("GlobalAvgPool::backward before forward");
         conv::global_avg_pool_backward_into(grad_out, shape, grad_in);
-    }
-
-    fn params(&self) -> Vec<&Param> {
-        Vec::new()
-    }
-
-    fn params_mut(&mut self) -> Vec<&mut Param> {
-        Vec::new()
     }
 
     fn name(&self) -> &'static str {
@@ -275,6 +215,7 @@ impl Layer for GlobalAvgPool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::layer::testing::{backward, forward};
     use rand::{rngs::StdRng, SeedableRng};
 
     #[test]
@@ -282,9 +223,9 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(0);
         let mut conv = Conv2d::new(1, 6, 5, 1, 0, &mut rng);
         let x = Tensor::zeros(vec![2, 1, 28, 28]);
-        let y = conv.forward(&x, true);
+        let y = forward(&mut conv, &x, true);
         assert_eq!(y.shape(), &[2, 6, 24, 24]);
-        let gx = conv.backward(&Tensor::zeros(vec![2, 6, 24, 24]));
+        let gx = backward(&mut conv, &Tensor::zeros(vec![2, 6, 24, 24]));
         assert_eq!(gx.shape(), &[2, 1, 28, 28]);
     }
 
@@ -293,20 +234,20 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(3);
         let mut conv = Conv2d::new(1, 2, 3, 1, 1, &mut rng);
         let x = goldfish_tensor::init::normal(&mut rng, vec![1, 1, 4, 4], 0.0, 1.0);
-        let y = conv.forward(&x, true);
-        conv.backward(&Tensor::filled(y.shape().to_vec(), 1.0));
-        let analytic = conv.params()[0].grad.clone();
+        let y = forward(&mut conv, &x, true);
+        backward(&mut conv, &Tensor::filled(y.shape().to_vec(), 1.0));
+        let analytic = conv.weight.grad.clone();
 
         let eps = 1e-2;
-        let w = conv.params()[0].value.clone();
+        let w = conv.weight.value.clone();
         for wi in [0usize, 7, w.len() - 1] {
             let mut cp = Conv2d::new(1, 2, 3, 1, 1, &mut rng);
-            cp.params_mut()[0].value = w.clone();
-            cp.params_mut()[1].value = conv.params()[1].value.clone();
-            cp.params_mut()[0].value.as_mut_slice()[wi] += eps;
-            let yp = cp.forward(&x, true).sum();
-            cp.params_mut()[0].value.as_mut_slice()[wi] -= 2.0 * eps;
-            let ym = cp.forward(&x, true).sum();
+            cp.weight.value = w.clone();
+            cp.bias.value = conv.bias.value.clone();
+            cp.weight.value.as_mut_slice()[wi] += eps;
+            let yp = forward(&mut cp, &x, true).sum();
+            cp.weight.value.as_mut_slice()[wi] -= 2.0 * eps;
+            let ym = forward(&mut cp, &x, true).sum();
             let fd = (yp - ym) / (2.0 * eps);
             assert!(
                 (fd - analytic.as_slice()[wi]).abs() < 2e-2,
@@ -320,9 +261,9 @@ mod tests {
     fn maxpool_layer_roundtrip() {
         let mut mp = MaxPool2d::new(2, 2);
         let x = Tensor::from_vec(vec![1, 1, 2, 2], vec![1.0, 5.0, 2.0, 3.0]);
-        let y = mp.forward(&x, true);
+        let y = forward(&mut mp, &x, true);
         assert_eq!(y.as_slice(), &[5.0]);
-        let gx = mp.backward(&Tensor::filled(vec![1, 1, 1, 1], 7.0));
+        let gx = backward(&mut mp, &Tensor::filled(vec![1, 1, 1, 1], 7.0));
         assert_eq!(gx.as_slice(), &[0.0, 7.0, 0.0, 0.0]);
     }
 
@@ -330,9 +271,9 @@ mod tests {
     fn gap_layer() {
         let mut gap = GlobalAvgPool::new();
         let x = Tensor::from_vec(vec![1, 1, 2, 2], vec![1., 2., 3., 4.]);
-        let y = gap.forward(&x, true);
+        let y = forward(&mut gap, &x, true);
         assert_eq!(y.as_slice(), &[2.5]);
-        let gx = gap.backward(&Tensor::filled(vec![1, 1], 4.0));
+        let gx = backward(&mut gap, &Tensor::filled(vec![1, 1], 4.0));
         assert_eq!(gx.as_slice(), &[1., 1., 1., 1.]);
     }
 }

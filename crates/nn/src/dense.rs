@@ -60,8 +60,8 @@ impl Dense {
 
 impl Dense {
     /// Accumulates `∂L/∂W` and `∂L/∂b` from `grad_out` and the cached
-    /// input — the part of the backward pass shared by all three entry
-    /// points. Returns the batch size.
+    /// input — the part of the backward pass shared by both backward
+    /// forms. Returns the batch size.
     ///
     /// # Panics
     ///
@@ -98,12 +98,6 @@ impl Dense {
 }
 
 impl Layer for Dense {
-    fn forward(&mut self, x: &Tensor, train: bool) -> Tensor {
-        let mut out = Tensor::zeros(vec![0]);
-        self.forward_into(x, train, &mut out);
-        out
-    }
-
     fn forward_into(&mut self, x: &Tensor, train: bool, out: &mut Tensor) {
         let (n, d) = x.dims2();
         assert_eq!(
@@ -139,12 +133,6 @@ impl Layer for Dense {
         }
     }
 
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let mut grad_in = Tensor::zeros(vec![0]);
-        self.backward_into(grad_out, &mut grad_in);
-        grad_in
-    }
-
     fn backward_into(&mut self, grad_out: &Tensor, grad_in: &mut Tensor) {
         let n = self.accumulate_param_grads(grad_out);
         // ∂L/∂x = g · W (same accumulation order as ops::matmul).
@@ -176,14 +164,6 @@ impl Layer for Dense {
         f(&self.bias);
     }
 
-    fn params(&self) -> Vec<&Param> {
-        vec![&self.weight, &self.bias]
-    }
-
-    fn params_mut(&mut self) -> Vec<&mut Param> {
-        vec![&mut self.weight, &mut self.bias]
-    }
-
     fn name(&self) -> &'static str {
         "dense"
     }
@@ -192,6 +172,7 @@ impl Layer for Dense {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::layer::testing::{backward, forward};
     use rand::{rngs::StdRng, SeedableRng};
 
     #[test]
@@ -199,7 +180,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(0);
         let mut d = Dense::new(4, 3, &mut rng);
         let x = Tensor::zeros(vec![5, 4]);
-        assert_eq!(d.forward(&x, true).shape(), &[5, 3]);
+        assert_eq!(forward(&mut d, &x, true).shape(), &[5, 3]);
     }
 
     #[test]
@@ -207,10 +188,10 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(0);
         let mut d = Dense::new(2, 2, &mut rng);
         // Overwrite params with known values.
-        d.params_mut()[0].value = Tensor::from_vec(vec![2, 2], vec![1., 2., 3., 4.]);
-        d.params_mut()[1].value = Tensor::from_vec(vec![2], vec![0.5, -0.5]);
+        d.weight.value = Tensor::from_vec(vec![2, 2], vec![1., 2., 3., 4.]);
+        d.bias.value = Tensor::from_vec(vec![2], vec![0.5, -0.5]);
         let x = Tensor::from_vec(vec![1, 2], vec![1.0, 1.0]);
-        let y = d.forward(&x, true);
+        let y = forward(&mut d, &x, true);
         // y0 = 1*1 + 1*2 + 0.5 = 3.5 ; y1 = 1*3 + 1*4 - 0.5 = 6.5
         assert_eq!(y.as_slice(), &[3.5, 6.5]);
     }
@@ -220,26 +201,26 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(1);
         let mut d = Dense::new(3, 2, &mut rng);
         let x = Tensor::from_vec(vec![2, 3], vec![0.1, -0.2, 0.3, 0.4, 0.5, -0.6]);
-        let y = d.forward(&x, true);
+        let y = forward(&mut d, &x, true);
         let gout = Tensor::filled(y.shape().to_vec(), 1.0);
-        let gx = d.backward(&gout);
+        let gx = backward(&mut d, &gout);
 
         let eps = 1e-3;
         // finite differences on weights
-        let w0 = d.params()[0].value.clone();
+        let w0 = d.weight.value.clone();
         for wi in 0..w0.len() {
             let mut dp = Dense::new(3, 2, &mut rng);
-            dp.params_mut()[0].value = w0.clone();
-            dp.params_mut()[1].value = d.params()[1].value.clone();
-            dp.params_mut()[0].value.as_mut_slice()[wi] += eps;
-            let yp = dp.forward(&x, true).sum();
+            dp.weight.value = w0.clone();
+            dp.bias.value = d.bias.value.clone();
+            dp.weight.value.as_mut_slice()[wi] += eps;
+            let yp = forward(&mut dp, &x, true).sum();
             let mut dm = Dense::new(3, 2, &mut rng);
-            dm.params_mut()[0].value = w0.clone();
-            dm.params_mut()[1].value = d.params()[1].value.clone();
-            dm.params_mut()[0].value.as_mut_slice()[wi] -= eps;
-            let ym = dm.forward(&x, true).sum();
+            dm.weight.value = w0.clone();
+            dm.bias.value = d.bias.value.clone();
+            dm.weight.value.as_mut_slice()[wi] -= eps;
+            let ym = forward(&mut dm, &x, true).sum();
             let fd = (yp - ym) / (2.0 * eps);
-            let an = d.params()[0].grad.as_slice()[wi];
+            let an = d.weight.grad.as_slice()[wi];
             assert!((fd - an).abs() < 1e-2, "w[{wi}] fd {fd} an {an}");
         }
         // finite differences on input
@@ -247,12 +228,12 @@ mod tests {
             let mut xp = x.clone();
             xp.as_mut_slice()[ii] += eps;
             let mut dd = Dense::new(3, 2, &mut rng);
-            dd.params_mut()[0].value = w0.clone();
-            dd.params_mut()[1].value = d.params()[1].value.clone();
-            let yp = dd.forward(&xp, true).sum();
+            dd.weight.value = w0.clone();
+            dd.bias.value = d.bias.value.clone();
+            let yp = forward(&mut dd, &xp, true).sum();
             let mut xm = x.clone();
             xm.as_mut_slice()[ii] -= eps;
-            let ym = dd.forward(&xm, true).sum();
+            let ym = forward(&mut dd, &xm, true).sum();
             let fd = (yp - ym) / (2.0 * eps);
             let an = gx.as_slice()[ii];
             assert!((fd - an).abs() < 1e-2, "x[{ii}] fd {fd} an {an}");
@@ -264,13 +245,13 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(2);
         let mut d = Dense::new(2, 2, &mut rng);
         let x = Tensor::filled(vec![1, 2], 1.0);
-        let y = d.forward(&x, true);
+        let y = forward(&mut d, &x, true);
         let g = Tensor::filled(y.shape().to_vec(), 1.0);
-        d.backward(&g);
-        let after_one = d.params()[0].grad.clone();
-        d.forward(&x, true);
-        d.backward(&g);
-        let after_two = d.params()[0].grad.clone();
+        backward(&mut d, &g);
+        let after_one = d.weight.grad.clone();
+        forward(&mut d, &x, true);
+        backward(&mut d, &g);
+        let after_two = d.weight.grad.clone();
         for (a, b) in after_one.as_slice().iter().zip(after_two.as_slice()) {
             assert!((b - 2.0 * a).abs() < 1e-5);
         }
@@ -281,6 +262,6 @@ mod tests {
     fn forward_rejects_wrong_width() {
         let mut rng = StdRng::seed_from_u64(0);
         let mut d = Dense::new(4, 3, &mut rng);
-        let _ = d.forward(&Tensor::zeros(vec![5, 7]), true);
+        let _ = forward(&mut d, &Tensor::zeros(vec![5, 7]), true);
     }
 }

@@ -46,57 +46,34 @@ impl Param {
 /// A neural-network layer with explicit forward and backward passes.
 ///
 /// Layers cache whatever the backward pass needs during a training-mode
-/// `forward`; an eval-mode (`train == false`) forward caches nothing and
+/// forward; an eval-mode (`train == false`) forward caches nothing and
 /// leaves the layer as if it had never run forward. Calling
-/// [`Layer::backward`] without a preceding training forward is a
+/// [`Layer::backward_into`] without a preceding training forward is a
 /// programmer error and panics.
 /// The trait is dyn-compatible so models are plain `Vec<Box<dyn Layer>>`.
 ///
 /// # The allocation-free runtime
 ///
-/// Every pass comes in two flavours sharing one computational core: the
-/// classic allocating form (`forward`/`backward`, returning fresh
-/// tensors) and the `_into` form writing into a caller-owned buffer that
-/// is [`Tensor::resize`]d in place. All in-tree layers implement the
-/// `_into` form natively and define the allocating form as a thin
-/// wrapper over it, so the two paths are *the same arithmetic* — results
-/// are bitwise identical — and external `Layer` impls that only provide
-/// the allocating pair keep working through the default `_into` methods.
-/// Training loops drive the `_into` plumbing through per-layer arenas
-/// (see [`crate::Sequential`]) and perform zero per-step heap
-/// allocations after warm-up on the dense path (DESIGN.md §8).
+/// Every pass has one form, writing into a caller-owned buffer that is
+/// [`Tensor::resize`]d in place, and parameters are reached through
+/// visitors rather than materialised `Vec`s of references. Training
+/// loops drive these passes through per-layer arenas (see
+/// [`crate::Sequential`]) and perform zero per-step heap allocations
+/// after warm-up on the dense path (DESIGN.md §8).
 pub trait Layer: Send {
-    /// Computes the layer output. `train` selects training behaviour
-    /// (e.g. batch statistics in [`crate::BatchNorm2d`]).
-    fn forward(&mut self, x: &Tensor, train: bool) -> Tensor;
+    /// Computes the layer output into `out` (resized in place, previous
+    /// contents discarded). `train` selects training behaviour (e.g.
+    /// batch statistics in [`crate::BatchNorm2d`]).
+    fn forward_into(&mut self, x: &Tensor, train: bool, out: &mut Tensor);
 
     /// Backpropagates `grad_out` (∂L/∂output), accumulating parameter
-    /// gradients and returning ∂L/∂input.
+    /// gradients and writing ∂L/∂input into `grad_in` (resized in place,
+    /// previous contents discarded).
     ///
     /// # Panics
     ///
-    /// Panics if called before a `forward` pass cached the needed state.
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor;
-
-    /// [`Layer::forward`] writing into a caller-owned output tensor
-    /// (resized in place, previous contents discarded). The default
-    /// delegates to the allocating form; in-tree layers override it with
-    /// an allocation-free implementation producing bitwise-identical
-    /// values.
-    fn forward_into(&mut self, x: &Tensor, train: bool, out: &mut Tensor) {
-        *out = self.forward(x, train);
-    }
-
-    /// [`Layer::backward`] writing ∂L/∂input into a caller-owned tensor
-    /// (resized in place, previous contents discarded). Parameter
-    /// gradients are accumulated exactly as in the allocating form.
-    ///
-    /// # Panics
-    ///
-    /// Panics if called before a forward pass cached the needed state.
-    fn backward_into(&mut self, grad_out: &Tensor, grad_in: &mut Tensor) {
-        *grad_in = self.backward(grad_out);
-    }
+    /// Panics if called before a training forward cached the needed state.
+    fn backward_into(&mut self, grad_out: &Tensor, grad_in: &mut Tensor);
 
     /// Accumulates parameter gradients **without producing ∂L/∂input**.
     ///
@@ -104,43 +81,25 @@ pub trait Layer: Send {
     /// input gradient is computed by a full backward pass and then thrown
     /// away. Training loops call this instead, which for `Dense`/`Conv2d`
     /// skips an entire GEMM (and the conv `col2im` scatter) with bitwise
-    /// identical parameter gradients. The default computes and discards.
+    /// identical parameter gradients. The default computes the input
+    /// gradient into a scratch tensor and discards it.
     ///
     /// # Panics
     ///
-    /// Panics if called before a forward pass cached the needed state.
+    /// Panics if called before a training forward cached the needed state.
     fn backward_params_only(&mut self, grad_out: &Tensor) {
-        let _ = self.backward(grad_out);
+        self.backward_into(grad_out, &mut Tensor::zeros(vec![0]));
     }
 
-    /// Visits every parameter mutably, in [`Layer::params_mut`] order,
-    /// without materialising a `Vec` of references — the per-step form
-    /// used by gradient zeroing and the fused optimizer. The default
-    /// delegates to `params_mut` (which allocates for non-empty layers);
-    /// in-tree layers with parameters override it.
-    fn visit_params_mut(&mut self, f: &mut dyn FnMut(&mut Param)) {
-        for p in self.params_mut() {
-            f(p);
-        }
-    }
+    /// Visits every parameter mutably, in state-vector order — the
+    /// per-step form used by gradient zeroing and the fused optimizer.
+    /// The default visits nothing (a parameter-free layer).
+    fn visit_params_mut(&mut self, _f: &mut dyn FnMut(&mut Param)) {}
 
-    /// Visits every parameter immutably, in [`Layer::params`] order,
-    /// without materialising a `Vec` of references — the form state
-    /// snapshots use every round. The default delegates to `params`
-    /// (allocation-free only for parameter-less layers, whose empty
-    /// `Vec` never touches the heap); parameterized in-tree layers
-    /// override it.
-    fn visit_params(&self, f: &mut dyn FnMut(&Param)) {
-        for p in self.params() {
-            f(p);
-        }
-    }
-
-    /// Immutable views of the layer's parameters (possibly empty).
-    fn params(&self) -> Vec<&Param>;
-
-    /// Mutable views of the layer's parameters (possibly empty).
-    fn params_mut(&mut self) -> Vec<&mut Param>;
+    /// Visits every parameter immutably, in the order of
+    /// [`Layer::visit_params_mut`] — the form state snapshots use every
+    /// round. The default visits nothing (a parameter-free layer).
+    fn visit_params(&self, _f: &mut dyn FnMut(&Param)) {}
 
     /// Short human-readable layer name for debugging.
     fn name(&self) -> &'static str;
@@ -163,12 +122,6 @@ impl Relu {
 }
 
 impl Layer for Relu {
-    fn forward(&mut self, x: &Tensor, train: bool) -> Tensor {
-        let mut out = Tensor::zeros(vec![0]);
-        self.forward_into(x, train, &mut out);
-        out
-    }
-
     fn forward_into(&mut self, x: &Tensor, train: bool, out: &mut Tensor) {
         let xv = x.as_slice();
         // Only a training pass records the mask its backward needs.
@@ -183,12 +136,6 @@ impl Layer for Relu {
         }
     }
 
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let mut grad_in = Tensor::zeros(vec![0]);
-        self.backward_into(grad_out, &mut grad_in);
-        grad_in
-    }
-
     fn backward_into(&mut self, grad_out: &Tensor, grad_in: &mut Tensor) {
         assert!(self.ready, "Relu::backward before forward");
         assert_eq!(self.mask.len(), grad_out.len(), "relu grad shape changed");
@@ -201,14 +148,6 @@ impl Layer for Relu {
         {
             *o = if m { g } else { 0.0 };
         }
-    }
-
-    fn params(&self) -> Vec<&Param> {
-        Vec::new()
-    }
-
-    fn params_mut(&mut self) -> Vec<&mut Param> {
-        Vec::new()
     }
 
     fn name(&self) -> &'static str {
@@ -234,22 +173,13 @@ impl Flatten {
 }
 
 impl Layer for Flatten {
-    fn forward(&mut self, x: &Tensor, _train: bool) -> Tensor {
-        self.record_shape(x);
-        let (n, d) = x.dims2();
-        x.clone().reshape(vec![n, d])
-    }
-
     fn forward_into(&mut self, x: &Tensor, _train: bool, out: &mut Tensor) {
-        self.record_shape(x);
+        self.input_shape.clear();
+        self.input_shape.extend_from_slice(x.shape());
+        self.ready = true;
         let (n, d) = x.dims2();
         out.resize(&[n, d]);
         out.as_mut_slice().copy_from_slice(x.as_slice());
-    }
-
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        assert!(self.ready, "Flatten::backward before forward");
-        grad_out.clone().reshape(self.input_shape.clone())
     }
 
     fn backward_into(&mut self, grad_out: &Tensor, grad_in: &mut Tensor) {
@@ -258,36 +188,49 @@ impl Layer for Flatten {
         grad_in.as_mut_slice().copy_from_slice(grad_out.as_slice());
     }
 
-    fn params(&self) -> Vec<&Param> {
-        Vec::new()
-    }
-
-    fn params_mut(&mut self) -> Vec<&mut Param> {
-        Vec::new()
-    }
-
     fn name(&self) -> &'static str {
         "flatten"
     }
 }
 
-impl Flatten {
-    fn record_shape(&mut self, x: &Tensor) {
-        self.input_shape.clear();
-        self.input_shape.extend_from_slice(x.shape());
-        self.ready = true;
+/// Test helpers: each pass into a fresh tensor, and parameter clones.
+#[cfg(test)]
+pub(crate) mod testing {
+    use super::{Layer, Param};
+    use goldfish_tensor::Tensor;
+
+    /// [`Layer::forward_into`] into a fresh tensor.
+    pub(crate) fn forward(layer: &mut dyn Layer, x: &Tensor, train: bool) -> Tensor {
+        let mut out = Tensor::zeros(vec![0]);
+        layer.forward_into(x, train, &mut out);
+        out
+    }
+
+    /// [`Layer::backward_into`] into a fresh tensor.
+    pub(crate) fn backward(layer: &mut dyn Layer, grad_out: &Tensor) -> Tensor {
+        let mut grad_in = Tensor::zeros(vec![0]);
+        layer.backward_into(grad_out, &mut grad_in);
+        grad_in
+    }
+
+    /// Clones of the layer's parameters, in visiting order.
+    pub(crate) fn params(layer: &dyn Layer) -> Vec<Param> {
+        let mut out = Vec::new();
+        layer.visit_params(&mut |p| out.push(p.clone()));
+        out
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use super::testing::{backward, forward};
     use super::*;
 
     #[test]
     fn relu_forward_clamps_negatives() {
         let mut relu = Relu::new();
         let x = Tensor::from_vec(vec![4], vec![-1.0, 0.0, 2.0, -3.0]);
-        let y = relu.forward(&x, true);
+        let y = forward(&mut relu, &x, true);
         assert_eq!(y.as_slice(), &[0.0, 0.0, 2.0, 0.0]);
     }
 
@@ -295,9 +238,9 @@ mod tests {
     fn relu_backward_masks_gradient() {
         let mut relu = Relu::new();
         let x = Tensor::from_vec(vec![4], vec![-1.0, 0.5, 2.0, -3.0]);
-        relu.forward(&x, true);
+        forward(&mut relu, &x, true);
         let g = Tensor::from_vec(vec![4], vec![10.0, 20.0, 30.0, 40.0]);
-        let gx = relu.backward(&g);
+        let gx = backward(&mut relu, &g);
         assert_eq!(gx.as_slice(), &[0.0, 20.0, 30.0, 0.0]);
     }
 
@@ -305,16 +248,16 @@ mod tests {
     #[should_panic(expected = "before forward")]
     fn relu_backward_requires_forward() {
         let mut relu = Relu::new();
-        let _ = relu.backward(&Tensor::zeros(vec![1]));
+        let _ = backward(&mut relu, &Tensor::zeros(vec![1]));
     }
 
     #[test]
     fn flatten_roundtrip() {
         let mut fl = Flatten::new();
         let x = Tensor::zeros(vec![2, 3, 4, 4]);
-        let y = fl.forward(&x, true);
+        let y = forward(&mut fl, &x, true);
         assert_eq!(y.shape(), &[2, 48]);
-        let gx = fl.backward(&Tensor::zeros(vec![2, 48]));
+        let gx = backward(&mut fl, &Tensor::zeros(vec![2, 48]));
         assert_eq!(gx.shape(), &[2, 3, 4, 4]);
     }
 

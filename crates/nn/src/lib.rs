@@ -5,6 +5,7 @@
 //! PyTorch; this crate provides the equivalent pieces in pure Rust:
 //!
 //! * a dyn-compatible [`Layer`] trait with explicit forward/backward passes,
+//!   each in one allocation-free form,
 //! * layers: [`Dense`], [`Conv2d`], [`MaxPool2d`], [`GlobalAvgPool`],
 //!   [`Relu`], [`Flatten`], [`BatchNorm2d`], [`Residual`], [`Sequential`],
 //! * the [`Network`] wrapper exposing **flattened state vectors** — the
@@ -19,7 +20,7 @@
 //! # Example
 //!
 //! ```
-//! use goldfish_nn::{loss::{CrossEntropy, HardLoss}, optim::Sgd, zoo};
+//! use goldfish_nn::{loss::{CrossEntropy, HardLoss}, optim::FusedSgd, zoo};
 //! use goldfish_tensor::Tensor;
 //! use rand::{rngs::StdRng, SeedableRng};
 //!
@@ -28,10 +29,12 @@
 //! let x = Tensor::from_vec(vec![2, 4], vec![0.1; 8]);
 //! let labels = vec![0usize, 2];
 //!
-//! let mut sgd = Sgd::new(0.01, 0.9);
-//! let logits = net.forward(&x, true);
-//! let (loss, grad) = CrossEntropy.loss_and_grad(&logits, &labels);
-//! net.backward(&grad);
+//! let mut sgd = FusedSgd::new(0.01, 0.9);
+//! let mut grad = Tensor::zeros(vec![0]);
+//! let logits = net.forward_ws(&x, true);
+//! let loss = CrossEntropy.loss_and_grad_into(logits, &labels, &mut grad);
+//! net.zero_grad();
+//! net.backward_train(&grad);
 //! sgd.step(&mut net);
 //! assert!(loss.is_finite());
 //! ```

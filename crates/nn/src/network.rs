@@ -1,6 +1,6 @@
 //! The [`Network`] wrapper: a model plus flattened-state-vector plumbing.
 
-use goldfish_tensor::{ops, Tensor};
+use goldfish_tensor::Tensor;
 
 use crate::layer::{Layer, Param};
 use crate::sequential::Sequential;
@@ -28,40 +28,22 @@ impl Network {
         }
     }
 
-    /// Forward pass. `train` selects training-mode behaviour (batch
-    /// statistics, gradient caching).
-    pub fn forward(&mut self, x: &Tensor, train: bool) -> Tensor {
-        self.body.forward(x, train)
-    }
-
-    /// Forward pass into the network's persistent logits buffer — the
-    /// allocation-free form of [`Network::forward`] used by training
-    /// loops. Produces bitwise-identical logits; after warm-up no heap
-    /// allocation happens on the dense path (DESIGN.md §8).
+    /// Forward pass into the network's persistent logits buffer. `train`
+    /// selects training-mode behaviour (batch statistics, gradient
+    /// caching); after warm-up no heap allocation happens on the dense
+    /// path (DESIGN.md §8).
     pub fn forward_ws(&mut self, x: &Tensor, train: bool) -> &Tensor {
         self.body.forward_into(x, train, &mut self.fwd_out);
         &self.fwd_out
     }
 
-    /// Backward pass from a gradient w.r.t. the network output (logits).
-    /// Accumulates parameter gradients; returns the input gradient.
-    pub fn backward(&mut self, grad_logits: &Tensor) -> Tensor {
-        self.body.backward(grad_logits)
-    }
-
-    /// Training-loop backward pass: accumulates parameter gradients
-    /// exactly like [`Network::backward`] (bitwise identical) but never
-    /// materialises ∂L/∂input — the first layer's input is the data
-    /// batch, whose gradient nothing consumes, so its GEMM/`col2im` is
-    /// skipped and no gradient tensor is allocated.
+    /// Backward pass from a gradient w.r.t. the network output (logits):
+    /// accumulates parameter gradients but never materialises ∂L/∂input —
+    /// the first layer's input is the data batch, whose gradient nothing
+    /// consumes, so its GEMM/`col2im` is skipped
+    /// ([`Layer::backward_params_only`]).
     pub fn backward_train(&mut self, grad_logits: &Tensor) {
         self.body.backward_params_only(grad_logits);
-    }
-
-    /// Convenience: forward in eval mode and return the argmax class per row.
-    pub fn predict(&mut self, x: &Tensor) -> Vec<usize> {
-        let logits = self.forward(x, false);
-        ops::argmax_rows(&logits)
     }
 
     /// Zeroes every parameter gradient (allocation-free).
@@ -83,16 +65,6 @@ impl Network {
         self.body.visit_params(f);
     }
 
-    /// Immutable parameter views, in deterministic layer order.
-    pub fn params(&self) -> Vec<&Param> {
-        self.body.params()
-    }
-
-    /// Mutable parameter views, in deterministic layer order.
-    pub fn params_mut(&mut self) -> Vec<&mut Param> {
-        self.body.params_mut()
-    }
-
     /// Total number of scalars in the state vector.
     pub fn state_len(&self) -> usize {
         let mut n = 0;
@@ -102,12 +74,13 @@ impl Network {
 
     /// Number of *trainable* scalars (excludes frozen tracked state).
     pub fn trainable_len(&self) -> usize {
-        self.body
-            .params()
-            .iter()
-            .filter(|p| p.trainable)
-            .map(|p| p.value.len())
-            .sum()
+        let mut n = 0;
+        self.body.visit_params(&mut |p| {
+            if p.trainable {
+                n += p.value.len();
+            }
+        });
+        n
     }
 
     /// Flattens all parameters (trainable + frozen) into one vector.
@@ -154,9 +127,8 @@ impl Network {
     /// [`Network::state_vector`]). Frozen parameters contribute zeros.
     pub fn grad_vector(&self) -> Vec<f32> {
         let mut out = Vec::with_capacity(self.state_len());
-        for p in self.body.params() {
-            out.extend_from_slice(p.grad.as_slice());
-        }
+        self.body
+            .visit_params(&mut |p| out.extend_from_slice(p.grad.as_slice()));
         out
     }
 }
@@ -171,6 +143,7 @@ impl std::fmt::Debug for Network {
 mod tests {
     use super::*;
     use crate::dense::Dense;
+    use crate::layer::testing::{backward, forward};
     use crate::layer::Relu;
     use rand::{rngs::StdRng, SeedableRng};
 
@@ -201,8 +174,8 @@ mod tests {
         b.set_state_vector(&a.state_vector());
         let x = Tensor::from_vec(vec![2, 3], vec![0.3, -0.1, 0.8, 1.0, 0.0, -0.5]);
         assert_eq!(
-            a.forward(&x, false).as_slice(),
-            b.forward(&x, false).as_slice()
+            a.forward_ws(&x, false).as_slice(),
+            b.forward_ws(&x, false).as_slice()
         );
     }
 
@@ -217,20 +190,11 @@ mod tests {
     fn zero_grad_clears_accumulation() {
         let mut net = tiny_net(0);
         let x = Tensor::filled(vec![1, 3], 1.0);
-        let y = net.forward(&x, true);
-        net.backward(&Tensor::filled(y.shape().to_vec(), 1.0));
+        let shape = net.forward_ws(&x, true).shape().to_vec();
+        net.backward_train(&Tensor::filled(shape, 1.0));
         assert!(net.grad_vector().iter().any(|&g| g != 0.0));
         net.zero_grad();
         assert!(net.grad_vector().iter().all(|&g| g == 0.0));
-    }
-
-    #[test]
-    fn predict_returns_batch_classes() {
-        let mut net = tiny_net(0);
-        let x = Tensor::zeros(vec![4, 3]);
-        let preds = net.predict(&x);
-        assert_eq!(preds.len(), 4);
-        assert!(preds.iter().all(|&c| c < 2));
     }
 
     /// An eval-mode forward caches nothing for backward: a backward after
@@ -252,11 +216,11 @@ mod tests {
         ];
         for (mut layer, shape) in layers {
             let x = Tensor::filled(shape, 0.5);
-            let y = layer.forward(&x, true);
+            let y = forward(&mut *layer, &x, true);
             let g = Tensor::filled(y.shape().to_vec(), 1.0);
-            let _ = layer.backward(&g);
-            assert_eq!(layer.forward(&x, false), y, "{}", layer.name());
-            let err = catch_unwind(AssertUnwindSafe(|| layer.backward(&g)))
+            let _ = backward(&mut *layer, &g);
+            assert_eq!(forward(&mut *layer, &x, false), y, "{}", layer.name());
+            let err = catch_unwind(AssertUnwindSafe(|| backward(&mut *layer, &g)))
                 .expect_err("backward after an eval forward must panic");
             let msg = err
                 .downcast_ref::<String>()

@@ -41,12 +41,6 @@ impl Sgd {
         self.lr
     }
 
-    /// Overrides the learning rate (for schedules).
-    pub fn set_lr(&mut self, lr: f32) {
-        assert!(lr > 0.0, "learning rate must be positive, got {lr}");
-        self.lr = lr;
-    }
-
     /// Applies one update step from the gradients currently accumulated in
     /// `net`, then the caller typically calls [`Network::zero_grad`].
     ///
@@ -55,27 +49,31 @@ impl Sgd {
     /// Panics if the network's parameter structure changed since the first
     /// step (the velocity buffers would no longer line up).
     pub fn step(&mut self, net: &mut Network) {
-        let mut params = net.params_mut();
-        if self.velocity.is_empty() {
-            self.velocity = params
-                .iter()
-                .map(|p| Tensor::zeros(p.value.shape().to_vec()))
-                .collect();
-        }
-        assert_eq!(
-            self.velocity.len(),
-            params.len(),
-            "parameter structure changed under the optimizer"
-        );
-        for (p, v) in params.iter_mut().zip(self.velocity.iter_mut()) {
+        let (lr, momentum) = (self.lr, self.momentum);
+        let first = self.velocity.is_empty();
+        let velocity = &mut self.velocity;
+        let mut i = 0usize;
+        net.visit_params_mut(&mut |p| {
+            if first {
+                velocity.push(Tensor::zeros(p.value.shape().to_vec()));
+            }
+            let v = velocity
+                .get_mut(i)
+                .expect("parameter structure changed under the optimizer");
+            i += 1;
             if !p.trainable {
-                continue;
+                return;
             }
             // v ← β·v + g ; w ← w − η·v
-            v.scale_mut(self.momentum);
+            v.scale_mut(momentum);
             v.axpy(1.0, &p.grad);
-            p.value.axpy(-self.lr, v);
-        }
+            p.value.axpy(-lr, v);
+        });
+        assert_eq!(
+            i,
+            self.velocity.len(),
+            "parameter structure changed under the optimizer"
+        );
     }
 
     /// Clears momentum state (used when a model is re-initialised in place,
@@ -129,12 +127,6 @@ impl FusedSgd {
     /// The learning rate.
     pub fn lr(&self) -> f32 {
         self.lr
-    }
-
-    /// Overrides the learning rate (for schedules).
-    pub fn set_lr(&mut self, lr: f32) {
-        assert!(lr > 0.0, "learning rate must be positive, got {lr}");
-        self.lr = lr;
     }
 
     /// Applies one update step from the gradients currently accumulated
@@ -269,10 +261,10 @@ mod tests {
         let mut first = None;
         let mut last = 0.0;
         for _ in 0..60 {
-            let logits = net.forward(&x, true);
-            let (loss, grad) = CrossEntropy.loss_and_grad(&logits, &labels);
+            let logits = net.forward_ws(&x, true);
+            let (loss, grad) = CrossEntropy.loss_and_grad(logits, &labels);
             net.zero_grad();
-            net.backward(&grad);
+            net.backward_train(&grad);
             sgd.step(&mut net);
             first.get_or_insert(loss);
             last = loss;
@@ -294,10 +286,10 @@ mod tests {
             let mut sgd = Sgd::new(0.01, momentum);
             let mut loss = 0.0;
             for _ in 0..40 {
-                let logits = net.forward(&x, true);
-                let (l, grad) = CrossEntropy.loss_and_grad(&logits, &labels);
+                let logits = net.forward_ws(&x, true);
+                let (l, grad) = CrossEntropy.loss_and_grad(logits, &labels);
                 net.zero_grad();
-                net.backward(&grad);
+                net.backward_train(&grad);
                 sgd.step(&mut net);
                 loss = l;
             }
@@ -341,10 +333,10 @@ mod tests {
         let mut fused = FusedSgd::new(0.05, 0.9);
         for _ in 0..7 {
             for (net, which) in [(&mut a, 0), (&mut b, 1)] {
-                let logits = net.forward(&x, true);
-                let (_, grad) = CrossEntropy.loss_and_grad(&logits, &labels);
+                let logits = net.forward_ws(&x, true);
+                let (_, grad) = CrossEntropy.loss_and_grad(logits, &labels);
                 net.zero_grad();
-                net.backward(&grad);
+                net.backward_train(&grad);
                 if which == 0 {
                     sgd.step(net);
                 } else {
@@ -372,9 +364,9 @@ mod tests {
         let mut net = Network::new(Sequential::new().push(Dense::new(2, 2, &mut rng)));
         let mut sgd = Sgd::new(0.1, 0.9);
         let x = Tensor::filled(vec![1, 2], 1.0);
-        let logits = net.forward(&x, true);
-        let (_, grad) = CrossEntropy.loss_and_grad(&logits, &[0]);
-        net.backward(&grad);
+        let logits = net.forward_ws(&x, true);
+        let (_, grad) = CrossEntropy.loss_and_grad(logits, &[0]);
+        net.backward_train(&grad);
         sgd.step(&mut net);
         assert!(!sgd.velocity.is_empty());
         sgd.reset();

@@ -67,12 +67,6 @@ impl std::fmt::Debug for Residual {
 }
 
 impl Layer for Residual {
-    fn forward(&mut self, x: &Tensor, train: bool) -> Tensor {
-        let mut out = Tensor::zeros(vec![0]);
-        self.forward_into(x, train, &mut out);
-        out
-    }
-
     fn forward_into(&mut self, x: &Tensor, train: bool, out: &mut Tensor) {
         self.main.forward_into(x, train, &mut self.main_out);
         let skip: &Tensor = match &mut self.shortcut {
@@ -98,12 +92,6 @@ impl Layer for Residual {
             *o = sum.max(0.0);
         }
         self.ready = true;
-    }
-
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let mut grad_in = Tensor::zeros(vec![0]);
-        self.backward_into(grad_out, &mut grad_in);
-        grad_in
     }
 
     fn backward_into(&mut self, grad_out: &Tensor, grad_in: &mut Tensor) {
@@ -162,22 +150,6 @@ impl Layer for Residual {
         }
     }
 
-    fn params(&self) -> Vec<&Param> {
-        let mut p = self.main.params();
-        if let Some(proj) = &self.shortcut {
-            p.extend(proj.params());
-        }
-        p
-    }
-
-    fn params_mut(&mut self) -> Vec<&mut Param> {
-        let mut p = self.main.params_mut();
-        if let Some(proj) = &mut self.shortcut {
-            p.extend(proj.params_mut());
-        }
-        p
-    }
-
     fn name(&self) -> &'static str {
         "residual"
     }
@@ -188,6 +160,7 @@ mod tests {
     use super::*;
     use crate::conv_layers::Conv2d;
     use crate::dense::Dense;
+    use crate::layer::testing::{backward, forward};
     use rand::{rngs::StdRng, SeedableRng};
 
     #[test]
@@ -196,9 +169,9 @@ mod tests {
         let main = Sequential::new().push(Dense::new(4, 4, &mut rng));
         let mut block = Residual::identity(main);
         let x = Tensor::filled(vec![2, 4], 0.5);
-        let y = block.forward(&x, true);
+        let y = forward(&mut block, &x, true);
         assert_eq!(y.shape(), &[2, 4]);
-        let gx = block.backward(&Tensor::filled(vec![2, 4], 1.0));
+        let gx = backward(&mut block, &Tensor::filled(vec![2, 4], 1.0));
         assert_eq!(gx.shape(), &[2, 4]);
     }
 
@@ -207,12 +180,10 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(1);
         let mut main = Sequential::new().push(Dense::new(3, 3, &mut rng));
         // Zero out the dense weights so main(x) == 0.
-        for p in main.params_mut() {
-            p.value.zero_mut();
-        }
+        main.visit_params_mut(&mut |p| p.value.zero_mut());
         let mut block = Residual::identity(main);
         let x = Tensor::from_vec(vec![1, 3], vec![1.0, -2.0, 3.0]);
-        let y = block.forward(&x, true);
+        let y = forward(&mut block, &x, true);
         assert_eq!(y.as_slice(), &[1.0, 0.0, 3.0]); // relu(x + 0)
     }
 
@@ -223,9 +194,9 @@ mod tests {
         let proj = Sequential::new().push(Conv2d::new(2, 4, 1, 2, 0, &mut rng));
         let mut block = Residual::projected(main, proj);
         let x = Tensor::zeros(vec![1, 2, 8, 8]);
-        let y = block.forward(&x, true);
+        let y = forward(&mut block, &x, true);
         assert_eq!(y.shape(), &[1, 4, 4, 4]);
-        let gx = block.backward(&Tensor::zeros(vec![1, 4, 4, 4]));
+        let gx = backward(&mut block, &Tensor::zeros(vec![1, 4, 4, 4]));
         assert_eq!(gx.shape(), &[1, 2, 8, 8]);
     }
 
@@ -235,10 +206,10 @@ mod tests {
         let main = Sequential::new().push(Dense::new(2, 2, &mut rng));
         let mut block = Residual::identity(main);
         let x = Tensor::filled(vec![1, 2], 1.0);
-        let y = block.forward(&x, true);
+        let y = forward(&mut block, &x, true);
         // All outputs positive with this seed? Force positive by large input.
         let g = Tensor::filled(y.shape().to_vec(), 1.0);
-        let gx = block.backward(&g);
+        let gx = backward(&mut block, &g);
         // Identity path alone would give gradient 1 where relu is active;
         // main path adds W^T g, so |gx| should differ from the pure identity.
         assert_eq!(gx.shape(), &[1, 2]);

@@ -10,9 +10,7 @@ use crate::layer::{Layer, Param};
 /// The sequence owns the **activation and gradient arenas** of the
 /// allocation-free runtime: one persistent tensor per inter-layer edge,
 /// sized on the first batch and resized in place thereafter (see
-/// DESIGN.md §8). Both the allocating [`Layer::forward`]/[`Layer::backward`]
-/// and the `_into` forms drive the same per-layer cores, so results are
-/// identical; only buffer ownership differs.
+/// DESIGN.md §8).
 pub struct Sequential {
     layers: Vec<Box<dyn Layer>>,
     /// Activation arena: `acts[i]` holds the output of layer `i` (the
@@ -38,12 +36,6 @@ impl Sequential {
     /// Appends a layer, returning `self` for chaining.
     pub fn push(mut self, layer: impl Layer + 'static) -> Self {
         self.layers.push(Box::new(layer));
-        self
-    }
-
-    /// Appends a boxed layer.
-    pub fn push_boxed(mut self, layer: Box<dyn Layer>) -> Self {
-        self.layers.push(layer);
         self
     }
 
@@ -110,12 +102,6 @@ impl std::fmt::Debug for Sequential {
 }
 
 impl Layer for Sequential {
-    fn forward(&mut self, x: &Tensor, train: bool) -> Tensor {
-        let mut out = Tensor::zeros(vec![0]);
-        self.forward_into(x, train, &mut out);
-        out
-    }
-
     fn forward_into(&mut self, x: &Tensor, train: bool, out: &mut Tensor) {
         let n = self.layers.len();
         if n == 0 {
@@ -132,12 +118,6 @@ impl Layer for Sequential {
         }
         let input: &Tensor = if n == 1 { x } else { &self.acts[n - 2] };
         self.layers[n - 1].forward_into(input, train, out);
-    }
-
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let mut grad_in = Tensor::zeros(vec![0]);
-        self.backward_into(grad_out, &mut grad_in);
-        grad_in
     }
 
     fn backward_into(&mut self, grad_out: &Tensor, grad_in: &mut Tensor) {
@@ -160,17 +140,6 @@ impl Layer for Sequential {
         }
     }
 
-    fn params(&self) -> Vec<&Param> {
-        self.layers.iter().flat_map(|l| l.params()).collect()
-    }
-
-    fn params_mut(&mut self) -> Vec<&mut Param> {
-        self.layers
-            .iter_mut()
-            .flat_map(|l| l.params_mut())
-            .collect()
-    }
-
     fn name(&self) -> &'static str {
         "sequential"
     }
@@ -180,6 +149,7 @@ impl Layer for Sequential {
 mod tests {
     use super::*;
     use crate::dense::Dense;
+    use crate::layer::testing::{backward, forward, params};
     use crate::layer::Relu;
     use rand::{rngs::StdRng, SeedableRng};
 
@@ -190,9 +160,9 @@ mod tests {
             .push(Dense::new(4, 8, &mut rng))
             .push(Relu::new())
             .push(Dense::new(8, 2, &mut rng));
-        let y = seq.forward(&Tensor::zeros(vec![3, 4]), true);
+        let y = forward(&mut seq, &Tensor::zeros(vec![3, 4]), true);
         assert_eq!(y.shape(), &[3, 2]);
-        let gx = seq.backward(&Tensor::zeros(vec![3, 2]));
+        let gx = backward(&mut seq, &Tensor::zeros(vec![3, 2]));
         assert_eq!(gx.shape(), &[3, 4]);
     }
 
@@ -203,7 +173,7 @@ mod tests {
             .push(Dense::new(4, 8, &mut rng))
             .push(Relu::new())
             .push(Dense::new(8, 2, &mut rng));
-        assert_eq!(seq.params().len(), 4); // two dense layers × (W, b)
+        assert_eq!(params(&seq).len(), 4); // two dense layers × (W, b)
     }
 
     #[test]

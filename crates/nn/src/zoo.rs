@@ -196,7 +196,7 @@ mod tests {
     fn mlp_shapes() {
         let mut rng = StdRng::seed_from_u64(0);
         let mut net = mlp(10, &[16, 8], 3, &mut rng);
-        let y = net.forward(&Tensor::zeros(vec![4, 10]), true);
+        let y = net.forward_ws(&Tensor::zeros(vec![4, 10]), true);
         assert_eq!(y.shape(), &[4, 3]);
     }
 
@@ -204,7 +204,7 @@ mod tests {
     fn lenet5_on_mnist_shape() {
         let mut rng = StdRng::seed_from_u64(0);
         let mut net = lenet5(1, 28, 28, 10, &mut rng);
-        let y = net.forward(&Tensor::zeros(vec![2, 1, 28, 28]), true);
+        let y = net.forward_ws(&Tensor::zeros(vec![2, 1, 28, 28]), true);
         assert_eq!(y.shape(), &[2, 10]);
     }
 
@@ -220,7 +220,7 @@ mod tests {
     fn lenet5_modified_on_cifar_shape() {
         let mut rng = StdRng::seed_from_u64(0);
         let mut net = lenet5_modified(3, 32, 32, 10, &mut rng);
-        let y = net.forward(&Tensor::zeros(vec![2, 3, 32, 32]), true);
+        let y = net.forward_ws(&Tensor::zeros(vec![2, 3, 32, 32]), true);
         assert_eq!(y.shape(), &[2, 10]);
     }
 
@@ -229,8 +229,13 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(0);
         let two_fc = lenet5(1, 28, 28, 10, &mut rng);
         let three_fc = lenet5_modified(1, 28, 28, 10, &mut rng);
+        let count = |net: &Network| {
+            let mut n = 0;
+            net.visit_params(&mut |_| n += 1);
+            n
+        };
         // Modified has one extra Dense layer → two extra params (W, b).
-        assert_eq!(two_fc.params().len() + 2, three_fc.params().len());
+        assert_eq!(count(&two_fc) + 2, count(&three_fc));
     }
 
     #[test]
@@ -238,11 +243,13 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(0);
         let mut net = resnet_mini(3, 10, 1, 4, &mut rng);
         let x = goldfish_tensor::init::normal(&mut rng, vec![2, 3, 16, 16], 0.0, 1.0);
-        let y = net.forward(&x, true);
+        let y = net.forward_ws(&x, true);
         assert_eq!(y.shape(), &[2, 10]);
-        let gx = net.backward(&Tensor::filled(vec![2, 10], 0.1));
-        assert_eq!(gx.shape(), &[2, 3, 16, 16]);
-        assert!(gx.all_finite());
+        net.backward_train(&Tensor::filled(vec![2, 10], 0.1));
+        let grads = net.grad_vector();
+        assert_eq!(grads.len(), net.state_len());
+        assert!(grads.iter().all(|g| g.is_finite()));
+        assert!(grads.iter().any(|&g| g != 0.0));
     }
 
     #[test]

@@ -1,15 +1,44 @@
-//! Property tests pinning the allocation-free runtime to the allocating
-//! path: `forward_into`/`backward_into`, the fused loss and the fused
-//! optimizer must be **bitwise identical** to their classic counterparts
-//! on arbitrary shapes and values — reusing buffers is an execution
-//! detail, never a semantic one.
+//! Property tests pinning the allocation-free runtime: a warm buffer
+//! must compute what a fresh network computes, the params-only backward
+//! must accumulate the parameter gradients of the full backward, and the
+//! fused loss and the fused optimizer must be **bitwise identical** to
+//! their classic counterparts on arbitrary shapes and values — reusing
+//! buffers is an execution detail, never a semantic one.
 
 use goldfish_nn::loss::{CrossEntropy, HardLoss};
 use goldfish_nn::optim::{FusedSgd, Sgd};
-use goldfish_nn::{zoo, Layer, Network, Relu, Sequential};
+use goldfish_nn::{
+    zoo, BatchNorm2d, Conv2d, Dense, GlobalAvgPool, Layer, Network, Relu, Residual, Sequential,
+};
 use goldfish_tensor::{init, ops, Tensor};
 use proptest::prelude::*;
 use rand::{rngs::StdRng, SeedableRng};
+
+/// The parameter gradients of `layer`, in state-vector order.
+fn grads(layer: &dyn Layer) -> Vec<f32> {
+    let mut out = Vec::new();
+    layer.visit_params(&mut |p| out.extend_from_slice(p.grad.as_slice()));
+    out
+}
+
+/// A `d → h → c` MLP as a bare `Sequential`, so both backward forms are
+/// reachable.
+fn mlp_body(d: usize, h: usize, c: usize, seed: u64) -> Sequential {
+    let mut rng = StdRng::seed_from_u64(seed);
+    Sequential::new()
+        .push(Dense::new(d, h, &mut rng))
+        .push(Relu::new())
+        .push(Dense::new(h, c, &mut rng))
+}
+
+/// One step's cross-entropy gradient w.r.t. the logits of `body` on `x`.
+fn logit_grad(body: &mut dyn Layer, x: &Tensor, labels: &[usize]) -> Tensor {
+    let mut logits = Tensor::zeros(vec![0]);
+    body.forward_into(x, true, &mut logits);
+    let mut grad = Tensor::zeros(vec![0]);
+    CrossEntropy.loss_and_grad_into(&logits, labels, &mut grad);
+    grad
+}
 
 /// Strategy: batch size, feature width, hidden width, class count.
 fn mlp_dims() -> impl Strategy<Value = (usize, usize, usize, usize)> {
@@ -53,48 +82,51 @@ proptest! {
         }
     }
 
+    /// A network whose buffers were sized and filled by another batch
+    /// computes bitwise the logits of a fresh one.
     #[test]
     fn forward_into_is_bitwise_identical_to_forward(
         (n, d, h, c) in mlp_dims(),
         seed in 0u64..1000,
     ) {
         let mut rng = StdRng::seed_from_u64(seed);
-        let mut net_a = zoo::mlp(d, &[h], c, &mut rng);
-        let mut net_b = zoo::mlp(d, &[h], c, &mut rng);
-        net_b.set_state_vector(&net_a.state_vector());
+        let mut fresh = zoo::mlp(d, &[h], c, &mut rng);
+        let mut warm = zoo::mlp(d, &[h], c, &mut rng);
+        warm.set_state_vector(&fresh.state_vector());
+        let other = init::normal(&mut rng, vec![n + 2, d], 0.0, 5.0);
+        let _ = warm.forward_ws(&other, true);
         let x = init::normal(&mut rng, vec![n, d], 0.0, 1.0);
-        let allocating = net_a.forward(&x, true);
-        let reused = net_b.forward_ws(&x, true);
-        prop_assert_eq!(allocating.shape(), reused.shape());
-        for (a, b) in allocating.as_slice().iter().zip(reused.as_slice()) {
+        let want = fresh.forward_ws(&x, true).clone();
+        let got = warm.forward_ws(&x, true);
+        prop_assert_eq!(want.shape(), got.shape());
+        for (a, b) in want.as_slice().iter().zip(got.as_slice()) {
             prop_assert_eq!(a.to_bits(), b.to_bits(), "logits diverged");
         }
     }
 
+    /// `backward_params_only` (what `Network::backward_train` runs)
+    /// accumulates bitwise the parameter gradients of `backward_into`.
     #[test]
     fn backward_train_accumulates_identical_gradients(
         (n, d, h, c) in mlp_dims(),
         seed in 0u64..1000,
     ) {
         let mut rng = StdRng::seed_from_u64(seed);
-        let mut net_a = zoo::mlp(d, &[h], c, &mut rng);
-        let mut net_b = zoo::mlp(d, &[h], c, &mut rng);
-        net_b.set_state_vector(&net_a.state_vector());
+        let mut full = mlp_body(d, h, c, seed);
+        let mut params_only = mlp_body(d, h, c, seed);
         let x = init::normal(&mut rng, vec![n, d], 0.0, 1.0);
         let labels: Vec<usize> = (0..n).map(|i| i % c).collect();
 
-        let logits = net_a.forward(&x, true);
-        let (_, grad) = CrossEntropy.loss_and_grad(&logits, &labels);
-        net_a.zero_grad();
-        let _ = net_a.backward(&grad);
+        let grad = logit_grad(&mut full, &x, &labels);
+        let mut grad_in = Tensor::zeros(vec![0]);
+        full.backward_into(&grad, &mut grad_in);
+        prop_assert_eq!(grad_in.shape(), &[n, d]);
 
-        let mut grad_b = Tensor::zeros(vec![1]);
-        let logits_b = net_b.forward_ws(&x, true);
-        CrossEntropy.loss_and_grad_into(logits_b, &labels, &mut grad_b);
-        net_b.zero_grad();
-        net_b.backward_train(&grad_b);
+        let grad_b = logit_grad(&mut params_only, &x, &labels);
+        params_only.backward_params_only(&grad_b);
 
-        let (ga, gb) = (net_a.grad_vector(), net_b.grad_vector());
+        let (ga, gb) = (grads(&full), grads(&params_only));
+        prop_assert_eq!(ga.len(), gb.len());
         for (a, b) in ga.iter().zip(gb.iter()) {
             prop_assert_eq!(a.to_bits(), b.to_bits(), "param grads diverged");
         }
@@ -114,18 +146,8 @@ proptest! {
         let mut sgd = Sgd::new(0.05, 0.9);
         let mut fused = FusedSgd::new(0.05, 0.9);
         for _ in 0..3 {
-            let logits = net_a.forward(&x, true);
-            let (_, grad) = CrossEntropy.loss_and_grad(&logits, &labels);
-            net_a.zero_grad();
-            net_a.backward(&grad);
-            sgd.step(&mut net_a);
-
-            let mut grad_b = Tensor::zeros(vec![1]);
-            let logits_b = net_b.forward_ws(&x, true);
-            CrossEntropy.loss_and_grad_into(logits_b, &labels, &mut grad_b);
-            net_b.zero_grad();
-            net_b.backward_train(&grad_b);
-            fused.step(&mut net_b);
+            step(&mut net_a, &x, &labels, |net| sgd.step(net));
+            step(&mut net_b, &x, &labels, |net| fused.step(net));
         }
         let (sa, sb) = (net_a.state_vector(), net_b.state_vector());
         for (a, b) in sa.iter().zip(sb.iter()) {
@@ -134,10 +156,22 @@ proptest! {
     }
 }
 
+/// One training step of `net` on `(x, labels)`, the update applied by
+/// `update`.
+fn step(net: &mut Network, x: &Tensor, labels: &[usize], update: impl FnOnce(&mut Network)) {
+    let mut grad = Tensor::zeros(vec![0]);
+    let logits = net.forward_ws(x, true);
+    CrossEntropy.loss_and_grad_into(logits, labels, &mut grad);
+    net.zero_grad();
+    net.backward_train(&grad);
+    update(net);
+}
+
 /// The runtime plumbing must also hold for non-dense layers; a CNN with
 /// BatchNorm exercises `Conv2d`, `MaxPool2d`, `BatchNorm2d`, `Flatten`
-/// and the arena chain at once. (A plain #[test]: conv shapes make
-/// proptest cases needlessly slow.)
+/// and the arena chain at once: `Sgd` on a fresh network and `FusedSgd`
+/// on one whose buffers another batch warmed stay bitwise together.
+/// (A plain #[test]: conv shapes make proptest cases needlessly slow.)
 #[test]
 fn conv_network_runtime_matches_allocating_path() {
     let build = || {
@@ -147,70 +181,81 @@ fn conv_network_runtime_matches_allocating_path() {
     let mut net_a = build();
     let mut net_b = build();
     let mut rng = StdRng::seed_from_u64(4);
+    let other = init::normal(&mut rng, vec![5, 1, 16, 16], 0.0, 2.0);
+    step(&mut net_b, &other, &[1, 1, 0, 3, 2], |_| {});
+    net_b.set_state_vector(&net_a.state_vector());
     let x = init::normal(&mut rng, vec![3, 1, 16, 16], 0.0, 1.0);
     let labels = vec![0usize, 2, 3];
     let mut sgd = Sgd::new(0.01, 0.9);
     let mut fused = FusedSgd::new(0.01, 0.9);
     for _ in 0..3 {
-        let logits = net_a.forward(&x, true);
-        let (_, grad) = CrossEntropy.loss_and_grad(&logits, &labels);
-        net_a.zero_grad();
-        net_a.backward(&grad);
-        sgd.step(&mut net_a);
-
-        let mut grad_b = Tensor::zeros(vec![1]);
-        let logits_b = net_b.forward_ws(&x, true);
-        CrossEntropy.loss_and_grad_into(logits_b, &labels, &mut grad_b);
-        net_b.zero_grad();
-        net_b.backward_train(&grad_b);
-        fused.step(&mut net_b);
+        step(&mut net_a, &x, &labels, |net| sgd.step(net));
+        step(&mut net_b, &x, &labels, |net| fused.step(net));
         assert_eq!(net_a.state_vector(), net_b.state_vector());
     }
 }
 
-/// Residual blocks route the runtime through nested `Sequential`s and the
-/// projection shortcut.
+/// Residual blocks route both backward forms through nested
+/// `Sequential`s, BatchNorm and the projection shortcut.
 #[test]
 fn residual_network_runtime_matches_allocating_path() {
     let build = || {
         let mut rng = StdRng::seed_from_u64(8);
-        zoo::resnet_mini(1, 3, 1, 4, &mut rng)
+        let main = Sequential::new()
+            .push(Conv2d::new(4, 8, 3, 2, 1, &mut rng))
+            .push(BatchNorm2d::new(8))
+            .push(Relu::new())
+            .push(Conv2d::new(8, 8, 3, 1, 1, &mut rng))
+            .push(BatchNorm2d::new(8));
+        let shortcut = Sequential::new()
+            .push(Conv2d::new(4, 8, 1, 2, 0, &mut rng))
+            .push(BatchNorm2d::new(8));
+        Sequential::new()
+            .push(Conv2d::new(1, 4, 3, 1, 1, &mut rng))
+            .push(BatchNorm2d::new(4))
+            .push(Relu::new())
+            .push(Residual::projected(main, shortcut))
+            .push(GlobalAvgPool::new())
+            .push(Dense::new(8, 3, &mut rng))
     };
-    let mut net_a = build();
-    let mut net_b = build();
+    let mut full = build();
+    let mut params_only = build();
     let mut rng = StdRng::seed_from_u64(9);
     let x = init::normal(&mut rng, vec![2, 1, 8, 8], 0.0, 1.0);
     let labels = vec![1usize, 2];
 
-    let logits = net_a.forward(&x, true);
-    let (_, grad) = CrossEntropy.loss_and_grad(&logits, &labels);
-    net_a.zero_grad();
-    net_a.backward(&grad);
+    let grad = logit_grad(&mut full, &x, &labels);
+    let mut grad_in = Tensor::zeros(vec![0]);
+    full.backward_into(&grad, &mut grad_in);
+    assert_eq!(grad_in.shape(), x.shape());
 
-    let mut grad_b = Tensor::zeros(vec![1]);
-    let logits_b = net_b.forward_ws(&x, true);
-    CrossEntropy.loss_and_grad_into(logits_b, &labels, &mut grad_b);
-    net_b.zero_grad();
-    net_b.backward_train(&grad_b);
+    let grad_b = logit_grad(&mut params_only, &x, &labels);
+    params_only.backward_params_only(&grad_b);
 
-    assert_eq!(net_a.grad_vector(), net_b.grad_vector());
+    assert_eq!(grads(&full), grads(&params_only));
 }
 
-/// Mixing the paths inside one step also stays coherent: the caches are
-/// shared, so an allocating forward followed by an arena backward sees
-/// the same cached state.
+/// Both backward forms read the one cache the training forward left: a
+/// second backward sees the same state as the first.
 #[test]
 fn mixed_paths_share_caches() {
     let mut rng = StdRng::seed_from_u64(5);
     let mut seq = Sequential::new()
-        .push(goldfish_nn::Dense::new(4, 6, &mut rng))
+        .push(Dense::new(4, 6, &mut rng))
         .push(Relu::new());
     let x = init::normal(&mut rng, vec![2, 4], 0.0, 1.0);
-    let y_alloc = seq.forward(&x, true);
+    let mut y = Tensor::zeros(vec![0]);
+    seq.forward_into(&x, true, &mut y);
+    let g = Tensor::filled(y.shape().to_vec(), 1.0);
     let mut grad_in = Tensor::zeros(vec![1]);
-    seq.backward_into(&Tensor::filled(y_alloc.shape().to_vec(), 1.0), &mut grad_in);
-    let gx = seq.backward(&Tensor::filled(y_alloc.shape().to_vec(), 1.0));
-    assert_eq!(gx, grad_in);
+    seq.backward_into(&g, &mut grad_in);
+    let once = grads(&seq);
+    seq.backward_params_only(&g);
+    let twice: Vec<f32> = once.iter().map(|v| v + v).collect();
+    assert_eq!(grads(&seq), twice);
+    let mut again = Tensor::zeros(vec![1]);
+    seq.backward_into(&g, &mut again);
+    assert_eq!(again, grad_in);
     let mut net = Network::new(seq);
-    assert!(net.forward(&x, false).all_finite());
+    assert!(net.forward_ws(&x, false).all_finite());
 }

@@ -106,11 +106,6 @@ impl Tensor {
         &mut self.data
     }
 
-    /// Consumes the tensor, returning its flat buffer.
-    pub fn into_vec(self) -> Vec<f32> {
-        self.data
-    }
-
     /// Interprets the tensor as a 2-D matrix, returning `(rows, cols)`.
     ///
     /// Rank-1 tensors are viewed as a single row. Higher-rank tensors are

@@ -163,7 +163,7 @@ impl OracleMlp {
     }
 }
 
-/// Accumulates `b` into `a` the way `Network::backward` accumulates into
+/// Accumulates `b` into `a` the way `Network::backward_train` accumulates into
 /// `Param::grad`.
 fn accumulate(a: &mut OracleGrads, b: &OracleGrads) {
     for (x, y) in a.iter_mut().zip(b.iter()) {
@@ -725,20 +725,27 @@ fn sharded_deletion_is_bitwise_identical_to_seed_pipeline() {
 #[test]
 fn unlearning_is_thread_count_invariant() {
     // Identical UnlearnOutcome (state bits + accuracies) at 1, 2 and 8
-    // threads on the shared pool, for the client-parallel Goldfish round
-    // loop and the shard-parallel deletion path.
+    // threads on the shared pool, for the client-parallel round loops of
+    // Goldfish, B2 and B3 and the shard-parallel deletion path.
     let setup = fixture(103, 13);
-    let method = GoldfishUnlearning::default().with_local(goldfish_cfg());
-    let run_goldfish = |threads: usize| pool::install(Some(threads), || method.unlearn(&setup, 5));
-    let one = run_goldfish(1);
-    for threads in [2, 8] {
-        let other = run_goldfish(threads);
-        assert_bitwise(
-            &other.global_state,
-            &one.global_state,
-            &format!("goldfish @ {threads} threads"),
-        );
-        assert_eq!(other.round_accuracies, one.round_accuracies);
+    let goldfish = GoldfishUnlearning::default().with_local(goldfish_cfg());
+    let methods: [&dyn UnlearningMethod; 3] = [
+        &goldfish,
+        &RapidRetrain::default(),
+        &IncompetentTeacher::default(),
+    ];
+    for method in methods {
+        let run = |threads: usize| pool::install(Some(threads), || method.unlearn(&setup, 5));
+        let one = run(1);
+        for threads in [2, 8] {
+            let other = run(threads);
+            assert_bitwise(
+                &other.global_state,
+                &one.global_state,
+                &format!("{} @ {threads} threads", method.name()),
+            );
+            assert_eq!(other.round_accuracies, one.round_accuracies);
+        }
     }
 
     let spec = SyntheticSpec::mnist().with_size(8, 8).with_shift(1);

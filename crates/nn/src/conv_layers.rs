@@ -12,10 +12,11 @@ use crate::layer::{Layer, Param};
 ///
 /// Holds a [`ConvWorkspace`] so the convolution kernels reuse their
 /// scratch buffers across steps: zero per-image allocations, and at
-/// shapes whose forward runs in place (LeNet-5's) an eval-only layer
-/// never grows the column buffers at all. The cached input and the
-/// gradient staging buffers are persistent too, so a training step via
-/// the `_into` plumbing allocates nothing after warm-up.
+/// shapes whose forward runs in place (LeNet-5's) no layer grows the
+/// column matrix, nor an eval-only one the staging matrix. The cached
+/// input and the gradient staging buffers are persistent too, so a
+/// training step via the `_into` plumbing allocates nothing after
+/// warm-up.
 #[derive(Debug)]
 pub struct Conv2d {
     weight: Param,
@@ -97,9 +98,9 @@ impl Layer for Conv2d {
             &mut self.ws,
             out,
         );
-        // Backward re-lowers the input block-wise (cheaper than caching a
-        // whole-batch column matrix), so a training pass keeps the input
-        // itself; an eval pass keeps nothing.
+        // Backward reads the input where it lies (no column matrix is
+        // cached), so a training pass keeps the input itself; an eval
+        // pass keeps nothing.
         if train {
             self.input.assign(x);
         }

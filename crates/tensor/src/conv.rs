@@ -9,13 +9,18 @@
 //! register strips, blocks on the small path) it is *batched* `im2col` +
 //! GEMM: the minibatch is lowered in cache-sized image blocks into a
 //! `[c·kh·kw, blk·oh·ow]` column matrix held in a reusable
-//! [`ConvWorkspace`], one call into [`crate::engine`] per block. Backward
-//! is always lowered: two batched GEMMs plus a `col2im` scatter per block.
-//! The lowering moves whole row runs, never single elements, and no GEMM
-//! operand is transposed after it has been lowered.
+//! [`ConvWorkspace`], one call into [`crate::engine`] per block.
+//!
+//! The backward pass runs over the same image blocks at every geometry.
+//! `∂W` never lowers its input: one sweep per block reads each
+//! `(c, ky, kx)` row of the column matrix out of the images where they
+//! lie, against the block's `grad_out` gathered position-major, rounding
+//! every step as the lowered GEMM did. `∂input` is one GEMM into the
+//! block's column gradient and a `col2im` scatter of row runs.
 
 use crate::engine;
 use crate::Tensor;
+use std::ops::Range;
 
 /// Geometry of a 2-D convolution or pooling window.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
@@ -83,35 +88,41 @@ const COL_BLOCK_ELEMS: usize = 96 * 1024;
 /// The lowering is batched over image blocks (see `COL_BLOCK_ELEMS`) —
 /// one GEMM per block instead of one per image — and the buffers are
 /// reused across blocks, steps and epochs: the conv hot path performs no
-/// per-image allocations. A forward that runs in place uses only the
-/// small grid tables and staged image, so a network that only ever runs
-/// forward (evaluation, a scorer, a teacher) never grows the column
-/// buffers at such shapes. A `Conv2d` layer owns one workspace; the free
-/// functions below also accept an external one.
+/// per-image allocations. A forward that runs in place and every backward
+/// use only the small per-geometry tables, the staged images and the
+/// `grad_out` gathers, so no network grows the column matrix at such
+/// shapes. A `Conv2d` layer owns one workspace; the free functions below
+/// also accept an external one.
 #[derive(Debug, Default, Clone)]
 pub struct ConvWorkspace {
-    /// Lowered input of the current block: `[c·kh·kw, blk·oh·ow]` in a
-    /// lowered forward pass, its transpose `[blk·oh·ow, c·kh·kw]` in the
-    /// backward pass — rows padded to the GEMM's register-tile width when
-    /// `c·kh·kw` is narrower than one tile (one buffer for both). Only the
-    /// backward grows it where the forward runs in place.
+    /// Lowered input of the current block, `[c·kh·kw, blk·oh·ow]`: only a
+    /// lowered forward pass grows it.
     col: Vec<f32>,
-    /// Filter-major staging matrix `[f, blk·oh·ow]` (lowered forward GEMM
-    /// output; backward gather of `grad_out`). Only the backward grows it
-    /// where the forward runs in place.
+    /// Filter-major staging matrix `[f, blk·oh·ow]`: the lowered forward
+    /// GEMM's output, and the backward's gather of `grad_out` for
+    /// `∂input`. Only a backward that computes `∂input` grows it where the
+    /// forward runs in place.
     fmat: Vec<f32>,
     /// Backward scratch: `∂L/∂col` for the current block.
     gcol: Vec<f32>,
-    /// Backward scratch: per-block `∂L/∂W` before accumulation.
-    gw_block: Vec<f32>,
+    /// Backward scratch: one lane group of the block's `grad_out`,
+    /// position-major, `[blk·oh·ow, lanes]` with the pad lanes zero.
+    gt: Vec<f32>,
+    /// Backward scratch: one lane group's `∂Wᵀ` for the current block,
+    /// `[c·kh·kw, lanes]`, before accumulation.
+    wt: Vec<f32>,
     /// In-place forward: where each `(c, ky, kx)` row of the image grid
-    /// starts, and which lanes of each strip are output positions.
+    /// starts, and which lanes of each strip are output positions (built
+    /// with `taps`, read only where `in_place` holds).
     grid: engine::OffsetLayout,
-    /// The `(c, h, w, spec)` that `grid` and `img` are sized for.
-    grid_key: Option<(usize, usize, usize, Conv2dSpec)>,
-    /// In-place forward: one staged image, `[c, h + 2·pad, w + 2·pad]`
-    /// plus the `kw − 1` elements the sweep over-reads, zero outside the
-    /// image.
+    /// Backward: where each `(c, ky, kx)` tap and each output row start
+    /// in a (padded) image.
+    taps: engine::TapLayout,
+    /// The `(c, h, w, spec)` that `grid`, `taps` and `img` are built for.
+    geometry: Option<(usize, usize, usize, Conv2dSpec)>,
+    /// Staged images, `[c, h + 2·pad, w + 2·pad]` each, zero outside the
+    /// image: one (plus the `kw − 1` elements its sweep over-reads) for
+    /// the in-place forward, a block of them for a padded backward.
     img: Vec<f32>,
 }
 
@@ -119,6 +130,33 @@ impl ConvWorkspace {
     /// Creates an empty workspace (buffers grow on first use).
     pub fn new() -> Self {
         ConvWorkspace::default()
+    }
+
+    /// Builds the tables and the staged-image buffer for `(c, h, w,
+    /// spec)`, unless they already are: once per geometry, so the passes
+    /// allocate nothing after warm-up. Row `(c, ky, kx)` of the lowering
+    /// starts at `(c·hp + ky)·wp + kx` in the padded image `[c, hp, wp]`,
+    /// and output row `oy` at `oy·stride·wp`.
+    fn fit(&mut self, (c, h, w): (usize, usize, usize), spec: &Conv2dSpec) {
+        let key = (c, h, w, *spec);
+        if self.geometry == Some(key) {
+            return;
+        }
+        let (oh, ow) = spec.output_hw(h, w);
+        let (kh, kw, pad) = (spec.kh, spec.kw, spec.padding);
+        let (hp, wp) = (h + 2 * pad, w + 2 * pad);
+        let taps = (0..c * kh * kw).map(|p| {
+            let (ch, ky, kx) = (p / (kh * kw), p / kw % kh, p % kw);
+            (ch * hp + ky) * wp + kx
+        });
+        let dst = |q: usize| (q % wp < ow).then(|| q / wp * ow + q % wp);
+        self.grid.rebuild(taps.clone(), oh * wp / engine::NR, dst);
+        let rows = (0..oh).map(|oy| oy * spec.stride * wp);
+        self.taps
+            .rebuild(taps, rows, (ow, spec.stride, c * hp * wp));
+        self.img.clear();
+        self.img.resize(c * hp * wp + kw - 1, 0.0);
+        self.geometry = Some(key);
     }
 }
 
@@ -204,80 +242,11 @@ fn im2col_block(
     }
 }
 
-/// Lowers the image block **position-major**: the transpose of
-/// [`im2col_block`]'s matrix, `[blk·oh·ow, c·kh·kw]`, at row stride
-/// `ld ≥ c·kh·kw`, overwriting all of `col` (lanes `c·kh·kw..ld` of every
-/// row are zeroed). Row `s·oh·ow + oy·ow + ox` is that output position's
-/// receptive field, and each of its `(c, ky)` segments is a run of `kw`
-/// adjacent input elements at any stride (clipped to zeros at the
-/// padding), so the buffer is filled in short contiguous copies, one
-/// output row's worth of rows at a time. This is the `B` operand of
-/// `∂W = G · colᵀ`: lowering it directly replaces a transpose of the whole
-/// column block, and lowering it at the engine's stride
-/// ([`engine::b_stride`]) replaces the narrow path's pad copy.
-fn im2row_block(
-    input: &[f32],
-    (blk, c, h, w): (usize, usize, usize, usize),
-    spec: &Conv2dSpec,
-    (oh, ow): (usize, usize),
-    ld: usize,
-    col: &mut [f32],
-) {
-    let (kh, kw, stride, pad) = (spec.kh, spec.kw, spec.stride, spec.padding);
-    let ckk = c * kh * kw;
-    // Output columns [in0, in1) see a whole kernel row inside the image —
-    // the unclipped, branch-free bulk; the few outside are clipped.
-    let in0 = pad.div_ceil(stride).min(ow);
-    let in1 = ((w + pad + stride).saturating_sub(kw) / stride).clamp(in0, ow);
-    for s in 0..blk {
-        let img = &input[s * c * h * w..(s + 1) * c * h * w];
-        for oy in 0..oh {
-            // The `ow` rows of this output row, filled one `(c, ky)`
-            // segment column at a time so each source row is sliced once.
-            let band = &mut col[(s * oh + oy) * ow * ld..(s * oh + oy + 1) * ow * ld];
-            // Pad lanes are zeroed with the whole band in one fill, not
-            // row by row: a fill call per 28-byte pad measured 10–25 % of
-            // conv1's lowering.
-            if ld > ckk {
-                band.fill(0.0);
-            }
-            for ch in 0..c {
-                for ky in 0..kh {
-                    let off = (ch * kh + ky) * kw;
-                    let iy = oy * stride + ky;
-                    if iy < pad || iy - pad >= h {
-                        for row in band.chunks_exact_mut(ld) {
-                            row[off..off + kw].fill(0.0);
-                        }
-                        continue;
-                    }
-                    let src = &img[(ch * h + iy - pad) * w..(ch * h + iy - pad + 1) * w];
-                    for (ox, row) in band.chunks_exact_mut(ld).enumerate().take(in1).skip(in0) {
-                        copy_run(&mut row[off..off + kw], &src[ox * stride - pad..]);
-                    }
-                    for ox in (0..in0).chain(in1..ow) {
-                        // Kernel columns [kx0, kx1) land inside the image row.
-                        let kx0 = pad.saturating_sub(ox * stride).min(kw);
-                        let kx1 = (w + pad).saturating_sub(ox * stride).clamp(kx0, kw);
-                        let seg = &mut band[ox * ld + off..ox * ld + off + kw];
-                        seg[..kx0].fill(0.0);
-                        seg[kx1..].fill(0.0);
-                        if kx0 < kx1 {
-                            copy_run(&mut seg[kx0..kx1], &src[ox * stride + kx0 - pad..]);
-                        }
-                    }
-                }
-            }
-        }
-    }
-}
-
 /// Copies the `dst.len()`-long run at the head of `src`. Runs here are one
-/// kernel row or one output row — tens of bytes — where a `memcpy` call
-/// costs more than the move itself (measured: half the position-major
-/// lowering, a third of the LeNet conv2 `im2col`). The kernel widths the
-/// model zoo uses move as one fixed-size array; any other length as blocks
-/// of eight plus an element-wise tail.
+/// output row — tens of bytes — where a `memcpy` call costs more than the
+/// move itself (measured: a third of the LeNet conv2 `im2col`). Widths 1,
+/// 3 and 5 move as one fixed-size array; any other length as blocks of
+/// eight plus an element-wise tail.
 #[inline(always)]
 fn copy_run(dst: &mut [f32], src: &[f32]) {
     fn fixed<const N: usize>(dst: &mut [f32], src: &[f32]) {
@@ -304,7 +273,8 @@ fn copy_run(dst: &mut [f32], src: &[f32]) {
 /// onto images, **accumulating** overlapping contributions (as backprop
 /// requires) in ascending `(ky, kx)` order per input element. `img_out`
 /// covers the same block and must be zeroed by the caller. Same row runs
-/// as the lowering: one slice add per `(.., oy)` row at stride 1.
+/// as the lowering: one add per `(.., oy)` row, into a destination sliced
+/// to exactly the run's elements.
 fn col2im_block(
     col: &[f32],
     (blk, c, h, w): (usize, usize, usize, usize),
@@ -326,9 +296,11 @@ fn col2im_block(
                     }
                     let krow = (ch * spec.kh + ky) * spec.kw + kx;
                     let crow = &col[krow * cols + s * oh * ow..krow * cols + (s + 1) * oh * ow];
+                    let len = (ox1 - ox0 - 1) * stride + 1;
                     for (oy, src) in crow.chunks_exact(ow).enumerate().take(oy1).skip(oy0) {
                         let iy = oy * stride + ky - pad;
-                        let dst = &mut img[(ch * h + iy) * w + ox0 * stride + kx - pad..];
+                        let at = (ch * h + iy) * w + ox0 * stride + kx - pad;
+                        let dst = &mut img[at..at + len];
                         let src = &src[ox0..ox1];
                         if stride == 1 {
                             for (d, &v) in dst.iter_mut().zip(src) {
@@ -440,20 +412,8 @@ fn forward_in_place(
     let (_, c, h, w) = input.dims4();
     let f = weight.dims4().0;
     let (oh, ow) = spec.output_hw(h, w);
-    let (kh, kw, pad) = (spec.kh, spec.kw, spec.padding);
-    let (hp, wp) = (h + 2 * pad, w + 2 * pad);
-    let key = (c, h, w, *spec);
-    if ws.grid_key != Some(key) {
-        let offs = (0..c * kh * kw).map(|p| {
-            let (ch, ky, kx) = (p / (kh * kw), p / kw % kh, p % kw);
-            (ch * hp + ky) * wp + kx
-        });
-        let dst = |q: usize| (q % wp < ow).then(|| q / wp * ow + q % wp);
-        ws.grid.rebuild(offs, oh * wp / engine::NR, dst);
-        ws.img.clear();
-        ws.img.resize(c * hp * wp + kw - 1, 0.0);
-        ws.grid_key = Some(key);
-    }
+    let (kw, pad) = (spec.kw, spec.padding);
+    ws.fit((c, h, w), spec);
     let (iv, wv, bv) = (input.as_slice(), weight.as_slice(), bias.as_slice());
     let chw = c * h * w;
     for (s, out) in out.chunks_exact_mut(f * oh * ow).enumerate() {
@@ -469,8 +429,8 @@ fn forward_in_place(
 }
 
 /// Copies `img: [c, h, w]` into the interior of the zero-padded `grid:
-/// [c, h + 2·pad, w + 2·pad, ..]`, whose border (and anything past it) is
-/// left as it is: zero from when the buffer was sized.
+/// [c, h + 2·pad, w + 2·pad, ..]`, whose border is left as it is: zero
+/// from when the buffer was sized, since only interiors are ever staged.
 fn stage(img: &[f32], (h, w): (usize, usize), pad: usize, grid: &mut [f32]) {
     let (hp, wp) = (h + 2 * pad, w + 2 * pad);
     for (ch, plane) in img.chunks_exact(h * w).enumerate() {
@@ -533,30 +493,33 @@ fn forward_lowered(
 ///
 /// Given `grad_out = ∂L/∂output` of shape `[n, f, oh, ow]`, the original
 /// `input` and the layer `weight`, computes `∂L/∂input`, `∂L/∂W` and
-/// `∂L/∂b`. Runs block-wise like the forward pass, re-lowering each image
-/// block (recomputing the lowering is far cheaper than keeping — and
-/// streaming — a whole-batch column matrix), with `G` the filter-major
-/// gather of the block's `grad_out`:
+/// `∂L/∂b`. Runs over the same cache-sized image blocks as the lowered
+/// forward pass; per block:
 ///
-/// * `∂L/∂W += G · colᵀ` — the block is re-lowered **position-major**
-///   (`colᵀ: [blk·oh·ow, c·kh·kw]`, into the forward pass's column
-///   buffer), so this is [`engine::gemm`]'s product and the column block
-///   is never transposed. A `c·kh·kw` narrower than the register tile
-///   ([`engine::NR`]) is lowered straight into the zero-padded panel the
-///   GEMM sweeps, so it is not copied again. The per-block partial
-///   products are summed in block order, which makes the block partition
-///   part of the reduction order.
-/// * `∂L/∂col = Wᵀ · G`, scattered back onto the images by `col2im`.
+/// * `∂L/∂Wᵀ += col · Gᵀ`, with `Gᵀ` the block's `grad_out` gathered
+///   position-major, 8 filters at a time up to 8 and 16 above, and `col`
+///   never laid out: the engine's tap sweep reads each `(c, ky, kx)` row
+///   of it out of the images themselves (a padded layer stages the block
+///   zero-padded first). Every element is the chain the lowered
+///   `G · colᵀ` computed, and the per-block partial products are summed
+///   in block order, which makes the block partition part of the
+///   reduction order.
+/// * `∂L/∂b +=` each filter's ascending sum of `Gᵀ` from −0.0, formed
+///   during the gather, every lane of a group side by side.
+/// * `∂L/∂col = Wᵀ · G` over the filter-major gather of `grad_out`,
+///   scattered back onto the images by `col2im`.
 ///
 /// Pass `grad_in: None` to skip the `∂L/∂input` half entirely (the
-/// `Wᵀ·G` GEMM and the `col2im` scatter): the parameter gradients do not
-/// depend on it, so a network's *first* layer — whose input is the data
-/// batch — backpropagates strictly cheaper this way with bitwise
-/// identical `∂L/∂W` / `∂L/∂b`.
+/// filter-major gather, the `Wᵀ·G` GEMM and the `col2im` scatter): the
+/// parameter gradients do not depend on it, so a network's *first* layer
+/// — whose input is the data batch — backpropagates strictly cheaper this
+/// way with bitwise identical `∂L/∂W` / `∂L/∂b`.
 ///
 /// # Panics
 ///
-/// Panics if shapes are inconsistent.
+/// Panics if the weight does not match the input's channels or the spec's
+/// kernel (as in [`conv2d_forward_into`]), or `grad_out` is not the
+/// `[n, f, oh, ow]` the forward pass produces.
 #[allow(clippy::too_many_arguments)] // convolution geometry + outputs; crate-internal callers wrap it
 pub fn conv2d_backward_into(
     grad_out: &Tensor,
@@ -569,17 +532,28 @@ pub fn conv2d_backward_into(
     grad_b: &mut Tensor,
 ) {
     let (n, c, h, w) = input.dims4();
-    let (gn, f, oh, ow) = grad_out.dims4();
+    let (f, wc, kh, kw) = weight.dims4();
+    assert_eq!(c, wc, "conv channel mismatch: input {c} vs weight {wc}");
+    assert_eq!((kh, kw), (spec.kh, spec.kw), "weight does not match spec");
+    let (gn, gf, oh, ow) = grad_out.dims4();
     assert_eq!(gn, n, "grad batch {gn} != input batch {n}");
-    let ckk = c * spec.kh * spec.kw;
+    assert_eq!(gf, f, "grad filters {gf} != weight filters {f}");
+    assert_eq!(
+        (oh, ow),
+        spec.output_hw(h, w),
+        "grad_out spatial size does not match the output"
+    );
+    let ckk = c * kh * kw;
     let ohow = oh * ow;
+    let chw = c * h * w;
+    let pad = spec.padding;
+    let pitch = c * (h + 2 * pad) * (w + 2 * pad);
+    ws.fit((c, h, w), spec);
     let iv = input.as_slice();
     let gv = grad_out.as_slice();
-    grad_w.resize(&[f, c, spec.kh, spec.kw]);
+    grad_w.resize(&[f, c, kh, kw]);
     grad_w.zero_mut();
     let gwv = grad_w.as_mut_slice();
-    // No zeroing: the per-block GEMM overwrites gw_block completely.
-    let gw_block = grown(&mut ws.gw_block, f * ckk);
     grad_b.resize(&[f]);
     grad_b.zero_mut();
     let gbv = grad_b.as_mut_slice();
@@ -587,66 +561,104 @@ pub fn conv2d_backward_into(
         gi.resize(&[n, c, h, w]);
         gi.zero_mut();
     }
+    let lanes = engine::tap_lanes(f);
     let step = block_images(ckk, ohow, n);
     let mut s0 = 0;
     while s0 < n {
         let blk = step.min(n - s0);
         let x = blk * ohow;
-        // Gather grad_out [blk, f, oh·ow] into filter-major G [f, blk·oh·ow].
-        let fmat = grown(&mut ws.fmat, f * x);
-        for s in 0..blk {
-            for fi in 0..f {
-                let srcr = &gv[((s0 + s) * f + fi) * ohow..((s0 + s) * f + fi + 1) * ohow];
-                fmat[fi * x + s * ohow..fi * x + (s + 1) * ohow].copy_from_slice(srcr);
+        let block = s0 * chw..(s0 + blk) * chw;
+        let grads = &gv[s0 * f * ohow..(s0 + blk) * f * ohow];
+        // An unpadded block is read where it lies; a padded one is staged
+        // image by image into the zero-bordered buffer.
+        let images = if pad == 0 {
+            &iv[block.clone()]
+        } else {
+            if ws.img.len() < blk * pitch {
+                ws.img.resize(blk * pitch, 0.0);
             }
-        }
-        add_row_sums(gbv, fmat, x);
-        // Re-lower this block position-major, at the row stride the
-        // engine sweeps it at, and accumulate
-        // ∂L/∂W += G · colᵀ ([f, x] · [x, ckk] → [f, ckk]).
-        let ld = engine::b_stride(f, x, ckk);
-        let col_t = grown(&mut ws.col, x * ld);
-        let images = s0 * c * h * w..(s0 + blk) * c * h * w;
-        let block = &iv[images.clone()];
-        im2row_block(block, (blk, c, h, w), spec, (oh, ow), ld, col_t);
-        engine::gemm_strided(f, x, ckk, fmat, col_t, ld, gw_block);
-        for (acc, &v) in gwv.iter_mut().zip(gw_block.iter()) {
-            *acc += v;
+            for (image, staged) in iv[block.clone()]
+                .chunks_exact(chw)
+                .zip(ws.img.chunks_mut(pitch))
+            {
+                stage(image, (h, w), pad, staged);
+            }
+            &ws.img[..blk * pitch]
+        };
+        // ∂Wᵀ = col · Gᵀ ([ckk, x] · [x, lanes] → [ckk, lanes]), one lane
+        // group at a time, each step rounded as `gemm(f, x, ckk)` would.
+        let fused = engine::fused_columns(f, x, ckk);
+        for g0 in (0..f).step_by(lanes) {
+            let nl = lanes.min(f - g0);
+            let gt = grown(&mut ws.gt, x * lanes);
+            let sums = &mut gbv[g0..g0 + nl];
+            match lanes {
+                8 => gather_lanes::<8>(grads, (f, ohow), g0..g0 + nl, gt, sums),
+                _ => gather_lanes::<16>(grads, (f, ohow), g0..g0 + nl, gt, sums),
+            }
+            let wt = grown(&mut ws.wt, ckk * lanes);
+            engine::gemm_taps(images, &ws.taps, gt, lanes, fused, wt);
+            for (l, gw) in gwv[g0 * ckk..(g0 + nl) * ckk]
+                .chunks_exact_mut(ckk)
+                .enumerate()
+            {
+                for (acc, row) in gw.iter_mut().zip(wt.chunks_exact(lanes)) {
+                    *acc += row[l];
+                }
+            }
         }
         // ∂L/∂col = Wᵀ · G ([ckk, f] · [f, x] → [ckk, x]), then scatter.
         if let Some(gi) = grad_in.as_deref_mut() {
+            // Gather grad_out [blk, f, oh·ow] into filter-major G [f, blk·oh·ow].
+            let fmat = grown(&mut ws.fmat, f * x);
+            for (s, image) in grads.chunks_exact(f * ohow).enumerate() {
+                for (fi, src) in image.chunks_exact(ohow).enumerate() {
+                    fmat[fi * x + s * ohow..fi * x + (s + 1) * ohow].copy_from_slice(src);
+                }
+            }
             let gcol = grown(&mut ws.gcol, ckk * x);
             engine::gemm_at_b(f, ckk, x, weight.as_slice(), fmat, gcol);
-            let grad_images = &mut gi.as_mut_slice()[images];
+            let grad_images = &mut gi.as_mut_slice()[block];
             col2im_block(gcol, (blk, c, h, w), spec, (oh, ow), grad_images);
         }
         s0 += blk;
     }
 }
 
-/// `∂L/∂b += ` the row sums of `G: [f, x]`: `sums[r]` gains row `r`'s sum
-/// exactly as `Iterator::sum` forms it — one serial chain in ascending
-/// order from −0.0 — but up to eight rows run side by side, so each
-/// chain's add latency overlaps the others' instead of adding up. Summed
-/// one row after another, conv1's six rows were a fifth of its `∂W`-only
-/// block; side by side they cost a third as much.
-fn add_row_sums(sums: &mut [f32], g: &[f32], x: usize) {
-    const ROWS: usize = 8;
-    for (sums, g) in sums.chunks_mut(ROWS).zip(g.chunks(ROWS * x)) {
-        // Slots past the group's last row re-read its first, and their
-        // sums are dropped. Every row is resliced to exactly `x` so the
-        // column loop needs no bounds checks.
-        let rows: [&[f32]; ROWS] =
-            std::array::from_fn(|r| &g.get(r * x..(r + 1) * x).unwrap_or(g)[..x]);
-        let mut acc = [-0.0f32; ROWS];
-        for j in 0..x {
-            for (a, row) in acc.iter_mut().zip(rows) {
-                *a += row[j];
+/// Gathers filters `lanes` of a block's `grads: [blk, f, oh·ow]`
+/// position-major into `gt: [blk·oh·ow, L]`, lanes past them zero, and
+/// adds each filter's sum to its slot of `sums` — one serial chain in
+/// ascending position order from −0.0, exactly as `Iterator::sum` forms
+/// it, but all `L` side by side, so each chain's add latency overlaps the
+/// others' instead of adding up.
+fn gather_lanes<const L: usize>(
+    grads: &[f32],
+    (f, ohow): (usize, usize),
+    lanes: Range<usize>,
+    gt: &mut [f32],
+    sums: &mut [f32],
+) {
+    let nl = lanes.len();
+    let mut acc = [-0.0f32; L];
+    for (image, dst) in grads
+        .chunks_exact(f * ohow)
+        .zip(gt.chunks_exact_mut(ohow * L))
+    {
+        // Lanes past the group's last filter re-read its first, and are
+        // stored as zero.
+        let rows: [&[f32]; L] = std::array::from_fn(|l| {
+            let fi = lanes.start + if l < nl { l } else { 0 };
+            &image[fi * ohow..(fi + 1) * ohow]
+        });
+        for (q, dst) in dst.chunks_exact_mut(L).enumerate() {
+            for (l, (d, a)) in dst.iter_mut().zip(&mut acc).enumerate() {
+                *d = if l < nl { rows[l][q] } else { 0.0 };
+                *a += *d;
             }
         }
-        for (s, a) in sums.iter_mut().zip(acc) {
-            *s += a;
-        }
+    }
+    for (s, a) in sums.iter_mut().zip(acc) {
+        *s += a;
     }
 }
 
@@ -1220,6 +1232,9 @@ mod tests {
     fn conv_is_bitwise_equal_to_elementwise_lowering_on_generated_geometry() {
         use rand::{rngs::StdRng, Rng, SeedableRng};
         let mut rng = StdRng::seed_from_u64(23);
+        // How many cases put `∂W` rows on the edge strip's
+        // multiply-then-add, and how many blocks on the small path.
+        let (mut edge, mut small) = (0, 0);
         for case in 0..48 {
             let (kh, kw) = loop {
                 let k = (rng.gen_range(1..=5usize), rng.gen_range(1..=5usize));
@@ -1228,7 +1243,8 @@ mod tests {
                 }
             };
             let spec = Conv2dSpec::new(kh, kw, rng.gen_range(1..=3), rng.gen_range(0..=2));
-            let (c, f) = (rng.gen_range(1..=3usize), rng.gen_range(1..=7usize));
+            // Filters in one lane group and in several.
+            let (c, mut f) = (rng.gen_range(1..=3usize), rng.gen_range(1..=40usize));
             let (mut h, mut w) = (rng.gen_range(5..=14usize), rng.gen_range(5..=14usize));
             if h == w {
                 w += 1;
@@ -1244,10 +1260,57 @@ mod tests {
                 h += 7;
                 w += 5;
             };
-            // Two or three blocks, the last one short.
-            let n = step * rng.gen_range(1..=2usize) + rng.gen_range(1..=step.max(2) - 1);
+            // Two or three blocks, the last one short — every eighth case
+            // one image of one filter, below SMALL_FLOPS.
+            let mut short = rng.gen_range(1..=step.max(2) - 1);
+            if case % 8 == 0 {
+                (f, short) = (1, 1);
+            }
+            let n = step * rng.gen_range(1..=2usize) + short;
+            let (oh, ow) = spec.output_hw(h, w);
+            let ckk = c * kh * kw;
+            edge += usize::from(ckk > engine::NR && !ckk.is_multiple_of(engine::NR));
+            small += usize::from(f * ckk * (n % step).max(1) * oh * ow < engine::SMALL_FLOPS);
             assert_bitwise_equal_to_oracle((n, c, h, w, f), &spec, 1000 + case);
         }
+        assert!(edge > 0 && small > 0, "edge {edge}, small {small}");
+    }
+
+    /// Runs the backward (`∂W` only) over a `[2, 1, 28, 28]` input with
+    /// the given weight and `grad_out` shapes.
+    fn backward_with(weight: Vec<usize>, grad_out: Vec<usize>) {
+        let spec = Conv2dSpec::new(5, 5, 1, 0);
+        let input = Tensor::zeros(vec![2, 1, 28, 28]);
+        let (weight, grad_out) = (Tensor::zeros(weight), Tensor::zeros(grad_out));
+        let (mut gw, mut gb) = (Tensor::zeros(vec![0]), Tensor::zeros(vec![0]));
+        let ws = &mut ConvWorkspace::new();
+        conv2d_backward_into(
+            &grad_out, &input, &weight, &spec, ws, None, &mut gw, &mut gb,
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "conv channel mismatch")]
+    fn backward_rejects_a_weight_over_other_channels() {
+        backward_with(vec![6, 2, 5, 5], vec![2, 6, 24, 24]);
+    }
+
+    #[test]
+    #[should_panic(expected = "weight does not match spec")]
+    fn backward_rejects_a_weight_of_another_kernel() {
+        backward_with(vec![6, 1, 3, 5], vec![2, 6, 24, 24]);
+    }
+
+    #[test]
+    #[should_panic(expected = "grad filters 4 != weight filters 6")]
+    fn backward_rejects_grad_out_of_other_filters() {
+        backward_with(vec![6, 1, 5, 5], vec![2, 4, 24, 24]);
+    }
+
+    #[test]
+    #[should_panic(expected = "grad_out spatial size does not match the output")]
+    fn backward_rejects_grad_out_of_another_output_size() {
+        backward_with(vec![6, 1, 5, 5], vec![2, 6, 23, 24]);
     }
 
     #[test]
@@ -1444,7 +1507,8 @@ mod tests {
         // A forward-only layer (eval, `ServerMse` scoring, a teacher) at
         // LeNet-5's shapes: `Conv2d::forward` is this call, over the
         // layer's own workspace. The column matrix and the staging matrix
-        // are never grown; the backward still lowers into them.
+        // are never grown, and a training step's backward, which reads
+        // the images in place, leaves the column matrix unallocated too.
         let spec = Conv2dSpec::new(5, 5, 1, 0);
         for (c, hw, f) in [(1, 28, 6), (6, 12, 16)] {
             let mut ws = ConvWorkspace::new();
@@ -1464,7 +1528,7 @@ mod tests {
             conv2d_backward_into(
                 &grad_out, &input, &weight, &spec, &mut ws, gi, &mut gw, &mut gb,
             );
-            assert!(!ws.col.is_empty() && !ws.fmat.is_empty(), "c={c}");
+            assert_eq!(ws.col.capacity(), 0, "c={c}");
         }
     }
 

@@ -4,10 +4,13 @@
 //! convolutions and every backward pass funnel into the three GEMM
 //! orientations here (`A·B`, `Aᵀ·B`, `A·Bᵀ`), operating on raw row-major
 //! `f32` slices so callers (e.g. batched conv) can avoid intermediate
-//! `Tensor` allocations. A fourth, crate-private form, `gemm_offsets`,
-//! sweeps a `B` that is never laid out — the convolution forward's image,
-//! its rows at fixed offsets — through the same tiles, and stores only
-//! the columns it is told to, plus a bias.
+//! `Tensor` allocations. Two more, crate-private forms read an operand
+//! that is never laid out out of the convolution's images: `gemm_offsets`
+//! sweeps the forward's `B` — the image, its rows at fixed offsets —
+//! through the same tiles, and stores only the columns it is told to,
+//! plus a bias; `gemm_taps` sweeps the backward's `A` — one row per
+//! kernel tap, read at a per-tap offset from each output row of each
+//! image — against a narrow `G` of 8 or 16 lanes.
 //!
 //! # Dispatch
 //!
@@ -40,6 +43,12 @@
 //! * full strips and narrow outputs: hardware fused multiply-add where
 //!   the target has FMA (one rounding), multiply-then-add where it does
 //!   not. `gemm_offsets` sweeps full strips only.
+//!
+//! `fused_columns` states which columns of a product are which, and
+//! [`gemm`] dispatches on it. `gemm_taps` reproduces the columns of a
+//! `gemm` it never runs — the lowered convolution `∂W = G · colᵀ` — as its
+//! rows, so it takes each row's step from the same rule: fused for the
+//! rows `fused_columns` names, multiply-then-add for the rest.
 //!
 //! So large-path results can differ from the reference by normal `k · ε`
 //! accumulation rounding (the equivalence proptests pin it under `1e-4`
@@ -185,75 +194,50 @@ pub fn gemm(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], out: &mut [f32])
         out.fill(0.0);
         return;
     }
-    let work = flops(m, k, n);
-    if work < SMALL_FLOPS {
-        out.fill(0.0);
-        gemm_rows_small(0..m, k, n, a, b, out);
-    } else if n < NR {
+    match fused_columns(m, k, n) {
+        0 => {
+            out.fill(0.0);
+            gemm_rows_small(0..m, k, n, a, b, out);
+        }
         // Narrow outputs have no full register strip: sweep one
         // zero-padded strip instead.
-        with_scratch(&PANEL_SCRATCH, k * NR, |panel| {
+        fused if fused < NR => with_scratch(&PANEL_SCRATCH, k * NR, |panel| {
             pack_panel(panel, b, n, 0, n);
             gemm_narrow_panel(k, n, a, panel, out);
-        });
-    } else if work >= PAR_FLOPS && rayon::current_num_threads() > 1 {
-        parallel_rows(m, n, out, |rows, chunk| {
-            gemm_rows_tiled(rows, k, n, a, b, chunk);
-        });
-    } else {
-        gemm_rows_tiled(0..m, k, n, a, b, out);
+        }),
+        _ if flops(m, k, n) >= PAR_FLOPS && rayon::current_num_threads() > 1 => {
+            parallel_rows(m, n, out, |rows, chunk| {
+                gemm_rows_tiled(rows, k, n, a, b, chunk);
+            });
+        }
+        _ => gemm_rows_tiled(0..m, k, n, a, b, out),
     }
 }
 
-/// The row stride at which [`gemm_strided`] wants the `B: [k, n]` of an
-/// `m×k×n` product: [`NR`] when the product is large and narrower than one
-/// strip — the narrow tiled path, which sweeps `B` as one zero-padded
-/// `[k, NR]` panel — and `n` otherwise.
-pub(crate) fn b_stride(m: usize, k: usize, n: usize) -> usize {
-    if n < NR && flops(m, k, n) >= SMALL_FLOPS {
-        NR
-    } else {
+/// How many leading output columns of an `m×k×n` product [`gemm`]
+/// accumulates with `fma_acc` steps: none on the small path, every column
+/// of a narrow output (`n <` [`NR`]), and the whole strips of a wider one.
+/// The other columns — all of a small product, the `n % NR` edge strip
+/// of a large one — multiply, then add.
+///
+/// This is the rounding contract's one statement of which step a column
+/// takes: [`gemm`] dispatches on it, and [`gemm_taps`], which reproduces
+/// `gemm`'s columns as its rows, splits its sweep at it.
+pub(crate) fn fused_columns(m: usize, k: usize, n: usize) -> usize {
+    if flops(m, k, n) < SMALL_FLOPS {
+        0
+    } else if n < NR {
         n
+    } else {
+        n - n % NR
     }
-}
-
-/// [`gemm`] over a `B` its producer wrote at row stride
-/// `ldb = b_stride(m, k, n)`, lanes `n..ldb` of every row zero.
-///
-/// At `ldb == n` this *is* `gemm`. At `ldb == NR` the panel is swept as
-/// is: the convolution backward pass lowers `colᵀ` straight into it
-/// instead of handing `gemm` a `[k, n]` operand to pad into scratch. The
-/// bits are `gemm`'s either way — the same fused chain over the same
-/// operand values.
-///
-/// # Panics
-///
-/// Panics if `ldb` is not `b_stride(m, k, n)` or a slice length disagrees
-/// with its dimensions.
-pub(crate) fn gemm_strided(
-    m: usize,
-    k: usize,
-    n: usize,
-    a: &[f32],
-    b: &[f32],
-    ldb: usize,
-    out: &mut [f32],
-) {
-    assert_eq!(ldb, b_stride(m, k, n), "gemm_strided: B row stride");
-    if ldb == n {
-        return gemm(m, k, n, a, b, out);
-    }
-    assert_eq!(a.len(), m * k, "gemm_strided: A length");
-    assert_eq!(b.len(), k * NR, "gemm_strided: B length");
-    assert_eq!(out.len(), m * n, "gemm_strided: out length");
-    gemm_narrow_panel(k, n, a, b, out);
 }
 
 /// `out = A · B` for a narrow output (`n <` [`NR`]) from `B` laid out as
 /// one `[k, NR]` panel whose lanes `n..NR` are zero: a single fused strip
 /// stored `n` columns wide.
 ///
-/// Narrow outputs — classifier heads, thin dense layers, conv1's `∂W` —
+/// Narrow outputs — classifier heads, thin dense layers —
 /// would neither tile nor vectorize in an `n`-wide loop. The padding lanes
 /// are dead (zeros in, never stored); each real element accumulates in the
 /// tiled kernel's ascending-`p` FMA order, so this is a large-path kernel
@@ -670,6 +654,245 @@ pub(crate) fn gemm_offsets(
 }
 
 // ---------------------------------------------------------------------------
+// out = A · G over a tap-addressed A
+// ---------------------------------------------------------------------------
+
+/// Output lanes of a [`gemm_taps`] tile for an `n`-column `G`: 8 up to 8
+/// columns, else 16 per lane group. The width follows `n`, not [`NR`]:
+/// the convolution `∂W` this serves has 6 or 16 filters, and every lane
+/// past them is a padding lane computed for nothing (conv1's backward ran
+/// at about twice the time at 32 lanes as at 8).
+pub(crate) fn tap_lanes(n: usize) -> usize {
+    if n <= 8 {
+        8
+    } else {
+        16
+    }
+}
+
+/// Rows of an `R×8` [`gemm_taps`] tile. Sized, like [`MR`]`×`[`NR`], so
+/// the `R·L` accumulators, a row of `G` and a broadcast fit the
+/// compiled-for ISA's vector registers (12 + 2 of AVX-512's 32 at `L = 8`,
+/// 16 + 3 at `L = 16`: LLVM keeps 256-bit vectors here). Fewer rows
+/// re-stream `G` more often; on AVX-512 a 4- or 6-row 8-lane tile is also
+/// paired into 512-bit shuffles instead of broadcasts, and 24 rows spill.
+#[cfg(target_feature = "avx512f")]
+const TAP_ROWS_8: usize = 12;
+/// Rows of an `R×16` [`gemm_taps`] tile.
+#[cfg(target_feature = "avx512f")]
+const TAP_ROWS_16: usize = 8;
+/// Rows of an `R×8` [`gemm_taps`] tile; 256-bit-vector variant (16
+/// registers).
+#[cfg(all(target_feature = "avx", not(target_feature = "avx512f")))]
+const TAP_ROWS_8: usize = 12;
+/// Rows of an `R×16` [`gemm_taps`] tile; 256-bit-vector variant.
+#[cfg(all(target_feature = "avx", not(target_feature = "avx512f")))]
+const TAP_ROWS_16: usize = 6;
+/// Rows of an `R×8` [`gemm_taps`] tile; 128-bit-vector variant (16
+/// registers).
+#[cfg(not(target_feature = "avx"))]
+const TAP_ROWS_8: usize = 4;
+/// Rows of an `R×16` [`gemm_taps`] tile; 128-bit-vector variant.
+#[cfg(not(target_feature = "avx"))]
+const TAP_ROWS_16: usize = 2;
+
+/// How [`gemm_taps`] reads its `A` out of a batch of images it never lays
+/// out: row `j` at reduction step `p = (s, oy, ox)` is
+/// `images[s·pitch + rows[oy] + taps[j] + ox·stride]`, for `ox < ow`.
+/// Rebuilt in place, so a caller that keeps one allocates only while the
+/// tables grow.
+#[derive(Debug, Default, Clone)]
+pub(crate) struct TapLayout {
+    taps: Vec<usize>,
+    rows: Vec<usize>,
+    ow: usize,
+    stride: usize,
+    pitch: usize,
+}
+
+impl TapLayout {
+    /// Rebuilds the layout for row starts `taps`, output-row starts
+    /// `rows`, `ow` positions per output row `stride` apart, and images
+    /// `pitch` elements apart.
+    pub(crate) fn rebuild(
+        &mut self,
+        taps: impl Iterator<Item = usize>,
+        rows: impl Iterator<Item = usize>,
+        (ow, stride, pitch): (usize, usize, usize),
+    ) {
+        self.taps.clear();
+        self.taps.extend(taps);
+        self.rows.clear();
+        self.rows.extend(rows);
+        (self.ow, self.stride, self.pitch) = (ow, stride, pitch);
+    }
+}
+
+/// `out[j, ·] = Σ_p A[j, p] · G[p, ·]` with `A` read out of `images`
+/// through `layout` (`k` rows, one per tap, and one step `p` per image
+/// and output position), `G: [P, lanes]` and `out: [k, lanes]`
+/// (overwritten), for `lanes` 8 or 16 (see [`tap_lanes`]).
+///
+/// This is the convolution's `∂Wᵀ = col · Gᵀ` over the image itself
+/// (`conv`), and it reproduces `gemm(m, P, k)` — the lowered
+/// `∂W = G · colᵀ` — bit for bit: each element is the ascending-`p` chain
+/// from +0.0 that `gemm` computes for column `j`, rows `j < fused`
+/// stepping with `fma_acc` and the others multiplying, then adding, for
+/// `fused = `[`fused_columns`]`(m, P, k)` (the product commutes, so
+/// `x·g` rounds as `g·x`). Each [`TAP_ROWS_8`] / [`TAP_ROWS_16`]-row tile
+/// keeps its accumulators in registers across the whole reduction; the
+/// rows are split across the pool at [`PAR_FLOPS`].
+///
+/// # Panics
+///
+/// Panics if `lanes` is not 8 or 16, `fused > k`, or a slice length
+/// disagrees with the layout.
+pub(crate) fn gemm_taps(
+    images: &[f32],
+    layout: &TapLayout,
+    g: &[f32],
+    lanes: usize,
+    fused: usize,
+    out: &mut [f32],
+) {
+    let k = layout.taps.len();
+    let per_image = layout.rows.len() * layout.ow;
+    assert!(
+        images.len().is_multiple_of(layout.pitch.max(1)),
+        "gemm_taps: images length"
+    );
+    let p = images.len() / layout.pitch.max(1) * per_image;
+    assert_eq!(g.len(), p * lanes, "gemm_taps: G length");
+    assert_eq!(out.len(), k * lanes, "gemm_taps: out length");
+    assert!(fused <= k, "gemm_taps: fused rows");
+    match lanes {
+        8 => taps_rows_par::<8, TAP_ROWS_8>(images, layout, g, fused, out),
+        16 => taps_rows_par::<16, TAP_ROWS_16>(images, layout, g, fused, out),
+        _ => panic!("gemm_taps: {lanes} lanes"),
+    }
+}
+
+/// [`gemm_taps`] at `L` lanes and `R`-row tiles, its rows split across the
+/// pool when the product is large enough.
+fn taps_rows_par<const L: usize, const R: usize>(
+    images: &[f32],
+    layout: &TapLayout,
+    g: &[f32],
+    fused: usize,
+    out: &mut [f32],
+) {
+    let k = layout.taps.len();
+    let rows = |rows: Range<usize>, chunk: &mut [f32]| {
+        let split = fused.clamp(rows.start, rows.end);
+        let (head, edge) = chunk.split_at_mut((split - rows.start) * L);
+        taps_rows::<L, R, true>(rows.start..split, images, layout, g, head);
+        taps_rows::<L, R, false>(split..rows.end, images, layout, g, edge);
+    };
+    if flops(k, g.len() / L, L) >= PAR_FLOPS && rayon::current_num_threads() > 1 {
+        parallel_rows(k, L, out, rows);
+    } else {
+        rows(0..k, out);
+    }
+}
+
+/// Sweeps rows `rows` of a [`gemm_taps`] product into `out` (those rows,
+/// `L` wide) in `R`-row tiles, then the `< R` leftover rows in the largest
+/// of the 4-, 2- and 1-row tiles that fits; `FUSED` picks every row's step.
+fn taps_rows<const L: usize, const R: usize, const FUSED: bool>(
+    rows: Range<usize>,
+    images: &[f32],
+    layout: &TapLayout,
+    g: &[f32],
+    out: &mut [f32],
+) {
+    let mut j = rows.start;
+    let mut out = out;
+    while j < rows.end {
+        let left = rows.end - j;
+        let r = if left >= R {
+            R
+        } else if left >= 4 {
+            4
+        } else if left >= 2 {
+            2
+        } else {
+            1
+        };
+        let (tile, rest) = out.split_at_mut(r * L);
+        let taps = &layout.taps[j..j + r];
+        match r {
+            _ if r == R => taps_tile::<R, L, FUSED>(images, layout, taps, g, tile),
+            4 => taps_tile::<4, L, FUSED>(images, layout, taps, g, tile),
+            2 => taps_tile::<2, L, FUSED>(images, layout, taps, g, tile),
+            _ => taps_tile::<1, L, FUSED>(images, layout, taps, g, tile),
+        }
+        out = rest;
+        j += r;
+    }
+}
+
+/// Computes and stores the `R×L` tile of rows `taps` (`out`: `R` rows of
+/// `L`), one accumulator per element from +0.0 over every step `p` in
+/// ascending order: `fma_acc` steps when `FUSED`, multiply-then-add
+/// otherwise. Each image's output row reads `R` runs of the image, one
+/// per tap, each scalar broadcast across the `L` lanes of `G`'s row `p`.
+/// Never inlined, like [`tile`], so LLVM keeps the accumulators in
+/// registers.
+#[inline(never)]
+fn taps_tile<const R: usize, const L: usize, const FUSED: bool>(
+    images: &[f32],
+    layout: &TapLayout,
+    taps: &[usize],
+    g: &[f32],
+    out: &mut [f32],
+) {
+    let taps: [usize; R] = std::array::from_fn(|r| taps[r]);
+    let (ow, stride) = (layout.ow, layout.stride);
+    let span = (ow - 1) * stride + 1;
+    let mut acc = [[0.0f32; L]; R];
+    let mut grows = g.chunks_exact(ow * L);
+    for image in images.chunks_exact(layout.pitch) {
+        for (&row, grow) in layout.rows.iter().zip(grows.by_ref()) {
+            let a = std::array::from_fn(|r| &image[row + taps[r]..][..span]);
+            acc = if stride == 1 {
+                taps_run::<R, L, FUSED, true>(acc, a, grow, 1)
+            } else {
+                taps_run::<R, L, FUSED, false>(acc, a, grow, stride)
+            };
+        }
+    }
+    for (o, accr) in out.chunks_exact_mut(L).zip(&acc) {
+        o.copy_from_slice(accr);
+    }
+}
+
+/// One output row of a [`taps_tile`]: `acc[r]` steps through the row's
+/// positions, `a[r]` being tap `r`'s run of the image under it. With
+/// `UNIT` (stride 1) each run is exactly as long as the row, which lets
+/// LLVM drop the bounds checks.
+#[inline(always)]
+fn taps_run<const R: usize, const L: usize, const FUSED: bool, const UNIT: bool>(
+    mut acc: [[f32; L]; R],
+    a: [&[f32]; R],
+    g: &[f32],
+    stride: usize,
+) -> [[f32; L]; R] {
+    for (ox, grow) in g.chunks_exact(L).enumerate() {
+        for r in 0..R {
+            let x = if UNIT { a[r][ox] } else { a[r][ox * stride] };
+            for l in 0..L {
+                if FUSED {
+                    fma_acc(&mut acc[r][l], x, grow[l]);
+                } else {
+                    acc[r][l] += x * grow[l];
+                }
+            }
+        }
+    }
+    acc
+}
+
+// ---------------------------------------------------------------------------
 // out = Aᵀ · B
 // ---------------------------------------------------------------------------
 
@@ -787,8 +1010,7 @@ fn at_b_rows_tiled(
 /// `1/m` of the elements touched and far more of the time when `m` is
 /// small: this is the `Dense` forward pass (`x·Wᵀ`, `m` = the batch),
 /// where at `m = 2` the gather is most of the call. A caller that can
-/// produce `Bᵀ` directly should call [`gemm`] instead, as the convolution
-/// backward pass does.
+/// produce `Bᵀ` directly should call [`gemm`] instead.
 ///
 /// # Panics
 ///
@@ -804,15 +1026,17 @@ pub fn gemm_a_bt(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], out: &mut [
         out.fill(0.0);
         return;
     }
-    if flops(m, k, n) < SMALL_FLOPS {
-        a_bt_rows_small(0..m, k, n, a, b, out);
-        return;
+    match fused_columns(m, k, n) {
+        0 => a_bt_rows_small(0..m, k, n, a, b, out),
+        fused if fused < NR => with_scratch(&BT_SCRATCH, k * NR, |panel| {
+            transpose_into(panel, b, n, k, NR);
+            gemm_narrow_panel(k, n, a, panel, out);
+        }),
+        _ => with_scratch(&BT_SCRATCH, k * n, |bt| {
+            transpose_into(bt, b, n, k, n);
+            gemm(m, k, n, a, bt, out);
+        }),
     }
-    let ldb = b_stride(m, k, n);
-    with_scratch(&BT_SCRATCH, k * ldb, |bt| {
-        transpose_into(bt, b, n, k, ldb);
-        gemm_strided(m, k, n, a, bt, ldb, out);
-    });
 }
 
 /// Source rows of `B` gathered per pass of [`transpose_into`]: one

@@ -10,7 +10,8 @@
 //! * blocked matrix multiplication (plus transposed variants used by
 //!   backpropagation),
 //! * 2-D convolution (forward in place over each image where its bits
-//!   allow, `im2col`/`col2im` lowered otherwise) and max-pooling kernels,
+//!   allow, `im2col` lowered otherwise; `∂W` read from the images in
+//!   place, `∂input` through `col2im`) and max-pooling kernels,
 //! * numerically-stable softmax / log-softmax **with distillation
 //!   temperature** (Eqs 3–4 of the paper),
 //! * weight initialisation schemes (Kaiming / Xavier) over a seeded RNG,

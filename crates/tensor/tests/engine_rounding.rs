@@ -19,8 +19,17 @@
 //! Shapes cross every dispatch edge: `n < NR` and `n = NR·j + r`, `k` on
 //! both sides of [`KPACK`], every `m % MR`, and the parallel row split at
 //! [`PAR_FLOPS`] on one and on two pool threads.
+//!
+//! The convolution backward computes `∂W` without lowering its input, by a
+//! sweep over the image itself whose rows are the lowered `gemm`'s
+//! columns, so its contract is this one: each `∂W` element is the chain
+//! column `j` of `gemm(f, x, c·kh·kw)` would form, per lowering block,
+//! with the small path, the fused rows and the edge rows all reachable
+//! (the `conv_weight_gradient_*` tests, at one and two threads).
 
+use goldfish_tensor::conv::{self, Conv2dSpec, ConvWorkspace};
 use goldfish_tensor::engine::{self, KPACK, MR, NR, PAR_FLOPS, SMALL_FLOPS};
+use goldfish_tensor::Tensor;
 
 /// One step of the tiled kernel's full-strip chain (`fma_acc`).
 fn fused(acc: f32, x: f32, v: f32) -> f32 {
@@ -148,6 +157,139 @@ fn parallel_row_split_follows_the_contract_on_one_and_two_threads() {
                     check((m, k, n), (threads * 100 + m) as u64);
                 }
             }
+        });
+    }
+}
+
+/// The convolution backward's lowering block size in elements
+/// (`conv::COL_BLOCK_ELEMS`): `∂W` and `∂b` are summed per block and then
+/// across blocks, so the partition is part of the contract below, and it
+/// is frozen.
+const COL_BLOCK_ELEMS: usize = 96 * 1024;
+
+/// `∂W` and `∂b` of one convolution as the contract forms them: per image
+/// block, `∂W[f, j]` is the chain over the block's positions `p` of
+/// `g(f, p) · col(j, p)` from +0.0 — each step rounded as column `j` of the
+/// lowered `gemm(f, x, c·kh·kw)` would be — and `∂b[f]` the plain sum of
+/// `g(f, p)` from −0.0; each block's chain is then added to the total.
+fn conv_grads_oracle(
+    (n, c, h, w, f): (usize, usize, usize, usize, usize),
+    spec: &Conv2dSpec,
+    input: &[f32],
+    grad_out: &[f32],
+) -> (Vec<f32>, Vec<f32>) {
+    let (oh, ow) = spec.output_hw(h, w);
+    let (ckk, ohow) = (c * spec.kh * spec.kw, oh * ow);
+    let step = (COL_BLOCK_ELEMS / (ckk * ohow)).clamp(1, n);
+    let col = |s: usize, j: usize, q: usize| {
+        let (ch, ky, kx) = (j / (spec.kh * spec.kw), j / spec.kw % spec.kh, j % spec.kw);
+        let iy = (q / ow * spec.stride + ky) as isize - spec.padding as isize;
+        let ix = (q % ow * spec.stride + kx) as isize - spec.padding as isize;
+        if iy < 0 || ix < 0 || iy >= h as isize || ix >= w as isize {
+            0.0
+        } else {
+            input[((s * c + ch) * h + iy as usize) * w + ix as usize]
+        }
+    };
+    let g = |s: usize, fi: usize, q: usize| grad_out[(s * f + fi) * ohow + q];
+    let (mut gw, mut gb) = (vec![0.0f32; f * ckk], vec![0.0f32; f]);
+    for s0 in (0..n).step_by(step) {
+        let images = s0..(s0 + step).min(n);
+        let small = f * images.len() * ohow * ckk < SMALL_FLOPS;
+        let full = if ckk < NR { ckk } else { ckk / NR * NR };
+        let positions = || images.clone().flat_map(|s| (0..ohow).map(move |q| (s, q)));
+        for fi in 0..f {
+            for j in 0..ckk {
+                let step = if small || j >= full { unfused } else { fused };
+                let chain =
+                    positions().fold(0.0, |acc, (s, q)| step(acc, g(s, fi, q), col(s, j, q)));
+                gw[fi * ckk + j] += chain;
+            }
+            gb[fi] += positions().fold(-0.0, |acc, (s, q)| acc + g(s, fi, q));
+        }
+    }
+    (gw, gb)
+}
+
+/// Checks `conv2d_backward_into`'s `∂W` and `∂b` against
+/// [`conv_grads_oracle`], with and without `∂input`.
+fn check_conv((n, c, h, w, f): (usize, usize, usize, usize, usize), spec: Conv2dSpec, seed: u64) {
+    let what = format!("n={n} c={c} h={h} w={w} f={f} {spec:?} (NR={NR})");
+    let (oh, ow) = spec.output_hw(h, w);
+    let input = Tensor::from_vec(vec![n, c, h, w], values(n * c * h * w, seed));
+    let weight = Tensor::from_vec(
+        vec![f, c, spec.kh, spec.kw],
+        values(f * c * spec.kh * spec.kw, seed + 1),
+    );
+    let grad_out = Tensor::from_vec(vec![n, f, oh, ow], values(n * f * oh * ow, seed + 2));
+    let (want_w, want_b) = conv_grads_oracle(
+        (n, c, h, w, f),
+        &spec,
+        input.as_slice(),
+        grad_out.as_slice(),
+    );
+    let mut ws = ConvWorkspace::new();
+    let (mut gi, mut gw, mut gb) = (
+        Tensor::zeros(vec![0]),
+        Tensor::zeros(vec![0]),
+        Tensor::zeros(vec![0]),
+    );
+    for grad_in in [None, Some(&mut gi)] {
+        conv::conv2d_backward_into(
+            &grad_out, &input, &weight, &spec, &mut ws, grad_in, &mut gw, &mut gb,
+        );
+        assert_eq!(bits(gw.as_slice()), bits(&want_w), "∂W: {what}");
+        assert_eq!(bits(gb.as_slice()), bits(&want_b), "∂b: {what}");
+    }
+}
+
+#[test]
+fn conv_weight_gradient_rounds_each_row_as_the_lowered_gemm_column() {
+    let lenet = Conv2dSpec::new(5, 5, 1, 0);
+    let one = Conv2dSpec::new(1, 1, 1, 0);
+    // Both LeNet-5 layers: `c·kh·kw` = 25 (narrow at NR = 32, an edge at
+    // 16 and 8) and 150 (an edge at every tier), over several blocks.
+    check_conv((25, 1, 28, 28, 6), lenet, 1);
+    check_conv((25, 6, 12, 12, 16), lenet, 2);
+    // 1×1 kernels put `c·kh·kw` on every side of the strip width:
+    // narrower, exactly one, and one or two strips plus an edge; filter
+    // counts in one and in several lane groups.
+    for (i, ckk) in [NR - 1, NR, NR + 9, 2 * NR + 22].into_iter().enumerate() {
+        for f in [3, 16, 21] {
+            check_conv((3, ckk, 9, 7, f), one, 10 + i as u64 * 10 + f as u64);
+        }
+    }
+    // Stride and padding: the sweep reads strided runs of a staged image.
+    check_conv((7, 3, 11, 13, 10), Conv2dSpec::new(3, 4, 2, 1), 5);
+}
+
+#[test]
+fn conv_weight_gradient_on_the_small_path_multiplies_then_adds() {
+    // One 1-image block small enough for the small path, after large
+    // ones: the last block of 1 image is `1·25·(10·10)·f < SMALL_FLOPS`.
+    let spec = Conv2dSpec::new(5, 5, 1, 0);
+    let step = COL_BLOCK_ELEMS / (25 * 100);
+    for f in [1, 6] {
+        assert!(f * 25 * 100 < SMALL_FLOPS);
+        check_conv((step + 1, 1, 14, 14, f), spec, 60 + f as u64);
+    }
+    check_conv((2, 2, 6, 5, 3), Conv2dSpec::new(2, 3, 1, 1), 70);
+}
+
+#[test]
+fn conv_weight_gradient_follows_the_contract_on_one_and_two_threads() {
+    // One image per block, each a product past PAR_FLOPS, so the rows are
+    // split across the pool; 40 filters make three lane groups.
+    let spec = Conv2dSpec::new(3, 3, 1, 1);
+    const { assert!(16 * 9 * 32 * 32 * 16 >= PAR_FLOPS) };
+    for threads in [1, 2] {
+        let pool = rayon::ThreadPoolBuilder::new()
+            .num_threads(threads)
+            .build()
+            .unwrap();
+        pool.install(|| {
+            check_conv((2, 16, 32, 32, 16), spec, 80 + threads as u64);
+            check_conv((2, 16, 32, 32, 40), spec, 90 + threads as u64);
         });
     }
 }

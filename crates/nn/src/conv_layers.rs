@@ -69,20 +69,35 @@ impl Conv2d {
         &self.spec
     }
 
+    /// Keeps what a backward after this forward reads: the input itself
+    /// (the backward reads it where it lies, no column matrix is cached)
+    /// after a training pass, nothing after an eval pass.
+    fn keep_input(&mut self, x: &Tensor, train: bool) {
+        if train {
+            self.input.assign(x);
+        }
+        self.have_input = train;
+    }
+
     /// Shared backward core: runs the conv backward with or without the
-    /// input gradient and accumulates `∂L/∂W` / `∂L/∂b`.
-    fn backward_core(&mut self, grad_out: &Tensor, grad_in: Option<&mut Tensor>) {
+    /// input gradient — from `grad_out` itself, or routed back through a
+    /// fused ReLU and max-pool `(pool, route)` — and accumulates `∂L/∂W`
+    /// / `∂L/∂b`.
+    fn backward_core(
+        &mut self,
+        grad_out: &Tensor,
+        grad_in: Option<&mut Tensor>,
+        pooled: Option<(&Conv2dSpec, &[u8])>,
+    ) {
         assert!(self.have_input, "Conv2d::backward before forward");
-        conv::conv2d_backward_into(
-            grad_out,
-            &self.input,
-            &self.weight.value,
-            &self.spec,
-            &mut self.ws,
-            grad_in,
-            &mut self.gw,
-            &mut self.gb,
-        );
+        let (x, w, spec, ws) = (&self.input, &self.weight.value, &self.spec, &mut self.ws);
+        let (gw, gb) = (&mut self.gw, &mut self.gb);
+        match pooled {
+            None => conv::conv2d_backward_into(grad_out, x, w, spec, ws, grad_in, gw, gb),
+            Some((pool, route)) => conv::conv2d_relu_pool_backward_into(
+                grad_out, route, x, w, spec, pool, ws, grad_in, gw, gb,
+            ),
+        }
         self.weight.grad.axpy(1.0, &self.gw);
         self.bias.grad.axpy(1.0, &self.gb);
     }
@@ -98,23 +113,17 @@ impl Layer for Conv2d {
             &mut self.ws,
             out,
         );
-        // Backward reads the input where it lies (no column matrix is
-        // cached), so a training pass keeps the input itself; an eval
-        // pass keeps nothing.
-        if train {
-            self.input.assign(x);
-        }
-        self.have_input = train;
+        self.keep_input(x, train);
     }
 
     fn backward_into(&mut self, grad_out: &Tensor, grad_in: &mut Tensor) {
-        self.backward_core(grad_out, Some(grad_in));
+        self.backward_core(grad_out, Some(grad_in), None);
     }
 
     fn backward_params_only(&mut self, grad_out: &Tensor) {
         // First-layer form: skips the `Wᵀ·G` GEMM and the col2im scatter;
         // parameter gradients are bitwise identical.
-        self.backward_core(grad_out, None);
+        self.backward_core(grad_out, None, None);
     }
 
     fn visit_params_mut(&mut self, f: &mut dyn FnMut(&mut Param)) {
@@ -129,6 +138,89 @@ impl Layer for Conv2d {
 
     fn name(&self) -> &'static str {
         "conv2d"
+    }
+}
+
+/// Convolution → ReLU → max-pool as one layer: the LeNet block.
+///
+/// It has the convolution's parameters, in the same state-vector order,
+/// and its outputs and gradients are bit for bit those of
+/// `Sequential[conv, Relu, MaxPool2d]` — but between passes it keeps only
+/// the convolution's input and one byte per pooled output, the window's
+/// route. The full-size convolution and ReLU outputs, their gradients and
+/// the ReLU mask are never written (see
+/// [`conv::conv2d_relu_pool_forward_into`]). The pool's windows must not
+/// overlap: the stride is the window.
+#[derive(Debug)]
+pub struct ConvReluPool {
+    conv: Conv2d,
+    pool: Conv2dSpec,
+    /// Routes of the latest training forward (persistent buffer).
+    route: Vec<u8>,
+}
+
+impl ConvReluPool {
+    /// Follows `conv` with a ReLU and a `pool × pool` max-pool at stride
+    /// `pool`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `pool` is zero or above 15.
+    pub fn new(conv: Conv2d, pool: usize) -> Self {
+        assert!(pool < 16, "a fused pool window is at most 15×15");
+        ConvReluPool {
+            conv,
+            pool: Conv2dSpec::new(pool, pool, pool, 0),
+            route: Vec::new(),
+        }
+    }
+
+    /// The convolution's backward, from `grad_out` routed back through
+    /// the ReLU and the pool.
+    fn backward_core(&mut self, grad_out: &Tensor, grad_in: Option<&mut Tensor>) {
+        assert!(
+            self.conv.have_input,
+            "ConvReluPool::backward before forward"
+        );
+        let pooled = Some((&self.pool, self.route.as_slice()));
+        self.conv.backward_core(grad_out, grad_in, pooled);
+    }
+}
+
+impl Layer for ConvReluPool {
+    fn forward_into(&mut self, x: &Tensor, train: bool, out: &mut Tensor) {
+        let c = &mut self.conv;
+        conv::conv2d_relu_pool_forward_into(
+            x,
+            &c.weight.value,
+            &c.bias.value,
+            &c.spec,
+            &self.pool,
+            &mut c.ws,
+            out,
+            train.then_some(&mut self.route),
+        );
+        c.keep_input(x, train);
+    }
+
+    fn backward_into(&mut self, grad_out: &Tensor, grad_in: &mut Tensor) {
+        self.backward_core(grad_out, Some(grad_in));
+    }
+
+    fn backward_params_only(&mut self, grad_out: &Tensor) {
+        self.backward_core(grad_out, None);
+    }
+
+    fn visit_params_mut(&mut self, f: &mut dyn FnMut(&mut Param)) {
+        self.conv.visit_params_mut(f);
+    }
+
+    fn visit_params(&self, f: &mut dyn FnMut(&Param)) {
+        self.conv.visit_params(f);
+    }
+
+    fn name(&self) -> &'static str {
+        "conv_relu_pool"
     }
 }
 
@@ -173,7 +265,7 @@ impl Layer for MaxPool2d {
 
     fn backward_into(&mut self, grad_out: &Tensor, grad_in: &mut Tensor) {
         assert!(self.ready, "MaxPool2d::backward before forward");
-        conv::maxpool2d_backward_into(grad_out, &self.idx, self.input_shape, grad_in);
+        conv::maxpool2d_backward_into(grad_out, &self.idx, self.input_shape, &self.spec, grad_in);
     }
 
     fn name(&self) -> &'static str {
@@ -217,7 +309,9 @@ impl Layer for GlobalAvgPool {
 mod tests {
     use super::*;
     use crate::layer::testing::{backward, forward};
-    use rand::{rngs::StdRng, SeedableRng};
+    use crate::layer::Relu;
+    use crate::sequential::Sequential;
+    use rand::{rngs::StdRng, Rng, SeedableRng};
 
     #[test]
     fn conv_layer_shapes() {
@@ -256,6 +350,207 @@ mod tests {
                 analytic.as_slice()[wi]
             );
         }
+    }
+
+    /// Operand values: five levels (so windows tie), signed zeros and,
+    /// when `nan`, now and then a NaN.
+    fn value(rng: &mut StdRng, nan: bool) -> f32 {
+        match rng.gen_range(0..64) {
+            0 if nan => f32::NAN,
+            0..=5 => -0.0,
+            k => (k % 5) as f32 * 0.5 - 1.0,
+        }
+    }
+
+    /// Bit patterns of every parameter's gradient, in visiting order.
+    fn grad_bits(layer: &dyn Layer) -> Vec<u32> {
+        let mut out = Vec::new();
+        layer.visit_params(&mut |p| out.extend(p.grad.as_slice().iter().map(|v| v.to_bits())));
+        out
+    }
+
+    fn bits(t: &Tensor) -> Vec<u32> {
+        t.as_slice().iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// Which kinds of pooling window a case produced: ties for a maximum
+    /// above zero, all below zero, all zero, holding NaN. (None holds
+    /// −0.0: every convolution output is a sum seeded at +0.0 plus the
+    /// bias, so it never is −0.0 — `conv.rs` pins the epilogue on such
+    /// windows directly.)
+    #[derive(Debug, Default, Clone, Copy)]
+    struct Windows {
+        ties: usize,
+        negative: usize,
+        zero: usize,
+        nan: usize,
+    }
+
+    /// Runs [`ConvReluPool`] and `Sequential[Conv2d, Relu, MaxPool2d]`
+    /// with the same parameters through an eval forward, a training
+    /// forward and `backward_into`, then a second training forward and a
+    /// `backward_params_only` accumulating into the same gradients, and
+    /// demands equal bits at every step. Returns the windows the first
+    /// input's convolution pooled.
+    fn assert_fused_equals_unfused(
+        (n, c, h, w, f): (usize, usize, usize, usize, usize),
+        (kernel, stride, padding, pool): (usize, usize, usize, usize),
+        seed: u64,
+    ) -> Windows {
+        let what =
+            format!("n={n} c={c} h={h} w={w} f={f} k={kernel}/{stride}/{padding} pool={pool}");
+        let mut rng = StdRng::seed_from_u64(seed);
+        let nan = rng.gen_bool(0.5);
+        let conv = || Conv2d::new(c, f, kernel, stride, padding, &mut StdRng::seed_from_u64(0));
+        let mut fused = ConvReluPool::new(conv(), pool);
+        let mut unfused = Sequential::new()
+            .push(conv())
+            .push(Relu::new())
+            .push(MaxPool2d::new(pool, pool));
+        let params: Vec<f32> = (0..f * c * kernel * kernel + f)
+            .map(|_| value(&mut rng, false))
+            .collect();
+        for layer in [&mut fused as &mut dyn Layer, &mut unfused] {
+            let mut at = 0;
+            layer.visit_params_mut(&mut |p| {
+                let len = p.value.len();
+                p.value
+                    .as_mut_slice()
+                    .copy_from_slice(&params[at..at + len]);
+                at += len;
+            });
+        }
+        let mut random = |shape: Vec<usize>, nan: bool| {
+            let len = shape.iter().product();
+            Tensor::from_vec(shape, (0..len).map(|_| value(&mut rng, nan)).collect())
+        };
+        let (x1, x2) = (random(vec![n, c, h, w], nan), random(vec![n, c, h, w], nan));
+
+        let eval = forward(&mut fused, &x2, false);
+        assert_eq!(
+            bits(&eval),
+            bits(&forward(&mut unfused, &x2, false)),
+            "eval: {what}"
+        );
+        let y = forward(&mut fused, &x1, true);
+        assert_eq!(
+            bits(&y),
+            bits(&forward(&mut unfused, &x1, true)),
+            "train: {what}"
+        );
+        let g1 = random(y.shape().to_vec(), false);
+        let gx = backward(&mut fused, &g1);
+        assert_eq!(
+            bits(&gx),
+            bits(&backward(&mut unfused, &g1)),
+            "∂input: {what}"
+        );
+        assert_eq!(grad_bits(&fused), grad_bits(&unfused), "∂W, ∂b: {what}");
+        forward(&mut fused, &x2, true);
+        forward(&mut unfused, &x2, true);
+        let g2 = random(y.shape().to_vec(), false);
+        fused.backward_params_only(&g2);
+        unfused.backward_params_only(&g2);
+        assert_eq!(
+            grad_bits(&fused),
+            grad_bits(&unfused),
+            "accumulated ∂W, ∂b: {what}"
+        );
+
+        // The windows pooled: the convolution of x1 itself.
+        let (mut out, mut ws) = (Tensor::zeros(vec![0]), ConvWorkspace::new());
+        let cv = &fused.conv;
+        conv::conv2d_forward_into(
+            &x1,
+            &cv.weight.value,
+            &cv.bias.value,
+            &cv.spec,
+            &mut ws,
+            &mut out,
+        );
+        let (_, _, oh, ow) = out.dims4();
+        let mut seen = Windows::default();
+        for plane in out.as_slice().chunks_exact(oh * ow) {
+            for (py, px) in (0..oh / pool).flat_map(|py| (0..ow / pool).map(move |px| (py, px))) {
+                let window: Vec<f32> = (0..pool * pool)
+                    .map(|i| plane[(py * pool + i / pool) * ow + px * pool + i % pool])
+                    .collect();
+                let top = window.iter().copied().fold(f32::NEG_INFINITY, f32::max);
+                seen.ties +=
+                    usize::from(top > 0.0 && window.iter().filter(|&&v| v == top).count() > 1);
+                seen.negative += usize::from(window.iter().all(|&v| v < 0.0));
+                seen.zero += usize::from(window.iter().all(|&v| v == 0.0));
+                seen.nan += usize::from(window.iter().any(|v| v.is_nan()));
+            }
+        }
+        seen
+    }
+
+    /// [`assert_fused_equals_unfused`] on one and on two threads.
+    fn on_one_and_two_threads(
+        dims: (usize, usize, usize, usize, usize),
+        geometry: (usize, usize, usize, usize),
+        seed: u64,
+    ) -> Windows {
+        let mut seen = Windows::default();
+        for threads in [1, 2] {
+            let pool = rayon::ThreadPoolBuilder::new()
+                .num_threads(threads)
+                .build()
+                .unwrap();
+            seen = pool.install(|| assert_fused_equals_unfused(dims, geometry, seed));
+        }
+        seen
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn fused_block_is_bitwise_equal_to_conv_relu_maxpool(
+            (n, c, f) in (1usize..6, 1usize..4, 1usize..20),
+            (h, w) in (3usize..8, 3usize..8),
+            (kernel, stride, padding, pool) in (1usize..4, 1usize..3, 0usize..2, 1usize..4),
+            seed in 0u64..1_000_000,
+        ) {
+            // Odd sides: the pool's floor drops a last row and column.
+            let dims = (n, c, 2 * h + 1, 2 * w + 1, f);
+            on_one_and_two_threads(dims, (kernel, stride, padding, pool), seed);
+        }
+    }
+
+    #[test]
+    fn fused_block_is_bitwise_equal_to_conv_relu_maxpool_at_lenet_shapes() {
+        // Both LeNet-5 blocks (in-place convolutions), a CIFAR conv2
+        // (lowered: 10×10 outputs are not whole strips) and small lowered
+        // blocks; every kind of window turns up.
+        let mut total = Windows::default();
+        for (seed, (dims, kernel)) in [
+            ((25, 1, 28, 28, 6), 5),
+            ((25, 6, 12, 12, 16), 5),
+            ((7, 6, 14, 14, 16), 5),
+            ((3, 1, 9, 7, 2), 1),
+            ((4, 2, 11, 9, 3), 3),
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            for round in 0..4 {
+                let seen =
+                    on_one_and_two_threads(dims, (kernel, 1, 0, 2), 100 * seed as u64 + round);
+                total.ties += seen.ties;
+                total.negative += seen.negative;
+                total.zero += seen.zero;
+                total.nan += seen.nan;
+            }
+        }
+        let Windows {
+            ties,
+            negative,
+            zero,
+            nan,
+        } = total;
+        assert!(ties > 0 && negative > 0 && zero > 0 && nan > 0, "{total:?}");
     }
 
     #[test]

@@ -132,7 +132,7 @@ impl Layer for Relu {
         self.ready = train;
         out.resize(x.shape());
         for (o, &v) in out.as_mut_slice().iter_mut().zip(xv) {
-            *o = v.max(0.0);
+            *o = goldfish_tensor::ops::relu(v);
         }
     }
 
@@ -232,6 +232,15 @@ mod tests {
         let x = Tensor::from_vec(vec![4], vec![-1.0, 0.0, 2.0, -3.0]);
         let y = forward(&mut relu, &x, true);
         assert_eq!(y.as_slice(), &[0.0, 0.0, 2.0, 0.0]);
+    }
+
+    #[test]
+    fn relu_maps_negative_zero_and_nan_to_positive_zero() {
+        // Long enough for a vectorised body and a scalar tail.
+        let mut relu = Relu::new();
+        let x: Vec<f32> = (0..37).map(|i| [-0.0, f32::NAN, 0.0][i % 3]).collect();
+        let y = forward(&mut relu, &Tensor::from_vec(vec![37], x), true);
+        assert!(y.as_slice().iter().all(|v| v.to_bits() == 0));
     }
 
     #[test]

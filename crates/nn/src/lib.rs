@@ -8,6 +8,8 @@
 //!   each in one allocation-free form,
 //! * layers: [`Dense`], [`Conv2d`], [`MaxPool2d`], [`GlobalAvgPool`],
 //!   [`Relu`], [`Flatten`], [`BatchNorm2d`], [`Residual`], [`Sequential`],
+//!   and [`ConvReluPool`] — LeNet's Conv → ReLU → MaxPool block as one
+//!   layer that keeps no full-size activation,
 //! * the [`Network`] wrapper exposing **flattened state vectors** — the
 //!   representation all federated aggregation and the paper's shard
 //!   arithmetic (Eqs 8–10) operate on,
@@ -54,7 +56,7 @@ mod sequential;
 pub mod zoo;
 
 pub use batchnorm::BatchNorm2d;
-pub use conv_layers::{Conv2d, GlobalAvgPool, MaxPool2d};
+pub use conv_layers::{Conv2d, ConvReluPool, GlobalAvgPool, MaxPool2d};
 pub use dense::Dense;
 pub use layer::{Flatten, Layer, Param, Relu};
 pub use network::Network;

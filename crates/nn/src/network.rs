@@ -202,7 +202,7 @@ mod tests {
     /// earlier training forward had filled the caches.
     #[test]
     fn backward_after_eval_forward_panics() {
-        use crate::conv_layers::{Conv2d, MaxPool2d};
+        use crate::conv_layers::{Conv2d, ConvReluPool, MaxPool2d};
         use std::panic::{catch_unwind, AssertUnwindSafe};
         let mut rng = StdRng::seed_from_u64(3);
         let layers: Vec<(Box<dyn Layer>, Vec<usize>)> = vec![
@@ -213,6 +213,10 @@ mod tests {
                 vec![2, 1, 5, 5],
             ),
             (Box::new(MaxPool2d::new(2, 2)), vec![2, 1, 4, 4]),
+            (
+                Box::new(ConvReluPool::new(Conv2d::new(1, 2, 3, 1, 0, &mut rng), 2)),
+                vec![2, 1, 6, 6],
+            ),
         ];
         for (mut layer, shape) in layers {
             let x = Tensor::filled(shape, 0.5);

@@ -12,7 +12,7 @@ use goldfish_tensor::conv::Conv2dSpec;
 use rand::Rng;
 
 use crate::batchnorm::BatchNorm2d;
-use crate::conv_layers::{Conv2d, GlobalAvgPool, MaxPool2d};
+use crate::conv_layers::{Conv2d, ConvReluPool, GlobalAvgPool};
 use crate::dense::Dense;
 use crate::layer::{Flatten, Relu};
 use crate::network::Network;
@@ -70,12 +70,11 @@ pub fn lenet5<R: Rng + ?Sized>(
     let flat = 16 * th * tw;
     Network::new(
         Sequential::new()
-            .push(Conv2d::new(in_channels, 6, 5, 1, 0, rng))
-            .push(Relu::new())
-            .push(MaxPool2d::new(2, 2))
-            .push(Conv2d::new(6, 16, 5, 1, 0, rng))
-            .push(Relu::new())
-            .push(MaxPool2d::new(2, 2))
+            .push(ConvReluPool::new(
+                Conv2d::new(in_channels, 6, 5, 1, 0, rng),
+                2,
+            ))
+            .push(ConvReluPool::new(Conv2d::new(6, 16, 5, 1, 0, rng), 2))
             .push(Flatten::new())
             .push(Dense::new(flat, 120, rng))
             .push(Relu::new())
@@ -100,12 +99,11 @@ pub fn lenet5_modified<R: Rng + ?Sized>(
     let flat = 16 * th * tw;
     Network::new(
         Sequential::new()
-            .push(Conv2d::new(in_channels, 6, 5, 1, 0, rng))
-            .push(Relu::new())
-            .push(MaxPool2d::new(2, 2))
-            .push(Conv2d::new(6, 16, 5, 1, 0, rng))
-            .push(Relu::new())
-            .push(MaxPool2d::new(2, 2))
+            .push(ConvReluPool::new(
+                Conv2d::new(in_channels, 6, 5, 1, 0, rng),
+                2,
+            ))
+            .push(ConvReluPool::new(Conv2d::new(6, 16, 5, 1, 0, rng), 2))
             .push(Flatten::new())
             .push(Dense::new(flat, 120, rng))
             .push(Relu::new())

@@ -17,9 +17,16 @@
 //! lie, against the block's `grad_out` gathered position-major, rounding
 //! every step as the lowered GEMM did. `∂input` is one GEMM into the
 //! block's column gradient and a `col2im` scatter of row runs.
+//!
+//! A Conv → ReLU → max-pool block runs as one pair of passes
+//! ([`conv2d_relu_pool_forward_into`], [`conv2d_relu_pool_backward_into`]):
+//! ReLU and the pool read each image's convolution from one image's
+//! scratch as it completes, and the backward writes the pooled gradient
+//! straight into the buffers the convolution's backward reads, so the
+//! block's full-size convolution output and its gradient never exist.
 
-use crate::engine;
-use crate::Tensor;
+use crate::ops::relu;
+use crate::{engine, Tensor};
 use std::ops::Range;
 
 /// Geometry of a 2-D convolution or pooling window.
@@ -124,6 +131,9 @@ pub struct ConvWorkspace {
     /// image: one (plus the `kw − 1` elements its sweep over-reads) for
     /// the in-place forward, a block of them for a padded backward.
     img: Vec<f32>,
+    /// One image's convolution, `[f, oh·ow]`, before a fused ReLU and
+    /// max-pool read it: only [`conv2d_relu_pool_forward_into`] grows it.
+    conv: Vec<f32>,
 }
 
 impl ConvWorkspace {
@@ -343,17 +353,65 @@ pub fn conv2d_forward_into(
     ws: &mut ConvWorkspace,
     out: &mut Tensor,
 ) {
+    let (n, f, oh, ow) = forward_shape(input, weight, bias, spec);
+    out.resize(&[n, f, oh, ow]);
+    let len = f * oh * ow;
+    let mut whole = Whole(out.as_mut_slice(), len);
+    forward(input, weight, bias, spec, ws, &mut whole);
+}
+
+/// The `[n, f, oh, ow]` a forward pass produces, after checking that the
+/// operands agree.
+fn forward_shape(
+    input: &Tensor,
+    weight: &Tensor,
+    bias: &Tensor,
+    spec: &Conv2dSpec,
+) -> (usize, usize, usize, usize) {
     let (n, c, h, w) = input.dims4();
     let (f, wc, kh, kw) = weight.dims4();
     assert_eq!(c, wc, "conv channel mismatch: input {c} vs weight {wc}");
     assert_eq!((kh, kw), (spec.kh, spec.kw), "weight does not match spec");
     assert_eq!(bias.len(), f, "bias length {} != filters {f}", bias.len());
     let (oh, ow) = spec.output_hw(h, w);
-    out.resize(&[n, f, oh, ow]);
-    if in_place(spec, (n, c, h, w), f) {
-        forward_in_place(input, weight, bias, spec, ws, out.as_mut_slice());
+    (n, f, oh, ow)
+}
+
+/// Where the forward pass puts each image's `[f, oh·ow]` convolution.
+trait Images {
+    /// The buffer image `s`'s convolution goes into, `f·oh·ow` long.
+    fn conv(&mut self, s: usize) -> &mut [f32];
+    /// Called once image `s`'s convolution is complete in that buffer.
+    fn done(&mut self, s: usize);
+}
+
+/// Each image's convolution straight into its `len`-long slot of
+/// `[n, f, oh, ow]`.
+struct Whole<'a>(&'a mut [f32], usize);
+
+impl Images for Whole<'_> {
+    fn conv(&mut self, s: usize) -> &mut [f32] {
+        &mut self.0[s * self.1..(s + 1) * self.1]
+    }
+
+    fn done(&mut self, _: usize) {}
+}
+
+/// The forward pass into `images`: in place where that reproduces the
+/// lowering's bits (`in_place`), lowered block-wise otherwise.
+fn forward(
+    input: &Tensor,
+    weight: &Tensor,
+    bias: &Tensor,
+    spec: &Conv2dSpec,
+    ws: &mut ConvWorkspace,
+    images: &mut impl Images,
+) {
+    let (n, c, h, w) = input.dims4();
+    if in_place(spec, (n, c, h, w), weight.dims4().0) {
+        forward_in_place(input, weight, bias, spec, ws, images);
     } else {
-        forward_lowered(input, weight, bias, spec, ws, out.as_mut_slice());
+        forward_lowered(input, weight, bias, spec, ws, images);
     }
 }
 
@@ -407,16 +465,16 @@ fn forward_in_place(
     bias: &Tensor,
     spec: &Conv2dSpec,
     ws: &mut ConvWorkspace,
-    out: &mut [f32],
+    images: &mut impl Images,
 ) {
-    let (_, c, h, w) = input.dims4();
+    let (n, c, h, w) = input.dims4();
     let f = weight.dims4().0;
     let (oh, ow) = spec.output_hw(h, w);
     let (kw, pad) = (spec.kw, spec.padding);
     ws.fit((c, h, w), spec);
     let (iv, wv, bv) = (input.as_slice(), weight.as_slice(), bias.as_slice());
     let chw = c * h * w;
-    for (s, out) in out.chunks_exact_mut(f * oh * ow).enumerate() {
+    for s in 0..n {
         let image = &iv[s * chw..];
         let b = if pad == 0 && chw + kw - 1 <= image.len() {
             image
@@ -424,7 +482,8 @@ fn forward_in_place(
             stage(&image[..chw], (h, w), pad, &mut ws.img);
             &ws.img
         };
-        engine::gemm_offsets(f, oh * ow, wv, b, &ws.grid, bv, out);
+        engine::gemm_offsets(f, oh * ow, wv, b, &ws.grid, bv, images.conv(s));
+        images.done(s);
     }
 }
 
@@ -443,14 +502,14 @@ fn stage(img: &[f32], (h, w): (usize, usize), pad: usize, grid: &mut [f32]) {
 
 /// The forward pass lowered block-wise: `im2col` of each cache-sized image
 /// block, one GEMM into the filter-major staging matrix `ws.fmat`, then a
-/// scatter into `out` that adds the bias.
+/// scatter into each image's buffer that adds the bias.
 fn forward_lowered(
     input: &Tensor,
     weight: &Tensor,
     bias: &Tensor,
     spec: &Conv2dSpec,
     ws: &mut ConvWorkspace,
-    out: &mut [f32],
+    images: &mut impl Images,
 ) {
     let (n, c, h, w) = input.dims4();
     let f = weight.dims4().0;
@@ -465,23 +524,24 @@ fn forward_lowered(
         let blk = step.min(n - s0);
         let x = blk * ohow;
         let col = grown(&mut ws.col, ckk * x);
-        let images = &iv[s0 * c * h * w..(s0 + blk) * c * h * w];
-        im2col_block(images, (blk, c, h, w), spec, (oh, ow), col);
+        let block = &iv[s0 * c * h * w..(s0 + blk) * c * h * w];
+        im2col_block(block, (blk, c, h, w), spec, (oh, ow), col);
         // [f, ckk] · [ckk, blk·oh·ow] → [f, blk·oh·ow]; the row-major
         // `[f, c, kh, kw]` weight buffer *is* the `[f, ckk]` matrix.
         let fmat = grown(&mut ws.fmat, f * x);
         engine::gemm(f, ckk, x, weight.as_slice(), col, fmat);
-        // Scatter filter-major `[f, blk·oh·ow]` into batch-major
-        // `[blk, f, oh·ow]`, adding the bias.
+        // Scatter filter-major `[f, blk·oh·ow]` into each image's
+        // `[f, oh·ow]`, adding the bias.
         for s in 0..blk {
-            for fi in 0..f {
+            let image = images.conv(s0 + s);
+            for (fi, dst) in image.chunks_exact_mut(ohow).enumerate() {
                 let srcr = &fmat[fi * x + s * ohow..fi * x + (s + 1) * ohow];
-                let dst = &mut out[((s0 + s) * f + fi) * ohow..((s0 + s) * f + fi + 1) * ohow];
                 let bias_fi = bv[fi];
                 for (o, &v) in dst.iter_mut().zip(srcr) {
                     *o = v + bias_fi;
                 }
             }
+            images.done(s0 + s);
         }
         s0 += blk;
     }
@@ -527,22 +587,55 @@ pub fn conv2d_backward_into(
     weight: &Tensor,
     spec: &Conv2dSpec,
     ws: &mut ConvWorkspace,
+    grad_in: Option<&mut Tensor>,
+    grad_w: &mut Tensor,
+    grad_b: &mut Tensor,
+) {
+    let (n, f, oh, ow) = backward_shape(input, weight, spec);
+    let (gn, gf, goh, gow) = grad_out.dims4();
+    assert_eq!(gn, n, "grad batch {gn} != input batch {n}");
+    assert_eq!(gf, f, "grad filters {gf} != weight filters {f}");
+    assert_eq!(
+        (goh, gow),
+        (oh, ow),
+        "grad_out spatial size does not match the output"
+    );
+    let grads = OutGrad::Dense(grad_out.as_slice());
+    backward(grads, input, weight, spec, ws, grad_in, grad_w, grad_b);
+}
+
+/// The `[n, f, oh, ow]` output a backward pass's gradient belongs to,
+/// after checking the weight against the input and the spec.
+fn backward_shape(
+    input: &Tensor,
+    weight: &Tensor,
+    spec: &Conv2dSpec,
+) -> (usize, usize, usize, usize) {
+    let (n, c, h, w) = input.dims4();
+    let (f, wc, kh, kw) = weight.dims4();
+    assert_eq!(c, wc, "conv channel mismatch: input {c} vs weight {wc}");
+    assert_eq!((kh, kw), (spec.kh, spec.kw), "weight does not match spec");
+    let (oh, ow) = spec.output_hw(h, w);
+    (n, f, oh, ow)
+}
+
+/// The backward pass of [`conv2d_backward_into`] and
+/// [`conv2d_relu_pool_backward_into`] over checked operands, reading the
+/// output gradient through `grads`.
+#[allow(clippy::too_many_arguments)] // as `conv2d_backward_into`
+fn backward(
+    grads: OutGrad<'_>,
+    input: &Tensor,
+    weight: &Tensor,
+    spec: &Conv2dSpec,
+    ws: &mut ConvWorkspace,
     mut grad_in: Option<&mut Tensor>,
     grad_w: &mut Tensor,
     grad_b: &mut Tensor,
 ) {
     let (n, c, h, w) = input.dims4();
-    let (f, wc, kh, kw) = weight.dims4();
-    assert_eq!(c, wc, "conv channel mismatch: input {c} vs weight {wc}");
-    assert_eq!((kh, kw), (spec.kh, spec.kw), "weight does not match spec");
-    let (gn, gf, oh, ow) = grad_out.dims4();
-    assert_eq!(gn, n, "grad batch {gn} != input batch {n}");
-    assert_eq!(gf, f, "grad filters {gf} != weight filters {f}");
-    assert_eq!(
-        (oh, ow),
-        spec.output_hw(h, w),
-        "grad_out spatial size does not match the output"
-    );
+    let (f, _, kh, kw) = weight.dims4();
+    let (oh, ow) = spec.output_hw(h, w);
     let ckk = c * kh * kw;
     let ohow = oh * ow;
     let chw = c * h * w;
@@ -550,7 +643,6 @@ pub fn conv2d_backward_into(
     let pitch = c * (h + 2 * pad) * (w + 2 * pad);
     ws.fit((c, h, w), spec);
     let iv = input.as_slice();
-    let gv = grad_out.as_slice();
     grad_w.resize(&[f, c, kh, kw]);
     grad_w.zero_mut();
     let gwv = grad_w.as_mut_slice();
@@ -568,7 +660,7 @@ pub fn conv2d_backward_into(
         let blk = step.min(n - s0);
         let x = blk * ohow;
         let block = s0 * chw..(s0 + blk) * chw;
-        let grads = &gv[s0 * f * ohow..(s0 + blk) * f * ohow];
+        let in_block = s0..s0 + blk;
         // An unpadded block is read where it lies; a padded one is staged
         // image by image into the zero-bordered buffer.
         let images = if pad == 0 {
@@ -593,8 +685,8 @@ pub fn conv2d_backward_into(
             let gt = grown(&mut ws.gt, x * lanes);
             let sums = &mut gbv[g0..g0 + nl];
             match lanes {
-                8 => gather_lanes::<8>(grads, (f, ohow), g0..g0 + nl, gt, sums),
-                _ => gather_lanes::<16>(grads, (f, ohow), g0..g0 + nl, gt, sums),
+                8 => grads.lanes::<8>(in_block.clone(), (f, ohow), g0..g0 + nl, gt, sums),
+                _ => grads.lanes::<16>(in_block.clone(), (f, ohow), g0..g0 + nl, gt, sums),
             }
             let wt = grown(&mut ws.wt, ckk * lanes);
             engine::gemm_taps(images, &ws.taps, gt, lanes, fused, wt);
@@ -609,19 +701,84 @@ pub fn conv2d_backward_into(
         }
         // ∂L/∂col = Wᵀ · G ([ckk, f] · [f, x] → [ckk, x]), then scatter.
         if let Some(gi) = grad_in.as_deref_mut() {
-            // Gather grad_out [blk, f, oh·ow] into filter-major G [f, blk·oh·ow].
             let fmat = grown(&mut ws.fmat, f * x);
-            for (s, image) in grads.chunks_exact(f * ohow).enumerate() {
-                for (fi, src) in image.chunks_exact(ohow).enumerate() {
-                    fmat[fi * x + s * ohow..fi * x + (s + 1) * ohow].copy_from_slice(src);
-                }
-            }
+            grads.filter_major(in_block, (f, ohow), fmat);
             let gcol = grown(&mut ws.gcol, ckk * x);
             engine::gemm_at_b(f, ckk, x, weight.as_slice(), fmat, gcol);
             let grad_images = &mut gi.as_mut_slice()[block];
             col2im_block(gcol, (blk, c, h, w), spec, (oh, ow), grad_images);
         }
         s0 += blk;
+    }
+}
+
+/// The gradient w.r.t. a convolution's `[n, f, oh·ow]` output, as the
+/// backward pass reads it one image block at a time.
+#[derive(Clone, Copy)]
+enum OutGrad<'a> {
+    /// The gradient itself.
+    Dense(&'a [f32]),
+    /// Routed back through a fused ReLU and max-pool.
+    Pooled(Routes<'a>),
+}
+
+impl OutGrad<'_> {
+    /// Writes filters `lanes` of the gradient of `images` position-major
+    /// into `gt: [blk·oh·ow, L]`, lanes past them zero, and adds each
+    /// filter's sum to its slot of `sums` (see [`gather_lanes`]).
+    fn lanes<const L: usize>(
+        &self,
+        images: Range<usize>,
+        (f, ohow): (usize, usize),
+        lanes: Range<usize>,
+        gt: &mut [f32],
+        sums: &mut [f32],
+    ) {
+        match self {
+            OutGrad::Dense(grads) => {
+                let block = &grads[images.start * f * ohow..images.end * f * ohow];
+                gather_lanes::<L>(block, (f, ohow), lanes, gt, sums);
+            }
+            OutGrad::Pooled(routes) => {
+                gt.fill(0.0);
+                let g0 = lanes.start;
+                routes.each(images, lanes, f, |s, fi, q, g| {
+                    gt[(s * ohow + q) * L + fi - g0] = g;
+                });
+                // The sums `gather_lanes` forms: every element, zeros too.
+                let mut acc = [-0.0f32; L];
+                for row in gt.chunks_exact(L) {
+                    for (a, &d) in acc.iter_mut().zip(row) {
+                        *a += d;
+                    }
+                }
+                for (s, a) in sums.iter_mut().zip(acc) {
+                    *s += a;
+                }
+            }
+        }
+    }
+
+    /// Writes the gradient of `images` filter-major into `fmat: [f,
+    /// blk·oh·ow]`.
+    fn filter_major(&self, images: Range<usize>, (f, ohow): (usize, usize), fmat: &mut [f32]) {
+        let x = images.len() * ohow;
+        match self {
+            OutGrad::Dense(grads) => {
+                let block = &grads[images.start * f * ohow..images.end * f * ohow];
+                for (s, image) in block.chunks_exact(f * ohow).enumerate() {
+                    for (fi, src) in image.chunks_exact(ohow).enumerate() {
+                        fmat[fi * x + s * ohow..fi * x + (s + 1) * ohow].copy_from_slice(src);
+                    }
+                }
+            }
+            OutGrad::Pooled(routes) => {
+                fmat.fill(0.0);
+                routes.each(images, 0..f, f, |s, fi, q, g| {
+                    fmat[fi * x + s * ohow + q] = g;
+                });
+            }
+        }
     }
 }
 
@@ -659,6 +816,218 @@ fn gather_lanes<const L: usize>(
     }
     for (s, a) in sums.iter_mut().zip(acc) {
         *s += a;
+    }
+}
+
+/// The route of a window whose pooled value is not above zero: its
+/// gradient is zero everywhere, as ReLU's mask makes it. Any other route
+/// is the winner's place in the window, `ky << 4 | kx`.
+const CLOSED: u8 = u8::MAX;
+
+/// Forward convolution, ReLU and max-pool as one pass — the LeNet block —
+/// writing only the pooled `out: [n, f, ph, pw]` (resized in place) and,
+/// when `route` is given (training), one byte per pooled element that
+/// [`conv2d_relu_pool_backward_into`] reads.
+///
+/// Each image's convolution goes into one image's scratch in the
+/// workspace, computed exactly as [`conv2d_forward_into`] computes it;
+/// ReLU and the pool run from there with what `Relu` and
+/// [`maxpool2d_forward_into`] apply, in the same order: [`relu`], then
+/// the first strictly greater value from −∞. The pooled values are
+/// theirs bit for bit, and no `[n, f, oh, ow]` tensor is written.
+///
+/// # Panics
+///
+/// Panics as [`conv2d_forward_into`] does, or if `pool` has padding,
+/// windows that overlap or leave gaps (`stride ≠ kh` or `≠ kw`), or an
+/// edge longer than 15.
+#[allow(clippy::too_many_arguments)] // convolution and pool geometry + outputs
+pub fn conv2d_relu_pool_forward_into(
+    input: &Tensor,
+    weight: &Tensor,
+    bias: &Tensor,
+    spec: &Conv2dSpec,
+    pool: &Conv2dSpec,
+    ws: &mut ConvWorkspace,
+    out: &mut Tensor,
+    route: Option<&mut Vec<u8>>,
+) {
+    let (n, f, oh, ow) = forward_shape(input, weight, bias, spec);
+    let (ph, pw) = pooled_hw(pool, (oh, ow));
+    out.resize(&[n, f, ph, pw]);
+    // No zeroing: the pool writes every route.
+    let route = route.map(|r| {
+        r.resize(n * f * ph * pw, 0);
+        r.as_mut_slice()
+    });
+    let mut conv = std::mem::take(&mut ws.conv);
+    let mut images = ReluPool {
+        conv: grown(&mut conv, f * oh * ow),
+        dims: (f, oh, ow),
+        pooled: (ph, pw),
+        pool,
+        out: out.as_mut_slice(),
+        route,
+    };
+    forward(input, weight, bias, spec, ws, &mut images);
+    ws.conv = conv;
+}
+
+/// The pooled size of an `oh × ow` convolution output under `pool`, after
+/// checking that the fused block supports `pool`.
+fn pooled_hw(pool: &Conv2dSpec, (oh, ow): (usize, usize)) -> (usize, usize) {
+    assert_eq!(pool.padding, 0, "maxpool does not support padding");
+    assert!(
+        pool.kh == pool.stride && pool.kw == pool.stride,
+        "a fused pool needs stride = kernel, got {pool:?}"
+    );
+    assert!(pool.kh < 16, "a fused pool window is at most 15×15");
+    pool.output_hw(oh, ow)
+}
+
+/// ReLU and a non-overlapping max-pool over each image's convolution,
+/// into that image's `[f, ph, pw]` of `out` and, when training, of
+/// `route`.
+struct ReluPool<'a> {
+    /// One image's convolution, `[f, oh, ow]`.
+    conv: &'a mut [f32],
+    /// `(f, oh, ow)` and `(ph, pw)`.
+    dims: (usize, usize, usize),
+    pooled: (usize, usize),
+    pool: &'a Conv2dSpec,
+    out: &'a mut [f32],
+    route: Option<&'a mut [u8]>,
+}
+
+impl Images for ReluPool<'_> {
+    fn conv(&mut self, _: usize) -> &mut [f32] {
+        self.conv
+    }
+
+    fn done(&mut self, s: usize) {
+        let ((f, oh, ow), (ph, pw), k) = (self.dims, self.pooled, self.pool.kh);
+        let at = s * f * ph * pw..(s + 1) * f * ph * pw;
+        let out = &mut self.out[at.clone()];
+        let mut route = self.route.as_deref_mut().map(|r| &mut r[at]);
+        for (fi, plane) in self.conv.chunks_exact(oh * ow).enumerate() {
+            for py in 0..ph {
+                let band = &plane[py * k * ow..(py + 1) * k * ow];
+                let row = (fi * ph + py) * pw..(fi * ph + py + 1) * pw;
+                let out = &mut out[row.clone()];
+                match route.as_deref_mut() {
+                    Some(route) => {
+                        let route = &mut route[row];
+                        pool_band(band, ow, self.pool, relu, out, |ox, best, _, (ky, kx)| {
+                            route[ox] = if best > 0.0 {
+                                (ky << 4 | kx) as u8
+                            } else {
+                                CLOSED
+                            };
+                        });
+                    }
+                    None => pool_band(band, ow, self.pool, relu, out, |_, _, _, _| {}),
+                }
+            }
+        }
+    }
+}
+
+/// Backward of [`conv2d_relu_pool_forward_into`]: given `grad_out =
+/// ∂L/∂pooled` of shape `[n, f, ph, pw]` and the `route` the training
+/// forward kept, computes `∂L/∂input`, `∂L/∂W` and `∂L/∂b` exactly as
+/// [`conv2d_backward_into`] does from the gradient the unfused `MaxPool2d`
+/// and `Relu` backward passes would hand it — bit for bit, with no
+/// `[n, f, oh, ow]` tensor in between.
+///
+/// That gradient is `+0.0` except at each window's winner whose pooled
+/// value is above zero (ReLU's mask there), where it is `0.0 + g` (the
+/// pool's add into a zeroed buffer). Each block writes those values
+/// straight into the buffers the convolution's backward reads: the
+/// position-major lane groups for `∂W` and `∂b`, and the filter-major
+/// matrix for `∂input`. `grad_in: None` skips `∂input`, as there.
+///
+/// # Panics
+///
+/// Panics as [`conv2d_backward_into`] does, if `pool` is not one the
+/// forward accepts, or if `grad_out` is not the pooled shape or `route`
+/// not one byte per element of it.
+#[allow(clippy::too_many_arguments)] // convolution and pool geometry + outputs
+pub fn conv2d_relu_pool_backward_into(
+    grad_out: &Tensor,
+    route: &[u8],
+    input: &Tensor,
+    weight: &Tensor,
+    spec: &Conv2dSpec,
+    pool: &Conv2dSpec,
+    ws: &mut ConvWorkspace,
+    grad_in: Option<&mut Tensor>,
+    grad_w: &mut Tensor,
+    grad_b: &mut Tensor,
+) {
+    let (n, f, oh, ow) = backward_shape(input, weight, spec);
+    let (ph, pw) = pooled_hw(pool, (oh, ow));
+    assert_eq!(
+        grad_out.shape(),
+        [n, f, ph, pw],
+        "grad_out is not the pooled output's shape"
+    );
+    assert_eq!(
+        route.len(),
+        grad_out.len(),
+        "route length != pooled outputs"
+    );
+    let grads = OutGrad::Pooled(Routes {
+        grad: grad_out.as_slice(),
+        route,
+        k: pool.kh,
+        ow,
+        pooled: (ph, pw),
+    });
+    backward(grads, input, weight, spec, ws, grad_in, grad_w, grad_b);
+}
+
+/// A fused block's pooled gradient and routes, as the backward reads them.
+#[derive(Clone, Copy)]
+struct Routes<'a> {
+    /// `[n, f, ph, pw]` gradient and route.
+    grad: &'a [f32],
+    route: &'a [u8],
+    /// The pool's window edge (= its stride) and the convolution's output
+    /// width.
+    k: usize,
+    ow: usize,
+    pooled: (usize, usize),
+}
+
+impl Routes<'_> {
+    /// Calls `put(s, fi, q, 0.0 + g)` for every window of `images` and
+    /// `filters` whose route is open: `s` counts from `images.start`, and
+    /// `q` is the winner's position in its `[oh, ow]` plane.
+    fn each(
+        &self,
+        images: Range<usize>,
+        filters: Range<usize>,
+        f: usize,
+        mut put: impl FnMut(usize, usize, usize, f32),
+    ) {
+        let (ph, pw) = self.pooled;
+        let (k, ow) = (self.k, self.ow);
+        for s in images.clone() {
+            for fi in filters.clone() {
+                let at = (s * f + fi) * ph * pw;
+                let grad = self.grad[at..at + ph * pw].chunks_exact(pw);
+                let route = self.route[at..at + ph * pw].chunks_exact(pw);
+                for (py, (grad, route)) in grad.zip(route).enumerate() {
+                    for (px, (&g, &r)) in grad.iter().zip(route).enumerate() {
+                        if r != CLOSED {
+                            let (ky, kx) = (usize::from(r >> 4), usize::from(r & 15));
+                            let q = (py * k + ky) * ow + px * k + kx;
+                            put(s - images.start, fi, q, 0.0 + g);
+                        }
+                    }
+                }
+            }
+        }
     }
 }
 
@@ -702,10 +1071,6 @@ fn maxpool_shape(input: &Tensor, spec: &Conv2dSpec) -> [usize; 4] {
 
 /// The pooling loop shared by both forward forms: writes every output
 /// and, with `ARGMAX`, each output's winning flat input index into `idx`.
-///
-/// Each output row is pooled from the band of `kh` input rows under it,
-/// sliced once, by [`pool_row_2x2`] for the 2×2 / stride-2 window every
-/// model in the zoo uses and by [`pool_row`] for any other.
 fn maxpool_core<const ARGMAX: bool>(
     input: &Tensor,
     spec: &Conv2dSpec,
@@ -716,56 +1081,82 @@ fn maxpool_core<const ARGMAX: bool>(
     let (_, _, h, w) = input.dims4();
     out.resize(&[n, c, oh, ow]);
     let out = out.as_mut_slice();
-    let two_by_two = (spec.kh, spec.kw, spec.stride) == (2, 2, 2);
     for (plane, src) in input.as_slice().chunks_exact(h * w).enumerate() {
         for oy in 0..oh {
             let top = oy * spec.stride * w;
             let band = &src[top..top + spec.kh * w];
             let at0 = plane * h * w + top;
             let row = (plane * oh + oy) * ow..(plane * oh + oy + 1) * ow;
-            let idx = if ARGMAX {
-                &mut idx[row.clone()]
-            } else {
-                &mut []
-            };
-            if two_by_two {
-                pool_row_2x2::<ARGMAX>(band, w, at0, &mut out[row], idx);
-            } else {
-                pool_row::<ARGMAX>(band, w, spec, at0, &mut out[row], idx);
-            }
+            let idx = &mut idx[if ARGMAX { row.clone() } else { 0..0 }];
+            pool_band(
+                band,
+                w,
+                spec,
+                |v| v,
+                &mut out[row],
+                |ox, _, at, _| {
+                    if ARGMAX {
+                        idx[ox] = at0 + at;
+                    }
+                },
+            );
         }
     }
 }
 
-/// Pools one output row from its `band` of input rows (`band[0]` is flat
-/// input index `at0`). Each window reads one `kw`-long run per band row,
-/// its elements compared in `(ky, kx)` order: the first strictly greater
-/// one wins. The running maximum starts at −∞ and the argmax at the
-/// window's first element, so a window with nothing above −∞ (all −∞ or
-/// NaN) pools to −∞ and routes its gradient to its own first element.
-fn pool_row<const ARGMAX: bool>(
+/// Pools one output row from the `band` of `kh` input rows, `w` wide,
+/// under it: by [`pool_row_2x2`] for the 2×2 / stride-2 window every
+/// model in the zoo uses and by [`pool_row`] for any other. Each element
+/// is mapped by `value` before it is compared — the identity, or a fused
+/// ReLU. `winner(ox, best, at, (ky, kx))` hears each window's maximum,
+/// the offset `at` into the band where it won and its place in the
+/// window.
+#[inline(always)]
+fn pool_band(
     band: &[f32],
     w: usize,
     spec: &Conv2dSpec,
-    at0: usize,
+    value: impl Fn(f32) -> f32,
     out: &mut [f32],
-    idx: &mut [usize],
+    winner: impl FnMut(usize, f32, usize, (usize, usize)),
+) {
+    if (spec.kh, spec.kw, spec.stride) == (2, 2, 2) {
+        pool_row_2x2(band, w, value, out, winner);
+    } else {
+        pool_row(band, w, spec, value, out, winner);
+    }
+}
+
+/// Pools one output row from its `band` of input rows. Each window reads
+/// one `kw`-long run per band row, its elements compared in `(ky, kx)`
+/// order: the first strictly greater one wins. The running maximum starts
+/// at −∞ and the winner at the window's first element, so a window with
+/// nothing above −∞ (all −∞ or NaN) pools to −∞ and routes its gradient
+/// to its own first element.
+#[inline(always)]
+fn pool_row(
+    band: &[f32],
+    w: usize,
+    spec: &Conv2dSpec,
+    value: impl Fn(f32) -> f32,
+    out: &mut [f32],
+    mut winner: impl FnMut(usize, f32, usize, (usize, usize)),
 ) {
     for (ox, o) in out.iter_mut().enumerate() {
         let x0 = ox * spec.stride;
-        let (mut best, mut arg) = (f32::NEG_INFINITY, x0);
-        for r in (x0..).step_by(w).take(spec.kh) {
-            for (i, &v) in (r..).zip(&band[r..r + spec.kw]) {
+        let (mut best, mut arg, mut place) = (f32::NEG_INFINITY, x0, (0, 0));
+        for (ky, r) in (x0..).step_by(w).take(spec.kh).enumerate() {
+            for (kx, (i, &v)) in (r..).zip(&band[r..r + spec.kw]).enumerate() {
+                let v = value(v);
                 if v > best {
                     best = v;
                     arg = i;
+                    place = (ky, kx);
                 }
             }
         }
         *o = best;
-        if ARGMAX {
-            idx[ox] = at0 + arg;
-        }
+        winner(ox, best, arg, place);
     }
 }
 
@@ -773,50 +1164,70 @@ fn pool_row<const ARGMAX: bool>(
 /// in pairs side by side and each window is four straight-line compares
 /// in the same order, with the same seeds — five to six times faster than
 /// the general loop's nested runs at this size.
-fn pool_row_2x2<const ARGMAX: bool>(
+#[inline(always)]
+fn pool_row_2x2(
     band: &[f32],
     w: usize,
-    at0: usize,
+    value: impl Fn(f32) -> f32,
     out: &mut [f32],
-    idx: &mut [usize],
+    mut winner: impl FnMut(usize, f32, usize, (usize, usize)),
 ) {
     let (top, bottom) = band.split_at(w);
     let windows = top.chunks_exact(2).zip(bottom.chunks_exact(2));
     for (ox, (o, (t, b))) in out.iter_mut().zip(windows).enumerate() {
-        let at = at0 + 2 * ox;
-        let (mut best, mut arg) = (f32::NEG_INFINITY, at);
-        for (v, i) in [
-            (t[0], at),
-            (t[1], at + 1),
-            (b[0], at + w),
-            (b[1], at + w + 1),
+        let at = 2 * ox;
+        let (mut best, mut arg, mut place) = (f32::NEG_INFINITY, at, (0, 0));
+        for (v, i, p) in [
+            (t[0], at, (0, 0)),
+            (t[1], at + 1, (0, 1)),
+            (b[0], at + w, (1, 0)),
+            (b[1], at + w + 1, (1, 1)),
         ] {
+            let v = value(v);
             if v > best {
                 best = v;
                 arg = i;
+                place = p;
             }
         }
         *o = best;
-        if ARGMAX {
-            idx[ox] = arg;
-        }
+        winner(ox, best, arg, place);
     }
 }
 
 /// Backward max-pooling: routes each output gradient to the input element
 /// that won the forward max, into a caller-owned tensor (resized in place
 /// and overwritten).
+///
+/// # Panics
+///
+/// Panics if `argmax` does not hold one index per element of `grad_out`,
+/// or `grad_out` is not the shape `spec` pools `input_shape` to.
 pub fn maxpool2d_backward_into(
     grad_out: &Tensor,
     argmax: &[usize],
     input_shape: (usize, usize, usize, usize),
+    spec: &Conv2dSpec,
     grad_in: &mut Tensor,
 ) {
     let (n, c, h, w) = input_shape;
+    assert_eq!(
+        grad_out.len(),
+        argmax.len(),
+        "maxpool grad_out has {} elements for {} argmax entries",
+        grad_out.len(),
+        argmax.len()
+    );
+    let (oh, ow) = spec.output_hw(h, w);
+    assert_eq!(
+        grad_out.shape(),
+        [n, c, oh, ow],
+        "maxpool grad_out is not the pooled shape of {input_shape:?}"
+    );
     grad_in.resize(&[n, c, h, w]);
     grad_in.zero_mut();
     let gi = grad_in.as_mut_slice();
-    for (g, &i) in grad_out.as_slice().iter().zip(argmax.iter()) {
+    for (g, &i) in grad_out.as_slice().iter().zip(argmax) {
         gi[i] += g;
     }
 }
@@ -1409,7 +1820,8 @@ mod tests {
         assert!(ws.col.is_empty() && ws.fmat.is_empty(), "lowered: {what}");
         let mut lowered = vec![f32::NAN; got.len()];
         let mut lowering_ws = ConvWorkspace::new();
-        forward_lowered(&input, &weight, &bias, spec, &mut lowering_ws, &mut lowered);
+        let whole = &mut Whole(&mut lowered, got.len() / n);
+        forward_lowered(&input, &weight, &bias, spec, &mut lowering_ws, whole);
         assert_eq!(bits(got.as_slice()), bits(&lowered), "vs lowering: {what}");
         let (out, ..) = conv_oracle(&input, &weight, &bias, &grad_out, spec);
         assert_eq!(bits(got.as_slice()), bits(&out), "vs oracle: {what}");
@@ -1549,7 +1961,7 @@ mod tests {
         assert_eq!(out.as_slice(), &[6., 8., 14., 16.]);
         let gout = Tensor::from_vec(vec![1, 1, 2, 2], vec![1., 2., 3., 4.]);
         let mut gin = Tensor::zeros(vec![0]);
-        maxpool2d_backward_into(&gout, &idx, (1, 1, 4, 4), &mut gin);
+        maxpool2d_backward_into(&gout, &idx, (1, 1, 4, 4), &spec, &mut gin);
         assert_eq!(gin.at(5), 1.0);
         assert_eq!(gin.at(7), 2.0);
         assert_eq!(gin.at(13), 3.0);
@@ -1679,10 +2091,160 @@ mod tests {
         grad_out.as_mut_slice()[nan_window] = 3.0;
         grad_out.as_mut_slice()[inf_window] = 5.0;
         let mut grad_in = Tensor::zeros(vec![0]);
-        maxpool2d_backward_into(&grad_out, &idx, (1, 2, 4, 6), &mut grad_in);
+        maxpool2d_backward_into(&grad_out, &idx, (1, 2, 4, 6), &spec, &mut grad_in);
         assert_eq!(grad_in.at(24 + 2 * 6 + 4), 3.0);
         assert_eq!(grad_in.at(2), 5.0);
         assert_eq!(grad_in.sum(), 8.0);
+    }
+
+    /// Runs the backward of a 2×2 pool over `[1, 1, 4, 4]` with the given
+    /// `grad_out` shape and argmax length.
+    fn pool_backward_with(grad_out: Vec<usize>, argmax: usize) {
+        let spec = Conv2dSpec::new(2, 2, 2, 0);
+        let mut grad_in = Tensor::zeros(vec![0]);
+        let grad_out = Tensor::filled(grad_out, 1.0);
+        maxpool2d_backward_into(
+            &grad_out,
+            &vec![0; argmax],
+            (1, 1, 4, 4),
+            &spec,
+            &mut grad_in,
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "maxpool grad_out has 3 elements for 4 argmax entries")]
+    fn maxpool_backward_rejects_a_gradient_shorter_than_the_argmax() {
+        pool_backward_with(vec![1, 1, 1, 3], 4);
+    }
+
+    #[test]
+    #[should_panic(expected = "maxpool grad_out is not the pooled shape of (1, 1, 4, 4)")]
+    fn maxpool_backward_rejects_a_gradient_of_another_shape() {
+        pool_backward_with(vec![1, 1, 2, 3], 6);
+    }
+
+    /// The fused epilogue on hand-made convolution outputs, against ReLU
+    /// then [`maxpool_oracle`]: the same pooled bits, and a route to the
+    /// oracle's winner exactly where the pooled value is above zero.
+    #[test]
+    fn relu_pool_epilogue_is_relu_then_maxpool() {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(43);
+        let specials = [0.0, -0.0, f32::NAN, f32::NEG_INFINITY, f32::INFINITY];
+        for (k, (f, oh, ow)) in [
+            (2, (3, 9, 7)),
+            (3, (2, 7, 10)),
+            (1, (2, 3, 3)),
+            (2, (1, 2, 2)),
+        ] {
+            let pool = Conv2dSpec::new(k, k, k, 0);
+            let (ph, pw) = pooled_hw(&pool, (oh, ow));
+            for case in 0..20 {
+                // Five levels for ties; signed zeros, NaN and ±∞; whole
+                // windows of one special value.
+                let mut conv: Vec<f32> = (0..f * oh * ow)
+                    .map(|_| match rng.gen_range(0..8) {
+                        0 => specials[rng.gen_range(0..specials.len())],
+                        _ => rng.gen_range(-2i32..=2) as f32 * 0.5,
+                    })
+                    .collect();
+                let v = specials[case % specials.len()];
+                conv[..k * ow].fill(v);
+                let relu_input =
+                    Tensor::from_vec(vec![1, f, oh, ow], conv.iter().map(|&v| relu(v)).collect());
+                let (want, want_idx) = maxpool_oracle(&relu_input, &pool);
+                let (mut out, mut route) = (vec![f32::NAN; f * ph * pw], vec![7u8; f * ph * pw]);
+                let mut images = ReluPool {
+                    conv: &mut conv,
+                    dims: (f, oh, ow),
+                    pooled: (ph, pw),
+                    pool: &pool,
+                    out: &mut out,
+                    route: Some(&mut route),
+                };
+                images.done(0);
+                assert_eq!(bits(&out), bits(&want), "k={k} case {case}");
+                for (o, ((&r, &i), &p)) in route.iter().zip(&want_idx).zip(&want).enumerate() {
+                    let (py, px) = (o % (ph * pw) / pw, o % pw);
+                    let winner = |ky: usize, kx: usize| {
+                        (o / (ph * pw) * oh + py * k + ky) * ow + px * k + kx
+                    };
+                    assert_eq!(r != CLOSED, p > 0.0, "route {r} at {o}: k={k} case {case}");
+                    if r != CLOSED {
+                        assert_eq!(winner(usize::from(r >> 4), usize::from(r & 15)), i);
+                    }
+                }
+                // Eval keeps no route and pools the same.
+                let mut eval = vec![f32::NAN; f * ph * pw];
+                let mut images = ReluPool {
+                    conv: &mut conv,
+                    dims: (f, oh, ow),
+                    pooled: (ph, pw),
+                    pool: &pool,
+                    out: &mut eval,
+                    route: None,
+                };
+                images.done(0);
+                assert_eq!(bits(&eval), bits(&want), "eval k={k} case {case}");
+            }
+        }
+    }
+
+    #[test]
+    fn relu_pool_block_keeps_one_image_of_convolution() {
+        // Both LeNet-5 blocks, train forward and both backward forms: the
+        // workspace grows exactly what the convolution's own passes grow
+        // plus one image's `[f, oh, ow]`, and nothing of the batch's
+        // `[n, f, oh, ow]` is written — the output and the route are the
+        // pooled shape.
+        let (spec, pool) = (Conv2dSpec::new(5, 5, 1, 0), Conv2dSpec::new(2, 2, 2, 0));
+        let capacities = |ws: &ConvWorkspace| {
+            [&ws.col, &ws.fmat, &ws.gcol, &ws.gt, &ws.wt, &ws.img].map(|b| b.capacity())
+        };
+        for (c, hw, f) in [(1, 28, 6), (6, 12, 16)] {
+            let (input, weight, bias, _) = operands((25, c, hw, hw, f), &spec, 3);
+            let (oh, ow) = spec.output_hw(hw, hw);
+            let (ph, pw) = pool.output_hw(oh, ow);
+            let (mut gi, mut gw, mut gb) = (
+                Tensor::zeros(vec![0]),
+                Tensor::zeros(vec![0]),
+                Tensor::zeros(vec![0]),
+            );
+            let (mut fused, mut plain) = (ConvWorkspace::new(), ConvWorkspace::new());
+            let (mut out, mut route) = (Tensor::zeros(vec![0]), Vec::new());
+            conv2d_relu_pool_forward_into(
+                &input,
+                &weight,
+                &bias,
+                &spec,
+                &pool,
+                &mut fused,
+                &mut out,
+                Some(&mut route),
+            );
+            assert_eq!(out.shape(), [25, f, ph, pw]);
+            assert_eq!(route.len(), out.len());
+            // The pooled output stands in for its own gradient.
+            for gi in [None, Some(&mut gi)] {
+                conv2d_relu_pool_backward_into(
+                    &out, &route, &input, &weight, &spec, &pool, &mut fused, gi, &mut gw, &mut gb,
+                );
+            }
+            let mut full = Tensor::zeros(vec![0]);
+            conv2d_forward_into(&input, &weight, &bias, &spec, &mut plain, &mut full);
+            for gi in [None, Some(&mut gi)] {
+                conv2d_backward_into(
+                    &full, &input, &weight, &spec, &mut plain, gi, &mut gw, &mut gb,
+                );
+            }
+            assert_eq!(capacities(&fused), capacities(&plain), "c={c}");
+            assert_eq!(
+                (fused.conv.len(), plain.conv.capacity()),
+                (f * oh * ow, 0),
+                "c={c}"
+            );
+        }
     }
 
     #[test]

@@ -13,6 +13,23 @@
 
 use crate::{engine, Tensor};
 
+/// ReLU of one value: `v` if it is above zero, else `+0.0` — for `−0.0`
+/// and NaN too. Written as a compare and a select rather than
+/// `v.max(0.0)`: `f32::max` leaves the sign of a zero result open, and
+/// LLVM lowers it differently in a vectorised loop and a scalar one (the
+/// fused convolution epilogue returned `−0.0` for `−0.0` where the
+/// vectorised `Relu` loop returned `+0.0`). One definition keeps the
+/// `Relu` layer and [`crate::conv::conv2d_relu_pool_forward_into`] equal
+/// bit for bit.
+#[inline(always)]
+pub fn relu(v: f32) -> f32 {
+    if v > 0.0 {
+        v
+    } else {
+        0.0
+    }
+}
+
 /// Matrix product `A · B` for 2-D tensors.
 ///
 /// Dispatches by size between the reference-order loop and the blocked

@@ -179,7 +179,7 @@ pub fn params_from_bytes(mut bytes: Bytes) -> Result<Vec<f32>, TensorError> {
 ///
 /// Returns [`TensorError::MalformedBytes`] on truncation or a length
 /// prefix the buffer cannot back.
-pub fn params_peek_len(bytes: &[u8]) -> Result<usize, TensorError> {
+fn params_peek_len(bytes: &[u8]) -> Result<usize, TensorError> {
     if bytes.len() < 8 {
         return Err(TensorError::MalformedBytes("missing length header".into()));
     }
@@ -202,8 +202,8 @@ pub fn params_peek_len(bytes: &[u8]) -> Result<usize, TensorError> {
 ///
 /// Returns [`TensorError::MalformedBytes`] on truncation, a hostile
 /// length prefix, or when the announced float count differs from
-/// `out.len()` (the caller sizes `out` via [`params_peek_len`] or its
-/// protocol-known state length).
+/// `out.len()` (the caller sizes `out` to its protocol-known state
+/// length, or calls [`params_read_into_vec`]).
 pub fn params_read_into(bytes: &[u8], out: &mut [f32]) -> Result<usize, TensorError> {
     let n = params_peek_len(bytes)?;
     if n != out.len() {

@@ -225,26 +225,6 @@ impl Tensor {
         &mut self.data[row * c..(row + 1) * c]
     }
 
-    /// Builds a new tensor holding the selected rows (2-D view) of `self`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any index is out of bounds.
-    pub fn select_rows(&self, rows: &[usize]) -> Tensor {
-        let (_, c) = self.dims2();
-        let mut out = Vec::with_capacity(rows.len() * c);
-        for &r in rows {
-            out.extend_from_slice(self.row(r));
-        }
-        let mut shape = self.shape.clone();
-        shape[0] = rows.len();
-        // Rank-1 tensors become a batch of rows.
-        if shape.len() == 1 {
-            shape = vec![rows.len(), self.shape[0]];
-        }
-        Tensor::from_vec(shape, out)
-    }
-
     /// Elementwise sum with `other`, returning a new tensor.
     ///
     /// # Panics
@@ -326,7 +306,7 @@ impl Tensor {
     /// # Panics
     ///
     /// Panics if shapes differ.
-    pub fn zip_with(&self, other: &Tensor, f: impl Fn(f32, f32) -> f32) -> Tensor {
+    fn zip_with(&self, other: &Tensor, f: impl Fn(f32, f32) -> f32) -> Tensor {
         assert_eq!(
             self.shape, other.shape,
             "shape mismatch: {:?} vs {:?}",
@@ -503,14 +483,6 @@ mod tests {
         let b = Tensor::from_vec(vec![3], vec![2., 4., 6.]);
         a.axpy(0.5, &b);
         assert_eq!(a.as_slice(), &[2., 3., 4.]);
-    }
-
-    #[test]
-    fn select_rows_copies_rows() {
-        let t = Tensor::from_vec(vec![3, 2], vec![1., 2., 3., 4., 5., 6.]);
-        let s = t.select_rows(&[2, 0]);
-        assert_eq!(s.shape(), &[2, 2]);
-        assert_eq!(s.as_slice(), &[5., 6., 1., 2.]);
     }
 
     #[test]

@@ -83,20 +83,14 @@ impl Sgd {
     }
 }
 
-/// Slice length from which one fused-update chunk is worth a parallel
-/// task. Chunks are fixed-size so the per-element arithmetic — and hence
-/// the result — is independent of how many threads process them.
-const FUSED_CHUNK: usize = 1 << 16;
-
 /// SGD with momentum, fused: one pass over `(w, g, v)` instead of the
 /// three passes (`v *= β`, `v += g`, `w -= η·v`) of [`Sgd::step`].
 ///
 /// Velocity lives in a single flat buffer covering the trainable
-/// parameters in state-vector order, walked as chunked slices; chunks of
-/// large parameters are processed on the shared rayon pool. Per-element
-/// arithmetic mirrors [`Sgd::step`] exactly and every element belongs to
-/// exactly one chunk, so updates are **bitwise identical** to `Sgd` and
-/// to themselves at every thread count. After the first step (which
+/// parameters in state-vector order, walked one parameter slice at a
+/// time on the calling thread. Per-element arithmetic mirrors
+/// [`Sgd::step`] exactly, so updates are **bitwise identical** to `Sgd`
+/// and to themselves at every thread count. After the first step (which
 /// sizes the velocity buffer) a step performs no heap allocation.
 #[derive(Debug)]
 pub struct FusedSgd {
@@ -200,32 +194,12 @@ impl FusedSgd {
 }
 
 /// One fused `v ← β·v + g; w ← w − η·v` sweep over a parameter slice,
-/// splitting into [`FUSED_CHUNK`]-sized tasks on the current rayon pool
-/// when the slice is large. Chunk boundaries are a pure scheduling
-/// artifact: each element's update is self-contained, so results never
-/// depend on the chunking or thread count.
+/// written to match [`Sgd::step`]'s three-pass form operation for
+/// operation (`v *= β`, then `v += 1·g`, then `w += (−η)·v`) so the
+/// fused path is bitwise identical to it.
 fn fused_momentum_step(value: &mut [f32], grad: &[f32], vel: &mut [f32], lr: f32, momentum: f32) {
     assert_eq!(value.len(), grad.len(), "fused step: grad length");
     assert_eq!(value.len(), vel.len(), "fused step: velocity length");
-    if value.len() >= 2 * FUSED_CHUNK && rayon::current_num_threads() > 1 {
-        rayon::scope(|s| {
-            for ((wc, gc), vc) in value
-                .chunks_mut(FUSED_CHUNK)
-                .zip(grad.chunks(FUSED_CHUNK))
-                .zip(vel.chunks_mut(FUSED_CHUNK))
-            {
-                s.spawn(move |_| fused_momentum_chunk(wc, gc, vc, lr, momentum));
-            }
-        });
-    } else {
-        fused_momentum_chunk(value, grad, vel, lr, momentum);
-    }
-}
-
-/// The per-element update, written to match [`Sgd::step`]'s three-pass
-/// form operation for operation (`v *= β`, then `v += 1·g`, then
-/// `w += (−η)·v`) so the fused path is bitwise identical to it.
-fn fused_momentum_chunk(value: &mut [f32], grad: &[f32], vel: &mut [f32], lr: f32, momentum: f32) {
     let neg_lr = -lr;
     for ((w, &g), v) in value.iter_mut().zip(grad).zip(vel.iter_mut()) {
         *v *= momentum;

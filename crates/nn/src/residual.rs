@@ -89,7 +89,7 @@ impl Layer for Residual {
         for ((o, &a), &b) in out.as_mut_slice().iter_mut().zip(mo).zip(skip.as_slice()) {
             let sum = a + b;
             self.relu_mask.push(sum > 0.0);
-            *o = sum.max(0.0);
+            *o = goldfish_tensor::ops::relu(sum);
         }
         self.ready = true;
     }
@@ -185,6 +185,21 @@ mod tests {
         let x = Tensor::from_vec(vec![1, 3], vec![1.0, -2.0, 3.0]);
         let y = forward(&mut block, &x, true);
         assert_eq!(y.as_slice(), &[1.0, 0.0, 3.0]); // relu(x + 0)
+    }
+
+    #[test]
+    fn negative_zero_sum_comes_out_as_relu_gives_it() {
+        // An empty main branch is the identity, so each sum is `x + x`:
+        // −0.0 + −0.0 = −0.0, which must leave as +0.0 like `Relu`'s.
+        // Long enough to cover any vectorised body and its tail.
+        let mut block = Residual::identity(Sequential::new());
+        let x: Vec<f32> = (0..67).map(|i| [-0.0, -1.0, 2.0][i % 3]).collect();
+        let x = Tensor::from_vec(vec![1, 67], x);
+        let y = forward(&mut block, &x, true);
+        let relu = forward(&mut crate::layer::Relu::new(), &x.add(&x), true);
+        let bits = |t: &Tensor| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&y), bits(&relu));
+        assert!(y.as_slice().iter().step_by(3).all(|v| v.to_bits() == 0));
     }
 
     #[test]

@@ -38,7 +38,7 @@ use goldfish_telemetry::events::EventKind;
 
 use crate::audit::{audit_kind, AuditEventRecord};
 
-use crate::digest::{self, DIGEST_LEN};
+use crate::digest;
 use crate::durability::{DurabilityError, DurableStore, Recovered};
 use crate::queue::{UnlearnQueue, UnlearnRequest};
 use crate::telemetry::{DurabilityTelemetry, QueueTelemetry, ServeTelemetry};
@@ -577,13 +577,6 @@ impl<T: ServeTransport> Coordinator<T> {
     /// will serve before its first training round.
     pub fn has_overdue_drain(&self) -> bool {
         self.resume_drain_pending
-    }
-
-    /// SHA-256 digest of the current global at the current round
-    /// cursor — what resumed workers receive in the `Digest` frame and
-    /// what audit entries record after a drain.
-    pub fn global_digest(&self) -> [u8; DIGEST_LEN] {
-        digest::state_digest(self.next_round as u64, &self.global)
     }
 
     /// The current global state vector.

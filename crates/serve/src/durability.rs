@@ -889,11 +889,6 @@ impl DurableStore {
         self.wal_seq
     }
 
-    /// Latest checkpoint generation on disk.
-    pub fn checkpoint_serial(&self) -> u64 {
-        self.serial
-    }
-
     /// The state directory.
     pub fn dir(&self) -> &Path {
         &self.dir

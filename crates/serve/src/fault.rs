@@ -266,11 +266,6 @@ impl<T: ServeTransport> FaultyTransport<T> {
         &self.inner
     }
 
-    /// Mutable access to the wrapped transport.
-    pub fn inner_mut(&mut self) -> &mut T {
-        &mut self.inner
-    }
-
     /// Unwraps.
     pub fn into_inner(self) -> T {
         self.inner

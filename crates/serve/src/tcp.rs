@@ -19,6 +19,16 @@
 //! and reported as a typed [`TransportError`], and the round driver
 //! re-rounds over the survivors.
 //!
+//! There is one handshake, and it never blocks: start-up
+//! ([`TcpTransport::accept`]) and round-boundary re-admission
+//! ([`ServeTransport::admit_reconnects`]) drive every peer's `Hello`,
+//! verdict and — on a re-admission — `Digest` acknowledgement at once on
+//! one poller, so no half-connected peer can stall another. A round boundary
+//! returns at once when nothing is queued on the listener; otherwise it
+//! takes what is queued and whoever connects meanwhile, and never takes
+//! longer than one `read_timeout`: whoever has not registered by then
+//! is closed.
+//!
 //! Hot-path machinery (DESIGN.md §11):
 //!
 //! * **Encode-once broadcast** — round assignments and eval requests are
@@ -63,6 +73,7 @@
 //! reconnect admission binds the listener once with `let`–`else`
 //! instead of re-`unwrap`ing shared state mid-drain.
 
+use std::collections::BTreeSet;
 use std::net::{TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -80,8 +91,8 @@ use crate::telemetry::{ServeTelemetry, WireTelemetry};
 use crate::transport::{LocalEval, ServeTransport, WireStats};
 use crate::wire::{
     decode_msg, encode_eval_request_into, encode_frame, encode_round_assign_into,
-    encode_unlearn_assign_into, err_code, kind as wire_kind, read_raw_frame, write_frame,
-    FrameLimits, Msg, RoundMode, UpdateDecoder, UpdateHeader, WireError,
+    encode_unlearn_assign_into, err_code, kind as wire_kind, write_frame, FrameLimits, Msg,
+    RoundMode, UpdateDecoder, UpdateHeader, WireError,
 };
 
 /// Socket policy of a [`TcpTransport`].
@@ -142,7 +153,7 @@ fn hello_verdict(
     slots: usize,
     state_len: usize,
     taken: impl Fn(usize) -> bool,
-    readmission: Option<&std::collections::BTreeSet<usize>>,
+    readmission: Option<&BTreeSet<usize>>,
 ) -> Result<(usize, usize), (u16, String)> {
     let Msg::Hello {
         client_id,
@@ -180,8 +191,8 @@ fn hello_verdict(
     Err(refusal)
 }
 
-/// Poller key of the reconnect/accept listener — outside the client-id
-/// space, which is `0..conns.len()`.
+/// Poller key of the listener during a handshake run — outside the
+/// index space of the run's handshakes.
 const LISTENER_KEY: usize = usize::MAX;
 
 /// The most a not-yet-validated peer may announce during a handshake: a
@@ -208,18 +219,118 @@ struct Conn {
     wr: FrameWriteState,
 }
 
-/// A connection mid-handshake during [`TcpTransport::accept`]: reading
-/// its `Hello`, then flushing the verdict (`Capabilities` or `Err`).
+/// Where a handshake stands. A grant is `(client_id, num_samples)`.
+enum HsPhase {
+    /// Reading the peer's opening `Hello`.
+    Hello,
+    /// Flushing the verdict: the welcome frames of a grant, or the
+    /// encoded `Err` frame refusing the peer.
+    Verdict(Result<(usize, usize), Vec<u8>>),
+    /// Reading the `Ack` a re-admitted worker owes the `Digest`.
+    Ack((usize, usize)),
+}
+
+/// A peer between its connect and its registration, driven by
+/// [`TcpTransport::handshakes`].
 struct Handshake {
     stream: TcpStream,
-    rbuf: Vec<u8>,
+    phase: HsPhase,
     rd: FrameReadState,
     wr: FrameWriteState,
-    /// The encoded verdict frame; empty while the `Hello` is still
-    /// being read.
-    reply: Vec<u8>,
-    /// `Some((client_id, num_samples))` when the verdict is acceptance.
-    accepted: Option<(usize, usize)>,
+    /// The frame being read: the `Hello`, then the `Ack`.
+    rbuf: Vec<u8>,
+}
+
+/// What one readiness event left a handshake needing.
+enum HsStep {
+    /// Its socket re-armed for this interest.
+    Await(Event),
+    Register((usize, usize)),
+    /// Refused, dead or out of protocol.
+    Close,
+}
+
+/// What every handshake of one [`TcpTransport::handshakes`] run shares.
+struct Admission<'a> {
+    /// What a grant is answered with: `Capabilities`, then at a round
+    /// boundary `Digest`.
+    welcome: Vec<u8>,
+    /// The banned ids at a round boundary, which also demands a resume
+    /// token; `None` at start-up, where a token is fine: a worker that
+    /// outlived a crashed coordinator re-registers into its old slot.
+    banned: Option<&'a BTreeSet<usize>>,
+    cfg: &'a TcpConfig,
+    state_len: usize,
+    stats: &'a WireTelemetry,
+    /// Slots granted to handshakes still in flight: two peers cannot
+    /// both be granted one.
+    reserved: BTreeSet<usize>,
+}
+
+impl Handshake {
+    /// The slot this handshake holds reserved, once granted.
+    fn grant(&self) -> Option<usize> {
+        match self.phase {
+            HsPhase::Verdict(Ok((id, _))) | HsPhase::Ack((id, _)) => Some(id),
+            _ => None,
+        }
+    }
+
+    /// Advances as far as the socket allows without blocking; `key` is
+    /// its poller key. Both frames the peer sends are bounded by
+    /// [`HANDSHAKE_MAX_PAYLOAD`].
+    fn advance(&mut self, key: usize, adm: &mut Admission<'_>, conns: &[Option<Conn>]) -> HsStep {
+        if let HsPhase::Verdict(verdict) = &self.phase {
+            let frame = match verdict {
+                Ok(_) => &adm.welcome,
+                Err(refusal) => refusal,
+            };
+            match self.wr.poll(&mut self.stream, frame) {
+                Ok(true) => adm.stats.sent_bytes.add(frame.len() as u64),
+                Ok(false) => return HsStep::Await(Event::writable(key)),
+                Err(_) => return HsStep::Close,
+            }
+            // A refused peer is closed after its typed `Err`.
+            let &Ok(grant) = verdict else {
+                return HsStep::Close;
+            };
+            if adm.banned.is_none() {
+                return HsStep::Register(grant);
+            }
+            self.phase = HsPhase::Ack(grant);
+            return HsStep::Await(Event::readable(key));
+        }
+        let limits = adm.cfg.limits.at_most(HANDSHAKE_MAX_PAYLOAD);
+        let (kind, nbytes) = match self.rd.poll(&mut self.stream, &mut self.rbuf, &limits) {
+            Ok(Some(done)) => done,
+            Ok(None) => return HsStep::Await(Event::readable(key)),
+            Err(_) => return HsStep::Close,
+        };
+        adm.stats.received_bytes.add(nbytes as u64);
+        let msg = decode_msg(kind, &self.rbuf);
+        if let HsPhase::Ack(grant) = self.phase {
+            return match msg {
+                Ok(Msg::Ack) => HsStep::Register(grant),
+                _ => HsStep::Close,
+            };
+        }
+        let Ok(hello) = msg else {
+            return HsStep::Close;
+        };
+        let taken = |id: usize| conns[id].is_some() || adm.reserved.contains(&id);
+        let verdict = hello_verdict(&hello, conns.len(), adm.state_len, taken, adm.banned);
+        self.phase = HsPhase::Verdict(match verdict {
+            Ok(grant) => {
+                adm.reserved.insert(grant.0);
+                Ok(grant)
+            }
+            // A refusal the limits cannot frame closes without it.
+            Err((code, detail)) => {
+                Err(encode_frame(&Msg::Err { code, detail }, &adm.cfg.limits).unwrap_or_default())
+            }
+        });
+        HsStep::Await(Event::writable(key))
+    }
 }
 
 /// The networked [`ServeTransport`]: a registry of worker connections
@@ -255,7 +366,7 @@ pub struct TcpTransport {
     own_frames: Vec<Vec<u8>>,
     /// Client ids evicted via [`RoundTransport::quarantine`]. Banned
     /// ids are refused readmission even with a valid resume token.
-    banned: std::collections::BTreeSet<usize>,
+    banned: BTreeSet<usize>,
     /// The reactor and its per-fan-out scratch.
     reactor: Reactor,
     /// Per-client round outcomes in the order they completed, reused
@@ -523,10 +634,37 @@ impl<H: FnMut(usize, Result<Reply<'_>, TransportError>)> FanOut<'_, H> {
     }
 }
 
+/// Accepts every connection queued on `listener` into `pending`, each a
+/// handshake awaiting its `Hello` on `poller` under its index. Returns
+/// how many were added.
+fn accept_queued(
+    listener: &TcpListener,
+    poller: &Poller,
+    pending: &mut Vec<Option<Handshake>>,
+) -> usize {
+    let before = pending.len();
+    while let Ok((stream, _)) = listener.accept() {
+        stream.set_nodelay(true).ok();
+        let key = pending.len();
+        if stream.set_nonblocking(true).is_ok()
+            && poller.add(stream.as_raw_fd(), Event::readable(key)).is_ok()
+        {
+            pending.push(Some(Handshake {
+                stream,
+                phase: HsPhase::Hello,
+                rd: FrameReadState::new(),
+                wr: FrameWriteState::new(),
+                rbuf: Vec::new(),
+            }));
+        }
+    }
+    pending.len() - before
+}
+
 impl TcpTransport {
-    /// Accepts `expected` workers on `listener`, multiplexing every
-    /// in-flight handshake on the reactor (a stalled or malicious
-    /// half-connected peer cannot block the fleet from forming). Each
+    /// Accepts `expected` workers on `listener`, running every handshake
+    /// at once without blocking (a stalled or malicious half-connected
+    /// peer cannot block the fleet from forming). Each
     /// worker must open with a valid `Hello` (unique client id below
     /// `expected`, matching `state_len`); invalid peers get a typed
     /// `Err` frame and are dropped without consuming a slot.
@@ -544,204 +682,34 @@ impl TcpTransport {
         // the soft limit is idempotent and failure is non-fatal (small
         // fleets fit anyway).
         polling::raise_nofile_limit().ok();
-        /// How the reactor left one in-flight handshake.
-        enum HsStep {
-            /// Re-armed (or no-op); keep waiting.
-            Parked,
-            /// Invalid / dead peer: deregister, release any id
-            /// reservation, close.
-            Abandon,
-            /// Verdict flushed: promote an acceptance into a
-            /// registered connection (a rejection just closes).
-            Promote,
-        }
-        let poller = Poller::new()?;
-        let mut events = Events::new();
-        let hello_limits = cfg.limits.at_most(HANDSHAKE_MAX_PAYLOAD);
-        // Detached counters until a coordinator attaches its catalog;
-        // handshake traffic must not go missing just because it happens
-        // before wiring.
-        let stats = WireTelemetry::default();
-        let mut conns: Vec<Option<Conn>> = (0..expected).map(|_| None).collect();
-        let mut registered = 0usize;
-        if expected > 0 {
-            listener.set_nonblocking(true)?;
-            poller.add(listener.as_raw_fd(), Event::readable(LISTENER_KEY))?;
-            // Pending handshakes, keyed `expected + index` in the
-            // poller so keys never collide with registered client ids.
-            let mut pending: Vec<Option<Handshake>> = Vec::new();
-            // Ids claimed by a still-flushing acceptance — two pending
-            // handshakes cannot both be granted one slot.
-            let mut reserved: std::collections::BTreeSet<usize> = std::collections::BTreeSet::new();
-            while registered < expected {
-                poller.wait(&mut events, None)?;
-                for ev in events.iter() {
-                    if ev.key == LISTENER_KEY {
-                        while let Ok((stream, _)) = listener.accept() {
-                            stream.set_nodelay(true).ok();
-                            if stream.set_nonblocking(true).is_err() {
-                                continue;
-                            }
-                            let key = expected + pending.len();
-                            if poller.add(stream.as_raw_fd(), Event::readable(key)).is_ok() {
-                                pending.push(Some(Handshake {
-                                    stream,
-                                    rbuf: Vec::new(),
-                                    rd: FrameReadState::new(),
-                                    wr: FrameWriteState::new(),
-                                    reply: Vec::new(),
-                                    accepted: None,
-                                }));
-                            }
-                        }
-                        poller.modify(listener.as_raw_fd(), Event::readable(LISTENER_KEY))?;
-                        continue;
-                    }
-                    let Some(idx) = ev.key.checked_sub(expected) else {
-                        continue;
-                    };
-                    let Some(slot) = pending.get_mut(idx) else {
-                        continue;
-                    };
-                    let step = 'hs: {
-                        let Some(hs) = slot.as_mut() else {
-                            break 'hs HsStep::Parked;
-                        };
-                        if hs.reply.is_empty() {
-                            // Awaiting the opener.
-                            match hs.rd.poll(&mut hs.stream, &mut hs.rbuf, &hello_limits) {
-                                Ok(None) => {
-                                    if poller
-                                        .modify(hs.stream.as_raw_fd(), Event::readable(ev.key))
-                                        .is_err()
-                                    {
-                                        HsStep::Abandon
-                                    } else {
-                                        HsStep::Parked
-                                    }
-                                }
-                                Err(_) => HsStep::Abandon,
-                                Ok(Some((kind, nbytes))) => {
-                                    stats.received_bytes.add(nbytes as u64);
-                                    let taken =
-                                        |id: usize| conns[id].is_some() || reserved.contains(&id);
-                                    // A resume token at startup is fine: a
-                                    // worker that outlived a crashed
-                                    // coordinator re-registers into its old
-                                    // slot here.
-                                    let verdict = match decode_msg(kind, &hs.rbuf) {
-                                        Err(_) => break 'hs HsStep::Abandon,
-                                        Ok(m) => {
-                                            hello_verdict(&m, expected, state_len, taken, None)
-                                        }
-                                    };
-                                    let msg = match verdict {
-                                        Ok((id, n)) => {
-                                            reserved.insert(id);
-                                            hs.accepted = Some((id, n));
-                                            cfg.capabilities(state_len)
-                                        }
-                                        Err((code, detail)) => Msg::Err { code, detail },
-                                    };
-                                    match encode_frame(&msg, &cfg.limits) {
-                                        Ok(frame) => {
-                                            hs.reply = frame;
-                                            hs.wr.reset();
-                                            if poller
-                                                .modify(
-                                                    hs.stream.as_raw_fd(),
-                                                    Event::writable(ev.key),
-                                                )
-                                                .is_err()
-                                            {
-                                                HsStep::Abandon
-                                            } else {
-                                                HsStep::Parked
-                                            }
-                                        }
-                                        Err(_) => HsStep::Abandon,
-                                    }
-                                }
-                            }
-                        } else {
-                            // Flushing the verdict.
-                            match hs.wr.poll(&mut hs.stream, &hs.reply) {
-                                Ok(false) => {
-                                    if poller
-                                        .modify(hs.stream.as_raw_fd(), Event::writable(ev.key))
-                                        .is_err()
-                                    {
-                                        HsStep::Abandon
-                                    } else {
-                                        HsStep::Parked
-                                    }
-                                }
-                                Err(_) => HsStep::Abandon,
-                                Ok(true) => {
-                                    // Verdict (Capabilities or Err) on
-                                    // the wire — count it either way.
-                                    stats.sent_bytes.add(hs.reply.len() as u64);
-                                    HsStep::Promote
-                                }
-                            }
-                        }
-                    };
-                    match step {
-                        HsStep::Parked => {}
-                        HsStep::Abandon => {
-                            if let Some(hs) = slot.take() {
-                                if let Some((id, _)) = hs.accepted {
-                                    reserved.remove(&id);
-                                }
-                                let _ = poller.delete(hs.stream.as_raw_fd());
-                            }
-                        }
-                        HsStep::Promote => {
-                            if let Some(hs) = slot.take() {
-                                let _ = poller.delete(hs.stream.as_raw_fd());
-                                if let Some((id, num_samples)) = hs.accepted {
-                                    reserved.remove(&id);
-                                    conns[id] = Some(Conn {
-                                        stream: hs.stream,
-                                        num_samples,
-                                        rd: FrameReadState::new(),
-                                        wr: FrameWriteState::new(),
-                                    });
-                                    registered += 1;
-                                }
-                                // Rejected peers drop here, closing the
-                                // socket after the Err frame.
-                            }
-                        }
-                    }
-                }
-            }
-            let _ = poller.delete(listener.as_raw_fd());
-            listener.set_nonblocking(false).ok();
-            for hs in pending.into_iter().flatten() {
-                let _ = poller.delete(hs.stream.as_raw_fd());
-            }
-        }
-        Ok(TcpTransport {
-            conns,
+        let mut transport = TcpTransport {
+            conns: (0..expected).map(|_| None).collect(),
             cfg,
             staged: Vec::new(),
             staged_serial: 0,
-            stats,
+            // Detached counters until a coordinator attaches its
+            // catalog; handshake traffic must not go missing just
+            // because it happens before wiring.
+            stats: WireTelemetry::default(),
             state_len,
             listener: None,
             bcast: Vec::new(),
             own_frames: Vec::new(),
-            banned: std::collections::BTreeSet::new(),
+            banned: BTreeSet::new(),
             reactor: Reactor {
-                poller,
-                events,
+                poller: Poller::new()?,
+                events: Events::new(),
                 slots: Vec::new(),
                 frames: FramePool::new(),
                 chunk: Vec::new(),
             },
             outcomes: Vec::new(),
-        })
+        };
+        if expected > 0 {
+            transport.handshakes(listener, None)?;
+            listener.set_nonblocking(false).ok();
+        }
+        Ok(transport)
     }
 
     /// Keeps `listener` open for mid-run reconnects: at every round
@@ -755,76 +723,116 @@ impl TcpTransport {
     }
 
     /// Tears the reconnect listener down mid-run, returning it (e.g.
-    /// to stop admitting during a maintenance window). Subsequent
-    /// [`ServeTransport::admit_reconnects`] calls admit `0` — this is
-    /// the typed path that replaced the old layer's
+    /// to stop admitting during a maintenance window) in blocking mode.
+    /// Subsequent [`ServeTransport::admit_reconnects`] calls admit `0` —
+    /// this is the typed path that replaced the old layer's
     /// `self.listener.as_ref().unwrap()` panic.
     pub fn disable_reconnect(&mut self) -> Option<TcpListener> {
-        self.listener.take()
+        let listener = self.listener.take()?;
+        listener.set_nonblocking(false).ok();
+        Some(listener)
     }
 
-    /// One reconnect admission attempt: validates the resume `Hello`,
-    /// replies `Capabilities` then `Digest` (current round + global
-    /// state digest, so the worker can verify it rejoined the same run)
-    /// and waits for the worker's `Ack`. Returns the registered slot.
-    fn admit_one(&mut self, mut stream: TcpStream, round: usize, global: &[f32]) -> Option<usize> {
-        stream.set_nonblocking(false).ok();
-        stream.set_nodelay(true).ok();
-        stream.set_read_timeout(Some(self.cfg.read_timeout)).ok();
-        // The peer is unvalidated until its `Ack`: both frames it sends
-        // are bounded by the handshake constant.
-        let hello_limits = self.cfg.limits.at_most(HANDSHAKE_MAX_PAYLOAD);
-        let mut rbuf = Vec::new();
-        let (hello_kind, hello_len) = read_raw_frame(&mut stream, &mut rbuf, &hello_limits).ok()?;
-        self.stats.received_bytes.add(hello_len as u64);
-        let hello = decode_msg(hello_kind, &rbuf).ok()?;
-        let taken = |id: usize| self.conns[id].is_some();
-        let verdict = hello_verdict(
-            &hello,
-            self.conns.len(),
-            self.state_len,
-            taken,
-            Some(&self.banned),
-        );
-        let (id, num_samples) = match verdict {
-            Ok(slot) => slot,
-            Err((code, detail)) => {
-                let refusal = Msg::Err { code, detail };
-                if let Ok(n) = write_frame(&mut stream, &refusal, &self.cfg.limits) {
-                    self.stats.sent_bytes.add(n as u64);
-                }
-                return None;
-            }
-        };
-        let capabilities = self.cfg.capabilities(self.state_len);
-        let sent = write_frame(&mut stream, &capabilities, &self.cfg.limits).ok()?;
-        self.stats.sent_bytes.add(sent as u64);
-        let sent = write_frame(
-            &mut stream,
-            &Msg::Digest {
-                round: round as u64,
-                digest: crate::digest::state_digest(round as u64, global),
-            },
-            &self.cfg.limits,
-        )
-        .ok()?;
-        self.stats.sent_bytes.add(sent as u64);
-        let (ack_kind, ack_len) = read_raw_frame(&mut stream, &mut rbuf, &hello_limits).ok()?;
-        self.stats.received_bytes.add(ack_len as u64);
-        match decode_msg(ack_kind, &rbuf) {
-            Ok(Msg::Ack) => {}
-            _ => return None,
+    /// The one handshake, at start-up ([`Self::accept`]) and at a round
+    /// boundary ([`ServeTransport::admit_reconnects`]) alike: every peer
+    /// accepted on `listener` sends a `Hello`, gets the
+    /// [`hello_verdict`] (`Capabilities`, or a typed `Err` and a close),
+    /// and a granted peer is registered into its slot. All handshakes
+    /// run at once, non-blocking, so no peer can stall another.
+    ///
+    /// `boundary` is `None` at start-up, which runs until every slot is
+    /// registered. At a round boundary it carries the `(round, global)` a
+    /// resumed worker's `Digest` describes: a grant is answered
+    /// `Capabilities` then `Digest` and registers on the worker's `Ack`.
+    /// A boundary with nothing queued on the listener returns at once;
+    /// otherwise peers connecting meanwhile join the same run, and it
+    /// returns once every handshake has ended or `read_timeout` has
+    /// passed since the call — closing whoever has not finished. Leaves
+    /// `listener` non-blocking. Returns how many peers were registered.
+    ///
+    /// # Errors
+    ///
+    /// [`WireError`] on listener or poller failures.
+    fn handshakes(
+        &mut self,
+        listener: &TcpListener,
+        boundary: Option<(usize, &[f32])>,
+    ) -> Result<usize, WireError> {
+        let deadline = boundary.map(|_| Instant::now() + self.cfg.read_timeout);
+        listener.set_nonblocking(true)?;
+        // A poller of the run's own, keyed by index into `pending`: it
+        // drops at the end with every registration in it, and whoever is
+        // unfinished closes as `pending` drops.
+        let poller = Poller::new()?;
+        let mut pending = Vec::new();
+        let mut open = accept_queued(listener, &poller, &mut pending);
+        if boundary.is_some() && open == 0 {
+            return Ok(0);
         }
-        // Into the reactor's regime: sockets are non-blocking from
-        // here on.
-        stream.set_nonblocking(true).ok();
-        self.conns[id] = Some(Conn {
-            stream,
-            num_samples,
-            rd: FrameReadState::new(),
-            wr: FrameWriteState::new(),
-        });
-        Some(id)
+        let cfg = &self.cfg;
+        let mut welcome = encode_frame(&cfg.capabilities(self.state_len), &cfg.limits)?;
+        if let Some((round, global)) = boundary {
+            let digest = crate::digest::state_digest(round as u64, global);
+            let digest = Msg::Digest {
+                round: round as u64,
+                digest,
+            };
+            welcome.extend(encode_frame(&digest, &cfg.limits)?);
+        }
+        let mut adm = Admission {
+            welcome,
+            banned: boundary.map(|_| &self.banned),
+            cfg,
+            state_len: self.state_len,
+            stats: &self.stats,
+            reserved: BTreeSet::new(),
+        };
+        poller.add(listener.as_raw_fd(), Event::readable(LISTENER_KEY))?;
+        let (mut events, mut registered) = (Events::new(), 0);
+        loop {
+            let timeout = match deadline {
+                None if registered == self.conns.len() => break,
+                None => None,
+                Some(_) if open == 0 => break,
+                Some(deadline) => match deadline.checked_duration_since(Instant::now()) {
+                    Some(left) if !left.is_zero() => Some(left),
+                    _ => break,
+                },
+            };
+            poller.wait(&mut events, timeout)?;
+            for ev in events.iter() {
+                if ev.key == LISTENER_KEY {
+                    open += accept_queued(listener, &poller, &mut pending);
+                    poller.modify(listener.as_raw_fd(), Event::readable(LISTENER_KEY))?;
+                    continue;
+                }
+                let Some(Some(hs)) = pending.get_mut(ev.key) else {
+                    continue;
+                };
+                let step = hs.advance(ev.key, &mut adm, &self.conns);
+                // A peer that cannot be re-armed is closed.
+                if let HsStep::Await(interest) = step {
+                    if poller.modify(hs.stream.as_raw_fd(), interest).is_ok() {
+                        continue;
+                    }
+                }
+                let hs = pending[ev.key].take().expect("handshake in flight");
+                open -= 1;
+                if let Some(id) = hs.grant() {
+                    adm.reserved.remove(&id);
+                }
+                if let HsStep::Register((id, num_samples)) = step {
+                    self.conns[id] = Some(Conn {
+                        stream: hs.stream,
+                        num_samples,
+                        rd: FrameReadState::new(),
+                        wr: FrameWriteState::new(),
+                    });
+                    registered += 1;
+                }
+            }
+        }
+        Ok(registered)
     }
 
     /// Live client ids, ascending.
@@ -1493,29 +1501,14 @@ impl ServeTransport for TcpTransport {
     fn admit_reconnects(&mut self, round: usize, global: &[f32]) -> usize {
         // The typed no-listener path (a fleet torn down mid-run, or one
         // that never enabled reconnects) admits zero — no unwrap, no
-        // panic, pinned by `tests/reactor.rs`.
+        // panic, pinned by `tests/reactor.rs`. The listener is held by
+        // value meanwhile, so no aliased re-borrow of `self` is needed.
         let Some(listener) = self.listener.take() else {
             return 0;
         };
-        // Drain whatever is queued on the listener without blocking the
-        // round loop; each candidate then gets a normal (blocking,
-        // deadline-bounded) handshake. The listener is held by value
-        // while draining, so no aliased re-borrow of `self` is needed.
-        let mut admitted = 0;
-        if listener.set_nonblocking(true).is_ok() {
-            let mut candidates = Vec::new();
-            while let Ok((stream, _)) = listener.accept() {
-                candidates.push(stream);
-            }
-            listener.set_nonblocking(false).ok();
-            for stream in candidates {
-                if self.admit_one(stream, round, global).is_some() {
-                    admitted += 1;
-                }
-            }
-        }
+        let admitted = self.handshakes(&listener, Some((round, global)));
         self.listener = Some(listener);
-        admitted
+        admitted.unwrap_or(0)
     }
 
     fn set_read_timeout(&mut self, timeout: Duration) {

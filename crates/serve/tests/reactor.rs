@@ -13,15 +13,24 @@
 //!   winds down clean on `Shutdown`.
 //! * A length prefix is honoured only up to what the protocol phase can
 //!   carry: a 10-byte header announcing 200 MiB is a typed failure in
-//!   the handshake and as a round reply, with no payload ever sent.
+//!   the start-up handshake, as a round reply, and as a re-admitted
+//!   worker's `Hello` or `Ack`, with no payload ever sent and no buffer
+//!   ever sized for it.
+//! * Round-boundary re-admission runs every queued handshake at once
+//!   under one `read_timeout`: silent and trickling peers cannot delay a
+//!   resuming worker, and a worker cut off mid-run by a proxy reconnects
+//!   with its resume token, records the boundary's `Digest` and rejoins
+//!   the next cohort.
 //! * Frame buffers are leased per in-flight frame: the leased gauge is 0
 //!   between rounds, its high-water follows frames concurrently in
 //!   flight (not the fleet size), and every failure path returns its
 //!   lease.
 
+use std::alloc::{GlobalAlloc, Layout, System};
 use std::io::{Read, Write};
-use std::net::TcpStream;
-use std::sync::Arc;
+use std::net::{Shutdown, TcpListener, TcpStream};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use goldfish_core::basic_model::GoldfishLocalConfig;
@@ -37,6 +46,7 @@ use goldfish_fed::ModelFactory;
 use goldfish_nn::zoo;
 use goldfish_serve::coordinator::{round_seed, Coordinator, CoordinatorConfig};
 use goldfish_serve::demo::DemoSpec;
+use goldfish_serve::digest::state_digest;
 use goldfish_serve::fault::{ByzantineScript, FaultPlan, FaultyTransport};
 use goldfish_serve::fleet::run_fleet;
 use goldfish_serve::tcp::{bind, TcpConfig, TcpTransport};
@@ -44,10 +54,58 @@ use goldfish_serve::transport::{LoopbackTransport, ServeTransport};
 use goldfish_serve::wire::{
     kind, read_frame, write_frame, FrameLimits, Msg, WireError, MAGIC, PROTOCOL_VERSION,
 };
-use goldfish_serve::worker::{run_worker, WorkerRuntime};
+use goldfish_serve::worker::{run_worker, run_worker_resilient, ReconnectPolicy, WorkerRuntime};
 use rand::{rngs::StdRng, SeedableRng};
 
 const SEED: u64 = 42;
+
+/// Tracks live heap bytes and their high-water mark, so a test can tell
+/// whether a buffer was ever sized for a hostile length prefix.
+struct PeakAlloc;
+
+static LIVE_BYTES: AtomicUsize = AtomicUsize::new(0);
+static PEAK_BYTES: AtomicUsize = AtomicUsize::new(0);
+
+impl PeakAlloc {
+    fn grew(size: usize) {
+        let live = LIVE_BYTES.fetch_add(size, Ordering::Relaxed) + size;
+        PEAK_BYTES.fetch_max(live, Ordering::Relaxed);
+    }
+}
+
+unsafe impl GlobalAlloc for PeakAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        PeakAlloc::grew(layout.size());
+        System.alloc(layout)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        LIVE_BYTES.fetch_sub(layout.size(), Ordering::Relaxed);
+        System.dealloc(ptr, layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        PeakAlloc::grew(new_size);
+        LIVE_BYTES.fetch_sub(layout.size(), Ordering::Relaxed);
+        System.realloc(ptr, layout, new_size)
+    }
+}
+
+#[global_allocator]
+static GLOBAL: PeakAlloc = PeakAlloc;
+
+/// How far the live heap peaked above its level at the call while `f`
+/// ran (other tests of this binary allocate meanwhile too, which only
+/// ever adds to it).
+fn heap_peak_during<R>(f: impl FnOnce() -> R) -> (usize, R) {
+    let before = LIVE_BYTES.load(Ordering::SeqCst);
+    PEAK_BYTES.store(before, Ordering::SeqCst);
+    let out = f();
+    (
+        PEAK_BYTES.load(Ordering::SeqCst).saturating_sub(before),
+        out,
+    )
+}
 
 fn demo(clients: usize) -> DemoSpec {
     DemoSpec {
@@ -87,15 +145,9 @@ fn tcp_pair(
     Vec<std::thread::JoinHandle<()>>,
 ) {
     let (listener, addr) = bind("127.0.0.1:0").unwrap();
-    let mut workers = Vec::new();
-    for id in 0..spec.clients {
-        let spec = *spec;
-        let addr = addr.clone();
-        workers.push(std::thread::spawn(move || {
-            let mut runtime = WorkerRuntime::new(id, spec.factory(), spec.client_shard(id));
-            let _ = run_worker(&addr, &mut runtime, &FrameLimits::default());
-        }));
-    }
+    let workers = (0..spec.clients)
+        .map(|id| honest_worker(addr.clone(), *spec, id))
+        .collect();
     let state_len = (spec.factory())(0).state_len();
     let transport =
         TcpTransport::accept(&listener, spec.clients, state_len, TcpConfig::default()).unwrap();
@@ -386,14 +438,9 @@ fn hostile_length_prefix_is_a_typed_failure_in_both_phases() {
             .unwrap();
         wait_for_close(stream);
     });
-    let mut workers = Vec::new();
-    for id in 0..2 {
-        let addr = addr.clone();
-        workers.push(std::thread::spawn(move || {
-            let mut runtime = WorkerRuntime::new(id, spec.factory(), spec.client_shard(id));
-            let _ = run_worker(&addr, &mut runtime, &FrameLimits::default());
-        }));
-    }
+    let workers: Vec<_> = (0..2)
+        .map(|id| honest_worker(addr.clone(), spec, id))
+        .collect();
 
     let state_len = (spec.factory())(0).state_len();
     // The default 30 s reply deadline stays: the failure must be the
@@ -438,6 +485,74 @@ fn hostile_length_prefix_is_a_typed_failure_in_both_phases() {
     delivered.sort_unstable();
     assert_eq!(delivered, vec![0, 1], "the round went on for the others");
     assert_eq!(transport.live_clients(), vec![0, 1]);
+
+    // Re-admission phase, into client 2's vacated slot: one peer opens
+    // with a resume `Hello` header announcing 200 MiB; another sends a
+    // valid resume `Hello` and answers the `Digest` with an `Ack` header
+    // announcing as much. Both are closed on the header alone, well
+    // inside the 30 s deadline, and nothing is sized for either payload.
+    transport.enable_reconnect(listener);
+    let (queued, ready) = mpsc::channel();
+    let hostile_hello = {
+        let (addr, queued) = (addr.clone(), queued.clone());
+        std::thread::spawn(move || {
+            let mut stream = TcpStream::connect(&addr).unwrap();
+            stream
+                .write_all(&bare_header(kind::HELLO, HOSTILE_LEN))
+                .unwrap();
+            queued.send(()).unwrap();
+            wait_for_close(&mut stream);
+        })
+    };
+    let hostile_ack = std::thread::spawn(move || {
+        let limits = FrameLimits::default();
+        let mut stream = TcpStream::connect(&addr).unwrap();
+        let hello = Msg::Hello {
+            client_id: 2,
+            state_len: state_len as u64,
+            num_samples: spec.samples_per_client as u64,
+            resume: Some(0),
+        };
+        write_frame(&mut stream, &hello, &limits).unwrap();
+        queued.send(()).unwrap();
+        let (caps, _) = read_frame(&mut stream, &limits).unwrap();
+        assert!(matches!(caps, Msg::Capabilities { .. }), "got {caps:?}");
+        let (digest, _) = read_frame(&mut stream, &limits).unwrap();
+        assert!(
+            matches!(digest, Msg::Digest { round: 1, .. }),
+            "got {digest:?}"
+        );
+        stream
+            .write_all(&bare_header(kind::ACK, HOSTILE_LEN))
+            .unwrap();
+        wait_for_close(&mut stream);
+    });
+    for _ in 0..2 {
+        ready.recv().unwrap();
+    }
+    let started = Instant::now();
+    let (peak, admitted) = heap_peak_during(|| transport.admit_reconnects(1, &global));
+    assert!(started.elapsed() < Duration::from_secs(10), "waited it out");
+    assert_eq!(admitted, 0);
+    assert!(
+        peak < HOSTILE_LEN as usize / 2,
+        "live heap peaked {peak} B above its level: a buffer was sized for the prefix"
+    );
+    hostile_hello.join().unwrap();
+    hostile_ack.join().unwrap();
+    assert_eq!(transport.live_clients(), vec![0, 1]);
+
+    // The coordinator keeps serving: the next round goes to both.
+    let assign = TrainAssign {
+        round: 1,
+        seed: 4,
+        nonce: round_nonce(4, 1),
+        global: &global,
+        cfg: &cfg,
+    };
+    transport.cohort_into(&mut cohort);
+    transport.train_round(&assign, &cohort, &mut |_| Ok(()), &mut results);
+    assert_eq!(results, [Ok(()), Ok(())]);
 
     transport.shutdown();
     drop(transport);
@@ -538,15 +653,10 @@ fn fleet_rounds(
 fn failed_replies_return_their_frame_buffer_lease() {
     let spec = demo(4);
     let (listener, addr) = bind("127.0.0.1:0").unwrap();
-    let mut workers = Vec::new();
     // Clients 0 and 3: honest workers (3's reply blows up its handler).
-    for id in [0, 3] {
-        let addr = addr.clone();
-        workers.push(std::thread::spawn(move || {
-            let mut runtime = WorkerRuntime::new(id, spec.factory(), spec.client_shard(id));
-            let _ = run_worker(&addr, &mut runtime, &FrameLimits::default());
-        }));
-    }
+    let mut workers: Vec<_> = [0, 3]
+        .map(|id| honest_worker(addr.clone(), spec, id))
+        .into();
     // Client 1: a complete `Update` frame whose payload is too short to
     // decode.
     workers.push(scripted_worker(addr.clone(), spec, 1, |stream| {
@@ -764,6 +874,266 @@ fn a_silent_frontier_costs_only_itself() {
 
     tcp.transport_mut().shutdown();
     drop(tcp);
+    for w in workers {
+        w.join().unwrap();
+    }
+}
+
+/// `spec`'s honest worker `id`, served by `run_worker` on its own thread.
+fn honest_worker(addr: String, spec: DemoSpec, id: usize) -> std::thread::JoinHandle<()> {
+    std::thread::spawn(move || {
+        let mut runtime = WorkerRuntime::new(id, spec.factory(), spec.client_shard(id));
+        let _ = run_worker(&addr, &mut runtime, &FrameLimits::default());
+    })
+}
+
+/// A worker that resumes into slot `id` mid-run: it opens with a resume
+/// token, reports on `queued` once its `Hello` is on the wire, and then
+/// serves like `run_worker` until `Shutdown`. Returns its runtime.
+fn resuming_worker(
+    addr: String,
+    spec: DemoSpec,
+    id: usize,
+    queued: mpsc::Sender<()>,
+) -> std::thread::JoinHandle<WorkerRuntime> {
+    std::thread::spawn(move || {
+        let limits = FrameLimits::default();
+        let mut runtime = WorkerRuntime::new(id, spec.factory(), spec.client_shard(id));
+        let mut stream = TcpStream::connect(&addr).unwrap();
+        let hello = Msg::Hello {
+            client_id: id as u64,
+            state_len: runtime.state_len() as u64,
+            num_samples: spec.samples_per_client as u64,
+            resume: Some(0),
+        };
+        write_frame(&mut stream, &hello, &limits).unwrap();
+        queued.send(()).unwrap();
+        let (caps, _) = read_frame(&mut stream, &limits).unwrap();
+        assert!(matches!(caps, Msg::Capabilities { .. }), "got {caps:?}");
+        let mut lane = TrainLane::new();
+        loop {
+            let (msg, _) = read_frame(&mut stream, &limits).unwrap();
+            if matches!(msg, Msg::Shutdown) {
+                return runtime;
+            }
+            let reply = runtime.handle(msg, &mut lane);
+            write_frame(&mut stream, &reply, &limits).unwrap();
+        }
+    })
+}
+
+/// A round boundary drives every queued handshake at once, under one
+/// `read_timeout` T from the call: six silent peers and one trickling a
+/// byte every T/2 cannot delay the resuming worker queued behind them,
+/// which is admitted in the same call, and the call returns within 2T.
+/// Handshaking one peer after another cost at least T per silent peer.
+#[test]
+fn one_boundary_admits_a_resuming_worker_queued_behind_silent_peers() {
+    const SILENT: usize = 6;
+    let t = Duration::from_millis(250);
+    let spec = demo(3);
+    let (listener, addr) = bind("127.0.0.1:0").unwrap();
+    let mut workers: Vec<_> = (0..2)
+        .map(|id| honest_worker(addr.clone(), spec, id))
+        .collect();
+    // Client 2 registers and vanishes: its slot is the one to resume.
+    workers.push(scripted_worker(addr.clone(), spec, 2, |_| {}));
+    let state_len = (spec.factory())(0).state_len();
+    let mut transport =
+        TcpTransport::accept(&listener, spec.clients, state_len, TcpConfig::default()).unwrap();
+    transport.enable_reconnect(listener);
+    let mut c = Coordinator::new(
+        spec.factory(),
+        spec.test_set(),
+        transport,
+        coordinator_config(&spec),
+    );
+    c.train_round(0, round_seed(SEED, 0)).unwrap();
+    assert_eq!(c.transport().live_clients(), vec![0, 1]);
+
+    // Queued in this order: the silent peers, the trickler, the worker.
+    let silent: Vec<TcpStream> = (0..SILENT)
+        .map(|_| TcpStream::connect(&addr).unwrap())
+        .collect();
+    let (queued, ready) = mpsc::channel();
+    let trickler = {
+        let (addr, queued) = (addr.clone(), queued.clone());
+        std::thread::spawn(move || {
+            let hello = Msg::Hello {
+                client_id: 1,
+                state_len: state_len as u64,
+                num_samples: spec.samples_per_client as u64,
+                resume: Some(0),
+            };
+            let mut frame = Vec::new();
+            write_frame(&mut frame, &hello, &FrameLimits::default()).unwrap();
+            let mut stream = TcpStream::connect(&addr).unwrap();
+            queued.send(()).unwrap();
+            for byte in frame {
+                if stream.write_all(&[byte]).is_err() {
+                    return;
+                }
+                std::thread::sleep(t / 2);
+            }
+        })
+    };
+    ready.recv().unwrap();
+    let resumer = resuming_worker(addr.clone(), spec, 2, queued);
+    ready.recv().unwrap();
+
+    let global = c.global_state().to_vec();
+    c.transport_mut().set_read_timeout(t);
+    let started = Instant::now();
+    let admitted = c.transport_mut().admit_reconnects(1, &global);
+    let took = started.elapsed();
+    c.transport_mut()
+        .set_read_timeout(TcpConfig::default().read_timeout);
+    assert_eq!(admitted, 1);
+    assert!(took < 2 * t, "the boundary took {took:?} for T = {t:?}");
+    assert_eq!(c.transport().live_clients(), vec![0, 1, 2]);
+
+    // The re-admitted worker serves the next round.
+    let summary = c.train_round(1, round_seed(SEED, 1)).unwrap();
+    assert_eq!(summary.client_sizes.len(), spec.clients);
+    c.transport_mut().shutdown();
+    drop(c);
+    let runtime = resumer.join().unwrap();
+    assert_eq!(runtime.resume_digest(), Some((1, state_digest(1, &global))));
+    trickler.join().unwrap();
+    drop(silent);
+    for w in workers {
+        w.join().unwrap();
+    }
+}
+
+/// A TCP relay between one worker and the coordinator. The test cuts the
+/// relayed connection, and the worker's next connection waits at the
+/// relay until the test lets it through.
+struct Proxy {
+    addr: String,
+    /// Both sockets of the connection being relayed.
+    relayed: Arc<Mutex<Vec<TcpStream>>>,
+    let_through: mpsc::Sender<()>,
+    /// Reports each let-through connection, once it is queued on the
+    /// coordinator's listener.
+    reconnected: mpsc::Receiver<()>,
+    thread: std::thread::JoinHandle<()>,
+}
+
+impl Proxy {
+    /// Relays up to `sessions` connections to `upstream`.
+    fn spawn(upstream: String, sessions: usize) -> Proxy {
+        let (listener, addr): (TcpListener, String) = bind("127.0.0.1:0").unwrap();
+        let relayed = Arc::new(Mutex::new(Vec::new()));
+        let (let_through, gate) = mpsc::channel::<()>();
+        let (reconnect, reconnected) = mpsc::channel();
+        let thread = {
+            let relayed = Arc::clone(&relayed);
+            std::thread::spawn(move || {
+                for session in 0..sessions {
+                    let (down, _) = listener.accept().unwrap();
+                    if session > 0 {
+                        gate.recv().unwrap();
+                    }
+                    let up = TcpStream::connect(&upstream).unwrap();
+                    let mut sockets = relayed.lock().unwrap();
+                    sockets.extend([down.try_clone().unwrap(), up.try_clone().unwrap()]);
+                    for (mut from, mut to) in [
+                        (down.try_clone().unwrap(), up.try_clone().unwrap()),
+                        (up, down),
+                    ] {
+                        std::thread::spawn(move || {
+                            let _ = std::io::copy(&mut from, &mut to);
+                            let _ = to.shutdown(Shutdown::Write);
+                        });
+                    }
+                    if session > 0 {
+                        reconnect.send(()).unwrap();
+                    }
+                }
+            })
+        };
+        Proxy {
+            addr,
+            relayed,
+            let_through,
+            reconnected,
+            thread,
+        }
+    }
+
+    /// Cuts the relayed connection at both ends.
+    fn cut(&self) {
+        for socket in self.relayed.lock().unwrap().drain(..) {
+            let _ = socket.shutdown(Shutdown::Both);
+        }
+    }
+}
+
+/// Mid-run re-admission over real TCP: a proxy cuts one
+/// `run_worker_resilient` worker off after round 1. The coordinator
+/// drops it in round 2; the worker reconnects with its resume token and
+/// is re-admitted at the next boundary (`admit_reconnects` returns 1),
+/// records the `Digest` of the global the coordinator held there, and is
+/// in round 3's cohort.
+#[test]
+fn a_worker_cut_off_mid_run_is_readmitted_at_a_later_boundary() {
+    let spec = demo(3);
+    let (listener, addr) = bind("127.0.0.1:0").unwrap();
+    let workers: Vec<_> = (0..2)
+        .map(|id| honest_worker(addr.clone(), spec, id))
+        .collect();
+    let proxy = Proxy::spawn(addr, 2);
+    let resilient = {
+        let addr = proxy.addr.clone();
+        std::thread::spawn(move || {
+            let mut runtime = WorkerRuntime::new(2, spec.factory(), spec.client_shard(2));
+            let policy = ReconnectPolicy {
+                initial_delay: Duration::from_millis(20),
+                jitter_seed: 2,
+                ..ReconnectPolicy::default()
+            };
+            run_worker_resilient(&addr, &mut runtime, &FrameLimits::default(), policy).unwrap();
+            runtime
+        })
+    };
+    let state_len = (spec.factory())(0).state_len();
+    let mut transport =
+        TcpTransport::accept(&listener, spec.clients, state_len, TcpConfig::default()).unwrap();
+    transport.enable_reconnect(listener);
+    let mut c = Coordinator::new(
+        spec.factory(),
+        spec.test_set(),
+        transport,
+        coordinator_config(&spec),
+    );
+    for r in 0..2 {
+        let summary = c.train_round(r, round_seed(SEED, r)).unwrap();
+        assert_eq!(summary.client_sizes.len(), spec.clients, "round {r}");
+    }
+
+    proxy.cut();
+    let summary = c.train_round(2, round_seed(SEED, 2)).unwrap();
+    assert_eq!(summary.client_sizes.len(), 2);
+    assert_eq!(c.transport().live_clients(), vec![0, 1], "not dropped");
+
+    proxy.let_through.send(()).unwrap();
+    proxy
+        .reconnected
+        .recv_timeout(Duration::from_secs(20))
+        .expect("the worker never reconnected");
+    let global = c.global_state().to_vec();
+    assert_eq!(c.transport_mut().admit_reconnects(3, &global), 1);
+    assert_eq!(c.transport().live_clients(), vec![0, 1, 2]);
+    let summary = c.train_round(3, round_seed(SEED, 3)).unwrap();
+    assert_eq!(summary.client_sizes.len(), spec.clients);
+
+    c.transport_mut().shutdown();
+    drop(c);
+    let runtime = resilient.join().unwrap();
+    assert_eq!(runtime.resume_digest(), Some((3, state_digest(3, &global))));
+    assert_eq!(runtime.last_round(), Some(3));
+    proxy.thread.join().unwrap();
     for w in workers {
         w.join().unwrap();
     }

@@ -139,7 +139,7 @@ impl Workload {
     }
 
     /// CIFAR-100 analogue on a deeper ResNet-mini (the ResNet56 stand-in).
-    pub fn cifar100() -> Self {
+    pub(crate) fn cifar100() -> Self {
         let mut spec = SyntheticSpec::cifar100().with_size(16, 16);
         spec.noise_std = 0.22;
         spec.max_shift = 2;
@@ -227,7 +227,7 @@ impl Workload {
     }
 
     /// The backdoor used as the unlearning-validity probe.
-    pub fn backdoor(&self) -> BackdoorSpec {
+    pub(crate) fn backdoor(&self) -> BackdoorSpec {
         BackdoorSpec::new(0).with_patch(self.patch)
     }
 }

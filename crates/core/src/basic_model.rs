@@ -23,6 +23,7 @@
 //! → `Sgd`), pinned by `tests/unlearn_identity.rs`.
 
 use goldfish_data::{BatchGather, Dataset};
+use goldfish_fed::eval;
 use goldfish_nn::optim::FusedSgd;
 use goldfish_nn::Network;
 use goldfish_tensor::Tensor;
@@ -106,7 +107,7 @@ pub struct GoldfishLocalStats {
 /// it. Pinned by `tests/unlearn_identity.rs`.
 ///
 /// The teacher network is the cache's own when [`TeacherCache::build`]
-/// made it; a cache from [`TeacherCache::build_with`] keeps only the
+/// made it; a cache from `TeacherCache::build_with` keeps only the
 /// logits and is lent a teacher for each run, so many clients' caches
 /// can share one network per executing thread.
 #[derive(Debug)]
@@ -147,7 +148,7 @@ impl TeacherCache {
     /// [`TeacherCache::build`] through a borrowed teacher: the cache
     /// keeps only the logits, and a short-batch fallback needs a teacher
     /// [lent](TeacherCache::lend_teacher) to it first.
-    pub fn build_with(teacher: &mut Network, data: &Dataset, batch_size: usize) -> Self {
+    pub(crate) fn build_with(teacher: &mut Network, data: &Dataset, batch_size: usize) -> Self {
         let n = data.len();
         let rows = batch_size.max(1).min(n.max(1));
         let mut cache = TeacherCache::empty();
@@ -189,27 +190,13 @@ impl TeacherCache {
     /// Lends `teacher` (a network holding the teacher's state) for the
     /// short-batch fallback forwards, until
     /// [`TeacherCache::take_teacher`] hands it back.
-    pub fn lend_teacher(&mut self, teacher: Network) {
+    pub(crate) fn lend_teacher(&mut self, teacher: Network) {
         self.teacher = Some(teacher);
     }
 
     /// Takes back the teacher the cache holds, if any.
-    pub fn take_teacher(&mut self) -> Option<Network> {
+    pub(crate) fn take_teacher(&mut self) -> Option<Network> {
         self.teacher.take()
-    }
-
-    /// Number of cached rows.
-    pub fn len(&self) -> usize {
-        if self.logits.is_empty() {
-            0
-        } else {
-            self.logits.dims2().0
-        }
-    }
-
-    /// Whether the cache holds no rows.
-    pub fn is_empty(&self) -> bool {
-        self.logits.len() == 0
     }
 
     /// Teacher logits for one training batch: a full-size batch gathers
@@ -491,16 +478,17 @@ pub fn clip_grad_norm(net: &mut Network, max_norm: f32) {
 /// as the teacher (the self-distillation term is then the softened
 /// prediction entropy — exactly the floor the student's distillation term
 /// approaches as it converges to the teacher).
-pub fn reference_loss(
+pub(crate) fn reference_loss(
     model: &mut Network,
     remaining: &Dataset,
     forget: &Dataset,
     loss: &GoldfishLoss,
 ) -> f32 {
     // train_distill's per-step loss is "remaining-batch term + forget-slice
-    // term", so the comparable reference is the sum of the two per-batch
-    // means. Evaluation runs through the model's inference workspace and
-    // the fused loss (identical values to the composed pipeline).
+    // term", so the comparable reference is the sum of the two parts' means
+    // over their rows. Each part runs through the one eval pass and the
+    // fused loss; a chunk's loss is a mean over its rows, so weighting it
+    // by its row count keeps the value independent of the chunk split.
     let forget_scale = if remaining.is_empty() {
         1.0
     } else {
@@ -508,49 +496,31 @@ pub fn reference_loss(
     };
     let mut grad = Tensor::zeros(vec![0]);
     let mut bufs = GoldfishLossBufs::new();
-    let mut rem_total = 0.0f32;
-    let mut rem_batches = 0usize;
-    for (x, labels) in remaining.batches(256) {
-        let logits = model.forward_ws(&x, false);
-        let bd = loss.loss_and_grad_into(
-            GoldfishBatch::Remaining {
-                student_logits: logits,
-                teacher_logits: Some(logits),
-                labels: &labels,
-            },
-            &mut grad,
-            &mut bufs,
-        );
-        rem_total += bd.total(loss.weights());
-        rem_batches += 1;
-    }
-    let mut fg_total = 0.0f32;
-    let mut fg_batches = 0usize;
-    for (x, labels) in forget.batches(256) {
-        let logits = model.forward_ws(&x, false);
-        let bd = loss.loss_and_grad_into(
-            GoldfishBatch::Forget {
-                student_logits: logits,
-                labels: &labels,
-                hard_scale: forget_scale,
-            },
-            &mut grad,
-            &mut bufs,
-        );
-        fg_total += bd.total(loss.weights());
-        fg_batches += 1;
-    }
-    let rem_mean = if rem_batches == 0 {
-        0.0
-    } else {
-        rem_total / rem_batches as f32
+    let mut mean_over_rows = |data: &Dataset, forget: bool| {
+        if data.is_empty() {
+            return 0.0;
+        }
+        let mut total = 0.0f64;
+        eval::for_each_chunk(model, data, |logits, labels| {
+            let batch = if forget {
+                GoldfishBatch::Forget {
+                    student_logits: logits,
+                    labels,
+                    hard_scale: forget_scale,
+                }
+            } else {
+                GoldfishBatch::Remaining {
+                    student_logits: logits,
+                    teacher_logits: Some(logits),
+                    labels,
+                }
+            };
+            let bd = loss.loss_and_grad_into(batch, &mut grad, &mut bufs);
+            total += f64::from(bd.total(loss.weights())) * labels.len() as f64;
+        });
+        (total / data.len() as f64) as f32
     };
-    let fg_mean = if fg_batches == 0 {
-        0.0
-    } else {
-        fg_total / fg_batches as f32
-    };
-    rem_mean + fg_mean
+    mean_over_rows(remaining, false) + mean_over_rows(forget, true)
 }
 
 /// Convenience: a seeded copy of a network materialised from a factory and
@@ -774,5 +744,32 @@ mod tests {
         let mut fresh = mlp_net(1234);
         let untrained = reference_loss(&mut fresh, &remaining, &empty, &gloss);
         assert!(trained < untrained, "{trained} !< {untrained}");
+    }
+
+    #[test]
+    fn reference_loss_is_the_mean_over_rows() {
+        // 300 rows: a 256-row batching would leave a 44-row tail. A one-row
+        // set has no split, so the mean of those is the per-row mean.
+        let spec = SyntheticSpec::mnist().with_size(10, 10).with_shift(1);
+        let (remaining, _) = synthetic::generate(&spec, 300, 10, 31);
+        let empty = Dataset::empty(remaining.sample_shape(), remaining.classes());
+        let mut model = mlp_net(5);
+        let gloss = GoldfishLoss::new(Arc::new(CrossEntropy), LossWeights::default());
+        let want = (0..remaining.len())
+            .map(|i| {
+                f64::from(reference_loss(
+                    &mut model,
+                    &remaining.subset(&[i]),
+                    &empty,
+                    &gloss,
+                ))
+            })
+            .sum::<f64>()
+            / remaining.len() as f64;
+        let got = f64::from(reference_loss(&mut model, &remaining, &empty, &gloss));
+        assert!(
+            (got - want).abs() <= 1e-6 * want.abs(),
+            "reference {got} vs per-row mean {want}"
+        );
     }
 }

@@ -69,7 +69,6 @@ pub mod transport;
 pub mod unlearner;
 
 pub use basic_model::{train_distill, GoldfishLocalConfig, GoldfishLocalStats};
-pub use extension::{adaptive_weights, AdaptiveTemperature};
 pub use loss::{GoldfishLoss, LossBreakdown, LossWeights};
 pub use method::{ClientSplit, UnlearnOutcome, UnlearnSetup, UnlearningMethod};
 pub use optimization::{EarlyTermination, ShardedClient, ShardedLocalModel};

@@ -85,7 +85,7 @@ pub struct LossBreakdown {
 
 impl LossBreakdown {
     /// The total Eq 6 value under the given weights.
-    pub fn total(&self, w: &LossWeights) -> f32 {
+    pub(crate) fn total(&self, w: &LossWeights) -> f32 {
         self.hard_remaining - self.hard_forget
             + w.mu_c * self.confusion
             + w.mu_d * self.distillation
@@ -130,7 +130,7 @@ impl GoldfishLoss {
     }
 
     /// The configured weights.
-    pub fn weights(&self) -> &LossWeights {
+    pub(crate) fn weights(&self) -> &LossWeights {
         &self.weights
     }
 
@@ -140,14 +140,9 @@ impl GoldfishLoss {
     /// # Panics
     ///
     /// Panics if `t` is not positive.
-    pub fn set_temperature(&mut self, t: f32) {
+    pub(crate) fn set_temperature(&mut self, t: f32) {
         assert!(t > 0.0, "temperature must be positive, got {t}");
         self.weights.temperature = t;
-    }
-
-    /// The hard-loss component.
-    pub fn hard(&self) -> &dyn HardLoss {
-        self.hard.as_ref()
     }
 
     /// Fused composite loss and gradient, written into a caller-owned
@@ -255,7 +250,10 @@ impl GoldfishLoss {
         teacher_logits: Option<&Tensor>,
         labels: &[usize],
     ) -> (LossBreakdown, Tensor) {
-        let (hard_val, mut grad) = self.hard.loss_and_grad(student_logits, labels);
+        let mut grad = Tensor::zeros(vec![0]);
+        let hard_val = self
+            .hard
+            .loss_and_grad_into(student_logits, labels, &mut grad);
         let mut breakdown = LossBreakdown {
             hard_remaining: hard_val,
             ..LossBreakdown::default()
@@ -304,8 +302,11 @@ impl GoldfishLoss {
     ) -> (LossBreakdown, Tensor) {
         assert!(hard_scale >= 0.0, "hard_scale must be non-negative");
         let (n, c) = student_logits.dims2();
-        let (hard_val, hard_grad) = self.hard.loss_and_grad(student_logits, labels);
-        let mut grad = hard_grad.scale(-hard_scale);
+        let mut grad = Tensor::zeros(vec![0]);
+        let hard_val = self
+            .hard
+            .loss_and_grad_into(student_logits, labels, &mut grad);
+        grad.scale_mut(-hard_scale);
         // Gate: rows already at/below chance stop receiving ascent.
         let p = ops::softmax(student_logits);
         let chance = 1.0 / c as f32;
@@ -599,7 +600,7 @@ mod tests {
         let w = *loss.weights();
         fd_check(
             |l| {
-                let (h, _) = CrossEntropy.loss_and_grad(l, &labels);
+                let h = CrossEntropy.loss_and_grad_into(l, &labels, &mut Tensor::zeros(vec![0]));
                 let (d, _) = distillation_loss(l, &teacher, w.temperature);
                 h + w.mu_d * d
             },
@@ -626,7 +627,7 @@ mod tests {
         let w = *loss.weights();
         fd_check(
             |l| {
-                let (h, _) = CrossEntropy.loss_and_grad(l, &labels);
+                let h = CrossEntropy.loss_and_grad_into(l, &labels, &mut Tensor::zeros(vec![0]));
                 let (c, _) = confusion_loss(l);
                 -h + w.mu_c * c
             },

@@ -45,11 +45,6 @@ impl ClientSplit {
             forget: data.subset(removed),
         }
     }
-
-    /// The client's full pre-deletion data (`remaining ∪ forget`).
-    pub fn full(&self) -> Dataset {
-        self.remaining.concat(&self.forget)
-    }
 }
 
 /// Everything an unlearning method needs to run.
@@ -71,12 +66,12 @@ pub struct UnlearnSetup {
 
 impl UnlearnSetup {
     /// Total removed samples across clients.
-    pub fn total_forget(&self) -> usize {
+    pub(crate) fn total_forget(&self) -> usize {
         self.clients.iter().map(|c| c.forget.len()).sum()
     }
 
     /// Total remaining samples across clients.
-    pub fn total_remaining(&self) -> usize {
+    pub(crate) fn total_remaining(&self) -> usize {
         self.clients.iter().map(|c| c.remaining.len()).sum()
     }
 }
@@ -107,7 +102,8 @@ pub struct UnlearnOutcome {
 
 impl UnlearnOutcome {
     /// Final-round accuracy (0 when no rounds ran).
-    pub fn final_accuracy(&self) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn final_accuracy(&self) -> f64 {
         self.round_accuracies.last().copied().unwrap_or(0.0)
     }
 }
@@ -139,7 +135,6 @@ mod tests {
         let c = ClientSplit::intact(toy_dataset(5));
         assert_eq!(c.remaining.len(), 5);
         assert!(c.forget.is_empty());
-        assert_eq!(c.full().len(), 5);
     }
 
     #[test]
@@ -147,7 +142,6 @@ mod tests {
         let c = ClientSplit::with_removed(&toy_dataset(10), &[1, 3, 5]);
         assert_eq!(c.remaining.len(), 7);
         assert_eq!(c.forget.len(), 3);
-        assert_eq!(c.full().len(), 10);
     }
 
     #[test]

@@ -26,7 +26,7 @@ impl EarlyTermination {
     /// # Panics
     ///
     /// Panics if `delta` is negative or the reference loss is not finite.
-    pub fn new(delta: f32, reference_loss: f32) -> Self {
+    pub(crate) fn new(delta: f32, reference_loss: f32) -> Self {
         assert!(delta >= 0.0, "delta must be non-negative, got {delta}");
         assert!(
             reference_loss.is_finite(),
@@ -42,23 +42,18 @@ impl EarlyTermination {
 
     /// Records one local epoch's mean loss and reports whether training
     /// should stop.
-    pub fn observe(&mut self, epoch_loss: f32) -> bool {
+    pub(crate) fn observe(&mut self, epoch_loss: f32) -> bool {
         self.sum += epoch_loss;
         self.count += 1;
         self.excess_risk() <= self.delta
     }
 
     /// The current excess empirical risk (Eq 7); `∞` before any epoch.
-    pub fn excess_risk(&self) -> f32 {
+    pub(crate) fn excess_risk(&self) -> f32 {
         if self.count == 0 {
             return f32::INFINITY;
         }
         (self.sum / self.count as f32 - self.reference_loss).abs()
-    }
-
-    /// Number of epochs observed so far.
-    pub fn epochs_observed(&self) -> usize {
-        self.count
     }
 }
 
@@ -141,7 +136,7 @@ impl ShardedLocalModel {
     /// # Panics
     ///
     /// Panics if out of range or it is the last shard.
-    pub fn remove_shard(&mut self, i: usize) {
+    pub(crate) fn remove_shard(&mut self, i: usize) {
         assert!(self.states.len() > 1, "cannot remove the last shard");
         self.states.remove(i);
         self.sizes.remove(i);
@@ -304,7 +299,8 @@ impl ShardedClient {
     }
 
     /// Number of shards.
-    pub fn num_shards(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn num_shards(&self) -> usize {
         self.shards.len()
     }
 
@@ -314,7 +310,8 @@ impl ShardedClient {
     }
 
     /// Total samples across shards.
-    pub fn num_samples(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn num_samples(&self) -> usize {
         self.shards.iter().map(|s| s.len()).sum()
     }
 
@@ -480,7 +477,6 @@ mod tests {
         assert!(!et.observe(0.4)); // mean 1.2, err 0.7
         assert!(!et.observe(0.1)); // mean ~0.833, err 0.333
         assert!(et.observe(-0.43)); // mean ~0.5175, err 0.0175 ≤ 0.05
-        assert_eq!(et.epochs_observed(), 4);
     }
 
     #[test]

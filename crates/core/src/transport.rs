@@ -165,7 +165,8 @@ impl ClientDistiller {
     }
 
     /// This distiller's client id.
-    pub fn client_id(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn client_id(&self) -> usize {
         self.id
     }
 
@@ -256,7 +257,7 @@ impl<'a> LoopbackDistill<'a> {
     /// `hard` is the method's hard loss: for built-in losses it matches
     /// the [`UnlearnJob`]'s spec; custom losses only exist in-process,
     /// and this trait object is what keeps them runnable here.
-    pub fn new(
+    pub(crate) fn new(
         factory: ModelFactory,
         splits: &'a [ClientSplit],
         hard: Arc<dyn HardLoss>,

@@ -184,7 +184,8 @@ fn fused_remaining_gradient_passes_finite_difference_across_t_and_weights() {
             );
             fd_check(
                 |l| {
-                    let (h, _) = CrossEntropy.loss_and_grad(l, &labels);
+                    let h =
+                        CrossEntropy.loss_and_grad_into(l, &labels, &mut Tensor::zeros(vec![0]));
                     let (d, _) = distillation_loss(l, &teacher, t);
                     h + mu_d * d
                 },
@@ -224,7 +225,7 @@ fn fused_forget_gradient_passes_finite_difference_across_mu_c() {
         );
         fd_check(
             |l| {
-                let (h, _) = CrossEntropy.loss_and_grad(l, &labels);
+                let h = CrossEntropy.loss_and_grad_into(l, &labels, &mut Tensor::zeros(vec![0]));
                 let (c, _) = confusion_loss(l);
                 -h + mu_c * c
             },

@@ -53,7 +53,7 @@ impl BackdoorSpec {
     ///
     /// Panics if the tensor is not rank 4, the index is out of bounds, or
     /// the patch is larger than the image.
-    pub fn stamp_sample(&self, features: &mut Tensor, i: usize) {
+    pub(crate) fn stamp_sample(&self, features: &mut Tensor, i: usize) {
         let (n, c, h, w) = features.dims4();
         assert!(i < n, "sample {i} out of {n}");
         assert!(

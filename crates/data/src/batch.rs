@@ -72,16 +72,6 @@ impl BatchGather {
         &self.labels
     }
 
-    /// Number of gathered samples.
-    pub fn len(&self) -> usize {
-        self.labels.len()
-    }
-
-    /// Whether the buffer currently holds no samples.
-    pub fn is_empty(&self) -> bool {
-        self.labels.is_empty()
-    }
-
     /// Resizes the features buffer to `[rows, …sample_shape]` without a
     /// per-call shape allocation (the shape vector is reused too).
     fn shape_scratch(&mut self, rows: usize, sample_shape: &[usize]) {
@@ -138,7 +128,7 @@ mod tests {
         batch.gather(&ds, &[0, 1, 2, 3]);
         let ptr = batch.features().as_slice().as_ptr();
         batch.gather(&ds, &[1, 2]);
-        assert_eq!(batch.len(), 2);
+        assert_eq!(batch.labels().len(), 2);
         batch.gather(&ds, &[3, 0, 1]);
         assert_eq!(batch.features().as_slice().as_ptr(), ptr, "reallocated");
         assert_eq!(batch.features().as_slice(), &[6., 7., 0., 1., 2., 3.]);
@@ -150,7 +140,7 @@ mod tests {
         let mut batch = BatchGather::new();
         batch.gather(&ds, &[2, 1]);
         assert_eq!(batch.features().shape(), &[2, 1, 2, 2]);
-        assert!(!batch.is_empty());
+        assert!(!batch.labels().is_empty());
     }
 
     #[test]

@@ -77,7 +77,7 @@ impl Dataset {
     }
 
     /// Mutable feature tensor (used by backdoor stamping).
-    pub fn features_mut(&mut self) -> &mut Tensor {
+    pub(crate) fn features_mut(&mut self) -> &mut Tensor {
         &mut self.features
     }
 
@@ -87,7 +87,7 @@ impl Dataset {
     }
 
     /// Mutable labels (used by backdoor stamping).
-    pub fn labels_mut(&mut self) -> &mut [usize] {
+    pub(crate) fn labels_mut(&mut self) -> &mut [usize] {
         &mut self.labels
     }
 
@@ -198,7 +198,8 @@ impl Dataset {
     }
 
     /// Count of samples per class — used to assess partition skew.
-    pub fn class_histogram(&self) -> Vec<usize> {
+    #[cfg(test)]
+    pub(crate) fn class_histogram(&self) -> Vec<usize> {
         let mut hist = vec![0usize; self.classes];
         for &l in &self.labels {
             hist[l] += 1;

@@ -125,7 +125,7 @@ impl SyntheticSpec {
     }
 
     /// Per-sample feature count (`channels × height × width`).
-    pub fn sample_len(&self) -> usize {
+    pub(crate) fn sample_len(&self) -> usize {
         self.channels * self.height * self.width
     }
 }

@@ -28,9 +28,8 @@ fn check_updates(updates: &[ClientUpdate]) -> usize {
     len
 }
 
-/// Parameter-index chunk width of the parallel reduction in
-/// [`weighted_mean`]. Large enough that per-chunk scheduling cost is noise,
-/// small enough that typical model sizes split across a pool.
+/// Parameter-index chunk width of the reduction in [`weighted_mean`]: its
+/// `f64` accumulator holds one chunk, not the whole state.
 const REDUCE_CHUNK: usize = 16 * 1024;
 
 /// Weighted mean of uploaded state vectors: FedAvg (Eq 13) with
@@ -39,10 +38,9 @@ const REDUCE_CHUNK: usize = 16 * 1024;
 /// [`RoundAccumulator`]; this buffered form is its independent oracle,
 /// which the tests compare the fold against.
 ///
-/// The reduction is chunked over the parameter index space and the chunks
-/// run in parallel on the current pool. Each output element always
-/// accumulates client contributions in client order into an `f64`
-/// accumulator, so the result is bitwise identical at every thread count.
+/// The reduction runs on the calling thread, chunk by chunk over the
+/// parameter index space. Each output element accumulates client
+/// contributions in client order into an `f64` accumulator.
 ///
 /// # Panics
 ///
@@ -67,44 +65,20 @@ pub fn weighted_mean(updates: &[ClientUpdate], weights: &[f64]) -> Vec<f32> {
     let fracs: Vec<(usize, f64)> = usable.iter().map(|&i| (i, weights[i] / total)).collect();
 
     let mut out = vec![0.0f32; len];
-    let threads = rayon::current_num_threads();
-    if threads <= 1 || len <= REDUCE_CHUNK {
-        for (chunk_idx, chunk) in out.chunks_mut(REDUCE_CHUNK).enumerate() {
-            reduce_chunk(chunk, chunk_idx * REDUCE_CHUNK, updates, &fracs);
-        }
-    } else {
-        let updates_ref = &updates;
-        let fracs_ref = &fracs;
-        rayon::scope(|s| {
-            for (chunk_idx, chunk) in out.chunks_mut(REDUCE_CHUNK).enumerate() {
-                s.spawn(move |_| {
-                    reduce_chunk(chunk, chunk_idx * REDUCE_CHUNK, updates_ref, fracs_ref);
-                });
+    for (chunk_idx, chunk) in out.chunks_mut(REDUCE_CHUNK).enumerate() {
+        let offset = chunk_idx * REDUCE_CHUNK;
+        let mut acc = vec![0.0f64; chunk.len()];
+        for &(i, frac) in &fracs {
+            let state = &updates[i].state[offset..offset + chunk.len()];
+            for (a, &v) in acc.iter_mut().zip(state.iter()) {
+                *a += frac * v as f64;
             }
-        });
+        }
+        for (o, &a) in chunk.iter_mut().zip(acc.iter()) {
+            *o = a as f32;
+        }
     }
     out
-}
-
-/// Accumulates one chunk of the weighted mean: for every parameter index in
-/// the chunk, sums client contributions in client order (f64 accumulator)
-/// — the order is what makes the parallel reduction deterministic.
-fn reduce_chunk(
-    chunk: &mut [f32],
-    offset: usize,
-    updates: &[ClientUpdate],
-    fracs: &[(usize, f64)],
-) {
-    let mut acc = vec![0.0f64; chunk.len()];
-    for &(i, frac) in fracs {
-        let state = &updates[i].state[offset..offset + chunk.len()];
-        for (a, &v) in acc.iter_mut().zip(state.iter()) {
-            *a += frac * v as f64;
-        }
-    }
-    for (o, &a) in chunk.iter_mut().zip(acc.iter()) {
-        *o = a as f32;
-    }
 }
 
 /// The unnormalised adaptive weights of Eq 12 for a cohort's server-side
@@ -467,13 +441,14 @@ impl RoundAccumulator {
     }
 
     /// Cohort members that have folded so far.
-    pub fn folded_count(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn folded_count(&self) -> usize {
         self.next
     }
 
     /// Whether every cohort member has reported (under a streaming mode
     /// that means folded: the frontier drains whatever it can reach).
-    pub fn is_complete(&self) -> bool {
+    pub(crate) fn is_complete(&self) -> bool {
         self.offered_count() == self.ids.len()
     }
 
@@ -481,13 +456,6 @@ impl RoundAccumulator {
     /// (parked copies plus the update being folded).
     pub fn peak_resident(&self) -> usize {
         self.peak_resident
-    }
-
-    /// Updates currently resident (parked ahead of the streaming fold
-    /// frontier, or everything received under a holding rule) — the
-    /// live value behind the telemetry resident gauge.
-    pub fn resident(&self) -> usize {
-        self.resident
     }
 
     /// Finishes over the full cohort: the cast of the accumulator lane
@@ -528,7 +496,7 @@ impl RoundAccumulator {
     /// Cohort members whose updates are held by the accumulator —
     /// folded plus parked. This is the "reported set" quorum decisions
     /// are made over.
-    pub fn offered_count(&self) -> usize {
+    pub(crate) fn offered_count(&self) -> usize {
         self.next + self.resident
     }
 
@@ -690,7 +658,7 @@ impl std::fmt::Display for AggregationMode {
 /// Sequential (index-order) `f64` L2 norm of `v` — one deterministic
 /// pass, bitwise identical at every thread count. The admission layer's
 /// norm primitive.
-pub fn l2_norm(v: &[f32]) -> f64 {
+pub(crate) fn l2_norm(v: &[f32]) -> f64 {
     let mut acc = 0.0f64;
     for &x in v {
         let x = x as f64;
@@ -700,7 +668,7 @@ pub fn l2_norm(v: &[f32]) -> f64 {
 }
 
 /// Sequential `f64` L2 norm of `state − global` (index order).
-pub fn delta_norm(global: &[f32], state: &[f32]) -> f64 {
+pub(crate) fn delta_norm(global: &[f32], state: &[f32]) -> f64 {
     debug_assert_eq!(global.len(), state.len());
     let mut acc = 0.0f64;
     for (&g, &s) in global.iter().zip(state.iter()) {
@@ -713,7 +681,7 @@ pub fn delta_norm(global: &[f32], state: &[f32]) -> f64 {
 /// Writes `global + scale · (state − global)` into `out` (per-element
 /// `f64` arithmetic, index order) — the norm-clipping projection of
 /// [`AggregationMode::NormClipped`].
-pub fn clip_update_into(global: &[f32], state: &[f32], scale: f64, out: &mut Vec<f32>) {
+pub(crate) fn clip_update_into(global: &[f32], state: &[f32], scale: f64, out: &mut Vec<f32>) {
     out.clear();
     out.reserve(global.len());
     out.extend(

@@ -124,7 +124,7 @@ pub fn predict_probs(net: &mut Network, data: &Dataset) -> Tensor {
 }
 
 /// Argmax class predictions over the dataset.
-pub fn predict_classes(net: &mut Network, data: &Dataset) -> Vec<usize> {
+pub(crate) fn predict_classes(net: &mut Network, data: &Dataset) -> Vec<usize> {
     let mut preds = Vec::with_capacity(data.len());
     for_each_chunk(net, data, |logits, _| {
         let (_, c) = logits.dims2();
@@ -185,7 +185,7 @@ mod tests {
         use goldfish_nn::zoo;
         use rand::{rngs::StdRng, SeedableRng};
 
-        pub fn tiny() -> (Network, Dataset) {
+        pub(crate) fn tiny() -> (Network, Dataset) {
             let spec = SyntheticSpec::mnist().with_size(8, 8).with_shift(1);
             let (_, test) = synthetic::generate(&spec, 10, 60, 4);
             let mut rng = StdRng::seed_from_u64(0);

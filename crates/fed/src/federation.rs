@@ -6,7 +6,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::trainer::TrainConfig;
 use crate::transport::{
-    round_nonce, round_seed, LoopbackClients, RoundRuntime, StateLenError, TrainAssign, Weighting,
+    round_nonce, round_seed, LoopbackClients, RoundRuntime, TrainAssign, Weighting,
 };
 use crate::{eval, ModelFactory};
 
@@ -82,20 +82,6 @@ impl Federation {
         &self.global
     }
 
-    /// Overwrites the global state vector after validating its length
-    /// against the model factory's parameter count — a wrong-length vector
-    /// would otherwise corrupt every later round.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`StateLenError`] (and leaves the current global untouched)
-    /// when the length differs from the architecture's state length.
-    pub fn set_global_state(&mut self, state: Vec<f32>) -> Result<(), StateLenError> {
-        StateLenError::check(state.len(), self.global.len())?;
-        self.global = state;
-        Ok(())
-    }
-
     /// Materialises the current global model as a [`Network`].
     pub fn global_network(&self) -> Network {
         let mut net = (self.factory)(0);
@@ -133,7 +119,7 @@ impl Federation {
     /// # Panics
     ///
     /// Panics if the federation has no clients or every client diverged.
-    pub fn run_round(&mut self, round: usize, seed: u64) -> RoundReport {
+    pub(crate) fn run_round(&mut self, round: usize, seed: u64) -> RoundReport {
         assert!(!self.clients.is_empty(), "federation has no clients");
         let mut clients = LoopbackClients::new(&self.factory, &self.clients, self.threads);
         let assign = TrainAssign {

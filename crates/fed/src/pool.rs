@@ -1,16 +1,21 @@
 //! The shared compute pool every parallel federated step runs on.
 //!
-//! Client-side local training, per-client evaluation and server-side
-//! aggregation all execute inside one rayon pool so the simulation has a
-//! single, configurable parallelism knob instead of ad-hoc scoped threads
-//! per call site. An executor's `threads: Some(n)` (e.g.
-//! `FederationBuilder::threads`) pins its pool; `None` inherits the pool
-//! of the enclosing [`install`], or the hardware thread count at top
-//! level.
+//! Client-side local training and per-client evaluation execute inside
+//! one rayon pool so the simulation has a single, configurable
+//! parallelism knob instead of ad-hoc scoped threads per call site. An
+//! executor's `threads: Some(n)` (e.g. `FederationBuilder::threads`) pins
+//! its pool; `None` inherits the pool of the enclosing [`install`], or the
+//! hardware thread count at top level.
+//!
+//! The parallel unit is a client (or lane): [`for_each_slot`] and
+//! `for_each_pair` fork one task per slot. Below them only
+//! `goldfish_tensor::engine::gemm` forks, splitting the rows of a product
+//! large enough to run alone (evaluation's first dense layer); every other
+//! kernel and the aggregation fold run on the calling thread.
 //!
 //! Thread count never changes results: every task writes to a
 //! pre-partitioned disjoint output slot and every reduction fixes its
-//! per-element summation order (see `aggregate::weighted_mean`).
+//! per-element summation order.
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
@@ -20,7 +25,7 @@ use rayon::{ThreadPool, ThreadPoolBuilder};
 /// Resolves an optional executor override: `Some(n)` wins, otherwise
 /// the current pool's size — the enclosing [`install`]'s, or the
 /// hardware thread count outside any.
-pub fn effective_threads(overriding: Option<usize>) -> usize {
+pub(crate) fn effective_threads(overriding: Option<usize>) -> usize {
     match overriding {
         Some(n) if n > 0 => n,
         _ => rayon::current_num_threads(),
@@ -47,9 +52,9 @@ fn pool_for(threads: usize) -> Arc<ThreadPool> {
     }))
 }
 
-/// Runs `f` inside a pool of [`effective_threads`]`(overriding)` threads;
-/// all rayon scopes reached from `f` (client training, evaluation,
-/// aggregation, tensor kernels) use that pool size.
+/// Runs `f` inside a pool of `effective_threads(overriding)` threads;
+/// all rayon scopes reached from `f` (the per-client fan-out and `gemm`'s
+/// row split) use that pool size.
 pub fn install<R>(overriding: Option<usize>, f: impl FnOnce() -> R) -> R {
     pool_for(effective_threads(overriding)).install(f)
 }
@@ -82,7 +87,7 @@ where
 /// [`for_each_slot`] over two slices in lockstep: one closure per index
 /// `i < a.len().min(b.len())`, given `&mut a[i]` and `&mut b[i]` — how an
 /// executor pairs its reusable lanes with the clients of one wave.
-pub fn for_each_pair<A: Send, B: Send, F>(a: &mut [A], b: &mut [B], f: F)
+pub(crate) fn for_each_pair<A: Send, B: Send, F>(a: &mut [A], b: &mut [B], f: F)
 where
     F: Fn(usize, &mut A, &mut B) + Send + Sync,
 {

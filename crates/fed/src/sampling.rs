@@ -46,7 +46,7 @@ pub fn cohort_seed(round_seed: u64) -> u64 {
 
 /// The sampling rank of client `id` under `seed` — smaller ranks are
 /// drawn first.
-pub fn cohort_rank(seed: u64, id: usize) -> u64 {
+pub(crate) fn cohort_rank(seed: u64, id: usize) -> u64 {
     splitmix64(seed ^ (id as u64).wrapping_mul(0xA24B_AED4_963E_E407))
 }
 

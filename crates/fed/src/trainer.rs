@@ -195,7 +195,7 @@ impl TrainLane {
 
     /// One local run from `global` on `data`. The trained state stays in
     /// the lane's network until [`TrainLane::state_into`] exports it.
-    pub fn run(
+    pub(crate) fn run(
         &mut self,
         factory: &ModelFactory,
         global: &[f32],
@@ -258,7 +258,7 @@ impl TrainLane {
 
     /// The lane's network and its spare-network slot, for a caller that
     /// trains with its own loop (distillation): the network as
-    /// [`TrainLane::run`] would use it — [`TrainLane::state_into`]
+    /// `TrainLane::run` would use it — [`TrainLane::state_into`]
     /// exports what the caller leaves there — and the slot, empty until
     /// the caller first fills it with a network built by `factory`.
     pub fn networks(&mut self, factory: &ModelFactory) -> (&mut Network, &mut Option<Network>) {
@@ -269,7 +269,7 @@ impl TrainLane {
 }
 
 /// An in-process executor's lanes: one per client running at once on a
-/// pool of [`pool::effective_threads`]`(threads)` threads — `None` is the
+/// pool of `pool::effective_threads(threads)` threads — `None` is the
 /// enclosing pool's size — so at most one per pool thread, whatever the
 /// number of clients.
 #[derive(Debug)]
@@ -352,7 +352,8 @@ mod tests {
             momentum: 0.9,
         };
         let train_loss = |net: &mut Network| {
-            CrossEntropy.loss(net.forward_ws(train.features(), false), train.labels())
+            let logits = net.forward_ws(train.features(), false);
+            CrossEntropy.loss_and_grad_into(logits, train.labels(), &mut Tensor::zeros(vec![0]))
         };
         let before = train_loss(&mut net);
         train_local_ce(&mut net, &train, &cfg, 1);

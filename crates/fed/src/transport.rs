@@ -456,14 +456,14 @@ impl<'a> LoopbackClients<'a> {
 
     /// Also scores every upload's accuracy on `test`, on the lane that
     /// trained it (Fig 8's per-client error bars).
-    pub fn scoring_on(mut self, test: &'a Dataset) -> Self {
+    pub(crate) fn scoring_on(mut self, test: &'a Dataset) -> Self {
         self.scored = Some(test);
         self
     }
 
     /// The last round attempt's upload accuracies, in cohort order
     /// (empty unless [`LoopbackClients::scoring_on`]).
-    pub fn accuracies(&self) -> &[f64] {
+    pub(crate) fn accuracies(&self) -> &[f64] {
         &self.accuracies
     }
 
@@ -845,7 +845,7 @@ impl RoundMetrics {
     }
 
     /// The rejection counter of one violation kind.
-    pub fn rejected(&self, violation: &UpdateViolation) -> &Counter {
+    pub(crate) fn rejected(&self, violation: &UpdateViolation) -> &Counter {
         match violation {
             UpdateViolation::NonFinite => &self.rejected_non_finite,
             UpdateViolation::DeltaNorm => &self.rejected_delta_norm,
@@ -941,31 +941,6 @@ impl RoundRuntime {
     /// aggregation, so this cannot change round outputs.
     pub fn set_metrics(&mut self, metrics: RoundMetrics) {
         self.metrics = metrics;
-    }
-
-    /// The runtime's telemetry handles.
-    pub fn metrics(&self) -> &RoundMetrics {
-        &self.metrics
-    }
-
-    /// The configured resident-update window (`0` = auto).
-    pub fn window(&self) -> usize {
-        self.window
-    }
-
-    /// Reconfigures the resident-update window for later rounds.
-    pub fn set_window(&mut self, window: usize) {
-        self.window = window;
-    }
-
-    /// The active robustness policy.
-    pub fn robustness(&self) -> &RobustConfig {
-        &self.robust
-    }
-
-    /// The active cohort-sampling fraction (`None` = everyone).
-    pub fn sampling(&self) -> Option<f64> {
-        self.sampling
     }
 
     /// Enables (or disables, with `None`) per-round cohort sampling:
@@ -1583,7 +1558,7 @@ mod tests {
 
         // A window that fits the reversal succeeds, bitwise equal to
         // `weighted_mean` over the sample counts.
-        rt.set_window(4);
+        let mut rt = RoundRuntime::new(Some(1), 4);
         rt.run_hot(&mut transport, &assign, Weighting::Samples, &mut out)
             .unwrap();
         assert_eq!(out, weighted_mean(&updates, &[5.0; 4]));

@@ -30,7 +30,7 @@ fn kl(p: &[f32], q: &[f32]) -> f64 {
 
 /// Jensen–Shannon divergence of a single distribution pair, in nats.
 /// Bounded in `[0, ln 2]`.
-pub fn jsd(p: &[f32], q: &[f32]) -> f64 {
+pub(crate) fn jsd(p: &[f32], q: &[f32]) -> f64 {
     assert_eq!(p.len(), q.len(), "distribution lengths differ");
     let m: Vec<f32> = p
         .iter()

@@ -60,7 +60,7 @@ fn mean_var(xs: &[f64]) -> (f64, f64) {
 
 /// Two-sided p-value of a t statistic with `df` degrees of freedom:
 /// `p = I_{df/(df+t²)}(df/2, 1/2)`.
-pub fn t_two_sided_p(t: f64, df: f64) -> f64 {
+pub(crate) fn t_two_sided_p(t: f64, df: f64) -> f64 {
     if !t.is_finite() {
         return 0.0;
     }
@@ -70,7 +70,7 @@ pub fn t_two_sided_p(t: f64, df: f64) -> f64 {
 
 /// Natural log of the gamma function (Lanczos approximation, |error| <
 /// 2e-10 for positive arguments).
-pub fn ln_gamma(x: f64) -> f64 {
+pub(crate) fn ln_gamma(x: f64) -> f64 {
     // Lanczos coefficients (g = 5, n = 6).
     const COEF: [f64; 6] = [
         76.180_091_729_471_46,
@@ -98,7 +98,7 @@ pub fn ln_gamma(x: f64) -> f64 {
 /// # Panics
 ///
 /// Panics if `x` is outside `[0, 1]` or `a`/`b` are not positive.
-pub fn reg_incomplete_beta(a: f64, b: f64, x: f64) -> f64 {
+pub(crate) fn reg_incomplete_beta(a: f64, b: f64, x: f64) -> f64 {
     assert!((0.0..=1.0).contains(&x), "x must be in [0,1], got {x}");
     assert!(a > 0.0 && b > 0.0, "a, b must be positive: {a}, {b}");
     if x == 0.0 {

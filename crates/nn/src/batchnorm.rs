@@ -57,7 +57,7 @@ impl BatchNorm2d {
     }
 
     /// Number of channels this layer normalises.
-    pub fn channels(&self) -> usize {
+    pub(crate) fn channels(&self) -> usize {
         self.gamma.value.len()
     }
 }

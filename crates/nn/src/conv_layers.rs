@@ -64,11 +64,6 @@ impl Conv2d {
         }
     }
 
-    /// The convolution geometry.
-    pub fn spec(&self) -> &Conv2dSpec {
-        &self.spec
-    }
-
     /// Keeps what a backward after this forward reads: the input itself
     /// (the backward reads it where it lies, no column matrix is cached)
     /// after a training pass, nothing after an eval pass.
@@ -166,7 +161,7 @@ impl ConvReluPool {
     /// # Panics
     ///
     /// Panics if `pool` is zero or above 15.
-    pub fn new(conv: Conv2d, pool: usize) -> Self {
+    pub(crate) fn new(conv: Conv2d, pool: usize) -> Self {
         assert!(pool < 16, "a fused pool window is at most 15×15");
         ConvReluPool {
             conv,

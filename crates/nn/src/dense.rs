@@ -48,12 +48,12 @@ impl Dense {
     }
 
     /// Input feature count.
-    pub fn in_features(&self) -> usize {
+    pub(crate) fn in_features(&self) -> usize {
         self.weight.value.shape()[1]
     }
 
     /// Output feature count.
-    pub fn out_features(&self) -> usize {
+    pub(crate) fn out_features(&self) -> usize {
         self.weight.value.shape()[0]
     }
 }

@@ -21,7 +21,7 @@ pub struct Param {
 
 impl Param {
     /// Creates a trainable parameter with a zeroed gradient buffer.
-    pub fn new(value: Tensor) -> Self {
+    pub(crate) fn new(value: Tensor) -> Self {
         let grad = Tensor::zeros(value.shape().to_vec());
         Param {
             value,
@@ -31,14 +31,14 @@ impl Param {
     }
 
     /// Creates a non-trainable (tracked-state) parameter.
-    pub fn frozen(value: Tensor) -> Self {
+    pub(crate) fn frozen(value: Tensor) -> Self {
         let mut p = Param::new(value);
         p.trainable = false;
         p
     }
 
     /// Resets the gradient to zero.
-    pub fn zero_grad(&mut self) {
+    pub(crate) fn zero_grad(&mut self) {
         self.grad.zero_mut();
     }
 }
@@ -167,7 +167,7 @@ pub struct Flatten {
 
 impl Flatten {
     /// Creates a flatten layer.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Flatten::default()
     }
 }

@@ -8,43 +8,18 @@
 
 use goldfish_tensor::{ops, Tensor};
 
-/// A per-batch classification loss over logits.
-///
-/// Implementations return the **mean** loss over the batch and the gradient
-/// of that mean w.r.t. the logits (shape `[n, classes]`).
+/// A per-batch classification loss over logits: the **mean** loss over
+/// the batch, with its gradient w.r.t. the logits (shape `[n, classes]`)
+/// written into a caller-owned tensor — allocation-free once it is warm.
 pub trait HardLoss: Send + Sync {
-    /// Computes `(mean_loss, grad_wrt_logits)`.
+    /// Computes the mean loss and writes its gradient w.r.t. the logits
+    /// into `grad` (resized in place, previous contents discarded).
     ///
     /// # Panics
     ///
     /// Panics if `labels.len()` differs from the batch size or a label is
     /// out of range.
-    fn loss_and_grad(&self, logits: &Tensor, labels: &[usize]) -> (f32, Tensor);
-
-    /// Computes only the mean loss (no gradient). Default delegates to
-    /// [`HardLoss::loss_and_grad`].
-    fn loss(&self, logits: &Tensor, labels: &[usize]) -> f32 {
-        self.loss_and_grad(logits, labels).0
-    }
-
-    /// [`HardLoss::loss_and_grad`] writing the gradient into a
-    /// caller-owned tensor (resized in place, previous contents
-    /// discarded) and returning the mean loss.
-    ///
-    /// The default delegates to the allocating form and copies;
-    /// [`CrossEntropy`] overrides it with a fused single-pass
-    /// implementation producing bitwise-identical values with zero heap
-    /// allocation — the form training loops call every step.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `labels.len()` differs from the batch size or a label is
-    /// out of range.
-    fn loss_and_grad_into(&self, logits: &Tensor, labels: &[usize], grad: &mut Tensor) -> f32 {
-        let (l, g) = self.loss_and_grad(logits, labels);
-        grad.assign(&g);
-        l
-    }
+    fn loss_and_grad_into(&self, logits: &Tensor, labels: &[usize], grad: &mut Tensor) -> f32;
 
     /// Short identifier used in experiment reports ("ce", "focal", "nll").
     fn name(&self) -> &'static str;
@@ -85,16 +60,6 @@ impl HardLossSpec {
             HardLossSpec::Nll => std::sync::Arc::new(Nll),
         }
     }
-
-    /// The same short identifier the built loss reports via
-    /// [`HardLoss::name`].
-    pub fn name(&self) -> &'static str {
-        match self {
-            HardLossSpec::CrossEntropy => "ce",
-            HardLossSpec::Focal { .. } => "focal",
-            HardLossSpec::Nll => "nll",
-        }
-    }
 }
 
 fn check_labels(logits: &Tensor, labels: &[usize]) -> (usize, usize) {
@@ -112,12 +77,6 @@ fn check_labels(logits: &Tensor, labels: &[usize]) -> (usize, usize) {
 pub struct CrossEntropy;
 
 impl HardLoss for CrossEntropy {
-    fn loss_and_grad(&self, logits: &Tensor, labels: &[usize]) -> (f32, Tensor) {
-        let mut grad = Tensor::zeros(vec![0]);
-        let loss = self.loss_and_grad_into(logits, labels, &mut grad);
-        (loss, grad)
-    }
-
     /// Fused softmax–cross-entropy: loss and gradient in one sweep over
     /// the logits, written into the reused `grad` buffer.
     ///
@@ -197,14 +156,18 @@ impl Default for Focal {
 }
 
 impl HardLoss for Focal {
-    fn loss_and_grad(&self, logits: &Tensor, labels: &[usize]) -> (f32, Tensor) {
+    /// Stages the softmax in `grad`, then rewrites each row in place with
+    /// the focal gradient `dFL/dp_t · dp_t/dz_j`, scaled by `1/n`.
+    fn loss_and_grad_into(&self, logits: &Tensor, labels: &[usize], grad: &mut Tensor) -> f32 {
         let (n, c) = check_labels(logits, labels);
-        let p = ops::softmax(logits);
-        let mut grad = Tensor::zeros(vec![n, c]);
+        ops::softmax_t_into(logits, 1.0, grad);
+        let gv = grad.as_mut_slice();
         let mut loss = 0.0f32;
         let g = self.gamma;
+        let scale = 1.0 / n as f32;
         for (r, &label) in labels.iter().enumerate() {
-            let pt = p.at2(r, label).clamp(1e-7, 1.0);
+            let grow = &mut gv[r * c..(r + 1) * c];
+            let pt = grow[label].clamp(1e-7, 1.0);
             let one_minus = (1.0 - pt).max(0.0);
             loss -= one_minus.powf(g) * pt.ln();
             // dFL/dp_t, then chain through the softmax Jacobian row.
@@ -213,20 +176,16 @@ impl HardLoss for Focal {
             } else {
                 g * one_minus.powf(g - 1.0) * pt.ln() - one_minus.powf(g) / pt
             };
-            let prow = p.row(r).to_vec();
-            let grow = grad.row_mut(r);
             for (j, gj) in grow.iter_mut().enumerate() {
                 let dpt_dzj = if j == label {
                     pt * (1.0 - pt)
                 } else {
-                    -pt * prow[j]
+                    -pt * *gj
                 };
-                *gj = dfl_dpt * dpt_dzj;
+                *gj = dfl_dpt * dpt_dzj * scale;
             }
         }
-        let scale = 1.0 / n as f32;
-        grad.scale_mut(scale);
-        (loss * scale, grad)
+        loss * scale
     }
 
     fn name(&self) -> &'static str {
@@ -251,23 +210,22 @@ impl HardLoss for Focal {
 pub struct Nll;
 
 impl HardLoss for Nll {
-    fn loss_and_grad(&self, logits: &Tensor, labels: &[usize]) -> (f32, Tensor) {
+    /// Stages the log-softmax in `grad`, then rewrites each element in
+    /// place with `d(−log p_t)/dz_j = p_j − δ_tj`, scaled by `1/n`.
+    fn loss_and_grad_into(&self, logits: &Tensor, labels: &[usize], grad: &mut Tensor) -> f32 {
         let (n, c) = check_labels(logits, labels);
-        let logp = ops::log_softmax_t(logits, 1.0);
+        ops::log_softmax_t_into(logits, 1.0, grad);
+        let gv = grad.as_mut_slice();
         let mut loss = 0.0f32;
-        let mut grad = Tensor::zeros(vec![n, c]);
+        let scale = 1.0 / n as f32;
         for (r, &label) in labels.iter().enumerate() {
-            loss -= logp.at2(r, label);
-            // d(-logp_t)/dz_j = p_j - δ_{tj}
-            let prow: Vec<f32> = logp.row(r).iter().map(|v| v.exp()).collect();
-            let grow = grad.row_mut(r);
+            let grow = &mut gv[r * c..(r + 1) * c];
+            loss -= grow[label];
             for (j, gj) in grow.iter_mut().enumerate() {
-                *gj = prow[j] - if j == label { 1.0 } else { 0.0 };
+                *gj = (gj.exp() - if j == label { 1.0 } else { 0.0 }) * scale;
             }
         }
-        let scale = 1.0 / n as f32;
-        grad.scale_mut(scale);
-        (loss * scale, grad)
+        loss * scale
     }
 
     fn name(&self) -> &'static str {
@@ -333,40 +291,31 @@ pub fn distillation_loss_into(
     loss
 }
 
-/// Accuracy of logits against labels — a convenience shared by training
-/// loops and tests.
-pub fn accuracy(logits: &Tensor, labels: &[usize]) -> f32 {
-    let preds = ops::argmax_rows(logits);
-    if labels.is_empty() {
-        return 0.0;
-    }
-    let correct = preds
-        .iter()
-        .zip(labels.iter())
-        .filter(|(p, l)| p == l)
-        .count();
-    correct as f32 / labels.len() as f32
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use goldfish_tensor::init;
     use rand::{rngs::StdRng, SeedableRng};
 
+    fn loss_and_grad(loss: &dyn HardLoss, logits: &Tensor, labels: &[usize]) -> (f32, Tensor) {
+        let mut grad = Tensor::zeros(vec![0]);
+        let l = loss.loss_and_grad_into(logits, labels, &mut grad);
+        (l, grad)
+    }
+
     fn finite_diff_check(loss: &dyn HardLoss, seed: u64) {
         let mut rng = StdRng::seed_from_u64(seed);
         let logits = init::normal(&mut rng, vec![3, 4], 0.0, 1.5);
         let labels = vec![0usize, 3, 2];
-        let (_, grad) = loss.loss_and_grad(&logits, &labels);
+        let (_, grad) = loss_and_grad(loss, &logits, &labels);
         let eps = 1e-3;
         for i in 0..logits.len() {
             let mut lp = logits.clone();
             lp.as_mut_slice()[i] += eps;
-            let fp = loss.loss(&lp, &labels);
+            let fp = loss_and_grad(loss, &lp, &labels).0;
             let mut lm = logits.clone();
             lm.as_mut_slice()[i] -= eps;
-            let fm = loss.loss(&lm, &labels);
+            let fm = loss_and_grad(loss, &lm, &labels).0;
             let fd = (fp - fm) / (2.0 * eps);
             let an = grad.as_slice()[i];
             assert!(
@@ -397,8 +346,8 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(5);
         let logits = init::normal(&mut rng, vec![4, 5], 0.0, 2.0);
         let labels = vec![1usize, 0, 4, 2];
-        let (l1, g1) = CrossEntropy.loss_and_grad(&logits, &labels);
-        let (l2, g2) = Focal::new(0.0).loss_and_grad(&logits, &labels);
+        let (l1, g1) = loss_and_grad(&CrossEntropy, &logits, &labels);
+        let (l2, g2) = loss_and_grad(&Focal::new(0.0), &logits, &labels);
         assert!((l1 - l2).abs() < 1e-4);
         for (a, b) in g1.as_slice().iter().zip(g2.as_slice()) {
             assert!((a - b).abs() < 1e-4);
@@ -410,8 +359,8 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(6);
         let logits = init::normal(&mut rng, vec![4, 3], 0.0, 1.0);
         let labels = vec![2usize, 1, 0, 1];
-        let (l1, g1) = CrossEntropy.loss_and_grad(&logits, &labels);
-        let (l2, g2) = Nll.loss_and_grad(&logits, &labels);
+        let (l1, g1) = loss_and_grad(&CrossEntropy, &logits, &labels);
+        let (l2, g2) = loss_and_grad(&Nll, &logits, &labels);
         assert!((l1 - l2).abs() < 1e-5);
         for (a, b) in g1.as_slice().iter().zip(g2.as_slice()) {
             assert!((a - b).abs() < 1e-5);
@@ -422,7 +371,7 @@ mod tests {
     fn ce_perfect_prediction_has_near_zero_loss() {
         let mut logits = Tensor::filled(vec![1, 3], -20.0);
         logits.as_mut_slice()[1] = 20.0;
-        let (l, _) = CrossEntropy.loss_and_grad(&logits, &[1]);
+        let (l, _) = loss_and_grad(&CrossEntropy, &logits, &[1]);
         assert!(l < 1e-5);
     }
 
@@ -433,15 +382,91 @@ mod tests {
         let easy = Tensor::from_vec(vec![1, 2], vec![5.0, -5.0]);
         let hard = Tensor::from_vec(vec![1, 2], vec![0.1, -0.1]);
         let f = Focal::new(2.0);
-        let ratio_easy = f.loss(&easy, &[0]) / CrossEntropy.loss(&easy, &[0]);
-        let ratio_hard = f.loss(&hard, &[0]) / CrossEntropy.loss(&hard, &[0]);
+        let ratio =
+            |x: &Tensor| loss_and_grad(&f, x, &[0]).0 / loss_and_grad(&CrossEntropy, x, &[0]).0;
+        let (ratio_easy, ratio_hard) = (ratio(&easy), ratio(&hard));
         assert!(ratio_easy < ratio_hard);
     }
 
     #[test]
     #[should_panic(expected = "label 5 out of 3 classes")]
     fn rejects_out_of_range_label() {
-        let _ = CrossEntropy.loss_and_grad(&Tensor::zeros(vec![1, 3]), &[5]);
+        let _ = loss_and_grad(&CrossEntropy, &Tensor::zeros(vec![1, 3]), &[5]);
+    }
+
+    /// Focal and NLL as they were computed before they wrote into the
+    /// caller's buffer: allocated softmax / log-softmax, a per-row copy of
+    /// the probabilities and a separate scaling pass.
+    fn focal_composed(g: f32, logits: &Tensor, labels: &[usize]) -> (f32, Tensor) {
+        let (n, c) = logits.dims2();
+        let p = ops::softmax(logits);
+        let mut grad = Tensor::zeros(vec![n, c]);
+        let mut loss = 0.0f32;
+        for (r, &label) in labels.iter().enumerate() {
+            let pt = p.at2(r, label).clamp(1e-7, 1.0);
+            let one_minus = (1.0 - pt).max(0.0);
+            loss -= one_minus.powf(g) * pt.ln();
+            let dfl_dpt = if g == 0.0 {
+                -1.0 / pt
+            } else {
+                g * one_minus.powf(g - 1.0) * pt.ln() - one_minus.powf(g) / pt
+            };
+            let prow = p.row(r).to_vec();
+            for (j, gj) in grad.row_mut(r).iter_mut().enumerate() {
+                let dpt_dzj = if j == label {
+                    pt * (1.0 - pt)
+                } else {
+                    -pt * prow[j]
+                };
+                *gj = dfl_dpt * dpt_dzj;
+            }
+        }
+        let scale = 1.0 / n as f32;
+        grad.scale_mut(scale);
+        (loss * scale, grad)
+    }
+
+    fn nll_composed(logits: &Tensor, labels: &[usize]) -> (f32, Tensor) {
+        let (n, c) = logits.dims2();
+        let logp = ops::log_softmax_t(logits, 1.0);
+        let mut loss = 0.0f32;
+        let mut grad = Tensor::zeros(vec![n, c]);
+        for (r, &label) in labels.iter().enumerate() {
+            loss -= logp.at2(r, label);
+            let prow: Vec<f32> = logp.row(r).iter().map(|v| v.exp()).collect();
+            for (j, gj) in grad.row_mut(r).iter_mut().enumerate() {
+                *gj = prow[j] - if j == label { 1.0 } else { 0.0 };
+            }
+        }
+        let scale = 1.0 / n as f32;
+        grad.scale_mut(scale);
+        (loss * scale, grad)
+    }
+
+    #[test]
+    fn focal_and_nll_into_match_composed_form_bitwise() {
+        let mut rng = StdRng::seed_from_u64(23);
+        // One warm buffer across shapes and losses, as a training loop
+        // keeps it; a confident row exercises the `p_t` clamp.
+        let mut grad = Tensor::zeros(vec![0]);
+        for &(n, c) in &[(1usize, 2usize), (5, 4), (7, 10), (32, 10)] {
+            let mut logits = init::normal(&mut rng, vec![n, c], 0.0, 3.0);
+            logits.as_mut_slice()[0] = 40.0;
+            let labels: Vec<usize> = (0..n).map(|i| (i * 7 + 3) % c).collect();
+            let mut check = |loss: &dyn HardLoss, (want_loss, want_grad): (f32, Tensor)| {
+                let got = loss.loss_and_grad_into(&logits, &labels, &mut grad);
+                let what = format!("{} [{n}, {c}]", loss.name());
+                assert_eq!(got.to_bits(), want_loss.to_bits(), "loss of {what}");
+                assert_eq!(grad.shape(), want_grad.shape(), "{what}");
+                for (a, b) in grad.as_slice().iter().zip(want_grad.as_slice()) {
+                    assert_eq!(a.to_bits(), b.to_bits(), "grad of {what}");
+                }
+            };
+            for focal in [Focal::new(0.0), Focal::default(), Focal::new(0.5)] {
+                check(&focal, focal_composed(focal.gamma, &logits, &labels));
+            }
+            check(&Nll, nll_composed(&logits, &labels));
+        }
     }
 
     #[test]
@@ -484,13 +509,5 @@ mod tests {
         let l = distillation_loss_into(&logits, &logits, 3.0, &mut grad, &mut probs);
         assert_eq!(l, 0.0);
         assert_eq!(grad.shape(), &[0, 3]);
-    }
-
-    #[test]
-    fn accuracy_counts_matches() {
-        let logits = Tensor::from_vec(vec![2, 2], vec![1.0, 0.0, 0.0, 1.0]);
-        assert_eq!(accuracy(&logits, &[0, 1]), 1.0);
-        assert_eq!(accuracy(&logits, &[1, 0]), 0.0);
-        assert_eq!(accuracy(&logits, &[0, 0]), 0.5);
     }
 }

@@ -73,7 +73,7 @@ impl Network {
     }
 
     /// Number of *trainable* scalars (excludes frozen tracked state).
-    pub fn trainable_len(&self) -> usize {
+    pub(crate) fn trainable_len(&self) -> usize {
         let mut n = 0;
         self.body.visit_params(&mut |p| {
             if p.trainable {

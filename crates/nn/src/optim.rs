@@ -36,11 +36,6 @@ impl Sgd {
         }
     }
 
-    /// The learning rate.
-    pub fn lr(&self) -> f32 {
-        self.lr
-    }
-
     /// Applies one update step from the gradients currently accumulated in
     /// `net`, then the caller typically calls [`Network::zero_grad`].
     ///
@@ -116,11 +111,6 @@ impl FusedSgd {
             momentum,
             velocity: Vec::new(),
         }
-    }
-
-    /// The learning rate.
-    pub fn lr(&self) -> f32 {
-        self.lr
     }
 
     /// Applies one update step from the gradients currently accumulated
@@ -234,9 +224,10 @@ mod tests {
         let mut sgd = Sgd::new(0.1, 0.9);
         let mut first = None;
         let mut last = 0.0;
+        let mut grad = Tensor::zeros(vec![0]);
         for _ in 0..60 {
             let logits = net.forward_ws(&x, true);
-            let (loss, grad) = CrossEntropy.loss_and_grad(logits, &labels);
+            let loss = CrossEntropy.loss_and_grad_into(logits, &labels, &mut grad);
             net.zero_grad();
             net.backward_train(&grad);
             sgd.step(&mut net);
@@ -259,9 +250,10 @@ mod tests {
             let labels: Vec<usize> = (0..16).map(|i| i % 2).collect();
             let mut sgd = Sgd::new(0.01, momentum);
             let mut loss = 0.0;
+            let mut grad = Tensor::zeros(vec![0]);
             for _ in 0..40 {
                 let logits = net.forward_ws(&x, true);
-                let (l, grad) = CrossEntropy.loss_and_grad(logits, &labels);
+                let l = CrossEntropy.loss_and_grad_into(logits, &labels, &mut grad);
                 net.zero_grad();
                 net.backward_train(&grad);
                 sgd.step(&mut net);
@@ -305,10 +297,11 @@ mod tests {
         let labels: Vec<usize> = (0..8).map(|i| i % 4).collect();
         let mut sgd = Sgd::new(0.05, 0.9);
         let mut fused = FusedSgd::new(0.05, 0.9);
+        let mut grad = Tensor::zeros(vec![0]);
         for _ in 0..7 {
             for (net, which) in [(&mut a, 0), (&mut b, 1)] {
                 let logits = net.forward_ws(&x, true);
-                let (_, grad) = CrossEntropy.loss_and_grad(logits, &labels);
+                CrossEntropy.loss_and_grad_into(logits, &labels, &mut grad);
                 net.zero_grad();
                 net.backward_train(&grad);
                 if which == 0 {
@@ -338,8 +331,9 @@ mod tests {
         let mut net = Network::new(Sequential::new().push(Dense::new(2, 2, &mut rng)));
         let mut sgd = Sgd::new(0.1, 0.9);
         let x = Tensor::filled(vec![1, 2], 1.0);
+        let mut grad = Tensor::zeros(vec![0]);
         let logits = net.forward_ws(&x, true);
-        let (_, grad) = CrossEntropy.loss_and_grad(logits, &[0]);
+        CrossEntropy.loss_and_grad_into(logits, &[0], &mut grad);
         net.backward_train(&grad);
         sgd.step(&mut net);
         assert!(!sgd.velocity.is_empty());

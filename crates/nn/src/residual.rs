@@ -27,7 +27,7 @@ pub struct Residual {
 
 impl Residual {
     /// Creates an identity-skip residual block.
-    pub fn identity(main: Sequential) -> Self {
+    pub(crate) fn identity(main: Sequential) -> Self {
         Residual::build(main, None)
     }
 

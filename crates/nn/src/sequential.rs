@@ -39,16 +39,6 @@ impl Sequential {
         self
     }
 
-    /// Number of layers.
-    pub fn len(&self) -> usize {
-        self.layers.len()
-    }
-
-    /// Whether the sequence is empty.
-    pub fn is_empty(&self) -> bool {
-        self.layers.is_empty()
-    }
-
     /// Grows the arenas to one slot per inter-layer edge (no-op once
     /// warm). Slot *contents* are resized lazily by the layers.
     fn ensure_arenas(&mut self) {

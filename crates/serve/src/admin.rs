@@ -32,7 +32,7 @@ const ACCEPT_POLL: Duration = Duration::from_millis(25);
 const IO_TIMEOUT: Duration = Duration::from_secs(2);
 
 /// The admin endpoint's handle: dropping it (or calling
-/// [`AdminServer::shutdown`]) stops the thread.
+/// `AdminServer::shutdown`) stops the thread.
 #[derive(Debug)]
 pub struct AdminServer {
     addr: SocketAddr,
@@ -70,7 +70,7 @@ impl AdminServer {
     }
 
     /// Stops the serving thread and waits for it to exit.
-    pub fn shutdown(&mut self) {
+    pub(crate) fn shutdown(&mut self) {
         self.stop.store(true, Ordering::Relaxed);
         if let Some(t) = self.thread.take() {
             let _ = t.join();

@@ -50,14 +50,14 @@ use crate::digest::{self, DIGEST_LEN, GENESIS};
 use crate::queue::UnlearnRequest;
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 /// Audit file magic: "GoldFish Audit Log".
-pub const AUDIT_MAGIC: [u8; 4] = *b"GFAL";
+pub(crate) const AUDIT_MAGIC: [u8; 4] = *b"GFAL";
 
 /// Audit file format version. v2 added the leading `kind` byte and
 /// generalised the per-entry payload from removed indices to `detail`.
-pub const AUDIT_VERSION: u32 = 2;
+pub(crate) const AUDIT_VERSION: u32 = 2;
 
 /// Entry kinds of the v2 audit chain.
 pub mod audit_kind {
@@ -77,7 +77,7 @@ pub mod audit_kind {
 }
 
 /// Fixed file-header size (magic + version).
-pub const AUDIT_HEADER_LEN: u64 = 8;
+pub(crate) const AUDIT_HEADER_LEN: u64 = 8;
 
 /// Typed audit-log failures.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -89,12 +89,12 @@ pub enum AuditError {
         /// The error text.
         detail: String,
     },
-    /// The file does not start with [`AUDIT_MAGIC`].
+    /// The file does not start with `AUDIT_MAGIC`.
     BadMagic {
         /// The bytes found instead.
         got: [u8; 4],
     },
-    /// The file's version word differs from [`AUDIT_VERSION`].
+    /// The file's version word differs from `AUDIT_VERSION`.
     VersionSkew {
         /// The version found.
         got: u32,
@@ -189,7 +189,7 @@ pub struct AuditEntry {
     pub detail: Vec<u64>,
     /// `digest::state_digest(round, post-drain global)`.
     pub state_digest: [u8; DIGEST_LEN],
-    /// The previous entry's `entry_hash` ([`GENESIS`] for entry 0).
+    /// The previous entry's `entry_hash` (`GENESIS` for entry 0).
     pub prev_hash: [u8; DIGEST_LEN],
     /// SHA-256 over every field above, in file order.
     pub entry_hash: [u8; DIGEST_LEN],
@@ -197,7 +197,7 @@ pub struct AuditEntry {
 
 impl AuditEntry {
     /// Computes what `entry_hash` must be for this entry's contents.
-    pub fn compute_hash(&self) -> [u8; DIGEST_LEN] {
+    pub(crate) fn compute_hash(&self) -> [u8; DIGEST_LEN] {
         let mut hashed = Vec::with_capacity(self.body_len());
         self.write_hashed(&mut hashed);
         digest::sha256(&hashed)
@@ -228,7 +228,7 @@ impl AuditEntry {
 
     /// The served request this entry records. Meaningful only for
     /// [`audit_kind::UNLEARN_SERVED`] entries (check `kind` first).
-    pub fn request(&self) -> UnlearnRequest {
+    pub(crate) fn request(&self) -> UnlearnRequest {
         UnlearnRequest::new(
             self.client_id as usize,
             self.detail.iter().map(|&r| r as usize).collect(),
@@ -253,7 +253,7 @@ pub struct AuditEventRecord {
 pub struct AuditSummary {
     /// Every entry, in chain order.
     pub entries: Vec<AuditEntry>,
-    /// The chain head: the last entry's hash, or [`GENESIS`] when the
+    /// The chain head: the last entry's hash, or `GENESIS` when the
     /// log is empty.
     pub tip: [u8; DIGEST_LEN],
     /// Total file bytes the walked chain occupies (header included).
@@ -263,7 +263,6 @@ pub struct AuditSummary {
 /// The append handle the coordinator holds.
 pub struct AuditLog {
     file: File,
-    path: PathBuf,
     tip: [u8; DIGEST_LEN],
     entries: u64,
     bytes: u64,
@@ -287,7 +286,6 @@ impl AuditLog {
             return Ok((
                 AuditLog {
                     file,
-                    path: path.to_path_buf(),
                     tip: GENESIS,
                     entries: 0,
                     bytes: AUDIT_HEADER_LEN,
@@ -300,7 +298,6 @@ impl AuditLog {
         Ok((
             AuditLog {
                 file,
-                path: path.to_path_buf(),
                 tip: summary.tip,
                 entries: summary.entries.len() as u64,
                 bytes: summary.bytes,
@@ -313,7 +310,7 @@ impl AuditLog {
     /// — the recovery path, re-synchronising the file with what the
     /// loaded checkpoint committed. `expected_tip` must match the chain
     /// head at that point.
-    pub fn truncate_to(
+    pub(crate) fn truncate_to(
         &mut self,
         entries: u64,
         bytes: u64,
@@ -384,7 +381,7 @@ impl AuditLog {
     /// # Errors
     ///
     /// [`AuditError::Io`].
-    pub fn append_events(
+    pub(crate) fn append_events(
         &mut self,
         round: u64,
         events: &[AuditEventRecord],
@@ -407,7 +404,7 @@ impl AuditLog {
     /// # Errors
     ///
     /// [`AuditError::Io`].
-    pub fn append_shard_batch(
+    pub(crate) fn append_shard_batch(
         &mut self,
         round: u64,
         serial: u64,
@@ -456,23 +453,18 @@ impl AuditLog {
     }
 
     /// The chain head.
-    pub fn tip(&self) -> [u8; DIGEST_LEN] {
+    pub(crate) fn tip(&self) -> [u8; DIGEST_LEN] {
         self.tip
     }
 
     /// Entries in the chain.
-    pub fn entries(&self) -> u64 {
+    pub(crate) fn entries(&self) -> u64 {
         self.entries
     }
 
     /// File bytes the chain occupies.
-    pub fn bytes(&self) -> u64 {
+    pub(crate) fn bytes(&self) -> u64 {
         self.bytes
-    }
-
-    /// The log's path.
-    pub fn path(&self) -> &Path {
-        &self.path
     }
 }
 
@@ -590,6 +582,7 @@ pub fn describe_entry(e: &AuditEntry) -> String {
 mod tests {
     use super::*;
     use crate::digest::sha256;
+    use std::path::PathBuf;
 
     fn tmp(name: &str) -> PathBuf {
         let mut p = std::env::temp_dir();

@@ -563,11 +563,6 @@ impl<T: ServeTransport> Coordinator<T> {
         &self.telemetry
     }
 
-    /// The durable store, when attached.
-    pub fn durability(&self) -> Option<&DurableStore> {
-        self.durability.as_ref()
-    }
-
     /// The next training round [`Coordinator::run`] will execute.
     pub fn next_round(&self) -> usize {
         self.next_round

@@ -12,7 +12,7 @@ pub const DIGEST_LEN: usize = 32;
 
 /// The all-zero digest used as the genesis `prev_hash` of the audit
 /// chain.
-pub const GENESIS: [u8; DIGEST_LEN] = [0u8; DIGEST_LEN];
+pub(crate) const GENESIS: [u8; DIGEST_LEN] = [0u8; DIGEST_LEN];
 
 const K: [u32; 64] = [
     0x428a2f98, 0x71374491, 0xb5c0fbcf, 0xe9b5dba5, 0x3956c25b, 0x59f111f1, 0x923f82a4, 0xab1c5ed5,
@@ -31,7 +31,7 @@ const H0: [u32; 8] = [
 
 /// Incremental SHA-256 hasher.
 #[derive(Clone)]
-pub struct Sha256 {
+pub(crate) struct Sha256 {
     state: [u32; 8],
     buf: [u8; 64],
     buf_len: usize,
@@ -46,7 +46,7 @@ impl Default for Sha256 {
 
 impl Sha256 {
     /// Fresh hasher.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Sha256 {
             state: H0,
             buf: [0u8; 64],
@@ -56,7 +56,7 @@ impl Sha256 {
     }
 
     /// Absorbs `data`.
-    pub fn update(&mut self, mut data: &[u8]) {
+    pub(crate) fn update(&mut self, mut data: &[u8]) {
         self.total = self.total.wrapping_add(data.len() as u64);
         if self.buf_len > 0 {
             let take = (64 - self.buf_len).min(data.len());
@@ -83,7 +83,7 @@ impl Sha256 {
     }
 
     /// Finishes and returns the digest.
-    pub fn finalize(mut self) -> [u8; DIGEST_LEN] {
+    pub(crate) fn finalize(mut self) -> [u8; DIGEST_LEN] {
         let bit_len = self.total.wrapping_mul(8);
         self.update(&[0x80]);
         while self.buf_len != 56 {

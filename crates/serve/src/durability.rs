@@ -54,16 +54,16 @@ pub const CHECKPOINT_MAGIC: [u8; 4] = *b"GFCK";
 /// queue and the global state); v1 files are rejected with a typed
 /// version-skew error rather than silently read without their shard
 /// state.
-pub const CHECKPOINT_VERSION: u32 = 2;
+pub(crate) const CHECKPOINT_VERSION: u32 = 2;
 
 /// WAL file magic: "GoldFish Wal Log".
-pub const WAL_MAGIC: [u8; 4] = *b"GFWL";
+pub(crate) const WAL_MAGIC: [u8; 4] = *b"GFWL";
 
 /// WAL format version.
-pub const WAL_VERSION: u32 = 1;
+pub(crate) const WAL_VERSION: u32 = 1;
 
 /// How many checkpoint generations stay on disk.
-pub const CHECKPOINTS_KEPT: usize = 2;
+pub(crate) const CHECKPOINTS_KEPT: usize = 2;
 
 /// Typed durability failures. Everything fails closed: no partially
 /// applied state ever reaches the coordinator.
@@ -459,7 +459,7 @@ fn wal_shard_record_bytes(seq: u64, task: &crate::shard::ShardTask) -> Vec<u8> {
 /// One decoded WAL record: a whole-client submit (kind 1) or one
 /// shard-routed retrain task of a shard-mode submit (kind 2).
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum WalRecord {
+pub(crate) enum WalRecord {
     /// A whole-client deletion request (the non-shard queue path).
     Submit(UnlearnRequest),
     /// One shard retrain task of a shard-routed deletion.
@@ -721,7 +721,7 @@ impl DurableStore {
 
     /// Rebinds the store's fsync-span histograms to a shared catalog's
     /// cells (the coordinator calls this from `attach_durability`).
-    pub fn set_telemetry(&mut self, telemetry: DurabilityTelemetry) {
+    pub(crate) fn set_telemetry(&mut self, telemetry: DurabilityTelemetry) {
         self.telemetry = telemetry;
     }
 
@@ -751,7 +751,7 @@ impl DurableStore {
     /// # Errors
     ///
     /// [`DurabilityError::Audit`] / [`DurabilityError::Io`].
-    pub fn log_robustness_events(
+    pub(crate) fn log_robustness_events(
         &mut self,
         round: u64,
         events: &[crate::audit::AuditEventRecord],
@@ -877,21 +877,6 @@ impl DurableStore {
             .checkpoint_fsync_seconds
             .observe_nanos(self.telemetry.clock.now_nanos().saturating_sub(start));
         Ok(())
-    }
-
-    /// The audit log (tip/entry accessors, path).
-    pub fn audit(&self) -> &AuditLog {
-        &self.audit
-    }
-
-    /// Highest durable WAL sequence number.
-    pub fn wal_seq(&self) -> u64 {
-        self.wal_seq
-    }
-
-    /// The state directory.
-    pub fn dir(&self) -> &Path {
-        &self.dir
     }
 }
 

@@ -7,7 +7,7 @@
 //! round, an `UnlearnAssign` staging pass, a local-eval sweep is one
 //! op). A [`FaultPlan`] maps op indices to actions:
 //!
-//! * [`FaultAction::KillBefore`] / [`FaultAction::KillAfter`] — the
+//! * `FaultAction::KillBefore` / `FaultAction::KillAfter` — the
 //!   coordinator "crashes" at this op: every client errors out, this
 //!   call and forever after. `KillBefore` dies before the inner
 //!   transport runs (mid-round crash: no worker saw the op);
@@ -17,10 +17,8 @@
 //!   is exactly what an aborted round guarantees — the crash-recovery
 //!   tests restart from the state directory and must reproduce the
 //!   uninterrupted run bitwise.
-//! * [`FaultAction::DropClient`] — one client's reply is suppressed for
+//! * `FaultAction::DropClient` — one client's reply is suppressed for
 //!   this op (straggler/connection-loss simulation).
-//! * [`FaultAction::DelayMs`] — the op is stalled first (latency
-//!   injection; exercises read-timeout paths without real packet loss).
 //!
 //! Plans are either scripted ([`FaultPlan::kill_before_at`] etc.) or
 //! seeded ([`FaultPlan::seeded_drops`]), so a fault schedule is as
@@ -37,7 +35,7 @@ use std::collections::BTreeMap;
 
 /// One scripted fault.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum FaultAction {
+pub(crate) enum FaultAction {
     /// Crash before the op reaches the inner transport.
     KillBefore,
     /// Crash after the inner transport completed the op (results are
@@ -45,8 +43,6 @@ pub enum FaultAction {
     KillAfter,
     /// Suppress this client's reply for this op.
     DropClient(usize),
-    /// Stall the op by this many milliseconds before running it.
-    DelayMs(u64),
 }
 
 /// A per-worker Byzantine behaviour, applied to every training update
@@ -169,15 +165,6 @@ impl FaultPlan {
         self
     }
 
-    /// Stall op `op` by `ms` milliseconds.
-    pub fn delay_at(mut self, op: u64, ms: u64) -> Self {
-        self.at
-            .entry(op)
-            .or_default()
-            .push(FaultAction::DelayMs(ms));
-        self
-    }
-
     /// Seeds random per-client drops: for each op in `ops`, each of the
     /// `clients` ids is dropped with probability `percent`/100. The
     /// same seed always yields the same schedule.
@@ -209,12 +196,12 @@ impl FaultPlan {
     }
 
     /// Actions scheduled at `op`.
-    pub fn actions_at(&self, op: u64) -> &[FaultAction] {
+    pub(crate) fn actions_at(&self, op: u64) -> &[FaultAction] {
         self.at.get(&op).map(|v| v.as_slice()).unwrap_or(&[])
     }
 
     /// The Byzantine script of `client_id`, if any.
-    pub fn byzantine_script(&self, client_id: usize) -> Option<&ByzantineScript> {
+    pub(crate) fn byzantine_script(&self, client_id: usize) -> Option<&ByzantineScript> {
         self.byz.get(&client_id)
     }
 }
@@ -256,22 +243,12 @@ impl<T: ServeTransport> FaultyTransport<T> {
         self.killed
     }
 
-    /// Ops observed so far.
-    pub fn ops(&self) -> u64 {
-        self.op
-    }
-
     /// The wrapped transport.
     pub fn inner(&self) -> &T {
         &self.inner
     }
 
-    /// Unwraps.
-    pub fn into_inner(self) -> T {
-        self.inner
-    }
-
-    /// Advances the op counter, applies delays, and resolves this op's
+    /// Advances the op counter and resolves this op's
     /// fate.
     fn begin_op(&mut self) -> OpFate {
         let op = self.op;
@@ -286,9 +263,6 @@ impl<T: ServeTransport> FaultyTransport<T> {
                 FaultAction::KillBefore => fate.kill_before = true,
                 FaultAction::KillAfter => fate.kill_after = true,
                 FaultAction::DropClient(id) => fate.drops.push(*id),
-                FaultAction::DelayMs(ms) => {
-                    std::thread::sleep(std::time::Duration::from_millis(*ms))
-                }
             }
         }
         fate
@@ -630,16 +604,10 @@ mod tests {
 
     #[test]
     fn plan_builders_compose() {
-        let plan = FaultPlan::new()
-            .kill_before_at(3)
-            .drop_client_at(1, 2)
-            .delay_at(1, 5);
+        let plan = FaultPlan::new().kill_before_at(3).drop_client_at(1, 2);
         assert_eq!(plan.actions_at(0), &[]);
         assert_eq!(plan.actions_at(3), &[FaultAction::KillBefore]);
-        assert_eq!(
-            plan.actions_at(1),
-            &[FaultAction::DropClient(2), FaultAction::DelayMs(5)]
-        );
+        assert_eq!(plan.actions_at(1), &[FaultAction::DropClient(2)]);
     }
 
     #[test]

@@ -24,7 +24,7 @@
 //! What the host keeps resident follows what its one thread is doing,
 //! not how many workers it hosts: **one** [`TrainLane`] lent to
 //! whichever runtime is answering (a lane carries capacity, never
-//! state), and frame buffers leased from one [`FramePool`] — a read
+//! state), and frame buffers leased from one `FramePool` — a read
 //! buffer from a frame's first byte until `decode_msg` has produced the
 //! owned `Msg`, a write buffer from encode until the reply is flushed.
 //! A connection between frames holds a socket and two cursors.

@@ -16,7 +16,7 @@
 //!   per-client failures,
 //! * [`nio`] — the resumable non-blocking frame
 //!   reader/writer state machines the reactor and fleet host drive, and
-//!   the [`nio::FramePool`] both lease their frame buffers from,
+//!   the `nio::FramePool` both lease their frame buffers from,
 //! * [`fleet`] — [`fleet::run_fleet`]: any number of worker runtimes
 //!   served from one thread behind one poller (the 4096-connection
 //!   bench harness),
@@ -27,7 +27,7 @@
 //!   ([`worker::WorkerRuntime`]) and connection loop shared by the
 //!   `goldfish-worker` daemon and the tests,
 //! * [`queue`] — the one FIFO pending-deletion queue
-//!   ([`queue::MergeQueue`]; [`queue::UnlearnQueue`] dedupes per client),
+//!   ([`queue::MergeQueue`]; `queue::UnlearnQueue` dedupes per client),
 //!   drained between training rounds (the paper's request-then-retrain
 //!   flow),
 //! * [`shard`] — shard-isolated unlearning (DESIGN.md §16): the

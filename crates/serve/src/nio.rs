@@ -5,20 +5,20 @@
 //! block inside a frame. The two state machines here carry a frame
 //! across any number of partial reads/writes:
 //!
-//! * [`FrameReadState`] — accumulates the 10-byte GFWP header, then the
+//! * `FrameReadState` — accumulates the 10-byte GFWP header, then the
 //!   payload into a caller-owned (leased) buffer; `poll` returns
 //!   `Ok(None)` on `WouldBlock` and `Ok(Some((kind, frame_len)))` when
 //!   a frame completes.
-//! * [`FrameWriteState`] — a cursor over an already-encoded frame;
+//! * `FrameWriteState` — a cursor over an already-encoded frame;
 //!   `poll` returns `Ok(false)` on `WouldBlock` and `Ok(true)` when the
 //!   frame is fully flushed to the socket.
 //!
 //! Neither host keeps a buffer per connection: a frame's bytes live in a
-//! lease from the host's [`FramePool`], taken when the frame starts
+//! lease from the host's `FramePool`, taken when the frame starts
 //! moving and returned when it has been decoded (reads) or flushed
 //! (writes) — buffers held follow frames in flight, not sockets open.
 //!
-//! EOF semantics mirror [`crate::wire::read_raw_frame`] exactly: a
+//! EOF semantics mirror `crate::wire::read_raw_frame` exactly: a
 //! clean close **between** frames is `WireError::Io(UnexpectedEof)`,
 //! a close **inside** a frame is [`WireError::DisconnectedMidFrame`] —
 //! the distinction that drives reconnect/backoff policy.
@@ -41,7 +41,7 @@ const MAX_IDLE_FRAMES: usize = 4;
 /// reply whose state decodes as it arrives holds a `Vec<f32>` state
 /// lease instead of a frame; both count as one buffer in flight.
 #[derive(Debug, Default)]
-pub struct FramePool {
+pub(crate) struct FramePool {
     idle: Vec<Vec<u8>>,
     idle_states: Vec<Vec<f32>>,
     /// Buffers currently leased.
@@ -52,13 +52,13 @@ pub struct FramePool {
 
 impl FramePool {
     /// An empty pool with detached gauges.
-    pub fn new() -> FramePool {
+    pub(crate) fn new() -> FramePool {
         FramePool::default()
     }
 
     /// Joins a shared metric catalog: the current readings move into
     /// the registered gauges, which this pool updates from here on.
-    pub fn attach(&mut self, leased: &Gauge, high_water: &Gauge) {
+    pub(crate) fn attach(&mut self, leased: &Gauge, high_water: &Gauge) {
         leased.set(self.leased.get());
         high_water.set_max(self.high_water.get());
         self.leased = leased.clone();
@@ -66,12 +66,12 @@ impl FramePool {
     }
 
     /// The most buffers ever leased at once.
-    pub fn high_water(&self) -> usize {
+    pub(crate) fn high_water(&self) -> usize {
         self.high_water.get().max(0) as usize
     }
 
     /// Takes a buffer for one frame.
-    pub fn lease(&mut self) -> Vec<u8> {
+    pub(crate) fn lease(&mut self) -> Vec<u8> {
         self.leased.add(1);
         self.high_water.set_max(self.leased.get());
         self.idle.pop().unwrap_or_default()
@@ -79,7 +79,7 @@ impl FramePool {
 
     /// Returns a leased buffer once its frame is decoded or flushed (or
     /// its connection failed).
-    pub fn release(&mut self, buf: Vec<u8>) {
+    pub(crate) fn release(&mut self, buf: Vec<u8>) {
         self.leased.add(-1);
         if self.idle.len() < MAX_IDLE_FRAMES {
             self.idle.push(buf);
@@ -87,7 +87,7 @@ impl FramePool {
     }
 
     /// Takes a state buffer for one reply decoding as it arrives.
-    pub fn lease_state(&mut self) -> Vec<f32> {
+    pub(crate) fn lease_state(&mut self) -> Vec<f32> {
         self.leased.add(1);
         self.high_water.set_max(self.leased.get());
         self.idle_states.pop().unwrap_or_default()
@@ -95,7 +95,7 @@ impl FramePool {
 
     /// Returns a leased state buffer once its reply is handled (or its
     /// connection failed).
-    pub fn release_state(&mut self, buf: Vec<f32>) {
+    pub(crate) fn release_state(&mut self, buf: Vec<f32>) {
         self.leased.add(-1);
         if self.idle_states.len() < MAX_IDLE_FRAMES {
             self.idle_states.push(buf);
@@ -105,7 +105,7 @@ impl FramePool {
 
 /// Incremental reader of one length-prefixed frame.
 #[derive(Debug)]
-pub struct FrameReadState {
+pub(crate) struct FrameReadState {
     header: [u8; HEADER_LEN],
     /// Bytes of the header received so far.
     filled: usize,
@@ -117,7 +117,7 @@ pub struct FrameReadState {
 
 impl FrameReadState {
     /// An empty reader, ready for a frame's first byte.
-    pub fn new() -> FrameReadState {
+    pub(crate) fn new() -> FrameReadState {
         FrameReadState {
             header: [0u8; HEADER_LEN],
             filled: 0,
@@ -127,7 +127,7 @@ impl FrameReadState {
     }
 
     /// Forgets any partial frame (connection reuse across fan-outs).
-    pub fn reset(&mut self) {
+    pub(crate) fn reset(&mut self) {
         self.filled = 0;
         self.decoded = None;
         self.payload_filled = 0;
@@ -135,7 +135,7 @@ impl FrameReadState {
 
     /// Whether any bytes of the current frame have arrived — what turns
     /// a subsequent EOF into [`WireError::DisconnectedMidFrame`].
-    pub fn mid_frame(&self) -> bool {
+    pub(crate) fn mid_frame(&self) -> bool {
         self.filled > 0
     }
 
@@ -151,7 +151,7 @@ impl FrameReadState {
     ///
     /// Header/limit violations from [`decode_header`], a payload the sink
     /// refuses, I/O errors, and the EOF split described at module level.
-    pub fn poll(
+    pub(crate) fn poll(
         &mut self,
         r: &mut impl Read,
         buf: &mut impl PayloadSink,
@@ -228,7 +228,7 @@ impl Default for FrameReadState {
 /// Where [`FrameReadState::poll`] puts a frame's payload as its bytes
 /// arrive. A `Vec<u8>` takes the payload whole; a streaming decoder
 /// takes it piecewise and keeps only what it decodes.
-pub trait PayloadSink {
+pub(crate) trait PayloadSink {
     /// The header is complete: `len` payload bytes of `kind` follow.
     ///
     /// # Errors
@@ -268,23 +268,24 @@ impl PayloadSink for Vec<u8> {
 
 /// Incremental writer of one already-encoded frame.
 #[derive(Debug)]
-pub struct FrameWriteState {
+pub(crate) struct FrameWriteState {
     pos: usize,
 }
 
 impl FrameWriteState {
     /// A writer at the start of a frame.
-    pub fn new() -> FrameWriteState {
+    pub(crate) fn new() -> FrameWriteState {
         FrameWriteState { pos: 0 }
     }
 
     /// Rewinds to the start of (the next) frame.
-    pub fn reset(&mut self) {
+    pub(crate) fn reset(&mut self) {
         self.pos = 0;
     }
 
     /// Bytes of the current frame already written.
-    pub fn written(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn written(&self) -> usize {
         self.pos
     }
 
@@ -296,7 +297,7 @@ impl FrameWriteState {
     ///
     /// I/O failures; a writer accepting zero bytes is reported as
     /// [`std::io::ErrorKind::WriteZero`].
-    pub fn poll(&mut self, w: &mut impl Write, frame: &[u8]) -> Result<bool, WireError> {
+    pub(crate) fn poll(&mut self, w: &mut impl Write, frame: &[u8]) -> Result<bool, WireError> {
         while self.pos < frame.len() {
             match w.write(&frame[self.pos..]) {
                 Ok(0) => {

@@ -9,8 +9,8 @@
 //! position), so one distillation pass serves both.
 //!
 //! The queue itself is [`MergeQueue`], generic over what is [`Pending`]:
-//! whole-client requests here ([`UnlearnQueue`]), shard retrain tasks in
-//! shard mode ([`crate::shard::ShardTaskQueue`]) — same submit / merge /
+//! whole-client requests here (`UnlearnQueue`), shard retrain tasks in
+//! shard mode (`crate::shard::ShardTaskQueue`) — same submit / merge /
 //! drain / restore semantics and the same telemetry, keyed by client or
 //! by `(client, shard)`.
 
@@ -25,7 +25,7 @@ pub struct UnlearnRequest {
     /// The requesting client.
     pub client_id: usize,
     /// Indices into that client's local dataset, sorted and deduplicated
-    /// by [`UnlearnQueue::submit`].
+    /// by `UnlearnQueue::submit`.
     pub removed: Vec<usize>,
 }
 
@@ -72,7 +72,7 @@ impl Pending for UnlearnRequest {
 }
 
 /// FIFO queue of pending [`UnlearnRequest`]s with per-client dedupe.
-pub type UnlearnQueue = MergeQueue<UnlearnRequest>;
+pub(crate) type UnlearnQueue = MergeQueue<UnlearnRequest>;
 
 /// FIFO queue of [`Pending`] entries with per-target dedupe: the one
 /// pending-deletion queue behind both drain modes.
@@ -106,13 +106,13 @@ pub(crate) fn normalize(rows: &mut Vec<usize>) {
 
 impl<T: Pending> MergeQueue<T> {
     /// An empty queue.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         MergeQueue::default()
     }
 
     /// Rebinds the queue's depth gauge and submit/merge counters to a
     /// shared catalog's cells (carrying current values forward).
-    pub fn set_telemetry(&mut self, telemetry: QueueTelemetry) {
+    pub(crate) fn set_telemetry(&mut self, telemetry: QueueTelemetry) {
         telemetry.submitted_total.add(self.submitted as u64);
         telemetry.merged_total.add(self.merged as u64);
         telemetry.depth.set(self.pending.len() as i64);
@@ -122,7 +122,7 @@ impl<T: Pending> MergeQueue<T> {
     /// Enqueues an entry. If one with the same target is already pending
     /// the rows are merged into it (union, sorted) and the existing
     /// FIFO position is kept; otherwise the entry joins the tail.
-    pub fn submit(&mut self, mut entry: T) {
+    pub(crate) fn submit(&mut self, mut entry: T) {
         self.submitted += 1;
         self.telemetry.submitted_total.inc();
         normalize(entry.rows_mut());
@@ -144,7 +144,7 @@ impl<T: Pending> MergeQueue<T> {
     }
 
     /// Removes and returns every pending entry, in FIFO order.
-    pub fn drain(&mut self) -> Vec<T> {
+    pub(crate) fn drain(&mut self) -> Vec<T> {
         self.telemetry.depth.set(0);
         std::mem::take(&mut self.pending)
     }
@@ -163,14 +163,14 @@ impl<T: Pending> MergeQueue<T> {
 
     /// Re-enqueues a drain's unfinished remainder **at the front**, in
     /// order — those entries were first in line and stay first.
-    pub fn requeue_front(&mut self, mut remainder: Vec<T>) {
+    pub(crate) fn requeue_front(&mut self, mut remainder: Vec<T>) {
         remainder.append(&mut self.pending);
         self.restore(remainder);
     }
 
     /// A read-only view of the pending entries, in FIFO order — what a
     /// durability checkpoint persists.
-    pub fn pending(&self) -> &[T] {
+    pub(crate) fn pending(&self) -> &[T] {
         &self.pending
     }
 
@@ -178,7 +178,7 @@ impl<T: Pending> MergeQueue<T> {
     /// rebuilding the exact pre-crash queue from checkpoint + WAL
     /// replay. Counters are not touched: they describe this process's
     /// observations, not the durable state.
-    pub fn restore(&mut self, pending: Vec<T>) {
+    pub(crate) fn restore(&mut self, pending: Vec<T>) {
         self.pending = pending;
         self.telemetry.depth.set(self.pending.len() as i64);
     }

@@ -12,7 +12,7 @@
 //!   *original* dataset ordering, and removed rows accumulate per shard
 //!   instead of shifting indices — so queued tasks stay valid across
 //!   drains and crash-restarts.
-//! * [`ShardTaskQueue`] — the shard-granular work queue: a deletion
+//! * `ShardTaskQueue` — the shard-granular work queue: a deletion
 //!   drains as O(affected shards) retrain tasks, with per-`(client,
 //!   shard)` dedupe/merge mirroring the whole-client queue's FIFO
 //!   semantics.
@@ -64,12 +64,12 @@ pub struct ShardPolicy {
 
 impl ShardPolicy {
     /// The redundancy group client `id` belongs to.
-    pub fn group_of(&self, id: usize) -> usize {
+    pub(crate) fn group_of(&self, id: usize) -> usize {
         id / self.group.max(1)
     }
 
     /// The member ids of group `g` over an `n`-client registry.
-    pub fn members(&self, g: usize, n: usize) -> Vec<usize> {
+    pub(crate) fn members(&self, g: usize, n: usize) -> Vec<usize> {
         let k = self.group.max(1);
         (g * k..((g + 1) * k).min(n)).collect()
     }
@@ -124,7 +124,7 @@ impl crate::queue::Pending for ShardTask {
 /// into it (keeping the earlier FIFO position) instead of queueing a
 /// second retrain of the same shard. The whole-client queue's
 /// [`crate::queue::MergeQueue`], keyed by shard.
-pub type ShardTaskQueue = crate::queue::MergeQueue<ShardTask>;
+pub(crate) type ShardTaskQueue = crate::queue::MergeQueue<ShardTask>;
 
 /// What a transport executes for one shard retrain — the serve-layer
 /// analogue of `ShardedClient`'s internal retrain job. Only in-process
@@ -253,7 +253,7 @@ impl ShardMap {
     }
 
     /// A client's original dataset length.
-    pub fn original_len(&self, id: usize) -> usize {
+    pub(crate) fn original_len(&self, id: usize) -> usize {
         self.clients[id].original_len
     }
 
@@ -379,7 +379,7 @@ impl ShardMap {
     /// The Eq 9 checkpoint of `(client, shard)` computed from a
     /// [reconstructed](Self::reconstruct) state matrix instead of the
     /// stored one — the degraded path's checkpoint source.
-    pub fn checkpoint_from_states(
+    pub(crate) fn checkpoint_from_states(
         &self,
         client: usize,
         shard: usize,
@@ -434,7 +434,7 @@ impl ShardMap {
 /// files behind a presence flag.
 ///
 /// [`ShardMap::snapshot`] borrows both lists from the live map and
-/// queue; [`ShardSnapshot::decode`] owns what it read.
+/// queue; `ShardSnapshot::decode` owns what it read.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ShardSnapshot<'a> {
     /// Shards per client.
@@ -507,7 +507,7 @@ impl ShardSnapshot<'_> {
 impl ShardSnapshot<'static> {
     /// Decodes a snapshot from the front of `b`, returning it plus the
     /// bytes consumed. `None` = truncated/malformed.
-    pub fn decode(b: &[u8]) -> Option<(Self, usize)> {
+    pub(crate) fn decode(b: &[u8]) -> Option<(Self, usize)> {
         let total = b.len();
         let mut c = Reader { b };
         let tau = c.u32()? as usize;

@@ -4,7 +4,7 @@
 //! One non-blocking socket per worker, all owned by one event loop: a
 //! vendored oneshot `epoll` poller ([`polling::Poller`]) reports
 //! readiness, and per-connection frame state machines
-//! ([`crate::nio::FrameReadState`] / [`crate::nio::FrameWriteState`])
+//! (`crate::nio::FrameReadState` / `crate::nio::FrameWriteState`)
 //! carry each frame across partial reads and writes. A fan-out
 //! therefore costs zero thread spawns regardless of fleet size —
 //! thousands of registered workers multiplex onto the coordinator
@@ -36,7 +36,7 @@
 //!   straight from the borrowed global state (no `Msg`, no state clone)
 //!   and the same bytes are written to every connection.
 //! * **Pooled reply buffers** — no connection owns a buffer. A reply
-//!   holds a lease from the reactor's [`crate::nio::FramePool`] from its
+//!   holds a lease from the reactor's `crate::nio::FramePool` from its
 //!   header until it is handled (or its connection fails or times out):
 //!   an update decodes its state as the bytes arrive, through a small
 //!   staging chunk, straight into a state buffer
@@ -279,7 +279,12 @@ impl Handshake {
     /// Advances as far as the socket allows without blocking; `key` is
     /// its poller key. Both frames the peer sends are bounded by
     /// [`HANDSHAKE_MAX_PAYLOAD`].
-    fn advance(&mut self, key: usize, adm: &mut Admission<'_>, conns: &[Option<Conn>]) -> HsStep {
+    fn advance(
+        &mut self,
+        key: usize,
+        adm: &mut Admission<'_>,
+        conns: &mut [Option<Conn>],
+    ) -> HsStep {
         if let HsPhase::Verdict(verdict) = &self.phase {
             let frame = match verdict {
                 Ok(_) => &adm.welcome,
@@ -317,6 +322,9 @@ impl Handshake {
         let Ok(hello) = msg else {
             return HsStep::Close;
         };
+        if adm.banned.is_some() {
+            release_if_dead(&hello, conns);
+        }
         let taken = |id: usize| conns[id].is_some() || adm.reserved.contains(&id);
         let verdict = hello_verdict(&hello, conns.len(), adm.state_len, taken, adm.banned);
         self.phase = HsPhase::Verdict(match verdict {
@@ -330,6 +338,39 @@ impl Handshake {
             }
         });
         HsStep::Await(Event::writable(key))
+    }
+}
+
+/// At a round boundary, frees the slot a resume `Hello` names when the
+/// connection registered there is dead: the worker dropped and came back
+/// before any fan-out to its slot noticed. The slot is dropped as a failed
+/// fan-out drops it. An occupant with nothing to read (`WouldBlock`) or
+/// with unread bytes is alive, keeps its slot, and the `Hello` is refused
+/// as a duplicate. Registered connections are non-blocking, so the `peek`
+/// never waits.
+fn release_if_dead(hello: &Msg, conns: &mut [Option<Conn>]) {
+    let Msg::Hello {
+        client_id,
+        resume: Some(_),
+        ..
+    } = hello
+    else {
+        return;
+    };
+    let Some(slot) = conns.get_mut(*client_id as usize) else {
+        return;
+    };
+    let dead = slot
+        .as_ref()
+        .is_some_and(|conn| match conn.stream.peek(&mut [0u8; 1]) {
+            Ok(n) => n == 0,
+            Err(e) => !matches!(
+                e.kind(),
+                std::io::ErrorKind::WouldBlock | std::io::ErrorKind::Interrupted
+            ),
+        });
+    if dead {
+        *slot = None;
     }
 }
 
@@ -809,7 +850,7 @@ impl TcpTransport {
                 let Some(Some(hs)) = pending.get_mut(ev.key) else {
                     continue;
                 };
-                let step = hs.advance(ev.key, &mut adm, &self.conns);
+                let step = hs.advance(ev.key, &mut adm, &mut self.conns);
                 // A peer that cannot be re-armed is closed.
                 if let HsStep::Await(interest) = step {
                     if poller.modify(hs.stream.as_raw_fd(), interest).is_ok() {

@@ -18,7 +18,7 @@
 //!
 //! Subsystems that exist before (or without) a coordinator — the TCP
 //! transport counts handshake bytes from `accept` on — start with
-//! *detached* handles ([`WireTelemetry::default`]) and join the shared
+//! *detached* handles (`WireTelemetry::default`) and join the shared
 //! registry later via `transfer_into`, so no byte is ever lost to
 //! wiring order.
 
@@ -206,12 +206,12 @@ impl ServeTelemetry {
     /// coordinator uses when no telemetry was configured. Metrics still
     /// count (accessors like `drain_stats()` read them) but nothing is
     /// exported.
-    pub fn disabled() -> Arc<ServeTelemetry> {
+    pub(crate) fn disabled() -> Arc<ServeTelemetry> {
         Arc::new(ServeTelemetry::new(Clock::system(), Trace::disabled()))
     }
 
     /// Nanoseconds since the telemetry clock's epoch (daemon start).
-    pub fn uptime_nanos(&self) -> u64 {
+    pub(crate) fn uptime_nanos(&self) -> u64 {
         self.clock.now_nanos()
     }
 
@@ -221,12 +221,12 @@ impl ServeTelemetry {
     }
 
     /// The JSON snapshot of the registry.
-    pub fn json_snapshot(&self) -> String {
+    pub(crate) fn json_snapshot(&self) -> String {
         export::json_snapshot(&self.registry, self.uptime_nanos(), self.trace.dropped())
     }
 
     /// The human-readable status table (`goldfish-coordinator --status`).
-    pub fn status_table(&self) -> String {
+    pub(crate) fn status_table(&self) -> String {
         export::status_table(&self.registry, self.uptime_nanos())
     }
 }
@@ -237,7 +237,7 @@ impl ServeTelemetry {
 /// exists; [`WireTelemetry::attach`] later moves those counts into the
 /// shared cells without losing a byte.
 #[derive(Debug, Clone, Default)]
-pub struct WireTelemetry {
+pub(crate) struct WireTelemetry {
     /// Span clock for poll/encode/frame timings.
     pub clock: Clock,
     /// Frame bytes written (all frame kinds, fan-out and control).
@@ -256,7 +256,7 @@ impl WireTelemetry {
     /// Joins the shared catalog: byte counts accumulated so far move
     /// into the registered cells, and the span histograms/clock rebind
     /// to the shared ones.
-    pub fn attach(&mut self, t: &ServeTelemetry) {
+    pub(crate) fn attach(&mut self, t: &ServeTelemetry) {
         self.clock = t.clock.clone();
         self.sent_bytes.transfer_into(&t.wire_sent_bytes);
         self.received_bytes.transfer_into(&t.wire_received_bytes);
@@ -266,7 +266,7 @@ impl WireTelemetry {
     }
 
     /// The byte counters as the legacy [`WireStats`] snapshot.
-    pub fn wire_stats(&self) -> WireStats {
+    pub(crate) fn wire_stats(&self) -> WireStats {
         WireStats {
             bytes_sent: self.sent_bytes.get(),
             bytes_received: self.received_bytes.get(),
@@ -277,7 +277,7 @@ impl WireTelemetry {
 /// A [`crate::queue::MergeQueue`]'s handle bundle. `Default` is detached
 /// (the queue still counts; nothing exports).
 #[derive(Debug, Clone, Default)]
-pub struct QueueTelemetry {
+pub(crate) struct QueueTelemetry {
     /// Current queue depth (distinct merge targets pending).
     pub depth: Gauge,
     /// Requests accepted, lifetime.
@@ -291,7 +291,7 @@ pub struct QueueTelemetry {
 
 impl QueueTelemetry {
     /// The shared catalog's queue handles.
-    pub fn from_serve(t: &ServeTelemetry) -> QueueTelemetry {
+    pub(crate) fn from_serve(t: &ServeTelemetry) -> QueueTelemetry {
         QueueTelemetry {
             depth: t.unlearn_queue_depth.clone(),
             submitted_total: t.unlearn_submitted_total.clone(),
@@ -305,7 +305,7 @@ impl QueueTelemetry {
     /// `goldfish_unlearn_merged_total`; `submitted_total` stays detached
     /// because the exported submit counter is per *request* (the
     /// coordinator bumps it once per routed deletion), not per task.
-    pub fn for_shard_tasks(t: &ServeTelemetry) -> QueueTelemetry {
+    pub(crate) fn for_shard_tasks(t: &ServeTelemetry) -> QueueTelemetry {
         QueueTelemetry {
             depth: t.shard_tasks_pending.clone(),
             submitted_total: Counter::default(),
@@ -318,7 +318,7 @@ impl QueueTelemetry {
 /// The durable store's handle bundle: fsync spans. `Default` is
 /// detached.
 #[derive(Debug, Clone, Default)]
-pub struct DurabilityTelemetry {
+pub(crate) struct DurabilityTelemetry {
     /// Span clock.
     pub clock: Clock,
     /// WAL append+fsync time per accepted submit.
@@ -329,7 +329,7 @@ pub struct DurabilityTelemetry {
 
 impl DurabilityTelemetry {
     /// The shared catalog's durability handles.
-    pub fn from_serve(t: &ServeTelemetry) -> DurabilityTelemetry {
+    pub(crate) fn from_serve(t: &ServeTelemetry) -> DurabilityTelemetry {
         DurabilityTelemetry {
             clock: t.clock.clone(),
             wal_append_seconds: t.wal_append_seconds.clone(),

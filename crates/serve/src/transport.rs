@@ -22,7 +22,7 @@
 
 use goldfish_core::transport::{DistillTransport, LoopbackDistill, UnlearnJob};
 use goldfish_data::Dataset;
-pub use goldfish_fed::transport::LocalEval;
+pub(crate) use goldfish_fed::transport::LocalEval;
 use goldfish_fed::transport::{
     RoundTransport, RowOutOfRange, TrainAssign, TransportError, UpdateSink,
 };

@@ -68,7 +68,7 @@ impl FrameLimits {
     /// how a reader bounds one protocol phase (a handshake, a round
     /// reply) by what that phase can legally carry, so an unvalidated
     /// length prefix cannot size a buffer beyond it.
-    pub fn at_most(self, max_payload: usize) -> FrameLimits {
+    pub(crate) fn at_most(self, max_payload: usize) -> FrameLimits {
         FrameLimits {
             max_payload: self.max_payload.min(max_payload),
         }
@@ -171,7 +171,7 @@ impl From<std::io::Error> for WireError {
 }
 
 /// Frame kind bytes — the one place a message's wire kind is assigned.
-/// [`Msg::kind`], the payload decoders and the borrowed encoders all
+/// `Msg::kind`, the payload decoders and the borrowed encoders all
 /// reference these, so adding or renumbering a message is a one-site
 /// change. Kinds 13 and 14 (protocol v4's shard frames) are retired and
 /// never reused.
@@ -179,42 +179,40 @@ pub mod kind {
     /// [`super::Msg::Hello`].
     pub const HELLO: u8 = 1;
     /// [`super::Msg::Capabilities`].
-    pub const CAPABILITIES: u8 = 2;
+    pub(crate) const CAPABILITIES: u8 = 2;
     /// [`super::Msg::RoundAssign`].
-    pub const ROUND_ASSIGN: u8 = 3;
+    pub(crate) const ROUND_ASSIGN: u8 = 3;
     /// [`super::Msg::Update`].
     pub const UPDATE: u8 = 4;
     /// [`super::Msg::UnlearnAssign`].
-    pub const UNLEARN_ASSIGN: u8 = 5;
+    pub(crate) const UNLEARN_ASSIGN: u8 = 5;
     /// [`super::Msg::UnlearnResult`].
-    pub const UNLEARN_RESULT: u8 = 6;
+    pub(crate) const UNLEARN_RESULT: u8 = 6;
     /// [`super::Msg::Eval`].
-    pub const EVAL: u8 = 7;
+    pub(crate) const EVAL: u8 = 7;
     /// [`super::Msg::Err`].
-    pub const ERR: u8 = 8;
+    pub(crate) const ERR: u8 = 8;
     /// [`super::Msg::Ack`].
     pub const ACK: u8 = 9;
     /// [`super::Msg::Digest`].
-    pub const DIGEST: u8 = 10;
+    pub(crate) const DIGEST: u8 = 10;
     /// [`super::Msg::UnlearnAck`].
-    pub const UNLEARN_ACK: u8 = 11;
+    pub(crate) const UNLEARN_ACK: u8 = 11;
     /// [`super::Msg::Shutdown`].
-    pub const SHUTDOWN: u8 = 12;
+    pub(crate) const SHUTDOWN: u8 = 12;
 }
 
 /// Error codes carried by [`Msg::Err`].
 pub mod err_code {
     /// The peer's state-vector length does not match the architecture.
-    pub const BAD_STATE_LEN: u16 = 1;
+    pub(crate) const BAD_STATE_LEN: u16 = 1;
     /// A distillation round arrived with no preceding `UnlearnAssign`.
-    pub const NOT_UNLEARNING: u16 = 2;
+    pub(crate) const NOT_UNLEARNING: u16 = 2;
     /// The request is semantically invalid (bad indices, bad job).
-    pub const BAD_REQUEST: u16 = 3;
-    /// Catch-all for internal worker failures.
-    pub const INTERNAL: u16 = 4;
+    pub(crate) const BAD_REQUEST: u16 = 3;
     /// The client has been quarantined by the coordinator's
     /// strike/reputation ledger and will not be readmitted.
-    pub const QUARANTINED: u16 = 5;
+    pub(crate) const QUARANTINED: u16 = 5;
 }
 
 /// Whether a `RoundAssign` is a plain training round or a distillation
@@ -385,7 +383,7 @@ pub enum Msg {
 
 impl Msg {
     /// The frame kind byte of this message.
-    pub fn kind(&self) -> u8 {
+    pub(crate) fn kind(&self) -> u8 {
         match self {
             Msg::Hello { .. } => kind::HELLO,
             Msg::Capabilities { .. } => kind::CAPABILITIES,
@@ -403,7 +401,7 @@ impl Msg {
     }
 
     /// Short message name for logs.
-    pub fn name(&self) -> &'static str {
+    pub(crate) fn name(&self) -> &'static str {
         match self {
             Msg::Hello { .. } => "Hello",
             Msg::Capabilities { .. } => "Capabilities",
@@ -423,7 +421,7 @@ impl Msg {
 
 /// Renders a message for logs: `Err` frames show their code and detail,
 /// everything else its name.
-pub fn describe_err(msg: &Msg) -> String {
+pub(crate) fn describe_err(msg: &Msg) -> String {
     match msg {
         Msg::Err { code, detail } => format!("error code {code}: {detail}"),
         other => other.name().to_string(),
@@ -705,7 +703,7 @@ pub fn encode_round_assign_into(
 /// # Errors
 ///
 /// [`WireError::FrameTooLarge`] when the payload exceeds `limits`.
-pub fn encode_eval_request_into(
+pub(crate) fn encode_eval_request_into(
     out: &mut Vec<u8>,
     round: u64,
     global: &[f32],
@@ -728,7 +726,7 @@ pub fn encode_eval_request_into(
 ///
 /// [`WireError::FrameTooLarge`] / [`WireError::Malformed`] as for
 /// [`encode_frame`].
-pub fn encode_unlearn_assign_into(
+pub(crate) fn encode_unlearn_assign_into(
     out: &mut Vec<u8>,
     serial: u64,
     job: &UnlearnJob,
@@ -1011,7 +1009,7 @@ impl UpdateDecoder {
 /// # Errors
 ///
 /// Any payload-level [`WireError`].
-pub fn decode_msg(k: u8, payload: &[u8]) -> Result<Msg, WireError> {
+pub(crate) fn decode_msg(k: u8, payload: &[u8]) -> Result<Msg, WireError> {
     let mut r = Reader { b: payload };
     match k {
         kind::HELLO => {
@@ -1117,7 +1115,7 @@ pub fn decode_msg(k: u8, payload: &[u8]) -> Result<Msg, WireError> {
 ///
 /// [`WireError::Truncated`], [`WireError::BadMagic`],
 /// [`WireError::UnsupportedVersion`] or [`WireError::FrameTooLarge`].
-pub fn decode_header(header: &[u8], limits: &FrameLimits) -> Result<(u8, usize), WireError> {
+pub(crate) fn decode_header(header: &[u8], limits: &FrameLimits) -> Result<(u8, usize), WireError> {
     if header.len() < HEADER_LEN {
         return Err(WireError::Truncated);
     }
@@ -1202,7 +1200,7 @@ pub fn read_frame(
 /// peer died inside a frame) is reported as
 /// [`WireError::DisconnectedMidFrame`] rather than the generic I/O
 /// error a clean between-frames close produces.
-pub fn read_raw_frame(
+pub(crate) fn read_raw_frame(
     r: &mut impl std::io::Read,
     buf: &mut Vec<u8>,
     limits: &FrameLimits,

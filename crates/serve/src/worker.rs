@@ -93,7 +93,7 @@ impl WorkerRuntime {
     }
 
     /// This worker's client id.
-    pub fn client_id(&self) -> usize {
+    pub(crate) fn client_id(&self) -> usize {
         self.client_id
     }
 
@@ -115,7 +115,7 @@ impl WorkerRuntime {
     }
 
     /// Coordinator messages handled across all sessions.
-    pub fn frames_handled(&self) -> u64 {
+    pub(crate) fn frames_handled(&self) -> u64 {
         self.frames_handled
     }
 
@@ -346,7 +346,7 @@ pub fn run_worker(
 /// [`WireError::Malformed`] unless the answer is a `Capabilities` this
 /// worker can serve under: a typed rejection, any other frame, a model
 /// of a different size, or an aggregation mode it cannot decode.
-pub fn check_capabilities(reply: &Msg, runtime: &WorkerRuntime) -> Result<(), WireError> {
+pub(crate) fn check_capabilities(reply: &Msg, runtime: &WorkerRuntime) -> Result<(), WireError> {
     let id = runtime.client_id();
     let refuse = |why: String| Err(WireError::Malformed(why));
     match reply {
@@ -465,7 +465,7 @@ impl Default for ReconnectPolicy {
 /// splitmix64 hash of `(seed, attempt)`. Same inputs, same output —
 /// reconnect schedules are reproducible — while distinct seeds (one per
 /// worker) decorrelate the fleet.
-pub fn jittered_backoff(seed: u64, attempt: u32, delay: Duration) -> Duration {
+pub(crate) fn jittered_backoff(seed: u64, attempt: u32, delay: Duration) -> Duration {
     let nanos = delay.as_nanos().min(u64::MAX as u128) as u64;
     let half = nanos / 2;
     let span = nanos - half;

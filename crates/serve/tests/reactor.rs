@@ -1138,3 +1138,72 @@ fn a_worker_cut_off_mid_run_is_readmitted_at_a_later_boundary() {
         w.join().unwrap();
     }
 }
+
+/// A worker that drops and reconnects before any fan-out to its slot has
+/// noticed the drop: its old connection is still registered, but dead.
+/// The round boundary sees the dead occupant, frees the slot and admits
+/// the resume `Hello` into it, instead of refusing it as a duplicate —
+/// which `run_worker_resilient` would take as final.
+#[test]
+fn a_quick_reconnect_takes_back_the_slot_of_its_dead_connection() {
+    let spec = demo(3);
+    let (listener, addr) = bind("127.0.0.1:0").unwrap();
+    let workers: Vec<_> = (0..2)
+        .map(|id| honest_worker(addr.clone(), spec, id))
+        .collect();
+    let proxy = Proxy::spawn(addr, 2);
+    let resilient = {
+        let addr = proxy.addr.clone();
+        std::thread::spawn(move || {
+            let mut runtime = WorkerRuntime::new(2, spec.factory(), spec.client_shard(2));
+            let policy = ReconnectPolicy {
+                initial_delay: Duration::from_millis(20),
+                jitter_seed: 2,
+                ..ReconnectPolicy::default()
+            };
+            let outcome =
+                run_worker_resilient(&addr, &mut runtime, &FrameLimits::default(), policy);
+            (runtime, outcome)
+        })
+    };
+    let state_len = (spec.factory())(0).state_len();
+    let mut transport =
+        TcpTransport::accept(&listener, spec.clients, state_len, TcpConfig::default()).unwrap();
+    transport.enable_reconnect(listener);
+    let mut c = Coordinator::new(
+        spec.factory(),
+        spec.test_set(),
+        transport,
+        coordinator_config(&spec),
+    );
+    c.train_round(0, round_seed(SEED, 0)).unwrap();
+
+    // Cut, and let the reconnect through at once: no fan-out runs between.
+    proxy.cut();
+    proxy.let_through.send(()).unwrap();
+    proxy
+        .reconnected
+        .recv_timeout(Duration::from_secs(20))
+        .expect("the worker never reconnected");
+    assert_eq!(
+        c.transport().live_clients(),
+        vec![0, 1, 2],
+        "still registered"
+    );
+    let global = c.global_state().to_vec();
+    assert_eq!(c.transport_mut().admit_reconnects(1, &global), 1);
+    assert_eq!(c.transport().live_clients(), vec![0, 1, 2]);
+    let summary = c.train_round(1, round_seed(SEED, 1)).unwrap();
+    assert_eq!(summary.client_sizes.len(), spec.clients);
+
+    c.transport_mut().shutdown();
+    drop(c);
+    let (runtime, outcome) = resilient.join().unwrap();
+    assert!(outcome.is_ok(), "the worker ended with {outcome:?}");
+    assert_eq!(runtime.resume_digest(), Some((1, state_digest(1, &global))));
+    assert_eq!(runtime.last_round(), Some(1));
+    proxy.thread.join().unwrap();
+    for w in workers {
+        w.join().unwrap();
+    }
+}

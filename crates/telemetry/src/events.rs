@@ -123,7 +123,7 @@ pub enum EventKind {
 
 impl EventKind {
     /// The event's JSONL `kind` tag.
-    pub fn name(&self) -> &'static str {
+    pub(crate) fn name(&self) -> &'static str {
         match self {
             EventKind::RoundStarted { .. } => "round_started",
             EventKind::RoundCommitted { .. } => "round_committed",
@@ -242,7 +242,7 @@ impl EventKind {
 
 /// One recorded event.
 #[derive(Debug, Clone, Copy)]
-pub struct Event {
+pub(crate) struct Event {
     /// Clock nanoseconds at record time.
     pub at_nanos: u64,
     /// Monotonic sequence number (survives ring overwrites, so gaps in

@@ -40,7 +40,7 @@ impl Level {
     }
 
     /// Parses a `GOLDFISH_LOG` value; `None` disables logging entirely.
-    pub fn parse(s: &str) -> Option<Level> {
+    pub(crate) fn parse(s: &str) -> Option<Level> {
         match s.trim().to_ascii_lowercase().as_str() {
             "error" => Some(Level::Error),
             "warn" | "warning" => Some(Level::Warn),
@@ -74,11 +74,6 @@ pub fn init(clock: Clock) -> Option<Level> {
 /// filtered calls never format.
 pub fn enabled(level: Level) -> bool {
     level as u8 <= MAX_LEVEL.load(Ordering::Relaxed)
-}
-
-/// Overrides the max level programmatically (tests; `--quiet` flags).
-pub fn set_max_level(level: Option<Level>) {
-    MAX_LEVEL.store(level.map(|l| l as u8).unwrap_or(0), Ordering::Relaxed);
 }
 
 /// Emits one line to stderr: `[   12.345s] LEVEL message`. Called by
@@ -142,13 +137,13 @@ mod tests {
         assert_eq!(Level::parse("off"), None);
         assert_eq!(Level::parse("garbage"), Some(Level::Info));
 
-        set_max_level(Some(Level::Warn));
+        MAX_LEVEL.store(Level::Warn as u8, Ordering::Relaxed);
         assert!(enabled(Level::Error));
         assert!(enabled(Level::Warn));
         assert!(!enabled(Level::Info));
-        set_max_level(None);
+        MAX_LEVEL.store(0, Ordering::Relaxed);
         assert!(!enabled(Level::Error));
         // Restore the default for other tests in this binary.
-        set_max_level(Some(Level::Info));
+        MAX_LEVEL.store(Level::Info as u8, Ordering::Relaxed);
     }
 }

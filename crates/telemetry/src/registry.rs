@@ -19,7 +19,7 @@ use std::sync::{Arc, Mutex};
 /// Default latency bucket upper bounds, in nanoseconds: 100 µs to 10 s
 /// in roughly 1-2.5-5 steps — wide enough for everything from a frame
 /// read to a drain pass.
-pub const LATENCY_BOUNDS_NANOS: &[u64] = &[
+pub(crate) const LATENCY_BOUNDS_NANOS: &[u64] = &[
     100_000,        // 100 µs
     250_000,        // 250 µs
     500_000,        // 500 µs
@@ -48,7 +48,7 @@ pub struct Counter(Arc<AtomicU64>);
 
 impl Counter {
     /// A counting handle not attached to any registry.
-    pub fn detached() -> Counter {
+    pub(crate) fn detached() -> Counter {
         Counter(Arc::new(AtomicU64::new(0)))
     }
 
@@ -128,7 +128,7 @@ impl Default for Gauge {
 /// registration, one atomic per bucket. `observe` is a linear scan over
 /// at most a few dozen bounds — no lock, no allocation.
 #[derive(Debug)]
-pub struct HistCore {
+pub(crate) struct HistCore {
     /// Upper bounds in nanoseconds, ascending; an implicit `+Inf`
     /// bucket follows.
     bounds: Vec<u64>,
@@ -145,7 +145,7 @@ pub struct Histogram(Arc<HistCore>);
 
 impl Histogram {
     /// A histogram with the given bounds, not attached to any registry.
-    pub fn detached(bounds_nanos: &[u64]) -> Histogram {
+    pub(crate) fn detached(bounds_nanos: &[u64]) -> Histogram {
         let mut buckets = Vec::with_capacity(bounds_nanos.len() + 1);
         for _ in 0..=bounds_nanos.len() {
             buckets.push(AtomicU64::new(0));
@@ -184,7 +184,7 @@ impl Histogram {
     /// `(upper_bound_nanos, cumulative_count)` per bound, ending with
     /// the `+Inf` bucket as `(u64::MAX, total)`. Allocates — exporter
     /// use only.
-    pub fn cumulative_buckets(&self) -> Vec<(u64, u64)> {
+    pub(crate) fn cumulative_buckets(&self) -> Vec<(u64, u64)> {
         let core = &self.0;
         let mut acc = 0u64;
         let mut out = Vec::with_capacity(core.bounds.len() + 1);
@@ -285,7 +285,12 @@ impl Registry {
 
     /// Registers (or retrieves) the histogram `name` with explicit
     /// bucket bounds (nanoseconds).
-    pub fn histogram_with_bounds(&self, name: &str, help: &str, bounds: &[u64]) -> Histogram {
+    pub(crate) fn histogram_with_bounds(
+        &self,
+        name: &str,
+        help: &str,
+        bounds: &[u64],
+    ) -> Histogram {
         let mut metrics = self.lock();
         for m in metrics.iter() {
             if let Metric::Histogram(n, _, h) = m {

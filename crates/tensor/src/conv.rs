@@ -1884,8 +1884,9 @@ mod tests {
 
     #[test]
     fn in_place_forward_is_bitwise_equal_to_the_lowering_across_threads() {
-        // One image's GEMM clears PAR_FLOPS (48 × 45 × 32·36 ≈ 2.5M), so
-        // its filter rows are split across the pool.
+        // One image's GEMM clears PAR_FLOPS (48 × 45 × 32·36 ≈ 2.5M), the
+        // size at which a row split would fork: the pool must not move a
+        // bit.
         let spec = Conv2dSpec::new(5, 3, 1, 1);
         for threads in [1, 3] {
             let pool = rayon::ThreadPoolBuilder::new()
@@ -1962,10 +1963,10 @@ mod tests {
         let gout = Tensor::from_vec(vec![1, 1, 2, 2], vec![1., 2., 3., 4.]);
         let mut gin = Tensor::zeros(vec![0]);
         maxpool2d_backward_into(&gout, &idx, (1, 1, 4, 4), &spec, &mut gin);
-        assert_eq!(gin.at(5), 1.0);
-        assert_eq!(gin.at(7), 2.0);
-        assert_eq!(gin.at(13), 3.0);
-        assert_eq!(gin.at(15), 4.0);
+        assert_eq!(gin.as_slice()[5], 1.0);
+        assert_eq!(gin.as_slice()[7], 2.0);
+        assert_eq!(gin.as_slice()[13], 3.0);
+        assert_eq!(gin.as_slice()[15], 4.0);
         assert_eq!(gin.sum(), 10.0);
 
         let mut eval_out = Tensor::zeros(vec![0]);
@@ -2092,8 +2093,8 @@ mod tests {
         grad_out.as_mut_slice()[inf_window] = 5.0;
         let mut grad_in = Tensor::zeros(vec![0]);
         maxpool2d_backward_into(&grad_out, &idx, (1, 2, 4, 6), &spec, &mut grad_in);
-        assert_eq!(grad_in.at(24 + 2 * 6 + 4), 3.0);
-        assert_eq!(grad_in.at(2), 5.0);
+        assert_eq!(grad_in.as_slice()[24 + 2 * 6 + 4], 3.0);
+        assert_eq!(grad_in.as_slice()[2], 5.0);
         assert_eq!(grad_in.sum(), 8.0);
     }
 

@@ -30,8 +30,20 @@
 //!   `NR`-column strip at a time; an output narrower than `NR` is one
 //!   zero-padded strip, and the `n % NR` columns past the last full strip
 //!   of a wider one are the **edge strip**, packed zero-padded and swept by
-//!   the same tiles. At or above [`PAR_FLOPS`], output rows are split into
-//!   contiguous ranges processed in parallel on the current rayon pool.
+//!   the same tiles.
+//!
+//! # Parallelism
+//!
+//! Only [`gemm`] forks: at or above [`PAR_FLOPS`] it splits its output
+//! rows into contiguous ranges processed in parallel on the current rayon
+//! pool. Every other entry point sweeps its rows on the calling thread.
+//! Training already runs one client per pool thread, so a kernel split
+//! only pays off where one large product runs alone, and at the shapes the
+//! workloads run that is one product: the MLP's first `Dense` forward
+//! over a whole evaluation chunk, through `gemm`. A fork-counting run of
+//! the four benchmark workloads at two threads saw `gemm_offsets`,
+//! `gemm_taps` and `gemm_at_b` never split their rows, so they carry no
+//! split.
 //!
 //! # Rounding contract
 //!
@@ -65,8 +77,8 @@ use std::ops::Range;
 /// with the oracle is preserved.
 pub const SMALL_FLOPS: usize = 16 * 1024;
 
-/// At or above this many multiply-accumulates the row range is split
-/// across the rayon pool (when it has more than one thread).
+/// At or above this many multiply-accumulates [`gemm`] splits its row
+/// range across the rayon pool (when it has more than one thread).
 pub const PAR_FLOPS: usize = 1 << 21;
 
 /// Minimum reduction depth for B-panel packing to amortize; shallower
@@ -595,10 +607,6 @@ impl OffsetLayout {
             self.starts.push(self.runs.len());
         }
     }
-
-    fn strips(&self) -> usize {
-        self.starts.len().saturating_sub(1)
-    }
 }
 
 /// `out[i, ·] = A[i, ·] · B + bias[i]` over a `B` that is never laid out:
@@ -634,22 +642,15 @@ pub(crate) fn gemm_offsets(
     if m == 0 || n == 0 {
         return;
     }
-    let rows = |i0: usize, out: &mut [f32]| {
-        for (j, runs) in layout.starts.windows(2).enumerate() {
-            let strip = Offset {
-                b,
-                offs: &layout.offs,
-                c0: j * NR,
-                runs: &layout.runs[runs[0]..runs[1]],
-                bias,
-            };
-            sweep::<true>(i0, k, n, a, out, strip);
-        }
-    };
-    if flops(m, k, layout.strips() * NR) >= PAR_FLOPS && rayon::current_num_threads() > 1 {
-        parallel_rows(m, n, out, |r, chunk| rows(r.start, chunk));
-    } else {
-        rows(0, out);
+    for (j, runs) in layout.starts.windows(2).enumerate() {
+        let strip = Offset {
+            b,
+            offs: &layout.offs,
+            c0: j * NR,
+            runs: &layout.runs[runs[0]..runs[1]],
+            bias,
+        };
+        sweep::<true>(0, k, n, a, out, strip);
     }
 }
 
@@ -740,8 +741,7 @@ impl TapLayout {
 /// stepping with `fma_acc` and the others multiplying, then adding, for
 /// `fused = `[`fused_columns`]`(m, P, k)` (the product commutes, so
 /// `x·g` rounds as `g·x`). Each [`TAP_ROWS_8`] / [`TAP_ROWS_16`]-row tile
-/// keeps its accumulators in registers across the whole reduction; the
-/// rows are split across the pool at [`PAR_FLOPS`].
+/// keeps its accumulators in registers across the whole reduction.
 ///
 /// # Panics
 ///
@@ -765,35 +765,24 @@ pub(crate) fn gemm_taps(
     assert_eq!(g.len(), p * lanes, "gemm_taps: G length");
     assert_eq!(out.len(), k * lanes, "gemm_taps: out length");
     assert!(fused <= k, "gemm_taps: fused rows");
-    match lanes {
-        8 => taps_rows_par::<8, TAP_ROWS_8>(images, layout, g, fused, out),
-        16 => taps_rows_par::<16, TAP_ROWS_16>(images, layout, g, fused, out),
+    let (fused_rows, plain_rows): (TapRows, TapRows) = match lanes {
+        8 => (
+            taps_rows::<8, TAP_ROWS_8, true>,
+            taps_rows::<8, TAP_ROWS_8, false>,
+        ),
+        16 => (
+            taps_rows::<16, TAP_ROWS_16, true>,
+            taps_rows::<16, TAP_ROWS_16, false>,
+        ),
         _ => panic!("gemm_taps: {lanes} lanes"),
-    }
+    };
+    let (head, edge) = out.split_at_mut(fused * lanes);
+    fused_rows(0..fused, images, layout, g, head);
+    plain_rows(fused..k, images, layout, g, edge);
 }
 
-/// [`gemm_taps`] at `L` lanes and `R`-row tiles, its rows split across the
-/// pool when the product is large enough.
-fn taps_rows_par<const L: usize, const R: usize>(
-    images: &[f32],
-    layout: &TapLayout,
-    g: &[f32],
-    fused: usize,
-    out: &mut [f32],
-) {
-    let k = layout.taps.len();
-    let rows = |rows: Range<usize>, chunk: &mut [f32]| {
-        let split = fused.clamp(rows.start, rows.end);
-        let (head, edge) = chunk.split_at_mut((split - rows.start) * L);
-        taps_rows::<L, R, true>(rows.start..split, images, layout, g, head);
-        taps_rows::<L, R, false>(split..rows.end, images, layout, g, edge);
-    };
-    if flops(k, g.len() / L, L) >= PAR_FLOPS && rayon::current_num_threads() > 1 {
-        parallel_rows(k, L, out, rows);
-    } else {
-        rows(0..k, out);
-    }
-}
+/// One instance of [`taps_rows`].
+type TapRows = fn(Range<usize>, &[f32], &TapLayout, &[f32], &mut [f32]);
 
 /// Sweeps rows `rows` of a [`gemm_taps`] product into `out` (those rows,
 /// `L` wide) in `R`-row tiles, then the `< R` leftover rows in the largest
@@ -917,23 +906,23 @@ pub fn gemm_at_b(k: usize, m: usize, n: usize, a: &[f32], b: &[f32], out: &mut [
     if work < SMALL_FLOPS {
         out.fill(0.0);
         at_b_rows_small(0..m, k, m, n, a, b, out);
-    } else if n < NR {
-        // Narrow outputs: transpose A into row-major scratch once, then
-        // run the narrow path over it.
+    } else {
+        // Transpose A into row-major scratch once (m·k moves, noise next
+        // to the m·k·n reduction, and it keeps the hot loop free of
+        // strided loads, which LLVM lowers catastrophically at wider tile
+        // shapes), then run gemm's large-path kernels over it.
         with_scratch(&AT_SCRATCH, m * k, |packed| {
             for (c, prow) in packed.chunks_exact_mut(k).enumerate() {
                 for (p, dst) in prow.iter_mut().enumerate() {
                     *dst = a[p * m + c];
                 }
             }
-            gemm(m, k, n, packed, b, out);
+            if n < NR {
+                gemm(m, k, n, packed, b, out);
+            } else {
+                gemm_rows_tiled(0..m, k, n, packed, b, out);
+            }
         });
-    } else if work >= PAR_FLOPS && rayon::current_num_threads() > 1 {
-        parallel_rows(m, n, out, |rows, chunk| {
-            at_b_rows_tiled(rows, k, m, n, a, b, chunk);
-        });
-    } else {
-        at_b_rows_tiled(0..m, k, m, n, a, b, out);
     }
 }
 
@@ -959,38 +948,6 @@ fn at_b_rows_small(
             }
         }
     }
-}
-
-/// Register-tiled `Aᵀ·B` for output rows `rows`.
-///
-/// Each group of [`MR`] output rows corresponds to [`MR`] *columns* of
-/// `A`; those are packed (transposed) into a contiguous row-major scratch
-/// block first, after which the shared [`gemm_rows_tiled`] kernel runs
-/// unchanged. The pack touches `A` once per group (`m·k` elements total —
-/// noise next to the `m·k·n` reduction) and keeps the hot loop free of
-/// strided loads, which LLVM otherwise lowers catastrophically at wider
-/// tile shapes.
-fn at_b_rows_tiled(
-    rows: Range<usize>,
-    k: usize,
-    m: usize,
-    n: usize,
-    a: &[f32],
-    b: &[f32],
-    out: &mut [f32],
-) {
-    // Transpose this row range's column block of A into row-major form,
-    // then run the shared row-major kernel. m·k moves, noise next to the
-    // m·k·n reduction.
-    with_scratch(&AT_SCRATCH, rows.len() * k, |packed| {
-        for (c, prow) in packed.chunks_exact_mut(k).enumerate() {
-            for (p, dst) in prow.iter_mut().enumerate() {
-                *dst = a[p * m + rows.start + c];
-            }
-        }
-        // The packed block holds exactly these rows, so index it from 0.
-        gemm_rows_tiled(0..rows.len(), k, n, packed, b, out);
-    });
 }
 
 // ---------------------------------------------------------------------------

@@ -19,29 +19,12 @@ pub fn kaiming_uniform<R: Rng + ?Sized>(rng: &mut R, shape: Vec<usize>, fan_in: 
     uniform(rng, shape, -bound, bound)
 }
 
-/// Xavier-Glorot uniform initialisation:
-/// `U(-b, b)` with `b = sqrt(6 / (fan_in + fan_out))`.
-///
-/// # Panics
-///
-/// Panics if both fans are zero.
-pub fn xavier_uniform<R: Rng + ?Sized>(
-    rng: &mut R,
-    shape: Vec<usize>,
-    fan_in: usize,
-    fan_out: usize,
-) -> Tensor {
-    assert!(fan_in + fan_out > 0, "fans must not both be zero");
-    let bound = (6.0 / (fan_in + fan_out) as f32).sqrt();
-    uniform(rng, shape, -bound, bound)
-}
-
 /// Uniform initialisation over `[lo, hi)`.
 ///
 /// # Panics
 ///
 /// Panics if `lo >= hi`.
-pub fn uniform<R: Rng + ?Sized>(rng: &mut R, shape: Vec<usize>, lo: f32, hi: f32) -> Tensor {
+pub(crate) fn uniform<R: Rng + ?Sized>(rng: &mut R, shape: Vec<usize>, lo: f32, hi: f32) -> Tensor {
     assert!(lo < hi, "empty range [{lo}, {hi})");
     let n: usize = shape.iter().product();
     Tensor::from_vec(shape, (0..n).map(|_| rng.gen_range(lo..hi)).collect())
@@ -87,8 +70,8 @@ mod tests {
     fn deterministic_given_seed() {
         let mut a = StdRng::seed_from_u64(42);
         let mut b = StdRng::seed_from_u64(42);
-        let ta = xavier_uniform(&mut a, vec![10, 10], 10, 10);
-        let tb = xavier_uniform(&mut b, vec![10, 10], 10, 10);
+        let ta = kaiming_uniform(&mut a, vec![10, 10], 10);
+        let tb = kaiming_uniform(&mut b, vec![10, 10], 10);
         assert_eq!(ta, tb);
     }
 

@@ -6,8 +6,9 @@
 //!
 //! The matmuls are thin wrappers over [`crate::engine`], which dispatches
 //! by problem size between a reference-order loop (small operands; bitwise
-//! identical to [`mod@reference`]) and a register-tiled, rayon-parallel kernel
-//! (large operands). The original naive implementations live on in
+//! identical to [`mod@reference`]) and a register-tiled kernel (large
+//! operands; [`crate::engine::gemm`] also splits its rows across the rayon
+//! pool at [`crate::engine::PAR_FLOPS`]). The original naive implementations live on in
 //! [`mod@reference`] as the testing oracle, and [`matmul_sparse`] keeps the
 //! old skip-zero-rows behaviour for explicitly sparse operands.
 
@@ -335,22 +336,6 @@ pub fn sum_rows(t: &Tensor) -> Tensor {
     Tensor::from_vec(vec![cols], out)
 }
 
-/// Population variance of each row of the 2-D view.
-///
-/// This is `D(·)` of the paper's confusion loss (Eq 2): the dispersion of a
-/// predicted probability vector.
-pub fn row_variance(t: &Tensor) -> Vec<f32> {
-    let (rows, cols) = t.dims2();
-    let tv = t.as_slice();
-    (0..rows)
-        .map(|r| {
-            let row = &tv[r * cols..(r + 1) * cols];
-            let mean = row.iter().sum::<f32>() / cols as f32;
-            row.iter().map(|&v| (v - mean) * (v - mean)).sum::<f32>() / cols as f32
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -450,18 +435,5 @@ mod tests {
     fn sum_rows_reduces() {
         let t = Tensor::from_vec(vec![2, 3], vec![1., 2., 3., 10., 20., 30.]);
         assert_eq!(sum_rows(&t).as_slice(), &[11., 22., 33.]);
-    }
-
-    #[test]
-    fn row_variance_uniform_is_zero() {
-        let t = Tensor::from_vec(vec![1, 4], vec![0.25; 4]);
-        assert_close(row_variance(&t)[0], 0.0, 1e-9);
-    }
-
-    #[test]
-    fn row_variance_onehot() {
-        // one-hot over 4 classes: mean 0.25, var = (0.75^2 + 3*0.25^2)/4
-        let t = Tensor::from_vec(vec![1, 4], vec![1., 0., 0., 0.]);
-        assert_close(row_variance(&t)[0], (0.5625 + 3.0 * 0.0625) / 4.0, 1e-6);
     }
 }

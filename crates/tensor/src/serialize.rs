@@ -134,12 +134,6 @@ pub fn params_to_bytes(params: &[f32]) -> Bytes {
     buf.freeze()
 }
 
-/// Encoded size of a parameter vector of `n` floats (for pre-sizing frame
-/// buffers).
-pub fn params_wire_len(n: usize) -> usize {
-    8 + 4 * n
-}
-
 /// Appends the [`params_to_bytes`] encoding of `params` to `out` —
 /// byte-for-byte the same payload, written into a caller-owned buffer so
 /// a steady-state encode loop never allocates once `out`'s capacity is
@@ -318,7 +312,6 @@ mod tests {
         params_write_into(&mut buf, &p);
         assert_eq!(&buf[..3], &[0xAA; 3]);
         assert_eq!(&buf[3..], params_to_bytes(&p).as_ref());
-        assert_eq!(buf.len() - 3, params_wire_len(p.len()));
     }
 
     #[test]

@@ -54,7 +54,7 @@ impl Tensor {
     /// # Panics
     ///
     /// Panics if the buffer length does not match the shape. Use
-    /// [`Tensor::try_from_vec`] for a fallible variant.
+    /// `Tensor::try_from_vec` for a fallible variant.
     pub fn from_vec(shape: Vec<usize>, data: Vec<f32>) -> Self {
         Tensor::try_from_vec(shape, data).expect("shape/data mismatch")
     }
@@ -65,7 +65,7 @@ impl Tensor {
     ///
     /// Returns [`TensorError::ShapeDataMismatch`] when the buffer length is
     /// not the product of the shape dimensions.
-    pub fn try_from_vec(shape: Vec<usize>, data: Vec<f32>) -> Result<Self, TensorError> {
+    pub(crate) fn try_from_vec(shape: Vec<usize>, data: Vec<f32>) -> Result<Self, TensorError> {
         let expected: usize = shape.iter().product();
         if expected != data.len() {
             return Err(TensorError::ShapeDataMismatch {
@@ -92,7 +92,7 @@ impl Tensor {
     }
 
     /// Number of dimensions (rank).
-    pub fn rank(&self) -> usize {
+    pub(crate) fn rank(&self) -> usize {
         self.shape.len()
     }
 
@@ -183,15 +183,6 @@ impl Tensor {
         self
     }
 
-    /// Element at a flat index.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `idx >= self.len()`.
-    pub fn at(&self, idx: usize) -> f32 {
-        self.data[idx]
-    }
-
     /// Element of a 2-D tensor at `(row, col)`.
     ///
     /// # Panics
@@ -241,15 +232,6 @@ impl Tensor {
     /// Panics if shapes differ.
     pub fn sub(&self, other: &Tensor) -> Tensor {
         self.zip_with(other, |a, b| a - b)
-    }
-
-    /// Elementwise (Hadamard) product.
-    ///
-    /// # Panics
-    ///
-    /// Panics if shapes differ.
-    pub fn mul(&self, other: &Tensor) -> Tensor {
-        self.zip_with(other, |a, b| a * b)
     }
 
     /// Returns `self * scalar`.
@@ -340,29 +322,6 @@ impl Tensor {
     /// Squared L2 norm of the flattened tensor.
     pub fn norm_sq(&self) -> f32 {
         self.data.iter().map(|v| v * v).sum()
-    }
-
-    /// L2 norm of the flattened tensor.
-    pub fn norm(&self) -> f32 {
-        self.norm_sq().sqrt()
-    }
-
-    /// Squared L2 distance to another tensor of the same shape.
-    ///
-    /// # Panics
-    ///
-    /// Panics if shapes differ.
-    pub fn distance_sq(&self, other: &Tensor) -> f32 {
-        assert_eq!(
-            self.shape, other.shape,
-            "distance shape mismatch: {:?} vs {:?}",
-            self.shape, other.shape
-        );
-        self.data
-            .iter()
-            .zip(other.data.iter())
-            .map(|(&a, &b)| (a - b) * (a - b))
-            .sum()
     }
 
     /// `true` when every element is finite (no NaN/inf) — used by tests and
@@ -473,7 +432,6 @@ mod tests {
         let b = Tensor::from_vec(vec![2, 2], vec![10., 20., 30., 40.]);
         assert_eq!(a.add(&b).as_slice(), &[11., 22., 33., 44.]);
         assert_eq!(b.sub(&a).as_slice(), &[9., 18., 27., 36.]);
-        assert_eq!(a.mul(&b).as_slice(), &[10., 40., 90., 160.]);
         assert_eq!(a.scale(2.0).as_slice(), &[2., 4., 6., 8.]);
     }
 
@@ -491,13 +449,6 @@ mod tests {
         assert_eq!(t.sum(), 10.0);
         assert_eq!(t.mean(), 2.5);
         assert_eq!(t.norm_sq(), 30.0);
-    }
-
-    #[test]
-    fn distance_between_tensors() {
-        let a = Tensor::from_vec(vec![2], vec![0., 0.]);
-        let b = Tensor::from_vec(vec![2], vec![3., 4.]);
-        assert_eq!(a.distance_sq(&b), 25.0);
     }
 
     #[test]

@@ -27,7 +27,7 @@ use goldfish::data::{BatchGather, Dataset};
 use goldfish::fed::trainer::{TrainConfig, TrainLane};
 use goldfish::fed::transport::{round_nonce, LoopbackClients, RoundTransport, TrainAssign};
 use goldfish::fed::ModelFactory;
-use goldfish::nn::loss::{CrossEntropy, HardLoss};
+use goldfish::nn::loss::{CrossEntropy, Focal, HardLoss, Nll};
 use goldfish::nn::optim::FusedSgd;
 use goldfish::nn::{zoo, Network};
 use goldfish::serve::audit::{audit_kind, AuditEventRecord};
@@ -115,8 +115,21 @@ fn distillation_step_is_allocation_free_after_warm_up() {
     // forward through the teacher's inference workspace for the short
     // tail), student forward through its arenas, the fused composite
     // loss (remaining + forget parts) into reused buffers, the
-    // allocation-free gradient clip and the fused optimizer.
+    // allocation-free gradient clip and the fused optimizer — under each
+    // of Table XI's three hard losses.
     let _guard = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let hard: [Arc<dyn HardLoss>; 3] = [
+        Arc::new(CrossEntropy),
+        Arc::new(Focal::default()),
+        Arc::new(Nll),
+    ];
+    for hard in hard {
+        assert_distillation_steps_allocate_nothing(hard);
+    }
+}
+
+fn assert_distillation_steps_allocate_nothing(hard: Arc<dyn HardLoss>) {
+    let name = hard.name();
     let spec = SyntheticSpec::mnist().with_size(8, 8).with_shift(1);
     let (train, _) = synthetic::generate(&spec, 76, 10, 9);
     let remaining = train.subset(&(12..76).collect::<Vec<usize>>()); // 64 rows
@@ -125,7 +138,7 @@ fn distillation_step_is_allocation_free_after_warm_up() {
     let mut student = zoo::mlp(64, &[32], 10, &mut rng);
     let teacher = zoo::mlp(64, &[32], 10, &mut rng);
 
-    let loss = GoldfishLoss::new(Arc::new(CrossEntropy), LossWeights::default());
+    let loss = GoldfishLoss::new(hard, LossWeights::default());
     let mut cache = TeacherCache::build(teacher, &remaining, 20);
     let mut opt = FusedSgd::new(0.05, 0.9);
     let mut gather_r = BatchGather::new();
@@ -231,7 +244,10 @@ fn distillation_step_is_allocation_free_after_warm_up() {
     }
     ARMED.set(false);
     let n = ALLOCS.load(Ordering::SeqCst);
-    assert_eq!(n, 0, "distillation steps performed {n} heap allocations");
+    assert_eq!(
+        n, 0,
+        "{name} distillation steps performed {n} heap allocations"
+    );
 }
 
 /// Warm-up over every full batch and one short one, then the same steps

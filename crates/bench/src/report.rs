@@ -1,17 +1,17 @@
-//! Aligned text-table printing for the experiment binaries.
+//! Aligned text-table printing for the paper-reproduction catalogue.
 
 /// A simple fixed-width table printer producing paper-style rows.
 #[derive(Debug, Default)]
-pub struct Table {
+pub(crate) struct Table {
     header: Vec<String>,
     rows: Vec<Vec<String>>,
 }
 
 impl Table {
     /// Creates a table with the given column headers.
-    pub fn new(header: &[&str]) -> Self {
+    pub(crate) fn new<S: AsRef<str>>(header: &[S]) -> Self {
         Table {
-            header: header.iter().map(|s| s.to_string()).collect(),
+            header: header.iter().map(|s| s.as_ref().to_string()).collect(),
             rows: Vec::new(),
         }
     }
@@ -21,7 +21,7 @@ impl Table {
     /// # Panics
     ///
     /// Panics if the arity differs from the header.
-    pub fn row(&mut self, cells: Vec<String>) {
+    pub(crate) fn row(&mut self, cells: Vec<String>) {
         assert_eq!(
             cells.len(),
             self.header.len(),
@@ -61,23 +61,23 @@ impl Table {
     }
 
     /// Prints the rendered table to stdout.
-    pub fn print(&self) {
+    pub(crate) fn print(&self) {
         print!("{}", self.render());
     }
 }
 
 /// Formats a fraction as a percentage with two decimals (paper style).
-pub fn pct(x: f64) -> String {
+pub(crate) fn pct(x: f64) -> String {
     format!("{:.2}", 100.0 * x)
 }
 
 /// Formats a float with the given number of decimals.
-pub fn num(x: f64, decimals: usize) -> String {
+pub(crate) fn num(x: f64, decimals: usize) -> String {
     format!("{x:.decimals$}")
 }
 
 /// Prints a section heading.
-pub fn heading(title: &str) {
+pub(crate) fn heading(title: &str) {
     println!("\n=== {title} ===");
 }
 

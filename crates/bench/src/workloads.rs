@@ -7,6 +7,7 @@
 
 use std::sync::Arc;
 
+use goldfish_core::basic_model::{network_from_state, GoldfishLocalConfig};
 use goldfish_core::method::{ClientSplit, UnlearnSetup};
 use goldfish_data::backdoor::BackdoorSpec;
 use goldfish_data::synthetic::{self, SyntheticSpec};
@@ -14,13 +15,12 @@ use goldfish_data::{partition, Dataset};
 use goldfish_fed::federation::Federation;
 use goldfish_fed::trainer::TrainConfig;
 use goldfish_fed::{eval, ModelFactory};
-use goldfish_nn::{zoo, Network};
+use goldfish_nn::zoo;
 use rand::{rngs::StdRng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Which paper model a workload trains.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum ModelKind {
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum ModelKind {
     /// LeNet-5 (2 FC head) — MNIST/FMNIST.
     Lenet5,
     /// Modified LeNet-5 (3 FC head) — CIFAR-10.
@@ -35,32 +35,32 @@ pub enum ModelKind {
 }
 
 /// A fully-specified experiment workload (dataset + model + FL setup).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Workload {
     /// Display name ("mnist", "fmnist", …).
     pub name: String,
     /// Synthetic dataset generator parameters.
     pub spec: SyntheticSpec,
     /// Model architecture.
-    pub model: ModelKind,
+    pub(crate) model: ModelKind,
     /// Training-set size.
-    pub train_n: usize,
+    pub(crate) train_n: usize,
     /// Test-set size.
-    pub test_n: usize,
+    pub(crate) test_n: usize,
     /// Number of federated clients.
-    pub clients: usize,
+    pub(crate) clients: usize,
     /// Federated rounds used for pretraining the original model.
-    pub pretrain_rounds: usize,
+    pub(crate) pretrain_rounds: usize,
     /// Federated rounds available to each unlearning method.
-    pub rounds: usize,
+    pub(crate) rounds: usize,
     /// Local epochs per round.
-    pub local_epochs: usize,
+    pub(crate) local_epochs: usize,
     /// Mini-batch size.
-    pub batch_size: usize,
+    pub(crate) batch_size: usize,
     /// Learning rate.
-    pub lr: f32,
+    pub(crate) lr: f32,
     /// Backdoor trigger patch side length.
-    pub patch: usize,
+    pub(crate) patch: usize,
 }
 
 impl Workload {
@@ -109,14 +109,9 @@ impl Workload {
             spec,
             model: ModelKind::Lenet5Modified,
             train_n: 3000,
-            test_n: 400,
-            clients: 5,
             pretrain_rounds: 16,
-            rounds: 5,
-            local_epochs: 2,
-            batch_size: 25,
-            lr: 0.03,
             patch: 8,
+            ..Workload::mnist()
         }
     }
 
@@ -128,13 +123,10 @@ impl Workload {
             model: ModelKind::ResnetMini { blocks: 1, base: 8 },
             train_n: 1600,
             test_n: 320,
-            clients: 5,
             pretrain_rounds: 16,
-            rounds: 5,
-            local_epochs: 2,
-            batch_size: 25,
             lr: 0.02,
             patch: 8,
+            ..Workload::mnist()
         }
     }
 
@@ -148,19 +140,14 @@ impl Workload {
             spec,
             model: ModelKind::ResnetMini { blocks: 2, base: 8 },
             train_n: 2600,
-            test_n: 400,
-            clients: 5,
-            pretrain_rounds: 12,
-            rounds: 5,
-            local_epochs: 2,
-            batch_size: 25,
             lr: 0.08,
             patch: 8,
+            ..Workload::mnist()
         }
     }
 
     /// All five paper workloads (Fig 4/5 iterate over these).
-    pub fn all() -> Vec<Workload> {
+    pub(crate) fn all() -> Vec<Workload> {
         vec![
             Workload::mnist(),
             Workload::fmnist(),
@@ -172,7 +159,7 @@ impl Workload {
 
     /// Shrinks the workload for smoke runs (`--quick`). LeNet inputs stay
     /// at the 18×18 minimum its 5×5/2×2 trunk requires.
-    pub fn quick(mut self) -> Self {
+    pub(crate) fn quick(mut self) -> Self {
         self.train_n = (self.train_n / 4).max(120);
         self.test_n = (self.test_n / 3).max(60);
         self.pretrain_rounds = 3;
@@ -212,17 +199,28 @@ impl Workload {
     }
 
     /// Generates `(train, test)` datasets.
-    pub fn datasets(&self, seed: u64) -> (Dataset, Dataset) {
+    pub(crate) fn datasets(&self, seed: u64) -> (Dataset, Dataset) {
         synthetic::generate(&self.spec, self.train_n, self.test_n, seed)
     }
 
     /// Local training configuration for federated rounds.
-    pub fn train_config(&self) -> TrainConfig {
+    pub(crate) fn train_config(&self) -> TrainConfig {
         TrainConfig {
             local_epochs: self.local_epochs,
             batch_size: self.batch_size,
             lr: self.lr,
             momentum: 0.9,
+        }
+    }
+
+    /// Goldfish's local configuration for this workload: its epochs, batch
+    /// size and learning rate, everything else the paper's default.
+    pub(crate) fn goldfish_local(&self) -> GoldfishLocalConfig {
+        GoldfishLocalConfig {
+            epochs: self.local_epochs,
+            batch_size: self.batch_size,
+            lr: self.lr,
+            ..GoldfishLocalConfig::default()
         }
     }
 
@@ -234,15 +232,15 @@ impl Workload {
 
 /// A fully-assembled unlearning experiment: poisoned federation, pretrained
 /// original model, per-client splits.
-pub struct BuiltExperiment {
+pub(crate) struct BuiltExperiment {
     /// The unlearning setup handed to every method.
-    pub setup: UnlearnSetup,
+    pub(crate) setup: UnlearnSetup,
     /// The backdoor probe.
-    pub backdoor: BackdoorSpec,
+    pub(crate) backdoor: BackdoorSpec,
     /// Test accuracy of the original (pre-unlearning) model.
-    pub original_acc: f64,
+    pub(crate) original_acc: f64,
     /// Backdoor success rate of the original model.
-    pub original_asr: f64,
+    pub(crate) original_asr: f64,
 }
 
 impl std::fmt::Debug for BuiltExperiment {
@@ -259,7 +257,7 @@ impl std::fmt::Debug for BuiltExperiment {
 /// client 0 poisons a `deletion_rate` fraction of its local data with the
 /// backdoor (this is the data later requested for deletion), the original
 /// global model is pretrained federatedly on everything.
-pub fn build_unlearning_experiment(
+pub(crate) fn build_unlearning_experiment(
     workload: &Workload,
     deletion_rate: f64,
     seed: u64,
@@ -319,21 +317,20 @@ pub fn build_unlearning_experiment(
 }
 
 /// Evaluates `(accuracy, backdoor ASR)` of a global state vector.
-pub fn eval_state(
+pub(crate) fn eval_state(
     factory: &ModelFactory,
     state: &[f32],
     test: &Dataset,
     backdoor: &BackdoorSpec,
 ) -> (f64, f64) {
-    let mut net: Network = (factory)(0);
-    net.set_state_vector(state);
+    let mut net = network_from_state(factory, state, 0);
     let acc = eval::accuracy(&mut net, test);
     let asr = eval::attack_success_rate(&mut net, test, backdoor);
     (acc, asr)
 }
 
 /// The deletion rates of the paper's tables (2 % … 12 %).
-pub const DELETION_RATES: [f64; 6] = [0.02, 0.04, 0.06, 0.08, 0.10, 0.12];
+pub(crate) const DELETION_RATES: [f64; 6] = [0.02, 0.04, 0.06, 0.08, 0.10, 0.12];
 
 #[cfg(test)]
 mod tests {

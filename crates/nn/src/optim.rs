@@ -70,12 +70,6 @@ impl Sgd {
             "parameter structure changed under the optimizer"
         );
     }
-
-    /// Clears momentum state (used when a model is re-initialised in place,
-    /// e.g. at the start of an unlearning round).
-    pub fn reset(&mut self) {
-        self.velocity.clear();
-    }
 }
 
 /// SGD with momentum, fused: one pass over `(w, g, v)` instead of the
@@ -323,21 +317,5 @@ mod tests {
         let mut fused = FusedSgd::new(0.1, 0.9);
         fused.step(&mut small);
         fused.step(&mut big);
-    }
-
-    #[test]
-    fn reset_clears_velocity() {
-        let mut rng = StdRng::seed_from_u64(2);
-        let mut net = Network::new(Sequential::new().push(Dense::new(2, 2, &mut rng)));
-        let mut sgd = Sgd::new(0.1, 0.9);
-        let x = Tensor::filled(vec![1, 2], 1.0);
-        let mut grad = Tensor::zeros(vec![0]);
-        let logits = net.forward_ws(&x, true);
-        CrossEntropy.loss_and_grad_into(logits, &[0], &mut grad);
-        net.backward_train(&grad);
-        sgd.step(&mut net);
-        assert!(!sgd.velocity.is_empty());
-        sgd.reset();
-        assert!(sgd.velocity.is_empty());
     }
 }

@@ -579,18 +579,6 @@ impl<T: ServeTransport> Coordinator<T> {
         &self.global
     }
 
-    /// Overwrites the global state after validating its length against
-    /// the model factory's parameter count.
-    ///
-    /// # Errors
-    ///
-    /// [`StateLenError`] on a mismatch (the current global is kept).
-    pub fn set_global_state(&mut self, state: Vec<f32>) -> Result<(), StateLenError> {
-        StateLenError::check(state.len(), self.global.len())?;
-        self.global = state;
-        Ok(())
-    }
-
     /// Test accuracy of the current global model.
     pub fn global_accuracy(&self) -> f64 {
         let mut net = (self.factory)(0);
@@ -1402,17 +1390,5 @@ mod tests {
         );
         assert!(c.submit_unlearn(UnlearnRequest::new(0, vec![2])).is_ok());
         assert_eq!(c.queue().len(), 1);
-    }
-
-    #[test]
-    fn set_global_state_validates_length() {
-        let spec = DemoSpec::default();
-        let mut c = coordinator(&spec);
-        let want = c.global_state().len();
-        let err = c.set_global_state(vec![0.0; 3]).unwrap_err();
-        assert_eq!(err, StateLenError { got: 3, want });
-        let fine = vec![0.5; want];
-        c.set_global_state(fine.clone()).unwrap();
-        assert_eq!(c.global_state(), fine.as_slice());
     }
 }

@@ -20,9 +20,8 @@
 //! * `FaultAction::DropClient` — one client's reply is suppressed for
 //!   this op (straggler/connection-loss simulation).
 //!
-//! Plans are either scripted ([`FaultPlan::kill_before_at`] etc.) or
-//! seeded ([`FaultPlan::seeded_drops`]), so a fault schedule is as
-//! reproducible as everything else in this repository.
+//! Plans are scripted ([`FaultPlan::kill_before_at`] etc.), so a fault
+//! schedule is as reproducible as everything else in this repository.
 
 use crate::queue::UnlearnRequest;
 use crate::transport::{LocalEval, ServeTransport, WireStats};
@@ -162,30 +161,6 @@ impl FaultPlan {
             .entry(op)
             .or_default()
             .push(FaultAction::DropClient(client_id));
-        self
-    }
-
-    /// Seeds random per-client drops: for each op in `ops`, each of the
-    /// `clients` ids is dropped with probability `percent`/100. The
-    /// same seed always yields the same schedule.
-    pub fn seeded_drops(
-        mut self,
-        seed: u64,
-        ops: std::ops::Range<u64>,
-        clients: usize,
-        percent: u32,
-    ) -> Self {
-        let mut rng = StdRng::seed_from_u64(seed);
-        for op in ops {
-            for client in 0..clients {
-                if rng.gen_range(0u32..100) < percent {
-                    self.at
-                        .entry(op)
-                        .or_default()
-                        .push(FaultAction::DropClient(client));
-                }
-            }
-        }
         self
     }
 
@@ -570,22 +545,6 @@ impl<T: ServeTransport> std::fmt::Debug for FaultyTransport<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn seeded_drop_schedules_are_reproducible() {
-        let a = FaultPlan::new().seeded_drops(7, 0..20, 4, 25);
-        let b = FaultPlan::new().seeded_drops(7, 0..20, 4, 25);
-        for op in 0..20 {
-            assert_eq!(a.actions_at(op), b.actions_at(op));
-        }
-        let c = FaultPlan::new().seeded_drops(8, 0..20, 4, 25);
-        assert!(
-            (0..20).any(|op| a.actions_at(op) != c.actions_at(op)),
-            "different seeds gave identical schedules"
-        );
-        let total: usize = (0..20).map(|op| a.actions_at(op).len()).sum();
-        assert!(total > 0, "25% over 80 trials dropped nothing");
-    }
 
     #[test]
     fn byzantine_scripts_parse_from_flag_syntax() {

@@ -84,7 +84,7 @@ impl TrainWorkspace {
 /// SGD loop every client, shard and worker runs. Allocation-free once
 /// warm: the caller owns the [`TrainWorkspace`] and the optimizer
 /// (re-armed in place, so its velocity buffer survives between runs and
-/// a re-armed optimizer's zeroed velocity equals a fresh one's). Does
+/// a re-armed optimizer steps bitwise as a fresh one). Does
 /// nothing for an empty dataset.
 pub fn train_local_hot(
     net: &mut Network,
@@ -246,6 +246,14 @@ impl TrainLane {
     ) {
         self.run(factory, state, data, cfg, seed);
         self.state_into(state);
+    }
+
+    /// The state-vector length of `factory`'s model, read off the lane's
+    /// network — built here if the lane has none from `factory`, and then
+    /// the one the lane's next run trains — so a host learns it without
+    /// building a network of its own.
+    pub fn state_len(&mut self, factory: &ModelFactory) -> usize {
+        self.fit(factory).0.state_len()
     }
 
     /// `(accuracy, mse)` of `global` on `data` — the `Eval` exchange,

@@ -27,7 +27,10 @@ pub struct Conv2d {
     /// unready until the first forward).
     input: Tensor,
     have_input: bool,
-    /// Staging buffers for `∂L/∂W` / `∂L/∂b` before accumulation.
+    /// Staging buffers for `∂L/∂W` / `∂L/∂b` before accumulation. Unlike
+    /// `Dense`'s, `∂W` cannot be added straight into the gradient: it is
+    /// summed over the lowering's image blocks first, and adding each
+    /// block's sum on its own would round differently.
     gw: Tensor,
     gb: Tensor,
 }

@@ -10,9 +10,11 @@ use crate::layer::{Layer, Param};
 /// Weight shape is `[out, in]`, bias `[out]`. Kaiming-uniform initialised,
 /// which suits the ReLU networks of the paper's model zoo.
 ///
-/// All per-step scratch (the cached input, the weight/bias gradient
-/// staging buffers) lives in persistent buffers, so a training step via
-/// the `_into` plumbing performs no heap allocation after warm-up.
+/// All per-step scratch (the cached input, the bias-gradient staging
+/// buffer) lives in persistent buffers, so a training step via the
+/// `_into` plumbing performs no heap allocation after warm-up. `∂W` is
+/// never staged: the GEMM adds each finished element straight into the
+/// weight gradient ([`engine::gemm_at_b_add`]).
 #[derive(Debug)]
 pub struct Dense {
     weight: Param,
@@ -21,8 +23,6 @@ pub struct Dense {
     /// buffer; unready until the first forward).
     input: Tensor,
     have_input: bool,
-    /// Staging buffer for `∂L/∂W` before accumulation into the grad.
-    gw: Tensor,
     /// Staging buffer for the bias-gradient column sums.
     gb: Tensor,
 }
@@ -42,7 +42,6 @@ impl Dense {
             bias: Param::new(bias),
             input: Tensor::zeros(vec![0]),
             have_input: false,
-            gw: Tensor::zeros(vec![0]),
             gb: Tensor::zeros(vec![0]),
         }
     }
@@ -71,17 +70,17 @@ impl Dense {
         let (n, d) = self.input.dims2();
         let (gn, o) = grad_out.dims2();
         assert_eq!(gn, n, "dense grad batch {gn} != input batch {n}");
-        // ∂L/∂W = gᵀ · x  (same accumulation order as ops::matmul_at_b).
-        self.gw.resize(&[o, d]);
-        engine::gemm_at_b(
+        // ∂L/∂W = gᵀ · x (same accumulation order as ops::matmul_at_b),
+        // each finished element added to the gradient once — the bits of
+        // staging it and adding the staged matrix.
+        engine::gemm_at_b_add(
             n,
             o,
             d,
             grad_out.as_slice(),
             self.input.as_slice(),
-            self.gw.as_mut_slice(),
+            self.weight.grad.as_mut_slice(),
         );
-        self.weight.grad.axpy(1.0, &self.gw);
         // ∂L/∂b = column sums of g (same order as ops::sum_rows).
         self.gb.resize(&[o]);
         self.gb.zero_mut();

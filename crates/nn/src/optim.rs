@@ -81,11 +81,18 @@ impl Sgd {
 /// [`Sgd::step`] exactly, so updates are **bitwise identical** to `Sgd`
 /// and to themselves at every thread count. After the first step (which
 /// sizes the velocity buffer) a step performs no heap allocation.
+///
+/// A fresh, reset or re-armed optimizer's velocity is *stale*: it is
+/// taken as zero without being read or cleared, and the next step writes
+/// `v = 0·β + g` over it — the arithmetic of a zeroed velocity, without
+/// the zeroing pass.
 #[derive(Debug)]
 pub struct FusedSgd {
     lr: f32,
     momentum: f32,
     velocity: Vec<f32>,
+    /// Whether `velocity` stands for zero momentum, whatever it holds.
+    stale: bool,
 }
 
 impl FusedSgd {
@@ -104,6 +111,7 @@ impl FusedSgd {
             lr,
             momentum,
             velocity: Vec::new(),
+            stale: true,
         }
     }
 
@@ -118,6 +126,7 @@ impl FusedSgd {
         if self.velocity.is_empty() {
             self.velocity = vec![0.0; net.trainable_len()];
         }
+        let stale = std::mem::replace(&mut self.stale, false);
         let (lr, momentum) = (self.lr, self.momentum);
         let mut offset = 0usize;
         let velocity = &mut self.velocity;
@@ -131,13 +140,16 @@ impl FusedSgd {
                 end <= velocity.len(),
                 "parameter structure changed under the optimizer"
             );
-            fused_momentum_step(
+            let (value, grad, vel) = (
                 p.value.as_mut_slice(),
                 p.grad.as_slice(),
                 &mut velocity[offset..end],
-                lr,
-                momentum,
             );
+            if stale {
+                fused_momentum_step::<true>(value, grad, vel, lr, momentum);
+            } else {
+                fused_momentum_step::<false>(value, grad, vel, lr, momentum);
+            }
             offset = end;
         });
         assert_eq!(
@@ -147,16 +159,18 @@ impl FusedSgd {
         );
     }
 
-    /// Clears momentum state (used when a model is re-initialised in
-    /// place, e.g. at the start of an unlearning round).
+    /// Clears momentum state and frees the velocity buffer (used when
+    /// the network may change shape, e.g. a lane switching factories).
     pub fn reset(&mut self) {
         self.velocity.clear();
+        self.stale = true;
     }
 
-    /// Zeroes momentum state **in place**, keeping the velocity buffer —
-    /// bitwise identical to a freshly constructed optimizer (velocity
-    /// starts at zero either way) but allocation-free, for long-lived
-    /// workers that run one local training per round. Also re-arms the
+    /// Zeroes momentum state, keeping the velocity buffer — bitwise
+    /// identical to a freshly constructed optimizer (velocity starts at
+    /// zero either way) but allocation-free, for long-lived workers that
+    /// run one local training per round. Writes nothing: the velocity is
+    /// marked stale, and the next step overwrites it. Also re-arms the
     /// hyperparameters for the coming run.
     ///
     /// # Panics
@@ -171,22 +185,30 @@ impl FusedSgd {
         );
         self.lr = lr;
         self.momentum = momentum;
-        for v in &mut self.velocity {
-            *v = 0.0;
-        }
+        self.stale = true;
     }
 }
 
 /// One fused `v ← β·v + g; w ← w − η·v` sweep over a parameter slice,
 /// written to match [`Sgd::step`]'s three-pass form operation for
 /// operation (`v *= β`, then `v += 1·g`, then `w += (−η)·v`) so the
-/// fused path is bitwise identical to it.
-fn fused_momentum_step(value: &mut [f32], grad: &[f32], vel: &mut [f32], lr: f32, momentum: f32) {
+/// fused path is bitwise identical to it. A `STALE` velocity is not read:
+/// each `v` is written as `0·β + g`, what the same operations compute
+/// from a zeroed one (`0·β` is +0.0, and `+0.0 + g` turns a −0.0 `g`
+/// into +0.0 exactly as they would).
+fn fused_momentum_step<const STALE: bool>(
+    value: &mut [f32],
+    grad: &[f32],
+    vel: &mut [f32],
+    lr: f32,
+    momentum: f32,
+) {
     assert_eq!(value.len(), grad.len(), "fused step: grad length");
     assert_eq!(value.len(), vel.len(), "fused step: velocity length");
     let neg_lr = -lr;
+    let zero = 0.0 * momentum;
     for ((w, &g), v) in value.iter_mut().zip(grad).zip(vel.iter_mut()) {
-        *v *= momentum;
+        *v = if STALE { zero } else { *v * momentum };
         *v += g;
         *w += neg_lr * *v;
     }

@@ -3,13 +3,16 @@
 //! must accumulate the parameter gradients of the full backward, and the
 //! fused loss and the fused optimizer must be **bitwise identical** to
 //! their classic counterparts on arbitrary shapes and values — reusing
-//! buffers is an execution detail, never a semantic one.
+//! buffers is an execution detail, never a semantic one. So is skipping
+//! one: `Dense` adds its `∂W` inside the GEMM instead of staging it, and
+//! a re-armed optimizer overwrites its velocity instead of zeroing it.
 
 use goldfish_nn::loss::{CrossEntropy, HardLoss};
 use goldfish_nn::optim::{FusedSgd, Sgd};
 use goldfish_nn::{
     zoo, BatchNorm2d, Conv2d, Dense, GlobalAvgPool, Layer, Network, Relu, Residual, Sequential,
 };
+use goldfish_tensor::engine::{self, KPACK, NR, SMALL_FLOPS};
 use goldfish_tensor::{init, ops, Tensor};
 use proptest::prelude::*;
 use rand::{rngs::StdRng, SeedableRng};
@@ -43,6 +46,38 @@ fn logit_grad(body: &mut dyn Layer, x: &Tensor, labels: &[usize]) -> Tensor {
 /// Strategy: batch size, feature width, hidden width, class count.
 fn mlp_dims() -> impl Strategy<Value = (usize, usize, usize, usize)> {
     (1usize..9, 1usize..12, 1usize..10, 2usize..6)
+}
+
+/// Strategy: `(path, batch, in, out)` of a `Dense` layer whose `∂W` GEMM
+/// (`gemm_at_b(batch, out, in)`, output `[out, in]`) takes `path`: 0 the
+/// small path, 1 a narrow output (`in < NR`), 2 one or two full strips
+/// plus the edge strip — with a batch (the reduction depth) below
+/// `KPACK`, or at or above it.
+fn dense_grad_dims() -> impl Strategy<Value = (usize, usize, usize, usize)> {
+    let picks = (
+        0usize..3,
+        0usize..2,
+        0usize..1000,
+        0usize..1000,
+        0usize..1000,
+    );
+    picks.prop_map(|(path, deep, r1, r2, r3)| {
+        let batch = if deep == 1 {
+            KPACK + r1 % 20
+        } else {
+            1 + r1 % 12
+        };
+        let d = match path {
+            0 => 1 + r2 % 40,
+            1 => 1 + r2 % (NR - 1),
+            _ => NR * (1 + r2 % 2) + 1 + r2 % (NR - 1),
+        };
+        let o = match path {
+            0 => (1 + r3 % 17).min(((SMALL_FLOPS - 1) / (batch * d)).max(1)),
+            _ => SMALL_FLOPS / (batch * d) + 1 + r3 % 7,
+        };
+        (path, batch, d, o)
+    })
 }
 
 /// The seed implementation of softmax cross-entropy, kept verbatim as the
@@ -152,6 +187,72 @@ proptest! {
         let (sa, sb) = (net_a.state_vector(), net_b.state_vector());
         for (a, b) in sa.iter().zip(sb.iter()) {
             prop_assert_eq!(a.to_bits(), b.to_bits(), "states diverged");
+        }
+    }
+
+    /// `Dense` adds `∂W` into its gradient inside the GEMM: bitwise the
+    /// staged `gemm_at_b` followed by `axpy(1.0, staged)`, on every
+    /// kernel path, and again on a second backward without `zero_grad`
+    /// (into a gradient that already holds one).
+    #[test]
+    fn dense_weight_gradient_adds_what_staging_would(
+        (path, batch, d, o) in dense_grad_dims(),
+        seed in 0u64..1000,
+    ) {
+        prop_assert_eq!(batch * o * d < SMALL_FLOPS, path == 0);
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut layer = Dense::new(d, o, &mut rng);
+        let mut want = Tensor::zeros(vec![o, d]);
+        let (mut out, mut staged) = (Tensor::zeros(vec![0]), Tensor::zeros(vec![o, d]));
+        for pass in 0..2 {
+            let x = init::normal(&mut rng, vec![batch, d], 0.0, 1.0);
+            let g = init::normal(&mut rng, vec![batch, o], 0.0, 1.0);
+            layer.forward_into(&x, true, &mut out);
+            layer.backward_params_only(&g);
+            engine::gemm_at_b(batch, o, d, g.as_slice(), x.as_slice(), staged.as_mut_slice());
+            want.axpy(1.0, &staged);
+            let got = grads(&layer);
+            for (a, b) in got[..o * d].iter().zip(want.as_slice()) {
+                prop_assert_eq!(a.to_bits(), b.to_bits(), "∂W diverged on pass {}", pass);
+            }
+        }
+    }
+
+    /// A stale velocity steps as a zeroed one: after a re-arm, after a
+    /// reset and a re-arm, and after a re-arm before the very first step,
+    /// `FusedSgd` stays bitwise with a fresh `Sgd`, whose velocity starts
+    /// as zeros.
+    #[test]
+    fn a_stale_velocity_steps_as_a_zeroed_one(
+        (n, d, h, c) in mlp_dims(),
+        seed in 0u64..500,
+        how in 0usize..3,
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut net_a = zoo::mlp(d, &[h], c, &mut rng);
+        let x = init::normal(&mut rng, vec![n, d], 0.0, 1.0);
+        let labels: Vec<usize> = (0..n).map(|i| i % c).collect();
+        let mut fused = FusedSgd::new(0.05, 0.9);
+        if how < 2 {
+            // Momentum to forget.
+            for _ in 0..2 {
+                step(&mut net_a, &x, &labels, |net| fused.step(net));
+            }
+        }
+        if how == 1 {
+            fused.reset();
+        }
+        fused.rearm(0.03, 0.5);
+        let mut net_b = zoo::mlp(d, &[h], c, &mut rng);
+        net_b.set_state_vector(&net_a.state_vector());
+        let mut zeroed = Sgd::new(0.03, 0.5);
+        for _ in 0..3 {
+            step(&mut net_a, &x, &labels, |net| fused.step(net));
+            step(&mut net_b, &x, &labels, |net| zeroed.step(net));
+            let (sa, sb) = (net_a.state_vector(), net_b.state_vector());
+            for (a, b) in sa.iter().zip(sb.iter()) {
+                prop_assert_eq!(a.to_bits(), b.to_bits(), "states diverged ({})", how);
+            }
         }
     }
 }

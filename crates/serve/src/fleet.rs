@@ -24,10 +24,12 @@
 //! What the host keeps resident follows what its one thread is doing,
 //! not how many workers it hosts: **one** [`TrainLane`] lent to
 //! whichever runtime is answering (a lane carries capacity, never
-//! state), and frame buffers leased from one `FramePool` — a read
-//! buffer from a frame's first byte until `decode_msg` has produced the
-//! owned `Msg`, a write buffer from encode until the reply is flushed.
-//! A connection between frames holds a socket and two cursors.
+//! state; its network, built once for workers that share a factory, also
+//! answers every handshake's model size), and frame buffers leased from
+//! one `FramePool` — a read buffer from a frame's first byte until
+//! `decode_msg` has produced the owned `Msg`, a write buffer from encode
+//! until the reply is flushed. A connection between frames holds a
+//! socket and two cursors.
 
 use std::net::TcpStream;
 use std::os::fd::AsRawFd;
@@ -106,13 +108,16 @@ pub fn run_fleet(
     let mut events = Events::new();
     let mut conns: Vec<Option<FleetConn>> = Vec::with_capacity(runtimes.len());
     let mut report = FleetReport::default();
-    for runtime in runtimes.iter() {
+    // The host's one lane: its network answers every handshake's model
+    // size, then trains for whichever runtime is answering.
+    let mut lane = TrainLane::new();
+    for runtime in runtimes.iter_mut() {
         let mut stream = TcpStream::connect(addr)?;
         stream.set_nodelay(true).ok();
-        report.bytes_sent += write_frame(&mut stream, &runtime.hello(), limits)? as u64;
+        report.bytes_sent += write_frame(&mut stream, &runtime.hello(&mut lane), limits)? as u64;
         let (reply, nbytes) = read_frame(&mut stream, limits)?;
         report.bytes_received += nbytes as u64;
-        check_capabilities(&reply, runtime)?;
+        check_capabilities(&reply, runtime, &mut lane)?;
         stream.set_nonblocking(true)?;
         let key = conns.len();
         poller.add(stream.as_raw_fd(), Event::readable(key))?;
@@ -124,7 +129,6 @@ pub fn run_fleet(
         }));
     }
     let mut frames = FramePool::new();
-    let mut lane = TrainLane::new();
     let mut live = conns.len();
     while live > 0 {
         poller.wait(&mut events, None)?;

@@ -20,7 +20,9 @@
 //! to whoever hosts the runtime (one per connection in [`serve_stream`],
 //! one per thread in [`crate::fleet::run_fleet`]) and is lent to
 //! [`WorkerRuntime::handle`] per message: it carries capacity, never
-//! state, so a lane that just served another worker changes no bit.
+//! state, so a lane that just served another worker changes no bit. The
+//! lane's network also tells the handshake the model's size
+//! ([`WorkerRuntime::hello`]): a runtime builds no network of its own.
 
 use std::net::TcpStream;
 use std::sync::Arc;
@@ -54,7 +56,9 @@ pub struct WorkerRuntime {
     client_id: usize,
     factory: ModelFactory,
     data: Dataset,
-    state_len: usize,
+    /// The model's state-vector length, once a host's lane has told it
+    /// ([`WorkerRuntime::state_len`]).
+    state_len: Option<usize>,
     /// The unlearning request being distilled, between its
     /// `UnlearnAssign` and the next training round.
     unlearning: Option<Unlearning>,
@@ -76,14 +80,14 @@ pub struct WorkerRuntime {
 }
 
 impl WorkerRuntime {
-    /// Builds the runtime for one client.
+    /// Builds the runtime for one client. Builds no network: the model's
+    /// size is learned from the host's lane at the handshake.
     pub fn new(client_id: usize, factory: ModelFactory, data: Dataset) -> Self {
-        let state_len = (factory)(0).state_len();
         WorkerRuntime {
             client_id,
             factory,
             data,
-            state_len,
+            state_len: None,
             unlearning: None,
             last_round: None,
             last_unlearn: None,
@@ -97,9 +101,14 @@ impl WorkerRuntime {
         self.client_id
     }
 
-    /// The model's state-vector length (announced in `Hello`).
-    pub fn state_len(&self) -> usize {
-        self.state_len
+    /// The model's state-vector length (announced in `Hello`), read off
+    /// the network `lane` builds for this worker's factory — the network
+    /// the lane then trains on, so a host that lends one lane to all its
+    /// workers builds one network for all of them — and remembered.
+    pub fn state_len(&mut self, lane: &mut TrainLane) -> usize {
+        *self
+            .state_len
+            .get_or_insert_with(|| lane.state_len(&self.factory))
     }
 
     /// The last round this worker answered, if any — what its next
@@ -119,14 +128,15 @@ impl WorkerRuntime {
         self.frames_handled
     }
 
-    /// The introduction frame this worker opens a connection with. A
-    /// worker that already answered rounds introduces itself with a
-    /// resume token (client id + last answered round) so the
-    /// coordinator re-admits it into its old slot.
-    pub fn hello(&self) -> Msg {
+    /// The introduction frame this worker opens a connection with, its
+    /// model size read through the host's `lane`
+    /// ([`WorkerRuntime::state_len`]). A worker that already answered
+    /// rounds introduces itself with a resume token (client id + last
+    /// answered round) so the coordinator re-admits it into its old slot.
+    pub fn hello(&mut self, lane: &mut TrainLane) -> Msg {
         Msg::Hello {
             client_id: self.client_id as u64,
-            state_len: self.state_len as u64,
+            state_len: self.state_len(lane) as u64,
             num_samples: self.data.len() as u64,
             resume: self.last_round,
         }
@@ -138,6 +148,7 @@ impl WorkerRuntime {
     /// connection after sending one).
     pub fn handle(&mut self, msg: Msg, lane: &mut TrainLane) -> Msg {
         self.frames_handled += 1;
+        let state_len = self.state_len(lane);
         match msg {
             Msg::RoundAssign {
                 mode: RoundMode::Train,
@@ -149,8 +160,8 @@ impl WorkerRuntime {
             } => {
                 // A plain training round ends any unlearning request.
                 self.unlearning = None;
-                if global.len() != self.state_len {
-                    return bad_state_len(global.len(), self.state_len);
+                if global.len() != state_len {
+                    return bad_state_len(global.len(), state_len);
                 }
                 let s = client_seed(seed, self.client_id, round as usize);
                 // The assignment's buffer becomes the reply's.
@@ -174,8 +185,8 @@ impl WorkerRuntime {
                 removed,
                 teacher,
             } => {
-                if teacher.len() != self.state_len {
-                    return bad_state_len(teacher.len(), self.state_len);
+                if teacher.len() != state_len {
+                    return bad_state_len(teacher.len(), state_len);
                 }
                 let hard = match job.hard {
                     Some(spec) => spec.build(),
@@ -241,8 +252,8 @@ impl WorkerRuntime {
                 global,
                 ..
             } => {
-                if global.len() != self.state_len {
-                    return bad_state_len(global.len(), self.state_len);
+                if global.len() != state_len {
+                    return bad_state_len(global.len(), state_len);
                 }
                 match self.unlearning.as_mut() {
                     Some(u) => {
@@ -281,8 +292,8 @@ impl WorkerRuntime {
                 Msg::Ack
             }
             Msg::Eval { round, global, .. } => {
-                if global.len() != self.state_len {
-                    return bad_state_len(global.len(), self.state_len);
+                if global.len() != state_len {
+                    return bad_state_len(global.len(), state_len);
                 }
                 let (accuracy, mse) = lane.eval(&self.factory, &global, &self.data);
                 Msg::Eval {
@@ -304,7 +315,7 @@ impl std::fmt::Debug for WorkerRuntime {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "WorkerRuntime(client {}, {} samples, {} params, unlearning: {})",
+            "WorkerRuntime(client {}, {} samples, state_len {:?}, unlearning: {})",
             self.client_id,
             self.data.len(),
             self.state_len,
@@ -339,14 +350,19 @@ pub fn run_worker(
 
 /// Judges the coordinator's answer to `runtime`'s `Hello` — the one
 /// handshake check every worker host runs ([`serve_stream`] per daemon,
-/// [`crate::fleet::run_fleet`] per hosted runtime).
+/// [`crate::fleet::run_fleet`] per hosted runtime) — its model size read
+/// through the host's `lane`.
 ///
 /// # Errors
 ///
 /// [`WireError::Malformed`] unless the answer is a `Capabilities` this
 /// worker can serve under: a typed rejection, any other frame, a model
 /// of a different size, or an aggregation mode it cannot decode.
-pub(crate) fn check_capabilities(reply: &Msg, runtime: &WorkerRuntime) -> Result<(), WireError> {
+pub(crate) fn check_capabilities(
+    reply: &Msg,
+    runtime: &mut WorkerRuntime,
+    lane: &mut TrainLane,
+) -> Result<(), WireError> {
     let id = runtime.client_id();
     let refuse = |why: String| Err(WireError::Malformed(why));
     match reply {
@@ -356,7 +372,7 @@ pub(crate) fn check_capabilities(reply: &Msg, runtime: &WorkerRuntime) -> Result
             agg_param,
             ..
         } => {
-            let ours = runtime.state_len();
+            let ours = runtime.state_len(lane);
             if *state_len as usize != ours {
                 return refuse(format!(
                     "coordinator model has {state_len} params, worker {id} has {ours}"
@@ -394,15 +410,16 @@ pub fn serve_stream(
     limits: &FrameLimits,
 ) -> Result<(), WireError> {
     stream.set_nodelay(true).ok();
-    write_frame(&mut stream, &runtime.hello(), limits)?;
+    // Connection-lifetime training lane and frame buffers: the lane's
+    // network answers the handshake's model size and then trains, and
+    // incoming payloads, outgoing replies and the network's arenas reuse
+    // the same allocations round after round.
+    let mut lane = TrainLane::new();
+    write_frame(&mut stream, &runtime.hello(&mut lane), limits)?;
     let (reply, _) = read_frame(&mut stream, limits)?;
-    check_capabilities(&reply, runtime)?;
-    // Connection-lifetime frame buffers and training lane: incoming
-    // payloads, outgoing replies and the network's arenas reuse the same
-    // allocations round after round.
+    check_capabilities(&reply, runtime, &mut lane)?;
     let mut rbuf: Vec<u8> = Vec::new();
     let mut wbuf: Vec<u8> = Vec::new();
-    let mut lane = TrainLane::new();
     loop {
         // Bare EOF is NOT a clean end: a graceful coordinator sends
         // `Shutdown` first. EOF without it means the coordinator (or
@@ -637,7 +654,7 @@ mod tests {
         use std::io::Write;
         let (mut w, spec) = runtime();
         let limits = FrameLimits::default();
-        let state_len = w.state_len();
+        let state_len = w.state_len(&mut TrainLane::new());
         let frame = wire::encode_frame(
             &Msg::RoundAssign {
                 mode: RoundMode::Train,

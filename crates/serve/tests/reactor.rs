@@ -10,7 +10,8 @@
 //! * Seeded cohort sampling over real TCP is bitwise identical to the
 //!   sampled loopback run.
 //! * The single-threaded worker fleet host serves a federation and
-//!   winds down clean on `Shutdown`.
+//!   winds down clean on `Shutdown`; registering its workers builds one
+//!   network, its lane's, not one per worker.
 //! * A length prefix is honoured only up to what the protocol phase can
 //!   carry: a 10-byte header announcing 200 MiB is a typed failure in
 //!   the start-up handshake, as a round reply, and as a re-admitted
@@ -52,9 +53,11 @@ use goldfish_serve::fleet::run_fleet;
 use goldfish_serve::tcp::{bind, TcpConfig, TcpTransport};
 use goldfish_serve::transport::{LoopbackTransport, ServeTransport};
 use goldfish_serve::wire::{
-    kind, read_frame, write_frame, FrameLimits, Msg, WireError, MAGIC, PROTOCOL_VERSION,
+    kind, read_frame, write_frame, FrameLimits, Msg, RoundMode, WireError, MAGIC, PROTOCOL_VERSION,
 };
-use goldfish_serve::worker::{run_worker, run_worker_resilient, ReconnectPolicy, WorkerRuntime};
+use goldfish_serve::worker::{
+    run_worker, run_worker_resilient, serve_stream, ReconnectPolicy, WorkerRuntime,
+};
 use rand::{rngs::StdRng, SeedableRng};
 
 const SEED: u64 = 42;
@@ -323,6 +326,101 @@ fn fleet_host_serves_rounds_and_shuts_down_clean() {
     let report = fleet.join().unwrap();
     assert_eq!(report.clean_shutdowns, spec.clients);
     assert_eq!(report.dropped, 0);
+}
+
+/// `spec`'s model factory, counting every network it builds in `built`.
+fn counting_factory(spec: &DemoSpec, built: &Arc<AtomicUsize>) -> ModelFactory {
+    let (inner, built) = (spec.factory(), Arc::clone(built));
+    Arc::new(move |seed| {
+        built.fetch_add(1, Ordering::SeqCst);
+        inner(seed)
+    })
+}
+
+/// A worker host learns the model's size from its one lane: registering
+/// 64 runtimes that share a factory through `run_fleet` and serving a
+/// round builds exactly one network — the lane's — where building one
+/// per runtime at construction made 65; and a daemon's handshake builds
+/// the network its lane then trains on, and no other.
+#[test]
+fn registration_builds_one_network_per_host() {
+    const CLIENTS: usize = 64;
+    let spec = demo(CLIENTS);
+    let state_len = (spec.factory())(0).state_len();
+    let limits = FrameLimits::default();
+
+    let built = Arc::new(AtomicUsize::new(0));
+    let factory = counting_factory(&spec, &built);
+    let (listener, addr) = bind("127.0.0.1:0").unwrap();
+    let fleet = std::thread::spawn(move || {
+        let mut runtimes: Vec<WorkerRuntime> = (spec.client_shards().into_iter())
+            .enumerate()
+            .map(|(id, shard)| WorkerRuntime::new(id, factory.clone(), shard))
+            .collect();
+        run_fleet(&addr, &mut runtimes, &limits).unwrap()
+    });
+    let transport =
+        TcpTransport::accept(&listener, CLIENTS, state_len, TcpConfig::default()).unwrap();
+    let mut c = Coordinator::new(
+        spec.factory(),
+        spec.test_set(),
+        transport,
+        coordinator_config(&spec).with_cohort_fraction(0.125),
+    );
+    let summary = c.train_round(0, round_seed(SEED, 0)).unwrap();
+    assert_eq!(summary.client_sizes.len(), 8);
+    c.transport_mut().shutdown();
+    drop(c);
+    assert_eq!(fleet.join().unwrap().clean_shutdowns, CLIENTS);
+    assert_eq!(
+        built.load(Ordering::SeqCst),
+        1,
+        "networks built by the fleet"
+    );
+
+    // One daemon: the handshake, one training round, shutdown.
+    let built = Arc::new(AtomicUsize::new(0));
+    let mut runtime = WorkerRuntime::new(0, counting_factory(&spec, &built), spec.client_shard(0));
+    assert_eq!(
+        built.load(Ordering::SeqCst),
+        0,
+        "a runtime builds no network"
+    );
+    let (listener, addr) = bind("127.0.0.1:0").unwrap();
+    let daemon = std::thread::spawn(move || {
+        serve_stream(TcpStream::connect(addr).unwrap(), &mut runtime, &limits)
+    });
+    let (mut sock, _) = listener.accept().unwrap();
+    let (hello, _) = read_frame(&mut sock, &limits).unwrap();
+    assert!(
+        matches!(hello, Msg::Hello { state_len: n, .. } if n as usize == state_len),
+        "got {hello:?}"
+    );
+    let caps = Msg::Capabilities {
+        max_payload: limits.max_payload as u64,
+        state_len: state_len as u64,
+        agg_mode: 0,
+        agg_param: 0,
+    };
+    write_frame(&mut sock, &caps, &limits).unwrap();
+    let assign = Msg::RoundAssign {
+        mode: RoundMode::Train,
+        round: 0,
+        seed: SEED,
+        nonce: 1,
+        cfg: spec.train_config(),
+        global: (spec.factory())(1).state_vector(),
+    };
+    write_frame(&mut sock, &assign, &limits).unwrap();
+    let (update, _) = read_frame(&mut sock, &limits).unwrap();
+    assert!(matches!(update, Msg::Update { .. }), "got {update:?}");
+    write_frame(&mut sock, &Msg::Shutdown, &limits).unwrap();
+    daemon.join().unwrap().unwrap();
+    assert_eq!(
+        built.load(Ordering::SeqCst),
+        1,
+        "networks built by the daemon"
+    );
 }
 
 /// Both worker hosts run one handshake check: a coordinator announcing
@@ -755,11 +853,11 @@ fn delayed_worker(
     std::thread::spawn(move || {
         let limits = FrameLimits::default();
         let mut runtime = WorkerRuntime::new(id, wide_mlp(), shard);
+        let mut lane = TrainLane::new();
         let mut stream = TcpStream::connect(&addr).unwrap();
-        write_frame(&mut stream, &runtime.hello(), &limits).unwrap();
+        write_frame(&mut stream, &runtime.hello(&mut lane), &limits).unwrap();
         let (caps, _) = read_frame(&mut stream, &limits).unwrap();
         assert!(matches!(caps, Msg::Capabilities { .. }), "got {caps:?}");
-        let mut lane = TrainLane::new();
         while let Ok((msg, _)) = read_frame(&mut stream, &limits) {
             if matches!(msg, Msg::Shutdown) {
                 return;
@@ -899,10 +997,11 @@ fn resuming_worker(
     std::thread::spawn(move || {
         let limits = FrameLimits::default();
         let mut runtime = WorkerRuntime::new(id, spec.factory(), spec.client_shard(id));
+        let mut lane = TrainLane::new();
         let mut stream = TcpStream::connect(&addr).unwrap();
         let hello = Msg::Hello {
             client_id: id as u64,
-            state_len: runtime.state_len() as u64,
+            state_len: runtime.state_len(&mut lane) as u64,
             num_samples: spec.samples_per_client as u64,
             resume: Some(0),
         };
@@ -910,7 +1009,6 @@ fn resuming_worker(
         queued.send(()).unwrap();
         let (caps, _) = read_frame(&mut stream, &limits).unwrap();
         assert!(matches!(caps, Msg::Capabilities { .. }), "got {caps:?}");
-        let mut lane = TrainLane::new();
         loop {
             let (msg, _) = read_frame(&mut stream, &limits).unwrap();
             if matches!(msg, Msg::Shutdown) {

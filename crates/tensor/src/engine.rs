@@ -4,7 +4,9 @@
 //! convolutions and every backward pass funnel into the three GEMM
 //! orientations here (`A·B`, `Aᵀ·B`, `A·Bᵀ`), operating on raw row-major
 //! `f32` slices so callers (e.g. batched conv) can avoid intermediate
-//! `Tensor` allocations. Two more, crate-private forms read an operand
+//! `Tensor` allocations. `Aᵀ·B` also has an accumulating form,
+//! [`gemm_at_b_add`], whose stores add each finished element to the
+//! output — a layer's weight gradient — instead of overwriting it. Two more, crate-private forms read an operand
 //! that is never laid out out of the convolution's images: `gemm_offsets`
 //! sweeps the forward's `B` — the image, its rows at fixed offsets —
 //! through the same tiles, and stores only the columns it is told to,
@@ -211,18 +213,13 @@ pub fn gemm(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], out: &mut [f32])
             out.fill(0.0);
             gemm_rows_small(0..m, k, n, a, b, out);
         }
-        // Narrow outputs have no full register strip: sweep one
-        // zero-padded strip instead.
-        fused if fused < NR => with_scratch(&PANEL_SCRATCH, k * NR, |panel| {
-            pack_panel(panel, b, n, 0, n);
-            gemm_narrow_panel(k, n, a, panel, out);
-        }),
+        fused if fused < NR => gemm_narrow::<false>(k, n, a, b, out),
         _ if flops(m, k, n) >= PAR_FLOPS && rayon::current_num_threads() > 1 => {
             parallel_rows(m, n, out, |rows, chunk| {
-                gemm_rows_tiled(rows, k, n, a, b, chunk);
+                gemm_rows_tiled::<false>(rows, k, n, a, b, chunk);
             });
         }
-        _ => gemm_rows_tiled(0..m, k, n, a, b, out),
+        _ => gemm_rows_tiled::<false>(0..m, k, n, a, b, out),
     }
 }
 
@@ -245,18 +242,34 @@ pub(crate) fn fused_columns(m: usize, k: usize, n: usize) -> usize {
     }
 }
 
-/// `out = A · B` for a narrow output (`n <` [`NR`]) from `B` laid out as
-/// one `[k, NR]` panel whose lanes `n..NR` are zero: a single fused strip
-/// stored `n` columns wide.
+/// `out = A · B` (`out += A · B` when `ADD`) for a narrow output
+/// (`n <` [`NR`]): `B` is packed into one zero-padded strip
+/// ([`gemm_narrow_panel`]). Narrow outputs have no full register strip.
+fn gemm_narrow<const ADD: bool>(k: usize, n: usize, a: &[f32], b: &[f32], out: &mut [f32]) {
+    with_scratch(&PANEL_SCRATCH, k * NR, |panel| {
+        pack_panel(panel, b, n, 0, n);
+        gemm_narrow_panel::<ADD>(k, n, a, panel, out);
+    });
+}
+
+/// `out = A · B` (`out += A · B` when `ADD`) for a narrow output
+/// (`n <` [`NR`]) from `B` laid out as one `[k, NR]` panel whose lanes
+/// `n..NR` are zero: a single fused strip stored `n` columns wide.
 ///
 /// Narrow outputs — classifier heads, thin dense layers —
 /// would neither tile nor vectorize in an `n`-wide loop. The padding lanes
 /// are dead (zeros in, never stored); each real element accumulates in the
 /// tiled kernel's ascending-`p` FMA order, so this is a large-path kernel
 /// like any other.
-fn gemm_narrow_panel(k: usize, n: usize, a: &[f32], panel: &[f32], out: &mut [f32]) {
+fn gemm_narrow_panel<const ADD: bool>(
+    k: usize,
+    n: usize,
+    a: &[f32],
+    panel: &[f32],
+    out: &mut [f32],
+) {
     debug_assert!(n < NR && n > 0);
-    let strip = Dense {
+    let strip = Dense::<ADD> {
         b: panel,
         ld: NR,
         c0: 0,
@@ -280,7 +293,7 @@ fn gemm_rows_small(rows: Range<usize>, k: usize, n: usize, a: &[f32], b: &[f32],
 }
 
 /// Register-tiled kernel for output rows `rows` of an output at least
-/// [`NR`] wide.
+/// [`NR`] wide, overwriting them (adding to them when `ADD`).
 ///
 /// The loop nest is strip-major: each `NR`-column strip of `B` is swept by
 /// every row group ([`sweep`]). For deep reductions (`k ≥` [`KPACK`]) a
@@ -289,7 +302,14 @@ fn gemm_rows_small(rows: Range<usize>, k: usize, n: usize, a: &[f32], b: &[f32],
 /// tiny `c·kh·kw`) the pack would cost as much as the tile compute, so `B`
 /// is read in place. The `n % NR` trailing columns are always packed, into
 /// a zero-padded panel, and swept as the edge strip.
-fn gemm_rows_tiled(rows: Range<usize>, k: usize, n: usize, a: &[f32], b: &[f32], out: &mut [f32]) {
+fn gemm_rows_tiled<const ADD: bool>(
+    rows: Range<usize>,
+    k: usize,
+    n: usize,
+    a: &[f32],
+    b: &[f32],
+    out: &mut [f32],
+) {
     let pack = k >= KPACK;
     let tail = n % NR;
     let scratch = if pack || tail > 0 { k * NR } else { 0 };
@@ -297,7 +317,7 @@ fn gemm_rows_tiled(rows: Range<usize>, k: usize, n: usize, a: &[f32], b: &[f32],
         for j0 in (0..n - tail).step_by(NR) {
             let strip = if pack {
                 pack_panel(panel, b, n, j0, NR);
-                Dense {
+                Dense::<ADD> {
                     b: panel,
                     ld: NR,
                     c0: 0,
@@ -305,7 +325,7 @@ fn gemm_rows_tiled(rows: Range<usize>, k: usize, n: usize, a: &[f32], b: &[f32],
                     width: NR,
                 }
             } else {
-                Dense {
+                Dense::<ADD> {
                     b,
                     ld: n,
                     c0: j0,
@@ -318,7 +338,7 @@ fn gemm_rows_tiled(rows: Range<usize>, k: usize, n: usize, a: &[f32], b: &[f32],
         if tail > 0 {
             let j0 = n - tail;
             pack_panel(panel, b, n, j0, tail);
-            let strip = Dense {
+            let strip = Dense::<ADD> {
                 b: panel,
                 ld: NR,
                 c0: 0,
@@ -360,9 +380,11 @@ trait Strip<'a>: Copy {
 
 /// A strip of a laid-out `B`: row `p` is `b[p·ld + c0..][..NR]`, and its
 /// first `width` lanes are the output columns `j0..j0 + width` (the rest
-/// are padding, never stored).
+/// are padding, never stored). With `ADD` each finished lane is added to
+/// its output element — one add of the whole dot product, so the result
+/// is bit for bit the overwriting product followed by `out += product`.
 #[derive(Clone, Copy)]
-struct Dense<'a> {
+struct Dense<'a, const ADD: bool> {
     b: &'a [f32],
     ld: usize,
     c0: usize,
@@ -370,18 +392,28 @@ struct Dense<'a> {
     width: usize,
 }
 
-impl<'a> Strip<'a> for Dense<'a> {
+impl<'a, const ADD: bool> Strip<'a> for Dense<'a, ADD> {
     fn rows(self, k: usize) -> impl Iterator<Item = &'a [f32; NR]> {
         let rows = self.b.chunks_exact(self.ld).take(k);
         rows.map(move |brow| brow[self.c0..].first_chunk().expect("strip width"))
     }
 
+    /// An adding strip is never whole: adding to the output in the tile
+    /// itself pins its accumulators to the stack (see [`tile`]), so its
+    /// lanes are added by [`Strip::store`] behind the call boundary.
     fn whole(self) -> Option<usize> {
-        (self.width == NR).then_some(self.j0)
+        (self.width == NR && !ADD).then_some(self.j0)
     }
 
     fn store(self, orow: &mut [f32], _: usize, acc: &[f32; NR]) {
-        orow[self.j0..self.j0 + self.width].copy_from_slice(&acc[..self.width]);
+        let (dst, acc) = (&mut orow[self.j0..self.j0 + self.width], &acc[..self.width]);
+        if ADD {
+            for (o, &v) in dst.iter_mut().zip(acc) {
+                *o += v;
+            }
+        } else {
+            dst.copy_from_slice(acc);
+        }
     }
 }
 
@@ -472,7 +504,8 @@ fn sweep<'a, const FUSED: bool>(
 /// rows, and stores it.
 ///
 /// A whole fused strip accumulates and stores in place. Any other — a
-/// narrow output, the edge strip, an offset strip's runs — accumulates
+/// narrow output, the edge strip, an offset strip's runs, a strip that
+/// adds to the output — accumulates
 /// behind a call boundary ([`accumulate_outlined`]): LLVM keeps a tile's
 /// accumulators in vector registers only while every access to them has
 /// a constant width, and a `width`-long store would otherwise pin them to
@@ -892,6 +925,25 @@ fn taps_run<const R: usize, const L: usize, const FUSED: bool, const UNIT: bool>
 ///
 /// Panics if a slice length disagrees with its dimensions.
 pub fn gemm_at_b(k: usize, m: usize, n: usize, a: &[f32], b: &[f32], out: &mut [f32]) {
+    at_b::<false>(k, m, n, a, b, out);
+}
+
+/// `out += Aᵀ · B` with `A: [k, m]`, `B: [k, n]`, `out: [m, n]`: each
+/// element's dot product is finished — on [`gemm_at_b`]'s path, in its
+/// rounding — and then added to the element once. Bit for bit
+/// `gemm_at_b` into a staging matrix followed by `out[j] += staged[j]`
+/// (an `axpy` with α = 1, since `1·x == x`), without the staging matrix:
+/// the form a layer uses to accumulate a weight gradient.
+///
+/// # Panics
+///
+/// Panics if a slice length disagrees with its dimensions.
+pub fn gemm_at_b_add(k: usize, m: usize, n: usize, a: &[f32], b: &[f32], out: &mut [f32]) {
+    at_b::<true>(k, m, n, a, b, out);
+}
+
+/// [`gemm_at_b`] (`ADD = false`) and [`gemm_at_b_add`].
+fn at_b<const ADD: bool>(k: usize, m: usize, n: usize, a: &[f32], b: &[f32], out: &mut [f32]) {
     assert_eq!(a.len(), k * m, "gemm_at_b: A length");
     assert_eq!(b.len(), k * n, "gemm_at_b: B length");
     assert_eq!(out.len(), m * n, "gemm_at_b: out length");
@@ -899,13 +951,15 @@ pub fn gemm_at_b(k: usize, m: usize, n: usize, a: &[f32], b: &[f32], out: &mut [
         return;
     }
     if k == 0 {
-        out.fill(0.0);
+        // The empty sum is +0.0, and adding it still turns a -0.0 into +0.0.
+        for o in out.iter_mut() {
+            *o = if ADD { *o + 0.0 } else { 0.0 };
+        }
         return;
     }
     let work = flops(m, k, n);
     if work < SMALL_FLOPS {
-        out.fill(0.0);
-        at_b_rows_small(0..m, k, m, n, a, b, out);
+        at_b_rows_small::<ADD>(m, n, a, b, out);
     } else {
         // Transpose A into row-major scratch once (m·k moves, noise next
         // to the m·k·n reduction, and it keeps the hot loop free of
@@ -918,33 +972,36 @@ pub fn gemm_at_b(k: usize, m: usize, n: usize, a: &[f32], b: &[f32], out: &mut [
                 }
             }
             if n < NR {
-                gemm(m, k, n, packed, b, out);
+                gemm_narrow::<ADD>(k, n, packed, b, out);
             } else {
-                gemm_rows_tiled(0..m, k, n, packed, b, out);
+                gemm_rows_tiled::<ADD>(0..m, k, n, packed, b, out);
             }
         });
     }
 }
 
-/// Reference-order accumulation for `Aᵀ·B` restricted to output rows
-/// `rows`. For one output row the reference (`p` outer) and this (`i`
-/// outer, `p` inner) visit `p` in the same ascending order per element, so
-/// results are bitwise identical to the oracle.
-fn at_b_rows_small(
-    rows: Range<usize>,
-    k: usize,
-    m: usize,
-    n: usize,
-    a: &[f32],
-    b: &[f32],
-    out: &mut [f32],
-) {
-    for (orow, i) in out.chunks_exact_mut(n).zip(rows) {
-        for p in 0..k {
-            let api = a[p * m + i];
-            let brow = &b[p * n..(p + 1) * n];
-            for (o, &bpn) in orow.iter_mut().zip(brow.iter()) {
-                *o += api * bpn;
+/// Output columns the small `Aᵀ·B` path sums at once, in a stack row
+/// (1 KiB). Narrower chunks measured up to twice as slow on a 10×128
+/// output (per-chunk overhead at `k = 2`).
+const SMALL_ROW: usize = 256;
+
+/// Reference-order accumulation for `Aᵀ·B`: every element is a multiply,
+/// then an add, from +0.0 in ascending `p` — the oracle's order — and is
+/// then written (added when `ADD`). An output row is swept
+/// [`SMALL_ROW`] columns at a time into stack accumulators, so the
+/// finished sums need no staging buffer.
+fn at_b_rows_small<const ADD: bool>(m: usize, n: usize, a: &[f32], b: &[f32], out: &mut [f32]) {
+    for (i, orow) in out.chunks_exact_mut(n).enumerate() {
+        for (c, ochunk) in orow.chunks_mut(SMALL_ROW).enumerate() {
+            let (j0, w) = (c * SMALL_ROW, ochunk.len());
+            let mut acc = [0.0f32; SMALL_ROW];
+            for (&api, brow) in a[i..].iter().step_by(m).zip(b.chunks_exact(n)) {
+                for (s, &bpn) in acc[..w].iter_mut().zip(&brow[j0..j0 + w]) {
+                    *s += api * bpn;
+                }
+            }
+            for (o, &v) in ochunk.iter_mut().zip(&acc) {
+                *o = if ADD { *o + v } else { v };
             }
         }
     }
@@ -987,7 +1044,7 @@ pub fn gemm_a_bt(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], out: &mut [
         0 => a_bt_rows_small(0..m, k, n, a, b, out),
         fused if fused < NR => with_scratch(&BT_SCRATCH, k * NR, |panel| {
             transpose_into(panel, b, n, k, NR);
-            gemm_narrow_panel(k, n, a, panel, out);
+            gemm_narrow_panel::<false>(k, n, a, panel, out);
         }),
         _ => with_scratch(&BT_SCRATCH, k * n, |bt| {
             transpose_into(bt, b, n, k, n);

@@ -5,7 +5,8 @@
 //! identity pins across the workspace (TCP ≡ loopback, runtime ≡ seed,
 //! frozen digests) depend on exactly that, so this suite writes the
 //! contract down as a scalar oracle and demands equal bit patterns from
-//! `gemm`, `gemm_at_b` and `gemm_a_bt`:
+//! `gemm`, `gemm_at_b` (and its accumulating form `gemm_at_b_add`, whose
+//! finished chains are added to the output once) and `gemm_a_bt`:
 //!
 //! * below [`SMALL_FLOPS`] every element is a multiply, then an add
 //!   (`acc + x·v`), from +0.0 in ascending `p`;
@@ -100,6 +101,15 @@ fn check((m, k, n): (usize, usize, usize), seed: u64) {
     engine::gemm_at_b(k, m, n, &at, &b, &mut got);
     let want = oracle((m, k, n), |i, p| at[p * m + i], |p, j| b[p * n + j]);
     assert_eq!(bits(&got), bits(&want), "gemm_at_b: {what}");
+
+    // Added into a gradient already holding values (a -0.0 among them):
+    // each finished chain is added once, as a staged product and an
+    // `axpy` with α = 1 would.
+    let mut acc = values(m * n, seed + 4);
+    acc[0] = -0.0;
+    let want: Vec<f32> = acc.iter().zip(&want).map(|(&g, &d)| g + 1.0 * d).collect();
+    engine::gemm_at_b_add(k, m, n, &at, &b, &mut acc);
+    assert_eq!(bits(&acc), bits(&want), "gemm_at_b_add: {what}");
 
     // And with B stored transposed, [n, k].
     let bt = values(n * k, seed + 3);

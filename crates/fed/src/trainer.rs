@@ -195,7 +195,7 @@ impl TrainLane {
 
     /// One local run from `global` on `data`. The trained state stays in
     /// the lane's network until [`TrainLane::state_into`] exports it.
-    pub(crate) fn run(
+    pub fn run(
         &mut self,
         factory: &ModelFactory,
         global: &[f32],
@@ -203,8 +203,36 @@ impl TrainLane {
         cfg: &TrainConfig,
         seed: u64,
     ) {
+        self.run_from(factory, |net| net.set_state_vector(global), data, cfg, seed);
+    }
+
+    /// [`TrainLane::run`] from `global` given as its little-endian bytes
+    /// (a frame's float run), installed without decoding it into a vector
+    /// first ([`Network::set_state_le`]); bit for bit the same run.
+    /// [`TrainLane::append_state_le`] exports the result as bytes.
+    pub fn run_le(
+        &mut self,
+        factory: &ModelFactory,
+        global: &[u8],
+        data: &Dataset,
+        cfg: &TrainConfig,
+        seed: u64,
+    ) {
+        self.run_from(factory, |net| net.set_state_le(global), data, cfg, seed);
+    }
+
+    /// A local run on `data` from the state `install` puts into the
+    /// lane's network.
+    fn run_from(
+        &mut self,
+        factory: &ModelFactory,
+        install: impl FnOnce(&mut Network),
+        data: &Dataset,
+        cfg: &TrainConfig,
+        seed: u64,
+    ) {
         let (net, ws, sgd) = self.fit(factory);
-        net.set_state_vector(global);
+        install(net);
         train_local_hot(net, data, cfg, &CrossEntropy, seed, ws, sgd);
     }
 
@@ -217,6 +245,21 @@ impl TrainLane {
     pub fn state_into(&self, out: &mut Vec<f32>) {
         let (_, net) = self.model.as_ref().expect("state_into on an unused lane");
         net.state_vector_into(out);
+    }
+
+    /// Appends the state of the lane's network to `out` as little-endian
+    /// bytes ([`Network::append_state_le`]) — [`TrainLane::state_into`]
+    /// encoded, without the vector.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the lane has not run yet.
+    pub fn append_state_le(&self, out: &mut Vec<u8>) {
+        let (_, net) = self
+            .model
+            .as_ref()
+            .expect("append_state_le on an unused lane");
+        net.append_state_le(out);
     }
 
     /// One local run from `global` on `data`, the trained state written
@@ -232,20 +275,6 @@ impl TrainLane {
     ) {
         self.run(factory, global, data, cfg, seed);
         self.state_into(out);
-    }
-
-    /// [`TrainLane::train`] with the result written over the input — the
-    /// worker-side form, whose reply reuses the assignment's own buffer.
-    pub fn train_in_place(
-        &mut self,
-        factory: &ModelFactory,
-        state: &mut Vec<f32>,
-        data: &Dataset,
-        cfg: &TrainConfig,
-        seed: u64,
-    ) {
-        self.run(factory, state, data, cfg, seed);
-        self.state_into(state);
     }
 
     /// The state-vector length of `factory`'s model, read off the lane's
@@ -341,7 +370,7 @@ mod tests {
     use super::*;
     use goldfish_data::synthetic::{self, SyntheticSpec};
     use goldfish_nn::zoo;
-    use goldfish_tensor::Tensor;
+    use goldfish_tensor::{serialize, Tensor};
 
     fn tiny_data() -> (Dataset, Dataset) {
         let spec = SyntheticSpec::mnist().with_size(8, 8).with_shift(1);
@@ -458,9 +487,15 @@ mod tests {
 
             lane.train(factory, &global, data, &cfg, seed, &mut out);
             assert_eq!(out, oracle.state_vector(), "step {step}");
-            let mut in_place = global.clone();
-            lane.train_in_place(factory, &mut in_place, data, &cfg, seed);
-            assert_eq!(in_place, out, "step {step}");
+            // The same run from and to little-endian bytes.
+            let mut bytes = Vec::new();
+            serialize::f32s_write_le(&mut bytes, &global);
+            lane.run_le(factory, &bytes, data, &cfg, seed);
+            bytes.clear();
+            lane.append_state_le(&mut bytes);
+            let mut from_bytes = vec![0.0; out.len()];
+            serialize::f32s_read_le(&bytes, &mut from_bytes);
+            assert_eq!(from_bytes, out, "step {step}");
 
             let (accuracy, mse) = lane.eval(factory, &out, data);
             assert_eq!(accuracy, eval::accuracy(&mut oracle, data));

@@ -1,6 +1,6 @@
 //! The [`Network`] wrapper: a model plus flattened-state-vector plumbing.
 
-use goldfish_tensor::Tensor;
+use goldfish_tensor::{serialize, Tensor};
 
 use crate::layer::{Layer, Param};
 use crate::sequential::Sequential;
@@ -123,6 +123,41 @@ impl Network {
         });
     }
 
+    /// Appends the state vector to `out` as little-endian bytes
+    /// ([`goldfish_tensor::serialize::f32s_write_le`]), parameter by
+    /// parameter — the bytes of [`Network::state_vector`] encoded, without
+    /// the vector: a worker writes its upload straight into the reply frame.
+    pub fn append_state_le(&self, out: &mut Vec<u8>) {
+        out.reserve(4 * self.state_len());
+        self.body
+            .visit_params(&mut |p| serialize::f32s_write_le(out, p.value.as_slice()));
+    }
+
+    /// Restores all parameters from a state vector given as its
+    /// little-endian bytes — [`Network::set_state_vector`] of the decoded
+    /// floats, each parameter decoding its own run straight from `bytes`:
+    /// a worker installs an assignment's global from the frame it arrived
+    /// in.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `bytes.len() != 4 * self.state_len()`.
+    pub fn set_state_le(&mut self, bytes: &[u8]) {
+        let expected = self.state_len();
+        assert_eq!(
+            bytes.len(),
+            4 * expected,
+            "state bytes {} != 4 × model state length {expected}",
+            bytes.len()
+        );
+        let mut rest = bytes;
+        self.body.visit_params_mut(&mut |p| {
+            let (run, tail) = rest.split_at(4 * p.value.len());
+            serialize::f32s_read_le(run, p.value.as_mut_slice());
+            rest = tail;
+        });
+    }
+
     /// Flattens all parameter *gradients* into one vector (same layout as
     /// [`Network::state_vector`]). Frozen parameters contribute zeros.
     pub fn grad_vector(&self) -> Vec<f32> {
@@ -177,6 +212,27 @@ mod tests {
             a.forward_ws(&x, false).as_slice(),
             b.forward_ws(&x, false).as_slice()
         );
+    }
+
+    #[test]
+    fn state_bytes_are_the_state_vector_encoded() {
+        let net = tiny_net(0);
+        let s = net.state_vector();
+        let mut bytes = vec![0xAB];
+        net.append_state_le(&mut bytes);
+        let mut want = vec![0xAB];
+        serialize::f32s_write_le(&mut want, &s);
+        assert_eq!(bytes, want);
+        let mut net2 = tiny_net(99);
+        net2.set_state_le(&bytes[1..]);
+        assert_eq!(net2.state_vector(), s);
+    }
+
+    #[test]
+    #[should_panic(expected = "state bytes")]
+    fn set_state_le_rejects_wrong_length() {
+        let mut net = tiny_net(0);
+        net.set_state_le(&[0; 12]);
     }
 
     #[test]

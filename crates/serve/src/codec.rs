@@ -75,6 +75,13 @@ impl<'a> Reader<'a> {
         self.take(used)?;
         Some(out)
     }
+
+    /// The same vector's float bytes, borrowed undecoded.
+    pub(crate) fn f32_bytes(&mut self) -> Option<&'a [u8]> {
+        let floats = serialize::params_float_bytes(self.b).ok()?;
+        self.take(8 + floats.len())?;
+        Some(floats)
+    }
 }
 
 /// Appends a `u32 count + u64 rows` list — removed sample indices, shard

@@ -11,24 +11,27 @@
 //! arrive:
 //!
 //! ```text
-//! Read ──frame──► WorkerRuntime::handle ──reply──► Write ──flushed──► Read
+//! Read ──frame──► WorkerRuntime::answer ──reply──► Write ──flushed──► Read
 //!   │                                                │
 //!   └── Shutdown / EOF → retire            fatal Err → flush, retire
 //! ```
 //!
-//! The compute inside `handle` is the library's own `TrainLane` run /
-//! `ClientDistiller::round` — the same functions a real worker daemon
-//! runs — so a fleet-hosted federation stays bitwise identical to a
-//! daemon-per-worker one; only the socket plumbing is shared.
+//! `answer` is the one worker answer path, the one a worker daemon's
+//! [`crate::worker::serve_stream`] runs too, and its compute is the
+//! library's own `TrainLane` run / `ClientDistiller::round`, so a
+//! fleet-hosted federation stays bitwise identical to a daemon-per-worker
+//! one; only the socket plumbing is shared.
 //!
 //! What the host keeps resident follows what its one thread is doing,
 //! not how many workers it hosts: **one** [`TrainLane`] lent to
 //! whichever runtime is answering (a lane carries capacity, never
 //! state; its network, built once for workers that share a factory, also
 //! answers every handshake's model size), and frame buffers leased from
-//! one `FramePool` — a read buffer from a frame's first byte until
-//! `decode_msg` has produced the owned `Msg`, a write buffer from encode
-//! until the reply is flushed. A connection between frames holds a
+//! one `FramePool` — a read buffer from a frame's first byte until the
+//! reply is written, a write buffer from then until the reply is flushed.
+//! A training assignment's floats go from the read buffer into the lane's
+//! network and from the network into the write buffer, so no state
+//! vector is held beside them. A connection between frames holds a
 //! socket and two cursors.
 
 use std::net::TcpStream;
@@ -38,10 +41,8 @@ use goldfish_fed::trainer::TrainLane;
 use polling::{Event, Events, Poller};
 
 use crate::nio::{FramePool, FrameReadState, FrameWriteState};
-use crate::wire::{
-    decode_msg, encode_frame_into, read_frame, write_frame, FrameLimits, Msg, WireError,
-};
-use crate::worker::{check_capabilities, WorkerRuntime};
+use crate::wire::{read_frame, write_frame, FrameLimits, WireError};
+use crate::worker::{check_capabilities, Answer, WorkerRuntime};
 
 /// How a fleet run ended, per connection.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -161,33 +162,29 @@ pub fn run_fleet(
                                 Err(_) => break 'conn Outcome::Retire { clean: false },
                                 Ok(Some((kind, nbytes))) => {
                                     report.bytes_received += nbytes as u64;
-                                    // The owned `Msg` is all `handle`
-                                    // needs: the read lease ends here.
-                                    let decoded = decode_msg(kind, buf);
-                                    if let Some(buf) = rbuf.take() {
-                                        frames.release(buf);
-                                    }
-                                    let Ok(msg) = decoded else {
-                                        break 'conn Outcome::Retire { clean: false };
-                                    };
-                                    if matches!(msg, Msg::Shutdown) {
-                                        break 'conn Outcome::Retire { clean: true };
-                                    }
-                                    if matches!(msg, Msg::Err { .. }) {
-                                        // A coordinator-side eviction
-                                        // notice (e.g. quarantine).
-                                        break 'conn Outcome::Retire { clean: false };
-                                    }
                                     let Some(runtime) = runtimes.get_mut(idx) else {
                                         break 'conn Outcome::Retire { clean: false };
                                     };
-                                    let reply = runtime.handle(msg, &mut lane);
-                                    let fatal = matches!(reply, Msg::Err { .. });
                                     let mut frame = frames.lease();
-                                    if encode_frame_into(&reply, &mut frame, limits).is_err() {
-                                        frames.release(frame);
-                                        break 'conn Outcome::Retire { clean: false };
+                                    let answered =
+                                        runtime.answer(kind, buf, &mut lane, &mut frame, limits);
+                                    // The reply is written: the read lease
+                                    // ends here.
+                                    if let Some(buf) = rbuf.take() {
+                                        frames.release(buf);
                                     }
+                                    let fatal = match answered {
+                                        Ok(Answer::Reply) => false,
+                                        Ok(Answer::Refuse(_)) => true,
+                                        Ok(Answer::Shutdown) => {
+                                            frames.release(frame);
+                                            break 'conn Outcome::Retire { clean: true };
+                                        }
+                                        Err(_) => {
+                                            frames.release(frame);
+                                            break 'conn Outcome::Retire { clean: false };
+                                        }
+                                    };
                                     conn.wr.reset();
                                     conn.phase = Phase::Write { frame, fatal };
                                 }

@@ -598,11 +598,16 @@ pub fn encode_frame_into(
             nonce,
             state,
         } => {
-            out.put_u64_le(*round);
-            out.put_u64_le(*client_id);
-            out.put_u64_le(*weight);
-            out.put_u64_le(*nonce);
-            put_f32s(out, state);
+            let head = UpdateHeader {
+                round: *round,
+                client_id: *client_id,
+                weight: *weight,
+                nonce: *nonce,
+                distill: matches!(msg, Msg::UnlearnResult { .. }),
+            };
+            put_update_payload(out, &head, state.len(), |out| {
+                serialize::f32s_write_le(out, state)
+            });
         }
         Msg::UnlearnAssign {
             serial,
@@ -645,6 +650,56 @@ pub fn encode_frame_into(
         }
         Msg::Shutdown => {}
     }
+    finish_frame(out, limits)
+}
+
+/// An `Update`/`UnlearnResult` payload: the fixed fields of `head`, the
+/// float count, then the `floats` floats `put_floats` appends.
+///
+/// # Panics
+///
+/// Panics if `put_floats` appends other than `4 · floats` bytes: the
+/// frame would announce a vector it does not carry.
+fn put_update_payload(
+    out: &mut Vec<u8>,
+    head: &UpdateHeader,
+    floats: usize,
+    put_floats: impl FnOnce(&mut Vec<u8>),
+) {
+    out.put_u64_le(head.round);
+    out.put_u64_le(head.client_id);
+    out.put_u64_le(head.weight);
+    out.put_u64_le(head.nonce);
+    out.put_u64_le(floats as u64);
+    let start = out.len();
+    put_floats(out);
+    assert_eq!(out.len() - start, 4 * floats, "update floats");
+}
+
+/// Encodes an `Update` (an `UnlearnResult` when `head.distill`) frame
+/// from borrowed fields, its `floats` floats appended straight into `out`
+/// by `put_floats` — a worker writes its network's state there
+/// ([`goldfish_fed::trainer::TrainLane::append_state_le`]) without an
+/// intermediate vector. Byte-for-byte identical to
+/// `encode_frame(&Msg::Update { .. })` of the same floats.
+///
+/// # Errors
+///
+/// [`WireError::FrameTooLarge`] when the payload exceeds `limits`.
+pub(crate) fn encode_update_into(
+    out: &mut Vec<u8>,
+    head: &UpdateHeader,
+    floats: usize,
+    put_floats: impl FnOnce(&mut Vec<u8>),
+    limits: &FrameLimits,
+) -> Result<usize, WireError> {
+    let kind = if head.distill {
+        kind::UNLEARN_RESULT
+    } else {
+        kind::UPDATE
+    };
+    begin_frame(out, kind);
+    put_update_payload(out, head, floats, put_floats);
     finish_frame(out, limits)
 }
 
@@ -772,8 +827,11 @@ fn string(r: &mut Reader<'_>) -> Result<String, WireError> {
 
 /// The trailing `f32` vector (the bulk-codec segment).
 fn f32s(r: &mut Reader<'_>) -> Result<Vec<f32>, WireError> {
-    r.f32s()
-        .ok_or_else(|| WireError::Malformed("f32 vector longer than its payload".into()))
+    r.f32s().ok_or_else(f32s_overrun)
+}
+
+fn f32s_overrun() -> WireError {
+    WireError::Malformed("f32 vector longer than its payload".into())
 }
 
 fn read_train_config(r: &mut Reader<'_>) -> Result<TrainConfig, WireError> {
@@ -839,6 +897,63 @@ fn read_job(r: &mut Reader<'_>) -> Result<UnlearnJob, WireError> {
             grad_clip,
         },
         hard: Some(hard),
+    })
+}
+
+/// A `RoundAssign` payload read in place: the fixed fields decoded, the
+/// global state left as the payload's little-endian float bytes — what a
+/// worker installs straight into its network
+/// ([`goldfish_fed::trainer::TrainLane::run_le`]). [`decode_msg`] reads
+/// every `RoundAssign` through it, so the layout and its checks are
+/// written once.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct RoundAssignRef<'a> {
+    pub(crate) mode: RoundMode,
+    pub(crate) round: u64,
+    pub(crate) seed: u64,
+    pub(crate) nonce: u64,
+    pub(crate) cfg: TrainConfig,
+    /// The global state's floats, `4` bytes each, all inside the payload.
+    pub(crate) global: &'a [u8],
+}
+
+impl RoundAssignRef<'_> {
+    /// The owned message, its floats decoded.
+    pub(crate) fn to_msg(self) -> Msg {
+        let mut global = vec![0.0; self.global.len() / 4];
+        serialize::f32s_read_le(self.global, &mut global);
+        Msg::RoundAssign {
+            mode: self.mode,
+            round: self.round,
+            seed: self.seed,
+            nonce: self.nonce,
+            cfg: self.cfg,
+            global,
+        }
+    }
+}
+
+/// Reads a `RoundAssign` payload without decoding its floats.
+///
+/// # Errors
+///
+/// What [`decode_msg`] reports for the payload: [`WireError::Truncated`]
+/// short of a fixed field, [`WireError::Malformed`] for a bad mode tag, a
+/// zero batch size or a float count the payload cannot hold.
+pub(crate) fn read_round_assign(payload: &[u8]) -> Result<RoundAssignRef<'_>, WireError> {
+    let mut r = Reader { b: payload };
+    let mode = match r.u8().ok_or(WireError::Truncated)? {
+        0 => RoundMode::Train,
+        1 => RoundMode::Distill,
+        t => return Err(WireError::Malformed(format!("bad round mode {t}"))),
+    };
+    Ok(RoundAssignRef {
+        mode,
+        round: r.u64().ok_or(WireError::Truncated)?,
+        seed: r.u64().ok_or(WireError::Truncated)?,
+        nonce: r.u64().ok_or(WireError::Truncated)?,
+        cfg: read_train_config(&mut r)?,
+        global: r.f32_bytes().ok_or_else(f32s_overrun)?,
     })
 }
 
@@ -1034,25 +1149,7 @@ pub(crate) fn decode_msg(k: u8, payload: &[u8]) -> Result<Msg, WireError> {
             agg_mode: r.u8().ok_or(WireError::Truncated)?,
             agg_param: r.u64().ok_or(WireError::Truncated)?,
         }),
-        kind::ROUND_ASSIGN => {
-            let mode = match r.u8().ok_or(WireError::Truncated)? {
-                0 => RoundMode::Train,
-                1 => RoundMode::Distill,
-                t => return Err(WireError::Malformed(format!("bad round mode {t}"))),
-            };
-            let round = r.u64().ok_or(WireError::Truncated)?;
-            let seed = r.u64().ok_or(WireError::Truncated)?;
-            let nonce = r.u64().ok_or(WireError::Truncated)?;
-            let cfg = read_train_config(&mut r)?;
-            Ok(Msg::RoundAssign {
-                mode,
-                round,
-                seed,
-                nonce,
-                cfg,
-                global: f32s(&mut r)?,
-            })
-        }
+        kind::ROUND_ASSIGN => Ok(read_round_assign(payload)?.to_msg()),
         kind::UPDATE | kind::UNLEARN_RESULT => {
             let round = r.u64().ok_or(WireError::Truncated)?;
             let client_id = r.u64().ok_or(WireError::Truncated)?;
@@ -1460,6 +1557,48 @@ mod tests {
                 &limits,
             )
             .unwrap();
+            assert_eq!(buf, via_msg);
+            assert_eq!(n, via_msg.len());
+            // Read back in place: the fixed fields, and the float run the
+            // encoder wrote.
+            let assign = read_round_assign(&buf[HEADER_LEN..]).unwrap();
+            assert_eq!(
+                (assign.mode, assign.round, assign.seed),
+                (mode, round, seed)
+            );
+            assert_eq!((assign.nonce, assign.cfg), (nonce, cfg));
+            assert_eq!(assign.global, &buf[HEADER_LEN + 57..]);
+        }
+
+        for distill in [false, true] {
+            let head = UpdateHeader {
+                round: 4,
+                client_id: 17,
+                weight: 40,
+                nonce: 0xBEEF,
+                distill,
+            };
+            let put = |out: &mut Vec<u8>| serialize::f32s_write_le(out, &global);
+            let n = encode_update_into(&mut buf, &head, global.len(), put, &limits).unwrap();
+            let (round, client_id, weight, nonce, state) = (4, 17, 40, 0xBEEF, global.clone());
+            let msg = if distill {
+                Msg::UnlearnResult {
+                    round,
+                    client_id,
+                    weight,
+                    nonce,
+                    state,
+                }
+            } else {
+                Msg::Update {
+                    round,
+                    client_id,
+                    weight,
+                    nonce,
+                    state,
+                }
+            };
+            let via_msg = encode_frame(&msg, &limits).unwrap();
             assert_eq!(buf, via_msg);
             assert_eq!(n, via_msg.len());
         }

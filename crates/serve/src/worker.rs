@@ -19,10 +19,19 @@
 //! a TCP federation bitwise identical to a loopback one. The lane belongs
 //! to whoever hosts the runtime (one per connection in [`serve_stream`],
 //! one per thread in [`crate::fleet::run_fleet`]) and is lent to
-//! [`WorkerRuntime::handle`] per message: it carries capacity, never
+//! [`WorkerRuntime::answer`] per frame: it carries capacity, never
 //! state, so a lane that just served another worker changes no bit. The
 //! lane's network also tells the handshake the model's size
 //! ([`WorkerRuntime::hello`]): a runtime builds no network of its own.
+//!
+//! Both hosts answer every frame through [`WorkerRuntime::answer`]. A
+//! training assignment — every round of a federation, 407 KB each way on
+//! the benchmark's MLP — is answered from the frame's bytes: its floats
+//! go straight into the lane's network and the `Update`'s floats
+//! straight from the network into the reply frame. Every other frame is
+//! decoded into a [`Msg`] and answered by [`WorkerRuntime::handle`], whose
+//! training arm shares the byte path's round ([`WorkerRuntime::answer`]
+//! is pinned byte for byte against it).
 
 use std::net::TcpStream;
 use std::sync::Arc;
@@ -32,14 +41,14 @@ use goldfish_core::transport::{ClientDistiller, DistillJob};
 use goldfish_core::ClientSplit;
 use goldfish_data::Dataset;
 use goldfish_fed::aggregate::AggregationMode;
-use goldfish_fed::trainer::TrainLane;
+use goldfish_fed::trainer::{TrainConfig, TrainLane};
 use goldfish_fed::transport::client_seed;
 use goldfish_fed::ModelFactory;
 
 use crate::digest::DIGEST_LEN;
 use crate::wire::{
     self, decode_msg, encode_frame_into, err_code, read_frame, read_raw_frame, write_frame,
-    FrameLimits, Msg, RoundMode, WireError,
+    FrameLimits, Msg, RoundMode, UpdateHeader, WireError,
 };
 
 /// A worker's unlearning request: the shared job, the client's
@@ -142,8 +151,9 @@ impl WorkerRuntime {
         }
     }
 
-    /// Handles one coordinator message and returns the reply to send,
-    /// training and evaluating on the host's `lane`. Protocol violations
+    /// Handles one decoded coordinator message and returns the reply to
+    /// send, training and evaluating on the host's `lane` — the typed form
+    /// of [`WorkerRuntime::answer`], which hosts call. Protocol violations
     /// produce a [`Msg::Err`] reply (the caller should close the
     /// connection after sending one).
     pub fn handle(&mut self, msg: Msg, lane: &mut TrainLane) -> Msg {
@@ -157,28 +167,21 @@ impl WorkerRuntime {
                 nonce,
                 cfg,
                 global,
-            } => {
-                // A plain training round ends any unlearning request.
-                self.unlearning = None;
-                if global.len() != state_len {
-                    return bad_state_len(global.len(), state_len);
+            } => match self.train(lane, round, seed, nonce, &cfg, Global::Floats(&global)) {
+                Ok(head) => {
+                    // The assignment's buffer becomes the reply's.
+                    let mut state = global;
+                    lane.state_into(&mut state);
+                    Msg::Update {
+                        round: head.round,
+                        client_id: head.client_id,
+                        weight: head.weight,
+                        nonce: head.nonce,
+                        state,
+                    }
                 }
-                let s = client_seed(seed, self.client_id, round as usize);
-                // The assignment's buffer becomes the reply's.
-                let mut state = global;
-                lane.train_in_place(&self.factory, &mut state, &self.data, &cfg, s);
-                self.last_round = Some(round);
-                Msg::Update {
-                    round,
-                    client_id: self.client_id as u64,
-                    weight: self.data.len() as u64,
-                    // The echoed nonce: the coordinator's admission
-                    // layer matches it against the assignment to reject
-                    // stale/replayed frames.
-                    nonce,
-                    state,
-                }
-            }
+                Err((got, want)) => bad_state_len(got, want),
+            },
             Msg::UnlearnAssign {
                 serial,
                 job,
@@ -309,6 +312,138 @@ impl WorkerRuntime {
             },
         }
     }
+
+    /// Answers one coordinator frame — its `kind` and `payload` — on the
+    /// host's `lane`, writing the reply frame into `reply` (cleared first,
+    /// capacity reused). Both hosts, [`serve_stream`] and
+    /// [`crate::fleet::run_fleet`], answer through it.
+    ///
+    /// A training `RoundAssign` is answered from the frame's bytes: its
+    /// fixed fields are read in place, its floats go straight into the
+    /// lane's network, and the `Update`'s floats straight from the network
+    /// into `reply` — no state vector in between, so once the lane and
+    /// `reply` are warm the answer allocates nothing. Any other frame is
+    /// decoded and answered by [`WorkerRuntime::handle`]; the reply bytes
+    /// are the same either way.
+    ///
+    /// # Errors
+    ///
+    /// A payload that does not decode, the coordinator's own `Err` frame
+    /// (as [`WireError::Malformed`]), or a reply too large for `limits`;
+    /// the host closes the connection without replying.
+    pub fn answer(
+        &mut self,
+        kind: u8,
+        payload: &[u8],
+        lane: &mut TrainLane,
+        reply: &mut Vec<u8>,
+        limits: &FrameLimits,
+    ) -> Result<Answer, WireError> {
+        let msg = if kind == wire::kind::ROUND_ASSIGN {
+            let assign = wire::read_round_assign(payload)?;
+            if assign.mode == RoundMode::Train {
+                self.frames_handled += 1;
+                let global = Global::Bytes(assign.global);
+                let (round, seed, nonce) = (assign.round, assign.seed, assign.nonce);
+                return match self.train(lane, round, seed, nonce, &assign.cfg, global) {
+                    Ok(head) => {
+                        let floats = assign.global.len() / 4;
+                        let put = |out: &mut Vec<u8>| lane.append_state_le(out);
+                        wire::encode_update_into(reply, &head, floats, put, limits)?;
+                        Ok(Answer::Reply)
+                    }
+                    Err((got, want)) => encode_answer(&bad_state_len(got, want), reply, limits),
+                };
+            }
+            assign.to_msg()
+        } else {
+            decode_msg(kind, payload)?
+        };
+        match msg {
+            Msg::Shutdown => Ok(Answer::Shutdown),
+            // The coordinator's eviction notice (e.g. quarantine).
+            Msg::Err { code, detail } => Err(WireError::Malformed(format!(
+                "coordinator error (code {code}): {detail}"
+            ))),
+            msg => encode_answer(&self.handle(msg, lane), reply, limits),
+        }
+    }
+
+    /// A training round from `global`, shared by both answer paths: ends
+    /// any unlearning request, checks the state length, trains on the
+    /// lane from the client's derived seed and records the round. Returns
+    /// the `Update`'s fixed fields (the trained state is left on the
+    /// lane), or the assignment's and the model's state lengths when they
+    /// differ.
+    fn train(
+        &mut self,
+        lane: &mut TrainLane,
+        round: u64,
+        seed: u64,
+        nonce: u64,
+        cfg: &TrainConfig,
+        global: Global<'_>,
+    ) -> Result<UpdateHeader, (usize, usize)> {
+        // A plain training round ends any unlearning request.
+        self.unlearning = None;
+        let state_len = self.state_len(lane);
+        let got = match global {
+            Global::Floats(g) => g.len(),
+            Global::Bytes(b) => b.len() / 4,
+        };
+        if got != state_len {
+            return Err((got, state_len));
+        }
+        let s = client_seed(seed, self.client_id, round as usize);
+        match global {
+            Global::Floats(g) => lane.run(&self.factory, g, &self.data, cfg, s),
+            Global::Bytes(b) => lane.run_le(&self.factory, b, &self.data, cfg, s),
+        }
+        self.last_round = Some(round);
+        Ok(UpdateHeader {
+            round,
+            client_id: self.client_id as u64,
+            weight: self.data.len() as u64,
+            // The echoed nonce: the coordinator's admission layer matches
+            // it against the assignment to reject stale/replayed frames.
+            nonce,
+            distill: false,
+        })
+    }
+}
+
+/// What a host does once [`WorkerRuntime::answer`] has written a reply.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Answer {
+    /// Send the reply and read the next frame.
+    Reply,
+    /// Send the reply — a protocol `Err`, described here — then close
+    /// the connection.
+    Refuse(String),
+    /// The coordinator's `Shutdown`: close cleanly, nothing to send.
+    Shutdown,
+}
+
+/// Encodes `msg` as the reply and says what follows it.
+fn encode_answer(
+    msg: &Msg,
+    reply: &mut Vec<u8>,
+    limits: &FrameLimits,
+) -> Result<Answer, WireError> {
+    encode_frame_into(msg, reply, limits)?;
+    Ok(match msg {
+        Msg::Err { .. } => Answer::Refuse(wire::describe_err(msg)),
+        _ => Answer::Reply,
+    })
+}
+
+/// A training assignment's global state as its host holds it.
+#[derive(Clone, Copy)]
+enum Global<'a> {
+    /// Decoded, in a [`Msg::RoundAssign`].
+    Floats(&'a [f32]),
+    /// The frame's little-endian float bytes.
+    Bytes(&'a [u8]),
 }
 
 impl std::fmt::Debug for WorkerRuntime {
@@ -425,26 +560,19 @@ pub fn serve_stream(
         // `Shutdown` first. EOF without it means the coordinator (or
         // the network) died, which must surface as an error so the
         // resilient loop can reconnect instead of exiting 0.
-        let msg = read_raw_frame(&mut stream, &mut rbuf, limits)
-            .and_then(|(kind, _)| decode_msg(kind, &rbuf))?;
-        if matches!(msg, Msg::Shutdown) {
-            return Ok(());
-        }
-        if let Msg::Err { code, detail } = &msg {
-            return Err(WireError::Malformed(format!(
-                "coordinator error (code {code}): {detail}"
-            )));
-        }
-        let reply = runtime.handle(msg, &mut lane);
-        let fatal = matches!(reply, Msg::Err { .. });
-        encode_frame_into(&reply, &mut wbuf, limits)?;
+        let (kind, _) = read_raw_frame(&mut stream, &mut rbuf, limits)?;
+        let refusal = match runtime.answer(kind, &rbuf, &mut lane, &mut wbuf, limits)? {
+            Answer::Shutdown => return Ok(()),
+            Answer::Reply => None,
+            Answer::Refuse(why) => Some(why),
+        };
         {
             use std::io::Write;
             stream.write_all(&wbuf)?;
             stream.flush()?;
         }
-        if fatal {
-            return Err(WireError::Malformed(wire::describe_err(&reply)));
+        if let Some(why) = refusal {
+            return Err(WireError::Malformed(why));
         }
     }
 }
@@ -939,6 +1067,193 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// A training assignment's frame, encoded as the coordinator's
+    /// broadcast encodes it.
+    fn assign_frame(round: u64, seed: u64, cfg: &TrainConfig, global: &[f32]) -> Vec<u8> {
+        let mut frame = Vec::new();
+        let limits = FrameLimits::default();
+        wire::encode_round_assign_into(
+            &mut frame,
+            RoundMode::Train,
+            round,
+            seed,
+            0xC0DE + round,
+            cfg,
+            global,
+            &limits,
+        )
+        .unwrap();
+        frame
+    }
+
+    /// `answer` on a frame is `encode_frame(handle(decode_msg(frame)))`,
+    /// byte for byte: training rounds (answered from the frame's bytes)
+    /// over seeded globals, round seeds and batch sizes — the small and
+    /// the tiled `Dense` paths, a short last batch — and the frames that
+    /// still go through `handle`.
+    #[test]
+    fn byte_answers_equal_typed_answers() {
+        let (_, spec) = runtime();
+        let factory = spec.factory();
+        let limits = FrameLimits::default();
+        let mut bytes = WorkerRuntime::new(1, Arc::clone(&factory), spec.client_shard(1));
+        let mut typed = WorkerRuntime::new(1, Arc::clone(&factory), spec.client_shard(1));
+        let (mut bytes_lane, mut typed_lane) = (TrainLane::new(), TrainLane::new());
+        let mut reply = vec![0xEE; 3];
+        let rounds = [(3, 11, 20), (4, 12, 7), (5, 99, 1), (6, 5, 13), (7, 0, 40)];
+        for (round, (global_seed, seed, batch_size)) in rounds.into_iter().enumerate() {
+            let global = (factory)(global_seed).state_vector();
+            let cfg = TrainConfig {
+                batch_size,
+                ..spec.train_config()
+            };
+            let mut frames = vec![assign_frame(round as u64, seed, &cfg, &global)];
+            let mut eval = Vec::new();
+            wire::encode_eval_request_into(&mut eval, round as u64, &global, &limits).unwrap();
+            frames.push(eval);
+            let digest = Msg::Digest {
+                round: round as u64,
+                digest: [round as u8; DIGEST_LEN],
+            };
+            frames.push(wire::encode_frame(&digest, &limits).unwrap());
+            for frame in frames {
+                let (kind, payload) = (frame[5], &frame[wire::HEADER_LEN..]);
+                let answer = bytes.answer(kind, payload, &mut bytes_lane, &mut reply, &limits);
+                assert_eq!(answer, Ok(Answer::Reply), "round {round} kind {kind}");
+                let want = typed.handle(decode_msg(kind, payload).unwrap(), &mut typed_lane);
+                assert!(!matches!(want, Msg::Err { .. }), "{want:?}");
+                let want = wire::encode_frame(&want, &limits).unwrap();
+                assert!(
+                    reply == want,
+                    "round {round} kind {kind}: reply bytes differ"
+                );
+            }
+            assert_eq!(bytes.last_round(), Some(round as u64));
+            assert_eq!(bytes.frames_handled(), typed.frames_handled());
+        }
+    }
+
+    /// Hostile training assignments end as the typed path ends them: a
+    /// frame that does not decode is the decoder's own error, and one
+    /// that decodes but does not fit this worker is `handle`'s `Err`
+    /// reply, refused.
+    #[test]
+    fn hostile_assignments_end_as_the_typed_path_ends_them() {
+        let (_, spec) = runtime();
+        let limits = FrameLimits::default();
+        for (what, frame) in hostile_assignments(&spec) {
+            let (kind, payload) = (frame[5], &frame[wire::HEADER_LEN..]);
+            let (mut w, _) = runtime();
+            let mut reply = Vec::new();
+            let got = w.answer(kind, payload, &mut TrainLane::new(), &mut reply, &limits);
+            let (mut oracle, _) = runtime();
+            match decode_msg(kind, payload) {
+                Err(e) => {
+                    assert_ne!(what, "wrong state_len");
+                    assert_eq!(got, Err(e), "{what}");
+                }
+                Ok(msg) => {
+                    assert_eq!(what, "wrong state_len");
+                    let want = oracle.handle(msg, &mut TrainLane::new());
+                    assert!(matches!(want, Msg::Err { .. }), "{what}: {want:?}");
+                    assert_eq!(got, Ok(Answer::Refuse(wire::describe_err(&want))), "{what}");
+                    assert!(
+                        reply == wire::encode_frame(&want, &limits).unwrap(),
+                        "{what}"
+                    );
+                }
+            }
+        }
+    }
+
+    /// Both hosts end a hostile training assignment without a panic:
+    /// `serve_stream` returns `Malformed` and `run_fleet` retires the
+    /// connection as dropped, after sending the `Err` reply when there is
+    /// one (a wrong state length) and without a reply otherwise.
+    #[test]
+    fn both_hosts_survive_hostile_assignments() {
+        let (_, spec) = runtime();
+        let limits = FrameLimits::default();
+        for (what, frame) in hostile_assignments(&spec) {
+            let refused = what == "wrong state_len";
+            for fleet in [false, true] {
+                let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+                let addr = listener.local_addr().unwrap().to_string();
+                let host = std::thread::spawn(move || {
+                    let (mut w, _) = runtime();
+                    if fleet {
+                        let report =
+                            crate::fleet::run_fleet(&addr, std::slice::from_mut(&mut w), &limits);
+                        format!("{report:?}")
+                    } else {
+                        let stream = TcpStream::connect(addr).unwrap();
+                        format!("{:?}", serve_stream(stream, &mut w, &limits))
+                    }
+                });
+                let (mut sock, _) = listener.accept().unwrap();
+                let (hello, _) = read_frame(&mut sock, &limits).unwrap();
+                let Msg::Hello { state_len, .. } = hello else {
+                    panic!("expected Hello, got {hello:?}");
+                };
+                let caps = Msg::Capabilities {
+                    max_payload: limits.max_payload as u64,
+                    state_len,
+                    agg_mode: 0,
+                    agg_param: 0,
+                };
+                write_frame(&mut sock, &caps, &limits).unwrap();
+                std::io::Write::write_all(&mut sock, &frame).unwrap();
+                let reply = read_frame(&mut sock, &limits).ok().map(|(msg, _)| msg);
+                let ended = host.join().expect("the host panicked");
+                let host = if fleet { "run_fleet" } else { "serve_stream" };
+                match reply {
+                    Some(Msg::Err { code, .. }) => {
+                        assert!(refused, "{host}, {what}: an Err reply");
+                        assert_eq!(code, err_code::BAD_STATE_LEN, "{host}, {what}");
+                    }
+                    other => assert!(!refused && other.is_none(), "{host}, {what}: {other:?}"),
+                }
+                if fleet {
+                    assert!(ended.contains("dropped: 1"), "{host}, {what}: {ended}");
+                } else {
+                    assert!(
+                        ended.starts_with("Err(Malformed("),
+                        "{host}, {what}: {ended}"
+                    );
+                }
+            }
+        }
+    }
+
+    /// Training assignments no honest coordinator sends, each named.
+    fn hostile_assignments(spec: &DemoSpec) -> Vec<(&'static str, Vec<u8>)> {
+        let cfg = spec.train_config();
+        let global = (spec.factory())(3).state_vector();
+        let valid = assign_frame(2, 11, &cfg, &global);
+        // Payload offsets: mode tag 0, round 1, seed 9, nonce 17, epochs
+        // 25, batch size 33, lr 41, momentum 45, float count 49.
+        let at = |offset: usize| wire::HEADER_LEN + offset;
+        let mut truncated = valid[..valid.len() - 3].to_vec();
+        let len = (truncated.len() - wire::HEADER_LEN) as u32;
+        truncated[6..10].copy_from_slice(&len.to_le_bytes());
+        let mut overcount = valid.clone();
+        let count = (global.len() as u64 + 1).to_le_bytes();
+        overcount[at(49)..at(57)].copy_from_slice(&count);
+        let zero_batch = TrainConfig {
+            batch_size: 0,
+            ..cfg
+        };
+        let mut bad_mode = valid.clone();
+        bad_mode[at(0)] = 7;
+        vec![
+            ("truncated float run", truncated),
+            ("float count past the payload", overcount),
+            ("batch_size 0", assign_frame(2, 11, &zero_batch, &global)),
+            ("wrong state_len", assign_frame(2, 11, &cfg, &global[1..])),
+            ("unknown mode tag", bad_mode),
+        ]
     }
 
     #[test]

@@ -140,8 +140,9 @@ thread_local! {
     static PANEL_SCRATCH: Cell<Vec<f32>> = const { Cell::new(Vec::new()) };
     /// Per-thread scratch for the transposed `A` block of `Aᵀ·B`.
     static AT_SCRATCH: Cell<Vec<f32>> = const { Cell::new(Vec::new()) };
-    /// Per-thread scratch for the `Bᵀ` that `A·Bᵀ` gathers on every
-    /// large call (see [`transpose_into`]).
+    /// Per-thread scratch for the `[k, NR]` panel `A·Bᵀ` transposes one
+    /// strip of `B` into (see [`transpose_into`]) — or, on a call that
+    /// splits its rows across the pool, the whole `Bᵀ` its tasks share.
     static BT_SCRATCH: Cell<Vec<f32>> = const { Cell::new(Vec::new()) };
 }
 
@@ -1014,17 +1015,21 @@ fn at_b_rows_small<const ADD: bool>(m: usize, n: usize, a: &[f32], b: &[f32], ou
 /// `out = A · Bᵀ` with `A: [m, k]`, `B: [n, k]`, `out: [m, n]`
 /// (overwritten), without materialising the transpose on the small path.
 ///
-/// The large path gathers `Bᵀ` into scratch on every call
-/// (`transpose_into`) and hands it to [`gemm`]'s large path, which beats
-/// any dot-product formulation by a wide margin: row dot products carry a
+/// The large path runs [`gemm`]'s register tiles, which beat any
+/// dot-product formulation by a wide margin: row dot products carry a
 /// serial FMA dependency chain, while the tiled kernel keeps
-/// [`MR`]`·`[`NR`] independent accumulators in flight. A narrow `Bᵀ` is
-/// gathered straight into the zero-padded panel the narrow path sweeps.
-/// The gather is `n·k` moves against an `m·k·n` reduction, so its share is
-/// `1/m` of the elements touched and far more of the time when `m` is
-/// small: this is the `Dense` forward pass (`x·Wᵀ`, `m` = the batch),
-/// where at `m = 2` the gather is most of the call. A caller that can
-/// produce `Bᵀ` directly should call [`gemm`] instead.
+/// [`MR`]`·`[`NR`] independent accumulators in flight. The tiles sweep
+/// `Bᵀ` one `[k, NR]` panel at a time, and on the calling thread each
+/// panel is transposed straight out of `NR` rows of `B` — the edge strip
+/// and a narrow output's one strip zero-padded — so no whole `Bᵀ` is
+/// written and the panel scratch is `k·NR` floats. This is the `Dense`
+/// forward pass (`x·Wᵀ`, `m` = the batch), where at small `m` the
+/// transpose is most of the call: gathering the whole `Bᵀ` first and then
+/// packing each strip of it again moves every weight twice. Only a call
+/// at or above [`PAR_FLOPS`] on a pool of more than one thread gathers the
+/// whole `Bᵀ` once and hands it to [`gemm`]'s row split, whose tasks share
+/// it. Either way each element sees the same values in the same
+/// ascending-`p` order, so the layout never changes a bit.
 ///
 /// # Panics
 ///
@@ -1046,11 +1051,48 @@ pub fn gemm_a_bt(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], out: &mut [
             transpose_into(panel, b, n, k, NR);
             gemm_narrow_panel::<false>(k, n, a, panel, out);
         }),
-        _ => with_scratch(&BT_SCRATCH, k * n, |bt| {
-            transpose_into(bt, b, n, k, n);
-            gemm(m, k, n, a, bt, out);
-        }),
+        _ if flops(m, k, n) >= PAR_FLOPS && rayon::current_num_threads() > 1 => {
+            with_scratch(&BT_SCRATCH, k * n, |bt| {
+                transpose_into(bt, b, n, k, n);
+                gemm(m, k, n, a, bt, out);
+            })
+        }
+        _ => a_bt_rows_tiled(k, n, a, b, out),
     }
+}
+
+/// The tiled `A·Bᵀ` for an output at least [`NR`] wide, on the calling
+/// thread: each full strip's `NR` rows of `B` are transposed into the
+/// `[k, NR]` panel and swept fused, then the `n % NR` trailing rows into
+/// the zero-padded panel of the edge strip, swept multiply-then-add —
+/// [`gemm_rows_tiled`] over a packed `Bᵀ`, strip for strip.
+fn a_bt_rows_tiled(k: usize, n: usize, a: &[f32], b: &[f32], out: &mut [f32]) {
+    let tail = n % NR;
+    with_scratch(&BT_SCRATCH, k * NR, |panel| {
+        for j0 in (0..n - tail).step_by(NR) {
+            transpose_into(panel, &b[j0 * k..(j0 + NR) * k], NR, k, NR);
+            let strip = Dense::<false> {
+                b: panel,
+                ld: NR,
+                c0: 0,
+                j0,
+                width: NR,
+            };
+            sweep::<true>(0, k, n, a, out, strip);
+        }
+        if tail > 0 {
+            let j0 = n - tail;
+            transpose_into(panel, &b[j0 * k..], tail, k, NR);
+            let strip = Dense::<false> {
+                b: panel,
+                ld: NR,
+                c0: 0,
+                j0,
+                width: tail,
+            };
+            sweep::<false>(0, k, n, a, out, strip);
+        }
+    });
 }
 
 /// Source rows of `B` gathered per pass of [`transpose_into`]: one

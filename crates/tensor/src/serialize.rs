@@ -37,9 +37,10 @@ fn put_f32s_le(buf: &mut BytesMut, data: &[f32]) {
 }
 
 /// Appends `data` to a plain `Vec<u8>` as little-endian `f32`s — the same
-/// bytes [`put_f32s_le`] produces, for callers that stage frames in
-/// reusable `Vec<u8>` buffers (the serve wire layer).
-fn put_f32s_le_vec(buf: &mut Vec<u8>, data: &[f32]) {
+/// bytes [`params_to_bytes`] carries after its count, for callers that
+/// stage frames in reusable `Vec<u8>` buffers (the serve wire layer, a
+/// network exporting its state parameter by parameter).
+pub fn f32s_write_le(buf: &mut Vec<u8>, data: &[f32]) {
     let mut raw = [0u8; 4 * F32_BATCH];
     for batch in data.chunks(F32_BATCH) {
         let used = &mut raw[..4 * batch.len()];
@@ -50,11 +51,15 @@ fn put_f32s_le_vec(buf: &mut Vec<u8>, data: &[f32]) {
     }
 }
 
-/// Decodes `out.len()` little-endian `f32`s from the front of `src`
-/// straight into `out` — no staging buffer, no intermediate collect. On
-/// little-endian targets the loop compiles to a straight block copy.
-/// The caller has already verified `src.len() >= 4 * out.len()`.
-fn f32s_from_le(src: &[u8], out: &mut [f32]) {
+/// Decodes the little-endian `f32`s of `src` straight into `out` — no
+/// staging buffer, no intermediate collect. On little-endian targets the
+/// loop compiles to a straight block copy.
+///
+/// # Panics
+///
+/// Panics unless `src` holds exactly `out.len()` floats.
+pub fn f32s_read_le(src: &[u8], out: &mut [f32]) {
+    assert_eq!(src.len(), 4 * out.len(), "f32s_read_le: byte count");
     for (o, c) in out.iter_mut().zip(src.chunks_exact(4)) {
         *o = f32::from_le_bytes(c.try_into().expect("4-byte chunk"));
     }
@@ -65,7 +70,7 @@ fn f32s_from_le(src: &[u8], out: &mut [f32]) {
 /// `bytes.remaining() >= 4 * n`.
 fn get_f32s_le(bytes: &mut Bytes, n: usize) -> Vec<f32> {
     let mut data = vec![0.0f32; n];
-    f32s_from_le(bytes.as_ref(), &mut data);
+    f32s_read_le(&bytes.as_ref()[..4 * n], &mut data);
     bytes.advance(4 * n);
     data
 }
@@ -140,7 +145,7 @@ pub fn params_to_bytes(params: &[f32]) -> Bytes {
 /// warm.
 pub fn params_write_into(out: &mut Vec<u8>, params: &[f32]) {
     out.extend_from_slice(&(params.len() as u64).to_le_bytes());
-    put_f32s_le_vec(out, params);
+    f32s_write_le(out, params);
 }
 
 /// Deserializes a parameter vector produced by [`params_to_bytes`].
@@ -165,15 +170,17 @@ pub fn params_from_bytes(mut bytes: Bytes) -> Result<Vec<f32>, TensorError> {
     Ok(get_f32s_le(&mut bytes, n as usize))
 }
 
-/// Announced float count of a [`params_to_bytes`] payload starting at the
-/// front of `bytes`, after the same hostile-length validation
-/// [`params_from_bytes`] performs.
+/// The float bytes of a [`params_to_bytes`] payload starting at the front
+/// of `bytes` — `4 · n` of them, behind the 8-byte count — after the same
+/// hostile-length validation [`params_from_bytes`] performs, borrowed in
+/// place for a caller that decodes them where they are needed
+/// ([`f32s_read_le`]).
 ///
 /// # Errors
 ///
 /// Returns [`TensorError::MalformedBytes`] on truncation or a length
 /// prefix the buffer cannot back.
-fn params_peek_len(bytes: &[u8]) -> Result<usize, TensorError> {
+pub fn params_float_bytes(bytes: &[u8]) -> Result<&[u8], TensorError> {
     if bytes.len() < 8 {
         return Err(TensorError::MalformedBytes("missing length header".into()));
     }
@@ -184,7 +191,7 @@ fn params_peek_len(bytes: &[u8]) -> Result<usize, TensorError> {
             bytes.len() - 8
         )));
     }
-    Ok(n as usize)
+    Ok(&bytes[8..8 + 4 * n as usize])
 }
 
 /// Decodes a [`params_to_bytes`] payload straight into a caller-provided
@@ -199,15 +206,16 @@ fn params_peek_len(bytes: &[u8]) -> Result<usize, TensorError> {
 /// `out.len()` (the caller sizes `out` to its protocol-known state
 /// length, or calls [`params_read_into_vec`]).
 pub fn params_read_into(bytes: &[u8], out: &mut [f32]) -> Result<usize, TensorError> {
-    let n = params_peek_len(bytes)?;
-    if n != out.len() {
+    let floats = params_float_bytes(bytes)?;
+    if floats.len() / 4 != out.len() {
         return Err(TensorError::MalformedBytes(format!(
-            "param payload carries {n} floats, caller expects {}",
+            "param payload carries {} floats, caller expects {}",
+            floats.len() / 4,
             out.len()
         )));
     }
-    f32s_from_le(&bytes[8..], out);
-    Ok(8 + 4 * n)
+    f32s_read_le(floats, out);
+    Ok(8 + floats.len())
 }
 
 /// [`params_read_into`] for a caller-owned `Vec` resized to fit: decodes
@@ -219,9 +227,10 @@ pub fn params_read_into(bytes: &[u8], out: &mut [f32]) -> Result<usize, TensorEr
 /// Returns [`TensorError::MalformedBytes`] on truncation or a hostile
 /// length prefix.
 pub fn params_read_into_vec(bytes: &[u8], out: &mut Vec<f32>) -> Result<usize, TensorError> {
-    let n = params_peek_len(bytes)?;
-    out.resize(n, 0.0);
-    params_read_into(bytes, out)
+    let floats = params_float_bytes(bytes)?;
+    out.resize(floats.len() / 4, 0.0);
+    f32s_read_le(floats, out);
+    Ok(8 + floats.len())
 }
 
 #[cfg(test)]
@@ -336,9 +345,13 @@ mod tests {
         let mut short = vec![0.0f32; 7];
         assert!(params_read_into(wire.as_ref(), &mut short).is_err());
         assert!(params_read_into(&wire.as_ref()[..9], &mut [0.0f32; 8]).is_err());
-        assert!(params_peek_len(&[0u8; 4]).is_err());
+        assert!(params_float_bytes(&[0u8; 4]).is_err());
         // Hostile length prefix: u64::MAX floats announced, 0 present.
         let hostile = u64::MAX.to_le_bytes();
-        assert!(params_peek_len(&hostile).is_err());
+        assert!(params_float_bytes(&hostile).is_err());
+        // The float run is borrowed exactly: trailing bytes stay outside.
+        let mut padded = wire.as_ref().to_vec();
+        padded.extend_from_slice(&[7; 5]);
+        assert_eq!(params_float_bytes(&padded).unwrap(), &wire.as_ref()[8..]);
     }
 }

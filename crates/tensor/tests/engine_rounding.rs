@@ -18,7 +18,8 @@
 //!   from +0.0.
 //!
 //! Shapes cross every dispatch edge: `n < NR` and `n = NR·j + r`, `k` on
-//! both sides of [`KPACK`], every `m % MR`, and the parallel row split at
+//! both sides of [`KPACK`], every `m % MR` (and every `m` below [`MR`]
+//! once the product leaves the small path), and the parallel row split at
 //! [`PAR_FLOPS`] on one and on two pool threads.
 //!
 //! The convolution backward computes `∂W` without lowering its input, by a
@@ -149,6 +150,34 @@ fn tiled_paths_follow_the_contract_at_every_edge() {
             }
         }
     }
+}
+
+/// Fewer rows than one register tile — a `Dense` forward at batch 2 —
+/// still take the tiled paths once the product leaves the small path, in
+/// the 4-, 2- and 1-row tiles alone: the workloads' `A·Bᵀ` shapes, and
+/// full strips plus an edge strip with `k` on both sides of [`KPACK`].
+#[test]
+fn tiled_paths_follow_the_contract_below_one_register_tile() {
+    let mut tiled = 0;
+    for (k, n) in [(784, 128), (256, 120), (120, 84)] {
+        for m in 1..MR {
+            tiled += usize::from(m * k * n >= SMALL_FLOPS);
+            check((m, k, n), (m * 131 + k * 7 + n) as u64);
+        }
+    }
+    for k in [KPACK - 1, KPACK, KPACK * 2 + 5] {
+        for m in 1..MR {
+            // The narrowest strips-plus-edge output above the small path.
+            let n = SMALL_FLOPS.div_ceil(m * k).div_ceil(NR) * NR + 9;
+            assert!(m * k * n >= SMALL_FLOPS && !n.is_multiple_of(NR));
+            tiled += 1;
+            check((m, k, n), (m * 977 + k * 13 + n) as u64);
+        }
+    }
+    assert!(
+        tiled >= 4 * (MR - 1),
+        "only {tiled} shapes left the small path"
+    );
 }
 
 #[test]

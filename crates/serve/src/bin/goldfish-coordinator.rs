@@ -491,10 +491,12 @@ fn main() {
     if let Some(limit) = value_of("--max-queue-depth") {
         cfg = cfg.with_max_queue_depth(limit.parse().expect("--max-queue-depth expects a count"));
     }
-    if let Some(ms) = value_of("--read-timeout-ms") {
+    // The reply deadline is the TCP reactor's (`TcpConfig`); loopback
+    // has none. Parsed here so a bad value fails under either transport.
+    let read_timeout = value_of("--read-timeout-ms").map(|ms| {
         let ms: u64 = ms.parse().expect("--read-timeout-ms expects milliseconds");
-        cfg = cfg.with_read_timeout(std::time::Duration::from_millis(ms));
-    }
+        std::time::Duration::from_millis(ms)
+    });
     let state_len = (spec.factory())(0).state_len();
     println!(
         "goldfish-coordinator: {} clients x {} samples, {} rounds, {} params",
@@ -541,11 +543,14 @@ fn main() {
         spec.clients
     );
     let (agg_mode, agg_param) = cfg.robust.mode.wire_code();
-    let tcp_cfg = TcpConfig {
+    let mut tcp_cfg = TcpConfig {
         agg_mode,
         agg_param,
         ..TcpConfig::default()
     };
+    if let Some(timeout) = read_timeout {
+        tcp_cfg.read_timeout = timeout;
+    }
     let mut transport = TcpTransport::accept(&listener, spec.clients, state_len, tcp_cfg)
         .expect("worker handshake");
     // Keep the listener: dropped workers (or workers that outlived a

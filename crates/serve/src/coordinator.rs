@@ -23,7 +23,6 @@
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
-use std::time::Duration;
 
 use goldfish_core::{GoldfishUnlearning, UnlearnServer};
 use goldfish_data::Dataset;
@@ -58,9 +57,6 @@ pub struct CoordinatorConfig {
     pub init_seed: u64,
     /// Compute-pool override for server-side evaluation/aggregation.
     pub threads: Option<usize>,
-    /// Per-client reply deadline pushed onto the transport at
-    /// construction (`None` keeps the transport's own default).
-    pub read_timeout: Option<Duration>,
     /// Maximum simultaneously resident (parked) updates per round in the
     /// streaming aggregation; `0` = auto (the cohort size). Exceeding it
     /// is the typed [`TransportError::UpdateWindowExceeded`].
@@ -102,7 +98,6 @@ impl Default for CoordinatorConfig {
             unlearn_rounds: 1,
             init_seed: 0,
             threads: None,
-            read_timeout: None,
             update_window: 0,
             robust: RobustConfig::default(),
             cohort_fraction: None,
@@ -114,13 +109,6 @@ impl Default for CoordinatorConfig {
 }
 
 impl CoordinatorConfig {
-    /// Sets the per-client reply deadline the coordinator installs on
-    /// its transport (replacing the transport's hard-coded default).
-    pub fn with_read_timeout(mut self, timeout: Duration) -> Self {
-        self.read_timeout = Some(timeout);
-        self
-    }
-
     /// Caps simultaneously resident in-flight updates per round (`0` =
     /// auto: the cohort size).
     pub fn with_update_window(mut self, window: usize) -> Self {
@@ -414,8 +402,7 @@ pub struct Coordinator<T: ServeTransport> {
 
 impl<T: ServeTransport> Coordinator<T> {
     /// Builds a coordinator; the initial global model comes from
-    /// `factory(cfg.init_seed)`. A configured `read_timeout` is pushed
-    /// onto the transport here.
+    /// `factory(cfg.init_seed)`.
     pub fn new(
         factory: ModelFactory,
         test: Dataset,
@@ -423,9 +410,6 @@ impl<T: ServeTransport> Coordinator<T> {
         cfg: CoordinatorConfig,
     ) -> Self {
         let global = (factory)(cfg.init_seed).state_vector();
-        if let Some(timeout) = cfg.read_timeout {
-            transport.set_read_timeout(timeout);
-        }
         let telemetry = cfg
             .telemetry
             .clone()

@@ -494,10 +494,6 @@ impl<T: ServeTransport> ServeTransport for FaultyTransport<T> {
             .unwrap_or_else(|| live.iter().map(dead).collect())
     }
 
-    fn set_read_timeout(&mut self, timeout: std::time::Duration) {
-        self.inner.set_read_timeout(timeout)
-    }
-
     fn fatal_fault(&self) -> Option<&str> {
         if self.killed {
             Some("fault injection: coordinator killed")

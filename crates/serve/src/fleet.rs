@@ -16,11 +16,12 @@
 //!   └── Shutdown / EOF → retire            fatal Err → flush, retire
 //! ```
 //!
-//! `answer` is the one worker answer path, the one a worker daemon's
+//! `answer` is the worker's only entry point, the one a worker daemon's
 //! [`crate::worker::serve_stream`] runs too, and its compute is the
 //! library's own `TrainLane` run / `ClientDistiller::round`, so a
-//! fleet-hosted federation stays bitwise identical to a daemon-per-worker
-//! one; only the socket plumbing is shared.
+//! fleet-hosted federation — its deletions' distillation rounds included
+//! — stays bitwise identical to a daemon-per-worker one; only the socket
+//! plumbing is shared.
 //!
 //! What the host keeps resident follows what its one thread is doing,
 //! not how many workers it hosts: **one** [`TrainLane`] lent to
@@ -31,7 +32,8 @@
 //! reply is written, a write buffer from then until the reply is flushed.
 //! A training assignment's floats go from the read buffer into the lane's
 //! network and from the network into the write buffer, so no state
-//! vector is held beside them. A connection between frames holds a
+//! vector is held beside them (a distillation round's global is decoded
+//! once, into a buffer its unlearning request keeps). A connection between frames holds a
 //! socket and two cursors.
 
 use std::net::TcpStream;

@@ -18,10 +18,12 @@
 //! moving and returned when it has been decoded (reads) or flushed
 //! (writes) — buffers held follow frames in flight, not sockets open.
 //!
-//! EOF semantics mirror `crate::wire::read_raw_frame` exactly: a
-//! clean close **between** frames is `WireError::Io(UnexpectedEof)`,
-//! a close **inside** a frame is [`WireError::DisconnectedMidFrame`] —
-//! the distinction that drives reconnect/backoff policy.
+//! `FrameReadState` is also the blocking reader: `crate::wire::read_raw_frame`
+//! runs it to a complete frame, so every frame read — polled or blocking —
+//! splits EOF one way: a clean close **between** frames is
+//! `WireError::Io(UnexpectedEof)`, a close **inside** a frame is
+//! [`WireError::DisconnectedMidFrame`] — the distinction that drives
+//! reconnect/backoff policy.
 
 use std::io::{Read, Write};
 

@@ -102,9 +102,9 @@ pub struct TcpConfig {
     pub limits: FrameLimits,
     /// Per-fan-out reply deadline: every contacted worker must answer
     /// within this much of the fan-out's start or be dropped as a
-    /// straggler. Reconfigurable after accept via
-    /// [`ServeTransport::set_read_timeout`] (the coordinator builder's
-    /// knob).
+    /// straggler. Set here before [`TcpTransport::accept`] (the
+    /// coordinator daemon's `--read-timeout-ms`), or changed after it
+    /// through [`TcpTransport::set_read_timeout`].
     pub read_timeout: Duration,
     /// Aggregation-mode wire code announced in `Capabilities`
     /// ([`goldfish_fed::aggregate::AggregationMode::wire_code`]), so
@@ -761,6 +761,14 @@ impl TcpTransport {
     /// dropped.
     pub fn enable_reconnect(&mut self, listener: TcpListener) {
         self.listener = Some(listener);
+    }
+
+    /// Replaces the per-fan-out reply deadline
+    /// ([`TcpConfig::read_timeout`]). The reactor enforces it per
+    /// fan-out; nothing per-socket changes (connections are
+    /// non-blocking).
+    pub fn set_read_timeout(&mut self, timeout: Duration) {
+        self.cfg.read_timeout = timeout;
     }
 
     /// Tears the reconnect listener down mid-run, returning it (e.g.
@@ -1550,12 +1558,6 @@ impl ServeTransport for TcpTransport {
         let admitted = self.handshakes(&listener, Some((round, global)));
         self.listener = Some(listener);
         admitted.unwrap_or(0)
-    }
-
-    fn set_read_timeout(&mut self, timeout: Duration) {
-        // The reactor enforces this as a per-fan-out deadline; nothing
-        // per-socket to update (connections are non-blocking).
-        self.cfg.read_timeout = timeout;
     }
 
     fn shutdown(&mut self) {

@@ -94,12 +94,6 @@ pub trait ServeTransport: RoundTransport + DistillTransport {
         global: &[f32],
     ) -> Vec<Result<LocalEval, TransportError>>;
 
-    /// Reconfigures the per-client reply deadline (the coordinator
-    /// builder's straggler knob). No-op for transports without one.
-    fn set_read_timeout(&mut self, timeout: std::time::Duration) {
-        let _ = timeout;
-    }
-
     /// A fatal, transport-wide fault that is *not* attributable to any
     /// single client — e.g. an injected coordinator kill from the fault
     /// harness. When set, the coordinator stops re-rounding over

@@ -35,6 +35,7 @@ use goldfish_nn::loss::HardLossSpec;
 use goldfish_tensor::serialize;
 
 use crate::codec::Reader;
+use crate::nio::FrameReadState;
 
 /// Frame magic: "GoldFish Wire Protocol".
 pub const MAGIC: [u8; 4] = *b"GFWP";
@@ -901,9 +902,10 @@ fn read_job(r: &mut Reader<'_>) -> Result<UnlearnJob, WireError> {
 }
 
 /// A `RoundAssign` payload read in place: the fixed fields decoded, the
-/// global state left as the payload's little-endian float bytes — what a
-/// worker installs straight into its network
-/// ([`goldfish_fed::trainer::TrainLane::run_le`]). [`decode_msg`] reads
+/// global state left as the payload's little-endian float bytes — how a
+/// worker reads every round assignment (a training round installs the
+/// bytes straight into its network,
+/// [`goldfish_fed::trainer::TrainLane::run_le`]). [`decode_msg`] reads
 /// every `RoundAssign` through it, so the layout and its checks are
 /// written once.
 #[derive(Debug, Clone, Copy)]
@@ -1289,58 +1291,30 @@ pub fn read_frame(
 /// Reads one frame from `r` into a caller-owned (pooled) payload buffer
 /// without decoding it: `buf` is resized to the announced payload length
 /// (reusing its capacity — a steady-state connection never reallocates)
-/// and filled. Returns `(kind, frame size in bytes)`.
+/// and filled. Returns `(kind, frame size in bytes)`. This is the
+/// non-blocking reader ([`crate::nio::FrameReadState`]) run to a complete
+/// frame, so both read a frame's header, limits and EOFs the same way.
 ///
 /// # Errors
 ///
 /// Same as [`read_frame`]; an EOF **after** the first header byte (the
 /// peer died inside a frame) is reported as
 /// [`WireError::DisconnectedMidFrame`] rather than the generic I/O
-/// error a clean between-frames close produces.
+/// error a clean between-frames close produces. A read timeout on a
+/// blocking socket (or a non-blocking reader with nothing ready) ends the
+/// read as [`WireError::Io`] of kind
+/// [`std::io::ErrorKind::WouldBlock`], the partial frame dropped.
 pub(crate) fn read_raw_frame(
     r: &mut impl std::io::Read,
     buf: &mut Vec<u8>,
     limits: &FrameLimits,
 ) -> Result<(u8, usize), WireError> {
-    let mut header = [0u8; HEADER_LEN];
-    // The header is read byte-counted rather than with `read_exact` so
-    // a close at offset 0 (clean end of session) stays distinguishable
-    // from a close inside the header (peer died mid-frame).
-    let mut filled = 0usize;
-    while filled < HEADER_LEN {
-        match r.read(&mut header[filled..]) {
-            Ok(0) => {
-                return Err(if filled == 0 {
-                    WireError::Io {
-                        kind: std::io::ErrorKind::UnexpectedEof,
-                        detail: "clean eof before frame".into(),
-                    }
-                } else {
-                    WireError::DisconnectedMidFrame {
-                        got: filled,
-                        want: HEADER_LEN,
-                    }
-                });
-            }
-            Ok(n) => filled += n,
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(e.into()),
-        }
-    }
-    let (kind, len) = decode_header(&header, limits)?;
-    // No clear first: `read_exact` overwrites all `len` bytes or fails.
-    buf.resize(len, 0);
-    if let Err(e) = r.read_exact(buf) {
-        return Err(if e.kind() == std::io::ErrorKind::UnexpectedEof {
-            WireError::DisconnectedMidFrame {
-                got: HEADER_LEN,
-                want: HEADER_LEN + len,
-            }
-        } else {
-            e.into()
-        });
-    }
-    Ok((kind, HEADER_LEN + len))
+    FrameReadState::new()
+        .poll(r, buf, limits)?
+        .ok_or_else(|| WireError::Io {
+            kind: std::io::ErrorKind::WouldBlock,
+            detail: "read timed out before the frame was complete".into(),
+        })
 }
 
 #[cfg(test)]
@@ -1771,6 +1745,53 @@ mod tests {
                 other => panic!("cut at {cut} gave {other:?}"),
             }
         }
+    }
+
+    /// A blocking read whose socket timeout fires inside a frame — in
+    /// the header or in the payload — ends as an `Io` error of kind
+    /// `WouldBlock`, never as a frame or a disconnect.
+    #[test]
+    fn a_read_timeout_inside_a_frame_is_would_block() {
+        /// Serves its bytes, then reports a timeout.
+        struct TimesOut<'a>(&'a [u8]);
+        impl std::io::Read for TimesOut<'_> {
+            fn read(&mut self, out: &mut [u8]) -> std::io::Result<usize> {
+                if self.0.is_empty() {
+                    return Err(std::io::ErrorKind::WouldBlock.into());
+                }
+                let n = out.len().min(self.0.len());
+                out[..n].copy_from_slice(&self.0[..n]);
+                self.0 = &self.0[n..];
+                Ok(n)
+            }
+        }
+        let limits = FrameLimits::default();
+        let frame = encode_frame(
+            &Msg::Digest {
+                round: 3,
+                digest: [9; 32],
+            },
+            &limits,
+        )
+        .unwrap();
+        let mut buf = Vec::new();
+        for cut in [
+            0,
+            1,
+            HEADER_LEN - 1,
+            HEADER_LEN,
+            HEADER_LEN + 5,
+            frame.len() - 1,
+        ] {
+            match read_raw_frame(&mut TimesOut(&frame[..cut]), &mut buf, &limits) {
+                Err(WireError::Io { kind, .. }) => {
+                    assert_eq!(kind, std::io::ErrorKind::WouldBlock, "cut at {cut}")
+                }
+                other => panic!("cut at {cut} gave {other:?}"),
+            }
+        }
+        let (kind, n) = read_raw_frame(&mut TimesOut(&frame), &mut buf, &limits).unwrap();
+        assert_eq!((kind, n), (kind::DIGEST, frame.len()));
     }
 
     #[test]

@@ -25,13 +25,12 @@
 //! ([`WorkerRuntime::hello`]): a runtime builds no network of its own.
 //!
 //! Both hosts answer every frame through [`WorkerRuntime::answer`]. A
-//! training assignment — every round of a federation, 407 KB each way on
-//! the benchmark's MLP — is answered from the frame's bytes: its floats
-//! go straight into the lane's network and the `Update`'s floats
-//! straight from the network into the reply frame. Every other frame is
-//! decoded into a [`Msg`] and answered by [`WorkerRuntime::handle`], whose
-//! training arm shares the byte path's round ([`WorkerRuntime::answer`]
-//! is pinned byte for byte against it).
+//! round assignment of either kind — a training round, 407 KB each way
+//! on the benchmark's MLP, or a distillation round — is answered from the
+//! frame's bytes: read in place, run on the lane, and its reply's floats
+//! written straight from the lane's network into the reply frame. Only
+//! the control frames (`UnlearnAssign`, `Eval`, `Digest`, `Err`,
+//! `Shutdown`) are decoded into a [`Msg`].
 
 use std::net::TcpStream;
 use std::sync::Arc;
@@ -41,14 +40,15 @@ use goldfish_core::transport::{ClientDistiller, DistillJob};
 use goldfish_core::ClientSplit;
 use goldfish_data::Dataset;
 use goldfish_fed::aggregate::AggregationMode;
-use goldfish_fed::trainer::{TrainConfig, TrainLane};
+use goldfish_fed::trainer::TrainLane;
 use goldfish_fed::transport::client_seed;
 use goldfish_fed::ModelFactory;
+use goldfish_tensor::serialize;
 
 use crate::digest::DIGEST_LEN;
 use crate::wire::{
     self, decode_msg, encode_frame_into, err_code, read_frame, read_raw_frame, write_frame,
-    FrameLimits, Msg, RoundMode, UpdateHeader, WireError,
+    FrameLimits, Msg, RoundAssignRef, RoundMode, UpdateHeader, WireError,
 };
 
 /// A worker's unlearning request: the shared job, the client's
@@ -57,6 +57,9 @@ struct Unlearning {
     job: DistillJob,
     distiller: ClientDistiller,
     forget: Dataset,
+    /// Each distillation round's incoming global, decoded from its frame
+    /// (capacity reused round after round).
+    global: Vec<f32>,
 }
 
 /// The worker-side state machine: one logical client, independent of how
@@ -151,37 +154,131 @@ impl WorkerRuntime {
         }
     }
 
-    /// Handles one decoded coordinator message and returns the reply to
-    /// send, training and evaluating on the host's `lane` — the typed form
-    /// of [`WorkerRuntime::answer`], which hosts call. Protocol violations
-    /// produce a [`Msg::Err`] reply (the caller should close the
-    /// connection after sending one).
-    pub fn handle(&mut self, msg: Msg, lane: &mut TrainLane) -> Msg {
+    /// Answers one coordinator frame — its `kind` and `payload` — on the
+    /// host's `lane`, writing the reply frame into `reply` (cleared first,
+    /// capacity reused). The worker's one entry point: both hosts,
+    /// [`serve_stream`] and [`crate::fleet::run_fleet`], answer through
+    /// it.
+    ///
+    /// A `RoundAssign` of either mode is answered from the frame's bytes:
+    /// its fixed fields are read in place, its floats go into the lane's
+    /// network (a distillation round decodes them first, into a buffer
+    /// its unlearning request keeps), and the reply's floats go straight
+    /// from the network into `reply` — so once the lane and `reply` are
+    /// warm a training round allocates nothing. Control frames are
+    /// decoded into a [`Msg`]. A frame that decodes but does not fit this
+    /// worker is answered with a protocol `Err` ([`Answer::Refuse`]).
+    ///
+    /// # Errors
+    ///
+    /// A payload that does not decode, the coordinator's own `Err` frame
+    /// (as [`WireError::Malformed`]), or a reply too large for `limits`;
+    /// the host closes the connection without replying.
+    pub fn answer(
+        &mut self,
+        kind: u8,
+        payload: &[u8],
+        lane: &mut TrainLane,
+        reply: &mut Vec<u8>,
+        limits: &FrameLimits,
+    ) -> Result<Answer, WireError> {
+        let msg = if kind == wire::kind::ROUND_ASSIGN {
+            let assign = wire::read_round_assign(payload)?;
+            match self.round(lane, &assign) {
+                Ok(head) => {
+                    let floats = assign.global.len() / 4;
+                    let put = |out: &mut Vec<u8>| lane.append_state_le(out);
+                    wire::encode_update_into(reply, &head, floats, put, limits)?;
+                    return Ok(Answer::Reply);
+                }
+                Err((code, detail)) => Msg::Err { code, detail },
+            }
+        } else {
+            match decode_msg(kind, payload)? {
+                Msg::Shutdown => return Ok(Answer::Shutdown),
+                // The coordinator's eviction notice (e.g. quarantine).
+                Msg::Err { code, detail } => {
+                    return Err(WireError::Malformed(format!(
+                        "coordinator error (code {code}): {detail}"
+                    )))
+                }
+                msg => self.control(msg, lane),
+            }
+        };
+        encode_frame_into(&msg, reply, limits)?;
+        Ok(match msg {
+            Msg::Err { .. } => Answer::Refuse(wire::describe_err(&msg)),
+            _ => Answer::Reply,
+        })
+    }
+
+    /// One round of either mode, run on the lane from the assignment's
+    /// global: a training round ends any unlearning request and trains
+    /// from the client's derived seed, a distillation round runs the
+    /// request's [`ClientDistiller::round`]. Records the round and
+    /// returns the reply's fixed fields (the reply's state is left on the
+    /// lane), or the code and detail of the `Err` that refuses the
+    /// assignment.
+    fn round(
+        &mut self,
+        lane: &mut TrainLane,
+        assign: &RoundAssignRef<'_>,
+    ) -> Result<UpdateHeader, (u16, String)> {
+        self.frames_handled += 1;
+        let distill = assign.mode == RoundMode::Distill;
+        if !distill {
+            // A plain training round ends any unlearning request.
+            self.unlearning = None;
+        }
+        let state_len = self.state_len(lane);
+        let got = assign.global.len() / 4;
+        if got != state_len {
+            return Err(bad_state_len(got, state_len));
+        }
+        let round = assign.round;
+        if distill {
+            let Some(u) = self.unlearning.as_mut() else {
+                return Err((
+                    err_code::NOT_UNLEARNING,
+                    "distill round without a preceding UnlearnAssign".into(),
+                ));
+            };
+            // The student trains on the host's lane.
+            u.global.resize(got, 0.0);
+            serialize::f32s_read_le(assign.global, &mut u.global);
+            u.distiller.round(
+                &u.job,
+                &self.data,
+                &u.forget,
+                lane,
+                &u.global,
+                round as usize,
+                assign.seed,
+            );
+        } else {
+            let s = client_seed(assign.seed, self.client_id, round as usize);
+            lane.run_le(&self.factory, assign.global, &self.data, &assign.cfg, s);
+        }
+        self.last_round = Some(round);
+        Ok(UpdateHeader {
+            round,
+            client_id: self.client_id as u64,
+            weight: self.data.len() as u64,
+            // The echoed nonce: the coordinator's admission layer matches
+            // it against the assignment to reject stale/replayed frames.
+            nonce: assign.nonce,
+            distill,
+        })
+    }
+
+    /// Answers a decoded control frame — an `UnlearnAssign`, an `Eval` or
+    /// a `Digest`; anything else is a `BAD_REQUEST` — and returns the
+    /// reply. Protocol violations produce a [`Msg::Err`] reply (the host
+    /// closes the connection after sending one).
+    fn control(&mut self, msg: Msg, lane: &mut TrainLane) -> Msg {
         self.frames_handled += 1;
         let state_len = self.state_len(lane);
         match msg {
-            Msg::RoundAssign {
-                mode: RoundMode::Train,
-                round,
-                seed,
-                nonce,
-                cfg,
-                global,
-            } => match self.train(lane, round, seed, nonce, &cfg, Global::Floats(&global)) {
-                Ok(head) => {
-                    // The assignment's buffer becomes the reply's.
-                    let mut state = global;
-                    lane.state_into(&mut state);
-                    Msg::Update {
-                        round: head.round,
-                        client_id: head.client_id,
-                        weight: head.weight,
-                        nonce: head.nonce,
-                        state,
-                    }
-                }
-                Err((got, want)) => bad_state_len(got, want),
-            },
             Msg::UnlearnAssign {
                 serial,
                 job,
@@ -189,7 +286,8 @@ impl WorkerRuntime {
                 teacher,
             } => {
                 if teacher.len() != state_len {
-                    return bad_state_len(teacher.len(), state_len);
+                    let (code, detail) = bad_state_len(teacher.len(), state_len);
+                    return Msg::Err { code, detail };
                 }
                 let hard = match job.hard {
                     Some(spec) => spec.build(),
@@ -238,6 +336,7 @@ impl WorkerRuntime {
                     job: DistillJob::new(Arc::clone(&self.factory), teacher, job.local, hard),
                     distiller: ClientDistiller::new(self.client_id),
                     forget,
+                    global: Vec::new(),
                 });
                 // The job is accepted; the distiller answers the coming
                 // Distill assignments. The ack carries this worker's
@@ -245,47 +344,6 @@ impl WorkerRuntime {
                 // the deletion was fresh or deduplicated by serial.
                 Msg::UnlearnAck {
                     num_samples: self.data.len() as u64,
-                }
-            }
-            Msg::RoundAssign {
-                mode: RoundMode::Distill,
-                round,
-                seed,
-                nonce,
-                global,
-                ..
-            } => {
-                if global.len() != state_len {
-                    return bad_state_len(global.len(), state_len);
-                }
-                match self.unlearning.as_mut() {
-                    Some(u) => {
-                        // The student trains on the host's lane; the
-                        // assignment's buffer becomes the reply's.
-                        let mut state = global;
-                        u.distiller.round(
-                            &u.job,
-                            &self.data,
-                            &u.forget,
-                            lane,
-                            &state,
-                            round as usize,
-                            seed,
-                        );
-                        lane.state_into(&mut state);
-                        self.last_round = Some(round);
-                        Msg::UnlearnResult {
-                            round,
-                            client_id: self.client_id as u64,
-                            weight: self.data.len() as u64,
-                            nonce,
-                            state,
-                        }
-                    }
-                    None => Msg::Err {
-                        code: err_code::NOT_UNLEARNING,
-                        detail: "distill round without a preceding UnlearnAssign".into(),
-                    },
                 }
             }
             Msg::Digest { round, digest } => {
@@ -296,7 +354,8 @@ impl WorkerRuntime {
             }
             Msg::Eval { round, global, .. } => {
                 if global.len() != state_len {
-                    return bad_state_len(global.len(), state_len);
+                    let (code, detail) = bad_state_len(global.len(), state_len);
+                    return Msg::Err { code, detail };
                 }
                 let (accuracy, mse) = lane.eval(&self.factory, &global, &self.data);
                 Msg::Eval {
@@ -312,104 +371,6 @@ impl WorkerRuntime {
             },
         }
     }
-
-    /// Answers one coordinator frame — its `kind` and `payload` — on the
-    /// host's `lane`, writing the reply frame into `reply` (cleared first,
-    /// capacity reused). Both hosts, [`serve_stream`] and
-    /// [`crate::fleet::run_fleet`], answer through it.
-    ///
-    /// A training `RoundAssign` is answered from the frame's bytes: its
-    /// fixed fields are read in place, its floats go straight into the
-    /// lane's network, and the `Update`'s floats straight from the network
-    /// into `reply` — no state vector in between, so once the lane and
-    /// `reply` are warm the answer allocates nothing. Any other frame is
-    /// decoded and answered by [`WorkerRuntime::handle`]; the reply bytes
-    /// are the same either way.
-    ///
-    /// # Errors
-    ///
-    /// A payload that does not decode, the coordinator's own `Err` frame
-    /// (as [`WireError::Malformed`]), or a reply too large for `limits`;
-    /// the host closes the connection without replying.
-    pub fn answer(
-        &mut self,
-        kind: u8,
-        payload: &[u8],
-        lane: &mut TrainLane,
-        reply: &mut Vec<u8>,
-        limits: &FrameLimits,
-    ) -> Result<Answer, WireError> {
-        let msg = if kind == wire::kind::ROUND_ASSIGN {
-            let assign = wire::read_round_assign(payload)?;
-            if assign.mode == RoundMode::Train {
-                self.frames_handled += 1;
-                let global = Global::Bytes(assign.global);
-                let (round, seed, nonce) = (assign.round, assign.seed, assign.nonce);
-                return match self.train(lane, round, seed, nonce, &assign.cfg, global) {
-                    Ok(head) => {
-                        let floats = assign.global.len() / 4;
-                        let put = |out: &mut Vec<u8>| lane.append_state_le(out);
-                        wire::encode_update_into(reply, &head, floats, put, limits)?;
-                        Ok(Answer::Reply)
-                    }
-                    Err((got, want)) => encode_answer(&bad_state_len(got, want), reply, limits),
-                };
-            }
-            assign.to_msg()
-        } else {
-            decode_msg(kind, payload)?
-        };
-        match msg {
-            Msg::Shutdown => Ok(Answer::Shutdown),
-            // The coordinator's eviction notice (e.g. quarantine).
-            Msg::Err { code, detail } => Err(WireError::Malformed(format!(
-                "coordinator error (code {code}): {detail}"
-            ))),
-            msg => encode_answer(&self.handle(msg, lane), reply, limits),
-        }
-    }
-
-    /// A training round from `global`, shared by both answer paths: ends
-    /// any unlearning request, checks the state length, trains on the
-    /// lane from the client's derived seed and records the round. Returns
-    /// the `Update`'s fixed fields (the trained state is left on the
-    /// lane), or the assignment's and the model's state lengths when they
-    /// differ.
-    fn train(
-        &mut self,
-        lane: &mut TrainLane,
-        round: u64,
-        seed: u64,
-        nonce: u64,
-        cfg: &TrainConfig,
-        global: Global<'_>,
-    ) -> Result<UpdateHeader, (usize, usize)> {
-        // A plain training round ends any unlearning request.
-        self.unlearning = None;
-        let state_len = self.state_len(lane);
-        let got = match global {
-            Global::Floats(g) => g.len(),
-            Global::Bytes(b) => b.len() / 4,
-        };
-        if got != state_len {
-            return Err((got, state_len));
-        }
-        let s = client_seed(seed, self.client_id, round as usize);
-        match global {
-            Global::Floats(g) => lane.run(&self.factory, g, &self.data, cfg, s),
-            Global::Bytes(b) => lane.run_le(&self.factory, b, &self.data, cfg, s),
-        }
-        self.last_round = Some(round);
-        Ok(UpdateHeader {
-            round,
-            client_id: self.client_id as u64,
-            weight: self.data.len() as u64,
-            // The echoed nonce: the coordinator's admission layer matches
-            // it against the assignment to reject stale/replayed frames.
-            nonce,
-            distill: false,
-        })
-    }
 }
 
 /// What a host does once [`WorkerRuntime::answer`] has written a reply.
@@ -422,28 +383,6 @@ pub enum Answer {
     Refuse(String),
     /// The coordinator's `Shutdown`: close cleanly, nothing to send.
     Shutdown,
-}
-
-/// Encodes `msg` as the reply and says what follows it.
-fn encode_answer(
-    msg: &Msg,
-    reply: &mut Vec<u8>,
-    limits: &FrameLimits,
-) -> Result<Answer, WireError> {
-    encode_frame_into(msg, reply, limits)?;
-    Ok(match msg {
-        Msg::Err { .. } => Answer::Refuse(wire::describe_err(msg)),
-        _ => Answer::Reply,
-    })
-}
-
-/// A training assignment's global state as its host holds it.
-#[derive(Clone, Copy)]
-enum Global<'a> {
-    /// Decoded, in a [`Msg::RoundAssign`].
-    Floats(&'a [f32]),
-    /// The frame's little-endian float bytes.
-    Bytes(&'a [u8]),
 }
 
 impl std::fmt::Debug for WorkerRuntime {
@@ -459,11 +398,13 @@ impl std::fmt::Debug for WorkerRuntime {
     }
 }
 
-fn bad_state_len(got: usize, want: usize) -> Msg {
-    Msg::Err {
-        code: err_code::BAD_STATE_LEN,
-        detail: format!("state vector length {got}, this worker's model has {want}"),
-    }
+/// The `Err` code and detail refusing a state vector of `got` floats to
+/// a worker whose model has `want`.
+fn bad_state_len(got: usize, want: usize) -> (u16, String) {
+    (
+        err_code::BAD_STATE_LEN,
+        format!("state vector length {got}, this worker's model has {want}"),
+    )
 }
 
 /// Connects to a coordinator, performs the `Hello`/`Capabilities`
@@ -721,7 +662,7 @@ mod tests {
     use goldfish_core::basic_model::GoldfishLocalConfig;
     use goldfish_core::transport::UnlearnJob;
     use goldfish_fed::eval;
-    use goldfish_fed::trainer::train_local_ce;
+    use goldfish_fed::trainer::{train_local_ce, TrainConfig};
     use goldfish_nn::loss::HardLossSpec;
 
     fn runtime() -> (WorkerRuntime, DemoSpec) {
@@ -737,6 +678,34 @@ mod tests {
         )
     }
 
+    /// Encodes `msg` as the coordinator does and answers the frame
+    /// through [`WorkerRuntime::answer`], returning the reply decoded. A
+    /// reply is an `Err` exactly when the answer is a refusal.
+    fn ask(w: &mut WorkerRuntime, msg: &Msg, lane: &mut TrainLane) -> Msg {
+        let limits = FrameLimits::default();
+        let frame = wire::encode_frame(msg, &limits).unwrap();
+        let mut reply = Vec::new();
+        let (kind, payload) = (frame[5], &frame[wire::HEADER_LEN..]);
+        let answer = w.answer(kind, payload, lane, &mut reply, &limits);
+        let (got, _) = wire::decode_frame(&reply, &limits).unwrap();
+        match &got {
+            Msg::Err { .. } => assert_eq!(answer, Ok(Answer::Refuse(wire::describe_err(&got)))),
+            _ => assert_eq!(answer, Ok(Answer::Reply)),
+        }
+        got
+    }
+
+    fn assign(mode: RoundMode, round: u64, seed: u64, nonce: u64, global: &[f32]) -> Msg {
+        Msg::RoundAssign {
+            mode,
+            round,
+            seed,
+            nonce,
+            cfg: runtime().1.train_config(),
+            global: global.to_vec(),
+        }
+    }
+
     #[test]
     fn train_round_matches_local_execution() {
         let (mut w, spec) = runtime();
@@ -744,15 +713,9 @@ mod tests {
         let factory = spec.factory();
         let global = (factory)(3).state_vector();
         let cfg = spec.train_config();
-        let reply = w.handle(
-            Msg::RoundAssign {
-                mode: RoundMode::Train,
-                round: 2,
-                seed: 11,
-                nonce: 0xFACE,
-                cfg,
-                global: global.clone(),
-            },
+        let reply = ask(
+            &mut w,
+            &assign(RoundMode::Train, 2, 11, 0xFACE, &global),
             &mut lane,
         );
         let Msg::Update {
@@ -767,6 +730,7 @@ mod tests {
         };
         // The worker echoes the assignment's nonce verbatim.
         assert_eq!((round, client_id, weight, nonce), (2, 1, 40, 0xFACE));
+        assert_eq!(w.last_round(), Some(2));
         let s = client_seed(11, 1, 2);
         let mut net = (factory)(s);
         net.set_state_vector(&global);
@@ -789,7 +753,7 @@ mod tests {
                 round: 0,
                 seed: 0,
                 nonce: 0,
-                cfg: goldfish_fed::trainer::TrainConfig {
+                cfg: TrainConfig {
                     batch_size: 0,
                     ..spec.train_config()
                 },
@@ -831,15 +795,9 @@ mod tests {
         let (mut w, spec) = runtime();
         let mut lane = TrainLane::new();
         let global = (spec.factory())(3).state_vector();
-        let reply = w.handle(
-            Msg::RoundAssign {
-                mode: RoundMode::Distill,
-                round: 0,
-                seed: 0,
-                nonce: 0,
-                cfg: spec.train_config(),
-                global,
-            },
+        let reply = ask(
+            &mut w,
+            &assign(RoundMode::Distill, 0, 0, 0, &global),
             &mut lane,
         );
         assert!(matches!(
@@ -864,44 +822,64 @@ mod tests {
             },
             hard: Some(HardLossSpec::CrossEntropy),
         };
-        let ack = w.handle(
-            Msg::UnlearnAssign {
-                serial: 0,
-                job,
-                removed: vec![0, 3],
-                teacher: teacher.clone(),
-            },
-            &mut lane,
-        );
-        // The ack reports the post-deletion dataset size (worker truth).
-        assert!(matches!(ack, Msg::UnlearnAck { num_samples: 38 }));
-        let reply = w.handle(
-            Msg::RoundAssign {
-                mode: RoundMode::Distill,
-                round: 0,
-                seed: 5,
-                nonce: 21,
-                cfg: spec.train_config(),
-                global: teacher.clone(),
-            },
-            &mut lane,
-        );
-        let Msg::UnlearnResult { weight, nonce, .. } = reply else {
-            panic!("expected UnlearnResult, got {reply:?}");
+        let unlearn = Msg::UnlearnAssign {
+            serial: 0,
+            job,
+            removed: vec![0, 3],
+            teacher: teacher.clone(),
         };
-        assert_eq!((weight, nonce), (38, 21)); // 40 - 2 removed, nonce echoed
+        // The ack reports the post-deletion dataset size (worker truth).
+        let ack = ask(&mut w, &unlearn, &mut lane);
+        assert!(matches!(ack, Msg::UnlearnAck { num_samples: 38 }));
+        // Two distillation rounds from different globals: the second
+        // reuses the request's decoded-global buffer and teacher cache.
+        let split = ClientSplit::with_removed(&spec.client_shard(1), &[0, 3]);
+        let hard = HardLossSpec::CrossEntropy.build();
+        let oracle_job = DistillJob::new(spec.factory(), teacher.clone(), job.local, hard);
+        let mut oracle = ClientDistiller::new(1);
+        let mut global = teacher.clone();
+        for round in 0..2u64 {
+            let reply = ask(
+                &mut w,
+                &assign(RoundMode::Distill, round, 5, 21, &global),
+                &mut lane,
+            );
+            let Msg::UnlearnResult {
+                round: echoed,
+                client_id,
+                weight,
+                nonce,
+                state,
+            } = reply
+            else {
+                panic!("expected UnlearnResult, got {reply:?}");
+            };
+            // 40 - 2 removed, nonce echoed.
+            assert_eq!((echoed, client_id, weight, nonce), (round, 1, 38, 21));
+            assert_eq!(w.last_round(), Some(round));
+            // The upload is the library's own distillation round.
+            let mut fresh = TrainLane::new();
+            let (remaining, forget) = (&split.remaining, &split.forget);
+            oracle.round(
+                &oracle_job,
+                remaining,
+                forget,
+                &mut fresh,
+                &global,
+                round as usize,
+                5,
+            );
+            let mut want = Vec::new();
+            fresh.state_into(&mut want);
+            assert_eq!(state, want, "distill round {round}");
+            global = state;
+        }
 
         // A training assignment exits unlearning mode — and trains on
         // the post-deletion dataset (the removal is permanent).
-        let reply = w.handle(
-            Msg::RoundAssign {
-                mode: RoundMode::Train,
-                round: 1,
-                seed: 5,
-                nonce: 0,
-                cfg: spec.train_config(),
-                global: teacher.clone(),
-            },
+        let reply = ask(
+            &mut w,
+            &assign(RoundMode::Train, 1, 5, 0, &teacher),
             &mut lane,
         );
         let Msg::Update { weight, .. } = reply else {
@@ -909,33 +887,27 @@ mod tests {
         };
         assert_eq!(weight, 38);
         // …so a further distill round is a protocol error again.
-        let reply = w.handle(
-            Msg::RoundAssign {
-                mode: RoundMode::Distill,
-                round: 1,
-                seed: 5,
-                nonce: 0,
-                cfg: spec.train_config(),
-                global: teacher,
-            },
+        let reply = ask(
+            &mut w,
+            &assign(RoundMode::Distill, 1, 5, 0, &teacher),
             &mut lane,
         );
-        assert!(matches!(reply, Msg::Err { .. }));
+        assert!(matches!(
+            reply,
+            Msg::Err {
+                code: err_code::NOT_UNLEARNING,
+                ..
+            }
+        ));
     }
 
     #[test]
     fn bad_requests_are_typed() {
         let (mut w, spec) = runtime();
         let mut lane = TrainLane::new();
-        let reply = w.handle(
-            Msg::RoundAssign {
-                mode: RoundMode::Train,
-                round: 0,
-                seed: 0,
-                nonce: 0,
-                cfg: spec.train_config(),
-                global: vec![0.0; 3],
-            },
+        let reply = ask(
+            &mut w,
+            &assign(RoundMode::Train, 0, 0, 0, &[0.0; 3]),
             &mut lane,
         );
         assert!(matches!(
@@ -946,35 +918,35 @@ mod tests {
             }
         ));
         let teacher = (spec.factory())(0).state_vector();
-        let reply = w.handle(
-            Msg::UnlearnAssign {
-                serial: 0,
-                job: UnlearnJob {
-                    local: GoldfishLocalConfig::default(),
-                    hard: Some(HardLossSpec::CrossEntropy),
-                },
-                removed: vec![10_000],
-                teacher,
+        let unlearn = Msg::UnlearnAssign {
+            serial: 0,
+            job: UnlearnJob {
+                local: GoldfishLocalConfig::default(),
+                hard: Some(HardLossSpec::CrossEntropy),
             },
-            &mut lane,
-        );
+            removed: vec![10_000],
+            teacher,
+        };
         assert!(matches!(
-            reply,
+            ask(&mut w, &unlearn, &mut lane),
             Msg::Err {
                 code: err_code::BAD_REQUEST,
                 ..
             }
         ));
-        let reply = w.handle(
-            Msg::Hello {
-                client_id: 0,
-                state_len: 0,
-                num_samples: 0,
-                resume: None,
-            },
-            &mut lane,
-        );
-        assert!(matches!(reply, Msg::Err { .. }));
+        let hello = Msg::Hello {
+            client_id: 0,
+            state_len: 0,
+            num_samples: 0,
+            resume: None,
+        };
+        assert!(matches!(
+            ask(&mut w, &hello, &mut lane),
+            Msg::Err {
+                code: err_code::BAD_REQUEST,
+                ..
+            }
+        ));
     }
 
     #[test]
@@ -982,15 +954,13 @@ mod tests {
         let (mut w, spec) = runtime();
         let mut lane = TrainLane::new();
         let global = (spec.factory())(3).state_vector();
-        let reply = w.handle(
-            Msg::Eval {
-                round: 4,
-                accuracy: 0.0,
-                mse: 0.0,
-                global,
-            },
-            &mut lane,
-        );
+        let request = Msg::Eval {
+            round: 4,
+            accuracy: 0.0,
+            mse: 0.0,
+            global,
+        };
+        let reply = ask(&mut w, &request, &mut lane);
         let Msg::Eval {
             round,
             accuracy,
@@ -1025,17 +995,8 @@ mod tests {
             let mut global = (shared)(3).state_vector();
             for round in 0..2u64 {
                 for (id, w) in workers.iter_mut().enumerate() {
-                    let reply = w.handle(
-                        Msg::RoundAssign {
-                            mode: RoundMode::Train,
-                            round,
-                            seed: 11,
-                            nonce: 5,
-                            cfg,
-                            global: global.clone(),
-                        },
-                        &mut lane,
-                    );
+                    let request = assign(RoundMode::Train, round, 11, 5, &global);
+                    let reply = ask(w, &request, &mut lane);
                     let Msg::Update { state, .. } = reply else {
                         panic!("expected Update, got {reply:?}");
                     };
@@ -1047,15 +1008,13 @@ mod tests {
                     // The next message starts from this reply.
                     global = state;
 
-                    let reply = w.handle(
-                        Msg::Eval {
-                            round,
-                            accuracy: 0.0,
-                            mse: 0.0,
-                            global: global.clone(),
-                        },
-                        &mut lane,
-                    );
+                    let request = Msg::Eval {
+                        round,
+                        accuracy: 0.0,
+                        mse: 0.0,
+                        global: global.clone(),
+                    };
+                    let reply = ask(w, &request, &mut lane);
                     let Msg::Eval { accuracy, mse, .. } = reply else {
                         panic!("expected Eval, got {reply:?}");
                     };
@@ -1069,115 +1028,44 @@ mod tests {
         }
     }
 
-    /// A training assignment's frame, encoded as the coordinator's
-    /// broadcast encodes it.
-    fn assign_frame(round: u64, seed: u64, cfg: &TrainConfig, global: &[f32]) -> Vec<u8> {
-        let mut frame = Vec::new();
-        let limits = FrameLimits::default();
-        wire::encode_round_assign_into(
-            &mut frame,
-            RoundMode::Train,
-            round,
-            seed,
-            0xC0DE + round,
-            cfg,
-            global,
-            &limits,
-        )
-        .unwrap();
-        frame
-    }
-
-    /// `answer` on a frame is `encode_frame(handle(decode_msg(frame)))`,
-    /// byte for byte: training rounds (answered from the frame's bytes)
-    /// over seeded globals, round seeds and batch sizes — the small and
-    /// the tiled `Dense` paths, a short last batch — and the frames that
-    /// still go through `handle`.
+    /// Each hostile assignment ends as it should: one that does not
+    /// decode is the decoder's `Malformed` (nothing to send), one that
+    /// decodes but does not fit this worker is the `Err` reply of its
+    /// code, refused.
     #[test]
-    fn byte_answers_equal_typed_answers() {
-        let (_, spec) = runtime();
-        let factory = spec.factory();
-        let limits = FrameLimits::default();
-        let mut bytes = WorkerRuntime::new(1, Arc::clone(&factory), spec.client_shard(1));
-        let mut typed = WorkerRuntime::new(1, Arc::clone(&factory), spec.client_shard(1));
-        let (mut bytes_lane, mut typed_lane) = (TrainLane::new(), TrainLane::new());
-        let mut reply = vec![0xEE; 3];
-        let rounds = [(3, 11, 20), (4, 12, 7), (5, 99, 1), (6, 5, 13), (7, 0, 40)];
-        for (round, (global_seed, seed, batch_size)) in rounds.into_iter().enumerate() {
-            let global = (factory)(global_seed).state_vector();
-            let cfg = TrainConfig {
-                batch_size,
-                ..spec.train_config()
-            };
-            let mut frames = vec![assign_frame(round as u64, seed, &cfg, &global)];
-            let mut eval = Vec::new();
-            wire::encode_eval_request_into(&mut eval, round as u64, &global, &limits).unwrap();
-            frames.push(eval);
-            let digest = Msg::Digest {
-                round: round as u64,
-                digest: [round as u8; DIGEST_LEN],
-            };
-            frames.push(wire::encode_frame(&digest, &limits).unwrap());
-            for frame in frames {
-                let (kind, payload) = (frame[5], &frame[wire::HEADER_LEN..]);
-                let answer = bytes.answer(kind, payload, &mut bytes_lane, &mut reply, &limits);
-                assert_eq!(answer, Ok(Answer::Reply), "round {round} kind {kind}");
-                let want = typed.handle(decode_msg(kind, payload).unwrap(), &mut typed_lane);
-                assert!(!matches!(want, Msg::Err { .. }), "{want:?}");
-                let want = wire::encode_frame(&want, &limits).unwrap();
-                assert!(
-                    reply == want,
-                    "round {round} kind {kind}: reply bytes differ"
-                );
-            }
-            assert_eq!(bytes.last_round(), Some(round as u64));
-            assert_eq!(bytes.frames_handled(), typed.frames_handled());
-        }
-    }
-
-    /// Hostile training assignments end as the typed path ends them: a
-    /// frame that does not decode is the decoder's own error, and one
-    /// that decodes but does not fit this worker is `handle`'s `Err`
-    /// reply, refused.
-    #[test]
-    fn hostile_assignments_end_as_the_typed_path_ends_them() {
+    fn hostile_assignments_end_in_an_error_or_a_refusal() {
         let (_, spec) = runtime();
         let limits = FrameLimits::default();
-        for (what, frame) in hostile_assignments(&spec) {
+        for (what, frame, refusal) in hostile_assignments(&spec) {
             let (kind, payload) = (frame[5], &frame[wire::HEADER_LEN..]);
             let (mut w, _) = runtime();
             let mut reply = Vec::new();
             let got = w.answer(kind, payload, &mut TrainLane::new(), &mut reply, &limits);
-            let (mut oracle, _) = runtime();
-            match decode_msg(kind, payload) {
-                Err(e) => {
-                    assert_ne!(what, "wrong state_len");
-                    assert_eq!(got, Err(e), "{what}");
-                }
-                Ok(msg) => {
-                    assert_eq!(what, "wrong state_len");
-                    let want = oracle.handle(msg, &mut TrainLane::new());
-                    assert!(matches!(want, Msg::Err { .. }), "{what}: {want:?}");
-                    assert_eq!(got, Ok(Answer::Refuse(wire::describe_err(&want))), "{what}");
-                    assert!(
-                        reply == wire::encode_frame(&want, &limits).unwrap(),
-                        "{what}"
-                    );
-                }
-            }
+            let Some(code) = refusal else {
+                assert!(
+                    matches!(got, Err(WireError::Malformed(_))),
+                    "{what}: {got:?}"
+                );
+                continue;
+            };
+            let (sent, _) = wire::decode_frame(&reply, &limits).unwrap();
+            assert!(
+                matches!(&sent, Msg::Err { code: c, .. } if *c == code),
+                "{what}: {sent:?}"
+            );
+            assert_eq!(got, Ok(Answer::Refuse(wire::describe_err(&sent))), "{what}");
         }
     }
 
-    /// Both hosts end a hostile training assignment without a panic:
+    /// Both hosts end a hostile assignment without a panic:
     /// `serve_stream` returns `Malformed` and `run_fleet` retires the
     /// connection as dropped, after sending the `Err` reply when there is
-    /// one (a wrong state length) and without a reply otherwise.
+    /// one and without a reply otherwise.
     #[test]
     fn both_hosts_survive_hostile_assignments() {
         let (_, spec) = runtime();
         let limits = FrameLimits::default();
-        for (what, frame) in hostile_assignments(&spec) {
-            let refused = what == "wrong state_len";
+        for (what, frame, refusal) in hostile_assignments(&spec) {
             for fleet in [false, true] {
                 let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
                 let addr = listener.local_addr().unwrap().to_string();
@@ -1210,10 +1098,12 @@ mod tests {
                 let host = if fleet { "run_fleet" } else { "serve_stream" };
                 match reply {
                     Some(Msg::Err { code, .. }) => {
-                        assert!(refused, "{host}, {what}: an Err reply");
-                        assert_eq!(code, err_code::BAD_STATE_LEN, "{host}, {what}");
+                        assert_eq!(Some(code), refusal, "{host}, {what}");
                     }
-                    other => assert!(!refused && other.is_none(), "{host}, {what}: {other:?}"),
+                    other => assert!(
+                        refusal.is_none() && other.is_none(),
+                        "{host}, {what}: {other:?}"
+                    ),
                 }
                 if fleet {
                     assert!(ended.contains("dropped: 1"), "{host}, {what}: {ended}");
@@ -1227,32 +1117,68 @@ mod tests {
         }
     }
 
-    /// Training assignments no honest coordinator sends, each named.
-    fn hostile_assignments(spec: &DemoSpec) -> Vec<(&'static str, Vec<u8>)> {
+    /// A round assignment's frame, encoded as the coordinator's broadcast
+    /// encodes it.
+    fn assign_frame(mode: RoundMode, cfg: &TrainConfig, global: &[f32]) -> Vec<u8> {
+        let mut frame = Vec::new();
+        let limits = FrameLimits::default();
+        wire::encode_round_assign_into(&mut frame, mode, 2, 11, 0xC0DE, cfg, global, &limits)
+            .unwrap();
+        frame
+    }
+
+    /// Round assignments no honest coordinator sends to a fresh worker,
+    /// each named, with the `Err` code a refusal replies with (`None`:
+    /// the frame does not decode).
+    fn hostile_assignments(spec: &DemoSpec) -> Vec<(&'static str, Vec<u8>, Option<u16>)> {
         let cfg = spec.train_config();
         let global = (spec.factory())(3).state_vector();
-        let valid = assign_frame(2, 11, &cfg, &global);
         // Payload offsets: mode tag 0, round 1, seed 9, nonce 17, epochs
         // 25, batch size 33, lr 41, momentum 45, float count 49.
         let at = |offset: usize| wire::HEADER_LEN + offset;
-        let mut truncated = valid[..valid.len() - 3].to_vec();
-        let len = (truncated.len() - wire::HEADER_LEN) as u32;
-        truncated[6..10].copy_from_slice(&len.to_le_bytes());
-        let mut overcount = valid.clone();
+        let truncated = |mode| {
+            let valid = assign_frame(mode, &cfg, &global);
+            let mut cut = valid[..valid.len() - 3].to_vec();
+            let len = (cut.len() - wire::HEADER_LEN) as u32;
+            cut[6..10].copy_from_slice(&len.to_le_bytes());
+            cut
+        };
+        let mut overcount = assign_frame(RoundMode::Train, &cfg, &global);
         let count = (global.len() as u64 + 1).to_le_bytes();
         overcount[at(49)..at(57)].copy_from_slice(&count);
         let zero_batch = TrainConfig {
             batch_size: 0,
             ..cfg
         };
-        let mut bad_mode = valid.clone();
+        let mut bad_mode = assign_frame(RoundMode::Train, &cfg, &global);
         bad_mode[at(0)] = 7;
+        let (train, distill) = (RoundMode::Train, RoundMode::Distill);
+        let short = &global[1..];
         vec![
-            ("truncated float run", truncated),
-            ("float count past the payload", overcount),
-            ("batch_size 0", assign_frame(2, 11, &zero_batch, &global)),
-            ("wrong state_len", assign_frame(2, 11, &cfg, &global[1..])),
-            ("unknown mode tag", bad_mode),
+            ("truncated float run", truncated(train), None),
+            ("float count past the payload", overcount, None),
+            (
+                "batch_size 0",
+                assign_frame(train, &zero_batch, &global),
+                None,
+            ),
+            (
+                "wrong state_len",
+                assign_frame(train, &cfg, short),
+                Some(err_code::BAD_STATE_LEN),
+            ),
+            ("unknown mode tag", bad_mode, None),
+            ("distill: truncated float run", truncated(distill), None),
+            (
+                "distill: wrong state_len",
+                assign_frame(distill, &cfg, short),
+                Some(err_code::BAD_STATE_LEN),
+            ),
+            (
+                "distill before any UnlearnAssign",
+                assign_frame(distill, &cfg, &global),
+                Some(err_code::NOT_UNLEARNING),
+            ),
         ]
     }
 

@@ -53,10 +53,11 @@ use goldfish_serve::fleet::run_fleet;
 use goldfish_serve::tcp::{bind, TcpConfig, TcpTransport};
 use goldfish_serve::transport::{LoopbackTransport, ServeTransport};
 use goldfish_serve::wire::{
-    kind, read_frame, write_frame, FrameLimits, Msg, RoundMode, WireError, MAGIC, PROTOCOL_VERSION,
+    encode_frame, kind, read_frame, write_frame, FrameLimits, Msg, RoundMode, WireError,
+    HEADER_LEN, MAGIC, PROTOCOL_VERSION,
 };
 use goldfish_serve::worker::{
-    run_worker, run_worker_resilient, serve_stream, ReconnectPolicy, WorkerRuntime,
+    run_worker, run_worker_resilient, serve_stream, Answer, ReconnectPolicy, WorkerRuntime,
 };
 use rand::{rngs::StdRng, SeedableRng};
 
@@ -842,6 +843,20 @@ fn wide_config() -> CoordinatorConfig {
     }
 }
 
+/// Answers `msg` as a worker host answers its frame: encoded, then
+/// [`WorkerRuntime::answer`]ed into `reply`.
+fn answer(
+    runtime: &mut WorkerRuntime,
+    msg: &Msg,
+    lane: &mut TrainLane,
+    reply: &mut Vec<u8>,
+) -> Answer {
+    let limits = FrameLimits::default();
+    let frame = encode_frame(msg, &limits).unwrap();
+    let (kind, payload) = (frame[5], &frame[HEADER_LEN..]);
+    runtime.answer(kind, payload, lane, reply, &limits).unwrap()
+}
+
 /// A worker that answers every assignment like `run_worker` does, but
 /// only after `delay` — a scripted arrival order.
 fn delayed_worker(
@@ -858,13 +873,13 @@ fn delayed_worker(
         write_frame(&mut stream, &runtime.hello(&mut lane), &limits).unwrap();
         let (caps, _) = read_frame(&mut stream, &limits).unwrap();
         assert!(matches!(caps, Msg::Capabilities { .. }), "got {caps:?}");
+        let mut reply = Vec::new();
         while let Ok((msg, _)) = read_frame(&mut stream, &limits) {
-            if matches!(msg, Msg::Shutdown) {
+            if answer(&mut runtime, &msg, &mut lane, &mut reply) == Answer::Shutdown {
                 return;
             }
-            let reply = runtime.handle(msg, &mut lane);
             std::thread::sleep(delay);
-            if write_frame(&mut stream, &reply, &limits).is_err() {
+            if stream.write_all(&reply).is_err() {
                 return;
             }
         }
@@ -1009,13 +1024,13 @@ fn resuming_worker(
         queued.send(()).unwrap();
         let (caps, _) = read_frame(&mut stream, &limits).unwrap();
         assert!(matches!(caps, Msg::Capabilities { .. }), "got {caps:?}");
+        let mut reply = Vec::new();
         loop {
             let (msg, _) = read_frame(&mut stream, &limits).unwrap();
-            if matches!(msg, Msg::Shutdown) {
+            if answer(&mut runtime, &msg, &mut lane, &mut reply) == Answer::Shutdown {
                 return runtime;
             }
-            let reply = runtime.handle(msg, &mut lane);
-            write_frame(&mut stream, &reply, &limits).unwrap();
+            stream.write_all(&reply).unwrap();
         }
     })
 }

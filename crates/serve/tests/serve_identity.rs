@@ -17,6 +17,8 @@ use goldfish_core::{GoldfishUnlearning, UnlearningMethod};
 use goldfish_fed::federation::Federation;
 use goldfish_serve::coordinator::{drain_seed, round_seed, Coordinator, CoordinatorConfig};
 use goldfish_serve::demo::DemoSpec;
+use goldfish_serve::digest::state_digest;
+use goldfish_serve::fleet::run_fleet;
 use goldfish_serve::queue::UnlearnRequest;
 use goldfish_serve::tcp::{bind, TcpConfig, TcpTransport};
 use goldfish_serve::transport::{LoopbackTransport, ServeTransport};
@@ -341,6 +343,42 @@ fn tcp_run_is_bitwise_identical_to_loopback() {
         // ...all but the evicted one, whose typed `Err` frame ends its loop.
         assert_eq!(w.join().is_ok(), id != 1);
     }
+}
+
+/// The same schedule — a deletion drained by distillation rounds
+/// included — with every worker hosted by one `run_fleet` thread: the
+/// fleet carries `UnlearnAssign` and Distill frames over its sockets and
+/// commits the loopback run's global, digest for digest.
+#[test]
+fn fleet_hosted_deletion_is_bitwise_identical_to_loopback() {
+    let spec = demo();
+    let (loopback_global, _) = run_schedule(loopback_coordinator(&spec));
+
+    let (listener, addr) = bind("127.0.0.1:0").unwrap();
+    let fleet = std::thread::spawn(move || {
+        let mut runtimes: Vec<WorkerRuntime> = (0..spec.clients)
+            .map(|id| WorkerRuntime::new(id, spec.factory(), spec.client_shard(id)))
+            .collect();
+        run_fleet(&addr, &mut runtimes, &FrameLimits::default()).unwrap()
+    });
+    let state_len = (spec.factory())(0).state_len();
+    let transport =
+        TcpTransport::accept(&listener, spec.clients, state_len, TcpConfig::default()).unwrap();
+    let c = Coordinator::new(
+        spec.factory(),
+        spec.test_set(),
+        transport,
+        coordinator_config(&spec),
+    );
+    let (fleet_global, mut c) = run_schedule(c);
+    assert_eq!(
+        state_digest(ROUNDS as u64, &fleet_global),
+        state_digest(ROUNDS as u64, &loopback_global),
+        "the fleet-hosted run diverged from loopback"
+    );
+    c.transport_mut().shutdown();
+    let report = fleet.join().expect("the fleet thread panicked");
+    assert_eq!((report.clean_shutdowns, report.dropped), (spec.clients, 0));
 }
 
 #[test]

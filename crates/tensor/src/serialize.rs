@@ -8,7 +8,7 @@
 //! u32 rank | u64 dims[rank] | f32 data[prod(dims)]     (little endian)
 //! ```
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{Buf, Bytes};
 
 use crate::{Tensor, TensorError};
 
@@ -24,22 +24,10 @@ use crate::{Tensor, TensorError};
 const F32_BATCH: usize = 1024;
 
 /// Appends `data` to `buf` as little-endian `f32`s via stack-batched bulk
-/// copies.
-fn put_f32s_le(buf: &mut BytesMut, data: &[f32]) {
-    let mut raw = [0u8; 4 * F32_BATCH];
-    for batch in data.chunks(F32_BATCH) {
-        let used = &mut raw[..4 * batch.len()];
-        for (dst, &v) in used.chunks_exact_mut(4).zip(batch) {
-            dst.copy_from_slice(&v.to_le_bytes());
-        }
-        buf.put_slice(used);
-    }
-}
-
-/// Appends `data` to a plain `Vec<u8>` as little-endian `f32`s — the same
-/// bytes [`params_to_bytes`] carries after its count, for callers that
-/// stage frames in reusable `Vec<u8>` buffers (the serve wire layer, a
-/// network exporting its state parameter by parameter).
+/// copies — the float writer behind [`to_bytes`] and [`params_to_bytes`],
+/// and for callers that stage frames in reusable `Vec<u8>` buffers (the
+/// serve wire layer, a network exporting its state parameter by
+/// parameter).
 pub fn f32s_write_le(buf: &mut Vec<u8>, data: &[f32]) {
     let mut raw = [0u8; 4 * F32_BATCH];
     for batch in data.chunks(F32_BATCH) {
@@ -77,13 +65,13 @@ fn get_f32s_le(bytes: &mut Bytes, n: usize) -> Vec<f32> {
 
 /// Serializes a tensor into a freshly allocated byte buffer.
 pub fn to_bytes(t: &Tensor) -> Bytes {
-    let mut buf = BytesMut::with_capacity(4 + 8 * t.rank() + 4 * t.len());
-    buf.put_u32_le(t.rank() as u32);
+    let mut buf = Vec::with_capacity(4 + 8 * t.rank() + 4 * t.len());
+    buf.extend_from_slice(&(t.rank() as u32).to_le_bytes());
     for &d in t.shape() {
-        buf.put_u64_le(d as u64);
+        buf.extend_from_slice(&(d as u64).to_le_bytes());
     }
-    put_f32s_le(&mut buf, t.as_slice());
-    buf.freeze()
+    f32s_write_le(&mut buf, t.as_slice());
+    Bytes::from(buf)
 }
 
 /// Deserializes a tensor produced by [`to_bytes`].
@@ -133,10 +121,9 @@ pub fn from_bytes(mut bytes: Bytes) -> Result<Tensor, TensorError> {
 /// Serializes a flat parameter vector (no shape) — the payload a federated
 /// client uploads.
 pub fn params_to_bytes(params: &[f32]) -> Bytes {
-    let mut buf = BytesMut::with_capacity(8 + 4 * params.len());
-    buf.put_u64_le(params.len() as u64);
-    put_f32s_le(&mut buf, params);
-    buf.freeze()
+    let mut buf = Vec::with_capacity(8 + 4 * params.len());
+    params_write_into(&mut buf, params);
+    Bytes::from(buf)
 }
 
 /// Appends the [`params_to_bytes`] encoding of `params` to `out` —
@@ -236,6 +223,7 @@ pub fn params_read_into_vec(bytes: &[u8], out: &mut Vec<f32>) -> Result<usize, T
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bytes::{BufMut, BytesMut};
 
     #[test]
     fn tensor_roundtrip() {

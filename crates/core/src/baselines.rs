@@ -345,16 +345,25 @@ impl IncompetentTeacher {
         let mut grad = Tensor::zeros(vec![0]);
         let mut teacher_probs = Tensor::zeros(vec![0]);
         let mut order: Vec<usize> = Vec::new();
-        for _ in 0..setup.train.local_epochs {
-            for (data, teacher) in [
+        // The run's last step (the last batch of the last non-empty split
+        // in the last epoch) stores no velocity.
+        let epochs = setup.train.local_epochs;
+        let last_part = usize::from(!split.forget.is_empty());
+        for epoch in 0..epochs {
+            for (part, (data, teacher)) in [
                 (&split.remaining, &mut *competent),
                 (&split.forget, &mut incompetent),
-            ] {
+            ]
+            .into_iter()
+            .enumerate()
+            {
                 if data.is_empty() {
                     continue;
                 }
                 data.shuffled_indices_into(&mut rng, &mut order);
-                for chunk in order.chunks(setup.train.batch_size) {
+                let steps = order.chunks(setup.train.batch_size).len();
+                let last = epoch + 1 == epochs && part == last_part;
+                for (i, chunk) in order.chunks(setup.train.batch_size).enumerate() {
                     gather.gather(data, chunk);
                     {
                         let teacher_logits = teacher.forward_ws(gather.features(), false);
@@ -369,7 +378,11 @@ impl IncompetentTeacher {
                     }
                     student.zero_grad();
                     student.backward_train(&grad);
-                    sgd.step(student);
+                    if last && i + 1 == steps {
+                        sgd.final_step(student);
+                    } else {
+                        sgd.step(student);
+                    }
                 }
             }
         }

@@ -368,7 +368,7 @@ pub fn train_distill_cached(
     let mut order: Vec<usize> = Vec::new();
     let mut forget_order: Vec<usize> = Vec::new();
 
-    for _ in 0..cfg.epochs {
+    for epoch in 0..cfg.epochs {
         remaining.shuffled_indices_into(&mut rng, &mut order);
         forget.shuffled_indices_into(&mut rng, &mut forget_order);
         let n_steps = order.chunks(cfg.batch_size.max(1)).len().max(1);
@@ -376,6 +376,10 @@ pub fn train_distill_cached(
         // step sees a slice of removed data.
         let forget_chunk = forget_order.len().div_ceil(n_steps).max(1);
         let mut forget_batches = forget_order.chunks(forget_chunk);
+
+        // The run's last possible step stores no velocity (an Eq 7 early
+        // stop ends the run sooner, after a plain step).
+        let last_epoch = epoch + 1 == cfg.epochs;
 
         let mut epoch_loss = 0.0f32;
         let mut steps = 0usize;
@@ -428,7 +432,11 @@ pub fn train_distill_cached(
             if let Some(max_norm) = cfg.grad_clip {
                 clip_grad_norm(student, max_norm);
             }
-            sgd.step(student);
+            if last_epoch && steps + 1 == n_steps {
+                sgd.final_step(student);
+            } else {
+                sgd.step(student);
+            }
             epoch_loss += total;
             steps += 1;
         }

@@ -84,8 +84,10 @@ impl TrainWorkspace {
 /// SGD loop every client, shard and worker runs. Allocation-free once
 /// warm: the caller owns the [`TrainWorkspace`] and the optimizer
 /// (re-armed in place, so its velocity buffer survives between runs and
-/// a re-armed optimizer steps bitwise as a fresh one). Does
-/// nothing for an empty dataset.
+/// a re-armed optimizer steps bitwise as a fresh one). The run's last
+/// mini-batch steps through [`FusedSgd::final_step`], which stores no
+/// velocity the next run's re-arm would discard. Does nothing for an
+/// empty dataset.
 pub fn train_local_hot(
     net: &mut Network,
     data: &Dataset,
@@ -105,9 +107,11 @@ pub fn train_local_hot(
         grad,
         order,
     } = ws;
-    for _ in 0..cfg.local_epochs {
+    for epoch in 0..cfg.local_epochs {
         data.shuffled_indices_into(&mut rng, order);
-        for chunk in order.chunks(cfg.batch_size) {
+        let steps = order.chunks(cfg.batch_size).len();
+        let last_epoch = epoch + 1 == cfg.local_epochs;
+        for (i, chunk) in order.chunks(cfg.batch_size).enumerate() {
             gather.gather(data, chunk);
             {
                 let logits = net.forward_ws(gather.features(), true);
@@ -115,7 +119,11 @@ pub fn train_local_hot(
             }
             net.zero_grad();
             net.backward_train(grad);
-            sgd.step(net);
+            if last_epoch && i + 1 == steps {
+                sgd.final_step(net);
+            } else {
+                sgd.step(net);
+            }
         }
     }
 }
@@ -131,7 +139,9 @@ pub fn train_local_ce(net: &mut Network, data: &Dataset, cfg: &TrainConfig, seed
 }
 
 /// One executing thread's worth of model state: a network (arenas
-/// included), a [`TrainWorkspace`], a [`FusedSgd`] velocity buffer, and a
+/// included), a [`TrainWorkspace`], a [`FusedSgd`] velocity buffer
+/// (sized only by runs of two or more steps — a lane that only ever runs
+/// one step, a fleet worker at batch 2, never allocates it), and a
 /// second network slot that distillation lends to a client's teacher
 /// cache. Whoever runs clients keeps one lane per thread that can be
 /// running at once — the in-process executor

@@ -86,6 +86,12 @@ impl Sgd {
 /// taken as zero without being read or cleared, and the next step writes
 /// `v = 0·β + g` over it — the arithmetic of a zeroed velocity, without
 /// the zeroing pass.
+///
+/// The last step of a run is [`FusedSgd::final_step`]: the same weight
+/// update, with the velocity kept in a register and never stored, since
+/// the next run's [`FusedSgd::rearm`] would discard it unread. So the
+/// velocity buffer is sized only by runs of two or more steps; a
+/// one-step run never allocates it.
 #[derive(Debug)]
 pub struct FusedSgd {
     lr: f32,
@@ -127,7 +133,46 @@ impl FusedSgd {
             self.velocity = vec![0.0; net.trainable_len()];
         }
         let stale = std::mem::replace(&mut self.stale, false);
+        self.sweep(net, |value, grad, vel, lr, momentum| {
+            if stale {
+                fused_momentum_step::<true>(value, grad, vel, lr, momentum);
+            } else {
+                fused_momentum_step::<false>(value, grad, vel, lr, momentum);
+            }
+        });
+    }
+
+    /// The last step of a run: updates the weights bit for bit as
+    /// [`FusedSgd::step`] would, but stores no velocity and leaves the
+    /// optimizer stale, as [`FusedSgd::rearm`] would. A stale final step
+    /// reads no velocity either, and never sizes the buffer.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the network's trainable parameter count changed since
+    /// the velocity buffer was sized.
+    pub fn final_step(&mut self, net: &mut Network) {
+        let stale = std::mem::replace(&mut self.stale, true);
+        self.sweep(net, |value, grad, vel, lr, momentum| {
+            if stale {
+                fused_final_step::<true>(value, grad, vel, lr, momentum);
+            } else {
+                fused_final_step::<false>(value, grad, vel, lr, momentum);
+            }
+        });
+    }
+
+    /// Runs `update(value, grad, velocity, lr, momentum)` over each
+    /// trainable parameter's slices in state-vector order. The velocity
+    /// slice is empty while the buffer is unsized (only a stale final
+    /// step gets that far without sizing it).
+    fn sweep(
+        &mut self,
+        net: &mut Network,
+        mut update: impl FnMut(&mut [f32], &[f32], &mut [f32], f32, f32),
+    ) {
         let (lr, momentum) = (self.lr, self.momentum);
+        let sized = !self.velocity.is_empty();
         let mut offset = 0usize;
         let velocity = &mut self.velocity;
         net.visit_params_mut(&mut |p| {
@@ -136,25 +181,20 @@ impl FusedSgd {
             }
             let n = p.value.len();
             let end = offset + n;
-            assert!(
-                end <= velocity.len(),
-                "parameter structure changed under the optimizer"
-            );
-            let (value, grad, vel) = (
-                p.value.as_mut_slice(),
-                p.grad.as_slice(),
-                &mut velocity[offset..end],
-            );
-            if stale {
-                fused_momentum_step::<true>(value, grad, vel, lr, momentum);
+            let vel = if sized {
+                assert!(
+                    end <= velocity.len(),
+                    "parameter structure changed under the optimizer"
+                );
+                &mut velocity[offset..end]
             } else {
-                fused_momentum_step::<false>(value, grad, vel, lr, momentum);
-            }
+                &mut []
+            };
+            update(p.value.as_mut_slice(), p.grad.as_slice(), vel, lr, momentum);
             offset = end;
         });
-        assert_eq!(
-            offset,
-            self.velocity.len(),
+        assert!(
+            !sized || offset == self.velocity.len(),
             "parameter structure changed under the optimizer"
         );
     }
@@ -211,6 +251,31 @@ fn fused_momentum_step<const STALE: bool>(
         *v = if STALE { zero } else { *v * momentum };
         *v += g;
         *w += neg_lr * *v;
+    }
+}
+
+/// [`fused_momentum_step`] without the velocity store: each `v` is formed
+/// in a register by the same operations and only `w` is written. A
+/// `STALE` velocity is not read, so `vel` may be empty then.
+fn fused_final_step<const STALE: bool>(
+    value: &mut [f32],
+    grad: &[f32],
+    vel: &[f32],
+    lr: f32,
+    momentum: f32,
+) {
+    assert_eq!(value.len(), grad.len(), "fused step: grad length");
+    let neg_lr = -lr;
+    if STALE {
+        let zero = 0.0 * momentum;
+        for (w, &g) in value.iter_mut().zip(grad) {
+            *w += neg_lr * (zero + g);
+        }
+    } else {
+        assert_eq!(value.len(), vel.len(), "fused step: velocity length");
+        for ((w, &g), &v) in value.iter_mut().zip(grad).zip(vel) {
+            *w += neg_lr * (v * momentum + g);
+        }
     }
 }
 
@@ -328,6 +393,28 @@ mod tests {
             }
             assert_eq!(a.state_vector(), b.state_vector());
         }
+    }
+
+    #[test]
+    fn a_one_step_run_leaves_the_velocity_unsized() {
+        let mut rng = StdRng::seed_from_u64(12);
+        let mut net = Network::new(Sequential::new().push(Dense::new(3, 2, &mut rng)));
+        let x = init::normal(&mut rng, vec![4, 3], 0.0, 1.0);
+        let mut grad = Tensor::zeros(vec![0]);
+        let mut fused = FusedSgd::new(0.1, 0.9);
+        for _ in 0..2 {
+            let logits = net.forward_ws(&x, true);
+            CrossEntropy.loss_and_grad_into(logits, &[0, 1, 1, 0], &mut grad);
+            net.zero_grad();
+            net.backward_train(&grad);
+            fused.final_step(&mut net);
+            assert!(fused.velocity.is_empty() && fused.velocity.capacity() == 0);
+            assert!(fused.stale);
+            fused.rearm(0.1, 0.9);
+        }
+        // A two-step run sizes it.
+        fused.step(&mut net);
+        assert_eq!(fused.velocity.len(), net.trainable_len());
     }
 
     #[test]

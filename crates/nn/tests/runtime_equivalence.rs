@@ -255,6 +255,61 @@ proptest! {
             }
         }
     }
+
+    /// A run of `k` steps whose last is a final step updates the weights
+    /// bit for bit as `Sgd` does, from a stale velocity (`k = 1`, or a
+    /// re-armed optimizer whose buffer an earlier run sized) or a warm
+    /// one; and after it, a re-armed run equals a fresh optimizer's.
+    #[test]
+    fn a_final_step_updates_as_a_step_does(
+        (n, d, h, c) in mlp_dims(),
+        seed in 0u64..500,
+        k in (0usize..4).prop_map(|i| [1, 2, 3, 8][i]),
+        sized in (0usize..2).prop_map(|b| b == 1),
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut net_a = zoo::mlp(d, &[h], c, &mut rng);
+        let mut net_b = zoo::mlp(d, &[h], c, &mut rng);
+        let x = init::normal(&mut rng, vec![n, d], 0.0, 1.0);
+        let labels: Vec<usize> = (0..n).map(|i| i % c).collect();
+        let mut fused = FusedSgd::new(0.05, 0.9);
+        if sized {
+            // An earlier run leaves a velocity buffer for the re-arm.
+            for _ in 0..2 {
+                step(&mut net_a, &x, &labels, |net| fused.step(net));
+            }
+            fused.rearm(0.05, 0.9);
+        }
+        net_b.set_state_vector(&net_a.state_vector());
+        let mut sgd = Sgd::new(0.05, 0.9);
+        for i in 0..k {
+            let last = i + 1 == k;
+            step(&mut net_a, &x, &labels, |net| {
+                if last {
+                    fused.final_step(net)
+                } else {
+                    fused.step(net)
+                }
+            });
+            step(&mut net_b, &x, &labels, |net| sgd.step(net));
+            let (sa, sb) = (net_a.state_vector(), net_b.state_vector());
+            for (a, b) in sa.iter().zip(sb.iter()) {
+                prop_assert_eq!(a.to_bits(), b.to_bits(), "step {} of {} diverged", i, k);
+            }
+        }
+        // The next run, re-armed, steps as a fresh optimizer from the
+        // same weights.
+        fused.rearm(0.03, 0.5);
+        let mut fresh = FusedSgd::new(0.03, 0.5);
+        for _ in 0..3 {
+            step(&mut net_a, &x, &labels, |net| fused.step(net));
+            step(&mut net_b, &x, &labels, |net| fresh.step(net));
+            let (sa, sb) = (net_a.state_vector(), net_b.state_vector());
+            for (a, b) in sa.iter().zip(sb.iter()) {
+                prop_assert_eq!(a.to_bits(), b.to_bits(), "re-armed run diverged after {}", k);
+            }
+        }
+    }
 }
 
 /// One training step of `net` on `(x, labels)`, the update applied by

@@ -12,31 +12,15 @@ use bytes::{Buf, Bytes};
 
 use crate::{Tensor, TensorError};
 
-/// Floats converted per staging batch by the bulk f32 payload helpers.
-///
-/// The old wire code pushed floats through `put_f32_le`/`get_f32_le` one
-/// element at a time — a call, a bounds check and a 4-byte append per
-/// float. The helpers below instead run the `f32 ↔ little-endian bytes`
-/// conversion over fixed-size batches on the stack and move each batch
-/// with a single bulk copy; on little-endian targets the conversion loop
-/// compiles down to a straight block copy, so serializing a parameter
-/// vector is effectively one memcpy per batch.
-const F32_BATCH: usize = 1024;
-
-/// Appends `data` to `buf` as little-endian `f32`s via stack-batched bulk
-/// copies — the float writer behind [`to_bytes`] and [`params_to_bytes`],
-/// and for callers that stage frames in reusable `Vec<u8>` buffers (the
-/// serve wire layer, a network exporting its state parameter by
-/// parameter).
+/// Appends `data` to `buf` as little-endian `f32`s in one pass — the
+/// float writer behind [`to_bytes`] and [`params_to_bytes`], and for
+/// callers that stage frames in reusable `Vec<u8>` buffers (the serve
+/// wire layer, a network exporting its state parameter by parameter).
+/// Each float's bytes go straight into `buf`: the iterator has a trusted
+/// length, so `extend` reserves once, and on little-endian targets the
+/// loop compiles to one block copy.
 pub fn f32s_write_le(buf: &mut Vec<u8>, data: &[f32]) {
-    let mut raw = [0u8; 4 * F32_BATCH];
-    for batch in data.chunks(F32_BATCH) {
-        let used = &mut raw[..4 * batch.len()];
-        for (dst, &v) in used.chunks_exact_mut(4).zip(batch) {
-            dst.copy_from_slice(&v.to_le_bytes());
-        }
-        buf.extend_from_slice(used);
-    }
+    buf.extend(data.iter().flat_map(|v| v.to_le_bytes()));
 }
 
 /// Decodes the little-endian `f32`s of `src` straight into `out` — no
@@ -226,6 +210,29 @@ mod tests {
     use bytes::{BufMut, BytesMut};
 
     #[test]
+    fn float_writer_matches_per_element_bytes() {
+        for n in [0usize, 1, 1023, 1024, 1025, 101_770] {
+            let data: Vec<f32> = (0..n)
+                .map(|i| match i % 5 {
+                    0 => -0.0,
+                    1 => f32::from_bits(0x7fc0_1234), // a NaN with a payload
+                    2 => f32::MIN_POSITIVE / 3.0,     // subnormal
+                    _ => (i as f32).sin() * 1e3,
+                })
+                .collect();
+            // Appended after existing bytes, as a frame body follows its
+            // header.
+            let mut want = vec![0xAB, 0xCD];
+            for v in &data {
+                want.extend_from_slice(&v.to_le_bytes());
+            }
+            let mut got = vec![0xAB, 0xCD];
+            f32s_write_le(&mut got, &data);
+            assert!(got == want, "length {n}");
+        }
+    }
+
+    #[test]
     fn tensor_roundtrip() {
         let t = Tensor::from_vec(vec![2, 3], vec![1., -2., 3.5, 0., 5., -6.25]);
         let b = to_bytes(&t);
@@ -281,7 +288,7 @@ mod tests {
 
     #[test]
     fn bulk_reader_handles_non_batch_multiples() {
-        // 1500 floats straddles the 1024-float staging batch.
+        // 1500 floats: no multiple of a power-of-two block or batch.
         let p: Vec<f32> = (0..1500).map(|i| i as f32 - 750.0).collect();
         let b = params_to_bytes(&p);
         assert_eq!(params_from_bytes(b).unwrap(), p);

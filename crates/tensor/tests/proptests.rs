@@ -89,7 +89,7 @@ proptest! {
 
     #[test]
     fn params_serialization_is_bit_exact(p in proptest::collection::vec(-1e6f32..1e6, 0..1600)) {
-        // Straddles the 1024-float bulk staging batch.
+        // Lengths up to 1600: past 1024, no multiple of a block size.
         let back = serialize::params_from_bytes(serialize::params_to_bytes(&p)).unwrap();
         prop_assert_eq!(back.len(), p.len());
         for (a, b) in back.iter().zip(p.iter()) {

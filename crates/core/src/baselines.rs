@@ -265,7 +265,7 @@ impl UnlearningMethod for RapidRetrain {
     fn unlearn(&self, setup: &UnlearnSetup, seed: u64) -> UnlearnOutcome {
         let global = (setup.factory)(reinit_seed(seed ^ 0xB2)).state_vector();
         let step = |id, remaining: &Dataset, lane: &mut TrainLane, assign: &TrainAssign<'_>| {
-            let (net, _) = lane.networks(&setup.factory);
+            let (net, ..) = lane.networks(&setup.factory);
             net.set_state_vector(assign.global);
             let client_seed = baseline_seed(seed, id, assign.round, 0xB2);
             self.train_client(net, remaining, setup, client_seed);
@@ -310,12 +310,13 @@ impl UnlearningMethod for IncompetentTeacher {
     fn unlearn(&self, setup: &UnlearnSetup, seed: u64) -> UnlearnOutcome {
         let factory = &setup.factory;
         let step = |id, _: &Dataset, lane: &mut TrainLane, assign: &TrainAssign<'_>| {
-            let (student, spare) = lane.networks(factory);
+            let (student, spare, sgd, [gather, _]) = lane.networks(factory);
             student.set_state_vector(assign.global);
             let competent = spare.get_or_insert_with(|| (factory)(0));
             competent.set_state_vector(&setup.original_global);
             let client_seed = baseline_seed(seed, id, assign.round, 0xB3);
-            self.train_client(student, competent, &setup.clients[id], setup, client_seed);
+            let split = &setup.clients[id];
+            self.train_client(student, competent, split, setup, client_seed, sgd, gather);
         };
         let global = setup.original_global.clone();
         let mut clients = LocalStep(remaining_clients(setup), step);
@@ -329,7 +330,9 @@ impl IncompetentTeacher {
     /// incompetent one — a fresh random network — on the removed rows.
     /// Each teacher runs eval-mode in its own workspace, the fused
     /// distillation loss writes into a reused gradient buffer, and the
-    /// fused optimizer steps the student.
+    /// lane's fused optimizer, re-armed, steps the student over batches
+    /// gathered into the lane's buffer.
+    #[allow(clippy::too_many_arguments)] // the lane's parts as it lends them
     fn train_client(
         &self,
         student: &mut Network,
@@ -337,11 +340,12 @@ impl IncompetentTeacher {
         split: &ClientSplit,
         setup: &UnlearnSetup,
         seed: u64,
+        sgd: &mut FusedSgd,
+        gather: &mut BatchGather,
     ) {
         let mut incompetent = (setup.factory)(seed ^ 0x1C0DE);
         let mut rng = StdRng::seed_from_u64(seed);
-        let mut sgd = FusedSgd::new(setup.train.lr, setup.train.momentum);
-        let mut gather = BatchGather::new();
+        sgd.rearm(setup.train.lr, setup.train.momentum);
         let mut grad = Tensor::zeros(vec![0]);
         let mut teacher_probs = Tensor::zeros(vec![0]);
         let mut order: Vec<usize> = Vec::new();

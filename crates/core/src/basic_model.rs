@@ -329,6 +329,39 @@ pub fn train_distill_cached(
     reference_loss: Option<f32>,
     seed: u64,
 ) -> GoldfishLocalStats {
+    let mut sgd = FusedSgd::new(cfg.lr, cfg.momentum);
+    let (mut gather_r, mut gather_f) = (BatchGather::new(), BatchGather::new());
+    train_distill_hot(
+        student,
+        teacher_cache,
+        remaining,
+        forget,
+        loss,
+        cfg,
+        reference_loss,
+        seed,
+        &mut sgd,
+        [&mut gather_r, &mut gather_f],
+    )
+}
+
+/// [`train_distill_cached`] on a caller's optimizer (re-armed here, so it
+/// steps bitwise as a fresh one) and batch buffers — the remaining rows'
+/// and the forget rows' — the form a lane-borrowing client runs, so
+/// repeated runs allocate neither.
+#[allow(clippy::too_many_arguments)] // as `train_distill_cached`, plus the lent buffers
+pub(crate) fn train_distill_hot(
+    student: &mut Network,
+    teacher_cache: &mut TeacherCache,
+    remaining: &Dataset,
+    forget: &Dataset,
+    loss: &GoldfishLoss,
+    cfg: &GoldfishLocalConfig,
+    reference_loss: Option<f32>,
+    seed: u64,
+    sgd: &mut FusedSgd,
+    [gather_r, gather_f]: [&mut BatchGather; 2],
+) -> GoldfishLocalStats {
     let temperature = match &cfg.adaptive_temperature {
         Some(at) => at.temperature(remaining.len(), forget.len()),
         None => cfg.weights.temperature,
@@ -349,7 +382,7 @@ pub fn train_distill_cached(
         _ => None,
     };
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut sgd = FusedSgd::new(cfg.lr, cfg.momentum);
+    sgd.rearm(cfg.lr, cfg.momentum);
     // The paper's Eq 1 is sum-based over |D_r| ≫ |D_f|; on batch means the
     // equivalent ascent weight for the removed data is the size ratio.
     let forget_scale = if remaining.is_empty() {
@@ -358,11 +391,10 @@ pub fn train_distill_cached(
         (forget.len() as f32 / remaining.len() as f32).min(1.0)
     };
 
-    // Persistent step buffers, warm after the first epoch: two gather
-    // buffers (the remaining and forget slices have different geometry),
-    // the shared gradient buffer, and the fused-loss scratch.
-    let mut gather_r = BatchGather::new();
-    let mut gather_f = BatchGather::new();
+    // Persistent step buffers, warm after the first epoch: the shared
+    // gradient buffer and the fused-loss scratch (the two gather buffers
+    // are the caller's: the remaining and forget slices have different
+    // geometry).
     let mut grad = Tensor::zeros(vec![0]);
     let mut bufs = GoldfishLossBufs::new();
     let mut order: Vec<usize> = Vec::new();

@@ -40,7 +40,7 @@ use goldfish_fed::transport::{
 use goldfish_fed::ModelFactory;
 use goldfish_nn::loss::{HardLoss, HardLossSpec};
 
-use crate::basic_model::{reference_loss, train_distill_cached, GoldfishLocalConfig, TeacherCache};
+use crate::basic_model::{reference_loss, train_distill_hot, GoldfishLocalConfig, TeacherCache};
 use crate::loss::GoldfishLoss;
 use crate::method::ClientSplit;
 
@@ -192,7 +192,7 @@ impl ClientDistiller {
     ) {
         let seed = client_seed(base_seed, self.id, round);
         let distilling = job.local.weights.mu_d > 0.0;
-        let (student, spare) = lane.networks(&job.factory);
+        let (student, spare, sgd, gathers) = lane.networks(&job.factory);
         student.set_state_vector(incoming);
         if distilling || job.local.early_termination.is_some() {
             spare
@@ -223,8 +223,8 @@ impl ClientDistiller {
         if distilling {
             cache.lend_teacher(spare.take().expect("teacher built above"));
         }
-        train_distill_cached(
-            student, cache, remaining, forget, &job.loss, &job.local, reference, seed,
+        train_distill_hot(
+            student, cache, remaining, forget, &job.loss, &job.local, reference, seed, sgd, gathers,
         );
         if distilling {
             *spare = cache.take_teacher();

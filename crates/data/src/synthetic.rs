@@ -213,6 +213,24 @@ fn sample_split<R: Rng>(
     n: usize,
     rng: &mut R,
 ) -> Dataset {
+    let (mut features, mut labels) = sample_rows(spec, protos, n, rng);
+    // Shuffle samples so class order carries no information.
+    let mut idx: Vec<usize> = (0..n).collect();
+    use rand::seq::SliceRandom;
+    idx.shuffle(rng);
+    permute_rows(&mut features, &mut labels, spec.sample_len(), &mut idx);
+    let shape = vec![n, spec.channels, spec.height, spec.width];
+    Dataset::new(Tensor::from_vec(shape, features), labels, spec.classes)
+}
+
+/// `n` samples `[c·h·w]` each, flat, and their labels, in round-robin
+/// label order.
+fn sample_rows<R: Rng>(
+    spec: &SyntheticSpec,
+    protos: &[Vec<f32>],
+    n: usize,
+    rng: &mut R,
+) -> (Vec<f32>, Vec<usize>) {
     let d = spec.sample_len();
     let (c, h, w) = (spec.channels, spec.height, spec.width);
     let mut features = Vec::with_capacity(n * d);
@@ -222,7 +240,7 @@ fn sample_split<R: Rng>(
         .min(h.saturating_sub(1))
         .min(w.saturating_sub(1)) as isize;
     for i in 0..n {
-        // Balanced labels in round-robin order, then shuffled below.
+        // Balanced labels in round-robin order, shuffled by the caller.
         let label = i % spec.classes;
         labels.push(label);
         let gain = rng.gen_range(0.75..1.15);
@@ -245,22 +263,34 @@ fn sample_split<R: Rng>(
             }
         }
     }
-    // Shuffle samples so class order carries no information.
-    let mut idx: Vec<usize> = (0..n).collect();
-    use rand::seq::SliceRandom;
-    idx.shuffle(rng);
-    let mut shuffled_features = Vec::with_capacity(n * d);
-    let mut shuffled_labels = Vec::with_capacity(n);
-    for &i in &idx {
-        shuffled_features.extend_from_slice(&features[i * d..(i + 1) * d]);
-        shuffled_labels.push(labels[i]);
+    (features, labels)
+}
+
+/// Puts row `idx[j]` of `features` (rows `d` long) and of `labels` at row
+/// `j`, in place: each cycle of the permutation is followed once, its
+/// first row held in one row of scratch, so no second copy of the split
+/// exists. `idx` is left as the identity.
+fn permute_rows(features: &mut [f32], labels: &mut [usize], d: usize, idx: &mut [usize]) {
+    let mut held = vec![0.0f32; d];
+    for start in 0..idx.len() {
+        if idx[start] == start {
+            continue;
+        }
+        held.copy_from_slice(&features[start * d..(start + 1) * d]);
+        let held_label = labels[start];
+        let mut k = start;
+        loop {
+            let src = std::mem::replace(&mut idx[k], k);
+            if src == start {
+                features[k * d..(k + 1) * d].copy_from_slice(&held);
+                labels[k] = held_label;
+                break;
+            }
+            features.copy_within(src * d..(src + 1) * d, k * d);
+            labels[k] = labels[src];
+            k = src;
+        }
     }
-    let shape = vec![n, spec.channels, spec.height, spec.width];
-    Dataset::new(
-        Tensor::from_vec(shape, shuffled_features),
-        shuffled_labels,
-        spec.classes,
-    )
 }
 
 /// One standard-normal draw via Box–Muller.
@@ -349,6 +379,53 @@ mod tests {
         }
         let acc = correct as f32 / test.len() as f32;
         assert!(acc > 0.5, "nearest-prototype accuracy only {acc}");
+    }
+
+    #[test]
+    fn generate_is_bitwise_the_copying_shuffle() {
+        // The split as it was built before the in-place shuffle: rows
+        // gathered through the permutation into a second buffer.
+        fn copying(spec: &SyntheticSpec, n: usize, rng: &mut StdRng) -> Dataset {
+            use rand::seq::SliceRandom;
+            let (features, labels) = sample_rows(spec, &prototypes(spec), n, rng);
+            let mut idx: Vec<usize> = (0..n).collect();
+            idx.shuffle(rng);
+            let d = spec.sample_len();
+            let mut shuffled_features = Vec::with_capacity(n * d);
+            let mut shuffled_labels = Vec::with_capacity(n);
+            for &i in &idx {
+                shuffled_features.extend_from_slice(&features[i * d..(i + 1) * d]);
+                shuffled_labels.push(labels[i]);
+            }
+            let shape = vec![n, spec.channels, spec.height, spec.width];
+            Dataset::new(
+                Tensor::from_vec(shape, shuffled_features),
+                shuffled_labels,
+                spec.classes,
+            )
+        }
+        let bits = |d: &Dataset| {
+            let f = d.features().as_slice().iter().map(|x| x.to_bits());
+            (f.collect::<Vec<_>>(), d.labels().to_vec())
+        };
+        for (spec, n_train, n_test, seed) in [
+            (
+                SyntheticSpec::mnist().with_size(8, 8).with_shift(1),
+                97,
+                31,
+                3,
+            ),
+            (SyntheticSpec::cifar10().with_size(6, 5), 40, 1, 8),
+            (SyntheticSpec::mnist(), 0, 2, 9),
+        ] {
+            let (train, test) = generate(&spec, n_train, n_test, seed);
+            let mut train_rng =
+                StdRng::seed_from_u64(seed.wrapping_mul(0x9E37_79B9).wrapping_add(1));
+            let mut test_rng =
+                StdRng::seed_from_u64(seed.wrapping_mul(0x85EB_CA6B).wrapping_add(2));
+            assert_eq!(bits(&train), bits(&copying(&spec, n_train, &mut train_rng)));
+            assert_eq!(bits(&test), bits(&copying(&spec, n_test, &mut test_rng)));
+        }
     }
 
     #[test]

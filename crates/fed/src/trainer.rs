@@ -141,10 +141,11 @@ pub fn train_local_ce(net: &mut Network, data: &Dataset, cfg: &TrainConfig, seed
 /// One executing thread's worth of model state: a network (arenas
 /// included), a [`TrainWorkspace`], a [`FusedSgd`] velocity buffer
 /// (sized only by runs of two or more steps — a lane that only ever runs
-/// one step, a fleet worker at batch 2, never allocates it), and a
-/// second network slot that distillation lends to a client's teacher
-/// cache. Whoever runs clients keeps one lane per thread that can be
-/// running at once — the in-process executor
+/// one step, a fleet worker at batch 2, never allocates it), a second
+/// network slot that distillation lends to a client's teacher cache, and
+/// a second batch buffer for distillation's forget rows. Whoever runs
+/// clients keeps one lane per thread that can be running at once — the
+/// in-process executor
 /// ([`LoopbackClients`](crate::transport::LoopbackClients), behind
 /// `Federation`, the B1–B3 baselines, every in-process drain and the
 /// serve loopback) and
@@ -169,6 +170,9 @@ pub struct TrainLane {
     spare: Option<Network>,
     ws: TrainWorkspace,
     sgd: FusedSgd,
+    /// A second batch buffer, next to `ws`'s, for a caller's loop that
+    /// gathers two row sets (distillation's remaining and forget rows).
+    gather: BatchGather,
 }
 
 impl TrainLane {
@@ -181,6 +185,7 @@ impl TrainLane {
             // Placeholder hyperparameters; re-armed from the TrainConfig
             // before every local run.
             sgd: FusedSgd::new(1.0, 0.0),
+            gather: BatchGather::new(),
         }
     }
 
@@ -303,15 +308,29 @@ impl TrainLane {
         eval::accuracy_and_mse(net, data)
     }
 
-    /// The lane's network and its spare-network slot, for a caller that
-    /// trains with its own loop (distillation): the network as
-    /// `TrainLane::run` would use it — [`TrainLane::state_into`]
-    /// exports what the caller leaves there — and the slot, empty until
-    /// the caller first fills it with a network built by `factory`.
-    pub fn networks(&mut self, factory: &ModelFactory) -> (&mut Network, &mut Option<Network>) {
+    /// The lane's parts, for a caller that trains with its own loop
+    /// (distillation): the network as `TrainLane::run` would use it —
+    /// [`TrainLane::state_into`] exports what the caller leaves there —
+    /// the spare-network slot, empty until the caller first fills it with
+    /// a network built by `factory`, the optimizer `run` keeps warm, and
+    /// two batch buffers (the first is `run`'s). The optimizer holds the
+    /// last run's hyperparameters and velocity: re-arm it
+    /// ([`FusedSgd::rearm`]) before stepping, and it steps bitwise as a
+    /// fresh one.
+    #[allow(clippy::type_complexity)] // four disjoint borrows of the lane
+    pub fn networks(
+        &mut self,
+        factory: &ModelFactory,
+    ) -> (
+        &mut Network,
+        &mut Option<Network>,
+        &mut FusedSgd,
+        [&mut BatchGather; 2],
+    ) {
         self.fit(factory);
         let (_, net) = self.model.as_mut().expect("fitted above");
-        (net, &mut self.spare)
+        let gathers = [&mut self.ws.gather, &mut self.gather];
+        (net, &mut self.spare, &mut self.sgd, gathers)
     }
 }
 

@@ -618,7 +618,8 @@ impl RoundTransport for LoopbackClients<'_> {
                 let seed = client_seed(assign.seed, id, assign.round);
                 lane.run(&factory, assign.global, data, assign.cfg, seed);
                 if let Some(test) = scored {
-                    *accuracy = eval::accuracy(lane.networks(&factory).0, test);
+                    let (net, ..) = lane.networks(&factory);
+                    *accuracy = eval::accuracy(net, test);
                 }
             },
             sink,

@@ -15,8 +15,10 @@
 //! `∂W` never lowers its input: one sweep per block reads each
 //! `(c, ky, kx)` row of the column matrix out of the images where they
 //! lie, against the block's `grad_out` gathered position-major, rounding
-//! every step as the lowered GEMM did. `∂input` is one GEMM into the
-//! block's column gradient and a `col2im` scatter of row runs.
+//! every step as the lowered GEMM did. `∂input` computes the block's
+//! column gradient `Wᵀ·G` a cache-sized slab of rows at a time, each slab
+//! added onto the images through a run table cached per geometry, so the
+//! block's whole column gradient never exists.
 //!
 //! A Conv → ReLU → max-pool block runs as one pair of passes
 //! ([`conv2d_relu_pool_forward_into`], [`conv2d_relu_pool_backward_into`]):
@@ -90,16 +92,20 @@ impl Conv2dSpec {
 /// across images *and* the working set in cache.
 const COL_BLOCK_ELEMS: usize = 96 * 1024;
 
+/// Number of `f32` elements a `∂input` slab aims at (32 KiB, inside L1):
+/// the rows of a block's column gradient computed and scattered at once.
+const SLAB_ELEMS: usize = 8 * 1024;
+
 /// Reusable scratch buffers for the convolution kernels.
 ///
 /// The lowering is batched over image blocks (see `COL_BLOCK_ELEMS`) —
 /// one GEMM per block instead of one per image — and the buffers are
 /// reused across blocks, steps and epochs: the conv hot path performs no
 /// per-image allocations. A forward that runs in place and every backward
-/// use only the small per-geometry tables, the staged images and the
-/// `grad_out` gathers, so no network grows the column matrix at such
-/// shapes. A `Conv2d` layer owns one workspace; the free functions below
-/// also accept an external one.
+/// use only the small per-geometry tables, the staged images, the
+/// `grad_out` gathers and `∂input`'s slab, so no network grows the column
+/// matrix at such shapes. A `Conv2d` layer owns one workspace; the free
+/// functions below also accept an external one.
 #[derive(Debug, Default, Clone)]
 pub struct ConvWorkspace {
     /// Lowered input of the current block, `[c·kh·kw, blk·oh·ow]`: only a
@@ -110,8 +116,9 @@ pub struct ConvWorkspace {
     /// `∂input`. Only a backward that computes `∂input` grows it where the
     /// forward runs in place.
     fmat: Vec<f32>,
-    /// Backward scratch: `∂L/∂col` for the current block.
-    gcol: Vec<f32>,
+    /// Backward scratch: one slab of rows of `∂L/∂col` for the current
+    /// block, `[rows, blk·oh·ow]` (see [`slab_rows`]).
+    slab: Vec<f32>,
     /// Backward scratch: one lane group of the block's `grad_out`,
     /// position-major, `[blk·oh·ow, lanes]` with the pad lanes zero.
     gt: Vec<f32>,
@@ -125,7 +132,12 @@ pub struct ConvWorkspace {
     /// Backward: where each `(c, ky, kx)` tap and each output row start
     /// in a (padded) image.
     taps: engine::TapLayout,
-    /// The `(c, h, w, spec)` that `grid`, `taps` and `img` are built for.
+    /// Backward: where each row of `∂L/∂col` adds onto an image. Built by
+    /// the first backward that computes `∂input` at this geometry, so a
+    /// forward-only or first layer never holds it.
+    scatter: ScatterRuns,
+    /// The `(c, h, w, spec)` that `grid`, `taps`, `scatter` and `img` are
+    /// built for.
     geometry: Option<(usize, usize, usize, Conv2dSpec)>,
     /// Staged images, `[c, h + 2·pad, w + 2·pad]` each, zero outside the
     /// image: one (plus the `kw − 1` elements its sweep over-reads) for
@@ -166,6 +178,7 @@ impl ConvWorkspace {
             .rebuild(taps, rows, (ow, spec.stride, c * hp * wp));
         self.img.clear();
         self.img.resize(c * hp * wp + kw - 1, 0.0);
+        self.scatter.clear();
         self.geometry = Some(key);
     }
 }
@@ -173,6 +186,14 @@ impl ConvWorkspace {
 /// Images per lowering block for the given per-image column size.
 fn block_images(ckk: usize, ohow: usize, n: usize) -> usize {
     (COL_BLOCK_ELEMS / (ckk * ohow).max(1)).clamp(1, n.max(1))
+}
+
+/// Rows of a block's `[ckk, x]` column gradient per `∂input` slab: as many
+/// whole [`engine::MR`]-row tiles as fit [`SLAB_ELEMS`], at least one (a
+/// thinner slab would re-stream `G` once per short tile), at most `ckk`.
+fn slab_rows(ckk: usize, x: usize) -> usize {
+    let tiles = SLAB_ELEMS / x.max(1) / engine::MR;
+    (tiles.max(1) * engine::MR).min(ckk)
 }
 
 /// Returns the first `len` elements of `buf`, growing it if it is shorter.
@@ -284,7 +305,9 @@ fn copy_run(dst: &mut [f32], src: &[f32]) {
 /// requires) in ascending `(ky, kx)` order per input element. `img_out`
 /// covers the same block and must be zeroed by the caller. Same row runs
 /// as the lowering: one add per `(.., oy)` row, into a destination sliced
-/// to exactly the run's elements.
+/// to exactly the run's elements. The backward's two-level `∂input`
+/// before the slab loop ([`ScatterRuns`]), kept as its test oracle.
+#[cfg(test)]
 fn col2im_block(
     col: &[f32],
     (blk, c, h, w): (usize, usize, usize, usize),
@@ -566,11 +589,14 @@ fn forward_lowered(
 ///   reduction order.
 /// * `∂L/∂b +=` each filter's ascending sum of `Gᵀ` from −0.0, formed
 ///   during the gather, every lane of a group side by side.
-/// * `∂L/∂col = Wᵀ · G` over the filter-major gather of `grad_out`,
-///   scattered back onto the images by `col2im`.
+/// * `∂L/∂col = Wᵀ · G` over the filter-major gather of `grad_out`, one
+///   L1-sized slab of rows at a time, each slab added onto the images
+///   through the workspace's run table before the next is computed: the
+///   same elements, added in the same ascending `(c, ky, kx)` order per
+///   input element, as a whole column gradient scattered by `col2im`.
 ///
 /// Pass `grad_in: None` to skip the `∂L/∂input` half entirely (the
-/// filter-major gather, the `Wᵀ·G` GEMM and the `col2im` scatter): the
+/// filter-major gather, the `Wᵀ·G` GEMM and the scatter): the
 /// parameter gradients do not depend on it, so a network's *first* layer
 /// — whose input is the data batch — backpropagates strictly cheaper this
 /// way with bitwise identical `∂L/∂W` / `∂L/∂b`.
@@ -699,16 +725,149 @@ fn backward(
                 }
             }
         }
-        // ∂L/∂col = Wᵀ · G ([ckk, f] · [f, x] → [ckk, x]), then scatter.
+        // ∂L/∂col = Wᵀ · G ([ckk, f] · [f, x] → [ckk, x]), one slab of
+        // rows at a time, each added onto the images before the next: rows
+        // ascend, so every input element still takes its contributions in
+        // ascending (c, ky, kx), as col2im added them.
         if let Some(gi) = grad_in.as_deref_mut() {
             let fmat = grown(&mut ws.fmat, f * x);
             grads.filter_major(in_block, (f, ohow), fmat);
-            let gcol = grown(&mut ws.gcol, ckk * x);
-            engine::gemm_at_b(f, ckk, x, weight.as_slice(), fmat, gcol);
+            if ws.scatter.is_empty() {
+                ws.scatter.rebuild((c, h, w), spec);
+            }
             let grad_images = &mut gi.as_mut_slice()[block];
-            col2im_block(gcol, (blk, c, h, w), spec, (oh, ow), grad_images);
+            // Sized by a full block, so a short last one fits the same slab.
+            let rows = slab_rows(ckk, step * ohow);
+            let slab = grown(&mut ws.slab, rows * x);
+            for j0 in (0..ckk).step_by(rows) {
+                let js = j0..(j0 + rows).min(ckk);
+                let slab = &mut slab[..js.len() * x];
+                engine::gemm_at_b_rows(f, ckk, x, weight.as_slice(), fmat, js.clone(), slab);
+                ws.scatter.add(slab, js, grad_images);
+            }
         }
         s0 += blk;
+    }
+}
+
+/// Where `∂input`'s column gradient lands: row `j = (c, ky, kx)` of a
+/// block's `∂L/∂col` adds, in every image, the runs
+/// `runs[starts[j]..starts[j + 1]]`, each `(src, dst)` — its first column
+/// among the image's `oh·ow` and its first element in the image
+/// `[c, h, w]` — `lens[j]` columns long, landing `stride` elements apart.
+/// These are `col2im`'s row runs, clipped by `valid_outputs` once per
+/// geometry instead of once per row per block.
+#[derive(Debug, Default, Clone)]
+struct ScatterRuns {
+    starts: Vec<usize>,
+    lens: Vec<usize>,
+    runs: Vec<(usize, usize)>,
+    /// `oh·ow`, `c·h·w` and the convolution's stride.
+    ohow: usize,
+    chw: usize,
+    stride: usize,
+}
+
+impl ScatterRuns {
+    /// Whether the table is unbuilt (every geometry has at least one row).
+    fn is_empty(&self) -> bool {
+        self.starts.is_empty()
+    }
+
+    /// Drops the table, keeping its capacity, when the geometry changes.
+    fn clear(&mut self) {
+        self.starts.clear();
+        self.lens.clear();
+        self.runs.clear();
+    }
+
+    /// Builds the table for images `[c, h, w]` under `spec`.
+    fn rebuild(&mut self, (c, h, w): (usize, usize, usize), spec: &Conv2dSpec) {
+        let (oh, ow) = spec.output_hw(h, w);
+        let (stride, pad) = (spec.stride, spec.padding);
+        self.clear();
+        self.starts.push(0);
+        for ch in 0..c {
+            for ky in 0..spec.kh {
+                let (oy0, oy1) = valid_outputs(ky, h, oh, spec);
+                for kx in 0..spec.kw {
+                    let (ox0, ox1) = valid_outputs(kx, w, ow, spec);
+                    if ox0 < ox1 {
+                        self.runs.extend((oy0..oy1).map(|oy| {
+                            let iy = oy * stride + ky - pad;
+                            (oy * ow + ox0, (ch * h + iy) * w + ox0 * stride + kx - pad)
+                        }));
+                    }
+                    self.lens.push(ox1 - ox0);
+                    self.starts.push(self.runs.len());
+                }
+            }
+        }
+        (self.ohow, self.chw, self.stride) = (oh * ow, c * h * w, stride);
+    }
+
+    /// Adds rows `rows` of a block's `∂L/∂col`, `slab: [rows.len(),
+    /// blk·oh·ow]`, onto the block's `grad: [blk, c, h, w]`, row by row in
+    /// ascending order.
+    fn add(&self, slab: &[f32], rows: Range<usize>, grad: &mut [f32]) {
+        let x = slab.len() / rows.len().max(1);
+        for (j, row) in rows.zip(slab.chunks_exact(x)) {
+            let (runs, len) = (&self.runs[self.starts[j]..self.starts[j + 1]], self.lens[j]);
+            for (image, cols) in grad
+                .chunks_exact_mut(self.chw)
+                .zip(row.chunks_exact(self.ohow))
+            {
+                match (self.stride, len) {
+                    (1, 8) => add_runs_8(image, cols, runs),
+                    (1, _) => {
+                        for &(src, dst) in runs {
+                            add_run(&mut image[dst..dst + len], &cols[src..src + len]);
+                        }
+                    }
+                    (stride, _) => {
+                        for &(src, dst) in runs {
+                            let dst = image[dst..].iter_mut().step_by(stride);
+                            for (d, &v) in dst.zip(&cols[src..src + len]) {
+                                *d += v;
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// Adds each 8-long run `(src, dst)` of `cols` onto `image` at stride 1,
+/// as one fixed-size array: a run is an output row, tens of bytes, where
+/// a loop of unknown trip count costs more than the adds (measured: a
+/// seventh of LeNet conv2's `∂input`, whose rows are 8 wide, against
+/// [`add_run`]'s blocks of eight).
+#[inline(always)]
+fn add_runs_8(image: &mut [f32], cols: &[f32], runs: &[(usize, usize)]) {
+    for &(src, dst) in runs {
+        let d: &mut [f32; 8] = image[dst..].first_chunk_mut().expect("run in the image");
+        let s: &[f32; 8] = cols[src..].first_chunk().expect("run in the slab row");
+        for (d, &v) in d.iter_mut().zip(s) {
+            *d += v;
+        }
+    }
+}
+
+/// `dst += src` over one run of any other length, in blocks of eight as
+/// one fixed-size array each, then an element-wise tail.
+#[inline(always)]
+fn add_run(dst: &mut [f32], src: &[f32]) {
+    let (mut d8, mut s8) = (dst.chunks_exact_mut(8), src.chunks_exact(8));
+    for (d, s) in d8.by_ref().zip(s8.by_ref()) {
+        let d: &mut [f32; 8] = d.try_into().expect("eight long");
+        let s: &[f32; 8] = s.try_into().expect("eight long");
+        for (d, &v) in d.iter_mut().zip(s) {
+            *d += v;
+        }
+    }
+    for (d, &v) in d8.into_remainder().iter_mut().zip(s8.remainder()) {
+        *d += v;
     }
 }
 
@@ -1687,6 +1846,154 @@ mod tests {
         assert!(edge > 0 && small > 0, "edge {edge}, small {small}");
     }
 
+    /// `∂input` the two-level way the backward formed it before the slab
+    /// loop: per image block, the filter-major `G`, the whole column
+    /// gradient through `engine::gemm_at_b`, then [`col2im_block`].
+    fn grad_in_two_level(
+        input: &Tensor,
+        weight: &Tensor,
+        grad_out: &Tensor,
+        spec: &Conv2dSpec,
+    ) -> Vec<f32> {
+        let (n, c, h, w) = input.dims4();
+        let f = weight.dims4().0;
+        let (oh, ow) = spec.output_hw(h, w);
+        let (ckk, ohow, chw) = (c * spec.kh * spec.kw, oh * ow, c * h * w);
+        let grads = OutGrad::Dense(grad_out.as_slice());
+        let mut grad_in = vec![0.0f32; n * chw];
+        let step = block_images(ckk, ohow, n);
+        let mut s0 = 0;
+        while s0 < n {
+            let blk = step.min(n - s0);
+            let x = blk * ohow;
+            let mut fmat = vec![f32::NAN; f * x];
+            grads.filter_major(s0..s0 + blk, (f, ohow), &mut fmat);
+            let mut gcol = vec![f32::NAN; ckk * x];
+            engine::gemm_at_b(f, ckk, x, weight.as_slice(), &fmat, &mut gcol);
+            let images = &mut grad_in[s0 * chw..(s0 + blk) * chw];
+            col2im_block(&gcol, (blk, c, h, w), spec, (oh, ow), images);
+            s0 += blk;
+        }
+        grad_in
+    }
+
+    /// Which engine path a block's `Wᵀ·G` takes, and whether `∂input`
+    /// splits it into several slabs: `(small, narrow, edge, slabs)`.
+    fn grad_in_paths(
+        (n, c, h, w, f): (usize, usize, usize, usize, usize),
+        spec: &Conv2dSpec,
+    ) -> [bool; 4] {
+        let (oh, ow) = spec.output_hw(h, w);
+        let ckk = c * spec.kh * spec.kw;
+        let step = block_images(ckk, oh * ow, n);
+        // Every block but a short last one has `step` images.
+        let x = step * oh * ow;
+        let small = engine::fused_columns(ckk, f, x) == 0;
+        [
+            small || engine::fused_columns(ckk, f, (n % step).max(1) * oh * ow) == 0,
+            !small && x < engine::NR,
+            !small && x > engine::NR && !x.is_multiple_of(engine::NR),
+            ckk > slab_rows(ckk, x),
+        ]
+    }
+
+    /// The backward's `∂input` against [`grad_in_two_level`], bit for bit,
+    /// on a pool of one thread and of two.
+    fn assert_slab_grad_in_is_two_level(
+        (n, c, h, w, f): (usize, usize, usize, usize, usize),
+        spec: &Conv2dSpec,
+        seed: u64,
+    ) {
+        let (input, weight, _, grad_out) = operands((n, c, h, w, f), spec, seed);
+        let want = grad_in_two_level(&input, &weight, &grad_out, spec);
+        for threads in [1, 2] {
+            let pool = rayon::ThreadPoolBuilder::new()
+                .num_threads(threads)
+                .build()
+                .unwrap();
+            let got = pool.install(|| {
+                let (mut gi, mut gw, mut gb) = (
+                    Tensor::zeros(vec![0]),
+                    Tensor::zeros(vec![0]),
+                    Tensor::zeros(vec![0]),
+                );
+                let ws = &mut ConvWorkspace::new();
+                let gi_ref = Some(&mut gi);
+                conv2d_backward_into(
+                    &grad_out, &input, &weight, spec, ws, gi_ref, &mut gw, &mut gb,
+                );
+                gi
+            });
+            let what = format!("n={n} c={c} h={h} w={w} f={f} {spec:?}, {threads} threads");
+            assert_eq!(bits(got.as_slice()), bits(&want), "∂input: {what}");
+        }
+    }
+
+    #[test]
+    fn slab_grad_in_is_bitwise_the_two_level_form_at_named_shapes() {
+        let resnet = Conv2dSpec::new(3, 3, 1, 1);
+        for (dims, spec) in [
+            // ResNet-mini: 3×3 stride 2 pad 1, its 1×1 stride-2 shortcut,
+            // and a 3×3 stride 1 pad 1 body convolution.
+            ((25, 8, 16, 16, 16), Conv2dSpec::new(3, 3, 2, 1)),
+            ((25, 8, 16, 16, 16), Conv2dSpec::new(1, 1, 2, 0)),
+            ((25, 16, 8, 8, 16), resnet),
+            // LeNet-5's conv2, at the training batch and at distillation's
+            // forget batch of one.
+            ((25, 6, 12, 12, 16), Conv2dSpec::new(5, 5, 1, 0)),
+            ((1, 6, 12, 12, 16), Conv2dSpec::new(5, 5, 1, 0)),
+            // 7·7 outputs: an edge strip inside every block.
+            ((25, 6, 11, 11, 16), Conv2dSpec::new(5, 5, 1, 0)),
+            // One image of one filter: the small path.
+            ((1, 1, 5, 5, 1), resnet),
+            // 2·2 outputs of one image under many filters: a narrow
+            // product (`blk·oh·ow < NR`) above SMALL_FLOPS.
+            ((1, 16, 4, 4, 64), Conv2dSpec::new(3, 3, 1, 0)),
+        ] {
+            assert_slab_grad_in_is_two_level(dims, &spec, 3000 + dims.4 as u64);
+        }
+        let [small, narrow, _, slabs] = grad_in_paths((1, 1, 5, 5, 1), &resnet);
+        assert!(small && !narrow && !slabs);
+        let [small, narrow, ..] = grad_in_paths((1, 16, 4, 4, 64), &Conv2dSpec::new(3, 3, 1, 0));
+        assert!(!small && narrow);
+    }
+
+    #[test]
+    fn slab_grad_in_is_bitwise_the_two_level_form_on_generated_geometry() {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(29);
+        // Cases per path: small, narrow, edge strip, several slabs. Narrow
+        // products are rare here at every tier but the widest; the named
+        // shapes cover one at each.
+        let mut seen = [0usize; 4];
+        for case in 0..40 {
+            let spec = Conv2dSpec::new(
+                rng.gen_range(1..=5),
+                rng.gen_range(1..=5),
+                rng.gen_range(1..=3),
+                rng.gen_range(0..=2),
+            );
+            let (c, f) = (rng.gen_range(1..=8usize), rng.gen_range(1..=40usize));
+            let (h, w) = (rng.gen_range(5..=18usize), rng.gen_range(5..=18usize));
+            // Every fourth case one image: distillation's forget batch.
+            let n = if case % 4 == 0 {
+                1
+            } else {
+                rng.gen_range(1..=30)
+            };
+            let dims = (n, c, h, w, f);
+            for (count, hit) in seen.iter_mut().zip(grad_in_paths(dims, &spec)) {
+                *count += usize::from(hit);
+            }
+            assert_slab_grad_in_is_two_level(dims, &spec, 4000 + case);
+        }
+        let [small, _, edge, slabs] = seen;
+        assert!(
+            small > 0 && edge > 0 && slabs > 0,
+            "small, narrow, edge, slabs: {seen:?}"
+        );
+    }
+
     /// Runs the backward (`∂W` only) over a `[2, 1, 28, 28]` input with
     /// the given weight and `grad_out` shapes.
     fn backward_with(weight: Vec<usize>, grad_out: Vec<usize>) {
@@ -2201,7 +2508,7 @@ mod tests {
         // pooled shape.
         let (spec, pool) = (Conv2dSpec::new(5, 5, 1, 0), Conv2dSpec::new(2, 2, 2, 0));
         let capacities = |ws: &ConvWorkspace| {
-            [&ws.col, &ws.fmat, &ws.gcol, &ws.gt, &ws.wt, &ws.img].map(|b| b.capacity())
+            [&ws.col, &ws.fmat, &ws.slab, &ws.gt, &ws.wt, &ws.img].map(|b| b.capacity())
         };
         for (c, hw, f) in [(1, 28, 6), (6, 12, 16)] {
             let (input, weight, bias, _) = operands((25, c, hw, hw, f), &spec, 3);
@@ -2240,6 +2547,17 @@ mod tests {
                 );
             }
             assert_eq!(capacities(&fused), capacities(&plain), "c={c}");
+            // No `∂input` buffer is a block's column gradient, or scales
+            // with one: the slab is whole register tiles of rows.
+            let x = block_images(c * 25, oh * ow, 25) * oh * ow;
+            assert!(
+                capacities(&fused).iter().all(|&cap| cap < c * 25 * x),
+                "c={c}: {:?} against {} × {x}",
+                capacities(&fused),
+                c * 25
+            );
+            // Grown once, by the first block: the short last one fits.
+            assert_eq!(fused.slab.capacity(), slab_rows(c * 25, x) * x, "c={c}");
             assert_eq!(
                 (fused.conv.len(), plain.conv.capacity()),
                 (f * oh * ow, 0),

@@ -6,8 +6,11 @@
 //! `f32` slices so callers (e.g. batched conv) can avoid intermediate
 //! `Tensor` allocations. `Aᵀ·B` also has an accumulating form,
 //! [`gemm_at_b_add`], whose stores add each finished element to the
-//! output — a layer's weight gradient — instead of overwriting it. Two more, crate-private forms read an operand
-//! that is never laid out out of the convolution's images: `gemm_offsets`
+//! output — a layer's weight gradient — instead of overwriting it, and a
+//! crate-private row-range form, `gemm_at_b_rows`, that computes a slab
+//! of the output's rows with the whole product's bits. Two more,
+//! crate-private forms read an operand that is never laid out out of the
+//! convolution's images: `gemm_offsets`
 //! sweeps the forward's `B` — the image, its rows at fixed offsets —
 //! through the same tiles, and stores only the columns it is told to,
 //! plus a bias; `gemm_taps` sweeps the backward's `A` — one row per
@@ -926,7 +929,7 @@ fn taps_run<const R: usize, const L: usize, const FUSED: bool, const UNIT: bool>
 ///
 /// Panics if a slice length disagrees with its dimensions.
 pub fn gemm_at_b(k: usize, m: usize, n: usize, a: &[f32], b: &[f32], out: &mut [f32]) {
-    at_b::<false>(k, m, n, a, b, out);
+    at_b::<false>(k, m, n, a, b, 0..m, out);
 }
 
 /// `out += Aᵀ · B` with `A: [k, m]`, `B: [k, n]`, `out: [m, n]`: each
@@ -940,15 +943,47 @@ pub fn gemm_at_b(k: usize, m: usize, n: usize, a: &[f32], b: &[f32], out: &mut [
 ///
 /// Panics if a slice length disagrees with its dimensions.
 pub fn gemm_at_b_add(k: usize, m: usize, n: usize, a: &[f32], b: &[f32], out: &mut [f32]) {
-    at_b::<true>(k, m, n, a, b, out);
+    at_b::<true>(k, m, n, a, b, 0..m, out);
 }
 
-/// [`gemm_at_b`] (`ADD = false`) and [`gemm_at_b_add`].
-fn at_b<const ADD: bool>(k: usize, m: usize, n: usize, a: &[f32], b: &[f32], out: &mut [f32]) {
+/// Rows `rows` of [`gemm_at_b`]'s `[m, n]` output, into `out: [rows.len(),
+/// n]` (overwritten), each bit for bit the row the whole call writes: the
+/// path (small, narrow or tiled) and so every step's rounding follow the
+/// whole `m×k×n` product, never the row range, and a row's result does
+/// not depend on which tile computed it. The convolution's `∂input` runs
+/// its `Wᵀ·G` this way, a cache-sized slab of rows at a time.
+///
+/// # Panics
+///
+/// Panics if a slice length disagrees with its dimensions or `rows`
+/// leaves `0..m`.
+pub(crate) fn gemm_at_b_rows(
+    k: usize,
+    m: usize,
+    n: usize,
+    a: &[f32],
+    b: &[f32],
+    rows: Range<usize>,
+    out: &mut [f32],
+) {
+    at_b::<false>(k, m, n, a, b, rows, out);
+}
+
+/// Rows `rows` of [`gemm_at_b`] (`ADD = false`) and [`gemm_at_b_add`].
+fn at_b<const ADD: bool>(
+    k: usize,
+    m: usize,
+    n: usize,
+    a: &[f32],
+    b: &[f32],
+    rows: Range<usize>,
+    out: &mut [f32],
+) {
     assert_eq!(a.len(), k * m, "gemm_at_b: A length");
     assert_eq!(b.len(), k * n, "gemm_at_b: B length");
-    assert_eq!(out.len(), m * n, "gemm_at_b: out length");
-    if m == 0 || n == 0 {
+    assert!(rows.start <= rows.end && rows.end <= m, "gemm_at_b: rows");
+    assert_eq!(out.len(), rows.len() * n, "gemm_at_b: out length");
+    if rows.is_empty() || n == 0 {
         return;
     }
     if k == 0 {
@@ -960,14 +995,16 @@ fn at_b<const ADD: bool>(k: usize, m: usize, n: usize, a: &[f32], b: &[f32], out
     }
     let work = flops(m, k, n);
     if work < SMALL_FLOPS {
-        at_b_rows_small::<ADD>(m, n, a, b, out);
+        at_b_rows_small::<ADD>(m, n, a, b, rows, out);
     } else {
-        // Transpose A into row-major scratch once (m·k moves, noise next
-        // to the m·k·n reduction, and it keeps the hot loop free of
-        // strided loads, which LLVM lowers catastrophically at wider tile
-        // shapes), then run gemm's large-path kernels over it.
-        with_scratch(&AT_SCRATCH, m * k, |packed| {
-            for (c, prow) in packed.chunks_exact_mut(k).enumerate() {
+        // Transpose the rows' A into row-major scratch once (k moves per
+        // row, noise next to the row's k·n reduction, and it keeps the hot
+        // loop free of strided loads, which LLVM lowers catastrophically
+        // at wider tile shapes), then run gemm's large-path kernels over
+        // it.
+        let len = rows.len();
+        with_scratch(&AT_SCRATCH, len * k, |packed| {
+            for (c, prow) in rows.zip(packed.chunks_exact_mut(k)) {
                 for (p, dst) in prow.iter_mut().enumerate() {
                     *dst = a[p * m + c];
                 }
@@ -975,7 +1012,7 @@ fn at_b<const ADD: bool>(k: usize, m: usize, n: usize, a: &[f32], b: &[f32], out
             if n < NR {
                 gemm_narrow::<ADD>(k, n, packed, b, out);
             } else {
-                gemm_rows_tiled::<ADD>(0..m, k, n, packed, b, out);
+                gemm_rows_tiled::<ADD>(0..len, k, n, packed, b, out);
             }
         });
     }
@@ -988,11 +1025,18 @@ const SMALL_ROW: usize = 256;
 
 /// Reference-order accumulation for `Aᵀ·B`: every element is a multiply,
 /// then an add, from +0.0 in ascending `p` — the oracle's order — and is
-/// then written (added when `ADD`). An output row is swept
+/// then written (added when `ADD`), for output rows `rows`. A row is swept
 /// [`SMALL_ROW`] columns at a time into stack accumulators, so the
 /// finished sums need no staging buffer.
-fn at_b_rows_small<const ADD: bool>(m: usize, n: usize, a: &[f32], b: &[f32], out: &mut [f32]) {
-    for (i, orow) in out.chunks_exact_mut(n).enumerate() {
+fn at_b_rows_small<const ADD: bool>(
+    m: usize,
+    n: usize,
+    a: &[f32],
+    b: &[f32],
+    rows: Range<usize>,
+    out: &mut [f32],
+) {
+    for (i, orow) in rows.zip(out.chunks_exact_mut(n)) {
         for (c, ochunk) in orow.chunks_mut(SMALL_ROW).enumerate() {
             let (j0, w) = (c * SMALL_ROW, ochunk.len());
             let mut acc = [0.0f32; SMALL_ROW];
@@ -1241,6 +1285,39 @@ mod tests {
                     let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
                     assert_eq!(bits(&got), bits(&want), "m={m} k={k} n={n}");
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn at_b_rows_are_bitwise_the_rows_of_the_whole_product() {
+        // Small path, a narrow output, full strips plus an edge strip, and
+        // reductions on both sides of `KPACK`: any row range, cut at any
+        // tile height, is the whole call's rows bit for bit.
+        for &(k, m, n) in &[
+            (3, 10, 20),
+            (16, 150, 5),
+            (16, 150, 640),
+            (6, 150, 3 * NR + 5),
+            (70, 40, 2 * NR + 3),
+        ] {
+            let a = seq(k * m, 0.03);
+            let b = seq(k * n, 0.07);
+            let mut whole = vec![f32::NAN; m * n];
+            gemm_at_b(k, m, n, &a, &b, &mut whole);
+            for rows in [
+                0..m,
+                0..1,
+                5..m,
+                1..MR + 2,
+                m / 2..(m / 2 + 7).min(m),
+                m - 1..m,
+            ] {
+                let mut got = vec![f32::NAN; rows.len() * n];
+                gemm_at_b_rows(k, m, n, &a, &b, rows.clone(), &mut got);
+                let want = &whole[rows.start * n..rows.end * n];
+                let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&got), bits(want), "k={k} m={m} n={n} rows {rows:?}");
             }
         }
     }

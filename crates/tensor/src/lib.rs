@@ -11,7 +11,8 @@
 //!   backpropagation),
 //! * 2-D convolution (forward in place over each image where its bits
 //!   allow, `im2col` lowered otherwise; `∂W` read from the images in
-//!   place, `∂input` through `col2im`) and max-pooling kernels,
+//!   place, `∂input` one L1-sized slab of `Wᵀ·G` rows at a time,
+//!   scattered through a cached run table) and max-pooling kernels,
 //! * numerically-stable softmax / log-softmax **with distillation
 //!   temperature** (Eqs 3–4 of the paper),
 //! * weight initialisation schemes (Kaiming / Xavier) over a seeded RNG,

@@ -144,6 +144,35 @@ mod tests {
         assert_eq!(c.forget.len(), 3);
     }
 
+    proptest::proptest! {
+        /// A row store's live view after any sequence of deletions is
+        /// the split of the original data by every removed row, bit for
+        /// bit and in the same row order.
+        #[test]
+        fn store_live_view_is_the_splits_remaining_rows(
+            batches in proptest::collection::vec(proptest::collection::vec(0usize..30, 0..6), 0..5),
+        ) {
+            use goldfish_data::synthetic::{self, SyntheticSpec};
+            use goldfish_fed::rows::ClientRows;
+            let spec = SyntheticSpec::mnist().with_size(4, 4);
+            let data = synthetic::generate(&spec, 30, 0, 3).0;
+            let mut rows = ClientRows::new(std::borrow::Cow::Borrowed(&data));
+            let mut all: Vec<usize> = Vec::new();
+            for batch in &batches {
+                rows.remove(batch);
+                all.extend(batch);
+            }
+            all.sort_unstable();
+            all.dedup();
+            let split = ClientSplit::with_removed(&data, &all);
+            let bits = |d: &Dataset| {
+                let f: Vec<u32> = d.features().as_slice().iter().map(|x| x.to_bits()).collect();
+                (f, d.labels().to_vec())
+            };
+            proptest::prop_assert_eq!(bits(rows.live()), bits(&split.remaining));
+        }
+    }
+
     #[test]
     fn outcome_final_accuracy() {
         let o = UnlearnOutcome {

@@ -34,8 +34,7 @@ use std::sync::Arc;
 use goldfish_data::Dataset;
 use goldfish_fed::trainer::TrainLane;
 use goldfish_fed::transport::{
-    client_seed, round_nonce, LoopbackClients, RoundTransport, RowOutOfRange, TransportError,
-    UpdateSink,
+    client_seed, round_nonce, LoopbackClients, RoundTransport, TransportError, UpdateSink,
 };
 use goldfish_fed::ModelFactory;
 use goldfish_nn::loss::{HardLoss, HardLossSpec};
@@ -234,8 +233,8 @@ impl ClientDistiller {
 
 /// The in-process [`DistillTransport`]: the in-process executor,
 /// [`LoopbackClients`], plus one request's distillation state — its
-/// [`DistillJob`], one [`ClientDistiller`] per client live at
-/// `begin_unlearn`, and every client's forget rows. Each distillation
+/// [`DistillJob`] and one [`ClientDistiller`] per client live at
+/// `begin_unlearn`, each with its client's forget rows. Each distillation
 /// round is one [`LoopbackClients::feed_waves`] over the cohort's
 /// distillers, on the executor's own lanes: one student and one teacher
 /// network per pool thread, not per client.
@@ -243,12 +242,14 @@ impl ClientDistiller {
 /// Never produces stragglers.
 pub struct LoopbackDistill<'a> {
     clients: LoopbackClients<'a>,
-    /// Client `id`'s forget rows (empty when it deletes nothing).
-    forgets: Vec<Cow<'a, Dataset>>,
+    /// The library's client splits, whose forget rows a request forgets
+    /// (none when owning: rows are forgotten by
+    /// [`LoopbackDistill::begin_removing`]).
+    splits: &'a [ClientSplit],
     /// The custom-loss fallback (see [`LoopbackDistill::new`]).
     hard: Option<Arc<dyn HardLoss>>,
     job: Option<DistillJob>,
-    distillers: Vec<ClientDistiller>,
+    distillers: Vec<(ClientDistiller, Cow<'a, Dataset>)>,
 }
 
 impl<'a> LoopbackDistill<'a> {
@@ -266,7 +267,7 @@ impl<'a> LoopbackDistill<'a> {
         let remaining = splits.iter().map(|s| &s.remaining);
         LoopbackDistill {
             clients: LoopbackClients::new(&factory, remaining, threads),
-            forgets: splits.iter().map(|s| Cow::Borrowed(&s.forget)).collect(),
+            splits,
             hard: Some(hard),
             job: None,
             distillers: Vec::new(),
@@ -274,7 +275,7 @@ impl<'a> LoopbackDistill<'a> {
     }
 
     /// Owns the given client datasets, which forget nothing until
-    /// [`LoopbackDistill::remove_rows`]. There is no custom-loss
+    /// [`LoopbackDistill::begin_removing`]. There is no custom-loss
     /// fallback: a job without a built-in loss is
     /// [`TransportError::Unsupported`], as on a wire transport.
     pub fn owning(
@@ -282,10 +283,9 @@ impl<'a> LoopbackDistill<'a> {
         clients: Vec<Dataset>,
         threads: Option<usize>,
     ) -> LoopbackDistill<'static> {
-        let empty = |d: &Dataset| Cow::Owned(Dataset::empty(d.sample_shape(), d.classes()));
         LoopbackDistill {
-            forgets: clients.iter().map(empty).collect(),
             clients: LoopbackClients::owning(&factory, clients, threads),
+            splits: &[],
             hard: None,
             job: None,
             distillers: Vec::new(),
@@ -302,23 +302,33 @@ impl<'a> LoopbackDistill<'a> {
         &mut self.clients
     }
 
-    /// Deletes rows for good ([`LoopbackClients::remove_rows`]) and
-    /// makes them the forget rows of the request being served; every
-    /// other client forgets nothing.
+    /// [`DistillTransport::begin_unlearn`] for a request that deletes
+    /// rows for good: each `(client_id, rows)` names original rows
+    /// ([`LoopbackClients::remove_rows`]), which become that client's
+    /// forget rows, read back from its store — so a re-drain of a batch
+    /// already removed forgets the same rows and removes nothing more.
+    /// Every other client forgets nothing.
     ///
     /// # Errors
     ///
-    /// A row past its client's data; nothing is removed then.
-    pub fn remove_rows<'r>(
+    /// `begin_unlearn`'s, or a row past its client's data; nothing is
+    /// removed then.
+    pub fn begin_removing<'r>(
         &mut self,
+        job: &UnlearnJob,
+        teacher: &[f32],
         removals: impl IntoIterator<Item = (usize, &'r [usize])> + Clone,
-    ) -> Result<(), RowOutOfRange> {
-        let removed = self.clients.remove_rows(removals)?;
-        for forget in &mut self.forgets {
-            *forget = Cow::Owned(Dataset::empty(forget.sample_shape(), forget.classes()));
-        }
-        for (id, forget) in removed {
-            self.forgets[id] = Cow::Owned(forget);
+    ) -> Result<(), TransportError> {
+        self.begin_unlearn(job, teacher)?;
+        self.clients.remove_rows(removals.clone())?;
+        for (distiller, forget) in &mut self.distillers {
+            let named = removals
+                .clone()
+                .into_iter()
+                .find(|&(id, _)| id == distiller.id);
+            if let (Some((_, rows)), Some(store)) = (named, self.clients.rows(distiller.id)) {
+                *forget = Cow::Owned(store.removed_rows(rows));
+            }
         }
         Ok(())
     }
@@ -348,9 +358,16 @@ impl DistillTransport for LoopbackDistill<'_> {
         };
         let factory = Arc::clone(self.clients.factory());
         self.job = Some(DistillJob::new(factory, teacher.to_vec(), job.local, hard));
+        let (splits, clients) = (self.splits, &self.clients);
         self.distillers = live
             .iter()
-            .map(|&(id, _)| ClientDistiller::new(id))
+            .filter_map(|&(id, _)| {
+                let forget = match splits.get(id) {
+                    Some(split) => Cow::Borrowed(&split.forget),
+                    None => Cow::Owned(clients.rows(id)?.removed_rows(&[])),
+                };
+                Some((ClientDistiller::new(id), forget))
+            })
             .collect();
         Ok(())
     }
@@ -368,15 +385,11 @@ impl DistillTransport for LoopbackDistill<'_> {
             .job
             .as_ref()
             .expect("distill_round before begin_unlearn");
-        let forgets = &self.forgets;
         let mut members: Vec<(&mut ClientDistiller, &Dataset)> = self
             .distillers
             .iter_mut()
-            .filter(|d| cohort.binary_search_by_key(&d.id, |&(id, _)| id).is_ok())
-            .map(|d| {
-                let forget = &*forgets[d.id];
-                (d, forget)
-            })
+            .filter(|(d, _)| cohort.binary_search_by_key(&d.id, |&(id, _)| id).is_ok())
+            .map(|(d, forget)| (d, &**forget))
             .collect();
         self.clients.feed_waves(
             &mut members,

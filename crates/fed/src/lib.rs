@@ -23,6 +23,8 @@
 //!   on — and [`transport::RoundRuntime`], the one round loop every
 //!   federation, coordinator and unlearning drain runs on
 //!   (`goldfish-serve` adds the TCP implementation),
+//! * [`rows`] — [`rows::ClientRows`], the one owner of a client's rows:
+//!   live rows for every round, deletions by original index,
 //! * [`pool`] — the shared rayon compute pool with a configurable thread
 //!   count; every parallel federated step (client training, evaluation,
 //!   chunked aggregation) runs on it.
@@ -61,6 +63,7 @@ pub mod aggregate;
 pub mod eval;
 pub mod federation;
 pub mod pool;
+pub mod rows;
 pub mod sampling;
 pub mod trainer;
 pub mod transport;

@@ -40,6 +40,7 @@ use goldfish_telemetry::registry::{Counter, Gauge, Histogram, Registry};
 use crate::aggregate::{
     clip_update_into, delta_norm, l2_norm, AggregateError, AggregationMode, RoundAccumulator,
 };
+use crate::rows::ClientRows;
 use crate::trainer::{Lanes, TrainConfig, TrainLane};
 use crate::{eval, pool, ModelFactory};
 
@@ -284,9 +285,9 @@ impl std::error::Error for StateLenError {}
 pub struct RowOutOfRange {
     /// The client whose data was to shrink.
     pub client_id: usize,
-    /// The offending row.
+    /// The offending row, by original index.
     pub row: usize,
-    /// The client's row count at that point.
+    /// The client's original row count.
     pub len: usize,
 }
 
@@ -401,17 +402,17 @@ pub trait RoundTransport {
 /// The in-process round executor — the only one: `Federation` rounds,
 /// the B1–B3 baselines, the library's distillation and the serve
 /// loopback all run on it.
-/// Clients are datasets in this address space, borrowed (the library's
-/// splits are never copied) or owned (a server's, which
-/// [`LoopbackClients::remove_rows`] shrinks). Each round trains on
-/// [`Lanes`] in id-ordered waves ([`LoopbackClients::feed_waves`]), so
-/// resident model memory is `threads` lanes and one state, not one per
-/// cohort member.
+/// Clients are datasets in this address space, each held by its
+/// [`ClientRows`]: borrowed (the library's splits are never copied) or
+/// owned (a server's, which [`LoopbackClients::remove_rows`] shrinks).
+/// Each round trains on [`Lanes`] in id-ordered waves
+/// ([`LoopbackClients::feed_waves`]), so resident model memory is
+/// `threads` lanes and one state, not one per cohort member.
 ///
 /// Never produces stragglers: every entry is `Ok`.
 pub struct LoopbackClients<'a> {
     factory: ModelFactory,
-    clients: Vec<Cow<'a, Dataset>>,
+    clients: Vec<ClientRows<'a>>,
     lanes: Lanes,
     /// The one buffer each trained lane is exported into just before the
     /// sink reads it; reused across lanes, waves and rounds.
@@ -434,7 +435,10 @@ impl<'a> LoopbackClients<'a> {
     ) -> Self {
         LoopbackClients {
             factory: Arc::clone(factory),
-            clients: clients.into_iter().map(Cow::Borrowed).collect(),
+            clients: clients
+                .into_iter()
+                .map(|d| ClientRows::new(Cow::Borrowed(d)))
+                .collect(),
             lanes: Lanes::new(threads),
             export: Vec::new(),
             quarantined: BTreeSet::new(),
@@ -450,7 +454,10 @@ impl<'a> LoopbackClients<'a> {
         threads: Option<usize>,
     ) -> LoopbackClients<'static> {
         let mut owner = LoopbackClients::new(factory, [], threads);
-        owner.clients = clients.into_iter().map(Cow::Owned).collect();
+        owner.clients = clients
+            .into_iter()
+            .map(|d| ClientRows::new(Cow::Owned(d)))
+            .collect();
         owner
     }
 
@@ -473,8 +480,8 @@ impl<'a> LoopbackClients<'a> {
     }
 
     /// Client `id`'s rows (`None` for an unregistered id).
-    pub fn rows(&self, id: usize) -> Option<&Dataset> {
-        self.clients.get(id).map(|d| &**d)
+    pub fn rows(&self, id: usize) -> Option<&ClientRows<'a>> {
+        self.clients.get(id)
     }
 
     /// The quarantined client ids, ascending.
@@ -506,7 +513,7 @@ impl<'a> LoopbackClients<'a> {
             items,
             |i, lane, item| {
                 let id = client(i, item);
-                run(id, &clients[id], lane, item);
+                run(id, clients[id].live(), lane, item);
             },
             |first, lanes, items| {
                 for (i, (lane, item)) in lanes.iter().zip(items.iter()).enumerate() {
@@ -514,7 +521,7 @@ impl<'a> LoopbackClients<'a> {
                     lane.state_into(export);
                     results.push(sink(StreamedUpdate {
                         client_id: id,
-                        num_samples: clients[id].len(),
+                        num_samples: clients[id].live().len(),
                         nonce,
                         state: export,
                     }));
@@ -539,51 +546,46 @@ impl<'a> LoopbackClients<'a> {
         let (factory, clients) = (&self.factory, &self.clients);
         self.lanes.waves(
             &mut evals,
-            |_, lane, e| (e.accuracy, e.mse) = lane.eval(factory, global, &clients[e.client_id]),
+            |_, lane, e| {
+                (e.accuracy, e.mse) = lane.eval(factory, global, clients[e.client_id].live())
+            },
             |_, _, _| {},
         );
         evals
     }
 
-    /// Deletes rows from clients' data for good — the one row shrink.
-    /// Each `(client_id, rows)` applies in turn, indexing the client's
-    /// data as the removals before it left it; unregistered ids and empty
-    /// removals are skipped. Returns each applied removal's removed rows.
+    /// Deletes rows from clients' data for good — the one row shrink:
+    /// each `(client_id, rows)` names original rows
+    /// ([`ClientRows::remove`]: set semantics, so a row already gone is
+    /// not removed again); unregistered ids are skipped.
     ///
     /// # Errors
     ///
-    /// The first row past its client's data, found before any client
-    /// shrinks.
+    /// The first row past its client's original data, found before any
+    /// client shrinks.
     pub fn remove_rows<'r>(
         &mut self,
         removals: impl IntoIterator<Item = (usize, &'r [usize])> + Clone,
-    ) -> Result<Vec<(usize, Dataset)>, RowOutOfRange> {
-        let mut lens: Vec<usize> = self.clients.iter().map(|d| d.len()).collect();
+    ) -> Result<(), RowOutOfRange> {
         for (client_id, rows) in removals.clone() {
-            let Some(len) = lens.get_mut(client_id) else {
+            let Some(data) = self.clients.get(client_id) else {
                 continue;
             };
-            if let Some(&row) = rows.iter().find(|&&row| row >= *len) {
-                let len = *len;
+            let len = data.original_len();
+            if let Some(&row) = rows.iter().find(|&&row| row >= len) {
                 return Err(RowOutOfRange {
                     client_id,
                     row,
                     len,
                 });
             }
-            *len -= rows.iter().collect::<BTreeSet<_>>().len();
         }
-        let mut removed = Vec::new();
-        for (id, rows) in removals.into_iter().filter(|(_, rows)| !rows.is_empty()) {
-            let Some(data) = self.clients.get_mut(id) else {
-                continue;
-            };
-            let gone: BTreeSet<usize> = rows.iter().copied().collect();
-            let keep: Vec<usize> = (0..data.len()).filter(|i| !gone.contains(i)).collect();
-            removed.push((id, data.subset(rows)));
-            *data = Cow::Owned(data.subset(&keep));
+        for (id, rows) in removals {
+            if let Some(data) = self.clients.get_mut(id) {
+                data.remove(rows);
+            }
         }
-        Ok(removed)
+        Ok(())
     }
 }
 
@@ -595,7 +597,7 @@ impl RoundTransport for LoopbackClients<'_> {
                 .iter()
                 .enumerate()
                 .filter(|(id, _)| !self.quarantined.contains(id))
-                .map(|(id, d)| (id, d.len())),
+                .map(|(id, d)| (id, d.live().len())),
         );
     }
 

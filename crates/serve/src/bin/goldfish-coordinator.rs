@@ -329,8 +329,12 @@ fn attach_state_dir<T: ServeTransport>(coordinator: &mut Coordinator<T>) {
     let Some(dir) = value_of("--state-dir") else {
         return;
     };
-    let (store, recovered) =
-        DurableStore::open(Path::new(&dir)).unwrap_or_else(|e| panic!("state dir {dir}: {e}"));
+    // A state dir that does not open (every checkpoint corrupt, say) is
+    // the same typed exit as one that does not fit.
+    let (store, recovered) = DurableStore::open(Path::new(&dir)).unwrap_or_else(|e| {
+        error!("state dir {dir}: {e}");
+        std::process::exit(2)
+    });
     if recovered.fell_back {
         warn!("newest checkpoint unreadable, recovered from the previous one");
     }

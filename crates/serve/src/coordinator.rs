@@ -914,8 +914,8 @@ impl<T: ServeTransport> Coordinator<T> {
         self.telemetry.trace.record(EventKind::DrainStarted {
             pending: self.queue.len() as u64,
         });
-        // The batch's drain serial: workers use it to deduplicate a
-        // re-shipped assignment after a coordinator crash-restart.
+        // The batch's drain serial: its audit record's, shipped in
+        // `UnlearnAssign` too.
         let serial = self.telemetry.drain_batches_total.get();
         let requests = self.queue.drain();
         self.transport.stage_removals(&requests, serial);

@@ -80,15 +80,17 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::{Duration, Instant};
 
 use goldfish_core::transport::{DistillTransport, UnlearnJob};
+use goldfish_fed::rows::RowIndex;
 use goldfish_fed::transport::{
-    RoundTransport, StreamedUpdate, TrainAssign, TransportError, UpdateSink, UpdateViolation,
+    RoundTransport, RowOutOfRange, StreamedUpdate, TrainAssign, TransportError, UpdateSink,
+    UpdateViolation,
 };
 use polling::{Event, Events, Poller};
 
 use crate::nio::{FramePool, FrameReadState, FrameWriteState, PayloadSink};
 use crate::queue::UnlearnRequest;
 use crate::telemetry::{ServeTelemetry, WireTelemetry};
-use crate::transport::{LocalEval, ServeTransport, WireStats};
+use crate::transport::{not_connected, to_originals, LocalEval, ServeTransport, WireStats};
 use crate::wire::{
     decode_msg, encode_eval_request_into, encode_frame, encode_round_assign_into,
     encode_unlearn_assign_into, err_code, kind as wire_kind, write_frame, FrameLimits, Msg,
@@ -380,11 +382,13 @@ fn release_if_dead(hello: &Msg, conns: &mut [Option<Conn>]) {
 pub struct TcpTransport {
     conns: Vec<Option<Conn>>,
     cfg: TcpConfig,
+    /// The staged drain's requests, in original indices.
     staged: Vec<UnlearnRequest>,
-    /// Drain serial of the staged batch — shipped in `UnlearnAssign` so
-    /// a worker can deduplicate a re-shipped batch after a coordinator
-    /// crash-restart.
+    /// Drain serial of the staged batch, shipped in `UnlearnAssign`.
     staged_serial: u64,
+    /// Each client's removed original indices: the index half of
+    /// its worker's row store, which deletions are translated through.
+    index: Vec<RowIndex>,
     /// Wire-side telemetry handles (byte counters + reactor spans).
     /// Detached at construction — `accept` counts handshake bytes
     /// before any coordinator exists — and rebound to the shared
@@ -728,6 +732,7 @@ impl TcpTransport {
             cfg,
             staged: Vec::new(),
             staged_serial: 0,
+            index: vec![RowIndex::default(); expected],
             // Detached counters until a coordinator attaches its
             // catalog; handshake traffic must not go missing just
             // because it happens before wiring.
@@ -1418,13 +1423,9 @@ impl DistillTransport for TcpTransport {
         // *after* the fan-out would leave other requesters' datasets
         // shrunk while the coordinator aborts and keeps serving the
         // pre-request model.
-        for req in &staged {
-            if !req.removed.is_empty() && self.conns.get(req.client_id).is_none_or(|c| c.is_none())
-            {
-                return Err(TransportError::Disconnected {
-                    client_id: req.client_id,
-                    reason: "deletion-requesting client is not connected".into(),
-                });
+        for req in staged.iter().filter(|r| !r.removed.is_empty()) {
+            if self.conns.get(req.client_id).is_none_or(|c| c.is_none()) {
+                return Err(not_connected(req.client_id));
             }
         }
         // Frames differ per client only in the (tiny) removed-index
@@ -1462,6 +1463,18 @@ impl DistillTransport for TcpTransport {
         .map_err(|e| TransportError::Unsupported {
             reason: format!("UnlearnAssign cannot be framed: {e}"),
         })?;
+        // Sync from worker truth, whatever the other clients did: an
+        // acked worker removed its rows, and its ack reports its own
+        // post-deletion count, which the registry *assigns* (never
+        // subtracts). A rejoined worker whose `Hello` already reflected
+        // the deletion, and whose store made the re-application a no-op,
+        // therefore cannot be double-shrunk.
+        for (id, n) in acked_sizes {
+            self.index[id].remove(removed_of(id));
+            if let Some(conn) = self.conns[id].as_mut() {
+                conn.num_samples = n;
+            }
+        }
         if results.iter().all(|(_, r)| r.is_err()) {
             return Err(TransportError::NoLiveClients);
         }
@@ -1469,35 +1482,11 @@ impl DistillTransport for TcpTransport {
         // the whole pass — otherwise the coordinator would report the
         // request as served while the data survives. (Intact clients
         // that dropped are mere stragglers; the survivors distill on.)
-        for req in &staged {
-            if req.removed.is_empty() {
-                continue;
-            }
-            let acked = results
-                .iter()
-                .any(|(id, r)| *id == req.client_id && r.is_ok());
-            if !acked {
-                let failure = results
-                    .iter()
-                    .find_map(|(id, r)| match r {
-                        Err(e) if *id == req.client_id => Some(e.clone()),
-                        _ => None,
-                    })
-                    .unwrap_or(TransportError::Disconnected {
-                        client_id: req.client_id,
-                        reason: "deletion-requesting client is not connected".into(),
-                    });
-                return Err(failure);
-            }
-        }
-        // Registry sync from worker truth: each ack reports the
-        // worker's own post-deletion count, and the registry *assigns*
-        // it (never subtracts). A rejoined worker whose `Hello` already
-        // reflected the deletion and whose serial cache made the
-        // re-application a no-op therefore cannot be double-shrunk.
-        for (id, n) in acked_sizes {
-            if let Some(conn) = self.conns[id].as_mut() {
-                conn.num_samples = n;
+        for req in staged.iter().filter(|r| !r.removed.is_empty()) {
+            match results.iter().find(|(id, _)| *id == req.client_id) {
+                Some((_, Ok(()))) => {}
+                Some((_, Err(e))) => return Err(e.clone()),
+                None => return Err(not_connected(req.client_id)),
             }
         }
         Ok(())
@@ -1543,8 +1532,13 @@ impl ServeTransport for TcpTransport {
     }
 
     fn stage_removals(&mut self, requests: &[UnlearnRequest], serial: u64) {
-        self.staged = requests.to_vec();
+        self.staged = to_originals(&mut self.index.clone(), requests);
         self.staged_serial = serial;
+    }
+
+    fn apply_removals(&mut self, requests: &[UnlearnRequest]) -> Result<(), RowOutOfRange> {
+        to_originals(&mut self.index, requests);
+        Ok(())
     }
 
     fn admit_reconnects(&mut self, round: usize, global: &[f32]) -> usize {

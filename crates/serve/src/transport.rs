@@ -12,8 +12,9 @@
 //!   [`LoopbackDistill`] over rows it owns (itself a
 //!   [`goldfish_fed::transport::LoopbackClients`] plus one request's
 //!   distillation state), and adds only what serving needs: deletion
-//!   staging, recovery replay and shard retrains. So a loopback round or
-//!   drain **is** the in-process path `Federation` and
+//!   staging, recovery replay and shard retrains; every client's rows
+//!   live in one [`goldfish_fed::rows::ClientRows`] store. So a loopback
+//!   round or drain **is** the in-process path `Federation` and
 //!   `GoldfishUnlearning` run, by construction,
 //! * [`crate::tcp::TcpTransport`] — clients are remote worker daemons
 //!   behind sockets; bitwise-identical to loopback because both sides
@@ -22,6 +23,7 @@
 
 use goldfish_core::transport::{DistillTransport, LoopbackDistill, UnlearnJob};
 use goldfish_data::Dataset;
+use goldfish_fed::rows::RowIndex;
 pub(crate) use goldfish_fed::transport::LocalEval;
 use goldfish_fed::transport::{
     RoundTransport, RowOutOfRange, TrainAssign, TransportError, UpdateSink,
@@ -29,6 +31,43 @@ use goldfish_fed::transport::{
 use goldfish_fed::ModelFactory;
 
 use crate::queue::UnlearnRequest;
+
+/// Translates deletions from live-view indices, the convention they are
+/// submitted, logged and audited in, to original ones through each
+/// client's `index` — when a drain is staged, and when committed
+/// deletions replay at recovery. Each request addresses its client's
+/// rows as the requests before it left them, so it marks its rows
+/// removed in `index` before the next one translates. A client with no
+/// index is not registered: its request passes as it is, for the
+/// transport to refuse or skip.
+pub(crate) fn to_originals(
+    index: &mut [RowIndex],
+    requests: &[UnlearnRequest],
+) -> Vec<UnlearnRequest> {
+    let translate = |r: &UnlearnRequest| {
+        let removed = match index.get_mut(r.client_id) {
+            Some(rows) => {
+                let removed = rows.originals(&r.removed);
+                rows.remove(&removed);
+                removed
+            }
+            None => r.removed.clone(),
+        };
+        UnlearnRequest {
+            client_id: r.client_id,
+            removed,
+        }
+    };
+    requests.iter().map(translate).collect()
+}
+
+/// The refusal of a deletion whose requesting client is not connected.
+pub(crate) fn not_connected(client_id: usize) -> TransportError {
+    TransportError::Disconnected {
+        client_id,
+        reason: "deletion-requesting client is not connected".into(),
+    }
+}
 
 /// Wire-traffic counters of a transport (zero for loopback).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -53,28 +92,29 @@ pub trait ServeTransport: RoundTransport + DistillTransport {
     fn client_sizes(&self) -> Vec<usize>;
 
     /// Stages the drained deletion requests for the next
-    /// [`DistillTransport::begin_unlearn`]: each listed client will split
-    /// its data by the given indices; unlisted clients stay intact.
-    /// `serial` is the coordinator-wide drain-batch serial — remote
-    /// transports ship it with the `UnlearnAssign` so workers apply a
-    /// deletion exactly once even when a recovered coordinator re-sends
-    /// the batch.
+    /// [`DistillTransport::begin_unlearn`]: each listed client will
+    /// forget the given rows and remove them for good; unlisted clients
+    /// stay intact. The requests arrive in live-view indices and are
+    /// translated to original ones here, so what the transport applies
+    /// and ships in `UnlearnAssign` names fixed rows: a re-drain of a
+    /// batch whose rows are already gone (a recovered coordinator
+    /// re-sending it) removes nothing more, and forgets the same rows,
+    /// read back from the client's store. `serial` is the
+    /// coordinator-wide drain-batch serial, shipped in `UnlearnAssign`.
     fn stage_removals(&mut self, requests: &[UnlearnRequest], serial: u64);
 
     /// Recovery path: re-applies *already committed* deletions (from
-    /// the audit chain, in chain order) to the transport's view of the
-    /// client datasets. Loopback shrinks its owned datasets; remote
-    /// transports do nothing (the workers are authoritative for their
-    /// own data and apply deletions idempotently by serial).
+    /// the audit chain, in chain order, in live-view indices) to the
+    /// transport's view of the client rows. Loopback removes them from
+    /// its stores; TCP marks them in its index of each client's removed
+    /// rows (the workers hold the rows, and their stores make a re-sent
+    /// deletion a no-op).
     ///
     /// # Errors
     ///
     /// A deletion naming a row its client does not hold (the state dir
     /// belongs to other data); nothing is applied then.
-    fn apply_removals(&mut self, requests: &[UnlearnRequest]) -> Result<(), RowOutOfRange> {
-        let _ = requests;
-        Ok(())
-    }
+    fn apply_removals(&mut self, requests: &[UnlearnRequest]) -> Result<(), RowOutOfRange>;
 
     /// Gives the transport a chance to re-admit reconnecting workers
     /// between rounds (`round` = the round about to run, `global` = the
@@ -162,6 +202,7 @@ pub trait ServeTransport: RoundTransport + DistillTransport {
 /// is checked against.
 pub struct LoopbackTransport {
     exec: LoopbackDistill<'static>,
+    /// The staged drain's requests, in original indices.
     staged: Vec<UnlearnRequest>,
 }
 
@@ -177,6 +218,14 @@ impl LoopbackTransport {
     /// Clients evicted so far, ascending.
     pub fn quarantined_clients(&self) -> Vec<usize> {
         self.exec.clients().quarantined().collect()
+    }
+
+    /// A copy of every client's index half, to translate deletions on.
+    fn index(&self) -> Vec<RowIndex> {
+        let clients = self.exec.clients();
+        (0..)
+            .map_while(|id| clients.rows(id).map(|r| r.index().clone()))
+            .collect()
     }
 }
 
@@ -223,23 +272,14 @@ impl DistillTransport for LoopbackTransport {
             .iter()
             .find(|r| !r.removed.is_empty() && !is_live(r.client_id))
         {
-            return Err(TransportError::Disconnected {
-                client_id: req.client_id,
-                reason: "deletion-requesting client is not connected".into(),
-            });
+            return Err(not_connected(req.client_id));
         }
-        self.exec.begin_unlearn(job, teacher)?;
         // The deletion is permanent (mirroring the worker daemon's state
         // machine): a client with removals keeps only its remaining data
-        // for every later round, and that is what it distils on. Each
-        // live client applies its first staged request, as a worker
-        // does; a bad row is the worker's typed refusal, and nothing
-        // shrinks.
-        let removals = live.iter().filter_map(|&(id, _)| {
-            let req = staged.iter().find(|r| r.client_id == id)?;
-            Some((id, req.removed.as_slice()))
-        });
-        Ok(self.exec.remove_rows(removals)?)
+        // for every later round, and that is what it distils on. A bad
+        // row is the worker's typed refusal, and nothing shrinks.
+        let removals = staged.iter().map(|r| (r.client_id, r.removed.as_slice()));
+        self.exec.begin_removing(job, teacher, removals)
     }
 
     fn distill_round(
@@ -260,7 +300,7 @@ impl ServeTransport for LoopbackTransport {
     fn client_sizes(&self) -> Vec<usize> {
         let clients = self.exec.clients();
         let mut sizes: Vec<usize> = (0..)
-            .map_while(|id| clients.rows(id).map(Dataset::len))
+            .map_while(|id| clients.rows(id).map(|r| r.live().len()))
             .collect();
         // A quarantined client reads 0, like a closed TCP connection.
         for id in clients.quarantined() {
@@ -270,15 +310,13 @@ impl ServeTransport for LoopbackTransport {
     }
 
     fn stage_removals(&mut self, requests: &[UnlearnRequest], _serial: u64) {
-        self.staged = requests.to_vec();
+        self.staged = to_originals(&mut self.index(), requests);
     }
 
     fn apply_removals(&mut self, requests: &[UnlearnRequest]) -> Result<(), RowOutOfRange> {
-        // Committed deletions replay in audit order; each removal's
-        // indices refer to the dataset as it stood at that point, which
-        // is how the shared shrink applies them.
-        let removals = requests.iter().map(|r| (r.client_id, r.removed.as_slice()));
-        self.exec.clients_mut().remove_rows(removals).map(drop)
+        let replayed = to_originals(&mut self.index(), requests);
+        let removals = replayed.iter().map(|r| (r.client_id, r.removed.as_slice()));
+        self.exec.clients_mut().remove_rows(removals)
     }
 
     fn local_eval(
@@ -308,7 +346,7 @@ impl ServeTransport for LoopbackTransport {
         // run the owner's retrain; in-process, that is simply reading
         // the owner's dataset.
         let clients = self.exec.clients();
-        let Some(data) = clients.rows(assign.owner) else {
+        let Some(data) = clients.rows(assign.owner).map(|r| r.live()) else {
             return Err(TransportError::Disconnected {
                 client_id: assign.owner,
                 reason: "shard retrain for unregistered client".into(),
@@ -409,6 +447,27 @@ mod tests {
         assert_eq!(t.wire_stats().total(), 0);
     }
 
+    /// Committed deletions translate in order, each through the rows the
+    /// ones before it left; one naming no registered client (a state dir
+    /// can name any id) passes untranslated, for the transport to skip.
+    #[test]
+    fn translation_runs_in_order_and_passes_unknown_clients() {
+        let mut index = vec![RowIndex::default(); 2];
+        let replay = [
+            UnlearnRequest::new(0, vec![1]),
+            UnlearnRequest::new(usize::MAX, vec![3]),
+            UnlearnRequest::new(0, vec![1, 5]),
+        ];
+        let originals = to_originals(&mut index, &replay);
+        let want = [
+            UnlearnRequest::new(0, vec![1]),
+            UnlearnRequest::new(usize::MAX, vec![3]),
+            UnlearnRequest::new(0, vec![2, 6]),
+        ];
+        assert_eq!(originals, want);
+        assert_eq!(index[0].originals(&[0, 1]), [0, 3]);
+    }
+
     /// A deletion naming a row its client does not hold is the worker's
     /// typed refusal, found before any client shrinks, and the next valid
     /// drain goes through. A recovery replay is refused the same way.
@@ -456,8 +515,9 @@ mod tests {
         t.distill_round(0, 3, &teacher, &cohort, &mut |_| Ok(()), &mut results);
         assert_eq!(results, vec![Ok(()), Ok(())]);
 
-        // Each replayed removal indexes the data as the ones before it
-        // left it: 38 rows, then 37.
+        // Each replayed removal indexes the live rows as the ones before
+        // it left them (38, then 37), and is refused in original terms:
+        // live row 37 of 37 is original row 40 of 40.
         let replay = [
             UnlearnRequest::new(0, vec![37]),
             UnlearnRequest::new(0, vec![36, 37]),
@@ -466,8 +526,8 @@ mod tests {
             t.apply_removals(&replay),
             Err(RowOutOfRange {
                 client_id: 0,
-                row: 37,
-                len: 37
+                row: 40,
+                len: 40
             })
         );
         assert_eq!(t.client_sizes(), vec![38, 38]);

@@ -298,19 +298,22 @@ pub enum Msg {
         state: Vec<f32>,
     },
     /// Coordinator → worker: an unlearning request begins. The worker
-    /// splits its local data by `removed`, rebuilds its distillation
-    /// state and answers subsequent [`RoundMode::Distill`] assignments.
+    /// removes the `removed` rows from its store, rebuilds its
+    /// distillation state and answers subsequent [`RoundMode::Distill`]
+    /// assignments.
     UnlearnAssign {
         /// Drain serial: the coordinator-wide index of the drain batch
-        /// this assignment belongs to. Workers apply a deletion **once
-        /// per serial** — a re-shipped assignment after a coordinator
-        /// crash/restart reuses the cached split instead of removing
-        /// the indices a second time from already-shrunk data.
+        /// this assignment belongs to. Workers do not need it: a
+        /// re-shipped assignment (after a coordinator crash/restart)
+        /// names the same original rows, which the worker's store
+        /// removes once.
         serial: u64,
         /// The job (local config + hard loss).
         job: UnlearnJob,
-        /// Indices into this worker's local data to forget (empty for
-        /// clients without a deletion request).
+        /// Original indices (positions in the data the worker registered
+        /// with) of the rows to forget; empty for clients without a
+        /// deletion request. A re-drain's rows, already removed, are
+        /// removed nothing more and read back from the store.
         removed: Vec<u64>,
         /// The frozen pre-deletion global state (the teacher).
         teacher: Vec<f32>,
@@ -366,9 +369,9 @@ pub enum Msg {
     /// the worker's authoritative post-deletion dataset size: the
     /// coordinator *assigns* (never subtracts) this into its registry,
     /// so a batch re-shipped to a rejoined worker — whose `Hello`
-    /// already reported the shrunk size and whose serial cache makes
-    /// the re-application a no-op — cannot double-shrink the
-    /// aggregation weights.
+    /// already reported the shrunk size and whose store makes the
+    /// re-application a no-op — cannot double-shrink the aggregation
+    /// weights.
     UnlearnAck {
         /// Remaining local sample count (the FedAvg weight from here
         /// on).

@@ -32,14 +32,15 @@
 //! the control frames (`UnlearnAssign`, `Eval`, `Digest`, `Err`,
 //! `Shutdown`) are decoded into a [`Msg`].
 
+use std::borrow::Cow;
 use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::Duration;
 
 use goldfish_core::transport::{ClientDistiller, DistillJob};
-use goldfish_core::ClientSplit;
 use goldfish_data::Dataset;
 use goldfish_fed::aggregate::AggregationMode;
+use goldfish_fed::rows::ClientRows;
 use goldfish_fed::trainer::TrainLane;
 use goldfish_fed::transport::client_seed;
 use goldfish_fed::ModelFactory;
@@ -52,7 +53,7 @@ use crate::wire::{
 };
 
 /// A worker's unlearning request: the shared job, the client's
-/// distillation state and its removed rows.
+/// distillation state and its forget rows, read back from its store.
 struct Unlearning {
     job: DistillJob,
     distiller: ClientDistiller,
@@ -67,7 +68,7 @@ struct Unlearning {
 pub struct WorkerRuntime {
     client_id: usize,
     factory: ModelFactory,
-    data: Dataset,
+    rows: ClientRows<'static>,
     /// The model's state-vector length, once a host's lane has told it
     /// ([`WorkerRuntime::state_len`]).
     state_len: Option<usize>,
@@ -77,12 +78,6 @@ pub struct WorkerRuntime {
     /// Last round this worker answered — the `Hello` resume token after
     /// a reconnect (`None` until the first answered round).
     last_round: Option<u64>,
-    /// The most recent applied deletion batch: its drain serial plus the
-    /// removed rows (the remaining rows are `data`). A re-shipped
-    /// `UnlearnAssign` carrying the same serial (coordinator
-    /// crash-restart re-draining the batch it never committed) reuses
-    /// this instead of shrinking the dataset twice.
-    last_unlearn: Option<(u64, Dataset)>,
     /// Round cursor + global-state digest the coordinator announced at
     /// re-admission (the `Digest` frame), for post-run verification.
     resume_digest: Option<(u64, [u8; DIGEST_LEN])>,
@@ -98,11 +93,10 @@ impl WorkerRuntime {
         WorkerRuntime {
             client_id,
             factory,
-            data,
+            rows: ClientRows::new(Cow::Owned(data)),
             state_len: None,
             unlearning: None,
             last_round: None,
-            last_unlearn: None,
             resume_digest: None,
             frames_handled: 0,
         }
@@ -149,7 +143,7 @@ impl WorkerRuntime {
         Msg::Hello {
             client_id: self.client_id as u64,
             state_len: self.state_len(lane) as u64,
-            num_samples: self.data.len() as u64,
+            num_samples: self.rows.live().len() as u64,
             resume: self.last_round,
         }
     }
@@ -235,7 +229,7 @@ impl WorkerRuntime {
         if got != state_len {
             return Err(bad_state_len(got, state_len));
         }
-        let round = assign.round;
+        let (round, data) = (assign.round, self.rows.live());
         if distill {
             let Some(u) = self.unlearning.as_mut() else {
                 return Err((
@@ -248,7 +242,7 @@ impl WorkerRuntime {
             serialize::f32s_read_le(assign.global, &mut u.global);
             u.distiller.round(
                 &u.job,
-                &self.data,
+                data,
                 &u.forget,
                 lane,
                 &u.global,
@@ -257,13 +251,13 @@ impl WorkerRuntime {
             );
         } else {
             let s = client_seed(assign.seed, self.client_id, round as usize);
-            lane.run_le(&self.factory, assign.global, &self.data, &assign.cfg, s);
+            lane.run_le(&self.factory, assign.global, data, &assign.cfg, s);
         }
         self.last_round = Some(round);
         Ok(UpdateHeader {
             round,
             client_id: self.client_id as u64,
-            weight: self.data.len() as u64,
+            weight: data.len() as u64,
             // The echoed nonce: the coordinator's admission layer matches
             // it against the assignment to reject stale/replayed frames.
             nonce: assign.nonce,
@@ -280,7 +274,7 @@ impl WorkerRuntime {
         let state_len = self.state_len(lane);
         match msg {
             Msg::UnlearnAssign {
-                serial,
+                serial: _,
                 job,
                 removed,
                 teacher,
@@ -298,40 +292,23 @@ impl WorkerRuntime {
                         }
                     }
                 };
-                let forget = if removed.is_empty() {
-                    Dataset::empty(self.data.sample_shape(), self.data.classes())
-                } else if let Some((_, cached)) = self
-                    .last_unlearn
-                    .as_ref()
-                    .filter(|(last, _)| *last == serial)
-                {
-                    // The same drain serial again: a coordinator that
-                    // crashed before committing the batch re-drained it
-                    // on recovery. The deletion already happened — reuse
-                    // the removed rows instead of shrinking twice (the
-                    // shipped indices address the pre-deletion dataset,
-                    // which no longer exists here).
-                    cached.clone()
-                } else {
-                    if let Some(&bad) = removed.iter().find(|&&i| i as usize >= self.data.len()) {
-                        return Msg::Err {
-                            code: err_code::BAD_REQUEST,
-                            detail: format!(
-                                "removed index {bad} out of {} local samples",
-                                self.data.len()
-                            ),
-                        };
-                    }
-                    let idx: Vec<usize> = removed.iter().map(|&i| i as usize).collect();
-                    let split = ClientSplit::with_removed(&self.data, &idx);
-                    // The deletion is permanent: once the request is
-                    // assigned, the removed samples leave this worker's
-                    // dataset — later training rounds must never touch
-                    // them again.
-                    self.data = split.remaining;
-                    self.last_unlearn = Some((serial, split.forget.clone()));
-                    split.forget
-                };
+                // Original indices: a re-shipped batch (a coordinator
+                // that crashed before committing it re-drains it) names
+                // rows already gone, removes nothing more and forgets
+                // the same rows, read back from the store.
+                let removed: Vec<usize> = removed.iter().map(|&i| i as usize).collect();
+                let len = self.rows.original_len();
+                if let Some(bad) = removed.iter().find(|&&i| i >= len) {
+                    return Msg::Err {
+                        code: err_code::BAD_REQUEST,
+                        detail: format!("removed index {bad} out of {len} local samples"),
+                    };
+                }
+                // The deletion is permanent: once the request is
+                // assigned, the removed samples leave the live rows —
+                // later training rounds never touch them again.
+                self.rows.remove(&removed);
+                let forget = self.rows.removed_rows(&removed);
                 self.unlearning = Some(Unlearning {
                     job: DistillJob::new(Arc::clone(&self.factory), teacher, job.local, hard),
                     distiller: ClientDistiller::new(self.client_id),
@@ -341,9 +318,9 @@ impl WorkerRuntime {
                 // The job is accepted; the distiller answers the coming
                 // Distill assignments. The ack carries this worker's
                 // authoritative remaining sample count — correct whether
-                // the deletion was fresh or deduplicated by serial.
+                // the deletion was fresh or a no-op re-drain.
                 Msg::UnlearnAck {
-                    num_samples: self.data.len() as u64,
+                    num_samples: self.rows.live().len() as u64,
                 }
             }
             Msg::Digest { round, digest } => {
@@ -357,7 +334,7 @@ impl WorkerRuntime {
                     let (code, detail) = bad_state_len(global.len(), state_len);
                     return Msg::Err { code, detail };
                 }
-                let (accuracy, mse) = lane.eval(&self.factory, &global, &self.data);
+                let (accuracy, mse) = lane.eval(&self.factory, &global, self.rows.live());
                 Msg::Eval {
                     round,
                     accuracy,
@@ -391,7 +368,7 @@ impl std::fmt::Debug for WorkerRuntime {
             f,
             "WorkerRuntime(client {}, {} samples, state_len {:?}, unlearning: {})",
             self.client_id,
-            self.data.len(),
+            self.rows.live().len(),
             self.state_len,
             self.unlearning.is_some()
         )
@@ -661,6 +638,7 @@ mod tests {
     use crate::demo::DemoSpec;
     use goldfish_core::basic_model::GoldfishLocalConfig;
     use goldfish_core::transport::UnlearnJob;
+    use goldfish_core::ClientSplit;
     use goldfish_fed::eval;
     use goldfish_fed::trainer::{train_local_ce, TrainConfig};
     use goldfish_nn::loss::HardLossSpec;
@@ -1152,6 +1130,7 @@ mod tests {
         };
         let mut bad_mode = assign_frame(RoundMode::Train, &cfg, &global);
         bad_mode[at(0)] = 7;
+        let past_end = unlearn_frame(spec, &[3, spec.samples_per_client]);
         let (train, distill) = (RoundMode::Train, RoundMode::Distill);
         let short = &global[1..];
         vec![
@@ -1179,7 +1158,89 @@ mod tests {
                 assign_frame(distill, &cfg, &global),
                 Some(err_code::NOT_UNLEARNING),
             ),
+            (
+                "UnlearnAssign: a row past the original data",
+                past_end,
+                Some(err_code::BAD_REQUEST),
+            ),
         ]
+    }
+
+    /// An `UnlearnAssign` frame removing `removed` (original indices).
+    fn unlearn_frame(spec: &DemoSpec, removed: &[usize]) -> Vec<u8> {
+        let (mut frame, limits) = (Vec::new(), FrameLimits::default());
+        let teacher = (spec.factory())(3).state_vector();
+        wire::encode_unlearn_assign_into(&mut frame, 0, &job(), removed, &teacher, &limits)
+            .unwrap();
+        frame
+    }
+
+    fn job() -> UnlearnJob {
+        UnlearnJob {
+            local: GoldfishLocalConfig {
+                epochs: 1,
+                batch_size: 20,
+                ..GoldfishLocalConfig::default()
+            },
+            hard: Some(HardLossSpec::CrossEntropy),
+        }
+    }
+
+    /// A hostile `UnlearnAssign` removes nothing when refused, and a
+    /// duplicated index forgets its row once: the worker's store holds
+    /// each row once, so the distillation round is the library's over a
+    /// single forget row.
+    #[test]
+    fn hostile_unlearn_assigns_remove_nothing_or_one_row() {
+        let limits = FrameLimits::default();
+        let answer = |w: &mut WorkerRuntime, frame: &[u8], lane: &mut TrainLane| {
+            let mut reply = Vec::new();
+            let (kind, payload) = (frame[5], &frame[wire::HEADER_LEN..]);
+            w.answer(kind, payload, lane, &mut reply, &limits).unwrap();
+            wire::decode_frame(&reply, &limits).unwrap().0
+        };
+        let (mut w, spec) = runtime();
+        let mut lane = TrainLane::new();
+        let global = (spec.factory())(5).state_vector();
+        let refused = answer(&mut w, &unlearn_frame(&spec, &[3, 40]), &mut lane);
+        assert!(
+            matches!(
+                refused,
+                Msg::Err {
+                    code: err_code::BAD_REQUEST,
+                    ..
+                }
+            ),
+            "{refused:?}"
+        );
+        let train = assign(RoundMode::Train, 0, 5, 0, &global);
+        assert!(matches!(
+            ask(&mut w, &train, &mut lane),
+            Msg::Update { weight: 40, .. }
+        ));
+
+        let ack = answer(&mut w, &unlearn_frame(&spec, &[2, 2]), &mut lane);
+        assert_eq!(ack, Msg::UnlearnAck { num_samples: 39 });
+        let reply = ask(
+            &mut w,
+            &assign(RoundMode::Distill, 0, 5, 9, &global),
+            &mut lane,
+        );
+        let Msg::UnlearnResult { weight, state, .. } = reply else {
+            panic!("expected UnlearnResult, got {reply:?}");
+        };
+        assert_eq!(weight, 39);
+        let split = ClientSplit::with_removed(&spec.client_shard(1), &[2]);
+        assert_eq!(split.forget.len(), 1);
+        let teacher = (spec.factory())(3).state_vector();
+        let hard = HardLossSpec::CrossEntropy.build();
+        let oracle_job = DistillJob::new(spec.factory(), teacher, job().local, hard);
+        let mut fresh = TrainLane::new();
+        let (remaining, forget) = (&split.remaining, &split.forget);
+        ClientDistiller::new(1).round(&oracle_job, remaining, forget, &mut fresh, &global, 0, 5);
+        let mut want = Vec::new();
+        fresh.state_into(&mut want);
+        assert_eq!(state, want);
     }
 
     #[test]

@@ -495,3 +495,78 @@ fn straggler_is_dropped_and_round_rerun_deterministically() {
     good.join().unwrap();
     silent.join().unwrap();
 }
+
+/// A second deletion on the same client addresses the rows the first one
+/// left: with row 1 gone, live row 5 is original row 6, and that row
+/// alone is what the second drain forgets. Loopback and fleet-hosted TCP
+/// commit the same two globals, bit for bit.
+#[test]
+fn a_second_deletion_on_one_client_forgets_original_row_6() {
+    let spec = DemoSpec {
+        samples_per_client: 40,
+        ..demo()
+    };
+    /// Serves `[1]`, then `[5]`, on client 0; returns the global after
+    /// each drain (the first is the second drain's teacher).
+    fn serve_two<T: ServeTransport>(mut c: Coordinator<T>) -> [Vec<f32>; 2] {
+        c.train_round(0, round_seed(SEED, 0)).unwrap();
+        c.submit_unlearn(UnlearnRequest::new(0, vec![1])).unwrap();
+        c.drain_unlearning(drain_seed(SEED, 0)).unwrap().unwrap();
+        assert_eq!(c.transport().client_sizes(), [39, 40]);
+        let first = c.global_state().to_vec();
+        c.submit_unlearn(UnlearnRequest::new(0, vec![5])).unwrap();
+        c.drain_unlearning(drain_seed(SEED, 1)).unwrap().unwrap();
+        assert_eq!(c.transport().client_sizes(), [38, 40]);
+        c.transport_mut().shutdown();
+        [first, c.global_state().to_vec()]
+    }
+    let loopback = serve_two(loopback_coordinator(&spec));
+
+    // The second drain is the library's unlearning with original row 6
+    // as client 0's forget rows, bitwise; any other row gives other bits.
+    let shards = spec.client_shards();
+    let library = |row: usize| {
+        let setup = UnlearnSetup {
+            factory: spec.factory(),
+            clients: vec![
+                ClientSplit {
+                    remaining: ClientSplit::with_removed(&shards[0], &[1, 6]).remaining,
+                    forget: shards[0].subset(&[row]),
+                },
+                ClientSplit::intact(shards[1].clone()),
+            ],
+            test: spec.test_set(),
+            original_global: loopback[0].clone(),
+            rounds: 1,
+            train: spec.train_config(),
+        };
+        method().unlearn(&setup, drain_seed(SEED, 1)).global_state
+    };
+    assert_eq!(
+        loopback[1],
+        library(6),
+        "the second drain forgot another row"
+    );
+    assert_ne!(loopback[1], library(5));
+
+    let (listener, addr) = bind("127.0.0.1:0").unwrap();
+    let fleet = std::thread::spawn(move || {
+        let mut runtimes: Vec<WorkerRuntime> = (0..spec.clients)
+            .map(|id| WorkerRuntime::new(id, spec.factory(), spec.client_shard(id)))
+            .collect();
+        run_fleet(&addr, &mut runtimes, &FrameLimits::default()).unwrap()
+    });
+    let state_len = (spec.factory())(0).state_len();
+    let transport =
+        TcpTransport::accept(&listener, spec.clients, state_len, TcpConfig::default()).unwrap();
+    let c = Coordinator::new(
+        spec.factory(),
+        spec.test_set(),
+        transport,
+        coordinator_config(&spec),
+    );
+    let tcp = serve_two(c);
+    assert_eq!(tcp, loopback, "TCP diverged from loopback");
+    let report = fleet.join().expect("the fleet thread panicked");
+    assert_eq!((report.clean_shutdowns, report.dropped), (spec.clients, 0));
+}

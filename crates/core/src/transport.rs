@@ -32,7 +32,7 @@ use std::borrow::Cow;
 use std::sync::Arc;
 
 use goldfish_data::Dataset;
-use goldfish_fed::trainer::TrainLane;
+use goldfish_fed::trainer::{Lanes, TrainLane};
 use goldfish_fed::transport::{
     client_seed, round_nonce, LoopbackClients, RoundTransport, TransportError, UpdateSink,
 };
@@ -106,6 +106,15 @@ pub trait DistillTransport {
         sink: &mut UpdateSink<'_>,
         results: &mut Vec<Result<(), TransportError>>,
     );
+
+    /// The lanes the clients' rounds run on in this process, with the
+    /// factory that built them — where the drain's server-side
+    /// evaluation runs
+    /// ([`goldfish_fed::transport::RoundTransport::lanes`]). `None` by
+    /// default.
+    fn lanes(&mut self) -> Option<(&ModelFactory, &mut Lanes)> {
+        None
+    }
 }
 
 /// An [`UnlearnJob`] made runnable: what every client's run of one
@@ -401,6 +410,10 @@ impl DistillTransport for LoopbackDistill<'_> {
             sink,
             results,
         );
+    }
+
+    fn lanes(&mut self) -> Option<(&ModelFactory, &mut Lanes)> {
+        self.clients.lanes()
     }
 }
 

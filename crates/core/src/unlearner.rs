@@ -18,15 +18,14 @@
 use std::sync::Arc;
 
 use goldfish_data::Dataset;
-use goldfish_fed::eval;
-use goldfish_fed::trainer::TrainConfig;
+use goldfish_fed::trainer::{Lanes, TrainConfig};
 use goldfish_fed::transport::{
     round_nonce, RoundRuntime, RoundTransport, TrainAssign, TransportError, UpdateSink, Weighting,
 };
 use goldfish_fed::ModelFactory;
 use goldfish_nn::loss::{CrossEntropy, HardLoss};
 
-use crate::basic_model::{network_from_state, reinit_seed, GoldfishLocalConfig};
+use crate::basic_model::{reinit_seed, GoldfishLocalConfig};
 use crate::loss::LossWeights;
 use crate::method::{UnlearnOutcome, UnlearnSetup, UnlearningMethod};
 use crate::transport::{DistillTransport, LoopbackDistill, UnlearnJob};
@@ -96,7 +95,9 @@ impl GoldfishUnlearning {
 /// pieces against any [`DistillTransport`] — the client data lives behind
 /// the transport, not here.
 pub struct UnlearnServer<'a> {
-    /// Architecture factory (reinitialisation + server-side evaluation).
+    /// Architecture factory: the reinitialisation, and the server-side
+    /// evaluation when the transport lends no lanes
+    /// ([`DistillTransport::lanes`]).
     pub factory: &'a ModelFactory,
     /// The server's held-out test set.
     pub test: &'a Dataset,
@@ -159,6 +160,10 @@ impl RoundTransport for DistillRounds<'_> {
             results,
         )
     }
+
+    fn lanes(&mut self) -> Option<(&ModelFactory, &mut Lanes)> {
+        self.0.lanes()
+    }
 }
 
 impl GoldfishUnlearning {
@@ -168,9 +173,10 @@ impl GoldfishUnlearning {
     /// `runtime` ([`RoundRuntime::run_hot`]) — admission, straggler and
     /// violator drop + re-round, and FedAvg or (by default) the Eq 12–13
     /// weights of each upload's server-side MSE — and evaluate the new
-    /// global. The runtime's policy and reputation state apply as they
-    /// are; a fresh runtime's default is full participation with no
-    /// quorum, bound or quarantine. Its
+    /// global ([`RoundRuntime::accuracy`]); both evaluations run on the
+    /// transport's lanes when it lends them. The runtime's policy and
+    /// reputation state apply as they are; a fresh runtime's default is
+    /// full participation with no quorum, bound or quarantine. Its
     /// [`RoundRuntime::drain_events`] afterwards name every rejected
     /// upload.
     ///
@@ -214,10 +220,11 @@ impl GoldfishUnlearning {
                 global: &global,
                 cfg: &cfg,
             };
-            runtime.run_hot(&mut DistillRounds(transport), &assign, weighting, &mut next)?;
+            let mut rounds = DistillRounds(transport);
+            runtime.run_hot(&mut rounds, &assign, weighting, &mut next)?;
             std::mem::swap(&mut global, &mut next);
-            let mut net = network_from_state(server.factory, &global, 0);
-            round_accuracies.push(eval::accuracy(&mut net, server.test));
+            let accuracy = runtime.accuracy(&mut rounds, server.factory, &global, server.test);
+            round_accuracies.push(accuracy);
         }
         Ok(UnlearnOutcome {
             method: "goldfish".into(),
@@ -230,9 +237,11 @@ impl GoldfishUnlearning {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::basic_model::network_from_state;
     use crate::method::ClientSplit;
     use goldfish_data::backdoor::BackdoorSpec;
     use goldfish_data::synthetic::{self, SyntheticSpec};
+    use goldfish_fed::eval;
     use goldfish_fed::trainer::train_local_ce;
     use goldfish_fed::transport::{RobustnessEvent, StreamedUpdate, UpdateViolation};
     use goldfish_fed::ModelFactory;

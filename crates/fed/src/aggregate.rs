@@ -343,23 +343,26 @@ impl RoundAccumulator {
         self.window = usize::MAX;
     }
 
-    /// Eqs 12–13 over a held round: scores every held update with
-    /// `score` (its server-side MSE) in parallel on the current pool,
-    /// then replaces the held slots' fractions with the
+    /// Eqs 12–13 over a held round: `score` gets every held update, in
+    /// slot order, paired with the score it must write (its server-side
+    /// MSE); the held slots' fractions are then replaced with the
     /// [`adaptive_weights`] of those scores, summed in slot order with
     /// one division each as [`weighted_mean`] does. The finish that
     /// follows folds the slots in ascending order.
-    pub(crate) fn reweight_adaptive(&mut self, score: impl Fn(&[f32]) -> f64 + Send + Sync) {
-        let parked = &self.parked;
-        let slots: Vec<usize> = (0..parked.len()).filter(|&s| parked[s].is_some()).collect();
-        let mut mses = vec![0.0f64; slots.len()];
-        crate::pool::for_each_slot(&mut mses, |i, mse| {
-            *mse = score(parked[slots[i]].as_deref().expect("held"));
-        });
+    pub(crate) fn reweight_adaptive(&mut self, score: impl FnOnce(&mut [(&[f32], f64)])) {
+        let mut held: Vec<(&[f32], f64)> = self
+            .parked
+            .iter()
+            .flatten()
+            .map(|state| (state.as_slice(), 0.0))
+            .collect();
+        score(&mut held);
+        let mses: Vec<f64> = held.iter().map(|&(_, mse)| mse).collect();
         let weights = adaptive_weights(&mses);
         let total: f64 = weights.iter().sum();
         self.fracs.fill(0.0);
-        for (&slot, &w) in slots.iter().zip(&weights) {
+        let slots = (0..self.parked.len()).filter(|&s| self.parked[s].is_some());
+        for (slot, &w) in slots.zip(&weights) {
             self.fracs[slot] = w / total;
         }
     }
@@ -895,7 +898,11 @@ mod tests {
                 agg.offer(u.client_id, &u.state).unwrap();
             }
             assert_eq!(agg.folded_count(), 0);
-            crate::pool::install(Some(threads), || agg.reweight_adaptive(score));
+            crate::pool::install(Some(threads), || {
+                agg.reweight_adaptive(|held| {
+                    crate::pool::for_each_slot(held, |_, (state, mse)| *mse = score(state))
+                })
+            });
             let got = agg.finish().unwrap();
             assert_eq!(
                 got.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),

@@ -397,6 +397,15 @@ pub trait RoundTransport {
     fn quarantine(&mut self, _client_id: usize) -> bool {
         false
     }
+
+    /// The lanes this process already holds for the clients, with the
+    /// factory that built their networks: where [`RoundRuntime`] runs its
+    /// server-side evaluation (Eq 12's upload scores, the per-round
+    /// accuracy). `None` (the default — a wire transport, whose clients
+    /// train elsewhere) makes the runtime evaluate on lanes of its own.
+    fn lanes(&mut self) -> Option<(&ModelFactory, &mut Lanes)> {
+        None
+    }
 }
 
 /// The in-process round executor — the only one: `Federation` rounds,
@@ -637,6 +646,10 @@ impl RoundTransport for LoopbackClients<'_> {
     fn quarantine(&mut self, client_id: usize) -> bool {
         client_id < self.clients.len() && self.quarantined.insert(client_id)
     }
+
+    fn lanes(&mut self) -> Option<(&ModelFactory, &mut Lanes)> {
+        Some((&self.factory, &mut self.lanes))
+    }
 }
 
 /// The echoed-nonce check every aggregation sink runs first: a frame from
@@ -663,7 +676,9 @@ pub enum Weighting<'a> {
     /// state), and folds with the [`crate::aggregate::adaptive_weights`]
     /// of those scores.
     ServerMse {
-        /// Builds the network each upload is scored on.
+        /// The architecture each upload is scored as, on the runtime's own
+        /// lanes when the transport lends none
+        /// ([`RoundTransport::lanes`]).
         factory: &'a ModelFactory,
         /// The server's held-out test set.
         test: &'a Dataset,
@@ -909,6 +924,9 @@ pub struct RoundRuntime {
     /// Telemetry handles (detached unless [`RoundRuntime::set_metrics`]
     /// bound them to a registry).
     metrics: RoundMetrics,
+    /// The lanes server-side evaluation runs on when the transport lends
+    /// none (empty until first used).
+    lanes: Lanes,
 }
 
 impl RoundRuntime {
@@ -935,6 +953,7 @@ impl RoundRuntime {
             events: Vec::new(),
             outcome: RoundOutcome::default(),
             metrics: RoundMetrics::default(),
+            lanes: Lanes::new(threads),
         }
     }
 
@@ -1041,18 +1060,40 @@ impl RoundRuntime {
         });
     }
 
+    /// Test-set accuracy of `state` — a round's per-round accuracy —
+    /// on the transport's lanes ([`RoundTransport::lanes`]), or on the
+    /// runtime's own, built by `factory`, when it lends none. Bitwise
+    /// `eval::accuracy` of a fresh network: a lane carries capacity,
+    /// never state.
+    pub fn accuracy(
+        &mut self,
+        transport: &mut dyn RoundTransport,
+        factory: &ModelFactory,
+        state: &[f32],
+        test: &Dataset,
+    ) -> f64 {
+        let mut item = [(state, 0.0)];
+        evaluate(
+            &mut self.lanes,
+            self.threads,
+            transport,
+            factory,
+            test,
+            &mut item,
+            |(a, _)| a,
+        );
+        item[0].1
+    }
+
     /// Applies Eqs 12–13 to a held round about to finish: every held
-    /// upload is scored by its server-side MSE, in parallel on the
-    /// runtime's threads. A no-op under [`Weighting::Samples`].
-    fn reweight(&mut self, weighting: Weighting<'_>) {
+    /// upload is scored by its server-side MSE on the lanes
+    /// [`RoundRuntime::accuracy`] runs on. A no-op under
+    /// [`Weighting::Samples`].
+    fn reweight(&mut self, transport: &mut dyn RoundTransport, weighting: Weighting<'_>) {
         if let Weighting::ServerMse { factory, test } = weighting {
-            let agg = &mut self.agg;
-            pool::install(self.threads, || {
-                agg.reweight_adaptive(|state| {
-                    let mut net = (factory)(0);
-                    net.set_state_vector(state);
-                    eval::mse(&mut net, test)
-                })
+            let (own, threads) = (&mut self.lanes, self.threads);
+            self.agg.reweight_adaptive(|held| {
+                evaluate(own, threads, transport, factory, test, held, |(_, mse)| mse)
             });
         }
     }
@@ -1303,7 +1344,7 @@ impl RoundRuntime {
             if self.agg.is_complete() {
                 // Every cohort member folded; late violations (e.g. a
                 // duplicate second frame) were already charged above.
-                self.reweight(weighting);
+                self.reweight(transport, weighting);
                 self.agg
                     .finish_into(global_out)
                     .expect("complete accumulator");
@@ -1322,7 +1363,7 @@ impl RoundRuntime {
                 let reported = self.agg.offered_count();
                 let needed = ((q * n_before as f64).ceil() as usize).clamp(1, n_before);
                 if reported >= needed {
-                    self.reweight(weighting);
+                    self.reweight(transport, weighting);
                     self.agg
                         .finish_partial_into(global_out)
                         .expect("quorum implies a non-empty fold");
@@ -1367,6 +1408,29 @@ impl RoundRuntime {
     }
 }
 
+/// Scores every `(state, score)` item on `test` with `pick` of its
+/// `(accuracy, mse)`, in waves as wide as `threads`: on the transport's
+/// lanes with the factory that built them, so no lane rebuilds its
+/// network, or on `own` with `factory`.
+fn evaluate(
+    own: &mut Lanes,
+    threads: Option<usize>,
+    transport: &mut dyn RoundTransport,
+    factory: &ModelFactory,
+    test: &Dataset,
+    items: &mut [(&[f32], f64)],
+    pick: fn((f64, f64)) -> f64,
+) {
+    let (factory, lanes) = match transport.lanes() {
+        Some(lent) => lent,
+        None => (factory, own),
+    };
+    let score = |_, lane: &mut TrainLane, (state, score): &mut (&[f32], f64)| {
+        *score = pick(lane.eval(factory, state, test))
+    };
+    pool::install(threads, || lanes.waves(items, score, |_, _, _| {}));
+}
+
 fn map_aggregate_error(client_id: usize, e: AggregateError) -> TransportError {
     match e {
         AggregateError::WindowExceeded { limit, .. } => {
@@ -1392,6 +1456,7 @@ mod tests {
     use goldfish_data::synthetic::{self, SyntheticSpec};
     use goldfish_nn::zoo;
     use rand::{rngs::StdRng, SeedableRng};
+    use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Arc;
 
     fn fixture() -> (ModelFactory, Vec<Dataset>, Dataset, TrainConfig) {
@@ -1638,6 +1703,120 @@ mod tests {
         fn quarantine(&mut self, client_id: usize) -> bool {
             self.quarantined.push(client_id);
             true
+        }
+    }
+
+    /// A [`ScriptedFeed`] that lends lanes of its own, built by
+    /// `factory`, as an in-process transport does.
+    struct LanedFeed {
+        feed: ScriptedFeed,
+        factory: ModelFactory,
+        lanes: Lanes,
+    }
+
+    impl RoundTransport for LanedFeed {
+        fn cohort_into(&self, out: &mut Vec<(usize, usize)>) {
+            self.feed.cohort_into(out)
+        }
+        fn train_round(
+            &mut self,
+            assign: &TrainAssign<'_>,
+            cohort: &[(usize, usize)],
+            sink: &mut UpdateSink<'_>,
+            results: &mut Vec<Result<(), TransportError>>,
+        ) {
+            self.feed.train_round(assign, cohort, sink, results)
+        }
+        fn lanes(&mut self) -> Option<(&ModelFactory, &mut Lanes)> {
+            Some((&self.factory, &mut self.lanes))
+        }
+    }
+
+    /// `factory` behind a counter of its calls.
+    fn counting(factory: &ModelFactory) -> (ModelFactory, Arc<AtomicUsize>) {
+        let (inner, calls) = (Arc::clone(factory), Arc::new(AtomicUsize::new(0)));
+        let counter = Arc::clone(&calls);
+        let counted: ModelFactory = Arc::new(move |seed| {
+            counter.fetch_add(1, Ordering::SeqCst);
+            (inner)(seed)
+        });
+        (counted, calls)
+    }
+
+    #[test]
+    fn server_scores_run_on_lanes_bitwise_as_fresh_networks() {
+        let (factory, _, test, cfg) = fixture();
+        let global = (factory)(1).state_vector();
+        let assign = scripted_assign(&global, &cfg);
+        // Five held uploads: more than any wave below is wide.
+        let uploads: Vec<ClientUpdate> = (0..5)
+            .map(|id| ClientUpdate {
+                client_id: id,
+                state: (factory)(20 + id as u64).state_vector(),
+                num_samples: 10 + id,
+            })
+            .collect();
+        let fresh = |state: &[f32]| {
+            let mut net = (factory)(0);
+            net.set_state_vector(state);
+            net
+        };
+        let mses: Vec<f64> = uploads
+            .iter()
+            .map(|u| eval::mse(&mut fresh(&u.state), &test))
+            .collect();
+        let want = weighted_mean(&uploads, &adaptive_weights(&mses));
+        let want_acc = eval::accuracy(&mut fresh(&want), &test);
+        let feed = || ScriptedFeed {
+            cohort: uploads
+                .iter()
+                .map(|u| (u.client_id, u.num_samples))
+                .collect(),
+            frames: uploads
+                .iter()
+                .map(|u| (u.client_id, u.num_samples, None, u.state.clone()))
+                .collect(),
+            timeouts: vec![],
+            quarantined: vec![],
+        };
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for threads in [1, 2, 3] {
+            let (scoring, built) = counting(&factory);
+            let weighting = Weighting::ServerMse {
+                factory: &scoring,
+                test: &test,
+            };
+            // A transport that lends no lanes: the runtime builds one per
+            // thread, once, and keeps them for later rounds.
+            let mut rt = RoundRuntime::new(Some(threads), 0);
+            for _ in 0..2 {
+                let mut got = Vec::new();
+                rt.run_hot(&mut feed(), &assign, weighting, &mut got)
+                    .unwrap();
+                assert_eq!(bits(&got), bits(&want), "threads {threads}");
+                let acc = rt.accuracy(&mut feed(), &scoring, &got, &test);
+                assert_eq!(acc.to_bits(), want_acc.to_bits(), "threads {threads}");
+            }
+            assert_eq!(built.load(Ordering::SeqCst), threads);
+            // A transport's lanes, fitted by its own factory (another
+            // `Arc` of the same architecture): nothing is rebuilt.
+            let (lent, lent_built) = counting(&factory);
+            let mut laned = LanedFeed {
+                feed: feed(),
+                factory: lent,
+                lanes: Lanes::new(Some(threads)),
+            };
+            let mut rt = RoundRuntime::new(Some(threads), 0);
+            for _ in 0..2 {
+                let mut got = Vec::new();
+                rt.run_hot(&mut laned, &assign, weighting, &mut got)
+                    .unwrap();
+                assert_eq!(bits(&got), bits(&want), "lent, threads {threads}");
+                let acc = rt.accuracy(&mut laned, &scoring, &got, &test);
+                assert_eq!(acc.to_bits(), want_acc.to_bits(), "lent, threads {threads}");
+            }
+            assert_eq!(built.load(Ordering::SeqCst), threads);
+            assert_eq!(lent_built.load(Ordering::SeqCst), threads);
         }
     }
 

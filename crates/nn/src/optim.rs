@@ -233,9 +233,11 @@ impl FusedSgd {
 /// written to match [`Sgd::step`]'s three-pass form operation for
 /// operation (`v *= β`, then `v += 1·g`, then `w += (−η)·v`) so the
 /// fused path is bitwise identical to it. A `STALE` velocity is not read:
-/// each `v` is written as `0·β + g`, what the same operations compute
-/// from a zeroed one (`0·β` is +0.0, and `+0.0 + g` turns a −0.0 `g`
-/// into +0.0 exactly as they would).
+/// each `v` is `0·β + g`, what the same operations compute from a zeroed
+/// one (`0·β` is +0.0, and `+0.0 + g` turns a −0.0 `g` into +0.0 exactly
+/// as they would). It takes two passes of the same operations, a `w`
+/// pass ([`fused_final_step`]'s) then a `v` pass: each loop streams two
+/// slices instead of three, which runs faster than the fused loop.
 fn fused_momentum_step<const STALE: bool>(
     value: &mut [f32],
     grad: &[f32],
@@ -245,10 +247,17 @@ fn fused_momentum_step<const STALE: bool>(
 ) {
     assert_eq!(value.len(), grad.len(), "fused step: grad length");
     assert_eq!(value.len(), vel.len(), "fused step: velocity length");
+    if STALE {
+        fused_final_step::<true>(value, grad, vel, lr, momentum);
+        let zero = 0.0 * momentum;
+        for (v, &g) in vel.iter_mut().zip(grad) {
+            *v = zero + g;
+        }
+        return;
+    }
     let neg_lr = -lr;
-    let zero = 0.0 * momentum;
     for ((w, &g), v) in value.iter_mut().zip(grad).zip(vel.iter_mut()) {
-        *v = if STALE { zero } else { *v * momentum };
+        *v *= momentum;
         *v += g;
         *w += neg_lr * *v;
     }

@@ -723,9 +723,12 @@ impl<T: ServeTransport> Coordinator<T> {
     /// [`TransportError::NoLiveClients`] when nobody delivers.
     pub fn train_round(&mut self, round: usize, seed: u64) -> Result<RoundSummary, TransportError> {
         self.train_round_hot(round, seed)?;
+        let global_accuracy =
+            self.runtime
+                .accuracy(&mut self.transport, &self.factory, &self.global, &self.test);
         Ok(RoundSummary {
             round,
-            global_accuracy: self.global_accuracy(),
+            global_accuracy,
             client_sizes: self.runtime.last_cohort().iter().map(|&(_, n)| n).collect(),
         })
     }
@@ -914,11 +917,10 @@ impl<T: ServeTransport> Coordinator<T> {
         self.telemetry.trace.record(EventKind::DrainStarted {
             pending: self.queue.len() as u64,
         });
-        // The batch's drain serial: its audit record's, shipped in
-        // `UnlearnAssign` too.
+        // The batch's drain serial, its audit record's.
         let serial = self.telemetry.drain_batches_total.get();
         let requests = self.queue.drain();
-        self.transport.stage_removals(&requests, serial);
+        self.transport.stage_removals(&requests);
         let teacher = std::mem::take(&mut self.global);
         let server = UnlearnServer {
             factory: &self.factory,

@@ -26,9 +26,11 @@
 use crate::queue::UnlearnRequest;
 use crate::transport::{LocalEval, ServeTransport, WireStats};
 use goldfish_core::transport::{DistillTransport, UnlearnJob};
+use goldfish_fed::trainer::Lanes;
 use goldfish_fed::transport::{
     RoundTransport, RowOutOfRange, StreamedUpdate, TrainAssign, TransportError, UpdateSink,
 };
+use goldfish_fed::ModelFactory;
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use std::collections::BTreeMap;
 
@@ -347,6 +349,10 @@ impl<T: ServeTransport> RoundTransport for FaultyTransport<T> {
     fn quarantine(&mut self, client_id: usize) -> bool {
         self.inner.quarantine(client_id)
     }
+
+    fn lanes(&mut self) -> Option<(&ModelFactory, &mut Lanes)> {
+        RoundTransport::lanes(&mut self.inner)
+    }
 }
 
 /// Applies a client's Byzantine script to one streamed update before it
@@ -452,6 +458,10 @@ impl<T: ServeTransport> DistillTransport for FaultyTransport<T> {
             inner.distill_round(round, seed, global, cohort, sink, results)
         });
     }
+
+    fn lanes(&mut self) -> Option<(&ModelFactory, &mut Lanes)> {
+        DistillTransport::lanes(&mut self.inner)
+    }
 }
 
 impl<T: ServeTransport> ServeTransport for FaultyTransport<T> {
@@ -459,8 +469,8 @@ impl<T: ServeTransport> ServeTransport for FaultyTransport<T> {
         self.inner.client_sizes()
     }
 
-    fn stage_removals(&mut self, requests: &[UnlearnRequest], serial: u64) {
-        self.inner.stage_removals(requests, serial)
+    fn stage_removals(&mut self, requests: &[UnlearnRequest]) {
+        self.inner.stage_removals(requests)
     }
 
     fn apply_removals(&mut self, requests: &[UnlearnRequest]) -> Result<(), RowOutOfRange> {

@@ -384,8 +384,6 @@ pub struct TcpTransport {
     cfg: TcpConfig,
     /// The staged drain's requests, in original indices.
     staged: Vec<UnlearnRequest>,
-    /// Drain serial of the staged batch, shipped in `UnlearnAssign`.
-    staged_serial: u64,
     /// Each client's removed original indices: the index half of
     /// its worker's row store, which deletions are translated through.
     index: Vec<RowIndex>,
@@ -731,7 +729,6 @@ impl TcpTransport {
             conns: (0..expected).map(|_| None).collect(),
             cfg,
             staged: Vec::new(),
-            staged_serial: 0,
             index: vec![RowIndex::default(); expected],
             // Detached counters until a coordinator attaches its
             // catalog; handshake traffic must not go missing just
@@ -1439,7 +1436,6 @@ impl DistillTransport for TcpTransport {
         };
         let requesters = staged.iter().filter(|r| !r.removed.is_empty());
         let own: Vec<usize> = requesters.map(|r| r.client_id).collect();
-        let serial = self.staged_serial;
         let mut results: Vec<(usize, Result<(), TransportError>)> = Vec::new();
         let mut acked_sizes: Vec<(usize, usize)> = Vec::new();
         self.exchange(
@@ -1447,7 +1443,7 @@ impl DistillTransport for TcpTransport {
             &own,
             |id, frame, limits| {
                 let removed = id.map_or(&[][..], removed_of);
-                encode_unlearn_assign_into(frame, serial, job, removed, teacher, limits)
+                encode_unlearn_assign_into(frame, job, removed, teacher, limits)
             },
             &mut results,
             |id, reply| match reply {
@@ -1531,9 +1527,8 @@ impl ServeTransport for TcpTransport {
             .collect()
     }
 
-    fn stage_removals(&mut self, requests: &[UnlearnRequest], serial: u64) {
+    fn stage_removals(&mut self, requests: &[UnlearnRequest]) {
         self.staged = to_originals(&mut self.index.clone(), requests);
-        self.staged_serial = serial;
     }
 
     fn apply_removals(&mut self, requests: &[UnlearnRequest]) -> Result<(), RowOutOfRange> {

@@ -24,6 +24,7 @@
 use goldfish_core::transport::{DistillTransport, LoopbackDistill, UnlearnJob};
 use goldfish_data::Dataset;
 use goldfish_fed::rows::RowIndex;
+use goldfish_fed::trainer::Lanes;
 pub(crate) use goldfish_fed::transport::LocalEval;
 use goldfish_fed::transport::{
     RoundTransport, RowOutOfRange, TrainAssign, TransportError, UpdateSink,
@@ -99,9 +100,8 @@ pub trait ServeTransport: RoundTransport + DistillTransport {
     /// and ships in `UnlearnAssign` names fixed rows: a re-drain of a
     /// batch whose rows are already gone (a recovered coordinator
     /// re-sending it) removes nothing more, and forgets the same rows,
-    /// read back from the client's store. `serial` is the
-    /// coordinator-wide drain-batch serial, shipped in `UnlearnAssign`.
-    fn stage_removals(&mut self, requests: &[UnlearnRequest], serial: u64);
+    /// read back from the client's store.
+    fn stage_removals(&mut self, requests: &[UnlearnRequest]);
 
     /// Recovery path: re-applies *already committed* deletions (from
     /// the audit chain, in chain order, in live-view indices) to the
@@ -252,6 +252,10 @@ impl RoundTransport for LoopbackTransport {
     fn quarantine(&mut self, client_id: usize) -> bool {
         self.exec.clients_mut().quarantine(client_id)
     }
+
+    fn lanes(&mut self) -> Option<(&ModelFactory, &mut Lanes)> {
+        self.exec.lanes()
+    }
 }
 
 impl DistillTransport for LoopbackTransport {
@@ -294,6 +298,10 @@ impl DistillTransport for LoopbackTransport {
         self.exec
             .distill_round(round, seed, global, cohort, sink, results)
     }
+
+    fn lanes(&mut self) -> Option<(&ModelFactory, &mut Lanes)> {
+        self.exec.lanes()
+    }
 }
 
 impl ServeTransport for LoopbackTransport {
@@ -309,7 +317,7 @@ impl ServeTransport for LoopbackTransport {
         sizes
     }
 
-    fn stage_removals(&mut self, requests: &[UnlearnRequest], _serial: u64) {
+    fn stage_removals(&mut self, requests: &[UnlearnRequest]) {
         self.staged = to_originals(&mut self.index(), requests);
     }
 
@@ -414,7 +422,7 @@ mod tests {
         t.train_round(&assign, &cohort, &mut |_| Ok(()), &mut results);
         assert_eq!(results, vec![Ok(()), Ok(())]);
 
-        t.stage_removals(&[UnlearnRequest::new(0, vec![0, 1, 2])], 0);
+        t.stage_removals(&[UnlearnRequest::new(0, vec![0, 1, 2])]);
         let job = UnlearnJob {
             local: GoldfishLocalConfig {
                 epochs: 1,
@@ -497,7 +505,7 @@ mod tests {
                 UnlearnRequest::new(1, vec![3, last]),
             ]
         };
-        t.stage_removals(&requests(40), 0);
+        t.stage_removals(&requests(40));
         assert_eq!(
             t.begin_unlearn(&job, &teacher),
             Err(TransportError::Protocol {
@@ -507,7 +515,7 @@ mod tests {
         );
         assert_eq!(t.client_sizes(), vec![40, 40]);
 
-        t.stage_removals(&requests(39), 1);
+        t.stage_removals(&requests(39));
         t.begin_unlearn(&job, &teacher).unwrap();
         assert_eq!(t.client_sizes(), vec![38, 38]);
         let (mut cohort, mut results) = (Vec::new(), Vec::new());

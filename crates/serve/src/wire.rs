@@ -50,8 +50,9 @@ pub const MAGIC: [u8; 4] = *b"GFWP";
 /// in `Capabilities` (DESIGN.md §13); 4 = `ShardAssign`/`ShardResult`
 /// frames and shard-policy announcement in `Capabilities`
 /// (DESIGN.md §16); 5 = shard frames and `Capabilities` shard fields
-/// removed, kinds 13–14 retired.
-pub const PROTOCOL_VERSION: u8 = 5;
+/// removed, kinds 13–14 retired; 6 = `UnlearnAssign` drain serial
+/// removed (deletions name original rows, so no worker needs it).
+pub const PROTOCOL_VERSION: u8 = 6;
 
 /// Frame header size in bytes.
 pub const HEADER_LEN: usize = 10;
@@ -302,12 +303,6 @@ pub enum Msg {
     /// distillation state and answers subsequent [`RoundMode::Distill`]
     /// assignments.
     UnlearnAssign {
-        /// Drain serial: the coordinator-wide index of the drain batch
-        /// this assignment belongs to. Workers do not need it: a
-        /// re-shipped assignment (after a coordinator crash/restart)
-        /// names the same original rows, which the worker's store
-        /// removes once.
-        serial: u64,
         /// The job (local config + hard loss).
         job: UnlearnJob,
         /// Original indices (positions in the data the worker registered
@@ -614,12 +609,10 @@ pub fn encode_frame_into(
             });
         }
         Msg::UnlearnAssign {
-            serial,
             job,
             removed,
             teacher,
         } => {
-            out.put_u64_le(*serial);
             put_job(out, job)?;
             out.put_u32_le(removed.len() as u32);
             for &r in removed {
@@ -787,14 +780,12 @@ pub(crate) fn encode_eval_request_into(
 /// [`encode_frame`].
 pub(crate) fn encode_unlearn_assign_into(
     out: &mut Vec<u8>,
-    serial: u64,
     job: &UnlearnJob,
     removed: &[usize],
     teacher: &[f32],
     limits: &FrameLimits,
 ) -> Result<usize, WireError> {
     begin_frame(out, kind::UNLEARN_ASSIGN);
-    out.put_u64_le(serial);
     put_job(out, job)?;
     out.put_u32_le(removed.len() as u32);
     for &r in removed {
@@ -1180,7 +1171,6 @@ pub(crate) fn decode_msg(k: u8, payload: &[u8]) -> Result<Msg, WireError> {
             })
         }
         kind::UNLEARN_ASSIGN => Ok(Msg::UnlearnAssign {
-            serial: r.u64().ok_or(WireError::Truncated)?,
             job: read_job(&mut r)?,
             // `rows` checks the announced count against the bytes
             // present before it allocates for them.
@@ -1368,7 +1358,6 @@ mod tests {
             state: vec![0.125; 33],
         });
         roundtrip(Msg::UnlearnAssign {
-            serial: 4,
             job: UnlearnJob {
                 local: GoldfishLocalConfig::default(),
                 hard: Some(HardLossSpec::Focal { gamma: 2.0 }),
@@ -1495,7 +1484,6 @@ mod tests {
     fn custom_loss_cannot_encode() {
         let err = encode_frame(
             &Msg::UnlearnAssign {
-                serial: 0,
                 job: UnlearnJob {
                     local: GoldfishLocalConfig::default(),
                     hard: None,
@@ -1599,10 +1587,9 @@ mod tests {
             hard: Some(HardLossSpec::Focal { gamma: 1.5 }),
         };
         let removed = vec![2usize, 9, 31];
-        let n = encode_unlearn_assign_into(&mut buf, 6, &job, &removed, &global, &limits).unwrap();
+        let n = encode_unlearn_assign_into(&mut buf, &job, &removed, &global, &limits).unwrap();
         let via_msg = encode_frame(
             &Msg::UnlearnAssign {
-                serial: 6,
                 job,
                 removed: removed.iter().map(|&i| i as u64).collect(),
                 teacher: global.clone(),

@@ -274,7 +274,6 @@ impl WorkerRuntime {
         let state_len = self.state_len(lane);
         match msg {
             Msg::UnlearnAssign {
-                serial: _,
                 job,
                 removed,
                 teacher,
@@ -801,7 +800,6 @@ mod tests {
             hard: Some(HardLossSpec::CrossEntropy),
         };
         let unlearn = Msg::UnlearnAssign {
-            serial: 0,
             job,
             removed: vec![0, 3],
             teacher: teacher.clone(),
@@ -897,7 +895,6 @@ mod tests {
         ));
         let teacher = (spec.factory())(0).state_vector();
         let unlearn = Msg::UnlearnAssign {
-            serial: 0,
             job: UnlearnJob {
                 local: GoldfishLocalConfig::default(),
                 hard: Some(HardLossSpec::CrossEntropy),
@@ -1170,8 +1167,7 @@ mod tests {
     fn unlearn_frame(spec: &DemoSpec, removed: &[usize]) -> Vec<u8> {
         let (mut frame, limits) = (Vec::new(), FrameLimits::default());
         let teacher = (spec.factory())(3).state_vector();
-        wire::encode_unlearn_assign_into(&mut frame, 0, &job(), removed, &teacher, &limits)
-            .unwrap();
+        wire::encode_unlearn_assign_into(&mut frame, &job(), removed, &teacher, &limits).unwrap();
         frame
     }
 

@@ -283,8 +283,10 @@ fn tcp_run_is_bitwise_identical_to_loopback() {
     // ...and exactly as many of them as before the per-client
     // `UnlearnAssign` buffers became one shared frame plus one frame per
     // requester (counts recorded at that commit's parent), less the
-    // 8 bytes of shard fields each `Capabilities` lost in protocol v5.
-    assert_eq!((stats.bytes_sent, stats.bytes_received), (77804, 58246));
+    // 8 bytes of shard fields each `Capabilities` lost in protocol v5,
+    // and the 8-byte drain serial each of the drain's two
+    // `UnlearnAssign` frames lost in protocol v6.
+    assert_eq!((stats.bytes_sent, stats.bytes_received), (77788, 58246));
 
     // Local evaluation flows over the Eval exchange and matches the
     // loopback coordinator that served the same schedule exactly (both

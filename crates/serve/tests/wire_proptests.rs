@@ -126,7 +126,6 @@ fn arb_msg() -> impl Strategy<Value = Msg> {
                     state: floats,
                 },
                 4 => Msg::UnlearnAssign {
-                    serial: a,
                     job,
                     removed,
                     teacher: floats,

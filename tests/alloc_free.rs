@@ -618,7 +618,6 @@ fn announced_removed_count_sizes_no_allocation() {
     let limits = FrameLimits::default();
     let mut frame = wire::encode_frame(
         &Msg::UnlearnAssign {
-            serial: 0,
             job: goldfish::core::transport::UnlearnJob {
                 local: GoldfishLocalConfig::default(),
                 hard: Some(goldfish::nn::loss::HardLossSpec::CrossEntropy),

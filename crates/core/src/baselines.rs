@@ -108,7 +108,7 @@ impl<F: Fn(usize, &Dataset, &mut TrainLane, &TrainAssign<'_>) + Sync> RoundTrans
             &mut vec![(); cohort.len()],
             |i, _| cohort[i].0,
             assign.nonce,
-            |id, remaining, lane, _| step(id, remaining, lane, assign),
+            |id, rows, lane, _| step(id, rows.live(), lane, assign),
             sink,
             results,
         );

@@ -15,6 +15,12 @@
 //! library and serving distil through the same code by construction
 //! (`tests/unlearn_identity.rs` pins the bits).
 //!
+//! A distiller holds no rows either. Each round borrows its client's
+//! [`ClientRows`] store, the one holder of the live rows and of the
+//! request's forget rows: in-process the executor lends it, in a worker
+//! the worker's own store. A training round empties the forget rows
+//! ([`ClientRows::commit`]), so nothing outlives the request's drain.
+//!
 //! A distiller owns no network: each round runs on a
 //! [`goldfish_fed::trainer::TrainLane`] lent by whoever executes it —
 //! one per pool thread in-process, one per worker connection or fleet
@@ -28,10 +34,10 @@
 //! both transports execute this exact code against byte-identical inputs
 //! (the wire format round-trips `f32`s losslessly).
 
-use std::borrow::Cow;
 use std::sync::Arc;
 
 use goldfish_data::Dataset;
+use goldfish_fed::rows::ClientRows;
 use goldfish_fed::trainer::{Lanes, TrainLane};
 use goldfish_fed::transport::{
     client_seed, round_nonce, LoopbackClients, RoundTransport, TransportError, UpdateSink,
@@ -157,8 +163,8 @@ impl std::fmt::Debug for DistillJob {
 /// its id and its teacher-logit cache (the teacher is the frozen
 /// pre-deletion global, so its logits over the client's remaining data
 /// are materialised once per request). Everything else a round needs is
-/// borrowed: the shared [`DistillJob`], the client's split from whoever
-/// holds its data, and the networks and workspaces of the
+/// borrowed: the shared [`DistillJob`], the client's rows from the store
+/// that holds them, and the networks and workspaces of the
 /// [`TrainLane`] the round runs on.
 #[derive(Debug)]
 pub struct ClientDistiller {
@@ -172,32 +178,26 @@ impl ClientDistiller {
         ClientDistiller { id, cache: None }
     }
 
-    /// This distiller's client id.
-    #[cfg(test)]
-    pub(crate) fn client_id(&self) -> usize {
-        self.id
-    }
-
     /// Runs one local distillation round from the incoming global state
-    /// on `lane`: the lane's network is the student, and its spare
+    /// on `lane`, over the live rows and the forget rows `rows` lends:
+    /// the lane's network is the student, and its spare
     /// network, holding the teacher's state, builds the logit cache on
     /// the first round and is lent to the cache for the short-batch
     /// fallback. The trained student stays on the lane —
     /// [`TrainLane::state_into`] exports the client's upload, whose
-    /// FedAvg weight is `remaining.len()`. Bitwise the round of a
+    /// FedAvg weight is the live row count. Bitwise the round of a
     /// student and a teacher built for this client alone: a lane carries
     /// capacity, never state.
-    #[allow(clippy::too_many_arguments)] // Algorithm 1's per-client inputs
     pub fn round(
         &mut self,
         job: &DistillJob,
-        remaining: &Dataset,
-        forget: &Dataset,
+        rows: &ClientRows<'_>,
         lane: &mut TrainLane,
         incoming: &[f32],
         round: usize,
         base_seed: u64,
     ) {
+        let (remaining, forget) = (rows.live(), rows.forget());
         let seed = client_seed(base_seed, self.id, round);
         let distilling = job.local.weights.mu_d > 0.0;
         let (student, spare, sgd, gathers) = lane.networks(&job.factory);
@@ -243,22 +243,18 @@ impl ClientDistiller {
 /// The in-process [`DistillTransport`]: the in-process executor,
 /// [`LoopbackClients`], plus one request's distillation state — its
 /// [`DistillJob`] and one [`ClientDistiller`] per client live at
-/// `begin_unlearn`, each with its client's forget rows. Each distillation
-/// round is one [`LoopbackClients::feed_waves`] over the cohort's
-/// distillers, on the executor's own lanes: one student and one teacher
-/// network per pool thread, not per client.
+/// `begin_unlearn`. Each distillation round is one
+/// [`LoopbackClients::feed_waves`] over the cohort's distillers, each
+/// reading its client's store, on the executor's own lanes: one student
+/// and one teacher network per pool thread, not per client.
 ///
 /// Never produces stragglers.
 pub struct LoopbackDistill<'a> {
     clients: LoopbackClients<'a>,
-    /// The library's client splits, whose forget rows a request forgets
-    /// (none when owning: rows are forgotten by
-    /// [`LoopbackDistill::begin_removing`]).
-    splits: &'a [ClientSplit],
     /// The custom-loss fallback (see [`LoopbackDistill::new`]).
     hard: Option<Arc<dyn HardLoss>>,
     job: Option<DistillJob>,
-    distillers: Vec<(ClientDistiller, Cow<'a, Dataset>)>,
+    distillers: Vec<ClientDistiller>,
 }
 
 impl<'a> LoopbackDistill<'a> {
@@ -273,18 +269,19 @@ impl<'a> LoopbackDistill<'a> {
         hard: Arc<dyn HardLoss>,
         threads: Option<usize>,
     ) -> Self {
-        let remaining = splits.iter().map(|s| &s.remaining);
+        let rows = splits
+            .iter()
+            .map(|s| ClientRows::lending(&s.remaining, &s.forget));
         LoopbackDistill {
-            clients: LoopbackClients::new(&factory, remaining, threads),
-            splits,
+            clients: LoopbackClients::new(&factory, rows, threads),
             hard: Some(hard),
             job: None,
             distillers: Vec::new(),
         }
     }
 
-    /// Owns the given client datasets, which forget nothing until
-    /// [`LoopbackDistill::begin_removing`]. There is no custom-loss
+    /// Owns the given client datasets, which forget the rows
+    /// [`LoopbackClients::remove_rows`] takes. There is no custom-loss
     /// fallback: a job without a built-in loss is
     /// [`TransportError::Unsupported`], as on a wire transport.
     pub fn owning(
@@ -293,8 +290,7 @@ impl<'a> LoopbackDistill<'a> {
         threads: Option<usize>,
     ) -> LoopbackDistill<'static> {
         LoopbackDistill {
-            clients: LoopbackClients::owning(&factory, clients, threads),
-            splits: &[],
+            clients: LoopbackClients::new(&factory, clients, threads),
             hard: None,
             job: None,
             distillers: Vec::new(),
@@ -309,37 +305,6 @@ impl<'a> LoopbackDistill<'a> {
     /// The executor, for training rounds, evaluation and row removal.
     pub fn clients_mut(&mut self) -> &mut LoopbackClients<'a> {
         &mut self.clients
-    }
-
-    /// [`DistillTransport::begin_unlearn`] for a request that deletes
-    /// rows for good: each `(client_id, rows)` names original rows
-    /// ([`LoopbackClients::remove_rows`]), which become that client's
-    /// forget rows, read back from its store — so a re-drain of a batch
-    /// already removed forgets the same rows and removes nothing more.
-    /// Every other client forgets nothing.
-    ///
-    /// # Errors
-    ///
-    /// `begin_unlearn`'s, or a row past its client's data; nothing is
-    /// removed then.
-    pub fn begin_removing<'r>(
-        &mut self,
-        job: &UnlearnJob,
-        teacher: &[f32],
-        removals: impl IntoIterator<Item = (usize, &'r [usize])> + Clone,
-    ) -> Result<(), TransportError> {
-        self.begin_unlearn(job, teacher)?;
-        self.clients.remove_rows(removals.clone())?;
-        for (distiller, forget) in &mut self.distillers {
-            let named = removals
-                .clone()
-                .into_iter()
-                .find(|&(id, _)| id == distiller.id);
-            if let (Some((_, rows)), Some(store)) = (named, self.clients.rows(distiller.id)) {
-                *forget = Cow::Owned(store.removed_rows(rows));
-            }
-        }
-        Ok(())
     }
 }
 
@@ -367,16 +332,9 @@ impl DistillTransport for LoopbackDistill<'_> {
         };
         let factory = Arc::clone(self.clients.factory());
         self.job = Some(DistillJob::new(factory, teacher.to_vec(), job.local, hard));
-        let (splits, clients) = (self.splits, &self.clients);
         self.distillers = live
             .iter()
-            .filter_map(|&(id, _)| {
-                let forget = match splits.get(id) {
-                    Some(split) => Cow::Borrowed(&split.forget),
-                    None => Cow::Owned(clients.rows(id)?.removed_rows(&[])),
-                };
-                Some((ClientDistiller::new(id), forget))
-            })
+            .map(|&(id, _)| ClientDistiller::new(id))
             .collect();
         Ok(())
     }
@@ -394,19 +352,16 @@ impl DistillTransport for LoopbackDistill<'_> {
             .job
             .as_ref()
             .expect("distill_round before begin_unlearn");
-        let mut members: Vec<(&mut ClientDistiller, &Dataset)> = self
+        let mut members: Vec<&mut ClientDistiller> = self
             .distillers
             .iter_mut()
-            .filter(|(d, _)| cohort.binary_search_by_key(&d.id, |&(id, _)| id).is_ok())
-            .map(|(d, forget)| (d, &**forget))
+            .filter(|d| cohort.binary_search_by_key(&d.id, |&(id, _)| id).is_ok())
             .collect();
         self.clients.feed_waves(
             &mut members,
-            |_, (distiller, _)| distiller.id,
+            |_, distiller| distiller.id,
             round_nonce(seed, round),
-            |_, remaining, lane, (distiller, forget)| {
-                distiller.round(job, remaining, forget, lane, global, round, seed);
-            },
+            |_, rows, lane, distiller| distiller.round(job, rows, lane, global, round, seed),
             sink,
             results,
         );
@@ -467,16 +422,8 @@ mod tests {
             Arc::new(CrossEntropy),
         );
         let mut lane = TrainLane::new();
-        let mut lone = ClientDistiller::new(id);
-        lone.round(
-            &job,
-            &split.remaining,
-            &split.forget,
-            &mut lane,
-            global,
-            0,
-            5,
-        );
+        let rows = ClientRows::lending(&split.remaining, &split.forget);
+        ClientDistiller::new(id).round(&job, &rows, &mut lane, global, 0, 5);
         let mut out = Vec::new();
         lane.state_into(&mut out);
         out
@@ -539,21 +486,13 @@ mod tests {
         );
         let mut lane = TrainLane::new();
         let mut d = ClientDistiller::new(0);
-        assert_eq!(d.client_id(), 0);
-        let split = &splits[0];
-        assert_eq!(split.remaining.len(), 37);
+        assert_eq!(d.id, 0);
+        let rows = ClientRows::lending(&splits[0].remaining, &splits[0].forget);
+        assert_eq!(rows.live().len(), 37);
         let (mut u0, mut u1) = (Vec::new(), Vec::new());
-        d.round(
-            &job,
-            &split.remaining,
-            &split.forget,
-            &mut lane,
-            &global,
-            0,
-            5,
-        );
+        d.round(&job, &rows, &mut lane, &global, 0, 5);
         lane.state_into(&mut u0);
-        d.round(&job, &split.remaining, &split.forget, &mut lane, &u0, 1, 5);
+        d.round(&job, &rows, &mut lane, &u0, 1, 5);
         lane.state_into(&mut u1);
         assert_ne!(u0, u1);
     }

@@ -24,7 +24,8 @@
 //!   federation, coordinator and unlearning drain runs on
 //!   (`goldfish-serve` adds the TCP implementation),
 //! * [`rows`] — [`rows::ClientRows`], the one owner of a client's rows:
-//!   live rows for every round, deletions by original index,
+//!   live rows for every round, deletions by original index, and a
+//!   drain's forget rows until the next training round,
 //! * [`pool`] — the shared rayon compute pool with a configurable thread
 //!   count; every parallel federated step (client training, evaluation,
 //!   chunked aggregation) runs on it.

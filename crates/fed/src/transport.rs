@@ -28,7 +28,6 @@
 //! same loop; DESIGN.md §10 specifies the wire format and the determinism
 //! argument.
 
-use std::borrow::Cow;
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
@@ -412,8 +411,10 @@ pub trait RoundTransport {
 /// the B1–B3 baselines, the library's distillation and the serve
 /// loopback all run on it.
 /// Clients are datasets in this address space, each held by its
-/// [`ClientRows`]: borrowed (the library's splits are never copied) or
-/// owned (a server's, which [`LoopbackClients::remove_rows`] shrinks).
+/// [`ClientRows`]: borrowed (the library's splits, forget rows included,
+/// are never copied) or owned (a server's, which
+/// [`LoopbackClients::remove_rows`] shrinks and a training round
+/// commits).
 /// Each round trains on [`Lanes`] in id-ordered waves
 /// ([`LoopbackClients::feed_waves`]), so resident model memory is
 /// `threads` lanes and one state, not one per cohort member.
@@ -435,39 +436,23 @@ pub struct LoopbackClients<'a> {
 }
 
 impl<'a> LoopbackClients<'a> {
-    /// Borrows the given client datasets (client `id` is the `id`-th) as
-    /// an in-process transport running on `threads` pool threads.
+    /// The given clients' rows (client `id` is the `id`-th) — borrowed
+    /// datasets, owned ones or whole [`ClientRows`] stores — as an
+    /// in-process transport running on `threads` pool threads.
     pub fn new(
         factory: &ModelFactory,
-        clients: impl IntoIterator<Item = &'a Dataset>,
+        clients: impl IntoIterator<Item = impl Into<ClientRows<'a>>>,
         threads: Option<usize>,
     ) -> Self {
         LoopbackClients {
             factory: Arc::clone(factory),
-            clients: clients
-                .into_iter()
-                .map(|d| ClientRows::new(Cow::Borrowed(d)))
-                .collect(),
+            clients: clients.into_iter().map(Into::into).collect(),
             lanes: Lanes::new(threads),
             export: Vec::new(),
             quarantined: BTreeSet::new(),
             scored: None,
             accuracies: Vec::new(),
         }
-    }
-
-    /// [`LoopbackClients::new`] over datasets it owns.
-    pub fn owning(
-        factory: &ModelFactory,
-        clients: Vec<Dataset>,
-        threads: Option<usize>,
-    ) -> LoopbackClients<'static> {
-        let mut owner = LoopbackClients::new(factory, [], threads);
-        owner.clients = clients
-            .into_iter()
-            .map(|d| ClientRows::new(Cow::Owned(d)))
-            .collect();
-        owner
     }
 
     /// Also scores every upload's accuracy on `test`, on the lane that
@@ -499,20 +484,20 @@ impl<'a> LoopbackClients<'a> {
     }
 
     /// The one in-process round: `run(id, rows, lane, item)` once per
-    /// item (`client(i, item)` names item `i`'s client; ascending), in
-    /// waves of one item per pool thread, each on the lane at its
-    /// position in the wave — a lane carries capacity, never state, so
-    /// which lane served a client cannot change a bit. After each wave,
-    /// every lane's state is exported into the one export buffer and fed
-    /// to `sink` in client order, before the next wave reuses the lanes:
-    /// nothing is ever parked. `results` (cleared first) gets one entry
-    /// per item.
+    /// item, with `rows` its client's store (`client(i, item)` names item
+    /// `i`'s client; ascending), in waves of one item per pool thread,
+    /// each on the lane at its position in the wave — a lane carries
+    /// capacity, never state, so which lane served a client cannot change
+    /// a bit. After each wave, every lane's state is exported into the
+    /// one export buffer and fed to `sink` in client order, before the
+    /// next wave reuses the lanes: nothing is ever parked. `results`
+    /// (cleared first) gets one entry per item.
     pub fn feed_waves<T: Send>(
         &mut self,
         items: &mut [T],
         client: impl Fn(usize, &T) -> usize + Sync,
         nonce: u64,
-        run: impl Fn(usize, &Dataset, &mut TrainLane, &mut T) + Sync,
+        run: impl Fn(usize, &ClientRows<'a>, &mut TrainLane, &mut T) + Sync,
         sink: &mut UpdateSink<'_>,
         results: &mut Vec<Result<(), TransportError>>,
     ) {
@@ -522,7 +507,7 @@ impl<'a> LoopbackClients<'a> {
             items,
             |i, lane, item| {
                 let id = client(i, item);
-                run(id, clients[id].live(), lane, item);
+                run(id, &clients[id], lane, item);
             },
             |first, lanes, items| {
                 for (i, (lane, item)) in lanes.iter().zip(items.iter()).enumerate() {
@@ -566,7 +551,9 @@ impl<'a> LoopbackClients<'a> {
     /// Deletes rows from clients' data for good — the one row shrink:
     /// each `(client_id, rows)` names original rows
     /// ([`ClientRows::remove`]: set semantics, so a row already gone is
-    /// not removed again); unregistered ids are skipped.
+    /// not removed again, and what it took becomes the client's forget
+    /// rows); unregistered ids are skipped. A client named twice removes
+    /// both lists at once; one not named forgets nothing.
     ///
     /// # Errors
     ///
@@ -589,12 +576,19 @@ impl<'a> LoopbackClients<'a> {
                 });
             }
         }
-        for (id, rows) in removals {
-            if let Some(data) = self.clients.get_mut(id) {
-                data.remove(rows);
-            }
+        for (id, data) in self.clients.iter_mut().enumerate() {
+            let named = removals.clone().into_iter().filter(|&(c, _)| c == id);
+            let rows: Vec<usize> = named.flat_map(|(_, rows)| rows.iter().copied()).collect();
+            data.remove(&rows);
         }
         Ok(())
+    }
+
+    /// Drops every client's forget rows ([`ClientRows::commit`]): the
+    /// deletions that lent them are committed. A training round does
+    /// this first.
+    pub fn commit(&mut self) {
+        self.clients.iter_mut().for_each(ClientRows::commit);
     }
 }
 
@@ -617,6 +611,8 @@ impl RoundTransport for LoopbackClients<'_> {
         sink: &mut UpdateSink<'_>,
         results: &mut Vec<Result<(), TransportError>>,
     ) {
+        // A training round commits every drained deletion.
+        self.commit();
         let (factory, scored) = (Arc::clone(&self.factory), self.scored);
         let mut accuracies = std::mem::take(&mut self.accuracies);
         accuracies.clear();
@@ -625,9 +621,9 @@ impl RoundTransport for LoopbackClients<'_> {
             &mut accuracies,
             |i, _| cohort[i].0,
             assign.nonce,
-            |id, data, lane, accuracy| {
+            |id, rows, lane, accuracy| {
                 let seed = client_seed(assign.seed, id, assign.round);
-                lane.run(&factory, assign.global, data, assign.cfg, seed);
+                lane.run(&factory, assign.global, rows.live(), assign.cfg, seed);
                 if let Some(test) = scored {
                     let (net, ..) = lane.networks(&factory);
                     *accuracy = eval::accuracy(net, test);

@@ -23,7 +23,7 @@
 
 use goldfish_core::transport::{DistillTransport, LoopbackDistill, UnlearnJob};
 use goldfish_data::Dataset;
-use goldfish_fed::rows::RowIndex;
+use goldfish_fed::rows::{ClientRows, RowIndex};
 use goldfish_fed::trainer::Lanes;
 pub(crate) use goldfish_fed::transport::LocalEval;
 use goldfish_fed::transport::{
@@ -220,11 +220,17 @@ impl LoopbackTransport {
         self.exec.clients().quarantined().collect()
     }
 
+    /// Client `id`'s row store (`None` for an unregistered id): its live
+    /// rows, and the forget rows of a drain no training round has
+    /// committed yet.
+    pub fn rows(&self, id: usize) -> Option<&ClientRows<'static>> {
+        self.exec.clients().rows(id)
+    }
+
     /// A copy of every client's index half, to translate deletions on.
     fn index(&self) -> Vec<RowIndex> {
-        let clients = self.exec.clients();
         (0..)
-            .map_while(|id| clients.rows(id).map(|r| r.index().clone()))
+            .map_while(|id| self.rows(id).map(|r| r.index().clone()))
             .collect()
     }
 }
@@ -282,8 +288,9 @@ impl DistillTransport for LoopbackTransport {
         // machine): a client with removals keeps only its remaining data
         // for every later round, and that is what it distils on. A bad
         // row is the worker's typed refusal, and nothing shrinks.
+        self.exec.begin_unlearn(job, teacher)?;
         let removals = staged.iter().map(|r| (r.client_id, r.removed.as_slice()));
-        self.exec.begin_removing(job, teacher, removals)
+        Ok(self.exec.clients_mut().remove_rows(removals)?)
     }
 
     fn distill_round(
@@ -306,12 +313,11 @@ impl DistillTransport for LoopbackTransport {
 
 impl ServeTransport for LoopbackTransport {
     fn client_sizes(&self) -> Vec<usize> {
-        let clients = self.exec.clients();
         let mut sizes: Vec<usize> = (0..)
-            .map_while(|id| clients.rows(id).map(|r| r.live().len()))
+            .map_while(|id| self.rows(id).map(|r| r.live().len()))
             .collect();
         // A quarantined client reads 0, like a closed TCP connection.
-        for id in clients.quarantined() {
+        for id in self.exec.clients().quarantined() {
             sizes[id] = 0;
         }
         sizes
@@ -324,7 +330,11 @@ impl ServeTransport for LoopbackTransport {
     fn apply_removals(&mut self, requests: &[UnlearnRequest]) -> Result<(), RowOutOfRange> {
         let replayed = to_originals(&mut self.index(), requests);
         let removals = replayed.iter().map(|r| (r.client_id, r.removed.as_slice()));
-        self.exec.clients_mut().remove_rows(removals)
+        let clients = self.exec.clients_mut();
+        clients.remove_rows(removals)?;
+        // The replayed deletions are committed: nothing forgets their rows.
+        clients.commit();
+        Ok(())
     }
 
     fn local_eval(

@@ -6,8 +6,8 @@
 //! ```text
 //!            ┌────────────── Training ◄──────────────┐
 //!            │   RoundAssign(Train) → Update         │ RoundAssign(Train)
-//!            │   Eval              → Eval            │ (drops distill state)
-//!            ▼                                       │
+//!            │   Eval              → Eval            │ (drops distill state
+//!            ▼                                       │  and forget rows)
 //!   UnlearnAssign (build ClientDistiller) ──► Unlearning
 //!                RoundAssign(Distill) → UnlearnResult
 //! ```
@@ -32,7 +32,6 @@
 //! the control frames (`UnlearnAssign`, `Eval`, `Digest`, `Err`,
 //! `Shutdown`) are decoded into a [`Msg`].
 
-use std::borrow::Cow;
 use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::Duration;
@@ -52,12 +51,11 @@ use crate::wire::{
     FrameLimits, Msg, RoundAssignRef, RoundMode, UpdateHeader, WireError,
 };
 
-/// A worker's unlearning request: the shared job, the client's
-/// distillation state and its forget rows, read back from its store.
+/// A worker's unlearning request: the shared job and the client's
+/// distillation state. Its forget rows stay in the worker's store.
 struct Unlearning {
     job: DistillJob,
     distiller: ClientDistiller,
-    forget: Dataset,
     /// Each distillation round's incoming global, decoded from its frame
     /// (capacity reused round after round).
     global: Vec<f32>,
@@ -93,7 +91,7 @@ impl WorkerRuntime {
         WorkerRuntime {
             client_id,
             factory,
-            rows: ClientRows::new(Cow::Owned(data)),
+            rows: data.into(),
             state_len: None,
             unlearning: None,
             last_round: None,
@@ -105,6 +103,12 @@ impl WorkerRuntime {
     /// This worker's client id.
     pub(crate) fn client_id(&self) -> usize {
         self.client_id
+    }
+
+    /// The client's row store: its live rows, and the forget rows of a
+    /// deletion no training round has committed yet.
+    pub fn rows(&self) -> &ClientRows<'static> {
+        &self.rows
     }
 
     /// The model's state-vector length (announced in `Hello`), read off
@@ -221,15 +225,17 @@ impl WorkerRuntime {
         self.frames_handled += 1;
         let distill = assign.mode == RoundMode::Distill;
         if !distill {
-            // A plain training round ends any unlearning request.
+            // A plain training round ends any unlearning request and
+            // commits its deletion: the store drops the forget rows.
             self.unlearning = None;
+            self.rows.commit();
         }
         let state_len = self.state_len(lane);
         let got = assign.global.len() / 4;
         if got != state_len {
             return Err(bad_state_len(got, state_len));
         }
-        let (round, data) = (assign.round, self.rows.live());
+        let (round, rows) = (assign.round, &self.rows);
         if distill {
             let Some(u) = self.unlearning.as_mut() else {
                 return Err((
@@ -240,24 +246,17 @@ impl WorkerRuntime {
             // The student trains on the host's lane.
             u.global.resize(got, 0.0);
             serialize::f32s_read_le(assign.global, &mut u.global);
-            u.distiller.round(
-                &u.job,
-                data,
-                &u.forget,
-                lane,
-                &u.global,
-                round as usize,
-                assign.seed,
-            );
+            u.distiller
+                .round(&u.job, rows, lane, &u.global, round as usize, assign.seed);
         } else {
             let s = client_seed(assign.seed, self.client_id, round as usize);
-            lane.run_le(&self.factory, assign.global, data, &assign.cfg, s);
+            lane.run_le(&self.factory, assign.global, rows.live(), &assign.cfg, s);
         }
         self.last_round = Some(round);
         Ok(UpdateHeader {
             round,
             client_id: self.client_id as u64,
-            weight: data.len() as u64,
+            weight: rows.live().len() as u64,
             // The echoed nonce: the coordinator's admission layer matches
             // it against the assignment to reject stale/replayed frames.
             nonce: assign.nonce,
@@ -294,7 +293,8 @@ impl WorkerRuntime {
                 // Original indices: a re-shipped batch (a coordinator
                 // that crashed before committing it re-drains it) names
                 // rows already gone, removes nothing more and forgets
-                // the same rows, read back from the store.
+                // the same rows, which the store still holds — no
+                // training round came between.
                 let removed: Vec<usize> = removed.iter().map(|&i| i as usize).collect();
                 let len = self.rows.original_len();
                 if let Some(bad) = removed.iter().find(|&&i| i >= len) {
@@ -305,13 +305,12 @@ impl WorkerRuntime {
                 }
                 // The deletion is permanent: once the request is
                 // assigned, the removed samples leave the live rows —
-                // later training rounds never touch them again.
+                // later training rounds never touch them again — and
+                // become the forget rows until the next training round.
                 self.rows.remove(&removed);
-                let forget = self.rows.removed_rows(&removed);
                 self.unlearning = Some(Unlearning {
                     job: DistillJob::new(Arc::clone(&self.factory), teacher, job.local, hard),
                     distiller: ClientDistiller::new(self.client_id),
-                    forget,
                     global: Vec::new(),
                 });
                 // The job is accepted; the distiller answers the coming
@@ -835,16 +834,8 @@ mod tests {
             assert_eq!(w.last_round(), Some(round));
             // The upload is the library's own distillation round.
             let mut fresh = TrainLane::new();
-            let (remaining, forget) = (&split.remaining, &split.forget);
-            oracle.round(
-                &oracle_job,
-                remaining,
-                forget,
-                &mut fresh,
-                &global,
-                round as usize,
-                5,
-            );
+            let rows = ClientRows::lending(&split.remaining, &split.forget);
+            oracle.round(&oracle_job, &rows, &mut fresh, &global, round as usize, 5);
             let mut want = Vec::new();
             fresh.state_into(&mut want);
             assert_eq!(state, want, "distill round {round}");
@@ -1185,7 +1176,9 @@ mod tests {
     /// A hostile `UnlearnAssign` removes nothing when refused, and a
     /// duplicated index forgets its row once: the worker's store holds
     /// each row once, so the distillation round is the library's over a
-    /// single forget row.
+    /// single forget row. A frame naming that row again after a training
+    /// round — which committed the deletion — removes nothing and forgets
+    /// nothing.
     #[test]
     fn hostile_unlearn_assigns_remove_nothing_or_one_row() {
         let limits = FrameLimits::default();
@@ -1231,12 +1224,37 @@ mod tests {
         let teacher = (spec.factory())(3).state_vector();
         let hard = HardLossSpec::CrossEntropy.build();
         let oracle_job = DistillJob::new(spec.factory(), teacher, job().local, hard);
-        let mut fresh = TrainLane::new();
-        let (remaining, forget) = (&split.remaining, &split.forget);
-        ClientDistiller::new(1).round(&oracle_job, remaining, forget, &mut fresh, &global, 0, 5);
-        let mut want = Vec::new();
-        fresh.state_into(&mut want);
-        assert_eq!(state, want);
+        let oracle = |forget: &Dataset| {
+            let mut fresh = TrainLane::new();
+            let rows = ClientRows::lending(&split.remaining, forget);
+            ClientDistiller::new(1).round(&oracle_job, &rows, &mut fresh, &global, 0, 5);
+            let mut want = Vec::new();
+            fresh.state_into(&mut want);
+            want
+        };
+        assert_eq!(state, oracle(&split.forget));
+
+        let train = assign(RoundMode::Train, 1, 5, 0, &global);
+        assert!(matches!(
+            ask(&mut w, &train, &mut lane),
+            Msg::Update { weight: 39, .. }
+        ));
+        assert!(w.rows().forget().is_empty());
+        let ack = answer(&mut w, &unlearn_frame(&spec, &[2]), &mut lane);
+        assert_eq!(ack, Msg::UnlearnAck { num_samples: 39 });
+        assert!(w.rows().forget().is_empty());
+        let reply = ask(
+            &mut w,
+            &assign(RoundMode::Distill, 0, 5, 9, &global),
+            &mut lane,
+        );
+        let Msg::UnlearnResult { weight, state, .. } = reply else {
+            panic!("expected UnlearnResult, got {reply:?}");
+        };
+        assert_eq!(weight, 39);
+        let none = split.forget.subset(&[]);
+        assert_eq!(state, oracle(&none));
+        assert_ne!(state, oracle(&split.forget));
     }
 
     #[test]

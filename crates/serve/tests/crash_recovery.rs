@@ -224,7 +224,8 @@ fn kill_mid_drain_recovers_bitwise() {
 fn kill_right_after_begin_unlearn_recovers_bitwise() {
     // Kill *after* op 1 completes on the inner transport: deletions are
     // applied worker-side, the coordinator dies before any distill
-    // round. The re-drain re-ships the same batch (same serial).
+    // round. The re-drain ships the same batch to the restarted
+    // loopback, whose stores hold the registered rows again.
     crash_and_recover("post-stage", FaultPlan::new().kill_after_at(1), true);
 }
 
@@ -250,8 +251,10 @@ fn tampered_audit_chain_is_detected() {
 /// The full networked scenario: the coordinator process "dies" mid-drain
 /// (transport dropped, sockets gone), workers outlive it, reconnect with
 /// resume tokens, and the restarted coordinator finishes the run —
-/// bitwise identical to an uninterrupted loopback run, with the
-/// re-shipped deletion batch deduplicated worker-side by its serial.
+/// bitwise identical to an uninterrupted loopback run. The re-shipped
+/// deletion batch removes nothing more worker-side: each worker's row
+/// store still holds that drain's forget rows, because no training
+/// round came between.
 #[test]
 fn tcp_crash_restart_with_worker_rejoin_resumes_bitwise() {
     let spec = DemoSpec {
@@ -336,8 +339,9 @@ fn tcp_crash_restart_with_worker_rejoin_resumes_bitwise() {
     assert!(c2.has_overdue_drain());
     let summary = c2.run(rounds, SEED).unwrap();
 
-    // The resumed stream: the overdue drain (re-shipped at the same
-    // serial, deduplicated worker-side) and round 1.
+    // The resumed stream: the overdue drain (re-shipped; the workers'
+    // stores remove nothing more and still hold its forget rows) and
+    // round 1.
     assert_eq!(summary.unlearns.len(), 1);
     assert_eq!(
         summary.unlearns[0].requests,

@@ -15,8 +15,8 @@
 use goldfish_data::{BatchGather, Dataset};
 use goldfish_fed::trainer::TrainLane;
 use goldfish_fed::transport::{
-    round_nonce, LoopbackClients, RoundRuntime, RoundTransport, TrainAssign, TransportError,
-    UpdateSink, Weighting,
+    round_nonce, LoopbackClients, RoundMode, RoundRuntime, RoundTransport, TrainAssign,
+    TransportError, UpdateSink, Weighting,
 };
 use goldfish_fed::{eval, ModelFactory};
 use goldfish_nn::loss::{distillation_loss_into, CrossEntropy, HardLoss};
@@ -61,6 +61,7 @@ fn run_rounds(
     let mut round_accuracies = Vec::with_capacity(setup.rounds);
     for round in 0..setup.rounds {
         let assign = TrainAssign {
+            mode: RoundMode::Train,
             round,
             seed,
             nonce: round_nonce(seed, round),

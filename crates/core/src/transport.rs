@@ -1,8 +1,11 @@
 //! The transport abstraction of the Goldfish unlearning round loop.
 //!
-//! Mirrors `goldfish_fed::transport` for the *distillation* rounds of
-//! Algorithm 1: [`DistillTransport`] is the server-side contract ("ship
-//! the unlearning job, then run distillation rounds"), [`DistillJob`] is
+//! Extends `goldfish_fed::transport` to the *distillation* rounds of
+//! Algorithm 1, which are ordinary rounds whose assignment names
+//! [`goldfish_fed::transport::RoundMode::Distill`]: [`DistillTransport`]
+//! is a [`RoundTransport`] that also takes an unlearning request ("ship
+//! the job and the teacher", after which its distillation rounds run
+//! like any other round), [`DistillJob`] is
 //! what every client of one request shares (teacher state, local
 //! configuration, composite loss), [`ClientDistiller`] is the one
 //! client's own state (its cross-round teacher-logit cache, DESIGN.md
@@ -40,7 +43,8 @@ use goldfish_data::Dataset;
 use goldfish_fed::rows::ClientRows;
 use goldfish_fed::trainer::{Lanes, TrainLane};
 use goldfish_fed::transport::{
-    client_seed, round_nonce, LoopbackClients, RoundTransport, TransportError, UpdateSink,
+    client_seed, LoopbackClients, RoundMode, RoundTransport, TrainAssign, TransportError,
+    UpdateSink,
 };
 use goldfish_fed::ModelFactory;
 use goldfish_nn::loss::{HardLoss, HardLossSpec};
@@ -63,29 +67,27 @@ pub struct UnlearnJob {
     pub hard: Option<HardLossSpec>,
 }
 
-/// Server-side transport contract for the unlearning flow: deliver the
-/// job + teacher to every live client, then stream distillation-round
-/// updates exactly like [`goldfish_fed::transport::RoundTransport`]
-/// streams training-round updates — a drain runs on the same
-/// [`goldfish_fed::transport::RoundRuntime`] as a training round.
-pub trait DistillTransport {
+/// Server-side transport contract for the unlearning flow: a
+/// [`RoundTransport`] that can also take an unlearning request. Once
+/// [`DistillTransport::begin_unlearn`] has delivered the job and the
+/// teacher, a round whose assignment names
+/// [`goldfish_fed::transport::RoundMode::Distill`] is a distillation
+/// round of that request — the same [`RoundTransport::train_round`], on
+/// the same [`goldfish_fed::transport::RoundRuntime`], as a training
+/// round.
+pub trait DistillTransport: RoundTransport {
     /// Number of currently live clients: the length of
-    /// [`DistillTransport::cohort_into`]'s registry.
+    /// [`RoundTransport::cohort_into`]'s registry.
     fn num_clients(&self) -> usize {
         let mut live = Vec::new();
         self.cohort_into(&mut live);
         live.len()
     }
 
-    /// The live registry: `(client_id, num_samples)` of every live
-    /// client, **strictly ascending by id**, written into `out` (cleared
-    /// first). After [`DistillTransport::begin_unlearn`], `num_samples`
-    /// is the client's remaining-data count — its distillation upload's
-    /// FedAvg weight.
-    fn cohort_into(&self, out: &mut Vec<(usize, usize)>);
-
     /// Ships the unlearning job and the frozen teacher state; workers
-    /// (re)build their per-request distillation state.
+    /// (re)build their per-request distillation state. Afterwards each
+    /// live client's registered sample count is its remaining-data
+    /// count — its distillation upload's FedAvg weight.
     ///
     /// # Errors
     ///
@@ -93,34 +95,6 @@ pub trait DistillTransport {
     /// a per-client error when the job itself is undeliverable (e.g. a
     /// custom loss over a wire transport).
     fn begin_unlearn(&mut self, job: &UnlearnJob, teacher: &[f32]) -> Result<(), TransportError>;
-
-    /// Runs one distillation round over `cohort` (a subset of what
-    /// [`DistillTransport::cohort_into`] reported, ascending by id).
-    /// Same contract as
-    /// [`goldfish_fed::transport::RoundTransport::train_round`]: clients
-    /// outside the cohort are not contacted, each delivered update is fed
-    /// to `sink` as it arrives, echoing the round's
-    /// [`goldfish_fed::transport::round_nonce`]`(seed, round)`; `results`
-    /// (cleared first) gets one entry per contacted client, stragglers
-    /// and sink rejections as errors.
-    fn distill_round(
-        &mut self,
-        round: usize,
-        seed: u64,
-        global: &[f32],
-        cohort: &[(usize, usize)],
-        sink: &mut UpdateSink<'_>,
-        results: &mut Vec<Result<(), TransportError>>,
-    );
-
-    /// The lanes the clients' rounds run on in this process, with the
-    /// factory that built them — where the drain's server-side
-    /// evaluation runs
-    /// ([`goldfish_fed::transport::RoundTransport::lanes`]). `None` by
-    /// default.
-    fn lanes(&mut self) -> Option<(&ModelFactory, &mut Lanes)> {
-        None
-    }
 }
 
 /// An [`UnlearnJob`] made runnable: what every client's run of one
@@ -308,11 +282,53 @@ impl<'a> LoopbackDistill<'a> {
     }
 }
 
-impl DistillTransport for LoopbackDistill<'_> {
+impl RoundTransport for LoopbackDistill<'_> {
     fn cohort_into(&self, out: &mut Vec<(usize, usize)>) {
         self.clients.cohort_into(out)
     }
 
+    /// A training round runs on the executor; a distillation round is
+    /// one [`LoopbackClients::feed_waves`] over the cohort's distillers.
+    fn train_round(
+        &mut self,
+        assign: &TrainAssign<'_>,
+        cohort: &[(usize, usize)],
+        sink: &mut UpdateSink<'_>,
+        results: &mut Vec<Result<(), TransportError>>,
+    ) {
+        if assign.mode == RoundMode::Train {
+            return self.clients.train_round(assign, cohort, sink, results);
+        }
+        let job = self
+            .job
+            .as_ref()
+            .expect("a distillation round before begin_unlearn");
+        let mut members: Vec<&mut ClientDistiller> = self
+            .distillers
+            .iter_mut()
+            .filter(|d| cohort.binary_search_by_key(&d.id, |&(id, _)| id).is_ok())
+            .collect();
+        let TrainAssign { global, round, .. } = *assign;
+        self.clients.feed_waves(
+            &mut members,
+            |_, distiller| distiller.id,
+            assign.nonce,
+            |_, rows, lane, distiller| distiller.round(job, rows, lane, global, round, assign.seed),
+            sink,
+            results,
+        );
+    }
+
+    fn quarantine(&mut self, client_id: usize) -> bool {
+        self.clients.quarantine(client_id)
+    }
+
+    fn lanes(&mut self) -> Option<(&ModelFactory, &mut Lanes)> {
+        self.clients.lanes()
+    }
+}
+
+impl DistillTransport for LoopbackDistill<'_> {
     fn begin_unlearn(&mut self, job: &UnlearnJob, teacher: &[f32]) -> Result<(), TransportError> {
         let mut live = Vec::new();
         self.clients.cohort_into(&mut live);
@@ -338,44 +354,13 @@ impl DistillTransport for LoopbackDistill<'_> {
             .collect();
         Ok(())
     }
-
-    fn distill_round(
-        &mut self,
-        round: usize,
-        seed: u64,
-        global: &[f32],
-        cohort: &[(usize, usize)],
-        sink: &mut UpdateSink<'_>,
-        results: &mut Vec<Result<(), TransportError>>,
-    ) {
-        let job = self
-            .job
-            .as_ref()
-            .expect("distill_round before begin_unlearn");
-        let mut members: Vec<&mut ClientDistiller> = self
-            .distillers
-            .iter_mut()
-            .filter(|d| cohort.binary_search_by_key(&d.id, |&(id, _)| id).is_ok())
-            .collect();
-        self.clients.feed_waves(
-            &mut members,
-            |_, distiller| distiller.id,
-            round_nonce(seed, round),
-            |_, rows, lane, distiller| distiller.round(job, rows, lane, global, round, seed),
-            sink,
-            results,
-        );
-    }
-
-    fn lanes(&mut self) -> Option<(&ModelFactory, &mut Lanes)> {
-        self.clients.lanes()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use goldfish_data::synthetic::{self, SyntheticSpec};
+    use goldfish_fed::transport::round_nonce;
     use goldfish_nn::loss::CrossEntropy;
     use goldfish_nn::zoo;
     use rand::{rngs::StdRng, SeedableRng};
@@ -448,12 +433,19 @@ mod tests {
             assert_eq!(cohort, vec![(0, lens[0]), (1, lens[1])]);
             // The whole cohort, then client 1 alone: a client distils
             // the same bits whoever else takes part.
+            let cfg = goldfish_fed::trainer::TrainConfig::default();
+            let assign = TrainAssign {
+                mode: RoundMode::Distill,
+                round: 0,
+                seed: 5,
+                nonce: round_nonce(5, 0),
+                global: &global,
+                cfg: &cfg,
+            };
             for members in [&cohort[..], &cohort[1..]] {
                 let (mut got, mut results) = (Vec::new(), Vec::new());
-                lb.distill_round(
-                    0,
-                    5,
-                    &global,
+                lb.train_round(
+                    &assign,
                     members,
                     &mut |u| {
                         assert_eq!(u.nonce, round_nonce(5, 0));

@@ -11,16 +11,18 @@
 //! weights.
 //!
 //! The rounds run on [`RoundRuntime::run_hot`], the round loop of every
-//! training round: a private adapter presents the [`DistillTransport`] as
-//! a [`RoundTransport`], so a drain gets the same admission checks and the
-//! same straggler/violator re-round as a training round.
+//! training round: a [`DistillTransport`] is a
+//! [`RoundTransport`](goldfish_fed::transport::RoundTransport), and a
+//! distillation round is a round whose assignment names
+//! [`RoundMode::Distill`], so a drain gets the same admission checks and
+//! the same straggler/violator re-round as a training round.
 
 use std::sync::Arc;
 
 use goldfish_data::Dataset;
-use goldfish_fed::trainer::{Lanes, TrainConfig};
+use goldfish_fed::trainer::TrainConfig;
 use goldfish_fed::transport::{
-    round_nonce, RoundRuntime, RoundTransport, TrainAssign, TransportError, UpdateSink, Weighting,
+    round_nonce, RoundMode, RoundRuntime, TrainAssign, TransportError, Weighting,
 };
 use goldfish_fed::ModelFactory;
 use goldfish_nn::loss::{CrossEntropy, HardLoss};
@@ -97,7 +99,7 @@ impl GoldfishUnlearning {
 pub struct UnlearnServer<'a> {
     /// Architecture factory: the reinitialisation, and the server-side
     /// evaluation when the transport lends no lanes
-    /// ([`DistillTransport::lanes`]).
+    /// ([`goldfish_fed::transport::RoundTransport::lanes`]).
     pub factory: &'a ModelFactory,
     /// The server's held-out test set.
     pub test: &'a Dataset,
@@ -131,38 +133,6 @@ impl UnlearningMethod for GoldfishUnlearning {
         let mut runtime = RoundRuntime::new(None, 0);
         self.unlearn_over(&server, &mut transport, &mut runtime, seed)
             .expect("loopback distillation never fails")
-    }
-}
-
-/// A [`DistillTransport`] presented as a [`RoundTransport`]: each round
-/// attempt [`RoundRuntime::run_hot`] makes is a distillation round over
-/// the attempt's cohort.
-struct DistillRounds<'t>(&'t mut dyn DistillTransport);
-
-impl RoundTransport for DistillRounds<'_> {
-    fn cohort_into(&self, out: &mut Vec<(usize, usize)>) {
-        self.0.cohort_into(out)
-    }
-
-    fn train_round(
-        &mut self,
-        assign: &TrainAssign<'_>,
-        cohort: &[(usize, usize)],
-        sink: &mut UpdateSink<'_>,
-        results: &mut Vec<Result<(), TransportError>>,
-    ) {
-        self.0.distill_round(
-            assign.round,
-            assign.seed,
-            assign.global,
-            cohort,
-            sink,
-            results,
-        )
-    }
-
-    fn lanes(&mut self) -> Option<(&ModelFactory, &mut Lanes)> {
-        self.0.lanes()
     }
 }
 
@@ -214,16 +184,16 @@ impl GoldfishUnlearning {
         let mut round_accuracies = Vec::with_capacity(server.rounds);
         for round in 0..server.rounds {
             let assign = TrainAssign {
+                mode: RoundMode::Distill,
                 round,
                 seed,
                 nonce: round_nonce(seed, round),
                 global: &global,
                 cfg: &cfg,
             };
-            let mut rounds = DistillRounds(transport);
-            runtime.run_hot(&mut rounds, &assign, weighting, &mut next)?;
+            runtime.run_hot(transport, &assign, weighting, &mut next)?;
             std::mem::swap(&mut global, &mut next);
-            let accuracy = runtime.accuracy(&mut rounds, server.factory, &global, server.test);
+            let accuracy = runtime.accuracy(transport, server.factory, &global, server.test);
             round_accuracies.push(accuracy);
         }
         Ok(UnlearnOutcome {
@@ -243,7 +213,9 @@ mod tests {
     use goldfish_data::synthetic::{self, SyntheticSpec};
     use goldfish_fed::eval;
     use goldfish_fed::trainer::train_local_ce;
-    use goldfish_fed::transport::{RobustnessEvent, StreamedUpdate, UpdateViolation};
+    use goldfish_fed::transport::{
+        RobustnessEvent, RoundTransport, StreamedUpdate, UpdateSink, UpdateViolation,
+    };
     use goldfish_fed::ModelFactory;
     use goldfish_nn::zoo;
     use rand::{rngs::StdRng, SeedableRng};
@@ -449,23 +421,20 @@ mod tests {
         }
     }
 
-    impl DistillTransport for Scripted {
+    impl RoundTransport for Scripted {
         fn cohort_into(&self, out: &mut Vec<(usize, usize)>) {
             out.clear();
             out.extend(&self.samples);
         }
-        fn begin_unlearn(&mut self, _: &UnlearnJob, _: &[f32]) -> Result<(), TransportError> {
-            Ok(())
-        }
-        fn distill_round(
+        fn train_round(
             &mut self,
-            round: usize,
-            seed: u64,
-            global: &[f32],
+            assign: &TrainAssign<'_>,
             cohort: &[(usize, usize)],
             sink: &mut UpdateSink<'_>,
             results: &mut Vec<Result<(), TransportError>>,
         ) {
+            assert_eq!(assign.mode, RoundMode::Distill);
+            let (round, global) = (assign.round, assign.global);
             results.clear();
             for &(id, n) in cohort {
                 self.contacts[id] += 1;
@@ -480,7 +449,7 @@ mod tests {
                 };
                 let nonce = match self.forger {
                     Some(f) if f == id => 0xF0_26ED,
-                    _ => round_nonce(seed, round),
+                    _ => assign.nonce,
                 };
                 results.push(sink(StreamedUpdate {
                     client_id: id,
@@ -489,6 +458,12 @@ mod tests {
                     state: &state,
                 }));
             }
+        }
+    }
+
+    impl DistillTransport for Scripted {
+        fn begin_unlearn(&mut self, _: &UnlearnJob, _: &[f32]) -> Result<(), TransportError> {
+            Ok(())
         }
     }
 

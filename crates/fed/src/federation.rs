@@ -6,7 +6,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::trainer::TrainConfig;
 use crate::transport::{
-    round_nonce, round_seed, LoopbackClients, RoundRuntime, TrainAssign, Weighting,
+    round_nonce, round_seed, LoopbackClients, RoundMode, RoundRuntime, TrainAssign, Weighting,
 };
 use crate::{eval, ModelFactory};
 
@@ -123,6 +123,7 @@ impl Federation {
         assert!(!self.clients.is_empty(), "federation has no clients");
         let mut clients = LoopbackClients::new(&self.factory, &self.clients, self.threads);
         let assign = TrainAssign {
+            mode: RoundMode::Train,
             round,
             seed,
             nonce: round_nonce(seed, round),

@@ -17,8 +17,8 @@
 //!   and violator drop + re-round, and aggregation under the round's
 //!   [`Weighting`] — FedAvg sample counts folded on arrival, or Eq 12's
 //!   server-MSE weights over the held cohort. Training rounds, `Federation`
-//!   rounds and distillation drains (through `goldfish-core`'s adapter)
-//!   all run on it,
+//!   rounds and distillation drains all run on it: a drain's round is a
+//!   round whose assignment names [`RoundMode::Distill`],
 //! * [`client_seed`] — the one place the per-client per-round RNG seed is
 //!   derived, shared by every transport so remote workers reproduce the
 //!   in-process run bit for bit.
@@ -313,9 +313,26 @@ impl From<RowOutOfRange> for TransportError {
     }
 }
 
+/// Which local procedure a round runs. Algorithm 1 serves a deletion
+/// as ordinary rounds — broadcast, local retraining, aggregation — that
+/// differ only in the clients' local step, so both kinds travel as one
+/// [`TrainAssign`] (and one `RoundAssign` frame on the wire).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum RoundMode {
+    /// Local SGD on the client's live rows under the assignment's
+    /// [`TrainConfig`].
+    Train,
+    /// A distillation round of the active unlearning request: the local
+    /// procedure and its configuration are the request's job, shipped
+    /// before its first round, so the assignment's `cfg` is unused.
+    Distill,
+}
+
 /// One round's marching orders, broadcast to every client.
 #[derive(Debug, Clone, Copy)]
 pub struct TrainAssign<'a> {
+    /// The round's kind: a training or a distillation round.
+    pub mode: RoundMode,
     /// Round index (0-based).
     pub round: usize,
     /// Base seed; each client derives its own via [`client_seed`].
@@ -371,7 +388,9 @@ pub trait RoundTransport {
     /// first, so a warm vector never reallocates).
     fn cohort_into(&self, out: &mut Vec<(usize, usize)>);
 
-    /// Runs one training round over `cohort` (`(client_id, num_samples)`
+    /// Runs one round of the kind `assign.mode` names — a training round,
+    /// or a distillation round of the unlearning request the transport
+    /// was last given — over `cohort` (`(client_id, num_samples)`
     /// ascending by id — a subset of what
     /// [`RoundTransport::cohort_into`] reported; the whole of it for a
     /// full-participation round), feeding each delivered update to `sink`
@@ -611,6 +630,7 @@ impl RoundTransport for LoopbackClients<'_> {
         sink: &mut UpdateSink<'_>,
         results: &mut Vec<Result<(), TransportError>>,
     ) {
+        assert_eq!(assign.mode, RoundMode::Train, "the executor only trains");
         // A training round commits every drained deletion.
         self.commit();
         let (factory, scored) = (Arc::clone(&self.factory), self.scored);
@@ -1500,6 +1520,7 @@ mod tests {
         let global = (factory)(0).state_vector();
         let mut lb = LoopbackClients::new(&factory, &clients, Some(2));
         let assign = TrainAssign {
+            mode: RoundMode::Train,
             round: 3,
             seed: 9,
             nonce: round_nonce(9, 3),
@@ -1531,6 +1552,7 @@ mod tests {
         let (factory, clients, test, cfg) = fixture();
         let global = (factory)(1).state_vector();
         let assign = TrainAssign {
+            mode: RoundMode::Train,
             round: 2,
             seed: 17,
             nonce: round_nonce(17, 2),
@@ -1818,6 +1840,7 @@ mod tests {
 
     fn scripted_assign<'a>(global: &'a [f32], cfg: &'a TrainConfig) -> TrainAssign<'a> {
         TrainAssign {
+            mode: RoundMode::Train,
             round: 5,
             seed: 11,
             nonce: round_nonce(11, 5),

@@ -11,8 +11,8 @@ use goldfish_fed::aggregate::{weighted_mean, ClientUpdate};
 use goldfish_fed::sampling::{cohort_seed, cohort_size, sample_cohort_into, splitmix64};
 use goldfish_fed::trainer::TrainConfig;
 use goldfish_fed::transport::{
-    round_nonce, RoundRuntime, RoundTransport, StreamedUpdate, TrainAssign, TransportError,
-    UpdateSink, Weighting,
+    round_nonce, RoundMode, RoundRuntime, RoundTransport, StreamedUpdate, TrainAssign,
+    TransportError, UpdateSink, Weighting,
 };
 use proptest::prelude::*;
 use rand::{rngs::StdRng, Rng, SeedableRng};
@@ -187,6 +187,7 @@ fn assign_at<'a>(
     cfg: &'a TrainConfig,
 ) -> TrainAssign<'a> {
     TrainAssign {
+        mode: RoundMode::Train,
         round,
         seed,
         nonce: round_nonce(seed, round),

@@ -29,8 +29,8 @@ use goldfish_data::Dataset;
 use goldfish_fed::aggregate::AggregationMode;
 use goldfish_fed::trainer::TrainConfig;
 use goldfish_fed::transport::{
-    round_nonce, RobustConfig, RobustnessEvent, RoundOutcome, RoundRuntime, RowOutOfRange,
-    StateLenError, TrainAssign, TransportError, Weighting,
+    round_nonce, RobustConfig, RobustnessEvent, RoundMode, RoundOutcome, RoundRuntime,
+    RowOutOfRange, StateLenError, TrainAssign, TransportError, Weighting,
 };
 use goldfish_fed::ModelFactory;
 use goldfish_telemetry::events::EventKind;
@@ -761,6 +761,7 @@ impl<T: ServeTransport> Coordinator<T> {
             ..
         } = self;
         let assign = TrainAssign {
+            mode: RoundMode::Train,
             round,
             seed,
             nonce: round_nonce(seed, round),

@@ -3,9 +3,9 @@
 //!
 //! The wrapper sits between the coordinator and **any**
 //! [`ServeTransport`] — loopback or TCP — and counts transport
-//! operations (each broadcast fan-out: a training round, a distill
-//! round, an `UnlearnAssign` staging pass, a local-eval sweep is one
-//! op). A [`FaultPlan`] maps op indices to actions:
+//! operations (each broadcast fan-out is one op: a round, training or
+//! distillation, an `UnlearnAssign` staging pass, a local-eval sweep).
+//! A [`FaultPlan`] maps op indices to actions:
 //!
 //! * `FaultAction::KillBefore` / `FaultAction::KillAfter` — the
 //!   coordinator "crashes" at this op: every client errors out, this
@@ -28,7 +28,8 @@ use crate::transport::{LocalEval, ServeTransport, WireStats};
 use goldfish_core::transport::{DistillTransport, UnlearnJob};
 use goldfish_fed::trainer::Lanes;
 use goldfish_fed::transport::{
-    RoundTransport, RowOutOfRange, StreamedUpdate, TrainAssign, TransportError, UpdateSink,
+    RoundMode, RoundTransport, RowOutOfRange, StreamedUpdate, TrainAssign, TransportError,
+    UpdateSink,
 };
 use goldfish_fed::ModelFactory;
 use rand::{rngs::StdRng, Rng, SeedableRng};
@@ -331,9 +332,10 @@ impl<T: ServeTransport> FaultyTransport<T> {
 
 impl<T: ServeTransport> RoundTransport for FaultyTransport<T> {
     fn cohort_into(&self, out: &mut Vec<(usize, usize)>) {
-        RoundTransport::cohort_into(&self.inner, out)
+        self.inner.cohort_into(out)
     }
 
+    /// Byzantine scripts rewrite training rounds' uploads only.
     fn train_round(
         &mut self,
         assign: &TrainAssign<'_>,
@@ -341,7 +343,8 @@ impl<T: ServeTransport> RoundTransport for FaultyTransport<T> {
         sink: &mut UpdateSink<'_>,
         results: &mut Vec<Result<(), TransportError>>,
     ) {
-        self.round_op(cohort, true, sink, results, |inner, sink, results| {
+        let byzantine = assign.mode == RoundMode::Train;
+        self.round_op(cohort, byzantine, sink, results, |inner, sink, results| {
             inner.train_round(assign, cohort, sink, results)
         });
     }
@@ -351,7 +354,7 @@ impl<T: ServeTransport> RoundTransport for FaultyTransport<T> {
     }
 
     fn lanes(&mut self) -> Option<(&ModelFactory, &mut Lanes)> {
-        RoundTransport::lanes(&mut self.inner)
+        self.inner.lanes()
     }
 }
 
@@ -436,31 +439,9 @@ fn apply_script(
 }
 
 impl<T: ServeTransport> DistillTransport for FaultyTransport<T> {
-    fn cohort_into(&self, out: &mut Vec<(usize, usize)>) {
-        DistillTransport::cohort_into(&self.inner, out)
-    }
-
     fn begin_unlearn(&mut self, job: &UnlearnJob, teacher: &[f32]) -> Result<(), TransportError> {
         self.gated(|t, _| t.inner.begin_unlearn(job, teacher))
             .unwrap_or_else(|| Err(Self::dead_error(0)))
-    }
-
-    fn distill_round(
-        &mut self,
-        round: usize,
-        seed: u64,
-        global: &[f32],
-        cohort: &[(usize, usize)],
-        sink: &mut UpdateSink<'_>,
-        results: &mut Vec<Result<(), TransportError>>,
-    ) {
-        self.round_op(cohort, false, sink, results, |inner, sink, results| {
-            inner.distill_round(round, seed, global, cohort, sink, results)
-        });
-    }
-
-    fn lanes(&mut self) -> Option<(&ModelFactory, &mut Lanes)> {
-        DistillTransport::lanes(&mut self.inner)
     }
 }
 
@@ -498,7 +479,7 @@ impl<T: ServeTransport> ServeTransport for FaultyTransport<T> {
         global: &[f32],
     ) -> Vec<Result<LocalEval, TransportError>> {
         let mut live = Vec::new();
-        RoundTransport::cohort_into(&self.inner, &mut live);
+        self.inner.cohort_into(&mut live);
         let dead = |&(id, _): &(usize, usize)| Err(Self::dead_error(id));
         self.gated(|t, _| t.inner.local_eval(round, global))
             .unwrap_or_else(|| live.iter().map(dead).collect())
@@ -595,6 +576,7 @@ mod tests {
         let global = (spec.factory())(1).state_vector();
         let cfg = spec.train_config();
         let assign = TrainAssign {
+            mode: RoundMode::Train,
             round: 0,
             seed: 3,
             nonce: goldfish_fed::transport::round_nonce(3, 0),
@@ -602,7 +584,7 @@ mod tests {
             cfg: &cfg,
         };
         let mut cohort = Vec::new();
-        RoundTransport::cohort_into(&t, &mut cohort);
+        t.cohort_into(&mut cohort);
         assert_eq!(cohort.iter().map(|c| c.0).collect::<Vec<_>>(), [0, 2, 3]);
         let failed = |results: &[Result<(), TransportError>]| -> Vec<Option<usize>> {
             let id = |r: &Result<(), TransportError>| r.as_ref().err().and_then(|e| e.client_id());

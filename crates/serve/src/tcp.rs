@@ -521,16 +521,6 @@ struct Reactor {
     chunk: Vec<u8>,
 }
 
-/// One round-shaped fan-out's borrowed parameters (train or distill).
-struct RoundSpec<'a> {
-    mode: RoundMode,
-    round: u64,
-    seed: u64,
-    nonce: u64,
-    cfg: &'a goldfish_fed::trainer::TrainConfig,
-    global: &'a [f32],
-}
-
 /// A decoded worker reply leaving the reactor.
 enum Reply<'r> {
     /// `Update` / `UnlearnResult` with the state decoded into the
@@ -1191,33 +1181,33 @@ impl TcpTransport {
         Ok(())
     }
 
-    /// Runs a round-shaped fan-out (train or distill) feeding `sink` as
-    /// updates arrive, recording per-client outcomes into `results`
-    /// (sorted by client id). With a `cohort`, only that subset of the
-    /// live connections is contacted and reported.
+    /// Runs a round-shaped fan-out (train or distill, as `assign.mode`
+    /// says) over the `cohort`'s connections, feeding `sink` as updates
+    /// arrive and recording per-client outcomes into `results` (sorted by
+    /// client id).
     fn round_streamed(
         &mut self,
-        spec: &RoundSpec<'_>,
-        cohort: Option<&[(usize, usize)]>,
+        assign: &TrainAssign<'_>,
+        cohort: &[(usize, usize)],
         sink: &mut UpdateSink<'_>,
         results: &mut Vec<Result<(), TransportError>>,
     ) {
-        let round = spec.round;
-        let want_distill = matches!(spec.mode, RoundMode::Distill);
+        let round = assign.round as u64;
+        let want_distill = assign.mode == RoundMode::Distill;
         let mut outcomes = std::mem::take(&mut self.outcomes);
         // An encode failure is already in `outcomes`, client by client.
         let _ = self.exchange(
-            cohort,
+            Some(cohort),
             &[],
             |_, frame, limits| {
                 encode_round_assign_into(
                     frame,
-                    spec.mode,
-                    spec.round,
-                    spec.seed,
-                    spec.nonce,
-                    spec.cfg,
-                    spec.global,
+                    assign.mode,
+                    round,
+                    assign.seed,
+                    assign.nonce,
+                    assign.cfg,
+                    assign.global,
                     limits,
                 )
             },
@@ -1345,7 +1335,8 @@ impl RoundTransport for TcpTransport {
 
     /// Frames go only to the cohort's connections; every other
     /// registered worker stays parked in the poller, untouched and
-    /// unbilled this round.
+    /// unbilled this round. A distillation round's frame carries the
+    /// assignment's `cfg` for uniformity; workers distil under the job.
     fn train_round(
         &mut self,
         assign: &TrainAssign<'_>,
@@ -1353,19 +1344,7 @@ impl RoundTransport for TcpTransport {
         sink: &mut UpdateSink<'_>,
         results: &mut Vec<Result<(), TransportError>>,
     ) {
-        self.round_streamed(
-            &RoundSpec {
-                mode: RoundMode::Train,
-                round: assign.round as u64,
-                seed: assign.seed,
-                nonce: assign.nonce,
-                cfg: assign.cfg,
-                global: assign.global,
-            },
-            Some(cohort),
-            sink,
-            results,
-        );
+        self.round_streamed(assign, cohort, sink, results);
     }
 
     /// Evicts `client_id`: its connection is closed (after a
@@ -1403,10 +1382,6 @@ impl RoundTransport for TcpTransport {
 }
 
 impl DistillTransport for TcpTransport {
-    fn cohort_into(&self, out: &mut Vec<(usize, usize)>) {
-        RoundTransport::cohort_into(self, out)
-    }
-
     fn begin_unlearn(&mut self, job: &UnlearnJob, teacher: &[f32]) -> Result<(), TransportError> {
         if job.hard.is_none() {
             return Err(TransportError::Unsupported {
@@ -1486,36 +1461,6 @@ impl DistillTransport for TcpTransport {
             }
         }
         Ok(())
-    }
-
-    fn distill_round(
-        &mut self,
-        round: usize,
-        seed: u64,
-        global: &[f32],
-        cohort: &[(usize, usize)],
-        sink: &mut UpdateSink<'_>,
-        results: &mut Vec<Result<(), TransportError>>,
-    ) {
-        self.round_streamed(
-            &RoundSpec {
-                mode: RoundMode::Distill,
-                round: round as u64,
-                seed,
-                // Distill assignments derive their nonce the same way
-                // training rounds do; workers echo whatever the
-                // `RoundAssign` carried, so both sides agree by
-                // construction.
-                nonce: goldfish_fed::transport::round_nonce(seed, round),
-                // cfg travels for frame uniformity but is ignored by
-                // distill workers (the job shipped it already).
-                cfg: &goldfish_fed::trainer::TrainConfig::default(),
-                global,
-            },
-            Some(cohort),
-            sink,
-            results,
-        );
     }
 }
 

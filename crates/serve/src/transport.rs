@@ -2,8 +2,9 @@
 //!
 //! [`ServeTransport`] is what a [`crate::coordinator::Coordinator`]
 //! drives: the federated-round contract
-//! ([`goldfish_fed::transport::RoundTransport`]) plus the distillation
-//! contract ([`goldfish_core::transport::DistillTransport`]) plus the
+//! ([`goldfish_fed::transport::RoundTransport`]), whose rounds train or
+//! distil as their assignment's mode says, extended by the unlearning
+//! request ([`goldfish_core::transport::DistillTransport`]) and by the
 //! serve-specific operations (staging deletion requests, local
 //! evaluation, wire accounting). Two implementations exist:
 //!
@@ -87,7 +88,7 @@ impl WireStats {
 }
 
 /// Everything a coordinator needs from a transport.
-pub trait ServeTransport: RoundTransport + DistillTransport {
+pub trait ServeTransport: DistillTransport {
     /// Local dataset sizes by client id (`0` for dead clients) — used to
     /// validate deletion requests before they are queued.
     fn client_sizes(&self) -> Vec<usize>;
@@ -237,7 +238,7 @@ impl LoopbackTransport {
 
 impl RoundTransport for LoopbackTransport {
     fn cohort_into(&self, out: &mut Vec<(usize, usize)>) {
-        self.exec.clients().cohort_into(out)
+        self.exec.cohort_into(out)
     }
 
     fn train_round(
@@ -247,16 +248,14 @@ impl RoundTransport for LoopbackTransport {
         sink: &mut UpdateSink<'_>,
         results: &mut Vec<Result<(), TransportError>>,
     ) {
-        self.exec
-            .clients_mut()
-            .train_round(assign, cohort, sink, results)
+        self.exec.train_round(assign, cohort, sink, results)
     }
 
     /// Evicts `client_id` from every later cohort (its dataset stays
     /// owned — in-process data cannot "leave" — but it is never
     /// contacted again).
     fn quarantine(&mut self, client_id: usize) -> bool {
-        self.exec.clients_mut().quarantine(client_id)
+        self.exec.quarantine(client_id)
     }
 
     fn lanes(&mut self) -> Option<(&ModelFactory, &mut Lanes)> {
@@ -265,10 +264,6 @@ impl RoundTransport for LoopbackTransport {
 }
 
 impl DistillTransport for LoopbackTransport {
-    fn cohort_into(&self, out: &mut Vec<(usize, usize)>) {
-        self.exec.cohort_into(out)
-    }
-
     fn begin_unlearn(&mut self, job: &UnlearnJob, teacher: &[f32]) -> Result<(), TransportError> {
         let staged = std::mem::take(&mut self.staged);
         // Live clients only, like every round: a quarantined client gets
@@ -291,23 +286,6 @@ impl DistillTransport for LoopbackTransport {
         self.exec.begin_unlearn(job, teacher)?;
         let removals = staged.iter().map(|r| (r.client_id, r.removed.as_slice()));
         Ok(self.exec.clients_mut().remove_rows(removals)?)
-    }
-
-    fn distill_round(
-        &mut self,
-        round: usize,
-        seed: u64,
-        global: &[f32],
-        cohort: &[(usize, usize)],
-        sink: &mut UpdateSink<'_>,
-        results: &mut Vec<Result<(), TransportError>>,
-    ) {
-        self.exec
-            .distill_round(round, seed, global, cohort, sink, results)
-    }
-
-    fn lanes(&mut self) -> Option<(&ModelFactory, &mut Lanes)> {
-        self.exec.lanes()
     }
 }
 
@@ -402,6 +380,7 @@ mod tests {
     use super::*;
     use crate::demo::DemoSpec;
     use goldfish_core::basic_model::GoldfishLocalConfig;
+    use goldfish_fed::transport::RoundMode;
     use goldfish_nn::loss::HardLossSpec;
 
     #[test]
@@ -420,6 +399,7 @@ mod tests {
         let global = (factory)(1).state_vector();
         let cfg = spec.train_config();
         let assign = TrainAssign {
+            mode: RoundMode::Train,
             round: 0,
             seed: 3,
             nonce: goldfish_fed::transport::round_nonce(3, 0),
@@ -427,7 +407,7 @@ mod tests {
             cfg: &cfg,
         };
         let mut cohort = Vec::new();
-        RoundTransport::cohort_into(&t, &mut cohort);
+        t.cohort_into(&mut cohort);
         let mut results = Vec::new();
         t.train_round(&assign, &cohort, &mut |_| Ok(()), &mut results);
         assert_eq!(results, vec![Ok(()), Ok(())]);
@@ -443,12 +423,14 @@ mod tests {
         };
         t.begin_unlearn(&job, &global).unwrap();
         let mut weights = Vec::new();
-        DistillTransport::cohort_into(&t, &mut cohort);
+        t.cohort_into(&mut cohort);
         assert_eq!(cohort, vec![(0, 37), (1, 40)]);
-        t.distill_round(
-            0,
-            3,
-            &global,
+        let distill = TrainAssign {
+            mode: RoundMode::Distill,
+            ..assign
+        };
+        t.train_round(
+            &distill,
             &cohort,
             &mut |u| {
                 weights.push(u.num_samples);
@@ -529,8 +511,17 @@ mod tests {
         t.begin_unlearn(&job, &teacher).unwrap();
         assert_eq!(t.client_sizes(), vec![38, 38]);
         let (mut cohort, mut results) = (Vec::new(), Vec::new());
-        DistillTransport::cohort_into(&t, &mut cohort);
-        t.distill_round(0, 3, &teacher, &cohort, &mut |_| Ok(()), &mut results);
+        t.cohort_into(&mut cohort);
+        let cfg = spec.train_config();
+        let distill = TrainAssign {
+            mode: RoundMode::Distill,
+            round: 0,
+            seed: 3,
+            nonce: goldfish_fed::transport::round_nonce(3, 0),
+            global: &teacher,
+            cfg: &cfg,
+        };
+        t.train_round(&distill, &cohort, &mut |_| Ok(()), &mut results);
         assert_eq!(results, vec![Ok(()), Ok(())]);
 
         // Each replayed removal indexes the live rows as the ones before

@@ -217,16 +217,12 @@ pub mod err_code {
     pub(crate) const QUARANTINED: u16 = 5;
 }
 
-/// Whether a `RoundAssign` is a plain training round or a distillation
-/// round of an active unlearning request.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RoundMode {
-    /// Local SGD on the client's full data; reply is [`Msg::Update`].
-    Train,
-    /// Goldfish distillation retraining; reply is [`Msg::UnlearnResult`]
-    /// and requires a prior [`Msg::UnlearnAssign`].
-    Distill,
-}
+/// Whether a `RoundAssign` is a plain training round (answered by
+/// [`Msg::Update`]) or a distillation round of an active unlearning
+/// request (answered by [`Msg::UnlearnResult`], after a prior
+/// [`Msg::UnlearnAssign`]): the round kind every transport's assignment
+/// carries, one byte on the wire.
+pub use goldfish_fed::transport::RoundMode;
 
 /// One protocol message. See DESIGN.md §10 for the message table and the
 /// coordinator/worker state machines that exchange them.

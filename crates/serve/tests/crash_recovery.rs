@@ -373,7 +373,7 @@ fn tcp_crash_restart_with_worker_rejoin_resumes_bitwise() {
 /// the coordinator's shutdown signal).
 #[test]
 fn mid_frame_eof_is_a_typed_disconnect() {
-    use goldfish_fed::transport::{RoundTransport, TrainAssign, TransportError};
+    use goldfish_fed::transport::{RoundMode, RoundTransport, TrainAssign, TransportError};
     use goldfish_serve::wire::{encode_frame_into, read_frame, write_frame, Msg};
     use std::io::Write;
 
@@ -423,6 +423,7 @@ fn mid_frame_eof_is_a_typed_disconnect() {
     let mut results = Vec::new();
     tcp.train_round(
         &TrainAssign {
+            mode: RoundMode::Train,
             round: 0,
             seed: 1,
             nonce: goldfish_fed::transport::round_nonce(1, 0),

@@ -552,6 +552,7 @@ fn hostile_length_prefix_is_a_typed_failure_in_both_phases() {
     let global = (spec.factory())(1).state_vector();
     let cfg = spec.train_config();
     let assign = TrainAssign {
+        mode: RoundMode::Train,
         round: 0,
         seed: 3,
         nonce: round_nonce(3, 0),
@@ -643,6 +644,7 @@ fn hostile_length_prefix_is_a_typed_failure_in_both_phases() {
 
     // The coordinator keeps serving: the next round goes to both.
     let assign = TrainAssign {
+        mode: RoundMode::Train,
         round: 1,
         seed: 4,
         nonce: round_nonce(4, 1),

@@ -13,12 +13,14 @@
 //!    verdict lands in the verified hash-chained audit log.
 //! 4. **Drains**: distillation uploads pass the same admission layer —
 //!    a violator sits out the round's re-round, and a drain nothing
-//!    survives fails typed and keeps the teacher.
+//!    survives fails typed and keeps the teacher — while Byzantine
+//!    scripts, which stand in for hostile training uploads, never touch
+//!    a distillation round.
 
 use goldfish_core::basic_model::GoldfishLocalConfig;
-use goldfish_core::GoldfishUnlearning;
+use goldfish_core::{GoldfishUnlearning, UnlearnServer};
 use goldfish_fed::aggregate::AggregationMode;
-use goldfish_fed::transport::{RobustnessEvent, UpdateViolation};
+use goldfish_fed::transport::{RobustConfig, RobustnessEvent, RoundRuntime, UpdateViolation};
 use goldfish_serve::audit::{self, audit_kind};
 use goldfish_serve::coordinator::{round_seed, Coordinator, CoordinatorConfig};
 use goldfish_serve::demo::DemoSpec;
@@ -561,4 +563,55 @@ fn all_non_finite_drain_fails_typed_and_keeps_the_teacher() {
             (1, &UpdateViolation::NonFinite)
         ]
     );
+}
+
+/// The fault harness tells a distillation round from a training round
+/// by its assignment's mode, and scripts only the training uploads. A
+/// 40×-scaling worker moves the training round's global; a drain from
+/// the same teacher is bitwise the unfaulted drain, and its admission
+/// bound — the one that strikes the scaled training upload — strikes
+/// nobody.
+#[test]
+fn byzantine_scripts_never_touch_a_distillation_round() {
+    const BOUND: f64 = 5.0;
+    let spec = demo(4);
+    let cfg = config(&spec).with_max_delta_norm(BOUND);
+    let plan = FaultPlan::new().byzantine(1, ByzantineScript::Scale { factor: 40.0 });
+    let mut faulted = coordinator(&spec, cfg.clone(), plan);
+    let mut clean = coordinator(&spec, cfg.clone(), FaultPlan::new());
+    run_rounds(&mut faulted, 1);
+    run_rounds(&mut clean, 1);
+    assert_eq!(faulted.client_strikes(1), 1, "the scaled upload passed");
+    assert_eq!(clean.client_strikes(1), 0);
+    assert_ne!(bits(faulted.global_state()), bits(clean.global_state()));
+
+    let (factory, test) = (spec.factory(), spec.test_set());
+    let teacher = faulted.global_state().to_vec();
+    let server = UnlearnServer {
+        factory: &factory,
+        test: &test,
+        original_global: &teacher,
+        rounds: 2,
+    };
+    let drain = |transport: &mut FaultyTransport<LoopbackTransport>| {
+        transport.stage_removals(&[UnlearnRequest::new(1, vec![0, 1, 2])]);
+        let mut runtime = RoundRuntime::new(cfg.threads, 0);
+        runtime.set_robustness(RobustConfig {
+            max_delta_norm: Some(BOUND),
+            ..RobustConfig::default()
+        });
+        let out = cfg
+            .method
+            .unlearn_over(&server, transport, &mut runtime, SEED)
+            .unwrap();
+        (bits(&out.global_state), runtime.drain_events())
+    };
+    let (got, strikes) = drain(faulted.transport_mut());
+    let (want, clean_strikes) = drain(clean.transport_mut());
+    assert!(clean_strikes.is_empty(), "{clean_strikes:?}");
+    assert!(
+        strikes.is_empty(),
+        "a distillation upload was scripted: {strikes:?}"
+    );
+    assert_eq!(got, want);
 }

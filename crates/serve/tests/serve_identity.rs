@@ -159,7 +159,7 @@ fn loopback_unlearning_matches_library_method() {
 fn loopback_lanes_match_the_per_client_oracle_bitwise() {
     use goldfish_fed::trainer::train_local_ce;
     use goldfish_fed::transport::{
-        client_seed, round_nonce, RoundTransport, StreamedUpdate, TrainAssign,
+        client_seed, round_nonce, RoundMode, RoundTransport, StreamedUpdate, TrainAssign,
     };
 
     type Upload = (usize, usize, Vec<f32>);
@@ -213,6 +213,7 @@ fn loopback_lanes_match_the_per_client_oracle_bitwise() {
                 };
                 let seed = round_seed(SEED, round);
                 let assign = TrainAssign {
+                    mode: RoundMode::Train,
                     round,
                     seed,
                     nonce: round_nonce(seed, round),
@@ -390,13 +391,14 @@ fn window_overflow_keeps_healthy_tcp_workers_connected() {
     // errors, but no connection may be dropped (otherwise a tight
     // --window would silently evict healthy workers and re-round over a
     // shrunken fleet).
-    use goldfish_fed::transport::{RoundTransport, TrainAssign, TransportError};
+    use goldfish_fed::transport::{RoundMode, RoundTransport, TrainAssign, TransportError};
 
     let spec = demo();
     let (mut transport, workers) = tcp_pair(&spec);
     let global = (spec.factory())(1).state_vector();
     let cfg = spec.train_config();
     let assign = TrainAssign {
+        mode: RoundMode::Train,
         round: 0,
         seed: 3,
         nonce: goldfish_fed::transport::round_nonce(3, 0),

@@ -25,7 +25,9 @@ use goldfish::core::GoldfishUnlearning;
 use goldfish::data::synthetic::{self, SyntheticSpec};
 use goldfish::data::{BatchGather, Dataset};
 use goldfish::fed::trainer::{TrainConfig, TrainLane};
-use goldfish::fed::transport::{round_nonce, LoopbackClients, RoundTransport, TrainAssign};
+use goldfish::fed::transport::{
+    round_nonce, LoopbackClients, RoundMode, RoundTransport, TrainAssign,
+};
 use goldfish::fed::ModelFactory;
 use goldfish::nn::loss::{CrossEntropy, Focal, HardLoss, Nll};
 use goldfish::nn::optim::FusedSgd;
@@ -437,6 +439,7 @@ fn loopback_round_peak_heap_is_one_wave() {
         let mut results = Vec::new();
         for round in 0..2 {
             let assign = TrainAssign {
+                mode: RoundMode::Train,
                 round,
                 seed: 5,
                 nonce: round_nonce(5, round),

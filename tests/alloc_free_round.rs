@@ -5,7 +5,10 @@
 //! (network arenas + gather buffers + optimizer velocity reused),
 //! streaming fixed-slot aggregation, and the global-buffer swap. Kept in
 //! its own integration-test binary so no concurrent test can allocate
-//! while the counter is armed (the two tests here take turns on a lock).
+//! while the counter is armed (the tests here take turns on a lock); the
+//! counter is armed per thread, so the test harness's own bookkeeping
+//! (reporting a finished test, spawning the next one) is not counted
+//! either.
 //!
 //! The same allocator also tracks live bytes, which pins ISSUE 15's
 //! memory shape: what a loopback federation keeps resident after warm-up
@@ -14,7 +17,8 @@
 //! worker per registered client.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::cell::Cell;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 use std::sync::{Arc, Mutex};
 
@@ -30,22 +34,32 @@ use goldfish::serve::transport::LoopbackTransport;
 use goldfish::telemetry::clock::Clock;
 use goldfish::telemetry::events::Trace;
 
-/// Counts allocations (and growth reallocations) while armed, and live
-/// heap bytes always.
+/// Counts allocations (and growth reallocations) made by an armed
+/// thread, and live heap bytes always.
 struct CountingAlloc;
 
 static ALLOCS: AtomicUsize = AtomicUsize::new(0);
-static ARMED: AtomicBool = AtomicBool::new(false);
 static LIVE_BYTES: AtomicUsize = AtomicUsize::new(0);
 /// The tests of this binary run one at a time: both read process-wide
 /// allocator state.
 static TURN: Mutex<()> = Mutex::new(());
 
+thread_local! {
+    /// Whether this thread's allocations are counted. A round that forked
+    /// or spawned a worker would still be caught: the fork allocates on
+    /// the armed thread.
+    static ARMED: Cell<bool> = const { Cell::new(false) };
+}
+
+fn count_if_armed() {
+    if ARMED.try_with(Cell::get).unwrap_or(false) {
+        ALLOCS.fetch_add(1, Ordering::Relaxed);
+    }
+}
+
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        if ARMED.load(Ordering::Relaxed) {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-        }
+        count_if_armed();
         LIVE_BYTES.fetch_add(layout.size(), Ordering::Relaxed);
         System.alloc(layout)
     }
@@ -56,9 +70,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        if ARMED.load(Ordering::Relaxed) {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-        }
+        count_if_armed();
         LIVE_BYTES.fetch_add(new_size, Ordering::Relaxed);
         LIVE_BYTES.fetch_sub(layout.size(), Ordering::Relaxed);
         System.realloc(ptr, layout, new_size)
@@ -198,11 +210,11 @@ fn steady_state_loopback_round_is_allocation_free() {
     // Armed: whole rounds must not touch the allocator.
     pool::install(Some(1), || {
         ALLOCS.store(0, Ordering::SeqCst);
-        ARMED.store(true, Ordering::SeqCst);
+        ARMED.set(true);
         for r in 2..6 {
             c.train_round_hot(r, round_seed(7, r)).unwrap();
         }
-        ARMED.store(false, Ordering::SeqCst);
+        ARMED.set(false);
     });
     let n = ALLOCS.load(Ordering::SeqCst);
     assert_eq!(
@@ -246,12 +258,12 @@ fn steady_state_loopback_round_is_allocation_free() {
     }
     pool::install(Some(1), || {
         ALLOCS.store(0, Ordering::SeqCst);
-        ARMED.store(true, Ordering::SeqCst);
+        ARMED.set(true);
         for r in 2..6 {
             clock.advance(1_000_000); // 1ms per round: nonzero spans
             instrumented.train_round_hot(r, round_seed(7, r)).unwrap();
         }
-        ARMED.store(false, Ordering::SeqCst);
+        ARMED.set(false);
     });
     let n = ALLOCS.load(Ordering::SeqCst);
     assert_eq!(
@@ -307,11 +319,11 @@ fn streaming_fold_allocates_nothing_on_a_two_thread_pool() {
         round(&mut acc, &mut out);
         round(&mut acc, &mut out);
         ALLOCS.store(0, Ordering::SeqCst);
-        ARMED.store(true, Ordering::SeqCst);
+        ARMED.set(true);
         for _ in 0..4 {
             round(&mut acc, &mut out);
         }
-        ARMED.store(false, Ordering::SeqCst);
+        ARMED.set(false);
     });
     let n = ALLOCS.load(Ordering::SeqCst);
     assert_eq!(
